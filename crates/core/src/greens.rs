@@ -23,7 +23,7 @@ use crate::hubbard::Spin;
 use crate::stratify::Udt;
 #[cfg(test)]
 use linalg::blas3::{gemm, Op};
-use linalg::{lu, scale, Matrix};
+use linalg::{lu, workspace, Matrix};
 
 /// An equal-time Green's function with its determinant bookkeeping.
 #[derive(Clone, Debug)]
@@ -50,28 +50,43 @@ pub fn split_d(d: &[f64]) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Assembles `G`, the determinant sign, and `ln|det|` from a UDT.
+///
+/// The staging buffers (the split diagonal, `M̃`) are leased from the
+/// workspace arena; `G` itself first holds the right-hand side `D_b Qᵀ`.
 pub fn greens_from_udt(udt: &Udt) -> GreensFunction {
     let n = udt.q.nrows();
-    let (db, ds) = split_d(&udt.d);
+    let mut split = workspace::take(2 * n);
+    let (db, ds) = split.split_at_mut(n);
+    for ((b, s), &x) in db.iter_mut().zip(ds.iter_mut()).zip(&udt.d) {
+        (*b, *s) = if x.abs() > 1.0 {
+            (1.0 / x.abs(), x.signum())
+        } else {
+            (1.0, x)
+        };
+    }
 
-    // M̃ = D_b Qᵀ + D_s T (all entries O(1)).
-    let mut qt = udt.q.transpose();
-    scale::row_scale(&db, &mut qt);
-    let mut m = udt.t.clone();
-    scale::row_scale(&ds, &mut m);
-    m.axpy(1.0, &qt);
+    // One pass builds G = D_b Qᵀ and M̃ = D_s T + D_b Qᵀ (all entries O(1)).
+    let mut g = Matrix::zeros(n, n);
+    let mut m = workspace::take_matrix(n, n);
+    for j in 0..n {
+        let (gj, mj, tj) = (g.col_mut(j), m.col_mut(j), udt.t.col(j));
+        for i in 0..n {
+            gj[i] = udt.q[(j, i)] * db[i];
+            mj[i] = tj[i] * ds[i] + gj[i];
+        }
+    }
 
     let f = lu::lu_in_place(m).expect("Green's function assembly: singular M̃");
-    let mut g = qt; // right-hand side D_b Qᵀ
     f.solve_in_place(&mut g);
 
     // det(I + QDT) = det(Q) · det(D_b⁻¹) · det(M̃); D_b > 0.
     let (mut sign, mut log_det) = f.sign_log_det();
     sign *= udt.q_sign;
-    for &b in &db {
+    for &b in db.iter() {
         log_det -= b.ln();
     }
-    let _ = n;
+    workspace::put_matrix(f.lu);
+    workspace::put(split);
     linalg::check_finite!(g.as_slice(), "greens_from_udt output ({n}x{n})");
     GreensFunction { g, sign, log_det }
 }
@@ -89,9 +104,12 @@ pub fn wrap(fac: &BMatrixFactory, h: &HsField, l: usize, spin: Spin, g: &Matrix)
 pub fn relative_difference(g1: &Matrix, g2: &Matrix) -> f64 {
     assert_eq!(g1.nrows(), g2.nrows());
     assert_eq!(g1.ncols(), g2.ncols());
-    let mut diff = g1.clone();
+    let mut diff = workspace::take_matrix(g1.nrows(), g1.ncols());
+    diff.copy_from(g1);
     diff.axpy(-1.0, g2);
-    diff.norm_fro() / g2.norm_fro()
+    let rel = diff.norm_fro() / g2.norm_fro();
+    workspace::put_matrix(diff);
+    rel
 }
 
 /// Brute-force `G = (I + B_L⋯B_1)⁻¹` by explicit product and inversion.

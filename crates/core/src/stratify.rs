@@ -131,13 +131,13 @@ impl StratifyState {
         gemm(1.0, b, Op::NoTrans, &self.udt.q, Op::NoTrans, 0.0, &mut c);
         scale::col_scale(&self.udt.d, &mut c);
 
-        // Step 3b: grade C.
-        let (qi, ri, pi, sign) = match self.algo {
+        // Step 3b: grade C. R stays in the packed factors (upper triangle).
+        let (qi, mut packed, pi, sign) = match self.algo {
             StratAlgo::Qrp => {
                 let f = qrp::qrp_in_place(c);
                 let p = f.permutation();
                 let sign = f.q_det_sign();
-                (f.form_q(), f.r(), p, sign)
+                (f.form_q(), f.a, p, sign)
             }
             StratAlgo::PrePivot => {
                 // Pre-pivot: descending column norms, then plain QR.
@@ -147,7 +147,7 @@ impl StratifyState {
                 linalg::workspace::put_matrix(c);
                 let f = qr::qr_in_place(cp);
                 let sign = f.q_det_sign();
-                (f.form_q(), f.r(), p, sign)
+                (f.form_q(), f.a, p, sign)
             }
         };
         self.udt.interchanges += pi.displacement();
@@ -156,7 +156,7 @@ impl StratifyState {
         // Refill the graded diagonal in place — its capacity persists across
         // every boundary of the chain.
         self.udt.d.clear();
-        self.udt.d.extend((0..n).map(|i| ri[(i, i)]));
+        self.udt.d.extend((0..n).map(|i| packed[(i, i)]));
         // QRP grades strictly; the pre-pivot variant only preserves the
         // essential graded structure (§IV-A), hence the wide slack.
         linalg::check_graded!(
@@ -168,10 +168,12 @@ impl StratifyState {
             "stratified D at cluster boundary {}",
             self.boundary
         );
-        let mut dinv_r = ri;
-        scale::row_scale_inv(&self.udt.d, &mut dinv_r);
+        // Q is formed, so the reflectors below the diagonal are dead: scale
+        // the packed factors in place and let the TRMM read Dᵢ⁻¹Rᵢ from
+        // their upper triangle.
+        scale::row_scale_inv(&self.udt.d, &mut packed);
         let mut pt = pi.permute_rows_t(&self.udt.t);
-        tri::trmm_upper(&dinv_r, &mut pt);
+        tri::trmm_upper(&packed, &mut pt);
         self.udt.t = pt;
         self.udt.q = qi;
         self.udt.q_sign = sign;
@@ -319,6 +321,32 @@ mod tests {
             let y2 = u2.apply(&x);
             let scale = y1.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1.0);
             for (a, b) in y1.iter().zip(y2.iter()) {
+                assert!((a - b).abs() / scale < 1e-10, "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_kernels_keep_the_small_n_contracts_at_n96() {
+        // N = 96 puts the T update, the QR trailing updates and form_q on
+        // their blocked (GEMM) paths; the N ≤ 16 tests above never leave the
+        // level-2 ones. Same two contracts: the short chain reproduces the
+        // explicit product, and Algorithms 2 and 3 agree on action.
+        let n = 96;
+        let chain = random_chain(n, 4, 1.0, 10);
+        let exact = explicit_product(&chain);
+        let u_qrp = stratify(&chain, StratAlgo::Qrp);
+        let u_pre = stratify(&chain, StratAlgo::PrePivot);
+        for (algo, udt) in [("Qrp", &u_qrp), ("PrePivot", &u_pre)] {
+            let rel = udt.to_matrix().max_abs_diff(&exact) / exact.max_abs();
+            assert!(rel < 1e-11, "{algo}: rel {rel}");
+        }
+        let mut rng = Rng::new(11);
+        for _ in 0..4 {
+            let x: Vec<f64> = (0..n).map(|_| rng.next_f64() - 0.5).collect();
+            let (y1, y2) = (u_qrp.apply(&x), u_pre.apply(&x));
+            let scale = y1.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
+            for (a, b) in y1.iter().zip(&y2) {
                 assert!((a - b).abs() / scale < 1e-10, "{a} vs {b}");
             }
         }

@@ -24,7 +24,7 @@
 #![cfg_attr(any(), deny_hot_alloc)]
 
 use crate::blas3::{self, Op, SendPtr, KC, MC, MR, NC, SMALL_FLOPS};
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, View};
 use crate::parallelism::par_enabled;
 use crate::qrp::{self, QrpFactors};
 use crate::simd::{self, KernelPath};
@@ -43,10 +43,10 @@ pub enum GemmOperand<'a> {
 
 impl<'a> GemmOperand<'a> {
     /// The matrix entry `e` of the batch sees.
-    fn entry(&self, e: usize) -> &'a Matrix {
+    fn entry(&self, e: usize) -> View<'a> {
         match self {
-            GemmOperand::Shared(m) => m,
-            GemmOperand::Each(ms) => ms[e],
+            GemmOperand::Shared(m) => m.view(),
+            GemmOperand::Each(ms) => ms[e].view(),
         }
     }
 
@@ -123,7 +123,7 @@ pub fn dgemm_strided_batched(
         // batching has nothing to amortise, so run the identical small path
         // per entry.
         for (e, c) in cs.iter_mut().enumerate() {
-            blas3::gemm_small(alpha, a.entry(e), opa, b.entry(e), opb, c);
+            blas3::gemm_small(alpha, a.entry(e), opa, b.entry(e), opb, &mut c.view_mut());
         }
     } else {
         let path = simd::kernel_path();
@@ -172,17 +172,17 @@ fn blocked_batched<const NR: usize>(
     while pc < k {
         let kc = KC.min(k - pc);
         if let GemmOperand::Shared(am) = a {
-            blas3::pack_a_full(am, opa, pc, kc, m, &mut packed_a);
+            blas3::pack_a_full(am.view(), opa, pc, kc, m, &mut packed_a);
         }
         if let GemmOperand::Shared(bm) = b {
-            blas3::pack_b_full::<NR>(bm, opb, pc, kc, n, &mut packed_b);
+            blas3::pack_b_full::<NR>(bm.view(), opb, pc, kc, n, &mut packed_b);
         }
         for (e, c) in cs.iter_mut().enumerate() {
             if let GemmOperand::Each(ams) = a {
-                blas3::pack_a_full(ams[e], opa, pc, kc, m, &mut packed_a);
+                blas3::pack_a_full(ams[e].view(), opa, pc, kc, m, &mut packed_a);
             }
             if let GemmOperand::Each(bms) = b {
-                blas3::pack_b_full::<NR>(bms[e], opb, pc, kc, n, &mut packed_b);
+                blas3::pack_b_full::<NR>(bms[e].view(), opb, pc, kc, n, &mut packed_b);
             }
 
             // Macro-tile grid over C_e — byte-for-byte the solo tile loop.

@@ -25,7 +25,7 @@
 #![cfg_attr(any(), deny_hot_alloc)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, View, ViewMut};
 use crate::parallelism::par_enabled;
 use crate::simd::{self, KernelPath};
 use crate::workspace;
@@ -42,14 +42,14 @@ pub enum Op {
 
 impl Op {
     /// Rows of `op(A)` given the stored shape.
-    pub(crate) fn rows(self, a: &Matrix) -> usize {
+    pub(crate) fn rows(self, a: View<'_>) -> usize {
         match self {
             Op::NoTrans => a.nrows(),
             Op::Trans => a.ncols(),
         }
     }
     /// Columns of `op(A)` given the stored shape.
-    pub(crate) fn cols(self, a: &Matrix) -> usize {
+    pub(crate) fn cols(self, a: View<'_>) -> usize {
         match self {
             Op::NoTrans => a.ncols(),
             Op::Trans => a.nrows(),
@@ -84,7 +84,7 @@ pub(crate) const SMALL_FLOPS: usize = 48 * 48 * 48;
 /// assert_eq!(c, a);
 /// ```
 pub fn gemm(alpha: f64, a: &Matrix, opa: Op, b: &Matrix, opb: Op, beta: f64, c: &mut Matrix) {
-    gemm_impl(simd::kernel_path(), alpha, a, opa, b, opb, beta, c);
+    gemm_view(alpha, a.view(), opa, b.view(), opb, beta, c.view_mut());
     // Taint check on the output only: C is *allowed* to carry NaN garbage in
     // with beta = 0 (LAPACK semantics), so inputs are deliberately unchecked.
     crate::check_finite!(c.as_slice(), "gemm output ({}x{})", c.nrows(), c.ncols());
@@ -107,19 +107,45 @@ pub fn gemm_with_kernel(
     beta: f64,
     c: &mut Matrix,
 ) {
-    gemm_impl(path, alpha, a, opa, b, opb, beta, c);
+    gemm_impl(
+        path,
+        alpha,
+        a.view(),
+        opa,
+        b.view(),
+        opb,
+        beta,
+        c.view_mut(),
+    );
     crate::check_finite!(c.as_slice(), "gemm output ({}x{})", c.nrows(), c.ncols());
+}
+
+/// [`gemm`] on sub-blocks: the same blocked driver, micro-kernel and k-order
+/// (so a block gives the bits a copy of it would), reading and writing
+/// through leading-dimension views. The factorizations and [`crate::tri`]
+/// update trailing blocks in place through this entry; their own exit checks
+/// cover its output.
+pub(crate) fn gemm_view(
+    alpha: f64,
+    a: View<'_>,
+    opa: Op,
+    b: View<'_>,
+    opb: Op,
+    beta: f64,
+    c: ViewMut<'_>,
+) {
+    gemm_impl(simd::kernel_path(), alpha, a, opa, b, opb, beta, c);
 }
 
 fn gemm_impl(
     path: KernelPath,
     alpha: f64,
-    a: &Matrix,
+    a: View<'_>,
     opa: Op,
-    b: &Matrix,
+    b: View<'_>,
     opb: Op,
     beta: f64,
-    c: &mut Matrix,
+    mut c: ViewMut<'_>,
 ) {
     let m = opa.rows(a);
     let k = opa.cols(a);
@@ -129,17 +155,19 @@ fn gemm_impl(
     assert_eq!(c.ncols(), n, "gemm: C column count");
 
     // Apply beta once up front.
-    if beta == 0.0 {
-        c.fill(0.0);
-    } else if beta != 1.0 {
-        c.scale(beta);
+    for j in 0..n {
+        if beta == 0.0 {
+            c.col_mut(j).fill(0.0);
+        } else if beta != 1.0 {
+            c.col_mut(j).iter_mut().for_each(|x| *x *= beta);
+        }
     }
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
 
     if m * n * k <= SMALL_FLOPS {
-        gemm_small(alpha, a, opa, b, opb, c);
+        gemm_small(alpha, a, opa, b, opb, &mut c);
         return;
     }
 
@@ -164,11 +192,11 @@ fn gemm_impl(
 fn gemm_blocked<const NR: usize>(
     use_fma: bool,
     alpha: f64,
-    a: &Matrix,
+    a: View<'_>,
     opa: Op,
-    b: &Matrix,
+    b: View<'_>,
     opb: Op,
-    c: &mut Matrix,
+    mut c: ViewMut<'_>,
     m: usize,
     n: usize,
     k: usize,
@@ -188,8 +216,8 @@ fn gemm_blocked<const NR: usize>(
         // Macro-tile grid over C.
         let mblocks = m.div_ceil(MC);
         let nblocks = n.div_ceil(ncb);
-        let cdata = SendPtr(c.as_mut_slice().as_mut_ptr());
-        let ldc = m;
+        let cdata = SendPtr(c.as_mut_ptr());
+        let ldc = c.ld();
         let pa = &packed_a;
         let pb = &packed_b;
 
@@ -233,7 +261,7 @@ pub(crate) fn padded(x: usize, r: usize) -> usize {
 
 /// Reads `op(A)[i, p]` for the logical (post-op) index pair.
 #[inline(always)]
-fn read_op(a: &Matrix, op: Op, i: usize, p: usize) -> f64 {
+fn read_op(a: View<'_>, op: Op, i: usize, p: usize) -> f64 {
     // SAFETY: callers iterate within the logical bounds of op(A).
     unsafe {
         match op {
@@ -248,7 +276,7 @@ fn read_op(a: &Matrix, op: Op, i: usize, p: usize) -> f64 {
 /// Layout: panel r0 (rows r0..r0+MR) occupies `kc*MR` consecutive values,
 /// k-major: element (r0+i, pc+p) at `panel_base + p*MR + i`. Rows beyond `m`
 /// are zero-padded.
-pub(crate) fn pack_a_full(a: &Matrix, opa: Op, pc: usize, kc: usize, m: usize, buf: &mut [f64]) {
+pub(crate) fn pack_a_full(a: View<'_>, opa: Op, pc: usize, kc: usize, m: usize, buf: &mut [f64]) {
     let panels = m.div_ceil(MR);
     let pack_panel = |(pi, panel): (usize, &mut [f64])| {
         let r0 = pi * MR;
@@ -276,7 +304,7 @@ pub(crate) fn pack_a_full(a: &Matrix, opa: Op, pc: usize, kc: usize, m: usize, b
 /// Layout: panel c0 occupies `kc*NR` consecutive values, k-major: element
 /// (pc+p, c0+j) at `panel_base + p*NR + j`. Columns beyond `n` are zero-padded.
 pub(crate) fn pack_b_full<const NR: usize>(
-    b: &Matrix,
+    b: View<'_>,
     opb: Op,
     pc: usize,
     kc: usize,
@@ -403,7 +431,14 @@ fn micro_kernel<const NR: usize>(
 }
 
 /// Serial path for small products: column-major friendly j-p-i loops.
-pub(crate) fn gemm_small(alpha: f64, a: &Matrix, opa: Op, b: &Matrix, opb: Op, c: &mut Matrix) {
+pub(crate) fn gemm_small(
+    alpha: f64,
+    a: View<'_>,
+    opa: Op,
+    b: View<'_>,
+    opb: Op,
+    c: &mut ViewMut<'_>,
+) {
     let m = c.nrows();
     let n = c.ncols();
     let k = opa.cols(a);
@@ -428,7 +463,7 @@ pub(crate) fn gemm_small(alpha: f64, a: &Matrix, opa: Op, b: &Matrix, opb: Op, c
                 let bcol = b.col(j);
                 for i in 0..m {
                     let s = crate::blas1::dot(a.col(i), bcol);
-                    c[(i, j)] += alpha * s;
+                    c.col_mut(j)[i] += alpha * s;
                 }
             }
         }
@@ -440,7 +475,7 @@ pub(crate) fn gemm_small(alpha: f64, a: &Matrix, opa: Op, b: &Matrix, opb: Op, c
                     for p in 0..k {
                         s += acol[p] * read_op(b, Op::Trans, p, j);
                     }
-                    c[(i, j)] += alpha * s;
+                    c.col_mut(j)[i] += alpha * s;
                 }
             }
         }
@@ -451,6 +486,7 @@ pub(crate) fn gemm_small(alpha: f64, a: &Matrix, opa: Op, b: &Matrix, opb: Op, c
 // dqmc-lint: allow(unchecked_kernel) — test oracle; checking it would mask
 // the very taint the checked `gemm` is supposed to attribute.
 pub fn gemm_naive(alpha: f64, a: &Matrix, opa: Op, b: &Matrix, opb: Op, beta: f64, c: &mut Matrix) {
+    let (a, b) = (a.view(), b.view());
     let m = opa.rows(a);
     let k = opa.cols(a);
     let n = opb.cols(b);
@@ -472,7 +508,7 @@ pub fn gemm_naive(alpha: f64, a: &Matrix, opa: Op, b: &Matrix, opb: Op, beta: f6
 /// Convenience: allocate and return `op(A) * op(B)`.
 // dqmc-lint: allow(unchecked_kernel) — delegates to `gemm`, which checks.
 pub fn matmul(a: &Matrix, opa: Op, b: &Matrix, opb: Op) -> Matrix {
-    let mut c = Matrix::zeros(opa.rows(a), opb.cols(b));
+    let mut c = Matrix::zeros(opa.rows(a.view()), opb.cols(b.view()));
     gemm(1.0, a, opa, b, opb, 0.0, &mut c);
     c
 }
@@ -551,6 +587,92 @@ mod tests {
                 c1.max_abs_diff(&c2)
             );
         }
+    }
+
+    fn bits_eq(x: &Matrix, y: &Matrix) -> bool {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        bits(x) == bits(y)
+    }
+
+    #[test]
+    fn views_match_copied_sub_blocks_bitwise() {
+        // Operands and result as sub-blocks of larger buffers (and, last, of
+        // one buffer) against the same product on copies of the blocks: the
+        // small path (12³), the blocked path with odd tile edges, every op
+        // pair, beta = 0, 1 and general.
+        let mut rng = Rng::new(21);
+        let big = 200;
+        let (a0, b0, c0) = (
+            Matrix::random(big, big, &mut rng),
+            Matrix::random(big, big, &mut rng),
+            Matrix::random(big, big, &mut rng),
+        );
+        for &(m, n, k) in &[(12, 12, 12), (61, 53, 67), (32, 150, 97)] {
+            for &(opa, opb) in &[
+                (Op::NoTrans, Op::NoTrans),
+                (Op::Trans, Op::NoTrans),
+                (Op::NoTrans, Op::Trans),
+                (Op::Trans, Op::Trans),
+            ] {
+                for &beta in &[0.0, 1.0, -0.7] {
+                    let (ar, ac) = if opa == Op::NoTrans { (m, k) } else { (k, m) };
+                    let (br, bc) = if opb == Op::NoTrans { (k, n) } else { (n, k) };
+                    let (ablk, bblk, cblk) = ((3, 5, ar, ac), (7, 1, br, bc), (2, 9, m, n));
+                    let mut c = c0.clone();
+                    gemm_view(
+                        1.3,
+                        a0.view().sub(ablk),
+                        opa,
+                        b0.view().sub(bblk),
+                        opb,
+                        beta,
+                        c.view_mut().sub(cblk),
+                    );
+                    let mut expected = c0.submatrix(2, 9, m, n);
+                    gemm(
+                        1.3,
+                        &a0.submatrix(3, 5, ar, ac),
+                        opa,
+                        &b0.submatrix(7, 1, br, bc),
+                        opb,
+                        beta,
+                        &mut expected,
+                    );
+                    let mut want = c0.clone();
+                    want.set_submatrix(2, 9, &expected);
+                    assert!(
+                        bits_eq(&c, &want),
+                        "{m}x{n}x{k} {opa:?}/{opb:?} beta={beta}"
+                    );
+                }
+            }
+        }
+        // All three blocks in one buffer, as the LU trailing update has them.
+        let mut c = c0.clone();
+        let mut cv = c.view_mut();
+        let (c22, [l21, u12]) = cv.split((40, 40, 160, 160), [(40, 8, 160, 32), (8, 40, 32, 160)]);
+        gemm_view(-1.0, l21, Op::NoTrans, u12, Op::NoTrans, 1.0, c22);
+        let mut expected = c0.submatrix(40, 40, 160, 160);
+        let (l21, u12) = (c0.submatrix(40, 8, 160, 32), c0.submatrix(8, 40, 32, 160));
+        gemm(
+            -1.0,
+            &l21,
+            Op::NoTrans,
+            &u12,
+            Op::NoTrans,
+            1.0,
+            &mut expected,
+        );
+        let mut want = c0.clone();
+        want.set_submatrix(40, 40, &expected);
+        assert!(bits_eq(&c, &want), "in-buffer trailing update");
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps")]
+    fn split_rejects_overlapping_blocks() {
+        let mut c = Matrix::zeros(8, 8);
+        let _ = c.view_mut().split((0, 0, 4, 4), [(3, 3, 2, 2)]);
     }
 
     #[test]

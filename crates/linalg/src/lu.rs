@@ -4,9 +4,14 @@
 //! `(D_b Qᵀ + D_s T) G = D_b Qᵀ`. Right-looking blocked algorithm: unblocked
 //! panel factorization, pivot-row swaps across the full matrix, a triangular
 //! solve for the upper block row, and a GEMM trailing update that carries
-//! almost all the flops.
+//! almost all the flops. Both act on the blocks where they live
+//! ([`crate::blas3::gemm_view`]), so a factorization stages nothing.
+//!
+//! This module is tagged `deny_hot_alloc`: `cargo xtask lint` rejects heap
+//! allocation in its non-test code unless a pragma justifies it.
+#![cfg_attr(any(), deny_hot_alloc)]
 
-use crate::blas3::{gemm, Op};
+use crate::blas3::{gemm_view, Op};
 use crate::matrix::Matrix;
 use crate::tri;
 use crate::{Error, Result};
@@ -24,6 +29,8 @@ pub struct LuFactors {
 }
 
 /// Factors a square matrix. Returns [`Error::Singular`] on an exactly zero pivot.
+// dqmc-lint: allow(hot_alloc) — `ipiv` is the returned factor payload, not
+// scratch.
 pub fn lu_in_place(mut a: Matrix) -> Result<LuFactors> {
     let n = a.nrows();
     assert!(a.is_square(), "lu: matrix must be square");
@@ -71,19 +78,19 @@ pub fn lu_in_place(mut a: Matrix) -> Result<LuFactors> {
         }
         let j1 = j0 + nb;
         if j1 < n {
+            let nt = n - j1;
+            let mut av = a.view_mut();
             // --- U block row: U12 = L11⁻¹ A12 ---
-            let l11 = a.submatrix(j0, j0, nb, nb);
-            let mut a12 = a.submatrix(j0, j1, nb, n - j1);
-            tri::trsm_lower_unit(&l11, &mut a12);
-            a.set_submatrix(j0, j1, &a12);
+            let (a12, [l11]) = av.split((j0, j1, nb, nt), [(j0, j0, nb, nb)]);
+            tri::trsm_lower_unit_view(l11, a12);
             // --- Trailing update: A22 -= L21 U12 ---
-            let l21 = a.submatrix(j1, j0, n - j1, nb);
-            let mut a22 = a.submatrix(j1, j1, n - j1, n - j1);
-            gemm(-1.0, &l21, Op::NoTrans, &a12, Op::NoTrans, 1.0, &mut a22);
-            a.set_submatrix(j1, j1, &a22);
+            let (a22, [l21, u12]) =
+                av.split((j1, j1, nt, nt), [(j1, j0, nt, nb), (j0, j1, nb, nt)]);
+            gemm_view(-1.0, l21, Op::NoTrans, u12, Op::NoTrans, 1.0, a22);
         }
         j0 = j1;
     }
+    crate::check_finite!(a.as_slice(), "lu_in_place packed factors ({n}x{n})");
     Ok(LuFactors { lu: a, ipiv })
 }
 
@@ -107,6 +114,8 @@ impl LuFactors {
     }
 
     /// Solves `A x = b` for a single right-hand side.
+    // dqmc-lint: allow(hot_alloc) — convenience wrapper returning an owned
+    // vector; the hot path is `solve_in_place`.
     pub fn solve_vec(&self, b: &[f64]) -> Vec<f64> {
         let mut m = Matrix::from_col_major(b.len(), 1, b.to_vec());
         self.solve_in_place(&mut m);
@@ -152,6 +161,10 @@ impl LuFactors {
 }
 
 /// Convenience: solve `A X = B`, consuming a copy of `A`.
+// dqmc-lint: allow(hot_alloc) — copying both operands is this wrapper's
+// contract; the hot path is `lu_in_place` + `solve_in_place`.
+// dqmc-lint: allow(unchecked_kernel) — delegates to `lu_in_place` and the
+// `tri` solves, which check.
 pub fn solve(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     let f = lu_in_place(a.clone())?;
     let mut x = b.clone();
@@ -160,6 +173,9 @@ pub fn solve(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 }
 
 /// Convenience: explicit inverse.
+// dqmc-lint: allow(hot_alloc) — as for `solve`.
+// dqmc-lint: allow(unchecked_kernel) — delegates to `lu_in_place` and the
+// `tri` solves, which check.
 pub fn inverse(a: &Matrix) -> Result<Matrix> {
     Ok(lu_in_place(a.clone())?.inverse())
 }

@@ -1,13 +1,16 @@
 //! Dense column-major `f64` matrix.
 //!
 //! Storage is always packed (leading dimension equals the row count). The
-//! blocked kernels in [`crate::blas3`] and [`crate::qr`] work on raw column
-//! slices internally; `Matrix` keeps the public API safe and simple.
+//! blocked kernels in [`crate::blas3`], [`crate::tri`] and the factorizations
+//! address sub-blocks through the crate-internal [`View`]/[`ViewMut`]
+//! (pointer + leading dimension); `Matrix` keeps the public API safe and
+//! simple.
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(unsafe_op_in_unsafe_fn)]
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Index, IndexMut};
 
 /// Dense column-major matrix of `f64`.
@@ -299,6 +302,199 @@ impl Matrix {
     }
 }
 
+/// A sub-block as `(first row, first column, rows, columns)`.
+pub(crate) type Block = (usize, usize, usize, usize);
+
+/// Read-only view of a sub-block of a column-major buffer: column `j` starts
+/// `j * ld` elements past the block's first element. The blocked kernels take
+/// their operands in this form so a factorization can update a trailing
+/// block in place instead of copying it out and back.
+#[derive(Clone, Copy)]
+pub(crate) struct View<'a> {
+    ptr: *const f64,
+    rows: usize,
+    cols: usize,
+    ld: usize,
+    _borrow: PhantomData<&'a [f64]>,
+}
+
+// SAFETY: a View is a shared borrow of `f64`s (the lifetime ties it to the
+// owning buffer) and offers reads only, exactly like `&[f64]`.
+unsafe impl Send for View<'_> {}
+// SAFETY: as above; sharing a View shares read access only.
+unsafe impl Sync for View<'_> {}
+
+/// Mutable counterpart of [`View`]: a view whose pointer came from an
+/// exclusive borrow, so it may be written through. [`ViewMut::split`] is the
+/// one way to hold a writable block and readable blocks of the same buffer
+/// at once, and it checks that they are disjoint.
+pub(crate) struct ViewMut<'a> {
+    block: View<'a>,
+    _borrow: PhantomData<&'a mut [f64]>,
+}
+
+impl Matrix {
+    /// The whole matrix as a [`View`].
+    #[inline]
+    pub(crate) fn view(&self) -> View<'_> {
+        View {
+            ptr: self.data.as_ptr(),
+            rows: self.nrows,
+            cols: self.ncols,
+            ld: self.nrows,
+            _borrow: PhantomData,
+        }
+    }
+
+    /// The whole matrix as a [`ViewMut`].
+    #[inline]
+    pub(crate) fn view_mut(&mut self) -> ViewMut<'_> {
+        let ptr = self.data.as_mut_ptr();
+        ViewMut {
+            block: View { ptr, ..self.view() },
+            _borrow: PhantomData,
+        }
+    }
+}
+
+impl<'a> View<'a> {
+    #[inline]
+    pub(crate) fn nrows(&self) -> usize {
+        self.rows
+    }
+
+    #[inline]
+    pub(crate) fn ncols(&self) -> usize {
+        self.cols
+    }
+
+    /// The `nr × nc` sub-block starting at `(r0, c0)`.
+    #[inline]
+    pub(crate) fn sub(self, (r0, c0, nr, nc): Block) -> View<'a> {
+        assert!(
+            r0 + nr <= self.rows && c0 + nc <= self.cols,
+            "view out of bounds"
+        );
+        // An empty block has no first element (its corner may lie past the
+        // buffer, e.g. rows 32.. of an m×0 matrix): it keeps this view's
+        // pointer and is never dereferenced.
+        let offset = if nr == 0 || nc == 0 {
+            0
+        } else {
+            c0 * self.ld + r0
+        };
+        // SAFETY: a non-empty block inside this view (asserted above) has
+        // r0 < rows and c0 < cols, so the offset addresses an element of the
+        // borrowed buffer.
+        let ptr = unsafe { self.ptr.add(offset) };
+        View {
+            ptr,
+            rows: nr,
+            cols: nc,
+            ..self
+        }
+    }
+
+    /// Column `j` of the block as a slice.
+    #[inline]
+    pub(crate) fn col(&self, j: usize) -> &'a [f64] {
+        assert!(j < self.cols, "view column out of bounds");
+        // SAFETY: j < cols, so the `rows` elements from j*ld lie inside the
+        // buffer this view borrows for 'a; no ViewMut overlaps them (split
+        // checks disjointness).
+        unsafe { std::slice::from_raw_parts(self.ptr.add(j * self.ld), self.rows) }
+    }
+
+    /// Unchecked element read (bounds checked only in debug builds).
+    ///
+    /// # Safety
+    /// `i < nrows` and `j < ncols` must hold.
+    #[inline(always)]
+    pub(crate) unsafe fn get_unchecked(&self, i: usize, j: usize) -> f64 {
+        debug_assert!(i < self.rows && j < self.cols);
+        // SAFETY: the caller guarantees i < rows and j < cols, so j*ld + i
+        // addresses an element of the borrowed block.
+        unsafe { *self.ptr.add(j * self.ld + i) }
+    }
+}
+
+impl ViewMut<'_> {
+    #[inline]
+    pub(crate) fn nrows(&self) -> usize {
+        self.block.rows
+    }
+
+    #[inline]
+    pub(crate) fn ncols(&self) -> usize {
+        self.block.cols
+    }
+
+    /// Leading dimension: the distance between the starts of two columns.
+    #[inline]
+    pub(crate) fn ld(&self) -> usize {
+        self.block.ld
+    }
+
+    /// Pointer to the block's first element, for the GEMM tile writers.
+    #[inline]
+    pub(crate) fn as_mut_ptr(&mut self) -> *mut f64 {
+        self.block.ptr.cast_mut()
+    }
+
+    /// Reborrows the whole block read-only.
+    #[inline]
+    pub(crate) fn as_view(&self) -> View<'_> {
+        self.block
+    }
+
+    /// The `nr × nc` sub-block starting at `(r0, c0)`, writable.
+    #[inline]
+    pub(crate) fn sub(&mut self, block: Block) -> ViewMut<'_> {
+        self.split(block, []).0
+    }
+
+    /// One writable block `w` and `K` readable blocks `r` of the same buffer.
+    /// Panics unless every block is in bounds and no `r` overlaps `w`.
+    pub(crate) fn split<const K: usize>(
+        &mut self,
+        w: Block,
+        r: [Block; K],
+    ) -> (ViewMut<'_>, [View<'_>; K]) {
+        let (r0, c0, nr, nc) = w;
+        for &(s0, d0, ns, nd) in &r {
+            let rows_meet = s0 < r0 + nr && r0 < s0 + ns;
+            let cols_meet = d0 < c0 + nc && c0 < d0 + nd;
+            assert!(
+                !(rows_meet && cols_meet),
+                "split: read block overlaps write block"
+            );
+        }
+        // The read views cover no element of `w` (asserted above) and every
+        // borrow of `self` ends with them, so no `&mut` ever aliases a `&`.
+        let wv = ViewMut {
+            block: self.block.sub(w),
+            _borrow: PhantomData,
+        };
+        (wv, r.map(|b| self.block.sub(b)))
+    }
+
+    /// Column `j` of the block as a mutable slice.
+    #[inline]
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [f64] {
+        let View {
+            ptr,
+            rows,
+            cols,
+            ld,
+            ..
+        } = self.block;
+        assert!(j < cols, "view column out of bounds");
+        // SAFETY: column j lies inside the block, which this view borrows
+        // exclusively through a pointer that may be written.
+        unsafe { std::slice::from_raw_parts_mut(ptr.cast_mut().add(j * ld), rows) }
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
     #[inline]
@@ -446,6 +642,21 @@ mod tests {
         a.scale(0.5);
         assert_eq!(a[(1, 1)], 1.5);
         assert_eq!(a[(0, 1)], 0.0);
+    }
+
+    #[test]
+    fn empty_sub_block_keeps_the_view_pointer() {
+        // Rows 32.. of a 40×0 matrix and the far corner of a sub-view with
+        // ld > rows both have corners past the buffer: no offset is taken.
+        let mut empty = Matrix::zeros(40, 0);
+        let base = empty.view().ptr;
+        assert_eq!(empty.view().sub((32, 0, 8, 0)).ptr, base);
+        let w = empty.view_mut().sub((32, 0, 8, 0)).as_mut_ptr();
+        assert_eq!(w.cast_const(), base);
+        let a = Matrix::zeros(6, 6);
+        let inner = a.view().sub((4, 4, 2, 2));
+        assert_eq!(inner.sub((2, 2, 0, 0)).ptr, inner.ptr);
+        assert_eq!(inner.sub((1, 1, 1, 1)).ptr, a.view().sub((5, 5, 1, 1)).ptr);
     }
 
     #[test]

@@ -7,16 +7,18 @@
 //! is the structure that lets unpivoted QR run near GEMM speed — the property
 //! the paper's pre-pivoted stratification (its Algorithm 3) exploits.
 //!
-//! All per-panel staging (explicit V, the T factor, the W work matrices of
-//! the block reflector) is leased from the [`crate::workspace`] arena, so a
-//! steady-state factorization allocates nothing; `cargo xtask lint` enforces
-//! this via the `deny_hot_alloc` tag below.
+//! The block reflector updates its target where it lives (a trailing block of
+//! the matrix being factored, or of the Q being formed) through
+//! [`crate::blas3::gemm_view`]. All per-panel staging (explicit V, the T
+//! factor, the two W work matrices) is leased from the [`crate::workspace`]
+//! arena, so a steady-state factorization allocates nothing; `cargo xtask
+//! lint` enforces this via the `deny_hot_alloc` tag below.
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
 use crate::blas1;
-use crate::blas3::{gemm, Op};
-use crate::matrix::Matrix;
+use crate::blas3::{gemm, gemm_view, Op};
+use crate::matrix::{Matrix, ViewMut};
 use crate::workspace;
 
 /// Panel width for the blocked algorithm.
@@ -169,42 +171,45 @@ fn panel_vt(a: &Matrix, tau: &[f64], j0: usize, nb: usize) -> (Matrix, Matrix) {
     (v, t)
 }
 
-/// Applies the block reflector: `C := (I − V Tᵀ Vᵀ) C`  when `trans`,
-/// `C := (I − V T Vᵀ) C` otherwise. `C` is the rows `r0..` slice of `c`.
-///
-/// All three staging matrices (the C sub-block and the two W products) come
-/// from the workspace arena.
-fn apply_block_reflector(v: &Matrix, t: &Matrix, trans: bool, c: &mut Matrix, r0: usize) {
-    let m = c.nrows();
+/// Applies the block reflector in place: `C := (I − V Tᵀ Vᵀ) C` when `trans`,
+/// `C := (I − V T Vᵀ) C` otherwise. `c` is the block the reflector acts on
+/// (as many rows as `v`), updated where it lives; the two W products are
+/// staged in the workspace arena.
+fn apply_block_reflector(v: &Matrix, t: &Matrix, trans: bool, c: ViewMut<'_>) {
     let n = c.ncols();
-    let rows = m - r0;
     let nb = v.ncols();
-    if n == 0 || rows == 0 {
+    if n == 0 || c.nrows() == 0 {
         return;
     }
-    // Work on the sub-block of C.
-    let mut csub = workspace::take_matrix(rows, n);
-    c.copy_submatrix_into(r0, 0, &mut csub);
     // W = Vᵀ C  (nb × n)
     let mut w = workspace::take_matrix(nb, n);
-    gemm(1.0, v, Op::Trans, &csub, Op::NoTrans, 0.0, &mut w);
-    // W := T W or Tᵀ W
-    let mut tw = workspace::take_matrix(nb, n);
-    gemm(
+    gemm_view(
         1.0,
-        t,
-        if trans { Op::Trans } else { Op::NoTrans },
-        &w,
+        v.view(),
+        Op::Trans,
+        c.as_view(),
         Op::NoTrans,
         0.0,
-        &mut tw,
+        w.view_mut(),
     );
+    // W := T W or Tᵀ W
+    let mut tw = workspace::take_matrix(nb, n);
+    let opt = if trans { Op::Trans } else { Op::NoTrans };
+    gemm(1.0, t, opt, &w, Op::NoTrans, 0.0, &mut tw);
     // C := C − V W
-    gemm(-1.0, v, Op::NoTrans, &tw, Op::NoTrans, 1.0, &mut csub);
-    c.set_submatrix(r0, 0, &csub);
-    workspace::put_matrix(csub);
+    gemm_view(-1.0, v.view(), Op::NoTrans, tw.view(), Op::NoTrans, 1.0, c);
     workspace::put_matrix(w);
     workspace::put_matrix(tw);
+}
+
+/// Applies the panel of reflectors starting at column `j0` of the packed
+/// factors `(a, tau)` to `c`, the block of rows `j0..` it acts on.
+fn apply_panel(a: &Matrix, tau: &[f64], j0: usize, trans: bool, c: ViewMut<'_>) {
+    let nb = NB.min(tau.len() - j0);
+    let (v, t) = panel_vt(a, &tau[j0..j0 + nb], j0, nb);
+    apply_block_reflector(&v, &t, trans, c);
+    workspace::put_matrix(v);
+    workspace::put_matrix(t);
 }
 
 /// Blocked QR factorization (DGEQRF analogue). Consumes `a`, returns factors.
@@ -219,23 +224,69 @@ pub fn qr_in_place(mut a: Matrix) -> QrFactors {
     while j0 < kmax {
         let nb = NB.min(kmax - j0);
         qr_panel_unblocked(&mut a, j0, j0, nb, &mut tau[j0..j0 + nb]);
-        if j0 + nb < n {
-            let (v, t) = panel_vt(&a, &tau[j0..j0 + nb], j0, nb);
+        let j1 = j0 + nb;
+        if j1 < n {
             // Update trailing columns: A := Qᵀ A = (I − V Tᵀ Vᵀ) A.
-            let ntrail = n - (j0 + nb);
-            let mut trailing = workspace::take_matrix(m - j0, ntrail);
-            a.copy_submatrix_into(j0, j0 + nb, &mut trailing);
-            apply_block_reflector(&v, &t, true, &mut trailing, 0);
-            a.set_submatrix(j0, j0 + nb, &trailing);
-            workspace::put_matrix(trailing);
+            let (v, t) = panel_vt(&a, &tau[j0..j1], j0, nb);
+            apply_block_reflector(&v, &t, true, a.view_mut().sub((j0, j1, m - j0, n - j1)));
             workspace::put_matrix(v);
             workspace::put_matrix(t);
         }
-        j0 += nb;
+        j0 = j1;
     }
     crate::check_finite!(a.as_slice(), "qr_in_place packed factors ({m}x{n})");
     crate::check_finite!(&tau, "qr_in_place tau");
     QrFactors { a, tau }
+}
+
+/// `C := Qᵀ C` (`trans`) or `C := Q C` for the reflectors packed in
+/// `(a, tau)` (DORMQR "L"). Shared by [`QrFactors`] and
+/// [`crate::QrpFactors`], whose reflectors have the same packed form.
+pub(crate) fn apply_reflectors(a: &Matrix, tau: &[f64], trans: bool, c: &mut Matrix) {
+    let (m, n) = (a.nrows(), c.ncols());
+    assert_eq!(c.nrows(), m, "apply_q: row mismatch");
+    // Qᵀ = H_k … H_1 takes the panels in order; Q = H_1 … H_k in reverse.
+    let panels = tau.len().div_ceil(NB);
+    for p in 0..panels {
+        let j0 = NB * if trans { p } else { panels - 1 - p };
+        apply_panel(a, tau, j0, trans, c.view_mut().sub((j0, 0, m - j0, n)));
+    }
+}
+
+/// The square `m × m` orthogonal factor of the reflectors packed in
+/// `(a, tau)` (DORGQR): back to front, so the panel at `j0` meets the
+/// identity outside the trailing `(m−j0) × (m−j0)` block and updates only
+/// that — 4/3·m³ flops where applying Q to a full identity costs 2·m³.
+pub(crate) fn form_q(a: &Matrix, tau: &[f64]) -> Matrix {
+    let m = a.nrows();
+    let mut q = Matrix::identity(m);
+    for j0 in (0..tau.len()).step_by(NB).rev() {
+        apply_panel(
+            a,
+            tau,
+            j0,
+            false,
+            q.view_mut().sub((j0, j0, m - j0, m - j0)),
+        );
+    }
+    crate::check_orthogonal!(&q, 1e-11 * m.max(4) as f64, "qr form_q ({m}x{m})");
+    q
+}
+
+/// The upper-triangular/trapezoidal factor R (`min(m,n) × n`) of packed
+/// factors `a`.
+pub(crate) fn r_factor(a: &Matrix) -> Matrix {
+    let k = a.nrows().min(a.ncols());
+    Matrix::from_fn(k, a.ncols(), |i, j| if i <= j { a[(i, j)] } else { 0.0 })
+}
+
+/// Sign of `det Q`: each non-trivial Householder reflector contributes −1.
+pub(crate) fn q_det_sign(tau: &[f64]) -> f64 {
+    if tau.iter().filter(|&&t| t != 0.0).count() % 2 == 1 {
+        -1.0
+    } else {
+        1.0
+    }
 }
 
 impl QrFactors {
@@ -251,18 +302,7 @@ impl QrFactors {
 
     /// The upper-triangular/trapezoidal factor R (`min(m,n) × n`).
     pub fn r(&self) -> Matrix {
-        let k = self.a.nrows().min(self.a.ncols());
-        Matrix::from_fn(
-            k,
-            self.a.ncols(),
-            |i, j| {
-                if i <= j {
-                    self.a[(i, j)]
-                } else {
-                    0.0
-                }
-            },
-        )
+        r_factor(&self.a)
     }
 
     /// Diagonal of R (length `min(m,n)`).
@@ -272,40 +312,17 @@ impl QrFactors {
 
     /// Applies `Qᵀ` to `c` in place (`C := Qᵀ C`, DORMQR "L","T").
     pub fn apply_qt(&self, c: &mut Matrix) {
-        assert_eq!(c.nrows(), self.a.nrows(), "apply_qt: row mismatch");
-        let k = self.tau.len();
-        let mut j0 = 0;
-        while j0 < k {
-            let nb = NB.min(k - j0);
-            let (v, t) = panel_vt(&self.a, &self.tau[j0..j0 + nb], j0, nb);
-            apply_block_reflector(&v, &t, true, c, j0);
-            workspace::put_matrix(v);
-            workspace::put_matrix(t);
-            j0 += nb;
-        }
+        apply_reflectors(&self.a, &self.tau, true, c);
     }
 
     /// Applies `Q` to `c` in place (`C := Q C`, DORMQR "L","N").
     pub fn apply_q(&self, c: &mut Matrix) {
-        assert_eq!(c.nrows(), self.a.nrows(), "apply_q: row mismatch");
-        let k = self.tau.len();
-        // Q = H_1 H_2 … H_k, so apply blocks in reverse order, untransposed.
-        for j0 in (0..k).step_by(NB).rev() {
-            let nb = NB.min(k - j0);
-            let (v, t) = panel_vt(&self.a, &self.tau[j0..j0 + nb], j0, nb);
-            apply_block_reflector(&v, &t, false, c, j0);
-            workspace::put_matrix(v);
-            workspace::put_matrix(t);
-        }
+        apply_reflectors(&self.a, &self.tau, false, c);
     }
 
     /// Forms the square `m × m` orthogonal factor Q explicitly (DORGQR).
     pub fn form_q(&self) -> Matrix {
-        let m = self.a.nrows();
-        let mut q = Matrix::identity(m);
-        self.apply_q(&mut q);
-        crate::check_orthogonal!(&q, 1e-11 * m.max(4) as f64, "qr form_q ({m}x{m})");
-        q
+        form_q(&self.a, &self.tau)
     }
 
     /// Sign of `det Q`: each non-trivial Householder reflector contributes −1.
@@ -313,12 +330,7 @@ impl QrFactors {
     /// DQMC needs the sign of `det(I + B_L…B_1)` for the fermion sign; the
     /// orthogonal factor's contribution comes from this count.
     pub fn q_det_sign(&self) -> f64 {
-        let odd = self.tau.iter().filter(|&&t| t != 0.0).count() % 2 == 1;
-        if odd {
-            -1.0
-        } else {
-            1.0
-        }
+        q_det_sign(&self.tau)
     }
 }
 

@@ -10,22 +10,22 @@
 //! and why the paper's Algorithm 3 replaces it with a cheap pre-pivot + plain
 //! QR.
 //!
-//! Per-panel staging (the F matrix, flag buffer, trailing-update blocks)
-//! comes from the [`crate::workspace`] arena and the per-column scratch is
-//! stack-allocated, so a steady-state factorization performs no heap
-//! allocation; the `deny_hot_alloc` tag below makes `cargo xtask lint`
-//! enforce that. The column-norm downdate sweep (the paper's §IV-B
-//! fine-grain loop) runs on the Rayon pool above
+//! Per-panel staging (the F matrix, flag buffer) comes from the
+//! [`crate::workspace`] arena, the trailing update runs in place and the
+//! per-column scratch is stack-allocated, so a steady-state factorization
+//! performs no heap allocation; the `deny_hot_alloc` tag below makes
+//! `cargo xtask lint` enforce that. The column-norm downdate sweep (the
+//! paper's §IV-B fine-grain loop) runs on the Rayon pool above
 //! [`PAR_DOWNDATE_CUTOFF`] columns.
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
 use crate::blas1;
-use crate::blas3::{gemm, Op};
+use crate::blas3::{gemm_view, Op};
 use crate::matrix::Matrix;
 use crate::parallelism::par_enabled;
 use crate::perm::Permutation;
-use crate::qr::{house, NB};
+use crate::qr::{self, house, NB};
 use crate::workspace;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -259,26 +259,12 @@ fn factor_panel(
     let r1 = j0 + nf;
     if r1 < m && r1 < n {
         // Rows r1.. of the panel's V sit entirely below every reflector's
-        // unit diagonal, so they are exactly the stored block A[r1.., j0..].
-        let mut vlow = workspace::take_matrix(m - r1, nf);
-        a.copy_submatrix_into(r1, j0, &mut vlow);
-        let mut ftrail = workspace::take_matrix(n - r1, nf);
-        f.copy_submatrix_into(nf, 0, &mut ftrail);
-        let mut trail = workspace::take_matrix(m - r1, n - r1);
-        a.copy_submatrix_into(r1, r1, &mut trail);
-        gemm(
-            -1.0,
-            &vlow,
-            Op::NoTrans,
-            &ftrail,
-            Op::Trans,
-            1.0,
-            &mut trail,
-        );
-        a.set_submatrix(r1, r1, &trail);
-        workspace::put_matrix(vlow);
-        workspace::put_matrix(ftrail);
-        workspace::put_matrix(trail);
+        // unit diagonal, so they are exactly the stored block A[r1.., j0..r1],
+        // read in place beside the trailing block it updates.
+        let mut av = a.view_mut();
+        let (trail, [vlow]) = av.split((r1, r1, m - r1, n - r1), [(r1, j0, m - r1, nf)]);
+        let ftrail = f.view().sub((nf, 0, n - r1, nf));
+        gemm_view(-1.0, vlow, Op::NoTrans, ftrail, Op::Trans, 1.0, trail);
     }
 
     // Refresh partial norms that the downdate could no longer certify, and
@@ -332,18 +318,7 @@ impl QrpFactors {
 
     /// The upper-triangular factor R (`min(m,n) × n`).
     pub fn r(&self) -> Matrix {
-        let k = self.a.nrows().min(self.a.ncols());
-        Matrix::from_fn(
-            k,
-            self.a.ncols(),
-            |i, j| {
-                if i <= j {
-                    self.a[(i, j)]
-                } else {
-                    0.0
-                }
-            },
-        )
+        qr::r_factor(&self.a)
     }
 
     /// Diagonal of R (length `min(m,n)`), non-increasing in magnitude.
@@ -359,35 +334,24 @@ impl QrpFactors {
         Permutation::from_forward(self.jpvt.clone())
     }
 
-    /// Reinterprets the packed Householder data as unpivoted [`crate::QrFactors`]
-    /// to reuse Q application/formation (the reflectors are identical).
-    // dqmc-lint: allow(hot_alloc) — one copy of the packed factors per Q
-    // application; callers are post-processing, not the panel loop.
-    fn as_qr(&self) -> crate::qr::QrFactors {
-        crate::qr::QrFactors {
-            a: self.a.clone(),
-            tau: self.tau.clone(),
-        }
-    }
-
     /// Forms the square orthogonal factor Q explicitly.
     pub fn form_q(&self) -> Matrix {
-        self.as_qr().form_q()
+        qr::form_q(&self.a, &self.tau)
     }
 
     /// Applies `Qᵀ` in place (`C := Qᵀ C`).
     pub fn apply_qt(&self, c: &mut Matrix) {
-        self.as_qr().apply_qt(c);
+        qr::apply_reflectors(&self.a, &self.tau, true, c);
     }
 
     /// Applies `Q` in place (`C := Q C`).
     pub fn apply_q(&self, c: &mut Matrix) {
-        self.as_qr().apply_q(c);
+        qr::apply_reflectors(&self.a, &self.tau, false, c);
     }
 
     /// Sign of `det Q` (see [`crate::QrFactors::q_det_sign`]).
     pub fn q_det_sign(&self) -> f64 {
-        self.as_qr().q_det_sign()
+        qr::q_det_sign(&self.tau)
     }
 }
 

@@ -14,9 +14,17 @@
 //! The whole suite also runs under `LINALG_KERNEL=scalar` in CI, which
 //! pins the dispatcher itself; here we bypass the process-wide cache via
 //! `gemm_with_kernel` so one process covers both paths.
+//!
+//! The second half holds the *algorithm* paths to the same standard: the
+//! GEMM-based TRMM/TRSM against the level-2 loops they replaced
+//! (`common/mod.rs`), and the DORGQR-shaped `form_q` against `apply_q(I)`,
+//! at sizes on both sides of the size crossover and of every panel edge.
 
-use linalg::blas3::gemm_naive;
-use linalg::{gemm_with_kernel, KernelPath, Matrix, Op};
+mod common;
+
+use common::*;
+use linalg::blas3::{gemm_naive, matmul};
+use linalg::{gemm_with_kernel, tri, KernelPath, Matrix, Op};
 
 /// Elementwise tolerance for comparing two summation orders of a length-`k`
 /// dot product with |entries| ≤ 1: a couple of ulps per accumulation step.
@@ -184,7 +192,6 @@ fn factorizations_identical_numerics_across_paths() {
     // same inputs must keep their *invariants* (reconstruction) intact on
     // both kernels. This is the in-process analogue of the CI job that
     // reruns the whole suite under LINALG_KERNEL=scalar.
-    use linalg::blas3::matmul;
     let n = 48;
     let mut rng = util::Rng::new(600);
     let a = Matrix::random(n, n, &mut rng);
@@ -199,5 +206,106 @@ fn factorizations_identical_numerics_across_paths() {
     let d = fp.r_diag();
     for w in d.windows(2) {
         assert!(w[0].abs() >= w[1].abs() * (1.0 - 1e-9), "R diagonal graded");
+    }
+}
+
+/// Orders on both sides of the blocked kernels' size crossover and of every
+/// 32-wide panel edge.
+const ORDERS: [usize; 11] = [1, 7, 31, 32, 33, 63, 64, 65, 127, 256, 257];
+
+/// Runs `kernel` and its level-2 `reference` on a well-conditioned order-`n`
+/// triangle and right-hand sides of widths 1, 5 and n — uniform, and graded
+/// over 60 decades by rows in the direction that keeps the result graded
+/// (`descending` for the upper kernels, whose row i reads rows ≥ i) — and
+/// checks agreement to `1e-13·n` relative, row by row.
+fn check_tri(what: &str, kernel: TriKernel, reference: TriKernel, descending: bool) {
+    for n in ORDERS {
+        let mut rng = util::Rng::new(700 + n as u64);
+        let a = conditioned(n, &mut rng);
+        for w in [1, 5, n] {
+            for decades in [0.0, 60.0] {
+                let mut b = Matrix::random(n, w, &mut rng);
+                grade_rows(&mut b, decades, descending);
+                let mut expected = b.clone();
+                reference(&a, &mut expected);
+                kernel(&a, &mut b);
+                let rel = max_row_rel_diff(&b, &expected);
+                assert!(
+                    rel <= 1e-13 * n as f64,
+                    "{what} n={n} w={w} decades={decades}: {rel:e}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_trmm_upper_matches_level2_reference() {
+    check_tri("trmm_upper", tri::trmm_upper, trmm_upper_ref, true);
+}
+
+#[test]
+fn blocked_trsm_upper_matches_level2_reference() {
+    check_tri("trsm_upper", tri::trsm_upper, trsm_upper_ref, true);
+}
+
+#[test]
+fn blocked_trsm_lower_unit_matches_level2_reference() {
+    check_tri(
+        "trsm_lower_unit",
+        tri::trsm_lower_unit,
+        trsm_lower_unit_ref,
+        false,
+    );
+}
+
+#[test]
+fn form_q_equals_apply_q_of_identity_and_is_orthogonal() {
+    // DORGQR order touches only the trailing block per panel; DORMQR on a
+    // full identity is the oracle. Square orders plus a tall 65×33, for the
+    // reflectors of both factorizations.
+    fn check(q: &Matrix, apply_q: impl Fn(&mut Matrix), label: &str) {
+        let m = q.nrows();
+        let tol = 1e-13 * m as f64;
+        let mut applied = Matrix::identity(m);
+        apply_q(&mut applied);
+        assert!(
+            q.max_abs_diff(&applied) <= tol,
+            "{label}: form_q vs apply_q(I)"
+        );
+        let qtq = matmul(q, Op::Trans, q, Op::NoTrans);
+        let resid = qtq.max_abs_diff(&Matrix::identity(m));
+        assert!(resid <= tol, "{label}: ‖QᵀQ − I‖ = {resid:e}");
+    }
+    for (m, n) in ORDERS.iter().map(|&n| (n, n)).chain([(65, 33)]) {
+        let mut rng = util::Rng::new(800 + m as u64);
+        let a = Matrix::random(m, n, &mut rng);
+        let f = linalg::qr::qr_in_place(a.clone());
+        check(&f.form_q(), |c| f.apply_q(c), &format!("qr {m}x{n}"));
+        let f = linalg::qrp::qrp_in_place(a);
+        check(&f.form_q(), |c| f.apply_q(c), &format!("qrp {m}x{n}"));
+    }
+}
+
+#[test]
+fn zero_column_right_hand_sides_are_no_ops() {
+    // An n×0 matrix owns no element, so no panel of the blocked kernels may
+    // address one. Order 257 gives every kernel several 32-wide panels.
+    for n in [33, 257] {
+        let mut rng = util::Rng::new(900 + n as u64);
+        let a = conditioned(n, &mut rng);
+        let qr = linalg::qr::qr_in_place(a.clone());
+        let qrp = linalg::qrp::qrp_in_place(a.clone());
+        let mut empty = Matrix::zeros(n, 0);
+        tri::trmm_upper(&a, &mut empty);
+        tri::trsm_upper(&a, &mut empty);
+        tri::trsm_lower_unit(&a, &mut empty);
+        qr.apply_q(&mut empty);
+        qr.apply_qt(&mut empty);
+        qrp.apply_q(&mut empty);
+        qrp.apply_qt(&mut empty);
+        let lu = linalg::lu::lu_in_place(a).expect("well conditioned");
+        lu.solve_in_place(&mut empty);
+        assert_eq!((empty.nrows(), empty.ncols()), (n, 0));
     }
 }

@@ -1,5 +1,7 @@
 //! Property-based tests of the linear-algebra substrate's invariants.
 
+mod common;
+
 use linalg::blas3::{gemm_naive, matmul};
 use linalg::{gemm, Matrix, Op, Permutation};
 use proptest::prelude::*;
@@ -202,5 +204,31 @@ proptest! {
         linalg::tri::trmm_upper(&u, &mut y);
         linalg::tri::trsm_upper(&u, &mut y);
         prop_assert!(y.max_abs_diff(&x) < 1e-9);
+    }
+
+    #[test]
+    fn blocked_tri_kernels_match_level2_reference(
+        n in 1usize..100,
+        width in 0usize..3,
+        seed in 0u64..500,
+    ) {
+        // Right-hand sides of width 1, 5 or n: with n up to 100 the cases
+        // fall on both sides of the size crossover.
+        use common::*;
+        let w = [1, 5, n][width];
+        let mut rng = util::Rng::new(seed);
+        let a = conditioned(n, &mut rng);
+        let b = Matrix::random(n, w, &mut rng);
+        let kernels: [(TriKernel, TriKernel); 3] = [
+            (linalg::tri::trmm_upper, trmm_upper_ref),
+            (linalg::tri::trsm_upper, trsm_upper_ref),
+            (linalg::tri::trsm_lower_unit, trsm_lower_unit_ref),
+        ];
+        for (kernel, reference) in kernels {
+            let (mut x, mut y) = (b.clone(), b.clone());
+            kernel(&a, &mut x);
+            reference(&a, &mut y);
+            prop_assert!(max_row_rel_diff(&x, &y) <= 1e-13 * n as f64);
+        }
     }
 }

@@ -330,8 +330,8 @@ pub(crate) fn suffix_match(path: &str, pat: &str) -> bool {
 }
 
 /// Kernel files subject to R3 (every public entry checks or opts out).
-const KERNEL_FILES: [&str; 6] = [
-    "blas3.rs", "qr.rs", "qrp.rs", "tri.rs", "scale.rs", "tsqr.rs",
+const KERNEL_FILES: [&str; 7] = [
+    "blas3.rs", "qr.rs", "qrp.rs", "lu.rs", "tri.rs", "scale.rs", "tsqr.rs",
 ];
 
 /// Substrings (in blanked code) that indicate heap allocation.
