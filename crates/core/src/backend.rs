@@ -1,16 +1,21 @@
 //! Compute-backend abstraction for cluster products and wrapping.
 //!
 //! The sweep's two heavy kernels — the cluster product `B_{hi−1}⋯B_{lo}` and
-//! the wrap `G ← B_l G B_l⁻¹` — can run either on the host BLAS path or on
-//! the simulated accelerator in the `gpusim` crate. This trait inverts the
-//! dependency: `gpusim` already depends on this crate, so the sweep cannot
-//! name the device directly; instead the device implements [`ComputeBackend`]
-//! and is boxed into [`crate::sweep::DqmcCore`].
+//! the wrap `G ← B_l G B_l⁻¹` — are the whole CPU/accelerator seam (the
+//! paper offloads exactly these two, §VI). They run either on the host BLAS
+//! path or on the simulated accelerator in the `gpusim` crate. This trait
+//! inverts the dependency: `gpusim` already depends on this crate, so the
+//! sweep cannot name the device directly; instead the device implements
+//! [`ComputeBackend`] and is boxed into the sweep driver.
+//!
+//! Both calls take *walker slices*: the driver steps B walkers in lockstep
+//! and hands the backend all of them at once, so a device can service B
+//! walkers per launch. A solo run is the B = 1 case of the same calls.
 //!
 //! Backends are *fallible*: a device may drop a transfer, fail a kernel
 //! launch or exhaust its arena. Faults surface as [`BackendFault`] values —
-//! never panics — so the recovery policy in `sweep` can retry, shrink the
-//! cluster size, or fall back to [`HostBackend`].
+//! never panics — so the recovery ladder in `sweep` can retry or fall back
+//! to [`HostBackend`].
 
 use crate::bmat::BMatrixFactory;
 use crate::hs::HsField;
@@ -96,32 +101,39 @@ impl fmt::Display for BackendFault {
 
 impl std::error::Error for BackendFault {}
 
-/// A provider of the sweep's two heavy kernels.
+/// A provider of the sweep's two heavy kernels over a slice of walkers. All
+/// walkers share one [`BMatrixFactory`] (same model, different fields), so
+/// implementations can keep `e^{∓ΔτK}` resident once for all of them.
+///
+/// The bit-identity contract: entry `i` of every output depends on walker
+/// `i`'s inputs only and is produced by the same floating-point op sequence
+/// whatever the slice length. Batching may change cost accounting, never op
+/// order within a walker.
 pub trait ComputeBackend: fmt::Debug + Send {
     /// Short name for reports ("host", "sim-tesla-c2050", …).
     fn name(&self) -> &str;
 
-    /// Computes the cluster product `B_{hi−1} ⋯ B_{lo}` for `spin`.
+    /// Wraps `outs[i] ← B_l(h_i) · gs[i] · B_l(h_i)⁻¹` for every walker.
+    #[allow(clippy::too_many_arguments)]
+    fn wrap(
+        &mut self,
+        fac: &BMatrixFactory,
+        hs: &[&HsField],
+        l: usize,
+        spin: Spin,
+        gs: &[&Matrix],
+        outs: &mut [&mut Matrix],
+    ) -> Result<(), BackendFault>;
+
+    /// Computes the cluster product `B_{hi−1} ⋯ B_{lo}` for every walker.
     fn cluster(
         &mut self,
         fac: &BMatrixFactory,
-        h: &HsField,
+        hs: &[&HsField],
         lo: usize,
         hi: usize,
         spin: Spin,
-    ) -> Result<Matrix, BackendFault>;
-
-    /// Wraps `out ← B_l · g · B_l⁻¹` for `spin`.
-    #[allow(clippy::too_many_arguments)]
-    fn wrap_into(
-        &mut self,
-        fac: &BMatrixFactory,
-        h: &HsField,
-        l: usize,
-        spin: Spin,
-        g: &Matrix,
-        out: &mut Matrix,
-    ) -> Result<(), BackendFault>;
+    ) -> Result<Vec<Matrix>, BackendFault>;
 
     /// Called by the recovery layer after any fault, before a retry. Device
     /// backends drop resident operands here so the retry re-uploads clean
@@ -135,7 +147,8 @@ pub trait ComputeBackend: fmt::Debug + Send {
     }
 }
 
-/// The infallible host path: delegates straight to [`BMatrixFactory`].
+/// The infallible host path: per-walker [`BMatrixFactory`] kernels in a
+/// loop. This is what the recovery ladder's host fallback lands on.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HostBackend;
 
@@ -144,28 +157,30 @@ impl ComputeBackend for HostBackend {
         "host"
     }
 
+    fn wrap(
+        &mut self,
+        fac: &BMatrixFactory,
+        hs: &[&HsField],
+        l: usize,
+        spin: Spin,
+        gs: &[&Matrix],
+        outs: &mut [&mut Matrix],
+    ) -> Result<(), BackendFault> {
+        for i in 0..hs.len() {
+            fac.wrap_into(hs[i], l, spin, gs[i], outs[i]);
+        }
+        Ok(())
+    }
+
     fn cluster(
         &mut self,
         fac: &BMatrixFactory,
-        h: &HsField,
+        hs: &[&HsField],
         lo: usize,
         hi: usize,
         spin: Spin,
-    ) -> Result<Matrix, BackendFault> {
-        Ok(fac.cluster(h, lo, hi, spin))
-    }
-
-    fn wrap_into(
-        &mut self,
-        fac: &BMatrixFactory,
-        h: &HsField,
-        l: usize,
-        spin: Spin,
-        g: &Matrix,
-        out: &mut Matrix,
-    ) -> Result<(), BackendFault> {
-        fac.wrap_into(h, l, spin, g, out);
-        Ok(())
+    ) -> Result<Vec<Matrix>, BackendFault> {
+        Ok(hs.iter().map(|h| fac.cluster(h, lo, hi, spin)).collect())
     }
 }
 
@@ -182,12 +197,13 @@ mod tests {
         let mut rng = util::Rng::new(11);
         let h = HsField::random(4, 8, &mut rng);
         let mut be = HostBackend;
-        let got = be.cluster(&fac, &h, 0, 4, Spin::Up).unwrap();
-        assert_eq!(got, fac.cluster(&h, 0, 4, Spin::Up));
+        let got = be.cluster(&fac, &[&h], 0, 4, Spin::Up).unwrap();
+        assert_eq!(got, [fac.cluster(&h, 0, 4, Spin::Up)]);
 
         let g = crate::greens::greens_naive(&fac, &h, Spin::Down).g;
         let mut out = Matrix::zeros(4, 4);
-        be.wrap_into(&fac, &h, 0, Spin::Down, &g, &mut out).unwrap();
+        be.wrap(&fac, &[&h], 0, Spin::Down, &[&g], &mut [&mut out])
+            .unwrap();
         assert_eq!(out, crate::greens::wrap(&fac, &h, 0, Spin::Down, &g));
     }
 

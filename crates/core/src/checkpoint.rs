@@ -1,11 +1,11 @@
 //! Versioned, checksummed checkpointing of the full DQMC state.
 //!
-//! A checkpoint captures everything needed to resume a run **bit-identically**:
+//! A checkpoint captures everything needed to resume a walker **bit-identically**:
 //! the HS field, the RNG position, both Green's functions, the incremental
 //! sign, the observable accumulators (equal-time and, when enabled,
 //! time-dependent), the sweep counters, and the runtime recovery state
-//! (adaptively shrunk cluster size, host-fallback flag, recovery-event
-//! count). The cluster cache is *not* saved — its entries are pure functions
+//! (adaptively shrunk cluster size, the driver's host-fallback flag,
+//! recovery-event count). The cluster cache is *not* saved — its entries are pure functions
 //! of `(params, h)` and rebuild on demand to the same bits.
 //!
 //! # File format (`DQCP` version 1)
@@ -28,10 +28,11 @@
 //! and renamed over the destination — a kill mid-write can never leave a
 //! half-written checkpoint at the published path.
 
+use crate::crowd::Crowd;
 use crate::hs::HsField;
 use crate::hubbard::{Acceptance, SimParams};
 use crate::measure::Observables;
-use crate::sim::Simulation;
+use crate::sim::{Simulation, Walker};
 use crate::stratify::StratAlgo;
 use crate::sweep::DqmcCore;
 use crate::tdm::TimeDependentObs;
@@ -167,8 +168,12 @@ pub fn params_fingerprint(p: &SimParams) -> u64 {
     f.finish()
 }
 
-/// Serializes the complete simulation state (payload only, no framing).
-pub(crate) fn encode_payload(sim: &Simulation) -> Vec<u8> {
+/// One walker's complete state plus its driver's host-fallback flag as a
+/// `DQCP` frame. A preempted job parks as a `DQCW` envelope of these
+/// ([`Crowd::checkpoint_bytes`]); because each is the *same* format [`save`]
+/// writes, a parked walker can equally be spilled to disk and survive a
+/// process kill.
+pub(crate) fn walker_to_bytes(sim: &Walker, use_host_fallback: bool) -> Vec<u8> {
     let core = &sim.core;
     let mut w = ByteWriter::new();
     w.put_u64(params_fingerprint(&core.params));
@@ -176,7 +181,7 @@ pub(crate) fn encode_payload(sim: &Simulation) -> Vec<u8> {
     w.put_u64(sim.measure_done as u64);
     w.put_u64(core.sweeps_run);
     w.put_u64(core.cache.cluster_size() as u64);
-    w.put_u8(core.use_host_fallback as u8);
+    w.put_u8(use_host_fallback as u8);
     w.put_u64(core.recovery.total());
     w.put_f64(core.sign);
     w.put_u64(core.accepted);
@@ -194,7 +199,7 @@ pub(crate) fn encode_payload(sim: &Simulation) -> Vec<u8> {
         }
         None => w.put_u8(0),
     }
-    w.into_bytes()
+    frame(&w.into_bytes())
 }
 
 /// Frames a payload into the on-disk byte layout.
@@ -246,12 +251,14 @@ pub(crate) fn unframe(bytes: &[u8]) -> Result<&[u8], CodecError> {
     Ok(payload)
 }
 
-/// Rebuilds a [`Simulation`] from a payload, validating it against `params`.
-pub(crate) fn decode_payload(
-    payload: &[u8],
+/// Rebuilds a [`Walker`] and the host-fallback flag it was saved under from
+/// a `DQCP` frame, validating framing, checksum and the parameter
+/// fingerprint against `params`.
+pub(crate) fn walker_from_bytes(
+    bytes: &[u8],
     params: &SimParams,
-) -> Result<Simulation, CheckpointError> {
-    let mut r = ByteReader::new(payload);
+) -> Result<(Walker, bool), CheckpointError> {
+    let mut r = ByteReader::new(unframe(bytes)?);
     let found = r.get_u64()?;
     let expected = params_fingerprint(params);
     if found != expected {
@@ -327,20 +334,20 @@ pub(crate) fn decode_payload(
         [g_up, g_dn],
         sign,
         cluster_size,
-        use_host_fallback,
         accepted,
         proposed,
         sweeps_run,
         wrap_diff,
         recovery_prior,
     );
-    Ok(Simulation {
+    let walker = Walker {
         core,
         obs,
         tdm,
         warmup_done,
         measure_done,
-    })
+    };
+    Ok((walker, use_host_fallback))
 }
 
 /// Atomically writes a checkpoint of `sim` to `path` through the
@@ -361,19 +368,19 @@ pub fn load(path: &Path, params: &SimParams) -> Result<Simulation, CheckpointErr
 }
 
 /// Serializes `sim` to an in-memory `DQCP` frame — byte-for-byte what
-/// [`save`] would write to disk. Checkpoint-based preemption uses this: a
-/// scheduler parks a job as a byte image and requeues it without touching
-/// the filesystem, and because the image is the *same* format, a parked job
-/// can equally be spilled to disk and survive a process kill.
+/// [`save`] would write to disk.
 pub fn to_bytes(sim: &Simulation) -> Vec<u8> {
-    frame(&encode_payload(sim))
+    walker_to_bytes(sim, sim.crowd.driver.use_host_fallback)
 }
 
 /// Rebuilds a simulation from a `DQCP` frame produced by [`to_bytes`] (or
 /// read back from a checkpoint file), with the full framing, checksum and
 /// parameter-fingerprint validation of [`load`].
 pub fn from_bytes(bytes: &[u8], params: &SimParams) -> Result<Simulation, CheckpointError> {
-    decode_payload(unframe(bytes)?, params)
+    let (walker, use_host_fallback) = walker_from_bytes(bytes, params)?;
+    Ok(Simulation {
+        crowd: Crowd::from_walkers(vec![walker], use_host_fallback),
+    })
 }
 
 #[cfg(test)]

@@ -1,161 +1,46 @@
-//! Crowd-batched walker execution: B independent Markov chains stepped in
-//! lockstep through one batched backend.
+//! The run driver: B independent Markov chains stepped in lockstep through
+//! one backend. B = 1 is a solo run ([`crate::Simulation`]).
 //!
 //! The paper's central lever is amortization — cluster `k` B-matrix GEMMs
 //! per device transfer so the PCIe/launch tax is paid once per cluster.
 //! QMCPACK's performance-portable redesign extends that amortization to a
 //! second axis: organize walkers into *crowds* stepped in lockstep so one
-//! batched driver call services B walkers per launch. This module is that
-//! axis for the DQMC sweep: a [`Crowd`] owns B complete [`Simulation`]s
-//! (same physics, hash-split seeds) and drives them slice by slice through
-//! a [`CrowdBackend`] — one batched wrap per spin per slice, one batched
-//! cluster prefill per boundary — instead of B independent sweeps.
+//! batched driver call services B walkers per launch — and it deleted the
+//! separate one-walker drivers, because two drivers never kept the same
+//! features. This module is that design for the DQMC sweep: a [`Crowd`] owns
+//! B [`Walker`]s (same physics, hash-split seeds) and the sweep driver that
+//! steps them slice by slice — one backend wrap per spin per slice, one
+//! backend cluster call per stale slice range per boundary. Every backend
+//! kernel is bit-identical per walker whatever B is (the strided-batch GEMM
+//! issues the per-walker op stream exactly; batching changes only the cost
+//! accounting), so a crowd of B produces byte-identical observables to B
+//! crowds of one on the same seeds — crowd size is a pure throughput knob.
 //!
-//! # One step path
-//!
-//! The crowd does **not** duplicate the sweep: the Metropolis site loop
-//! ([`crate::sweep::DqmcCore::metropolis_slice`]) and the cluster-boundary
-//! block ([`crate::sweep::DqmcCore::boundary_recompute`]) are the *same
-//! methods* the solo sweep runs — the crowd only swaps the per-walker wrap
-//! and cluster kernels for batched ones. Because every batched kernel is
-//! bit-identical to its solo counterpart (the strided-batch GEMM issues the
-//! per-walker op stream exactly; batching changes only the cost
-//! accounting), a crowd of size B produces byte-identical observables to B
-//! solo runs on the same seeds — crowd size is a pure throughput knob.
-//!
-//! # Recovery in crowd mode
-//!
-//! The solo recovery ladder carries over with two changes, both documented
-//! invariants of this module:
-//!
-//! - **Device faults are crowd-scoped.** A launch failure or arena
-//!   exhaustion aborts the whole batched call, so retry and permanent host
-//!   fallback apply to the crowd as a unit (logged on walker 0, the job's
-//!   base chain).
-//! - **Taint is walker-scoped, and the shrink rung is not used.** A
-//!   corrupted stacked download poisons exactly one walker's matrix; that
-//!   walker alone takes the solo taint path (repair from its own HS field,
-//!   which is bit-identical to an untainted run). Tainted prefill products
-//!   are simply not installed — the walker's recompute rebuilds them on the
-//!   host, again bit-identically — so the cluster-size shrink rung (which
-//!   would have to reshape every walker at once) never fires in crowd mode.
+//! The slice loop and the recovery ladder live in [`crate::sweep`]; what is
+//! here is the run around them: sweep counting, the warmup/measurement
+//! split, and the `DQCW` checkpoint envelope.
 
-use crate::backend::BackendFault;
-use crate::bmat::BMatrixFactory;
-use crate::checkpoint::CheckpointError;
-use crate::hs::HsField;
-use crate::hubbard::{SimParams, Spin};
-use crate::profile::phases;
-use crate::recovery::{RecoveryAction, RecoveryCause};
-use crate::sim::Simulation;
-use linalg::check::first_non_finite;
-use linalg::{workspace, Matrix};
-use std::fmt;
+use crate::backend::{ComputeBackend, HostBackend};
+use crate::checkpoint::{self, CheckpointError};
+use crate::hubbard::SimParams;
+use crate::sim::Walker;
+use crate::sweep::{Lane, SweepDriver};
+use util::codec::CodecError;
 use util::{DqmcError, RunToken};
 
-/// A provider of the sweep's two heavy kernels over a whole crowd: the
-/// batched analogue of [`crate::backend::ComputeBackend`]. All walkers share
-/// one [`BMatrixFactory`] (same model, different fields), so implementations
-/// can keep `e^{∓ΔτK}` resident once for the crowd.
-///
-/// The bit-identity contract: entry `i` of every output must be byte-for-
-/// byte what the corresponding solo kernel (`fac.wrap_into` / `fac.cluster`
-/// or their bit-exact device forms) produces for walker `i`. Batching may
-/// only change cost accounting, never op order within a walker.
-pub trait CrowdBackend: fmt::Debug + Send {
-    /// Short name for reports ("host-crowd", "sim-tesla-c2050-crowd", …).
-    fn name(&self) -> &str;
-
-    /// Wraps `outs[i] ← B_l(h_i) · gs[i] · B_l(h_i)⁻¹` for every walker.
-    #[allow(clippy::too_many_arguments)]
-    fn wrap_crowd(
-        &mut self,
-        fac: &BMatrixFactory,
-        hs: &[&HsField],
-        l: usize,
-        spin: Spin,
-        gs: &[&Matrix],
-        outs: &mut [&mut Matrix],
-    ) -> Result<(), BackendFault>;
-
-    /// Computes the cluster product `B_{hi−1} ⋯ B_{lo}` for every walker.
-    fn cluster_crowd(
-        &mut self,
-        fac: &BMatrixFactory,
-        hs: &[&HsField],
-        lo: usize,
-        hi: usize,
-        spin: Spin,
-    ) -> Result<Vec<Matrix>, BackendFault>;
-
-    /// Called by the recovery layer after any fault, before a retry; see
-    /// [`crate::backend::ComputeBackend::notify_fault`].
-    fn notify_fault(&mut self) {}
-
-    /// Modeled device-seconds consumed so far (simulated-clock backends);
-    /// `0.0` for backends with no device clock, like the host.
-    fn device_seconds(&self) -> f64 {
-        0.0
-    }
-}
-
-/// The infallible host path: per-walker [`BMatrixFactory`] kernels in a
-/// loop. Bit-identical to solo host execution by construction — this is the
-/// fallback the crowd recovery ladder lands on.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HostCrowdBackend;
-
-impl CrowdBackend for HostCrowdBackend {
-    fn name(&self) -> &str {
-        "host-crowd"
-    }
-
-    fn wrap_crowd(
-        &mut self,
-        fac: &BMatrixFactory,
-        hs: &[&HsField],
-        l: usize,
-        spin: Spin,
-        gs: &[&Matrix],
-        outs: &mut [&mut Matrix],
-    ) -> Result<(), BackendFault> {
-        for i in 0..hs.len() {
-            fac.wrap_into(hs[i], l, spin, gs[i], outs[i]);
-        }
-        Ok(())
-    }
-
-    fn cluster_crowd(
-        &mut self,
-        fac: &BMatrixFactory,
-        hs: &[&HsField],
-        lo: usize,
-        hi: usize,
-        spin: Spin,
-    ) -> Result<Vec<Matrix>, BackendFault> {
-        Ok(hs.iter().map(|h| fac.cluster(h, lo, hi, spin)).collect())
-    }
-}
-
-/// B walkers stepped in lockstep through a batched backend.
+/// B walkers stepped in lockstep through one backend.
 #[derive(Debug)]
 pub struct Crowd {
-    walkers: Vec<Simulation>,
-    backend: Box<dyn CrowdBackend>,
-    host: HostCrowdBackend,
-    /// True once recovery has permanently abandoned the batched backend for
-    /// the whole crowd (the crowd-scoped analogue of the solo flag).
-    use_host_fallback: bool,
-    /// Consecutive failures within the current crowd-level incident.
-    fault_streak: u32,
+    walkers: Vec<Walker>,
+    pub(crate) driver: SweepDriver,
 }
 
 impl Crowd {
     /// Builds a crowd from per-walker parameters. All entries must describe
     /// the same physics and sweep schedule (only the seed may differ) —
-    /// lockstep execution requires every walker to hit the same slice and
-    /// boundary cadence. Panics if the list is empty or the schedules
-    /// disagree.
+    /// lockstep execution requires every walker to visit the same slices
+    /// for the same number of sweeps. Panics if the list is empty or the
+    /// schedules disagree.
     pub fn new(params: Vec<SimParams>) -> Self {
         assert!(!params.is_empty(), "a crowd needs at least one walker");
         let p0 = &params[0];
@@ -170,20 +55,20 @@ impl Crowd {
                 "crowd walkers must share physics and sweep schedule"
             );
         }
-        let walkers = params.into_iter().map(Simulation::new).collect();
-        Crowd {
-            walkers,
-            backend: Box::new(HostCrowdBackend),
-            host: HostCrowdBackend,
-            use_host_fallback: false,
-            fault_streak: 0,
-        }
+        Crowd::from_walkers(params.into_iter().map(Walker::new).collect(), false)
     }
 
-    /// Installs a batched backend (e.g. the `gpusim` crowd device). Builder
-    /// form, mirroring [`Simulation::with_backend`].
-    pub fn with_backend(mut self, backend: Box<dyn CrowdBackend>) -> Self {
-        self.backend = backend;
+    /// A crowd over restored walkers, on the host backend.
+    pub(crate) fn from_walkers(walkers: Vec<Walker>, use_host_fallback: bool) -> Self {
+        let mut driver = SweepDriver::new(Box::new(HostBackend));
+        driver.use_host_fallback = use_host_fallback;
+        Crowd { walkers, driver }
+    }
+
+    /// Installs a backend (e.g. the `gpusim` device). A crowd resumed from
+    /// an image that had already abandoned its device stays on the host.
+    pub fn with_backend(mut self, backend: Box<dyn ComputeBackend>) -> Self {
+        self.driver.backend = backend;
         self
     }
 
@@ -198,34 +83,30 @@ impl Crowd {
     }
 
     /// Walker `i` (observables, acceptance, recovery log, …).
-    pub fn walker(&self, i: usize) -> &Simulation {
+    pub fn walker(&self, i: usize) -> &Walker {
         &self.walkers[i]
     }
 
     /// Mutable walker access (fault drills and tests).
-    pub fn walker_mut(&mut self, i: usize) -> &mut Simulation {
+    pub fn walker_mut(&mut self, i: usize) -> &mut Walker {
         &mut self.walkers[i]
     }
 
     /// All walkers, in chain order.
-    pub fn walkers(&self) -> &[Simulation] {
+    pub fn walkers(&self) -> &[Walker] {
         &self.walkers
     }
 
-    /// Modeled device-seconds consumed by the batched backend. Stays valid
-    /// after a crowd-level host fallback: the installed backend keeps the
-    /// clock it accumulated before recovery abandoned it.
+    /// Modeled device-seconds consumed by the installed backend. Stays
+    /// valid after a host fallback: the installed backend keeps the clock
+    /// it accumulated before recovery abandoned it.
     pub fn device_seconds(&self) -> f64 {
-        self.backend.device_seconds()
+        self.driver.backend.device_seconds()
     }
 
-    /// Name of the batched backend actually in use.
+    /// Name of the backend actually in use (accounts for host fallback).
     pub fn active_backend_name(&self) -> &str {
-        if self.use_host_fallback {
-            self.host.name()
-        } else {
-            self.backend.name()
-        }
+        self.driver.active_backend_name()
     }
 
     /// True once every walker has run its configured sweeps. Walkers are in
@@ -239,21 +120,35 @@ impl Crowd {
         self.walkers[0].sweeps_remaining()
     }
 
-    /// Advances every walker by up to `n` lockstep sweeps, stamping `token`
-    /// at each sweep boundary; same contract as [`Simulation::try_step`].
+    /// One lockstep sweep of every walker, measuring or not.
+    pub(crate) fn try_sweep(&mut self, measure: bool) -> Result<(), DqmcError> {
+        let mut lanes: Vec<Lane<'_>> = self
+            .walkers
+            .iter_mut()
+            .map(|w| Lane {
+                core: &mut w.core,
+                obs: measure.then_some(&mut w.obs),
+            })
+            .collect();
+        self.driver.try_sweep(&mut lanes)?;
+        for w in &mut self.walkers {
+            w.finish_sweep(measure);
+        }
+        Ok(())
+    }
+
+    /// Advances every walker by up to `n` lockstep sweeps, crossing the
+    /// warmup/measurement phase boundary as needed and stamping `token` at
+    /// each sweep boundary; returns the number actually executed (less than
+    /// `n` only when the run completes). On `Err` the counters reflect only
+    /// the sweeps that completed; the aborted sweep's partial state must
+    /// not be measured (supervisors resume from the last parked image).
     pub fn try_step(&mut self, n: usize, token: &RunToken) -> Result<usize, DqmcError> {
         let mut done = 0;
         while done < n && !self.is_complete() {
             let w0 = &self.walkers[0];
             let measure = w0.warmup_done >= w0.core.params.warmup_sweeps;
-            self.try_sweep_crowd(measure)?;
-            for w in &mut self.walkers {
-                if measure {
-                    w.finish_measure_sweep();
-                } else {
-                    w.warmup_done += 1;
-                }
-            }
+            self.try_sweep(measure)?;
             token.tick();
             done += 1;
         }
@@ -261,7 +156,7 @@ impl Crowd {
     }
 
     /// Runs the crowd to completion (convenience for tests and benches);
-    /// panics on a classified failure, like [`Simulation::run`].
+    /// panics on a classified failure.
     pub fn run(&mut self) {
         let token = RunToken::new();
         while !self.is_complete() {
@@ -271,15 +166,16 @@ impl Crowd {
         }
     }
 
-    /// The crowd state as a multi-image `DQCW` checkpoint: a count header
-    /// followed by each walker's own length-prefixed `DQCP` image, so crowd
-    /// preemption reuses the solo checkpoint codec unchanged.
+    /// The crowd state as a `DQCW` checkpoint: a count header followed by
+    /// each walker's own length-prefixed `DQCP` image (its state plus the
+    /// driver's host-fallback flag). This is what a preempted job of any
+    /// width parks as.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"DQCW");
         out.extend_from_slice(&(self.walkers.len() as u32).to_le_bytes());
         for w in &self.walkers {
-            let img = w.checkpoint_bytes();
+            let img = checkpoint::walker_to_bytes(w, self.driver.use_host_fallback);
             out.extend_from_slice(&(img.len() as u64).to_le_bytes());
             out.extend_from_slice(&img);
         }
@@ -288,419 +184,54 @@ impl Crowd {
 
     /// Rebuilds a crowd from [`Crowd::checkpoint_bytes`]. `params` must
     /// list the same walkers in the same order (validated per image by the
-    /// solo fingerprint check). The resumed crowd continues bit-identically;
-    /// note the crowd-level host-fallback flag is *not* persisted — a
-    /// resumed crowd starts back on its batched backend, which is sound
-    /// because the batched and host paths are bit-identical.
+    /// fingerprint check). Total: any malformed image — wrong magic, a
+    /// walker count that disagrees with `params`, a length that overruns
+    /// the buffer, trailing bytes — is an `Err`, never a panic. The resumed
+    /// crowd is on the host backend and continues bit-identically; it stays
+    /// on the host after [`Crowd::with_backend`] if any walker image
+    /// records a host fallback.
     pub fn resume_bytes(bytes: &[u8], params: &[SimParams]) -> Result<Self, CheckpointError> {
-        let truncated = |needed: usize, remaining: usize| {
-            CheckpointError::Codec(util::codec::CodecError::Truncated { needed, remaining })
+        let truncated = |needed: usize| CodecError::Truncated {
+            needed,
+            remaining: bytes.len(),
         };
-        if bytes.len() < 8 {
-            return Err(truncated(8, bytes.len()));
+        let header = bytes.get(..8).ok_or_else(|| truncated(8))?;
+        if &header[..4] != b"DQCW" {
+            return Err(CodecError::BadMagic.into());
         }
-        if &bytes[..4] != b"DQCW" {
-            return Err(CheckpointError::Codec(util::codec::CodecError::BadMagic));
+        let count = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+        if count as usize != params.len() {
+            return Err(CodecError::Invalid(format!(
+                "crowd image holds {count} walkers, {} params given",
+                params.len()
+            ))
+            .into());
         }
-        let count = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-        assert_eq!(
-            count,
-            params.len(),
-            "crowd image holds {count} walkers, {} params given",
-            params.len()
-        );
-        let mut walkers = Vec::with_capacity(count);
+        let mut walkers = Vec::with_capacity(params.len());
+        let mut use_host_fallback = false;
         let mut at = 8usize;
         for p in params {
-            if bytes.len() < at + 8 {
-                return Err(truncated(at + 8, bytes.len()));
-            }
-            let len = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")) as usize;
+            let len8 = bytes.get(at..at + 8).ok_or_else(|| truncated(at + 8))?;
+            let len = u64::from_le_bytes(len8.try_into().expect("8 bytes"));
             at += 8;
-            if bytes.len() < at + len {
-                return Err(truncated(at + len, bytes.len()));
-            }
-            walkers.push(Simulation::resume_bytes(&bytes[at..at + len], p)?);
-            at += len;
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| at.checked_add(len))
+                .filter(|&end| end <= bytes.len())
+                .ok_or_else(|| truncated(at.saturating_add(len as usize)))?;
+            let (walker, fallback) = checkpoint::walker_from_bytes(&bytes[at..end], p)?;
+            walkers.push(walker);
+            use_host_fallback |= fallback;
+            at = end;
         }
-        Ok(Crowd {
-            walkers,
-            backend: Box::new(HostCrowdBackend),
-            host: HostCrowdBackend,
-            use_host_fallback: false,
-            fault_streak: 0,
-        })
-    }
-
-    /// One lockstep sweep of every walker: shared Metropolis/boundary code
-    /// from the solo sweep, batched wrap and cluster kernels from the crowd
-    /// backend. Mirrors [`crate::sweep::DqmcCore::try_sweep`].
-    fn try_sweep_crowd(&mut self, measure: bool) -> Result<(), DqmcError> {
-        let b = self.walkers.len();
-        let n = self.walkers[0].core.nsites();
-        for w in &mut self.walkers {
-            w.core.sweeps_run += 1;
-            w.core.repair_if_tainted()?;
+        if at != bytes.len() {
+            return Err(CodecError::Invalid(format!(
+                "{} trailing bytes after the last walker image",
+                bytes.len() - at
+            ))
+            .into());
         }
-        let mut wrapped: Vec<[Matrix; 2]> = (0..b)
-            .map(|_| [workspace::take_matrix(n, n), workspace::take_matrix(n, n)])
-            .collect();
-        let result = self.sweep_slices_crowd(&mut wrapped, measure);
-        for [w0, w1] in wrapped {
-            workspace::put_matrix(w0);
-            workspace::put_matrix(w1);
-        }
-        result?;
-        if measure {
-            for w in &mut self.walkers {
-                let core = &mut w.core;
-                let (gup, gdn, sign, u) = (&core.g[0], &core.g[1], core.sign, core.params.model.u);
-                let obs = &mut w.obs;
-                core.timer
-                    .time(phases::MEASUREMENT, || obs.record(u, gup, gdn, sign));
-            }
-        }
-        Ok(())
-    }
-
-    /// The lockstep slice loop; the crowd analogue of
-    /// [`crate::sweep::DqmcCore::sweep_slices`].
-    fn sweep_slices_crowd(
-        &mut self,
-        wrapped: &mut [[Matrix; 2]],
-        measure: bool,
-    ) -> Result<(), DqmcError> {
-        let l_slices = self.walkers[0].core.params.model.slices;
-        for l in 0..l_slices {
-            for w in &mut self.walkers {
-                w.core.metropolis_slice(l);
-            }
-            let k = self.walkers[0].core.cache.cluster_size();
-            debug_assert!(
-                self.walkers
-                    .iter()
-                    .all(|w| w.core.cache.cluster_size() == k),
-                "lockstep walkers diverged in cluster size (shrink rung fired?)"
-            );
-            let at_boundary = (l + 1) % k == 0 || l + 1 == l_slices;
-            let wrap_ok = self.wrap_crowd_with_recovery(l, at_boundary, wrapped)?;
-            if at_boundary {
-                self.prefill_cluster_cache()?;
-                for (i, w) in self.walkers.iter_mut().enumerate() {
-                    let mut obs = if measure { Some(&mut w.obs) } else { None };
-                    w.core
-                        .boundary_recompute(l, wrap_ok[i], &mut wrapped[i], &mut obs)?;
-                }
-            } else {
-                for (i, w) in self.walkers.iter_mut().enumerate() {
-                    if wrap_ok[i] {
-                        std::mem::swap(&mut w.core.g[0], &mut wrapped[i][0]);
-                        std::mem::swap(&mut w.core.g[1], &mut wrapped[i][1]);
-                    }
-                    // wrap_ok == false mid-sweep: repair_greens_after already
-                    // placed clean post-wrap matrices in that walker's g.
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One timed attempt at the batched wrap of both spins across the whole
-    /// crowd, returning the per-walker taint list (index, detail) found by
-    /// scanning the downloaded matrices — the crowd analogue of
-    /// [`crate::sweep::DqmcCore::try_wrap_pair`].
-    fn try_wrap_crowd(
-        &mut self,
-        l: usize,
-        wrapped: &mut [[Matrix; 2]],
-    ) -> Result<Vec<(usize, String)>, BackendFault> {
-        let b = self.walkers.len() as u32;
-        let t0 = std::time::Instant::now();
-        {
-            let backend: &mut dyn CrowdBackend = if self.use_host_fallback {
-                &mut self.host
-            } else {
-                self.backend.as_mut()
-            };
-            let fac = &self.walkers[0].core.fac;
-            let hs: Vec<&HsField> = self.walkers.iter().map(|w| &w.core.h).collect();
-            for spin in Spin::BOTH {
-                let gs: Vec<&Matrix> = self
-                    .walkers
-                    .iter()
-                    .map(|w| &w.core.g[spin.index()])
-                    .collect();
-                let mut outs: Vec<&mut Matrix> = wrapped
-                    .iter_mut()
-                    .map(|pair| &mut pair[spin.index()])
-                    .collect();
-                backend.wrap_crowd(fac, &hs, l, spin, &gs, &mut outs)?;
-            }
-        }
-        let per_walker = t0.elapsed() / b;
-        for w in &mut self.walkers {
-            w.core.timer.add(phases::WRAPPING, per_walker);
-        }
-        let mut tainted = Vec::new();
-        for (i, pair) in wrapped.iter().enumerate() {
-            for (s, m) in pair.iter().enumerate() {
-                if let Some((idx, v)) = first_non_finite(m.as_slice()) {
-                    tainted.push((
-                        i,
-                        format!(
-                            "wrapped G[{s}] of walker {i} has {v} at element {idx} after slice {l}"
-                        ),
-                    ));
-                    break;
-                }
-            }
-        }
-        Ok(tainted)
-    }
-
-    /// Batched wrap with the crowd recovery ladder. Returns the per-walker
-    /// validity of `wrapped` (`false` entries took the taint-repair path;
-    /// see the module docs for how the solo ladder maps onto crowds).
-    fn wrap_crowd_with_recovery(
-        &mut self,
-        l: usize,
-        at_boundary: bool,
-        wrapped: &mut [[Matrix; 2]],
-    ) -> Result<Vec<bool>, DqmcError> {
-        let b = self.walkers.len();
-        let policy = self.walkers[0].core.params.recovery.clone();
-        loop {
-            match self.try_wrap_crowd(l, wrapped) {
-                Ok(taint) if taint.is_empty() => {
-                    self.fault_streak = 0;
-                    return Ok(vec![true; b]);
-                }
-                Ok(taint) => {
-                    if !policy.enabled {
-                        return Err(DqmcError::fatal(
-                            "crowd-wrap",
-                            format!("wrap taint with recovery disabled: {}", taint[0].1),
-                        ));
-                    }
-                    self.fault_streak += 1;
-                    if self.fault_streak <= policy.max_retries {
-                        let attempt = self.fault_streak;
-                        self.active_backend().notify_fault();
-                        for (i, detail) in &taint {
-                            self.walkers[*i].core.push_event(
-                                l,
-                                RecoveryCause::NonFinite(detail.clone()),
-                                RecoveryAction::Retry { attempt },
-                            );
-                        }
-                        continue;
-                    }
-                    // Retries exhausted: the tainted walkers alone take the
-                    // solo taint path; clean walkers keep their wraps.
-                    self.fault_streak = 0;
-                    let mut ok = vec![true; b];
-                    for (i, detail) in taint {
-                        ok[i] = false;
-                        self.walkers[i].core.push_event(
-                            l,
-                            RecoveryCause::NonFinite(detail),
-                            RecoveryAction::TaintRepair,
-                        );
-                        if !at_boundary {
-                            self.walkers[i].core.repair_greens_after(l);
-                        }
-                    }
-                    return Ok(ok);
-                }
-                Err(fault) => {
-                    if fault.is_sick() {
-                        return Err(self.walkers[0].core.escalate_sick("crowd-wrap", &fault, l));
-                    }
-                    if !policy.enabled {
-                        return Err(DqmcError::fatal(
-                            "crowd-wrap",
-                            format!("wrap fault with recovery disabled: {fault}"),
-                        ));
-                    }
-                    let cause = RecoveryCause::Device(fault.detail.clone());
-                    self.fault_streak += 1;
-                    if self.fault_streak <= policy.max_retries {
-                        let attempt = self.fault_streak;
-                        self.active_backend().notify_fault();
-                        self.walkers[0].core.push_event(
-                            l,
-                            cause,
-                            RecoveryAction::Retry { attempt },
-                        );
-                        continue;
-                    }
-                    if !self.use_host_fallback && policy.allow_host_fallback {
-                        self.use_host_fallback = true;
-                        self.fault_streak = 0;
-                        self.walkers[0]
-                            .core
-                            .push_event(l, cause, RecoveryAction::HostFallback);
-                        continue;
-                    }
-                    return Err(DqmcError::transient(
-                        "crowd-wrap",
-                        format!("unrecoverable device fault during crowd wrap: {fault}"),
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Batched prefill of every stale cluster product across the crowd, so
-    /// the per-walker boundary recompute runs on pure cache hits. Tainted
-    /// products are never installed (the walker's recompute rebuilds them
-    /// host-side, bit-identically), so this is an optimisation with solo
-    /// semantics. Skipped when recycling is off — the recompute invalidates
-    /// the cache up front, so prefilled products would be dropped unused.
-    fn prefill_cluster_cache(&mut self) -> Result<(), DqmcError> {
-        if !self.walkers[0].core.params.recycle {
-            return Ok(());
-        }
-        let nclusters = self.walkers[0].core.cache.nclusters();
-        for spin in Spin::BOTH {
-            for c in 0..nclusters {
-                let need: Vec<usize> = self
-                    .walkers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| w.core.cache.is_stale(c, spin))
-                    .map(|(i, _)| i)
-                    .collect();
-                if need.is_empty() {
-                    continue;
-                }
-                let (lo, hi) = self.walkers[0].core.cache.range(c);
-                self.cluster_crowd_with_recovery(c, lo, hi, spin, &need)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Computes and installs one cluster product for the `need` subset of
-    /// walkers through the crowd recovery ladder.
-    fn cluster_crowd_with_recovery(
-        &mut self,
-        c: usize,
-        lo: usize,
-        hi: usize,
-        spin: Spin,
-        need: &[usize],
-    ) -> Result<(), DqmcError> {
-        let policy = self.walkers[0].core.params.recovery.clone();
-        loop {
-            let t0 = std::time::Instant::now();
-            let r = {
-                let backend: &mut dyn CrowdBackend = if self.use_host_fallback {
-                    &mut self.host
-                } else {
-                    self.backend.as_mut()
-                };
-                let fac = &self.walkers[0].core.fac;
-                let hs: Vec<&HsField> = need.iter().map(|&i| &self.walkers[i].core.h).collect();
-                backend.cluster_crowd(fac, &hs, lo, hi, spin)
-            };
-            let per_walker = t0.elapsed() / need.len() as u32;
-            for &i in need {
-                self.walkers[i]
-                    .core
-                    .timer
-                    .add(phases::CLUSTERING, per_walker);
-            }
-            match r {
-                Ok(products) => {
-                    let taint_count = products
-                        .iter()
-                        .filter(|m| first_non_finite(m.as_slice()).is_some())
-                        .count();
-                    if taint_count > 0 && policy.enabled && self.fault_streak < policy.max_retries {
-                        self.fault_streak += 1;
-                        let attempt = self.fault_streak;
-                        self.active_backend().notify_fault();
-                        self.walkers[0].core.push_event(
-                            lo,
-                            RecoveryCause::NonFinite(format!(
-                                "{taint_count} tainted product(s) in crowd cluster [{lo}, {hi}) {spin:?}"
-                            )),
-                            RecoveryAction::Retry { attempt },
-                        );
-                        continue;
-                    }
-                    self.fault_streak = 0;
-                    for (&i, m) in need.iter().zip(products) {
-                        // `install` re-scans; a still-tainted product is
-                        // dropped here and the walker's recompute rebuilds
-                        // it on the host — the crowd's replacement for the
-                        // shrink rung.
-                        if let Err(f) = self.walkers[i].core.cache.install(c, spin, m) {
-                            if !policy.enabled {
-                                return Err(DqmcError::fatal(
-                                    "crowd-cluster",
-                                    format!("cluster taint with recovery disabled: {f}"),
-                                ));
-                            }
-                            self.walkers[i].core.push_event(
-                                lo,
-                                RecoveryCause::NonFinite(f.detail),
-                                RecoveryAction::TaintRepair,
-                            );
-                        }
-                    }
-                    return Ok(());
-                }
-                Err(fault) => {
-                    if fault.is_sick() {
-                        return Err(self.walkers[0].core.escalate_sick(
-                            "crowd-cluster",
-                            &fault,
-                            lo,
-                        ));
-                    }
-                    if !policy.enabled {
-                        return Err(DqmcError::fatal(
-                            "crowd-cluster",
-                            format!("cluster fault with recovery disabled: {fault}"),
-                        ));
-                    }
-                    let cause = RecoveryCause::Device(fault.detail.clone());
-                    self.fault_streak += 1;
-                    if self.fault_streak <= policy.max_retries {
-                        let attempt = self.fault_streak;
-                        self.active_backend().notify_fault();
-                        self.walkers[0].core.push_event(
-                            lo,
-                            cause,
-                            RecoveryAction::Retry { attempt },
-                        );
-                        continue;
-                    }
-                    if !self.use_host_fallback && policy.allow_host_fallback {
-                        self.use_host_fallback = true;
-                        self.fault_streak = 0;
-                        self.walkers[0]
-                            .core
-                            .push_event(lo, cause, RecoveryAction::HostFallback);
-                        continue;
-                    }
-                    return Err(DqmcError::transient(
-                        "crowd-cluster",
-                        format!("unrecoverable device fault during crowd cluster: {fault}"),
-                    ));
-                }
-            }
-        }
-    }
-
-    fn active_backend(&mut self) -> &mut dyn CrowdBackend {
-        if self.use_host_fallback {
-            &mut self.host
-        } else {
-            self.backend.as_mut()
-        }
+        Ok(Crowd::from_walkers(walkers, use_host_fallback))
     }
 }
 
@@ -708,7 +239,9 @@ impl Crowd {
 mod tests {
     use super::*;
     use crate::ensemble::chain_seed;
-    use crate::hubbard::ModelParams;
+    use crate::greens::{greens_naive, relative_difference};
+    use crate::hubbard::{ModelParams, Spin};
+    use crate::sim::Simulation;
     use lattice::Lattice;
 
     fn params(seed: u64) -> SimParams {
@@ -806,16 +339,35 @@ mod tests {
     #[test]
     fn corrupt_crowd_image_is_rejected() {
         let crowd = Crowd::new(crowd_params(2));
-        let mut image = crowd.checkpoint_bytes();
-        image[0] = b'X';
-        assert!(matches!(
-            Crowd::resume_bytes(&image, &crowd_params(2)),
-            Err(CheckpointError::Codec(_))
-        ));
-        assert!(matches!(
-            Crowd::resume_bytes(&image[..3], &crowd_params(2)),
-            Err(CheckpointError::Codec(_))
-        ));
+        let good = crowd.checkpoint_bytes();
+        let rejected = |image: &[u8], params: &[SimParams]| {
+            matches!(
+                Crowd::resume_bytes(image, params),
+                Err(CheckpointError::Codec(_))
+            )
+        };
+        assert!(Crowd::resume_bytes(&good, &crowd_params(2)).is_ok());
+        let mut bad_magic = good.clone();
+        bad_magic[0] = b'X';
+        assert!(rejected(&bad_magic, &crowd_params(2)));
+        assert!(rejected(&good[..3], &crowd_params(2)));
+        // A count that disagrees with the params, either way round.
+        assert!(rejected(&good, &crowd_params(1)));
+        assert!(rejected(&good, &crowd_params(3)));
+        let mut wrong_count = good.clone();
+        wrong_count[4..8].copy_from_slice(&3u32.to_le_bytes());
+        assert!(rejected(&wrong_count, &crowd_params(2)));
+        // A length that overflows `at + len` before any bounds check.
+        let mut huge = good.clone();
+        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(rejected(&huge, &crowd_params(2)));
+        // Every truncation, including inside the last image.
+        for cut in 0..good.len() {
+            assert!(rejected(&good[..cut], &crowd_params(2)), "cut at {cut}");
+        }
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(rejected(&trailing, &crowd_params(2)));
     }
 
     #[test]
@@ -846,122 +398,47 @@ mod tests {
         }
     }
 
-    /// A crowd backend that fails every call with a device fault `fails`
-    /// times, then delegates to the host — exercising the crowd retry rung.
-    #[derive(Debug)]
-    struct FlakyCrowd {
-        host: HostCrowdBackend,
-        fails: u32,
-        notified: u32,
-    }
-
-    impl CrowdBackend for FlakyCrowd {
-        fn name(&self) -> &str {
-            "flaky-crowd"
-        }
-        fn wrap_crowd(
-            &mut self,
-            fac: &BMatrixFactory,
-            hs: &[&HsField],
-            l: usize,
-            spin: Spin,
-            gs: &[&Matrix],
-            outs: &mut [&mut Matrix],
-        ) -> Result<(), BackendFault> {
-            if self.fails > 0 {
-                self.fails -= 1;
-                return Err(BackendFault::device("scripted crowd wrap failure"));
-            }
-            self.host.wrap_crowd(fac, hs, l, spin, gs, outs)
-        }
-        fn cluster_crowd(
-            &mut self,
-            fac: &BMatrixFactory,
-            hs: &[&HsField],
-            lo: usize,
-            hi: usize,
-            spin: Spin,
-        ) -> Result<Vec<Matrix>, BackendFault> {
-            if self.fails > 0 {
-                self.fails -= 1;
-                return Err(BackendFault::device("scripted crowd cluster failure"));
-            }
-            self.host.cluster_crowd(fac, hs, lo, hi, spin)
-        }
-        fn notify_fault(&mut self) {
-            self.notified += 1;
+    /// Runs `sim` to completion, reshaping its cluster cache to `k` once
+    /// `after` sweeps are done — what the taint ladder's shrink rung does.
+    fn run_reshaped(sim: &mut Simulation, after: usize, k: usize) {
+        sim.step(after);
+        sim.core_mut().cache.reshape(k);
+        while !sim.is_complete() {
+            sim.step(5);
         }
     }
 
     #[test]
-    fn device_faults_retry_then_heal_bit_identically() {
-        let mut clean = Crowd::new(crowd_params(2));
-        clean.run();
-        let mut flaky = Crowd::new(crowd_params(2)).with_backend(Box::new(FlakyCrowd {
-            host: HostCrowdBackend,
-            fails: 2,
-            notified: 0,
-        }));
-        flaky.run();
-        assert!(!flaky.walker(0).recovery_log().is_empty());
-        for (c, f) in clean.walkers().iter().zip(flaky.walkers()) {
-            assert_eq!(c.core.h, f.core.h);
-            let (dc, _) = c.observables().double_occupancy();
-            let (df, _) = f.observables().double_occupancy();
-            assert_eq!(dc.to_bits(), df.to_bits());
-        }
-    }
-
-    #[test]
-    fn persistent_device_faults_fall_back_to_host_for_the_crowd() {
-        let mut flaky = Crowd::new(crowd_params(2)).with_backend(Box::new(FlakyCrowd {
-            host: HostCrowdBackend,
-            fails: u32::MAX,
-            notified: 0,
-        }));
-        flaky.run();
-        assert_eq!(flaky.active_backend_name(), "host-crowd");
-        let mut clean = Crowd::new(crowd_params(2));
-        clean.run();
-        for (c, f) in clean.walkers().iter().zip(flaky.walkers()) {
-            let (dc, _) = c.observables().double_occupancy();
-            let (df, _) = f.observables().double_occupancy();
-            assert_eq!(dc.to_bits(), df.to_bits());
-        }
-    }
-
-    #[test]
-    fn sick_crowd_backend_escapes_as_classified_error() {
-        #[derive(Debug)]
-        struct SickCrowd;
-        impl CrowdBackend for SickCrowd {
-            fn name(&self) -> &str {
-                "sick-crowd"
+    fn one_walkers_shrink_does_not_desynchronise_the_crowd() {
+        // Walker 1 shrinks its cluster size mid-run. It must keep its own
+        // cadence (bit-identical to a solo run shrunk at the same sweep)
+        // while its neighbours neither notice nor receive its products.
+        let token = RunToken::new();
+        let mut crowd = Crowd::new(crowd_params(3));
+        crowd.try_step(2, &token).unwrap();
+        crowd.walker_mut(1).core_mut().cache.reshape(2);
+        crowd.run();
+        for (c, w) in crowd.walkers().iter().enumerate() {
+            for spin in Spin::BOTH {
+                let naive = greens_naive(&w.core.fac, &w.core.h, spin);
+                let diff = relative_difference(w.greens(spin), &naive.g);
+                assert!(diff < 1e-8, "walker {c} {spin:?}: {diff}");
             }
-            fn wrap_crowd(
-                &mut self,
-                _fac: &BMatrixFactory,
-                _hs: &[&HsField],
-                _l: usize,
-                _spin: Spin,
-                _gs: &[&Matrix],
-                _outs: &mut [&mut Matrix],
-            ) -> Result<(), BackendFault> {
-                Err(BackendFault::sick("scripted sick window", false))
+            let mut solo = Simulation::new(params(chain_seed(100, 0, c as u64)));
+            if c == 1 {
+                run_reshaped(&mut solo, 2, 2);
+            } else {
+                solo.run();
             }
-            fn cluster_crowd(
-                &mut self,
-                _fac: &BMatrixFactory,
-                _hs: &[&HsField],
-                _lo: usize,
-                _hi: usize,
-                _spin: Spin,
-            ) -> Result<Vec<Matrix>, BackendFault> {
-                Err(BackendFault::sick("scripted sick window", false))
-            }
+            assert_eq!(solo.core.h, w.core.h, "walker {c} field diverged");
+            assert_eq!(solo.core.rng.state(), w.core.rng.state());
+            assert_eq!(solo.core.g[0].max_abs_diff(&w.core.g[0]), 0.0);
+            assert_eq!(solo.core.g[1].max_abs_diff(&w.core.g[1]), 0.0);
+            let (ds, _) = solo.observables().double_occupancy();
+            let (dc, _) = w.observables().double_occupancy();
+            assert_eq!(ds.to_bits(), dc.to_bits(), "walker {c} observables");
+            assert!(w.recovery_log().is_empty(), "walker {c} logged recovery");
         }
-        let mut crowd = Crowd::new(crowd_params(2)).with_backend(Box::new(SickCrowd));
-        let err = crowd.try_step(1, &RunToken::new()).unwrap_err();
-        assert_eq!(err.severity, util::Severity::DeviceSick);
+        assert_eq!(crowd.walker(1).core.runtime_cluster_size(), 2);
     }
 }

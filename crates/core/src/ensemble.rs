@@ -5,15 +5,14 @@
 //! several independent chains with different seeds and pooling their
 //! measurements — costs no communication at all and multiplies statistics
 //! linearly in core count. This module provides that: each chain is a full
-//! [`Simulation`] with its own warmup (so chains are independently
-//! thermalised), run on the Rayon pool, with the accumulated observables
-//! merged bin-wise at the end.
+//! walker with its own warmup (so chains are independently thermalised),
+//! grouped into [`Crowd`]s run on the Rayon pool, with the accumulated
+//! observables merged bin-wise at the end.
 
 use crate::crowd::Crowd;
 use crate::hubbard::SimParams;
 use crate::measure::Observables;
 use crate::recovery::RecoveryLog;
-use crate::sim::Simulation;
 use rayon::prelude::*;
 
 /// Result of an ensemble run.
@@ -27,7 +26,7 @@ pub struct EnsembleResult {
     pub max_wrap_error: f64,
     /// Per-chain recovery logs, indexed like `acceptance_rates`: what the
     /// fault-tolerance ladder did inside each chain, surfaced so ensemble
-    /// runs report healing the same way [`Simulation::recovery_log`] does.
+    /// runs report healing the same way [`crate::Walker::recovery_log`] does.
     pub recovery_logs: Vec<RecoveryLog>,
 }
 
@@ -52,70 +51,36 @@ pub fn chain_seed(base: u64, point: u64, chain: u64) -> u64 {
 }
 
 /// Runs `chains` independent simulations with hash-split per-chain seeds
-/// (see [`chain_seed`]) and merges their measurements.
+/// (see [`chain_seed`]) and merges their measurements:
+/// [`run_ensemble_crowd`] with crowds of one.
 ///
 /// Panics if `chains == 0`. Deterministic: the result is a pure function of
 /// `(params, chains)` regardless of scheduling.
 pub fn run_ensemble(params: &SimParams, chains: usize) -> EnsembleResult {
-    assert!(chains >= 1, "need at least one chain");
-    // Chains are the coarse grain of the hierarchy: each chain pins the
-    // linalg kernels it drives to their serial branch so C chains never
-    // stack kernel fan-out on the one global rayon pool (lint rule R9).
-    // Bit-identical either way: par and serial kernel branches agree, and
-    // chain seeds are scheduling-independent.
-    let run_chain = |c: usize| {
-        let _serial_kernels = linalg::enter_worker_scope();
-        let p = params
-            .clone()
-            .with_seed(chain_seed(params.seed, 0, c as u64));
-        let mut sim = Simulation::new(p);
-        sim.run();
-        sim
-    };
-    let sims: Vec<Simulation> = if linalg::par_enabled(true) {
-        (0..chains).into_par_iter().map(run_chain).collect()
-    } else {
-        (0..chains).map(run_chain).collect()
-    };
-
-    let mut iter = sims.into_iter();
-    let first = iter.next().expect("chains >= 1");
-    let mut acceptance_rates = vec![first.acceptance_rate()];
-    let mut max_wrap_error = first.max_wrap_error();
-    let mut recovery_logs = vec![first.recovery_log().clone()];
-    let mut observables = first.observables().clone();
-    for sim in iter {
-        observables.merge(sim.observables());
-        acceptance_rates.push(sim.acceptance_rate());
-        max_wrap_error = max_wrap_error.max(sim.max_wrap_error());
-        recovery_logs.push(sim.recovery_log().clone());
-    }
-    EnsembleResult {
-        observables,
-        acceptance_rates,
-        max_wrap_error,
-        recovery_logs,
-    }
+    run_ensemble_crowd(params, chains, 1)
 }
 
-/// Crowd-batched ensemble: the same chains as [`run_ensemble`], organized
-/// into crowds of up to `crowd_size` walkers stepped in lockstep (see
-/// [`crate::crowd`]).
+/// Runs `chains` independent chains organized into crowds of up to
+/// `crowd_size` walkers stepped in lockstep (see [`crate::crowd`]) and
+/// merges their measurements.
 ///
-/// Chain `c` receives the identical [`chain_seed`] it gets from
-/// [`run_ensemble`] and every crowd kernel is bit-identical to its solo
-/// form, so the result is byte-for-byte the same for **any** `crowd_size` —
-/// crowds change only the batching economics (one launch per crowd instead
-/// of per walker on a batched backend), never the statistics. Merge order
-/// is chain order, independent of crowd grouping.
+/// Chain `c` receives [`chain_seed`]`(params.seed, 0, c)` whatever the
+/// grouping and every backend kernel is bit-identical per walker, so the
+/// result is byte-for-byte the same for **any** `crowd_size` — crowds change
+/// only the batching economics (one launch per crowd instead of per walker
+/// on a batched backend), never the statistics. Merge order is chain order,
+/// independent of crowd grouping.
 ///
 /// Panics if `chains == 0` or `crowd_size == 0`.
 pub fn run_ensemble_crowd(params: &SimParams, chains: usize, crowd_size: usize) -> EnsembleResult {
     assert!(chains >= 1, "need at least one chain");
     assert!(crowd_size >= 1, "need a positive crowd size");
     let ncrowds = chains.div_ceil(crowd_size);
-    // Crowds are the coarse grain here, exactly as chains are in
-    // run_ensemble: each crowd task pins its kernels serial (rule R9).
+    // Crowds are the coarse grain of the hierarchy: each crowd task pins the
+    // linalg kernels it drives to their serial branch so the tasks never
+    // stack kernel fan-out on the one global rayon pool (lint rule R9).
+    // Bit-identical either way: par and serial kernel branches agree, and
+    // chain seeds are scheduling-independent.
     let run_crowd = |k: usize| {
         let _serial_kernels = linalg::enter_worker_scope();
         let c0 = k * crowd_size;
@@ -164,6 +129,7 @@ pub fn run_ensemble_crowd(params: &SimParams, chains: usize, crowd_size: usize) 
 mod tests {
     use super::*;
     use crate::hubbard::ModelParams;
+    use crate::sim::Simulation;
     use lattice::Lattice;
 
     fn params() -> SimParams {

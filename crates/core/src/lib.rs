@@ -16,11 +16,12 @@
 //! - equal-time physical measurements — momentum distribution ⟨n_k⟩,
 //!   spin–spin correlation C_zz(r), densities, energies ([`measure`]),
 //! - a per-phase profiler matching the paper's Table I ([`profile`]),
-//! - a top-level [`Simulation`] driver ([`sim`]),
-//! - a robustness subsystem: pluggable fallible compute backends
-//!   ([`backend`]), a retry / cluster-shrink / host-fallback recovery
-//!   ladder ([`recovery`]), and versioned checksummed checkpointing with
-//!   bit-identical resume ([`checkpoint`]).
+//! - one run driver for any number of walkers: a [`Crowd`] steps B chains
+//!   in lockstep ([`crowd`]) and a [`Simulation`] is a crowd of one ([`sim`]),
+//! - a robustness subsystem: one pluggable fallible compute backend trait
+//!   over walker slices ([`backend`]), a retry / cluster-shrink /
+//!   host-fallback recovery ladder ([`recovery`]), and versioned
+//!   checksummed checkpointing with bit-identical resume ([`checkpoint`]).
 //!
 //! # Quick start
 //!
@@ -59,7 +60,7 @@ pub mod update;
 pub use backend::{BackendFault, ComputeBackend, FaultKind, HostBackend};
 pub use bmat::BMatrixFactory;
 pub use checkpoint::{params_fingerprint, CheckpointError};
-pub use crowd::{Crowd, CrowdBackend, HostCrowdBackend};
+pub use crowd::Crowd;
 pub use diagnostics::{condition_profile, ConditionProfile};
 pub use ensemble::{chain_seed, run_ensemble, run_ensemble_crowd, EnsembleResult};
 pub use greens::{greens_from_udt, GreensFunction};
@@ -72,7 +73,7 @@ pub use recovery::{
     RecoveryTallies,
 };
 pub use recycle::ClusterCache;
-pub use sim::Simulation;
+pub use sim::{Simulation, Walker};
 pub use stratify::{stratify, StratAlgo, StratifyState, Udt};
 pub use tdm::{unequal_time_greens, unequal_time_greens_stable, TimeDependentObs};
 pub use util::{DqmcError, RunToken, Severity};

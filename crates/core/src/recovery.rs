@@ -2,19 +2,21 @@
 //!
 //! A production-scale QMC run must survive device faults, numerical
 //! blow-ups and mid-run kills without losing its Markov chain. This module
-//! holds the knobs and bookkeeping; the state machine itself lives in
-//! [`crate::sweep::DqmcCore`]:
+//! holds the knobs and bookkeeping; the state machine itself — one ladder
+//! for any number of walkers — lives in [`crate::sweep`], whose module docs
+//! tabulate it by fault class and scope:
 //!
 //! 1. **Retry** — up to [`RecoveryPolicy::max_retries`] times per incident.
 //!    One-shot faults (a dropped transfer, a transient launch failure)
 //!    vanish on re-execution, and the device backend re-uploads its
 //!    resident operands first.
 //! 2. **Escalate** — device-class faults that persist abandon the device
-//!    and fall back to the host path for the rest of the run; taint-class
+//!    and fall back to the host path for the rest of the run, for every
+//!    walker the driver steps; taint-class
 //!    faults (non-finite cluster products — the long-B-chain instability
 //!    the paper's stratification exists to control) *shrink the cluster
-//!    size* to its largest proper divisor, trading speed for stability at
-//!    runtime exactly as Bauer (2020) prescribes.
+//!    size* of the affected walker to its largest proper divisor, trading
+//!    speed for stability at runtime exactly as Bauer (2020) prescribes.
 //! 3. **Repair** — a tainted Green's function is rebuilt from the HS field
 //!    (which is always clean), resynchronizing the sign.
 //!
@@ -121,14 +123,20 @@ pub struct RecoveryEvent {
     pub action: RecoveryAction,
 }
 
+impl fmt::Display for RecoveryCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecoveryCause::Device(d) => write!(f, "device: {d}"),
+            RecoveryCause::NonFinite(d) => write!(f, "non-finite: {d}"),
+            RecoveryCause::WrapDivergence { diff } => write!(f, "wrap divergence {diff:.3e}"),
+            RecoveryCause::Sick(d) => write!(f, "sick device: {d}"),
+        }
+    }
+}
+
 impl fmt::Display for RecoveryEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let cause = match &self.cause {
-            RecoveryCause::Device(d) => format!("device: {d}"),
-            RecoveryCause::NonFinite(d) => format!("non-finite: {d}"),
-            RecoveryCause::WrapDivergence { diff } => format!("wrap divergence {diff:.3e}"),
-            RecoveryCause::Sick(d) => format!("sick device: {d}"),
-        };
+        let cause = &self.cause;
         let action = match &self.action {
             RecoveryAction::Retry { attempt } => format!("retry #{attempt}"),
             RecoveryAction::ClusterShrink { from, to } => format!("shrink k {from}→{to}"),

@@ -7,7 +7,7 @@
 //! of MB at N = 1024, as the paper notes) for skipping most of the
 //! clustering GEMMs.
 
-use crate::backend::{BackendFault, ComputeBackend};
+use crate::backend::BackendFault;
 use crate::bmat::BMatrixFactory;
 use crate::hs::HsField;
 use crate::hubbard::Spin;
@@ -22,6 +22,9 @@ pub struct ClusterCache {
     nclusters: usize,
     /// `store[spin][c]`: cached product, `None` until first use.
     store: [Vec<Option<Matrix>>; 2],
+    /// `fresh[spin][c]`: installed by a prefill and not read yet. The read
+    /// that follows is the product's first use, not a recycling hit.
+    fresh: [Vec<bool>; 2],
     /// Rebuild counters (for the Table I "clustering" cost attribution).
     rebuilds: usize,
     hits: usize,
@@ -37,6 +40,7 @@ impl ClusterCache {
             slices,
             nclusters,
             store: [vec![None; nclusters], vec![None; nclusters]],
+            fresh: [vec![false; nclusters], vec![false; nclusters]],
             rebuilds: 0,
             hits: 0,
         }
@@ -90,33 +94,35 @@ impl ClusterCache {
         self.k = k;
         self.nclusters = nclusters;
         self.store = [vec![None; nclusters], vec![None; nclusters]];
+        self.fresh = [vec![false; nclusters], vec![false; nclusters]];
     }
 
     /// Returns cluster `c` for `spin`, rebuilding from the field if dirty.
     pub fn get(&mut self, fac: &BMatrixFactory, h: &HsField, c: usize, spin: Spin) -> &Matrix {
         let slot = &mut self.store[spin.index()][c];
+        let fresh = std::mem::take(&mut self.fresh[spin.index()][c]);
         if slot.is_none() {
             let (lo, hi) = (c * self.k, ((c + 1) * self.k).min(self.slices));
             *slot = Some(fac.cluster(h, lo, hi, spin));
             self.rebuilds += 1;
-        } else {
+        } else if !fresh {
             self.hits += 1;
         }
         slot.as_ref().expect("just filled")
     }
 
-    /// Whether cluster `c` for `spin` would need a rebuild on next access
-    /// (empty or invalidated). Crowd drivers scan this to decide which
+    /// The first cluster of `spin` that would need a rebuild on next access
+    /// (empty or invalidated). The sweep driver scans this to decide which
     /// walkers join a batched prefill.
-    pub fn is_stale(&self, c: usize, spin: Spin) -> bool {
-        self.store[spin.index()][c].is_none()
+    pub fn first_stale(&self, spin: Spin) -> Option<usize> {
+        self.store[spin.index()].iter().position(Option::is_none)
     }
 
-    /// Installs an externally computed product for cluster `c` (a crowd
-    /// prefill), scanning for non-finite taint *before* caching — same
-    /// contract as [`ClusterCache::get_with`]: a poisoned product never
-    /// enters the cache, and the caller decides how to heal (typically by
-    /// leaving the slot stale so the next access rebuilds on the host).
+    /// Installs an externally computed product for cluster `c` (a batched
+    /// prefill), scanning for non-finite taint *before* caching: a poisoned
+    /// product must never enter the cache (or the stratification, where
+    /// `checked-invariants` builds would abort before recovery could act).
+    /// On `Err` the slot stays stale and the caller decides how to heal.
     pub fn install(&mut self, c: usize, spin: Spin, m: Matrix) -> Result<(), BackendFault> {
         let (lo, hi) = self.range(c);
         if let Some((i, v)) = linalg::check::first_non_finite(m.as_slice()) {
@@ -125,61 +131,9 @@ impl ClusterCache {
             )));
         }
         self.store[spin.index()][c] = Some(m);
+        self.fresh[spin.index()][c] = true;
         self.rebuilds += 1;
         Ok(())
-    }
-
-    /// Fallible [`ClusterCache::get`] through a [`ComputeBackend`]: rebuilds
-    /// through `backend` if dirty, scanning the fresh product for
-    /// non-finite taint *before* caching it — a poisoned product must never
-    /// enter the cache (or the stratification, where `checked-invariants`
-    /// builds would abort before recovery could act).
-    pub fn get_with(
-        &mut self,
-        backend: &mut dyn ComputeBackend,
-        fac: &BMatrixFactory,
-        h: &HsField,
-        c: usize,
-        spin: Spin,
-    ) -> Result<&Matrix, BackendFault> {
-        let slot = &mut self.store[spin.index()][c];
-        if slot.is_none() {
-            let (lo, hi) = (c * self.k, ((c + 1) * self.k).min(self.slices));
-            let m = backend.cluster(fac, h, lo, hi, spin)?;
-            if let Some((i, v)) = linalg::check::first_non_finite(m.as_slice()) {
-                return Err(BackendFault::taint(format!(
-                    "{v} at flat index {i} in cluster [{lo}, {hi}) {spin:?} from backend '{}'",
-                    backend.name()
-                )));
-            }
-            *slot = Some(m);
-            self.rebuilds += 1;
-        } else {
-            self.hits += 1;
-        }
-        Ok(slot.as_ref().expect("just filled"))
-    }
-
-    /// Fallible [`ClusterCache::factors_after_slice`] through a
-    /// [`ComputeBackend`]; see [`ClusterCache::get_with`] for the taint
-    /// contract.
-    pub fn factors_with(
-        &mut self,
-        backend: &mut dyn ComputeBackend,
-        fac: &BMatrixFactory,
-        h: &HsField,
-        l: usize,
-        spin: Spin,
-    ) -> Result<Vec<Matrix>, BackendFault> {
-        let c = self.cluster_of(l);
-        let (_, hi) = self.range(c);
-        assert_eq!(l + 1, hi, "recompute must land on a cluster boundary");
-        let mut order = Vec::with_capacity(self.nclusters);
-        for off in 1..=self.nclusters {
-            let cc = (c + off) % self.nclusters;
-            order.push(self.get_with(backend, fac, h, cc, spin)?.clone());
-        }
-        Ok(order)
     }
 
     /// Collects the factor sequence for the Green's function used at slice
@@ -324,67 +278,35 @@ mod tests {
     }
 
     #[test]
-    fn get_with_matches_get_on_host_backend() {
+    fn installed_product_is_read_back_without_counting_a_hit() {
         let (fac, h) = setup();
-        let mut host = crate::backend::HostBackend;
-        let mut a = ClusterCache::new(12, 4);
-        let mut b = ClusterCache::new(12, 4);
-        let ga = a.get(&fac, &h, 1, Spin::Up).clone();
-        let gb = b
-            .get_with(&mut host, &fac, &h, 1, Spin::Up)
-            .unwrap()
-            .clone();
-        assert_eq!(ga, gb);
-        let fa = a.factors_after_slice(&fac, &h, 11, Spin::Down);
-        let fb = b.factors_with(&mut host, &fac, &h, 11, Spin::Down).unwrap();
-        assert_eq!(fa, fb);
-        assert_eq!(a.stats(), b.stats());
+        let mut cache = ClusterCache::new(12, 4);
+        assert_eq!(cache.first_stale(Spin::Up), Some(0));
+        cache
+            .install(0, Spin::Up, fac.cluster(&h, 0, 4, Spin::Up))
+            .unwrap();
+        assert_eq!(cache.first_stale(Spin::Up), Some(1));
+        assert_eq!(cache.first_stale(Spin::Down), Some(0));
+        // The read after a prefill is the product's first use; the one
+        // after that is a recycling hit.
+        let _ = cache.get(&fac, &h, 0, Spin::Up);
+        assert_eq!(cache.stats(), (1, 0));
+        let _ = cache.get(&fac, &h, 0, Spin::Up);
+        assert_eq!(cache.stats(), (1, 1));
     }
 
     #[test]
-    fn get_with_rejects_tainted_product_without_caching() {
-        #[derive(Debug)]
-        struct PoisonBackend;
-        impl ComputeBackend for PoisonBackend {
-            fn name(&self) -> &str {
-                "poison"
-            }
-            fn cluster(
-                &mut self,
-                fac: &BMatrixFactory,
-                _h: &HsField,
-                _lo: usize,
-                _hi: usize,
-                _spin: Spin,
-            ) -> Result<Matrix, BackendFault> {
-                let mut m = Matrix::identity(fac.nsites());
-                m[(0, 0)] = f64::NAN;
-                Ok(m)
-            }
-            fn wrap_into(
-                &mut self,
-                _fac: &BMatrixFactory,
-                _h: &HsField,
-                _l: usize,
-                _spin: Spin,
-                _g: &Matrix,
-                _out: &mut Matrix,
-            ) -> Result<(), BackendFault> {
-                Ok(())
-            }
-        }
-
+    fn install_rejects_tainted_product_without_caching() {
         let (fac, h) = setup();
         let mut cache = ClusterCache::new(12, 4);
-        let err = cache
-            .get_with(&mut PoisonBackend, &fac, &h, 0, Spin::Up)
-            .unwrap_err();
+        let mut m = Matrix::identity(fac.nsites());
+        m[(0, 0)] = f64::NAN;
+        let err = cache.install(0, Spin::Up, m).unwrap_err();
         assert_eq!(err.kind, crate::backend::FaultKind::Taint);
-        // The poisoned product must not have been cached: a host retry
-        // rebuilds cleanly.
-        let clean = cache
-            .get_with(&mut crate::backend::HostBackend, &fac, &h, 0, Spin::Up)
-            .unwrap();
+        // The poisoned product must not have been cached: the slot is still
+        // stale and a host read rebuilds cleanly.
+        assert_eq!(cache.first_stale(Spin::Up), Some(0));
+        let clean = cache.get(&fac, &h, 0, Spin::Up);
         assert!(clean.as_slice().iter().all(|x| x.is_finite()));
     }
 }

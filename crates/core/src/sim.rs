@@ -1,8 +1,13 @@
-//! Top-level simulation driver: warmup, measurement, reporting,
-//! checkpoint/resume.
+//! A walker's run state ([`Walker`]) and the solo driver ([`Simulation`]):
+//! warmup, measurement, reporting, checkpoint/resume.
+//!
+//! A [`Simulation`] is a [`Crowd`] of one — the same lockstep driver, the
+//! same backend seam, the same recovery ladder — that forwards its walker's
+//! accessors.
 
 use crate::backend::ComputeBackend;
 use crate::checkpoint::{self, CheckpointError};
+use crate::crowd::Crowd;
 use crate::hubbard::{SimParams, Spin};
 use crate::measure::Observables;
 use crate::profile::{phases, report, PhaseReport};
@@ -10,13 +15,15 @@ use crate::recovery::RecoveryLog;
 use crate::sweep::DqmcCore;
 use crate::tdm::{unequal_time_greens_stable, TimeDependentObs};
 use linalg::Matrix;
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use util::{DqmcError, RunToken};
 
-/// A complete DQMC simulation (the paper's 1000-warmup / 2000-measurement
-/// runs are `run()` with the corresponding sweep counts).
+/// One Markov chain's complete run state: the engine, its accumulators and
+/// its progress counters. Walkers are stepped by a [`Crowd`] (or a
+/// [`Simulation`], a crowd of one); a walker image is a `DQCP` checkpoint.
 #[derive(Debug)]
-pub struct Simulation {
+pub struct Walker {
     pub(crate) core: DqmcCore,
     pub(crate) obs: Observables,
     pub(crate) tdm: Option<TimeDependentObs>,
@@ -24,10 +31,10 @@ pub struct Simulation {
     pub(crate) measure_done: usize,
 }
 
-impl Simulation {
-    /// Builds the simulation state (field initialisation + first Green's
+impl Walker {
+    /// Builds the walker state (field initialisation + first Green's
     /// function evaluation happen here).
-    pub fn new(params: SimParams) -> Self {
+    pub(crate) fn new(params: SimParams) -> Self {
         let obs = Observables::new(&params.model, params.bin_size);
         let tdm = params.measure_unequal_time.then(|| {
             TimeDependentObs::new(
@@ -39,7 +46,7 @@ impl Simulation {
             )
         });
         let core = DqmcCore::new(params);
-        Simulation {
+        Walker {
             core,
             obs,
             tdm,
@@ -48,179 +55,14 @@ impl Simulation {
         }
     }
 
-    /// Installs a compute backend (e.g. the `gpusim` device) for the heavy
-    /// kernels. Builder form of [`DqmcCore::set_backend`].
-    pub fn with_backend(mut self, backend: Box<dyn ComputeBackend>) -> Self {
-        self.core.set_backend(backend);
-        self
-    }
-
-    /// Runs the configured warmup and measurement sweeps.
-    pub fn run(&mut self) {
-        let (w, m) = (
-            self.core.params.warmup_sweeps,
-            self.core.params.measure_sweeps,
-        );
-        self.warmup(w);
-        self.measure(m);
-    }
-
-    /// Runs the configured sweeps, writing a checkpoint to `path` every
-    /// `every` sweeps and once more at the end. A run killed at any point
-    /// can be picked up with [`Simulation::resume`] and finishes
-    /// bit-identically to an uninterrupted one.
-    pub fn run_with_checkpoints(
-        &mut self,
-        path: &Path,
-        every: usize,
-    ) -> Result<(), CheckpointError> {
-        self.run_with_checkpoints_guarded(path, every, &RunToken::new())
-    }
-
-    /// [`Simulation::run_with_checkpoints`] under a liveness token: progress
-    /// is stamped on the token at every sweep boundary (so a watchdog can
-    /// tell a slow worker from a dead one), and when the token is cancelled
-    /// the run *parks cooperatively* — it finishes the current sweep, writes
-    /// one final checkpoint (the parked image a supervisor resurrects the
-    /// job from) and returns early. Check [`Simulation::is_complete`] to
-    /// distinguish a parked run from a finished one.
-    pub fn run_with_checkpoints_guarded(
-        &mut self,
-        path: &Path,
-        every: usize,
-        token: &RunToken,
-    ) -> Result<(), CheckpointError> {
-        assert!(every >= 1, "checkpoint interval must be at least 1 sweep");
-        while !self.is_complete() {
-            let n = every.min(self.sweeps_remaining());
-            let mut ran = 0;
-            while ran < n && !token.is_cancelled() {
-                self.step(1);
-                token.tick();
-                ran += 1;
-            }
-            checkpoint::save(self, path)?;
-            if token.is_cancelled() {
-                break;
-            }
+    /// Sweep-end bookkeeping once the driver has swept this walker (and, on
+    /// a measurement sweep, taken the equal-time record): the dynamic
+    /// measurement and the counter bump.
+    pub(crate) fn finish_sweep(&mut self, measure: bool) {
+        if !measure {
+            self.warmup_done += 1;
+            return;
         }
-        Ok(())
-    }
-
-    /// Advances the run by up to `n` sweeps, crossing the warmup/measurement
-    /// phase boundary as needed, and returns the number actually executed
-    /// (less than `n` only when the run completes).
-    pub fn step(&mut self, n: usize) -> usize {
-        let mut left = n;
-        let warmup_left = self
-            .core
-            .params
-            .warmup_sweeps
-            .saturating_sub(self.warmup_done);
-        let w = left.min(warmup_left);
-        if w > 0 {
-            self.warmup(w);
-            left -= w;
-        }
-        let measure_left = self
-            .core
-            .params
-            .measure_sweeps
-            .saturating_sub(self.measure_done);
-        let m = left.min(measure_left);
-        if m > 0 {
-            self.measure(m);
-            left -= m;
-        }
-        n - left
-    }
-
-    /// True once every configured warmup and measurement sweep has run.
-    pub fn is_complete(&self) -> bool {
-        self.sweeps_remaining() == 0
-    }
-
-    /// Configured sweeps not yet executed (warmup + measurement).
-    pub fn sweeps_remaining(&self) -> usize {
-        self.core
-            .params
-            .warmup_sweeps
-            .saturating_sub(self.warmup_done)
-            + self
-                .core
-                .params
-                .measure_sweeps
-                .saturating_sub(self.measure_done)
-    }
-
-    /// Atomically writes the complete simulation state to `path`.
-    pub fn checkpoint(&self, path: &Path) -> Result<(), CheckpointError> {
-        checkpoint::save(self, path)
-    }
-
-    /// Rebuilds a simulation from a checkpoint written by
-    /// [`Simulation::checkpoint`] / [`Simulation::run_with_checkpoints`].
-    /// `params` must describe the same run (validated by fingerprint); the
-    /// resumed chain continues bit-identically.
-    pub fn resume(path: &Path, params: &SimParams) -> Result<Self, CheckpointError> {
-        checkpoint::load(path, params)
-    }
-
-    /// The complete simulation state as an in-memory `DQCP` checkpoint image
-    /// (the bytes [`Simulation::checkpoint`] would write). Preemptive
-    /// schedulers park yielded jobs through this.
-    pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        checkpoint::to_bytes(self)
-    }
-
-    /// Rebuilds a simulation from an image produced by
-    /// [`Simulation::checkpoint_bytes`]; same validation and bit-identical
-    /// continuation guarantee as [`Simulation::resume`].
-    pub fn resume_bytes(bytes: &[u8], params: &SimParams) -> Result<Self, CheckpointError> {
-        checkpoint::from_bytes(bytes, params)
-    }
-
-    /// Fallible [`Simulation::step`]: advances by up to `n` sweeps, stamping
-    /// `token` at every sweep boundary, and surfaces classified sweep
-    /// failures instead of panicking. On `Err` the counters reflect only the
-    /// sweeps that completed; the aborted sweep's partial state must not be
-    /// measured (supervisors resume from the last parked image instead).
-    pub fn try_step(&mut self, n: usize, token: &RunToken) -> Result<usize, DqmcError> {
-        let mut done = 0;
-        while done < n && !self.is_complete() {
-            if self.warmup_done < self.core.params.warmup_sweeps {
-                self.core.try_sweep(None)?;
-                self.warmup_done += 1;
-            } else {
-                self.try_measure_one()?;
-            }
-            token.tick();
-            done += 1;
-        }
-        Ok(done)
-    }
-
-    /// Runs `n` thermalisation sweeps (no measurements).
-    pub fn warmup(&mut self, n: usize) {
-        for _ in 0..n {
-            self.core.sweep(None);
-        }
-        self.warmup_done += n;
-    }
-
-    /// One fallible measurement sweep (dynamic measurements included).
-    fn try_measure_one(&mut self) -> Result<(), DqmcError> {
-        self.core.try_sweep(Some(&mut self.obs))?;
-        self.finish_measure_sweep();
-        Ok(())
-    }
-
-    /// Sweep-end bookkeeping of a measurement sweep once the equal-time
-    /// record has been taken (by [`DqmcCore::try_sweep`] here, or by the
-    /// crowd driver in lockstep mode): the dynamic measurement and the
-    /// counter bump. Shared with [`crate::crowd::Crowd`] so crowd and solo
-    /// runs take bit-identical measurements.
-    pub(crate) fn finish_measure_sweep(&mut self) {
         if let Some(tdm) = self.tdm.as_mut() {
             // Dynamic measurements via the stable block-matrix TDGF
             // (accurate at any β; see `tdm` module docs for why the
@@ -237,13 +79,16 @@ impl Simulation {
         self.measure_done += 1;
     }
 
-    /// Runs `n` measurement sweeps.
-    pub fn measure(&mut self, n: usize) {
-        for _ in 0..n {
-            if let Err(e) = self.try_measure_one() {
-                panic!("{e}");
-            }
-        }
+    /// True once every configured warmup and measurement sweep has run.
+    pub fn is_complete(&self) -> bool {
+        self.sweeps_remaining() == 0
+    }
+
+    /// Configured sweeps not yet executed (warmup + measurement).
+    pub fn sweeps_remaining(&self) -> usize {
+        let p = &self.core.params;
+        p.warmup_sweeps.saturating_sub(self.warmup_done)
+            + p.measure_sweeps.saturating_sub(self.measure_done)
     }
 
     /// Time-dependent observables, when enabled via
@@ -270,12 +115,6 @@ impl Simulation {
     /// Metropolis acceptance rate.
     pub fn acceptance_rate(&self) -> f64 {
         self.core.acceptance_rate()
-    }
-
-    /// Modeled device-seconds consumed by the installed backend (`0.0` on
-    /// the host backend, which has no device clock).
-    pub fn device_seconds(&self) -> f64 {
-        self.core.backend.device_seconds()
     }
 
     /// Current Green's function for a spin (canonical position).
@@ -311,6 +150,167 @@ impl Simulation {
     /// Access to the underlying engine (benchmarks and tests).
     pub fn core_mut(&mut self) -> &mut DqmcCore {
         &mut self.core
+    }
+}
+
+/// A complete DQMC simulation (the paper's 1000-warmup / 2000-measurement
+/// runs are `run()` with the corresponding sweep counts): a [`Crowd`] of one
+/// [`Walker`], whose accessors it exposes through `Deref`.
+#[derive(Debug)]
+pub struct Simulation {
+    pub(crate) crowd: Crowd,
+}
+
+impl Deref for Simulation {
+    type Target = Walker;
+
+    fn deref(&self) -> &Walker {
+        self.crowd.walker(0)
+    }
+}
+
+impl DerefMut for Simulation {
+    fn deref_mut(&mut self) -> &mut Walker {
+        self.crowd.walker_mut(0)
+    }
+}
+
+impl Simulation {
+    /// Builds the simulation state (field initialisation + first Green's
+    /// function evaluation happen here).
+    pub fn new(params: SimParams) -> Self {
+        Simulation {
+            crowd: Crowd::new(vec![params]),
+        }
+    }
+
+    /// Installs a compute backend (e.g. the `gpusim` device) for the heavy
+    /// kernels.
+    pub fn with_backend(mut self, backend: Box<dyn ComputeBackend>) -> Self {
+        self.crowd = self.crowd.with_backend(backend);
+        self
+    }
+
+    /// Runs the configured warmup and measurement sweeps.
+    pub fn run(&mut self) {
+        let (w, m) = (
+            self.core.params.warmup_sweeps,
+            self.core.params.measure_sweeps,
+        );
+        self.warmup(w);
+        self.measure(m);
+    }
+
+    /// Runs the configured sweeps, writing a checkpoint to `path` every
+    /// `every` sweeps and once more at the end. A run killed at any point
+    /// can be picked up with [`Simulation::resume`] and finishes
+    /// bit-identically to an uninterrupted one.
+    pub fn run_with_checkpoints(
+        &mut self,
+        path: &Path,
+        every: usize,
+    ) -> Result<(), CheckpointError> {
+        self.run_with_checkpoints_guarded(path, every, &RunToken::new())
+    }
+
+    /// [`Simulation::run_with_checkpoints`] under a liveness token: progress
+    /// is stamped on the token at every sweep boundary (so a watchdog can
+    /// tell a slow worker from a dead one), and when the token is cancelled
+    /// the run *parks cooperatively* — it finishes the current sweep, writes
+    /// one final checkpoint (the parked image a supervisor resurrects the
+    /// job from) and returns early. Check [`Walker::is_complete`] to
+    /// distinguish a parked run from a finished one.
+    pub fn run_with_checkpoints_guarded(
+        &mut self,
+        path: &Path,
+        every: usize,
+        token: &RunToken,
+    ) -> Result<(), CheckpointError> {
+        assert!(every >= 1, "checkpoint interval must be at least 1 sweep");
+        while !self.is_complete() {
+            let n = every.min(self.sweeps_remaining());
+            let mut ran = 0;
+            while ran < n && !token.is_cancelled() {
+                self.step(1);
+                token.tick();
+                ran += 1;
+            }
+            checkpoint::save(self, path)?;
+            if token.is_cancelled() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Advances the run by up to `n` sweeps, crossing the warmup/measurement
+    /// phase boundary as needed, and returns the number actually executed
+    /// (less than `n` only when the run completes). Panics on a classified
+    /// failure; [`Simulation::try_step`] surfaces it instead.
+    pub fn step(&mut self, n: usize) -> usize {
+        match self.try_step(n, &RunToken::new()) {
+            Ok(done) => done,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Atomically writes the complete simulation state to `path`.
+    pub fn checkpoint(&self, path: &Path) -> Result<(), CheckpointError> {
+        checkpoint::save(self, path)
+    }
+
+    /// Rebuilds a simulation from a checkpoint written by
+    /// [`Simulation::checkpoint`] / [`Simulation::run_with_checkpoints`].
+    /// `params` must describe the same run (validated by fingerprint); the
+    /// resumed chain continues bit-identically.
+    pub fn resume(path: &Path, params: &SimParams) -> Result<Self, CheckpointError> {
+        checkpoint::load(path, params)
+    }
+
+    /// The complete simulation state as an in-memory `DQCP` checkpoint image
+    /// (the bytes [`Simulation::checkpoint`] would write).
+    pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        checkpoint::to_bytes(self)
+    }
+
+    /// Rebuilds a simulation from an image produced by
+    /// [`Simulation::checkpoint_bytes`]; same validation and bit-identical
+    /// continuation guarantee as [`Simulation::resume`].
+    pub fn resume_bytes(bytes: &[u8], params: &SimParams) -> Result<Self, CheckpointError> {
+        checkpoint::from_bytes(bytes, params)
+    }
+
+    /// Fallible [`Simulation::step`]: advances by up to `n` sweeps, stamping
+    /// `token` at every sweep boundary, and surfaces classified sweep
+    /// failures instead of panicking. On `Err` the counters reflect only the
+    /// sweeps that completed; the aborted sweep's partial state must not be
+    /// measured (supervisors resume from the last parked image instead).
+    pub fn try_step(&mut self, n: usize, token: &RunToken) -> Result<usize, DqmcError> {
+        self.crowd.try_step(n, token)
+    }
+
+    /// Runs `n` thermalisation sweeps (no measurements).
+    pub fn warmup(&mut self, n: usize) {
+        self.sweeps(n, false);
+    }
+
+    /// Runs `n` measurement sweeps.
+    pub fn measure(&mut self, n: usize) {
+        self.sweeps(n, true);
+    }
+
+    fn sweeps(&mut self, n: usize, measure: bool) {
+        for _ in 0..n {
+            if let Err(e) = self.crowd.try_sweep(measure) {
+                panic!("{e}");
+            }
+        }
+    }
+
+    /// Modeled device-seconds consumed by the installed backend (`0.0` on
+    /// the host backend, which has no device clock).
+    pub fn device_seconds(&self) -> f64 {
+        self.crowd.device_seconds()
     }
 }
 

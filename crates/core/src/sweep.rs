@@ -14,19 +14,33 @@
 //!    from scratch by stratification over the (recycled) cluster products;
 //!    the wrapped and recomputed matrices are compared to monitor accuracy.
 //!
+//! # One driver for any number of walkers
+//!
+//! [`DqmcCore`] is one walker's state; the slice loop lives in the sweep
+//! driver, which steps B walkers in lockstep through one
+//! [`ComputeBackend`] (see [`crate::crowd`]). A solo run is B = 1 of the
+//! same loop ([`DqmcCore::try_sweep`]); B changes cost, never a trajectory.
+//!
 //! # Fault tolerance
 //!
-//! The heavy kernels (clustering, wrapping) run through a pluggable
-//! [`ComputeBackend`], which may fail. Failures feed a bounded escalation
-//! ladder governed by [`RecoveryPolicy`](crate::recovery::RecoveryPolicy):
-//! **retry** (after telling the backend to drop resident device state), then
-//! for device-class faults **host fallback**, and for taint-class faults a
-//! **cluster-size shrink** (each step divides `k` by its smallest prime
-//! factor, so every old cluster boundary stays a boundary and the recompute
-//! cadence is preserved mid-sweep). A non-finite Green's function is
-//! **repaired** by rebuilding it from the HS field, which is always clean.
-//! Every action lands in the [`RecoveryLog`]; none of them consumes the
-//! Metropolis RNG stream, so a fault-free run is unchanged bit for bit.
+//! The two backend kernels may fail. Failures feed a bounded ladder governed
+//! by [`RecoveryPolicy`](crate::recovery::RecoveryPolicy); every action
+//! lands in a walker's [`RecoveryLog`] and none consumes the Metropolis RNG
+//! stream, so a fault-free run is unchanged bit for bit.
+//!
+//! | fault class | scope | rungs |
+//! |---|---|---|
+//! | device (launch failure, arena exhaustion: the call never completed) | driver — the call covered every walker; logged on walker 0 | **retry** (after telling the backend to drop resident device state) → permanent **host fallback** → `Transient` error |
+//! | taint in a wrapped `G` (non-finite download) | walker | **retry** the batched wrap → discard the wrap and **repair** from the HS field |
+//! | taint in a cluster product | walker | **retry** the batched call → **cluster-size shrink** for that walker → at the floor, drop the product and rebuild it on the host |
+//! | wrap-vs-recompute divergence (silent finite corruption) | walker | drop every cached product, **shrink** if possible, recompute on the host |
+//! | non-finite stratified `G` on the host | walker | **shrink** → `Fatal` error at the floor |
+//! | sick / wedged device | escapes | logged as escalated; the scheduler parks the job and indicts the slot |
+//!
+//! Walkers keep their own cluster size: each decides its boundaries from
+//! its own cache and the batched prefill groups walkers by slice range, so
+//! one walker's shrink neither breaks lockstep nor hands it a neighbour's
+//! products.
 
 use crate::backend::{BackendFault, ComputeBackend, FaultKind, HostBackend};
 use crate::bmat::BMatrixFactory;
@@ -45,7 +59,7 @@ use linalg::check::first_non_finite;
 use linalg::{workspace, Matrix};
 use util::{DqmcError, PhaseTimer, Rng, RunningStats};
 
-/// The complete mutable state of a DQMC run.
+/// The complete mutable state of one walker (one Markov chain).
 #[derive(Debug)]
 pub struct DqmcCore {
     /// Configuration (immutable after construction).
@@ -71,17 +85,8 @@ pub struct DqmcCore {
     pub accepted: u64,
     /// Total proposals.
     pub proposed: u64,
-    /// Active compute backend for clustering and wrapping.
-    pub(crate) backend: Box<dyn ComputeBackend>,
-    /// The always-available host path, used directly once
-    /// `use_host_fallback` is set.
-    pub(crate) host_backend: HostBackend,
-    /// True once recovery has permanently abandoned the device backend.
-    pub(crate) use_host_fallback: bool,
     /// Recovery incident log.
     pub(crate) recovery: RecoveryLog,
-    /// Consecutive failures within the current incident (reset on success).
-    pub(crate) fault_streak: u32,
     /// Total sweeps executed (warmup + measurement), for event attribution
     /// and checkpointing.
     pub(crate) sweeps_run: u64,
@@ -91,36 +96,28 @@ impl DqmcCore {
     /// Initialises a run: random HS field from the seed, Green's functions
     /// from a full stratified evaluation.
     pub fn new(params: SimParams) -> Self {
-        let fac = if params.checkerboard {
-            BMatrixFactory::new_checkerboard(&params.model)
-        } else {
-            BMatrixFactory::new(&params.model)
-        };
         let mut rng = Rng::new(params.seed);
         let n = params.model.nsites();
         let l = params.model.slices;
         let h = HsField::random(n, l, &mut rng);
-        let cache = ClusterCache::new(l, params.cluster_size);
-        let mut core = DqmcCore {
+        let g = [Matrix::zeros(n, n), Matrix::zeros(n, n)];
+        let cluster_size = params.cluster_size;
+        let mut core = DqmcCore::restore(
             params,
-            fac,
             h,
-            cache,
-            g: [Matrix::zeros(n, n), Matrix::zeros(n, n)],
-            sign: 1.0,
             rng,
-            timer: PhaseTimer::new(),
-            wrap_diff: RunningStats::new(),
-            accepted: 0,
-            proposed: 0,
-            backend: Box::new(HostBackend),
-            host_backend: HostBackend,
-            use_host_fallback: false,
-            recovery: RecoveryLog::new(),
-            fault_streak: 0,
-            sweeps_run: 0,
-        };
-        core.recompute_greens(l - 1);
+            g,
+            1.0,
+            cluster_size,
+            0,
+            0,
+            0,
+            RunningStats::new(),
+            0,
+        );
+        if let Err(e) = core.recompute_greens_recovering(l - 1) {
+            panic!("{e}");
+        }
         core
     }
 
@@ -135,7 +132,6 @@ impl DqmcCore {
         g: [Matrix; 2],
         sign: f64,
         runtime_cluster_size: usize,
-        use_host_fallback: bool,
         accepted: u64,
         proposed: u64,
         sweeps_run: u64,
@@ -162,11 +158,7 @@ impl DqmcCore {
             wrap_diff,
             accepted,
             proposed,
-            backend: Box::new(HostBackend),
-            host_backend: HostBackend,
-            use_host_fallback,
             recovery,
-            fault_streak: 0,
             sweeps_run,
         }
     }
@@ -190,22 +182,6 @@ impl DqmcCore {
         &self.g[spin.index()]
     }
 
-    /// Installs a compute backend for clustering and wrapping. The host
-    /// fallback flag is left untouched: a core restored from a checkpoint
-    /// that had already abandoned its device stays on the host path.
-    pub fn set_backend(&mut self, backend: Box<dyn ComputeBackend>) {
-        self.backend = backend;
-    }
-
-    /// Name of the backend actually in use (accounts for host fallback).
-    pub fn active_backend_name(&self) -> &str {
-        if self.use_host_fallback {
-            self.host_backend.name()
-        } else {
-            self.backend.name()
-        }
-    }
-
     /// The recovery incident log.
     pub fn recovery_log(&self) -> &RecoveryLog {
         &self.recovery
@@ -223,64 +199,42 @@ impl DqmcCore {
         self.g[spin.index()][(i, j)] = v;
     }
 
-    fn active_backend(&mut self) -> &mut dyn ComputeBackend {
-        if self.use_host_fallback {
-            &mut self.host_backend
-        } else {
-            self.backend.as_mut()
-        }
+    /// Whether wrapping past slice `l` lands this walker on a recompute.
+    /// The cluster size comes from the cache, not the params: adaptive
+    /// shrinking may change it mid-sweep, and because each shrink divides
+    /// the old size, every boundary already passed under the old cadence
+    /// stays a boundary under the new one.
+    fn at_boundary(&self, l: usize) -> bool {
+        (l + 1).is_multiple_of(self.cache.cluster_size()) || l + 1 == self.params.model.slices
     }
 
-    /// Recomputes both Green's functions from scratch for the position after
-    /// wrapping past slice `l` (must be the last slice of its cluster), and
-    /// re-synchronises the configuration sign from the determinants.
-    ///
-    /// Infallible wrapper over [`Self::recompute_greens_recovering`] for
-    /// callers without an error channel: a classified failure (sick device,
-    /// exhausted ladder, recovery disabled) becomes a panic whose message is
-    /// the error's `Display` — the original detail survives verbatim.
-    pub fn recompute_greens(&mut self, l: usize) {
-        if let Err(e) = self.recompute_greens_recovering(l) {
-            panic!("{e}");
-        }
-    }
-
-    /// Recomputes both Green's functions through the recovery ladder,
-    /// surfacing classified failures instead of panicking. Sick-device
-    /// faults escape on the first occurrence; everything else loops through
-    /// the ladder until an attempt succeeds or the rungs are exhausted.
+    /// Recomputes both Green's functions from scratch on the host for the
+    /// position after wrapping past slice `l` (must be the last slice of its
+    /// cluster; stale cluster products are rebuilt from the HS field), and
+    /// re-synchronises the configuration sign from the determinants. A
+    /// non-finite result climbs the taint rungs: shrink this walker's
+    /// cluster size and evaluate again.
     pub fn recompute_greens_recovering(&mut self, l: usize) -> Result<(), DqmcError> {
         loop {
             match self.try_recompute_greens(l) {
-                Ok(()) => {
-                    self.fault_streak = 0;
-                    return Ok(());
+                Ok(()) => return Ok(()),
+                Err(fault) => {
+                    self.escalate_taint(l, RecoveryCause::NonFinite(fault.detail), false)?;
                 }
-                Err(fault) => self.escalate(fault, l)?,
             }
         }
     }
 
-    /// One attempt at the full stratified evaluation through the active
-    /// backend. On success `self.g` and `self.sign` are updated; on fault
-    /// they are untouched.
+    /// One attempt at the full stratified evaluation. On success `self.g`
+    /// and `self.sign` are updated; on fault they are untouched.
     fn try_recompute_greens(&mut self, l: usize) -> Result<(), BackendFault> {
         let algo = self.params.algo;
         let mut sign = 1.0;
         let mut gs: [Option<Matrix>; 2] = [None, None];
         for spin in Spin::BOTH {
-            if !self.params.recycle {
-                self.cache.invalidate_all();
-            }
-            let backend: &mut dyn ComputeBackend = if self.use_host_fallback {
-                &mut self.host_backend
-            } else {
-                self.backend.as_mut()
-            };
             let factors = self.timer.time(phases::CLUSTERING, || {
-                self.cache
-                    .factors_with(backend, &self.fac, &self.h, l, spin)
-            })?;
+                self.cache.factors_after_slice(&self.fac, &self.h, l, spin)
+            });
             let gf = self.timer.time(phases::STRATIFICATION, || {
                 greens_from_udt(&stratify(&factors, algo))
             });
@@ -299,97 +253,45 @@ impl DqmcCore {
         Ok(())
     }
 
-    /// Declares a sick-device fault: logs the escalation and hands the
-    /// classified error to the caller. The in-core ladder never absorbs
-    /// these — the device, not the computation, is suspect, so retrying or
-    /// shrinking here would grind against a failing part while the
-    /// scheduler (which owns placement) is the layer that can actually fix
-    /// it: park the job, exclude the slot, feed the pool's breaker.
-    pub(crate) fn escalate_sick(
-        &mut self,
-        origin: &'static str,
-        fault: &BackendFault,
-        slice: usize,
-    ) -> DqmcError {
-        self.push_event(
-            slice,
-            RecoveryCause::Sick(fault.detail.clone()),
-            RecoveryAction::Escalated,
-        );
-        DqmcError::device_sick(origin, fault.to_string(), fault.kind == FaultKind::Wedged)
-    }
-
-    /// The escalation ladder, invoked after a failed attempt. Each call
-    /// either arranges a changed retry (notifying the backend, falling back
-    /// to the host, or shrinking the cluster size) and returns `Ok`, or
-    /// returns a classified [`DqmcError`]: sick-device faults escape
-    /// immediately without consuming a rung, recovery-disabled and
-    /// rungs-exhausted faults come back `Fatal`. Termination: retries are
-    /// bounded by the policy, host fallback can fire at most once, and each
-    /// shrink strictly decreases the cluster size.
-    fn escalate(&mut self, fault: BackendFault, slice: usize) -> Result<(), DqmcError> {
-        if fault.is_sick() {
-            return Err(self.escalate_sick("sweep", &fault, slice));
-        }
-        let policy = self.params.recovery.clone();
-        if !policy.enabled {
-            return Err(DqmcError::fatal(
-                "sweep",
-                format!("backend fault with recovery disabled: {fault}"),
-            ));
-        }
-        let cause = match fault.kind {
-            FaultKind::Device => RecoveryCause::Device(fault.detail.clone()),
-            FaultKind::Taint => RecoveryCause::NonFinite(fault.detail.clone()),
-            FaultKind::Sick | FaultKind::Wedged => unreachable!("sick faults escalated above"),
-        };
-        self.fault_streak += 1;
-        if self.fault_streak <= policy.max_retries {
-            let attempt = self.fault_streak;
-            self.active_backend().notify_fault();
-            self.push_event(slice, cause, RecoveryAction::Retry { attempt });
-            return Ok(());
-        }
-        // Retries exhausted: change something. Device faults prefer leaving
-        // the device; taint faults prefer harder stabilisation.
-        let can_fall_back = !self.use_host_fallback && policy.allow_host_fallback;
-        let from = self.cache.cluster_size();
-        let to = shrink_cluster_size(from);
-        let can_shrink = to < from && to >= policy.min_cluster;
-        let fallback_first = match fault.kind {
-            FaultKind::Device => true,
-            _ => !can_shrink,
-        };
-        if fallback_first && can_fall_back {
-            self.use_host_fallback = true;
-            self.fault_streak = 0;
-            self.push_event(slice, cause, RecoveryAction::HostFallback);
-            return Ok(());
-        }
-        if can_shrink {
-            self.cache.reshape(to);
-            self.fault_streak = 0;
-            self.push_event(slice, cause, RecoveryAction::ClusterShrink { from, to });
-            return Ok(());
-        }
-        if can_fall_back {
-            self.use_host_fallback = true;
-            self.fault_streak = 0;
-            self.push_event(slice, cause, RecoveryAction::HostFallback);
-            return Ok(());
-        }
-        Err(DqmcError::fatal(
-            "sweep",
-            format!("unrecoverable fault (all recovery rungs exhausted): {fault}"),
-        ))
-    }
-
-    pub(crate) fn push_event(
+    /// The walker-scoped taint rungs, climbed once the driver's retries are
+    /// spent (or at once for faults a retry cannot change). Shrinks this
+    /// walker's cluster size when the policy allows — harder stabilisation,
+    /// and every cached product is dropped — and returns `Ok(true)`. At the
+    /// floor a `repairable` fault is logged as a plain repair and `Ok(false)`
+    /// tells the caller to discard the tainted data and rebuild it from the
+    /// HS field on the host; otherwise no rung is left and the error is
+    /// `Fatal`. Termination: each shrink strictly decreases the cluster size.
+    fn escalate_taint(
         &mut self,
         slice: usize,
         cause: RecoveryCause,
-        action: RecoveryAction,
-    ) {
+        repairable: bool,
+    ) -> Result<bool, DqmcError> {
+        let policy = &self.params.recovery;
+        if !policy.enabled {
+            return Err(DqmcError::fatal(
+                "sweep",
+                format!("taint with recovery disabled: {cause}"),
+            ));
+        }
+        let from = self.cache.cluster_size();
+        let to = shrink_cluster_size(from);
+        if to < from && to >= policy.min_cluster {
+            self.cache.reshape(to);
+            self.push_event(slice, cause, RecoveryAction::ClusterShrink { from, to });
+            return Ok(true);
+        }
+        if repairable {
+            self.push_event(slice, cause, RecoveryAction::TaintRepair);
+            return Ok(false);
+        }
+        Err(DqmcError::fatal(
+            "sweep",
+            format!("unrecoverable fault (all recovery rungs exhausted): {cause}"),
+        ))
+    }
+
+    fn push_event(&mut self, slice: usize, cause: RecoveryCause, action: RecoveryAction) {
         self.recovery.push(RecoveryEvent {
             sweep: self.sweeps_run,
             slice,
@@ -403,7 +305,7 @@ impl DqmcCore {
     /// field at the canonical sweep-start position. The repair consumes no
     /// Metropolis randomness and reproduces exactly the matrix an untainted
     /// run holds at sweep start, so the repaired chain is bit-identical.
-    pub(crate) fn repair_if_tainted(&mut self) -> Result<(), DqmcError> {
+    fn repair_if_tainted(&mut self) -> Result<(), DqmcError> {
         let taint = first_non_finite(self.g[0].as_slice())
             .map(|(i, v)| (0usize, i, v))
             .or_else(|| first_non_finite(self.g[1].as_slice()).map(|(i, v)| (1usize, i, v)));
@@ -424,157 +326,21 @@ impl DqmcCore {
         self.recompute_greens_recovering(self.params.model.slices - 1)
     }
 
-    /// One timed attempt at wrapping both spins past slice `l`, scanning the
-    /// results for non-finite contamination (device transfer corruption
-    /// shows up here, since fallible backends do not self-check).
-    fn try_wrap_pair(&mut self, l: usize, wrapped: &mut [Matrix; 2]) -> Result<(), BackendFault> {
-        let t0 = std::time::Instant::now();
-        let backend: &mut dyn ComputeBackend = if self.use_host_fallback {
-            &mut self.host_backend
-        } else {
-            self.backend.as_mut()
-        };
-        let up = backend.wrap_into(&self.fac, &self.h, l, Spin::Up, &self.g[0], &mut wrapped[0]);
-        let dn = match up {
-            Ok(()) => backend.wrap_into(
-                &self.fac,
-                &self.h,
-                l,
-                Spin::Down,
-                &self.g[1],
-                &mut wrapped[1],
-            ),
-            Err(_) => Ok(()),
-        };
-        self.timer.add(phases::WRAPPING, t0.elapsed());
-        up?;
-        dn?;
-        for (i, w) in wrapped.iter().enumerate() {
-            if let Some((idx, v)) = first_non_finite(w.as_slice()) {
-                return Err(BackendFault::taint(format!(
-                    "wrapped G[{i}] has {v} at element {idx} after slice {l}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Wraps both Green's functions past slice `l` with recovery. Returns
-    /// `Ok(true)` when `wrapped` holds valid wrapped matrices. Returns
-    /// `Ok(false)` after a taint repair: at a cluster boundary the imminent
-    /// recompute makes the wrap redundant, and mid-sweep `self.g` has been
-    /// rebuilt for the post-wrap position directly from the HS field. A
-    /// classified failure (sick device, recovery disabled, device fault with
-    /// no rung left) surfaces as `Err`.
-    fn wrap_with_recovery(
-        &mut self,
-        l: usize,
-        at_boundary: bool,
-        wrapped: &mut [Matrix; 2],
-    ) -> Result<bool, DqmcError> {
-        loop {
-            match self.try_wrap_pair(l, wrapped) {
-                Ok(()) => {
-                    self.fault_streak = 0;
-                    return Ok(true);
-                }
-                Err(fault) => {
-                    if fault.is_sick() {
-                        return Err(self.escalate_sick("wrap", &fault, l));
-                    }
-                    if !self.params.recovery.enabled {
-                        return Err(DqmcError::fatal(
-                            "wrap",
-                            format!("wrap fault with recovery disabled: {fault}"),
-                        ));
-                    }
-                    let cause = match fault.kind {
-                        FaultKind::Device => RecoveryCause::Device(fault.detail.clone()),
-                        FaultKind::Taint => RecoveryCause::NonFinite(fault.detail.clone()),
-                        FaultKind::Sick | FaultKind::Wedged => {
-                            unreachable!("sick faults escalated above")
-                        }
-                    };
-                    self.fault_streak += 1;
-                    if self.fault_streak <= self.params.recovery.max_retries {
-                        let attempt = self.fault_streak;
-                        self.active_backend().notify_fault();
-                        self.push_event(l, cause, RecoveryAction::Retry { attempt });
-                        continue;
-                    }
-                    match fault.kind {
-                        FaultKind::Device => {
-                            if !self.use_host_fallback && self.params.recovery.allow_host_fallback {
-                                self.use_host_fallback = true;
-                                self.fault_streak = 0;
-                                self.push_event(l, cause, RecoveryAction::HostFallback);
-                                continue;
-                            }
-                            return Err(DqmcError::transient(
-                                "wrap",
-                                format!("unrecoverable device fault during wrap: {fault}"),
-                            ));
-                        }
-                        _ => {
-                            // The source G was clean (scanned at sweep start
-                            // and after every recompute), so the taint came
-                            // from the wrap itself. Discard it and rebuild.
-                            self.fault_streak = 0;
-                            self.push_event(l, cause, RecoveryAction::TaintRepair);
-                            if !at_boundary {
-                                self.repair_greens_after(l);
-                            }
-                            return Ok(false);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Rebuilds both Green's functions for the position after slice `l`
-    /// directly from the HS field on the host path, using a temporary
+    /// directly from the HS field on the host path, through a temporary
     /// single-slice-cluster cache so *any* `l` is a valid boundary. Used for
     /// mid-sweep taint repair, where `l + 1` need not be a cluster boundary.
-    pub(crate) fn repair_greens_after(&mut self, l: usize) {
-        let algo = self.params.algo;
-        let mut tmp = ClusterCache::new(self.params.model.slices, 1);
-        let mut sign = 1.0;
-        for spin in Spin::BOTH {
-            let factors = self.timer.time(phases::CLUSTERING, || {
-                tmp.factors_after_slice(&self.fac, &self.h, l, spin)
-            });
-            let gf = self.timer.time(phases::STRATIFICATION, || {
-                greens_from_udt(&stratify(&factors, algo))
-            });
-            sign *= gf.sign;
-            self.g[spin.index()] = gf.g;
-        }
-        self.sign = sign;
+    fn repair_greens_after(&mut self, l: usize) -> Result<(), DqmcError> {
+        let unit = ClusterCache::new(self.params.model.slices, 1);
+        let cache = std::mem::replace(&mut self.cache, unit);
+        let result = self.try_recompute_greens(l);
+        self.cache = cache;
+        // Already at cluster size 1: there is no harder stabilisation left.
+        result.map_err(|fault| DqmcError::fatal("wrap", format!("unrecoverable {fault}")))
     }
 
-    /// Handles a wrap-vs-recompute divergence beyond the policy tolerance:
-    /// the cached cluster products are presumed silently corrupted (e.g. a
-    /// device memory bit flip — finite, so the non-finite scans never
-    /// fired). Drops every cached product, shrinks the cluster size when
-    /// possible, and recomputes from the always-clean HS field.
-    fn note_wrap_divergence(&mut self, l: usize, diff: f64) -> Result<(), DqmcError> {
-        self.active_backend().notify_fault();
-        self.cache.invalidate_all();
-        let from = self.cache.cluster_size();
-        let to = shrink_cluster_size(from);
-        let action = if to < from && to >= self.params.recovery.min_cluster {
-            self.cache.reshape(to);
-            RecoveryAction::ClusterShrink { from, to }
-        } else {
-            RecoveryAction::TaintRepair
-        };
-        self.push_event(l, RecoveryCause::WrapDivergence { diff }, action);
-        self.recompute_greens_recovering(l)
-    }
-
-    /// Runs one full sweep (all `L·N` proposals); records measurements into
-    /// `obs` afterwards when provided.
+    /// Runs one full sweep (all `L·N` proposals) on the host backend;
+    /// records measurements into `obs` afterwards when provided.
     ///
     /// Infallible wrapper over [`Self::try_sweep`]: a classified failure
     /// becomes a panic whose message is the error's `Display`, so the
@@ -585,49 +351,17 @@ impl DqmcCore {
         }
     }
 
-    /// Runs one full sweep, surfacing classified failures instead of
-    /// panicking. On `Err` the core's dynamical state is mid-sweep and must
-    /// not be measured; supervisors discard it and resume from the last
-    /// checkpoint image (which is why the sweep consumes no Metropolis
-    /// randomness on the recovery paths — the resumed chain is
-    /// bit-identical).
-    pub fn try_sweep(&mut self, mut obs: Option<&mut Observables>) -> Result<(), DqmcError> {
-        self.sweeps_run += 1;
-        let n = self.nsites();
-
-        // Non-finite G here (an injected fault, or corruption inherited from
-        // a previous phase) would poison every Metropolis ratio — and since
-        // `f64::min(NaN, 1.0)` is 1.0, a NaN ratio *accepts everything*
-        // rather than nothing. Scan up front and repair from the field; with
-        // recovery disabled the scan still runs so the error names the taint
-        // before any kernel consumes it.
-        self.repair_if_tainted()?;
-
-        // Wrap targets live for the whole sweep: at non-boundary slices the
-        // wrapped pair is swapped into `self.g` and the old G matrices become
-        // the next slice's targets — no per-slice allocation. On an abort the
-        // pair still goes back to the workspace pool.
-        let mut wrapped = [workspace::take_matrix(n, n), workspace::take_matrix(n, n)];
-        let result = self.sweep_slices(&mut wrapped, &mut obs);
-        let [w0, w1] = wrapped;
-        workspace::put_matrix(w0);
-        workspace::put_matrix(w1);
-        result?;
-
-        if let Some(obs) = obs {
-            let (gup, gdn, sign, u) = (&self.g[0], &self.g[1], self.sign, self.params.model.u);
-            self.timer
-                .time(phases::MEASUREMENT, || obs.record(u, gup, gdn, sign));
-        }
-        Ok(())
+    /// Runs one full sweep on the host backend — the B = 1 case of the
+    /// lockstep driver, for benches and tests that hold a bare core. On
+    /// `Err` the core's dynamical state is mid-sweep and must not be
+    /// measured.
+    pub fn try_sweep(&mut self, obs: Option<&mut Observables>) -> Result<(), DqmcError> {
+        SweepDriver::new(Box::new(HostBackend)).try_sweep(&mut [Lane { core: self, obs }])
     }
 
     /// The Metropolis site loop for one time slice: delayed rank-1 updates
-    /// over every site, cache invalidation on any accepted flip. Shared
-    /// verbatim by the solo sweep ([`Self::sweep_slices`]) and the crowd
-    /// driver ([`crate::crowd::Crowd`]), so lockstep execution consumes the
-    /// Metropolis stream identically to a solo run.
-    pub(crate) fn metropolis_slice(&mut self, l: usize) {
+    /// over every site, cache invalidation on any accepted flip.
+    fn metropolis_slice(&mut self, l: usize) {
         let n = self.nsites();
         let nu = self.fac.nu();
         let nb = self.params.delay_block;
@@ -666,24 +400,31 @@ impl DqmcCore {
     }
 
     /// The cluster-boundary block after wrapping past slice `l`: recompute
-    /// both Green's functions through the recovery ladder, monitor the
-    /// wrap-vs-recompute divergence (when the wrap produced a valid pair)
-    /// and take the optional mid-sweep measurement. Shared verbatim by the
-    /// solo sweep and the crowd driver.
-    pub(crate) fn boundary_recompute(
+    /// both Green's functions, monitor the wrap-vs-recompute divergence
+    /// (when the wrap produced a valid pair) and take the optional mid-sweep
+    /// measurement. Returns whether the divergence monitor fired — the
+    /// cached cluster products were presumed silently corrupted (e.g. a
+    /// device memory bit flip: finite, so the non-finite scans never saw
+    /// it), dropped, and rebuilt from the always-clean HS field — so the
+    /// driver can tell the backend to drop its resident state too.
+    fn boundary_recompute(
         &mut self,
         l: usize,
         wrap_ok: bool,
-        wrapped: &mut [Matrix; 2],
-        obs: &mut Option<&mut Observables>,
-    ) -> Result<(), DqmcError> {
+        wrapped: &[Matrix; 2],
+        obs: Option<&mut Observables>,
+    ) -> Result<bool, DqmcError> {
         let l_slices = self.params.model.slices;
         let incr_sign = self.sign;
         self.recompute_greens_recovering(l)?;
+        let mut diverged = false;
         if wrap_ok {
             let diff = greens::relative_difference(&wrapped[0], &self.g[0]);
             if self.params.recovery.enabled && diff > self.params.recovery.wrap_tolerance {
-                self.note_wrap_divergence(l, diff)?;
+                diverged = true;
+                self.cache.invalidate_all();
+                self.escalate_taint(l, RecoveryCause::WrapDivergence { diff }, true)?;
+                self.recompute_greens_recovering(l)?;
             } else {
                 self.wrap_diff.push(diff);
             }
@@ -696,49 +437,422 @@ impl DqmcCore {
         // τ-translation invariant, so the freshly recomputed G at
         // this boundary is as good a sample as the sweep-end one.
         if self.params.measure_per_cluster && l + 1 != l_slices {
-            if let Some(obs) = obs.as_deref_mut() {
-                let (gup, gdn, sign, u) = (&self.g[0], &self.g[1], self.sign, self.params.model.u);
-                self.timer
-                    .time(phases::MEASUREMENT, || obs.record(u, gup, gdn, sign));
+            if let Some(obs) = obs {
+                self.record(obs);
+            }
+        }
+        Ok(diverged)
+    }
+
+    /// Records the equal-time observables of the current Green's functions.
+    fn record(&mut self, obs: &mut Observables) {
+        let (gup, gdn, sign, u) = (&self.g[0], &self.g[1], self.sign, self.params.model.u);
+        self.timer
+            .time(phases::MEASUREMENT, || obs.record(u, gup, gdn, sign));
+    }
+}
+
+/// One walker's seat in a lockstep sweep: its engine and, on measurement
+/// sweeps, the accumulator its records go to.
+pub(crate) struct Lane<'a> {
+    pub(crate) core: &'a mut DqmcCore,
+    pub(crate) obs: Option<&'a mut Observables>,
+}
+
+/// The sweep driver: the backend every walker's heavy kernels go through
+/// and the driver-scoped half of the recovery ladder. Owns no walker — it
+/// steps whatever lanes it is handed, in lockstep.
+#[derive(Debug)]
+pub(crate) struct SweepDriver {
+    /// The installed backend. Replacing it leaves the host-fallback flag
+    /// untouched: a driver restored from a checkpoint that had already
+    /// abandoned its device stays on the host path.
+    pub(crate) backend: Box<dyn ComputeBackend>,
+    /// The always-available host path, used once `use_host_fallback` is set.
+    host: HostBackend,
+    /// True once recovery has permanently abandoned the installed backend.
+    /// Checkpointed in every walker image (the `DQCP` host-fallback byte).
+    pub(crate) use_host_fallback: bool,
+    /// Consecutive failures within the current incident (reset on success).
+    fault_streak: u32,
+}
+
+impl SweepDriver {
+    pub(crate) fn new(backend: Box<dyn ComputeBackend>) -> Self {
+        SweepDriver {
+            backend,
+            host: HostBackend,
+            use_host_fallback: false,
+            fault_streak: 0,
+        }
+    }
+
+    /// Name of the backend actually in use (accounts for host fallback).
+    pub(crate) fn active_backend_name(&self) -> &str {
+        if self.use_host_fallback {
+            self.host.name()
+        } else {
+            self.backend.name()
+        }
+    }
+
+    fn active(&mut self) -> &mut dyn ComputeBackend {
+        if self.use_host_fallback {
+            &mut self.host
+        } else {
+            self.backend.as_mut()
+        }
+    }
+
+    /// One lockstep sweep of every lane, recording into each lane's `obs`
+    /// afterwards when present. On `Err` the walkers' dynamical state is
+    /// mid-sweep and must not be measured; supervisors discard it and
+    /// resume from the last checkpoint image (which is why the sweep
+    /// consumes no Metropolis randomness on the recovery paths — the
+    /// resumed chains are bit-identical).
+    pub(crate) fn try_sweep(&mut self, lanes: &mut [Lane<'_>]) -> Result<(), DqmcError> {
+        let n = lanes[0].core.nsites();
+        // Non-finite G here (an injected fault, or corruption inherited from
+        // a previous phase) would poison every Metropolis ratio — and since
+        // `f64::min(NaN, 1.0)` is 1.0, a NaN ratio *accepts everything*
+        // rather than nothing. Scan up front and repair from the field; with
+        // recovery disabled the scan still runs so the error names the taint
+        // before any kernel consumes it.
+        for lane in lanes.iter_mut() {
+            lane.core.sweeps_run += 1;
+            lane.core.repair_if_tainted()?;
+        }
+        // Wrap targets live for the whole sweep: at non-boundary slices the
+        // wrapped pair is swapped into the walker's `g` and the old G
+        // matrices become the next slice's targets — no per-slice
+        // allocation. On an abort the pairs still go back to the pool.
+        let mut wrapped: Vec<[Matrix; 2]> = lanes
+            .iter()
+            .map(|_| [workspace::take_matrix(n, n), workspace::take_matrix(n, n)])
+            .collect();
+        let result = self.sweep_slices(lanes, &mut wrapped);
+        for [w0, w1] in wrapped {
+            workspace::put_matrix(w0);
+            workspace::put_matrix(w1);
+        }
+        result?;
+        for lane in lanes.iter_mut() {
+            if let Some(obs) = lane.obs.as_deref_mut() {
+                lane.core.record(obs);
             }
         }
         Ok(())
     }
 
-    /// The slice loop of one sweep: Metropolis updates, wraps, boundary
-    /// recomputes and mid-sweep measurements. Factored out of
-    /// [`Self::try_sweep`] so the wrap workspace is returned to the pool on
-    /// both the success and the abort path.
+    /// The slice loop: Metropolis updates, wraps, boundary recomputes and
+    /// mid-sweep measurements. Factored out of [`Self::try_sweep`] so the
+    /// wrap workspace is returned to the pool on both the success and the
+    /// abort path.
     fn sweep_slices(
         &mut self,
-        wrapped: &mut [Matrix; 2],
-        obs: &mut Option<&mut Observables>,
+        lanes: &mut [Lane<'_>],
+        wrapped: &mut [[Matrix; 2]],
     ) -> Result<(), DqmcError> {
-        let l_slices = self.params.model.slices;
-
+        let l_slices = lanes[0].core.params.model.slices;
         for l in 0..l_slices {
-            // --- Metropolis site loop with delayed updates ---
-            self.metropolis_slice(l);
-
-            // --- Advance to the next slice: wrap, and recompute at cluster
-            //     boundaries (monitoring the wrap error there). The cluster
-            //     size comes from the cache, not the params: adaptive
-            //     shrinking may change it mid-sweep, and because each shrink
-            //     divides the old size, every boundary already passed under
-            //     the old cadence stays a boundary under the new one ---
-            let k = self.cache.cluster_size();
-            let at_boundary = (l + 1) % k == 0 || l + 1 == l_slices;
-            let wrap_ok = self.wrap_with_recovery(l, at_boundary, wrapped)?;
-            if at_boundary {
-                self.boundary_recompute(l, wrap_ok, wrapped, obs)?;
-            } else if wrap_ok {
-                std::mem::swap(&mut self.g[0], &mut wrapped[0]);
-                std::mem::swap(&mut self.g[1], &mut wrapped[1]);
+            for lane in lanes.iter_mut() {
+                lane.core.metropolis_slice(l);
             }
-            // wrap_ok == false mid-sweep: repair_greens_after already placed
-            // clean post-wrap matrices in self.g.
+            // Advance to the next slice: wrap everyone, and recompute the
+            // walkers that reached one of their cluster boundaries
+            // (monitoring the wrap error there).
+            let wrap_ok = self.wrap_recovering(lanes, l, wrapped)?;
+            self.prefill_clusters(lanes, l)?;
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                if lane.core.at_boundary(l) {
+                    let obs = lane.obs.as_deref_mut();
+                    let diverged = lane
+                        .core
+                        .boundary_recompute(l, wrap_ok[i], &wrapped[i], obs)?;
+                    if diverged {
+                        self.active().notify_fault();
+                    }
+                } else if wrap_ok[i] {
+                    std::mem::swap(&mut lane.core.g[0], &mut wrapped[i][0]);
+                    std::mem::swap(&mut lane.core.g[1], &mut wrapped[i][1]);
+                }
+                // wrap_ok == false mid-sweep: repair_greens_after already
+                // placed clean post-wrap matrices in that walker's g.
+            }
         }
         Ok(())
+    }
+
+    /// The driver-scoped rungs, for a backend call that failed as a whole:
+    /// retry (bounded by the policy, after telling the backend to drop its
+    /// resident state), then permanent host fallback (at most once). Returns
+    /// `Ok` when the caller should run the call again. Sick-device faults
+    /// escape immediately without consuming a rung. Events go to `base`,
+    /// walker 0's log — the job's base chain.
+    fn escalate_device(
+        &mut self,
+        base: &mut DqmcCore,
+        origin: &'static str,
+        fault: BackendFault,
+        slice: usize,
+    ) -> Result<(), DqmcError> {
+        if fault.is_sick() {
+            // The device, not the computation, is suspect: retrying or
+            // falling back here would grind against a failing part while
+            // the scheduler (which owns placement) is the layer that can
+            // fix it — park the job, exclude the slot, feed the breaker.
+            base.push_event(
+                slice,
+                RecoveryCause::Sick(fault.detail.clone()),
+                RecoveryAction::Escalated,
+            );
+            let wedged = fault.kind == FaultKind::Wedged;
+            return Err(DqmcError::device_sick(origin, fault.to_string(), wedged));
+        }
+        let policy = &base.params.recovery;
+        if !policy.enabled {
+            return Err(DqmcError::fatal(
+                origin,
+                format!("backend fault with recovery disabled: {fault}"),
+            ));
+        }
+        let (max_retries, allow_host_fallback) = (policy.max_retries, policy.allow_host_fallback);
+        let cause = match fault.kind {
+            FaultKind::Taint => RecoveryCause::NonFinite(fault.detail.clone()),
+            _ => RecoveryCause::Device(fault.detail.clone()),
+        };
+        self.fault_streak += 1;
+        if self.fault_streak <= max_retries {
+            let attempt = self.fault_streak;
+            self.active().notify_fault();
+            base.push_event(slice, cause, RecoveryAction::Retry { attempt });
+            return Ok(());
+        }
+        if !self.use_host_fallback && allow_host_fallback {
+            self.use_host_fallback = true;
+            self.fault_streak = 0;
+            base.push_event(slice, cause, RecoveryAction::HostFallback);
+            return Ok(());
+        }
+        Err(DqmcError::transient(
+            origin,
+            format!("unrecoverable device fault: {fault}"),
+        ))
+    }
+
+    /// One timed attempt at wrapping both spins of every walker past slice
+    /// `l`, returning the per-walker taint list (index, detail) found by
+    /// scanning the results — device transfer corruption shows up here,
+    /// since fallible backends do not self-check.
+    fn try_wrap(
+        &mut self,
+        lanes: &mut [Lane<'_>],
+        l: usize,
+        wrapped: &mut [[Matrix; 2]],
+    ) -> Result<Vec<(usize, String)>, BackendFault> {
+        let t0 = std::time::Instant::now();
+        let backend = self.active();
+        let fac = &lanes[0].core.fac;
+        let hs: Vec<&HsField> = lanes.iter().map(|w| &w.core.h).collect();
+        let result = Spin::BOTH.into_iter().try_for_each(|spin| {
+            let gs: Vec<&Matrix> = lanes.iter().map(|w| &w.core.g[spin.index()]).collect();
+            let mut outs: Vec<&mut Matrix> = wrapped
+                .iter_mut()
+                .map(|pair| &mut pair[spin.index()])
+                .collect();
+            backend.wrap(fac, &hs, l, spin, &gs, &mut outs)
+        });
+        let per_walker = t0.elapsed() / lanes.len() as u32;
+        for lane in lanes.iter_mut() {
+            lane.core.timer.add(phases::WRAPPING, per_walker);
+        }
+        result?;
+        let mut tainted = Vec::new();
+        for (i, pair) in wrapped.iter().enumerate() {
+            for (s, m) in pair.iter().enumerate() {
+                if let Some((idx, v)) = first_non_finite(m.as_slice()) {
+                    tainted.push((
+                        i,
+                        format!(
+                            "wrapped G[{s}] of walker {i} has {v} at element {idx} after slice {l}"
+                        ),
+                    ));
+                    break;
+                }
+            }
+        }
+        Ok(tainted)
+    }
+
+    /// Wraps every walker's Green's functions past slice `l` with recovery.
+    /// Entry `i` of the result is `true` when `wrapped[i]` holds valid
+    /// wrapped matrices and `false` after a taint repair: at a cluster
+    /// boundary the imminent recompute makes the wrap redundant, and
+    /// mid-sweep the walker's `g` has been rebuilt for the post-wrap
+    /// position directly from the HS field.
+    fn wrap_recovering(
+        &mut self,
+        lanes: &mut [Lane<'_>],
+        l: usize,
+        wrapped: &mut [[Matrix; 2]],
+    ) -> Result<Vec<bool>, DqmcError> {
+        loop {
+            let taint = match self.try_wrap(lanes, l, wrapped) {
+                Ok(taint) => taint,
+                Err(fault) => {
+                    self.escalate_device(lanes[0].core, "wrap", fault, l)?;
+                    continue;
+                }
+            };
+            let mut ok = vec![true; lanes.len()];
+            if taint.is_empty() {
+                self.fault_streak = 0;
+                return Ok(ok);
+            }
+            let policy = &lanes[0].core.params.recovery;
+            if !policy.enabled {
+                return Err(DqmcError::fatal(
+                    "wrap",
+                    format!("wrap taint with recovery disabled: {}", taint[0].1),
+                ));
+            }
+            self.fault_streak += 1;
+            if self.fault_streak <= policy.max_retries {
+                let attempt = self.fault_streak;
+                self.active().notify_fault();
+                for (i, detail) in taint {
+                    let cause = RecoveryCause::NonFinite(detail);
+                    lanes[i]
+                        .core
+                        .push_event(l, cause, RecoveryAction::Retry { attempt });
+                }
+                continue;
+            }
+            // The source G was clean (scanned at sweep start and after every
+            // recompute), so the taint came from the wrap itself. The
+            // tainted walkers alone discard it and rebuild; clean walkers
+            // keep their wraps.
+            self.fault_streak = 0;
+            for (i, detail) in taint {
+                let core = &mut *lanes[i].core;
+                ok[i] = false;
+                core.push_event(
+                    l,
+                    RecoveryCause::NonFinite(detail),
+                    RecoveryAction::TaintRepair,
+                );
+                if !core.at_boundary(l) {
+                    core.repair_greens_after(l)?;
+                }
+            }
+            return Ok(ok);
+        }
+    }
+
+    /// Sends every stale cluster product of the walkers at a boundary after
+    /// slice `l` through the backend, so each walker's recompute then runs
+    /// on cache reads. Each round takes the lowest stale slice range and
+    /// batches the walkers whose next stale cluster is exactly that range —
+    /// walkers with different cluster sizes never share a call. With
+    /// recycling off the walker's cache is dropped first, so every product
+    /// reaches the backend at every boundary.
+    fn prefill_clusters(&mut self, lanes: &mut [Lane<'_>], l: usize) -> Result<(), DqmcError> {
+        let at: Vec<usize> = (0..lanes.len())
+            .filter(|&i| lanes[i].core.at_boundary(l))
+            .collect();
+        if at.is_empty() {
+            return Ok(());
+        }
+        for &i in &at {
+            if !lanes[i].core.params.recycle {
+                lanes[i].core.cache.invalidate_all();
+            }
+        }
+        for spin in Spin::BOTH {
+            let stale = |lanes: &[Lane<'_>], i: usize| {
+                let cache = &lanes[i].core.cache;
+                cache.first_stale(spin).map(|c| cache.range(c))
+            };
+            while let Some(range) = at.iter().filter_map(|&i| stale(lanes, i)).min() {
+                let need: Vec<usize> = at
+                    .iter()
+                    .copied()
+                    .filter(|&i| stale(lanes, i) == Some(range))
+                    .collect();
+                self.cluster_recovering(lanes, range, spin, &need)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Computes the cluster product over `[lo, hi)` for the `need` subset of
+    /// walkers through the backend and installs it. Leaves none of those
+    /// slots stale: a product still tainted after the retries sends its
+    /// walker up the taint rungs (a shrink re-clusters that walker, whose
+    /// new stale ranges the prefill then picks up; at the floor the product
+    /// is rebuilt on the host).
+    fn cluster_recovering(
+        &mut self,
+        lanes: &mut [Lane<'_>],
+        (lo, hi): (usize, usize),
+        spin: Spin,
+        need: &[usize],
+    ) -> Result<(), DqmcError> {
+        loop {
+            let t0 = std::time::Instant::now();
+            let hs: Vec<&HsField> = need.iter().map(|&i| &lanes[i].core.h).collect();
+            let r = self.active().cluster(&lanes[0].core.fac, &hs, lo, hi, spin);
+            let per_walker = t0.elapsed() / need.len() as u32;
+            for &i in need {
+                lanes[i].core.timer.add(phases::CLUSTERING, per_walker);
+            }
+            let products = match r {
+                Ok(products) => products,
+                Err(fault) => {
+                    self.escalate_device(lanes[0].core, "cluster", fault, lo)?;
+                    continue;
+                }
+            };
+            let taint = |m: &Matrix| {
+                first_non_finite(m.as_slice())
+                    .map(|(i, v)| format!("{v} at flat index {i} in cluster [{lo}, {hi}) {spin:?}"))
+            };
+            let policy = &lanes[0].core.params.recovery;
+            if policy.enabled
+                && self.fault_streak < policy.max_retries
+                && products.iter().any(|m| taint(m).is_some())
+            {
+                // Nothing is installed: the retry recomputes the whole call.
+                self.fault_streak += 1;
+                let attempt = self.fault_streak;
+                self.active().notify_fault();
+                for (&i, m) in need.iter().zip(&products) {
+                    if let Some(detail) = taint(m) {
+                        lanes[i].core.push_event(
+                            lo,
+                            RecoveryCause::NonFinite(detail),
+                            RecoveryAction::Retry { attempt },
+                        );
+                    }
+                }
+                continue;
+            }
+            self.fault_streak = 0;
+            for (&i, m) in need.iter().zip(products) {
+                let core = &mut *lanes[i].core;
+                let c = core.cache.cluster_of(lo);
+                // `install` re-scans; a still-tainted product is dropped.
+                if let Err(f) = core.cache.install(c, spin, m) {
+                    let cause = RecoveryCause::NonFinite(f.detail);
+                    if !core.escalate_taint(lo, cause, true)? {
+                        core.timer.time(phases::CLUSTERING, || {
+                            core.cache.get(&core.fac, &core.h, c, spin);
+                        });
+                    }
+                }
+            }
+            return Ok(());
+        }
     }
 }
 
@@ -967,7 +1081,8 @@ mod tests {
         // the from-scratch evaluation afterwards (the chain stays valid).
         let mut core = DqmcCore::new(small_params(4.0, 8, 41));
         core.sweep(None);
-        core.repair_greens_after(core.params.model.slices - 1);
+        core.repair_greens_after(core.params.model.slices - 1)
+            .unwrap();
         for spin in Spin::BOTH {
             let naive = greens::greens_naive(&core.fac, &core.h, spin);
             let diff = greens::relative_difference(core.greens(spin), &naive.g);
@@ -975,34 +1090,348 @@ mod tests {
         }
     }
 
+    /// The one scripted backend behind every ladder test: host kernels,
+    /// with whole-call faults and poisoned outputs injected by count.
+    #[derive(Debug, Default)]
+    struct Scripted {
+        /// Calls (wrap or cluster) still to fail with a device-class fault.
+        device_faults: u32,
+        /// Fail every call as sick (`Some(true)`: wedged).
+        sick: Option<bool>,
+        /// Cluster calls still to poison (the last product of each).
+        taint_clusters: u32,
+        /// Wrap calls still to poison (the last output of each).
+        taint_wraps: u32,
+        notified: std::sync::Arc<std::sync::atomic::AtomicU32>,
+    }
+
+    impl Scripted {
+        fn fail(&mut self) -> Result<(), BackendFault> {
+            if let Some(wedged) = self.sick {
+                return Err(BackendFault::sick("scripted sick window", wedged));
+            }
+            if self.device_faults > 0 {
+                self.device_faults -= 1;
+                return Err(BackendFault::device("scripted device failure"));
+            }
+            Ok(())
+        }
+    }
+
+    impl ComputeBackend for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn wrap(
+            &mut self,
+            fac: &BMatrixFactory,
+            hs: &[&HsField],
+            l: usize,
+            spin: Spin,
+            gs: &[&Matrix],
+            outs: &mut [&mut Matrix],
+        ) -> Result<(), BackendFault> {
+            self.fail()?;
+            HostBackend.wrap(fac, hs, l, spin, gs, outs)?;
+            if self.taint_wraps > 0 {
+                self.taint_wraps -= 1;
+                outs.last_mut().expect("a walker")[(1, 2)] = f64::NAN;
+            }
+            Ok(())
+        }
+        fn cluster(
+            &mut self,
+            fac: &BMatrixFactory,
+            hs: &[&HsField],
+            lo: usize,
+            hi: usize,
+            spin: Spin,
+        ) -> Result<Vec<Matrix>, BackendFault> {
+            self.fail()?;
+            let mut products = HostBackend.cluster(fac, hs, lo, hi, spin)?;
+            if self.taint_clusters > 0 {
+                self.taint_clusters -= 1;
+                products.last_mut().expect("a walker")[(0, 0)] = f64::INFINITY;
+            }
+            Ok(products)
+        }
+        fn notify_fault(&mut self) {
+            self.notified
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    /// `b` bare walkers with distinct seeds.
+    fn walkers(b: usize) -> Vec<DqmcCore> {
+        (0..b as u64)
+            .map(|c| DqmcCore::new(small_params(4.0, 8, 40 + c)))
+            .collect()
+    }
+
+    fn sweep_all(driver: &mut SweepDriver, cores: &mut [DqmcCore]) -> Result<(), DqmcError> {
+        let mut lanes: Vec<Lane<'_>> = cores
+            .iter_mut()
+            .map(|core| Lane { core, obs: None })
+            .collect();
+        driver.try_sweep(&mut lanes)
+    }
+
+    /// The same walkers after `sweeps` clean solo host sweeps — the
+    /// bit-identity reference.
+    fn clean_reference(b: usize, sweeps: usize) -> Vec<DqmcCore> {
+        let mut cores = walkers(b);
+        for core in &mut cores {
+            for _ in 0..sweeps {
+                core.sweep(None);
+            }
+        }
+        cores
+    }
+
+    fn assert_same_chain(a: &DqmcCore, b: &DqmcCore) {
+        assert_eq!(a.h, b.h);
+        assert_eq!(a.rng.state(), b.rng.state());
+        assert_eq!(a.g[0].max_abs_diff(&b.g[0]), 0.0);
+        assert_eq!(a.g[1].max_abs_diff(&b.g[1]), 0.0);
+        assert_eq!(a.sign, b.sign);
+    }
+
+    fn assert_greens_match_naive(core: &DqmcCore) {
+        for spin in Spin::BOTH {
+            let naive = greens::greens_naive(&core.fac, &core.h, spin);
+            let diff = greens::relative_difference(core.greens(spin), &naive.g);
+            assert!(diff < 1e-8, "{spin:?}: {diff}");
+        }
+    }
+
+    fn actions(core: &DqmcCore) -> Vec<RecoveryAction> {
+        let events = core.recovery_log().events();
+        events.iter().map(|e| e.action.clone()).collect()
+    }
+
     #[test]
-    fn escalation_ladder_shrinks_then_falls_back() {
-        // Drive `escalate` directly with taint faults: retries first, then a
-        // cluster shrink, repeated down to k = 1, then host fallback.
-        let mut core = DqmcCore::new(small_params(4.0, 8, 43));
-        let retries = core.params.recovery.max_retries;
-        // One incident: exhaust retries, then shrink 4 → 2.
-        for _ in 0..retries {
-            core.escalate(BackendFault::taint("test"), 0).unwrap();
+    fn device_faults_retry_then_heal_bit_identically() {
+        // Rung 1, driver-scoped: a failed call is retried as a whole after
+        // the backend is told to drop its residents; the chains never notice.
+        for b in [1, 2] {
+            let script = Scripted {
+                device_faults: 2,
+                ..Scripted::default()
+            };
+            let notified = script.notified.clone();
+            let mut driver = SweepDriver::new(Box::new(script));
+            let mut cores = walkers(b);
+            for _ in 0..3 {
+                sweep_all(&mut driver, &mut cores).unwrap();
+            }
+            assert!(
+                matches!(
+                    actions(&cores[0])[..],
+                    [
+                        RecoveryAction::Retry { attempt: 1 },
+                        RecoveryAction::Retry { attempt: 2 }
+                    ]
+                ),
+                "device faults log on walker 0: {:?}",
+                actions(&cores[0])
+            );
+            assert_eq!(notified.load(std::sync::atomic::Ordering::Relaxed), 2);
+            assert_eq!(driver.fault_streak, 0, "streak resets on success");
+            assert!(!driver.use_host_fallback);
+            for (f, c) in cores.iter().zip(&clean_reference(b, 3)) {
+                assert_same_chain(f, c);
+            }
+            assert!(cores[1..].iter().all(|c| c.recovery_log().is_empty()));
         }
-        assert_eq!(core.runtime_cluster_size(), 4);
-        core.escalate(BackendFault::taint("test"), 0).unwrap();
-        assert_eq!(core.runtime_cluster_size(), 2);
-        assert_eq!(core.fault_streak, 0, "streak resets after escalation");
-        // Next incidents: 2 → 1, then host fallback.
-        for _ in 0..=retries {
-            core.escalate(BackendFault::taint("test"), 0).unwrap();
+    }
+
+    #[test]
+    fn persistent_device_faults_fall_back_to_host() {
+        // Rung 2, driver-scoped: retries exhausted, the driver abandons the
+        // backend for every walker at once. Cluster sizes are untouched.
+        for b in [1, 2] {
+            let script = Scripted {
+                device_faults: u32::MAX,
+                ..Scripted::default()
+            };
+            let mut driver = SweepDriver::new(Box::new(script));
+            let mut cores = walkers(b);
+            for _ in 0..3 {
+                sweep_all(&mut driver, &mut cores).unwrap();
+            }
+            assert!(driver.use_host_fallback, "device faults abandon the device");
+            assert_eq!(driver.active_backend_name(), "host");
+            assert_eq!(driver.fault_streak, 0, "streak resets after escalation");
+            assert!(matches!(
+                actions(&cores[0])[..],
+                [
+                    RecoveryAction::Retry { .. },
+                    RecoveryAction::Retry { .. },
+                    RecoveryAction::HostFallback
+                ]
+            ));
+            for (f, c) in cores.iter().zip(&clean_reference(b, 3)) {
+                assert_eq!(f.runtime_cluster_size(), 4);
+                assert_same_chain(f, c);
+            }
         }
-        assert_eq!(core.runtime_cluster_size(), 1);
-        assert!(!core.use_host_fallback);
-        for _ in 0..=retries {
-            core.escalate(BackendFault::taint("test"), 0).unwrap();
+    }
+
+    #[test]
+    fn device_faults_without_host_fallback_are_transient_errors() {
+        let policy = RecoveryPolicy {
+            allow_host_fallback: false,
+            ..RecoveryPolicy::default()
+        };
+        let mut cores = vec![DqmcCore::new(
+            small_params(4.0, 8, 53).with_recovery(policy),
+        )];
+        let mut driver = SweepDriver::new(Box::new(Scripted {
+            device_faults: u32::MAX,
+            ..Scripted::default()
+        }));
+        let err = sweep_all(&mut driver, &mut cores).unwrap_err();
+        assert_eq!(err.severity, util::Severity::Transient);
+        assert!(err.retryable());
+        assert!(err.to_string().contains("unrecoverable device fault"));
+    }
+
+    #[test]
+    fn host_fallback_survives_a_checkpoint_at_any_width() {
+        use crate::crowd::Crowd;
+        use crate::ensemble::chain_seed;
+        let failing = || {
+            Box::new(Scripted {
+                device_faults: u32::MAX,
+                ..Scripted::default()
+            })
+        };
+        for b in [1, 2] {
+            let params: Vec<SimParams> = (0..b)
+                .map(|c| small_params(4.0, 8, chain_seed(7, 0, c)).with_sweeps(2, 2))
+                .collect();
+            let mut crowd = Crowd::new(params.clone()).with_backend(failing());
+            crowd.try_step(1, &util::RunToken::new()).unwrap();
+            assert_eq!(crowd.active_backend_name(), "host");
+            let resumed = Crowd::resume_bytes(&crowd.checkpoint_bytes(), &params)
+                .unwrap()
+                .with_backend(failing());
+            assert_eq!(
+                resumed.active_backend_name(),
+                "host",
+                "a resumed driver must not go back to the device it abandoned"
+            );
+            assert!(resumed.walker(0).recovery_log().total() > 0);
         }
-        assert!(core.use_host_fallback);
-        // The run must still be able to sweep correctly at k = 1 on host.
-        core.sweep(None);
-        let naive = greens::greens_naive(&core.fac, &core.h, Spin::Up);
-        assert!(greens::relative_difference(core.greens(Spin::Up), &naive.g) < 1e-8);
+    }
+
+    #[test]
+    fn sick_faults_escape_the_ladder_without_consuming_rungs() {
+        for b in [1, 2] {
+            for wedged in [false, true] {
+                let mut driver = SweepDriver::new(Box::new(Scripted {
+                    sick: Some(wedged),
+                    ..Scripted::default()
+                }));
+                let mut cores = walkers(b);
+                let err = sweep_all(&mut driver, &mut cores).unwrap_err();
+                assert_eq!(err.severity, util::Severity::DeviceSick);
+                assert!(err.quarantines_device());
+                assert_eq!(err.hard, wedged, "wedge is the worker-lost flavor");
+                assert!(err.detail.contains("scripted sick window"), "{err}");
+                // No rung was consumed: cluster size, backend and streak
+                // untouched.
+                assert_eq!(cores[0].runtime_cluster_size(), 4);
+                assert!(!driver.use_host_fallback);
+                assert_eq!(driver.fault_streak, 0);
+                // The incident was logged as an escalation for the report
+                // tallies, on the base chain.
+                assert_eq!(cores[0].recovery_log().tallies().escalations, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_taint_retries_then_shrinks_that_walker_then_rebuilds_on_host() {
+        // The walker-scoped taint rungs, one incident each (3 poisoned calls
+        // = 2 retries + 1 escalation): shrink 4 → 2, shrink 2 → 1, then at
+        // the floor drop the product and rebuild it on the host. The last
+        // walker of each call is the victim; once shrunk it is alone in its
+        // calls, so the neighbour never sees a poisoned product again.
+        for b in [1, 2] {
+            let mut driver = SweepDriver::new(Box::new(Scripted {
+                taint_clusters: 9,
+                ..Scripted::default()
+            }));
+            let mut cores = walkers(b);
+            sweep_all(&mut driver, &mut cores).unwrap();
+            let victim = &cores[b - 1];
+            let escalations: Vec<RecoveryAction> = actions(victim)
+                .into_iter()
+                .filter(|a| !matches!(a, RecoveryAction::Retry { .. }))
+                .collect();
+            assert!(
+                matches!(
+                    escalations[..],
+                    [
+                        RecoveryAction::ClusterShrink { from: 4, to: 2 },
+                        RecoveryAction::ClusterShrink { from: 2, to: 1 },
+                        RecoveryAction::TaintRepair
+                    ]
+                ),
+                "{escalations:?}"
+            );
+            assert_eq!(victim.recovery_log().tallies().retries, 6);
+            assert_eq!(victim.runtime_cluster_size(), 1);
+            assert!(!driver.use_host_fallback, "taint never abandons the device");
+            assert_eq!(driver.fault_streak, 0);
+            // The shrunk walker keeps sweeping correctly at its own cadence.
+            sweep_all(&mut driver, &mut cores).unwrap();
+            assert_greens_match_naive(&cores[b - 1]);
+            if b == 2 {
+                assert_eq!(cores[0].runtime_cluster_size(), 4);
+                assert!(cores[0].recovery_log().is_empty());
+                assert_same_chain(&cores[0], &clean_reference(1, 2)[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn wrap_taint_retries_then_repairs_that_walker() {
+        // One wrap attempt is two backend calls (one per spin), so six
+        // poisoned calls are two retries and the escalation.
+        for b in [1, 2] {
+            let mut driver = SweepDriver::new(Box::new(Scripted {
+                taint_wraps: 6,
+                ..Scripted::default()
+            }));
+            let mut cores = walkers(b);
+            sweep_all(&mut driver, &mut cores).unwrap();
+            assert!(matches!(
+                actions(&cores[b - 1])[..],
+                [
+                    RecoveryAction::Retry { attempt: 1 },
+                    RecoveryAction::Retry { attempt: 2 },
+                    RecoveryAction::TaintRepair
+                ]
+            ));
+            assert_greens_match_naive(&cores[b - 1]);
+            if b == 2 {
+                assert!(cores[0].recovery_log().is_empty());
+                assert_same_chain(&cores[0], &clean_reference(1, 1)[0]);
+            }
+        }
+    }
+
+    /// Climbs the taint rungs directly with a fault no repair can absorb
+    /// (a non-finite stratified G on the host) until none is left.
+    fn exhaust_taint_rungs(core: &mut DqmcCore) -> DqmcError {
+        loop {
+            let cause = RecoveryCause::NonFinite("test".into());
+            if let Err(e) = core.escalate_taint(0, cause, false) {
+                return e;
+            }
+        }
     }
 
     #[test]
@@ -1011,110 +1440,19 @@ mod tests {
         // The classified error's Display embeds the legacy message, so the
         // panic raised by an infallible wrapper still matches this pattern.
         let mut core = DqmcCore::new(small_params(4.0, 8, 47));
-        for _ in 0..64 {
-            if let Err(e) = core.escalate(BackendFault::taint("test"), 0) {
-                panic!("{e}");
-            }
-        }
+        let e = exhaust_taint_rungs(&mut core);
+        panic!("{e}");
     }
 
     #[test]
     fn exhausted_ladder_error_is_fatal() {
         let mut core = DqmcCore::new(small_params(4.0, 8, 47));
-        let err = loop {
-            if let Err(e) = core.escalate(BackendFault::taint("test"), 0) {
-                break e;
-            }
-        };
+        let err = exhaust_taint_rungs(&mut core);
+        assert_eq!(core.runtime_cluster_size(), 1, "shrunk 4 → 2 → 1 first");
+        assert_eq!(core.recovery_log().tallies().shrinks, 2);
         assert_eq!(err.severity, util::Severity::Fatal);
         assert!(!err.retryable());
         assert!(err.to_string().contains("all recovery rungs exhausted"));
-    }
-
-    #[test]
-    fn sick_faults_escape_the_ladder_without_consuming_rungs() {
-        let mut core = DqmcCore::new(small_params(4.0, 8, 61));
-        let soft = core
-            .escalate(BackendFault::sick("op missed its deadline", false), 0)
-            .unwrap_err();
-        assert_eq!(soft.severity, util::Severity::DeviceSick);
-        assert!(soft.quarantines_device());
-        assert!(!soft.hard);
-        let hard = core
-            .escalate(BackendFault::sick("device wedged", true), 0)
-            .unwrap_err();
-        assert!(hard.hard, "wedge is the worker-lost flavor");
-        // No rung was consumed: cluster size, backend and streak untouched.
-        assert_eq!(core.runtime_cluster_size(), 4);
-        assert!(!core.use_host_fallback);
-        assert_eq!(core.fault_streak, 0);
-        // Both incidents were logged as escalations for the report tallies.
-        assert_eq!(core.recovery_log().tallies().escalations, 2);
-    }
-
-    #[test]
-    fn try_sweep_aborts_with_classified_error_on_sick_backend() {
-        #[derive(Debug)]
-        struct SickOnce {
-            inner: HostBackend,
-            fired: bool,
-        }
-        impl ComputeBackend for SickOnce {
-            fn name(&self) -> &str {
-                "sick-once"
-            }
-            fn cluster(
-                &mut self,
-                fac: &BMatrixFactory,
-                h: &HsField,
-                lo: usize,
-                hi: usize,
-                spin: Spin,
-            ) -> Result<Matrix, BackendFault> {
-                if !self.fired {
-                    self.fired = true;
-                    return Err(BackendFault::sick("scripted sick window", false));
-                }
-                self.inner.cluster(fac, h, lo, hi, spin)
-            }
-            fn wrap_into(
-                &mut self,
-                fac: &BMatrixFactory,
-                h: &HsField,
-                l: usize,
-                spin: Spin,
-                g: &Matrix,
-                out: &mut Matrix,
-            ) -> Result<(), BackendFault> {
-                self.inner.wrap_into(fac, h, l, spin, g, out)
-            }
-        }
-        let mut core = DqmcCore::new(small_params(4.0, 8, 67));
-        core.set_backend(Box::new(SickOnce {
-            inner: HostBackend,
-            fired: false,
-        }));
-        let err = core.try_sweep(None).unwrap_err();
-        assert_eq!(err.severity, util::Severity::DeviceSick);
-        assert!(err.detail.contains("scripted sick window"), "{err}");
-        assert_eq!(core.recovery_log().tallies().escalations, 1);
-    }
-
-    #[test]
-    fn device_fault_prefers_host_fallback() {
-        let mut core = DqmcCore::new(small_params(4.0, 8, 53));
-        let retries = core.params.recovery.max_retries;
-        for _ in 0..=retries {
-            core.escalate(BackendFault::device("transfer dropped"), 0)
-                .unwrap();
-        }
-        assert!(core.use_host_fallback, "device faults abandon the device");
-        assert_eq!(
-            core.runtime_cluster_size(),
-            4,
-            "cluster size untouched by device faults"
-        );
-        assert_eq!(core.active_backend_name(), "host");
     }
 
     #[test]

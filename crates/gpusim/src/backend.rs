@@ -1,7 +1,12 @@
-//! The simulated device as a sweep [`ComputeBackend`].
+//! The simulated device as the sweep's [`ComputeBackend`].
 //!
 //! Wraps a [`Device`] so `dqmc::sweep` can route its two heavy kernels —
-//! cluster products and wraps — through the accelerator model. The resident
+//! cluster products and wraps, each over a slice of walkers — through the
+//! accelerator model. Cluster products always run as the batched kernels of
+//! [`crate::crowd`] (one launch services every walker of the call; a solo
+//! run is a batch of one). Wraps run batched in deterministic-execution
+//! mode ([`DeviceBackend::with_bitexact_wrap`]) and as a per-walker loop of
+//! the paper's fused Algorithm 7 kernel otherwise. The resident
 //! operands `e^{−ΔτK}` / `e^{+ΔτK}` are uploaded lazily on first use and
 //! **dropped on [`ComputeBackend::notify_fault`]**: the recovery layer calls
 //! that before every retry, so a retry re-uploads clean copies — which is
@@ -9,14 +14,15 @@
 //!
 //! Fault surfacing follows the split in [`crate::faults`]: device-class
 //! failures (launch, arena) come back as `Err(BackendFault::device)`; silent
-//! transfer corruption returns `Ok` with NaNs in the data, which the core's
-//! taint scans (in `ClusterCache::get_with` and the wrap path) classify as
-//! taint-class faults.
+//! transfer corruption returns `Ok` with NaNs in the data, which the sweep
+//! driver's taint scans (of every cluster product and every wrapped matrix)
+//! classify as taint-class faults.
 
-use crate::cluster::{try_cluster_custom_kernel, upload_expk};
+use crate::cluster::upload_expk;
+use crate::crowd::{try_cluster_crowd, try_wrap_crowd_bitexact_into};
 use crate::device::{DMatrix, Device, DeviceSpec};
 use crate::faults::DeviceError;
-use crate::wrap::{try_wrap_on_device_bitexact_into, try_wrap_on_device_into, upload_expk_inv};
+use crate::wrap::{try_wrap_on_device_into, upload_expk_inv};
 use dqmc::{BMatrixFactory, BackendFault, ComputeBackend, HsField, Spin};
 use linalg::Matrix;
 
@@ -24,7 +30,7 @@ use linalg::Matrix;
 /// sick-window failures indict the *device* (they must escape the in-core
 /// recovery ladder so the scheduler can quarantine the slot); everything
 /// else is an ordinary device-class fault the ladder handles in place.
-pub(crate) fn classify(e: DeviceError) -> BackendFault {
+fn classify(e: DeviceError) -> BackendFault {
     if e.is_sick() {
         BackendFault::sick(e.to_string(), e.is_wedged())
     } else {
@@ -59,11 +65,12 @@ impl DeviceBackend {
     }
 
     /// Switches the wrap path to deterministic-execution mode
-    /// ([`crate::wrap::try_wrap_on_device_bitexact_into`]): results become
+    /// ([`crate::crowd::try_wrap_crowd_bitexact_into`]): results become
     /// bit-identical to the host backend at the cost of one extra kernel
-    /// launch per wrap. Schedulers that treat device placement as an
-    /// invisible optimisation run with this on; the fused Algorithm 7 path
-    /// (default off) is the paper's throughput configuration.
+    /// launch per wrap, and one call wraps every walker in four launches.
+    /// Schedulers that treat device placement and batching as invisible
+    /// optimisations run with this on; the fused Algorithm 7 path (default
+    /// off, one walker per launch) is the paper's throughput configuration.
     pub fn with_bitexact_wrap(mut self, on: bool) -> Self {
         self.bitexact_wrap = on;
         self
@@ -90,28 +97,14 @@ impl ComputeBackend for DeviceBackend {
         self.dev.spec().name
     }
 
-    fn cluster(
+    fn wrap(
         &mut self,
         fac: &BMatrixFactory,
-        h: &HsField,
-        lo: usize,
-        hi: usize,
-        spin: Spin,
-    ) -> Result<Matrix, BackendFault> {
-        let expk = self
-            .expk
-            .get_or_insert_with(|| upload_expk(&mut self.dev, fac));
-        try_cluster_custom_kernel(&mut self.dev, expk, fac, h, lo, hi, spin).map_err(classify)
-    }
-
-    fn wrap_into(
-        &mut self,
-        fac: &BMatrixFactory,
-        h: &HsField,
+        hs: &[&HsField],
         l: usize,
         spin: Spin,
-        g: &Matrix,
-        out: &mut Matrix,
+        gs: &[&Matrix],
+        outs: &mut [&mut Matrix],
     ) -> Result<(), BackendFault> {
         let expk = self
             .expk
@@ -119,12 +112,29 @@ impl ComputeBackend for DeviceBackend {
         let expk_inv = self
             .expk_inv
             .get_or_insert_with(|| upload_expk_inv(&mut self.dev, fac));
+        let dev = &mut self.dev;
         if self.bitexact_wrap {
-            try_wrap_on_device_bitexact_into(&mut self.dev, expk, expk_inv, fac, h, l, spin, g, out)
+            try_wrap_crowd_bitexact_into(dev, expk, expk_inv, fac, hs, l, spin, gs, outs)
         } else {
-            try_wrap_on_device_into(&mut self.dev, expk, expk_inv, fac, h, l, spin, g, out)
+            (0..hs.len()).try_for_each(|i| {
+                try_wrap_on_device_into(dev, expk, expk_inv, fac, hs[i], l, spin, gs[i], outs[i])
+            })
         }
         .map_err(classify)
+    }
+
+    fn cluster(
+        &mut self,
+        fac: &BMatrixFactory,
+        hs: &[&HsField],
+        lo: usize,
+        hi: usize,
+        spin: Spin,
+    ) -> Result<Vec<Matrix>, BackendFault> {
+        let expk = self
+            .expk
+            .get_or_insert_with(|| upload_expk(&mut self.dev, fac));
+        try_cluster_crowd(&mut self.dev, expk, fac, hs, lo, hi, spin).map_err(classify)
     }
 
     fn notify_fault(&mut self) {
@@ -155,21 +165,33 @@ mod tests {
         (fac, h)
     }
 
+    /// One walker's `Spin::Up` cluster product through the backend.
+    fn cluster_one(
+        be: &mut DeviceBackend,
+        fac: &BMatrixFactory,
+        h: &HsField,
+        lo: usize,
+        hi: usize,
+    ) -> Result<Matrix, BackendFault> {
+        let mut products = be.cluster(fac, &[h], lo, hi, Spin::Up)?;
+        Ok(products.pop().expect("one product per walker"))
+    }
+
     #[test]
     fn device_backend_matches_host_backend() {
         let (fac, h) = setup();
         let mut host = HostBackend;
         let mut devb = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
-        let a = devb.cluster(&fac, &h, 0, 6, Spin::Up).unwrap();
-        let b = host.cluster(&fac, &h, 0, 6, Spin::Up).unwrap();
-        assert!(a.max_abs_diff(&b) < 1e-12 * b.max_abs().max(1.0));
+        let a = devb.cluster(&fac, &[&h], 0, 6, Spin::Up).unwrap();
+        let b = host.cluster(&fac, &[&h], 0, 6, Spin::Up).unwrap();
+        assert_eq!(a, b, "device clustering issues the host's op order");
 
         let g = dqmc::greens::greens_naive(&fac, &h, Spin::Up).g;
         let mut out_d = Matrix::zeros(9, 9);
         let mut out_h = Matrix::zeros(9, 9);
-        devb.wrap_into(&fac, &h, 0, Spin::Up, &g, &mut out_d)
+        devb.wrap(&fac, &[&h], 0, Spin::Up, &[&g], &mut [&mut out_d])
             .unwrap();
-        host.wrap_into(&fac, &h, 0, Spin::Up, &g, &mut out_h)
+        host.wrap(&fac, &[&h], 0, Spin::Up, &[&g], &mut [&mut out_h])
             .unwrap();
         assert!(out_d.max_abs_diff(&out_h) < 1e-12);
     }
@@ -213,7 +235,7 @@ mod tests {
         // Launch #2 is the first scale kernel inside the cluster product.
         devb.device_mut()
             .arm_faults(FaultPlan::new().fail_launch(2));
-        let err = devb.cluster(&fac, &h, 0, 6, Spin::Up).unwrap_err();
+        let err = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
         assert_eq!(err.kind, dqmc::FaultKind::Device);
         assert!(
             err.detail.contains("kernel launch failure"),
@@ -221,7 +243,7 @@ mod tests {
             err.detail
         );
         devb.notify_fault();
-        let retried = devb.cluster(&fac, &h, 0, 6, Spin::Up).unwrap();
+        let retried = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap();
         let want = fac.cluster(&h, 0, 6, Spin::Up);
         assert!(retried.max_abs_diff(&want) < 1e-12 * want.max_abs().max(1.0));
         assert_eq!(devb.device().faults_injected(), 1);
@@ -237,19 +259,19 @@ mod tests {
                 .wedge_at_launch(2)
                 .sick_window(3, 3),
         );
-        let soft = devb.cluster(&fac, &h, 0, 6, Spin::Up).unwrap_err();
+        let soft = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
         assert_eq!(soft.kind, dqmc::FaultKind::Sick, "{soft}");
         assert!(soft.is_sick());
         devb.notify_fault();
-        let hard = devb.cluster(&fac, &h, 0, 6, Spin::Up).unwrap_err();
+        let hard = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
         assert_eq!(hard.kind, dqmc::FaultKind::Wedged, "{hard}");
         devb.notify_fault();
-        let sick = devb.cluster(&fac, &h, 0, 6, Spin::Up).unwrap_err();
+        let sick = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
         assert_eq!(sick.kind, dqmc::FaultKind::Sick, "{sick}");
         assert!(sick.detail.contains("sick window"), "{}", sick.detail);
         devb.notify_fault();
         assert!(
-            devb.cluster(&fac, &h, 0, 6, Spin::Up).is_ok(),
+            cluster_one(&mut devb, &fac, &h, 0, 6).is_ok(),
             "past the storm the device works again"
         );
     }
@@ -261,13 +283,13 @@ mod tests {
         // Download #1 is the cluster product coming back.
         devb.device_mut()
             .arm_faults(FaultPlan::new().with_seed(3).corrupt_transfer(1));
-        let tainted = devb.cluster(&fac, &h, 0, 6, Spin::Up).unwrap();
+        let tainted = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap();
         assert!(
             linalg::check::first_non_finite(tainted.as_slice()).is_some(),
             "corruption must be visible to the caller's scan"
         );
         devb.notify_fault();
-        let clean = devb.cluster(&fac, &h, 0, 6, Spin::Up).unwrap();
+        let clean = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap();
         assert!(linalg::check::first_non_finite(clean.as_slice()).is_none());
     }
 
@@ -275,13 +297,13 @@ mod tests {
     fn notify_fault_drops_residents_for_reupload() {
         let (fac, h) = setup();
         let mut devb = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
-        let _ = devb.cluster(&fac, &h, 0, 6, Spin::Up).unwrap();
+        let _ = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap();
         let before = devb.device().bytes_transferred();
-        let _ = devb.cluster(&fac, &h, 6, 12, Spin::Up).unwrap();
+        let _ = cluster_one(&mut devb, &fac, &h, 6, 12).unwrap();
         let steady = devb.device().bytes_transferred() - before;
         devb.notify_fault();
         let before = devb.device().bytes_transferred();
-        let _ = devb.cluster(&fac, &h, 0, 6, Spin::Up).unwrap();
+        let _ = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap();
         let after_fault = devb.device().bytes_transferred() - before;
         // The post-fault call pays the expk re-upload on top of steady state.
         assert_eq!(after_fault, steady + 9 * 9 * 8);

@@ -12,6 +12,7 @@
 //! - [`cluster_custom_kernel`]: the same data flow with the Algorithm 5
 //!   one-launch coalesced scaling kernel and no intermediate copies.
 
+use crate::crowd::try_cluster_crowd;
 use crate::device::{DMatrix, Device};
 use crate::faults::DeviceError;
 use dqmc::{BMatrixFactory, HsField, Spin};
@@ -83,7 +84,8 @@ pub fn cluster_custom_kernel(
 /// scheduled launch failure or arena exhaustion instead of panicking, and
 /// performs **no finiteness check** on the downloaded product — a silently
 /// corrupted transfer surfaces as NaNs in the returned matrix, which the
-/// recovery-aware caller must scan before use.
+/// recovery-aware caller must scan before use. A batch of one through
+/// [`try_cluster_crowd`].
 pub fn try_cluster_custom_kernel(
     dev: &mut Device,
     expk_dev: &DMatrix,
@@ -93,31 +95,8 @@ pub fn try_cluster_custom_kernel(
     hi: usize,
     spin: Spin,
 ) -> Result<Matrix, DeviceError> {
-    assert!(lo < hi && hi <= h.slices());
-    let n = fac.nsites();
-    let mut vh = workspace::take(n);
-    // Inner closure so the staging buffer returns to the workspace pool on
-    // every exit path, including early faults.
-    let r = (|| {
-        let mut t = dev.try_dcopy(expk_dev)?;
-        fac.v_diag_into(h, lo, spin, &mut vh);
-        let mut vd = dev.set_vector(&vh);
-        dev.try_scale_cols_kernel(&vd, &mut t)?;
-        // `t`/`next` ping-pong: the GEMM writes the fresh product into the
-        // other buffer, then the roles swap — one device allocation for the
-        // whole cluster instead of one per slice.
-        let mut next = dev.try_alloc(n, n)?;
-        for l in (lo + 1)..hi {
-            fac.v_diag_into(h, l, spin, &mut vh);
-            dev.set_vector_into(&vh, &mut vd);
-            dev.try_scale_rows_kernel(&vd, &mut t)?;
-            dev.try_dgemm(1.0, expk_dev, &t, 0.0, &mut next)?;
-            std::mem::swap(&mut t, &mut next);
-        }
-        Ok(dev.get_matrix(&t))
-    })();
-    workspace::put(vh);
-    r
+    let mut products = try_cluster_crowd(dev, expk_dev, fac, &[h], lo, hi, spin)?;
+    Ok(products.pop().expect("one product per walker"))
 }
 
 #[cfg(test)]

@@ -1,41 +1,39 @@
-//! Crowd-batched device kernels: one launch services B walkers.
+//! Batched device kernels: one launch services every walker of a call.
 //!
-//! The solo device path (wrap, cluster) amortises PCIe transfers over the
-//! `k` GEMMs of a cluster — the paper's §III lever. This module adds the
-//! second amortisation axis: the batched driver calls
-//! ([`Device::try_dgemm_strided_batched`] and friends) submit a whole
-//! *crowd* of B walkers per kernel launch and move their operands as one
-//! stacked PCIe transaction, so launch overhead and transfer latency are
-//! paid once per crowd instead of once per walker.
+//! Clustering amortises PCIe transfers over the `k` GEMMs of a cluster —
+//! the paper's §III lever. These kernels add the second amortisation axis:
+//! the batched driver calls ([`Device::try_dgemm_strided_batched`] and
+//! friends) submit all B walkers of a call per kernel launch and move their
+//! operands as one stacked PCIe transaction, so launch overhead and
+//! transfer latency are paid once per call instead of once per walker.
+//! They are the only bit-exact device kernels: a solo call
+//! ([`crate::wrap::try_wrap_on_device_bitexact_into`],
+//! [`crate::cluster::try_cluster_custom_kernel`]) is a batch of one, and at
+//! B = 1 every batched [`Device`] op charges exactly what its per-matrix
+//! form does.
 //!
-//! Everything here keeps the deterministic-execution contract of
-//! [`crate::wrap::try_wrap_on_device_bitexact_into`]: entry `i` of every
-//! batched kernel issues exactly the floating-point op sequence of walker
-//! `i`'s solo kernel, so batching is *unobservable in the numerics* — a
-//! crowd of B produces bit-identical Green's functions and observables to B
-//! solo runs. Only the simulated cost accounting changes.
+//! The deterministic-execution contract: entry `i` of every batched kernel
+//! issues exactly the floating-point op sequence the host path issues for
+//! walker `i`, so batching is *unobservable in the numerics* — a call over B
+//! walkers produces bit-identical matrices to B calls over one. Only the
+//! simulated cost accounting changes.
 
-use crate::backend::classify;
-use crate::cluster::upload_expk;
-use crate::device::{DGemmOperand, DMatrix, Device, DeviceSpec};
+use crate::device::{DGemmOperand, DMatrix, Device};
 use crate::faults::DeviceError;
-use crate::wrap::upload_expk_inv;
-use dqmc::crowd::CrowdBackend;
-use dqmc::{BMatrixFactory, BackendFault, HsField, Spin};
+use dqmc::{BMatrixFactory, HsField, Spin};
 use linalg::{workspace, Matrix};
 
-/// Crowd-batched bit-exact wrap: `outs[i] ← B_l(h_i)·gs[i]·B_l(h_i)⁻¹` for
-/// every walker, issuing per entry the exact op order of
-/// [`crate::wrap::try_wrap_on_device_bitexact_into`] (row-scale, GEMM,
-/// col-scale, GEMM) so each downloaded matrix is bit-identical to that
-/// walker's solo wrap — and therefore to the host path.
+/// Batched bit-exact wrap: `outs[i] ← B_l(h_i)·gs[i]·B_l(h_i)⁻¹` for every
+/// walker, issuing per entry the host path's exact op order (row-scale,
+/// GEMM, col-scale, GEMM — `BMatrixFactory::wrap_into`) as separate device
+/// launches, so each downloaded matrix is bit-identical to the host wrap.
 ///
-/// Cost shape: **4 kernel launches** for the whole crowd (two batched
+/// Cost shape: **4 kernel launches** for the whole call (two batched
 /// scales, two strided-batched GEMMs) instead of `4·B`, and four stacked
 /// PCIe transactions (G stack down, two diagonal stacks down, product stack
-/// back) instead of `4·B`, so per-transfer latency is paid once per crowd.
-/// Like the solo `try_` form, no finiteness check is performed on the
-/// download — the recovery-aware caller scans each walker's matrix.
+/// back) instead of `4·B`, so per-transfer latency is paid once per call.
+/// No finiteness check is performed on the download — the recovery-aware
+/// caller scans each walker's matrix.
 #[allow(clippy::too_many_arguments)]
 pub fn try_wrap_crowd_bitexact_into(
     dev: &mut Device,
@@ -61,8 +59,7 @@ pub fn try_wrap_crowd_bitexact_into(
     let mut dgs = dev.set_matrix_stack(gs);
     let mut vhs: Vec<Vec<f64>> = hs.iter().map(|h| fac.v_diag(h, l, spin)).collect();
     // Inner closure so the staging diagonals return to the workspace pool on
-    // every exit path, including early faults (same shape as the solo
-    // cluster kernel).
+    // every exit path, including early faults.
     let r = (|| {
         let vrefs: Vec<&[f64]> = vhs.iter().map(|v| v.as_slice()).collect();
         let dvs = dev.set_vector_stack(&vrefs);
@@ -78,7 +75,8 @@ pub fn try_wrap_crowd_bitexact_into(
             0.0,
             &mut ts,
         )?;
-        // (·)·diag(v_i)⁻¹ — 1/x inverted host-side in the solo order.
+        // (·)·diag(v_i)⁻¹ — the host's b_inv_mul_right_into inverts after
+        // the first GEMM; 1/x is exact in the same order here.
         for vh in vhs.iter_mut() {
             for x in vh.iter_mut() {
                 *x = 1.0 / *x;
@@ -106,14 +104,16 @@ pub fn try_wrap_crowd_bitexact_into(
     r
 }
 
-/// Crowd-batched cluster product: `B_{hi−1}(h_i) ⋯ B_{lo}(h_i)` for every
-/// walker, per entry in the exact op order of
-/// [`crate::cluster::try_cluster_custom_kernel`] — bit-identical to each
-/// walker's solo product and to the host [`BMatrixFactory::cluster`].
+/// Batched cluster product (Algorithms 4+5 with the custom one-launch
+/// scaling kernels): `B_{hi−1}(h_i) ⋯ B_{lo}(h_i)` for every walker, per
+/// entry in the host's op order — bit-identical to
+/// [`BMatrixFactory::cluster`]. Returns a [`DeviceError`] on a scheduled
+/// launch failure or arena exhaustion and performs **no finiteness check**
+/// on the download.
 ///
 /// The `k` diagonal stacks go down as one stacked transfer per slice and
 /// each slice costs one batched scale plus one strided-batched GEMM for the
-/// whole crowd; the B products come back in a single stacked download. Only
+/// whole call; the B products come back in a single stacked download. Only
 /// the initial `e^{−ΔτK}` seeding copies remain per-walker (`B` on-device
 /// `dcopy` launches — no PCIe traffic).
 pub fn try_cluster_crowd(
@@ -143,8 +143,9 @@ pub fn try_cluster_crowd(
         let vrefs: Vec<&[f64]> = vhs.iter().map(|v| v.as_slice()).collect();
         let mut dvs = dev.set_vector_stack(&vrefs);
         dev.try_scale_cols_kernel_batched(&dvs, &mut ts)?;
-        // Per-walker `t`/`next` ping-pong exactly as in the solo kernel; the
-        // stacks swap wholesale.
+        // `t`/`next` ping-pong: the GEMM writes the fresh products into the
+        // other stack, then the stacks swap wholesale — one device
+        // allocation per walker for the whole cluster, not one per slice.
         let mut nexts = dev.try_alloc_stack(n, n, b)?;
         for l in (lo + 1)..hi {
             for (vh, h) in vhs.iter_mut().zip(hs) {
@@ -176,99 +177,14 @@ pub fn try_cluster_crowd(
     r
 }
 
-/// The simulated device as a [`CrowdBackend`]: the batched analogue of
-/// [`crate::DeviceBackend`], always in deterministic-execution mode (crowd
-/// scheduling treats both batching *and* placement as unobservable, so
-/// there is no fused non-bit-exact crowd wrap). Residents are uploaded
-/// lazily and dropped on [`CrowdBackend::notify_fault`] so every retry
-/// starts from a clean device state.
-#[derive(Debug)]
-pub struct CrowdDeviceBackend {
-    dev: Device,
-    expk: Option<DMatrix>,
-    expk_inv: Option<DMatrix>,
-}
-
-impl CrowdDeviceBackend {
-    /// Wraps an existing device (e.g. one with an armed fault plan).
-    pub fn new(dev: Device) -> Self {
-        CrowdDeviceBackend {
-            dev,
-            expk: None,
-            expk_inv: None,
-        }
-    }
-
-    /// Convenience: a fresh device from a spec.
-    pub fn with_spec(spec: DeviceSpec) -> Self {
-        CrowdDeviceBackend::new(Device::new(spec))
-    }
-
-    /// The underlying device (clock, counters, fault tally).
-    pub fn device(&self) -> &Device {
-        &self.dev
-    }
-
-    /// Mutable device access — for arming a [`crate::FaultPlan`] mid-run.
-    pub fn device_mut(&mut self) -> &mut Device {
-        &mut self.dev
-    }
-}
-
-impl CrowdBackend for CrowdDeviceBackend {
-    fn name(&self) -> &str {
-        self.dev.spec().name
-    }
-
-    fn wrap_crowd(
-        &mut self,
-        fac: &BMatrixFactory,
-        hs: &[&HsField],
-        l: usize,
-        spin: Spin,
-        gs: &[&Matrix],
-        outs: &mut [&mut Matrix],
-    ) -> Result<(), BackendFault> {
-        let expk = self
-            .expk
-            .get_or_insert_with(|| upload_expk(&mut self.dev, fac));
-        let expk_inv = self
-            .expk_inv
-            .get_or_insert_with(|| upload_expk_inv(&mut self.dev, fac));
-        try_wrap_crowd_bitexact_into(&mut self.dev, expk, expk_inv, fac, hs, l, spin, gs, outs)
-            .map_err(classify)
-    }
-
-    fn cluster_crowd(
-        &mut self,
-        fac: &BMatrixFactory,
-        hs: &[&HsField],
-        lo: usize,
-        hi: usize,
-        spin: Spin,
-    ) -> Result<Vec<Matrix>, BackendFault> {
-        let expk = self
-            .expk
-            .get_or_insert_with(|| upload_expk(&mut self.dev, fac));
-        try_cluster_crowd(&mut self.dev, expk, fac, hs, lo, hi, spin).map_err(classify)
-    }
-
-    fn notify_fault(&mut self) {
-        self.expk = None;
-        self.expk_inv = None;
-        self.dev.reset_arena();
-    }
-
-    fn device_seconds(&self) -> f64 {
-        self.dev.elapsed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::DeviceBackend;
+    use crate::cluster::upload_expk;
+    use crate::device::DeviceSpec;
     use crate::faults::FaultPlan;
-    use crate::wrap::try_wrap_on_device_bitexact_into;
+    use crate::wrap::{try_wrap_on_device_bitexact_into, upload_expk_inv};
     use dqmc::{chain_seed, Crowd, ModelParams, SimParams, Simulation};
     use lattice::Lattice;
 
@@ -472,7 +388,7 @@ mod tests {
         // walker for walker, to solo host simulations on the same seeds.
         let b = 3;
         let mut crowd = Crowd::new(crowd_of(b)).with_backend(Box::new(
-            CrowdDeviceBackend::with_spec(DeviceSpec::tesla_c2050()),
+            DeviceBackend::with_spec(DeviceSpec::tesla_c2050()).with_bitexact_wrap(true),
         ));
         crowd.run();
         for (c, w) in crowd.walkers().iter().enumerate() {
@@ -498,7 +414,7 @@ mod tests {
         // to the fault-free run — mid-crowd healing is unobservable.
         let b = 3;
         let mut clean = Crowd::new(crowd_of(b)).with_backend(Box::new(
-            CrowdDeviceBackend::with_spec(DeviceSpec::tesla_c2050()),
+            DeviceBackend::with_spec(DeviceSpec::tesla_c2050()).with_bitexact_wrap(true),
         ));
         clean.run();
 
@@ -509,8 +425,8 @@ mod tests {
                 .corrupt_transfer(4)
                 .corrupt_transfer(11),
         );
-        let mut faulty =
-            Crowd::new(crowd_of(b)).with_backend(Box::new(CrowdDeviceBackend::new(dev)));
+        let mut faulty = Crowd::new(crowd_of(b))
+            .with_backend(Box::new(DeviceBackend::new(dev).with_bitexact_wrap(true)));
         faulty.run();
 
         let healed: u64 = faulty
@@ -539,14 +455,62 @@ mod tests {
         let mut dev = Device::new(DeviceSpec::tesla_c2050());
         let plan = (1..=40).fold(FaultPlan::new(), |p, i| p.fail_launch(i));
         dev.arm_faults(plan);
-        let mut faulty =
-            Crowd::new(crowd_of(b)).with_backend(Box::new(CrowdDeviceBackend::new(dev)));
+        let mut faulty = Crowd::new(crowd_of(b))
+            .with_backend(Box::new(DeviceBackend::new(dev).with_bitexact_wrap(true)));
         faulty.run();
-        assert_eq!(faulty.active_backend_name(), "host-crowd");
+        assert_eq!(faulty.active_backend_name(), "host");
         for (cw, fw) in clean.walkers().iter().zip(faulty.walkers()) {
             let a = cw.observables().jackknife_scalars();
             let f = fw.observables().jackknife_scalars();
             assert_eq!(a.double_occ, f.double_occ);
+        }
+    }
+
+    #[test]
+    fn bit_flip_shrinks_one_walker_of_four_without_desynchronising_the_rest() {
+        // Compute op 130 is walker 1's entry of the first batched cluster
+        // call (ops 1–128 are the wraps of slices 0–3): a finite, wrong
+        // product that only the wrap-vs-recompute monitor can see. Walker 1
+        // drops its cache and halves its cluster size; the other three keep
+        // k = 4 and must neither stall nor receive a neighbour's products.
+        let mut dev = Device::new(DeviceSpec::tesla_c2050());
+        dev.arm_faults(FaultPlan::new().with_seed(1).flip_bit_after_op(130));
+        let mut crowd = Crowd::new(crowd_of(4))
+            .with_backend(Box::new(DeviceBackend::new(dev).with_bitexact_wrap(true)));
+        crowd.run();
+        for (c, w) in crowd.walkers().iter().enumerate() {
+            let events = w.recovery_log().events();
+            if c == 1 {
+                assert!(
+                    matches!(
+                        events,
+                        [dqmc::RecoveryEvent {
+                            cause: dqmc::RecoveryCause::WrapDivergence { .. },
+                            action: dqmc::RecoveryAction::ClusterShrink { from: 4, to: 2 },
+                            ..
+                        }]
+                    ),
+                    "{events:?}"
+                );
+            } else {
+                assert!(events.is_empty(), "walker {c}: {events:?}");
+            }
+            let mut host = Simulation::new(crowd_sim_params(chain_seed(50, 0, c as u64)));
+            host.run();
+            if c != 1 {
+                assert_eq!(host.greens(Spin::Up), w.greens(Spin::Up), "walker {c}");
+                let s = host.observables().jackknife_scalars();
+                let d = w.observables().jackknife_scalars();
+                assert_eq!(s.double_occ, d.double_occ);
+                assert_eq!(s.kinetic, d.kinetic);
+            }
+        }
+        let victim = crowd.walker_mut(1).core_mut();
+        assert_eq!(victim.runtime_cluster_size(), 2);
+        for spin in Spin::BOTH {
+            let naive = dqmc::greens::greens_naive(&victim.fac, &victim.h, spin);
+            let diff = dqmc::greens::relative_difference(victim.greens(spin), &naive.g);
+            assert!(diff < 1e-8, "{spin:?}: {diff}");
         }
     }
 }

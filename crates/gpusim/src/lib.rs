@@ -41,7 +41,7 @@ pub mod wrap;
 
 pub use backend::DeviceBackend;
 pub use cluster::{cluster_cublas, cluster_custom_kernel, try_cluster_custom_kernel};
-pub use crowd::{try_cluster_crowd, try_wrap_crowd_bitexact_into, CrowdDeviceBackend};
+pub use crowd::{try_cluster_crowd, try_wrap_crowd_bitexact_into};
 pub use device::{DGemmOperand, DMatrix, Device, DeviceSpec, HostSpec};
 pub use faults::{DeviceError, FaultPlan};
 pub use gpu_strat::{gpu_stratified_greens, GpuStratReport};

@@ -490,8 +490,8 @@ impl DeviceLease {
     }
 
     /// Builds a fresh backend on the leased device, in deterministic
-    /// (bit-exact wrap) mode so placement never shows up in observables.
-    /// An optional [`FaultPlan`] is armed before first use, merged with
+    /// (bit-exact wrap) mode so neither placement nor the job's width shows
+    /// up in observables. An optional [`FaultPlan`] is armed before first use, merged with
     /// the slot's scripted sick profile if one is installed — the
     /// scheduler's scripted-fault and chaos runs go through here.
     // dqmc-lint: allow(hot_alloc) — backend construction is once per job
@@ -509,28 +509,6 @@ impl DeviceLease {
             dev.arm_faults(plan);
         }
         DeviceBackend::new(dev).with_bitexact_wrap(true)
-    }
-
-    /// Builds a fresh *crowd* backend on the leased device — the batched
-    /// analogue of [`DeviceLease::backend`], used when the job unit is a
-    /// whole crowd of walkers. Same arming rules (job plan merged with the
-    /// slot's sick profile); the crowd backend is always in deterministic
-    /// mode, so neither placement nor batching shows up in observables.
-    // dqmc-lint: allow(hot_alloc) — backend construction is once per job
-    // placement, not per quantum; the Device itself owns fresh buffers.
-    pub fn crowd_backend(&self, plan: Option<FaultPlan>) -> crate::crowd::CrowdDeviceBackend {
-        let mut dev = Device::new(self.inner.spec.clone());
-        let profile = relock(self.inner.health.lock())[self.slot].profile.clone();
-        let armed = match (plan, profile) {
-            (Some(p), Some(s)) => Some(p.merge(s)),
-            (Some(p), None) => Some(p),
-            (None, Some(s)) => Some(s),
-            (None, None) => None,
-        };
-        if let Some(plan) = armed {
-            dev.arm_faults(plan);
-        }
-        crate::crowd::CrowdDeviceBackend::new(dev)
     }
 }
 
@@ -585,7 +563,7 @@ mod tests {
         let mut rng = util::Rng::new(1);
         let h = dqmc::HsField::random(4, 4, &mut rng);
         use dqmc::ComputeBackend as _;
-        assert!(be.cluster(&fac, &h, 0, 4, dqmc::Spin::Up).is_err());
+        assert!(be.cluster(&fac, &[&h], 0, 4, dqmc::Spin::Up).is_err());
     }
 
     #[test]
@@ -697,7 +675,7 @@ mod tests {
         let h = dqmc::HsField::random(4, 4, &mut rng);
         use dqmc::ComputeBackend as _;
         assert!(
-            be.cluster(&fac, &h, 0, 4, dqmc::Spin::Up).is_err(),
+            be.cluster(&fac, &[&h], 0, 4, dqmc::Spin::Up).is_err(),
             "slot profile armed without any job plan"
         );
         drop(lease);
@@ -709,7 +687,7 @@ mod tests {
         let probe = pool.try_lease().expect("backoff 1 elapsed during report");
         let mut be = probe.backend(None);
         assert!(
-            be.cluster(&fac, &h, 0, 4, dqmc::Spin::Up).is_ok(),
+            be.cluster(&fac, &[&h], 0, 4, dqmc::Spin::Up).is_ok(),
             "healed slot runs clean on probation"
         );
     }

@@ -6,6 +6,7 @@
 //! Only two GEMMs amortise each matrix round trip, so wrapping cannot reach
 //! clustering's efficiency (the Figure 9 gap).
 
+use crate::crowd::try_wrap_crowd_bitexact_into;
 use crate::device::{DMatrix, Device};
 use crate::faults::DeviceError;
 use dqmc::{BMatrixFactory, HsField, Spin};
@@ -99,7 +100,8 @@ pub fn try_wrap_on_device_into(
 /// GEMM), so the downloaded result is bit-identical to
 /// `BMatrixFactory::wrap_into` on the host while still paying simulated
 /// launch, bandwidth and transfer costs. The extra launch is the modelled
-/// price of determinism.
+/// price of determinism. A batch of one through
+/// [`try_wrap_crowd_bitexact_into`], which holds the op sequence.
 #[allow(clippy::too_many_arguments)]
 pub fn try_wrap_on_device_bitexact_into(
     dev: &mut Device,
@@ -112,29 +114,17 @@ pub fn try_wrap_on_device_bitexact_into(
     g: &Matrix,
     out: &mut Matrix,
 ) -> Result<(), DeviceError> {
-    let n = fac.nsites();
-    assert!(out.nrows() == n && out.ncols() == n);
-    let mut dg = dev.set_matrix(g);
-    let mut vh = fac.v_diag(h, l, spin);
-    let v = dev.set_vector(&vh);
-    // diag(v)·G — same row_scale the host's b_mul_left_into performs.
-    dev.try_scale_rows_kernel(&v, &mut dg)?;
-    // e^{−ΔτK} · (VG)
-    let mut t = dev.try_alloc(n, n)?;
-    dev.try_dgemm(1.0, expk_dev, &dg, 0.0, &mut t)?;
-    // (·)·diag(v)⁻¹ — the host's b_inv_mul_right_into inverts after the
-    // first GEMM; 1/x is exact in the same order here.
-    for x in vh.iter_mut() {
-        *x = 1.0 / *x;
-    }
-    let vinv = dev.set_vector(&vh);
-    linalg::workspace::put(vh);
-    dev.try_scale_cols_kernel(&vinv, &mut t)?;
-    // · e^{+ΔτK}
-    let mut prod = dev.try_alloc(n, n)?;
-    dev.try_dgemm(1.0, &t, expk_inv_dev, 0.0, &mut prod)?;
-    dev.get_matrix_into(&prod, out);
-    Ok(())
+    try_wrap_crowd_bitexact_into(
+        dev,
+        expk_dev,
+        expk_inv_dev,
+        fac,
+        &[h],
+        l,
+        spin,
+        &[g],
+        &mut [out],
+    )
 }
 
 #[cfg(test)]

@@ -2,20 +2,21 @@
 //!
 //! A QMC campaign is never one Markov chain: it is a grid of `(U, β)`
 //! points, each an ensemble of independent chains. This crate turns the
-//! primitives of the lower layers — bit-identical `DQCP` checkpoints,
+//! primitives of the lower layers — bit-identical walker checkpoints,
 //! the recovery ladder, the simulated device pool — into a batch service
 //! with the shape of a production job scheduler:
 //!
-//! 1. **Queue** ([`queue`]): every (point, chain) pair becomes a
-//!    [`SweepJob`] in a bounded priority queue; FIFO within a priority
-//!    class, higher classes pop first.
+//! 1. **Queue** ([`queue`]): every run of up to `crowd` consecutive chains
+//!    of a point becomes a [`SweepJob`] in a bounded priority queue; FIFO
+//!    within a priority class, higher classes pop first. A job of any width
+//!    runs through the same driver ([`dqmc::Crowd`]).
 //! 2. **Placement** ([`gpusim::pool`]): workers lease simulated
 //!    accelerators from a shared [`gpusim::DevicePool`]; when every slot is
 //!    busy the job runs on the host backend instead of waiting.
 //! 3. **Preemption** ([`runner`]): jobs execute in quanta of whole sweeps.
 //!    At each quantum boundary a job yields to higher-priority waiters (or
-//!    on its cooperative time-slice) by serialising to an in-memory `DQCP`
-//!    image and requeueing; the resume is bit-identical, so preemption is
+//!    on its cooperative time-slice) by serialising to an in-memory `DQCW`
+//!    image (one `DQCP` image per walker) and requeueing; the resume is bit-identical, so preemption is
 //!    invisible in the physics.
 //! 4. **Retry** ([`runner`]): a job whose run fails with a classified
 //!    retryable error — or, as a backstop, panics — restarts from its last
@@ -43,8 +44,8 @@
 //!   so the set of Markov chains is fixed by the grid alone;
 //! - device placement uses the backend's deterministic-execution mode
 //!   ([`gpusim::DeviceBackend::with_bitexact_wrap`]), making device and
-//!   host runs bit-identical;
-//! - preemption parks jobs as `DQCP` images whose resume is bit-identical,
+//!   host runs bit-identical, at any job width;
+//! - preemption parks jobs as `DQCW` images whose resume is bit-identical,
 //!   and recovery retries consume no Metropolis randomness, so one-shot
 //!   faults heal without a trace.
 //!

@@ -34,10 +34,10 @@ use std::time::Duration;
 use util::sync::{relock, Condvar, Mutex};
 
 /// One schedulable unit: a *crowd* of `width` consecutive Markov chains of
-/// a single grid point, stepped in lockstep on one placement. `width == 1`
-/// is the classic solo job; wider jobs batch their walkers' wrap and
-/// cluster kernels through strided-batch device calls, so each device lease
-/// services `width` walkers per launch.
+/// a single grid point, stepped in lockstep on one placement by one driver
+/// whatever the width. The walkers' wrap and cluster kernels go through
+/// strided-batch device calls, so each device lease services `width`
+/// walkers per launch.
 #[derive(Debug)]
 pub struct SweepJob {
     /// Grid point index (the seed hash-split's stream id).
@@ -57,7 +57,8 @@ pub struct SweepJob {
     pub extra_params: Vec<SimParams>,
     /// Scripted device faults to arm when the job lands on a device.
     pub fault_plan: Option<FaultPlan>,
-    /// Parked `DQCP` image from the last yield; `None` for a fresh start.
+    /// Parked `DQCW` image (one `DQCP` image per walker) from the last
+    /// yield; `None` for a fresh start.
     pub checkpoint: Option<Vec<u8>>,
     /// Scheduler-level restarts consumed (panic recovery).
     pub attempts: u32,

@@ -5,11 +5,12 @@
 //!
 //! Each worker loops: pop a job → try to lease a device from the shared
 //! [`DevicePool`] (skipping the job's suspect slots; host fallback on a
-//! miss) → run the simulation in quanta of `quantum` sweeps. At every
-//! quantum boundary the job checks whether it should yield — a
-//! higher-priority job is waiting, or its cooperative time-slice
-//! (`yield_every_quanta`) expired — and if so parks itself as an in-memory
-//! `DQCP` image and requeues.
+//! miss) → step the job's walkers (a [`dqmc::Crowd`] of `job.width`, one
+//! driver for any width) in quanta of `quantum` sweeps. At every quantum
+//! boundary the job checks whether it should yield — a higher-priority job
+//! is waiting, or its cooperative time-slice (`yield_every_quanta`)
+//! expired — and if so parks itself as an in-memory `DQCW` image (an
+//! envelope of one `DQCP` image per walker) and requeues.
 //!
 //! # Failure handling is classification-keyed
 //!
@@ -35,7 +36,7 @@
 //!
 //! Chain trajectories are fixed by hash-split seeds; device placement uses
 //! the bit-exact wrap mode, so host and device runs agree to the last bit;
-//! `DQCP` resume is bit-identical; and results land in a slot vector
+//! `DQCW` resume is bit-identical; and results land in a slot vector
 //! indexed by `job_id = point * chains + chain`, then merge in canonical
 //! chain order per point. Workers race only for *which* slot they fill
 //! next, never for what goes in it. Deadline parks and sick requeues
@@ -46,9 +47,7 @@ use crate::queue::{JobQueue, Pop, SweepJob};
 use crate::report::{PointSummary, SweepReport};
 use crate::trace::{EventLog, Placement, TraceEvent};
 use crate::watchdog::{DeadlineVerdict, Heartbeats, QuantumWatchdog};
-use dqmc::{
-    Crowd, DqmcError, Observables, RecoveryLog, RecoveryTallies, RunToken, Severity, Simulation,
-};
+use dqmc::{Crowd, DqmcError, Observables, RecoveryLog, RecoveryTallies, RunToken, Severity};
 use gpusim::{BreakerPolicy, DevicePool, DeviceSpec, HealthDecision};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,8 +118,8 @@ impl SchedConfig {
 }
 
 /// What happened to one *chain*. The accumulators are boxed so the `Failed`
-/// variant (and the slot vector's `None`s) stay pointer-sized. A crowd job
-/// of `width` chains produces `width` of these; its job-level scheduling
+/// variant (and the slot vector's `None`s) stay pointer-sized. A job of
+/// `width` chains produces `width` of these; its job-level scheduling
 /// counters (preemptions, quanta, device-seconds) are recorded on the base
 /// chain's outcome only, so campaign totals count each job once.
 pub(crate) enum ChainOutcome {
@@ -142,77 +141,23 @@ pub(crate) enum ChainOutcome {
     },
 }
 
-/// The simulation a job drives: one walker, or `width` walkers in lockstep
-/// through a batched crowd backend. One quantum loop serves both — the
-/// crowd path differs only in construction and in fanning its result out
-/// to `width` chain slots.
-enum JobSim {
-    Solo(Box<Simulation>),
-    Crowd(Box<Crowd>),
-}
-
-impl JobSim {
-    fn try_step(&mut self, n: usize, token: &RunToken) -> Result<usize, DqmcError> {
-        match self {
-            JobSim::Solo(s) => s.try_step(n, token),
-            JobSim::Crowd(c) => c.try_step(n, token),
-        }
-    }
-
-    fn is_complete(&self) -> bool {
-        match self {
-            JobSim::Solo(s) => s.is_complete(),
-            JobSim::Crowd(c) => c.is_complete(),
-        }
-    }
-
-    fn checkpoint_bytes(&self) -> Vec<u8> {
-        match self {
-            JobSim::Solo(s) => s.checkpoint_bytes(),
-            JobSim::Crowd(c) => c.checkpoint_bytes(),
-        }
-    }
-
-    /// Sweeps completed (warmup + measurement) — per walker; walkers run in
-    /// lockstep, so walker 0 speaks for a crowd.
-    fn sweeps_done(&self) -> usize {
-        let (w, m) = match self {
-            JobSim::Solo(s) => s.sweeps_done(),
-            JobSim::Crowd(c) => c.walker(0).sweeps_done(),
-        };
-        w + m
-    }
-
-    /// Modeled device-seconds this placement's backend has consumed.
-    fn device_seconds(&self) -> f64 {
-        match self {
-            JobSim::Solo(s) => s.device_seconds(),
-            JobSim::Crowd(c) => c.device_seconds(),
-        }
-    }
-
-    /// Per-chain outcomes in chain order; job-level counters land on the
-    /// base chain only.
-    fn outcomes(&self, job: &SweepJob) -> Vec<ChainOutcome> {
-        let walkers: Vec<&Simulation> = match self {
-            JobSim::Solo(s) => vec![s],
-            JobSim::Crowd(c) => c.walkers().iter().collect(),
-        };
-        walkers
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| ChainOutcome::Done {
-                observables: Box::new(w.observables().clone()),
-                acceptance: w.acceptance_rate(),
-                max_wrap_error: w.max_wrap_error(),
-                recovery: w.recovery_log().clone(),
-                preemptions: if i == 0 { job.preemptions } else { 0 },
-                device_quanta: if i == 0 { job.device_quanta } else { 0 },
-                host_quanta: if i == 0 { job.host_quanta } else { 0 },
-                device_seconds: if i == 0 { job.device_seconds } else { 0.0 },
-            })
-            .collect()
-    }
+/// Per-chain outcomes of a finished job in chain order; job-level counters
+/// land on the base chain only.
+fn outcomes(sim: &Crowd, job: &SweepJob) -> Vec<ChainOutcome> {
+    sim.walkers()
+        .iter()
+        .enumerate()
+        .map(|(i, w)| ChainOutcome::Done {
+            observables: Box::new(w.observables().clone()),
+            acceptance: w.acceptance_rate(),
+            max_wrap_error: w.max_wrap_error(),
+            recovery: w.recovery_log().clone(),
+            preemptions: if i == 0 { job.preemptions } else { 0 },
+            device_quanta: if i == 0 { job.device_quanta } else { 0 },
+            host_quanta: if i == 0 { job.host_quanta } else { 0 },
+            device_seconds: if i == 0 { job.device_seconds } else { 0.0 },
+        })
+        .collect()
 }
 
 /// Mid-sweep injection handle passed to the observer callback: jobs held
@@ -304,8 +249,7 @@ impl OutcomeSink for SlotSink {
     }
 
     fn deliver_failure(&self, job: &SweepJob) {
-        // A crowd job fails as a unit: every chain it covers loses its
-        // data. Job-level counters land on the base slot only (see
+        // A job fails as a unit: every chain it covers loses its data. Job-level counters land on the base slot only (see
         // [`ChainOutcome`]).
         let base = job.point * self.chains + job.chain;
         let mut slots = relock(self.results.lock());
@@ -373,7 +317,7 @@ fn emit_decision(events: &EventLog, decision: HealthDecision) {
 /// Runs one job until it completes, yields, or aborts with a classified
 /// error. Returns the step and the device slot it ran on (`None` = host).
 ///
-/// On a yield (or a cooperative soft-deadline park) the parked `DQCP`
+/// On a yield (or a cooperative soft-deadline park) the parked `DQCW`
 /// image replaces `job.checkpoint`; on an abortive error the *previous*
 /// image is still intact, so the restart resumes from the last successful
 /// park rather than from scratch-after-progress.
@@ -405,52 +349,32 @@ fn run_job(
         resumed: job.checkpoint.is_some(),
     });
 
+    // Every job drives `job.width` walkers in lockstep through one driver;
+    // a one-chain job is a crowd of one.
+    let params = job.crowd_params();
     let mut sim = match &job.checkpoint {
         // The image was produced by this very run, so a decode failure
         // means in-memory corruption: no restart can help.
-        Some(bytes) => {
-            let resumed = if job.width == 1 {
-                Simulation::resume_bytes(bytes, &job.params)
-                    .map(|s| JobSim::Solo(Box::new(s)))
-                    .map_err(|e| e.to_string())
-            } else {
-                Crowd::resume_bytes(bytes, &job.crowd_params())
-                    .map(|c| JobSim::Crowd(Box::new(c)))
-                    .map_err(|e| e.to_string())
-            };
-            match resumed {
-                Ok(sim) => sim,
-                Err(e) => {
-                    let error =
-                        DqmcError::fatal("resume", format!("parked image failed to resume: {e}"));
-                    return (RunStep::Aborted { error }, slot);
-                }
+        Some(bytes) => match Crowd::resume_bytes(bytes, &params) {
+            Ok(sim) => sim,
+            Err(e) => {
+                let error =
+                    DqmcError::fatal("resume", format!("parked image failed to resume: {e}"));
+                return (RunStep::Aborted { error }, slot);
             }
-        }
-        None if job.width == 1 => JobSim::Solo(Box::new(Simulation::new(job.params.clone()))),
-        None => JobSim::Crowd(Box::new(Crowd::new(job.crowd_params()))),
+        },
+        None => Crowd::new(params),
     };
     let mut watchdog = None;
     if cfg.soft_quantum_cost_s > 0.0 && lease.is_some() {
         watchdog = Some(QuantumWatchdog::new(cfg.soft_quantum_cost_s));
     }
     if let Some(l) = &lease {
-        sim = match sim {
-            JobSim::Solo(s) => {
-                let mut backend = l.backend(job.fault_plan.clone());
-                if let Some(wd) = &watchdog {
-                    backend.device_mut().set_cost_meter(wd.meter());
-                }
-                JobSim::Solo(Box::new(s.with_backend(Box::new(backend))))
-            }
-            JobSim::Crowd(c) => {
-                let mut backend = l.crowd_backend(job.fault_plan.clone());
-                if let Some(wd) = &watchdog {
-                    backend.device_mut().set_cost_meter(wd.meter());
-                }
-                JobSim::Crowd(Box::new(c.with_backend(Box::new(backend))))
-            }
-        };
+        let mut backend = l.backend(job.fault_plan.clone());
+        if let Some(wd) = &watchdog {
+            backend.device_mut().set_cost_meter(wd.meter());
+        }
+        sim = sim.with_backend(Box::new(backend));
     }
 
     let quantum = if cfg.quantum == 0 {
@@ -476,7 +400,7 @@ fn run_job(
                 worker,
             });
             job.device_seconds += sim.device_seconds();
-            return (RunStep::Completed(sim.outcomes(job)), slot);
+            return (RunStep::Completed(outcomes(&sim, job)), slot);
         }
         if let Some(wd) = watchdog.as_mut() {
             if let DeadlineVerdict::SoftExceeded { cost_s } = wd.observe_quantum() {
@@ -519,9 +443,11 @@ fn run_job(
         if preempted || sliced {
             job.checkpoint = Some(sim.checkpoint_bytes());
             job.device_seconds += sim.device_seconds();
+            // Walkers run in lockstep, so walker 0 speaks for the job.
+            let (warmup, measured) = sim.walker(0).sweeps_done();
             return (
                 RunStep::Yielded {
-                    sweeps_done: sim.sweeps_done(),
+                    sweeps_done: warmup + measured,
                 },
                 slot,
             );
@@ -735,14 +661,12 @@ pub fn run_sweep_observed(
             // tail crowd of a point may be narrower. Each walker keeps its
             // own hash-split seed, so batching never reshapes the ensemble.
             let width = crowd.min(spec.chains - chain);
-            let mut job = SweepJob::new(point.index, chain, spec.chain_params(point, chain))
-                .with_fault_plan(spec.fault_plan(point, chain));
-            if width > 1 {
-                let extra = (chain + 1..chain + width)
-                    .map(|c| spec.chain_params(point, c))
-                    .collect();
-                job = job.with_crowd(extra);
-            }
+            let extra = (chain + 1..chain + width)
+                .map(|c| spec.chain_params(point, c))
+                .collect();
+            let job = SweepJob::new(point.index, chain, spec.chain_params(point, chain))
+                .with_fault_plan(spec.fault_plan(point, chain))
+                .with_crowd(extra);
             chain += width;
             if cfg.hold_points.contains(&point.index) {
                 // Count it outstanding now (so termination waits for it and

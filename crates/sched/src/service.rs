@@ -431,16 +431,14 @@ impl SweepService {
             let mut chain = 0;
             while chain < spec.chains {
                 let width = crowd.min(spec.chains - chain);
-                let mut job = SweepJob::new(point.index, chain, spec.chain_params(point, chain))
+                let extra = (chain + 1..chain + width)
+                    .map(|c| spec.chain_params(point, c))
+                    .collect();
+                let job = SweepJob::new(point.index, chain, spec.chain_params(point, chain))
                     .with_fault_plan(spec.fault_plan(point, chain))
                     .with_priority(req.priority)
-                    .with_tag(tag);
-                if width > 1 {
-                    let extra = (chain + 1..chain + width)
-                        .map(|c| spec.chain_params(point, c))
-                        .collect();
-                    job = job.with_crowd(extra);
-                }
+                    .with_tag(tag)
+                    .with_crowd(extra);
                 jobs.push(job);
                 chain += width;
             }

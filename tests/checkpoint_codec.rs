@@ -107,3 +107,78 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+// ---- golden images ---------------------------------------------------------
+//
+// `tests/golden/` holds one walker image (`DQCP` v1) and one three-walker
+// driver image (`DQCW`) written by the commit before the solo and crowd
+// drivers were merged, plus the observables bytes each run finished on
+// there (see `tests/golden/README.md`). Byte layouts must not move: every
+// later build has to load both, write them back unchanged, and continue
+// them onto the same observables. The scalar and the dispatched GEMM kernel
+// agree bit for bit at this size, so one expected file serves both; CI
+// runs this suite under `LINALG_KERNEL=scalar` as well.
+
+fn golden(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+fn golden_model() -> ModelParams {
+    ModelParams::new(Lattice::square(2, 2, 1.0), 4.0, 0.0, 0.125, 8)
+}
+
+/// Equal-time observables, then the time-dependent ones when enabled.
+fn push_observables(w: &dqmc::Walker, out: &mut util::ByteWriter) {
+    w.observables().encode(out);
+    if let Some(tdm) = w.time_dependent() {
+        tdm.encode(out);
+    }
+}
+
+#[test]
+fn golden_walker_image_loads_reencodes_and_finishes_on_the_stored_bytes() {
+    // 13 sweeps into a 10 + 20 run with unequal-time measurements on.
+    let params = SimParams::new(golden_model())
+        .with_sweeps(10, 20)
+        .with_seed(12)
+        .with_cluster_size(4)
+        .with_bin_size(2)
+        .with_unequal_time(true);
+    let image = golden("walker_v1.dqcp");
+    let mut sim = Simulation::resume_bytes(&image, &params).expect("golden walker loads");
+    assert_eq!(sim.sweeps_done(), (10, 3));
+    assert_eq!(sim.checkpoint_bytes(), image, "re-encode moved a byte");
+    while !sim.is_complete() {
+        sim.step(4);
+    }
+    let mut out = util::ByteWriter::new();
+    push_observables(&sim, &mut out);
+    assert_eq!(out.into_bytes(), golden("walker_v1.obs.bin"));
+}
+
+#[test]
+fn golden_crowd_image_loads_reencodes_and_finishes_on_the_stored_bytes() {
+    // Three walkers, 7 sweeps into a 6 + 12 run.
+    let params: Vec<SimParams> = (0..3)
+        .map(|c| {
+            SimParams::new(golden_model())
+                .with_sweeps(6, 12)
+                .with_seed(dqmc::chain_seed(100, 0, c))
+                .with_cluster_size(4)
+                .with_bin_size(2)
+        })
+        .collect();
+    let image = golden("crowd3_v1.dqcw");
+    let mut crowd = dqmc::Crowd::resume_bytes(&image, &params).expect("golden crowd loads");
+    assert_eq!(crowd.walker(0).sweeps_done(), (6, 1));
+    assert_eq!(crowd.checkpoint_bytes(), image, "re-encode moved a byte");
+    crowd.run();
+    let mut out = util::ByteWriter::new();
+    for w in crowd.walkers() {
+        push_observables(w, &mut out);
+    }
+    assert_eq!(out.into_bytes(), golden("crowd3_v1.obs.bin"));
+}

@@ -2,9 +2,18 @@
 //! must be numerically interchangeable with the host path inside a running
 //! DQMC simulation, and its cost model must reproduce the §VI orderings.
 
-use dqmc::{greens_from_udt, stratify, SimParams, Spin, StratAlgo};
-use gpusim::{cluster_custom_kernel, hybrid_greens, wrap_on_device, Device, DeviceSpec, HostSpec};
+use dqmc::{
+    chain_seed, greens_from_udt, stratify, BMatrixFactory, BackendFault, ComputeBackend, Crowd,
+    HsField, ModelParams, SimParams, Simulation, Spin, StratAlgo,
+};
+use gpusim::{
+    cluster_custom_kernel, hybrid_greens, wrap_on_device, Device, DeviceBackend, DeviceSpec,
+    HostSpec,
+};
 use lattice::Lattice;
+use linalg::Matrix;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn thermalised_core(lside: usize, slices: usize) -> dqmc::sweep::DqmcCore {
     let model = dqmc::ModelParams::new(Lattice::square(lside, lside, 1.0), 4.0, 0.0, 0.125, slices);
@@ -99,4 +108,150 @@ fn simulated_time_is_deterministic() {
         dev.elapsed()
     };
     assert_eq!(run(), run(), "device model must be exactly reproducible");
+}
+
+// ---- the device behind the sweep driver -------------------------------------
+
+/// Delegates to a [`DeviceBackend`] and shares its launch counts with
+/// the test after the driver has taken ownership of the box.
+#[derive(Debug)]
+struct Probe {
+    inner: DeviceBackend,
+    wrap_launches: Arc<AtomicU64>,
+    cluster_launches: Arc<AtomicU64>,
+}
+
+impl Probe {
+    fn counted<T>(&mut self, into_wrap: bool, call: impl FnOnce(&mut DeviceBackend) -> T) -> T {
+        let before = self.inner.device().kernels_launched();
+        let out = call(&mut self.inner);
+        let counter = if into_wrap {
+            &self.wrap_launches
+        } else {
+            &self.cluster_launches
+        };
+        counter.fetch_add(
+            self.inner.device().kernels_launched() - before,
+            Ordering::Relaxed,
+        );
+        out
+    }
+}
+
+impl ComputeBackend for Probe {
+    fn name(&self) -> &str {
+        "probe"
+    }
+    fn wrap(
+        &mut self,
+        fac: &BMatrixFactory,
+        hs: &[&HsField],
+        l: usize,
+        spin: Spin,
+        gs: &[&Matrix],
+        outs: &mut [&mut Matrix],
+    ) -> Result<(), BackendFault> {
+        self.counted(true, |be| be.wrap(fac, hs, l, spin, gs, outs))
+    }
+    fn cluster(
+        &mut self,
+        fac: &BMatrixFactory,
+        hs: &[&HsField],
+        lo: usize,
+        hi: usize,
+        spin: Spin,
+    ) -> Result<Vec<Matrix>, BackendFault> {
+        self.counted(false, |be| be.cluster(fac, hs, lo, hi, spin))
+    }
+    fn notify_fault(&mut self) {
+        self.inner.notify_fault()
+    }
+    fn device_seconds(&self) -> f64 {
+        self.inner.device_seconds()
+    }
+}
+
+/// 2×2, L = 8, k = 4, 14 sweeps: chain `c` of the gpusim crowd tests.
+fn run_params(c: u64, recycle: bool) -> SimParams {
+    let model = ModelParams::new(Lattice::square(2, 2, 1.0), 4.0, 0.0, 0.125, 8);
+    SimParams::new(model)
+        .with_sweeps(4, 10)
+        .with_seed(chain_seed(50, 0, c))
+        .with_cluster_size(4)
+        .with_bin_size(2)
+        .with_recycle(recycle)
+}
+
+fn obs_bytes(w: &dqmc::Walker) -> Vec<u8> {
+    let mut bytes = util::ByteWriter::new();
+    w.observables().encode(&mut bytes);
+    bytes.into_bytes()
+}
+
+/// Runs `b` walkers through a probed device backend; returns the crowd
+/// and its (wrap, cluster) launch counts.
+fn probed_run(b: u64, bitexact: bool, recycle: bool) -> (Crowd, u64, u64) {
+    let (wrap_launches, cluster_launches) =
+        (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let probe = Probe {
+        inner: DeviceBackend::with_spec(DeviceSpec::tesla_c2050()).with_bitexact_wrap(bitexact),
+        wrap_launches: wrap_launches.clone(),
+        cluster_launches: cluster_launches.clone(),
+    };
+    let params = (0..b).map(|c| run_params(c, recycle)).collect();
+    let mut crowd = Crowd::new(params).with_backend(Box::new(probe));
+    crowd.run();
+    let counts = (
+        wrap_launches.load(Ordering::Relaxed),
+        cluster_launches.load(Ordering::Relaxed),
+    );
+    (crowd, counts.0, counts.1)
+}
+
+#[test]
+fn a_batch_of_one_charges_what_the_per_walker_kernels_charged() {
+    // Recorded from the last commit that had separate one-walker device
+    // kernels (`DeviceBackend` driving `try_cluster_custom_kernel` and the
+    // one-walker bit-exact wrap), same parameters: (bit-exact, recycle,
+    // wrap launches, cluster launches, device-seconds bits). The batched
+    // kernels at B = 1 must not move the model clock or a fault ordinal.
+    let recorded = [
+        (true, true, 896, 448, 0x3f95be43dc6aca1b_u64),
+        (true, false, 896, 896, 0x3f9bd4dafce62b7c),
+        (false, true, 672, 448, 0x3f91d752a2e17951),
+        (false, false, 672, 896, 0x3f97ede9c35cda9f),
+    ];
+    for (bitexact, recycle, wraps, clusters, seconds) in recorded {
+        let (crowd, wrap_launches, cluster_launches) = probed_run(1, bitexact, recycle);
+        let what = format!("bitexact {bitexact}, recycle {recycle}");
+        assert_eq!(wrap_launches, wraps, "{what}");
+        assert_eq!(cluster_launches, clusters, "{what}");
+        assert_eq!(crowd.device_seconds().to_bits(), seconds, "{what}");
+    }
+}
+
+#[test]
+fn recycling_off_sends_every_cluster_product_through_the_device() {
+    // 14 sweeps × 2 boundaries × 2 spins × 2 clusters: with recycling
+    // off every one of those products is a device call, whatever B is,
+    // and the physics stays the host's.
+    for b in [1, 4] {
+        let (crowd, wrap_launches, cluster_launches) = probed_run(b, true, false);
+        assert_eq!(wrap_launches, 14 * 8 * 2 * 4, "four launches a wrap call");
+        // One seeding dcopy per walker, then 1 + 2·(k − 1) batched
+        // launches per call.
+        assert_eq!(cluster_launches, 14 * 2 * 2 * 2 * (b + 7), "B = {b}");
+        let (_, _, recycled) = probed_run(b, true, true);
+        assert!(
+            recycled < cluster_launches,
+            "recycling skips clean clusters"
+        );
+        for (c, w) in crowd.walkers().iter().enumerate() {
+            assert_eq!(w.cache_stats().1, 0, "nothing is recycled");
+            let mut host = Simulation::new(run_params(c as u64, false));
+            host.run();
+            assert_eq!(host.greens(Spin::Up), w.greens(Spin::Up), "walker {c}");
+            assert_eq!(obs_bytes(&host), obs_bytes(w), "walker {c}");
+        }
+    }
 }
