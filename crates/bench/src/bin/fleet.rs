@@ -3,11 +3,12 @@
 //! Runs the same campaign once in-process (`sched::run_sweep`, the
 //! reference) and then through `fleet::run_fleet` with 1, 2 and 4 child
 //! processes (8 under `--full`). Each row records wall time, speedup over
-//! the single-process fleet, respawn/kill counts (always 0 here — the
-//! fault hooks are a test feature) and the host core count. The
-//! observables bytes are asserted identical across every row and against
-//! the in-process reference: a sharding harness that moved a byte would
-//! be benchmarking the wrong physics.
+//! the single-process fleet (none on a row with more processes than host
+//! cores), respawn/kill counts (always 0 here — the fault hooks are a test
+//! feature) and the host core count. The observables bytes are asserted
+//! identical across every row and against the in-process reference: a
+//! sharding harness that moved a byte would be benchmarking the wrong
+//! physics.
 //!
 //! `BENCH_fleet.json` is the checked-in artifact; regenerate with
 //! `cargo run --release -p bench --bin fleet`. `--lx <n>` and
@@ -27,10 +28,17 @@ struct Row {
     procs: usize,
     host_cores: usize,
     wall_s: f64,
-    speedup: f64,
+    /// `None` when `procs > host_cores`: such a row measures
+    /// oversubscription, not the fleet, and prints no ratio.
+    speedup: Option<f64>,
     shards: usize,
     respawns: u32,
     kills: u32,
+}
+
+/// A ratio to `prec` places, or `absent` where the row may not claim one.
+fn show(ratio: Option<f64>, prec: usize, absent: &str) -> String {
+    ratio.map_or_else(|| absent.to_owned(), |v| format!("{v:.prec$}"))
 }
 
 fn grid_text(opts: &BenchOpts) -> String {
@@ -115,13 +123,16 @@ fn main() {
             out.observables, reference,
             "fleet with {procs} procs changed the physics"
         );
-        let speedup = match rows.first() {
-            Some(base) => base.wall_s / out.wall_seconds,
-            None => 1.0,
-        };
+        let base_wall = rows.first().map_or(out.wall_seconds, |base| base.wall_s);
+        let speedup = (procs <= host_cores).then_some(base_wall / out.wall_seconds);
         println!(
-            "{:>6} {:>8} {:>10.3} {:>8.2} {:>8} {:>8}",
-            procs, out.shards, out.wall_seconds, speedup, out.respawns, out.kills
+            "{:>6} {:>8} {:>10.3} {:>8} {:>8} {:>8}",
+            procs,
+            out.shards,
+            out.wall_seconds,
+            show(speedup, 2, "-"),
+            out.respawns,
+            out.kills
         );
         rows.push(Row {
             procs,
@@ -165,12 +176,12 @@ fn render_json(spec: &GridSpec, njobs: usize, ref_wall: f64, rows: &[Row]) -> St
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"procs\": {}, \"shards\": {}, \"host_cores\": {}, \"wall_s\": {:.3}, \
-             \"speedup\": {:.3}, \"respawns\": {}, \"kills\": {}}}{}\n",
+             \"speedup\": {}, \"respawns\": {}, \"kills\": {}}}{}\n",
             r.procs,
             r.shards,
             r.host_cores,
             r.wall_s,
-            r.speedup,
+            show(r.speedup, 3, "null"),
             r.respawns,
             r.kills,
             if i + 1 == rows.len() { "" } else { "," }

@@ -2,8 +2,9 @@
 //!
 //! Runs the same small campaign through `sched::run_sweep` with 1, 2, 4
 //! and 8 workers and reports wall time, job throughput and scaling
-//! efficiency. The device pool scales with the worker count by default so
-//! the rows measure scheduler overhead rather than device starvation; pin
+//! efficiency (none on a row with more workers than host cores). The
+//! device pool scales with the worker count by default so the rows
+//! measure scheduler overhead rather than device starvation; pin
 //! it with `--pool-size <n>` to measure contention (e.g. `--pool-size 2`
 //! reproduces the old fixed-pool shape, where the 4-worker row lost half
 //! its leases to misses). Because each job is an independent
@@ -25,16 +26,22 @@ use sched::{EventLog, GridSpec, SchedConfig};
 struct Row {
     workers: usize,
     pool: usize,
-    /// Physical parallelism actually available to this run. Recorded per
-    /// row so an efficiency of 0.145 at 8 workers on a 1-core CI host
-    /// reads as oversubscription, not a scheduler regression.
+    /// Physical parallelism actually available to this run, recorded per
+    /// row so the wall times read correctly across machines.
     host_cores: usize,
     wall_s: f64,
     jobs_per_s: f64,
-    efficiency: f64,
+    /// `None` when `workers > host_cores`: such a row measures
+    /// oversubscription, not the scheduler, and prints no ratio.
+    efficiency: Option<f64>,
     preemptions: u64,
     leases: u64,
     lease_misses: u64,
+}
+
+/// A ratio to `prec` places, or `absent` where the row may not claim one.
+fn show(ratio: Option<f64>, prec: usize, absent: &str) -> String {
+    ratio.map_or_else(|| absent.to_owned(), |v| format!("{v:.prec$}"))
 }
 
 fn grid(opts: &BenchOpts) -> GridSpec {
@@ -115,17 +122,15 @@ fn main() {
         }
         let wall = report.wall_seconds;
         let jobs_per_s = njobs as f64 / wall;
-        let efficiency = match rows.first() {
-            Some(base) => (base.wall_s / wall) / workers as f64,
-            None => 1.0,
-        };
+        let base_wall = rows.first().map_or(wall, |base| base.wall_s);
+        let efficiency = (workers <= host_cores).then_some(base_wall / wall / workers as f64);
         println!(
-            "{:>8} {:>6} {:>10.3} {:>10.2} {:>10.2} {:>12} {:>8} {:>8}",
+            "{:>8} {:>6} {:>10.3} {:>10.2} {:>10} {:>12} {:>8} {:>8}",
             workers,
             pool,
             wall,
             jobs_per_s,
-            efficiency,
+            show(efficiency, 2, "-"),
             report.preemptions,
             report.leases_granted,
             report.lease_misses
@@ -174,14 +179,14 @@ fn render_json(spec: &GridSpec, njobs: usize, rows: &[Row]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workers\": {}, \"pool\": {}, \"host_cores\": {}, \"wall_s\": {:.3}, \
-             \"jobs_per_s\": {:.3}, \"efficiency\": {:.3}, \"preemptions\": {}, \"leases\": {}, \
+             \"jobs_per_s\": {:.3}, \"efficiency\": {}, \"preemptions\": {}, \"leases\": {}, \
              \"lease_misses\": {}}}{}\n",
             r.workers,
             r.pool,
             r.host_cores,
             r.wall_s,
             r.jobs_per_s,
-            r.efficiency,
+            show(r.efficiency, 3, "null"),
             r.preemptions,
             r.leases,
             r.lease_misses,
@@ -190,9 +195,10 @@ fn render_json(spec: &GridSpec, njobs: usize, rows: &[Row]) -> String {
     }
     out.push_str("  ],\n");
     let best = rows.last().expect("at least one row");
+    let speedup = best.efficiency.map(|e| e * best.workers as f64);
     out.push_str(&format!(
-        "  \"speedup_at_max_workers\": {:.3}\n}}\n",
-        rows[0].wall_s / best.wall_s
+        "  \"speedup_at_max_workers\": {}\n}}\n",
+        show(speedup, 3, "null")
     ));
     out
 }

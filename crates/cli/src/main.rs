@@ -112,12 +112,10 @@ fn run_sweep_cmd(args: &[String]) -> ! {
     }
 
     if let Some(path) = out {
-        util::vfs::write_atomic(Path::new(path), report.to_json().as_bytes()).unwrap_or_else(
-            |e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            },
-        );
+        util::vfs::write_atomic(Path::new(path), report.to_json().as_bytes()).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(2);
+        });
         println!("# report written to {path}");
     }
     if let Some(path) = obs_out {
@@ -326,12 +324,10 @@ fn run_merge_cmd(args: &[String]) -> ! {
     );
     match out {
         Some(path) => {
-            util::vfs::write_atomic(Path::new(path), observables.as_bytes()).unwrap_or_else(
-                |e| {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(2);
-                },
-            );
+            util::vfs::write_atomic(Path::new(path), observables.as_bytes()).unwrap_or_else(|e| {
+                eprintln!("cannot write {path}: {e}");
+                std::process::exit(2);
+            });
             eprintln!("# observables written to {path}");
         }
         None => println!("{observables}"),

@@ -109,7 +109,7 @@ impl BMatrixFactory {
         b
     }
 
-    /// `M ← B_{l,σ} · M = e^{−ΔτK}(V·M)` without materialising B: a parallel
+    /// `M ← B_{l,σ} · M = e^{−ΔτK}(V·M)` without materialising B: a
     /// row scaling (the paper's §IV-B kernel) followed by a GEMM.
     pub fn b_mul_left(&self, h: &HsField, l: usize, spin: Spin, m: &Matrix) -> Matrix {
         let mut out = workspace::take_matrix(self.n, m.ncols());

@@ -1,19 +1,19 @@
-//! Ensemble parallelism: independent Markov chains in parallel.
+//! Ensembles: independent Markov chains with pooled measurements.
 //!
 //! The paper parallelises *inside* the linear algebra because a single
 //! Markov chain is inherently sequential. The complementary axis — running
 //! several independent chains with different seeds and pooling their
-//! measurements — costs no communication at all and multiplies statistics
-//! linearly in core count. This module provides that: each chain is a full
-//! walker with its own warmup (so chains are independently thermalised),
-//! grouped into [`Crowd`]s run on the Rayon pool, with the accumulated
-//! observables merged bin-wise at the end.
+//! measurements — costs no communication at all. This module provides the
+//! pooling: each chain is a full walker with its own warmup (so chains are
+//! independently thermalised), grouped into [`Crowd`]s that run one after
+//! another on the calling thread, with the accumulated observables merged
+//! bin-wise in chain order. Chains run in parallel when the `sched` crate
+//! drives them — one job per worker thread, same seeds, same bytes.
 
 use crate::crowd::Crowd;
 use crate::hubbard::SimParams;
 use crate::measure::Observables;
 use crate::recovery::RecoveryLog;
-use rayon::prelude::*;
 
 /// Result of an ensemble run.
 #[derive(Debug)]
@@ -55,7 +55,7 @@ pub fn chain_seed(base: u64, point: u64, chain: u64) -> u64 {
 /// [`run_ensemble_crowd`] with crowds of one.
 ///
 /// Panics if `chains == 0`. Deterministic: the result is a pure function of
-/// `(params, chains)` regardless of scheduling.
+/// `(params, chains)`.
 pub fn run_ensemble(params: &SimParams, chains: usize) -> EnsembleResult {
     run_ensemble_crowd(params, chains, 1)
 }
@@ -68,24 +68,20 @@ pub fn run_ensemble(params: &SimParams, chains: usize) -> EnsembleResult {
 /// grouping and every backend kernel is bit-identical per walker, so the
 /// result is byte-for-byte the same for **any** `crowd_size` — crowds change
 /// only the batching economics (one launch per crowd instead of per walker
-/// on a batched backend), never the statistics. Merge order is chain order,
-/// independent of crowd grouping.
+/// on a batched backend), never the statistics. The crowds run sequentially
+/// and merge in chain order; for chains on several threads submit the same
+/// point to `sched`, which derives the same seeds.
 ///
 /// Panics if `chains == 0` or `crowd_size == 0`.
 pub fn run_ensemble_crowd(params: &SimParams, chains: usize, crowd_size: usize) -> EnsembleResult {
     assert!(chains >= 1, "need at least one chain");
     assert!(crowd_size >= 1, "need a positive crowd size");
-    let ncrowds = chains.div_ceil(crowd_size);
-    // Crowds are the coarse grain of the hierarchy: each crowd task pins the
-    // linalg kernels it drives to their serial branch so the tasks never
-    // stack kernel fan-out on the one global rayon pool (lint rule R9).
-    // Bit-identical either way: par and serial kernel branches agree, and
-    // chain seeds are scheduling-independent.
-    let run_crowd = |k: usize| {
-        let _serial_kernels = linalg::enter_worker_scope();
-        let c0 = k * crowd_size;
-        let width = crowd_size.min(chains - c0);
-        let ps: Vec<SimParams> = (c0..c0 + width)
+    let mut acceptance_rates = Vec::with_capacity(chains);
+    let mut recovery_logs = Vec::with_capacity(chains);
+    let mut max_wrap_error = 0.0f64;
+    let mut observables: Option<Observables> = None;
+    for c0 in (0..chains).step_by(crowd_size) {
+        let ps: Vec<SimParams> = (c0..chains.min(c0 + crowd_size))
             .map(|c| {
                 params
                     .clone()
@@ -94,19 +90,6 @@ pub fn run_ensemble_crowd(params: &SimParams, chains: usize, crowd_size: usize) 
             .collect();
         let mut crowd = Crowd::new(ps);
         crowd.run();
-        crowd
-    };
-    let crowds: Vec<Crowd> = if linalg::par_enabled(true) {
-        (0..ncrowds).into_par_iter().map(run_crowd).collect()
-    } else {
-        (0..ncrowds).map(run_crowd).collect()
-    };
-
-    let mut acceptance_rates = Vec::with_capacity(chains);
-    let mut recovery_logs = Vec::with_capacity(chains);
-    let mut max_wrap_error = 0.0f64;
-    let mut observables: Option<Observables> = None;
-    for crowd in &crowds {
         for sim in crowd.walkers() {
             match observables.as_mut() {
                 None => observables = Some(sim.observables().clone()),

@@ -19,8 +19,7 @@
 //! exact similarity transform.
 
 use crate::geometry::Lattice;
-use linalg::{par_enabled, Matrix};
-use rayon::prelude::*;
+use linalg::Matrix;
 
 /// One hopping bond: `(site_i, site_j, amplitude)` with `amplitude` the
 /// positive hopping strength `t·multiplicity`.
@@ -100,19 +99,16 @@ impl Checkerboard {
     /// obtained by calling with `−s` and `reverse = true`.
     pub fn apply_left(&self, s: f64, reverse: bool, m: &mut Matrix) {
         assert_eq!(m.nrows(), self.n, "checkerboard: row mismatch");
-        let nrows = self.n;
         let order: Vec<usize> = if reverse {
             (0..self.colors.len()).rev().collect()
         } else {
             (0..self.colors.len()).collect()
         };
-        // Parallel over columns; bonds within a color are disjoint rows.
-        // Serial inside a scheduler worker (the worker is the coarse
-        // grain); both branches are bit-identical per column.
-        let colors = &self.colors;
-        let work = |col: &mut [f64]| {
+        // Column by column; bonds within a color are disjoint rows.
+        for jcol in 0..m.ncols() {
+            let col = m.col_mut(jcol);
             for &c in &order {
-                for &(i, j, t) in &colors[c] {
+                for &(i, j, t) in &self.colors[c] {
                     // K_hop[i][j] = −t ⇒ e^{sK} bond block =
                     // [[cosh(st·(−1))…]]: e^{s·(−t)σx} = cosh(st)·I − sinh(st)·σx.
                     let (ch, sh) = ((s * t).cosh(), -(s * t).sinh());
@@ -121,11 +117,6 @@ impl Checkerboard {
                     col[j] = sh * a + ch * b;
                 }
             }
-        };
-        if par_enabled(true) {
-            m.as_mut_slice().par_chunks_mut(nrows).for_each(work);
-        } else {
-            m.as_mut_slice().chunks_mut(nrows).for_each(work);
         }
     }
 

@@ -23,13 +23,11 @@
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
-use crate::blas3::{self, Op, SendPtr, KC, MC, MR, NC, SMALL_FLOPS};
+use crate::blas3::{self, Op, KC, MR, SMALL_FLOPS};
 use crate::matrix::{Matrix, View};
-use crate::parallelism::par_enabled;
 use crate::qrp::{self, QrpFactors};
 use crate::simd::{self, KernelPath};
 use crate::workspace;
-use rayon::prelude::*;
 
 /// One side of a batched GEMM: either a single operand shared by every
 /// entry of the batch, or one operand per entry.
@@ -119,9 +117,8 @@ pub fn dgemm_strided_batched(
     }
 
     if m * n * k <= SMALL_FLOPS {
-        // Below the blocked threshold the solo path is serial and unpacked;
-        // batching has nothing to amortise, so run the identical small path
-        // per entry.
+        // Below the blocked threshold the solo path is unpacked; batching
+        // has nothing to amortise, so run the identical small path per entry.
         for (e, c) in cs.iter_mut().enumerate() {
             blas3::gemm_small(alpha, a.entry(e), opa, b.entry(e), opb, &mut c.view_mut());
         }
@@ -164,7 +161,6 @@ fn blocked_batched<const NR: usize>(
     n: usize,
     k: usize,
 ) {
-    let ncb = NC / NR * NR;
     let mut packed_a = workspace::take(blas3::padded(m, MR) * KC.min(k));
     let mut packed_b = workspace::take(KC.min(k) * blas3::padded(n, NR));
 
@@ -185,31 +181,7 @@ fn blocked_batched<const NR: usize>(
                 blas3::pack_b_full::<NR>(bms[e].view(), opb, pc, kc, n, &mut packed_b);
             }
 
-            // Macro-tile grid over C_e — byte-for-byte the solo tile loop.
-            let mblocks = m.div_ceil(MC);
-            let nblocks = n.div_ceil(ncb);
-            let cdata = SendPtr(c.as_mut_slice().as_mut_ptr());
-            let ldc = m;
-            let pa = &packed_a;
-            let pb = &packed_b;
-            let tile = |t: usize| {
-                let bi = t % mblocks;
-                let bj = t / mblocks;
-                let ic = bi * MC;
-                let jc = bj * ncb;
-                let mc = MC.min(m - ic);
-                let nc = ncb.min(n - jc);
-                // SAFETY: tasks write disjoint (ic..ic+mc) x (jc..jc+nc)
-                // tiles of C_e; entries are processed sequentially so no two
-                // entries' writes coexist.
-                let cptr = cdata;
-                blas3::macro_kernel::<NR>(use_fma, alpha, pa, pb, kc, ic, jc, mc, nc, cptr.0, ldc);
-            };
-            if par_enabled(true) {
-                (0..mblocks * nblocks).into_par_iter().for_each(tile);
-            } else {
-                (0..mblocks * nblocks).for_each(tile);
-            }
+            blas3::macro_tiles::<NR>(use_fma, alpha, &packed_a, &packed_b, kc, &mut c.view_mut());
         }
         pc += kc;
     }
@@ -221,24 +193,11 @@ fn blocked_batched<const NR: usize>(
 /// Batched pivoted QR over a stack of B factor-chain matrices.
 ///
 /// Entry `e` of the result is bit-identical to `qrp_in_place(ms[e])`: the
-/// factorizations are independent, so the batch fans the entries out over
-/// the Rayon pool (each entry pinning its own inner kernels to their serial
-/// branch — lint rule R9's worker-scope discipline) when crowd-level
-/// parallelism is available, and runs them serially inside a worker scope.
-/// Either schedule produces the same bytes.
+/// factorizations are independent and run one after another.
 // dqmc-lint: allow(hot_alloc) — the output Vec is the API (one factor set
 // per batch entry); QRP runs at cluster boundaries, not per slice.
 pub fn qrp_batched(ms: Vec<Matrix>) -> Vec<QrpFactors> {
-    if par_enabled(ms.len() > 1) {
-        ms.into_par_iter()
-            .map(|m| {
-                let _serial_kernels = crate::parallelism::enter_worker_scope();
-                qrp::qrp_in_place(m)
-            })
-            .collect()
-    } else {
-        ms.into_iter().map(qrp::qrp_in_place).collect()
-    }
+    ms.into_iter().map(qrp::qrp_in_place).collect()
 }
 
 #[cfg(test)]
@@ -415,19 +374,6 @@ mod tests {
             for (x, y) in b.tau.iter().zip(&s.tau) {
                 assert_eq!(x.to_bits(), y.to_bits(), "qrp entry {e} tau");
             }
-        }
-    }
-
-    #[test]
-    fn qrp_batched_serial_in_worker_scope_matches() {
-        let ms: Vec<Matrix> = (0..3).map(|e| random(24, 24, 90 + e as u64)).collect();
-        let outside = qrp_batched(ms.clone());
-        let inside = {
-            let _scope = crate::parallelism::enter_worker_scope();
-            qrp_batched(ms)
-        };
-        for (e, (a, b)) in outside.iter().zip(&inside).enumerate() {
-            assert_bits_eq(&a.a, &b.a, &format!("scope entry {e}"));
         }
     }
 

@@ -6,7 +6,8 @@
 //! - within a slab, A is packed into `MR`-row micro-panels and B into
 //!   `NR`-column micro-panels,
 //! - an `MR × NR` register-tile micro-kernel runs over the packed panels,
-//! - macro-tiles (`MC × NC`) are distributed over the Rayon pool.
+//! - macro-tiles (`MC × NC`) are visited in column-major order on the
+//!   calling thread.
 //!
 //! The micro-kernel is selected at runtime through [`crate::simd`]: an
 //! AVX2+FMA 8×6 tile on capable `x86_64` hosts, the portable scalar 8×4
@@ -26,10 +27,8 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 use crate::matrix::{Matrix, View, ViewMut};
-use crate::parallelism::par_enabled;
 use crate::simd::{self, KernelPath};
 use crate::workspace;
-use rayon::prelude::*;
 
 /// Transpose flag for a GEMM operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,11 +60,11 @@ impl Op {
 pub(crate) const MR: usize = 8;
 /// Cache block for the k dimension.
 pub(crate) const KC: usize = 256;
-/// Cache block for the m dimension (per parallel task).
+/// Cache block for the m dimension (per macro-tile).
 pub(crate) const MC: usize = 128;
-/// Cache block for the n dimension (per parallel task).
+/// Cache block for the n dimension (per macro-tile).
 pub(crate) const NC: usize = 512;
-/// Below this flop count the blocked/parallel machinery is pure overhead.
+/// Below this flop count the packing/blocking machinery is pure overhead.
 pub(crate) const SMALL_FLOPS: usize = 48 * 48 * 48;
 
 /// General matrix multiply: `C = alpha * op(A) * op(B) + beta * C`.
@@ -201,9 +200,6 @@ fn gemm_blocked<const NR: usize>(
     n: usize,
     k: usize,
 ) {
-    // The n cache block must stay a multiple of the micro-tile width so the
-    // packed-panel index arithmetic holds (512 for NR=4, 510 for NR=6).
-    let ncb = NC / NR * NR;
     let mut packed_a = workspace::take(padded(m, MR) * KC.min(k));
     let mut packed_b = workspace::take(KC.min(k) * padded(n, NR));
 
@@ -213,47 +209,13 @@ fn gemm_blocked<const NR: usize>(
         pack_a_full(a, opa, pc, kc, m, &mut packed_a);
         pack_b_full::<NR>(b, opb, pc, kc, n, &mut packed_b);
 
-        // Macro-tile grid over C.
-        let mblocks = m.div_ceil(MC);
-        let nblocks = n.div_ceil(ncb);
-        let cdata = SendPtr(c.as_mut_ptr());
-        let ldc = c.ld();
-        let pa = &packed_a;
-        let pb = &packed_b;
-
-        let tile = |t: usize| {
-            let bi = t % mblocks;
-            let bj = t / mblocks;
-            let ic = bi * MC;
-            let jc = bj * ncb;
-            let mc = MC.min(m - ic);
-            let nc = ncb.min(n - jc);
-            // SAFETY: tasks write disjoint (ic..ic+mc) x (jc..jc+nc) tiles of C.
-            let cptr = cdata;
-            macro_kernel::<NR>(use_fma, alpha, pa, pb, kc, ic, jc, mc, nc, cptr.0, ldc);
-        };
-        if par_enabled(true) {
-            (0..mblocks * nblocks).into_par_iter().for_each(tile);
-        } else {
-            (0..mblocks * nblocks).for_each(tile);
-        }
+        macro_tiles::<NR>(use_fma, alpha, &packed_a, &packed_b, kc, &mut c);
         pc += kc;
     }
 
     workspace::put(packed_a);
     workspace::put(packed_b);
 }
-
-/// Raw pointer wrapper so disjoint C tiles can be written from Rayon tasks.
-#[derive(Clone, Copy)]
-pub(crate) struct SendPtr(pub(crate) *mut f64);
-// SAFETY: SendPtr is only created in `gemm_blocked` and only dereferenced
-// inside `macro_kernel`, where each Rayon task writes a tile of C disjoint
-// from every other task's tile; no aliasing writes can occur.
-unsafe impl Send for SendPtr {}
-// SAFETY: shared references to SendPtr only copy the pointer value; all
-// dereferences go through the disjoint-tile discipline above.
-unsafe impl Sync for SendPtr {}
 
 pub(crate) fn padded(x: usize, r: usize) -> usize {
     x.div_ceil(r) * r
@@ -278,7 +240,8 @@ fn read_op(a: View<'_>, op: Op, i: usize, p: usize) -> f64 {
 /// are zero-padded.
 pub(crate) fn pack_a_full(a: View<'_>, opa: Op, pc: usize, kc: usize, m: usize, buf: &mut [f64]) {
     let panels = m.div_ceil(MR);
-    let pack_panel = |(pi, panel): (usize, &mut [f64])| {
+    let buf = &mut buf[..panels * kc * MR];
+    for (pi, panel) in buf.chunks_mut(kc * MR).enumerate() {
         let r0 = pi * MR;
         let rows = MR.min(m - r0);
         for p in 0..kc {
@@ -290,12 +253,6 @@ pub(crate) fn pack_a_full(a: View<'_>, opa: Op, pc: usize, kc: usize, m: usize, 
                 *d = 0.0;
             }
         }
-    };
-    let buf = &mut buf[..panels * kc * MR];
-    if par_enabled(true) {
-        buf.par_chunks_mut(kc * MR).enumerate().for_each(pack_panel);
-    } else {
-        buf.chunks_mut(kc * MR).enumerate().for_each(pack_panel);
     }
 }
 
@@ -312,7 +269,8 @@ pub(crate) fn pack_b_full<const NR: usize>(
     buf: &mut [f64],
 ) {
     let panels = n.div_ceil(NR);
-    let pack_panel = |(pi, panel): (usize, &mut [f64])| {
+    let buf = &mut buf[..panels * kc * NR];
+    for (pi, panel) in buf.chunks_mut(kc * NR).enumerate() {
         let c0 = pi * NR;
         let cols = NR.min(n - c0);
         for p in 0..kc {
@@ -324,18 +282,39 @@ pub(crate) fn pack_b_full<const NR: usize>(
                 *d = 0.0;
             }
         }
-    };
-    let buf = &mut buf[..panels * kc * NR];
-    if par_enabled(true) {
-        buf.par_chunks_mut(kc * NR).enumerate().for_each(pack_panel);
-    } else {
-        buf.chunks_mut(kc * NR).enumerate().for_each(pack_panel);
+    }
+}
+
+/// Adds one `kc` slab's product to C: the macro-kernel over every `MC × NC`
+/// tile, in column-major tile order.
+pub(crate) fn macro_tiles<const NR: usize>(
+    use_fma: bool,
+    alpha: f64,
+    packed_a: &[f64],
+    packed_b: &[f64],
+    kc: usize,
+    c: &mut ViewMut<'_>,
+) {
+    let (m, n) = (c.nrows(), c.ncols());
+    // The n cache block must stay a multiple of the micro-tile width so the
+    // packed-panel index arithmetic holds (512 for NR=4, 510 for NR=6).
+    let ncb = NC / NR * NR;
+    let mblocks = m.div_ceil(MC);
+    let (cptr, ldc) = (c.as_mut_ptr(), c.ld());
+    for t in 0..mblocks * n.div_ceil(ncb) {
+        let ic = t % mblocks * MC;
+        let jc = t / mblocks * ncb;
+        let mc = MC.min(m - ic);
+        let nc = ncb.min(n - jc);
+        macro_kernel::<NR>(
+            use_fma, alpha, packed_a, packed_b, kc, ic, jc, mc, nc, cptr, ldc,
+        );
     }
 }
 
 /// Computes one MC×NC macro-tile of C from packed panels.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn macro_kernel<const NR: usize>(
+fn macro_kernel<const NR: usize>(
     use_fma: bool,
     alpha: f64,
     packed_a: &[f64],
@@ -365,8 +344,7 @@ pub(crate) fn macro_kernel<const NR: usize>(
                 let cj = jc + jr + j;
                 for (i, &v) in accj.iter().enumerate().take(mr) {
                     let ci = ic + ir + i;
-                    // SAFETY: ci < m, cj < n by construction; tiles disjoint
-                    // across tasks.
+                    // SAFETY: ci < m, cj < n by construction.
                     unsafe {
                         *cptr.add(cj * ldc + ci) += alpha * v;
                     }

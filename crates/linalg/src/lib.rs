@@ -2,7 +2,7 @@
 //!
 //! The paper's computations run on MKL's DGEMM / DGEQRF / DGEQP3 / LU. This
 //! crate is a from-scratch Rust stand-in implementing the same *algorithmic
-//! structure* — blocked level-3 kernels parallelised with Rayon, a blocked
+//! structure* — blocked level-3 kernels, a blocked
 //! Householder QR, a Quintana-Ortí–Sun–Bischof style QR with column pivoting
 //! whose pivot-norm updates are inherently level-2 (the very property the
 //! paper's pre-pivoting contribution works around), and partial-pivoting LU.
@@ -44,7 +44,6 @@ pub mod eig;
 pub mod expm;
 pub mod lu;
 pub mod matrix;
-pub mod parallelism;
 pub mod perm;
 pub mod qr;
 pub mod qrp;
@@ -52,7 +51,6 @@ pub mod scale;
 pub mod simd;
 pub mod svd;
 pub mod tri;
-pub mod tsqr;
 pub mod workspace;
 
 pub use batch::{dgemm_strided_batched, qrp_batched, GemmOperand};
@@ -61,13 +59,11 @@ pub use eig::SymEig;
 pub use expm::sym_expm;
 pub use lu::LuFactors;
 pub use matrix::Matrix;
-pub use parallelism::{enter_worker_scope, in_worker_scope, par_enabled, WorkerScope};
 pub use perm::Permutation;
 pub use qr::QrFactors;
 pub use qrp::QrpFactors;
 pub use simd::{kernel_path, KernelPath};
 pub use svd::{condition_number, svd, Svd};
-pub use tsqr::{tsqr, Tsqr};
 
 /// Errors from numerically rank-revealing operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

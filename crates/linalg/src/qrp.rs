@@ -14,26 +14,16 @@
 //! [`crate::workspace`] arena, the trailing update runs in place and the
 //! per-column scratch is stack-allocated, so a steady-state factorization
 //! performs no heap allocation; the `deny_hot_alloc` tag below makes
-//! `cargo xtask lint` enforce that. The column-norm downdate sweep (the
-//! paper's §IV-B fine-grain loop) runs on the Rayon pool above
-//! [`PAR_DOWNDATE_CUTOFF`] columns.
+//! `cargo xtask lint` enforce that.
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
 use crate::blas1;
 use crate::blas3::{gemm_view, Op};
 use crate::matrix::Matrix;
-use crate::parallelism::par_enabled;
 use crate::perm::Permutation;
 use crate::qr::{self, house, NB};
 use crate::workspace;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Trailing-column count above which the norm-downdate sweep is parallel.
-/// Below it the per-element work (a handful of flops) cannot amortise task
-/// dispatch.
-pub const PAR_DOWNDATE_CUTOFF: usize = 256;
 
 /// Compact pivoted QR factorization: `A P = Q R`.
 #[derive(Clone, Debug)]
@@ -154,27 +144,20 @@ fn factor_panel(
         //    columns lag behind by the panel reflectors, so correct with
         //    F(:,j) -= tau_j F(:,0:j) (Vᵀ v_j).
         if tj != 0.0 {
-            // Raw products against stored columns (parallel level-2 sweep —
-            // this is the unavoidable DGEQP3 bottleneck). F's column j is
-            // contiguous, so the parallel sweep writes it directly.
+            // Raw products against stored columns (level-2 sweep — this is
+            // the unavoidable DGEQP3 bottleneck).
             {
-                let a_ro: &Matrix = a;
-                let vj_col = a_ro.col(jj);
+                let vj_col = a.col(jj);
                 let fcol = f.col_mut(j);
                 fcol[..=j].fill(0.0);
-                let dot_one = |(off, out): (usize, &mut f64)| {
-                    let c = a_ro.col(j0 + j + 1 + off);
+                for (off, out) in fcol[j + 1..].iter_mut().enumerate() {
+                    let c = a.col(j0 + j + 1 + off);
                     // v_j has implicit 1 at row jj.
                     let mut s = c[jj];
                     for r in (jj + 1)..m {
                         s += vj_col[r] * c[r];
                     }
                     *out = tj * s;
-                };
-                if par_enabled(true) {
-                    fcol[j + 1..].par_iter_mut().enumerate().for_each(dot_one);
-                } else {
-                    fcol[j + 1..].iter_mut().enumerate().for_each(dot_one);
                 }
             }
             // w_l = v_lᵀ v_j over rows jj..m (v_j vanishes above jj).
@@ -220,34 +203,12 @@ fn factor_panel(
             }
         }
 
-        // 6. Downdate partial norms (dlaqps formula with recompute guard).
-        // Above the cutoff the sweep runs on the Rayon pool — this is the
-        // paper's §IV-B fine-grain parallel loop. The stop flag is an atomic
-        // so the decision stays exact under a real threaded pool; the
-        // recompute *counter* is taken later from the flag buffer, serially,
-        // so it is exact regardless of scheduling.
-        let base = jj + 1;
-        let must_stop = if par_enabled(n - base >= PAR_DOWNDATE_CUTOFF) {
-            let stop = AtomicBool::new(false);
-            let a_ro: &Matrix = a;
-            vn1[base..n]
-                .par_iter_mut()
-                .zip(flagged[base..n].par_iter_mut())
-                .enumerate()
-                .for_each(|(off, (v1, fl))| {
-                    let c = base + off;
-                    if downdate_one(a_ro[(jj, c)], v1, vn2[c], fl, tol3z) {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                });
-            stop.load(Ordering::Relaxed)
-        } else {
-            let mut stop = false;
-            for c in base..n {
-                stop |= downdate_one(a[(jj, c)], &mut vn1[c], vn2[c], &mut flagged[c], tol3z);
-            }
-            stop
-        };
+        // 6. Downdate partial norms (dlaqps formula with recompute guard) —
+        // the paper's §IV-B fine-grain loop.
+        let mut must_stop = false;
+        for c in (jj + 1)..n {
+            must_stop |= downdate_one(a[(jj, c)], &mut vn1[c], vn2[c], &mut flagged[c], tol3z);
+        }
         if must_stop {
             nf = j + 1;
             break;

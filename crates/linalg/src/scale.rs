@@ -1,64 +1,43 @@
 //! Diagonal scalings and column norms — the paper's hand-written OpenMP
-//! kernels (§IV-B), here parallelised with Rayon.
+//! kernels (§IV-B), here one column-by-column pass on the calling thread.
 //!
 //! In the stratification loop these level-2 operations are not negligible
 //! (total cost O(N²L) against O(N³L) level-3 work at modest N), so the paper
-//! parallelises them explicitly rather than calling level-1 BLAS in a loop:
+//! writes them as explicit loops rather than calling level-1 BLAS per
+//! element:
 //!
 //! - `row_scale`: `A ← diag(d) · A` (the `V_i` factor of `B_i = V_i B`),
 //! - `col_scale`: `A ← A · diag(d)` (the `D_{i−1}` factor of step 3a),
-//! - `col_norms`: one norm per column, several columns per task (the
-//!   pre-pivoting key computation of Algorithm 3).
+//! - `col_norms`: one norm per column (the pre-pivoting key computation of
+//!   Algorithm 3).
 //!
 //! This module is tagged `deny_hot_alloc`: `cargo xtask lint` rejects heap
 //! allocation in its non-test code unless a pragma justifies it.
 #![cfg_attr(any(), deny_hot_alloc)]
 
 use crate::matrix::Matrix;
-use crate::parallelism::par_enabled;
-use rayon::prelude::*;
-
-/// Element count above which the scalings dispatch to the thread pool.
-const PAR_MIN: usize = 32 * 1024;
 
 /// `A ← diag(d) · A` — scales row `i` by `d[i]`.
 pub fn row_scale(d: &[f64], a: &mut Matrix) {
     let m = a.nrows();
     assert_eq!(d.len(), m, "row_scale: diagonal length mismatch");
     crate::check_finite!(d, "row_scale diagonal (len {m})");
-    let work = |col: &mut [f64]| {
-        for (i, x) in col.iter_mut().enumerate() {
-            *x *= d[i];
+    for j in 0..a.ncols() {
+        for (x, &di) in a.col_mut(j).iter_mut().zip(d) {
+            *x *= di;
         }
-    };
-    if par_enabled(a.as_slice().len() >= PAR_MIN) {
-        a.as_mut_slice().par_chunks_mut(m).for_each(work);
-    } else {
-        a.as_mut_slice().chunks_mut(m).for_each(work);
     }
 }
 
 /// `A ← A · diag(d)` — scales column `j` by `d[j]`.
 pub fn col_scale(d: &[f64], a: &mut Matrix) {
-    let m = a.nrows();
     let n = a.ncols();
     assert_eq!(d.len(), n, "col_scale: diagonal length mismatch");
     crate::check_finite!(d, "col_scale diagonal (len {n})");
-    if par_enabled(a.as_slice().len() >= PAR_MIN) {
-        a.as_mut_slice()
-            .par_chunks_mut(m)
-            .zip(d.par_iter())
-            .for_each(|(col, &dj)| {
-                for x in col.iter_mut() {
-                    *x *= dj;
-                }
-            });
-    } else {
-        for j in 0..n {
-            let dj = d[j];
-            for x in a.col_mut(j) {
-                *x *= dj;
-            }
+    for j in 0..n {
+        let dj = d[j];
+        for x in a.col_mut(j) {
+            *x *= dj;
         }
     }
 }
@@ -73,7 +52,7 @@ pub fn row_scale_inv(d: &[f64], a: &mut Matrix) {
     row_scale(&inv, a);
 }
 
-/// Euclidean norm of every column, computed in parallel.
+/// Euclidean norm of every column.
 ///
 /// Uses the overflow-safe scaled accumulation of [`crate::blas1::nrm2`]:
 /// the graded matrices of the stratification have column norms spanning
@@ -81,13 +60,10 @@ pub fn row_scale_inv(d: &[f64], a: &mut Matrix) {
 // dqmc-lint: allow(hot_alloc) -- the result vector IS the output; callers
 // reuse it as the pre-pivoting key buffer.
 pub fn col_norms(a: &Matrix) -> Vec<f64> {
-    let m = a.nrows();
-    let norms: Vec<f64> = if par_enabled(a.as_slice().len() >= PAR_MIN) {
-        a.as_slice().par_chunks(m).map(crate::blas1::nrm2).collect()
-    } else {
-        a.as_slice().chunks(m).map(crate::blas1::nrm2).collect()
-    };
-    crate::check_finite!(&norms, "col_norms output ({m}x{})", a.ncols());
+    let norms: Vec<f64> = (0..a.ncols())
+        .map(|j| crate::blas1::nrm2(a.col(j)))
+        .collect();
+    crate::check_finite!(&norms, "col_norms output ({}x{})", a.nrows(), a.ncols());
     norms
 }
 
@@ -98,18 +74,10 @@ pub fn row_col_scale(r: &[f64], c: &[f64], a: &mut Matrix) {
     assert_eq!(c.len(), a.ncols(), "row_col_scale: col diagonal mismatch");
     crate::check_finite!(r, "row_col_scale row diagonal (len {m})");
     crate::check_finite!(c, "row_col_scale col diagonal (len {})", c.len());
-    let work = |(col, &cj): (&mut [f64], &f64)| {
-        for (i, x) in col.iter_mut().enumerate() {
-            *x *= r[i] * cj;
+    for (j, &cj) in c.iter().enumerate() {
+        for (x, &ri) in a.col_mut(j).iter_mut().zip(r) {
+            *x *= ri * cj;
         }
-    };
-    if par_enabled(a.as_slice().len() >= PAR_MIN) {
-        a.as_mut_slice()
-            .par_chunks_mut(m)
-            .zip(c.par_iter())
-            .for_each(work);
-    } else {
-        a.as_mut_slice().chunks_mut(m).zip(c.iter()).for_each(work);
     }
 }
 
@@ -118,16 +86,21 @@ mod tests {
     use super::*;
     use util::Rng;
 
+    /// A general shape plus the two empty ones every kernel must accept.
+    const SHAPES: [(usize, usize); 3] = [(7, 5), (0, 3), (4, 0)];
+
     #[test]
     fn row_scale_matches_explicit() {
         let mut rng = Rng::new(1);
-        let a0 = Matrix::random(7, 5, &mut rng);
-        let d: Vec<f64> = (0..7).map(|i| i as f64 - 3.0).collect();
-        let mut a = a0.clone();
-        row_scale(&d, &mut a);
-        for j in 0..5 {
-            for i in 0..7 {
-                assert_eq!(a[(i, j)], d[i] * a0[(i, j)]);
+        for (m, n) in SHAPES {
+            let a0 = Matrix::random(m, n, &mut rng);
+            let d: Vec<f64> = (0..m).map(|i| i as f64 - 3.0).collect();
+            let mut a = a0.clone();
+            row_scale(&d, &mut a);
+            for j in 0..n {
+                for i in 0..m {
+                    assert_eq!(a[(i, j)], d[i] * a0[(i, j)]);
+                }
             }
         }
     }
@@ -135,13 +108,15 @@ mod tests {
     #[test]
     fn col_scale_matches_explicit() {
         let mut rng = Rng::new(2);
-        let a0 = Matrix::random(4, 6, &mut rng);
-        let d: Vec<f64> = (0..6).map(|j| (j + 1) as f64).collect();
-        let mut a = a0.clone();
-        col_scale(&d, &mut a);
-        for j in 0..6 {
-            for i in 0..4 {
-                assert_eq!(a[(i, j)], d[j] * a0[(i, j)]);
+        for (m, n) in SHAPES {
+            let a0 = Matrix::random(m, n, &mut rng);
+            let d: Vec<f64> = (0..n).map(|j| (j + 1) as f64).collect();
+            let mut a = a0.clone();
+            col_scale(&d, &mut a);
+            for j in 0..n {
+                for i in 0..m {
+                    assert_eq!(a[(i, j)], d[j] * a0[(i, j)]);
+                }
             }
         }
     }
@@ -160,23 +135,26 @@ mod tests {
     #[test]
     fn col_norms_match_nrm2() {
         let mut rng = Rng::new(4);
-        let a = Matrix::random(30, 12, &mut rng);
-        let norms = col_norms(&a);
-        for j in 0..12 {
-            assert!((norms[j] - crate::blas1::nrm2(a.col(j))).abs() < 1e-15);
+        for (m, n) in [(30, 12), (0, 3), (4, 0)] {
+            let a = Matrix::random(m, n, &mut rng);
+            let norms = col_norms(&a);
+            assert_eq!(norms.len(), n);
+            for j in 0..n {
+                assert!((norms[j] - crate::blas1::nrm2(a.col(j))).abs() < 1e-15);
+            }
         }
+        assert_eq!(col_norms(&Matrix::zeros(0, 3)), [0.0; 3]);
     }
 
     #[test]
     fn parallel_paths_match_serial() {
-        // Big enough to trigger PAR_MIN.
+        // The paper's size: a 256 x 256 pass against a per-element loop.
         let mut rng = Rng::new(5);
         let a0 = Matrix::random(256, 256, &mut rng);
         let d: Vec<f64> = (0..256).map(|i| (i as f64 * 0.37).cos() + 2.0).collect();
 
         let mut a_big = a0.clone();
         row_scale(&d, &mut a_big);
-        // serial reference via per-element loop
         let mut a_ref = a0.clone();
         for j in 0..256 {
             for i in 0..256 {
@@ -194,16 +172,18 @@ mod tests {
     #[test]
     fn row_col_scale_composes() {
         let mut rng = Rng::new(6);
-        let a0 = Matrix::random(8, 8, &mut rng);
-        let r: Vec<f64> = (0..8).map(|i| 1.0 + i as f64).collect();
-        let c: Vec<f64> = (0..8).map(|i| 2.0 - 0.1 * i as f64).collect();
-        let mut a1 = a0.clone();
-        row_col_scale(&r, &c, &mut a1);
-        let mut a2 = a0.clone();
-        row_scale(&r, &mut a2);
-        col_scale(&c, &mut a2);
-        // One fused multiply vs two sequential ones: a few ulps of slack.
-        assert!(a1.max_abs_diff(&a2) < 1e-14);
+        for (m, n) in [(8, 8), (0, 3), (4, 0)] {
+            let a0 = Matrix::random(m, n, &mut rng);
+            let r: Vec<f64> = (0..m).map(|i| 1.0 + i as f64).collect();
+            let c: Vec<f64> = (0..n).map(|j| 2.0 - 0.1 * j as f64).collect();
+            let mut a1 = a0.clone();
+            row_col_scale(&r, &c, &mut a1);
+            let mut a2 = a0.clone();
+            row_scale(&r, &mut a2);
+            col_scale(&c, &mut a2);
+            // One fused multiply vs two sequential ones: a few ulps of slack.
+            assert!(a1.max_abs_diff(&a2) < 1e-14);
+        }
     }
 
     #[test]

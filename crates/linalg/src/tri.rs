@@ -5,7 +5,7 @@
 //! assembly solves a dense system via LU, whose forward/back substitutions
 //! live here. All three kernels are level-3: the triangle is halved
 //! recursively, every off-diagonal block goes through the packed GEMM
-//! ([`crate::blas3::gemm_view`], where any parallelism lives), and only the
+//! ([`crate::blas3::gemm_view`]), and only the
 //! diagonal blocks of at most [`NB`] rows run the stride-1 level-2 loops
 //! below. Calls of at most [`LEVEL2_FLOPS`] multiply-adds — every N = 16/36
 //! caller — are one diagonal block and never reach GEMM.

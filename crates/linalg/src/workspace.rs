@@ -12,8 +12,8 @@
 //! buffer, [`put`] returns it. Each call borrows the pool only for the
 //! duration of the pop/push, so nested kernels (a QR whose block reflector
 //! calls GEMM, which takes its own packing buffers) compose without
-//! re-entrancy hazards, and with a real threaded Rayon pool every worker
-//! simply owns an independent arena — no locks on the hot path.
+//! re-entrancy hazards, and every scheduler worker thread simply owns an
+//! independent arena — no locks on the hot path.
 //!
 //! The pool is bounded ([`MAX_POOLED`] buffers, largest kept) so pathological
 //! call patterns cannot hoard memory. Returned buffers are always

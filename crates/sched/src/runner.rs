@@ -548,12 +548,6 @@ pub(crate) fn worker_loop(
     hearts: &Heartbeats,
     panics_caught: &AtomicU64,
 ) {
-    // Workers are the coarse grain of the hierarchy: one chain per thread.
-    // Entering the worker scope flips every linalg kernel onto its serial
-    // branch for this thread, so W workers never stack kernel fan-out on
-    // the one global rayon pool (nested parallelism — lint rule R9, and
-    // the prime suspect for the 0.301 efficiency in BENCH_sched.json).
-    let _serial_kernels = linalg::parallelism::enter_worker_scope();
     let token = hearts.token(worker);
     loop {
         let mut job = match queue.pop_timeout(1) {

@@ -175,7 +175,8 @@ impl FaultPlan {
     /// Every write in `[lo, hi]` (1-based, inclusive) fails with ENOSPC —
     /// a disk that stays full for a while.
     pub fn enospc_window(mut self, lo: u64, hi: u64) -> Self {
-        self.enospc.extend(lo..=hi.min(lo.saturating_add(1_000_000)));
+        self.enospc
+            .extend(lo..=hi.min(lo.saturating_add(1_000_000)));
         self
     }
 
@@ -221,8 +222,10 @@ impl FaultPlan {
             if let Some((key, val)) = item.split_once('=') {
                 match key.trim() {
                     "seed" => {
-                        let seed: u64 =
-                            val.trim().parse().map_err(|_| format!("bad seed '{val}'"))?;
+                        let seed: u64 = val
+                            .trim()
+                            .parse()
+                            .map_err(|_| format!("bad seed '{val}'"))?;
                         plan = plan.with_seed(seed);
                     }
                     "scope" => plan = plan.with_scope(val.trim()),
@@ -232,8 +235,10 @@ impl FaultPlan {
                         other => return Err(format!("bad mode '{other}' (exit|sim)")),
                     },
                     "code" => {
-                        exit_code =
-                            val.trim().parse().map_err(|_| format!("bad code '{val}'"))?;
+                        exit_code = val
+                            .trim()
+                            .parse()
+                            .map_err(|_| format!("bad code '{val}'"))?;
                     }
                     other => return Err(format!("unknown key '{other}'")),
                 }
@@ -244,8 +249,10 @@ impl FaultPlan {
             };
             let (lo, hi) = match ord.split_once('-') {
                 Some((a, b)) => (
-                    a.parse::<u64>().map_err(|_| format!("bad ordinal '{ord}'"))?,
-                    b.parse::<u64>().map_err(|_| format!("bad ordinal '{ord}'"))?,
+                    a.parse::<u64>()
+                        .map_err(|_| format!("bad ordinal '{ord}'"))?,
+                    b.parse::<u64>()
+                        .map_err(|_| format!("bad ordinal '{ord}'"))?,
                 ),
                 None => {
                     let n: u64 = ord.parse().map_err(|_| format!("bad ordinal '{ord}'"))?;
@@ -457,10 +464,7 @@ fn write_atomic_plain(path: &Path, bytes: &[u8]) -> io::Result<()> {
         let _ = fs::remove_file(&tmp);
         Err(e)
     };
-    let mut f = match File::create(&tmp) {
-        Ok(f) => f,
-        Err(e) => return Err(e),
-    };
+    let mut f = File::create(&tmp)?;
     if let Err(e) = f.write_all(bytes) {
         drop(f);
         return cleanup(e);
@@ -636,10 +640,9 @@ fn crash_check(
             let n = st.syscalls;
             **guard = None;
             ARMED.store(false, Ordering::SeqCst);
-            Some(io::Error::new(
-                io::ErrorKind::Other,
-                format!("vfs: simulated crash before syscall #{n}"),
-            ))
+            Some(io::Error::other(format!(
+                "vfs: simulated crash before syscall #{n}"
+            )))
         }
     }
 }
@@ -741,7 +744,10 @@ mod tests {
     /// the plan is process-global, so an unscoped plan would intercept
     /// writes from concurrently running tests.
     fn scope_of(dir: &Path) -> String {
-        dir.file_name().expect("scratch has a name").to_string_lossy().into_owned()
+        dir.file_name()
+            .expect("scratch has a name")
+            .to_string_lossy()
+            .into_owned()
     }
 
     fn tmp_debris(dir: &Path) -> Vec<String> {
@@ -784,7 +790,10 @@ mod tests {
         let exit = FaultPlan::parse("crash@3;code=77").expect("exit-mode DSL");
         assert_eq!(exit.crash, Some((3, CrashMode::Exit(77))));
         let default_exit = FaultPlan::parse("crash@1").expect("default mode");
-        assert_eq!(default_exit.crash, Some((1, CrashMode::Exit(CRASH_EXIT_CODE))));
+        assert_eq!(
+            default_exit.crash,
+            Some((1, CrashMode::Exit(CRASH_EXIT_CODE)))
+        );
 
         assert!(FaultPlan::parse("bogus@1").is_err());
         assert!(FaultPlan::parse("enospc@0").is_err());
@@ -806,16 +815,29 @@ mod tests {
         let cases: [(FaultPlan, &str); 5] = [
             (FaultPlan::new().with_scope(&scope).fail_create(1), "create"),
             (FaultPlan::new().with_scope(&scope).enospc(1), "enospc"),
-            (FaultPlan::new().with_scope(&scope).short_write(1).with_seed(3), "short"),
+            (
+                FaultPlan::new()
+                    .with_scope(&scope)
+                    .short_write(1)
+                    .with_seed(3),
+                "short",
+            ),
             (FaultPlan::new().with_scope(&scope).fail_fsync(1), "fsync"),
             (FaultPlan::new().with_scope(&scope).fail_rename(1), "rename"),
         ];
         for (plan, what) in cases {
             let guard = arm(plan);
             let err = write_atomic(&path, b"new").expect_err(what);
-            assert!(is_transient(&err), "{what} injects a transient error: {err}");
+            assert!(
+                is_transient(&err),
+                "{what} injects a transient error: {err}"
+            );
             drop(guard);
-            assert_eq!(fs::read(&path).expect("read"), b"old", "{what} must not touch dst");
+            assert_eq!(
+                fs::read(&path).expect("read"),
+                b"old",
+                "{what} must not touch dst"
+            );
             assert!(tmp_debris(&dir).is_empty(), "{what} leaked temp debris");
         }
 
@@ -839,12 +861,10 @@ mod tests {
         for k in 1..=5u64 {
             let path = dir.join(format!("crash{k}.bin"));
             write_atomic(&path, b"old").expect("seed write");
-            let guard = arm(
-                FaultPlan::new()
-                    .with_scope(&scope_of(&dir))
-                    .with_seed(k)
-                    .crash_at(k, CrashMode::Simulate),
-            );
+            let guard = arm(FaultPlan::new()
+                .with_scope(&scope_of(&dir))
+                .with_seed(k)
+                .crash_at(k, CrashMode::Simulate));
             let err = write_atomic(&path, b"new contents, rather longer than old")
                 .expect_err("crash point fires");
             assert!(err.to_string().contains("simulated crash"), "{err}");
@@ -853,15 +873,23 @@ mod tests {
 
             // Old-or-new, never torn: before the dirsync point the old
             // bytes must survive; the residue may include temp debris.
-            assert_eq!(fs::read(&path).expect("read"), b"old", "crash@{k} tore the dst");
+            assert_eq!(
+                fs::read(&path).expect("read"),
+                b"old",
+                "crash@{k} tore the dst"
+            );
             let scrubbed = scrub_tmp(&dir).expect("scrub");
-            if matches!(k, 2 | 3 | 4 | 5) {
+            if matches!(k, 2..=5) {
                 assert_eq!(scrubbed.count(), 1, "crash@{k} strands one temp file");
             } else {
                 assert_eq!(scrubbed.count(), 0, "crash@{k} leaves nothing");
             }
             write_atomic(&path, b"new contents, rather longer than old").expect("recovery write");
-            assert_eq!(fs::read(&path).expect("read"), want, "recovery not byte-identical");
+            assert_eq!(
+                fs::read(&path).expect("read"),
+                want,
+                "recovery not byte-identical"
+            );
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -875,7 +903,11 @@ mod tests {
         write_atomic(&beat, b"1").expect("out-of-scope write sails through");
         write_atomic(&beat, b"2").expect("still unaffected");
         let err = write_atomic(&entry, b"payload").expect_err("in-scope first write faults");
-        assert_eq!(err.raw_os_error(), Some(28), "ENOSPC reached the right write");
+        assert_eq!(
+            err.raw_os_error(),
+            Some(28),
+            "ENOSPC reached the right write"
+        );
         drop(guard);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -884,19 +916,27 @@ mod tests {
     fn retry_rides_out_a_transient_window_deterministically() {
         let dir = scratch("retry");
         let path = dir.join("report.dqsr");
-        let guard = arm(FaultPlan::new().with_scope(&scope_of(&dir)).enospc_window(1, 2));
+        let guard = arm(FaultPlan::new()
+            .with_scope(&scope_of(&dir))
+            .enospc_window(1, 2));
         write_atomic_retry(&path, b"payload", 4, Duration::from_millis(1))
             .expect("third attempt lands");
         drop(guard);
         assert_eq!(fs::read(&path).expect("read"), b"payload");
 
         // A window longer than the budget surfaces the last error.
-        let guard = arm(FaultPlan::new().with_scope(&scope_of(&dir)).enospc_window(1, 10));
+        let guard = arm(FaultPlan::new()
+            .with_scope(&scope_of(&dir))
+            .enospc_window(1, 10));
         let err = write_atomic_retry(&path, b"other", 3, Duration::from_millis(1))
             .expect_err("budget exhausted");
         assert_eq!(err.raw_os_error(), Some(28));
         drop(guard);
-        assert_eq!(fs::read(&path).expect("read"), b"payload", "failed retry left old bytes");
+        assert_eq!(
+            fs::read(&path).expect("read"),
+            b"payload",
+            "failed retry left old bytes"
+        );
         assert!(tmp_debris(&dir).is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -909,11 +949,16 @@ mod tests {
         fs::write(dir.join("keep.dqrc"), b"entry").expect("entry");
         fs::write(dir.join("also.tmp"), b"not ours: no leading dot").expect("other");
         let report = scrub_tmp(&dir).expect("scrub");
-        assert_eq!(report.removed, vec![".a.123.4.tmp".to_string(), ".b.123.7.tmp".to_string()]);
+        assert_eq!(
+            report.removed,
+            vec![".a.123.4.tmp".to_string(), ".b.123.7.tmp".to_string()]
+        );
         assert!(dir.join("keep.dqrc").exists());
         assert!(dir.join("also.tmp").exists());
         assert_eq!(
-            scrub_tmp(&dir.join("missing")).expect("missing dir scrubs clean").count(),
+            scrub_tmp(&dir.join("missing"))
+                .expect("missing dir scrubs clean")
+                .count(),
             0
         );
         let _ = fs::remove_dir_all(&dir);

@@ -1,4 +1,4 @@
-//! The concurrency-discipline rules (R6–R9), built on the block-aware
+//! The concurrency-discipline rules (R6–R8), built on the block-aware
 //! lexer (brace depths, guard-binding lifetimes) and the checked-in
 //! `lock_order.toml` registry.
 //!
@@ -18,19 +18,11 @@
 //!   list must not consult `HashMap`/`HashSet` iteration order, wall
 //!   clocks, or thread identity — byte-level checkpoint/observable
 //!   reproducibility is a tier-1 contract here.
-//! - **nested-par** (R9): rayon fan-out in library code must sit in a
-//!   block opened by a `par_enabled(..)` dispatch, so kernels fall back
-//!   to their serial branch inside a scheduler worker instead of
-//!   stacking W workers × K kernel tasks on one global pool (the
-//!   oversubscription profile behind the 0.301 parallel efficiency the
-//!   4-worker bench recorded). Registered worker entry points must
-//!   establish that scope via `enter_worker_scope`.
 //!
 //! Opt-outs mirror R1–R5: `// dqmc-lint: allow(guard_across_call)` /
-//! `allow(lock_order)` / `allow(nondet_source)` / `allow(nested_par)`
-//! pragmas on the enclosing function, or the matching `lint.allow`
-//! categories (`guard-across-call`/`lock-order` `<file>::<fn>`,
-//! `nondet-source <file>`, `nested-par <file>::<fn>`).
+//! `allow(lock_order)` / `allow(nondet_source)` pragmas on the enclosing
+//! function, or the matching `lint.allow` categories
+//! (`guard-across-call`/`lock-order` `<file>::<fn>`, `nondet-source <file>`).
 
 use crate::lexer::SourceFile;
 use crate::registry::Registry;
@@ -38,7 +30,7 @@ use crate::rules::{Allowlist, Rule, Violation};
 
 /// Calls that must not run under a held lock (R6). Dotted / suffixed
 /// forms so plain `fn` definitions don't trip the scan.
-const EXPENSIVE_TOKENS: [&str; 14] = [
+const EXPENSIVE_TOKENS: [&str; 13] = [
     ".wait(",
     ".wait_timeout(",
     "pop_timeout(",
@@ -47,7 +39,6 @@ const EXPENSIVE_TOKENS: [&str; 14] = [
     "matmul(",
     "qr_in_place(",
     "qrp_factor(",
-    "tsqr(",
     "checkpoint_bytes(",
     "to_bytes(",
     ".encode(",
@@ -68,15 +59,6 @@ const NONDET_TOKENS: [&str; 6] = [
     "ThreadId",
 ];
 
-/// Rayon fan-out markers (kept in sync with R4's list).
-const PAR_TOKENS: [&str; 5] = [
-    "into_par_iter",
-    "par_iter",
-    "par_chunks",
-    "par_bridge",
-    "rayon::join",
-];
-
 /// Path fragments in R6/R7 jurisdiction: the lock-holding subsystems.
 /// `fleet/src/` is deliberately lock-free (see lock_order.toml); keeping
 /// it in scope means the first mutex anyone adds there must be
@@ -89,20 +71,9 @@ const LOCK_SCOPES: [&str; 5] = [
     "fleet/src/",
 ];
 
-/// Path fragments in R9 jurisdiction: library crates whose fan-out must
-/// be worker-scope gated. (The rayon shim itself and xtask are out.)
-const PAR_SCOPES: [&str; 5] = [
-    "linalg/src/",
-    "lattice/src/",
-    "core/src/",
-    "sched/src/",
-    "gpusim/src/",
-];
-
 const PRAGMA_GUARD: &str = "dqmc-lint: allow(guard_across_call)";
 const PRAGMA_ORDER: &str = "dqmc-lint: allow(lock_order)";
 const PRAGMA_NONDET: &str = "dqmc-lint: allow(nondet_source)";
-const PRAGMA_NESTED: &str = "dqmc-lint: allow(nested_par)";
 
 /// One lock acquisition: a `<receiver>.lock()` call and, when bound with
 /// `let`, the span the resulting guard stays live over.
@@ -119,7 +90,7 @@ struct LockEvent {
     end: usize,
 }
 
-/// Entry point: runs R6–R9 over one scanned file.
+/// Entry point: runs R6–R8 over one scanned file.
 pub fn check_concurrency(
     f: &SourceFile,
     allow: &Allowlist,
@@ -136,10 +107,6 @@ pub fn check_concurrency(
     if reg.is_observable_path(path) {
         check_nondet_sources(f, allow, path, out);
     }
-    if PAR_SCOPES.iter().any(|s| norm.contains(s)) {
-        check_nested_par(f, allow, path, out);
-    }
-    check_worker_scopes(f, reg, path, out);
 }
 
 /// Finds every `.lock()` call outside test code and computes the bound
@@ -365,92 +332,6 @@ fn check_nondet_sources(f: &SourceFile, allow: &Allowlist, path: &str, out: &mut
     }
 }
 
-/// R9 (gating): each rayon fan-out line must sit in a block whose opener
-/// chain carries a `par_enabled(..)` dispatch.
-fn check_nested_par(f: &SourceFile, allow: &Allowlist, path: &str, out: &mut Vec<Violation>) {
-    for (ln, line) in f.code.iter().enumerate() {
-        if f.is_test[ln] {
-            continue;
-        }
-        let Some(tok) = PAR_TOKENS.iter().find(|t| line.contains(*t)) else {
-            continue;
-        };
-        if line.contains("par_enabled(") || opener_chain_gated(f, ln) {
-            continue;
-        }
-        let func = f.enclosing_fn(ln);
-        let pardoned = func.is_some_and(|fun| {
-            f.comment_block_above_contains(fun.sig_line, PRAGMA_NESTED)
-                || allow.allows_nested(path, &fun.name)
-        });
-        if !pardoned {
-            out.push(Violation {
-                path: path.to_owned(),
-                line: ln + 1,
-                rule: Rule::NestedPar,
-                msg: format!(
-                    "`{tok}` not gated by `par_enabled(..)`: inside a \
-                     scheduler worker this stacks kernel fan-out on the \
-                     global rayon pool (nested parallelism); dispatch on \
-                     `if par_enabled(..)` with a serial else-branch"
-                ),
-            });
-        }
-    }
-}
-
-/// Walks the block-opener chain from `line` up to the enclosing fn (or
-/// file top) looking for a `par_enabled(` dispatch.
-fn opener_chain_gated(f: &SourceFile, line: usize) -> bool {
-    let floor = f.enclosing_fn(line).map_or(0, |fun| fun.body.0);
-    let mut at = line;
-    while let Some(op) = f.block_opener(at) {
-        if f.code[op].contains("par_enabled(") {
-            return true;
-        }
-        if op <= floor {
-            return false;
-        }
-        at = op;
-    }
-    false
-}
-
-/// R9 (workers): registered worker entry points must establish the
-/// serial-kernel scope.
-fn check_worker_scopes(f: &SourceFile, reg: &Registry, path: &str, out: &mut Vec<Violation>) {
-    for (wfile, wfn) in &reg.workers {
-        if !crate::rules::suffix_match(path, wfile) {
-            continue;
-        }
-        let Some(fun) = f.fns.iter().find(|fun| &fun.name == wfn) else {
-            out.push(Violation {
-                path: path.to_owned(),
-                line: 1,
-                rule: Rule::NestedPar,
-                msg: format!(
-                    "lock_order.toml registers worker `{wfn}` but no such \
-                     fn exists here; update the [r9] workers list"
-                ),
-            });
-            continue;
-        };
-        let scoped = (fun.body.0..=fun.body.1).any(|ln| f.code[ln].contains("enter_worker_scope"));
-        if !scoped {
-            out.push(Violation {
-                path: path.to_owned(),
-                line: fun.sig_line + 1,
-                rule: Rule::NestedPar,
-                msg: format!(
-                    "worker entry `{wfn}` never calls \
-                     `linalg::enter_worker_scope()`; kernels it invokes \
-                     would fan out on the global rayon pool"
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,36 +423,5 @@ fn good(&self) {
         let src = "fn f() { let m = HashMap::new(); }\n";
         assert_eq!(run("core/src/obs.rs", src, &r).len(), 1);
         assert!(run("core/src/other.rs", src, &r).is_empty());
-    }
-
-    #[test]
-    fn ungated_par_flagged_gated_par_silent() {
-        let src = "\
-fn kernel(par: bool) {
-    if par_enabled(par) {
-        a.par_chunks_mut(8).for_each(work);
-    } else {
-        a.chunks_mut(8).for_each(work);
-    }
-    b.par_iter().sum::<f64>();
-}
-";
-        let v = run("linalg/src/k.rs", src, &reg());
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::NestedPar);
-        assert_eq!(v[0].line, 7);
-    }
-
-    #[test]
-    fn worker_without_scope_flagged() {
-        let mut r = reg();
-        r.workers
-            .push(("sched/src/x.rs".into(), "worker_loop".into()));
-        let good = "fn worker_loop() {\n    let _s = linalg::enter_worker_scope();\n}\n";
-        let bad = "fn worker_loop() {\n    let x = 1;\n}\n";
-        assert!(run("sched/src/x.rs", good, &r).is_empty());
-        let v = run("sched/src/x.rs", bad, &r);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::NestedPar);
     }
 }

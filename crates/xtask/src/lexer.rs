@@ -84,18 +84,6 @@ impl SourceFile {
         self.code.len().saturating_sub(1)
     }
 
-    /// The line that opened the innermost block containing `line`: the
-    /// nearest preceding line that starts at a shallower depth. Interior
-    /// lines of earlier sibling blocks start *deeper*, so the first
-    /// shallower line walking up is the opener (`if … {`, `for … {`, …).
-    pub fn block_opener(&self, line: usize) -> Option<usize> {
-        let d = self.depth_start[line];
-        if d == 0 {
-            return None;
-        }
-        (0..line).rev().find(|&j| self.depth_start[j] < d)
-    }
-
     /// True if any raw line in the contiguous comment/attribute block
     /// directly above `line` (or `line` itself) contains `needle`.
     pub fn comment_block_above_contains(&self, line: usize, needle: &str) -> bool {
@@ -506,11 +494,6 @@ mod tests {
         assert_eq!(f.scope_end(1), 8);
         // Inner statements die at their own block's close.
         assert_eq!(f.scope_end(3), 4);
-        // Opener of line 6's block is line 5, not sibling lines 2..4.
-        assert_eq!(f.block_opener(6), Some(5));
-        assert_eq!(f.block_opener(3), Some(2));
-        assert_eq!(f.block_opener(1), Some(0));
-        assert_eq!(f.block_opener(0), None);
     }
 
     #[test]
@@ -600,10 +583,6 @@ mod proptests {
             for ln in 0..f.code.len() {
                 let end = f.scope_end(ln);
                 prop_assert!(end >= ln && end < f.code.len());
-                if let Some(op) = f.block_opener(ln) {
-                    prop_assert!(op < ln);
-                    prop_assert!(f.depth_start[op] < f.depth_start[ln]);
-                }
                 // String contents are blanked wholesale.
                 prop_assert!(!f.code[ln].contains('"'));
             }

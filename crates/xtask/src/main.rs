@@ -11,10 +11,10 @@
 //!
 //! Exit status: 0 when clean, 1 when violations are found, 2 on usage or
 //! I/O errors. The allowlist lives in `crates/xtask/lint.allow`; the
-//! concurrency registry (lock hierarchy, observable-bytes files, worker
-//! entry points) in the workspace-root `lock_order.toml`. A lint run also
-//! fails when an allowlist entry pardoned nothing (stale-allow): dead
-//! entries would silently pardon whatever appears in that file next.
+//! concurrency registry (lock hierarchy, observable-bytes files) in the
+//! workspace-root `lock_order.toml`. A lint run also fails when an
+//! allowlist entry pardoned nothing (stale-allow): dead entries would
+//! silently pardon whatever appears in that file next.
 
 mod conc;
 mod lexer;
@@ -136,7 +136,7 @@ fn load_allowlist(
 
 /// Loads the concurrency registry from `<root>/lock_order.toml`. Required
 /// for a workspace run; with an explicit `--root` (fixture mode) a missing
-/// registry degrades to an empty one (R7/R8 and the worker checks idle).
+/// registry degrades to an empty one (R7 and R8 idle).
 fn load_registry(root: &Path, explicit_root: bool) -> Result<Registry, String> {
     let path = root.join("lock_order.toml");
     match std::fs::read_to_string(&path) {
@@ -249,14 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn fixture_r4_rayon_over_raw_pointer() {
-        let v = lint_fixture("r4_rayon.rs");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::RayonRawPtr);
-        assert_eq!(v[0].line, 5, "{}", v[0]);
-    }
-
-    #[test]
     fn fixture_r5_panic_in_sched_scope() {
         // The scan path mirrors the fixture's location so R5's path
         // scoping (`sched/src/`) engages; the pragma'd fn and the
@@ -322,26 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn fixture_r9_ungated_fanout() {
-        // One finding for the ungated par_iter; the par_enabled-dispatched
-        // block is silent.
-        let v = lint_fixture("linalg/src/r9_nested.rs");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::NestedPar);
-        assert_eq!(v[0].line, 19, "{}", v[0]);
-    }
-
-    #[test]
-    fn fixture_r9_batched_kernel_fanout_must_be_gated() {
-        // The strided-batch shape: the gated tile grid is silent, the
-        // unconditional per-entry batch loop is flagged.
-        let v = lint_fixture("linalg/src/r9_batched.rs");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::NestedPar);
-        assert_eq!(v[0].line, 27, "{}", v[0]);
-    }
-
-    #[test]
     fn fixture_r10_direct_fs() {
         // One finding — the bare `std::fs::write` publish; the vfs-routed
         // write, the pragma'd move, and the test mod stay silent.
@@ -368,20 +340,18 @@ mod tests {
 
     #[test]
     fn fixture_tree_has_expected_violations_per_rule() {
-        // The CLI path over the whole fixture tree: 13 findings.
+        // The CLI path over the whole fixture tree: 10 findings.
         let allow = Allowlist::default();
         let v = lint_tree(&fixture_dir(), &allow, &fixture_registry()).unwrap();
-        assert_eq!(v.len(), 13, "{v:?}");
+        assert_eq!(v.len(), 10, "{v:?}");
         for (rule, n) in [
             (Rule::UnsafeSite, 1),
             (Rule::HotAlloc, 1),
             (Rule::UncheckedKernel, 1),
-            (Rule::RayonRawPtr, 1),
             (Rule::PanicSite, 1),
             (Rule::GuardAcrossCall, 2),
             (Rule::LockOrder, 2),
             (Rule::NondetSource, 1),
-            (Rule::NestedPar, 2),
             (Rule::DirectFs, 1),
         ] {
             assert_eq!(v.iter().filter(|x| x.rule == rule).count(), n, "{rule:?}");
@@ -399,7 +369,7 @@ mod tests {
         assert_eq!(stale[0].line, 1);
         assert!(stale[0].msg.contains("unsafe no/such/file.rs"));
         // The fixture findings themselves are unaffected.
-        assert_eq!(v.len(), 13, "{v:?}");
+        assert_eq!(v.len(), 10, "{v:?}");
     }
 
     #[test]
@@ -422,15 +392,12 @@ mod tests {
     #[test]
     fn allowlist_rejects_unknown_categories() {
         assert!(Allowlist::parse("unsafe a.rs\n").is_ok());
-        assert!(Allowlist::parse("rayon-raw-ptr a.rs::f\n").is_ok());
         assert!(Allowlist::parse("panic-site a.rs\n").is_ok());
         assert!(Allowlist::parse("guard-across-call a.rs::f\n").is_ok());
         assert!(Allowlist::parse("lock-order a.rs::f\n").is_ok());
         assert!(Allowlist::parse("nondet-source a.rs\n").is_ok());
-        assert!(Allowlist::parse("nested-par a.rs::f\n").is_ok());
         assert!(Allowlist::parse("direct-fs a.rs\n").is_ok());
         assert!(Allowlist::parse("frobnicate a.rs\n").is_err());
-        assert!(Allowlist::parse("rayon-raw-ptr missing-fn.rs\n").is_err());
-        assert!(Allowlist::parse("nested-par missing-fn.rs\n").is_err());
+        assert!(Allowlist::parse("lock-order missing-fn.rs\n").is_err());
     }
 }

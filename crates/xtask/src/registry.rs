@@ -1,11 +1,10 @@
 //! The concurrency registry: a checked-in `lock_order.toml` naming every
 //! mutex in the scheduler/device-pool/core subsystems, the total order
-//! they may be acquired in, the files whose bytes feed observables
-//! (rule R8's jurisdiction), and the worker entry points that must pin
-//! kernels to their serial branch (rule R9).
+//! they may be acquired in, and the files whose bytes feed observables
+//! (rule R8's jurisdiction).
 //!
 //! The format is a small, hand-parsed subset of TOML — quoted strings,
-//! single- or multi-line string arrays, `#` comments, and three tables —
+//! single- or multi-line string arrays, `#` comments, and two tables —
 //! because this build is offline and a full TOML crate would be the only
 //! reason to want one.
 //!
@@ -17,9 +16,6 @@
 //!
 //! [r8]
 //! observables = ["core/src/checkpoint.rs"]
-//!
-//! [r9]
-//! workers = ["sched/src/runner.rs::worker_loop"]
 //! ```
 
 /// Parsed `lock_order.toml`.
@@ -33,9 +29,6 @@ pub struct Registry {
     pub locks: Vec<(String, String, String)>,
     /// File suffixes whose bytes feed observables or checkpoints (R8).
     pub observables: Vec<String>,
-    /// `(file-suffix, fn)` worker entry points that must establish the
-    /// serial-kernel scope (R9).
-    pub workers: Vec<(String, String)>,
 }
 
 impl Registry {
@@ -98,14 +91,6 @@ impl Registry {
                         .push((file.to_owned(), field.to_owned(), parse_string(&val, i)?));
                 }
                 ("r8", "observables") => out.observables = parse_array(&val, i)?,
-                ("r9", "workers") => {
-                    for w in parse_array(&val, i)? {
-                        let (file, func) = w.rsplit_once("::").ok_or_else(|| {
-                            format!("lock_order.toml:{}: worker needs <file>::<fn>", i + 1)
-                        })?;
-                        out.workers.push((file.to_owned(), func.to_owned()));
-                    }
-                }
                 (s, k) => {
                     return Err(format!(
                         "lock_order.toml:{}: unknown entry `{k}` in section `[{s}]`",
@@ -190,9 +175,6 @@ order = [
 
 [r8]
 observables = ["core/src/checkpoint.rs", "util/src/codec.rs"]
-
-[r9]
-workers = ["sched/src/runner.rs::worker_loop"]
 "#;
 
     #[test]
@@ -207,10 +189,6 @@ workers = ["sched/src/runner.rs::worker_loop"]
         assert_eq!(r.lock_name("crates/sched/src/queue.rs", "heap"), None);
         assert!(r.is_observable_path("crates/util/src/codec.rs"));
         assert!(!r.is_observable_path("crates/util/src/rng2.rs"));
-        assert_eq!(
-            r.workers,
-            [("sched/src/runner.rs".into(), "worker_loop".into())]
-        );
     }
 
     #[test]
@@ -223,7 +201,7 @@ workers = ["sched/src/runner.rs::worker_loop"]
         assert!(Registry::parse("order = \"a\"\n").is_err());
         assert!(Registry::parse("[locks]\n\"no-sep.rs\" = \"a\"\n").is_err());
         assert!(Registry::parse("garbage\n").is_err());
-        assert!(Registry::parse("[r9]\nworkers = [\"no-sep.rs\"]\n").is_err());
+        assert!(Registry::parse("[nope]\nkey = \"v\"\n").is_err());
     }
 
     #[test]

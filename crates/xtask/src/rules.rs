@@ -1,9 +1,9 @@
 //! The dqmc-lint rule set.
 //!
-//! Ten rules, all driven by the [`crate::lexer`] scan. R1–R5 and R10 are
-//! the line-oriented hygiene rules; R6–R9 (in [`crate::conc`]) are the
+//! Eight rules, all driven by the [`crate::lexer`] scan. R1–R3, R5 and R10
+//! are the line-oriented hygiene rules; R6–R8 (in [`crate::conc`]) are the
 //! block-aware concurrency-discipline rules introduced with the
-//! `lock_order.toml` registry.
+//! `lock_order.toml` registry. R4 and R9 are retired numbers, not reused.
 //!
 //! - **unsafe-site** (R1): `unsafe` and `*_unchecked` may only appear in
 //!   files on the `unsafe` allowlist, and every `unsafe` token must carry a
@@ -12,13 +12,10 @@
 //! - **hot-alloc** (R2): in modules tagged `#![cfg_attr(any(), deny_hot_alloc)]`,
 //!   heap-allocating calls are forbidden outside `#[cfg(test)]` code unless
 //!   the enclosing function carries `// dqmc-lint: allow(hot_alloc)`.
-//! - **unchecked-kernel** (R3): in the kernel files (blas3/qr/qrp/tri/scale/
-//!   tsqr), every free `pub fn` must route through the invariant layer
+//! - **unchecked-kernel** (R3): in the kernel files (blas3/qr/qrp/lu/tri/
+//!   scale), every free `pub fn` must route through the invariant layer
 //!   (a `check_finite!`/`check_orthogonal!`/`check_graded!` call in its body)
 //!   or carry `// dqmc-lint: allow(unchecked_kernel)`.
-//! - **rayon-raw-ptr** (R4): a function whose body contains both a Rayon
-//!   parallel-iterator call and raw-pointer manipulation must be on the
-//!   `rayon-raw-ptr` allowlist (audited for disjoint-write discipline).
 //! - **panic-site** (R5): in scheduler and device-pool sources
 //!   (`sched/src`, `gpusim/src`), non-test code must not introduce
 //!   `panic!` / `.expect(` / `.unwrap()` — failures there belong in the
@@ -26,7 +23,7 @@
 //!   `// dqmc-lint: allow(panic_site)` pragma on the enclosing function,
 //!   or a `panic-site <file>` allowlist entry.
 //! - **guard-across-call** (R6), **lock-order** (R7), **nondet-source**
-//!   (R8), **nested-par** (R9): see [`crate::conc`].
+//!   (R8): see [`crate::conc`].
 //! - **direct-fs** (R10): non-test code outside `util/src/vfs.rs` must not
 //!   call `std::fs::{File::create, write, rename}` directly — every file
 //!   publication goes through `util::vfs::write_atomic`, the one audited
@@ -53,8 +50,6 @@ pub enum Rule {
     HotAlloc,
     /// R3: public kernel bypassing the invariant layer.
     UncheckedKernel,
-    /// R4: rayon closure over raw pointers outside the audited list.
-    RayonRawPtr,
     /// R5: panic/expect/unwrap in scheduler or device-pool non-test code.
     PanicSite,
     /// R6: a MutexGuard held across an expensive (blocking/compute) call.
@@ -63,8 +58,6 @@ pub enum Rule {
     LockOrder,
     /// R8: nondeterminism source on an observable-bytes path.
     NondetSource,
-    /// R9: rayon fan-out not gated behind the worker-scope check.
-    NestedPar,
     /// R10: direct filesystem mutation outside the audited write path.
     DirectFs,
     /// Allowlist entry that pardoned nothing during the run.
@@ -78,12 +71,10 @@ impl Rule {
             Rule::UnsafeSite => "unsafe-site",
             Rule::HotAlloc => "hot-alloc",
             Rule::UncheckedKernel => "unchecked-kernel",
-            Rule::RayonRawPtr => "rayon-raw-ptr",
             Rule::PanicSite => "panic-site",
             Rule::GuardAcrossCall => "guard-across-call",
             Rule::LockOrder => "lock-order",
             Rule::NondetSource => "nondet-source",
-            Rule::NestedPar => "nested-par",
             Rule::DirectFs => "direct-fs",
             Rule::StaleAllow => "stale-allow",
         }
@@ -150,8 +141,6 @@ pub struct FnEntry {
 pub struct Allowlist {
     /// Files (suffix-matched) where `unsafe` is permitted.
     pub unsafe_files: Vec<FileEntry>,
-    /// `file::fn` entries audited for rayon-over-raw-pointer use.
-    pub rayon_fns: Vec<FnEntry>,
     /// Files (suffix-matched) where R5 panic sites are pardoned wholesale
     /// (legacy infallible wrappers predating the error taxonomy).
     pub panic_files: Vec<FileEntry>,
@@ -161,8 +150,6 @@ pub struct Allowlist {
     pub order_fns: Vec<FnEntry>,
     /// Files where R8 nondeterminism sources are pardoned wholesale.
     pub nondet_files: Vec<FileEntry>,
-    /// `file::fn` entries audited for ungated rayon fan-out.
-    pub nested_fns: Vec<FnEntry>,
     /// Files where R10 direct filesystem calls are pardoned wholesale.
     pub direct_fs_files: Vec<FileEntry>,
 }
@@ -212,8 +199,8 @@ fn hit_fn(entries: &[FnEntry], path: &str, func: &str) -> bool {
 impl Allowlist {
     /// Parses the `lint.allow` format: `<category> <path>` or
     /// `<category> <path>::<fn>` lines; `#` starts a comment. Categories:
-    /// `unsafe`, `rayon-raw-ptr`, `panic-site`, `guard-across-call`,
-    /// `lock-order`, `nondet-source`, `nested-par`, `direct-fs`.
+    /// `unsafe`, `panic-site`, `guard-across-call`, `lock-order`,
+    /// `nondet-source`, `direct-fs`.
     pub fn parse(text: &str) -> Result<Allowlist, String> {
         let mut out = Allowlist::default();
         for (i, line) in text.lines().enumerate() {
@@ -228,12 +215,10 @@ impl Allowlist {
             let ln = i + 1;
             match cat {
                 "unsafe" => out.unsafe_files.push(file_entry(rest, ln)),
-                "rayon-raw-ptr" => out.rayon_fns.push(fn_entry(rest, ln)?),
                 "panic-site" => out.panic_files.push(file_entry(rest, ln)),
                 "guard-across-call" => out.guard_fns.push(fn_entry(rest, ln)?),
                 "lock-order" => out.order_fns.push(fn_entry(rest, ln)?),
                 "nondet-source" => out.nondet_files.push(file_entry(rest, ln)),
-                "nested-par" => out.nested_fns.push(fn_entry(rest, ln)?),
                 "direct-fs" => out.direct_fs_files.push(file_entry(rest, ln)),
                 other => return Err(format!("lint.allow:{}: unknown category {other}", i + 1)),
             }
@@ -243,10 +228,6 @@ impl Allowlist {
 
     fn allows_unsafe(&self, path: &str) -> bool {
         hit_file(&self.unsafe_files, path)
-    }
-
-    fn allows_rayon(&self, path: &str, func: &str) -> bool {
-        hit_fn(&self.rayon_fns, path, func)
     }
 
     fn allows_panics(&self, path: &str) -> bool {
@@ -263,10 +244,6 @@ impl Allowlist {
 
     pub(crate) fn allows_nondet(&self, path: &str) -> bool {
         hit_file(&self.nondet_files, path)
-    }
-
-    pub(crate) fn allows_nested(&self, path: &str, func: &str) -> bool {
-        hit_fn(&self.nested_fns, path, func)
     }
 
     fn allows_direct_fs(&self, path: &str) -> bool {
@@ -289,11 +266,9 @@ impl Allowlist {
                 }
             }
         }
-        let fns: [(&str, &[FnEntry]); 4] = [
-            ("rayon-raw-ptr", &self.rayon_fns),
+        let fns: [(&str, &[FnEntry]); 2] = [
             ("guard-across-call", &self.guard_fns),
             ("lock-order", &self.order_fns),
-            ("nested-par", &self.nested_fns),
         ];
         for (cat, entries) in fns {
             for e in entries {
@@ -330,9 +305,7 @@ pub(crate) fn suffix_match(path: &str, pat: &str) -> bool {
 }
 
 /// Kernel files subject to R3 (every public entry checks or opts out).
-const KERNEL_FILES: [&str; 7] = [
-    "blas3.rs", "qr.rs", "qrp.rs", "lu.rs", "tri.rs", "scale.rs", "tsqr.rs",
-];
+const KERNEL_FILES: [&str; 6] = ["blas3.rs", "qr.rs", "qrp.rs", "lu.rs", "tri.rs", "scale.rs"];
 
 /// Substrings (in blanked code) that indicate heap allocation.
 const ALLOC_TOKENS: [&str; 8] = [
@@ -348,18 +321,6 @@ const ALLOC_TOKENS: [&str; 8] = [
 
 /// Invariant-layer entry points recognised by R3.
 const CHECK_TOKENS: [&str; 3] = ["check_finite!", "check_orthogonal!", "check_graded!"];
-
-/// Rayon parallel-dispatch markers for R4.
-const PAR_TOKENS: [&str; 5] = [
-    "into_par_iter",
-    "par_iter",
-    "par_chunks",
-    "par_bridge",
-    "rayon::join",
-];
-
-/// Raw-pointer manipulation markers for R4.
-const PTR_TOKENS: [&str; 4] = ["as_mut_ptr", ".as_ptr()", "*mut ", "*const "];
 
 /// Unwinding markers for R5. `.expect(` deliberately excludes
 /// `.expect_err(` (different token) and `unwrap_or_else` does not match
@@ -392,7 +353,6 @@ pub fn check_file(f: &SourceFile, allow: &Allowlist, reg: &Registry) -> Vec<Viol
     check_unsafe(f, allow, &path, &mut out);
     check_hot_alloc(f, &path, &mut out);
     check_kernels(f, &path, &mut out);
-    check_rayon_ptrs(f, allow, &path, &mut out);
     check_panic_sites(f, allow, &path, &mut out);
     check_direct_fs(f, allow, &path, &mut out);
     conc::check_concurrency(f, allow, reg, &path, &mut out);
@@ -505,30 +465,6 @@ fn check_kernels(f: &SourceFile, path: &str, out: &mut Vec<Violation>) {
                 func.name
             ),
         });
-    }
-}
-
-fn check_rayon_ptrs(f: &SourceFile, allow: &Allowlist, path: &str, out: &mut Vec<Violation>) {
-    for func in &f.fns {
-        let mut has_par = false;
-        let mut has_ptr = false;
-        for ln in func.body.0..=func.body.1 {
-            let line = &f.code[ln];
-            has_par |= PAR_TOKENS.iter().any(|t| line.contains(t));
-            has_ptr |= PTR_TOKENS.iter().any(|t| line.contains(t));
-        }
-        if has_par && has_ptr && !allow.allows_rayon(path, &func.name) {
-            out.push(Violation {
-                path: path.to_owned(),
-                line: func.sig_line + 1,
-                rule: Rule::RayonRawPtr,
-                msg: format!(
-                    "`{}` mixes a rayon parallel iterator with raw pointers but \
-                     is not on the rayon-raw-ptr allowlist",
-                    func.name
-                ),
-            });
-        }
     }
 }
 

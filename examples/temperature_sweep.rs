@@ -1,4 +1,4 @@
-//! Antiferromagnetic correlations vs temperature, using the parallel
+//! Antiferromagnetic correlations vs temperature, using the
 //! ensemble runner: the AF structure factor S(π,π) of the half-filled
 //! Hubbard model grows as the temperature drops — the physics the paper's
 //! large-β (β = 32) production runs are built to capture.

@@ -182,3 +182,141 @@ fn golden_crowd_image_loads_reencodes_and_finishes_on_the_stored_bytes() {
     }
     assert_eq!(out.into_bytes(), golden("crowd3_v1.obs.bin"));
 }
+
+// ---- golden frames of the service and fleet formats -------------------------
+//
+// One small fixed value per format (`DQSF`, `DQRC`, `DQSM`, `DQSR`), written
+// once through the public encoders (recipes in `tests/golden/README.md`).
+// Each test: current code decodes the file to the value it was written
+// from, writes it back byte-identically, and refuses it with one payload
+// bit flipped.
+
+/// `image` with the low bit of its middle byte flipped. Every golden frame
+/// is long enough that the middle falls inside the CRC-covered payload.
+fn flipped(image: &[u8]) -> Vec<u8> {
+    let mut bad = image.to_vec();
+    bad[image.len() / 2] ^= 0x01;
+    bad
+}
+
+/// A point summary with the schedule half zeroed, as every decoder returns it.
+fn golden_summary(point: usize, scalars: bool) -> sched::PointSummary {
+    sched::PointSummary {
+        point,
+        u: 4.0,
+        beta: 1.5,
+        slices: 12,
+        chains_ok: if scalars { 2 } else { 0 },
+        chains_failed: if scalars { 0 } else { 2 },
+        bin_count: if scalars { 6 } else { 0 },
+        scalars: scalars.then_some(dqmc::JackknifeScalars {
+            sign: (1.0, 0.0),
+            density: (1.0, 0.0078125),
+            double_occ: (0.15625, 0.001953125),
+            kinetic: (-1.28125, 0.015625),
+            potential: (0.625, 0.0078125),
+            saf: (2.71875, 0.0625),
+        }),
+        mean_acceptance: 0.0,
+        max_wrap_error: 0.0,
+        recovery_events: 0,
+        preemptions: 0,
+        device_quanta: 0,
+        host_quanta: 0,
+        device_seconds: 0.0,
+    }
+}
+
+#[test]
+fn golden_dqsf_frame_decodes_reencodes_and_rejects_a_flipped_bit() {
+    use serve::protocol::{encode_frame, parse_frame, Frame};
+    let frame = Frame::Done {
+        observables: "{\"points\": [{\"u\": 4.0, \"beta\": 1.5}]}\n".into(),
+        jobs_run: 4,
+        cached_points: 1,
+        computed_points: 2,
+        failed_chains: 0,
+        recovery_events: 3,
+    };
+    let image = golden("done_v1.dqsf");
+    let (decoded, used) = parse_frame(&image).expect("golden frame parses");
+    assert_eq!(decoded, frame);
+    assert_eq!(used, image.len());
+    assert_eq!(encode_frame(&frame), image, "re-encode moved a byte");
+    assert!(parse_frame(&flipped(&image)).is_err());
+}
+
+#[test]
+fn golden_dqrc_entry_hits_restores_identically_and_is_evicted_when_flipped() {
+    use serve::{Lookup, ResultCache};
+    const KEY: u64 = 0x0123_4567_89ab_cdef;
+    let dir = std::env::temp_dir().join(format!("dqmc_golden_dqrc_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ResultCache::open(&dir).expect("open cache");
+    let image = golden("point_v1.dqrc");
+    let path = cache.entry_path(KEY);
+    assert!(path.ends_with("0123456789abcdef.dqrc"));
+
+    std::fs::write(&path, &image).unwrap();
+    let Lookup::Hit(summary) = cache.lookup(KEY) else {
+        panic!("golden entry did not hit");
+    };
+    assert_eq!(
+        format!("{summary:?}"),
+        format!("{:?}", golden_summary(5, true))
+    );
+    cache.store(KEY, &summary).expect("store");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        image,
+        "re-encode moved a byte"
+    );
+
+    std::fs::write(&path, flipped(&image)).unwrap();
+    assert!(matches!(cache.lookup(KEY), Lookup::Evicted));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn golden_dqsm_manifest_decodes_reencodes_and_rejects_a_flipped_bit() {
+    use fleet::ShardManifest;
+    let manifest = ShardManifest {
+        shard: 1,
+        nshards: 3,
+        fingerprint: 0xdead_beef_cafe_f00d,
+        grid_text: "lx = 2\nly = 2\nu = 2.0, 4.0\nbeta = 1.0, 1.5\nchains = 2\nseed = 11\n".into(),
+        points: vec![1, 2],
+    };
+    let image = golden("shard_v1.dqsm");
+    assert_eq!(
+        ShardManifest::decode(&image).expect("golden manifest loads"),
+        manifest
+    );
+    assert_eq!(manifest.encode(), image, "re-encode moved a byte");
+    assert!(ShardManifest::decode(&flipped(&image)).is_err());
+}
+
+#[test]
+fn golden_dqsr_report_decodes_reencodes_and_rejects_a_flipped_bit() {
+    use fleet::ShardReport;
+    // A partial report: three points assigned, two finished out of order,
+    // one of them with every chain failed (no scalars).
+    let report = ShardReport {
+        shard: 0,
+        nshards: 2,
+        fingerprint: 0xdead_beef_cafe_f00d,
+        seed: 11,
+        chains: 2,
+        warmup: 2,
+        sweeps: 6,
+        assigned: vec![1, 4, 7],
+        fragments: vec![golden_summary(4, true), golden_summary(1, false)],
+        failed_chains: 2,
+    };
+    let image = golden("shard_v1.dqsr");
+    let decoded = ShardReport::decode(&image).expect("golden report loads");
+    assert_eq!(format!("{decoded:?}"), format!("{report:?}"));
+    assert_eq!(decoded.missing_points(), vec![7]);
+    assert_eq!(decoded.encode(), image, "re-encode moved a byte");
+    assert!(ShardReport::decode(&flipped(&image)).is_err());
+}

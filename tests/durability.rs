@@ -45,7 +45,10 @@ fn scratch(tag: &str) -> PathBuf {
 /// The unique scratch-dir name, used as the fault-plan scope so a plan
 /// armed by this test never intercepts another test's writes.
 fn scope_of(dir: &Path) -> String {
-    dir.file_name().expect("named dir").to_string_lossy().into_owned()
+    dir.file_name()
+        .expect("named dir")
+        .to_string_lossy()
+        .into_owned()
 }
 
 /// Atomic-write temp debris (`.{name}.{pid}.{seq}.tmp`) in `dir`.
@@ -186,9 +189,8 @@ fn crash_points_recover(tag: &str, write: Writer, decodes: &dyn Fn(&[u8]) -> boo
 
         // The published name is untouched by the crash — bytes and
         // semantics both.
-        let residue = std::fs::read(&dst).unwrap_or_else(|e| {
-            panic!("k={k}: destination vanished after crash: {e}")
-        });
+        let residue = std::fs::read(&dst)
+            .unwrap_or_else(|e| panic!("k={k}: destination vanished after crash: {e}"));
         assert_eq!(residue, old, "k={k}: crash residue reached the destination");
         assert!(decodes(&residue), "k={k}: destination no longer decodes");
 
@@ -286,7 +288,11 @@ fn killed_probe_recovers(format: &str) {
 
         let report = vfs::scrub_tmp(&dir).expect("scrub");
         assert_eq!(report.count(), u64::from(k >= 2), "k={k}: debris count");
-        assert_eq!(run_probe(format, "new", &dst, None), Some(0), "k={k}: recovery");
+        assert_eq!(
+            run_probe(format, "new", &dst, None),
+            Some(0),
+            "k={k}: recovery"
+        );
         assert_eq!(
             std::fs::read(&dst).expect("recovered bytes"),
             new_ref,
@@ -335,11 +341,22 @@ fn killed_dqrc_writer_recovers_through_the_cache_scrub() {
             Some(vfs::CRASH_EXIT_CODE),
             "k={k}: probe must die at the scripted syscall"
         );
-        assert_eq!(std::fs::read(&dst).expect("post-kill"), old, "k={k}: entry moved");
+        assert_eq!(
+            std::fs::read(&dst).expect("post-kill"),
+            old,
+            "k={k}: entry moved"
+        );
 
         // No manual scrub: the next open does it.
-        assert_eq!(run_probe("dqrc", "new", &dir, None), Some(0), "k={k}: recovery");
-        assert!(tmp_debris(&dir).is_empty(), "k={k}: open left debris behind");
+        assert_eq!(
+            run_probe("dqrc", "new", &dir, None),
+            Some(0),
+            "k={k}: recovery"
+        );
+        assert!(
+            tmp_debris(&dir).is_empty(),
+            "k={k}: open left debris behind"
+        );
         assert_eq!(
             std::fs::read(&dst).expect("recovered bytes"),
             new_ref,
