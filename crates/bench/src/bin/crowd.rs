@@ -189,6 +189,10 @@ fn main() {
         probe.total_jobs(),
         probe.warmup + probe.sweeps
     ));
+    out.push_str(&format!(
+        "  \"host_cores\": {},\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    ));
     let render = |rows: &[Row]| -> String {
         rows.iter()
             .enumerate()
@@ -220,9 +224,10 @@ fn main() {
         "  \"modeled_device_speedup_best_vs_solo\": {modeled_speedup:.3},\n"
     ));
     out.push_str(
-        "  \"note\": \"wall_s measures the host simulating the device (1-core CI boxes \
-         cannot show worker scaling); device_s is the simulated accelerator clock, the \
-         honest axis for the batching win; observables are byte-identical across all rows\"\n",
+        "  \"note\": \"wall_s measures the host simulating the device (rows with more \
+         workers than host_cores are oversubscribed); device_s is the simulated accelerator \
+         clock, the honest axis for the batching win; N = 16 is under team::FORK_FLOPS, so no \
+         kernel forks; observables are byte-identical across all rows\"\n",
     );
     out.push_str("}\n");
 

@@ -136,10 +136,47 @@ impl ClusterCache {
         Ok(())
     }
 
-    /// Collects the factor sequence for the Green's function used at slice
-    /// `l+1` (i.e. after wrapping past slice `l`): the product
+    /// The cluster indices of the factor sequence for the Green's function
+    /// used at slice `l+1` (i.e. after wrapping past slice `l`): the product
     /// `B_l ⋯ B_0 · B_{L−1} ⋯ B_{l+1}`, as clusters in application order
     /// (rightmost factor first). `l` must be the last slice of its cluster.
+    fn order_after_slice(&self, l: usize) -> impl Iterator<Item = usize> {
+        let c = self.cluster_of(l);
+        let (_, hi) = self.range(c);
+        assert_eq!(l + 1, hi, "recompute must land on a cluster boundary");
+        // Applied first: cluster c+1 (its rightmost factor is B_{l+1}), then
+        // wrap around to cluster c last.
+        let nclusters = self.nclusters;
+        (1..=nclusters).map(move |off| (c + off) % nclusters)
+    }
+
+    /// Rebuilds whichever products of `spin` are stale and counts the reads
+    /// of one Green's evaluation after slice `l` (one [`Self::get`] per
+    /// cluster, in application order), so [`Self::cached_after_slice`] can
+    /// then lend them out.
+    pub fn prepare_after_slice(&mut self, fac: &BMatrixFactory, h: &HsField, l: usize, spin: Spin) {
+        for c in self.order_after_slice(l) {
+            self.get(fac, h, c, spin);
+        }
+    }
+
+    /// The factor sequence after slice `l` (see
+    /// [`Self::factors_after_slice`]), borrowed from the cache. Every
+    /// product must be present: call [`Self::prepare_after_slice`] first.
+    pub fn cached_after_slice(&self, l: usize, spin: Spin) -> Vec<&Matrix> {
+        self.order_after_slice(l)
+            .map(|c| {
+                self.store[spin.index()][c]
+                    .as_ref()
+                    .expect("cluster product prepared before it is lent")
+            })
+            .collect()
+    }
+
+    /// Collects the factor sequence for the Green's function used at slice
+    /// `l+1`, as owned copies: for callers that keep the factors across
+    /// further use of the cache (benches, probes). The sweep borrows them
+    /// instead ([`Self::prepare_after_slice`] + [`Self::cached_after_slice`]).
     pub fn factors_after_slice(
         &mut self,
         fac: &BMatrixFactory,
@@ -147,17 +184,11 @@ impl ClusterCache {
         l: usize,
         spin: Spin,
     ) -> Vec<Matrix> {
-        let c = self.cluster_of(l);
-        let (_, hi) = self.range(c);
-        assert_eq!(l + 1, hi, "recompute must land on a cluster boundary");
-        let mut order = Vec::with_capacity(self.nclusters);
-        // Applied first: cluster c+1 (its rightmost factor is B_{l+1}), then
-        // wrap around to cluster c last.
-        for off in 1..=self.nclusters {
-            let cc = (c + off) % self.nclusters;
-            order.push(self.get(fac, h, cc, spin).clone());
-        }
-        order
+        self.prepare_after_slice(fac, h, l, spin);
+        self.cached_after_slice(l, spin)
+            .into_iter()
+            .cloned()
+            .collect()
     }
 
     /// `(rebuilds, hits)` counters.

@@ -11,7 +11,8 @@
 //! (Figure 2) and swapped freely in the simulation.
 
 use linalg::blas3::{gemm, Op};
-use linalg::{qr, qrp, scale, tri, Matrix, Permutation};
+use linalg::{qr, qrp, scale, tri, Matrix, Permutation, QrFactors};
+use std::borrow::Borrow;
 
 /// Which stratification variant to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,7 +102,7 @@ impl StratifyState {
         StratifyState {
             algo,
             udt: Udt {
-                q: f0.form_q(),
+                q: f0.into_q(),
                 d,
                 t,
                 q_sign,
@@ -124,30 +125,29 @@ impl StratifyState {
             self.boundary
         );
         // Step 3a: C = (Bᵢ Q_{i−1}) D_{i−1} — GEMM then a column scaling,
-        // ordered exactly as the paper prescribes for accuracy. The staging
-        // matrix comes from the workspace arena; whichever branch consumes
-        // it hands ownership into the factorization payload instead.
+        // ordered exactly as the paper prescribes for accuracy. The step
+        // works in three N×N buffers: Q's, T's and one staging matrix from
+        // the workspace arena, each recycled the moment its content is dead.
         let mut c = linalg::workspace::take_matrix(n, n);
         gemm(1.0, b, Op::NoTrans, &self.udt.q, Op::NoTrans, 0.0, &mut c);
         scale::col_scale(&self.udt.d, &mut c);
+        // Q_{i−1} is dead from here on.
+        let mut spare = std::mem::replace(&mut self.udt.q, Matrix::zeros(0, 0));
 
-        // Step 3b: grade C. R stays in the packed factors (upper triangle).
-        let (qi, mut packed, pi, sign) = match self.algo {
+        // Step 3b: grade C. R and the reflectors stay packed in one buffer;
+        // the other becomes `spare`.
+        let (mut f, pi) = match self.algo {
             StratAlgo::Qrp => {
                 let f = qrp::qrp_in_place(c);
                 let p = f.permutation();
-                let sign = f.q_det_sign();
-                (f.form_q(), f.a, p, sign)
+                (QrFactors { a: f.a, tau: f.tau }, p)
             }
             StratAlgo::PrePivot => {
                 // Pre-pivot: descending column norms, then plain QR.
                 let norms = scale::col_norms(&c);
                 let p = Permutation::sort_descending(&norms);
-                let cp = p.permute_cols(&c);
-                linalg::workspace::put_matrix(c);
-                let f = qr::qr_in_place(cp);
-                let sign = f.q_det_sign();
-                (f.form_q(), f.a, p, sign)
+                p.permute_cols_into(&c, &mut spare);
+                (qr::qr_in_place(std::mem::replace(&mut spare, c)), p)
             }
         };
         self.udt.interchanges += pi.displacement();
@@ -156,7 +156,7 @@ impl StratifyState {
         // Refill the graded diagonal in place — its capacity persists across
         // every boundary of the chain.
         self.udt.d.clear();
-        self.udt.d.extend((0..n).map(|i| packed[(i, i)]));
+        self.udt.d.extend((0..n).map(|i| f.a[(i, i)]));
         // QRP grades strictly; the pre-pivot variant only preserves the
         // essential graded structure (§IV-A), hence the wide slack.
         linalg::check_graded!(
@@ -168,15 +168,15 @@ impl StratifyState {
             "stratified D at cluster boundary {}",
             self.boundary
         );
-        // Q is formed, so the reflectors below the diagonal are dead: scale
-        // the packed factors in place and let the TRMM read Dᵢ⁻¹Rᵢ from
-        // their upper triangle.
-        scale::row_scale_inv(&self.udt.d, &mut packed);
-        let mut pt = pi.permute_rows_t(&self.udt.t);
-        tri::trmm_upper(&packed, &mut pt);
-        self.udt.t = pt;
-        self.udt.q = qi;
-        self.udt.q_sign = sign;
+        // T first, reading Dᵢ⁻¹Rᵢ from the upper triangle of the packed
+        // factors; only then is Qᵢ formed over them (DORGQR in place), so
+        // the step never holds R and Q as two matrices.
+        scale::row_scale_inv_upper(&self.udt.d, &mut f.a);
+        pi.permute_rows_t_into(&self.udt.t, &mut spare);
+        tri::trmm_upper(&f.a, &mut spare);
+        linalg::workspace::put_matrix(std::mem::replace(&mut self.udt.t, spare));
+        self.udt.q_sign = f.q_det_sign();
+        self.udt.q = f.into_q();
     }
 
     /// The current decomposition.
@@ -195,11 +195,14 @@ impl StratifyState {
 ///
 /// Matrices may be the raw per-slice B's or pre-clustered products
 /// (§III-A2); the algorithm is identical.
-pub fn stratify(factors: &[Matrix], algo: StratAlgo) -> Udt {
+///
+/// The factors may be owned or borrowed (`&[Matrix]`, `&[&Matrix]`): the
+/// sweep hands in references to its cached cluster products.
+pub fn stratify<M: Borrow<Matrix>>(factors: &[M], algo: StratAlgo) -> Udt {
     assert!(!factors.is_empty(), "stratify: empty factor list");
-    let mut state = StratifyState::new(&factors[0], algo);
+    let mut state = StratifyState::new(factors[0].borrow(), algo);
     for b in &factors[1..] {
-        state.push(b);
+        state.push(b.borrow());
     }
     state.into_udt()
 }
@@ -393,6 +396,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty factor list")]
     fn empty_chain_rejected() {
-        let _ = stratify(&[], StratAlgo::Qrp);
+        let _ = stratify::<Matrix>(&[], StratAlgo::Qrp);
     }
 }

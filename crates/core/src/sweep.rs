@@ -44,7 +44,7 @@
 
 use crate::backend::{BackendFault, ComputeBackend, FaultKind, HostBackend};
 use crate::bmat::BMatrixFactory;
-use crate::greens::{self, greens_from_udt};
+use crate::greens::{self, greens_from_udt, GreensFunction};
 use crate::hs::HsField;
 use crate::hubbard::{SimParams, Spin};
 use crate::measure::Observables;
@@ -56,7 +56,8 @@ use crate::recycle::ClusterCache;
 use crate::stratify::stratify;
 use crate::update::SliceUpdater;
 use linalg::check::first_non_finite;
-use linalg::{workspace, Matrix};
+use linalg::{team, workspace, Matrix};
+use std::sync::OnceLock;
 use util::{DqmcError, PhaseTimer, Rng, RunningStats};
 
 /// The complete mutable state of one walker (one Markov chain).
@@ -227,28 +228,47 @@ impl DqmcCore {
 
     /// One attempt at the full stratified evaluation. On success `self.g`
     /// and `self.sign` are updated; on fault they are untouched.
+    ///
+    /// Both spins' cluster factors are gathered first (rebuilding the stale
+    /// ones) and lent out of the cache; the two evaluations are independent
+    /// and run as one team job of two chunks when one of their GEMMs alone
+    /// would fork — a spare core then takes one spin (the kernels inside see
+    /// the team taken and stay serial) — and as one chunk otherwise.
     fn try_recompute_greens(&mut self, l: usize) -> Result<(), BackendFault> {
         let algo = self.params.algo;
+        let n = self.nsites();
+        self.timer.time(phases::CLUSTERING, || {
+            for spin in Spin::BOTH {
+                self.cache.prepare_after_slice(&self.fac, &self.h, l, spin);
+            }
+        });
+        let factors = Spin::BOTH.map(|spin| self.cache.cached_after_slice(l, spin));
+        let evaluated: [OnceLock<GreensFunction>; 2] = Default::default();
+        // Spins per chunk: the same cut as the GEMM slabs', from N alone.
+        let per = if 2 * n * n * n >= team::FORK_FLOPS {
+            1
+        } else {
+            2
+        };
+        self.timer.time(phases::STRATIFICATION, || {
+            team::for_each_chunk(2 / per, |i| {
+                for s in i * per..(i + 1) * per {
+                    let gf = greens_from_udt(&stratify(&factors[s], algo));
+                    assert!(evaluated[s].set(gf).is_ok(), "one chunk per spin");
+                }
+            })
+        });
         let mut sign = 1.0;
-        let mut gs: [Option<Matrix>; 2] = [None, None];
-        for spin in Spin::BOTH {
-            let factors = self.timer.time(phases::CLUSTERING, || {
-                self.cache.factors_after_slice(&self.fac, &self.h, l, spin)
-            });
-            let gf = self.timer.time(phases::STRATIFICATION, || {
-                greens_from_udt(&stratify(&factors, algo))
-            });
+        let [up, dn] = evaluated.map(|gf| gf.into_inner().expect("both spins evaluated"));
+        for (spin, gf) in Spin::BOTH.iter().zip([&up, &dn]) {
             if let Some((idx, v)) = first_non_finite(gf.g.as_slice()) {
                 return Err(BackendFault::taint(format!(
                     "stratified G for {spin:?} has {v} at element {idx}"
                 )));
             }
             sign *= gf.sign;
-            gs[spin.index()] = Some(gf.g);
         }
-        let [up, dn] = gs;
-        self.g[0] = up.expect("both spins evaluated");
-        self.g[1] = dn.expect("both spins evaluated");
+        self.g = [up.g, dn.g];
         self.sign = sign;
         Ok(())
     }

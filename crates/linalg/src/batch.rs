@@ -48,6 +48,15 @@ impl<'a> GemmOperand<'a> {
         }
     }
 
+    /// What entry `e` packs for one slab: its own matrix, or — a shared
+    /// operand past entry 0 — nothing, the slab being in the buffer already.
+    fn slab_of(&self, e: usize, op: Op) -> Option<(View<'a>, Op)> {
+        match self {
+            GemmOperand::Shared(_) if e > 0 => None,
+            _ => Some((self.entry(e), op)),
+        }
+    }
+
     fn check_batch(&self, b: usize, side: &str) {
         if let GemmOperand::Each(ms) = self {
             assert_eq!(ms.len(), b, "dgemm_strided_batched: {side} operand count");
@@ -147,7 +156,8 @@ pub fn dgemm_strided_batched(
 /// The blocked batched path, monomorphised per micro-tile width `NR`
 /// exactly like `gemm_blocked`. One pair of packing buffers is leased for
 /// the whole crowd; a shared operand's slab is packed once per `pc`
-/// iteration, a per-entry operand's slab once per entry (the solo cost).
+/// iteration (by entry 0, and stays in its buffer for the rest of the
+/// crowd), a per-entry operand's slab once per entry (the solo cost).
 #[allow(clippy::too_many_arguments)]
 fn blocked_batched<const NR: usize>(
     use_fma: bool,
@@ -161,27 +171,24 @@ fn blocked_batched<const NR: usize>(
     n: usize,
     k: usize,
 ) {
-    let mut packed_a = workspace::take(blas3::padded(m, MR) * KC.min(k));
-    let mut packed_b = workspace::take(KC.min(k) * blas3::padded(n, NR));
+    let mut packed_a = workspace::take_scratch(blas3::padded(m, MR) * KC.min(k));
+    let mut packed_b = workspace::take_scratch(KC.min(k) * blas3::padded(n, NR));
 
     let mut pc = 0;
     while pc < k {
         let kc = KC.min(k - pc);
-        if let GemmOperand::Shared(am) = a {
-            blas3::pack_a_full(am.view(), opa, pc, kc, m, &mut packed_a);
-        }
-        if let GemmOperand::Shared(bm) = b {
-            blas3::pack_b_full::<NR>(bm.view(), opb, pc, kc, n, &mut packed_b);
-        }
         for (e, c) in cs.iter_mut().enumerate() {
-            if let GemmOperand::Each(ams) = a {
-                blas3::pack_a_full(ams[e].view(), opa, pc, kc, m, &mut packed_a);
-            }
-            if let GemmOperand::Each(bms) = b {
-                blas3::pack_b_full::<NR>(bms[e].view(), opb, pc, kc, n, &mut packed_b);
-            }
-
-            blas3::macro_tiles::<NR>(use_fma, alpha, &packed_a, &packed_b, kc, &mut c.view_mut());
+            blas3::slab::<NR>(
+                use_fma,
+                alpha,
+                a.slab_of(e, opa),
+                b.slab_of(e, opb),
+                pc,
+                kc,
+                &mut packed_a,
+                &mut packed_b,
+                &mut c.view_mut(),
+            );
         }
         pc += kc;
     }

@@ -6,8 +6,9 @@
 //! - within a slab, A is packed into `MR`-row micro-panels and B into
 //!   `NR`-column micro-panels,
 //! - an `MR × NR` register-tile micro-kernel runs over the packed panels,
-//! - macro-tiles (`MC × NC`) are visited in column-major order on the
-//!   calling thread.
+//! - each `KC` slab is one pair of [`crate::team`] jobs — pack the panels,
+//!   then the macro-tiles (`MC × NC`) of `NR`-aligned column ranges of C — cut
+//!   from the shape alone, so the bits are the same on one thread or two.
 //!
 //! The micro-kernel is selected at runtime through [`crate::simd`]: an
 //! AVX2+FMA 8×6 tile on capable `x86_64` hosts, the portable scalar 8×4
@@ -28,7 +29,7 @@
 
 use crate::matrix::{Matrix, View, ViewMut};
 use crate::simd::{self, KernelPath};
-use crate::workspace;
+use crate::{team, workspace};
 
 /// Transpose flag for a GEMM operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,6 +67,10 @@ pub(crate) const MC: usize = 128;
 pub(crate) const NC: usize = 512;
 /// Below this flop count the packing/blocking machinery is pure overhead.
 pub(crate) const SMALL_FLOPS: usize = 48 * 48 * 48;
+/// Micro-panels per chunk of a slab's packing job (A and B panels alike).
+const PACK_PANELS: usize = 8;
+/// B micro-panels (`NR` columns of C each) per chunk of a slab's tile job.
+const TILE_PANELS: usize = 4;
 
 /// General matrix multiply: `C = alpha * op(A) * op(B) + beta * C`.
 ///
@@ -186,7 +191,8 @@ fn gemm_impl(
 /// `use_fma` selects the AVX2+FMA micro-kernel (callers guarantee host
 /// support and `NR == 6`); otherwise the scalar register tile runs. Packing
 /// buffers are leased from the thread-local workspace arena — zero heap
-/// traffic once the arena is warm.
+/// traffic once the arena is warm — and not cleared: every slab packs each
+/// element it reads, padding included.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<const NR: usize>(
     use_fma: bool,
@@ -200,16 +206,24 @@ fn gemm_blocked<const NR: usize>(
     n: usize,
     k: usize,
 ) {
-    let mut packed_a = workspace::take(padded(m, MR) * KC.min(k));
-    let mut packed_b = workspace::take(KC.min(k) * padded(n, NR));
+    let mut packed_a = workspace::take_scratch(padded(m, MR) * KC.min(k));
+    let mut packed_b = workspace::take_scratch(KC.min(k) * padded(n, NR));
 
     let mut pc = 0;
     while pc < k {
         let kc = KC.min(k - pc);
-        pack_a_full(a, opa, pc, kc, m, &mut packed_a);
-        pack_b_full::<NR>(b, opb, pc, kc, n, &mut packed_b);
-
-        macro_tiles::<NR>(use_fma, alpha, &packed_a, &packed_b, kc, &mut c);
+        let (a, b) = (Some((a, opa)), Some((b, opb)));
+        slab::<NR>(
+            use_fma,
+            alpha,
+            a,
+            b,
+            pc,
+            kc,
+            &mut packed_a,
+            &mut packed_b,
+            &mut c,
+        );
         pc += kc;
     }
 
@@ -219,6 +233,74 @@ fn gemm_blocked<const NR: usize>(
 
 pub(crate) fn padded(x: usize, r: usize) -> usize {
     x.div_ceil(r) * r
+}
+
+/// One `kc` slab of a blocked product, `C += alpha · op(A)[:, pc..] ·
+/// op(B)[pc.., :]`, as two team jobs: pack the slab of each operand given
+/// (`None`: the buffer already holds it — the batched driver's shared
+/// operand), then run the macro-kernel over C.
+///
+/// The chunks are fixed by `(m, n, kc)`: runs of [`PACK_PANELS`]
+/// micro-panels, runs of [`TILE_PANELS`] `NR`-column ranges of C, or one
+/// chunk each under [`team::FORK_FLOPS`]. A chunk writes its own panels or
+/// its own columns of C and every element of C still receives its slabs in
+/// `pc` order, so the result does not depend on who runs which chunk.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn slab<const NR: usize>(
+    use_fma: bool,
+    alpha: f64,
+    a: Option<(View<'_>, Op)>,
+    b: Option<(View<'_>, Op)>,
+    pc: usize,
+    kc: usize,
+    packed_a: &mut [f64],
+    packed_b: &mut [f64],
+    c: &mut ViewMut<'_>,
+) {
+    let (m, n) = (c.nrows(), c.ncols());
+    let (a_panels, b_panels) = (m.div_ceil(MR), n.div_ceil(NR));
+    let fork = 2 * m * n * kc >= team::FORK_FLOPS;
+
+    // Packing: the A panels to pack followed by the B panels, as one range.
+    let a_units = if a.is_some() { a_panels } else { 0 };
+    let units = a_units + if b.is_some() { b_panels } else { 0 };
+    let per = if fork { PACK_PANELS } else { units.max(1) };
+    let mut a_cols = ViewMut::of_columns(&mut packed_a[..a_panels * kc * MR], kc * MR);
+    let mut b_cols = ViewMut::of_columns(&mut packed_b[..b_panels * kc * NR], kc * NR);
+    let (a_shards, b_shards) = (a_cols.shards(), b_cols.shards());
+    team::for_each_chunk(units.div_ceil(per), |i| {
+        let (u0, u1) = (i * per, units.min((i + 1) * per));
+        if let (Some((a, opa)), true) = (a, u0 < a_units) {
+            let p1 = u1.min(a_units);
+            // SAFETY: chunk i alone covers units u0..u1, hence these panels.
+            let dst = unsafe { a_shards.cols(u0, p1 - u0) };
+            pack_a(a, opa, pc, kc, m, u0, dst);
+        }
+        if let (Some((b, opb)), true) = (b, u1 > a_units) {
+            let p0 = u0.max(a_units) - a_units;
+            // SAFETY: as above, for the B panels among units u0..u1.
+            let dst = unsafe { b_shards.cols(p0, u1 - a_units - p0) };
+            pack_b::<NR>(b, opb, pc, kc, n, p0, dst);
+        }
+    });
+
+    // Macro-tiles: NR-aligned column ranges of C.
+    let (packed_a, packed_b): (&[f64], &[f64]) = (packed_a, packed_b);
+    let per = if fork { TILE_PANELS } else { b_panels };
+    let c_shards = c.shards();
+    team::for_each_chunk(b_panels.div_ceil(per), |i| {
+        let j0 = i * per * NR;
+        // SAFETY: chunk i alone covers columns j0..j0 + per·NR of C.
+        let mut cols = unsafe { c_shards.cols(j0, (per * NR).min(n - j0)) };
+        macro_tiles::<NR>(
+            use_fma,
+            alpha,
+            packed_a,
+            &packed_b[i * per * kc * NR..],
+            kc,
+            &mut cols,
+        );
+    });
 }
 
 /// Reads `op(A)[i, p]` for the logical (post-op) index pair.
@@ -233,16 +315,16 @@ fn read_op(a: View<'_>, op: Op, i: usize, p: usize) -> f64 {
     }
 }
 
-/// Packs all MR-row micro-panels of `op(A)[0..m, pc..pc+kc]`.
+/// Packs the MR-row micro-panels `p0..` of `op(A)[0..m, pc..pc+kc]`, one per
+/// column of `dst`.
 ///
 /// Layout: panel r0 (rows r0..r0+MR) occupies `kc*MR` consecutive values,
 /// k-major: element (r0+i, pc+p) at `panel_base + p*MR + i`. Rows beyond `m`
 /// are zero-padded.
-pub(crate) fn pack_a_full(a: View<'_>, opa: Op, pc: usize, kc: usize, m: usize, buf: &mut [f64]) {
-    let panels = m.div_ceil(MR);
-    let buf = &mut buf[..panels * kc * MR];
-    for (pi, panel) in buf.chunks_mut(kc * MR).enumerate() {
-        let r0 = pi * MR;
+fn pack_a(a: View<'_>, opa: Op, pc: usize, kc: usize, m: usize, p0: usize, mut dst: ViewMut<'_>) {
+    for pi in 0..dst.ncols() {
+        let panel = dst.col_mut(pi);
+        let r0 = (p0 + pi) * MR;
         let rows = MR.min(m - r0);
         for p in 0..kc {
             let dst = &mut panel[p * MR..(p + 1) * MR];
@@ -256,22 +338,23 @@ pub(crate) fn pack_a_full(a: View<'_>, opa: Op, pc: usize, kc: usize, m: usize, 
     }
 }
 
-/// Packs all NR-column micro-panels of `op(B)[pc..pc+kc, 0..n]`.
+/// Packs the NR-column micro-panels `p0..` of `op(B)[pc..pc+kc, 0..n]`, one
+/// per column of `dst`.
 ///
 /// Layout: panel c0 occupies `kc*NR` consecutive values, k-major: element
 /// (pc+p, c0+j) at `panel_base + p*NR + j`. Columns beyond `n` are zero-padded.
-pub(crate) fn pack_b_full<const NR: usize>(
+fn pack_b<const NR: usize>(
     b: View<'_>,
     opb: Op,
     pc: usize,
     kc: usize,
     n: usize,
-    buf: &mut [f64],
+    p0: usize,
+    mut dst: ViewMut<'_>,
 ) {
-    let panels = n.div_ceil(NR);
-    let buf = &mut buf[..panels * kc * NR];
-    for (pi, panel) in buf.chunks_mut(kc * NR).enumerate() {
-        let c0 = pi * NR;
+    for pi in 0..dst.ncols() {
+        let panel = dst.col_mut(pi);
+        let c0 = (p0 + pi) * NR;
         let cols = NR.min(n - c0);
         for p in 0..kc {
             let dst = &mut panel[p * NR..(p + 1) * NR];
@@ -285,9 +368,10 @@ pub(crate) fn pack_b_full<const NR: usize>(
     }
 }
 
-/// Adds one `kc` slab's product to C: the macro-kernel over every `MC × NC`
-/// tile, in column-major tile order.
-pub(crate) fn macro_tiles<const NR: usize>(
+/// Adds one `kc` slab's product to a column range of C: the macro-kernel
+/// over every `MC × NC` tile, in column-major tile order. `packed_b` starts
+/// at the range's first micro-panel.
+fn macro_tiles<const NR: usize>(
     use_fma: bool,
     alpha: f64,
     packed_a: &[f64],

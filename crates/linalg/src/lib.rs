@@ -26,6 +26,7 @@
 //! | [`expm`] | — | B = e^{−ΔτK} |
 //! | [`scale`] | custom OpenMP kernels of §IV-B | row/col scalings, column norms |
 //! | [`perm`] | dlapmt | pivoting and pre-pivoting |
+//! | [`team`] | the OpenMP runtime of §IV-B | one fork-join team: GEMM chunks, the spin pair |
 
 //!
 //! # Checked-invariants mode
@@ -50,6 +51,7 @@ pub mod qrp;
 pub mod scale;
 pub mod simd;
 pub mod svd;
+pub mod team;
 pub mod tri;
 pub mod workspace;
 

@@ -333,6 +333,30 @@ pub(crate) struct ViewMut<'a> {
     _borrow: PhantomData<&'a mut [f64]>,
 }
 
+/// A block handed out piecewise to the chunks of one [`crate::team`] job:
+/// shareable across threads, and each chunk carves its own writable column
+/// range out of it.
+#[derive(Clone, Copy)]
+pub(crate) struct Shards<'a> {
+    block: View<'a>,
+    _borrow: PhantomData<&'a mut [f64]>,
+}
+
+impl Shards<'_> {
+    /// Columns `c0..c0 + nc` of the block, writable.
+    ///
+    /// # Safety
+    /// Views taken from one `Shards` that are alive at the same time must
+    /// cover disjoint column ranges.
+    #[inline]
+    pub(crate) unsafe fn cols(&self, c0: usize, nc: usize) -> ViewMut<'_> {
+        ViewMut {
+            block: self.block.sub((0, c0, self.block.rows, nc)),
+            _borrow: PhantomData,
+        }
+    }
+}
+
 impl Matrix {
     /// The whole matrix as a [`View`].
     #[inline]
@@ -415,6 +439,37 @@ impl<'a> View<'a> {
         // SAFETY: the caller guarantees i < rows and j < cols, so j*ld + i
         // addresses an element of the borrowed block.
         unsafe { *self.ptr.add(j * self.ld + i) }
+    }
+}
+
+impl<'a> ViewMut<'a> {
+    /// `buf` as a matrix of `rows`-element columns — the packed GEMM
+    /// operands, whose micro-panels are such columns.
+    #[inline]
+    pub(crate) fn of_columns(buf: &'a mut [f64], rows: usize) -> ViewMut<'a> {
+        assert!(
+            rows > 0 && buf.len().is_multiple_of(rows),
+            "ragged column buffer"
+        );
+        ViewMut {
+            block: View {
+                ptr: buf.as_mut_ptr(),
+                rows,
+                cols: buf.len() / rows,
+                ld: rows,
+                _borrow: PhantomData,
+            },
+            _borrow: PhantomData,
+        }
+    }
+
+    /// The block as [`Shards`]: exclusive for as long as the shards live.
+    #[inline]
+    pub(crate) fn shards(&mut self) -> Shards<'_> {
+        Shards {
+            block: self.block,
+            _borrow: PhantomData,
+        }
     }
 }
 

@@ -97,12 +97,19 @@ impl Permutation {
     /// Returns `A · P` (reorders columns: column `j` of the result is column
     /// `forward[j]` of `A`).
     pub fn permute_cols(&self, a: &Matrix) -> Matrix {
-        assert_eq!(a.ncols(), self.len());
         let mut out = Matrix::zeros(a.nrows(), a.ncols());
+        self.permute_cols_into(a, &mut out);
+        out
+    }
+
+    /// [`Self::permute_cols`] into a matrix of `a`'s shape the caller
+    /// recycles (every element is overwritten).
+    pub fn permute_cols_into(&self, a: &Matrix, out: &mut Matrix) {
+        assert_eq!(a.ncols(), self.len());
+        assert_eq!((out.nrows(), out.ncols()), (a.nrows(), a.ncols()));
         for j in 0..a.ncols() {
             out.col_mut(j).copy_from_slice(a.col(self.forward[j]));
         }
-        out
     }
 
     /// Returns `A · Pᵀ` (column `forward[j]` of the result is column `j` of `A`).
@@ -117,8 +124,16 @@ impl Permutation {
 
     /// Returns `Pᵀ · A` (row `j` of the result is row `forward[j]` of `A`).
     pub fn permute_rows_t(&self, a: &Matrix) -> Matrix {
-        assert_eq!(a.nrows(), self.len());
         let mut out = Matrix::zeros(a.nrows(), a.ncols());
+        self.permute_rows_t_into(a, &mut out);
+        out
+    }
+
+    /// [`Self::permute_rows_t`] into a matrix of `a`'s shape the caller
+    /// recycles (every element is overwritten).
+    pub fn permute_rows_t_into(&self, a: &Matrix, out: &mut Matrix) {
+        assert_eq!(a.nrows(), self.len());
+        assert_eq!((out.nrows(), out.ncols()), (a.nrows(), a.ncols()));
         for j in 0..a.ncols() {
             let src = a.col(j);
             let dst = out.col_mut(j);
@@ -126,7 +141,6 @@ impl Permutation {
                 *d = src[self.forward[i]];
             }
         }
-        out
     }
 
     /// Returns `P · A` (row `forward[i]` of the result is row `i` of `A`).

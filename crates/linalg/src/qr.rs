@@ -253,24 +253,51 @@ pub(crate) fn apply_reflectors(a: &Matrix, tau: &[f64], trans: bool, c: &mut Mat
     }
 }
 
-/// The square `m × m` orthogonal factor of the reflectors packed in
-/// `(a, tau)` (DORGQR): back to front, so the panel at `j0` meets the
+/// Overwrites the `m × m` matrix `q`, whose first `tau.len()` columns hold
+/// packed reflectors below the diagonal, with the orthogonal factor they
+/// define (DORGQR, in place): back to front, so the panel at `j0` meets the
 /// identity outside the trailing `(m−j0) × (m−j0)` block and updates only
-/// that — 4/3·m³ flops where applying Q to a full identity costs 2·m³.
+/// that — 4/3·m³ flops where applying Q to a full identity costs 2·m³. Each
+/// panel's V is copied out before its columns (R above, V below) become the
+/// identity columns the reflector acts on.
+pub(crate) fn form_q_in_place(q: &mut Matrix, tau: &[f64]) {
+    let m = q.nrows();
+    assert!(q.is_square() && tau.len() <= m, "form_q: Q must be m × m");
+    let unit_cols = |q: &mut Matrix, cols: std::ops::Range<usize>| {
+        for j in cols {
+            let col = q.col_mut(j);
+            col.fill(0.0);
+            col[j] = 1.0;
+        }
+    };
+    unit_cols(q, tau.len()..m);
+    for j0 in (0..tau.len()).step_by(NB).rev() {
+        let nb = NB.min(tau.len() - j0);
+        let (v, t) = panel_vt(q, &tau[j0..j0 + nb], j0, nb);
+        unit_cols(q, j0..j0 + nb);
+        apply_block_reflector(&v, &t, false, q.view_mut().sub((j0, j0, m - j0, m - j0)));
+        workspace::put_matrix(v);
+        workspace::put_matrix(t);
+    }
+    crate::check_orthogonal!(&*q, 1e-11 * m.max(4) as f64, "qr form_q ({m}x{m})");
+}
+
+/// The square `m × m` orthogonal factor of the reflectors packed in
+/// `(a, tau)`: [`form_q_in_place`] on a copy of the reflector columns.
 pub(crate) fn form_q(a: &Matrix, tau: &[f64]) -> Matrix {
     let m = a.nrows();
-    let mut q = Matrix::identity(m);
-    for j0 in (0..tau.len()).step_by(NB).rev() {
-        apply_panel(
-            a,
-            tau,
-            j0,
-            false,
-            q.view_mut().sub((j0, j0, m - j0, m - j0)),
-        );
+    let mut q = Matrix::zeros(m, m);
+    for j in 0..tau.len() {
+        q.col_mut(j).copy_from_slice(a.col(j));
     }
-    crate::check_orthogonal!(&q, 1e-11 * m.max(4) as f64, "qr form_q ({m}x{m})");
+    form_q_in_place(&mut q, tau);
     q
+}
+
+/// [`form_q`] for square packed factors, reusing their storage for Q.
+pub(crate) fn into_q(mut a: Matrix, tau: &[f64]) -> Matrix {
+    form_q_in_place(&mut a, tau);
+    a
 }
 
 /// The upper-triangular/trapezoidal factor R (`min(m,n) × n`) of packed
@@ -323,6 +350,12 @@ impl QrFactors {
     /// Forms the square `m × m` orthogonal factor Q explicitly (DORGQR).
     pub fn form_q(&self) -> Matrix {
         form_q(&self.a, &self.tau)
+    }
+
+    /// Consumes square factors and forms Q in their storage (R is gone):
+    /// the bits of [`Self::form_q`] without a second `m × m` matrix.
+    pub fn into_q(self) -> Matrix {
+        into_q(self.a, &self.tau)
     }
 
     /// Sign of `det Q`: each non-trivial Householder reflector contributes −1.

@@ -300,6 +300,12 @@ impl QrpFactors {
         qr::form_q(&self.a, &self.tau)
     }
 
+    /// Consumes square factors and forms Q in their storage (see
+    /// [`crate::QrFactors::into_q`]).
+    pub fn into_q(self) -> Matrix {
+        qr::into_q(self.a, &self.tau)
+    }
+
     /// Applies `Qᵀ` in place (`C := Qᵀ C`).
     pub fn apply_qt(&self, c: &mut Matrix) {
         qr::apply_reflectors(&self.a, &self.tau, true, c);

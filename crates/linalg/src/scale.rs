@@ -42,14 +42,34 @@ pub fn col_scale(d: &[f64], a: &mut Matrix) {
     }
 }
 
-/// `A ← diag(d)⁻¹ · A` — divides row `i` by `d[i]` (graded T-matrix update).
+/// `1 / d[i]` for the two inverse scalings below.
 // dqmc-lint: allow(hot_alloc) -- one O(m) reciprocal buffer per call, not per
-// element; fusing the division into row_scale would duplicate the kernel.
-pub fn row_scale_inv(d: &[f64], a: &mut Matrix) {
+// element; fusing the division into the scaling loops would duplicate them.
+fn reciprocals(d: &[f64]) -> Vec<f64> {
     let inv: Vec<f64> = d.iter().map(|&x| 1.0 / x).collect();
     // A zero in d turns into Inf here; catch it before it spreads through A.
-    crate::check_finite!(&inv, "row_scale_inv reciprocal diagonal (len {})", d.len());
-    row_scale(&inv, a);
+    crate::check_finite!(&inv, "reciprocal diagonal (len {})", d.len());
+    inv
+}
+
+/// `A ← diag(d)⁻¹ · A` — divides row `i` by `d[i]` (graded T-matrix update).
+// dqmc-lint: allow(unchecked_kernel) -- `reciprocals` and `row_scale` check.
+pub fn row_scale_inv(d: &[f64], a: &mut Matrix) {
+    row_scale(&reciprocals(d), a);
+}
+
+/// `R ← diag(d)⁻¹ · R` on the upper triangle of `a` (diagonal included),
+/// leaving what is stored below it — a packed factorization's reflectors —
+/// alone. The upper triangle gets the bits [`row_scale_inv`] gives it.
+pub fn row_scale_inv_upper(d: &[f64], a: &mut Matrix) {
+    assert_eq!(d.len(), a.nrows(), "row_scale_inv_upper: diagonal length");
+    let inv = reciprocals(d);
+    for j in 0..a.ncols() {
+        for (x, &di) in a.col_mut(j).iter_mut().zip(&inv).take(j + 1) {
+            *x *= di;
+        }
+    }
+    crate::check_finite!(a.as_slice(), "row_scale_inv_upper output");
 }
 
 /// Euclidean norm of every column.

@@ -56,10 +56,21 @@ impl Workspace {
 
     /// Takes a zero-filled buffer of exactly `len` elements, reusing pooled
     /// capacity when possible.
+    pub fn take(&mut self, len: usize) -> Vec<f64> {
+        let mut buf = self.take_scratch(len);
+        buf.fill(0.0);
+        buf
+    }
+
+    /// Takes a buffer of exactly `len` elements whose contents are
+    /// unspecified (whatever an earlier user left, zeros where it had to
+    /// grow) — for callers that overwrite every element they read, like the
+    /// GEMM packing buffers, and so need not pay [`Workspace::take`]'s
+    /// memset.
     // dqmc-lint: allow(hot_alloc) — this is the arena's one growth site: a
     // buffer is allocated (or grown) only when no pooled buffer has enough
     // capacity, i.e. O(1) times per (thread, size class) over a whole run.
-    pub fn take(&mut self, len: usize) -> Vec<f64> {
+    pub fn take_scratch(&mut self, len: usize) -> Vec<f64> {
         // Best fit: the smallest pooled buffer whose capacity suffices —
         // keeps big GEMM panels from being burned on tiny requests.
         let mut best: Option<(usize, usize)> = None;
@@ -74,7 +85,6 @@ impl Workspace {
             // No pooled buffer fits: grow the largest (if any) or start fresh.
             None => self.pool.pop().unwrap_or_default(),
         };
-        buf.clear();
         buf.resize(len, 0.0);
         buf
     }
@@ -117,6 +127,12 @@ thread_local! {
 /// nest without restriction.
 pub fn take(len: usize) -> Vec<f64> {
     POOL.with(|p| p.borrow_mut().take(len))
+}
+
+/// Takes a buffer of `len` elements with unspecified contents from this
+/// thread's arena (see [`Workspace::take_scratch`]).
+pub fn take_scratch(len: usize) -> Vec<f64> {
+    POOL.with(|p| p.borrow_mut().take_scratch(len))
 }
 
 /// Returns a buffer to this thread's arena.

@@ -19,12 +19,31 @@
 //! GEMM-based TRMM/TRSM against the level-2 loops they replaced
 //! (`common/mod.rs`), and the DORGQR-shaped `form_q` against `apply_q(I)`,
 //! at sizes on both sides of the size crossover and of every panel edge.
+//!
+//! The third part is about *who* computes: every grid above also feeds its
+//! results' bits to a recorder, and one test runs all of them once with the
+//! fork-join team held (one thread) and once free, and wants the two
+//! records equal bit for bit. Each grid has shapes on both sides of
+//! `team::FORK_FLOPS`. CI runs this under `LINALG_KERNEL=scalar` and `fma`.
 
 mod common;
 
 use common::*;
 use linalg::blas3::{gemm_naive, matmul};
-use linalg::{gemm_with_kernel, tri, KernelPath, Matrix, Op};
+use linalg::{gemm_with_kernel, team, tri, workspace, KernelPath, Matrix, Op};
+use std::cell::RefCell;
+
+thread_local! {
+    /// Bits of every result the grids of this thread produced, in order.
+    static RECORD: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+fn record(m: &Matrix) {
+    RECORD.with(|r| {
+        r.borrow_mut()
+            .extend(m.as_slice().iter().map(|x| x.to_bits()))
+    });
+}
 
 /// Elementwise tolerance for comparing two summation orders of a length-`k`
 /// dot product with |entries| ≤ 1: a couple of ulps per accumulation step.
@@ -62,6 +81,8 @@ fn check_case(m: usize, n: usize, k: usize, alpha: f64, beta: f64, opa: Op, opb:
         &mut c_scalar,
     );
 
+    record(&c_scalar);
+
     let t = tol(k, alpha, beta);
     let label = format!("m={m} n={n} k={k} α={alpha} β={beta} {opa:?}/{opb:?}");
     assert!(
@@ -73,6 +94,7 @@ fn check_case(m: usize, n: usize, k: usize, alpha: f64, beta: f64, opa: Op, opb:
     if KernelPath::Fma.available() {
         let mut c_fma = c0.clone();
         gemm_with_kernel(KernelPath::Fma, alpha, &a, opa, &b, opb, beta, &mut c_fma);
+        record(&c_fma);
         assert!(
             c_fma.max_abs_diff(&c_scalar) <= t,
             "fma vs scalar: {} > {t} ({label})",
@@ -96,6 +118,8 @@ fn paths_agree_on_edge_and_prime_sizes() {
         (17, 13, 31),
         (61, 53, 67),
         (129, 127, 257), // crosses MC, NR-block, and KC boundaries
+        (263, 23, 269),  // forks with four column chunks, two slabs
+        (31, 521, 67),   // forks wide and flat: one A panel chunk
     ];
     for (i, &(m, n, k)) in sizes.iter().enumerate() {
         check_case(m, n, k, 1.0, 0.0, Op::NoTrans, Op::NoTrans, 100 + i as u64);
@@ -108,7 +132,7 @@ fn paths_agree_on_all_op_combinations() {
     let mut seed = 200;
     for &opa in &ops {
         for &opb in &ops {
-            for &(m, n, k) in &[(13, 11, 17), (64, 48, 64), (97, 89, 101)] {
+            for &(m, n, k) in &[(13, 11, 17), (64, 48, 64), (97, 89, 101), (131, 127, 137)] {
                 check_case(m, n, k, 1.0, 1.0, opa, opb, seed);
                 seed += 1;
             }
@@ -120,16 +144,10 @@ fn paths_agree_on_all_op_combinations() {
 fn paths_agree_on_alpha_beta_grid() {
     for (i, &alpha) in [0.0, 1.0, -0.5].iter().enumerate() {
         for (j, &beta) in [0.0, 1.0, -0.5].iter().enumerate() {
-            check_case(
-                33,
-                29,
-                41,
-                alpha,
-                beta,
-                Op::NoTrans,
-                Op::Trans,
-                300 + (3 * i + j) as u64,
-            );
+            for (m, n, k) in [(33, 29, 41), (130, 126, 134)] {
+                let seed = 300 + (3 * i + j) as u64;
+                check_case(m, n, k, alpha, beta, Op::NoTrans, Op::Trans, seed);
+            }
         }
     }
 }
@@ -229,6 +247,7 @@ fn check_tri(what: &str, kernel: TriKernel, reference: TriKernel, descending: bo
                 let mut expected = b.clone();
                 reference(&a, &mut expected);
                 kernel(&a, &mut b);
+                record(&b);
                 let rel = max_row_rel_diff(&b, &expected);
                 assert!(
                     rel <= 1e-13 * n as f64,
@@ -269,6 +288,8 @@ fn form_q_equals_apply_q_of_identity_and_is_orthogonal() {
         let tol = 1e-13 * m as f64;
         let mut applied = Matrix::identity(m);
         apply_q(&mut applied);
+        record(q);
+        record(&applied);
         assert!(
             q.max_abs_diff(&applied) <= tol,
             "{label}: form_q vs apply_q(I)"
@@ -282,8 +303,22 @@ fn form_q_equals_apply_q_of_identity_and_is_orthogonal() {
         let a = Matrix::random(m, n, &mut rng);
         let f = linalg::qr::qr_in_place(a.clone());
         check(&f.form_q(), |c| f.apply_q(c), &format!("qr {m}x{n}"));
-        let f = linalg::qrp::qrp_in_place(a);
+        if m == n {
+            // Q formed over the packed factors is the same Q.
+            assert_eq!(f.form_q().as_slice(), f.clone().into_q().as_slice());
+        }
+        let f = linalg::qrp::qrp_in_place(a.clone());
         check(&f.form_q(), |c| f.apply_q(c), &format!("qrp {m}x{n}"));
+        if m == n {
+            assert_eq!(f.form_q().as_slice(), f.clone().into_q().as_slice());
+            // The LU the Green's assembly runs: blocked panels, a GEMM
+            // trailing update and two triangular solves, all on sub-blocks.
+            let lu = linalg::lu::lu_in_place(conditioned(m, &mut rng)).expect("regular");
+            let mut x = a;
+            lu.solve_in_place(&mut x);
+            record(&lu.lu);
+            record(&x);
+        }
     }
 }
 
@@ -307,5 +342,104 @@ fn zero_column_right_hand_sides_are_no_ops() {
         let lu = linalg::lu::lu_in_place(a).expect("well conditioned");
         lu.solve_in_place(&mut empty);
         assert_eq!((empty.nrows(), empty.ncols()), (n, 0));
+    }
+}
+
+#[test]
+fn batched_products_equal_solo_products_on_both_sides_of_the_fork() {
+    // A crowd's wrap: one shared left operand, per-walker right operands.
+    // 40³ stays on the unpacked path, 72³ packs without forking, 136³ forks
+    // (and the shared operand's slab is packed by entry 0 only).
+    for n in [40, 72, 136] {
+        let mut rng = util::Rng::new(1100 + n as u64);
+        let shared = Matrix::random(n, n, &mut rng);
+        let each: Vec<Matrix> = (0..3).map(|_| Matrix::random(n, n, &mut rng)).collect();
+        let refs: Vec<&Matrix> = each.iter().collect();
+        let mut outs = vec![Matrix::zeros(n, n); 3];
+        linalg::dgemm_strided_batched(
+            1.0,
+            linalg::GemmOperand::Shared(&shared),
+            Op::NoTrans,
+            linalg::GemmOperand::Each(&refs),
+            Op::NoTrans,
+            0.0,
+            &mut outs.iter_mut().collect::<Vec<_>>(),
+        );
+        for (b, out) in each.iter().zip(&outs) {
+            let solo = matmul(&shared, Op::NoTrans, b, Op::NoTrans);
+            assert_eq!(out.as_slice(), solo.as_slice(), "n={n}");
+            record(out);
+        }
+    }
+}
+
+#[test]
+fn held_and_free_runs_of_every_grid_are_bit_identical() {
+    // Who runs a chunk must not reach a single bit: all grids above with the
+    // team held (this thread does everything) and free (helpers may claim
+    // chunks of every product past FORK_FLOPS).
+    let run = || {
+        RECORD.with(|r| r.borrow_mut().clear());
+        paths_agree_on_edge_and_prime_sizes();
+        paths_agree_on_all_op_combinations();
+        paths_agree_on_alpha_beta_grid();
+        blocked_trmm_upper_matches_level2_reference();
+        blocked_trsm_upper_matches_level2_reference();
+        blocked_trsm_lower_unit_matches_level2_reference();
+        form_q_equals_apply_q_of_identity_and_is_orthogonal();
+        batched_products_equal_solo_products_on_both_sides_of_the_fork();
+        RECORD.with(|r| std::mem::take(&mut *r.borrow_mut()))
+    };
+    let held = {
+        let _one_thread = team::hold();
+        run()
+    };
+    let free = run();
+    assert!(held.len() > 1_000_000, "the grids recorded their results");
+    assert!(held == free, "a helper-run chunk changed a result bit");
+}
+
+#[test]
+fn gemm_never_reads_what_it_did_not_pack() {
+    // The packing buffers are leased uncleared. Poison every buffer the
+    // arena will hand out, then multiply shapes whose last panels are
+    // partial (prime sizes, one past a tile, one past a cache block): a read
+    // of an unpacked element would put a NaN in C.
+    let poison = || {
+        let bufs: Vec<Vec<f64>> = (0..4).map(|_| workspace::take_scratch(1 << 18)).collect();
+        for mut b in bufs {
+            b.fill(f64::NAN);
+            workspace::put(b);
+        }
+    };
+    let shapes = [
+        (49, 49, 49),
+        (53, 59, 61),
+        (9, 7, 300),
+        (129, 127, 257),
+        (257, 7, 513),
+        (263, 257, 269),
+    ];
+    for (i, &(m, n, k)) in shapes.iter().enumerate() {
+        for path in [KernelPath::Scalar, KernelPath::Fma] {
+            for (opa, opb) in [(Op::NoTrans, Op::NoTrans), (Op::Trans, Op::Trans)] {
+                let mut rng = util::Rng::new(1000 + i as u64);
+                let (ar, ac) = if opa == Op::NoTrans { (m, k) } else { (k, m) };
+                let (br, bc) = if opb == Op::NoTrans { (k, n) } else { (n, k) };
+                let a = Matrix::random(ar, ac, &mut rng);
+                let b = Matrix::random(br, bc, &mut rng);
+                let mut c = Matrix::zeros(m, n);
+                let mut c_ref = Matrix::zeros(m, n);
+                poison();
+                gemm_with_kernel(path, 1.0, &a, opa, &b, opb, 0.0, &mut c);
+                gemm_naive(1.0, &a, opa, &b, opb, 0.0, &mut c_ref);
+                let diff = c.max_abs_diff(&c_ref);
+                assert!(c.as_slice().iter().all(|x| x.is_finite()));
+                assert!(
+                    diff <= tol(k, 1.0, 0.0),
+                    "{m}x{n}x{k} {opa:?}/{opb:?} {path:?}: {diff}"
+                );
+            }
+        }
     }
 }

@@ -12,17 +12,27 @@
 //!    see the lock registry in `lock_order.toml`.
 //!
 //! 2. **Model checking.** Under `--cfg loom` (`RUSTFLAGS="--cfg loom"`),
-//!    [`Mutex`] and [`Condvar`] resolve to the loom shim's
-//!    schedule-perturbing wrappers, so the loom models in
-//!    `crates/sched/tests/loom_models.rs` explore the *production*
-//!    queue/pool/watchdog code under many interleavings, not a re-model of
-//!    it. Ordinary builds resolve straight to `std::sync` with zero
-//!    overhead.
+//!    [`Mutex`], [`Condvar`] and the [`atomic`] types resolve to the loom
+//!    shim's schedule-perturbing wrappers, so the loom models in
+//!    `crates/sched/tests/loom_models.rs` and `linalg::team` explore the
+//!    *production* queue/pool/watchdog/team code under many interleavings,
+//!    not a re-model of it. Ordinary builds resolve straight to `std::sync`
+//!    with zero overhead.
 
 #[cfg(loom)]
 pub use loom::sync::{Condvar, Mutex};
 #[cfg(not(loom))]
 pub use std::sync::{Condvar, Mutex};
+
+/// Atomics for lock-free protocols that have a loom model
+/// (`linalg::team`): the std types, or under `--cfg loom` the shim's
+/// wrappers that make every operation a schedule perturbation point.
+pub mod atomic {
+    #[cfg(loom)]
+    pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    #[cfg(not(loom))]
+    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+}
 
 // Guard/error types are std's in both configurations (the loom shim wraps
 // std rather than re-implementing it), so poisoning behaves identically

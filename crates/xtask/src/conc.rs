@@ -59,11 +59,13 @@ const NONDET_TOKENS: [&str; 6] = [
     "ThreadId",
 ];
 
-/// Path fragments in R6/R7 jurisdiction: the lock-holding subsystems.
+/// Path fragments in R6/R7 jurisdiction: the lock-holding subsystems
+/// (`linalg/src/` for the fork-join team's one mutex).
 /// `fleet/src/` is deliberately lock-free (see lock_order.toml); keeping
 /// it in scope means the first mutex anyone adds there must be
 /// registered, not discovered in a deadlock.
-const LOCK_SCOPES: [&str; 5] = [
+const LOCK_SCOPES: [&str; 6] = [
+    "linalg/src/",
     "sched/src/",
     "gpusim/src/",
     "core/src/",

@@ -3,11 +3,12 @@
 //! The build environment has no access to crates.io, so this workspace
 //! ships a drop-in subset of loom's API ([`model`], [`sync`], [`thread`])
 //! that the `--cfg loom` models in `crates/sched/tests/loom_models.rs`
-//! compile against. The real loom exhaustively enumerates thread
-//! interleavings with DPOR; this shim approximates that exploration by
-//! running each model body many times under a *seeded schedule
-//! perturbator*: every synchronization operation (`Mutex::lock`,
-//! `Condvar` waits/notifies, `thread::spawn`) draws from a deterministic
+//! and `crates/linalg/src/team.rs` compile against. The real loom
+//! exhaustively enumerates thread interleavings with DPOR; this shim
+//! approximates that exploration by running each model body many times
+//! under a *seeded schedule perturbator*: every synchronization operation
+//! (`Mutex::lock`, `Condvar` waits/notifies, `thread::spawn`, and each
+//! operation on the `sync::atomic` wrappers) draws from a deterministic
 //! per-iteration RNG and may yield — or briefly sleep — to shove the OS
 //! scheduler into a different interleaving. Assertions inside the model
 //! therefore run under hundreds of distinct schedules per test instead of
@@ -77,10 +78,65 @@ where
 pub mod sync {
     pub use std::sync::{Arc, LockResult, MutexGuard, PoisonError, WaitTimeoutResult};
 
-    /// Re-export of std atomics (real loom instruments these; the shim
-    /// relies on the mutex/condvar perturbation for schedule diversity).
+    /// Std atomics, with schedule-perturbing wrappers shadowing the three
+    /// types (and the operations on them) that `linalg::team`'s lock-free
+    /// protocol is built from (real loom instruments every atomic; here each
+    /// operation on a wrapper is a perturbation point, so a compare-exchange
+    /// race is shoved into different orders across iterations).
     pub mod atomic {
         pub use std::sync::atomic::*;
+
+        macro_rules! perturbed_atomic {
+            ($name:ident, $t:ty $(, $rmw:ident)*) => {
+                /// The std atomic of the same name with a schedule
+                /// perturbation point before every operation.
+                #[derive(Debug, Default)]
+                pub struct $name(std::sync::atomic::$name);
+
+                impl $name {
+                    /// A new atomic holding `v`.
+                    pub const fn new(v: $t) -> Self {
+                        Self(std::sync::atomic::$name::new(v))
+                    }
+
+                    /// Loads after a perturbation point.
+                    pub fn load(&self, o: Ordering) -> $t {
+                        crate::sync_point();
+                        self.0.load(o)
+                    }
+
+                    /// Stores after a perturbation point.
+                    pub fn store(&self, v: $t, o: Ordering) {
+                        crate::sync_point();
+                        self.0.store(v, o)
+                    }
+
+                    /// Compare-exchange after a perturbation point.
+                    pub fn compare_exchange(
+                        &self,
+                        cur: $t,
+                        new: $t,
+                        ok: Ordering,
+                        err: Ordering,
+                    ) -> Result<$t, $t> {
+                        crate::sync_point();
+                        self.0.compare_exchange(cur, new, ok, err)
+                    }
+
+                    $(
+                        /// Read-modify-write after a perturbation point.
+                        pub fn $rmw(&self, v: $t, o: Ordering) -> $t {
+                            crate::sync_point();
+                            self.0.$rmw(v, o)
+                        }
+                    )*
+                }
+            };
+        }
+
+        perturbed_atomic!(AtomicBool, bool);
+        perturbed_atomic!(AtomicUsize, usize, fetch_add);
+        perturbed_atomic!(AtomicU64, u64, fetch_sub, fetch_and, fetch_or);
     }
 
     /// A `std::sync::Mutex` that perturbs the schedule on every `lock`.
@@ -91,7 +147,7 @@ pub mod sync {
 
     impl<T> Mutex<T> {
         /// A new unlocked mutex.
-        pub fn new(t: T) -> Self {
+        pub const fn new(t: T) -> Self {
             Mutex {
                 inner: std::sync::Mutex::new(t),
             }
@@ -124,8 +180,10 @@ pub mod sync {
 
     impl Condvar {
         /// A new condition variable.
-        pub fn new() -> Self {
-            Condvar::default()
+        pub const fn new() -> Self {
+            Condvar {
+                inner: std::sync::Condvar::new(),
+            }
         }
 
         /// Blocks on the condition after a perturbation point.

@@ -310,3 +310,42 @@ fn fault_storms_heal_mid_crowd_bit_identically() {
     );
     assert_eq!(report.observables_json(), crowd_baseline());
 }
+
+/// A grid past `linalg::team::FORK_FLOPS` (N = 100): every GEMM forks and
+/// every Green's evaluation splits its spin pair — if the team is free.
+const TEAM_GRID: &str = "
+    lx = 10
+    ly = 10
+    u = 4.0
+    beta = 1.0      # 8 slices
+    chains = 2
+    warmup = 1
+    sweeps = 2
+    bin_size = 1
+    cluster_size = 4
+    seed = 11
+    workers = 1
+    devices = 0
+";
+
+#[test]
+fn workers_contending_for_the_kernel_team_are_unobservable() {
+    // One worker has the team to itself. Two workers race for it at every
+    // kernel: whoever finds it taken runs that kernel serially, and which
+    // one that is changes from call to call. The bytes must not notice.
+    let spec = GridSpec::parse(TEAM_GRID).expect("team grid parses");
+    let run = |workers| {
+        let cfg = SchedConfig {
+            workers,
+            devices: 0,
+            queue_bound: 0,
+            quantum: 0,
+            yield_every_quanta: 0,
+            job_retries: 1,
+            hold_points: Vec::new(),
+            ..SchedConfig::default()
+        };
+        sched::run_sweep(&spec, &cfg, &EventLog::new()).observables_json()
+    };
+    assert_eq!(run(2), run(1));
+}
