@@ -6,17 +6,17 @@
 //! pre-pivot + QR pays. Absolute GFlop/s depend on the machine; the ordering
 //! and the gap shape are the reproduced result.
 //!
-//! Since the SIMD dispatch landed, the GEMM row is measured twice: once on
-//! the runtime-selected kernel (FMA where the host supports it) and once
-//! pinned to the portable scalar kernel, so the figure doubles as the
-//! micro-kernel speedup record. And since the fork-join team
-//! (`linalg::team`), the dispatched GEMM is measured *held* (one thread:
-//! the team taken for the duration) and *free* (the team may put the
-//! host's other cores on its chunks), which is the 1-vs-N-thread kernel row
-//! of the ledger; the sizes start below `team::FORK_FLOPS` so the row shows
-//! where forking begins. QR and QRP run free. Results are also written to
-//! `BENCH_fig1.json` (with `host_cores`) for the checked-in benchmark
-//! artifact.
+//! Since the SIMD dispatch landed, the figure doubles as the micro-kernel
+//! speedup record: the GEMM row reads scalar → fma → dispatched (AVX-512
+//! where the host has it), each pinned with `gemm_with_kernel` and *held*
+//! (one thread: the fork-join team of `linalg::team` taken for the
+//! duration), then the dispatched kernel *free* (the team may put the host's
+//! other cores on its chunks), which is the 1-vs-N-thread kernel row of the
+//! ledger; the sizes start below `team::FORK_FLOPS` so the row shows where
+//! forking begins. A pinned path the host lacks runs its fallback, so its
+//! column repeats the one to its left. QR and QRP run free. Results are also
+//! written to `BENCH_fig1.json` (with `host_cores` and `cpu_model`) for the
+//! checked-in benchmark artifact.
 //!
 //! Usage: `cargo run --release -p bench --bin fig1 [--full | --smoke]`
 
@@ -29,6 +29,7 @@ struct Row {
     gemm: f64,
     gemm_held: f64,
     gemm_scalar: f64,
+    gemm_fma: f64,
     qr: f64,
     qrp: f64,
 }
@@ -42,9 +43,10 @@ fn main() {
     } else {
         &[64, 96, 128, 256, 384, 512, 768, 1024]
     };
-    // Best of enough repetitions to cover ~0.1 GFlop per timing: a 3-call
-    // sample at N = 128 is 0.4 ms, less than one wake-up of a parked helper.
-    let reps = |n: usize| (100_000_000 / (n * n * n)).clamp(if n <= 512 { 3 } else { 1 }, 200);
+    // Best of enough repetitions to cover ~0.4 GFlop per timing (a few ms on
+    // the AVX-512 tile): a 3-call sample at N = 128 is 0.2 ms, less than one
+    // wake-up of a parked helper.
+    let reps = |n: usize| (400_000_000 / (n * n * n)).clamp(if n <= 512 { 3 } else { 1 }, 400);
     let dispatched = kernel_path();
     let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
 
@@ -54,11 +56,12 @@ fn main() {
     println!("# host cores: {host_cores} (held = 1 thread, dgemm = the team)");
     let mut table = Table::new(vec![
         "N",
-        "dgemm",
-        "dgemm(held)",
-        "team",
         "dgemm(scalar)",
+        "dgemm(fma)",
+        "dgemm(held)",
         "speedup",
+        "dgemm",
+        "team",
         "dgeqrf",
         "dgeqp3",
     ]);
@@ -75,11 +78,10 @@ fn main() {
             })
         };
         let t_gemm = time_gemm(dispatched);
-        let t_gemm_held = {
+        let [t_gemm_scalar, t_gemm_fma, t_gemm_held] = {
             let _one_thread = linalg::team::hold();
-            time_gemm(dispatched)
+            [KernelPath::Scalar, KernelPath::Fma, dispatched].map(&mut time_gemm)
         };
-        let t_gemm_scalar = time_gemm(KernelPath::Scalar);
         let t_qr = time_best(reps(n), || linalg::qr::qr_in_place(a.clone()));
         let t_qrp = time_best(reps(n), || linalg::qrp::qrp_in_place(a.clone()));
 
@@ -88,16 +90,18 @@ fn main() {
             gemm: flops_gemm(n) / t_gemm / 1e9,
             gemm_held: flops_gemm(n) / t_gemm_held / 1e9,
             gemm_scalar: flops_gemm(n) / t_gemm_scalar / 1e9,
+            gemm_fma: flops_gemm(n) / t_gemm_fma / 1e9,
             qr: flops_qr(n) / t_qr / 1e9,
             qrp: flops_qr(n) / t_qrp / 1e9,
         };
         table.row(vec![
             n.to_string(),
-            fmt_f(row.gemm, 2),
-            fmt_f(row.gemm_held, 2),
-            fmt_f(row.gemm / row.gemm_held, 2),
             fmt_f(row.gemm_scalar, 2),
-            fmt_f(row.gemm / row.gemm_scalar, 2),
+            fmt_f(row.gemm_fma, 2),
+            fmt_f(row.gemm_held, 2),
+            fmt_f(row.gemm_held / row.gemm_scalar, 2),
+            fmt_f(row.gemm, 2),
+            fmt_f(row.gemm / row.gemm_held, 2),
             fmt_f(row.qr, 2),
             fmt_f(row.qrp, 2),
         ]);
@@ -113,9 +117,9 @@ fn main() {
     }
     if let Some(last) = rows.last() {
         eprintln!(
-            "gemm speedup over scalar at N={}: {:.2}x",
+            "one-thread gemm speedup over scalar at N={}: {:.2}x",
             last.n,
-            last.gemm / last.gemm_scalar
+            last.gemm_held / last.gemm_scalar
         );
     }
 }
@@ -126,17 +130,19 @@ fn render_json(dispatched: KernelPath, host_cores: usize, rows: &[Row]) -> Strin
     s.push_str("{\n");
     s.push_str(&format!("  \"kernel\": \"{}\",\n", dispatched.name()));
     s.push_str(&format!("  \"host_cores\": {host_cores},\n"));
+    s.push_str(&format!("  \"cpu_model\": \"{}\",\n", cpu_model()));
     s.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"n\": {}, \"gemm_gflops\": {:.3}, \"gemm_held_gflops\": {:.3}, \
-             \"gemm_scalar_gflops\": {:.3}, \
+             \"gemm_fma_gflops\": {:.3}, \"gemm_scalar_gflops\": {:.3}, \
              \"gemm_speedup\": {:.3}, \"qr_gflops\": {:.3}, \"qrp_gflops\": {:.3}}}{}\n",
             r.n,
             r.gemm,
             r.gemm_held,
+            r.gemm_fma,
             r.gemm_scalar,
-            r.gemm / r.gemm_scalar,
+            r.gemm_held / r.gemm_scalar,
             r.qr,
             r.qrp,
             if i + 1 == rows.len() { "" } else { "," }
@@ -146,8 +152,19 @@ fn render_json(dispatched: KernelPath, host_cores: usize, rows: &[Row]) -> Strin
     let last = rows.last().expect("at least one size");
     s.push_str(&format!(
         "  \"gemm_speedup_at_max_n\": {:.3}\n",
-        last.gemm / last.gemm_scalar
+        last.gemm_held / last.gemm_scalar
     ));
     s.push_str("}\n");
     s
+}
+
+/// The host's `model name` line of `/proc/cpuinfo`, quotes and backslashes
+/// dropped so it can sit in the JSON unescaped.
+fn cpu_model() -> String {
+    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let line = info.lines().find(|l| l.starts_with("model name"));
+    let model = line
+        .and_then(|l| l.split_once(':'))
+        .map_or("unknown", |(_, m)| m.trim());
+    model.chars().filter(|&c| c != '"' && c != '\\').collect()
 }

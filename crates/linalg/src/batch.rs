@@ -23,7 +23,7 @@
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
-use crate::blas3::{self, Op, KC, MR, SMALL_FLOPS};
+use crate::blas3::{self, Op, KC, SMALL_FLOPS};
 use crate::matrix::{Matrix, View};
 use crate::qrp::{self, QrpFactors};
 use crate::simd::{self, KernelPath};
@@ -132,15 +132,10 @@ pub fn dgemm_strided_batched(
             blas3::gemm_small(alpha, a.entry(e), opa, b.entry(e), opb, &mut c.view_mut());
         }
     } else {
-        let path = simd::kernel_path();
-        let path = if path.available() {
-            path
-        } else {
-            KernelPath::Scalar
-        };
-        match path {
-            KernelPath::Scalar => blocked_batched::<4>(false, alpha, &a, opa, &b, opb, cs, m, n, k),
-            KernelPath::Fma => blocked_batched::<6>(true, alpha, &a, opa, &b, opb, cs, m, n, k),
+        match simd::kernel_path().or_fallback() {
+            KernelPath::Scalar => blocked_batched::<8, 4>(alpha, &a, opa, &b, opb, cs, m, n, k),
+            KernelPath::Fma => blocked_batched::<8, 6>(alpha, &a, opa, &b, opb, cs, m, n, k),
+            KernelPath::Avx512 => blocked_batched::<16, 12>(alpha, &a, opa, &b, opb, cs, m, n, k),
         }
     }
     for _c in cs.iter() {
@@ -153,14 +148,13 @@ pub fn dgemm_strided_batched(
     }
 }
 
-/// The blocked batched path, monomorphised per micro-tile width `NR`
+/// The blocked batched path, monomorphised per micro-tile shape `MR × NR`
 /// exactly like `gemm_blocked`. One pair of packing buffers is leased for
 /// the whole crowd; a shared operand's slab is packed once per `pc`
 /// iteration (by entry 0, and stays in its buffer for the rest of the
 /// crowd), a per-entry operand's slab once per entry (the solo cost).
 #[allow(clippy::too_many_arguments)]
-fn blocked_batched<const NR: usize>(
-    use_fma: bool,
+fn blocked_batched<const MR: usize, const NR: usize>(
     alpha: f64,
     a: &GemmOperand<'_>,
     opa: Op,
@@ -178,8 +172,7 @@ fn blocked_batched<const NR: usize>(
     while pc < k {
         let kc = KC.min(k - pc);
         for (e, c) in cs.iter_mut().enumerate() {
-            blas3::slab::<NR>(
-                use_fma,
+            blas3::slab::<MR, NR>(
                 alpha,
                 a.slab_of(e, opa),
                 b.slab_of(e, opb),

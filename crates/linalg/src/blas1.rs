@@ -1,9 +1,15 @@
 //! Level-1 vector kernels (ddot / daxpy / dscal / dnrm2 / idamax analogues).
 //!
-//! These are the scalar building blocks of the factorizations. They are
-//! written as straightforward loops over slices; the compiler autovectorises
-//! them, and at DQMC matrix sizes their cost is negligible next to level-3
-//! work — exactly the balance the paper assumes.
+//! These are the scalar building blocks of the factorizations, written as
+//! straightforward loops over slices. Their cost is *not* negligible next to
+//! the level-3 work any more: one thread at N = 256 (PR 16 sizing),
+//! `qr_in_place` takes 1.78 ms on the FMA tile and 1.3 ms on the AVX-512
+//! one, of which ~1.05 ms either way is `qr_panel_unblocked` + `form_t_into`,
+//! and `qrp_in_place` 4.2–5.0 ms — mostly single-accumulator
+//! `s += v[i] * c[i]` chains in those panels, which the compiler cannot
+//! vectorise without reassociating the sum. Routing them through a
+//! multi-accumulator [`dot`] / [`axpy`] is ROADMAP item 4; it changes the
+//! summation order and therefore every `obs_fnv`.
 
 /// Dot product `xᵀy`.
 #[inline]

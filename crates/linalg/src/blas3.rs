@@ -10,9 +10,11 @@
 //!   then the macro-tiles (`MC × NC`) of `NR`-aligned column ranges of C — cut
 //!   from the shape alone, so the bits are the same on one thread or two.
 //!
-//! The micro-kernel is selected at runtime through [`crate::simd`]: an
-//! AVX2+FMA 8×6 tile on capable `x86_64` hosts, the portable scalar 8×4
-//! tile otherwise (`LINALG_KERNEL=scalar|fma` pins a path). Packing
+//! The micro-kernel — and with it the tile shape `MR × NR`, a pair of const
+//! generics from [`gemm_impl`] down — is selected at runtime through
+//! [`crate::simd`]: an AVX-512 16×12 tile or an AVX2+FMA 8×6 tile on capable
+//! `x86_64` hosts (bit-identical to each other), the portable scalar 8×4
+//! tile otherwise (`LINALG_KERNEL=scalar|fma|avx512` pins a path). Packing
 //! buffers come from the [`crate::workspace`] arena, so steady-state GEMM
 //! calls perform no heap allocation.
 //!
@@ -57,8 +59,6 @@ impl Op {
     }
 }
 
-/// Micro-kernel tile height (rows of packed A panels; shared by both paths).
-pub(crate) const MR: usize = 8;
 /// Cache block for the k dimension.
 pub(crate) const KC: usize = 256;
 /// Cache block for the m dimension (per macro-tile).
@@ -97,10 +97,11 @@ pub fn gemm(alpha: f64, a: &Matrix, opa: Op, b: &Matrix, opb: Op, beta: f64, c: 
 /// [`gemm`] with an explicitly pinned micro-kernel path.
 ///
 /// Used by the kernel-equivalence tests and the `fig1` bench to compare the
-/// scalar and FMA paths within one process (the env override in
-/// [`simd::kernel_path`] is latched once and cannot switch mid-run). An
-/// unavailable `path` silently falls back to scalar, so this is safe to call
-/// with [`KernelPath::Fma`] on any host.
+/// paths within one process (the env override in [`simd::kernel_path`] is
+/// latched once and cannot switch mid-run). A `path` the host lacks silently
+/// runs the next one down the ladder avx512 → fma → scalar
+/// ([`KernelPath::or_fallback`]), so this is safe to call with any path on
+/// any host.
 pub fn gemm_with_kernel(
     path: KernelPath,
     alpha: f64,
@@ -175,27 +176,23 @@ fn gemm_impl(
         return;
     }
 
-    let path = if path.available() {
-        path
-    } else {
-        KernelPath::Scalar
-    };
-    match path {
-        KernelPath::Scalar => gemm_blocked::<4>(false, alpha, a, opa, b, opb, c, m, n, k),
-        KernelPath::Fma => gemm_blocked::<6>(true, alpha, a, opa, b, opb, c, m, n, k),
+    match path.or_fallback() {
+        KernelPath::Scalar => gemm_blocked::<8, 4>(alpha, a, opa, b, opb, c, m, n, k),
+        KernelPath::Fma => gemm_blocked::<8, 6>(alpha, a, opa, b, opb, c, m, n, k),
+        KernelPath::Avx512 => gemm_blocked::<16, 12>(alpha, a, opa, b, opb, c, m, n, k),
     }
 }
 
-/// The blocked path, monomorphised per micro-tile width `NR`.
+/// The blocked path, monomorphised per micro-tile shape `MR × NR`.
 ///
-/// `use_fma` selects the AVX2+FMA micro-kernel (callers guarantee host
-/// support and `NR == 6`); otherwise the scalar register tile runs. Packing
-/// buffers are leased from the thread-local workspace arena — zero heap
-/// traffic once the arena is warm — and not cleared: every slab packs each
-/// element it reads, padding included.
+/// The shape names the micro-kernel ([`run_micro`]): 8×4 the scalar register
+/// tile, 8×6 AVX2+FMA, 16×12 AVX-512 — callers instantiate a SIMD shape only
+/// for a path [`KernelPath::or_fallback`] returned. Packing buffers are
+/// leased from the thread-local workspace arena — zero heap traffic once the
+/// arena is warm — and not cleared: every slab packs each element it reads,
+/// padding included.
 #[allow(clippy::too_many_arguments)]
-fn gemm_blocked<const NR: usize>(
-    use_fma: bool,
+fn gemm_blocked<const MR: usize, const NR: usize>(
     alpha: f64,
     a: View<'_>,
     opa: Op,
@@ -213,17 +210,7 @@ fn gemm_blocked<const NR: usize>(
     while pc < k {
         let kc = KC.min(k - pc);
         let (a, b) = (Some((a, opa)), Some((b, opb)));
-        slab::<NR>(
-            use_fma,
-            alpha,
-            a,
-            b,
-            pc,
-            kc,
-            &mut packed_a,
-            &mut packed_b,
-            &mut c,
-        );
+        slab::<MR, NR>(alpha, a, b, pc, kc, &mut packed_a, &mut packed_b, &mut c);
         pc += kc;
     }
 
@@ -246,8 +233,7 @@ pub(crate) fn padded(x: usize, r: usize) -> usize {
 /// its own columns of C and every element of C still receives its slabs in
 /// `pc` order, so the result does not depend on who runs which chunk.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn slab<const NR: usize>(
-    use_fma: bool,
+pub(crate) fn slab<const MR: usize, const NR: usize>(
     alpha: f64,
     a: Option<(View<'_>, Op)>,
     b: Option<(View<'_>, Op)>,
@@ -274,7 +260,7 @@ pub(crate) fn slab<const NR: usize>(
             let p1 = u1.min(a_units);
             // SAFETY: chunk i alone covers units u0..u1, hence these panels.
             let dst = unsafe { a_shards.cols(u0, p1 - u0) };
-            pack_a(a, opa, pc, kc, m, u0, dst);
+            pack_a::<MR>(a, opa, pc, kc, m, u0, dst);
         }
         if let (Some((b, opb)), true) = (b, u1 > a_units) {
             let p0 = u0.max(a_units) - a_units;
@@ -292,8 +278,7 @@ pub(crate) fn slab<const NR: usize>(
         let j0 = i * per * NR;
         // SAFETY: chunk i alone covers columns j0..j0 + per·NR of C.
         let mut cols = unsafe { c_shards.cols(j0, (per * NR).min(n - j0)) };
-        macro_tiles::<NR>(
-            use_fma,
+        macro_tiles::<MR, NR>(
             alpha,
             packed_a,
             &packed_b[i * per * kc * NR..],
@@ -321,7 +306,15 @@ fn read_op(a: View<'_>, op: Op, i: usize, p: usize) -> f64 {
 /// Layout: panel r0 (rows r0..r0+MR) occupies `kc*MR` consecutive values,
 /// k-major: element (r0+i, pc+p) at `panel_base + p*MR + i`. Rows beyond `m`
 /// are zero-padded.
-fn pack_a(a: View<'_>, opa: Op, pc: usize, kc: usize, m: usize, p0: usize, mut dst: ViewMut<'_>) {
+fn pack_a<const MR: usize>(
+    a: View<'_>,
+    opa: Op,
+    pc: usize,
+    kc: usize,
+    m: usize,
+    p0: usize,
+    mut dst: ViewMut<'_>,
+) {
     for pi in 0..dst.ncols() {
         let panel = dst.col_mut(pi);
         let r0 = (p0 + pi) * MR;
@@ -371,8 +364,7 @@ fn pack_b<const NR: usize>(
 /// Adds one `kc` slab's product to a column range of C: the macro-kernel
 /// over every `MC × NC` tile, in column-major tile order. `packed_b` starts
 /// at the range's first micro-panel.
-fn macro_tiles<const NR: usize>(
-    use_fma: bool,
+fn macro_tiles<const MR: usize, const NR: usize>(
     alpha: f64,
     packed_a: &[f64],
     packed_b: &[f64],
@@ -381,7 +373,8 @@ fn macro_tiles<const NR: usize>(
 ) {
     let (m, n) = (c.nrows(), c.ncols());
     // The n cache block must stay a multiple of the micro-tile width so the
-    // packed-panel index arithmetic holds (512 for NR=4, 510 for NR=6).
+    // packed-panel index arithmetic holds (512 for NR=4, 510 for NR=6, 504
+    // for NR=12); MC is a multiple of every MR.
     let ncb = NC / NR * NR;
     let mblocks = m.div_ceil(MC);
     let (cptr, ldc) = (c.as_mut_ptr(), c.ld());
@@ -390,16 +383,13 @@ fn macro_tiles<const NR: usize>(
         let jc = t / mblocks * ncb;
         let mc = MC.min(m - ic);
         let nc = ncb.min(n - jc);
-        macro_kernel::<NR>(
-            use_fma, alpha, packed_a, packed_b, kc, ic, jc, mc, nc, cptr, ldc,
-        );
+        macro_kernel::<MR, NR>(alpha, packed_a, packed_b, kc, ic, jc, mc, nc, cptr, ldc);
     }
 }
 
 /// Computes one MC×NC macro-tile of C from packed panels.
 #[allow(clippy::too_many_arguments)]
-fn macro_kernel<const NR: usize>(
-    use_fma: bool,
+fn macro_kernel<const MR: usize, const NR: usize>(
     alpha: f64,
     packed_a: &[f64],
     packed_b: &[f64],
@@ -421,8 +411,21 @@ fn macro_kernel<const NR: usize>(
         while ir < mc {
             let mr = MR.min(mc - ir);
             let apanel = &packed_a[(ic + ir) / MR * (kc * MR)..][..kc * MR];
+            #[cfg(target_arch = "x86_64")]
+            if MR == 16 && NR == 12 && mr == MR && nr == NR {
+                debug_assert!(KernelPath::Avx512.available());
+                // SAFETY: as in `run_micro` for the ISA and the panels; the
+                // tile is interior, so all 16×12 elements from row ic + ir,
+                // column jc + jr lie inside C.
+                unsafe {
+                    let ctile = cptr.add((jc + jr) * ldc + ic + ir);
+                    simd::micro_kernel_avx512_16x12_update(kc, apanel, bpanel, alpha, ctile, ldc);
+                }
+                ir += MR;
+                continue;
+            }
             let mut acc = [[0.0f64; MR]; NR];
-            run_micro::<NR>(use_fma, kc, apanel, bpanel, &mut acc);
+            run_micro::<MR, NR>(kc, apanel, bpanel, &mut acc);
             // Accumulate into C (bounds-clipped tile edges).
             for (j, accj) in acc.iter().enumerate().take(nr) {
                 let cj = jc + jr + j;
@@ -440,34 +443,46 @@ fn macro_kernel<const NR: usize>(
     }
 }
 
-/// Dispatches one register tile to the selected micro-kernel.
+/// Dispatches one register tile to the micro-kernel its shape names.
 #[inline(always)]
-fn run_micro<const NR: usize>(
-    use_fma: bool,
+fn run_micro<const MR: usize, const NR: usize>(
     kc: usize,
     apanel: &[f64],
     bpanel: &[f64],
     acc: &mut [[f64; MR]; NR],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if use_fma && NR == 6 {
-        // SAFETY: `use_fma` is only set by `gemm_impl` after
-        // `KernelPath::Fma.available()` confirmed avx2+fma; panels hold
-        // kc*MR / kc*NR elements and `acc` is a contiguous 8×6 tile.
-        unsafe {
-            simd::micro_kernel_fma_8x6(kc, apanel, bpanel, acc.as_mut_ptr().cast::<f64>());
+    match (MR, NR) {
+        (16, 12) => {
+            debug_assert!(KernelPath::Avx512.available());
+            // SAFETY: the 16×12 shape is only instantiated (`gemm_impl`,
+            // `dgemm_strided_batched`) for a path `or_fallback` returned, so
+            // the host has avx512f; panels hold kc*MR / kc*NR elements and
+            // `acc` is a contiguous 16×12 tile.
+            unsafe {
+                let tile = acc.as_mut_ptr().cast::<f64>();
+                simd::micro_kernel_avx512_16x12(kc, apanel, bpanel, tile);
+            }
+            return;
         }
-        return;
+        (8, 6) => {
+            debug_assert!(KernelPath::Fma.available());
+            // SAFETY: as above for the 8×6 shape and avx2+fma; `acc` is a
+            // contiguous 8×6 tile.
+            unsafe {
+                simd::micro_kernel_fma_8x6(kc, apanel, bpanel, acc.as_mut_ptr().cast::<f64>());
+            }
+            return;
+        }
+        _ => {}
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_fma;
-    micro_kernel::<NR>(kc, apanel, bpanel, acc);
+    micro_kernel::<MR, NR>(kc, apanel, bpanel, acc);
 }
 
 /// Scalar register-tile kernel:
 /// `acc[j][i] += Σ_p apanel[p*MR+i] * bpanel[p*NR+j]`.
 #[inline(always)]
-fn micro_kernel<const NR: usize>(
+fn micro_kernel<const MR: usize, const NR: usize>(
     kc: usize,
     apanel: &[f64],
     bpanel: &[f64],
@@ -631,13 +646,13 @@ mod tests {
 
     #[test]
     fn pinned_paths_match_naive_on_blocked_sizes() {
-        // Both explicit kernel paths, on a size past SMALL_FLOPS with odd
-        // tile edges (61 % 8 ≠ 0, 53 % 4 ≠ 0, 53 % 6 ≠ 0).
+        // Every explicit kernel path, on a size past SMALL_FLOPS with odd
+        // tile edges (61 % 8, 61 % 16, 53 % 4, 53 % 6, 53 % 12 all ≠ 0).
         let (m, n, k) = (61, 53, 67);
         let mut rng = Rng::new(11);
         let a = Matrix::random(m, k, &mut rng);
         let b = Matrix::random(k, n, &mut rng);
-        for path in [KernelPath::Scalar, KernelPath::Fma] {
+        for path in [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512] {
             let mut c1 = Matrix::zeros(m, n);
             let mut c2 = Matrix::zeros(m, n);
             gemm_with_kernel(path, 1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c1);
@@ -728,6 +743,47 @@ mod tests {
         let mut want = c0.clone();
         want.set_submatrix(40, 40, &expected);
         assert!(bits_eq(&c, &want), "in-buffer trailing update");
+    }
+
+    #[test]
+    fn pinned_simd_paths_agree_bitwise_on_sub_views() {
+        // The AVX-512 tile writes interior tiles straight into C through its
+        // leading dimension: on blocks of larger buffers (ld = 200 > rows) it
+        // must give the FMA tile's bits and leave the rest of C alone.
+        if !KernelPath::Avx512.available() {
+            eprintln!("skipping: host lacks avx512f");
+            return;
+        }
+        let mut rng = Rng::new(23);
+        let big = 200;
+        let (a0, b0, c0) = (
+            Matrix::random(big, big, &mut rng),
+            Matrix::random(big, big, &mut rng),
+            Matrix::random(big, big, &mut rng),
+        );
+        for &(m, n, k) in &[(61, 53, 67), (32, 150, 97), (150, 37, 190)] {
+            for opa in [Op::NoTrans, Op::Trans] {
+                for opb in [Op::NoTrans, Op::Trans] {
+                    let (ar, ac) = if opa == Op::NoTrans { (m, k) } else { (k, m) };
+                    let (br, bc) = if opb == Op::NoTrans { (k, n) } else { (n, k) };
+                    let [fma, avx512] = [KernelPath::Fma, KernelPath::Avx512].map(|path| {
+                        let mut c = c0.clone();
+                        gemm_impl(
+                            path,
+                            1.3,
+                            a0.view().sub((3, 5, ar, ac)),
+                            opa,
+                            b0.view().sub((7, 1, br, bc)),
+                            opb,
+                            -0.7,
+                            c.view_mut().sub((2, 9, m, n)),
+                        );
+                        c
+                    });
+                    assert!(bits_eq(&fma, &avx512), "{m}x{n}x{k} {opa:?}/{opb:?}");
+                }
+            }
+        }
     }
 
     #[test]

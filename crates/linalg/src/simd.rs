@@ -5,19 +5,29 @@
 //! ISA-specific micro-kernels selected at runtime. This module reproduces
 //! that structure for the blocked GEMM in [`crate::blas3`]:
 //!
-//! - an **AVX2 + FMA** micro-kernel (`x86_64` only) computing an 8 × 6
-//!   register tile — 12 accumulator `ymm` registers, two A loads and six
-//!   broadcast-FMA pairs per k step,
-//! - the portable **scalar** 8 × 4 kernel in `blas3` as the fallback,
-//! - a one-time [`KernelPath`] selection (`is_x86_feature_detected!`) cached
-//!   in a `OnceLock`, overridable with `LINALG_KERNEL=scalar|fma` so tests
-//!   and benches can pin a path.
+//! | path | tile (`MR × NR`) | registers | per k step |
+//! |---|---|---|---|
+//! | `avx512` | 16 × 12 | 24 acc + 2 A + 1 B of 32 `zmm` | 2 loads, 12 broadcasts, 24 FMAs |
+//! | `fma` | 8 × 6 | 12 acc + 2 A + 1 B of 16 `ymm` | 2 loads, 6 broadcasts, 12 FMAs |
+//! | `scalar` | 8 × 4 | — (portable loop) | 32 multiplies, 32 adds |
 //!
-//! Numerics: the FMA kernel fuses each multiply-add (one rounding instead of
-//! two), so its results differ from the scalar path by at most ~1 ulp per
-//! accumulation step. The scalar path is untouched by dispatch and remains
-//! bit-identical to the pre-SIMD implementation — the kernel-equivalence
-//! tests in `tests/kernel_paths.rs` pin both properties.
+//! - the path is selected once ([`kernel_path`], `is_x86_feature_detected!`
+//!   cached in a `OnceLock`): the fastest the host has, or the one
+//!   `LINALG_KERNEL=scalar|fma|avx512` pins for tests and benches;
+//! - a pinned path the host lacks runs the next rung of the ladder
+//!   `avx512 → fma → scalar` ([`KernelPath::or_fallback`]), never a slower
+//!   one than it must.
+//!
+//! Numerics: `fma` and `avx512` fuse each multiply-add (one rounding instead
+//! of two), so they differ from the scalar path by at most ~1 ulp per
+//! accumulation step. Between themselves they are **bit-identical**: an
+//! element of C is one lane of one accumulator, which receives
+//! `fma(a[i,p], b[p,j], acc)` for `p` ascending from a zero start whatever
+//! the tile's shape, then `C += alpha · acc` as a multiply and an add. The
+//! tile shape decides which elements share a register, not what any of them
+//! is. The scalar path is untouched by dispatch and remains bit-identical to
+//! the pre-SIMD implementation — `tests/kernel_paths.rs` pins all three
+//! properties.
 
 use std::sync::OnceLock;
 
@@ -29,14 +39,29 @@ pub enum KernelPath {
     Scalar,
     /// AVX2+FMA 8×6 register tile (`x86_64` with avx2+fma only).
     Fma,
+    /// AVX-512F 16×12 register tile (`x86_64` with avx512f only);
+    /// bit-identical to [`KernelPath::Fma`].
+    Avx512,
 }
 
+/// Every path, fastest first: the order [`KernelPath::or_fallback`] descends.
+const LADDER: [KernelPath; 3] = [KernelPath::Avx512, KernelPath::Fma, KernelPath::Scalar];
+
 impl KernelPath {
+    /// Micro-tile height (rows of packed A panels) for this path.
+    pub fn mr(self) -> usize {
+        match self {
+            KernelPath::Scalar | KernelPath::Fma => 8,
+            KernelPath::Avx512 => 16,
+        }
+    }
+
     /// Micro-tile width (columns of packed B panels) for this path.
     pub fn nr(self) -> usize {
         match self {
             KernelPath::Scalar => 4,
             KernelPath::Fma => 6,
+            KernelPath::Avx512 => 12,
         }
     }
 
@@ -45,6 +70,7 @@ impl KernelPath {
         match self {
             KernelPath::Scalar => "scalar",
             KernelPath::Fma => "fma",
+            KernelPath::Avx512 => "avx512",
         }
     }
 
@@ -53,7 +79,21 @@ impl KernelPath {
         match self {
             KernelPath::Scalar => true,
             KernelPath::Fma => fma_detected(),
+            KernelPath::Avx512 => avx512_detected(),
         }
+    }
+
+    /// This path when the host has it, otherwise the fastest one below it:
+    /// `avx512 → fma → scalar`. A pinned AVX-512 run on an AVX2-only host
+    /// therefore runs the FMA tile, not the 5× slower scalar one.
+    pub fn or_fallback(self) -> KernelPath {
+        self.or_fallback_on(KernelPath::available)
+    }
+
+    /// [`KernelPath::or_fallback`] against a stated host (unit-testable).
+    fn or_fallback_on(self, has: impl Fn(KernelPath) -> bool) -> KernelPath {
+        let mut from_self = LADDER.into_iter().skip_while(|&p| p != self);
+        from_self.find(|&p| has(p)).unwrap_or(KernelPath::Scalar)
     }
 }
 
@@ -63,53 +103,70 @@ fn fma_detected() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
+/// True when the host supports the AVX-512F kernel.
+#[cfg(target_arch = "x86_64")]
+fn avx512_detected() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+}
+
 /// Non-x86_64 hosts never support the FMA kernel.
 #[cfg(not(target_arch = "x86_64"))]
 fn fma_detected() -> bool {
     false
 }
 
-static DISPATCH: OnceLock<KernelPath> = OnceLock::new();
-
-/// The process-wide kernel path: `LINALG_KERNEL` override when set (an
-/// unavailable or unrecognised request falls back to scalar with a warning),
-/// otherwise the fastest detected path. Computed once and cached.
-pub fn kernel_path() -> KernelPath {
-    *DISPATCH.get_or_init(select_kernel_path)
+/// Non-x86_64 hosts never support the AVX-512 kernel.
+#[cfg(not(target_arch = "x86_64"))]
+fn avx512_detected() -> bool {
+    false
 }
 
-/// Uncached selection logic behind [`kernel_path`] (unit-testable).
-fn select_kernel_path() -> KernelPath {
-    match std::env::var("LINALG_KERNEL") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "scalar" => KernelPath::Scalar,
-            "fma" => {
-                if KernelPath::Fma.available() {
-                    KernelPath::Fma
-                } else {
-                    eprintln!(
-                        "linalg: LINALG_KERNEL=fma requested but avx2+fma not \
-                         detected; using scalar"
-                    );
-                    KernelPath::Scalar
-                }
-            }
-            other => {
-                eprintln!("linalg: unknown LINALG_KERNEL value {other:?}; using auto-detection");
-                detect()
-            }
-        },
-        Err(_) => detect(),
-    }
+static DISPATCH: OnceLock<KernelPath> = OnceLock::new();
+
+/// The process-wide kernel path: the `LINALG_KERNEL` override when set,
+/// otherwise the fastest detected path. A pinned path the host lacks runs
+/// the next one down the ladder and an unrecognised value runs
+/// auto-detection, each with one warning on stderr. Computed once and cached.
+pub fn kernel_path() -> KernelPath {
+    *DISPATCH.get_or_init(|| {
+        let request = std::env::var("LINALG_KERNEL").ok();
+        let (path, warning) = select_kernel_path(request.as_deref(), KernelPath::available);
+        if let Some(w) = warning {
+            eprintln!("linalg: {w}");
+        }
+        path
+    })
+}
+
+/// Uncached selection logic behind [`kernel_path`], against a stated request
+/// and host: the path to run and the warning to print, if any.
+fn select_kernel_path(
+    request: Option<&str>,
+    has: impl Fn(KernelPath) -> bool,
+) -> (KernelPath, Option<String>) {
+    let best = KernelPath::Avx512.or_fallback_on(&has);
+    let Some(request) = request else {
+        return (best, None);
+    };
+    let name = request.to_ascii_lowercase();
+    let Some(pinned) = LADDER.into_iter().find(|p| p.name() == name) else {
+        let w = format!("unknown LINALG_KERNEL value {request:?}; using auto-detection");
+        return (best, Some(w));
+    };
+    let path = pinned.or_fallback_on(&has);
+    let warning = (path != pinned).then(|| {
+        format!(
+            "LINALG_KERNEL={} requested but the host lacks it; using {}",
+            pinned.name(),
+            path.name()
+        )
+    });
+    (path, warning)
 }
 
 /// Fastest kernel path the host supports (no env override, no cache).
 pub fn detect() -> KernelPath {
-    if KernelPath::Fma.available() {
-        KernelPath::Fma
-    } else {
-        KernelPath::Scalar
-    }
+    KernelPath::Avx512.or_fallback()
 }
 
 /// AVX2+FMA micro-kernel: an 8×6 register tile over packed panels.
@@ -195,6 +252,115 @@ pub(crate) unsafe fn micro_kernel_fma_8x6(
     _mm256_storeu_pd(acc.add(44), c51);
 }
 
+/// The AVX-512 register tile: 16×12 over packed panels, as 12 columns of two
+/// `zmm` each — `acc[j][h]` holds rows `8h..8h+8` of column `j`, every lane
+/// `Σ_p apanel[p*16+i] · bpanel[p*12+j]` fused in `p` order from zero.
+///
+/// Register budget: 24 accumulators + 2 A vectors + 1 B broadcast = 27 of
+/// the 32 `zmm` registers. The loops have constant bounds and unroll; the
+/// array never leaves registers once this is inlined into its two callers.
+///
+/// # Safety
+///
+/// `apanel.len() ≥ kc*16` and `bpanel.len() ≥ kc*12`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn accumulate_avx512_16x12(
+    kc: usize,
+    apanel: &[f64],
+    bpanel: &[f64],
+) -> [[std::arch::x86_64::__m512d; 2]; 12] {
+    use std::arch::x86_64::*;
+    debug_assert!(apanel.len() >= kc * 16);
+    debug_assert!(bpanel.len() >= kc * 12);
+
+    let mut acc = [[_mm512_setzero_pd(); 2]; 12];
+    let mut ap = apanel.as_ptr();
+    let mut bp = bpanel.as_ptr();
+    for _ in 0..kc {
+        // SAFETY: step p < kc reads apanel[16p..16p+16] and
+        // bpanel[12p..12p+12], in bounds by the caller's contract.
+        unsafe {
+            let a0 = _mm512_loadu_pd(ap);
+            let a1 = _mm512_loadu_pd(ap.add(8));
+            for (j, accj) in acc.iter_mut().enumerate() {
+                let b = _mm512_set1_pd(*bp.add(j));
+                accj[0] = _mm512_fmadd_pd(a0, b, accj[0]);
+                accj[1] = _mm512_fmadd_pd(a1, b, accj[1]);
+            }
+            ap = ap.add(16);
+            bp = bp.add(12);
+        }
+    }
+    acc
+}
+
+/// AVX-512 micro-kernel, edge-tile form: stores the raw 16×12 tile
+/// column-major at `acc` (`acc[j*16 + i]`), for the caller to clip.
+///
+/// # Safety
+///
+/// Caller must ensure the host supports AVX-512F (checked by
+/// [`KernelPath::available`]), `apanel.len() ≥ kc*16`, `bpanel.len() ≥ kc*12`,
+/// and `acc` is valid for 192 writes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub(crate) unsafe fn micro_kernel_avx512_16x12(
+    kc: usize,
+    apanel: &[f64],
+    bpanel: &[f64],
+    acc: *mut f64,
+) {
+    use std::arch::x86_64::*;
+    // SAFETY: the panel lengths are this function's own contract, and
+    // column j's two stores cover acc[16j..16j+16] of the 192 valid elements.
+    unsafe {
+        let tile = accumulate_avx512_16x12(kc, apanel, bpanel);
+        for (j, col) in tile.iter().enumerate() {
+            _mm512_storeu_pd(acc.add(j * 16), col[0]);
+            _mm512_storeu_pd(acc.add(j * 16 + 8), col[1]);
+        }
+    }
+}
+
+/// AVX-512 micro-kernel, interior-tile form: `C += alpha · tile` straight
+/// from the accumulators, for a full 16×12 block of C at `c` with leading
+/// dimension `ldc`. The product and the sum round separately (a multiply,
+/// then an add — not a fused one), as the scalar `c += alpha * v` the edge
+/// tiles run does, so which form a tile takes never shows in C.
+///
+/// # Safety
+///
+/// Caller must ensure the host supports AVX-512F, `apanel.len() ≥ kc*16`,
+/// `bpanel.len() ≥ kc*12`, and `c.add(j*ldc + i)` is valid for reads and
+/// writes for every `i < 16`, `j < 12`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub(crate) unsafe fn micro_kernel_avx512_16x12_update(
+    kc: usize,
+    apanel: &[f64],
+    bpanel: &[f64],
+    alpha: f64,
+    c: *mut f64,
+    ldc: usize,
+) {
+    use std::arch::x86_64::*;
+    // SAFETY: the panel lengths are this function's own contract, and
+    // column j's loads and stores cover c[j*ldc..j*ldc+16], valid by it too.
+    unsafe {
+        let tile = accumulate_avx512_16x12(kc, apanel, bpanel);
+        let valpha = _mm512_set1_pd(alpha);
+        for (j, col) in tile.iter().enumerate() {
+            for (h, &v) in col.iter().enumerate() {
+                let cp = c.add(j * ldc + h * 8);
+                let scaled = _mm512_mul_pd(valpha, v);
+                _mm512_storeu_pd(cp, _mm512_add_pd(_mm512_loadu_pd(cp), scaled));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,12 +374,54 @@ mod tests {
     fn nr_matches_paths() {
         assert_eq!(KernelPath::Scalar.nr(), 4);
         assert_eq!(KernelPath::Fma.nr(), 6);
+        assert_eq!(KernelPath::Avx512.nr(), 12);
+        assert_eq!(LADDER.map(KernelPath::mr), [16, 8, 8]);
     }
 
     #[test]
     fn names_round_trip() {
         assert_eq!(KernelPath::Scalar.name(), "scalar");
         assert_eq!(KernelPath::Fma.name(), "fma");
+        assert_eq!(KernelPath::Avx512.name(), "avx512");
+    }
+
+    #[test]
+    fn unavailable_path_falls_to_the_next_rung_never_past_it() {
+        use KernelPath::*;
+        let avx2_host = |p| p != Avx512;
+        let bare_host = |p| p == Scalar;
+        assert_eq!(Avx512.or_fallback_on(avx2_host), Fma);
+        assert_eq!(Avx512.or_fallback_on(bare_host), Scalar);
+        assert_eq!(Fma.or_fallback_on(bare_host), Scalar);
+        // A pin is a ceiling: an available lower path is never upgraded.
+        for p in LADDER {
+            assert_eq!(p.or_fallback_on(|_| true), p);
+            assert!(p.or_fallback().available());
+        }
+        assert_eq!(Scalar.or_fallback_on(avx2_host), Scalar);
+        assert_eq!(Fma.or_fallback_on(avx2_host), Fma);
+    }
+
+    #[test]
+    fn selection_follows_the_ladder_and_warns_once_for_the_env_case() {
+        use KernelPath::*;
+        let avx2_host = |p| p != Avx512;
+        assert_eq!(select_kernel_path(None, |_| true), (Avx512, None));
+        assert_eq!(select_kernel_path(None, avx2_host), (Fma, None));
+        assert_eq!(select_kernel_path(Some("AVX512"), |_| true), (Avx512, None));
+        assert_eq!(select_kernel_path(Some("fma"), |_| true), (Fma, None));
+        assert_eq!(select_kernel_path(Some("scalar"), |_| true), (Scalar, None));
+        let (path, warning) = select_kernel_path(Some("avx512"), avx2_host);
+        assert_eq!(path, Fma, "an AVX2-only host runs the FMA tile, not scalar");
+        assert!(warning.expect("a fallback warns").contains("using fma"));
+        let (path, warning) = select_kernel_path(Some("fma"), |p| p == Scalar);
+        assert_eq!(path, Scalar);
+        assert!(warning.expect("a fallback warns").contains("using scalar"));
+        let (path, warning) = select_kernel_path(Some("bogus"), avx2_host);
+        assert_eq!(path, Fma);
+        assert!(warning
+            .expect("unknown warns")
+            .contains("using auto-detection"));
     }
 
     #[test]
@@ -253,6 +461,74 @@ mod tests {
                     (got - s).abs() <= 1e-14 * s.abs().max(1.0),
                     "({i},{j}): {got} vs {s}"
                 );
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_tile_matches_scalar_reference_and_the_fma_tile_exactly() {
+        if !(KernelPath::Avx512.available() && KernelPath::Fma.available()) {
+            eprintln!("skipping: host lacks avx512f (or avx2+fma to compare with)");
+            return;
+        }
+        let kc = 37;
+        let apanel: Vec<f64> = (0..kc * 16).map(|i| (i as f64 * 0.37).sin()).collect();
+        let bpanel: Vec<f64> = (0..kc * 12).map(|i| (i as f64 * 0.61).cos()).collect();
+        let mut acc = [0.0f64; 192];
+        // SAFETY: availability checked above; panel lengths are kc*16 and
+        // kc*12; acc holds 192 elements.
+        unsafe { micro_kernel_avx512_16x12(kc, &apanel, &bpanel, acc.as_mut_ptr()) };
+        for j in 0..12 {
+            for i in 0..16 {
+                let mut s = 0.0;
+                for p in 0..kc {
+                    s += apanel[p * 16 + i] * bpanel[p * 12 + j];
+                }
+                let got = acc[j * 16 + i];
+                assert!(
+                    (got - s).abs() <= 1e-14 * s.abs().max(1.0),
+                    "({i},{j}): {got} vs {s}"
+                );
+            }
+        }
+
+        // The four 8×6 tiles over the same rows and columns, bit for bit:
+        // an element's chain of fused multiply-adds does not know its tile.
+        for (i0, j0) in [(0, 0), (8, 0), (0, 6), (8, 6)] {
+            let sub = |panel: &[f64], w: usize, o: usize, len: usize| -> Vec<f64> {
+                let steps = panel.chunks(w);
+                steps.flat_map(|s| &s[o..o + len]).copied().collect()
+            };
+            let (a8, b6) = (sub(&apanel, 16, i0, 8), sub(&bpanel, 12, j0, 6));
+            let mut small = [0.0f64; 48];
+            // SAFETY: avx2+fma checked above; panels hold kc*8 and kc*6
+            // elements; `small` holds 48.
+            unsafe { micro_kernel_fma_8x6(kc, &a8, &b6, small.as_mut_ptr()) };
+            for j in 0..6 {
+                for i in 0..8 {
+                    let (big, small) = (acc[(j0 + j) * 16 + i0 + i], small[j * 8 + i]);
+                    assert_eq!(big.to_bits(), small.to_bits(), "({i0}+{i},{j0}+{j})");
+                }
+            }
+        }
+
+        // The interior form against the raw tile pushed through the scalar
+        // write-back the edge tiles run, on a C with ldc > 16.
+        let (alpha, ldc) = (-1.7, 19);
+        let c0: Vec<f64> = (0..ldc * 12).map(|i| (i as f64 * 0.11).sin()).collect();
+        let mut c = c0.clone();
+        // SAFETY: as above; `c` holds 12 columns of ldc ≥ 16 elements.
+        unsafe {
+            micro_kernel_avx512_16x12_update(kc, &apanel, &bpanel, alpha, c.as_mut_ptr(), ldc)
+        };
+        for j in 0..12 {
+            for i in 0..ldc {
+                let mut want = c0[j * ldc + i];
+                if i < 16 {
+                    want += alpha * acc[j * 16 + i];
+                }
+                assert_eq!(c[j * ldc + i].to_bits(), want.to_bits(), "C({i},{j})");
             }
         }
     }

@@ -1,19 +1,26 @@
-//! Cross-kernel equivalence: the runtime-dispatched FMA micro-kernel and the
-//! portable scalar micro-kernel must agree to rounding error on every GEMM
-//! shape the solvers produce.
+//! Cross-kernel equivalence: the runtime-dispatched SIMD micro-kernels and
+//! the portable scalar micro-kernel must agree to rounding error on every
+//! GEMM shape the solvers produce — and the two SIMD kernels with each other
+//! exactly.
 //!
-//! Both paths share packing, blocking, and the small-matrix fallback; only
-//! the innermost register tile differs (8×6 AVX2+FMA vs 8×4 scalar). A fused
-//! multiply-add rounds once where the scalar path rounds twice, so results
-//! are *not* bit-identical — the contract is agreement within an
-//! accumulation-length-scaled ulp bound, verified here against shapes that
-//! stress every edge: sub-tile sizes, prime dimensions, tile boundaries,
-//! cache-block boundaries, all four transpose combinations, and the
-//! alpha/beta special cases the dispatcher short-circuits.
+//! All paths share packing, blocking, and the small-matrix fallback; only
+//! the innermost register tile differs (16×12 AVX-512, 8×6 AVX2+FMA, 8×4
+//! scalar). A fused multiply-add rounds once where the scalar path rounds
+//! twice, so SIMD and scalar results are *not* bit-identical — the contract
+//! is agreement within an accumulation-length-scaled ulp bound, verified here
+//! against shapes that stress every edge: sub-tile sizes, prime dimensions,
+//! tile boundaries, cache-block boundaries, all four transpose combinations,
+//! and the alpha/beta special cases the dispatcher short-circuits. AVX-512
+//! against FMA *is* bit-identical (each element of C gets the same k-ordered
+//! chain of fused multiply-adds whatever the tile's shape), and every grid
+//! plus one of its own holds it to that; those checks skip, saying so, on a
+//! host without `avx512f`. (Sub-views with `ld > rows` need the crate-private
+//! view entry: that part of the grid is `blas3`'s unit test
+//! `pinned_simd_paths_agree_bitwise_on_sub_views`.)
 //!
 //! The whole suite also runs under `LINALG_KERNEL=scalar` in CI, which
 //! pins the dispatcher itself; here we bypass the process-wide cache via
-//! `gemm_with_kernel` so one process covers both paths.
+//! `gemm_with_kernel` so one process covers every path.
 //!
 //! The second half holds the *algorithm* paths to the same standard: the
 //! GEMM-based TRMM/TRSM against the level-2 loops they replaced
@@ -24,7 +31,8 @@
 //! results' bits to a recorder, and one test runs all of them once with the
 //! fork-join team held (one thread) and once free, and wants the two
 //! records equal bit for bit. Each grid has shapes on both sides of
-//! `team::FORK_FLOPS`. CI runs this under `LINALG_KERNEL=scalar` and `fma`.
+//! `team::FORK_FLOPS`. CI runs this under `LINALG_KERNEL=scalar`, `fma` and
+//! `avx512`.
 
 mod common;
 
@@ -52,7 +60,21 @@ fn tol(k: usize, alpha: f64, beta: f64) -> f64 {
     2.0 * f64::EPSILON * (k as f64 + 4.0) * scale
 }
 
-/// Runs one GEMM on both kernel paths (and the naive reference) and checks
+/// Whether the AVX-512 checks can run; says once per process when not.
+fn have_avx512() -> bool {
+    static SAY: std::sync::Once = std::sync::Once::new();
+    let have = KernelPath::Avx512.available();
+    if !have {
+        SAY.call_once(|| eprintln!("skipping the avx512 == fma checks: host lacks avx512f"));
+    }
+    have
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Runs one GEMM on every kernel path (and the naive reference) and checks
 /// pairwise agreement. Returns silently when the FMA path is unavailable on
 /// the host — the scalar-vs-naive check still runs.
 fn check_case(m: usize, n: usize, k: usize, alpha: f64, beta: f64, opa: Op, opb: Op, seed: u64) {
@@ -100,6 +122,13 @@ fn check_case(m: usize, n: usize, k: usize, alpha: f64, beta: f64, opa: Op, opb:
             "fma vs scalar: {} > {t} ({label})",
             c_fma.max_abs_diff(&c_scalar)
         );
+        if have_avx512() {
+            let mut c_avx512 = c0.clone();
+            let path = KernelPath::Avx512;
+            gemm_with_kernel(path, alpha, &a, opa, &b, opb, beta, &mut c_avx512);
+            record(&c_avx512);
+            assert!(bits(&c_avx512) == bits(&c_fma), "avx512 vs fma ({label})");
+        }
     }
 }
 
@@ -179,6 +208,47 @@ fn dispatched_default_matches_pinned_path() {
         c_pinned.as_slice(),
         "dispatched gemm must be the pinned kernel, exactly"
     );
+
+    // The same on a shape that reaches the micro-kernels, by name: the
+    // dispatcher's choice is one of the three paths and runs as that path.
+    let paths = [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512];
+    let chosen = linalg::kernel_path();
+    assert!(paths.contains(&chosen) && chosen.available());
+    let a = Matrix::random(61, 67, &mut rng);
+    let b = Matrix::random(67, 53, &mut rng);
+    let c_default = matmul(&a, Op::NoTrans, &b, Op::NoTrans);
+    for path in paths {
+        let mut c_pinned = Matrix::zeros(61, 53);
+        gemm_with_kernel(
+            path,
+            1.0,
+            &a,
+            Op::NoTrans,
+            &b,
+            Op::NoTrans,
+            0.0,
+            &mut c_pinned,
+        );
+        if path.or_fallback() == chosen {
+            assert!(bits(&c_default) == bits(&c_pinned), "{}", path.name());
+        }
+    }
+}
+
+#[test]
+fn avx512_request_gives_fma_bits_on_any_host() {
+    // With `avx512f` by byte identity, without it by the ladder avx512 →
+    // fma → scalar: a pinned AVX-512 run is never the slower scalar one
+    // while the FMA tile exists, and no bit says which host it ran on.
+    let mut rng = util::Rng::new(550);
+    let a = Matrix::random(61, 67, &mut rng);
+    let b = Matrix::random(67, 53, &mut rng);
+    let pinned = |path| {
+        let mut c = Matrix::zeros(61, 53);
+        gemm_with_kernel(path, 1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c);
+        bits(&c)
+    };
+    assert!(pinned(KernelPath::Avx512) == pinned(KernelPath::Fma));
 }
 
 #[test]
@@ -399,19 +469,21 @@ fn held_and_free_runs_of_every_grid_are_bit_identical() {
     assert!(held == free, "a helper-run chunk changed a result bit");
 }
 
+/// NaN in every buffer this thread's arena will hand out next.
+fn poison_scratch() {
+    let bufs: Vec<Vec<f64>> = (0..4).map(|_| workspace::take_scratch(1 << 18)).collect();
+    for mut b in bufs {
+        b.fill(f64::NAN);
+        workspace::put(b);
+    }
+}
+
 #[test]
 fn gemm_never_reads_what_it_did_not_pack() {
     // The packing buffers are leased uncleared. Poison every buffer the
     // arena will hand out, then multiply shapes whose last panels are
     // partial (prime sizes, one past a tile, one past a cache block): a read
     // of an unpacked element would put a NaN in C.
-    let poison = || {
-        let bufs: Vec<Vec<f64>> = (0..4).map(|_| workspace::take_scratch(1 << 18)).collect();
-        for mut b in bufs {
-            b.fill(f64::NAN);
-            workspace::put(b);
-        }
-    };
     let shapes = [
         (49, 49, 49),
         (53, 59, 61),
@@ -421,7 +493,7 @@ fn gemm_never_reads_what_it_did_not_pack() {
         (263, 257, 269),
     ];
     for (i, &(m, n, k)) in shapes.iter().enumerate() {
-        for path in [KernelPath::Scalar, KernelPath::Fma] {
+        for path in [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512] {
             for (opa, opb) in [(Op::NoTrans, Op::NoTrans), (Op::Trans, Op::Trans)] {
                 let mut rng = util::Rng::new(1000 + i as u64);
                 let (ar, ac) = if opa == Op::NoTrans { (m, k) } else { (k, m) };
@@ -430,7 +502,7 @@ fn gemm_never_reads_what_it_did_not_pack() {
                 let b = Matrix::random(br, bc, &mut rng);
                 let mut c = Matrix::zeros(m, n);
                 let mut c_ref = Matrix::zeros(m, n);
-                poison();
+                poison_scratch();
                 gemm_with_kernel(path, 1.0, &a, opa, &b, opb, 0.0, &mut c);
                 gemm_naive(1.0, &a, opa, &b, opb, 0.0, &mut c_ref);
                 let diff = c.max_abs_diff(&c_ref);
@@ -439,6 +511,104 @@ fn gemm_never_reads_what_it_did_not_pack() {
                     diff <= tol(k, 1.0, 0.0),
                     "{m}x{n}x{k} {opa:?}/{opb:?} {path:?}: {diff}"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn avx512_equals_fma_bit_for_bit_on_the_whole_grid() {
+    // The byte-identity contract of the 16×12 tile. Every shape is past
+    // `SMALL_FLOPS`, so both pins reach their micro-kernel: m and n on both
+    // sides of multiples of 16 and 12 (one exact tile, one short of it, all
+    // interior, interior plus both edges), k = 1, KC − 1, KC, KC + 1 and
+    // several slabs, past the MC row block and the 504-/510-column NC block,
+    // forking and not.
+    if !have_avx512() {
+        return;
+    }
+    let shapes = [
+        (350, 330, 1),
+        (16, 12, 600),
+        (15, 11, 700),
+        (32, 24, 150),
+        (61, 53, 255),
+        (49, 47, 256),
+        (61, 53, 257),
+        (131, 127, 600),
+        (263, 509, 67),
+        (31, 521, 67),
+    ];
+    let ops = [Op::NoTrans, Op::Trans];
+    let run = || {
+        let mut all = Vec::new();
+        for (i, &(m, n, k)) in shapes.iter().enumerate() {
+            for (opa, opb) in ops.iter().flat_map(|&x| ops.map(|y| (x, y))) {
+                for (alpha, beta) in [(1.0, 0.0), (-0.7, 1.0), (1.3, -0.5)] {
+                    let mut rng = util::Rng::new(1200 + i as u64);
+                    let (ar, ac) = if opa == Op::NoTrans { (m, k) } else { (k, m) };
+                    let (br, bc) = if opb == Op::NoTrans { (k, n) } else { (n, k) };
+                    let a = Matrix::random(ar, ac, &mut rng);
+                    let b = Matrix::random(br, bc, &mut rng);
+                    let c0 = Matrix::random(m, n, &mut rng);
+                    let [fma, avx512] = [KernelPath::Fma, KernelPath::Avx512].map(|path| {
+                        let mut c = c0.clone();
+                        poison_scratch();
+                        gemm_with_kernel(path, alpha, &a, opa, &b, opb, beta, &mut c);
+                        bits(&c)
+                    });
+                    assert!(
+                        fma == avx512,
+                        "{m}x{n}x{k} {opa:?}/{opb:?} α={alpha} β={beta}"
+                    );
+                    all.extend(avx512);
+                }
+            }
+        }
+        all
+    };
+    let held = {
+        let _one_thread = team::hold();
+        run()
+    };
+    assert!(held == run(), "a helper-run chunk changed a result bit");
+
+    // A crowd's wrap through the batched driver, which runs the dispatched
+    // path and packs the shared operand once: each entry against both pins.
+    if linalg::kernel_path() == KernelPath::Scalar {
+        eprintln!("skipping the batched avx512 == fma check: the dispatcher is pinned to scalar");
+        return;
+    }
+    for (m, n, k) in [(72, 70, 75), (136, 131, 300)] {
+        let mut rng = util::Rng::new(1300 + m as u64);
+        let shared = Matrix::random(m, k, &mut rng);
+        let each: Vec<Matrix> = (0..3).map(|_| Matrix::random(k, n, &mut rng)).collect();
+        let refs: Vec<&Matrix> = each.iter().collect();
+        let mut outs = vec![Matrix::zeros(m, n); 3];
+        poison_scratch();
+        linalg::dgemm_strided_batched(
+            1.0,
+            linalg::GemmOperand::Shared(&shared),
+            Op::NoTrans,
+            linalg::GemmOperand::Each(&refs),
+            Op::NoTrans,
+            0.0,
+            &mut outs.iter_mut().collect::<Vec<_>>(),
+        );
+        for (b, out) in each.iter().zip(&outs) {
+            for path in [KernelPath::Fma, KernelPath::Avx512] {
+                let mut solo = Matrix::zeros(m, n);
+                gemm_with_kernel(
+                    path,
+                    1.0,
+                    &shared,
+                    Op::NoTrans,
+                    b,
+                    Op::NoTrans,
+                    0.0,
+                    &mut solo,
+                );
+                assert!(bits(out) == bits(&solo), "{m}x{n}x{k} batched vs {path:?}");
             }
         }
     }
