@@ -10,19 +10,12 @@
 //!
 //! # File format (`DQCP` version 1)
 //!
-//! ```text
-//! magic   [u8; 4] = b"DQCP"
-//! version u32     = 1
-//! length  u64     = payload byte count
-//! payload [u8; length]
-//! crc32   u32     over payload only
-//! ```
-//!
-//! The CRC deliberately excludes the header: tampering with the version
-//! field reports [`CodecError::BadVersion`], not a confusing checksum
-//! failure. The length field must account for the file exactly
-//! (`file_len == length + 20`), so truncation and trailing garbage are both
-//! detected before any payload decoding starts.
+//! A [`util::frame::Framed`] envelope with no tag (DESIGN.md §9 "Binary
+//! formats") that must account for the file exactly: the CRC covers the
+//! payload only, so tampering with the version field reports
+//! [`CodecError::BadVersion`], not a confusing checksum failure, and
+//! truncation and trailing garbage are both detected before any payload
+//! decoding starts.
 //!
 //! Writes are atomic: the bytes go to a sibling `<path>.tmp`, are fsynced,
 //! and renamed over the destination — a kill mid-write can never leave a
@@ -40,7 +33,8 @@ use linalg::Matrix;
 use std::fmt;
 use std::fs;
 use std::path::Path;
-use util::codec::{crc32, ByteReader, ByteWriter, CodecError, Fnv1a};
+use util::codec::{ByteReader, ByteWriter, CodecError, Fnv1a};
+use util::frame::Framed;
 use util::Rng;
 use util::RunningStats;
 
@@ -50,8 +44,8 @@ pub const MAGIC: [u8; 4] = *b"DQCP";
 /// Format version this build reads and writes.
 pub const VERSION: u32 = 1;
 
-/// Header (magic + version + length) plus trailing CRC, in bytes.
-const FRAME_OVERHEAD: usize = 4 + 4 + 8 + 4;
+/// The walker image's envelope.
+const DQCP: Framed<0> = Framed::new(MAGIC, VERSION);
 
 /// Why a checkpoint save or load failed.
 #[derive(Debug)]
@@ -106,26 +100,16 @@ pub(crate) fn write_matrix(w: &mut ByteWriter, m: &Matrix) {
     }
 }
 
-/// Reads a matrix written by [`write_matrix`]. The element count is
-/// validated against the remaining bytes *before* allocating, so corrupt
-/// dimensions cannot trigger an enormous allocation or a panic.
+/// Reads a matrix written by [`write_matrix`]. The elements are claimed
+/// from the remaining bytes *before* allocating, so corrupt dimensions
+/// cannot trigger an enormous allocation or a panic.
 pub(crate) fn read_matrix(r: &mut ByteReader<'_>) -> Result<Matrix, CodecError> {
     let nrows = r.get_u32()? as usize;
     let ncols = r.get_u32()? as usize;
     let len = nrows
         .checked_mul(ncols)
         .ok_or_else(|| CodecError::Invalid("matrix dimensions overflow".into()))?;
-    if len.checked_mul(8).is_none_or(|b| b > r.remaining()) {
-        return Err(CodecError::Truncated {
-            needed: len.saturating_mul(8),
-            remaining: r.remaining(),
-        });
-    }
-    let mut data = Vec::with_capacity(len);
-    for _ in 0..len {
-        data.push(r.get_f64()?);
-    }
-    Ok(Matrix::from_col_major(nrows, ncols, data))
+    Ok(Matrix::from_col_major(nrows, ncols, r.get_f64s(len)?))
 }
 
 /// FNV-1a digest over everything that defines the Markov chain: the model
@@ -175,80 +159,28 @@ pub fn params_fingerprint(p: &SimParams) -> u64 {
 /// process kill.
 pub(crate) fn walker_to_bytes(sim: &Walker, use_host_fallback: bool) -> Vec<u8> {
     let core = &sim.core;
-    let mut w = ByteWriter::new();
-    w.put_u64(params_fingerprint(&core.params));
-    w.put_u64(sim.warmup_done as u64);
-    w.put_u64(sim.measure_done as u64);
-    w.put_u64(core.sweeps_run);
-    w.put_u64(core.cache.cluster_size() as u64);
-    w.put_u8(use_host_fallback as u8);
-    w.put_u64(core.recovery.total());
-    w.put_f64(core.sign);
-    w.put_u64(core.accepted);
-    w.put_u64(core.proposed);
-    core.h.encode(&mut w);
-    core.rng.encode(&mut w);
-    write_matrix(&mut w, &core.g[0]);
-    write_matrix(&mut w, &core.g[1]);
-    core.wrap_diff.encode(&mut w);
-    sim.obs.encode(&mut w);
-    match &sim.tdm {
-        Some(tdm) => {
-            w.put_u8(1);
-            tdm.encode(&mut w);
+    DQCP.encode([], |w| {
+        w.put_u64(params_fingerprint(&core.params));
+        w.put_u64(sim.warmup_done as u64);
+        w.put_u64(sim.measure_done as u64);
+        w.put_u64(core.sweeps_run);
+        w.put_u64(core.cache.cluster_size() as u64);
+        w.put_bool(use_host_fallback);
+        w.put_u64(core.recovery.total());
+        w.put_f64(core.sign);
+        w.put_u64(core.accepted);
+        w.put_u64(core.proposed);
+        core.h.encode(w);
+        core.rng.encode(w);
+        write_matrix(w, &core.g[0]);
+        write_matrix(w, &core.g[1]);
+        core.wrap_diff.encode(w);
+        sim.obs.encode(w);
+        w.put_bool(sim.tdm.is_some());
+        if let Some(tdm) = &sim.tdm {
+            tdm.encode(w);
         }
-        None => w.put_u8(0),
-    }
-    frame(&w.into_bytes())
-}
-
-/// Frames a payload into the on-disk byte layout.
-pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
-}
-
-/// Validates framing and returns the payload slice.
-pub(crate) fn unframe(bytes: &[u8]) -> Result<&[u8], CodecError> {
-    if bytes.len() < FRAME_OVERHEAD {
-        return Err(CodecError::Truncated {
-            needed: FRAME_OVERHEAD,
-            remaining: bytes.len(),
-        });
-    }
-    if bytes[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != VERSION {
-        return Err(CodecError::BadVersion {
-            found: version,
-            expected: VERSION,
-        });
-    }
-    let mut len8 = [0u8; 8];
-    len8.copy_from_slice(&bytes[8..16]);
-    let payload_len = u64::from_le_bytes(len8) as usize;
-    if payload_len != bytes.len() - FRAME_OVERHEAD {
-        return Err(CodecError::Truncated {
-            needed: payload_len.saturating_add(FRAME_OVERHEAD),
-            remaining: bytes.len(),
-        });
-    }
-    let payload = &bytes[16..16 + payload_len];
-    let mut crc4 = [0u8; 4];
-    crc4.copy_from_slice(&bytes[16 + payload_len..]);
-    let stored = u32::from_le_bytes(crc4);
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(CodecError::BadChecksum { stored, computed });
-    }
-    Ok(payload)
+    })
 }
 
 /// Rebuilds a [`Walker`] and the host-fallback flag it was saved under from
@@ -258,7 +190,7 @@ pub(crate) fn walker_from_bytes(
     bytes: &[u8],
     params: &SimParams,
 ) -> Result<(Walker, bool), CheckpointError> {
-    let mut r = ByteReader::new(unframe(bytes)?);
+    let ([], mut r) = DQCP.open(bytes)?;
     let found = r.get_u64()?;
     let expected = params_fingerprint(params);
     if found != expected {
@@ -275,11 +207,7 @@ pub(crate) fn walker_from_bytes(
         ))
         .into());
     }
-    let use_host_fallback = match r.get_u8()? {
-        0 => false,
-        1 => true,
-        v => return Err(CodecError::Invalid(format!("host-fallback flag is {v}")).into()),
-    };
+    let use_host_fallback = r.get_bool("host-fallback")?;
     let recovery_prior = r.get_u64()?;
     let sign = r.get_f64()?;
     let accepted = r.get_u64()?;
@@ -311,10 +239,10 @@ pub(crate) fn walker_from_bytes(
     }
     let wrap_diff = RunningStats::decode(&mut r)?;
     let obs = Observables::decode(&params.model, &mut r)?;
-    let tdm = match r.get_u8()? {
-        0 => None,
-        1 => Some(TimeDependentObs::decode(&params.model.lattice, &mut r)?),
-        v => return Err(CodecError::Invalid(format!("TDM presence flag is {v}")).into()),
+    let tdm = if r.get_bool("TDM presence")? {
+        Some(TimeDependentObs::decode(&params.model.lattice, &mut r)?)
+    } else {
+        None
     };
     if params.measure_unequal_time != tdm.is_some() {
         return Err(CodecError::Invalid(
@@ -322,11 +250,7 @@ pub(crate) fn walker_from_bytes(
         )
         .into());
     }
-    if !r.is_exhausted() {
-        return Err(
-            CodecError::Invalid(format!("{} trailing bytes after payload", r.remaining())).into(),
-        );
-    }
+    r.finish("the walker state")?;
     let core = DqmcCore::restore(
         params.clone(),
         h,
@@ -415,41 +339,6 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(read_matrix(&mut ByteReader::new(&bytes[..cut])).is_err());
         }
-    }
-
-    #[test]
-    fn frame_round_trip() {
-        let payload = b"hello dqmc".to_vec();
-        let framed = frame(&payload);
-        assert_eq!(unframe(&framed).unwrap(), payload.as_slice());
-    }
-
-    #[test]
-    fn unframe_rejects_tampering() {
-        let framed = frame(b"payload");
-        // Bad magic.
-        let mut bad = framed.clone();
-        bad[0] ^= 0xFF;
-        assert!(matches!(unframe(&bad), Err(CodecError::BadMagic)));
-        // Version bump is reported as a version problem, not a checksum one.
-        let mut bad = framed.clone();
-        bad[4] = 99;
-        assert!(matches!(
-            unframe(&bad),
-            Err(CodecError::BadVersion { found: 99, .. })
-        ));
-        // Any payload byte flip fails the CRC.
-        let mut bad = framed.clone();
-        bad[17] ^= 0x01;
-        assert!(matches!(unframe(&bad), Err(CodecError::BadChecksum { .. })));
-        // Truncations never panic.
-        for cut in 0..framed.len() {
-            assert!(unframe(&framed[..cut]).is_err());
-        }
-        // Trailing garbage is rejected by the length check.
-        let mut long = framed.clone();
-        long.push(0);
-        assert!(unframe(&long).is_err());
     }
 
     #[test]

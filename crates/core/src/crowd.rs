@@ -25,8 +25,13 @@ use crate::checkpoint::{self, CheckpointError};
 use crate::hubbard::SimParams;
 use crate::sim::Walker;
 use crate::sweep::{Lane, SweepDriver};
-use util::codec::CodecError;
+use util::codec::{ByteReader, ByteWriter, CodecError};
 use util::{DqmcError, RunToken};
+
+/// Magic of the crowd container: `"DQCW" | count u32 | (len u64 | DQCP
+/// image)*`. It carries no version or checksum of its own; every walker
+/// image inside is a complete, checksummed `DQCP` frame.
+const DQCW: &[u8; 4] = b"DQCW";
 
 /// B walkers stepped in lockstep through one backend.
 #[derive(Debug)]
@@ -171,15 +176,14 @@ impl Crowd {
     /// driver's host-fallback flag). This is what a preempted job of any
     /// width parks as.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"DQCW");
-        out.extend_from_slice(&(self.walkers.len() as u32).to_le_bytes());
+        let mut out = ByteWriter::new();
+        out.put_bytes(DQCW);
+        out.put_u32(self.walkers.len() as u32);
         for w in &self.walkers {
             let img = checkpoint::walker_to_bytes(w, self.driver.use_host_fallback);
-            out.extend_from_slice(&(img.len() as u64).to_le_bytes());
-            out.extend_from_slice(&img);
+            out.put_blob(&img);
         }
-        out
+        out.into_bytes()
     }
 
     /// Rebuilds a crowd from [`Crowd::checkpoint_bytes`]. `params` must
@@ -191,15 +195,11 @@ impl Crowd {
     /// on the host after [`Crowd::with_backend`] if any walker image
     /// records a host fallback.
     pub fn resume_bytes(bytes: &[u8], params: &[SimParams]) -> Result<Self, CheckpointError> {
-        let truncated = |needed: usize| CodecError::Truncated {
-            needed,
-            remaining: bytes.len(),
-        };
-        let header = bytes.get(..8).ok_or_else(|| truncated(8))?;
-        if &header[..4] != b"DQCW" {
+        let mut r = ByteReader::new(bytes);
+        if r.get_bytes(4)? != DQCW {
             return Err(CodecError::BadMagic.into());
         }
-        let count = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+        let count = r.get_u32()?;
         if count as usize != params.len() {
             return Err(CodecError::Invalid(format!(
                 "crowd image holds {count} walkers, {} params given",
@@ -209,28 +209,12 @@ impl Crowd {
         }
         let mut walkers = Vec::with_capacity(params.len());
         let mut use_host_fallback = false;
-        let mut at = 8usize;
         for p in params {
-            let len8 = bytes.get(at..at + 8).ok_or_else(|| truncated(at + 8))?;
-            let len = u64::from_le_bytes(len8.try_into().expect("8 bytes"));
-            at += 8;
-            let end = usize::try_from(len)
-                .ok()
-                .and_then(|len| at.checked_add(len))
-                .filter(|&end| end <= bytes.len())
-                .ok_or_else(|| truncated(at.saturating_add(len as usize)))?;
-            let (walker, fallback) = checkpoint::walker_from_bytes(&bytes[at..end], p)?;
+            let (walker, fallback) = checkpoint::walker_from_bytes(r.get_blob()?, p)?;
             walkers.push(walker);
             use_host_fallback |= fallback;
-            at = end;
         }
-        if at != bytes.len() {
-            return Err(CodecError::Invalid(format!(
-                "{} trailing bytes after the last walker image",
-                bytes.len() - at
-            ))
-            .into());
-        }
+        r.finish("the last walker image")?;
         Ok(Crowd::from_walkers(walkers, use_host_fallback))
     }
 }

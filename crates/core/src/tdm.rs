@@ -275,13 +275,14 @@ impl TimeDependentObs {
         if taus.is_empty() {
             return Err(util::codec::CodecError::Invalid("empty τ grid".into()));
         }
-        let npts = taus.len();
-        let mut gloc = Vec::with_capacity(npts);
-        for _ in 0..npts {
+        // Grown, not reserved for: an accumulator in memory is larger than
+        // its smallest encoding, and `taus.len()` came from the input.
+        let mut gloc = Vec::new();
+        for _ in 0..taus.len() {
             gloc.push(BinnedAccumulator::decode(r)?);
         }
-        let mut gk = Vec::with_capacity(npts);
-        for _ in 0..npts {
+        let mut gk = Vec::new();
+        for _ in 0..taus.len() {
             gk.push([
                 BinnedAccumulator::decode(r)?,
                 BinnedAccumulator::decode(r)?,

@@ -9,17 +9,27 @@
 //! against a stale manifest refuses to run rather than producing
 //! unmergeable bytes.
 //!
-//! Framing follows the checkpoint discipline shared by `DQCP`/`DQRC`:
-//! magic, version, payload, CRC-32 trailer; any validation failure is an
-//! error, never a guess.
+//! The image is a [`util::frame::Sealed`] envelope; any validation failure
+//! is an error, never a guess.
 
 use std::path::Path;
-use util::codec::{crc32, ByteReader, ByteWriter, CodecError};
+use util::codec::{ByteReader, CodecError};
+use util::frame::Sealed;
 
-/// Manifest magic: "DQSM" (DQmc Shard Manifest).
-const MAGIC: &[u8; 4] = b"DQSM";
-/// Manifest format version.
-const VERSION: u32 = 1;
+/// The manifest envelope: "DQSM" (DQmc Shard Manifest), version 1.
+const DQSM: Sealed = Sealed::new(*b"DQSM", 1);
+
+/// Reads the `shard | nshards` pair every fleet image starts with.
+pub(crate) fn get_shard_id(r: &mut ByteReader<'_>) -> Result<(usize, usize), CodecError> {
+    let shard = r.get_u64()? as usize;
+    let nshards = r.get_u64()? as usize;
+    if shard >= nshards {
+        return Err(CodecError::Invalid(format!(
+            "shard {shard} outside fleet of {nshards}"
+        )));
+    }
+    Ok((shard, nshards))
+}
 
 /// One shard's work order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,77 +48,31 @@ pub struct ShardManifest {
 }
 
 impl ShardManifest {
-    /// Serialises the manifest: header, payload, CRC trailer.
+    /// Serialises the manifest.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(MAGIC);
-        w.put_u32(VERSION);
-        w.put_u64(self.shard as u64);
-        w.put_u64(self.nshards as u64);
-        w.put_u64(self.fingerprint);
-        let grid = self.grid_text.as_bytes();
-        w.put_u64(grid.len() as u64);
-        w.put_bytes(grid);
-        w.put_u64(self.points.len() as u64);
-        for &p in &self.points {
-            w.put_u64(p as u64);
-        }
-        let body = w.into_bytes();
-        let mut out = ByteWriter::new();
-        out.put_bytes(&body);
-        out.put_u32(crc32(&body));
-        out.into_bytes()
+        DQSM.encode(|w| {
+            w.put_u64(self.shard as u64);
+            w.put_u64(self.nshards as u64);
+            w.put_u64(self.fingerprint);
+            w.put_str(&self.grid_text);
+            w.put_indices(&self.points);
+        })
     }
 
     /// Validates and decodes a manifest produced by
     /// [`ShardManifest::encode`].
     pub fn decode(bytes: &[u8]) -> Result<ShardManifest, CodecError> {
-        let body = split_checked_body(bytes)?;
-        let mut r = ByteReader::new(body);
-        if r.get_bytes(4)? != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = r.get_u32()?;
-        if version != VERSION {
-            return Err(CodecError::BadVersion {
-                found: version,
-                expected: VERSION,
-            });
-        }
-        let shard = r.get_u64()? as usize;
-        let nshards = r.get_u64()? as usize;
-        if nshards == 0 || shard >= nshards {
-            return Err(CodecError::Invalid(format!(
-                "shard {shard} outside fleet of {nshards}"
-            )));
-        }
-        let fingerprint = r.get_u64()?;
-        let grid_len = r.get_u64()? as usize;
-        let grid_text = String::from_utf8(r.get_bytes(grid_len)?.to_vec())
-            .map_err(|e| CodecError::Invalid(format!("grid text is not UTF-8: {e}")))?;
-        let npoints = r.get_u64()? as usize;
-        let mut points = Vec::with_capacity(npoints.min(1 << 20));
-        for _ in 0..npoints {
-            points.push(r.get_u64()? as usize);
-        }
-        if !points.windows(2).all(|w| w[0] < w[1]) {
-            return Err(CodecError::Invalid(
-                "manifest points must be strictly ascending".into(),
-            ));
-        }
-        if !r.is_exhausted() {
-            return Err(CodecError::Invalid(format!(
-                "{} trailing manifest bytes",
-                r.remaining()
-            )));
-        }
-        Ok(ShardManifest {
+        let mut r = DQSM.open(bytes)?;
+        let (shard, nshards) = get_shard_id(&mut r)?;
+        let manifest = ShardManifest {
             shard,
             nshards,
-            fingerprint,
-            grid_text,
-            points,
-        })
+            fingerprint: r.get_u64()?,
+            grid_text: r.get_str()?,
+            points: r.get_indices("manifest points")?,
+        };
+        r.finish("the manifest")?;
+        Ok(manifest)
     }
 
     /// Reads and decodes a manifest file.
@@ -124,23 +88,6 @@ impl ShardManifest {
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
         util::vfs::write_atomic(path, &self.encode())
     }
-}
-
-/// Splits off and verifies the CRC-32 trailer, returning the body.
-pub(crate) fn split_checked_body(bytes: &[u8]) -> Result<&[u8], CodecError> {
-    if bytes.len() < 4 {
-        return Err(CodecError::Truncated {
-            needed: 4,
-            remaining: bytes.len(),
-        });
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(CodecError::BadChecksum { stored, computed });
-    }
-    Ok(body)
 }
 
 #[cfg(test)]
@@ -161,19 +108,6 @@ mod tests {
     fn round_trips_bit_exactly() {
         let m = sample();
         assert_eq!(ShardManifest::decode(&m.encode()).expect("round trip"), m);
-    }
-
-    #[test]
-    fn rejects_corruption_truncation_and_bad_version() {
-        let bytes = sample().encode();
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(ShardManifest::decode(&bad).is_err(), "flip at byte {i}");
-        }
-        for cut in 0..bytes.len() {
-            assert!(ShardManifest::decode(&bytes[..cut]).is_err(), "cut {cut}");
-        }
     }
 
     #[test]

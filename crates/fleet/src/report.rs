@@ -31,14 +31,14 @@ use sched::PointSummary;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-use util::codec::{crc32, ByteReader, ByteWriter, CodecError};
+use util::codec::CodecError;
+use util::frame::Sealed;
 
-use crate::manifest::split_checked_body;
+use crate::manifest::get_shard_id;
 
-/// Report magic: "DQSR" (DQmc Shard Report).
-const MAGIC: &[u8; 4] = b"DQSR";
-/// Report format version.
-const VERSION: u32 = 1;
+/// The report envelope: "DQSR" (DQmc Shard Report), version 1 — a
+/// [`Sealed`] image like the manifest's.
+const DQSR: Sealed = Sealed::new(*b"DQSR", 1);
 
 /// One shard's (possibly partial) results.
 #[derive(Clone, Debug)]
@@ -84,73 +84,38 @@ impl ShardReport {
             .collect()
     }
 
-    /// Serialises the report: header, payload, CRC trailer.
+    /// Serialises the report.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(MAGIC);
-        w.put_u32(VERSION);
-        w.put_u64(self.shard as u64);
-        w.put_u64(self.nshards as u64);
-        w.put_u64(self.fingerprint);
-        w.put_u64(self.seed);
-        w.put_u64(self.chains as u64);
-        w.put_u64(self.warmup as u64);
-        w.put_u64(self.sweeps as u64);
-        w.put_u64(self.failed_chains as u64);
-        w.put_u64(self.assigned.len() as u64);
-        for &p in &self.assigned {
-            w.put_u64(p as u64);
-        }
-        w.put_u64(self.fragments.len() as u64);
-        for f in &self.fragments {
-            f.encode_observables(&mut w);
-        }
-        let body = w.into_bytes();
-        let mut out = ByteWriter::new();
-        out.put_bytes(&body);
-        out.put_u32(crc32(&body));
-        out.into_bytes()
+        DQSR.encode(|w| {
+            w.put_u64(self.shard as u64);
+            w.put_u64(self.nshards as u64);
+            w.put_u64(self.fingerprint);
+            w.put_u64(self.seed);
+            w.put_u64(self.chains as u64);
+            w.put_u64(self.warmup as u64);
+            w.put_u64(self.sweeps as u64);
+            w.put_u64(self.failed_chains as u64);
+            w.put_indices(&self.assigned);
+            w.put_u64(self.fragments.len() as u64);
+            for f in &self.fragments {
+                f.encode_observables(w);
+            }
+        })
     }
 
     /// Validates and decodes a report produced by [`ShardReport::encode`].
     pub fn decode(bytes: &[u8]) -> Result<ShardReport, CodecError> {
-        let body = split_checked_body(bytes)?;
-        let mut r = ByteReader::new(body);
-        if r.get_bytes(4)? != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = r.get_u32()?;
-        if version != VERSION {
-            return Err(CodecError::BadVersion {
-                found: version,
-                expected: VERSION,
-            });
-        }
-        let shard = r.get_u64()? as usize;
-        let nshards = r.get_u64()? as usize;
-        if nshards == 0 || shard >= nshards {
-            return Err(CodecError::Invalid(format!(
-                "shard {shard} outside fleet of {nshards}"
-            )));
-        }
+        let mut r = DQSR.open(bytes)?;
+        let (shard, nshards) = get_shard_id(&mut r)?;
         let fingerprint = r.get_u64()?;
         let seed = r.get_u64()?;
         let chains = r.get_u64()? as usize;
         let warmup = r.get_u64()? as usize;
         let sweeps = r.get_u64()? as usize;
         let failed_chains = r.get_u64()? as usize;
-        let nassigned = r.get_u64()? as usize;
-        let mut assigned = Vec::with_capacity(nassigned.min(1 << 20));
-        for _ in 0..nassigned {
-            assigned.push(r.get_u64()? as usize);
-        }
-        if !assigned.windows(2).all(|w| w[0] < w[1]) {
-            return Err(CodecError::Invalid(
-                "assigned points must be strictly ascending".into(),
-            ));
-        }
-        let nfrag = r.get_u64()? as usize;
-        let mut fragments = Vec::with_capacity(nfrag.min(1 << 20));
+        let assigned = r.get_indices("assigned points")?;
+        let nfrag = r.get_count(PointSummary::MIN_ENCODED_LEN)?;
+        let mut fragments = Vec::with_capacity(nfrag);
         for _ in 0..nfrag {
             let f = PointSummary::decode_observables(&mut r)?;
             if !assigned.contains(&f.point) {
@@ -161,12 +126,7 @@ impl ShardReport {
             }
             fragments.push(f);
         }
-        if !r.is_exhausted() {
-            return Err(CodecError::Invalid(format!(
-                "{} trailing report bytes",
-                r.remaining()
-            )));
-        }
+        r.finish("the report")?;
         Ok(ShardReport {
             shard,
             nshards,
@@ -376,11 +336,10 @@ mod tests {
         assert_eq!(back.encode(), bytes, "decode∘encode is the identity");
         assert_eq!(back.assigned, r.assigned);
         assert_eq!(back.fragments.len(), r.fragments.len());
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x10;
-            assert!(ShardReport::decode(&bad).is_err(), "flip at byte {i}");
-        }
+        // Behind a valid checksum the body is still validated: a fragment
+        // for a point the shard was never assigned is refused.
+        let stray = report(0, vec![0, 1], &[1, 5]);
+        assert!(ShardReport::decode(&stray.encode()).is_err());
     }
 
     #[test]

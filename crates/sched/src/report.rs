@@ -195,24 +195,26 @@ impl PointSummary {
         w.put_u64(self.chains_ok as u64);
         w.put_u64(self.chains_failed as u64);
         w.put_u64(self.bin_count as u64);
-        match &self.scalars {
-            Some(sc) => {
-                w.put_u8(1);
-                for (v, e) in [
-                    sc.sign,
-                    sc.density,
-                    sc.double_occ,
-                    sc.kinetic,
-                    sc.potential,
-                    sc.saf,
-                ] {
-                    w.put_f64(v);
-                    w.put_f64(e);
-                }
+        w.put_bool(self.scalars.is_some());
+        if let Some(sc) = &self.scalars {
+            for (v, e) in [
+                sc.sign,
+                sc.density,
+                sc.double_occ,
+                sc.kinetic,
+                sc.potential,
+                sc.saf,
+            ] {
+                w.put_f64(v);
+                w.put_f64(e);
             }
-            None => w.put_u8(0),
         }
     }
+
+    /// Fewest bytes [`PointSummary::encode_observables`] writes (a point
+    /// with no scalars): what a decoder checks a fragment count against
+    /// before it reserves for that many summaries.
+    pub const MIN_ENCODED_LEN: usize = 7 * 8 + 1;
 
     /// Decodes a summary written by [`PointSummary::encode_observables`].
     /// Schedule-layer fields come back zeroed — a cache hit never claims
@@ -225,27 +227,21 @@ impl PointSummary {
         let chains_ok = r.get_u64()? as usize;
         let chains_failed = r.get_u64()? as usize;
         let bin_count = r.get_u64()? as usize;
-        let scalars = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let mut pairs = [(0.0f64, 0.0f64); 6];
-                for p in pairs.iter_mut() {
-                    *p = (r.get_f64()?, r.get_f64()?);
-                }
-                Some(JackknifeScalars {
-                    sign: pairs[0],
-                    density: pairs[1],
-                    double_occ: pairs[2],
-                    kinetic: pairs[3],
-                    potential: pairs[4],
-                    saf: pairs[5],
-                })
+        let scalars = if r.get_bool("scalars presence")? {
+            let mut pairs = [(0.0f64, 0.0f64); 6];
+            for p in pairs.iter_mut() {
+                *p = (r.get_f64()?, r.get_f64()?);
             }
-            other => {
-                return Err(CodecError::Invalid(format!(
-                    "scalars presence flag must be 0 or 1, found {other}"
-                )))
-            }
+            Some(JackknifeScalars {
+                sign: pairs[0],
+                density: pairs[1],
+                double_occ: pairs[2],
+                kinetic: pairs[3],
+                potential: pairs[4],
+                saf: pairs[5],
+            })
+        } else {
+            None
         };
         Ok(PointSummary {
             point,

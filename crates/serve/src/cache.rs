@@ -9,8 +9,8 @@
 //! collide only when the engine guarantees byte-identical results, and a
 //! grid differing in any seed, sweep count or crowd width keys elsewhere.
 //!
-//! Entries are `DQRC` frames under the checkpoint discipline: magic,
-//! version, key echo, payload, CRC-32 trailer. Writes go through the
+//! Entries are `DQRC` images — a [`util::frame::Sealed`] envelope around
+//! the key echo and the point's observables. Writes go through the
 //! workspace's single audited write path, [`util::vfs::write_atomic`]
 //! (process-unique temp file, `fsync`, atomic rename, parent-directory
 //! `fsync`) — concurrent writers race benignly (last rename wins, every
@@ -25,12 +25,11 @@
 use sched::{GridPoint, GridSpec, PointSummary};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use util::codec::{crc32, ByteReader, ByteWriter, CodecError, Fnv1a};
+use util::codec::{CodecError, Fnv1a};
+use util::frame::Sealed;
 
-/// Entry magic: "DQRC" (DQmc Result Cache).
-const MAGIC: &[u8; 4] = b"DQRC";
-/// Entry format version.
-const ENTRY_VERSION: u32 = 1;
+/// The entry envelope: "DQRC" (DQmc Result Cache), version 1.
+const DQRC: Sealed = Sealed::new(*b"DQRC", 1);
 
 /// What a cache probe found.
 #[derive(Clone, Debug)]
@@ -217,45 +216,17 @@ fn quarantine_corrupt_entries(dir: &Path) -> std::io::Result<u64> {
     Ok(moved)
 }
 
-/// Serialises one entry: header, key echo, observables payload, CRC.
+/// Serialises one entry: key echo, then the observables.
 fn encode_entry(key: u64, summary: &PointSummary) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_bytes(MAGIC);
-    w.put_u32(ENTRY_VERSION);
-    w.put_u64(key);
-    summary.encode_observables(&mut w);
-    let body = w.into_bytes();
-    let mut out = ByteWriter::new();
-    out.put_bytes(&body);
-    out.put_u32(crc32(&body));
-    out.into_bytes()
+    DQRC.encode(|w| {
+        w.put_u64(key);
+        summary.encode_observables(w);
+    })
 }
 
 /// Validates and decodes one entry; any failure means eviction.
 fn decode_entry(key: u64, bytes: &[u8]) -> Result<PointSummary, CodecError> {
-    if bytes.len() < 4 {
-        return Err(CodecError::Truncated {
-            needed: 4,
-            remaining: bytes.len(),
-        });
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(CodecError::BadChecksum { stored, computed });
-    }
-    let mut r = ByteReader::new(body);
-    if r.get_bytes(4)? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = r.get_u32()?;
-    if version != ENTRY_VERSION {
-        return Err(CodecError::BadVersion {
-            found: version,
-            expected: ENTRY_VERSION,
-        });
-    }
+    let mut r = DQRC.open(bytes)?;
     let echoed = r.get_u64()?;
     if echoed != key {
         return Err(CodecError::Invalid(format!(
@@ -263,11 +234,6 @@ fn decode_entry(key: u64, bytes: &[u8]) -> Result<PointSummary, CodecError> {
         )));
     }
     let summary = PointSummary::decode_observables(&mut r)?;
-    if !r.is_exhausted() {
-        return Err(CodecError::Invalid(format!(
-            "{} trailing entry bytes",
-            r.remaining()
-        )));
-    }
+    r.finish("the cache entry")?;
     Ok(summary)
 }

@@ -1,10 +1,14 @@
-//! Little-endian binary codec primitives shared by the checkpoint format.
+//! Little-endian binary codec primitives shared by every binary format of
+//! the workspace (`DQCP`, `DQCW`, `DQRC`, `DQSM`, `DQSR`, `DQSF`).
 //!
-//! The DQMC checkpoint (core::checkpoint) is a length-prefixed, CRC-guarded
-//! byte stream; this module provides the writer/reader pair, the error
+//! This module provides the field level: the writer/reader pair, the error
 //! taxonomy, a table-driven CRC-32 (IEEE polynomial) and an FNV-1a 64-bit
-//! hash used to fingerprint simulation parameters. Everything here is pure
-//! and allocation-light so the codec can be property-tested exhaustively.
+//! hash used to fingerprint simulation parameters. The envelopes around the
+//! fields (magic, version, length, checksum) live in [`crate::frame`].
+//! Every count read from input is checked against the bytes that remain
+//! *before* anything is reserved for it, so a decoder built from these
+//! reads is total: malformed bytes give a [`CodecError`], never a panic or
+//! an allocation larger than the input justifies.
 
 use std::fmt;
 
@@ -133,6 +137,30 @@ impl ByteWriter {
             self.put_f64(x);
         }
     }
+
+    /// Writes a flag as one byte, 0 or 1.
+    pub fn put_bool(&mut self, v: bool) {
+        self.put_u8(u8::from(v));
+    }
+
+    /// Writes a `u64` length prefix followed by the bytes.
+    pub fn put_blob(&mut self, v: &[u8]) {
+        self.put_u64(v.len() as u64);
+        self.put_bytes(v);
+    }
+
+    /// Writes a string as a blob of its UTF-8 bytes.
+    pub fn put_str(&mut self, s: &str) {
+        self.put_blob(s.as_bytes());
+    }
+
+    /// Writes a `u64` count followed by each index as a `u64`.
+    pub fn put_indices(&mut self, v: &[usize]) {
+        self.put_u64(v.len() as u64);
+        for &i in v {
+            self.put_u64(i as u64);
+        }
+    }
 }
 
 /// Bounds-checked little-endian byte source over a borrowed slice.
@@ -204,51 +232,151 @@ impl<'a> ByteReader<'a> {
         self.chunk(n)
     }
 
-    /// Reads a `u64` length prefix and that many `f64`s. The length is
-    /// validated against the remaining bytes *before* allocating, so a
-    /// corrupt prefix cannot trigger an enormous allocation.
-    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, CodecError> {
-        let len = self.get_u64()? as usize;
-        if len.checked_mul(8).is_none_or(|b| b > self.remaining()) {
+    /// Reads a `u64` length; one that does not fit a `usize` saturates, and
+    /// so fails whatever bounds check the caller applies next.
+    fn get_len(&mut self) -> Result<usize, CodecError> {
+        Ok(usize::try_from(self.get_u64()?).unwrap_or(usize::MAX))
+    }
+
+    /// Reads a `u64` element count and checks that `count` elements of at
+    /// least `elem_bytes` each can still follow, so the caller may reserve
+    /// for `count` without a corrupt prefix driving the allocation.
+    pub fn get_count(&mut self, elem_bytes: usize) -> Result<usize, CodecError> {
+        let count = self.get_len()?;
+        let needed = count.saturating_mul(elem_bytes);
+        if needed > self.remaining() {
             return Err(CodecError::Truncated {
-                needed: len.saturating_mul(8),
+                needed,
                 remaining: self.remaining(),
             });
         }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.get_f64()?);
+        Ok(count)
+    }
+
+    /// Reads `count` `f64`s (no prefix); the bytes are claimed before the
+    /// vector is allocated.
+    pub fn get_f64s(&mut self, count: usize) -> Result<Vec<f64>, CodecError> {
+        let bytes = self.chunk(count.saturating_mul(8))?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect())
+    }
+
+    /// Reads a `u64` length prefix and that many `f64`s.
+    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, CodecError> {
+        let len = self.get_len()?;
+        self.get_f64s(len)
+    }
+
+    /// Reads a flag written by [`ByteWriter::put_bool`]; `what` names the
+    /// field in the error for any byte other than 0 or 1.
+    pub fn get_bool(&mut self, what: &str) -> Result<bool, CodecError> {
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(CodecError::Invalid(format!(
+                "{what} flag must be 0 or 1, found {v}"
+            ))),
+        }
+    }
+
+    /// Reads bytes written by [`ByteWriter::put_blob`], borrowed from the
+    /// input.
+    pub fn get_blob(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.get_len()?;
+        self.chunk(len)
+    }
+
+    /// Reads a string written by [`ByteWriter::put_str`].
+    pub fn get_str(&mut self) -> Result<String, CodecError> {
+        match std::str::from_utf8(self.get_blob()?) {
+            Ok(s) => Ok(s.to_string()),
+            Err(_) => Err(CodecError::Invalid("string field is not UTF-8".into())),
+        }
+    }
+
+    /// Reads a list written by [`ByteWriter::put_indices`], which must be
+    /// strictly ascending; `what` names the list in the error.
+    pub fn get_indices(&mut self, what: &str) -> Result<Vec<usize>, CodecError> {
+        let count = self.get_count(8)?;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(self.get_u64()? as usize);
+        }
+        if !out.windows(2).all(|w| w[0] < w[1]) {
+            return Err(CodecError::Invalid(format!(
+                "{what} must be strictly ascending"
+            )));
         }
         Ok(out)
     }
+
+    /// Ends a decode: bytes left over after `what` are an error.
+    pub fn finish(&self, what: &str) -> Result<(), CodecError> {
+        if self.is_exhausted() {
+            return Ok(());
+        }
+        Err(CodecError::Invalid(format!(
+            "{} trailing bytes after {what}",
+            self.remaining()
+        )))
+    }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    // Nibble-driven table: 16 entries, built at compile time.
-    const TABLE: [u32; 16] = {
-        let mut t = [0u32; 16];
+/// Slicing-by-8 tables for the reflected IEEE 802.3 polynomial:
+/// `CRC_TABLES[0]` is the classic byte table, `CRC_TABLES[s][b]` the CRC of
+/// byte `b` followed by `s` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut s = 1;
+    while s < 8 {
         let mut i = 0;
-        while i < 16 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 4 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
+        while i < 256 {
+            let prev = t[s - 1][i];
+            t[s][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        t
-    };
+        s += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`, eight bytes per
+/// step. Every envelope in [`crate::frame`] pays for this once per image.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = TABLE[((crc ^ b as u32) & 0x0F) as usize] ^ (crc >> 4);
-        crc = TABLE[((crc ^ (b as u32 >> 4)) & 0x0F) as usize] ^ (crc >> 4);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -350,12 +478,125 @@ mod tests {
     }
 
     #[test]
+    fn field_helpers_round_trip() {
+        let mut w = ByteWriter::new();
+        w.put_bool(true);
+        w.put_bool(false);
+        w.put_str("grid = 2\u{3b2}");
+        w.put_indices(&[0, 3, 7]);
+        w.put_blob(&[0xFF, 0]);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert!(r.get_bool("a").unwrap());
+        assert!(!r.get_bool("b").unwrap());
+        assert_eq!(r.get_str().unwrap(), "grid = 2\u{3b2}");
+        assert_eq!(r.get_indices("points").unwrap(), vec![0, 3, 7]);
+        assert_eq!(r.get_blob().unwrap(), [0xFF, 0]);
+        assert_eq!(r.finish("the fields"), Ok(()));
+        // Every truncation of every field is a clean error.
+        for cut in 0..bytes.len() {
+            let mut r = ByteReader::new(&bytes[..cut]);
+            let all = (|| {
+                r.get_bool("a")?;
+                r.get_bool("b")?;
+                r.get_str()?;
+                r.get_indices("points")?;
+                r.get_blob()
+            })();
+            assert!(all.is_err(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn field_helpers_reject_invalid_values() {
+        let invalid = |r: Result<_, CodecError>| matches!(r, Err(CodecError::Invalid(_)));
+        assert!(invalid(ByteReader::new(&[2]).get_bool("cached").map(drop)));
+        let mut w = ByteWriter::new();
+        w.put_u64(2);
+        w.put_bytes(&[0xC3, 0x28]);
+        assert!(invalid(
+            ByteReader::new(&w.into_bytes()).get_str().map(drop)
+        ));
+        for bad in [[3usize, 3], [4, 2]] {
+            let mut w = ByteWriter::new();
+            w.put_indices(&bad);
+            let bytes = w.into_bytes();
+            assert!(invalid(
+                ByteReader::new(&bytes).get_indices("points").map(drop)
+            ));
+        }
+        assert!(invalid(ByteReader::new(&[0]).finish("nothing")));
+    }
+
+    #[test]
+    fn counts_are_checked_against_the_bytes_left_before_any_reserve() {
+        // 16 bytes follow the prefix: two 8-byte elements fit, three do not,
+        // and a count whose byte size overflows is just as cleanly refused.
+        for (count, elem, ok) in [
+            (2u64, 8usize, true),
+            (3, 8, false),
+            (16, 1, true),
+            (17, 1, false),
+            (u64::MAX, 8, false),
+            (1 << 61, 8, false),
+        ] {
+            let mut w = ByteWriter::new();
+            w.put_u64(count);
+            w.put_bytes(&[0; 16]);
+            let bytes = w.into_bytes();
+            let got = ByteReader::new(&bytes).get_count(elem);
+            assert_eq!(got.is_ok(), ok, "count {count} x {elem} bytes: {got:?}");
+        }
+        let mut w = ByteWriter::new();
+        w.put_u64(u64::MAX);
+        let bytes = w.into_bytes();
+        assert!(ByteReader::new(&bytes).get_blob().is_err());
+        assert!(ByteReader::new(&bytes).get_f64_vec().is_err());
+        assert!(ByteReader::new(&bytes).get_indices("points").is_err());
+        assert!(ByteReader::new(&bytes).get_f64s(usize::MAX).is_err());
+    }
+
+    /// The nibble-table loop `crc32` was before slicing-by-8: the reference.
+    fn crc32_nibble(data: &[u8]) -> u32 {
+        let mut table = [0u32; 16];
+        for (i, t) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..4 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *t = c;
+        }
+        let mut crc = !0u32;
+        for &b in data {
+            crc = table[((crc ^ b as u32) & 0x0F) as usize] ^ (crc >> 4);
+            crc = table[((crc ^ (b as u32 >> 4)) & 0x0F) as usize] ^ (crc >> 4);
+        }
+        !crc
+    }
+
+    #[test]
     fn crc32_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         // Single-bit sensitivity.
         assert_ne!(crc32(b"hello"), crc32(b"hellp"));
+    }
+
+    #[test]
+    fn crc32_matches_the_nibble_reference_at_every_length_and_alignment() {
+        let mut rng = crate::Rng::new(0xC5C);
+        let data: Vec<u8> = (0..320).map(|_| rng.next_u64() as u8).collect();
+        for start in 0..=8 {
+            for len in 0..=300 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_nibble(s), "start {start} len {len}");
+            }
+        }
     }
 
     #[test]

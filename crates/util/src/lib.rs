@@ -14,7 +14,9 @@
 //! - [`table`]: minimal fixed-width table rendering for the figure/table
 //!   harness binaries,
 //! - [`codec`]: the little-endian byte codec, CRC-32 and FNV-1a hashes
-//!   backing the versioned checkpoint format in `core::checkpoint`,
+//!   under every binary format of the workspace,
+//! - [`frame`]: the two magic/version/length/checksum envelopes those
+//!   formats are `const` instances of,
 //! - [`error`]: the structured failure taxonomy ([`DqmcError`] with
 //!   [`Severity`] classes) that keys retry/quarantine policy across the
 //!   recovery ladder and the sweep scheduler,
@@ -31,6 +33,7 @@
 
 pub mod codec;
 pub mod error;
+pub mod frame;
 pub mod liveness;
 pub mod rng;
 pub mod stats;

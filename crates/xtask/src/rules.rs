@@ -1,8 +1,8 @@
 //! The dqmc-lint rule set.
 //!
-//! Eight rules, all driven by the [`crate::lexer`] scan. R1–R3, R5 and R10
-//! are the line-oriented hygiene rules; R6–R8 (in [`crate::conc`]) are the
-//! block-aware concurrency-discipline rules introduced with the
+//! Nine rules, all driven by the [`crate::lexer`] scan. R1–R3, R5, R10 and
+//! R11 are the line-oriented hygiene rules; R6–R8 (in [`crate::conc`]) are
+//! the block-aware concurrency-discipline rules introduced with the
 //! `lock_order.toml` registry. R4 and R9 are retired numbers, not reused.
 //!
 //! - **unsafe-site** (R1): `unsafe` and `*_unchecked` may only appear in
@@ -30,6 +30,12 @@
 //!   path where fault injection, scrubbing and durability live. Opt-outs:
 //!   the `// dqmc-lint: allow(direct_fs)` pragma on the enclosing
 //!   function, or a `direct-fs <file>` allowlist entry.
+//! - **hand-framing** (R11): non-test code outside `util/src/codec.rs` and
+//!   `util/src/frame.rs` must not call `crc32(` — a checksummed image is a
+//!   `util::frame::{Sealed, Framed}` instance, the one place an envelope
+//!   is validated. Opt-outs: the `// dqmc-lint: allow(hand_framing)`
+//!   pragma on the enclosing function, or a `hand-framing <file>`
+//!   allowlist entry.
 //! - **stale-allow**: an allowlist entry no code needed during the run —
 //!   the pardoned pattern is gone, so the entry must be deleted before it
 //!   silently pardons something new.
@@ -60,6 +66,8 @@ pub enum Rule {
     NondetSource,
     /// R10: direct filesystem mutation outside the audited write path.
     DirectFs,
+    /// R11: a checksum computed outside the audited envelope code.
+    HandFraming,
     /// Allowlist entry that pardoned nothing during the run.
     StaleAllow,
 }
@@ -76,6 +84,7 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::NondetSource => "nondet-source",
             Rule::DirectFs => "direct-fs",
+            Rule::HandFraming => "hand-framing",
             Rule::StaleAllow => "stale-allow",
         }
     }
@@ -152,6 +161,8 @@ pub struct Allowlist {
     pub nondet_files: Vec<FileEntry>,
     /// Files where R10 direct filesystem calls are pardoned wholesale.
     pub direct_fs_files: Vec<FileEntry>,
+    /// Files where R11 hand-rolled checksums are pardoned wholesale.
+    pub hand_framing_files: Vec<FileEntry>,
 }
 
 fn file_entry(pat: &str, line: usize) -> FileEntry {
@@ -200,7 +211,7 @@ impl Allowlist {
     /// Parses the `lint.allow` format: `<category> <path>` or
     /// `<category> <path>::<fn>` lines; `#` starts a comment. Categories:
     /// `unsafe`, `panic-site`, `guard-across-call`, `lock-order`,
-    /// `nondet-source`, `direct-fs`.
+    /// `nondet-source`, `direct-fs`, `hand-framing`.
     pub fn parse(text: &str) -> Result<Allowlist, String> {
         let mut out = Allowlist::default();
         for (i, line) in text.lines().enumerate() {
@@ -220,6 +231,7 @@ impl Allowlist {
                 "lock-order" => out.order_fns.push(fn_entry(rest, ln)?),
                 "nondet-source" => out.nondet_files.push(file_entry(rest, ln)),
                 "direct-fs" => out.direct_fs_files.push(file_entry(rest, ln)),
+                "hand-framing" => out.hand_framing_files.push(file_entry(rest, ln)),
                 other => return Err(format!("lint.allow:{}: unknown category {other}", i + 1)),
             }
         }
@@ -246,18 +258,15 @@ impl Allowlist {
         hit_file(&self.nondet_files, path)
     }
 
-    fn allows_direct_fs(&self, path: &str) -> bool {
-        hit_file(&self.direct_fs_files, path)
-    }
-
     /// Entries no lookup matched: `(lint.allow line, entry description)`.
     pub fn stale(&self) -> Vec<(usize, String)> {
         let mut out = Vec::new();
-        let files: [(&str, &[FileEntry]); 4] = [
+        let files: [(&str, &[FileEntry]); 5] = [
             ("unsafe", &self.unsafe_files),
             ("panic-site", &self.panic_files),
             ("nondet-source", &self.nondet_files),
             ("direct-fs", &self.direct_fs_files),
+            ("hand-framing", &self.hand_framing_files),
         ];
         for (cat, entries) in files {
             for e in entries {
@@ -331,20 +340,49 @@ const PANIC_TOKENS: [&str; 3] = ["panic!", ".expect(", ".unwrap()"];
 /// whose failures must travel as classified [`DqmcError`]s, not unwinds.
 const PANIC_SCOPES: [&str; 2] = ["sched/src/", "gpusim/src/"];
 
-/// Direct filesystem-mutation markers for R10. `fs::write(` cannot match
-/// `vfs::write_atomic(` (the character after `write` differs), so the
-/// audited path itself never trips the rule at call sites.
-const FS_TOKENS: [&str; 3] = ["File::create(", "fs::write(", "fs::rename("];
+/// A rule of the form "these calls belong in one audited module": tokens
+/// that may appear in non-test code only in the exempt files, with a
+/// function pragma and a file allowlist category as the two opt-outs.
+struct Routed {
+    rule: Rule,
+    tokens: &'static [&'static str],
+    exempt: &'static [&'static str],
+    pragma: &'static str,
+    entries: fn(&Allowlist) -> &[FileEntry],
+    advice: &'static str,
+}
 
-/// The one file allowed to perform direct filesystem mutation: the
-/// audited write path itself (and its fault-injection residues).
-const FS_EXEMPT: &str = "util/src/vfs.rs";
+/// R10. `fs::write(` cannot match `vfs::write_atomic(` (the character
+/// after `write` differs), so the audited path itself never trips the rule
+/// at call sites; the one exempt file is that path (and its
+/// fault-injection residues).
+const DIRECT_FS: Routed = Routed {
+    rule: Rule::DirectFs,
+    tokens: &["File::create(", "fs::write(", "fs::rename("],
+    exempt: &["util/src/vfs.rs"],
+    pragma: "dqmc-lint: allow(direct_fs)",
+    entries: |a| &a.direct_fs_files,
+    advice: "direct filesystem mutation outside util::vfs; publish through \
+             util::vfs::write_atomic so faults, scrubbing and durability stay centralised",
+};
+
+/// R11. The checksum is the last step of every envelope, so a `crc32(`
+/// call elsewhere is a seventh hand-rolled framing in the making.
+const HAND_FRAMING: Routed = Routed {
+    rule: Rule::HandFraming,
+    tokens: &["crc32("],
+    exempt: &["util/src/codec.rs", "util/src/frame.rs"],
+    pragma: "dqmc-lint: allow(hand_framing)",
+    entries: |a| &a.hand_framing_files,
+    advice: "checksum computed outside util::frame; make the format a \
+             util::frame::{Sealed, Framed} instance so there stays one place \
+             where an envelope is validated",
+};
 
 /// Opt-out pragmas (searched in the comment block above a function).
 const PRAGMA_HOT_ALLOC: &str = "dqmc-lint: allow(hot_alloc)";
 const PRAGMA_UNCHECKED: &str = "dqmc-lint: allow(unchecked_kernel)";
 const PRAGMA_PANIC: &str = "dqmc-lint: allow(panic_site)";
-const PRAGMA_DIRECT_FS: &str = "dqmc-lint: allow(direct_fs)";
 
 /// Runs every rule over one scanned file.
 pub fn check_file(f: &SourceFile, allow: &Allowlist, reg: &Registry) -> Vec<Violation> {
@@ -354,7 +392,8 @@ pub fn check_file(f: &SourceFile, allow: &Allowlist, reg: &Registry) -> Vec<Viol
     check_hot_alloc(f, &path, &mut out);
     check_kernels(f, &path, &mut out);
     check_panic_sites(f, allow, &path, &mut out);
-    check_direct_fs(f, allow, &path, &mut out);
+    check_routed(f, allow, &path, &DIRECT_FS, &mut out);
+    check_routed(f, allow, &path, &HAND_FRAMING, &mut out);
     conc::check_concurrency(f, allow, reg, &path, &mut out);
     out
 }
@@ -503,8 +542,14 @@ fn check_panic_sites(f: &SourceFile, allow: &Allowlist, path: &str, out: &mut Ve
     }
 }
 
-fn check_direct_fs(f: &SourceFile, allow: &Allowlist, path: &str, out: &mut Vec<Violation>) {
-    if suffix_match(path, FS_EXEMPT) {
+fn check_routed(
+    f: &SourceFile,
+    allow: &Allowlist,
+    path: &str,
+    r: &Routed,
+    out: &mut Vec<Violation>,
+) {
+    if r.exempt.iter().any(|e| suffix_match(path, e)) {
         return;
     }
     // Like `check_panic_sites`: consult the allowlist only once a token
@@ -514,26 +559,21 @@ fn check_direct_fs(f: &SourceFile, allow: &Allowlist, path: &str, out: &mut Vec<
         if f.is_test[ln] {
             continue;
         }
-        let Some(tok) = FS_TOKENS.iter().find(|t| line.contains(*t)) else {
+        let Some(tok) = r.tokens.iter().find(|t| line.contains(*t)) else {
             continue;
         };
-        if *allowed.get_or_insert_with(|| allow.allows_direct_fs(path)) {
+        if *allowed.get_or_insert_with(|| hit_file((r.entries)(allow), path)) {
             continue;
         }
         let pardoned = f
             .enclosing_fn(ln)
-            .is_some_and(|func| f.comment_block_above_contains(func.sig_line, PRAGMA_DIRECT_FS));
+            .is_some_and(|func| f.comment_block_above_contains(func.sig_line, r.pragma));
         if !pardoned {
             out.push(Violation {
                 path: path.to_owned(),
                 line: ln + 1,
-                rule: Rule::DirectFs,
-                msg: format!(
-                    "direct filesystem mutation (`{tok}`) outside util::vfs; \
-                     publish through util::vfs::write_atomic so faults, \
-                     scrubbing and durability stay centralised (or justify \
-                     with `// {PRAGMA_DIRECT_FS}`)"
-                ),
+                rule: r.rule,
+                msg: format!("`{tok}`: {} (or justify with `// {}`)", r.advice, r.pragma),
             });
         }
     }
