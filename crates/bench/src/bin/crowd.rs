@@ -81,7 +81,6 @@ fn run_row(opts: &BenchOpts, crowd: usize, workers: usize, reference: &mut Optio
         quantum: spec.quantum,
         yield_every_quanta: 0,
         job_retries: 1,
-        hold_points: Vec::new(),
         ..SchedConfig::default()
     };
     let report = sched::run_sweep(&spec, &cfg, &EventLog::new());

@@ -108,7 +108,6 @@ fn main() {
             quantum: spec.quantum,
             yield_every_quanta: 0,
             job_retries: 1,
-            hold_points: Vec::new(),
             ..SchedConfig::default()
         };
         let report = sched::run_sweep(&spec, &cfg, &EventLog::new());

@@ -27,7 +27,7 @@
 //! The supervisor strips these variables when it respawns a child, so a
 //! scripted fault fires exactly once and the respawn completes the shard.
 
-use sched::{CampaignRequest, GridSpec, ServiceConfig, SweepService};
+use sched::{CampaignRequest, GridSpec, SchedConfig, SweepService};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -211,15 +211,11 @@ fn run_shard(
     let hooks = FaultHooks::from_env(manifest.shard);
     let mut heartbeat = Heartbeat::start(heartbeat_path.to_path_buf());
 
-    let service = SweepService::start(&ServiceConfig {
-        workers: spec.workers,
-        devices: spec.devices,
-        quantum: spec.quantum,
-        job_retries: spec.job_retries,
+    let service = SweepService::start(&SchedConfig {
         // Namespace the campaign tags by shard so no two fleet processes
         // ever mint the same tag — shard-scoped provenance in traces.
         tag_namespace: manifest.shard as u64 + 1,
-        ..ServiceConfig::default()
+        ..SchedConfig::from_spec(&spec)
     });
 
     let todo = report.missing_points();

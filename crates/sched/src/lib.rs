@@ -3,21 +3,26 @@
 //! A QMC campaign is never one Markov chain: it is a grid of `(U, β)`
 //! points, each an ensemble of independent chains. This crate turns the
 //! primitives of the lower layers — bit-identical walker checkpoints,
-//! the recovery ladder, the simulated device pool — into a batch service
-//! with the shape of a production job scheduler:
+//! the recovery ladder, the simulated device pool — into a service with
+//! the shape of a production job scheduler. There is one shell,
+//! [`SweepService`] (worker pool + device pool + queue, campaigns routed
+//! by tag); [`run_sweep`] is that service living for one whole-grid
+//! campaign: start → admit → wait → shutdown.
 //!
 //! 1. **Queue** ([`queue`]): every run of up to `crowd` consecutive chains
 //!    of a point becomes a [`SweepJob`] in a bounded priority queue; FIFO
-//!    within a priority class, higher classes pop first. A job of any width
-//!    runs through the same driver ([`dqmc::Crowd`]).
+//!    within a priority class, higher classes pop first; a campaign's jobs
+//!    are admitted all-or-nothing, and workers stop once the queue is
+//!    closed and drained. A job of any width runs through the same driver
+//!    ([`dqmc::Crowd`]).
 //! 2. **Placement** ([`gpusim::pool`]): workers lease simulated
 //!    accelerators from a shared [`gpusim::DevicePool`]; when every slot is
 //!    busy the job runs on the host backend instead of waiting.
 //! 3. **Preemption** ([`runner`]): jobs execute in quanta of whole sweeps.
 //!    At each quantum boundary a job yields to higher-priority waiters (or
 //!    on its cooperative time-slice) by serialising to an in-memory `DQCW`
-//!    image (one `DQCP` image per walker) and requeueing; the resume is bit-identical, so preemption is
-//!    invisible in the physics.
+//!    image (one `DQCP` image per walker) and requeueing; the resume is
+//!    bit-identical, so preemption is invisible in the physics.
 //! 4. **Retry** ([`runner`]): a job whose run fails with a classified
 //!    retryable error — or, as a backstop, panics — restarts from its last
 //!    checkpoint image, up to a per-job budget, before being reported
@@ -29,8 +34,9 @@
 //!    detection), and the device pool's circuit breaker quarantines slots
 //!    that accumulate sick reports, re-admitting them through
 //!    exponential-backoff probation probes.
-//! 6. **Aggregation** ([`report`]): per-point chain observables merge in
-//!    canonical (point, chain) order and are jackknifed
+//! 6. **Aggregation** ([`service`], [`report`]): chain outcomes land in
+//!    their campaign's slot vector; per point they merge in canonical
+//!    chain order the moment the last one lands and are jackknifed
 //!    ([`util::jackknife_ratio`]) into a machine-readable [`SweepReport`].
 //!
 //! # The determinism contract
@@ -61,9 +67,9 @@ pub mod trace;
 pub mod watchdog;
 
 pub use grid::{GridError, GridPoint, GridSpec, SlotFault, SlotFaultOp};
-pub use queue::{AdmitError, JobQueue, Pop, QueueFull, SweepJob};
+pub use queue::{AdmitError, JobQueue, Pop, SweepJob};
 pub use report::{observables_json_for, PointSummary, SweepReport};
-pub use runner::{run_sweep, run_sweep_observed, Injector, SchedConfig, SweepObserver};
+pub use runner::{run_sweep, SchedConfig};
 pub use service::{
     CampaignHandle, CampaignOutcome, CampaignRequest, PointObserver, ServiceConfig, SubmitError,
     SweepService,

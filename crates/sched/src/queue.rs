@@ -4,19 +4,21 @@
 //! monotonic sequence number breaks ties, and a *re*-queued job draws a new
 //! number, so equal-priority jobs round-robin under cooperative yielding
 //! rather than starving each other). The queue is bounded at construction;
-//! `submit` refuses past the bound. Because every heap entry is an
-//! *outstanding* job and outstanding jobs never exceed the bound, the
-//! requeue path — which runs on every preemption — can never overflow the
-//! capacity reserved up front, so the hot pop/requeue paths are
-//! allocation-free (enforced by the `deny_hot_alloc` lint tag below).
+//! [`JobQueue::submit_batch`] admits a campaign's jobs all-or-nothing
+//! against the bound. Because every heap entry is an *outstanding* job and
+//! outstanding jobs never exceed the bound, the requeue path — which runs
+//! on every preemption — can never overflow the capacity reserved up
+//! front, so the hot pop/requeue paths are allocation-free (enforced by
+//! the `deny_hot_alloc` lint tag below).
 //!
-//! Termination: a worker blocks while the queue is empty but jobs are
-//! still outstanding — a running job may yet yield back into the queue —
-//! and unblocks with `None` only when the last outstanding job completes.
-//! A *resident* queue ([`JobQueue::new_resident`]) serves a long-lived
-//! service instead of one batch sweep: an empty drained queue parks its
-//! workers rather than terminating them, and termination additionally
-//! requires [`JobQueue::close`].
+//! Termination is *closed and drained*: a worker blocks while the heap is
+//! empty — a running job may yet yield back in, and until
+//! [`JobQueue::close`] another campaign may arrive — and observes
+//! `None` / [`Pop::Drained`] only once the queue is closed *and* the last
+//! outstanding job has completed. A one-shot sweep is the same queue
+//! closed as soon as its only campaign has been waited for — so `close`
+//! races the last `complete` on every sweep, and whichever comes second
+//! wakes the parked workers.
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
@@ -78,8 +80,9 @@ pub struct SweepJob {
     /// losses); these do *not* consume [`SweepJob::attempts`] — the job is
     /// innocent, the device was sick.
     pub sick_strikes: u32,
-    /// Campaign tag routing this job's outcome in a resident service
-    /// (`0` for classic one-shot sweeps, which route by slot index).
+    /// Tag of the campaign this job belongs to; its outcome is routed to
+    /// that campaign's slot vector. A one-shot sweep is one campaign, so
+    /// its jobs carry a tag too (`0` only on a job built by hand).
     pub tag: u64,
 }
 
@@ -114,7 +117,7 @@ impl SweepJob {
         self
     }
 
-    /// Tags the job with the campaign it belongs to (resident service).
+    /// Tags the job with the campaign it belongs to.
     pub fn with_tag(mut self, tag: u64) -> Self {
         self.tag = tag;
         self
@@ -176,21 +179,6 @@ impl Ord for Entry {
     }
 }
 
-/// Error from [`JobQueue::submit`] on a full queue.
-#[derive(Debug)]
-pub struct QueueFull {
-    /// The configured bound.
-    pub bound: usize,
-}
-
-impl std::fmt::Display for QueueFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job queue full (bound {})", self.bound)
-    }
-}
-
-impl std::error::Error for QueueFull {}
-
 /// Error from [`JobQueue::submit_batch`]: the whole batch was refused.
 #[derive(Debug)]
 pub enum AdmitError {
@@ -235,7 +223,8 @@ pub enum Pop {
     /// outstanding — a running job may yet yield back in. The caller
     /// should run its periodic bookkeeping (watchdog scan) and retry.
     Empty,
-    /// The sweep is drained: nothing waiting, nothing outstanding.
+    /// Closed and drained: nothing waiting, nothing outstanding, and no
+    /// further batch can be admitted.
     Drained,
 }
 
@@ -245,8 +234,8 @@ struct QueueState {
     next_seq: u64,
     /// Jobs submitted and not yet completed/failed (running jobs included).
     outstanding: usize,
-    /// Set by [`JobQueue::close`]; a resident queue only reports
-    /// [`Pop::Drained`] once closed *and* drained.
+    /// Set by [`JobQueue::close`]; pops report [`Pop::Drained`] only once
+    /// closed *and* drained.
     closed: bool,
 }
 
@@ -256,29 +245,15 @@ pub struct JobQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
     bound: usize,
-    /// Resident queues park idle workers on an empty drained queue
-    /// instead of terminating them; batch queues terminate on drain.
-    resident: bool,
 }
 
 impl JobQueue {
-    /// An empty queue refusing more than `bound` outstanding jobs.
-    pub fn new(bound: usize) -> Self {
-        JobQueue::with_mode(bound, false)
-    }
-
-    /// A *resident* queue for a long-lived service: when the queue is
-    /// empty and nothing is outstanding, pops report [`Pop::Empty`] (the
-    /// worker parks and re-checks) rather than [`Pop::Drained`] — more
-    /// campaigns may arrive at any time. Only [`JobQueue::close`] lets
-    /// pops observe termination.
-    pub fn new_resident(bound: usize) -> Self {
-        JobQueue::with_mode(bound, true)
-    }
-
+    /// An empty, open queue refusing more than `bound` outstanding jobs.
+    /// While it is empty pops report [`Pop::Empty`] (the worker parks and
+    /// re-checks): more campaigns may arrive until [`JobQueue::close`].
     // dqmc-lint: allow(hot_alloc) — one-time construction; the heap is
     // sized here so pushes on the scheduling path never reallocate.
-    fn with_mode(bound: usize, resident: bool) -> Self {
+    pub fn new(bound: usize) -> Self {
         JobQueue {
             state: Mutex::new(QueueState {
                 heap: BinaryHeap::with_capacity(bound),
@@ -288,7 +263,6 @@ impl JobQueue {
             }),
             cv: Condvar::new(),
             bound,
-            resident,
         }
     }
 
@@ -297,31 +271,11 @@ impl JobQueue {
         self.bound
     }
 
-    /// Submits a new job, failing when the outstanding count has reached
-    /// the bound. New jobs may be submitted while workers run (late
-    /// arrivals / priority cut-ins).
-    pub fn submit(&self, job: SweepJob) -> Result<(), QueueFull> {
-        let mut s = relock(self.state.lock());
-        if s.outstanding >= self.bound {
-            return Err(QueueFull { bound: self.bound });
-        }
-        s.outstanding += 1;
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        s.heap.push(Entry {
-            priority: job.priority,
-            seq,
-            job,
-        });
-        drop(s);
-        self.cv.notify_one();
-        Ok(())
-    }
-
     /// Atomically admits a whole campaign's batch: either every job is
     /// admitted or none are. Refusal never partially consumes capacity,
     /// so concurrent tenants racing for the tail of the bound cannot
-    /// strand each other's half-admitted campaigns.
+    /// strand each other's half-admitted campaigns. Batches may arrive
+    /// while workers run (late campaigns / priority cut-ins).
     pub fn submit_batch(&self, jobs: Vec<SweepJob>) -> Result<(), AdmitError> {
         let mut s = relock(self.state.lock());
         if s.closed {
@@ -350,26 +304,13 @@ impl JobQueue {
 
     /// Closes the queue for new work: [`JobQueue::submit_batch`] refuses
     /// from now on, outstanding jobs drain normally, and once the last
-    /// one completes pops report [`Pop::Drained`] — the resident-service
-    /// shutdown sequence. Idempotent.
+    /// one completes pops report [`Pop::Drained`] — the shutdown sequence
+    /// of a service and the tail of every one-shot sweep. Idempotent.
     pub fn close(&self) {
         let mut s = relock(self.state.lock());
         s.closed = true;
         drop(s);
         self.cv.notify_all();
-    }
-
-    /// Reserves one capacity slot for a job that exists but is deliberately
-    /// kept *out* of the heap (a held job awaiting mid-sweep injection).
-    /// Termination waits for it, and its eventual [`JobQueue::requeue`]
-    /// cannot overflow the reserved capacity.
-    pub fn submit_held(&self) -> Result<(), QueueFull> {
-        let mut s = relock(self.state.lock());
-        if s.outstanding >= self.bound {
-            return Err(QueueFull { bound: self.bound });
-        }
-        s.outstanding += 1;
-        Ok(())
     }
 
     /// Returns a yielded job to the queue. The job is still outstanding, so
@@ -403,15 +344,15 @@ impl JobQueue {
     }
 
     /// Pops the highest-priority job, blocking while the queue is empty but
-    /// jobs are still outstanding. `None` means the sweep is drained (for
-    /// a resident queue: drained *and* closed).
+    /// jobs are still outstanding or the queue is still open. `None` means
+    /// closed *and* drained.
     pub fn pop_blocking(&self) -> Option<SweepJob> {
         let mut s = relock(self.state.lock());
         loop {
             if let Some(e) = s.heap.pop() {
                 return Some(e.job);
             }
-            if s.outstanding == 0 && (!self.resident || s.closed) {
+            if s.outstanding == 0 && s.closed {
                 return None;
             }
             s = relock(self.cv.wait(s));
@@ -423,10 +364,11 @@ impl JobQueue {
     /// condvar *wakeups* (spurious or timed), not wall time, so a worker
     /// polling with budget 1 re-checks its deadlines at a steady cadence.
     ///
-    /// Returns [`Pop::Empty`] when the budget runs out with jobs still
-    /// outstanding — the two-phase-termination window where a running job
-    /// may yet yield back into the queue — and [`Pop::Drained`] only when
-    /// the last outstanding job has completed.
+    /// Returns [`Pop::Empty`] when the budget runs out with the queue open
+    /// or jobs still outstanding — the two-phase-termination window where
+    /// a running job may yet yield back into the queue — and
+    /// [`Pop::Drained`] only when the queue is closed and the last
+    /// outstanding job has completed.
     pub fn pop_timeout(&self, wait_budget: u32) -> Pop {
         let mut s = relock(self.state.lock());
         let mut waits = 0u32;
@@ -434,7 +376,7 @@ impl JobQueue {
             if let Some(e) = s.heap.pop() {
                 return Pop::Job(e.job);
             }
-            if s.outstanding == 0 && (!self.resident || s.closed) {
+            if s.outstanding == 0 && s.closed {
                 return Pop::Drained;
             }
             if waits >= wait_budget {
@@ -488,10 +430,9 @@ mod tests {
     #[test]
     fn pops_by_priority_then_fifo() {
         let q = JobQueue::new(8);
-        q.submit(job(0, 0, 0)).unwrap();
-        q.submit(job(1, 0, 0)).unwrap();
-        q.submit(job(2, 0, 1)).unwrap();
-        q.submit(job(3, 0, 0)).unwrap();
+        q.submit_batch(vec![job(0, 0, 0), job(1, 0, 0), job(2, 0, 1), job(3, 0, 0)])
+            .unwrap();
+        q.close();
         let order: Vec<usize> = (0..4)
             .map(|_| {
                 let j = q.pop_blocking().unwrap();
@@ -506,8 +447,7 @@ mod tests {
     #[test]
     fn requeued_jobs_round_robin_within_class() {
         let q = JobQueue::new(4);
-        q.submit(job(0, 0, 0)).unwrap();
-        q.submit(job(1, 0, 0)).unwrap();
+        q.submit_batch(vec![job(0, 0, 0), job(1, 0, 0)]).unwrap();
         let a = q.pop_blocking().unwrap();
         assert_eq!(a.point, 0);
         q.requeue(a); // fresh seq: goes behind point 1
@@ -522,25 +462,24 @@ mod tests {
     #[test]
     fn bound_is_enforced_for_new_submissions() {
         let q = JobQueue::new(2);
-        q.submit(job(0, 0, 0)).unwrap();
-        q.submit(job(1, 0, 0)).unwrap();
-        let err = q.submit(job(2, 0, 0)).unwrap_err();
-        assert_eq!(err.bound, 2);
+        q.submit_batch(vec![job(0, 0, 0), job(1, 0, 0)]).unwrap();
+        let err = q.submit_batch(vec![job(2, 0, 0)]).unwrap_err();
+        assert!(matches!(err, AdmitError::Full { bound: 2, want: 1 }));
         // Popping alone frees nothing — completion does.
         let j = q.pop_blocking().unwrap();
-        assert!(q.submit(job(2, 0, 0)).is_err());
+        assert!(q.submit_batch(vec![job(2, 0, 0)]).is_err());
         drop(j);
         q.complete();
-        q.submit(job(2, 0, 0)).unwrap();
+        q.submit_batch(vec![job(2, 0, 0)]).unwrap();
     }
 
     #[test]
     fn preemption_probe_sees_higher_waiters_only() {
         let q = JobQueue::new(4);
-        q.submit(job(0, 0, 0)).unwrap();
+        q.submit_batch(vec![job(0, 0, 0)]).unwrap();
         assert!(!q.waiting_priority_above(0));
         assert!(q.waiting_priority_above(0) || q.waiting() == 1);
-        q.submit(job(1, 0, 2)).unwrap();
+        q.submit_batch(vec![job(1, 0, 2)]).unwrap();
         assert!(q.waiting_priority_above(0));
         assert!(q.waiting_priority_above(1));
         assert!(!q.waiting_priority_above(2));
@@ -549,11 +488,11 @@ mod tests {
     #[test]
     fn queue_survives_poisoning_panic() {
         let q = JobQueue::new(4);
-        q.submit(job(0, 0, 0)).unwrap();
+        q.submit_batch(vec![job(0, 0, 0)]).unwrap();
         // A worker dies while holding the state lock; the mutex is now
         // poisoned. Every queue operation must recover, not propagate.
         q.poison_for_test();
-        q.submit(job(1, 0, 1)).unwrap();
+        q.submit_batch(vec![job(1, 0, 1)]).unwrap();
         assert_eq!(q.waiting(), 2);
         assert!(q.waiting_priority_above(0));
         let j = q.pop_blocking().unwrap();
@@ -563,13 +502,14 @@ mod tests {
         q.complete();
         // Both capacity slots released; the heap still holds two entries
         // that will never pop (the sweep is over), but no lock panicked.
-        assert!(q.submit(job(2, 0, 0)).is_ok());
+        assert!(q.submit_batch(vec![job(2, 0, 0)]).is_ok());
     }
 
     #[test]
     fn pop_timeout_distinguishes_empty_from_drained() {
         let q = JobQueue::new(2);
-        q.submit(job(0, 0, 0)).unwrap();
+        q.submit_batch(vec![job(0, 0, 0)]).unwrap();
+        q.close();
         let j = match q.pop_timeout(0) {
             Pop::Job(j) => j,
             other => panic!("expected a job, got {other:?}"),
@@ -591,11 +531,11 @@ mod tests {
 
     #[test]
     fn resident_queue_parks_instead_of_draining() {
-        let q = JobQueue::new_resident(4);
-        // Empty and nothing outstanding: a batch queue would drain; a
-        // resident one reports Empty (park, re-check) until closed.
+        let q = JobQueue::new(4);
+        // Empty and nothing outstanding, but open: another campaign may
+        // arrive, so pops report Empty (park, re-check) until closed.
         assert!(matches!(q.pop_timeout(0), Pop::Empty));
-        q.submit(job(0, 0, 0)).unwrap();
+        q.submit_batch(vec![job(0, 0, 0)]).unwrap();
         assert!(matches!(q.pop_timeout(0), Pop::Job(_)));
         q.complete();
         assert!(matches!(q.pop_timeout(0), Pop::Empty));
@@ -605,8 +545,8 @@ mod tests {
 
     #[test]
     fn close_drains_outstanding_work_first() {
-        let q = JobQueue::new_resident(4);
-        q.submit(job(0, 0, 0)).unwrap();
+        let q = JobQueue::new(4);
+        q.submit_batch(vec![job(0, 0, 0)]).unwrap();
         q.close();
         // Closed but not drained: the queued job must still pop and the
         // queue must wait for its completion before declaring Drained.
@@ -622,7 +562,7 @@ mod tests {
 
     #[test]
     fn batch_admission_is_all_or_nothing() {
-        let q = JobQueue::new_resident(3);
+        let q = JobQueue::new(3);
         q.submit_batch(vec![job(0, 0, 0), job(0, 1, 0)]).unwrap();
         // Two slots taken, batch of two refused — and nothing admitted.
         let err = q
@@ -642,7 +582,7 @@ mod tests {
 
     #[test]
     fn closed_queue_refuses_batches() {
-        let q = JobQueue::new_resident(4);
+        let q = JobQueue::new(4);
         q.close();
         assert!(matches!(
             q.submit_batch(vec![job(0, 0, 0)]),
@@ -653,7 +593,7 @@ mod tests {
     #[test]
     fn tags_ride_through_the_queue() {
         let q = JobQueue::new(2);
-        q.submit(job(0, 0, 0).with_tag(17)).unwrap();
+        q.submit_batch(vec![job(0, 0, 0).with_tag(17)]).unwrap();
         let j = q.pop_blocking().unwrap();
         assert_eq!(j.tag, 17);
         q.complete();
@@ -662,7 +602,8 @@ mod tests {
     #[test]
     fn drained_queue_unblocks_all_workers() {
         let q = std::sync::Arc::new(JobQueue::new(2));
-        q.submit(job(0, 0, 0)).unwrap();
+        q.submit_batch(vec![job(0, 0, 0)]).unwrap();
+        q.close();
         // Pop before spawning so the helper thread can only ever see an
         // empty heap with one outstanding job — it must block, not race us
         // for the job.

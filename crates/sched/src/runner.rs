@@ -1,11 +1,14 @@
-//! The worker pool: pops jobs, places them, preempts them, watches them,
-//! retries them, and folds the survivors into a [`SweepReport`].
+//! The worker loop — pops jobs, places them, preempts them, watches them,
+//! retries them — run by the workers of the one scheduler shell,
+//! [`crate::service::SweepService`]; and [`run_sweep`], the one-shot entry:
+//! that service with a single whole-grid campaign, folded into a
+//! [`SweepReport`].
 //!
 //! # Execution model
 //!
 //! Each worker loops: pop a job → try to lease a device from the shared
-//! [`DevicePool`] (skipping the job's suspect slots; host fallback on a
-//! miss) → step the job's walkers (a [`dqmc::Crowd`] of `job.width`, one
+//! [`gpusim::DevicePool`] (skipping the job's suspect slots; host fallback
+//! on a miss) → step the job's walkers (a [`dqmc::Crowd`] of `job.width`, one
 //! driver for any width) in quanta of `quantum` sweeps. At every quantum
 //! boundary the job checks whether it should yield — a higher-priority job
 //! is waiting, or its cooperative time-slice (`yield_every_quanta`)
@@ -36,36 +39,46 @@
 //!
 //! Chain trajectories are fixed by hash-split seeds; device placement uses
 //! the bit-exact wrap mode, so host and device runs agree to the last bit;
-//! `DQCW` resume is bit-identical; and results land in a slot vector
-//! indexed by `job_id = point * chains + chain`, then merge in canonical
-//! chain order per point. Workers race only for *which* slot they fill
-//! next, never for what goes in it. Deadline parks and sick requeues
-//! re-run the same seeded sweeps elsewhere — slower, never different.
+//! `DQCW` resume is bit-identical; and results land in their campaign's
+//! slot vector indexed by `selected point * chains + chain`, then merge in
+//! canonical chain order per point. Workers race only for *which* slot
+//! they fill next, never for what goes in it. Deadline parks and sick
+//! requeues re-run the same seeded sweeps elsewhere — slower, never
+//! different.
 
 use crate::grid::GridSpec;
-use crate::queue::{JobQueue, Pop, SweepJob};
+use crate::queue::{Pop, SweepJob};
 use crate::report::{PointSummary, SweepReport};
+use crate::service::{ServiceCore, SweepService};
 use crate::trace::{EventLog, Placement, TraceEvent};
-use crate::watchdog::{DeadlineVerdict, Heartbeats, QuantumWatchdog};
+use crate::watchdog::{DeadlineVerdict, QuantumWatchdog};
 use dqmc::{Crowd, DqmcError, Observables, RecoveryLog, RecoveryTallies, RunToken, Severity};
-use gpusim::{BreakerPolicy, DevicePool, DeviceSpec, HealthDecision};
+use gpusim::{BreakerPolicy, HealthDecision};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
-use util::sync::{relock, Mutex};
 
-/// Scheduler configuration, usually derived from a [`GridSpec`] via
+/// Configuration of a scheduler's execution resources: the one struct
+/// behind both [`run_sweep`] and a resident [`SweepService`]. Campaign
+/// grids carry *physics*; workers, devices and quanta belong to the host
+/// running them. Usually derived from a [`GridSpec`] via
 /// [`SchedConfig::from_spec`]; tests override individual knobs.
 #[derive(Clone, Debug)]
 pub struct SchedConfig {
-    /// Worker threads. `1` runs inline on the calling thread.
+    /// Worker threads, at least one. They are always spawned: the thread
+    /// that calls [`run_sweep`] or submits a campaign only waits.
     pub workers: usize,
     /// Simulated accelerator slots in the device pool. `0` forces every
     /// job onto the host backend.
     pub devices: usize,
-    /// Queue bound; `0` sizes it to fit the whole grid.
+    /// Bound on outstanding jobs. [`run_sweep`] raises it to fit its grid;
+    /// a resident service reads `0` as its default (4096) and refuses
+    /// whole any campaign that does not fit the remaining capacity
+    /// ([`crate::AdmitError::Full`]).
     pub queue_bound: usize,
-    /// Sweeps per scheduling quantum; `0` runs jobs to completion.
+    /// Sweeps per scheduling quantum; `0` runs jobs to completion
+    /// (starving preemption — resident services normally want a quantum).
     pub quantum: usize,
     /// Cooperative yield after this many quanta even with no higher-
     /// priority waiter; `0` disables time-slicing.
@@ -73,10 +86,6 @@ pub struct SchedConfig {
     /// Restarts of a job that failed with a *retryable* classified error
     /// (or a caught panic). Sick-device requeues are not counted here.
     pub job_retries: u32,
-    /// Grid point indices whose jobs are *held back* from the initial
-    /// submission; tests release them mid-sweep (via
-    /// [`Injector::release_held`]) to force true priority preemption.
-    pub hold_points: Vec<usize>,
     /// Soft deadline per quantum in logical device-seconds (fail-slow
     /// detection); `0.0` disables the quantum watchdog.
     pub soft_quantum_cost_s: f64,
@@ -85,6 +94,12 @@ pub struct SchedConfig {
     pub stall_scan_limit: u32,
     /// Circuit-breaker policy for the device pool's health ledger.
     pub breaker: BreakerPolicy,
+    /// Campaign-tag namespace: tags are drawn from
+    /// `(tag_namespace << 32) + 1` upward. A fleet shard child sets this
+    /// to `shard + 1`, so every job tag in a multi-process campaign names
+    /// the shard that ran it — cross-process traces stay attributable.
+    /// `0` (the default) keeps the classic small tags.
+    pub tag_namespace: u64,
 }
 
 impl Default for SchedConfig {
@@ -96,10 +111,10 @@ impl Default for SchedConfig {
             quantum: 0,
             yield_every_quanta: 0,
             job_retries: 1,
-            hold_points: Vec::new(),
             soft_quantum_cost_s: 0.0,
             stall_scan_limit: 0,
             breaker: BreakerPolicy::default(),
+            tag_namespace: 0,
         }
     }
 }
@@ -160,105 +175,6 @@ fn outcomes(sim: &Crowd, job: &SweepJob) -> Vec<ChainOutcome> {
         .collect()
 }
 
-/// Mid-sweep injection handle passed to the observer callback: jobs held
-/// back by [`SchedConfig::hold_points`] wait here until released.
-pub struct Injector<'a> {
-    queue: &'a JobQueue,
-    held: Mutex<Vec<SweepJob>>,
-}
-
-impl<'a> Injector<'a> {
-    /// An injector holding nothing — the resident service runs without
-    /// hold-point choreography but shares [`worker_loop`].
-    pub(crate) fn idle(queue: &'a JobQueue) -> Self {
-        Injector {
-            queue,
-            held: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Jobs still held (not yet injected).
-    pub fn held(&self) -> usize {
-        relock(self.held.lock()).len()
-    }
-
-    /// Releases every held job into the queue at `priority`. Idempotent —
-    /// observers may call it on every event and only the first call
-    /// submits. Held jobs were counted outstanding at submission time, so
-    /// the queue always has room for them.
-    pub fn release_held(&self, priority: u8) {
-        let jobs: Vec<SweepJob> = {
-            let mut held = relock(self.held.lock());
-            std::mem::take(&mut *held)
-        };
-        for job in jobs {
-            let job = job.with_priority(priority);
-            self.queue.requeue(job);
-        }
-    }
-}
-
-/// Callback observing the trace stream at job boundaries; the [`Injector`]
-/// lets it submit held jobs mid-sweep.
-pub type SweepObserver = dyn for<'a> Fn(&TraceEvent, &Injector<'a>) + Sync;
-
-/// Where finished jobs deliver their per-chain outcomes. The classic
-/// one-shot sweep routes by slot index ([`SlotSink`]); the resident
-/// service routes by campaign tag. Workers race only for *which* sink
-/// call runs next, never for what a given (point, chain) receives — the
-/// determinism contract is the sink's to keep.
-pub(crate) trait OutcomeSink: Sync {
-    /// Delivers a completed job's outcomes, one per covered chain in
-    /// chain order.
-    fn deliver(&self, job: &SweepJob, outcomes: Vec<ChainOutcome>);
-
-    /// Records a permanently failed job: every chain it covers lost its
-    /// data, with the job-level counters folded onto the base chain.
-    fn deliver_failure(&self, job: &SweepJob);
-}
-
-/// The classic per-sweep sink: a slot vector indexed by
-/// `point * chains + chain`, drained once the sweep terminates.
-pub(crate) struct SlotSink {
-    results: Mutex<Vec<Option<ChainOutcome>>>,
-    chains: usize,
-}
-
-impl SlotSink {
-    // dqmc-lint: allow(hot_alloc) — one-time construction at sweep setup.
-    pub(crate) fn new(njobs: usize, chains: usize) -> Self {
-        SlotSink {
-            results: Mutex::new((0..njobs).map(|_| None).collect()),
-            chains,
-        }
-    }
-
-    /// Consumes the sink after every worker has exited.
-    pub(crate) fn into_outcomes(self) -> Vec<Option<ChainOutcome>> {
-        relock(self.results.into_inner())
-    }
-}
-
-impl OutcomeSink for SlotSink {
-    fn deliver(&self, job: &SweepJob, outcomes: Vec<ChainOutcome>) {
-        let base = job.point * self.chains + job.chain;
-        let mut slots = relock(self.results.lock());
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            slots[base + i] = Some(outcome);
-        }
-    }
-
-    fn deliver_failure(&self, job: &SweepJob) {
-        // A job fails as a unit: every chain it covers loses its data. Job-level counters land on the base slot only (see
-        // [`ChainOutcome`]).
-        let base = job.point * self.chains + job.chain;
-        let mut slots = relock(self.results.lock());
-        for i in 0..job.width {
-            slots[base + i] = Some(ChainOutcome::failed_slot(job, i));
-        }
-    }
-}
-
 impl ChainOutcome {
     /// The `Failed` record for covered-chain `i` of a failed job:
     /// job-level counters fold onto the base chain only.
@@ -285,15 +201,6 @@ enum RunStep {
     Aborted {
         error: DqmcError,
     },
-}
-
-/// Initial grid submission: the bound was sized to fit the whole grid
-/// above, so the queue cannot be full here.
-// dqmc-lint: allow(panic_site)
-fn submit_infallible(queue: &JobQueue, job: SweepJob) {
-    queue
-        .submit(job)
-        .expect("queue was sized to fit the whole grid");
 }
 
 /// Translates a breaker decision into trace events.
@@ -324,13 +231,14 @@ fn emit_decision(events: &EventLog, decision: HealthDecision) {
 fn run_job(
     job: &mut SweepJob,
     worker: usize,
-    pool: Option<&DevicePool>,
-    cfg: &SchedConfig,
-    events: &EventLog,
-    queue: &JobQueue,
+    core: &ServiceCore,
     token: &RunToken,
 ) -> (RunStep, Option<usize>) {
-    let lease = pool.and_then(|p| p.try_lease_excluding(&job.excluded_slots));
+    let (cfg, events) = (&core.cfg, &core.events);
+    let lease = core
+        .pool
+        .as_ref()
+        .and_then(|p| p.try_lease_excluding(&job.excluded_slots));
     let slot = lease.as_ref().map(|l| l.slot());
     let placement = match slot {
         Some(slot) => Placement::Device { slot },
@@ -438,7 +346,7 @@ fn run_job(
                 slot,
             );
         }
-        let preempted = queue.waiting_priority_above(job.priority);
+        let preempted = core.queue.waiting_priority_above(job.priority);
         let sliced = cfg.yield_every_quanta > 0 && quanta_run >= cfg.yield_every_quanta;
         if preempted || sliced {
             job.checkpoint = Some(sim.checkpoint_bytes());
@@ -456,18 +364,14 @@ fn run_job(
 }
 
 /// Handles a classified abort: the severity keys the recovery ladder.
-#[allow(clippy::too_many_arguments)]
 fn handle_abort(
     mut job: SweepJob,
     error: DqmcError,
     slot: Option<usize>,
     worker: usize,
-    pool: Option<&DevicePool>,
-    cfg: &SchedConfig,
-    events: &EventLog,
-    queue: &JobQueue,
-    sink: &dyn OutcomeSink,
+    core: &ServiceCore,
 ) {
+    let (events, pool) = (&core.events, core.pool.as_ref());
     match error.severity {
         Severity::DeviceSick => {
             // The device is indicted, not the job: requeue for free with
@@ -494,14 +398,14 @@ fn handle_abort(
                     slot: slot_id,
                 });
             }
-            queue.requeue(job);
+            core.queue.requeue(job);
         }
         Severity::Transient | Severity::Corrupt => {
             if let (Some(p), Some(s)) = (pool, slot) {
                 emit_decision(events, p.report_failure(s, false));
             }
             job.attempts += 1;
-            if job.attempts <= cfg.job_retries {
+            if job.attempts <= core.cfg.job_retries {
                 events.push(TraceEvent::Retried {
                     point: job.point,
                     chain: job.chain,
@@ -509,74 +413,53 @@ fn handle_abort(
                 });
                 // job.checkpoint still holds the last successful park, so
                 // the retry resumes there.
-                queue.requeue(job);
+                core.queue.requeue(job);
             } else {
-                fail_job(job, events, sink, queue);
+                fail_job(job, core);
             }
         }
         Severity::Fatal => {
             // No restart could help (recovery disabled, ladder exhausted):
             // fail fast regardless of remaining budget.
             job.attempts += 1;
-            fail_job(job, events, sink, queue);
+            fail_job(job, core);
         }
     }
 }
 
-fn fail_job(job: SweepJob, events: &EventLog, sink: &dyn OutcomeSink, queue: &JobQueue) {
-    events.push(TraceEvent::Failed {
+/// Records a permanently failed job: every chain it covers lost its data.
+fn fail_job(job: SweepJob, core: &ServiceCore) {
+    core.events.push(TraceEvent::Failed {
         point: job.point,
         chain: job.chain,
         attempts: job.attempts,
     });
-    sink.deliver_failure(&job);
-    queue.complete();
+    core.record(&job, None);
+    core.queue.complete();
 }
 
-/// One worker's lifetime: drain the queue until the sweep terminates,
+/// One worker's lifetime: serve the queue until it is closed and drained,
 /// scanning the heartbeat registry whenever a bounded pop comes up empty.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn worker_loop(
-    worker: usize,
-    queue: &JobQueue,
-    pool: Option<&DevicePool>,
-    cfg: &SchedConfig,
-    events: &EventLog,
-    sink: &dyn OutcomeSink,
-    injector: &Injector<'_>,
-    observer: Option<&SweepObserver>,
-    hearts: &Heartbeats,
-    panics_caught: &AtomicU64,
-) {
-    let token = hearts.token(worker);
+pub(crate) fn worker_loop(worker: usize, core: &ServiceCore) {
+    let (queue, events, pool) = (&core.queue, &core.events, core.pool.as_ref());
+    let token = core.hearts.token(worker);
     loop {
         let mut job = match queue.pop_timeout(1) {
             Pop::Job(job) => job,
             Pop::Empty => {
-                hearts.scan(worker, cfg.stall_scan_limit);
+                core.hearts.scan(worker, core.cfg.stall_scan_limit);
                 continue;
             }
             Pop::Drained => break,
         };
         token.reset();
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            run_job(&mut job, worker, pool, cfg, events, queue, &token)
-        }));
-        // Observers see events only at job boundaries (not mid-quantum), so
-        // an injection here lands before the next pop — deterministic with
-        // one worker.
-        if let Some(obs) = observer {
-            let snap = events.snapshot();
-            if let Some(e) = snap.last() {
-                obs(e, injector);
-            }
-        }
+        let step = catch_unwind(AssertUnwindSafe(|| run_job(&mut job, worker, core, &token)));
         match step {
             Ok((RunStep::Completed(outcomes), slot)) => {
                 if let (Some(p), Some(s)) = (pool, slot) {
                     emit_decision(events, p.report_success(s));
                 }
-                sink.deliver(&job, outcomes);
+                core.record(&job, Some(outcomes));
                 queue.complete();
             }
             Ok((RunStep::Yielded { sweeps_done }, slot)) => {
@@ -593,162 +476,95 @@ pub(crate) fn worker_loop(
                 queue.requeue(job);
             }
             Ok((RunStep::Aborted { error }, slot)) => {
-                handle_abort(job, error, slot, worker, pool, cfg, events, queue, sink);
+                handle_abort(job, error, slot, worker, core);
             }
             Err(payload) => {
                 // Backstop only: classified-recoverable paths return Err
                 // above and never unwind. The chaos tier asserts this
                 // counter stays zero under pure-sick storms.
-                panics_caught.fetch_add(1, Ordering::Relaxed);
+                core.panics_caught.fetch_add(1, Ordering::Relaxed);
                 let error = DqmcError::from_panic(payload.as_ref());
                 // The lease dropped during unwinding; the slot cannot be
                 // indicted reliably, so the pool is not fed a report.
-                handle_abort(job, error, None, worker, pool, cfg, events, queue, sink);
+                handle_abort(job, error, None, worker, core);
             }
         }
     }
 }
 
-/// Runs a sweep campaign. Convenience wrapper over
-/// [`run_sweep_observed`] with no observer.
-pub fn run_sweep(spec: &GridSpec, cfg: &SchedConfig, events: &EventLog) -> SweepReport {
-    run_sweep_observed(spec, cfg, events, None)
-}
-
-/// Runs a sweep campaign with an optional observer called at job
-/// boundaries — the hook the preemption tests use to release held jobs
-/// mid-sweep.
+/// Runs one whole-grid campaign to completion on a [`SweepService`] of its
+/// own: started on a queue sized to the grid and tracing into `events`,
+/// the grid's `slot_faults` profiles set on its device pool (the sweep
+/// owns the pool, so [`SweepService::submit`]'s tenant-facing refusal does
+/// not apply), the campaign admitted and waited for, the service shut
+/// down, and the report folded from the campaign's outcome, the pool's
+/// ledgers and the event counts.
+///
+/// The calling thread only waits: `cfg.workers.max(1)` worker threads are
+/// spawned and joined per call, a one-worker sweep included. A worker that
+/// dies *outside* `run_job`'s panic backstop is not re-raised here — the
+/// contract a resident service has always had.
 ///
 /// The returned report's [`SweepReport::observables_json`] is a pure
 /// function of `(spec physics, spec seeds)`: `cfg` may change workers,
-/// devices, quanta, holds, deadlines, breaker policy — the observables
-/// section does not move.
-pub fn run_sweep_observed(
-    spec: &GridSpec,
-    cfg: &SchedConfig,
-    events: &EventLog,
-    observer: Option<&SweepObserver>,
-) -> SweepReport {
-    assert!(
-        cfg.hold_points.is_empty() || observer.is_some(),
-        "hold_points without an observer to release them would deadlock"
-    );
+/// devices, quanta, deadlines, breaker policy — the observables section
+/// does not move.
+// dqmc-lint: allow(panic_site) — the queue is open and sized to fit the
+// whole grid, and a parsed grid has at least one point, so admission
+// cannot be refused.
+pub fn run_sweep(spec: &GridSpec, cfg: &SchedConfig, events: &EventLog) -> SweepReport {
     let start = Instant::now();
-    let points = spec.points();
-    let njobs = spec.total_jobs();
-    let bound = if cfg.queue_bound == 0 {
-        njobs
-    } else {
-        cfg.queue_bound.max(njobs)
-    };
-    let queue = JobQueue::new(bound);
-    let injector = Injector {
-        queue: &queue,
-        held: Mutex::new(Vec::new()),
-    };
-
-    let crowd = spec.crowd.max(1);
-    for point in &points {
-        let mut chain = 0;
-        while chain < spec.chains {
-            // One job per crowd of up to `crowd` consecutive chains; the
-            // tail crowd of a point may be narrower. Each walker keeps its
-            // own hash-split seed, so batching never reshapes the ensemble.
-            let width = crowd.min(spec.chains - chain);
-            let extra = (chain + 1..chain + width)
-                .map(|c| spec.chain_params(point, c))
-                .collect();
-            let job = SweepJob::new(point.index, chain, spec.chain_params(point, chain))
-                .with_fault_plan(spec.fault_plan(point, chain))
-                .with_crowd(extra);
-            chain += width;
-            if cfg.hold_points.contains(&point.index) {
-                // Count it outstanding now (so termination waits for it and
-                // requeue-on-release cannot overflow), but keep it out of
-                // the heap until an observer releases it.
-                let placeholder = queue.submit_held();
-                debug_assert!(placeholder.is_ok(), "grid-sized queue cannot be full");
-                relock(injector.held.lock()).push(job);
-            } else {
-                submit_infallible(&queue, job);
-            }
-        }
-    }
-
-    let pool = if cfg.devices > 0 {
-        let p = DevicePool::with_policy(DeviceSpec::tesla_c2050(), cfg.devices, cfg.breaker);
+    let total_jobs = spec.total_jobs();
+    let bound = cfg.queue_bound.max(total_jobs);
+    let service = SweepService::start_on(cfg, bound, events.clone());
+    let core = Arc::clone(&service.core);
+    let pool = core.pool.as_ref();
+    if let Some(p) = pool {
         for (slot, plan, persistent) in spec.slot_profiles() {
             p.set_slot_profile(slot, plan, persistent);
         }
-        Some(p)
-    } else {
-        None
-    };
-    let sink = SlotSink::new(njobs, spec.chains);
-    let hearts = Heartbeats::new(cfg.workers.max(1));
-    let panics_caught = AtomicU64::new(0);
-
-    if cfg.workers <= 1 {
-        worker_loop(
-            0,
-            &queue,
-            pool.as_ref(),
-            cfg,
-            events,
-            &sink,
-            &injector,
-            observer,
-            &hearts,
-            &panics_caught,
-        );
-    } else {
-        std::thread::scope(|scope| {
-            for w in 0..cfg.workers {
-                let queue = &queue;
-                let pool = pool.as_ref();
-                let sink = &sink;
-                let injector = &injector;
-                let hearts = &hearts;
-                let panics_caught = &panics_caught;
-                scope.spawn(move || {
-                    worker_loop(
-                        w,
-                        queue,
-                        pool,
-                        cfg,
-                        events,
-                        sink,
-                        injector,
-                        observer,
-                        hearts,
-                        panics_caught,
-                    );
-                });
-            }
-        });
     }
+    let outcome = service
+        .admit(spec, 0, None, None)
+        .expect("a non-empty grid fits the queue sized for it")
+        .wait();
+    service.shutdown();
 
-    let outcomes = sink.into_outcomes();
-    let retries = events.count(|e| matches!(e, TraceEvent::Retried { .. })) as u64;
-    assemble_report(
-        spec,
-        cfg,
-        &points,
-        outcomes,
-        pool.as_ref(),
-        events,
-        retries,
-        panics_caught.load(Ordering::Relaxed),
-        start,
-    )
+    let sum = |f: fn(&PointSummary) -> u64| outcome.points.iter().map(f).sum::<u64>();
+    SweepReport {
+        seed: spec.seed,
+        chains: spec.chains,
+        crowd: spec.crowd.max(1),
+        warmup: spec.warmup,
+        sweeps: spec.sweeps,
+        total_jobs,
+        failed_jobs: outcome.failed_chains,
+        preemptions: sum(|p| p.preemptions),
+        retries: events.count(|e| matches!(e, TraceEvent::Retried { .. })) as u64,
+        device_quanta: sum(|p| p.device_quanta),
+        host_quanta: sum(|p| p.host_quanta),
+        device_seconds: outcome.points.iter().map(|p| p.device_seconds).sum(),
+        leases_granted: pool.map_or(0, |p| p.leases_granted()),
+        lease_misses: pool.map_or(0, |p| p.lease_misses()),
+        quarantines: pool.map_or(0, |p| p.quarantines()),
+        probes: pool.map_or(0, |p| p.probes()),
+        readmissions: pool.map_or(0, |p| p.readmissions()),
+        quarantine_skips: pool.map_or(0, |p| p.quarantine_skips()),
+        soft_parks: events.count(|e| matches!(e, TraceEvent::SoftDeadline { .. })) as u64,
+        worker_losses: events.count(|e| matches!(e, TraceEvent::WorkerLost { .. })) as u64,
+        panics_caught: core.panics_caught.load(Ordering::Relaxed),
+        recovery_tallies: outcome.recovery_tallies,
+        workers: cfg.workers,
+        devices: cfg.devices,
+        wall_seconds: start.elapsed().as_secs_f64(),
+        points: outcome.points,
+    }
 }
 
 /// Pools one point's chain outcomes — `outcomes[chain]` in canonical
 /// chain order — into its summary plus its pooled recovery tallies. This
-/// is the aggregation step the determinism contract protects, shared by
-/// the one-shot [`assemble_report`] and the resident service (which
-/// summarises each point the moment its last chain lands, to stream and
-/// cache it).
+/// is the aggregation step the determinism contract protects; the service
+/// runs it the moment a point's last chain lands, to stream and cache it.
 pub(crate) fn summarize_point(
     point: &crate::grid::GridPoint,
     outcomes: &[Option<ChainOutcome>],
@@ -833,68 +649,4 @@ pub(crate) fn summarize_point(
         device_seconds,
     };
     (summary, tallies)
-}
-
-/// Merges per-chain outcomes into per-point summaries in canonical chain
-/// order — the aggregation step the determinism contract protects.
-#[allow(clippy::too_many_arguments)]
-fn assemble_report(
-    spec: &GridSpec,
-    cfg: &SchedConfig,
-    points: &[crate::grid::GridPoint],
-    outcomes: Vec<Option<ChainOutcome>>,
-    pool: Option<&DevicePool>,
-    events: &EventLog,
-    retries: u64,
-    panics_caught: u64,
-    start: Instant,
-) -> SweepReport {
-    let mut summaries = Vec::with_capacity(points.len());
-    let mut failed_jobs = 0usize;
-    let mut total_preemptions = 0u64;
-    let mut total_device_quanta = 0u64;
-    let mut total_host_quanta = 0u64;
-    let mut total_device_seconds = 0.0f64;
-    let mut recovery_tallies = RecoveryTallies::default();
-
-    for point in points {
-        let base = point.index * spec.chains;
-        let (summary, tallies) = summarize_point(point, &outcomes[base..base + spec.chains]);
-        failed_jobs += summary.chains_failed;
-        total_preemptions += summary.preemptions;
-        total_device_quanta += summary.device_quanta;
-        total_host_quanta += summary.host_quanta;
-        total_device_seconds += summary.device_seconds;
-        recovery_tallies.merge(&tallies);
-        summaries.push(summary);
-    }
-
-    SweepReport {
-        seed: spec.seed,
-        chains: spec.chains,
-        crowd: spec.crowd.max(1),
-        warmup: spec.warmup,
-        sweeps: spec.sweeps,
-        points: summaries,
-        total_jobs: spec.total_jobs(),
-        failed_jobs,
-        preemptions: total_preemptions,
-        retries,
-        device_quanta: total_device_quanta,
-        host_quanta: total_host_quanta,
-        device_seconds: total_device_seconds,
-        leases_granted: pool.map_or(0, |p| p.leases_granted()),
-        lease_misses: pool.map_or(0, |p| p.lease_misses()),
-        quarantines: pool.map_or(0, |p| p.quarantines()),
-        probes: pool.map_or(0, |p| p.probes()),
-        readmissions: pool.map_or(0, |p| p.readmissions()),
-        quarantine_skips: pool.map_or(0, |p| p.quarantine_skips()),
-        soft_parks: events.count(|e| matches!(e, TraceEvent::SoftDeadline { .. })) as u64,
-        worker_losses: events.count(|e| matches!(e, TraceEvent::WorkerLost { .. })) as u64,
-        panics_caught,
-        recovery_tallies,
-        workers: cfg.workers,
-        devices: cfg.devices,
-        wall_seconds: start.elapsed().as_secs_f64(),
-    }
 }

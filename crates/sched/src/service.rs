@@ -1,17 +1,18 @@
-//! The resident sweep service: a long-lived worker pool multiplexing
-//! many campaigns through one priority [`JobQueue`].
+//! The sweep service: the one scheduler shell — a worker pool and a device
+//! pool multiplexing campaigns through one priority [`JobQueue`].
 //!
-//! A one-shot [`crate::run_sweep`] builds its queue, workers and device
-//! pool per call and tears them down when the grid drains. A service
-//! keeps all three resident: campaigns are *submitted* into the shared
-//! queue (tagged, all-or-nothing admission), their jobs interleave by
-//! priority with every other tenant's, and each campaign's outcomes are
-//! routed back to it by tag. The moment a point's last chain lands the
-//! service pools it with [`crate::runner::summarize_point`] — the same
-//! aggregation the one-shot path uses, so a served campaign's
-//! observables are byte-identical to an in-process run of the same grid
-//! — and hands the summary to the campaign's observer (the hook a server
-//! uses to stream bins and fill a result cache).
+//! Campaigns are *submitted* into the shared queue (tagged, all-or-nothing
+//! admission), their jobs interleave by priority with every other
+//! tenant's, and each campaign's outcomes are routed back to it by tag
+//! into its own slot vector. The moment a point's last chain lands the
+//! service pools it with [`crate::runner::summarize_point`] and hands the
+//! summary to the campaign's observer (the hook a server uses to stream
+//! bins and fill a result cache). A resident service (`dqmc-serve`, a
+//! fleet child) keeps the pools alive across campaigns; a one-shot
+//! [`crate::run_sweep`] is the same service living for one whole-grid
+//! campaign, so a served campaign's observables are byte-identical to an
+//! in-process run of the same grid by construction
+//! (`tests/golden/sweep_v1.obs.json` pins the bytes both produce).
 //!
 //! Campaigns may cover a *subset* of their grid's points. Point indices
 //! stay canonical — the point index is the seed hash-split's stream id,
@@ -21,90 +22,22 @@
 use crate::grid::{GridPoint, GridSpec};
 use crate::queue::{AdmitError, JobQueue, SweepJob};
 use crate::report::PointSummary;
-use crate::runner::{
-    summarize_point, worker_loop, ChainOutcome, Injector, OutcomeSink, SchedConfig,
-};
+use crate::runner::{summarize_point, worker_loop, ChainOutcome, SchedConfig};
 use crate::trace::EventLog;
 use crate::watchdog::Heartbeats;
 use dqmc::RecoveryTallies;
-use gpusim::{BreakerPolicy, DevicePool, DeviceSpec};
+use gpusim::{DevicePool, DeviceSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use util::sync::{relock, Condvar, Mutex};
 
-/// Default queue bound for a resident service when the config leaves it 0.
+/// Queue bound of a resident service when the config leaves it 0.
 const DEFAULT_QUEUE_BOUND: usize = 4096;
 
-/// Configuration of a resident service's shared execution resources.
-/// Campaign grids carry only *physics*; workers, devices and scheduling
-/// quanta belong to the host running the service, not to any tenant.
-#[derive(Clone, Debug)]
-pub struct ServiceConfig {
-    /// Resident worker threads.
-    pub workers: usize,
-    /// Simulated accelerator slots shared by every campaign; `0` runs
-    /// everything on the host backend.
-    pub devices: usize,
-    /// Sweeps per scheduling quantum; `0` runs jobs to completion
-    /// (starving preemption — resident services normally want a quantum).
-    pub quantum: usize,
-    /// Cooperative yield cadence, as in [`SchedConfig`].
-    pub yield_every_quanta: u64,
-    /// Retry budget per job for classified-retryable failures.
-    pub job_retries: u32,
-    /// Bound on outstanding jobs across all campaigns; `0` uses a
-    /// service default. A campaign that does not fit the remaining
-    /// capacity is refused whole ([`AdmitError::Full`]).
-    pub queue_bound: usize,
-    /// Soft per-quantum deadline in logical device-seconds; `0.0`
-    /// disables the quantum watchdog.
-    pub soft_quantum_cost_s: f64,
-    /// Heartbeat scans before an idle worker cancels a stalled peer.
-    pub stall_scan_limit: u32,
-    /// Circuit-breaker policy for the shared device pool.
-    pub breaker: BreakerPolicy,
-    /// Campaign-tag namespace: tags are drawn from
-    /// `(tag_namespace << 32) + 1` upward. A fleet shard child sets this
-    /// to `shard + 1`, so every job tag in a multi-process campaign names
-    /// the shard that ran it — cross-process traces stay attributable.
-    /// `0` (the default) keeps the classic small tags.
-    pub tag_namespace: u64,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            workers: 1,
-            devices: 0,
-            quantum: 0,
-            yield_every_quanta: 0,
-            job_retries: 1,
-            queue_bound: 0,
-            soft_quantum_cost_s: 0.0,
-            stall_scan_limit: 0,
-            breaker: BreakerPolicy::default(),
-            tag_namespace: 0,
-        }
-    }
-}
-
-impl ServiceConfig {
-    fn sched_config(&self) -> SchedConfig {
-        SchedConfig {
-            workers: self.workers.max(1),
-            devices: self.devices,
-            queue_bound: self.queue_bound,
-            quantum: self.quantum,
-            yield_every_quanta: self.yield_every_quanta,
-            job_retries: self.job_retries,
-            hold_points: Vec::new(),
-            soft_quantum_cost_s: self.soft_quantum_cost_s,
-            stall_scan_limit: self.stall_scan_limit,
-            breaker: self.breaker,
-        }
-    }
-}
+/// A service is configured by the scheduler's one config struct; the alias
+/// is the name `serve::ServerConfig::service` and the benchmark use.
+pub type ServiceConfig = SchedConfig;
 
 /// A campaign submission: which grid, how urgent, and optionally which
 /// subset of its points.
@@ -114,7 +47,7 @@ pub struct CampaignRequest {
     /// `quantum`) are ignored — those resources belong to the service.
     pub spec: GridSpec,
     /// Priority class for every job of this campaign; higher preempts
-    /// lower at quantum boundaries, exactly as within one sweep.
+    /// lower at quantum boundaries.
     pub priority: u8,
     /// Canonical point indices to run; `None` runs the whole grid.
     /// Indices keep their grid-canonical values, so partial campaigns
@@ -229,14 +162,16 @@ impl CampaignHandle {
 }
 
 /// Shared state of a running service; workers and handles hold it in an
-/// [`Arc`].
-struct ServiceCore {
-    queue: JobQueue,
-    pool: Option<DevicePool>,
-    cfg: SchedConfig,
-    events: EventLog,
-    hearts: Heartbeats,
-    panics_caught: AtomicU64,
+/// [`Arc`]. The worker loop ([`crate::runner`]) reads the pools and the
+/// config from here and delivers every outcome through
+/// [`ServiceCore::record`].
+pub(crate) struct ServiceCore {
+    pub(crate) queue: JobQueue,
+    pub(crate) pool: Option<DevicePool>,
+    pub(crate) cfg: SchedConfig,
+    pub(crate) events: EventLog,
+    pub(crate) hearts: Heartbeats,
+    pub(crate) panics_caught: AtomicU64,
     /// In-flight campaigns. A `Vec` scanned linearly, not a map: the
     /// registry holds tens of campaigns, and a Vec keeps iteration order
     /// deterministic by construction.
@@ -247,28 +182,15 @@ struct ServiceCore {
 }
 
 impl ServiceCore {
-    fn worker(&self, w: usize) {
-        let injector = Injector::idle(&self.queue);
-        worker_loop(
-            w,
-            &self.queue,
-            self.pool.as_ref(),
-            &self.cfg,
-            &self.events,
-            self,
-            &injector,
-            None,
-            &self.hearts,
-            &self.panics_caught,
-        );
-    }
-
-    /// Routes one job's outcomes into its campaign; pools the point when
-    /// its last chain lands and completes the campaign when its last
-    /// point does. The campaign lock covers only slot writes and the
-    /// summarisation — observer callbacks and completion signalling run
-    /// after it is released.
-    fn record(&self, job: &SweepJob, outcomes: Option<Vec<ChainOutcome>>) {
+    /// Routes one job's outcomes — one per covered chain in chain order,
+    /// or `None` for a job that failed as a unit — into its campaign;
+    /// pools the point when its last chain lands and completes the
+    /// campaign when its last point does. Workers race only for *which*
+    /// call runs next, never for what a given (point, chain) receives.
+    /// The campaign lock covers only slot writes and the summarisation —
+    /// observer callbacks and completion signalling run after it is
+    /// released.
+    pub(crate) fn record(&self, job: &SweepJob, outcomes: Option<Vec<ChainOutcome>>) {
         let mut finished_point: Option<(PointSummary, Option<Arc<PointObserver>>)> = None;
         let mut finished_campaign: Option<(Arc<CampaignCell>, CampaignOutcome)> = None;
         {
@@ -330,59 +252,53 @@ impl ServiceCore {
     }
 }
 
-impl OutcomeSink for ServiceCore {
-    fn deliver(&self, job: &SweepJob, outcomes: Vec<ChainOutcome>) {
-        self.record(job, Some(outcomes));
-    }
-
-    fn deliver_failure(&self, job: &SweepJob) {
-        self.record(job, None);
-    }
-}
-
-/// The resident service: spawn once, submit many campaigns, drop (or
+/// The service: start once, submit many campaigns, drop (or
 /// [`SweepService::shutdown`]) to drain and join.
 pub struct SweepService {
-    core: Arc<ServiceCore>,
+    pub(crate) core: Arc<ServiceCore>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl SweepService {
-    /// Starts the resident worker pool (and device pool, when
-    /// configured).
+    /// Starts a resident worker pool (and device pool, when configured)
+    /// with its own trace stream.
     pub fn start(cfg: &ServiceConfig) -> SweepService {
-        let sched = cfg.sched_config();
         let bound = if cfg.queue_bound == 0 {
             DEFAULT_QUEUE_BOUND
         } else {
             cfg.queue_bound
         };
-        let pool = if sched.devices > 0 {
-            Some(DevicePool::with_policy(
-                DeviceSpec::tesla_c2050(),
-                sched.devices,
-                sched.breaker,
-            ))
-        } else {
-            None
+        SweepService::start_on(cfg, bound, EventLog::new())
+    }
+
+    /// Starts the pools on a queue of `bound` outstanding jobs, tracing
+    /// into `events` — [`crate::run_sweep`] passes its grid's size and its
+    /// caller's log.
+    pub(crate) fn start_on(cfg: &SchedConfig, bound: usize, events: EventLog) -> SweepService {
+        let cfg = SchedConfig {
+            workers: cfg.workers.max(1),
+            ..cfg.clone()
         };
+        let pool = (cfg.devices > 0)
+            .then(|| DevicePool::with_policy(DeviceSpec::tesla_c2050(), cfg.devices, cfg.breaker));
         let core = Arc::new(ServiceCore {
-            queue: JobQueue::new_resident(bound),
+            queue: JobQueue::new(bound),
             pool,
-            hearts: Heartbeats::new(sched.workers),
-            cfg: sched,
-            events: EventLog::new(),
+            hearts: Heartbeats::new(cfg.workers),
+            events,
             panics_caught: AtomicU64::new(0),
             campaigns: Mutex::new(Vec::new()),
             next_tag: AtomicU64::new(cfg.tag_namespace << 32),
             jobs_submitted: AtomicU64::new(0),
             campaigns_completed: AtomicU64::new(0),
+            cfg,
         });
-        let mut workers = Vec::with_capacity(core.cfg.workers);
-        for w in 0..core.cfg.workers {
-            let core = Arc::clone(&core);
-            workers.push(std::thread::spawn(move || core.worker(w)));
-        }
+        let workers = (0..core.cfg.workers)
+            .map(|w| {
+                let core = Arc::clone(&core);
+                std::thread::spawn(move || worker_loop(w, &core))
+            })
+            .collect();
         SweepService { core, workers }
     }
 
@@ -394,15 +310,27 @@ impl SweepService {
         req: &CampaignRequest,
         observer: Option<Arc<PointObserver>>,
     ) -> Result<CampaignHandle, SubmitError> {
-        let spec = &req.spec;
-        if !spec.slot_faults.is_empty() {
+        if !req.spec.slot_faults.is_empty() {
             return Err(SubmitError::SlotFaultsUnsupported);
         }
+        self.admit(&req.spec, req.priority, req.points.as_deref(), observer)
+    }
+
+    /// [`SweepService::submit`] without the tenant-facing `slot_faults`
+    /// refusal: [`crate::run_sweep`] owns its device pool and has already
+    /// set the grid's slot profiles on it.
+    pub(crate) fn admit(
+        &self,
+        spec: &GridSpec,
+        priority: u8,
+        points: Option<&[usize]>,
+        observer: Option<Arc<PointObserver>>,
+    ) -> Result<CampaignHandle, SubmitError> {
         let grid_points = spec.points();
-        let selected: Vec<GridPoint> = match &req.points {
+        let selected: Vec<GridPoint> = match points {
             None => grid_points,
             Some(idx) => {
-                let mut wanted = idx.clone();
+                let mut wanted = idx.to_vec();
                 wanted.sort_unstable();
                 wanted.dedup();
                 let mut sel = Vec::with_capacity(wanted.len());
@@ -430,13 +358,16 @@ impl SweepService {
         for point in &selected {
             let mut chain = 0;
             while chain < spec.chains {
+                // One job per crowd of up to `crowd` consecutive chains; the
+                // tail crowd of a point may be narrower. Each walker keeps its
+                // own hash-split seed, so batching never reshapes the ensemble.
                 let width = crowd.min(spec.chains - chain);
                 let extra = (chain + 1..chain + width)
                     .map(|c| spec.chain_params(point, c))
                     .collect();
                 let job = SweepJob::new(point.index, chain, spec.chain_params(point, chain))
                     .with_fault_plan(spec.fault_plan(point, chain))
-                    .with_priority(req.priority)
+                    .with_priority(priority)
                     .with_tag(tag)
                     .with_crowd(extra);
                 jobs.push(job);

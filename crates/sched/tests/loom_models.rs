@@ -13,7 +13,9 @@
 //! - queue: every submitted job completes exactly once through the
 //!   pop → requeue → pop → complete cycle, and termination (`None` /
 //!   `Pop::Drained`) is observed by *every* worker only after the last
-//!   completion — the two-phase-drain contract.
+//!   completion, wherever `close()` lands among the pops, requeues and
+//!   completions — the two-phase-drain contract of every sweep, since a
+//!   one-shot sweep closes its queue while its workers drain it.
 //! - pool: leases are mutually exclusive per slot, slots return on drop,
 //!   and the quarantine → probation-probe → readmission cycle grants
 //!   exactly one probe no matter how many workers race for it.
@@ -52,12 +54,11 @@ fn queue_two_phase_drain_completes_every_job_and_unblocks_all_workers() {
     loom::model(|| {
         let q = Arc::new(JobQueue::new(3));
         let completed = Arc::new(AtomicUsize::new(0));
-        for p in 0..3 {
-            q.submit(job(p)).expect("bound holds the full batch");
-        }
+        q.submit_batch((0..3).map(job).collect())
+            .expect("bound holds the full batch");
 
         // Worker A drains on the blocking path (the pop_blocking contract:
-        // None only once nothing is outstanding).
+        // None only once closed with nothing outstanding).
         let (qa, ca) = (Arc::clone(&q), Arc::clone(&completed));
         let a = loom::thread::spawn(move || {
             while let Some(j) = qa.pop_blocking() {
@@ -82,10 +83,17 @@ fn queue_two_phase_drain_completes_every_job_and_unblocks_all_workers() {
             }
         });
 
-        // Liveness: the last complete() must broadcast termination to the
-        // blocked peer — a lost wakeup hangs the joins right here.
+        // The closer races every pop, requeue and the last completion: a
+        // close() that lands after it must wake the parked workers itself.
+        let qc = Arc::clone(&q);
+        let c = loom::thread::spawn(move || qc.close());
+
+        // Liveness: whichever of close() and the last complete() comes
+        // second must broadcast termination to the blocked peer — a lost
+        // wakeup hangs the joins right here.
         a.join().expect("worker A exits");
         b.join().expect("worker B exits");
+        c.join().expect("closer exits");
         assert_eq!(completed.load(Ordering::Relaxed), 3, "each job once");
         assert_eq!(q.waiting(), 0);
         assert!(matches!(q.pop_timeout(0), Pop::Drained));

@@ -9,7 +9,11 @@
 //! regime actually differed (yields happened, devices were used, injected
 //! jobs cut in), and then asserts the bytes match the serial baseline.
 
-use sched::{EventLog, GridSpec, SchedConfig, TraceEvent};
+use sched::{
+    CampaignRequest, EventLog, GridSpec, PointObserver, PointSummary, SchedConfig, SweepService,
+    TraceEvent,
+};
+use std::sync::{Arc, Barrier};
 
 const GRID: &str = "
     lx = 2
@@ -41,7 +45,6 @@ fn baseline() -> String {
         quantum: 0,
         yield_every_quanta: 0,
         job_retries: 1,
-        hold_points: Vec::new(),
         ..SchedConfig::default()
     };
     sched::run_sweep(&spec, &cfg, &EventLog::new()).observables_json()
@@ -50,6 +53,11 @@ fn baseline() -> String {
 #[test]
 fn baseline_is_reproducible() {
     assert_eq!(baseline(), baseline());
+    // Every comparison in this file (and the served / sharded tiers) is
+    // between two runs of the same router; this file is the oracle that is
+    // not: bytes written by the last commit with a separate one-shot shell
+    // (tests/golden/README.md).
+    assert_eq!(baseline(), include_str!("golden/sweep_v1.obs.json"));
 }
 
 #[test]
@@ -62,7 +70,6 @@ fn worker_count_is_unobservable() {
         quantum: 0,
         yield_every_quanta: 0,
         job_retries: 1,
-        hold_points: Vec::new(),
         ..SchedConfig::default()
     };
     let report = sched::run_sweep(&spec, &cfg, &EventLog::new());
@@ -81,7 +88,6 @@ fn device_pool_size_is_unobservable() {
             quantum: 0,
             yield_every_quanta: 0,
             job_retries: 1,
-            hold_points: Vec::new(),
             ..SchedConfig::default()
         };
         let events = EventLog::new();
@@ -110,7 +116,6 @@ fn preemption_and_resume_are_unobservable() {
         quantum: 3,            // park every 3 sweeps...
         yield_every_quanta: 1, // ...after every single quantum
         job_retries: 1,
-        hold_points: Vec::new(),
         ..SchedConfig::default()
     };
     let events = EventLog::new();
@@ -126,33 +131,75 @@ fn preemption_and_resume_are_unobservable() {
 
 #[test]
 fn mid_sweep_priority_injection_is_unobservable() {
-    // Point 1's jobs are held out of the initial submission and injected at
-    // a higher priority the moment the first event fires — so they cut in
-    // front of point 0's remaining work mid-sweep.
+    // The path a tenant's urgent campaign takes: point 0 is submitted at
+    // priority 0 and, while its two jobs time-slice on the one worker,
+    // point 1 arrives as a second campaign at priority 1 and cuts in front
+    // of point 0's remaining work.
     let spec = spec();
-    let cfg = SchedConfig {
+    let service = SweepService::start(&SchedConfig {
         workers: 1,
-        devices: 0,
-        queue_bound: 0,
         quantum: 2,
         yield_every_quanta: 1,
-        job_retries: 1,
-        hold_points: vec![1],
         ..SchedConfig::default()
+    });
+    // The interleaving is forced, not hoped for: a pacer campaign is one job
+    // of one quantum whose point observer parks the worker (observers run
+    // on it, outside every lock) until the test thread has met it twice.
+    let pacer = GridSpec {
+        chains: 1,
+        warmup: 0,
+        sweeps: 2,
+        ..spec.clone()
     };
-    let events = EventLog::new();
-    let report = sched::run_sweep_observed(
-        &spec,
-        &cfg,
-        &events,
-        Some(&|_e, injector| injector.release_held(1)),
-    );
-    let snap = events.snapshot();
-    // The injected point really did run before point 0 finished.
+    let gate = Arc::new(Barrier::new(2));
+    let park_worker = || {
+        let gate = Arc::clone(&gate);
+        let observer: Arc<PointObserver> = Arc::new(move |_: &PointSummary| {
+            gate.wait();
+            gate.wait();
+        });
+        let req = CampaignRequest {
+            spec: pacer.clone(),
+            priority: 0,
+            points: Some(vec![0]),
+        };
+        service
+            .submit(&req, Some(observer))
+            .expect("pacer admitted");
+    };
+    let campaign = |point, priority| {
+        let req = CampaignRequest {
+            spec: spec.clone(),
+            priority,
+            points: Some(vec![point]),
+        };
+        service.submit(&req, None).expect("campaign admitted")
+    };
+    park_worker();
+    gate.wait(); // worker parked: what follows is queued as one unit
+    let low = campaign(0, 0);
+    park_worker(); // behind point 0's two jobs in their class
+    gate.wait(); // worker released: each job of point 0 runs one quantum and
+    gate.wait(); // yields, then the second pacer parks it again
+    let high = campaign(1, 1);
+    gate.wait();
+    let mut points = low.wait().points;
+    points.extend(high.wait().points);
+
+    let snap = service.events().snapshot();
     let first_p1_start = snap
         .iter()
         .position(|e| matches!(e, TraceEvent::Started { point: 1, .. }))
-        .expect("held point was injected");
+        .expect("injected point ran");
+    let p0_yields_before = snap[..first_p1_start]
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Yielded { point: 0, .. }))
+        .count();
+    assert_eq!(
+        p0_yields_before, 2,
+        "point 0 was mid-run when point 1 arrived"
+    );
+    // The injected point really did run before point 0 finished.
     let last_p0_done = snap
         .iter()
         .rposition(|e| matches!(e, TraceEvent::Completed { point: 0, .. }))
@@ -161,8 +208,11 @@ fn mid_sweep_priority_injection_is_unobservable() {
         first_p1_start < last_p0_done,
         "injected jobs should preempt point 0's remaining work"
     );
-    assert_eq!(report.failed_jobs, 0);
-    assert_eq!(report.observables_json(), baseline());
+    assert!(points.iter().all(|p| p.chains_failed == 0));
+    assert_eq!(
+        sched::observables_json_for(spec.seed, spec.chains, spec.warmup, spec.sweeps, &points),
+        baseline()
+    );
 }
 
 #[test]
@@ -178,7 +228,6 @@ fn scripted_device_faults_heal_bit_identically() {
         quantum: 0,
         yield_every_quanta: 0,
         job_retries: 1,
-        hold_points: Vec::new(),
         ..SchedConfig::default()
     };
     let report = sched::run_sweep(&faulty, &cfg, &EventLog::new());
@@ -342,7 +391,6 @@ fn workers_contending_for_the_kernel_team_are_unobservable() {
             quantum: 0,
             yield_every_quanta: 0,
             job_retries: 1,
-            hold_points: Vec::new(),
             ..SchedConfig::default()
         };
         sched::run_sweep(&spec, &cfg, &EventLog::new()).observables_json()
