@@ -189,8 +189,9 @@ fn main() {
         probe.warmup + probe.sweeps
     ));
     out.push_str(&format!(
-        "  \"host_cores\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        "  \"host_cores\": {},\n  \"cpu_model\": \"{}\",\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        bench::cpu_model()
     ));
     let render = |rows: &[Row]| -> String {
         rows.iter()

@@ -12,15 +12,16 @@
 //! (one thread: the fork-join team of `linalg::team` taken for the
 //! duration), then the dispatched kernel *free* (the team may put the host's
 //! other cores on its chunks), which is the 1-vs-N-thread kernel row of the
-//! ledger; the sizes start below `team::FORK_FLOPS` so the row shows where
-//! forking begins. A pinned path the host lacks runs its fallback, so its
+//! ledger; the sizes start at N = 16 and 36 — the systems the scheduler,
+//! service and fleet layers run, where a call's fixed cost shows — and cross
+//! `team::FORK_FLOPS`, so the row shows where forking begins. A pinned path the host lacks runs its fallback, so its
 //! column repeats the one to its left. QR and QRP run free. Results are also
 //! written to `BENCH_fig1.json` (with `host_cores` and `cpu_model`) for the
 //! checked-in benchmark artifact.
 //!
 //! Usage: `cargo run --release -p bench --bin fig1 [--full | --smoke]`
 
-use bench::{flops_gemm, flops_qr, time_best, BenchOpts};
+use bench::{cpu_model, flops_gemm, flops_qr, time_best, BenchOpts};
 use linalg::{gemm_with_kernel, kernel_path, KernelPath, Matrix, Op};
 use util::table::{fmt_f, Table};
 
@@ -37,16 +38,12 @@ struct Row {
 fn main() {
     let opts = BenchOpts::from_env();
     let sizes: &[usize] = if opts.smoke {
-        &[64, 128, 256]
+        &[16, 36, 64, 128, 256]
     } else if opts.full {
-        &[64, 96, 128, 256, 384, 512, 768, 1024, 1536, 2048]
+        &[16, 36, 64, 96, 128, 256, 384, 512, 768, 1024, 1536, 2048]
     } else {
-        &[64, 96, 128, 256, 384, 512, 768, 1024]
+        &[16, 36, 64, 96, 128, 256, 384, 512, 768, 1024]
     };
-    // Best of enough repetitions to cover ~0.4 GFlop per timing (a few ms on
-    // the AVX-512 tile): a 3-call sample at N = 128 is 0.2 ms, less than one
-    // wake-up of a parked helper.
-    let reps = |n: usize| (400_000_000 / (n * n * n)).clamp(if n <= 512 { 3 } else { 1 }, 400);
     let dispatched = kernel_path();
     let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
 
@@ -73,17 +70,19 @@ fn main() {
 
         let mut c = Matrix::zeros(n, n);
         let mut time_gemm = |path: KernelPath| {
-            time_best(reps(n), || {
+            per_call(n, || {
                 gemm_with_kernel(path, 1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c);
             })
         };
-        let t_gemm = time_gemm(dispatched);
+        // Held first: the scalar column is the longest run of the row, and at
+        // N = 16 — the first row — it is what brings the core up to speed.
         let [t_gemm_scalar, t_gemm_fma, t_gemm_held] = {
             let _one_thread = linalg::team::hold();
             [KernelPath::Scalar, KernelPath::Fma, dispatched].map(&mut time_gemm)
         };
-        let t_qr = time_best(reps(n), || linalg::qr::qr_in_place(a.clone()));
-        let t_qrp = time_best(reps(n), || linalg::qrp::qrp_in_place(a.clone()));
+        let t_gemm = time_gemm(dispatched);
+        let t_qr = per_call(n, || linalg::qr::qr_in_place(a.clone()));
+        let t_qrp = per_call(n, || linalg::qrp::qrp_in_place(a.clone()));
 
         let row = Row {
             n,
@@ -124,6 +123,22 @@ fn main() {
     }
 }
 
+/// Best seconds per call of an order-`n` kernel: enough calls to cover
+/// ~0.4 GFlop of `n³` work (a few ms on the AVX-512 tile — a 3-call run at
+/// N = 128 would be 0.2 ms, less than one wake-up of a parked helper), timed
+/// in samples of at least ~1 MFlop each, so a 0.3 µs call at N = 16 is read
+/// off 245 back-to-back calls and not off the clock's own overhead.
+fn per_call<T>(n: usize, mut f: impl FnMut() -> T) -> f64 {
+    let calls = (400_000_000 / (n * n * n)).max(if n <= 512 { 3 } else { 1 });
+    let inner = (1_000_000 / (n * n * n)).max(1);
+    let sample = || {
+        for _ in 0..inner {
+            std::hint::black_box(f());
+        }
+    };
+    time_best(calls.div_ceil(inner), sample) / inner as f64
+}
+
 /// Hand-rendered JSON (no serde in the dependency closure).
 fn render_json(dispatched: KernelPath, host_cores: usize, rows: &[Row]) -> String {
     let mut s = String::new();
@@ -156,15 +171,4 @@ fn render_json(dispatched: KernelPath, host_cores: usize, rows: &[Row]) -> Strin
     ));
     s.push_str("}\n");
     s
-}
-
-/// The host's `model name` line of `/proc/cpuinfo`, quotes and backslashes
-/// dropped so it can sit in the JSON unescaped.
-fn cpu_model() -> String {
-    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
-    let line = info.lines().find(|l| l.starts_with("model name"));
-    let model = line
-        .and_then(|l| l.split_once(':'))
-        .map_or("unknown", |(_, m)| m.trim());
-    model.chars().filter(|&c| c != '"' && c != '\\').collect()
 }

@@ -113,6 +113,17 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
+/// The host's `model name` line of `/proc/cpuinfo`, quotes and backslashes
+/// dropped so it can sit in the JSON unescaped.
+pub fn cpu_model() -> String {
+    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let line = info.lines().find(|l| l.starts_with("model name"));
+    let model = line
+        .and_then(|l| l.split_once(':'))
+        .map_or("unknown", |(_, m)| m.trim());
+    model.chars().filter(|&c| c != '"' && c != '\\').collect()
+}
+
 /// Standard half-filled square-lattice model used across the harness.
 pub fn square_model(lside: usize, u: f64, beta: f64, dtau: f64) -> ModelParams {
     let slices = (beta / dtau).round().max(1.0) as usize;

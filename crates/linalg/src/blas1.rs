@@ -2,14 +2,19 @@
 //!
 //! These are the scalar building blocks of the factorizations, written as
 //! straightforward loops over slices. Their cost is *not* negligible next to
-//! the level-3 work any more: one thread at N = 256 (PR 16 sizing),
-//! `qr_in_place` takes 1.78 ms on the FMA tile and 1.3 ms on the AVX-512
-//! one, of which ~1.05 ms either way is `qr_panel_unblocked` + `form_t_into`,
-//! and `qrp_in_place` 4.2–5.0 ms — mostly single-accumulator
-//! `s += v[i] * c[i]` chains in those panels, which the compiler cannot
-//! vectorise without reassociating the sum. Routing them through a
-//! multi-accumulator [`dot`] / [`axpy`] is ROADMAP item 4; it changes the
-//! summation order and therefore every `obs_fnv`.
+//! the level-3 work: the QR leaves and the whole QRP panel are
+//! single-accumulator `s += v[i] * c[i]` chains, which the compiler cannot
+//! vectorise without reassociating the sum, and [`nrm2`] divides once per
+//! element. Routing those chains through a multi-accumulator FMA [`dot`] /
+//! [`axpy`] is ROADMAP item 3, sized at N = 256 (PR 16: `qr_in_place`
+//! 1.78 → 1.34 ms, `qrp_in_place` 4.17 → 2.61 ms on the FMA tile). It is
+//! *not* the lever at N = 36: prototyped in the QR panel loop when PR 22
+//! resized the panels, `qr_in_place` moved 22.3 → 20.7 µs, against 22.7 →
+//! 11.5 µs from the panel widths alone. What did show there is [`nrm2`]: a
+//! sum-of-squares fast path with the scaled loop as the overflow fallback
+//! read `qr_in_place` 13.9 → 11.9 µs and `qrp_in_place` 31.5 → 26.1 µs at
+//! n = 36 — left for item 3 with the rest of level 1, since each of these
+//! changes the summation order and therefore every `obs_fnv`.
 
 /// Dot product `xᵀy`.
 #[inline]

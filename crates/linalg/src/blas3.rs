@@ -1,10 +1,13 @@
 //! Level-3 matrix–matrix multiply (DGEMM analogue).
 //!
-//! Cache-blocked, packed GEMM in the Goto/BLIS style:
+//! Cache-blocked, packed GEMM in the Goto/BLIS style, and the only GEMM
+//! there is — a 1×1×1 product and a 2048³ one take the same steps:
 //!
-//! - the k-dimension is tiled by `KC`, each slab packed once,
-//! - within a slab, A is packed into `MR`-row micro-panels and B into
-//!   `NR`-column micro-panels,
+//! - beta is applied to C once, up front,
+//! - the k-dimension is tiled by `KC`, each slab packed once into one leased
+//!   buffer: A into `MR`-row micro-panels, B into `NR`-column micro-panels
+//!   (k-major; a `NoTrans` A panel is a run of column segments, moved as
+//!   vectors),
 //! - an `MR × NR` register-tile micro-kernel runs over the packed panels,
 //! - each `KC` slab is one pair of [`crate::team`] jobs — pack the panels,
 //!   then the macro-tiles (`MC × NC`) of `NR`-aligned column ranges of C — cut
@@ -17,6 +20,17 @@
 //! tile otherwise (`LINALG_KERNEL=scalar|fma|avx512` pins a path). Packing
 //! buffers come from the [`crate::workspace`] arena, so steady-state GEMM
 //! calls perform no heap allocation.
+//!
+//! There is no unpacked path for small products (there was one, under 48³,
+//! until PR 22): the systems the scheduler, service and fleet layers run are
+//! N = 16 and 36, and a 36³ product is 4–5× faster through the tile than
+//! through an axpy loop (`BENCH_fig1.json`, N = 16/36 rows). What a call
+//! costs besides its multiply-adds is one arena lease, the two packing
+//! passes and the edge tiles; the AVX-512 path writes edge tiles under a row
+//! mask and runs a last row panel of at most 8 rows at half height, so
+//! 36 = 16 + 16 + 4 pays for 40 rows, not 48 (DESIGN.md §8 has the numbers).
+//! IEEE semantics hold at every size: nothing skips a zero multiplier, so a
+//! NaN or Inf in A or B reaches C.
 //!
 //! This reproduces the property the paper's Figure 1 rests on: GEMM reaches a
 //! high fraction of peak even at DQMC sizes (N ≈ 256…2048) because every
@@ -50,6 +64,13 @@ impl Op {
             Op::Trans => a.ncols(),
         }
     }
+    /// The other flag: `op(X)ᵀ` is `op.flipped()(X)`.
+    fn flipped(self) -> Op {
+        match self {
+            Op::NoTrans => Op::Trans,
+            Op::Trans => Op::NoTrans,
+        }
+    }
     /// Columns of `op(A)` given the stored shape.
     pub(crate) fn cols(self, a: View<'_>) -> usize {
         match self {
@@ -65,8 +86,6 @@ pub(crate) const KC: usize = 256;
 pub(crate) const MC: usize = 128;
 /// Cache block for the n dimension (per macro-tile).
 pub(crate) const NC: usize = 512;
-/// Below this flop count the packing/blocking machinery is pure overhead.
-pub(crate) const SMALL_FLOPS: usize = 48 * 48 * 48;
 /// Micro-panels per chunk of a slab's packing job (A and B panels alike).
 const PACK_PANELS: usize = 8;
 /// B micro-panels (`NR` columns of C each) per chunk of a slab's tile job.
@@ -160,19 +179,12 @@ fn gemm_impl(
     assert_eq!(c.ncols(), n, "gemm: C column count");
 
     // Apply beta once up front.
-    for j in 0..n {
-        if beta == 0.0 {
-            c.col_mut(j).fill(0.0);
-        } else if beta != 1.0 {
-            c.col_mut(j).iter_mut().for_each(|x| *x *= beta);
-        }
+    if beta == 0.0 {
+        c.for_each_run(|run| run.fill(0.0));
+    } else if beta != 1.0 {
+        c.for_each_run(|run| run.iter_mut().for_each(|x| *x *= beta));
     }
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-
-    if m * n * k <= SMALL_FLOPS {
-        gemm_small(alpha, a, opa, b, opb, &mut c);
         return;
     }
 
@@ -183,14 +195,14 @@ fn gemm_impl(
     }
 }
 
-/// The blocked path, monomorphised per micro-tile shape `MR × NR`.
+/// The blocked driver, monomorphised per micro-tile shape `MR × NR`.
 ///
-/// The shape names the micro-kernel ([`run_micro`]): 8×4 the scalar register
-/// tile, 8×6 AVX2+FMA, 16×12 AVX-512 — callers instantiate a SIMD shape only
-/// for a path [`KernelPath::or_fallback`] returned. Packing buffers are
-/// leased from the thread-local workspace arena — zero heap traffic once the
-/// arena is warm — and not cleared: every slab packs each element it reads,
-/// padding included.
+/// The shape names the micro-kernel ([`macro_kernel`]): 8×4 the scalar
+/// register tile, 8×6 AVX2+FMA, 16×12 AVX-512 — callers instantiate a SIMD
+/// shape only for a path [`KernelPath::or_fallback`] returned. The packing
+/// buffer is leased from the thread-local workspace arena — zero heap traffic
+/// once the arena is warm — and not cleared: every slab packs each element
+/// it reads, padding included.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<const MR: usize, const NR: usize>(
     alpha: f64,
@@ -203,22 +215,33 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     n: usize,
     k: usize,
 ) {
-    let mut packed_a = workspace::take_scratch(padded(m, MR) * KC.min(k));
-    let mut packed_b = workspace::take_scratch(KC.min(k) * padded(n, NR));
+    let (mut packed, a_len) = lease_panels::<MR, NR>(m, n, k);
+    let (packed_a, packed_b) = packed.split_at_mut(a_len);
 
     let mut pc = 0;
     while pc < k {
         let kc = KC.min(k - pc);
         let (a, b) = (Some((a, opa)), Some((b, opb)));
-        slab::<MR, NR>(alpha, a, b, pc, kc, &mut packed_a, &mut packed_b, &mut c);
+        slab::<MR, NR>(alpha, a, b, pc, kc, packed_a, packed_b, &mut c);
         pc += kc;
     }
 
-    workspace::put(packed_a);
-    workspace::put(packed_b);
+    workspace::put(packed);
 }
 
-pub(crate) fn padded(x: usize, r: usize) -> usize {
+/// One arena lease for both packed operands of an `m × n × k` product: the
+/// buffer, and where the A panels end and the B panels begin.
+pub(crate) fn lease_panels<const MR: usize, const NR: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+) -> (Vec<f64>, usize) {
+    let kc = KC.min(k);
+    let a_len = padded(m, MR) * kc;
+    (workspace::take_scratch(a_len + kc * padded(n, NR)), a_len)
+}
+
+fn padded(x: usize, r: usize) -> usize {
     x.div_ceil(r) * r
 }
 
@@ -260,13 +283,13 @@ pub(crate) fn slab<const MR: usize, const NR: usize>(
             let p1 = u1.min(a_units);
             // SAFETY: chunk i alone covers units u0..u1, hence these panels.
             let dst = unsafe { a_shards.cols(u0, p1 - u0) };
-            pack_a::<MR>(a, opa, pc, kc, m, u0, dst);
+            pack::<MR>(a, opa, pc, m, u0, dst);
         }
         if let (Some((b, opb)), true) = (b, u1 > a_units) {
             let p0 = u0.max(a_units) - a_units;
             // SAFETY: as above, for the B panels among units u0..u1.
             let dst = unsafe { b_shards.cols(p0, u1 - a_units - p0) };
-            pack_b::<NR>(b, opb, pc, kc, n, p0, dst);
+            pack::<NR>(b, opb.flipped(), pc, n, p0, dst);
         }
     });
 
@@ -300,62 +323,46 @@ fn read_op(a: View<'_>, op: Op, i: usize, p: usize) -> f64 {
     }
 }
 
-/// Packs the MR-row micro-panels `p0..` of `op(A)[0..m, pc..pc+kc]`, one per
-/// column of `dst`.
+/// Packs the `W`-row micro-panels `p0..` of `op(X)[0..len, pc..pc+kc]`, one
+/// per column of `dst` — the A panels of a slab as they stand, and the B
+/// panels as those of `op(B)ᵀ` (`W = NR`, the op flipped).
 ///
-/// Layout: panel r0 (rows r0..r0+MR) occupies `kc*MR` consecutive values,
-/// k-major: element (r0+i, pc+p) at `panel_base + p*MR + i`. Rows beyond `m`
+/// Layout: panel r0 (rows r0..r0+W) occupies `kc*W` consecutive values,
+/// k-major: element (r0+i, pc+p) at `panel_base + p*W + i`. Rows beyond `len`
 /// are zero-padded.
-fn pack_a<const MR: usize>(
-    a: View<'_>,
-    opa: Op,
-    pc: usize,
-    kc: usize,
-    m: usize,
-    p0: usize,
-    mut dst: ViewMut<'_>,
-) {
-    for pi in 0..dst.ncols() {
-        let panel = dst.col_mut(pi);
-        let r0 = (p0 + pi) * MR;
-        let rows = MR.min(m - r0);
-        for p in 0..kc {
-            let dst = &mut panel[p * MR..(p + 1) * MR];
-            for i in 0..rows {
-                dst[i] = read_op(a, opa, r0 + i, pc + p);
-            }
-            for d in dst.iter_mut().take(MR).skip(rows) {
-                *d = 0.0;
-            }
-        }
+fn pack<const W: usize>(x: View<'_>, op: Op, pc: usize, len: usize, p0: usize, dst: ViewMut<'_>) {
+    match op {
+        // SAFETY: `pack_with` reads rows < len and k steps pc..pc+kc only,
+        // the logical bounds of op(X).
+        Op::NoTrans => pack_with::<W>(|i, p| unsafe { x.get_unchecked(i, p) }, pc, len, p0, dst),
+        // SAFETY: as above, with the index pair swapped into stored order.
+        Op::Trans => pack_with::<W>(|i, p| unsafe { x.get_unchecked(p, i) }, pc, len, p0, dst),
     }
 }
 
-/// Packs the NR-column micro-panels `p0..` of `op(B)[pc..pc+kc, 0..n]`, one
-/// per column of `dst`.
-///
-/// Layout: panel c0 occupies `kc*NR` consecutive values, k-major: element
-/// (pc+p, c0+j) at `panel_base + p*NR + j`. Columns beyond `n` are zero-padded.
-fn pack_b<const NR: usize>(
-    b: View<'_>,
-    opb: Op,
+/// [`pack`] over one way of reading `op(X)[i, p]`. A full panel's k step is
+/// `W` reads with a constant bound: for a `NoTrans` operand, whose step is a
+/// column segment, two vector moves.
+#[inline(always)]
+fn pack_with<const W: usize>(
+    read: impl Fn(usize, usize) -> f64,
     pc: usize,
-    kc: usize,
-    n: usize,
+    len: usize,
     p0: usize,
     mut dst: ViewMut<'_>,
 ) {
     for pi in 0..dst.ncols() {
-        let panel = dst.col_mut(pi);
-        let c0 = (p0 + pi) * NR;
-        let cols = NR.min(n - c0);
-        for p in 0..kc {
-            let dst = &mut panel[p * NR..(p + 1) * NR];
-            for j in 0..cols {
-                dst[j] = read_op(b, opb, pc + p, c0 + j);
-            }
-            for d in dst.iter_mut().take(NR).skip(cols) {
-                *d = 0.0;
+        let r0 = (p0 + pi) * W;
+        let rows = W.min(len - r0);
+        for (p, step) in dst.col_mut(pi).chunks_exact_mut(W).enumerate() {
+            if rows == W {
+                for (i, d) in step.iter_mut().enumerate() {
+                    *d = read(r0 + i, pc + p);
+                }
+            } else {
+                for (i, d) in step.iter_mut().enumerate() {
+                    *d = if i < rows { read(r0 + i, pc + p) } else { 0.0 };
+                }
             }
         }
     }
@@ -411,31 +418,11 @@ fn macro_kernel<const MR: usize, const NR: usize>(
         while ir < mc {
             let mr = MR.min(mc - ir);
             let apanel = &packed_a[(ic + ir) / MR * (kc * MR)..][..kc * MR];
-            #[cfg(target_arch = "x86_64")]
-            if MR == 16 && NR == 12 && mr == MR && nr == NR {
-                debug_assert!(KernelPath::Avx512.available());
-                // SAFETY: as in `run_micro` for the ISA and the panels; the
-                // tile is interior, so all 16×12 elements from row ic + ir,
-                // column jc + jr lie inside C.
-                unsafe {
-                    let ctile = cptr.add((jc + jr) * ldc + ic + ir);
-                    simd::micro_kernel_avx512_16x12_update(kc, apanel, bpanel, alpha, ctile, ldc);
-                }
-                ir += MR;
-                continue;
-            }
-            let mut acc = [[0.0f64; MR]; NR];
-            run_micro::<MR, NR>(kc, apanel, bpanel, &mut acc);
-            // Accumulate into C (bounds-clipped tile edges).
-            for (j, accj) in acc.iter().enumerate().take(nr) {
-                let cj = jc + jr + j;
-                for (i, &v) in accj.iter().enumerate().take(mr) {
-                    let ci = ic + ir + i;
-                    // SAFETY: ci < m, cj < n by construction.
-                    unsafe {
-                        *cptr.add(cj * ldc + ci) += alpha * v;
-                    }
-                }
+            // SAFETY: the panels hold kc*MR and kc*NR elements, and the
+            // mr × nr elements from row ic + ir, column jc + jr lie inside C.
+            unsafe {
+                let ctile = cptr.add((jc + jr) * ldc + ic + ir);
+                update_tile::<MR, NR>(kc, apanel, bpanel, alpha, ctile, ldc, mr, nr);
             }
             ir += MR;
         }
@@ -443,40 +430,64 @@ fn macro_kernel<const MR: usize, const NR: usize>(
     }
 }
 
-/// Dispatches one register tile to the micro-kernel its shape names.
+/// `C += alpha · tile` for the `mr × nr` block of C at `c`, the tile computed
+/// by the micro-kernel the shape names. The AVX-512 tile goes to C straight
+/// from its registers (under a row mask that clips edge tiles, a last row
+/// panel of at most 8 rows at half height); the other two store the full tile and clip
+/// it in the scalar loop `c += alpha * v`. Either way an element of C gets
+/// one multiply by alpha and one add.
+///
+/// # Safety
+///
+/// `apanel` and `bpanel` hold `kc*MR` and `kc*NR` elements, `mr ≤ MR`,
+/// `nr ≤ NR`, `c.add(j*ldc + i)` is valid for reads and writes for `i < mr`,
+/// `j < nr`, and a SIMD shape is only instantiated (`gemm_impl`,
+/// `dgemm_strided_batched`) for a path `or_fallback` returned, so the host
+/// has the ISA the shape names.
 #[inline(always)]
-fn run_micro<const MR: usize, const NR: usize>(
+#[allow(clippy::too_many_arguments)]
+unsafe fn update_tile<const MR: usize, const NR: usize>(
     kc: usize,
     apanel: &[f64],
     bpanel: &[f64],
-    acc: &mut [[f64; MR]; NR],
+    alpha: f64,
+    c: *mut f64,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    match (MR, NR) {
-        (16, 12) => {
-            debug_assert!(KernelPath::Avx512.available());
-            // SAFETY: the 16×12 shape is only instantiated (`gemm_impl`,
-            // `dgemm_strided_batched`) for a path `or_fallback` returned, so
-            // the host has avx512f; panels hold kc*MR / kc*NR elements and
-            // `acc` is a contiguous 16×12 tile.
-            unsafe {
-                let tile = acc.as_mut_ptr().cast::<f64>();
-                simd::micro_kernel_avx512_16x12(kc, apanel, bpanel, tile);
+    if MR == 16 && NR == 12 {
+        debug_assert!(KernelPath::Avx512.available());
+        // SAFETY: avx512f, the panel lengths and the block of C are this
+        // function's own contract; H = 1 only when mr ≤ 8.
+        unsafe {
+            if mr <= 8 {
+                simd::micro_kernel_avx512_update::<1>(kc, apanel, bpanel, alpha, c, ldc, mr, nr);
+            } else {
+                simd::micro_kernel_avx512_update::<2>(kc, apanel, bpanel, alpha, c, ldc, mr, nr);
             }
-            return;
         }
-        (8, 6) => {
-            debug_assert!(KernelPath::Fma.available());
-            // SAFETY: as above for the 8×6 shape and avx2+fma; `acc` is a
-            // contiguous 8×6 tile.
-            unsafe {
-                simd::micro_kernel_fma_8x6(kc, apanel, bpanel, acc.as_mut_ptr().cast::<f64>());
-            }
-            return;
-        }
-        _ => {}
+        return;
     }
-    micro_kernel::<MR, NR>(kc, apanel, bpanel, acc);
+    let mut acc = [[0.0f64; MR]; NR];
+    #[cfg(target_arch = "x86_64")]
+    if MR == 8 && NR == 6 {
+        debug_assert!(KernelPath::Fma.available());
+        // SAFETY: avx2+fma and the panel lengths are this function's own
+        // contract; `acc` is a contiguous 8×6 tile.
+        unsafe { simd::micro_kernel_fma_8x6(kc, apanel, bpanel, acc.as_mut_ptr().cast::<f64>()) };
+    } else {
+        micro_kernel::<MR, NR>(kc, apanel, bpanel, &mut acc);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    micro_kernel::<MR, NR>(kc, apanel, bpanel, &mut acc);
+    for (j, accj) in acc.iter().enumerate().take(nr) {
+        for (i, &v) in accj.iter().enumerate().take(mr) {
+            // SAFETY: i < mr and j < nr, inside the block by the contract.
+            unsafe { *c.add(j * ldc + i) += alpha * v };
+        }
+    }
 }
 
 /// Scalar register-tile kernel:
@@ -502,58 +513,6 @@ fn micro_kernel<const MR: usize, const NR: usize>(
             let accj = &mut acc[j];
             for i in 0..MR {
                 accj[i] += a[i] * bj;
-            }
-        }
-    }
-}
-
-/// Serial path for small products: column-major friendly j-p-i loops.
-pub(crate) fn gemm_small(
-    alpha: f64,
-    a: View<'_>,
-    opa: Op,
-    b: View<'_>,
-    opb: Op,
-    c: &mut ViewMut<'_>,
-) {
-    let m = c.nrows();
-    let n = c.ncols();
-    let k = opa.cols(a);
-    match (opa, opb) {
-        (Op::NoTrans, _) => {
-            for j in 0..n {
-                for p in 0..k {
-                    let bpj = alpha * read_op(b, opb, p, j);
-                    if bpj != 0.0 {
-                        let acol = a.col(p);
-                        let ccol = c.col_mut(j);
-                        for i in 0..m {
-                            ccol[i] += bpj * acol[i];
-                        }
-                    }
-                }
-            }
-        }
-        (Op::Trans, Op::NoTrans) => {
-            // C[i,j] += alpha * dot(A[:,i], B[:,j])
-            for j in 0..n {
-                let bcol = b.col(j);
-                for i in 0..m {
-                    let s = crate::blas1::dot(a.col(i), bcol);
-                    c.col_mut(j)[i] += alpha * s;
-                }
-            }
-        }
-        (Op::Trans, Op::Trans) => {
-            for j in 0..n {
-                for i in 0..m {
-                    let mut s = 0.0;
-                    let acol = a.col(i);
-                    for p in 0..k {
-                        s += acol[p] * read_op(b, Op::Trans, p, j);
-                    }
-                    c.col_mut(j)[i] += alpha * s;
-                }
             }
         }
     }
@@ -622,7 +581,17 @@ mod tests {
 
     #[test]
     fn all_op_combinations_small() {
-        for &(m, n, k) in &[(1, 1, 1), (3, 5, 7), (8, 4, 16), (13, 9, 11)] {
+        // One element, sub-tile, one tile of each path, N = 16 and 36, and
+        // the 3-column flush of a delayed update.
+        for &(m, n, k) in &[
+            (1, 1, 1),
+            (3, 5, 7),
+            (8, 4, 16),
+            (13, 9, 11),
+            (16, 16, 16),
+            (36, 36, 36),
+            (36, 36, 3),
+        ] {
             for &opa in &[Op::NoTrans, Op::Trans] {
                 for &opb in &[Op::NoTrans, Op::Trans] {
                     check_against_naive(m, n, k, opa, opb, 42 + m as u64);
@@ -633,8 +602,7 @@ mod tests {
 
     #[test]
     fn blocked_path_exercised() {
-        // Sizes beyond SMALL_FLOPS and beyond one KC/MC/NC block, with
-        // non-multiple-of-tile edges.
+        // Sizes beyond one KC/MC/NC block, with non-multiple-of-tile edges.
         for &(m, n, k) in &[(130, 70, 300), (257, 513, 100), (64, 64, 600)] {
             for &opa in &[Op::NoTrans, Op::Trans] {
                 for &opb in &[Op::NoTrans, Op::Trans] {
@@ -646,23 +614,25 @@ mod tests {
 
     #[test]
     fn pinned_paths_match_naive_on_blocked_sizes() {
-        // Every explicit kernel path, on a size past SMALL_FLOPS with odd
-        // tile edges (61 % 8, 61 % 16, 53 % 4, 53 % 6, 53 % 12 all ≠ 0).
-        let (m, n, k) = (61, 53, 67);
-        let mut rng = Rng::new(11);
-        let a = Matrix::random(m, k, &mut rng);
-        let b = Matrix::random(k, n, &mut rng);
-        for path in [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512] {
-            let mut c1 = Matrix::zeros(m, n);
-            let mut c2 = Matrix::zeros(m, n);
-            gemm_with_kernel(path, 1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c1);
-            gemm_naive(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c2);
-            assert!(
-                c1.max_abs_diff(&c2) < 1e-12 * k as f64,
-                "path {:?}: {}",
-                path,
-                c1.max_abs_diff(&c2)
-            );
+        // Every explicit kernel path, on sizes with odd tile edges: 61 % 8,
+        // 61 % 16, 53 % 4, 53 % 6, 53 % 12 all ≠ 0, and 36 = 2·16 + 4, whose
+        // last row panel takes the AVX-512 tile's half-height form.
+        for (m, n, k) in [(61, 53, 67), (36, 36, 36), (5, 7, 3)] {
+            let mut rng = Rng::new(11);
+            let a = Matrix::random(m, k, &mut rng);
+            let b = Matrix::random(k, n, &mut rng);
+            for path in [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512] {
+                let mut c1 = Matrix::zeros(m, n);
+                let mut c2 = Matrix::zeros(m, n);
+                gemm_with_kernel(path, 1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c1);
+                gemm_naive(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c2);
+                assert!(
+                    c1.max_abs_diff(&c2) < 1e-12 * k as f64,
+                    "{m}x{n}x{k} path {:?}: {}",
+                    path,
+                    c1.max_abs_diff(&c2)
+                );
+            }
         }
     }
 
@@ -674,9 +644,9 @@ mod tests {
     #[test]
     fn views_match_copied_sub_blocks_bitwise() {
         // Operands and result as sub-blocks of larger buffers (and, last, of
-        // one buffer) against the same product on copies of the blocks: the
-        // small path (12³), the blocked path with odd tile edges, every op
-        // pair, beta = 0, 1 and general.
+        // one buffer) against the same product on copies of the blocks: 12³,
+        // N = 16 and 36, a 3-column flush, odd tile edges, every op pair,
+        // beta = 0, 1 and general.
         let mut rng = Rng::new(21);
         let big = 200;
         let (a0, b0, c0) = (
@@ -684,7 +654,15 @@ mod tests {
             Matrix::random(big, big, &mut rng),
             Matrix::random(big, big, &mut rng),
         );
-        for &(m, n, k) in &[(12, 12, 12), (61, 53, 67), (32, 150, 97)] {
+        let shapes = [
+            (12, 12, 12),
+            (16, 16, 16),
+            (36, 36, 36),
+            (36, 36, 3),
+            (61, 53, 67),
+            (32, 150, 97),
+        ];
+        for &(m, n, k) in &shapes {
             for &(opa, opb) in &[
                 (Op::NoTrans, Op::NoTrans),
                 (Op::Trans, Op::NoTrans),
@@ -747,9 +725,11 @@ mod tests {
 
     #[test]
     fn pinned_simd_paths_agree_bitwise_on_sub_views() {
-        // The AVX-512 tile writes interior tiles straight into C through its
-        // leading dimension: on blocks of larger buffers (ld = 200 > rows) it
-        // must give the FMA tile's bits and leave the rest of C alone.
+        // The AVX-512 tile writes every tile straight into C through its
+        // leading dimension — full ones whole, edge ones under a row mask: on
+        // blocks of larger buffers (ld = 200 > rows) it must give the FMA
+        // tile's bits and leave the rest of C alone, at N = 16 and 36, a one-
+        // row and a one-column C and a 3-column flush as on the large shapes.
         if !KernelPath::Avx512.available() {
             eprintln!("skipping: host lacks avx512f");
             return;
@@ -761,7 +741,17 @@ mod tests {
             Matrix::random(big, big, &mut rng),
             Matrix::random(big, big, &mut rng),
         );
-        for &(m, n, k) in &[(61, 53, 67), (32, 150, 97), (150, 37, 190)] {
+        let shapes = [
+            (16, 16, 16),
+            (36, 36, 36),
+            (36, 36, 3),
+            (1, 20, 9),
+            (20, 1, 9),
+            (61, 53, 67),
+            (32, 150, 97),
+            (150, 37, 190),
+        ];
+        for &(m, n, k) in &shapes {
             for opa in [Op::NoTrans, Op::Trans] {
                 for opb in [Op::NoTrans, Op::Trans] {
                     let (ar, ac) = if opa == Op::NoTrans { (m, k) } else { (k, m) };

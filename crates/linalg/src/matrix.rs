@@ -533,6 +533,30 @@ impl ViewMut<'_> {
         (wv, r.map(|b| self.block.sub(b)))
     }
 
+    /// Calls `f` on the block's elements as the fewest contiguous runs: its
+    /// columns, or the whole block at once when they are adjacent in memory
+    /// (`ld == rows`) — one memset for GEMM's `beta = 0` instead of `n`.
+    pub(crate) fn for_each_run(&mut self, mut f: impl FnMut(&mut [f64])) {
+        let View {
+            ptr,
+            rows,
+            cols,
+            ld,
+            ..
+        } = self.block;
+        let (runs, len) = if ld == rows {
+            (cols.min(1), rows * cols)
+        } else {
+            (cols, rows)
+        };
+        for j in 0..runs {
+            // SAFETY: run j starts at column j and covers that column, or —
+            // columns being adjacent — all of them; either way elements of
+            // the block this view borrows exclusively.
+            f(unsafe { std::slice::from_raw_parts_mut(ptr.cast_mut().add(j * ld), len) });
+        }
+    }
+
     /// Column `j` of the block as a mutable slice.
     #[inline]
     pub(crate) fn col_mut(&mut self, j: usize) -> &mut [f64] {

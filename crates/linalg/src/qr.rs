@@ -1,28 +1,77 @@
 //! Blocked Householder QR without pivoting (DGEQRF / DORGQR / DORMQR analogue).
 //!
-//! The factorization processes panels of [`NB`] columns: each panel is
-//! factored with level-2 reflector applications, the reflectors are
-//! aggregated into a compact WY representation `Q = I − V T Vᵀ` (dlarft), and
-//! the trailing matrix is updated with three level-3 products (dlarfb). This
-//! is the structure that lets unpivoted QR run near GEMM speed — the property
+//! The factorization processes panels of 16 columns (32 from order 512 up):
+//! each panel is
+//! factored recursively (Elmroth–Gustavson: left half, block reflector onto
+//! the right half, right half, join the two T factors — all through
+//! [`crate::blas3::gemm_view`]), down to leaves of `BASE` columns that run the
+//! level-2 reflector loop; the recursion leaves the panel's reflectors in a
+//! compact WY representation `Q = I − V T Vᵀ` (dlarft) as it goes, and the
+//! trailing matrix is updated with three level-3 products (dlarfb). This is
+//! the structure that lets unpivoted QR run near GEMM speed — the property
 //! the paper's pre-pivoted stratification (its Algorithm 3) exploits.
+//! Applying and forming Q ([`QrFactors::apply_q`], [`QrFactors::form_q`])
+//! rebuild each panel's T by the same recursion, so T is GEMM work too.
+//!
+//! The widths were sized after GEMM became one packed path at every size
+//! (PR 22). Panel / leaf, on the two shapes the benchmark runs — N = 36, which
+//! the scheduler, service and fleet layers run, and the paper's N = 256 (µs
+//! and ms per `qr_in_place`, team free, this 2-core host):
+//!
+//! ```text
+//! panel/leaf  32/32 (PR 21)  32/8   16/16      16/8       8/8    64/8
+//! n = 36          22.7       14.6   12.0       11.5       11.0   12.1–18.0
+//! n = 256          1.16       0.90   0.86–0.92  0.86–0.90  0.99   0.84–0.96
+//! ```
+//!
+//! A wider panel puts more of the flops into large GEMMs but pays for it in
+//! T (`nb²·m` per panel) and, at N = 36, in recursion depth; a leaf under 8
+//! columns spends more in per-call GEMM cost (≈ 0.3 µs each, six per join)
+//! than the level-2 loop it replaces (`BASE = 4`: 13.2–14.7 µs and
+//! 0.97–0.99 ms). Once the matrix leaves the cache the balance tips: a
+//! 16-column block reflector streams the whole trailing block for 16 columns'
+//! worth of arithmetic. One thread, 16- against 32-column panels (GFlop/s
+//! `qr_in_place`, ms `form_q`; the 32-column PR 21 code in brackets):
+//!
+//! ```text
+//! n            64        128        196        256        512        1024
+//! qr   16   10.1–10.5  16.8–18.6  23.7–24.4  26.7–27.9  29.1–29.6  29.1–31.7
+//! qr   32    8.7–9.1   15.0–18.0  19.0–23.7  20.9–27.4  21.6–34.4  40.1–42.6  [32.8]
+//! form_q 16                                    0.71        6.0       47–50
+//! form_q 32                                    0.66        4.7       32–34    [36–37]
+//! ```
+//!
+//! so the width is a function of the order, with the step at 512.
 //!
 //! The block reflector updates its target where it lives (a trailing block of
 //! the matrix being factored, or of the Q being formed) through
 //! [`crate::blas3::gemm_view`]. All per-panel staging (explicit V, the T
-//! factor, the two W work matrices) is leased from the [`crate::workspace`]
-//! arena, so a steady-state factorization allocates nothing; `cargo xtask
-//! lint` enforces this via the `deny_hot_alloc` tag below.
+//! factor, the two W work matrices, the join's scratch) is leased from the
+//! [`crate::workspace`] arena, so a steady-state factorization allocates
+//! nothing; `cargo xtask lint` enforces this via the `deny_hot_alloc` tag
+//! below.
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
 use crate::blas1;
-use crate::blas3::{gemm, gemm_view, Op};
-use crate::matrix::{Matrix, ViewMut};
+use crate::blas3::{gemm_view, Op};
+use crate::matrix::{Matrix, View, ViewMut};
 use crate::workspace;
 
-/// Panel width for the blocked algorithm.
-pub const NB: usize = 32;
+/// Panel width for factoring, applying or forming `k` reflectors: 16 columns,
+/// and 32 from `k = 512` up, where the matrix has left the cache and a
+/// 16-column block reflector no longer does enough arithmetic per byte of the
+/// trailing block it streams (module docs have the sizing).
+fn panel_width(k: usize) -> usize {
+    if k < 512 {
+        16
+    } else {
+        32
+    }
+}
+
+/// Columns the recursive panel hands to the level-2 loop.
+const BASE: usize = 8;
 
 /// Compact QR factorization: `A = Q R`.
 ///
@@ -113,61 +162,153 @@ fn qr_panel_unblocked(a: &mut Matrix, r0: usize, c0: usize, ncols: usize, tau: &
     }
 }
 
-/// Builds the T factor of the compact WY representation (dlarft analogue):
-/// `Q = I − V T Vᵀ` with T upper triangular `nb × nb`, written into the
-/// caller-provided (zeroed) `t`.
-///
-/// `v` is the m×nb unit-lower-trapezoidal reflector matrix (explicit form).
-fn form_t_into(v: &Matrix, tau: &[f64], t: &mut Matrix) {
-    let nb = v.ncols();
-    debug_assert!(t.nrows() == nb && t.ncols() == nb);
-    // Scratch for w = Vᵀ(:,0..j) v_j; nb ≤ NB so a stack array suffices.
-    let mut w = [0.0f64; NB];
-    for j in 0..nb {
-        t[(j, j)] = tau[j];
-        if j > 0 && tau[j] != 0.0 {
-            for (l, wl) in w[..j].iter_mut().enumerate() {
-                *wl = blas1::dot(v.col(l), v.col(j));
+/// The T factor of columns `c..c+w` of a panel (dlarft analogue), by the
+/// level-1 recurrence: `T[c+j, c+j] = tau[c+j]`, `T[c..c+j, c+j] =
+/// −tau[c+j] · T[c..c+j, c..c+j] · (Vᵀ v_j)`. The recursion's leaf, `w ≤ BASE`.
+fn t_leaf(v: &Matrix, tau: &[f64], t: &mut Matrix, c: usize, w: usize) {
+    let mut dots = [0.0f64; BASE];
+    for j in 0..w {
+        let tj = tau[c + j];
+        t[(c + j, c + j)] = tj;
+        if j > 0 && tj != 0.0 {
+            // Rows above c + j of column c + j are zero: dot from there on.
+            for (l, d) in dots[..j].iter_mut().enumerate() {
+                *d = blas1::dot(&v.col(c + l)[c + j..], &v.col(c + j)[c + j..]);
             }
-            // T(0..j, j) = −tau_j * T(0..j,0..j) * w
             for r in 0..j {
                 let mut s = 0.0;
                 for l in r..j {
-                    s += t[(r, l)] * w[l];
+                    s += t[(c + r, c + l)] * dots[l];
                 }
-                t[(r, j)] = -tau[j] * s;
+                t[(c + r, c + j)] = -tj * s;
             }
         }
     }
 }
 
-/// Extracts the explicit V (unit lower trapezoidal, m−r0 × nb) from the
-/// packed factorization for panel starting at `(r0, c0)` into `v`.
-fn extract_v_into(a: &Matrix, r0: usize, c0: usize, nb: usize, v: &mut Matrix) {
-    let m = a.nrows();
-    debug_assert!(v.nrows() == m - r0 && v.ncols() == nb);
-    v.fill(0.0);
-    for j in 0..nb {
-        let col = a.col(c0 + j);
-        let row = r0 + j;
-        if row < m {
-            v[(row - r0, j)] = 1.0;
-            for i in (row + 1)..m {
-                v[(i - r0, j)] = col[i];
-            }
-        }
+/// Joins the T factors of two adjacent column ranges of a panel, `c..c+w1`
+/// and `c+w1..c+w1+w2`, into the T of their union (Elmroth–Gustavson): the
+/// diagonal blocks `T1`, `T2` stand, and the block between them becomes
+/// `−T1 · (V1ᵀ V2) · T2` — three small products on the tile, where the
+/// level-1 recurrence ran `w1·w2` dot products over the panel's height.
+fn join_t(v: &Matrix, t: &mut Matrix, c: usize, w1: usize, w2: usize) {
+    let (c2, rows) = (c + w1, v.nrows() - c - w1);
+    let mut tv = t.view_mut();
+    let (mut t3, [t1, t2]) = tv.split((c, c2, w1, w2), [(c, c, w1, w1), (c2, c2, w2, w2)]);
+    // V2 is zero above row c2, so V1ᵀ V2 needs V1's rows from c2 down only.
+    let (v1, v2) = (
+        v.view().sub((c2, c, rows, w1)),
+        v.view().sub((c2, c2, rows, w2)),
+    );
+    gemm_view(
+        1.0,
+        v1,
+        Op::Trans,
+        v2,
+        Op::NoTrans,
+        0.0,
+        t3.sub((0, 0, w1, w2)),
+    );
+    let mut x = workspace::take_matrix(w1, w2);
+    gemm_view(
+        1.0,
+        t1,
+        Op::NoTrans,
+        t3.as_view(),
+        Op::NoTrans,
+        0.0,
+        x.view_mut(),
+    );
+    gemm_view(-1.0, x.view(), Op::NoTrans, t2, Op::NoTrans, 0.0, t3);
+    workspace::put_matrix(x);
+}
+
+/// Where the recursion cuts `w > BASE` columns: the left part is the multiple
+/// of `BASE` at or past the middle (always under `w`), so leaves are full
+/// wherever they can be — 36 columns would be 8, 8, 8, 8, 4.
+fn left_width(w: usize) -> usize {
+    (w / 2).next_multiple_of(BASE)
+}
+
+/// T of columns `c..c+w` of the explicit panel reflectors `v`, into the
+/// zeroed `t`: halves by recursion, joined by [`join_t`].
+fn form_t(v: &Matrix, tau: &[f64], t: &mut Matrix, c: usize, w: usize) {
+    if w <= BASE {
+        return t_leaf(v, tau, t, c, w);
+    }
+    let w1 = left_width(w);
+    form_t(v, tau, t, c, w1);
+    form_t(v, tau, t, c + w1, w - w1);
+    join_t(v, t, c, w1, w - w1);
+}
+
+/// Copies the reflectors of columns `c..c+w` of the panel at `(j0, j0)` out
+/// of the packed factorization into the explicit panel `v` (unit lower
+/// trapezoidal, row 0 = row `j0` of `a`); `v` is zero there on entry.
+fn extract_v(a: &Matrix, j0: usize, c: usize, w: usize, v: &mut Matrix) {
+    for j in c..c + w {
+        let dst = v.col_mut(j);
+        dst[j] = 1.0;
+        dst[j + 1..].copy_from_slice(&a.col(j0 + j)[j0 + j + 1..]);
     }
 }
 
-/// Leases workspace matrices for a panel's explicit (V, T) pair.
+/// Recursive QR (Elmroth–Gustavson) of columns `c..c+w` of the panel at
+/// `(j0, j0)`, rows `c..` down: factors them in `a`, and leaves their
+/// reflectors in the explicit panel `v` and their T factor in `t` (both
+/// zeroed on entry). The left half is factored, applied to the right half as
+/// a block reflector, the right half factored, and the two T's joined; `BASE`
+/// columns or fewer run the level-2 loop.
+fn factor_cols(
+    a: &mut Matrix,
+    j0: usize,
+    c: usize,
+    w: usize,
+    tau: &mut [f64],
+    v: &mut Matrix,
+    t: &mut Matrix,
+    want_t: bool,
+) {
+    if w <= BASE {
+        qr_panel_unblocked(a, j0 + c, j0 + c, w, &mut tau[c..c + w]);
+        if want_t {
+            extract_v(a, j0, c, w, v);
+            t_leaf(v, tau, t, c, w);
+        }
+        return;
+    }
+    let (w1, rows) = (left_width(w), v.nrows() - c);
+    factor_cols(a, j0, c, w1, tau, v, t, true);
+    apply_block_reflector(
+        v.view().sub((c, c, rows, w1)),
+        t.view().sub((c, c, w1, w1)),
+        true,
+        a.view_mut().sub((j0 + c, j0 + c + w1, rows, w - w1)),
+    );
+    factor_cols(a, j0, c + w1, w - w1, tau, v, t, want_t);
+    if want_t {
+        join_t(v, t, c, w1, w - w1);
+    }
+}
+
+/// Leases zeroed workspace matrices for a panel's explicit `(V, T)` pair:
+/// `nb` reflectors starting at row and column `j0` of an `m`-row matrix.
 ///
 /// Callers return both with `workspace::put_matrix` once the block reflector
 /// has been applied.
+fn lease_vt(m: usize, j0: usize, nb: usize) -> (Matrix, Matrix) {
+    (
+        workspace::take_matrix(m - j0, nb),
+        workspace::take_matrix(nb, nb),
+    )
+}
+
+/// The explicit `(V, T)` pair of the `nb` reflectors packed in `(a, tau)`
+/// from column `j0` on, leased like [`lease_vt`].
 fn panel_vt(a: &Matrix, tau: &[f64], j0: usize, nb: usize) -> (Matrix, Matrix) {
-    let mut v = workspace::take_matrix(a.nrows() - j0, nb);
-    extract_v_into(a, j0, j0, nb, &mut v);
-    let mut t = workspace::take_matrix(nb, nb);
-    form_t_into(&v, tau, &mut t);
+    let (mut v, mut t) = lease_vt(a.nrows(), j0, nb);
+    extract_v(a, j0, 0, nb, &mut v);
+    form_t(&v, tau, &mut t, 0, nb);
     (v, t)
 }
 
@@ -175,7 +316,7 @@ fn panel_vt(a: &Matrix, tau: &[f64], j0: usize, nb: usize) -> (Matrix, Matrix) {
 /// `C := (I − V T Vᵀ) C` otherwise. `c` is the block the reflector acts on
 /// (as many rows as `v`), updated where it lives; the two W products are
 /// staged in the workspace arena.
-fn apply_block_reflector(v: &Matrix, t: &Matrix, trans: bool, c: ViewMut<'_>) {
+fn apply_block_reflector(v: View<'_>, t: View<'_>, trans: bool, c: ViewMut<'_>) {
     let n = c.ncols();
     let nb = v.ncols();
     if n == 0 || c.nrows() == 0 {
@@ -185,7 +326,7 @@ fn apply_block_reflector(v: &Matrix, t: &Matrix, trans: bool, c: ViewMut<'_>) {
     let mut w = workspace::take_matrix(nb, n);
     gemm_view(
         1.0,
-        v.view(),
+        v,
         Op::Trans,
         c.as_view(),
         Op::NoTrans,
@@ -195,9 +336,9 @@ fn apply_block_reflector(v: &Matrix, t: &Matrix, trans: bool, c: ViewMut<'_>) {
     // W := T W or Tᵀ W
     let mut tw = workspace::take_matrix(nb, n);
     let opt = if trans { Op::Trans } else { Op::NoTrans };
-    gemm(1.0, t, opt, &w, Op::NoTrans, 0.0, &mut tw);
+    gemm_view(1.0, t, opt, w.view(), Op::NoTrans, 0.0, tw.view_mut());
     // C := C − V W
-    gemm_view(-1.0, v.view(), Op::NoTrans, tw.view(), Op::NoTrans, 1.0, c);
+    gemm_view(-1.0, v, Op::NoTrans, tw.view(), Op::NoTrans, 1.0, c);
     workspace::put_matrix(w);
     workspace::put_matrix(tw);
 }
@@ -205,9 +346,9 @@ fn apply_block_reflector(v: &Matrix, t: &Matrix, trans: bool, c: ViewMut<'_>) {
 /// Applies the panel of reflectors starting at column `j0` of the packed
 /// factors `(a, tau)` to `c`, the block of rows `j0..` it acts on.
 fn apply_panel(a: &Matrix, tau: &[f64], j0: usize, trans: bool, c: ViewMut<'_>) {
-    let nb = NB.min(tau.len() - j0);
+    let nb = panel_width(tau.len()).min(tau.len() - j0);
     let (v, t) = panel_vt(a, &tau[j0..j0 + nb], j0, nb);
-    apply_block_reflector(&v, &t, trans, c);
+    apply_block_reflector(v.view(), t.view(), trans, c);
     workspace::put_matrix(v);
     workspace::put_matrix(t);
 }
@@ -222,16 +363,15 @@ pub fn qr_in_place(mut a: Matrix) -> QrFactors {
     let mut tau = vec![0.0; kmax];
     let mut j0 = 0;
     while j0 < kmax {
-        let nb = NB.min(kmax - j0);
-        qr_panel_unblocked(&mut a, j0, j0, nb, &mut tau[j0..j0 + nb]);
+        let nb = panel_width(kmax).min(kmax - j0);
         let j1 = j0 + nb;
-        if j1 < n {
-            // Update trailing columns: A := Qᵀ A = (I − V Tᵀ Vᵀ) A.
-            let (v, t) = panel_vt(&a, &tau[j0..j1], j0, nb);
-            apply_block_reflector(&v, &t, true, a.view_mut().sub((j0, j1, m - j0, n - j1)));
-            workspace::put_matrix(v);
-            workspace::put_matrix(t);
-        }
+        let (mut v, mut t) = lease_vt(m, j0, nb);
+        factor_cols(&mut a, j0, 0, nb, &mut tau[j0..j1], &mut v, &mut t, j1 < n);
+        // Update trailing columns: A := Qᵀ A = (I − V Tᵀ Vᵀ) A.
+        let mut av = a.view_mut();
+        apply_block_reflector(v.view(), t.view(), true, av.sub((j0, j1, m - j0, n - j1)));
+        workspace::put_matrix(v);
+        workspace::put_matrix(t);
         j0 = j1;
     }
     crate::check_finite!(a.as_slice(), "qr_in_place packed factors ({m}x{n})");
@@ -246,9 +386,10 @@ pub(crate) fn apply_reflectors(a: &Matrix, tau: &[f64], trans: bool, c: &mut Mat
     let (m, n) = (a.nrows(), c.ncols());
     assert_eq!(c.nrows(), m, "apply_q: row mismatch");
     // Qᵀ = H_k … H_1 takes the panels in order; Q = H_1 … H_k in reverse.
-    let panels = tau.len().div_ceil(NB);
+    let nb = panel_width(tau.len());
+    let panels = tau.len().div_ceil(nb);
     for p in 0..panels {
-        let j0 = NB * if trans { p } else { panels - 1 - p };
+        let j0 = nb * if trans { p } else { panels - 1 - p };
         apply_panel(a, tau, j0, trans, c.view_mut().sub((j0, 0, m - j0, n)));
     }
 }
@@ -271,11 +412,12 @@ pub(crate) fn form_q_in_place(q: &mut Matrix, tau: &[f64]) {
         }
     };
     unit_cols(q, tau.len()..m);
-    for j0 in (0..tau.len()).step_by(NB).rev() {
-        let nb = NB.min(tau.len() - j0);
+    for j0 in (0..tau.len()).step_by(panel_width(tau.len())).rev() {
+        let nb = panel_width(tau.len()).min(tau.len() - j0);
         let (v, t) = panel_vt(q, &tau[j0..j0 + nb], j0, nb);
         unit_cols(q, j0..j0 + nb);
-        apply_block_reflector(&v, &t, false, q.view_mut().sub((j0, j0, m - j0, m - j0)));
+        let mut qv = q.view_mut();
+        apply_block_reflector(v.view(), t.view(), false, qv.sub((j0, j0, m - j0, m - j0)));
         workspace::put_matrix(v);
         workspace::put_matrix(t);
     }
@@ -425,6 +567,49 @@ mod tests {
             let err = rec.max_abs_diff(&a) / a.max_abs().max(1.0);
             assert!(err < 1e-13 * n.max(4) as f64, "n={n} err={err}");
             assert!(orthogonality_error(&qr.form_q()) < 1e-13 * n.max(4) as f64);
+        }
+    }
+
+    /// The level-2 loop over every column: what the recursive panel must
+    /// reproduce to rounding.
+    fn qr_unblocked(mut a: Matrix) -> QrFactors {
+        let kmax = a.nrows().min(a.ncols());
+        let mut tau = vec![0.0; kmax];
+        qr_panel_unblocked(&mut a, 0, 0, kmax, &mut tau);
+        QrFactors { a, tau }
+    }
+
+    #[test]
+    fn recursive_panel_matches_the_unblocked_loop() {
+        // One leaf, a ragged leaf, one panel of two leaves, three panels with
+        // a short last one, a tall matrix whose last panel is 4 wide, the
+        // paper's size, and one past 512 with its 32-column panels (the last
+        // 8 wide): R, the reflectors and tau to 1e-13·n of the level-2 loop
+        // (Householder QR is unique once the sign of beta is fixed), and an
+        // orthogonal Q.
+        let shapes = [
+            (1, 1),
+            (5, 3),
+            (16, 16),
+            (36, 36),
+            (37, 20),
+            (256, 256),
+            (530, 520),
+        ];
+        for (m, n) in shapes {
+            let mut rng = Rng::new(900 + (m * n) as u64);
+            let a = Matrix::random(m, n, &mut rng);
+            let (got, want) = (qr_in_place(a.clone()), qr_unblocked(a));
+            let tol = 1e-13 * n as f64;
+            let diff = got.a.max_abs_diff(&want.a) / want.a.max_abs();
+            assert!(diff <= tol, "{m}x{n}: packed factors differ by {diff:e}");
+            for (j, (x, y)) in got.tau.iter().zip(&want.tau).enumerate() {
+                assert!((x - y).abs() <= tol, "{m}x{n}: tau[{j}] {x} vs {y}");
+            }
+            let q = got.form_q();
+            crate::check_orthogonal!(&q, tol.max(1e-13), "recursive panel Q ({m}x{n})");
+            let resid = orthogonality_error(&q);
+            assert!(resid <= tol.max(1e-13), "{m}x{n}: ‖QᵀQ − I‖ = {resid:e}");
         }
     }
 

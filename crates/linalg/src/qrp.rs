@@ -10,6 +10,13 @@
 //! and why the paper's Algorithm 3 replaces it with a cheap pre-pivot + plain
 //! QR.
 //!
+//! The panel is `NB = 8` columns wide. Inside a panel, column `j` pays for
+//! the `j` reflectors before it three times over (steps 2, 4 and 5 below, all
+//! level-2), so a narrow panel is cheap and the trailing update's GEMM, since
+//! PR 22 one packed path with a ≈ 0.3 µs fixed cost, no longer needs a wide
+//! one: 32 → 16 → 8 columns read 38 → 26 → 21 µs at n = 36 and 4.1 → 3.6 →
+//! 3.4 ms at n = 256 (4 columns: 18.5 µs, 3.3–3.6 ms — inside the spread).
+//!
 //! Per-panel staging (the F matrix, flag buffer) comes from the
 //! [`crate::workspace`] arena, the trailing update runs in place and the
 //! per-column scratch is stack-allocated, so a steady-state factorization
@@ -22,8 +29,12 @@ use crate::blas1;
 use crate::blas3::{gemm_view, Op};
 use crate::matrix::Matrix;
 use crate::perm::Permutation;
-use crate::qr::{self, house, NB};
+use crate::qr::{self, house};
 use crate::workspace;
+
+/// Panel width: columns factored between two trailing updates (sizing in
+/// the module docs).
+const NB: usize = 8;
 
 /// Compact pivoted QR factorization: `A P = Q R`.
 #[derive(Clone, Debug)]

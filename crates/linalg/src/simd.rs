@@ -25,13 +25,16 @@
 //! `fma(a[i,p], b[p,j], acc)` for `p` ascending from a zero start whatever
 //! the tile's shape, then `C += alpha · acc` as a multiply and an add. The
 //! tile shape decides which elements share a register, not what any of them
-//! is. The scalar path is untouched by dispatch and remains bit-identical to
-//! the pre-SIMD implementation — `tests/kernel_paths.rs` pins all three
-//! properties.
+//! is — nor does the way a tile reaches C (`avx512`: from the registers
+//! under a row mask, at half height for a short last row panel; `fma` and
+//! `scalar`: a stack tile and the clipped loop `c += alpha * v`).
+//! Every product reaches one of these tiles, from 1×1×1 up, so the contract
+//! covers every size — `tests/kernel_paths.rs` pins it on all of them, and
+//! the scalar tile against the naive loop.
 
 use std::sync::OnceLock;
 
-/// Which GEMM micro-kernel the blocked path uses.
+/// Which GEMM micro-kernel the blocked driver uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
     /// Portable scalar 8×4 register tile (bit-identical to the pre-SIMD
@@ -252,13 +255,16 @@ pub(crate) unsafe fn micro_kernel_fma_8x6(
     _mm256_storeu_pd(acc.add(44), c51);
 }
 
-/// The AVX-512 register tile: 16×12 over packed panels, as 12 columns of two
-/// `zmm` each — `acc[j][h]` holds rows `8h..8h+8` of column `j`, every lane
-/// `Σ_p apanel[p*16+i] · bpanel[p*12+j]` fused in `p` order from zero.
+/// The AVX-512 register tile: 12 columns of `H` `zmm` each over packed
+/// 16×12 panels — `acc[j][h]` holds rows `8h..8h+8` of column `j`, every lane
+/// `Σ_p apanel[p*16+i] · bpanel[p*12+j]` fused in `p` order from zero. `H = 2`
+/// is the whole 16×12 tile; `H = 1` its upper 8 rows, for a last row panel
+/// of at most 8 rows (the 4 rows left of 36 after two full panels), which
+/// would otherwise spend half its multiply-adds on padding.
 ///
-/// Register budget: 24 accumulators + 2 A vectors + 1 B broadcast = 27 of
-/// the 32 `zmm` registers. The loops have constant bounds and unroll; the
-/// array never leaves registers once this is inlined into its two callers.
+/// Register budget at `H = 2`: 24 accumulators + 2 A vectors + 1 B broadcast
+/// = 27 of the 32 `zmm` registers. The loops have constant bounds and unroll;
+/// the array never leaves registers once this is inlined into its caller.
 ///
 /// # Safety
 ///
@@ -266,28 +272,28 @@ pub(crate) unsafe fn micro_kernel_fma_8x6(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-unsafe fn accumulate_avx512_16x12(
+unsafe fn accumulate_avx512<const H: usize>(
     kc: usize,
     apanel: &[f64],
     bpanel: &[f64],
-) -> [[std::arch::x86_64::__m512d; 2]; 12] {
+) -> [[std::arch::x86_64::__m512d; H]; 12] {
     use std::arch::x86_64::*;
     debug_assert!(apanel.len() >= kc * 16);
     debug_assert!(bpanel.len() >= kc * 12);
 
-    let mut acc = [[_mm512_setzero_pd(); 2]; 12];
+    let mut acc = [[_mm512_setzero_pd(); H]; 12];
     let mut ap = apanel.as_ptr();
     let mut bp = bpanel.as_ptr();
     for _ in 0..kc {
-        // SAFETY: step p < kc reads apanel[16p..16p+16] and
+        // SAFETY: step p < kc reads apanel[16p..16p+8H] (H ≤ 2) and
         // bpanel[12p..12p+12], in bounds by the caller's contract.
         unsafe {
-            let a0 = _mm512_loadu_pd(ap);
-            let a1 = _mm512_loadu_pd(ap.add(8));
+            let a: [__m512d; H] = std::array::from_fn(|h| _mm512_loadu_pd(ap.add(8 * h)));
             for (j, accj) in acc.iter_mut().enumerate() {
                 let b = _mm512_set1_pd(*bp.add(j));
-                accj[0] = _mm512_fmadd_pd(a0, b, accj[0]);
-                accj[1] = _mm512_fmadd_pd(a1, b, accj[1]);
+                for (h, lanes) in accj.iter_mut().enumerate() {
+                    *lanes = _mm512_fmadd_pd(a[h], b, *lanes);
+                }
             }
             ap = ap.add(16);
             bp = bp.add(12);
@@ -296,66 +302,50 @@ unsafe fn accumulate_avx512_16x12(
     acc
 }
 
-/// AVX-512 micro-kernel, edge-tile form: stores the raw 16×12 tile
-/// column-major at `acc` (`acc[j*16 + i]`), for the caller to clip.
-///
-/// # Safety
-///
-/// Caller must ensure the host supports AVX-512F (checked by
-/// [`KernelPath::available`]), `apanel.len() ≥ kc*16`, `bpanel.len() ≥ kc*12`,
-/// and `acc` is valid for 192 writes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn micro_kernel_avx512_16x12(
-    kc: usize,
-    apanel: &[f64],
-    bpanel: &[f64],
-    acc: *mut f64,
-) {
-    use std::arch::x86_64::*;
-    // SAFETY: the panel lengths are this function's own contract, and
-    // column j's two stores cover acc[16j..16j+16] of the 192 valid elements.
-    unsafe {
-        let tile = accumulate_avx512_16x12(kc, apanel, bpanel);
-        for (j, col) in tile.iter().enumerate() {
-            _mm512_storeu_pd(acc.add(j * 16), col[0]);
-            _mm512_storeu_pd(acc.add(j * 16 + 8), col[1]);
-        }
-    }
-}
-
-/// AVX-512 micro-kernel, interior-tile form: `C += alpha · tile` straight
-/// from the accumulators, for a full 16×12 block of C at `c` with leading
-/// dimension `ldc`. The product and the sum round separately (a multiply,
-/// then an add — not a fused one), as the scalar `c += alpha * v` the edge
-/// tiles run does, so which form a tile takes never shows in C.
+/// AVX-512 micro-kernel: `C += alpha · tile` straight from the accumulators,
+/// for the leading `mr × nr` corner of a 16×12 block of C at `c` with leading
+/// dimension `ldc`; `H` is 2, or 1 when `mr ≤ 8`. Columns are loaded and
+/// stored under a row mask (all ones for a full tile, where it costs
+/// nothing: 256×256×32 reads 72–73 GFlop/s with or without an unmasked
+/// branch) and clipped at `nr`, so no tile, edge or not, goes through memory
+/// on its way to C. The product and the sum round separately (a multiply, then an add — not a
+/// fused one), as the scalar `c += alpha * v` of the other two paths'
+/// write-back does.
 ///
 /// # Safety
 ///
 /// Caller must ensure the host supports AVX-512F, `apanel.len() ≥ kc*16`,
-/// `bpanel.len() ≥ kc*12`, and `c.add(j*ldc + i)` is valid for reads and
-/// writes for every `i < 16`, `j < 12`.
+/// `bpanel.len() ≥ kc*12`, `H ≤ 2`, `mr ≤ 8H`, `nr ≤ 12`, and
+/// `c.add(j*ldc + i)` is valid for reads and writes for every `i < mr`,
+/// `j < nr`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn micro_kernel_avx512_16x12_update(
+pub(crate) unsafe fn micro_kernel_avx512_update<const H: usize>(
     kc: usize,
     apanel: &[f64],
     bpanel: &[f64],
     alpha: f64,
     c: *mut f64,
     ldc: usize,
+    mr: usize,
+    nr: usize,
 ) {
     use std::arch::x86_64::*;
-    // SAFETY: the panel lengths are this function's own contract, and
-    // column j's loads and stores cover c[j*ldc..j*ldc+16], valid by it too.
+    debug_assert!(H <= 2 && mr <= 8 * H && nr <= 12);
+    // SAFETY: the panel lengths are this function's own contract; column j's
+    // loads and stores touch c[j*ldc..j*ldc+mr] only (masked-off lanes are
+    // neither read nor written), valid by it too.
     unsafe {
-        let tile = accumulate_avx512_16x12(kc, apanel, bpanel);
+        let tile = accumulate_avx512::<H>(kc, apanel, bpanel);
         let valpha = _mm512_set1_pd(alpha);
-        for (j, col) in tile.iter().enumerate() {
+        let rows = (1u32 << mr) - 1;
+        let masks = [rows as u8, (rows >> 8) as u8];
+        for (j, col) in tile.iter().enumerate().take(nr) {
             for (h, &v) in col.iter().enumerate() {
                 let cp = c.add(j * ldc + h * 8);
                 let scaled = _mm512_mul_pd(valpha, v);
-                _mm512_storeu_pd(cp, _mm512_add_pd(_mm512_loadu_pd(cp), scaled));
+                let sum = _mm512_add_pd(_mm512_maskz_loadu_pd(masks[h], cp), scaled);
+                _mm512_mask_storeu_pd(cp, masks[h], sum);
             }
         }
     }
@@ -475,10 +465,14 @@ mod tests {
         let kc = 37;
         let apanel: Vec<f64> = (0..kc * 16).map(|i| (i as f64 * 0.37).sin()).collect();
         let bpanel: Vec<f64> = (0..kc * 12).map(|i| (i as f64 * 0.61).cos()).collect();
+        // The raw tile: a full update of a zero C with alpha = 1 (0 + 1·x is
+        // x, and no lane sums to a signed zero here).
         let mut acc = [0.0f64; 192];
         // SAFETY: availability checked above; panel lengths are kc*16 and
-        // kc*12; acc holds 192 elements.
-        unsafe { micro_kernel_avx512_16x12(kc, &apanel, &bpanel, acc.as_mut_ptr()) };
+        // kc*12; acc holds 12 columns of 16 elements.
+        unsafe {
+            micro_kernel_avx512_update::<2>(kc, &apanel, &bpanel, 1.0, acc.as_mut_ptr(), 16, 16, 12)
+        };
         for j in 0..12 {
             for i in 0..16 {
                 let mut s = 0.0;
@@ -513,22 +507,37 @@ mod tests {
             }
         }
 
-        // The interior form against the raw tile pushed through the scalar
-        // write-back the edge tiles run, on a C with ldc > 16.
+        // Every corner of the tile, at both heights, against the raw tile
+        // pushed through the scalar write-back `c += alpha * v` the other
+        // paths run, on a C with ldc > 16: the masked edge form and the
+        // half-height form write the same bits and nothing outside mr × nr.
         let (alpha, ldc) = (-1.7, 19);
         let c0: Vec<f64> = (0..ldc * 12).map(|i| (i as f64 * 0.11).sin()).collect();
-        let mut c = c0.clone();
-        // SAFETY: as above; `c` holds 12 columns of ldc ≥ 16 elements.
-        unsafe {
-            micro_kernel_avx512_16x12_update(kc, &apanel, &bpanel, alpha, c.as_mut_ptr(), ldc)
-        };
-        for j in 0..12 {
-            for i in 0..ldc {
-                let mut want = c0[j * ldc + i];
-                if i < 16 {
-                    want += alpha * acc[j * 16 + i];
+        for mr in 1..=16 {
+            for nr in 1..=12 {
+                let mut c = c0.clone();
+                // SAFETY: as above; `c` holds 12 columns of ldc ≥ 16 elements.
+                unsafe {
+                    let (cp, a, b) = (c.as_mut_ptr(), &apanel[..], &bpanel[..]);
+                    if mr <= 8 {
+                        micro_kernel_avx512_update::<1>(kc, a, b, alpha, cp, ldc, mr, nr)
+                    } else {
+                        micro_kernel_avx512_update::<2>(kc, a, b, alpha, cp, ldc, mr, nr)
+                    }
+                };
+                for j in 0..12 {
+                    for i in 0..ldc {
+                        let mut want = c0[j * ldc + i];
+                        if i < mr && j < nr {
+                            want += alpha * acc[j * 16 + i];
+                        }
+                        assert_eq!(
+                            c[j * ldc + i].to_bits(),
+                            want.to_bits(),
+                            "C({i},{j}) of a {mr}x{nr} corner"
+                        );
+                    }
                 }
-                assert_eq!(c[j * ldc + i].to_bits(), want.to_bits(), "C({i},{j})");
             }
         }
     }

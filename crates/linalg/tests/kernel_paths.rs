@@ -3,9 +3,9 @@
 //! GEMM shape the solvers produce — and the two SIMD kernels with each other
 //! exactly.
 //!
-//! All paths share packing, blocking, and the small-matrix fallback; only
-//! the innermost register tile differs (16×12 AVX-512, 8×6 AVX2+FMA, 8×4
-//! scalar). A fused multiply-add rounds once where the scalar path rounds
+//! All paths share one driver — beta, pack, slab, register tile — from
+//! 1×1×1 up; only the innermost register tile differs (16×12 AVX-512, 8×6
+//! AVX2+FMA, 8×4 scalar). A fused multiply-add rounds once where the scalar path rounds
 //! twice, so SIMD and scalar results are *not* bit-identical — the contract
 //! is agreement within an accumulation-length-scaled ulp bound, verified here
 //! against shapes that stress every edge: sub-tile sizes, prime dimensions,
@@ -14,8 +14,11 @@
 //! against FMA *is* bit-identical (each element of C gets the same k-ordered
 //! chain of fused multiply-adds whatever the tile's shape), and every grid
 //! plus one of its own holds it to that; those checks skip, saying so, on a
-//! host without `avx512f`. (Sub-views with `ld > rows` need the crate-private
-//! view entry: that part of the grid is `blas3`'s unit test
+//! host without `avx512f`. The small-shape grid — every shape the N = 16/36
+//! systems and the trailing delayed-update flush produce, which all reach the
+//! register tile — is `paths_agree_on_every_small_shape`. (Sub-views with
+//! `ld > rows` need the crate-private view entry: that part of both grids is
+//! `blas3`'s unit tests `views_match_copied_sub_blocks_bitwise` and
 //! `pinned_simd_paths_agree_bitwise_on_sub_views`.)
 //!
 //! The whole suite also runs under `LINALG_KERNEL=scalar` in CI, which
@@ -51,6 +54,13 @@ fn record(m: &Matrix) {
         r.borrow_mut()
             .extend(m.as_slice().iter().map(|x| x.to_bits()))
     });
+}
+
+/// One word per result instead of all of it, for the grids too large to keep.
+fn record_digest(m: &Matrix) {
+    let mut h = util::Fnv1a::new();
+    m.as_slice().iter().for_each(|&x| h.update_f64(x));
+    RECORD.with(|r| r.borrow_mut().push(h.finish()));
 }
 
 /// Elementwise tolerance for comparing two summation orders of a length-`k`
@@ -181,6 +191,73 @@ fn paths_agree_on_alpha_beta_grid() {
     }
 }
 
+/// Every extent the small systems produce: 1..=20 (a 4×4 lattice's N = 16
+/// with its neighbours, and every k of a trailing delayed-update flush) and
+/// both sides of 36 and 48 (a 6×6 lattice; the old unpacked-path threshold).
+fn small_extents() -> Vec<usize> {
+    (1..=20).chain([35, 36, 37, 47, 48, 49]).collect()
+}
+
+/// One small product on every path with NaN in the scratch each is about to
+/// lease: against the naive loop to `1e-13·k`, `Avx512 == Fma` exactly.
+fn check_small_case(m: usize, n: usize, k: usize, alpha: f64, beta: f64, opa: Op, opb: Op) {
+    let mut rng = util::Rng::new((m * 10_000 + n * 100 + k) as u64);
+    let (ar, ac) = if opa == Op::NoTrans { (m, k) } else { (k, m) };
+    let (br, bc) = if opb == Op::NoTrans { (k, n) } else { (n, k) };
+    let a = Matrix::random(ar, ac, &mut rng);
+    let b = Matrix::random(br, bc, &mut rng);
+    let c0 = Matrix::random(m, n, &mut rng);
+    let mut c_ref = c0.clone();
+    gemm_naive(alpha, &a, opa, &b, opb, beta, &mut c_ref);
+    let label = format!("m={m} n={n} k={k} α={alpha} β={beta} {opa:?}/{opb:?}");
+    let [scalar, fma, avx512] =
+        [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512].map(|path| {
+            let mut c = c0.clone();
+            poison_scratch(1, 1 << 13);
+            gemm_with_kernel(path, alpha, &a, opa, &b, opb, beta, &mut c);
+            let diff = c.max_abs_diff(&c_ref);
+            assert!(
+                diff <= 1e-13 * k as f64,
+                "{path:?} vs naive: {diff:e} ({label})"
+            );
+            c
+        });
+    record_digest(&scalar);
+    record_digest(&fma);
+    // On a host without avx512f (or avx2+fma) the pins fall down the ladder
+    // together, and the comparison is of a path with itself.
+    assert!(bits(&avx512) == bits(&fma), "avx512 vs fma ({label})");
+}
+
+#[test]
+fn paths_agree_on_every_small_shape() {
+    // The whole cube of small extents — m or n = 1 and k = 1, 2, 3 included —
+    // under every op pair, then the α/β grid on its corners and tile edges.
+    let ops = [Op::NoTrans, Op::Trans];
+    let extents = small_extents();
+    for &m in &extents {
+        for &n in &extents {
+            for &k in &extents {
+                for (opa, opb) in ops.iter().flat_map(|&x| ops.map(|y| (x, y))) {
+                    check_small_case(m, n, k, 1.3, -0.7, opa, opb);
+                }
+            }
+        }
+    }
+    let corners = [1, 2, 3, 8, 12, 16, 17, 36, 37, 49];
+    for &m in &corners {
+        for &n in &corners {
+            for &k in &corners {
+                for alpha in [0.0, 1.0, -0.5] {
+                    for beta in [0.0, 1.0, -0.5] {
+                        check_small_case(m, n, k, alpha, beta, Op::NoTrans, Op::Trans);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn dispatched_default_matches_pinned_path() {
     // Whatever `kernel_path()` picked for this process must equal one of the
@@ -298,7 +375,7 @@ fn factorizations_identical_numerics_across_paths() {
 }
 
 /// Orders on both sides of the blocked kernels' size crossover and of every
-/// 32-wide panel edge.
+/// 16- and 32-wide panel edge.
 const ORDERS: [usize; 11] = [1, 7, 31, 32, 33, 63, 64, 65, 127, 256, 257];
 
 /// Runs `kernel` and its level-2 `reference` on a well-conditioned order-`n`
@@ -395,7 +472,7 @@ fn form_q_equals_apply_q_of_identity_and_is_orthogonal() {
 #[test]
 fn zero_column_right_hand_sides_are_no_ops() {
     // An n×0 matrix owns no element, so no panel of the blocked kernels may
-    // address one. Order 257 gives every kernel several 32-wide panels.
+    // address one. Order 257 gives every kernel several panels.
     for n in [33, 257] {
         let mut rng = util::Rng::new(900 + n as u64);
         let a = conditioned(n, &mut rng);
@@ -417,28 +494,46 @@ fn zero_column_right_hand_sides_are_no_ops() {
 
 #[test]
 fn batched_products_equal_solo_products_on_both_sides_of_the_fork() {
-    // A crowd's wrap: one shared left operand, per-walker right operands.
-    // 40³ stays on the unpacked path, 72³ packs without forking, 136³ forks
-    // (and the shared operand's slab is packed by entry 0 only).
-    for n in [40, 72, 136] {
+    // A crowd's wrap (one shared left operand, per-walker right operands) and
+    // its mirror (per-walker left, shared right). 16 and 36 are the small
+    // systems, one row panel and three; 72³ is still one chunk, 136³ forks —
+    // and at every size the shared operand's slab is packed by entry 0 only.
+    for n in [16, 36, 72, 136] {
         let mut rng = util::Rng::new(1100 + n as u64);
         let shared = Matrix::random(n, n, &mut rng);
         let each: Vec<Matrix> = (0..3).map(|_| Matrix::random(n, n, &mut rng)).collect();
         let refs: Vec<&Matrix> = each.iter().collect();
-        let mut outs = vec![Matrix::zeros(n, n); 3];
-        linalg::dgemm_strided_batched(
-            1.0,
-            linalg::GemmOperand::Shared(&shared),
-            Op::NoTrans,
-            linalg::GemmOperand::Each(&refs),
-            Op::NoTrans,
-            0.0,
-            &mut outs.iter_mut().collect::<Vec<_>>(),
-        );
-        for (b, out) in each.iter().zip(&outs) {
-            let solo = matmul(&shared, Op::NoTrans, b, Op::NoTrans);
-            assert_eq!(out.as_slice(), solo.as_slice(), "n={n}");
-            record(out);
+        for shared_left in [true, false] {
+            let (a, b) = (
+                linalg::GemmOperand::Shared(&shared),
+                linalg::GemmOperand::Each(&refs),
+            );
+            let (a, b) = if shared_left { (a, b) } else { (b, a) };
+            let mut outs = vec![Matrix::zeros(n, n); 3];
+            poison_scratch(4, 1 << 18);
+            linalg::dgemm_strided_batched(
+                1.0,
+                a,
+                Op::NoTrans,
+                b,
+                Op::NoTrans,
+                0.0,
+                &mut outs.iter_mut().collect::<Vec<_>>(),
+            );
+            for (own, out) in each.iter().zip(&outs) {
+                let (l, r) = if shared_left {
+                    (&shared, own)
+                } else {
+                    (own, &shared)
+                };
+                let solo = matmul(l, Op::NoTrans, r, Op::NoTrans);
+                assert_eq!(
+                    out.as_slice(),
+                    solo.as_slice(),
+                    "n={n} shared_left={shared_left}"
+                );
+                record(out);
+            }
         }
     }
 }
@@ -453,6 +548,7 @@ fn held_and_free_runs_of_every_grid_are_bit_identical() {
         paths_agree_on_edge_and_prime_sizes();
         paths_agree_on_all_op_combinations();
         paths_agree_on_alpha_beta_grid();
+        paths_agree_on_every_small_shape();
         blocked_trmm_upper_matches_level2_reference();
         blocked_trsm_upper_matches_level2_reference();
         blocked_trsm_lower_unit_matches_level2_reference();
@@ -469,9 +565,12 @@ fn held_and_free_runs_of_every_grid_are_bit_identical() {
     assert!(held == free, "a helper-run chunk changed a result bit");
 }
 
-/// NaN in every buffer this thread's arena will hand out next.
-fn poison_scratch() {
-    let bufs: Vec<Vec<f64>> = (0..4).map(|_| workspace::take_scratch(1 << 18)).collect();
+/// NaN in the `count` buffers of `len` elements this thread's arena will
+/// hand out next (four of 2 MiB cover every lease of the large grids; a test
+/// thread that has only multiplied small shapes owns one buffer, and 64 KiB
+/// of NaN before each call is cheap enough to do 10⁵ times).
+fn poison_scratch(count: usize, len: usize) {
+    let bufs: Vec<Vec<f64>> = (0..count).map(|_| workspace::take_scratch(len)).collect();
     for mut b in bufs {
         b.fill(f64::NAN);
         workspace::put(b);
@@ -502,7 +601,7 @@ fn gemm_never_reads_what_it_did_not_pack() {
                 let b = Matrix::random(br, bc, &mut rng);
                 let mut c = Matrix::zeros(m, n);
                 let mut c_ref = Matrix::zeros(m, n);
-                poison_scratch();
+                poison_scratch(4, 1 << 18);
                 gemm_with_kernel(path, 1.0, &a, opa, &b, opb, 0.0, &mut c);
                 gemm_naive(1.0, &a, opa, &b, opb, 0.0, &mut c_ref);
                 let diff = c.max_abs_diff(&c_ref);
@@ -518,8 +617,8 @@ fn gemm_never_reads_what_it_did_not_pack() {
 
 #[test]
 fn avx512_equals_fma_bit_for_bit_on_the_whole_grid() {
-    // The byte-identity contract of the 16×12 tile. Every shape is past
-    // `SMALL_FLOPS`, so both pins reach their micro-kernel: m and n on both
+    // The byte-identity contract of the 16×12 tile on the large shapes (the
+    // small ones are `paths_agree_on_every_small_shape`): m and n on both
     // sides of multiples of 16 and 12 (one exact tile, one short of it, all
     // interior, interior plus both edges), k = 1, KC − 1, KC, KC + 1 and
     // several slabs, past the MC row block and the 504-/510-column NC block,
@@ -553,7 +652,7 @@ fn avx512_equals_fma_bit_for_bit_on_the_whole_grid() {
                     let c0 = Matrix::random(m, n, &mut rng);
                     let [fma, avx512] = [KernelPath::Fma, KernelPath::Avx512].map(|path| {
                         let mut c = c0.clone();
-                        poison_scratch();
+                        poison_scratch(4, 1 << 18);
                         gemm_with_kernel(path, alpha, &a, opa, &b, opb, beta, &mut c);
                         bits(&c)
                     });
@@ -579,13 +678,13 @@ fn avx512_equals_fma_bit_for_bit_on_the_whole_grid() {
         eprintln!("skipping the batched avx512 == fma check: the dispatcher is pinned to scalar");
         return;
     }
-    for (m, n, k) in [(72, 70, 75), (136, 131, 300)] {
+    for (m, n, k) in [(16, 16, 16), (36, 36, 36), (72, 70, 75), (136, 131, 300)] {
         let mut rng = util::Rng::new(1300 + m as u64);
         let shared = Matrix::random(m, k, &mut rng);
         let each: Vec<Matrix> = (0..3).map(|_| Matrix::random(k, n, &mut rng)).collect();
         let refs: Vec<&Matrix> = each.iter().collect();
         let mut outs = vec![Matrix::zeros(m, n); 3];
-        poison_scratch();
+        poison_scratch(4, 1 << 18);
         linalg::dgemm_strided_batched(
             1.0,
             linalg::GemmOperand::Shared(&shared),

@@ -6,9 +6,14 @@
 //! feature off, the invariant macros expand to nothing and release behaviour
 //! is exactly the seed's: the taint surfaces (much later) as a low-level
 //! pivot-selection failure that names no boundary.
+//!
+//! The same two halves hold GEMM to IEEE semantics at every size: `Inf · 0`
+//! and `NaN · 0` are NaN, so a non-finite element of A must reach C whatever
+//! it is multiplied by — at 4×4 as at 64×64 (the unpacked small-product loop
+//! deleted in PR 22 skipped zero multipliers and let it vanish below 48³).
 
 use dqmc::stratify::{StratAlgo, StratifyState};
-use linalg::Matrix;
+use linalg::{gemm, gemm_naive, Matrix, Op};
 
 /// Deterministic well-conditioned factor: identity plus a small dense
 /// perturbation, different per `seed` so the chain is not trivial.
@@ -47,6 +52,22 @@ fn run_chain(factors: &[Matrix], algo: StratAlgo) -> StratifyState {
         st.push(b);
     }
     st
+}
+
+/// `A · B` of order `n` where `A[1, 2]` is `poison` and row 2 of `B` — all
+/// that multiplies it — is zero: through `gemm`, and through the reference
+/// loop (which no feature checks).
+fn poisoned_product(n: usize, poison: f64) -> (Matrix, Matrix) {
+    let mut a = factor(n, 40);
+    a[(1, 2)] = poison;
+    let mut b = factor(n, 41);
+    for j in 0..n {
+        b[(2, j)] = 0.0;
+    }
+    let (mut c, mut c_ref) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+    gemm_naive(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c_ref);
+    gemm(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c);
+    (c, c_ref)
 }
 
 /// Runs `f` expecting a panic, and returns the panic message.
@@ -99,6 +120,21 @@ mod checked {
     }
 
     #[test]
+    fn non_finite_operand_trips_the_gemm_output_check_at_every_size() {
+        for n in [4, 64] {
+            for poison in [f64::NAN, f64::INFINITY] {
+                let msg = panic_message(move || {
+                    poisoned_product(n, poison);
+                });
+                assert!(
+                    msg.contains("gemm output") && msg.contains("non-finite"),
+                    "n={n} poison={poison}: {msg}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn clean_chain_passes_all_checks() {
         for algo in [StratAlgo::Qrp, StratAlgo::PrePivot] {
             let factors = chain(8, 6, None);
@@ -130,6 +166,22 @@ mod unchecked {
             !msg.contains("invariant violation"),
             "invariant layer must be compiled out, got: {msg}"
         );
+    }
+
+    #[test]
+    fn non_finite_operand_reaches_c_identically_at_every_size() {
+        // Row 1 of C, and only it, is NaN — the reference loop's pattern.
+        for n in [4, 64] {
+            for poison in [f64::NAN, f64::INFINITY] {
+                let (c, c_ref) = poisoned_product(n, poison);
+                for j in 0..n {
+                    for i in 0..n {
+                        assert_eq!(c[(i, j)].is_nan(), i == 1, "n={n} C({i},{j})");
+                        assert_eq!(c_ref[(i, j)].is_nan(), i == 1, "n={n} naive C({i},{j})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
