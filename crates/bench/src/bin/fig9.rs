@@ -10,8 +10,9 @@
 
 use bench::BenchOpts;
 use dqmc::{BMatrixFactory, HsField, ModelParams, Spin};
-use gpusim::{cluster_custom_kernel, wrap_on_device, Device, DeviceSpec, HostSpec};
+use gpusim::{try_cluster_crowd, try_wrap_on_device_into, Device, DeviceSpec, HostSpec};
 use lattice::Lattice;
+use linalg::Matrix;
 use util::table::{fmt_f, Table};
 
 fn main() {
@@ -39,12 +40,13 @@ fn main() {
         let h = HsField::random(n, k, &mut rng);
 
         let mut dev = Device::new(DeviceSpec::tesla_c2050());
-        let expk = dev.set_matrix(fac.expk());
-        let expk_inv = dev.set_matrix(fac.expk_inv());
+        let ek = dev.set_matrix_stack(&[fac.expk()]).remove(0);
+        let eki = dev.set_matrix_stack(&[fac.expk_inv()]).remove(0);
 
         // Clustering: k−1 GEMMs of order n per transfer round trip.
         dev.reset_clock();
-        let _ = cluster_custom_kernel(&mut dev, &expk, &fac, &h, 0, k, Spin::Up);
+        try_cluster_crowd(&mut dev, &ek, &fac, &[&h], 0, k, Spin::Up)
+            .expect("no fault plan is armed");
         let t_cluster = dev.elapsed();
         let f_cluster = (k - 1) as f64 * 2.0 * (n as f64).powi(3);
 
@@ -55,7 +57,9 @@ fn main() {
         ))
         .g;
         dev.reset_clock();
-        let _ = wrap_on_device(&mut dev, &expk, &expk_inv, &fac, &h, 0, Spin::Up, &g);
+        let mut out = Matrix::zeros(n, n);
+        try_wrap_on_device_into(&mut dev, &ek, &eki, &fac, &h, 0, Spin::Up, &g, &mut out)
+            .expect("no fault plan is armed");
         let t_wrap = dev.elapsed();
         let f_wrap = 2.0 * 2.0 * (n as f64).powi(3);
 

@@ -27,7 +27,9 @@ use lattice::Lattice;
 pub enum Backend {
     /// Host BLAS path (infallible).
     Host,
-    /// The simulated accelerator from the `gpusim` crate.
+    /// The simulated accelerator from the `gpusim` crate. It issues the
+    /// host path's floating-point op order, so choosing it changes the run's
+    /// model clock, never a byte of its output.
     Gpusim,
 }
 
@@ -155,7 +157,8 @@ impl InputFile {
     /// delay_block algorithm recycle checkerboard unequal_time
     /// measure_per_cluster bin_size backend checkpoint checkpoint_every
     /// recovery max_retries min_cluster`.
-    /// `backend` accepts `host` or `gpusim`; `checkpoint` is a file path
+    /// `backend` accepts `host` or `gpusim` (same output bytes either way; the
+    /// device only keeps a model clock); `checkpoint` is a file path
     /// (saved every `checkpoint_every` sweeps and resumed from if present);
     /// `recovery` toggles the retry / cluster-shrink / host-fallback ladder,
     /// tuned by `max_retries` and `min_cluster`.

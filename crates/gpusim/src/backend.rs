@@ -2,11 +2,11 @@
 //!
 //! Wraps a [`Device`] so `dqmc::sweep` can route its two heavy kernels —
 //! cluster products and wraps, each over a slice of walkers — through the
-//! accelerator model. Cluster products always run as the batched kernels of
-//! [`crate::crowd`] (one launch services every walker of the call; a solo
-//! run is a batch of one). Wraps run batched in deterministic-execution
-//! mode ([`DeviceBackend::with_bitexact_wrap`]) and as a per-walker loop of
-//! the paper's fused Algorithm 7 kernel otherwise. The resident
+//! accelerator model. Both run as the batched bit-exact kernels of
+//! [`crate::kernels`]: one launch services every walker of the call (a solo
+//! run is a batch of one) and every result is bit-identical to
+//! [`dqmc::HostBackend`]'s, so placing a run on the device changes its
+//! model clock and never a byte of its output. The resident
 //! operands `e^{−ΔτK}` / `e^{+ΔτK}` are uploaded lazily on first use and
 //! **dropped on [`ComputeBackend::notify_fault`]**: the recovery layer calls
 //! that before every retry, so a retry re-uploads clean copies — which is
@@ -18,11 +18,9 @@
 //! driver's taint scans (of every cluster product and every wrapped matrix)
 //! classify as taint-class faults.
 
-use crate::cluster::upload_expk;
-use crate::crowd::{try_cluster_crowd, try_wrap_crowd_bitexact_into};
 use crate::device::{DMatrix, Device, DeviceSpec};
 use crate::faults::DeviceError;
-use crate::wrap::{try_wrap_on_device_into, upload_expk_inv};
+use crate::kernels::{try_cluster_crowd, try_wrap_crowd_bitexact_into};
 use dqmc::{BMatrixFactory, BackendFault, ComputeBackend, HsField, Spin};
 use linalg::Matrix;
 
@@ -43,9 +41,18 @@ fn classify(e: DeviceError) -> BackendFault {
 #[derive(Debug)]
 pub struct DeviceBackend {
     dev: Device,
-    expk: Option<DMatrix>,
-    expk_inv: Option<DMatrix>,
-    bitexact_wrap: bool,
+    /// The resident `e^{−ΔτK}`: empty until first use, then a stack of one.
+    expk: Vec<DMatrix>,
+    /// The resident `e^{+ΔτK}`, likewise.
+    expk_inv: Vec<DMatrix>,
+}
+
+/// Uploads `m` into `slot` unless it is already resident there.
+fn resident<'a>(slot: &'a mut Vec<DMatrix>, dev: &mut Device, m: &Matrix) -> &'a DMatrix {
+    if slot.is_empty() {
+        *slot = dev.set_matrix_stack(&[m]);
+    }
+    &slot[0]
 }
 
 impl DeviceBackend {
@@ -53,32 +60,14 @@ impl DeviceBackend {
     pub fn new(dev: Device) -> Self {
         DeviceBackend {
             dev,
-            expk: None,
-            expk_inv: None,
-            bitexact_wrap: false,
+            expk: Vec::new(),
+            expk_inv: Vec::new(),
         }
     }
 
     /// Convenience: a fresh device from a spec.
     pub fn with_spec(spec: DeviceSpec) -> Self {
         DeviceBackend::new(Device::new(spec))
-    }
-
-    /// Switches the wrap path to deterministic-execution mode
-    /// ([`crate::crowd::try_wrap_crowd_bitexact_into`]): results become
-    /// bit-identical to the host backend at the cost of one extra kernel
-    /// launch per wrap, and one call wraps every walker in four launches.
-    /// Schedulers that treat device placement and batching as invisible
-    /// optimisations run with this on; the fused Algorithm 7 path (default
-    /// off, one walker per launch) is the paper's throughput configuration.
-    pub fn with_bitexact_wrap(mut self, on: bool) -> Self {
-        self.bitexact_wrap = on;
-        self
-    }
-
-    /// Whether the deterministic wrap path is active.
-    pub fn bitexact_wrap(&self) -> bool {
-        self.bitexact_wrap
     }
 
     /// The underlying device (clock, counters, fault tally).
@@ -106,21 +95,11 @@ impl ComputeBackend for DeviceBackend {
         gs: &[&Matrix],
         outs: &mut [&mut Matrix],
     ) -> Result<(), BackendFault> {
-        let expk = self
-            .expk
-            .get_or_insert_with(|| upload_expk(&mut self.dev, fac));
-        let expk_inv = self
-            .expk_inv
-            .get_or_insert_with(|| upload_expk_inv(&mut self.dev, fac));
         let dev = &mut self.dev;
-        if self.bitexact_wrap {
-            try_wrap_crowd_bitexact_into(dev, expk, expk_inv, fac, hs, l, spin, gs, outs)
-        } else {
-            (0..hs.len()).try_for_each(|i| {
-                try_wrap_on_device_into(dev, expk, expk_inv, fac, hs[i], l, spin, gs[i], outs[i])
-            })
-        }
-        .map_err(classify)
+        let expk = resident(&mut self.expk, dev, fac.expk());
+        let expk_inv = resident(&mut self.expk_inv, dev, fac.expk_inv());
+        try_wrap_crowd_bitexact_into(dev, expk, expk_inv, fac, hs, l, spin, gs, outs)
+            .map_err(classify)
     }
 
     fn cluster(
@@ -131,17 +110,15 @@ impl ComputeBackend for DeviceBackend {
         hi: usize,
         spin: Spin,
     ) -> Result<Vec<Matrix>, BackendFault> {
-        let expk = self
-            .expk
-            .get_or_insert_with(|| upload_expk(&mut self.dev, fac));
+        let expk = resident(&mut self.expk, &mut self.dev, fac.expk());
         try_cluster_crowd(&mut self.dev, expk, fac, hs, lo, hi, spin).map_err(classify)
     }
 
     fn notify_fault(&mut self) {
         // Drop the residents and the scratch-arena charge: the retry starts
         // from a clean device state and re-uploads the operands.
-        self.expk = None;
-        self.expk_inv = None;
+        self.expk.clear();
+        self.expk_inv.clear();
         self.dev.reset_arena();
     }
 
@@ -193,13 +170,13 @@ mod tests {
             .unwrap();
         host.wrap(&fac, &[&h], 0, Spin::Up, &[&g], &mut [&mut out_h])
             .unwrap();
-        assert!(out_d.max_abs_diff(&out_h) < 1e-12);
+        assert_eq!(out_d, out_h, "and the host's op order in the wrap");
     }
 
     #[test]
     fn bitexact_backend_makes_placement_unobservable() {
         // The sweep scheduler's determinism contract: a full simulation run
-        // through the deterministic-mode device backend must be
+        // through the device backend must be
         // bit-identical to the host run — Green's functions AND observables
         // — so host fallback under device-pool pressure cannot change
         // physics.
@@ -212,7 +189,7 @@ mod tests {
         let mut host_sim = dqmc::Simulation::new(params.clone());
         host_sim.run();
         let mut dev_sim = dqmc::Simulation::new(params).with_backend(Box::new(
-            DeviceBackend::with_spec(DeviceSpec::tesla_c2050()).with_bitexact_wrap(true),
+            DeviceBackend::with_spec(DeviceSpec::tesla_c2050()),
         ));
         dev_sim.run();
         assert_eq!(

@@ -1,7 +1,7 @@
 //! The device model: real numerics, simulated time.
 
-use crate::faults::{DeviceError, FaultPlan};
-use linalg::blas3::{gemm, Op};
+use crate::faults::{DeviceError, Fault, FaultPlan};
+use linalg::blas3::Op;
 use linalg::{scale, Matrix};
 use util::SimClock;
 
@@ -118,7 +118,7 @@ impl<'a> DGemmOperand<'a> {
 
 impl DMatrix {
     /// Host view of the device contents (free of simulated cost — test hook;
-    /// use [`Device::get_matrix`] to model the PCIe read).
+    /// use [`Device::get_matrix_stack_into`] to model the PCIe read).
     pub fn host_view(&self) -> &Matrix {
         &self.m
     }
@@ -137,12 +137,15 @@ impl DMatrix {
 /// The simulated accelerator: a CUBLAS-like handle whose operations compute
 /// exact host results while advancing a simulated clock.
 ///
-/// Every numerical operation comes in two flavours: a fallible `try_*`
-/// variant returning [`DeviceError`] when an armed [`FaultPlan`] fires (or
-/// the arena limit is hit), and the original infallible method, which
-/// delegates to the `try_*` form and panics on a fault. With no plan armed
-/// the two are identical — same numerics, same simulated cost, same
-/// counters — so fault support costs nothing on the clean path.
+/// Every operation has one form. Launches and allocations are fallible
+/// (`try_*`): they return a [`DeviceError`] when an armed [`FaultPlan`]
+/// fires or the arena limit is hit, and a caller that armed nothing says so
+/// with `?` or `expect` at its call site. Wherever CUBLAS has a batched
+/// form the operation takes a stack — a solo caller passes a stack of one
+/// and is charged exactly one matrix's worth. Only Algorithm 4's
+/// per-vector `cublasDscal` loops and Algorithm 7's fused scaling kernel,
+/// which Figure 9 studies and which have no batched analogue, take one
+/// matrix.
 #[derive(Clone, Debug)]
 pub struct Device {
     spec: DeviceSpec,
@@ -295,7 +298,7 @@ impl Device {
                 window,
             });
         }
-        if self.faults.take_launch_fault(self.kernels_launched) {
+        if self.faults.take(Fault::FailLaunch, self.kernels_launched) {
             self.faults_injected += 1;
             return Err(DeviceError::KernelLaunchFailure {
                 kernel,
@@ -305,23 +308,11 @@ impl Device {
         Ok(())
     }
 
-    /// The single device→host path: charges PCIe cost and applies any
-    /// scheduled silent corruption (one element → NaN) to the received data.
-    fn download(&mut self, data: &mut [f64]) {
-        self.transfer(data.len() * 8);
-        self.downloads += 1;
-        if self.faults.take_download_fault(self.downloads) {
-            let i = self.faults.pick_index(data.len());
-            data[i] = f64::NAN;
-            self.faults_injected += 1;
-        }
-    }
-
     /// Counts a completed compute op and applies any scheduled bit flip to
     /// its output: one element has a high mantissa bit XOR-ed (finite, wrong).
     fn finish_compute(&mut self, out: &mut Matrix) {
         self.compute_ops += 1;
-        if self.faults.take_bit_flip(self.compute_ops) {
+        if self.faults.take(Fault::BitFlip, self.compute_ops) {
             let data = out.as_mut_slice();
             let i = self.faults.pick_index(data.len());
             let bit = self.faults.pick_mantissa_bit();
@@ -330,239 +321,16 @@ impl Device {
         }
     }
 
-    #[track_caller]
-    fn infallible<T>(r: Result<T, DeviceError>) -> T {
-        r.unwrap_or_else(|e| panic!("device fault outside fault-aware path: {e}"))
-    }
-
-    /// `cublasSetMatrix`: host → device copy.
-    pub fn set_matrix(&mut self, host: &Matrix) -> DMatrix {
-        self.transfer(host.as_slice().len() * 8);
-        DMatrix { m: host.clone() }
-    }
-
-    /// `cublasSetVector`: host → device copy of a diagonal/vector.
-    pub fn set_vector(&mut self, v: &[f64]) -> Vec<f64> {
-        self.transfer(v.len() * 8);
-        v.to_vec()
-    }
-
-    /// `cublasSetVector` into a pre-allocated device vector — same PCIe
-    /// cost, no device-side allocation.
-    pub fn set_vector_into(&mut self, v: &[f64], dst: &mut Vec<f64>) {
-        self.transfer(v.len() * 8);
-        dst.clear();
-        dst.extend_from_slice(v);
-    }
-
-    /// `cublasGetMatrix`: device → host copy. Subject to scheduled transfer
-    /// corruption — callers on the recovery path must scan the result.
-    pub fn get_matrix(&mut self, d: &DMatrix) -> Matrix {
-        let mut out = d.m.clone();
-        self.download(out.as_mut_slice());
-        out
-    }
-
-    /// [`Device::get_matrix`] into a pre-allocated host matrix.
-    pub fn get_matrix_into(&mut self, d: &DMatrix, out: &mut Matrix) {
-        assert!(d.m.nrows() == out.nrows() && d.m.ncols() == out.ncols());
-        out.as_mut_slice().copy_from_slice(d.m.as_slice());
-        self.download(out.as_mut_slice());
-    }
-
-    /// Fallible device allocation: fails on a scheduled arena exhaustion or
-    /// when an arena limit is configured and would be exceeded. No PCIe cost.
-    pub fn try_alloc(&mut self, nrows: usize, ncols: usize) -> Result<DMatrix, DeviceError> {
-        self.allocs += 1;
-        let requested = nrows * ncols * 8;
-        if self.faults.take_alloc_fault(self.allocs) {
-            self.faults_injected += 1;
-            return Err(DeviceError::ArenaExhausted {
-                requested,
-                in_use: self.arena_in_use,
-                limit: self.arena_limit,
-            });
-        }
-        if self.arena_limit != 0 && self.arena_in_use + requested > self.arena_limit {
-            return Err(DeviceError::ArenaExhausted {
-                requested,
-                in_use: self.arena_in_use,
-                limit: self.arena_limit,
-            });
-        }
-        self.arena_in_use += requested;
-        Ok(DMatrix {
-            m: Matrix::zeros(nrows, ncols),
-        })
-    }
-
-    /// Allocates an uninitialised (zero) device matrix (no PCIe cost).
-    pub fn alloc(&mut self, nrows: usize, ncols: usize) -> DMatrix {
-        Self::infallible(self.try_alloc(nrows, ncols))
-    }
-
-    /// Fallible `cublasDcopy` of a whole matrix.
-    pub fn try_dcopy(&mut self, src: &DMatrix) -> Result<DMatrix, DeviceError> {
-        self.try_launch("dcopy")?;
-        // Device-side copy: read + write at full bandwidth.
-        let bytes = (src.m.as_slice().len() * 16) as f64;
-        self.clock
-            .advance(bytes / (self.spec.mem_bandwidth_gbs * 1e9));
-        Ok(DMatrix { m: src.m.clone() })
-    }
-
-    /// `cublasDcopy` of a whole matrix.
-    pub fn dcopy(&mut self, src: &DMatrix) -> DMatrix {
-        Self::infallible(self.try_dcopy(src))
-    }
-
-    /// Fallible [`Device::dcopy_into`].
-    pub fn try_dcopy_into(&mut self, src: &DMatrix, dst: &mut DMatrix) -> Result<(), DeviceError> {
-        assert!(src.m.nrows() == dst.m.nrows() && src.m.ncols() == dst.m.ncols());
-        self.try_launch("dcopy")?;
-        let bytes = (src.m.as_slice().len() * 16) as f64;
-        self.clock
-            .advance(bytes / (self.spec.mem_bandwidth_gbs * 1e9));
-        dst.m.as_mut_slice().copy_from_slice(src.m.as_slice());
-        Ok(())
-    }
-
-    /// `cublasDcopy` into a pre-allocated device matrix — same device-side
-    /// bandwidth cost, no allocation.
-    pub fn dcopy_into(&mut self, src: &DMatrix, dst: &mut DMatrix) {
-        Self::infallible(self.try_dcopy_into(src, dst));
-    }
-
-    /// Fallible `cublasDgemm`: `C = alpha·A·B + beta·C`.
-    pub fn try_dgemm(
-        &mut self,
-        alpha: f64,
-        a: &DMatrix,
-        b: &DMatrix,
-        beta: f64,
-        c: &mut DMatrix,
-    ) -> Result<(), DeviceError> {
-        self.try_launch("dgemm")?;
-        let (m, k, n) = (a.m.nrows(), a.m.ncols(), b.m.ncols());
-        let flops = 2.0 * m as f64 * n as f64 * k as f64;
-        let order = ((m * n * k) as f64).cbrt() as usize;
-        self.clock
-            .advance(flops / (self.spec.gemm_rate(order) * 1e9));
-        gemm(alpha, &a.m, Op::NoTrans, &b.m, Op::NoTrans, beta, &mut c.m);
-        self.finish_compute(&mut c.m);
-        Ok(())
-    }
-
-    /// `cublasDgemm`: `C = alpha·A·B + beta·C`.
-    pub fn dgemm(&mut self, alpha: f64, a: &DMatrix, b: &DMatrix, beta: f64, c: &mut DMatrix) {
-        Self::infallible(self.try_dgemm(alpha, a, b, beta, c));
-    }
-
-    /// One `cublasDscal` on `len` elements with the given coalescing quality.
-    fn try_dscal_cost(
-        &mut self,
-        kernel: &'static str,
-        len: usize,
-        coalesced: bool,
-    ) -> Result<(), DeviceError> {
-        self.try_launch(kernel)?;
-        let frac = if coalesced {
-            1.0
-        } else {
-            self.spec.uncoalesced_fraction
-        };
-        let bytes = (len * 16) as f64; // read + write
-        self.clock
-            .advance(bytes / (self.spec.mem_bandwidth_gbs * frac * 1e9));
-        Ok(())
-    }
-
-    /// Fallible [`Device::scale_rows_cublas`]. On a launch failure partway
-    /// through the row loop the matrix is left unmodified (the scaling is
-    /// applied only after every launch succeeded).
-    pub fn try_scale_rows_cublas(&mut self, v: &[f64], a: &mut DMatrix) -> Result<(), DeviceError> {
-        let n = a.m.nrows();
-        assert_eq!(v.len(), n);
-        for _ in 0..n {
-            self.try_dscal_cost("dscal", a.m.ncols(), false)?;
-        }
-        scale::row_scale(v, &mut a.m);
-        self.finish_compute(&mut a.m);
-        Ok(())
-    }
-
-    /// Algorithm 4's scaling: one `cublasDscal` per row (N launches,
-    /// non-coalesced row access). `a ← diag(v)·a`.
-    pub fn scale_rows_cublas(&mut self, v: &[f64], a: &mut DMatrix) {
-        Self::infallible(self.try_scale_rows_cublas(v, a));
-    }
-
-    /// Fallible [`Device::scale_rows_kernel`].
-    pub fn try_scale_rows_kernel(&mut self, v: &[f64], a: &mut DMatrix) -> Result<(), DeviceError> {
-        assert_eq!(v.len(), a.m.nrows());
-        self.try_dscal_cost("scale_rows_kernel", a.m.as_slice().len(), true)?;
-        scale::row_scale(v, &mut a.m);
-        self.finish_compute(&mut a.m);
-        Ok(())
-    }
-
-    /// Algorithm 5: custom row-scaling kernel — one launch, one thread per
-    /// row, coalesced reads/writes. `a ← diag(v)·a`.
-    pub fn scale_rows_kernel(&mut self, v: &[f64], a: &mut DMatrix) {
-        Self::infallible(self.try_scale_rows_kernel(v, a));
-    }
-
-    /// Fallible [`Device::scale_cols_cublas`]; same no-partial-effect
-    /// guarantee as [`Device::try_scale_rows_cublas`].
-    pub fn try_scale_cols_cublas(&mut self, v: &[f64], a: &mut DMatrix) -> Result<(), DeviceError> {
-        let n = a.m.ncols();
-        assert_eq!(v.len(), n);
-        for _ in 0..n {
-            self.try_dscal_cost("dscal", a.m.nrows(), true)?;
-        }
-        scale::col_scale(v, &mut a.m);
-        self.finish_compute(&mut a.m);
-        Ok(())
-    }
-
-    /// Algorithm 4's scaling in column form: one `cublasDscal` per column.
-    /// Columns are contiguous in device memory, so each launch streams
-    /// coalesced — but the `N` launch overheads remain. `a ← a·diag(v)`.
-    pub fn scale_cols_cublas(&mut self, v: &[f64], a: &mut DMatrix) {
-        Self::infallible(self.try_scale_cols_cublas(v, a));
-    }
-
-    /// Fallible [`Device::scale_cols_kernel`].
-    pub fn try_scale_cols_kernel(&mut self, v: &[f64], a: &mut DMatrix) -> Result<(), DeviceError> {
-        assert_eq!(v.len(), a.m.ncols());
-        self.try_dscal_cost("scale_cols_kernel", a.m.as_slice().len(), true)?;
-        scale::col_scale(v, &mut a.m);
-        self.finish_compute(&mut a.m);
-        Ok(())
-    }
-
-    /// Algorithm 5 in column form: one launch, coalesced. `a ← a·diag(v)`.
-    pub fn scale_cols_kernel(&mut self, v: &[f64], a: &mut DMatrix) {
-        Self::infallible(self.try_scale_cols_kernel(v, a));
-    }
-
-    /// `cublasSetMatrix` of a whole crowd: one PCIe transaction moves B
-    /// stacked matrices, so the per-transfer latency is paid once per crowd
-    /// instead of once per walker. Numerics identical to B solo uploads.
+    /// `cublasSetMatrix` of a stack of matrices: one PCIe transaction moves
+    /// all of them, so the per-transfer latency is paid once per call.
     pub fn set_matrix_stack(&mut self, hosts: &[&Matrix]) -> Vec<DMatrix> {
         let total: usize = hosts.iter().map(|h| h.as_slice().len()).sum();
         self.transfer(total * 8);
         hosts.iter().map(|h| DMatrix { m: (*h).clone() }).collect()
     }
 
-    /// `cublasSetVector` of a stacked crowd of vectors: one transfer.
-    pub fn set_vector_stack(&mut self, vs: &[&[f64]]) -> Vec<Vec<f64>> {
-        let total: usize = vs.iter().map(|v| v.len()).sum();
-        self.transfer(total * 8);
-        vs.iter().map(|v| v.to_vec()).collect()
-    }
-
-    /// [`Device::set_vector_stack`] into pre-allocated device vectors.
+    /// `cublasSetVector` of a stack of diagonals into pre-allocated device
+    /// vectors: one transfer, no device-side allocation.
     pub fn set_vector_stack_into(&mut self, vs: &[&[f64]], dsts: &mut [Vec<f64>]) {
         assert_eq!(vs.len(), dsts.len());
         let total: usize = vs.iter().map(|v| v.len()).sum();
@@ -573,25 +341,22 @@ impl Device {
         }
     }
 
-    /// `cublasGetMatrix` of a whole crowd: one PCIe transaction, one
-    /// download ordinal. Scheduled transfer corruption poisons exactly one
-    /// element of the stacked payload (landing in one walker's image), the
-    /// same observable granularity as the solo path — callers on the
-    /// recovery path must scan each received matrix.
+    /// `cublasGetMatrix` of a stack of matrices — the single device→host
+    /// path: one PCIe transaction, one download ordinal. Scheduled transfer
+    /// corruption poisons exactly one element of the stacked payload
+    /// (landing in one walker's image) and still returns normally — callers
+    /// on the recovery path must scan each received matrix.
     pub fn get_matrix_stack_into(&mut self, ds: &[&DMatrix], outs: &mut [&mut Matrix]) {
         assert_eq!(ds.len(), outs.len());
         let mut total = 0usize;
-        for (d, out) in ds.iter().zip(outs.iter()) {
+        for (d, out) in ds.iter().zip(outs.iter_mut()) {
             assert!(d.m.nrows() == out.nrows() && d.m.ncols() == out.ncols());
+            out.as_mut_slice().copy_from_slice(d.m.as_slice());
             total += d.m.as_slice().len();
         }
         self.transfer(total * 8);
         self.downloads += 1;
-        let corrupt = self.faults.take_download_fault(self.downloads);
-        for (d, out) in ds.iter().zip(outs.iter_mut()) {
-            out.as_mut_slice().copy_from_slice(d.m.as_slice());
-        }
-        if corrupt && total > 0 {
+        if self.faults.take(Fault::CorruptDownload, self.downloads) && total > 0 {
             let mut i = self.faults.pick_index(total);
             for out in outs.iter_mut() {
                 let data = out.as_mut_slice();
@@ -605,24 +370,50 @@ impl Device {
         }
     }
 
-    /// Allocates a stack of B uninitialised device matrices (arena-charged
-    /// individually; allocation has no PCIe or launch cost to amortise).
-    pub fn try_alloc_stack(
+    /// Allocates `count` uninitialised (zero) device matrices, each charged
+    /// to the arena and counted as its own allocation ordinal (allocation
+    /// has no PCIe or launch cost to amortise). Fails on a scheduled arena
+    /// exhaustion or when a configured arena limit would be exceeded.
+    pub fn try_alloc(
         &mut self,
         nrows: usize,
         ncols: usize,
         count: usize,
     ) -> Result<Vec<DMatrix>, DeviceError> {
-        (0..count).map(|_| self.try_alloc(nrows, ncols)).collect()
+        let requested = nrows * ncols * 8;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            self.allocs += 1;
+            let injected = self.faults.take(Fault::Oom, self.allocs);
+            self.faults_injected += u64::from(injected);
+            let over = self.arena_limit != 0 && self.arena_in_use + requested > self.arena_limit;
+            if injected || over {
+                return Err(DeviceError::ArenaExhausted {
+                    requested,
+                    in_use: self.arena_in_use,
+                    limit: self.arena_limit,
+                });
+            }
+            self.arena_in_use += requested;
+            out.push(DMatrix {
+                m: Matrix::zeros(nrows, ncols),
+            });
+        }
+        Ok(out)
     }
 
-    /// Fallible `cublasDgemmStridedBatched`: `C_e = alpha·A_e·B_e + beta·C_e`
-    /// for every entry of the crowd. Cost model: **one** kernel launch (the
-    /// batched driver submits the whole stack) plus B× the solo compute
-    /// time; per-entry completion still counts one compute op each, so
-    /// bit-flip fault ordinals see every entry. Numerics delegate to the
-    /// host batched kernel, which is bit-identical per entry to solo
-    /// [`Device::try_dgemm`].
+    /// `cublasDcopy` of a whole matrix.
+    pub fn try_dcopy(&mut self, src: &DMatrix) -> Result<DMatrix, DeviceError> {
+        self.try_stream("dcopy", src.m.as_slice().len(), 1.0)?;
+        Ok(DMatrix { m: src.m.clone() })
+    }
+
+    /// `cublasDgemmStridedBatched`: `C_e = alpha·A_e·B_e + beta·C_e` for
+    /// every entry of the stack. Cost model: **one** kernel launch (the
+    /// batched driver submits the whole stack) plus the per-entry compute
+    /// time for each entry; per-entry completion counts one compute op each,
+    /// so bit-flip fault ordinals see every entry. Numerics are the host
+    /// batched kernel, bit-identical per entry to `linalg::gemm`.
     pub fn try_dgemm_strided_batched(
         &mut self,
         alpha: f64,
@@ -674,95 +465,140 @@ impl Device {
         Ok(())
     }
 
-    /// Batched Algorithm 5 row scaling: one launch services the whole
-    /// crowd, streaming B matrices at full bandwidth. `a_e ← diag(v_e)·a_e`.
+    /// One launch streaming `len` elements (read + write) at `fraction` of
+    /// the device memory bandwidth.
+    fn try_stream(
+        &mut self,
+        kernel: &'static str,
+        len: usize,
+        fraction: f64,
+    ) -> Result<(), DeviceError> {
+        self.try_launch(kernel)?;
+        let bytes = (len * 16) as f64;
+        self.clock
+            .advance(bytes / (self.spec.mem_bandwidth_gbs * fraction * 1e9));
+        Ok(())
+    }
+
+    /// Algorithm 5, batched: the custom row-scaling kernel, one launch for
+    /// the whole stack, coalesced. `a_e ← diag(v_e)·a_e`.
     pub fn try_scale_rows_kernel_batched(
         &mut self,
         vs: &[Vec<f64>],
         as_: &mut [DMatrix],
     ) -> Result<(), DeviceError> {
-        assert_eq!(vs.len(), as_.len());
-        if as_.is_empty() {
-            return Ok(());
-        }
-        for (v, a) in vs.iter().zip(as_.iter()) {
-            assert_eq!(v.len(), a.m.nrows());
-        }
-        self.try_launch("scale_rows_kernel_batched")?;
-        let total: usize = as_.iter().map(|a| a.m.as_slice().len()).sum();
-        self.clock
-            .advance((total * 16) as f64 / (self.spec.mem_bandwidth_gbs * 1e9));
-        for (v, a) in vs.iter().zip(as_.iter_mut()) {
-            scale::row_scale(v, &mut a.m);
-            self.finish_compute(&mut a.m);
-        }
-        Ok(())
+        self.try_scale_kernel_batched("scale_rows_kernel_batched", vs, as_, scale::row_scale)
     }
 
-    /// Batched Algorithm 5 column scaling: one launch per crowd.
+    /// Algorithm 5 in column form, batched: one launch for the whole stack.
     /// `a_e ← a_e·diag(v_e)`.
     pub fn try_scale_cols_kernel_batched(
         &mut self,
         vs: &[Vec<f64>],
         as_: &mut [DMatrix],
     ) -> Result<(), DeviceError> {
+        self.try_scale_kernel_batched("scale_cols_kernel_batched", vs, as_, scale::col_scale)
+    }
+
+    fn try_scale_kernel_batched(
+        &mut self,
+        kernel: &'static str,
+        vs: &[Vec<f64>],
+        as_: &mut [DMatrix],
+        apply: impl Fn(&[f64], &mut Matrix),
+    ) -> Result<(), DeviceError> {
         assert_eq!(vs.len(), as_.len());
         if as_.is_empty() {
             return Ok(());
         }
-        for (v, a) in vs.iter().zip(as_.iter()) {
-            assert_eq!(v.len(), a.m.ncols());
-        }
-        self.try_launch("scale_cols_kernel_batched")?;
         let total: usize = as_.iter().map(|a| a.m.as_slice().len()).sum();
-        self.clock
-            .advance((total * 16) as f64 / (self.spec.mem_bandwidth_gbs * 1e9));
+        self.try_stream(kernel, total, 1.0)?;
         for (v, a) in vs.iter().zip(as_.iter_mut()) {
-            scale::col_scale(v, &mut a.m);
+            apply(v, &mut a.m);
             self.finish_compute(&mut a.m);
         }
         Ok(())
     }
 
-    /// Fallible [`Device::wrap_scale_kernel`].
-    pub fn try_wrap_scale_kernel(&mut self, v: &[f64], g: &mut DMatrix) -> Result<(), DeviceError> {
-        assert_eq!(v.len(), g.m.nrows());
-        self.try_launch("wrap_scale_kernel")?;
-        let bytes = (g.m.as_slice().len() * 16) as f64;
-        // Texture-cached gather: ~70 % of streaming bandwidth.
-        self.clock
-            .advance(bytes / (self.spec.mem_bandwidth_gbs * 0.7 * 1e9));
-        let vinv: Vec<f64> = v.iter().map(|&x| 1.0 / x).collect();
-        scale::row_col_scale(v, &vinv, &mut g.m);
-        self.finish_compute(&mut g.m);
+    /// Algorithm 4's scaling: one `cublasDscal` per row (N launches,
+    /// non-coalesced row access). `a ← diag(v)·a`. On a launch failure
+    /// partway through the row loop the matrix is left unmodified (the
+    /// scaling is applied only after every launch succeeded).
+    pub fn try_scale_rows_cublas(&mut self, v: &[f64], a: &mut DMatrix) -> Result<(), DeviceError> {
+        for _ in 0..a.m.nrows() {
+            self.try_stream("dscal", a.m.ncols(), self.spec.uncoalesced_fraction)?;
+        }
+        scale::row_scale(v, &mut a.m);
+        self.finish_compute(&mut a.m);
+        Ok(())
+    }
+
+    /// Algorithm 4's scaling in column form: one `cublasDscal` per column.
+    /// Columns are contiguous in device memory, so each launch streams
+    /// coalesced — but the `N` launch overheads remain. `a ← a·diag(v)`.
+    /// Same no-partial-effect guarantee as
+    /// [`Device::try_scale_rows_cublas`].
+    pub fn try_scale_cols_cublas(&mut self, v: &[f64], a: &mut DMatrix) -> Result<(), DeviceError> {
+        for _ in 0..a.m.ncols() {
+            self.try_stream("dscal", a.m.nrows(), 1.0)?;
+        }
+        scale::col_scale(v, &mut a.m);
+        self.finish_compute(&mut a.m);
         Ok(())
     }
 
     /// Algorithm 7: custom two-sided scaling kernel
     /// `G ← diag(v)·G·diag(v)⁻¹` — one launch; the column factor arrives via
-    /// the texture cache, modelled as a modest bandwidth penalty.
-    pub fn wrap_scale_kernel(&mut self, v: &[f64], g: &mut DMatrix) {
-        Self::infallible(self.try_wrap_scale_kernel(v, g));
+    /// the texture cache, modelled as a gather at ~70 % of streaming
+    /// bandwidth.
+    pub fn try_wrap_scale_kernel(&mut self, v: &[f64], g: &mut DMatrix) -> Result<(), DeviceError> {
+        self.try_stream("wrap_scale_kernel", g.m.as_slice().len(), 0.7)?;
+        let vinv: Vec<f64> = v.iter().map(|&x| 1.0 / x).collect();
+        scale::row_col_scale(v, &vinv, &mut g.m);
+        self.finish_compute(&mut g.m);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linalg::blas3::gemm;
     use util::Rng;
 
     fn dev() -> Device {
         Device::new(DeviceSpec::tesla_c2050())
     }
 
+    fn up(d: &mut Device, m: &Matrix) -> DMatrix {
+        d.set_matrix_stack(&[m]).remove(0)
+    }
+
+    fn down(d: &mut Device, dm: &DMatrix) -> Matrix {
+        let mut out = Matrix::zeros(dm.nrows(), dm.ncols());
+        d.get_matrix_stack_into(&[dm], &mut [&mut out]);
+        out
+    }
+
+    /// `c[0] = a·b` as a stack of one.
+    fn dgemm(
+        d: &mut Device,
+        a: &DMatrix,
+        b: &DMatrix,
+        c: &mut [DMatrix],
+    ) -> Result<(), DeviceError> {
+        let (a, b) = (DGemmOperand::Shared(a), DGemmOperand::Shared(b));
+        d.try_dgemm_strided_batched(1.0, a, b, 0.0, c)
+    }
+
     #[test]
     fn transfers_advance_clock_and_counters() {
         let mut d = dev();
         let m = Matrix::identity(64);
-        let dm = d.set_matrix(&m);
+        let dm = up(&mut d, &m);
         assert!(d.elapsed() > 0.0);
         assert_eq!(d.bytes_transferred(), 64 * 64 * 8);
-        let back = d.get_matrix(&dm);
+        let back = down(&mut d, &dm);
         assert_eq!(back, m);
         assert_eq!(d.bytes_transferred(), 2 * 64 * 64 * 8);
         assert_eq!(d.downloads(), 1);
@@ -774,13 +610,17 @@ mod tests {
         let a = Matrix::random(40, 40, &mut rng);
         let b = Matrix::random(40, 40, &mut rng);
         let mut d = dev();
-        let da = d.set_matrix(&a);
-        let db = d.set_matrix(&b);
-        let mut dc = d.alloc(40, 40);
-        d.dgemm(1.0, &da, &db, 0.0, &mut dc);
+        let da = up(&mut d, &a);
+        let db = up(&mut d, &b);
+        let mut dc = d.try_alloc(40, 40, 1).unwrap();
+        dgemm(&mut d, &da, &db, &mut dc).unwrap();
         let mut host = Matrix::zeros(40, 40);
         gemm(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut host);
-        assert_eq!(dc.host_view(), &host, "device result must be bit-identical");
+        assert_eq!(
+            dc[0].host_view(),
+            &host,
+            "device result must be bit-identical"
+        );
     }
 
     #[test]
@@ -802,19 +642,19 @@ mod tests {
         let v: Vec<f64> = (0..256).map(|i| 1.0 + i as f64 * 1e-3).collect();
 
         let mut d1 = dev();
-        let mut m1 = d1.set_matrix(&a);
+        let mut m1 = up(&mut d1, &a);
         d1.reset_clock();
-        d1.scale_rows_cublas(&v, &mut m1);
+        d1.try_scale_rows_cublas(&v, &mut m1).unwrap();
         let slow = d1.elapsed();
 
         let mut d2 = dev();
-        let mut m2 = d2.set_matrix(&a);
+        let mut m2 = d2.set_matrix_stack(&[&a]);
         d2.reset_clock();
-        d2.scale_rows_kernel(&v, &mut m2);
+        d2.try_scale_rows_kernel_batched(&[v], &mut m2).unwrap();
         let fast = d2.elapsed();
 
         assert!(fast < slow / 5.0, "kernel {fast} vs row-loop {slow}");
-        assert_eq!(m1.host_view(), m2.host_view(), "same numerics");
+        assert_eq!(m1.host_view(), m2[0].host_view(), "same numerics");
     }
 
     #[test]
@@ -823,8 +663,8 @@ mod tests {
         let g = Matrix::random(32, 32, &mut rng);
         let v: Vec<f64> = (0..32).map(|i| (0.1 * i as f64).exp()).collect();
         let mut d = dev();
-        let mut dg = d.set_matrix(&g);
-        d.wrap_scale_kernel(&v, &mut dg);
+        let mut dg = up(&mut d, &g);
+        d.try_wrap_scale_kernel(&v, &mut dg).unwrap();
         for i in 0..32 {
             for j in 0..32 {
                 let expect = v[i] * g[(i, j)] / v[j];
@@ -836,9 +676,9 @@ mod tests {
     #[test]
     fn dcopy_duplicates_and_costs() {
         let mut d = dev();
-        let m = d.set_matrix(&Matrix::identity(16));
+        let m = up(&mut d, &Matrix::identity(16));
         let t0 = d.elapsed();
-        let c = d.dcopy(&m);
+        let c = d.try_dcopy(&m).unwrap();
         assert!(d.elapsed() > t0);
         assert_eq!(c.host_view(), m.host_view());
     }
@@ -846,10 +686,10 @@ mod tests {
     #[test]
     fn kernel_launches_counted() {
         let mut d = dev();
-        let mut m = d.set_matrix(&Matrix::identity(8));
+        let mut m = d.set_matrix_stack(&[&Matrix::identity(8)]);
         let v = vec![2.0; 8];
-        d.scale_rows_cublas(&v, &mut m); // 8 launches
-        d.scale_rows_kernel(&v, &mut m); // 1 launch
+        d.try_scale_rows_cublas(&v, &mut m[0]).unwrap(); // 8 launches
+        d.try_scale_rows_kernel_batched(&[v], &mut m).unwrap(); // 1 launch
         assert_eq!(d.kernels_launched(), 9);
     }
 
@@ -876,13 +716,13 @@ mod tests {
             if armed {
                 d.arm_faults(FaultPlan::new());
             }
-            let da = d.set_matrix(&a);
-            let mut t = d.dcopy(&da);
-            let v = vec![1.5; 24];
-            d.scale_rows_kernel(&v, &mut t);
-            let mut c = d.alloc(24, 24);
-            d.dgemm(1.0, &da, &t, 0.0, &mut c);
-            (d.get_matrix(&c), d.elapsed(), d.kernels_launched())
+            let da = up(&mut d, &a);
+            let mut t = vec![d.try_dcopy(&da).unwrap()];
+            d.try_scale_rows_kernel_batched(&[vec![1.5; 24]], &mut t)
+                .unwrap();
+            let mut c = d.try_alloc(24, 24, 1).unwrap();
+            dgemm(&mut d, &da, &t[0], &mut c).unwrap();
+            (down(&mut d, &c[0]), d.elapsed(), d.kernels_launched())
         };
         let (m1, t1, k1) = run(false);
         let (m2, t2, k2) = run(true);
@@ -896,32 +736,32 @@ mod tests {
         let mut d = dev();
         d.arm_faults(FaultPlan::new().with_seed(11).corrupt_transfer(2));
         let m = Matrix::identity(8);
-        let dm = d.set_matrix(&m);
-        assert_eq!(d.get_matrix(&dm), m, "download #1 is clean");
-        let bad = d.get_matrix(&dm);
+        let dm = up(&mut d, &m);
+        assert_eq!(down(&mut d, &dm), m, "download #1 is clean");
+        let bad = down(&mut d, &dm);
         let nans = bad.as_slice().iter().filter(|x| x.is_nan()).count();
         assert_eq!(nans, 1, "download #2 carries exactly one NaN");
         assert_eq!(d.faults_injected(), 1);
-        assert_eq!(d.get_matrix(&dm), m, "one-shot: download #3 clean again");
+        assert_eq!(down(&mut d, &dm), m, "one-shot: download #3 clean again");
     }
 
     #[test]
     fn scheduled_launch_failure_fires_then_clears() {
         let mut d = dev();
         d.arm_faults(FaultPlan::new().fail_launch(2));
-        let da = d.set_matrix(&Matrix::identity(8));
-        let db = d.set_matrix(&Matrix::identity(8));
-        let mut c = d.alloc(8, 8);
-        assert!(d.try_dgemm(1.0, &da, &db, 0.0, &mut c).is_ok());
-        let err = d.try_dgemm(1.0, &da, &db, 0.0, &mut c).unwrap_err();
+        let da = up(&mut d, &Matrix::identity(8));
+        let db = up(&mut d, &Matrix::identity(8));
+        let mut c = d.try_alloc(8, 8, 1).unwrap();
+        assert!(dgemm(&mut d, &da, &db, &mut c).is_ok());
+        let err = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
         assert!(matches!(
             err,
             DeviceError::KernelLaunchFailure {
-                kernel: "dgemm",
+                kernel: "dgemm_strided_batched",
                 launch_index: 2
             }
         ));
-        assert!(d.try_dgemm(1.0, &da, &db, 0.0, &mut c).is_ok(), "retry ok");
+        assert!(dgemm(&mut d, &da, &db, &mut c).is_ok(), "retry ok");
         assert_eq!(d.faults_injected(), 1);
     }
 
@@ -934,27 +774,24 @@ mod tests {
                 .wedge_at_launch(2)
                 .sick_window(3, 4),
         );
-        let da = d.set_matrix(&Matrix::identity(8));
-        let db = d.set_matrix(&Matrix::identity(8));
-        let mut c = d.alloc(8, 8);
-        let e1 = d.try_dgemm(1.0, &da, &db, 0.0, &mut c).unwrap_err();
+        let da = up(&mut d, &Matrix::identity(8));
+        let db = up(&mut d, &Matrix::identity(8));
+        let mut c = d.try_alloc(8, 8, 1).unwrap();
+        let e1 = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
         assert!(
             matches!(e1, DeviceError::Hang { wedged: false, .. }),
             "{e1}"
         );
-        let e2 = d.try_dgemm(1.0, &da, &db, 0.0, &mut c).unwrap_err();
+        let e2 = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
         assert!(matches!(e2, DeviceError::Hang { wedged: true, .. }), "{e2}");
-        let e3 = d.try_dgemm(1.0, &da, &db, 0.0, &mut c).unwrap_err();
+        let e3 = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
         assert!(matches!(e3, DeviceError::SickDevice { .. }), "{e3}");
-        let e4 = d.try_dgemm(1.0, &da, &db, 0.0, &mut c).unwrap_err();
+        let e4 = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
         assert!(
             matches!(e4, DeviceError::SickDevice { .. }),
             "window persists"
         );
-        assert!(
-            d.try_dgemm(1.0, &da, &db, 0.0, &mut c).is_ok(),
-            "window over"
-        );
+        assert!(dgemm(&mut d, &da, &db, &mut c).is_ok(), "window over");
         assert_eq!(d.faults_injected(), 4);
     }
 
@@ -970,10 +807,10 @@ mod tests {
             if let Some(p) = plan {
                 d.arm_faults(p);
             }
-            let da = d.set_matrix(&a);
-            let mut c = d.alloc(16, 16);
-            d.try_dgemm(1.0, &da, &da, 0.0, &mut c).unwrap();
-            let out = d.get_matrix(&c);
+            let da = up(&mut d, &a);
+            let mut c = d.try_alloc(16, 16, 1).unwrap();
+            dgemm(&mut d, &da, &da, &mut c).unwrap();
+            let out = down(&mut d, &c[0]);
             (out, d.elapsed())
         };
         let (clean, t_clean) = run(None);
@@ -1003,16 +840,15 @@ mod tests {
     fn scheduled_oom_and_arena_limit() {
         let mut d = dev().with_arena_limit(3 * 8 * 8 * 8);
         d.arm_faults(FaultPlan::new().oom_at_alloc(2));
-        assert!(d.try_alloc(8, 8).is_ok());
-        let err = d.try_alloc(8, 8).unwrap_err();
+        assert!(d.try_alloc(8, 8, 1).is_ok());
+        let err = d.try_alloc(8, 8, 1).unwrap_err();
         assert!(matches!(err, DeviceError::ArenaExhausted { .. }));
         // Injected OOMs charge nothing; two more real allocations fit.
-        assert!(d.try_alloc(8, 8).is_ok());
-        assert!(d.try_alloc(8, 8).is_ok());
+        assert!(d.try_alloc(8, 8, 2).is_ok());
         // Now the configured limit itself bites.
-        assert!(d.try_alloc(8, 8).is_err());
+        assert!(d.try_alloc(8, 8, 1).is_err());
         d.reset_arena();
-        assert!(d.try_alloc(8, 8).is_ok(), "arena reset frees the charge");
+        assert!(d.try_alloc(8, 8, 1).is_ok(), "arena reset frees the charge");
     }
 
     #[test]
@@ -1020,17 +856,17 @@ mod tests {
         let mut rng = Rng::new(5);
         let a = Matrix::random(16, 16, &mut rng);
         let b = Matrix::random(16, 16, &mut rng);
-        let mut clean = dev();
-        let (ca, cb) = (clean.set_matrix(&a), clean.set_matrix(&b));
-        let mut cc = clean.alloc(16, 16);
-        clean.dgemm(1.0, &ca, &cb, 0.0, &mut cc);
-
-        let mut d = dev();
-        d.arm_faults(FaultPlan::new().with_seed(9).flip_bit_after_op(1));
-        let (da, db) = (d.set_matrix(&a), d.set_matrix(&b));
-        let mut dc = d.alloc(16, 16);
-        d.dgemm(1.0, &da, &db, 0.0, &mut dc);
-        assert_eq!(d.faults_injected(), 1);
+        let run = |plan: FaultPlan| {
+            let mut d = dev();
+            d.arm_faults(plan);
+            let (da, db) = (up(&mut d, &a), up(&mut d, &b));
+            let mut dc = d.try_alloc(16, 16, 1).unwrap();
+            dgemm(&mut d, &da, &db, &mut dc).unwrap();
+            (dc.remove(0), d.faults_injected())
+        };
+        let (cc, _) = run(FaultPlan::new());
+        let (dc, injected) = run(FaultPlan::new().with_seed(9).flip_bit_after_op(1));
+        assert_eq!(injected, 1);
 
         let flipped: Vec<usize> = (0..16 * 16)
             .filter(|&i| dc.host_view().as_slice()[i] != cc.host_view().as_slice()[i])
@@ -1038,14 +874,5 @@ mod tests {
         assert_eq!(flipped.len(), 1, "exactly one element differs");
         let v = dc.host_view().as_slice()[flipped[0]];
         assert!(v.is_finite(), "bit flip stays finite: {v}");
-    }
-
-    #[test]
-    #[should_panic(expected = "device fault outside fault-aware path")]
-    fn infallible_op_panics_on_armed_fault() {
-        let mut d = dev();
-        d.arm_faults(FaultPlan::new().fail_launch(1));
-        let src = d.set_matrix(&Matrix::identity(4));
-        let _ = d.dcopy(&src);
     }
 }

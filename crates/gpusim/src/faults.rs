@@ -144,22 +144,38 @@ impl fmt::Display for DeviceError {
 
 impl std::error::Error for DeviceError {}
 
+/// What a scheduled entry of a [`FaultPlan`] does when its ordinal comes up.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Fault {
+    /// One element of the download becomes NaN (ordinal counts downloads).
+    CorruptDownload,
+    /// The launch is rejected (this and the four below count launches).
+    FailLaunch,
+    /// The launch hangs until the simulated watchdog kills it.
+    Hang,
+    /// The launch hangs for good.
+    Wedge,
+    /// The launch succeeds at this multiple of its normal overhead.
+    Slow(f64),
+    /// Every launch from the entry's ordinal through this one fails; the
+    /// only entry that is not consumed when it fires.
+    SickThrough(u64),
+    /// The allocation reports arena exhaustion (ordinal counts allocations).
+    Oom,
+    /// One output element has a high mantissa bit flipped (ordinal counts
+    /// compute ops).
+    BitFlip,
+}
+
 /// A scripted schedule of device faults.
 ///
 /// Ordinals are 1-based and count per category over the device's lifetime
 /// (they survive [`Device::reset_clock`](crate::device::Device::reset_clock)):
-/// the 3rd download is the 3rd `get_matrix` since the device was created,
-/// regardless of how many kernels launched in between.
+/// the 3rd download is the 3rd stacked download since the device was
+/// created, regardless of how many kernels launched in between.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    corrupt_downloads: Vec<u64>,
-    failed_launches: Vec<u64>,
-    failed_allocs: Vec<u64>,
-    bit_flips: Vec<u64>,
-    hangs: Vec<u64>,
-    wedges: Vec<u64>,
-    slow_launches: Vec<(u64, f64)>,
-    sick_windows: Vec<(u64, u64)>,
+    ops: Vec<(u64, Fault)>,
     rng: Option<util::Rng>,
 }
 
@@ -177,58 +193,56 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules silent corruption of the `nth` (1-based) device→host matrix
-    /// download: one element of the received matrix becomes NaN.
-    pub fn corrupt_transfer(mut self, nth: u64) -> Self {
-        self.corrupt_downloads.push(nth);
+    fn at(mut self, nth: u64, fault: Fault) -> Self {
+        self.ops.push((nth, fault));
         self
     }
 
+    /// Schedules silent corruption of the `nth` (1-based) device→host matrix
+    /// download: one element of the received matrix becomes NaN.
+    pub fn corrupt_transfer(self, nth: u64) -> Self {
+        self.at(nth, Fault::CorruptDownload)
+    }
+
     /// Schedules the `nth` (1-based) kernel launch to fail.
-    pub fn fail_launch(mut self, nth: u64) -> Self {
-        self.failed_launches.push(nth);
-        self
+    pub fn fail_launch(self, nth: u64) -> Self {
+        self.at(nth, Fault::FailLaunch)
     }
 
     /// Schedules the `nth` (1-based) device allocation to report arena
     /// exhaustion.
-    pub fn oom_at_alloc(mut self, nth: u64) -> Self {
-        self.failed_allocs.push(nth);
-        self
+    pub fn oom_at_alloc(self, nth: u64) -> Self {
+        self.at(nth, Fault::Oom)
     }
 
     /// Schedules a bit flip in the output of the `nth` (1-based) device
     /// compute operation (GEMM / scaling / wrap kernels): one element has a
     /// high mantissa bit XOR-ed, producing a *finite* but wrong value — the
     /// silent-corruption case that only a consistency check can catch.
-    pub fn flip_bit_after_op(mut self, nth: u64) -> Self {
-        self.bit_flips.push(nth);
-        self
+    pub fn flip_bit_after_op(self, nth: u64) -> Self {
+        self.at(nth, Fault::BitFlip)
     }
 
     /// Schedules the `nth` (1-based) kernel launch to hang: it fails with
     /// [`DeviceError::Hang`] (`wedged = false`) after the simulated watchdog
     /// kills it at its logical deadline.
-    pub fn hang_at_launch(mut self, nth: u64) -> Self {
-        self.hangs.push(nth);
-        self
+    pub fn hang_at_launch(self, nth: u64) -> Self {
+        self.at(nth, Fault::Hang)
     }
 
     /// Schedules the `nth` (1-based) kernel launch to wedge the device:
     /// [`DeviceError::Hang`] with `wedged = true` — the hard-deadline case
     /// where the worker is declared lost.
-    pub fn wedge_at_launch(mut self, nth: u64) -> Self {
-        self.wedges.push(nth);
-        self
+    pub fn wedge_at_launch(self, nth: u64) -> Self {
+        self.at(nth, Fault::Wedge)
     }
 
     /// Schedules the `nth` (1-based) kernel launch to run `factor ×`
     /// slower in simulated time while still succeeding: fail-slow latency
     /// inflation, invisible to the numerics. `factor` must be ≥ 1.
-    pub fn slow_launch(mut self, nth: u64, factor: f64) -> Self {
+    pub fn slow_launch(self, nth: u64, factor: f64) -> Self {
         assert!(factor >= 1.0, "latency factor must be >= 1");
-        self.slow_launches.push((nth, factor));
-        self
+        self.at(nth, Fault::Slow(factor))
     }
 
     /// Declares the device sick for every launch ordinal in `[lo, hi]`
@@ -236,24 +250,16 @@ impl FaultPlan {
     /// [`DeviceError::SickDevice`]. Unlike the one-shot classes the window
     /// persists — retrying inside it keeps failing, which is exactly the
     /// intermittent profile a circuit breaker exists for.
-    pub fn sick_window(mut self, lo: u64, hi: u64) -> Self {
+    pub fn sick_window(self, lo: u64, hi: u64) -> Self {
         assert!(lo >= 1 && lo <= hi, "sick window wants 1 <= lo <= hi");
-        self.sick_windows.push((lo, hi));
-        self
+        self.at(lo, Fault::SickThrough(hi))
     }
 
     /// Appends every schedule of `other` onto this plan — used to merge a
     /// pool slot's health profile into a job's own fault plan at lease
     /// time. The receiver's RNG seed wins when both are set.
     pub fn merge(mut self, other: FaultPlan) -> FaultPlan {
-        self.corrupt_downloads.extend(other.corrupt_downloads);
-        self.failed_launches.extend(other.failed_launches);
-        self.failed_allocs.extend(other.failed_allocs);
-        self.bit_flips.extend(other.bit_flips);
-        self.hangs.extend(other.hangs);
-        self.wedges.extend(other.wedges);
-        self.slow_launches.extend(other.slow_launches);
-        self.sick_windows.extend(other.sick_windows);
+        self.ops.extend(other.ops);
         if self.rng.is_none() {
             self.rng = other.rng;
         }
@@ -268,17 +274,15 @@ impl FaultPlan {
         let mut rng = util::Rng::new(seed);
         let mut plan = FaultPlan::new();
         for n in 1..=horizon {
-            if rng.next_f64() < rate {
-                plan.corrupt_downloads.push(n);
-            }
-            if rng.next_f64() < rate {
-                plan.failed_launches.push(n);
-            }
-            if rng.next_f64() < rate {
-                plan.failed_allocs.push(n);
-            }
-            if rng.next_f64() < rate {
-                plan.bit_flips.push(n);
+            for fault in [
+                Fault::CorruptDownload,
+                Fault::FailLaunch,
+                Fault::Oom,
+                Fault::BitFlip,
+            ] {
+                if rng.next_f64() < rate {
+                    plan.ops.push((n, fault));
+                }
             }
         }
         plan.rng = Some(rng);
@@ -287,52 +291,24 @@ impl FaultPlan {
 
     /// True when the plan schedules nothing (the unarmed state).
     pub fn is_empty(&self) -> bool {
-        self.corrupt_downloads.is_empty()
-            && self.failed_launches.is_empty()
-            && self.failed_allocs.is_empty()
-            && self.bit_flips.is_empty()
-            && self.hangs.is_empty()
-            && self.wedges.is_empty()
-            && self.slow_launches.is_empty()
-            && self.sick_windows.is_empty()
+        self.ops.is_empty()
     }
 
-    fn take(list: &mut Vec<u64>, n: u64) -> bool {
-        if let Some(pos) = list.iter().position(|&x| x == n) {
-            list.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Consumes a scheduled corruption of download `n`, if any.
-    pub(crate) fn take_download_fault(&mut self, n: u64) -> bool {
-        Self::take(&mut self.corrupt_downloads, n)
-    }
-
-    /// Consumes a scheduled failure of launch `n`, if any.
-    pub(crate) fn take_launch_fault(&mut self, n: u64) -> bool {
-        Self::take(&mut self.failed_launches, n)
-    }
-
-    /// Consumes a scheduled exhaustion at allocation `n`, if any.
-    pub(crate) fn take_alloc_fault(&mut self, n: u64) -> bool {
-        Self::take(&mut self.failed_allocs, n)
-    }
-
-    /// Consumes a scheduled bit flip after compute op `n`, if any.
-    pub(crate) fn take_bit_flip(&mut self, n: u64) -> bool {
-        Self::take(&mut self.bit_flips, n)
+    /// Consumes one scheduled `fault` at ordinal `n` of its category, if
+    /// any: faults are one-shot, so a retry of the same operation succeeds
+    /// unless the ordinal was scheduled twice.
+    pub(crate) fn take(&mut self, fault: Fault, n: u64) -> bool {
+        let pos = self.ops.iter().position(|&op| op == (n, fault));
+        pos.map(|p| self.ops.remove(p)).is_some()
     }
 
     /// Consumes a scheduled hang or wedge at launch `n`. Returns
     /// `Some(wedged)` when one fires; a wedge scheduled at the same
     /// ordinal as a hang wins (the worse failure dominates).
     pub(crate) fn take_hang(&mut self, n: u64) -> Option<bool> {
-        if Self::take(&mut self.wedges, n) {
+        if self.take(Fault::Wedge, n) {
             Some(true)
-        } else if Self::take(&mut self.hangs, n) {
+        } else if self.take(Fault::Hang, n) {
             Some(false)
         } else {
             None
@@ -342,17 +318,21 @@ impl FaultPlan {
     /// Consumes a scheduled latency inflation of launch `n`, returning its
     /// factor.
     pub(crate) fn take_slow(&mut self, n: u64) -> Option<f64> {
-        let pos = self.slow_launches.iter().position(|&(x, _)| x == n)?;
-        Some(self.slow_launches.remove(pos).1)
+        let (pos, factor) = self.ops.iter().enumerate().find_map(|(i, &op)| match op {
+            (at, Fault::Slow(factor)) if at == n => Some((i, factor)),
+            _ => None,
+        })?;
+        self.ops.remove(pos);
+        Some(factor)
     }
 
     /// Whether launch ordinal `n` falls inside a scripted sick window
     /// (non-consuming: the window persists), returning the window.
     pub(crate) fn sick_window_hit(&self, n: u64) -> Option<(u64, u64)> {
-        self.sick_windows
-            .iter()
-            .copied()
-            .find(|&(lo, hi)| (lo..=hi).contains(&n))
+        self.ops.iter().find_map(|&op| match op {
+            (lo, Fault::SickThrough(hi)) if (lo..=hi).contains(&n) => Some((lo, hi)),
+            _ => None,
+        })
     }
 
     fn rng(&mut self) -> &mut util::Rng {
@@ -382,33 +362,38 @@ mod tests {
         let mut p = FaultPlan::new();
         assert!(p.is_empty());
         for n in 1..100 {
-            assert!(!p.take_download_fault(n));
-            assert!(!p.take_launch_fault(n));
-            assert!(!p.take_alloc_fault(n));
-            assert!(!p.take_bit_flip(n));
+            assert!(!p.take(Fault::CorruptDownload, n));
+            assert!(!p.take(Fault::FailLaunch, n));
+            assert!(!p.take(Fault::Oom, n));
+            assert!(!p.take(Fault::BitFlip, n));
         }
     }
 
     #[test]
     fn scheduled_faults_are_one_shot() {
         let mut p = FaultPlan::new().fail_launch(3).fail_launch(3);
-        assert!(!p.take_launch_fault(2));
-        assert!(p.take_launch_fault(3), "first hit fires");
-        assert!(p.take_launch_fault(3), "second scheduled copy fires");
-        assert!(!p.take_launch_fault(3), "then the ordinal is clean");
+        assert!(!p.take(Fault::FailLaunch, 2));
+        assert!(p.take(Fault::FailLaunch, 3), "first hit fires");
+        assert!(p.take(Fault::FailLaunch, 3), "second scheduled copy fires");
+        assert!(!p.take(Fault::FailLaunch, 3), "then the ordinal is clean");
     }
 
     #[test]
     fn random_plan_is_deterministic() {
         let a = FaultPlan::random(42, 1000, 0.05);
         let b = FaultPlan::random(42, 1000, 0.05);
-        assert_eq!(a.corrupt_downloads, b.corrupt_downloads);
-        assert_eq!(a.failed_launches, b.failed_launches);
-        assert_eq!(a.failed_allocs, b.failed_allocs);
-        assert_eq!(a.bit_flips, b.bit_flips);
-        assert!(!a.is_empty(), "5% over 1000 ordinals fires sometimes");
+        assert_eq!(a.ops, b.ops);
+        for fault in [
+            Fault::CorruptDownload,
+            Fault::FailLaunch,
+            Fault::Oom,
+            Fault::BitFlip,
+        ] {
+            let hits = a.ops.iter().filter(|op| op.1 == fault).count();
+            assert!((20..=90).contains(&hits), "{fault:?}: {hits} of 1000 at 5%");
+        }
         let c = FaultPlan::random(43, 1000, 0.05);
-        assert_ne!(a.failed_launches, c.failed_launches, "seed matters");
+        assert_ne!(a.ops, c.ops, "seed matters");
     }
 
     #[test]
@@ -433,9 +418,9 @@ mod tests {
             .slow_launch(0, 4.0);
         assert!(!p.is_empty(), "the schedules exist, they just never match");
         for n in 1..=1000 {
-            assert!(!p.take_launch_fault(n));
-            assert!(!p.take_download_fault(n));
-            assert!(!p.take_alloc_fault(n));
+            assert!(!p.take(Fault::FailLaunch, n));
+            assert!(!p.take(Fault::CorruptDownload, n));
+            assert!(!p.take(Fault::Oom, n));
             assert!(p.take_hang(n).is_none());
             assert!(p.take_slow(n).is_none());
             assert!(p.sick_window_hit(n).is_none());
@@ -448,10 +433,10 @@ mod tests {
         // independent: the op is slow *and* fails.
         let mut p = FaultPlan::new().slow_launch(3, 8.0).fail_launch(3);
         assert_eq!(p.take_slow(3), Some(8.0));
-        assert!(p.take_launch_fault(3));
+        assert!(p.take(Fault::FailLaunch, 3));
         // Both consumed; the retried ordinal is clean.
         assert!(p.take_slow(3).is_none());
-        assert!(!p.take_launch_fault(3));
+        assert!(!p.take(Fault::FailLaunch, 3));
     }
 
     #[test]
@@ -476,7 +461,7 @@ mod tests {
         let job = FaultPlan::new().with_seed(9).fail_launch(2);
         let slot = FaultPlan::new().hang_at_launch(1).sick_window(10, 12);
         let mut merged = job.merge(slot);
-        assert!(merged.take_launch_fault(2));
+        assert!(merged.take(Fault::FailLaunch, 2));
         assert_eq!(merged.take_hang(1), Some(false));
         assert!(merged.sick_window_hit(11).is_some());
     }

@@ -25,26 +25,51 @@
 //!
 //! The device is also *fallible on demand*: a scripted [`FaultPlan`] injects
 //! launch failures, arena exhaustion, silent transfer corruption and bit
-//! flips at exact operation ordinals ([`faults`]), every costed operation has
-//! a `try_*` form surfacing those as [`DeviceError`]s, and [`DeviceBackend`]
+//! flips at exact operation ordinals ([`faults`]), every launch and
+//! allocation surfaces those as [`DeviceError`]s, and [`DeviceBackend`]
 //! plugs the device into `dqmc`'s recovery-aware sweep ([`backend`]).
+//!
+//! Each thing is said once: a [`Device`] operation has one form (fallible,
+//! over a stack of matrices wherever CUBLAS batches), [`kernels`] holds the
+//! four Section VI kernels, and [`hybrid`] holds the one cost model behind
+//! Figure 10.
 
 pub mod backend;
-pub mod cluster;
-pub mod crowd;
 pub mod device;
 pub mod faults;
-pub mod gpu_strat;
 pub mod hybrid;
+pub mod kernels;
 pub mod pool;
-pub mod wrap;
 
 pub use backend::DeviceBackend;
-pub use cluster::{cluster_cublas, cluster_custom_kernel, try_cluster_custom_kernel};
-pub use crowd::{try_cluster_crowd, try_wrap_crowd_bitexact_into};
 pub use device::{DGemmOperand, DMatrix, Device, DeviceSpec, HostSpec};
 pub use faults::{DeviceError, FaultPlan};
-pub use gpu_strat::{gpu_stratified_greens, GpuStratReport};
 pub use hybrid::{hybrid_greens, HybridReport};
-pub use pool::{BreakerPolicy, DeviceLease, DevicePool, HealthDecision, SlotHealthSnapshot};
-pub use wrap::{try_wrap_on_device_bitexact_into, try_wrap_on_device_into, wrap_on_device};
+pub use kernels::{
+    try_cluster_crowd, try_cluster_cublas, try_wrap_crowd_bitexact_into, try_wrap_on_device_into,
+};
+pub use pool::{BreakerPolicy, DeviceLease, DevicePool, HealthDecision};
+
+// Unit tests of `kernels` and of `hybrid`'s full-GPU column, one file per
+// operation under `src/tests/`. They keep the module paths they had when
+// the kernels were four files, so a test has one name across the history of
+// the suite. They share one fixture: a C2050 with `e^{∓ΔτK}` resident.
+#[cfg(test)]
+fn device_with_residents(fac: &dqmc::BMatrixFactory) -> (Device, DMatrix, DMatrix) {
+    let mut dev = Device::new(DeviceSpec::tesla_c2050());
+    let expk = dev.set_matrix_stack(&[fac.expk()]).remove(0);
+    let expk_inv = dev.set_matrix_stack(&[fac.expk_inv()]).remove(0);
+    (dev, expk, expk_inv)
+}
+#[cfg(test)]
+#[path = "tests/cluster.rs"]
+mod cluster;
+#[cfg(test)]
+#[path = "tests/crowd.rs"]
+mod crowd;
+#[cfg(test)]
+#[path = "tests/gpu_strat.rs"]
+mod gpu_strat;
+#[cfg(test)]
+#[path = "tests/wrap.rs"]
+mod wrap;

@@ -98,7 +98,6 @@ struct SlotHealth {
     /// Sliding window of classified reports, bit 0 = newest, 1 = sick.
     recent: u64,
     recent_len: u32,
-    sick_reports: u64,
     quarantines: u64,
     probes: u64,
     readmissions: u64,
@@ -112,7 +111,6 @@ impl SlotHealth {
             state: SlotState::Healthy,
             recent: 0,
             recent_len: 0,
-            sick_reports: 0,
             quarantines: 0,
             probes: 0,
             readmissions: 0,
@@ -161,23 +159,6 @@ pub enum HealthDecision {
         /// The re-admitted slot.
         slot: usize,
     },
-}
-
-/// A point-in-time view of one slot's ledger, for reports and diagnostics.
-#[derive(Clone, Copy, Debug)]
-pub struct SlotHealthSnapshot {
-    /// The slot id.
-    pub slot: usize,
-    /// `"healthy"`, `"quarantined"`, or `"probation"`.
-    pub state: &'static str,
-    /// Sick-classified failure reports over the pool's lifetime.
-    pub sick_reports: u64,
-    /// Times the breaker opened (including probe re-opens).
-    pub quarantines: u64,
-    /// Probation probes granted.
-    pub probes: u64,
-    /// Probes that succeeded and re-admitted the slot.
-    pub readmissions: u64,
 }
 
 #[derive(Debug)]
@@ -302,9 +283,6 @@ impl DevicePool {
         let policy = self.inner.policy;
         let mut health = relock(self.inner.health.lock());
         let h = &mut health[slot];
-        if sick {
-            h.sick_reports += 1;
-        }
         match h.state {
             SlotState::Probation if sick => {
                 // Failed probe: rest again with exponentially grown
@@ -389,29 +367,6 @@ impl DevicePool {
         health[slot].profile_persistent = persistent;
     }
 
-    /// Point-in-time health ledger, one entry per slot.
-    // dqmc-lint: allow(hot_alloc) — diagnostics path, called at report
-    // assembly, not per quantum.
-    pub fn health_snapshot(&self) -> Vec<SlotHealthSnapshot> {
-        let health = relock(self.inner.health.lock());
-        health
-            .iter()
-            .enumerate()
-            .map(|(slot, h)| SlotHealthSnapshot {
-                slot,
-                state: match h.state {
-                    SlotState::Healthy => "healthy",
-                    SlotState::Quarantined { .. } => "quarantined",
-                    SlotState::Probation => "probation",
-                },
-                sick_reports: h.sick_reports,
-                quarantines: h.quarantines,
-                probes: h.probes,
-                readmissions: h.readmissions,
-            })
-            .collect()
-    }
-
     /// Total breaker openings across all slots (including probe re-opens).
     pub fn quarantines(&self) -> u64 {
         relock(self.inner.health.lock())
@@ -489,11 +444,10 @@ impl DeviceLease {
         self.probe
     }
 
-    /// Builds a fresh backend on the leased device, in deterministic
-    /// (bit-exact wrap) mode so neither placement nor the job's width shows
-    /// up in observables. An optional [`FaultPlan`] is armed before first use, merged with
-    /// the slot's scripted sick profile if one is installed — the
-    /// scheduler's scripted-fault and chaos runs go through here.
+    /// Builds a fresh backend on the leased device. An optional
+    /// [`FaultPlan`] is armed before first use, merged with the slot's
+    /// scripted sick profile if one is installed — the scheduler's
+    /// scripted-fault and chaos runs go through here.
     // dqmc-lint: allow(hot_alloc) — backend construction is once per job
     // placement, not per quantum; the Device itself owns fresh buffers.
     pub fn backend(&self, plan: Option<FaultPlan>) -> DeviceBackend {
@@ -508,7 +462,7 @@ impl DeviceLease {
         if let Some(plan) = armed {
             dev.arm_faults(plan);
         }
-        DeviceBackend::new(dev).with_bitexact_wrap(true)
+        DeviceBackend::new(dev)
     }
 }
 
@@ -554,15 +508,21 @@ mod tests {
     fn lease_backend_is_deterministic_mode_with_armed_plan() {
         let pool = DevicePool::new(DeviceSpec::tesla_c2050(), 1);
         let lease = pool.try_lease().unwrap();
-        let be = lease.backend(None);
-        assert!(be.bitexact_wrap());
-        let mut be = lease.backend(Some(FaultPlan::new().fail_launch(1)));
-        // The armed plan fires on the first launch.
         let model = dqmc::ModelParams::new(lattice::Lattice::square(2, 2, 1.0), 4.0, 0.0, 0.125, 4);
         let fac = dqmc::BMatrixFactory::new(&model);
         let mut rng = util::Rng::new(1);
         let h = dqmc::HsField::random(4, 4, &mut rng);
         use dqmc::ComputeBackend as _;
+        // A leased device wraps to the host's bits.
+        let g = linalg::Matrix::random(4, 4, &mut rng);
+        let mut out = linalg::Matrix::zeros(4, 4);
+        let outs = &mut [&mut out];
+        let mut be = lease.backend(None);
+        be.wrap(&fac, &[&h], 0, dqmc::Spin::Up, &[&g], outs)
+            .unwrap();
+        assert_eq!(out, dqmc::greens::wrap(&fac, &h, 0, dqmc::Spin::Up, &g));
+        // The armed plan fires on the first launch.
+        let mut be = lease.backend(Some(FaultPlan::new().fail_launch(1)));
         assert!(be.cluster(&fac, &[&h], 0, 4, dqmc::Spin::Up).is_err());
     }
 

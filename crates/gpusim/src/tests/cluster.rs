@@ -1,0 +1,139 @@
+//! Tests of the two cluster-product kernels in [`crate::kernels`].
+
+#[cfg(test)]
+mod tests {
+    use crate::device::{DMatrix, Device};
+    use crate::device_with_residents;
+    use crate::faults::{DeviceError, FaultPlan};
+    use crate::kernels::{try_cluster_crowd, try_cluster_cublas};
+    use dqmc::{BMatrixFactory, HsField, ModelParams, Spin};
+    use lattice::Lattice;
+    use linalg::Matrix;
+
+    fn setup() -> (BMatrixFactory, HsField) {
+        let model = ModelParams::new(Lattice::square(4, 4, 1.0), 4.0, 0.0, 0.125, 20);
+        let fac = BMatrixFactory::new(&model);
+        let mut rng = util::Rng::new(5);
+        let h = HsField::random(16, 20, &mut rng);
+        (fac, h)
+    }
+
+    /// One walker's product through the batched kernel: a slice of one.
+    fn cluster_one(
+        dev: &mut Device,
+        expk: &DMatrix,
+        fac: &BMatrixFactory,
+        h: &HsField,
+        lo: usize,
+        hi: usize,
+        spin: Spin,
+    ) -> Result<Matrix, DeviceError> {
+        Ok(try_cluster_crowd(dev, expk, fac, &[h], lo, hi, spin)?.remove(0))
+    }
+
+    #[test]
+    fn cublas_cluster_matches_host() {
+        let (fac, h) = setup();
+        let (mut dev, expk, _) = device_with_residents(&fac);
+        let got = try_cluster_cublas(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
+        let want = fac.cluster(&h, 0, 10, Spin::Up);
+        assert!(
+            got.max_abs_diff(&want) < 1e-12 * want.max_abs().max(1.0),
+            "{}",
+            got.max_abs_diff(&want)
+        );
+        assert!(dev.elapsed() > 0.0);
+    }
+
+    #[test]
+    fn custom_kernel_cluster_matches_host() {
+        let (fac, h) = setup();
+        let (mut dev, expk, _) = device_with_residents(&fac);
+        let got = cluster_one(&mut dev, &expk, &fac, &h, 3, 13, Spin::Down).unwrap();
+        let want = fac.cluster(&h, 3, 13, Spin::Down);
+        assert!(got.max_abs_diff(&want) < 1e-12 * want.max_abs().max(1.0));
+    }
+
+    #[test]
+    fn both_variants_identical_numerics() {
+        let (fac, h) = setup();
+        let (mut d1, e1, _) = device_with_residents(&fac);
+        let a = try_cluster_cublas(&mut d1, &e1, &fac, &h, 0, 10, Spin::Up).unwrap();
+        let (mut d2, e2, _) = device_with_residents(&fac);
+        let b = cluster_one(&mut d2, &e2, &fac, &h, 0, 10, Spin::Up).unwrap();
+        assert_eq!(a, b, "cost models differ, numerics must not");
+    }
+
+    #[test]
+    fn custom_kernel_is_faster() {
+        let (fac, h) = setup();
+        let (mut d1, e1, _) = device_with_residents(&fac);
+        d1.reset_clock();
+        try_cluster_cublas(&mut d1, &e1, &fac, &h, 0, 10, Spin::Up).unwrap();
+
+        let (mut d2, e2, _) = device_with_residents(&fac);
+        d2.reset_clock();
+        cluster_one(&mut d2, &e2, &fac, &h, 0, 10, Spin::Up).unwrap();
+
+        assert!(
+            d2.elapsed() < d1.elapsed(),
+            "custom {} !< cublas {}",
+            d2.elapsed(),
+            d1.elapsed()
+        );
+    }
+
+    #[test]
+    fn transfers_are_k_vectors_plus_one_matrix() {
+        let (fac, h) = setup();
+        let (mut dev, expk, _) = device_with_residents(&fac);
+        let before = dev.bytes_transferred();
+        cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
+        let moved = dev.bytes_transferred() - before;
+        let n = 16usize;
+        let expect = 10 * n * 8 + n * n * 8; // k diagonals down, one matrix up
+        assert_eq!(moved as usize, expect);
+    }
+
+    #[test]
+    fn try_cluster_launch_failure_errs_then_retry_matches_host() {
+        let (fac, h) = setup();
+        let (mut dev, expk, _) = device_with_residents(&fac);
+        // Launch #3 is the first row-scaling kernel inside the loop.
+        dev.arm_faults(FaultPlan::new().fail_launch(3));
+        let err = cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up);
+        assert!(matches!(err, Err(DeviceError::KernelLaunchFailure { .. })));
+        let ok = cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
+        let want = fac.cluster(&h, 0, 10, Spin::Up);
+        assert!(ok.max_abs_diff(&want) < 1e-12 * want.max_abs().max(1.0));
+    }
+
+    #[test]
+    fn try_cluster_returns_tainted_product_without_panic() {
+        let (fac, h) = setup();
+        let (mut dev, expk, _) = device_with_residents(&fac);
+        dev.arm_faults(FaultPlan::new().with_seed(4).corrupt_transfer(1));
+        let tainted = cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
+        assert!(linalg::check::first_non_finite(tainted.as_slice()).is_some());
+    }
+
+    #[test]
+    fn clustering_approaches_device_gemm_rate_at_large_n() {
+        // The Figure 9 shape: effective GFlops of clustering close to the
+        // device GEMM rate at the same order (within 40 %), far above host.
+        let model = ModelParams::new(Lattice::square(16, 16, 1.0), 4.0, 0.0, 0.125, 10);
+        let fac = BMatrixFactory::new(&model);
+        let mut rng = util::Rng::new(9);
+        let h = HsField::random(256, 10, &mut rng);
+        let (mut dev, expk, _) = device_with_residents(&fac);
+        dev.reset_clock();
+        cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
+        let flops = 9.0 * 2.0 * 256f64.powi(3); // k−1 GEMMs dominate
+        let rate = flops / dev.elapsed() / 1e9;
+        let dev_rate = dev.spec().gemm_rate(256);
+        assert!(
+            rate > 0.6 * dev_rate,
+            "clustering rate {rate} too far below device gemm {dev_rate}"
+        );
+    }
+}

@@ -28,12 +28,11 @@
 //!    checkpoint image, up to a per-job budget, before being reported
 //!    failed. `DeviceSick`-class failures requeue for *free* (the device
 //!    was at fault, not the job) with the suspect slot excluded.
-//! 5. **Liveness & health** ([`watchdog`], [`gpusim::pool`]): workers
-//!    stamp heartbeat tokens every sweep; a quantum watchdog charges each
-//!    quantum's logical device cost against a soft deadline (fail-slow
-//!    detection), and the device pool's circuit breaker quarantines slots
-//!    that accumulate sick reports, re-admitting them through
-//!    exponential-backoff probation probes.
+//! 5. **Health** ([`watchdog`], [`gpusim::pool`]): a quantum watchdog
+//!    charges each quantum's logical device cost against a soft deadline
+//!    (fail-slow detection), and the device pool's circuit breaker
+//!    quarantines slots that accumulate sick reports, re-admitting them
+//!    through exponential-backoff probation probes.
 //! 6. **Aggregation** ([`service`], [`report`]): chain outcomes land in
 //!    their campaign's slot vector; per point they merge in canonical
 //!    chain order the moment the last one lands and are jackknifed
@@ -48,9 +47,9 @@
 //!
 //! - chain seeds are hash-split per (point, chain) ([`dqmc::chain_seed`]),
 //!   so the set of Markov chains is fixed by the grid alone;
-//! - device placement uses the backend's deterministic-execution mode
-//!   ([`gpusim::DeviceBackend::with_bitexact_wrap`]), making device and
-//!   host runs bit-identical, at any job width;
+//! - [`gpusim::DeviceBackend`] issues the host path's floating-point op
+//!   order for every walker of a call, making device and host runs
+//!   bit-identical, at any job width;
 //! - preemption parks jobs as `DQCW` images whose resume is bit-identical,
 //!   and recovery retries consume no Metropolis randomness, so one-shot
 //!   faults heal without a trace.
@@ -76,4 +75,4 @@ pub use service::{
 };
 pub use shard::{grid_fingerprint, plan_shard_subset, plan_shards, ShardBlock, ShardPlan};
 pub use trace::{EventLog, Placement, TraceEvent};
-pub use watchdog::{DeadlineVerdict, Heartbeats, QuantumWatchdog};
+pub use watchdog::{DeadlineVerdict, QuantumWatchdog};

@@ -37,8 +37,8 @@
 //!
 //! # Why the result cannot see the schedule
 //!
-//! Chain trajectories are fixed by hash-split seeds; device placement uses
-//! the bit-exact wrap mode, so host and device runs agree to the last bit;
+//! Chain trajectories are fixed by hash-split seeds; the device backend
+//! issues the host's op order, so host and device runs agree to the last bit;
 //! `DQCW` resume is bit-identical; and results land in their campaign's
 //! slot vector indexed by `selected point * chains + chain`, then merge in
 //! canonical chain order per point. Workers race only for *which* slot
@@ -89,9 +89,6 @@ pub struct SchedConfig {
     /// Soft deadline per quantum in logical device-seconds (fail-slow
     /// detection); `0.0` disables the quantum watchdog.
     pub soft_quantum_cost_s: f64,
-    /// Heartbeat scans without progress before an idle worker cancels a
-    /// stalled peer's token; `0` disables cross-worker cancellation.
-    pub stall_scan_limit: u32,
     /// Circuit-breaker policy for the device pool's health ledger.
     pub breaker: BreakerPolicy,
     /// Campaign-tag namespace: tags are drawn from
@@ -112,7 +109,6 @@ impl Default for SchedConfig {
             yield_every_quanta: 0,
             job_retries: 1,
             soft_quantum_cost_s: 0.0,
-            stall_scan_limit: 0,
             breaker: BreakerPolicy::default(),
             tag_namespace: 0,
         }
@@ -331,21 +327,6 @@ fn run_job(
                 );
             }
         }
-        if token.is_cancelled() {
-            // A heartbeat scan requested a cooperative park.
-            job.checkpoint = Some(sim.checkpoint_bytes());
-            job.device_seconds += sim.device_seconds();
-            return (
-                RunStep::Aborted {
-                    error: DqmcError::device_sick(
-                        "heartbeat",
-                        "cooperative park after heartbeat stall",
-                        false,
-                    ),
-                },
-                slot,
-            );
-        }
         let preempted = core.queue.waiting_priority_above(job.priority);
         let sliced = cfg.yield_every_quanta > 0 && quanta_run >= cfg.yield_every_quanta;
         if preempted || sliced {
@@ -438,18 +419,15 @@ fn fail_job(job: SweepJob, core: &ServiceCore) {
     core.queue.complete();
 }
 
-/// One worker's lifetime: serve the queue until it is closed and drained,
-/// scanning the heartbeat registry whenever a bounded pop comes up empty.
+/// One worker's lifetime: serve the queue until it is closed and drained.
 pub(crate) fn worker_loop(worker: usize, core: &ServiceCore) {
     let (queue, events, pool) = (&core.queue, &core.events, core.pool.as_ref());
-    let token = core.hearts.token(worker);
+    // The liveness token `try_step` stamps, reused across this worker's jobs.
+    let token = RunToken::new();
     loop {
         let mut job = match queue.pop_timeout(1) {
             Pop::Job(job) => job,
-            Pop::Empty => {
-                core.hearts.scan(worker, core.cfg.stall_scan_limit);
-                continue;
-            }
+            Pop::Empty => continue,
             Pop::Drained => break,
         };
         token.reset();

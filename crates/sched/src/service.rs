@@ -24,7 +24,6 @@ use crate::queue::{AdmitError, JobQueue, SweepJob};
 use crate::report::PointSummary;
 use crate::runner::{summarize_point, worker_loop, ChainOutcome, SchedConfig};
 use crate::trace::EventLog;
-use crate::watchdog::Heartbeats;
 use dqmc::RecoveryTallies;
 use gpusim::{DevicePool, DeviceSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,7 +169,6 @@ pub(crate) struct ServiceCore {
     pub(crate) pool: Option<DevicePool>,
     pub(crate) cfg: SchedConfig,
     pub(crate) events: EventLog,
-    pub(crate) hearts: Heartbeats,
     pub(crate) panics_caught: AtomicU64,
     /// In-flight campaigns. A `Vec` scanned linearly, not a map: the
     /// registry holds tens of campaigns, and a Vec keeps iteration order
@@ -284,7 +282,6 @@ impl SweepService {
         let core = Arc::new(ServiceCore {
             queue: JobQueue::new(bound),
             pool,
-            hearts: Heartbeats::new(cfg.workers),
             events,
             panics_caught: AtomicU64::new(0),
             campaigns: Mutex::new(Vec::new()),
@@ -433,11 +430,6 @@ impl SweepService {
     /// Campaigns currently in flight.
     pub fn active_campaigns(&self) -> usize {
         relock(self.core.campaigns.lock()).len()
-    }
-
-    /// Jobs waiting in the shared queue (excludes running ones).
-    pub fn queue_waiting(&self) -> usize {
-        self.core.queue.waiting()
     }
 
     /// Panics caught by the worker backstop since start.

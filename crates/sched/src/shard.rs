@@ -39,13 +39,6 @@ pub struct ShardPlan {
     pub blocks: Vec<ShardBlock>,
 }
 
-impl ShardPlan {
-    /// Total points across all blocks.
-    pub fn total_points(&self) -> usize {
-        self.blocks.iter().map(|b| b.points.len()).sum()
-    }
-}
-
 /// Plans `procs` shards over the whole grid.
 pub fn plan_shards(spec: &GridSpec, procs: usize) -> ShardPlan {
     let all: Vec<usize> = (0..spec.points().len()).collect();

@@ -1,30 +1,17 @@
-//! Watchdogs: logical-cost deadlines and worker heartbeats.
+//! The quantum watchdog: fail-slow detection on a logical clock.
 //!
-//! Two independent liveness layers, both keyed to *logical* clocks so every
-//! decision replays identically across runs and machines:
-//!
-//! - [`QuantumWatchdog`] — fail-slow detection. The device model charges
-//!   every operation's analytic cost to a [`util::SimClock`]; a shared
-//!   meter mirrors those advances as integer nanoseconds. The watchdog
-//!   reads the meter at each scheduling-quantum boundary and compares the
-//!   quantum's cost against a soft deadline. A latency-inflated device
-//!   (the `slow` fault class) produces bit-identical numerics but blows
-//!   the budget — which is exactly how a fail-slow device looks in a real
-//!   fleet: correct answers, uselessly late.
-//! - [`Heartbeats`] — lost-worker detection. Each worker stamps a shared
-//!   [`RunToken`] at every sweep boundary; idle workers scan the registry
-//!   and cancel the token of any peer whose progress has not moved for a
-//!   configured number of scans, requesting a cooperative park at the next
-//!   safe boundary. This is the backstop against *real* hangs (a logic bug
-//!   looping forever); the simulated fault classes never block a thread,
-//!   so in tests the scan only proves the machinery is wired.
+//! The device model charges every operation's analytic cost to a
+//! [`util::SimClock`]; a shared meter mirrors those advances as integer
+//! nanoseconds. [`QuantumWatchdog`] reads the meter at each
+//! scheduling-quantum boundary and compares the quantum's cost against a
+//! soft deadline — a logical clock, so every decision replays identically
+//! across runs and machines. A latency-inflated device (the `slow` fault
+//! class) produces bit-identical numerics but blows the budget — which is
+//! exactly how a fail-slow device looks in a real fleet: correct answers,
+//! uselessly late.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use util::RunToken;
-// Poison recovery via util::relock — the heartbeat registry must keep
-// working when the very worker it was watching dies holding the lock.
-use util::sync::{relock, Mutex};
 
 /// What the quantum watchdog concluded at a quantum boundary.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -84,66 +71,6 @@ impl QuantumWatchdog {
     }
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct HeartState {
-    last_progress: u64,
-    stalls: u32,
-}
-
-/// Registry of per-worker liveness tokens.
-///
-/// Workers stamp their own token (via `Simulation::try_step`); any worker
-/// with idle time calls [`Heartbeats::scan`], which cancels the token of
-/// every peer that has gone `stall_limit` consecutive scans without
-/// progress — the hard-deadline path for a genuinely stuck thread.
-#[derive(Debug)]
-pub struct Heartbeats {
-    tokens: Vec<Arc<RunToken>>,
-    state: Mutex<Vec<HeartState>>,
-}
-
-impl Heartbeats {
-    /// A registry with one fresh token per worker.
-    pub fn new(workers: usize) -> Self {
-        Heartbeats {
-            tokens: (0..workers).map(|_| Arc::new(RunToken::new())).collect(),
-            state: Mutex::new(vec![HeartState::default(); workers]),
-        }
-    }
-
-    /// The liveness token of `worker`.
-    pub fn token(&self, worker: usize) -> Arc<RunToken> {
-        Arc::clone(&self.tokens[worker])
-    }
-
-    /// One scan round: updates each worker's stall counter and cancels the
-    /// token of any worker (other than `scanner`) whose progress has been
-    /// frozen for `stall_limit` consecutive scans. Returns the workers
-    /// cancelled *by this scan*. A `stall_limit` of 0 disables cancellation.
-    pub fn scan(&self, scanner: usize, stall_limit: u32) -> Vec<usize> {
-        let mut cancelled = Vec::new();
-        let mut state = relock(self.state.lock());
-        for (w, (token, heart)) in self.tokens.iter().zip(state.iter_mut()).enumerate() {
-            let progress = token.progress();
-            if progress != heart.last_progress {
-                heart.last_progress = progress;
-                heart.stalls = 0;
-                continue;
-            }
-            heart.stalls = heart.stalls.saturating_add(1);
-            if w != scanner
-                && stall_limit > 0
-                && heart.stalls >= stall_limit
-                && !token.is_cancelled()
-            {
-                token.cancel();
-                cancelled.push(w);
-            }
-        }
-        cancelled
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,36 +91,5 @@ mod tests {
         // The deadline is per quantum, not cumulative: a clean quantum
         // after a slow one is healthy again.
         assert_eq!(wd.observe_quantum(), DeadlineVerdict::Healthy);
-    }
-
-    #[test]
-    fn heartbeat_scan_cancels_stalled_peers_only() {
-        let hearts = Heartbeats::new(2);
-        let busy = hearts.token(0);
-        // Worker 0 makes progress between scans; worker 1 is frozen.
-        for _ in 0..3 {
-            busy.tick();
-            let cancelled = hearts.scan(0, 2);
-            assert!(!busy.is_cancelled());
-            if hearts.token(1).is_cancelled() {
-                assert_eq!(cancelled, vec![1]);
-                return;
-            }
-        }
-        panic!("stalled worker 1 was never cancelled");
-    }
-
-    #[test]
-    fn scanner_never_cancels_itself_and_zero_limit_disables() {
-        let hearts = Heartbeats::new(1);
-        for _ in 0..10 {
-            assert!(hearts.scan(0, 2).is_empty(), "scanner must not self-cancel");
-        }
-        assert!(!hearts.token(0).is_cancelled());
-        let hearts = Heartbeats::new(2);
-        for _ in 0..10 {
-            assert!(hearts.scan(0, 0).is_empty(), "limit 0 disables the scan");
-        }
-        assert!(!hearts.token(1).is_cancelled());
     }
 }

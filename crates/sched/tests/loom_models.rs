@@ -1,9 +1,9 @@
-//! Loom models of the scheduler's three lock-bearing protocols.
+//! Loom models of the scheduler's two lock-bearing protocols.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`; in that configuration
 //! `util::sync` swaps its `Mutex`/`Condvar` onto the loom shim's
 //! schedule-perturbing wrappers, so the bodies below drive the
-//! *production* `JobQueue` / `DevicePool` / `Heartbeats` code — not a
+//! *production* `JobQueue` / `DevicePool` code — not a
 //! re-model of it — under hundreds of perturbed interleavings per test
 //! (`loom::model` reseeds the perturbator each iteration; see
 //! `shims/loom`).
@@ -19,15 +19,13 @@
 //! - pool: leases are mutually exclusive per slot, slots return on drop,
 //!   and the quarantine → probation-probe → readmission cycle grants
 //!   exactly one probe no matter how many workers race for it.
-//! - heartbeats: concurrent scanners cancel a stalled peer exactly once
-//!   and never themselves.
 
 #![cfg(loom)]
 
 use dqmc::{ModelParams, SimParams};
 use gpusim::{BreakerPolicy, DevicePool, DeviceSpec, HealthDecision};
 use lattice::Lattice;
-use sched::{Heartbeats, JobQueue, Pop, SweepJob};
+use sched::{JobQueue, Pop, SweepJob};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -184,36 +182,5 @@ fn pool_quarantine_grants_one_probe_and_readmits_under_racing_leasers() {
         assert_eq!(pool.quarantines(), 1, "success probe does not re-open");
         let healthy = pool.try_lease().expect("slot is back in rotation");
         assert!(!healthy.is_probe());
-    });
-}
-
-#[test]
-fn heartbeat_scanners_cancel_a_stalled_peer_exactly_once() {
-    loom::model(|| {
-        let hearts = Arc::new(Heartbeats::new(3));
-        let peer_cancels = Arc::new(AtomicUsize::new(0));
-        // Workers 0 and 1 tick and scan concurrently; worker 2 is stalled.
-        let scanners: Vec<_> = (0..2)
-            .map(|id| {
-                let (hearts, peer_cancels) = (Arc::clone(&hearts), Arc::clone(&peer_cancels));
-                loom::thread::spawn(move || {
-                    for _ in 0..4 {
-                        hearts.token(id).tick();
-                        let cancelled = hearts.scan(id, 2);
-                        assert!(!cancelled.contains(&id), "scanner cancelled itself");
-                        let hits = cancelled.iter().filter(|&&w| w == 2).count();
-                        peer_cancels.fetch_add(hits, Ordering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-        for s in scanners {
-            s.join().expect("scanner exits");
-        }
-        // 8 scans at stall limit 2 guarantee the cancellation fired, and
-        // the is_cancelled check inside the scan's critical section must
-        // keep concurrent scanners from double-reporting it.
-        assert!(hearts.token(2).is_cancelled(), "stalled worker cancelled");
-        assert_eq!(peer_cancels.load(Ordering::Relaxed), 1, "single cancel");
     });
 }

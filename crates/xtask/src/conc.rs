@@ -30,7 +30,7 @@ use crate::rules::{Allowlist, Rule, Violation};
 
 /// Calls that must not run under a held lock (R6). Dotted / suffixed
 /// forms so plain `fn` definitions don't trip the scan.
-const EXPENSIVE_TOKENS: [&str; 13] = [
+const EXPENSIVE_TOKENS: [&str; 16] = [
     ".wait(",
     ".wait_timeout(",
     "pop_timeout(",
@@ -43,7 +43,10 @@ const EXPENSIVE_TOKENS: [&str; 13] = [
     "to_bytes(",
     ".encode(",
     "run_sweep",
-    "wrap_on_device",
+    "try_cluster_crowd(",
+    "try_cluster_cublas(",
+    "try_wrap_crowd_bitexact_into(",
+    "try_wrap_on_device_into(",
 ];
 
 /// Condvar-style calls that *consume* the guard they are passed.

@@ -3,8 +3,8 @@
 //! fallback) instead of panicking, and one-shot faults must heal with
 //! **bit-identical** observables — retries consume no Metropolis RNG.
 //!
-//! Device and host clustering differ in op order (≈1e-12 relative), so
-//! bit-identity is only asserted between runs on the *same* backend.
+//! The device backend issues the host's floating-point op order, so a clean
+//! device run, a healed one and a plain host run all agree to the last bit.
 
 use dqmc::{ModelParams, RecoveryAction, SimParams, Simulation, Spin};
 use gpusim::{Device, DeviceBackend, DeviceSpec, FaultPlan};
@@ -33,6 +33,28 @@ fn assert_observables_bit_identical(a: &Simulation, b: &Simulation) {
     assert_eq!(oa.double_occupancy(), ob.double_occupancy());
     assert_eq!(oa.avg_sign(), ob.avg_sign());
     assert_eq!(a.acceptance_rate().to_bits(), b.acceptance_rate().to_bits());
+}
+
+#[test]
+fn clean_device_run_is_bit_identical_to_the_host_run() {
+    // The entry point the CLI's `backend = gpusim` takes: placing a run on
+    // the device moves its model clock and nothing else. The Green's
+    // function is rebuilt from cluster products at every cluster boundary,
+    // which forgives a wrap that is off in the last ulp; the wrap-drift
+    // maximum (a line of `dqmc-run run`'s output) reads every wrapped G
+    // directly and does not.
+    let mut host = Simulation::new(params(7));
+    host.run();
+    let mut device = device_sim(7, FaultPlan::new());
+    device.run();
+    assert!(device.device_seconds() > 0.0, "the run was on the device");
+    assert_eq!(device.recovery_log().total(), 0);
+    assert_observables_bit_identical(&host, &device);
+    assert_eq!(
+        host.max_wrap_error().to_bits(),
+        device.max_wrap_error().to_bits(),
+        "wrap drift bits"
+    );
 }
 
 #[test]

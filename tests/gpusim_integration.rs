@@ -7,7 +7,7 @@ use dqmc::{
     HsField, ModelParams, SimParams, Simulation, Spin, StratAlgo,
 };
 use gpusim::{
-    cluster_custom_kernel, hybrid_greens, wrap_on_device, Device, DeviceBackend, DeviceSpec,
+    hybrid_greens, try_cluster_crowd, try_wrap_on_device_into, Device, DeviceBackend, DeviceSpec,
     HostSpec,
 };
 use lattice::Lattice;
@@ -31,21 +31,16 @@ fn device_clusters_reproduce_simulation_greens() {
     // from device-produced cluster matrices; must match the engine's own.
     let core = thermalised_core(3, 20);
     let mut dev = Device::new(DeviceSpec::tesla_c2050());
-    let expk = dev.set_matrix(core.fac.expk());
+    let expk = dev.set_matrix_stack(&[core.fac.expk()]).remove(0);
 
     for spin in [Spin::Up, Spin::Down] {
         let mut clusters = Vec::new();
         let mut lo = 0;
         while lo < 20 {
-            clusters.push(cluster_custom_kernel(
-                &mut dev,
-                &expk,
-                &core.fac,
-                &core.h,
-                lo,
-                lo + 5,
-                spin,
-            ));
+            let hs = [&core.h];
+            clusters.extend(
+                try_cluster_crowd(&mut dev, &expk, &core.fac, &hs, lo, lo + 5, spin).unwrap(),
+            );
             lo += 5;
         }
         let g = greens_from_udt(&stratify(&clusters, StratAlgo::PrePivot));
@@ -56,18 +51,22 @@ fn device_clusters_reproduce_simulation_greens() {
 
 #[test]
 fn device_wrap_chain_matches_host_chain() {
-    // Wrap through four slices alternating host/device: paths interleave
-    // bit-compatibly (same GEMM kernel underneath).
+    // Wrap through four slices on the host and through the fused
+    // Algorithm 6/7 kernel on the device: the chains stay within roundoff
+    // (same GEMM kernel underneath, the scaling in a different place).
     let core = thermalised_core(3, 20);
     let mut dev = Device::new(DeviceSpec::tesla_c2050());
-    let ek = dev.set_matrix(core.fac.expk());
-    let eki = dev.set_matrix(core.fac.expk_inv());
+    let ek = dev.set_matrix_stack(&[core.fac.expk()]).remove(0);
+    let eki = dev.set_matrix_stack(&[core.fac.expk_inv()]).remove(0);
 
     let mut g_host = core.greens(Spin::Up).clone();
     let mut g_dev = g_host.clone();
     for l in 0..4 {
         g_host = dqmc::greens::wrap(&core.fac, &core.h, l, Spin::Up, &g_host);
-        g_dev = wrap_on_device(&mut dev, &ek, &eki, &core.fac, &core.h, l, Spin::Up, &g_dev);
+        let g_in = g_dev.clone();
+        let (fac, h) = (&core.fac, &core.h);
+        try_wrap_on_device_into(&mut dev, &ek, &eki, fac, h, l, Spin::Up, &g_in, &mut g_dev)
+            .unwrap();
     }
     assert!(
         g_host.max_abs_diff(&g_dev) < 1e-12,
@@ -103,8 +102,8 @@ fn simulated_time_is_deterministic() {
     let run = || {
         let core = thermalised_core(3, 20);
         let mut dev = Device::new(DeviceSpec::tesla_c2050());
-        let expk = dev.set_matrix(core.fac.expk());
-        let _ = cluster_custom_kernel(&mut dev, &expk, &core.fac, &core.h, 0, 5, Spin::Up);
+        let expk = dev.set_matrix_stack(&[core.fac.expk()]).remove(0);
+        try_cluster_crowd(&mut dev, &expk, &core.fac, &[&core.h], 0, 5, Spin::Up).unwrap();
         dev.elapsed()
     };
     assert_eq!(run(), run(), "device model must be exactly reproducible");
@@ -190,11 +189,11 @@ fn obs_bytes(w: &dqmc::Walker) -> Vec<u8> {
 
 /// Runs `b` walkers through a probed device backend; returns the crowd
 /// and its (wrap, cluster) launch counts.
-fn probed_run(b: u64, bitexact: bool, recycle: bool) -> (Crowd, u64, u64) {
+fn probed_run(b: u64, recycle: bool) -> (Crowd, u64, u64) {
     let (wrap_launches, cluster_launches) =
         (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
     let probe = Probe {
-        inner: DeviceBackend::with_spec(DeviceSpec::tesla_c2050()).with_bitexact_wrap(bitexact),
+        inner: DeviceBackend::with_spec(DeviceSpec::tesla_c2050()),
         wrap_launches: wrap_launches.clone(),
         cluster_launches: cluster_launches.clone(),
     };
@@ -214,15 +213,15 @@ fn a_batch_of_one_charges_what_the_per_walker_kernels_charged() {
     // kernels (`DeviceBackend` driving `try_cluster_custom_kernel` and the
     // one-walker bit-exact wrap), same parameters: (bit-exact, recycle,
     // wrap launches, cluster launches, device-seconds bits). The batched
-    // kernels at B = 1 must not move the model clock or a fault ordinal.
+    // kernels and the stacked device ops at B = 1 must not move the model
+    // clock or a fault ordinal. (The two rows recorded with the fused wrap
+    // went with `DeviceBackend::with_bitexact_wrap`.)
     let recorded = [
         (true, true, 896, 448, 0x3f95be43dc6aca1b_u64),
         (true, false, 896, 896, 0x3f9bd4dafce62b7c),
-        (false, true, 672, 448, 0x3f91d752a2e17951),
-        (false, false, 672, 896, 0x3f97ede9c35cda9f),
     ];
     for (bitexact, recycle, wraps, clusters, seconds) in recorded {
-        let (crowd, wrap_launches, cluster_launches) = probed_run(1, bitexact, recycle);
+        let (crowd, wrap_launches, cluster_launches) = probed_run(1, recycle);
         let what = format!("bitexact {bitexact}, recycle {recycle}");
         assert_eq!(wrap_launches, wraps, "{what}");
         assert_eq!(cluster_launches, clusters, "{what}");
@@ -236,12 +235,12 @@ fn recycling_off_sends_every_cluster_product_through_the_device() {
     // off every one of those products is a device call, whatever B is,
     // and the physics stays the host's.
     for b in [1, 4] {
-        let (crowd, wrap_launches, cluster_launches) = probed_run(b, true, false);
+        let (crowd, wrap_launches, cluster_launches) = probed_run(b, false);
         assert_eq!(wrap_launches, 14 * 8 * 2 * 4, "four launches a wrap call");
         // One seeding dcopy per walker, then 1 + 2·(k − 1) batched
         // launches per call.
         assert_eq!(cluster_launches, 14 * 2 * 2 * 2 * (b + 7), "B = {b}");
-        let (_, _, recycled) = probed_run(b, true, true);
+        let (_, _, recycled) = probed_run(b, true);
         assert!(
             recycled < cluster_launches,
             "recycling skips clean clusters"
