@@ -6,41 +6,44 @@
 //! harness agree on the attribution.
 
 use std::time::Duration;
-use util::PhaseTimer;
 
-/// Canonical phase names (Table I rows).
+/// Canonical phases (Table I rows). Each constant is its row's index in
+/// [`phases::ALL`] and its slot in the [`PhaseTimer`].
 pub mod phases {
     /// Metropolis proposals + delayed rank-1 Green's function updates.
-    pub const DELAYED_UPDATE: &str = "delayed-update";
+    pub const DELAYED_UPDATE: usize = 0;
     /// Stratified Q·D·T recomputation of G.
-    pub const STRATIFICATION: &str = "stratification";
+    pub const STRATIFICATION: usize = 1;
     /// Building cluster products `B̂`.
-    pub const CLUSTERING: &str = "clustering";
+    pub const CLUSTERING: usize = 2;
     /// Wrapping `G ← B G B⁻¹`.
-    pub const WRAPPING: &str = "wrapping";
+    pub const WRAPPING: usize = 3;
     /// Equal-time physical measurements.
-    pub const MEASUREMENT: &str = "measurement";
+    pub const MEASUREMENT: usize = 4;
 
-    /// All phases, in Table I row order.
+    /// All phase names, in Table I row order.
     pub const ALL: [&str; 5] = [
-        DELAYED_UPDATE,
-        STRATIFICATION,
-        CLUSTERING,
-        WRAPPING,
-        MEASUREMENT,
+        "delayed-update",
+        "stratification",
+        "clustering",
+        "wrapping",
+        "measurement",
     ];
 }
+
+/// Wall-clock time per Table I phase, one slot each.
+pub type PhaseTimer = util::PhaseTimer<{ phases::ALL.len() }>;
 
 /// A Table I style report: per-phase seconds and percentage of total.
 #[derive(Clone, Debug)]
 pub struct PhaseReport {
-    /// `(phase, seconds, percent)` rows in Table I order, then any extras.
+    /// `(phase, seconds, percent)` rows in Table I order.
     pub rows: Vec<(String, f64, f64)>,
     /// Total seconds across all phases.
     pub total: f64,
 }
 
-/// Builds a report from a timer, listing the canonical phases first.
+/// Builds a report from a timer, one row per canonical phase.
 pub fn report(timer: &PhaseTimer) -> PhaseReport {
     let total: f64 = timer.total().as_secs_f64();
     let pct = |d: Duration| {
@@ -51,14 +54,9 @@ pub fn report(timer: &PhaseTimer) -> PhaseReport {
         }
     };
     let mut rows = Vec::new();
-    for &p in &phases::ALL {
+    for (p, name) in phases::ALL.iter().enumerate() {
         let d = timer.get(p);
-        rows.push((p.to_string(), d.as_secs_f64(), pct(d)));
-    }
-    for (p, d) in timer.phases() {
-        if !phases::ALL.contains(&p) {
-            rows.push((p.to_string(), d.as_secs_f64(), pct(d)));
-        }
+        rows.push((name.to_string(), d.as_secs_f64(), pct(d)));
     }
     PhaseReport { rows, total }
 }
@@ -74,20 +72,12 @@ mod tests {
         t.add(phases::WRAPPING, Duration::from_millis(250));
         t.add(phases::DELAYED_UPDATE, Duration::from_millis(750));
         let r = report(&t);
-        assert_eq!(r.rows[0].0, phases::DELAYED_UPDATE);
+        assert_eq!(r.rows.len(), 5);
+        assert_eq!(r.rows[0].0, "delayed-update");
         assert!((r.rows[0].2 - 75.0).abs() < 1e-9);
-        assert_eq!(r.rows[3].0, phases::WRAPPING);
+        assert_eq!(r.rows[3].0, "wrapping");
         assert!((r.rows[3].2 - 25.0).abs() < 1e-9);
         assert!((r.total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn extra_phases_appended() {
-        let mut t = PhaseTimer::new();
-        t.add("setup", Duration::from_millis(10));
-        let r = report(&t);
-        assert_eq!(r.rows.len(), 6);
-        assert_eq!(r.rows[5].0, "setup");
     }
 
     #[test]

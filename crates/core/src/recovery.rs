@@ -37,14 +37,12 @@ pub struct RecoveryPolicy {
     pub max_retries: u32,
     /// Floor for adaptive cluster-size shrinking.
     pub min_cluster: usize,
-    /// Whether a persistent device fault may abandon the device for the
-    /// host path.
-    pub allow_host_fallback: bool,
-    /// Relative wrap-vs-recompute divergence at a cluster boundary above
-    /// which the cluster cache is declared corrupt and rebuilt (the silent
-    /// bit-flip detector). Healthy runs sit many orders below this.
-    pub wrap_tolerance: f64,
 }
+
+/// Relative wrap-vs-recompute divergence at a cluster boundary above which
+/// the cluster cache is declared corrupt and rebuilt (the silent bit-flip
+/// detector). Healthy runs sit many orders below this.
+pub(crate) const WRAP_TOLERANCE: f64 = 1e-3;
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
@@ -52,8 +50,6 @@ impl Default for RecoveryPolicy {
             enabled: true,
             max_retries: 2,
             min_cluster: 1,
-            allow_host_fallback: true,
-            wrap_tolerance: 1e-3,
         }
     }
 }

@@ -30,7 +30,7 @@
 //!
 //! | fault class | scope | rungs |
 //! |---|---|---|
-//! | device (launch failure, arena exhaustion: the call never completed) | driver — the call covered every walker; logged on walker 0 | **retry** (after telling the backend to drop resident device state) → permanent **host fallback** → `Transient` error |
+//! | device (launch failure, arena exhaustion: the call never completed) | driver — the call covered every walker; logged on walker 0 | **retry** (after telling the backend to drop resident device state) → permanent **host fallback** |
 //! | taint in a wrapped `G` (non-finite download) | walker | **retry** the batched wrap → discard the wrap and **repair** from the HS field |
 //! | taint in a cluster product | walker | **retry** the batched call → **cluster-size shrink** for that walker → at the floor, drop the product and rebuild it on the host |
 //! | wrap-vs-recompute divergence (silent finite corruption) | walker | drop every cached product, **shrink** if possible, recompute on the host |
@@ -48,9 +48,9 @@ use crate::greens::{self, greens_from_udt, GreensFunction};
 use crate::hs::HsField;
 use crate::hubbard::{SimParams, Spin};
 use crate::measure::Observables;
-use crate::profile::phases;
+use crate::profile::{phases, PhaseTimer};
 use crate::recovery::{
-    shrink_cluster_size, RecoveryAction, RecoveryCause, RecoveryEvent, RecoveryLog,
+    shrink_cluster_size, RecoveryAction, RecoveryCause, RecoveryEvent, RecoveryLog, WRAP_TOLERANCE,
 };
 use crate::recycle::ClusterCache;
 use crate::stratify::stratify;
@@ -58,7 +58,7 @@ use crate::update::SliceUpdater;
 use linalg::check::first_non_finite;
 use linalg::{team, workspace, Matrix};
 use std::sync::OnceLock;
-use util::{DqmcError, PhaseTimer, Rng, RunningStats};
+use util::{DqmcError, Rng, RunningStats};
 
 /// The complete mutable state of one walker (one Markov chain).
 #[derive(Debug)]
@@ -440,7 +440,7 @@ impl DqmcCore {
         let mut diverged = false;
         if wrap_ok {
             let diff = greens::relative_difference(&wrapped[0], &self.g[0]);
-            if self.params.recovery.enabled && diff > self.params.recovery.wrap_tolerance {
+            if self.params.recovery.enabled && diff > WRAP_TOLERANCE {
                 diverged = true;
                 self.cache.invalidate_all();
                 self.escalate_taint(l, RecoveryCause::WrapDivergence { diff }, true)?;
@@ -605,10 +605,10 @@ impl SweepDriver {
 
     /// The driver-scoped rungs, for a backend call that failed as a whole:
     /// retry (bounded by the policy, after telling the backend to drop its
-    /// resident state), then permanent host fallback (at most once). Returns
-    /// `Ok` when the caller should run the call again. Sick-device faults
-    /// escape immediately without consuming a rung. Events go to `base`,
-    /// walker 0's log — the job's base chain.
+    /// resident state), then permanent host fallback. Returns `Ok` when the
+    /// caller should run the call again. Sick-device faults escape
+    /// immediately without consuming a rung. Events go to `base`, walker
+    /// 0's log — the job's base chain.
     fn escalate_device(
         &mut self,
         base: &mut DqmcCore,
@@ -636,7 +636,7 @@ impl SweepDriver {
                 format!("backend fault with recovery disabled: {fault}"),
             ));
         }
-        let (max_retries, allow_host_fallback) = (policy.max_retries, policy.allow_host_fallback);
+        let max_retries = policy.max_retries;
         let cause = match fault.kind {
             FaultKind::Taint => RecoveryCause::NonFinite(fault.detail.clone()),
             _ => RecoveryCause::Device(fault.detail.clone()),
@@ -648,16 +648,13 @@ impl SweepDriver {
             base.push_event(slice, cause, RecoveryAction::Retry { attempt });
             return Ok(());
         }
-        if !self.use_host_fallback && allow_host_fallback {
-            self.use_host_fallback = true;
-            self.fault_streak = 0;
-            base.push_event(slice, cause, RecoveryAction::HostFallback);
-            return Ok(());
-        }
-        Err(DqmcError::transient(
-            origin,
-            format!("unrecoverable device fault: {fault}"),
-        ))
+        // The host path never fails, so the fault came from the installed
+        // backend and this rung is taken at most once.
+        debug_assert!(!self.use_host_fallback, "the host backend failed");
+        self.use_host_fallback = true;
+        self.fault_streak = 0;
+        base.push_event(slice, cause, RecoveryAction::HostFallback);
+        Ok(())
     }
 
     /// One timed attempt at wrapping both spins of every walker past slice
@@ -1018,16 +1015,10 @@ mod tests {
         let model = core.params.model.clone();
         let mut obs = Observables::new(&model, 1);
         core.sweep(Some(&mut obs));
-        for p in [
-            phases::DELAYED_UPDATE,
-            phases::STRATIFICATION,
-            phases::CLUSTERING,
-            phases::WRAPPING,
-            phases::MEASUREMENT,
-        ] {
+        for (p, name) in phases::ALL.iter().enumerate() {
             assert!(
                 core.timer.get(p) > std::time::Duration::ZERO,
-                "phase {p} untimed"
+                "phase {name} untimed"
             );
         }
     }
@@ -1295,25 +1286,6 @@ mod tests {
                 assert_same_chain(f, c);
             }
         }
-    }
-
-    #[test]
-    fn device_faults_without_host_fallback_are_transient_errors() {
-        let policy = RecoveryPolicy {
-            allow_host_fallback: false,
-            ..RecoveryPolicy::default()
-        };
-        let mut cores = vec![DqmcCore::new(
-            small_params(4.0, 8, 53).with_recovery(policy),
-        )];
-        let mut driver = SweepDriver::new(Box::new(Scripted {
-            device_faults: u32::MAX,
-            ..Scripted::default()
-        }));
-        let err = sweep_all(&mut driver, &mut cores).unwrap_err();
-        assert_eq!(err.severity, util::Severity::Transient);
-        assert!(err.retryable());
-        assert!(err.to_string().contains("unrecoverable device fault"));
     }
 
     #[test]

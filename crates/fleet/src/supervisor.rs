@@ -50,6 +50,11 @@ impl ChildCommand {
     }
 }
 
+/// Supervision poll cadence.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
+/// Respawns allowed per shard before quarantine.
+const RESPAWN_BUDGET: u32 = 2;
+
 /// Fleet tuning knobs.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -63,10 +68,6 @@ pub struct FleetConfig {
     /// A running child whose heartbeat has not advanced for this long is
     /// killed and restarted from its checkpoint.
     pub heartbeat_timeout: Duration,
-    /// Supervision poll cadence.
-    pub poll_interval: Duration,
-    /// Respawns allowed per shard before quarantine.
-    pub respawn_budget: u32,
     /// Keep shard files after a successful merge (for debugging).
     pub keep_files: bool,
 }
@@ -80,8 +81,6 @@ impl FleetConfig {
             child,
             workdir,
             heartbeat_timeout: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(20),
-            respawn_budget: 2,
             keep_files: false,
         }
     }
@@ -305,7 +304,7 @@ fn supervise(
         if all_done {
             return Ok(());
         }
-        std::thread::sleep(cfg.poll_interval);
+        std::thread::sleep(POLL_INTERVAL);
     }
 }
 
@@ -439,7 +438,7 @@ fn respawn_or_quarantine(
     ledger: &mut Vec<String>,
     respawns: &mut u32,
 ) -> Result<(), FleetError> {
-    if st.attempts > cfg.respawn_budget {
+    if st.attempts > RESPAWN_BUDGET {
         ledger.push(format!(
             "shard {}: quarantined after {} attempts",
             st.shard, st.attempts

@@ -115,11 +115,9 @@ impl ComputeBackend for DeviceBackend {
     }
 
     fn notify_fault(&mut self) {
-        // Drop the residents and the scratch-arena charge: the retry starts
-        // from a clean device state and re-uploads the operands.
+        // Drop the residents: the retry re-uploads the operands.
         self.expk.clear();
         self.expk_inv.clear();
-        self.dev.reset_arena();
     }
 
     fn device_seconds(&self) -> f64 {

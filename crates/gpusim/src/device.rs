@@ -5,6 +5,11 @@ use linalg::blas3::Op;
 use linalg::{scale, Matrix};
 use util::SimClock;
 
+/// The driver's kernel timeout, in simulated seconds: a launch that would
+/// take this long is killed and reported as a hang. 2 s is the default
+/// timeout of a display-attached driver (Windows TDR).
+pub const LAUNCH_DEADLINE_S: f64 = 2.0;
+
 /// Performance characteristics of a (simulated) accelerator.
 #[derive(Clone, Debug)]
 pub struct DeviceSpec {
@@ -48,6 +53,12 @@ impl DeviceSpec {
     pub fn gemm_rate(&self, n: usize) -> f64 {
         let n = n as f64;
         self.gemm_gflops * n / (n + self.gemm_half_n)
+    }
+
+    /// Whether a launch slowed `factor`× reaches [`LAUNCH_DEADLINE_S`], so
+    /// the driver kills it as a hang.
+    pub fn launch_hangs(&self, factor: f64) -> bool {
+        factor * self.kernel_launch_s >= LAUNCH_DEADLINE_S
     }
 }
 
@@ -139,13 +150,13 @@ impl DMatrix {
 ///
 /// Every operation has one form. Launches and allocations are fallible
 /// (`try_*`): they return a [`DeviceError`] when an armed [`FaultPlan`]
-/// fires or the arena limit is hit, and a caller that armed nothing says so
-/// with `?` or `expect` at its call site. Wherever CUBLAS has a batched
-/// form the operation takes a stack — a solo caller passes a stack of one
-/// and is charged exactly one matrix's worth. Only Algorithm 4's
-/// per-vector `cublasDscal` loops and Algorithm 7's fused scaling kernel,
-/// which Figure 9 studies and which have no batched analogue, take one
-/// matrix.
+/// fires or a launch reaches [`LAUNCH_DEADLINE_S`], and a caller that
+/// armed nothing says so with `?` or `expect` at its call site. Wherever
+/// CUBLAS has a batched form the operation takes a stack — a solo caller
+/// passes a stack of one and is charged exactly one matrix's worth. Only
+/// Algorithm 4's per-vector `cublasDscal` loops and Algorithm 7's fused
+/// scaling kernel, which Figure 9 studies and which have no batched
+/// analogue, take one matrix.
 #[derive(Clone, Debug)]
 pub struct Device {
     spec: DeviceSpec,
@@ -155,8 +166,6 @@ pub struct Device {
     downloads: u64,
     allocs: u64,
     compute_ops: u64,
-    arena_in_use: usize,
-    arena_limit: usize,
     faults: FaultPlan,
     faults_injected: u64,
 }
@@ -172,19 +181,9 @@ impl Device {
             downloads: 0,
             allocs: 0,
             compute_ops: 0,
-            arena_in_use: 0,
-            arena_limit: 0,
             faults: FaultPlan::new(),
             faults_injected: 0,
         }
-    }
-
-    /// Caps the device scratch arena at `bytes`; [`Device::try_alloc`] fails
-    /// with [`DeviceError::ArenaExhausted`] once the cap would be exceeded.
-    /// A limit of 0 (the default) means unlimited.
-    pub fn with_arena_limit(mut self, bytes: usize) -> Self {
-        self.arena_limit = bytes;
-        self
     }
 
     /// Arms a scripted fault schedule. Replaces any previous plan.
@@ -205,15 +204,6 @@ impl Device {
     /// Simulated seconds elapsed.
     pub fn elapsed(&self) -> f64 {
         self.clock.now()
-    }
-
-    /// Attaches a shared logical-cost meter to the device clock: every
-    /// clock advance also accumulates into `meter` (integer nanoseconds),
-    /// surviving [`Device::reset_clock`]. The scheduler's quantum watchdog
-    /// reads the meter through the `Arc` while the device itself is owned
-    /// by a boxed backend it cannot see into.
-    pub fn set_cost_meter(&mut self, meter: std::sync::Arc<std::sync::atomic::AtomicU64>) {
-        self.clock.set_meter(meter);
     }
 
     /// Total host↔device bytes moved.
@@ -241,18 +231,6 @@ impl Device {
         self.compute_ops
     }
 
-    /// Bytes currently charged to the scratch arena.
-    pub fn arena_in_use(&self) -> usize {
-        self.arena_in_use
-    }
-
-    /// Releases all scratch-arena accounting (the coarse model of freeing
-    /// per-evaluation temporaries; resident operands are re-uploaded by the
-    /// backend, so nothing tracks them individually).
-    pub fn reset_arena(&mut self) {
-        self.arena_in_use = 0;
-    }
-
     /// Resets the clock and transfer/launch counters (contents of device
     /// matrices, fault schedule and fault ordinals persist).
     pub fn reset_clock(&mut self) {
@@ -273,17 +251,24 @@ impl Device {
     /// overhead is charged either way (the driver burned the submission
     /// before rejecting it), and scripted latency inflation multiplies it
     /// even when the launch succeeds — fail-slow is invisible to numerics.
+    /// An inflated launch that reaches [`LAUNCH_DEADLINE_S`] is killed by
+    /// the driver: it fails, and is charged, exactly as a scripted hang.
     fn try_launch(&mut self, kernel: &'static str) -> Result<(), DeviceError> {
         self.kernels_launched += 1;
         self.clock.advance(self.spec.kernel_launch_s);
+        let mut hang = self.faults.take_hang(self.kernels_launched);
+        self.faults_injected += u64::from(hang.is_some());
         if let Some(factor) = self.faults.take_slow(self.kernels_launched) {
-            // The launch already paid 1× overhead; charge the excess.
-            self.clock
-                .advance(self.spec.kernel_launch_s * (factor - 1.0));
             self.faults_injected += 1;
+            if self.spec.launch_hangs(factor) {
+                hang = hang.or(Some(false));
+            } else {
+                // The launch already paid 1× overhead; charge the excess.
+                self.clock
+                    .advance(self.spec.kernel_launch_s * (factor - 1.0));
+            }
         }
-        if let Some(wedged) = self.faults.take_hang(self.kernels_launched) {
-            self.faults_injected += 1;
+        if let Some(wedged) = hang {
             return Err(DeviceError::Hang {
                 kernel,
                 launch_index: self.kernels_launched,
@@ -370,31 +355,24 @@ impl Device {
         }
     }
 
-    /// Allocates `count` uninitialised (zero) device matrices, each charged
-    /// to the arena and counted as its own allocation ordinal (allocation
-    /// has no PCIe or launch cost to amortise). Fails on a scheduled arena
-    /// exhaustion or when a configured arena limit would be exceeded.
+    /// Allocates `count` uninitialised (zero) device matrices, each counted
+    /// as its own allocation ordinal (allocation has no PCIe or launch cost
+    /// to amortise). Fails on a scheduled arena exhaustion.
     pub fn try_alloc(
         &mut self,
         nrows: usize,
         ncols: usize,
         count: usize,
     ) -> Result<Vec<DMatrix>, DeviceError> {
-        let requested = nrows * ncols * 8;
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             self.allocs += 1;
-            let injected = self.faults.take(Fault::Oom, self.allocs);
-            self.faults_injected += u64::from(injected);
-            let over = self.arena_limit != 0 && self.arena_in_use + requested > self.arena_limit;
-            if injected || over {
+            if self.faults.take(Fault::Oom, self.allocs) {
+                self.faults_injected += 1;
                 return Err(DeviceError::ArenaExhausted {
-                    requested,
-                    in_use: self.arena_in_use,
-                    limit: self.arena_limit,
+                    requested: nrows * ncols * 8,
                 });
             }
-            self.arena_in_use += requested;
             out.push(DMatrix {
                 m: Matrix::zeros(nrows, ncols),
             });
@@ -837,18 +815,46 @@ mod tests {
     }
 
     #[test]
+    fn slow_launch_reaching_the_deadline_is_a_hang() {
+        // Same error and same clock charge as a scripted hang; one factor
+        // below the deadline the launch still succeeds, only slower.
+        let spec = DeviceSpec::tesla_c2050();
+        let at_deadline = (LAUNCH_DEADLINE_S / spec.kernel_launch_s).ceil();
+        assert!(spec.launch_hangs(at_deadline) && !spec.launch_hangs(at_deadline - 1.0));
+        let run = |plan: FaultPlan| {
+            let mut d = dev();
+            d.arm_faults(plan);
+            let da = up(&mut d, &Matrix::identity(8));
+            let mut c = d.try_alloc(8, 8, 1).unwrap();
+            (
+                dgemm(&mut d, &da, &da, &mut c),
+                d.elapsed(),
+                d.faults_injected(),
+            )
+        };
+        let (hang, t_hang, n_hang) = run(FaultPlan::new().hang_at_launch(1));
+        let (slow, t_slow, n_slow) = run(FaultPlan::new().slow_launch(1, at_deadline));
+        assert!(matches!(slow, Err(DeviceError::Hang { wedged: false, .. })));
+        assert_eq!(slow, hang);
+        assert_eq!((t_slow.to_bits(), n_slow), (t_hang.to_bits(), n_hang));
+        let (below, _, _) = run(FaultPlan::new().slow_launch(1, at_deadline - 1.0));
+        assert!(below.is_ok());
+    }
+
+    #[test]
     fn scheduled_oom_and_arena_limit() {
-        let mut d = dev().with_arena_limit(3 * 8 * 8 * 8);
+        let mut d = dev();
         d.arm_faults(FaultPlan::new().oom_at_alloc(2));
         assert!(d.try_alloc(8, 8, 1).is_ok());
         let err = d.try_alloc(8, 8, 1).unwrap_err();
-        assert!(matches!(err, DeviceError::ArenaExhausted { .. }));
-        // Injected OOMs charge nothing; two more real allocations fit.
-        assert!(d.try_alloc(8, 8, 2).is_ok());
-        // Now the configured limit itself bites.
-        assert!(d.try_alloc(8, 8, 1).is_err());
-        d.reset_arena();
-        assert!(d.try_alloc(8, 8, 1).is_ok(), "arena reset frees the charge");
+        assert!(matches!(
+            err,
+            DeviceError::ArenaExhausted { requested: 512 }
+        ));
+        assert!(
+            d.try_alloc(8, 8, 2).is_ok(),
+            "one-shot: later allocations fit"
+        );
     }
 
     #[test]

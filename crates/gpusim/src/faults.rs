@@ -22,10 +22,13 @@
 //!
 //! - **latency inflation** ([`FaultPlan::slow_launch`]): the nth launch
 //!   costs `factor ×` its normal simulated time but still succeeds — the
-//!   numerics are untouched, only the cost model sees it;
+//!   numerics are untouched, only the cost model sees it — unless the
+//!   inflated launch reaches the device's one deadline,
+//!   [`LAUNCH_DEADLINE_S`](crate::device::LAUNCH_DEADLINE_S): then it is a
+//!   hang;
 //! - **hang** ([`FaultPlan::hang_at_launch`]): the nth launch never
-//!   completes; the simulated watchdog kills it at its logical deadline and
-//!   the op reports [`DeviceError::Hang`] with `wedged = false`;
+//!   completes; the driver kills it at the launch deadline and the op
+//!   reports [`DeviceError::Hang`] with `wedged = false`;
 //! - **wedge** ([`FaultPlan::wedge_at_launch`]): as hang, but the device is
 //!   stuck for good (`wedged = true`) — the supervisor must declare the
 //!   worker lost rather than wait for a cooperative park;
@@ -53,13 +56,9 @@ pub enum DeviceError {
     ArenaExhausted {
         /// Bytes requested by the failing allocation.
         requested: usize,
-        /// Bytes already resident in the arena.
-        in_use: usize,
-        /// Configured arena capacity (0 ⇒ the exhaustion was injected).
-        limit: usize,
     },
     /// A kernel launch hung: it never completed and the (simulated)
-    /// watchdog killed it at its logical deadline. `wedged` marks the
+    /// driver killed it at its launch deadline. `wedged` marks the
     /// indefinite flavor — the device is stuck for good and the worker
     /// driving it must be declared lost.
     Hang {
@@ -108,16 +107,14 @@ impl fmt::Display for DeviceError {
                 kernel,
                 launch_index,
             } => {
-                write!(f, "kernel launch failure: {kernel} (launch #{launch_index})")
+                write!(
+                    f,
+                    "kernel launch failure: {kernel} (launch #{launch_index})"
+                )
             }
-            DeviceError::ArenaExhausted {
-                requested,
-                in_use,
-                limit,
-            } => write!(
-                f,
-                "device arena exhausted: requested {requested} B with {in_use} B in use (limit {limit} B)"
-            ),
+            DeviceError::ArenaExhausted { requested } => {
+                write!(f, "device arena exhausted: requested {requested} B")
+            }
             DeviceError::Hang {
                 kernel,
                 launch_index,
@@ -151,7 +148,7 @@ pub(crate) enum Fault {
     CorruptDownload,
     /// The launch is rejected (this and the four below count launches).
     FailLaunch,
-    /// The launch hangs until the simulated watchdog kills it.
+    /// The launch hangs until the driver kills it at the launch deadline.
     Hang,
     /// The launch hangs for good.
     Wedge,
@@ -224,8 +221,8 @@ impl FaultPlan {
     }
 
     /// Schedules the `nth` (1-based) kernel launch to hang: it fails with
-    /// [`DeviceError::Hang`] (`wedged = false`) after the simulated watchdog
-    /// kills it at its logical deadline.
+    /// [`DeviceError::Hang`] (`wedged = false`) after the driver kills it at
+    /// the launch deadline.
     pub fn hang_at_launch(self, nth: u64) -> Self {
         self.at(nth, Fault::Hang)
     }
@@ -239,7 +236,8 @@ impl FaultPlan {
 
     /// Schedules the `nth` (1-based) kernel launch to run `factor ×`
     /// slower in simulated time while still succeeding: fail-slow latency
-    /// inflation, invisible to the numerics. `factor` must be ≥ 1.
+    /// inflation, invisible to the numerics. A launch inflated to the
+    /// launch deadline hangs instead. `factor` must be ≥ 1.
     pub fn slow_launch(self, nth: u64, factor: f64) -> Self {
         assert!(factor >= 1.0, "latency factor must be >= 1");
         self.at(nth, Fault::Slow(factor))
@@ -503,11 +501,7 @@ mod tests {
         };
         assert!(e.to_string().contains("dgemm"));
         assert!(e.to_string().contains("17"));
-        let o = DeviceError::ArenaExhausted {
-            requested: 4096,
-            in_use: 1024,
-            limit: 2048,
-        };
+        let o = DeviceError::ArenaExhausted { requested: 4096 };
         assert!(o.to_string().contains("4096"));
     }
 }

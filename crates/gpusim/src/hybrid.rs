@@ -168,7 +168,6 @@ pub fn hybrid_greens(
             _ => {
                 // Launch failure, arena exhaustion, or a tainted download:
                 // recompute this cluster on the host and charge host time.
-                dev.reset_arena();
                 device_faults += 1;
                 fallback_seconds += host_clustering_seconds(host, n, 1, hi - lo);
                 fac.cluster(h, lo, hi, spin)

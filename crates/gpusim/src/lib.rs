@@ -24,8 +24,9 @@
 //! bit-identical to the host path and are asserted as such in tests.
 //!
 //! The device is also *fallible on demand*: a scripted [`FaultPlan`] injects
-//! launch failures, arena exhaustion, silent transfer corruption and bit
-//! flips at exact operation ordinals ([`faults`]), every launch and
+//! launch failures, arena exhaustion, silent transfer corruption, bit flips
+//! and slow or hung launches at exact operation ordinals ([`faults`]; a
+//! launch slowed to [`LAUNCH_DEADLINE_S`] hangs), every launch and
 //! allocation surfaces those as [`DeviceError`]s, and [`DeviceBackend`]
 //! plugs the device into `dqmc`'s recovery-aware sweep ([`backend`]).
 //!
@@ -42,13 +43,13 @@ pub mod kernels;
 pub mod pool;
 
 pub use backend::DeviceBackend;
-pub use device::{DGemmOperand, DMatrix, Device, DeviceSpec, HostSpec};
+pub use device::{DGemmOperand, DMatrix, Device, DeviceSpec, HostSpec, LAUNCH_DEADLINE_S};
 pub use faults::{DeviceError, FaultPlan};
 pub use hybrid::{hybrid_greens, HybridReport};
 pub use kernels::{
     try_cluster_crowd, try_cluster_cublas, try_wrap_crowd_bitexact_into, try_wrap_on_device_into,
 };
-pub use pool::{BreakerPolicy, DeviceLease, DevicePool, HealthDecision};
+pub use pool::{DeviceLease, DevicePool, HealthDecision};
 
 // Unit tests of `kernels` and of `hybrid`'s full-GPU column, one file per
 // operation under `src/tests/`. They keep the module paths they had when

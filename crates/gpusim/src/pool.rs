@@ -16,11 +16,11 @@
 //! a slot that hangs one job in three will be re-leased forever unless
 //! someone keeps score. Every slot carries a sliding window of classified
 //! outcomes reported by the scheduler ([`DevicePool::report_failure`] /
-//! [`DevicePool::report_success`]). When the window accumulates
-//! [`BreakerPolicy::strikes`] sick reports the breaker **opens**: the slot
-//! is quarantined and skipped by leasing until a logical re-admission
-//! deadline (counted in lease requests — never wall time, so every
-//! decision replays identically). The first grant after the deadline is a
+//! [`DevicePool::report_success`]). When the window of the last 8 reports
+//! holds 3 sick ones the breaker **opens**: the slot is quarantined and
+//! skipped by leasing until a logical re-admission deadline (4 lease
+//! requests — never wall time, so every decision replays identically).
+//! The first grant after the deadline is a
 //! **probation probe**: success re-admits the slot, another sick failure
 //! re-quarantines it with exponentially doubled backoff.
 //!
@@ -53,27 +53,15 @@ use std::sync::Arc;
 // never the reverse — see `try_lease_excluding`.
 use util::sync::{relock, Mutex};
 
-/// Circuit-breaker parameters, all in logical units.
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerPolicy {
-    /// Sick reports within the sliding window that open the breaker.
-    pub strikes: u32,
-    /// Sliding-window length, in classified reports per slot (≤ 64).
-    pub window: u32,
-    /// Initial quarantine length, in pool lease *requests* (the pool's
-    /// logical clock); doubled on every failed probation probe.
-    pub probation_backoff: u64,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy {
-            strikes: 3,
-            window: 8,
-            probation_backoff: 4,
-        }
-    }
-}
+/// Sick reports within the sliding window that open the breaker.
+const STRIKES: u32 = 3;
+/// Sliding-window length, in classified reports per slot.
+const WINDOW: u32 = 8;
+/// Initial quarantine length, in pool lease *requests* (the pool's logical
+/// clock); doubled on every failed probation probe.
+const PROBATION_BACKOFF: u64 = 4;
+// The window must hold the strikes and fit the `recent` bitmask.
+const _: () = assert!(STRIKES >= 1 && STRIKES <= WINDOW && WINDOW < 64);
 
 /// Lifecycle of one slot in the breaker state machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,17 +107,13 @@ impl SlotHealth {
         }
     }
 
-    fn push_report(&mut self, sick: bool, window: u32) {
+    fn push_report(&mut self, sick: bool) {
         self.recent = (self.recent << 1) | u64::from(sick);
-        self.recent_len = (self.recent_len + 1).min(window);
+        self.recent_len = (self.recent_len + 1).min(WINDOW);
     }
 
-    fn strikes_in_window(&self, window: u32) -> u32 {
-        let w = window.min(64).min(self.recent_len);
-        if w == 0 {
-            return 0;
-        }
-        let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
+    fn strikes_in_window(&self) -> u32 {
+        let mask = (1u64 << self.recent_len) - 1;
         (self.recent & mask).count_ones()
     }
 }
@@ -167,7 +151,6 @@ struct PoolInner {
     /// Stack of free slot ids; capacity reserved for every slot up front.
     free: Mutex<Vec<usize>>,
     health: Mutex<Vec<SlotHealth>>,
-    policy: BreakerPolicy,
     total: usize,
     /// Logical clock: total lease *requests* (grants and misses alike).
     lease_requests: AtomicU64,
@@ -185,24 +168,13 @@ pub struct DevicePool {
 }
 
 impl DevicePool {
-    /// A pool of `count` devices of the given spec with the default
-    /// breaker policy. `count == 0` is a valid "no accelerators" pool:
-    /// every lease request misses and jobs run on the host — scheduling
-    /// still works, only slower.
-    pub fn new(spec: DeviceSpec, count: usize) -> Self {
-        Self::with_policy(spec, count, BreakerPolicy::default())
-    }
-
-    /// A pool with an explicit circuit-breaker policy.
+    /// A pool of `count` devices of the given spec. `count == 0` is a valid
+    /// "no accelerators" pool: every lease request misses and jobs run on
+    /// the host — scheduling still works, only slower.
     // dqmc-lint: allow(hot_alloc) — construction happens once per sweep;
     // the free stack and ledger are sized here so the lease path never
     // reallocates.
-    pub fn with_policy(spec: DeviceSpec, count: usize, policy: BreakerPolicy) -> Self {
-        assert!(policy.strikes >= 1, "breaker needs at least one strike");
-        assert!(
-            policy.window >= policy.strikes && policy.window <= 64,
-            "breaker window must hold the strikes and fit the bitmask"
-        );
+    pub fn new(spec: DeviceSpec, count: usize) -> Self {
         let mut free = Vec::with_capacity(count);
         free.extend(0..count);
         let mut health = Vec::with_capacity(count);
@@ -212,7 +184,6 @@ impl DevicePool {
                 spec,
                 free: Mutex::new(free),
                 health: Mutex::new(health),
-                policy,
                 total: count,
                 lease_requests: AtomicU64::new(0),
                 leases_granted: AtomicU64::new(0),
@@ -280,16 +251,13 @@ impl DevicePool {
     /// toward opening the breaker; other failures are logged in the window
     /// without indicting the device.
     pub fn report_failure(&self, slot: usize, sick: bool) -> HealthDecision {
-        let policy = self.inner.policy;
         let mut health = relock(self.inner.health.lock());
         let h = &mut health[slot];
         match h.state {
             SlotState::Probation if sick => {
                 // Failed probe: rest again with exponentially grown
                 // backoff — initial × 2^(quarantines so far).
-                let backoff = policy
-                    .probation_backoff
-                    .saturating_mul(1u64 << h.quarantines.min(32));
+                let backoff = PROBATION_BACKOFF.saturating_mul(1u64 << h.quarantines.min(32));
                 let now = self.inner.lease_requests.load(Ordering::Relaxed);
                 h.state = SlotState::Quarantined {
                     eligible_at: now + backoff,
@@ -304,14 +272,14 @@ impl DevicePool {
                 // Non-sick failure on probe: the device answered; re-admit.
                 h.state = SlotState::Healthy;
                 h.readmissions += 1;
-                h.push_report(false, policy.window);
+                h.push_report(false);
                 HealthDecision::Readmitted { slot }
             }
             SlotState::Healthy => {
-                h.push_report(sick, policy.window);
-                if sick && h.strikes_in_window(policy.window) >= policy.strikes {
+                h.push_report(sick);
+                if sick && h.strikes_in_window() >= STRIKES {
                     let now = self.inner.lease_requests.load(Ordering::Relaxed);
-                    let backoff = policy.probation_backoff;
+                    let backoff = PROBATION_BACKOFF;
                     h.state = SlotState::Quarantined {
                         eligible_at: now + backoff,
                         backoff,
@@ -336,7 +304,6 @@ impl DevicePool {
     /// Records a successful job on `slot`; a success on a probation probe
     /// re-admits the slot.
     pub fn report_success(&self, slot: usize) -> HealthDecision {
-        let policy = self.inner.policy;
         let mut health = relock(self.inner.health.lock());
         let h = &mut health[slot];
         match h.state {
@@ -348,7 +315,7 @@ impl DevicePool {
                 HealthDecision::Readmitted { slot }
             }
             _ => {
-                h.push_report(false, policy.window);
+                h.push_report(false);
                 HealthDecision::None
             }
         }
@@ -558,28 +525,25 @@ mod tests {
 
     #[test]
     fn breaker_opens_probes_and_readmits() {
-        let policy = BreakerPolicy {
-            strikes: 2,
-            window: 4,
-            probation_backoff: 3,
-        };
-        let pool = DevicePool::with_policy(DeviceSpec::tesla_c2050(), 1, policy);
+        let pool = DevicePool::new(DeviceSpec::tesla_c2050(), 1);
+        assert_eq!(strike_out(&pool, 0, STRIKES - 1), HealthDecision::None);
         assert_eq!(
-            strike_out(&pool, 0, 2),
+            strike_out(&pool, 0, 1),
             HealthDecision::Opened {
                 slot: 0,
-                backoff: 3
+                backoff: PROBATION_BACKOFF
             }
         );
         // Quarantined: the slot is skipped and the request misses. The
-        // deadline is eligible_at = 0 + 3 on the lease-request clock.
-        assert!(
-            pool.try_lease().is_none(),
-            "quarantine blocks the only slot"
-        );
-        assert!(pool.quarantine_skips() >= 1);
-        assert!(pool.try_lease().is_none());
-        let probe = pool.try_lease().expect("clock hit 3: probe goes out");
+        // deadline is eligible_at = 0 + 4 on the lease-request clock.
+        for _ in 1..PROBATION_BACKOFF {
+            assert!(
+                pool.try_lease().is_none(),
+                "quarantine blocks the only slot"
+            );
+        }
+        assert_eq!(pool.quarantine_skips(), PROBATION_BACKOFF - 1);
+        let probe = pool.try_lease().expect("clock hit 4: probe goes out");
         assert!(probe.is_probe());
         drop(probe);
         assert_eq!(
@@ -593,39 +557,40 @@ mod tests {
         assert_eq!(pool.readmissions(), 1);
     }
 
+    /// The first lease the quarantined slot `0` grants: its probation probe.
+    fn probe_after_backoff(pool: &DevicePool) -> DeviceLease {
+        (0..PROBATION_BACKOFF)
+            .find_map(|_| pool.try_lease())
+            .expect("backoff elapsed: probe goes out")
+    }
+
     #[test]
     fn failed_probe_requarantines_with_doubled_backoff() {
-        let policy = BreakerPolicy {
-            strikes: 1,
-            window: 4,
-            probation_backoff: 2,
-        };
-        let pool = DevicePool::with_policy(DeviceSpec::tesla_c2050(), 1, policy);
+        let pool = DevicePool::new(DeviceSpec::tesla_c2050(), 1);
         assert!(matches!(
-            pool.report_failure(0, true),
-            HealthDecision::Opened { backoff: 2, .. }
+            strike_out(&pool, 0, STRIKES),
+            HealthDecision::Opened {
+                backoff: PROBATION_BACKOFF,
+                ..
+            }
         ));
-        assert!(pool.try_lease().is_none(), "clock 1 < deadline 2");
-        let probe = pool.try_lease().unwrap();
+        let probe = probe_after_backoff(&pool);
         assert!(probe.is_probe());
         drop(probe);
         // Probe fails sick: exponential backoff kicks in.
-        let d = pool.report_failure(0, true);
-        assert!(
-            matches!(d, HealthDecision::Reopened { backoff, .. } if backoff > 2),
-            "{d:?}"
+        assert_eq!(
+            pool.report_failure(0, true),
+            HealthDecision::Reopened {
+                slot: 0,
+                backoff: 2 * PROBATION_BACKOFF
+            }
         );
         assert_eq!(pool.quarantines(), 2);
     }
 
     #[test]
     fn slot_profile_merges_into_backend_and_heals_on_open() {
-        let policy = BreakerPolicy {
-            strikes: 1,
-            window: 2,
-            probation_backoff: 1,
-        };
-        let pool = DevicePool::with_policy(DeviceSpec::tesla_c2050(), 1, policy);
+        let pool = DevicePool::new(DeviceSpec::tesla_c2050(), 1);
         pool.set_slot_profile(0, FaultPlan::new().fail_launch(1), false);
         let lease = pool.try_lease().unwrap();
         let mut be = lease.backend(None);
@@ -641,10 +606,11 @@ mod tests {
         drop(lease);
         // Breaker opens; the non-persistent profile heals.
         assert!(matches!(
-            pool.report_failure(0, true),
+            strike_out(&pool, 0, STRIKES),
             HealthDecision::Opened { .. }
         ));
-        let probe = pool.try_lease().expect("backoff 1 elapsed during report");
+        let probe = probe_after_backoff(&pool);
+        assert!(probe.is_probe());
         let mut be = probe.backend(None);
         assert!(
             be.cluster(&fac, &[&h], 0, 4, dqmc::Spin::Up).is_ok(),

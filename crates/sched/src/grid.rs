@@ -34,7 +34,7 @@
 //! determinism contract.
 
 use dqmc::{ModelParams, RecoveryPolicy, SimParams};
-use gpusim::FaultPlan;
+use gpusim::{DeviceSpec, FaultPlan};
 use lattice::Lattice;
 use std::fmt;
 
@@ -70,7 +70,8 @@ pub enum FaultOp {
     CorruptTransfer(u64),
     /// Latency inflation of the nth launch by an integer factor — a
     /// fail-slow fault: numerics are untouched (bit-safe), only the logical
-    /// clock inflates, which the scheduler's quantum watchdog detects.
+    /// clock inflates. The factor must keep the launch below
+    /// [`gpusim::LAUNCH_DEADLINE_S`]; a launch that reaches it is a hang.
     Slow(u64, u32),
 }
 
@@ -95,11 +96,13 @@ pub struct SlotFault {
 /// context, so the schedule replays per placement).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlotFaultOp {
-    /// The nth launch hangs; the logical watchdog kills it (soft deadline).
+    /// The nth launch hangs; the driver kills it at the launch deadline
+    /// (soft deadline).
     Hang(u64),
     /// The nth launch wedges the device for good (hard deadline).
     Wedge(u64),
-    /// The nth launch is inflated by an integer latency factor.
+    /// The nth launch is inflated by an integer latency factor; one that
+    /// reaches the launch deadline hangs.
     Slow(u64, u32),
     /// Every launch in `[lo, hi]` fails sick (intermittent sick device).
     SickWindow(u64, u64),
@@ -444,6 +447,11 @@ fn parse_faults(v: &str) -> Result<Vec<FaultOp>, String> {
                 if factor < 2 {
                     return Err(format!("slow factor in '{item}' must be >= 2"));
                 }
+                if DeviceSpec::tesla_c2050().launch_hangs(f64::from(factor)) {
+                    return Err(sick_per_job(&format!(
+                        "'{item}' (a launch slowed to the launch deadline hangs)"
+                    )));
+                }
                 return Ok(FaultOp::Slow(nth, factor));
             }
             let nth = parse_ordinal(rest, item)?;
@@ -457,16 +465,21 @@ fn parse_faults(v: &str) -> Result<Vec<FaultOp>, String> {
                      unfaulted stream and would break sweep determinism"
                         .into(),
                 ),
-                "hang" | "wedge" | "sick" => Err(format!(
-                    "'{op}' is not allowed in per-job fault plans: sickness indicts \
-                     the *device*, and a job-carried sick plan would re-arm on every \
-                     placement, livelocking the requeue path — script it on a pool \
-                     slot via `slot_faults` instead"
-                )),
+                "hang" | "wedge" | "sick" => Err(sick_per_job(&format!("'{op}'"))),
                 other => Err(format!("unknown fault op '{other}'")),
             }
         })
         .collect()
+}
+
+/// Why a per-job fault plan may not carry `what`, a sick-class fault.
+fn sick_per_job(what: &str) -> String {
+    format!(
+        "{what} is not allowed in per-job fault plans: sickness indicts \
+         the *device*, and a job-carried sick plan would re-arm on every \
+         placement, livelocking the requeue path — script it on a pool \
+         slot via `slot_faults` instead"
+    )
 }
 
 fn parse_ordinal(v: &str, item: &str) -> Result<u64, String> {
@@ -691,6 +704,19 @@ mod tests {
         let (slot, _, persistent) = &profiles[0];
         assert_eq!((*slot, *persistent), (1, false));
         assert!(profiles.iter().any(|(s, _, p)| *s == 2 && *p));
+    }
+
+    #[test]
+    fn per_job_slow_reaching_the_launch_deadline_is_a_hang() {
+        // The C2050 launches in 7 µs, so 285 715× reaches the 2 s deadline.
+        let spec = GridSpec::parse("faults = slow:1:285714").unwrap();
+        assert_eq!(spec.faults, vec![FaultOp::Slow(1, 285_714)]);
+        let err = GridSpec::parse("faults = slow:1:285715").unwrap_err();
+        assert!(err.message.contains("slot_faults"), "{err}");
+        assert!(err.message.contains("deadline"), "{err}");
+        // On a pool slot the same launch is a scripted hang, and allowed.
+        let spec = GridSpec::parse("devices = 1\nslot_faults = slow@0:1:285715").unwrap();
+        assert_eq!(spec.slot_faults[0].op, SlotFaultOp::Slow(1, 285_715));
     }
 
     #[test]

@@ -28,11 +28,11 @@
 //!    checkpoint image, up to a per-job budget, before being reported
 //!    failed. `DeviceSick`-class failures requeue for *free* (the device
 //!    was at fault, not the job) with the suspect slot excluded.
-//! 5. **Health** ([`watchdog`], [`gpusim::pool`]): a quantum watchdog
-//!    charges each quantum's logical device cost against a soft deadline
-//!    (fail-slow detection), and the device pool's circuit breaker
-//!    quarantines slots that accumulate sick reports, re-admitting them
-//!    through exponential-backoff probation probes.
+//! 5. **Health** ([`gpusim::pool`]): a launch that hangs, or is slowed to
+//!    the device's one deadline ([`gpusim::LAUNCH_DEADLINE_S`]), indicts
+//!    its slot, and the device pool's circuit breaker quarantines slots
+//!    that accumulate sick reports, re-admitting them through
+//!    exponential-backoff probation probes.
 //! 6. **Aggregation** ([`service`], [`report`]): chain outcomes land in
 //!    their campaign's slot vector; per point they merge in canonical
 //!    chain order the moment the last one lands and are jackknifed
@@ -63,10 +63,9 @@ pub mod runner;
 pub mod service;
 pub mod shard;
 pub mod trace;
-pub mod watchdog;
 
 pub use grid::{GridError, GridPoint, GridSpec, SlotFault, SlotFaultOp};
-pub use queue::{AdmitError, JobQueue, Pop, SweepJob};
+pub use queue::{AdmitError, JobQueue, SweepJob};
 pub use report::{observables_json_for, PointSummary, SweepReport};
 pub use runner::{run_sweep, SchedConfig};
 pub use service::{
@@ -75,4 +74,3 @@ pub use service::{
 };
 pub use shard::{grid_fingerprint, plan_shard_subset, plan_shards, ShardBlock, ShardPlan};
 pub use trace::{EventLog, Placement, TraceEvent};
-pub use watchdog::{DeadlineVerdict, QuantumWatchdog};

@@ -13,19 +13,18 @@
 //!
 //! Termination is *closed and drained*: a worker blocks while the heap is
 //! empty — a running job may yet yield back in, and until
-//! [`JobQueue::close`] another campaign may arrive — and observes
-//! `None` / [`Pop::Drained`] only once the queue is closed *and* the last
-//! outstanding job has completed. A one-shot sweep is the same queue
-//! closed as soon as its only campaign has been waited for — so `close`
-//! races the last `complete` on every sweep, and whichever comes second
-//! wakes the parked workers.
+//! [`JobQueue::close`] another campaign may arrive — and observes `None`
+//! only once the queue is closed *and* the last outstanding job has
+//! completed. A one-shot sweep is the same queue closed as soon as its
+//! only campaign has been waited for — so `close` races the last
+//! `complete` on every sweep, and whichever comes second wakes the parked
+//! workers.
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
 use dqmc::SimParams;
 use gpusim::FaultPlan;
 use std::collections::BinaryHeap;
-use std::time::Duration;
 // Poison recovery via util::relock is sound here: queue invariants
 // (`outstanding`, the heap) are each updated in a single short critical
 // section with no partially applied state, so data behind a poisoned lock
@@ -209,33 +208,14 @@ impl std::fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
-/// Outcome of a bounded-wait pop ([`JobQueue::pop_timeout`]).
-// Boxing the job would put an allocation in the pop hot path, which this
-// module's deny_hot_alloc contract forbids; the enum lives only across the
-// caller's match.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum Pop {
-    /// A job was dequeued; the capacity slot stays held until
-    /// [`JobQueue::complete`].
-    Job(SweepJob),
-    /// The wait budget ran out with the heap empty but jobs still
-    /// outstanding — a running job may yet yield back in. The caller
-    /// should run its periodic bookkeeping (watchdog scan) and retry.
-    Empty,
-    /// Closed and drained: nothing waiting, nothing outstanding, and no
-    /// further batch can be admitted.
-    Drained,
-}
-
 #[derive(Debug)]
 struct QueueState {
     heap: BinaryHeap<Entry>,
     next_seq: u64,
     /// Jobs submitted and not yet completed/failed (running jobs included).
     outstanding: usize,
-    /// Set by [`JobQueue::close`]; pops report [`Pop::Drained`] only once
-    /// closed *and* drained.
+    /// Set by [`JobQueue::close`]; pops return `None` only once closed
+    /// *and* drained.
     closed: bool,
 }
 
@@ -249,8 +229,8 @@ pub struct JobQueue {
 
 impl JobQueue {
     /// An empty, open queue refusing more than `bound` outstanding jobs.
-    /// While it is empty pops report [`Pop::Empty`] (the worker parks and
-    /// re-checks): more campaigns may arrive until [`JobQueue::close`].
+    /// While it is empty pops block: more campaigns may arrive until
+    /// [`JobQueue::close`].
     // dqmc-lint: allow(hot_alloc) — one-time construction; the heap is
     // sized here so pushes on the scheduling path never reallocate.
     pub fn new(bound: usize) -> Self {
@@ -264,11 +244,6 @@ impl JobQueue {
             cv: Condvar::new(),
             bound,
         }
-    }
-
-    /// The configured bound.
-    pub fn bound(&self) -> usize {
-        self.bound
     }
 
     /// Atomically admits a whole campaign's batch: either every job is
@@ -304,7 +279,7 @@ impl JobQueue {
 
     /// Closes the queue for new work: [`JobQueue::submit_batch`] refuses
     /// from now on, outstanding jobs drain normally, and once the last
-    /// one completes pops report [`Pop::Drained`] — the shutdown sequence
+    /// one completes pops return `None` — the shutdown sequence
     /// of a service and the tail of every one-shot sweep. Idempotent.
     pub fn close(&self) {
         let mut s = relock(self.state.lock());
@@ -356,35 +331,6 @@ impl JobQueue {
                 return None;
             }
             s = relock(self.cv.wait(s));
-        }
-    }
-
-    /// [`JobQueue::pop_blocking`] with a bounded wait, for workers that
-    /// must keep servicing a watchdog while idle. The budget is counted in
-    /// condvar *wakeups* (spurious or timed), not wall time, so a worker
-    /// polling with budget 1 re-checks its deadlines at a steady cadence.
-    ///
-    /// Returns [`Pop::Empty`] when the budget runs out with the queue open
-    /// or jobs still outstanding — the two-phase-termination window where
-    /// a running job may yet yield back into the queue — and
-    /// [`Pop::Drained`] only when the queue is closed and the last
-    /// outstanding job has completed.
-    pub fn pop_timeout(&self, wait_budget: u32) -> Pop {
-        let mut s = relock(self.state.lock());
-        let mut waits = 0u32;
-        loop {
-            if let Some(e) = s.heap.pop() {
-                return Pop::Job(e.job);
-            }
-            if s.outstanding == 0 && s.closed {
-                return Pop::Drained;
-            }
-            if waits >= wait_budget {
-                return Pop::Empty;
-            }
-            let (guard, _timed_out) = relock(self.cv.wait_timeout(s, Duration::from_millis(10)));
-            s = guard;
-            waits += 1;
         }
     }
 
@@ -506,23 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_distinguishes_empty_from_drained() {
-        let q = JobQueue::new(2);
-        q.submit_batch(vec![job(0, 0, 0)]).unwrap();
-        q.close();
-        let j = match q.pop_timeout(0) {
-            Pop::Job(j) => j,
-            other => panic!("expected a job, got {other:?}"),
-        };
-        // Heap empty, one job outstanding: a bounded wait must wake up
-        // empty-handed rather than block or claim termination.
-        assert!(matches!(q.pop_timeout(2), Pop::Empty));
-        drop(j);
-        q.complete();
-        assert!(matches!(q.pop_timeout(0), Pop::Drained));
-    }
-
-    #[test]
     fn new_jobs_carry_clean_health_state() {
         let j = job(0, 0, 0);
         assert!(j.excluded_slots.is_empty());
@@ -531,16 +460,18 @@ mod tests {
 
     #[test]
     fn resident_queue_parks_instead_of_draining() {
-        let q = JobQueue::new(4);
         // Empty and nothing outstanding, but open: another campaign may
-        // arrive, so pops report Empty (park, re-check) until closed.
-        assert!(matches!(q.pop_timeout(0), Pop::Empty));
-        q.submit_batch(vec![job(0, 0, 0)]).unwrap();
-        assert!(matches!(q.pop_timeout(0), Pop::Job(_)));
+        // arrive, so an idle worker parks instead of seeing termination,
+        // and the next batch wakes it.
+        let q = std::sync::Arc::new(JobQueue::new(4));
+        let q2 = std::sync::Arc::clone(&q);
+        let worker = std::thread::spawn(move || q2.pop_blocking().map(|j| j.point));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        q.submit_batch(vec![job(3, 0, 0)]).unwrap();
+        assert_eq!(worker.join().unwrap(), Some(3), "parked, not drained");
         q.complete();
-        assert!(matches!(q.pop_timeout(0), Pop::Empty));
         q.close();
-        assert!(matches!(q.pop_timeout(0), Pop::Drained));
+        assert!(q.pop_blocking().is_none());
     }
 
     #[test]
@@ -548,16 +479,13 @@ mod tests {
         let q = JobQueue::new(4);
         q.submit_batch(vec![job(0, 0, 0)]).unwrap();
         q.close();
-        // Closed but not drained: the queued job must still pop and the
-        // queue must wait for its completion before declaring Drained.
-        let j = match q.pop_timeout(0) {
-            Pop::Job(j) => j,
-            other => panic!("expected the queued job, got {other:?}"),
-        };
-        assert!(matches!(q.pop_timeout(1), Pop::Empty));
-        drop(j);
+        // Closed but not drained: the queued job must still pop, and
+        // termination waits for its completion (a worker blocked in that
+        // window is `drained_queue_unblocks_all_workers`).
+        let j = q.pop_blocking().expect("the queued job pops after close");
+        assert_eq!(j.point, 0);
         q.complete();
-        assert!(matches!(q.pop_timeout(0), Pop::Drained));
+        assert!(q.pop_blocking().is_none());
     }
 
     #[test]

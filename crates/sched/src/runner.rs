@@ -1,5 +1,5 @@
-//! The worker loop — pops jobs, places them, preempts them, watches them,
-//! retries them — run by the workers of the one scheduler shell,
+//! The worker loop — pops jobs, places them, preempts them, retries them —
+//! run by the workers of the one scheduler shell,
 //! [`crate::service::SweepService`]; and [`run_sweep`], the one-shot entry:
 //! that service with a single whole-grid campaign, folded into a
 //! [`SweepReport`].
@@ -20,12 +20,14 @@
 //! A failed quantum surfaces as a structured [`DqmcError`] whose severity
 //! drives the response:
 //!
-//! - **`DeviceSick`** — the run indicts the *device*, not the job. The job
-//!   requeues for free (no retry budget consumed) with the slot added to
-//!   its exclusion list, the pool's circuit breaker is fed a sick report,
-//!   and the trace records a [`TraceEvent::SoftDeadline`] park (or
-//!   [`TraceEvent::WorkerLost`] when the device wedged — the hard
-//!   deadline: progress since the last parked image is written off).
+//! - **`DeviceSick`** — the run indicts the *device*, not the job: a launch
+//!   hung, was slowed to [`gpusim::LAUNCH_DEADLINE_S`], or failed inside a
+//!   sick window. The job requeues for free (no retry budget consumed)
+//!   with the slot added to its exclusion list, the pool's circuit breaker
+//!   is fed a sick report, and the trace records a
+//!   [`TraceEvent::SoftDeadline`] park (or [`TraceEvent::WorkerLost`] when
+//!   the device wedged — the hard deadline). Either way the job resumes
+//!   from its last parked image.
 //! - **`Transient` / `Corrupt`** — the job restarts from its last parked
 //!   image, consuming one of `job_retries`.
 //! - **`Fatal`** — no restart could help; the job is failed immediately.
@@ -42,18 +44,16 @@
 //! `DQCW` resume is bit-identical; and results land in their campaign's
 //! slot vector indexed by `selected point * chains + chain`, then merge in
 //! canonical chain order per point. Workers race only for *which* slot
-//! they fill next, never for what goes in it. Deadline parks and sick
-//! requeues re-run the same seeded sweeps elsewhere — slower, never
-//! different.
+//! they fill next, never for what goes in it. Sick requeues re-run the
+//! same seeded sweeps elsewhere — slower, never different.
 
 use crate::grid::GridSpec;
-use crate::queue::{Pop, SweepJob};
+use crate::queue::SweepJob;
 use crate::report::{PointSummary, SweepReport};
 use crate::service::{ServiceCore, SweepService};
 use crate::trace::{EventLog, Placement, TraceEvent};
-use crate::watchdog::{DeadlineVerdict, QuantumWatchdog};
 use dqmc::{Crowd, DqmcError, Observables, RecoveryLog, RecoveryTallies, RunToken, Severity};
-use gpusim::{BreakerPolicy, HealthDecision};
+use gpusim::HealthDecision;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -86,11 +86,6 @@ pub struct SchedConfig {
     /// Restarts of a job that failed with a *retryable* classified error
     /// (or a caught panic). Sick-device requeues are not counted here.
     pub job_retries: u32,
-    /// Soft deadline per quantum in logical device-seconds (fail-slow
-    /// detection); `0.0` disables the quantum watchdog.
-    pub soft_quantum_cost_s: f64,
-    /// Circuit-breaker policy for the device pool's health ledger.
-    pub breaker: BreakerPolicy,
     /// Campaign-tag namespace: tags are drawn from
     /// `(tag_namespace << 32) + 1` upward. A fleet shard child sets this
     /// to `shard + 1`, so every job tag in a multi-process campaign names
@@ -108,8 +103,6 @@ impl Default for SchedConfig {
             quantum: 0,
             yield_every_quanta: 0,
             job_retries: 1,
-            soft_quantum_cost_s: 0.0,
-            breaker: BreakerPolicy::default(),
             tag_namespace: 0,
         }
     }
@@ -192,8 +185,7 @@ enum RunStep {
         sweeps_done: usize,
     },
     /// The run stopped with a classified error; `job.checkpoint` holds the
-    /// image to resume from (freshly parked for cooperative soft parks,
-    /// the last successful park otherwise).
+    /// last successful park, the image to resume from.
     Aborted {
         error: DqmcError,
     },
@@ -220,10 +212,10 @@ fn emit_decision(events: &EventLog, decision: HealthDecision) {
 /// Runs one job until it completes, yields, or aborts with a classified
 /// error. Returns the step and the device slot it ran on (`None` = host).
 ///
-/// On a yield (or a cooperative soft-deadline park) the parked `DQCW`
-/// image replaces `job.checkpoint`; on an abortive error the *previous*
-/// image is still intact, so the restart resumes from the last successful
-/// park rather than from scratch-after-progress.
+/// On a yield the parked `DQCW` image replaces `job.checkpoint`; on an
+/// abortive error the *previous* image is still intact, so the restart
+/// resumes from the last successful park rather than from
+/// scratch-after-progress.
 fn run_job(
     job: &mut SweepJob,
     worker: usize,
@@ -269,16 +261,8 @@ fn run_job(
         },
         None => Crowd::new(params),
     };
-    let mut watchdog = None;
-    if cfg.soft_quantum_cost_s > 0.0 && lease.is_some() {
-        watchdog = Some(QuantumWatchdog::new(cfg.soft_quantum_cost_s));
-    }
     if let Some(l) = &lease {
-        let mut backend = l.backend(job.fault_plan.clone());
-        if let Some(wd) = &watchdog {
-            backend.device_mut().set_cost_meter(wd.meter());
-        }
-        sim = sim.with_backend(Box::new(backend));
+        sim = sim.with_backend(Box::new(l.backend(job.fault_plan.clone())));
     }
 
     let quantum = if cfg.quantum == 0 {
@@ -305,27 +289,6 @@ fn run_job(
             });
             job.device_seconds += sim.device_seconds();
             return (RunStep::Completed(outcomes(&sim, job)), slot);
-        }
-        if let Some(wd) = watchdog.as_mut() {
-            if let DeadlineVerdict::SoftExceeded { cost_s } = wd.observe_quantum() {
-                // The quantum finished cleanly (only slowly), so the state
-                // is consistent: park cooperatively from *current* progress.
-                job.checkpoint = Some(sim.checkpoint_bytes());
-                job.device_seconds += sim.device_seconds();
-                return (
-                    RunStep::Aborted {
-                        error: DqmcError::device_sick(
-                            "watchdog",
-                            format!(
-                                "quantum cost {cost_s:.3}s exceeded soft deadline {:.3}s",
-                                cfg.soft_quantum_cost_s
-                            ),
-                            false,
-                        ),
-                    },
-                    slot,
-                );
-            }
         }
         let preempted = core.queue.waiting_priority_above(job.priority);
         let sliced = cfg.yield_every_quanta > 0 && quanta_run >= cfg.yield_every_quanta;
@@ -424,12 +387,7 @@ pub(crate) fn worker_loop(worker: usize, core: &ServiceCore) {
     let (queue, events, pool) = (&core.queue, &core.events, core.pool.as_ref());
     // The liveness token `try_step` stamps, reused across this worker's jobs.
     let token = RunToken::new();
-    loop {
-        let mut job = match queue.pop_timeout(1) {
-            Pop::Job(job) => job,
-            Pop::Empty => continue,
-            Pop::Drained => break,
-        };
+    while let Some(mut job) = queue.pop_blocking() {
         token.reset();
         let step = catch_unwind(AssertUnwindSafe(|| run_job(&mut job, worker, core, &token)));
         match step {
@@ -485,8 +443,7 @@ pub(crate) fn worker_loop(worker: usize, core: &ServiceCore) {
 ///
 /// The returned report's [`SweepReport::observables_json`] is a pure
 /// function of `(spec physics, spec seeds)`: `cfg` may change workers,
-/// devices, quanta, deadlines, breaker policy — the observables section
-/// does not move.
+/// devices, quanta, time-slicing — the observables section does not move.
 // dqmc-lint: allow(panic_site) — the queue is open and sized to fit the
 // whole grid, and a parsed grid has at least one point, so admission
 // cannot be refused.

@@ -277,8 +277,8 @@ impl SweepService {
             workers: cfg.workers.max(1),
             ..cfg.clone()
         };
-        let pool = (cfg.devices > 0)
-            .then(|| DevicePool::with_policy(DeviceSpec::tesla_c2050(), cfg.devices, cfg.breaker));
+        let pool =
+            (cfg.devices > 0).then(|| DevicePool::new(DeviceSpec::tesla_c2050(), cfg.devices));
         let core = Arc::new(ServiceCore {
             queue: JobQueue::new(bound),
             pool,

@@ -91,9 +91,10 @@ pub enum TraceEvent {
         /// Total attempts consumed.
         attempts: u32,
     },
-    /// The watchdog's soft deadline fired: the job was asked to park
-    /// cooperatively from its last checkpoint image and was requeued with
-    /// the suspect slot excluded.
+    /// The soft deadline fired — a launch hung, was slowed to the device's
+    /// launch deadline, or failed in a sick window: the job parked at its
+    /// last checkpoint image and was requeued with the suspect slot
+    /// excluded.
     SoftDeadline {
         /// Grid point index.
         point: usize,

@@ -11,11 +11,11 @@
 //! Each model checks the invariant the surrounding scheduler depends on:
 //!
 //! - queue: every submitted job completes exactly once through the
-//!   pop → requeue → pop → complete cycle, and termination (`None` /
-//!   `Pop::Drained`) is observed by *every* worker only after the last
-//!   completion, wherever `close()` lands among the pops, requeues and
-//!   completions — the two-phase-drain contract of every sweep, since a
-//!   one-shot sweep closes its queue while its workers drain it.
+//!   pop → requeue → pop → complete cycle, and termination (`None`) is
+//!   observed by *every* worker only after the last completion, wherever
+//!   `close()` lands among the pops, requeues and completions — the
+//!   two-phase-drain contract of every sweep, since a one-shot sweep
+//!   closes its queue while its workers drain it.
 //! - pool: leases are mutually exclusive per slot, slots return on drop,
 //!   and the quarantine → probation-probe → readmission cycle grants
 //!   exactly one probe no matter how many workers race for it.
@@ -23,9 +23,9 @@
 #![cfg(loom)]
 
 use dqmc::{ModelParams, SimParams};
-use gpusim::{BreakerPolicy, DevicePool, DeviceSpec, HealthDecision};
+use gpusim::{DevicePool, DeviceSpec, HealthDecision};
 use lattice::Lattice;
-use sched::{JobQueue, Pop, SweepJob};
+use sched::{JobQueue, SweepJob};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -55,31 +55,19 @@ fn queue_two_phase_drain_completes_every_job_and_unblocks_all_workers() {
         q.submit_batch((0..3).map(job).collect())
             .expect("bound holds the full batch");
 
-        // Worker A drains on the blocking path (the pop_blocking contract:
-        // None only once closed with nothing outstanding).
-        let (qa, ca) = (Arc::clone(&q), Arc::clone(&completed));
-        let a = loom::thread::spawn(move || {
-            while let Some(j) = qa.pop_blocking() {
-                if work_one(&qa, j) {
-                    ca.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-
-        // Worker B drains on the bounded-wait path the production runner
-        // uses, so Empty-vs-Drained is exercised in the same schedule.
-        let (qb, cb) = (Arc::clone(&q), Arc::clone(&completed));
-        let b = loom::thread::spawn(move || loop {
-            match qb.pop_timeout(1) {
-                Pop::Job(j) => {
-                    if work_one(&qb, j) {
-                        cb.fetch_add(1, Ordering::Relaxed);
+        // Both workers drain as the production runner does, on the blocking
+        // pop: None only once closed with nothing outstanding.
+        let worker = || {
+            let (q, done) = (Arc::clone(&q), Arc::clone(&completed));
+            loom::thread::spawn(move || {
+                while let Some(j) = q.pop_blocking() {
+                    if work_one(&q, j) {
+                        done.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                Pop::Empty => loom::thread::yield_now(),
-                Pop::Drained => return,
-            }
-        });
+            })
+        };
+        let (a, b) = (worker(), worker());
 
         // The closer races every pop, requeue and the last completion: a
         // close() that lands after it must wake the parked workers itself.
@@ -94,7 +82,7 @@ fn queue_two_phase_drain_completes_every_job_and_unblocks_all_workers() {
         c.join().expect("closer exits");
         assert_eq!(completed.load(Ordering::Relaxed), 3, "each job once");
         assert_eq!(q.waiting(), 0);
-        assert!(matches!(q.pop_timeout(0), Pop::Drained));
+        assert!(q.pop_blocking().is_none());
     });
 }
 
@@ -133,12 +121,11 @@ fn pool_leases_stay_exclusive_and_return_on_drop() {
 #[test]
 fn pool_quarantine_grants_one_probe_and_readmits_under_racing_leasers() {
     loom::model(|| {
-        let policy = BreakerPolicy {
-            strikes: 1,
-            window: 2,
-            probation_backoff: 1,
-        };
-        let pool = DevicePool::with_policy(DeviceSpec::tesla_c2050(), 1, policy);
+        // The product breaker: the third sick report opens it.
+        let pool = DevicePool::new(DeviceSpec::tesla_c2050(), 1);
+        for _ in 0..2 {
+            assert_eq!(pool.report_failure(0, true), HealthDecision::None);
+        }
         assert!(matches!(
             pool.report_failure(0, true),
             HealthDecision::Opened { .. }

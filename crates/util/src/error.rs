@@ -2,7 +2,7 @@
 //!
 //! Every failure that crosses a crate boundary — a device fault escaping
 //! the recovery ladder, a tainted Green's function with recovery disabled,
-//! a sick device declared by the watchdog — is classified into one
+//! a device that hung past its launch deadline — is classified into one
 //! [`Severity`] class. The class, not a string match, keys every policy
 //! decision downstream: whether the scheduler retries the job, whether the
 //! retry consumes an attempt, whether the suspect device slot is excluded
@@ -50,9 +50,9 @@ impl fmt::Display for Severity {
 
 /// A classified failure crossing a crate boundary.
 ///
-/// `hard` distinguishes the two watchdog verdicts inside the `DeviceSick`
-/// class: a *soft* deadline miss (the op was killed after its logical
-/// deadline; the worker parks the job cooperatively) versus a *hard* one
+/// `hard` distinguishes the two deadline verdicts inside the `DeviceSick`
+/// class: a *soft* deadline miss (the op was killed at its launch
+/// deadline; the job requeues, and no worker is lost) versus a *hard* one
 /// (the device wedged mid-op; the worker is declared lost and the job is
 /// resurrected from its parked image). It is meaningless — and `false` —
 /// for every other severity.

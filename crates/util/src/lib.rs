@@ -21,7 +21,7 @@
 //!   [`Severity`] classes) that keys retry/quarantine policy across the
 //!   recovery ladder and the sweep scheduler,
 //! - [`liveness`]: the heartbeat/cancellation [`RunToken`] shared between
-//!   workers and the scheduler watchdog,
+//!   workers and their supervisors,
 //! - [`vfs`]: the workspace's single audited atomic-write path
 //!   (temp + fsync + rename + parent-directory fsync) with a
 //!   deterministic, scriptable I/O fault-injection plan mirroring

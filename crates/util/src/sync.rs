@@ -1,21 +1,20 @@
 //! Synchronization primitives with poison recovery and loom switching.
 //!
 //! Every lock-bearing type in the workspace (`sched::queue`, `sched::trace`,
-//! `sched::watchdog`, `gpusim::pool`) goes through this module instead of
+//! `sched::service`, `gpusim::pool`) goes through this module instead of
 //! naming `std::sync` directly, for two reasons:
 //!
 //! 1. **One audited poison-recovery path.** [`relock`] is the single copy of
-//!    the `unwrap_or_else(PoisonError::into_inner)` idiom that used to be
-//!    triplicated across queue/trace/watchdog. The safety argument lives
-//!    here once: recovery is sound only for locks whose critical sections
-//!    leave no partially-applied state, which is a per-call-site audit —
-//!    see the lock registry in `lock_order.toml`.
+//!    the `unwrap_or_else(PoisonError::into_inner)` idiom. The safety
+//!    argument lives here once: recovery is sound only for locks whose
+//!    critical sections leave no partially-applied state, which is a
+//!    per-call-site audit — see the lock registry in `lock_order.toml`.
 //!
 //! 2. **Model checking.** Under `--cfg loom` (`RUSTFLAGS="--cfg loom"`),
 //!    [`Mutex`], [`Condvar`] and the [`atomic`] types resolve to the loom
 //!    shim's schedule-perturbing wrappers, so the loom models in
 //!    `crates/sched/tests/loom_models.rs` and `linalg::team` explore the
-//!    *production* queue/pool/watchdog/team code under many interleavings,
+//!    *production* queue/pool/team code under many interleavings,
 //!    not a re-model of it. Ordinary builds resolve straight to `std::sync`
 //!    with zero overhead.
 

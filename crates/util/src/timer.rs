@@ -1,65 +1,45 @@
 //! Phase profiling and simulated time.
 //!
-//! [`PhaseTimer`] accumulates wall-clock time per named phase and reports
-//! percentage breakdowns — this regenerates Table I of the paper, which
-//! attributes simulation time to delayed updates, stratification, clustering,
-//! wrapping, and physical measurements.
+//! [`PhaseTimer`] accumulates wall-clock time in a fixed set of phase slots
+//! — this regenerates Table I of the paper, which attributes simulation
+//! time to delayed updates, stratification, clustering, wrapping, and
+//! physical measurements (`dqmc::profile` numbers those five slots).
 //!
 //! [`SimClock`] is a *simulated* clock used by the GPU device model
 //! (`gpusim`): device kernels advance it analytically from a cost model
 //! instead of real time, so the GPU experiments are deterministic and run on
 //! machines without an accelerator.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Accumulates wall-clock time per named phase.
-#[derive(Debug, Default)]
-pub struct PhaseTimer {
-    acc: HashMap<&'static str, Duration>,
-    order: Vec<&'static str>,
+/// Accumulates wall-clock time in `N` phase slots, indexed by the caller's
+/// phase numbering.
+#[derive(Debug)]
+pub struct PhaseTimer<const N: usize> {
+    acc: [Duration; N],
 }
 
-/// RAII guard returned by [`PhaseTimer::start`]; stops on drop.
-pub struct PhaseGuard<'a> {
-    timer: &'a mut PhaseTimer,
-    phase: &'static str,
-    t0: Instant,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        self.timer.add(self.phase, self.t0.elapsed());
+impl<const N: usize> Default for PhaseTimer<N> {
+    fn default() -> Self {
+        PhaseTimer {
+            acc: [Duration::ZERO; N],
+        }
     }
 }
 
-impl PhaseTimer {
+impl<const N: usize> PhaseTimer<N> {
     /// Creates an empty timer.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Starts timing `phase`; time is recorded when the guard drops.
-    pub fn start(&mut self, phase: &'static str) -> PhaseGuard<'_> {
-        PhaseGuard {
-            t0: Instant::now(),
-            phase,
-            timer: self,
-        }
-    }
-
     /// Adds an explicit duration to `phase`.
-    pub fn add(&mut self, phase: &'static str, d: Duration) {
-        if !self.acc.contains_key(phase) {
-            self.order.push(phase);
-        }
-        *self.acc.entry(phase).or_default() += d;
+    pub fn add(&mut self, phase: usize, d: Duration) {
+        self.acc[phase] += d;
     }
 
     /// Times a closure under `phase` and returns its result.
-    pub fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
+    pub fn time<T>(&mut self, phase: usize, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
         self.add(phase, t0.elapsed());
@@ -67,47 +47,13 @@ impl PhaseTimer {
     }
 
     /// Total accumulated time of `phase`.
-    pub fn get(&self, phase: &str) -> Duration {
-        self.acc.get(phase).copied().unwrap_or_default()
+    pub fn get(&self, phase: usize) -> Duration {
+        self.acc[phase]
     }
 
     /// Sum over all phases.
     pub fn total(&self) -> Duration {
-        self.acc.values().sum()
-    }
-
-    /// Phases in first-seen order with their accumulated durations.
-    pub fn phases(&self) -> Vec<(&'static str, Duration)> {
-        self.order.iter().map(|&p| (p, self.acc[p])).collect()
-    }
-
-    /// Percentage breakdown (phase, percent-of-total), first-seen order.
-    pub fn percentages(&self) -> Vec<(&'static str, f64)> {
-        let total = self.total().as_secs_f64();
-        self.phases()
-            .into_iter()
-            .map(|(p, d)| {
-                let pct = if total > 0.0 {
-                    100.0 * d.as_secs_f64() / total
-                } else {
-                    0.0
-                };
-                (p, pct)
-            })
-            .collect()
-    }
-
-    /// Merges another timer's accumulations into this one.
-    pub fn merge(&mut self, other: &PhaseTimer) {
-        for (p, d) in other.phases() {
-            self.add(p, d);
-        }
-    }
-
-    /// Clears all accumulated time.
-    pub fn reset(&mut self) {
-        self.acc.clear();
-        self.order.clear();
+        self.acc.iter().sum()
     }
 }
 
@@ -118,7 +64,6 @@ impl PhaseTimer {
 #[derive(Clone, Debug, Default)]
 pub struct SimClock {
     now: f64,
-    meter: Option<Arc<AtomicU64>>,
 }
 
 impl SimClock {
@@ -132,16 +77,6 @@ impl SimClock {
         self.now
     }
 
-    /// Attaches a shared cost meter: every [`SimClock::advance`] also adds
-    /// the same duration (in integer nanoseconds) to `meter`. The meter is
-    /// cumulative — it survives [`SimClock::reset`] — so an external
-    /// watchdog can charge logical cost against a deadline even when it
-    /// only holds the `Arc`, not the clock's owner. Deterministic: the
-    /// nanosecond conversion is a pure function of the advance amounts.
-    pub fn set_meter(&mut self, meter: Arc<AtomicU64>) {
-        self.meter = Some(meter);
-    }
-
     /// Advances the clock by `seconds` (must be non-negative and finite).
     pub fn advance(&mut self, seconds: f64) {
         assert!(
@@ -149,12 +84,9 @@ impl SimClock {
             "invalid advance: {seconds}"
         );
         self.now += seconds;
-        if let Some(m) = &self.meter {
-            m.fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
-        }
     }
 
-    /// Resets to t = 0 (an attached meter keeps accumulating).
+    /// Resets to t = 0.
     pub fn reset(&mut self) {
         self.now = 0.0;
     }
@@ -167,54 +99,33 @@ mod tests {
 
     #[test]
     fn phase_accumulation_and_percentages() {
-        let mut t = PhaseTimer::new();
-        t.add("a", Duration::from_millis(30));
-        t.add("b", Duration::from_millis(70));
-        t.add("a", Duration::from_millis(30));
-        assert_eq!(t.get("a"), Duration::from_millis(60));
+        let mut t = PhaseTimer::<2>::new();
+        t.add(0, Duration::from_millis(30));
+        t.add(1, Duration::from_millis(70));
+        t.add(0, Duration::from_millis(30));
+        assert_eq!(t.get(0), Duration::from_millis(60));
         assert_eq!(t.total(), Duration::from_millis(130));
-        let pct = t.percentages();
-        assert_eq!(pct[0].0, "a");
-        assert!((pct[0].1 - 100.0 * 60.0 / 130.0).abs() < 1e-9);
-        assert!((pct[1].1 - 100.0 * 70.0 / 130.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn guard_records_on_drop() {
-        let mut t = PhaseTimer::new();
-        {
-            let _g = t.start("work");
-            std::hint::black_box(0u64);
-        }
-        assert!(t.get("work") > Duration::ZERO);
+        // A phase's share of the total is what a Table I row reports.
+        let pct = |p| 100.0 * t.get(p).as_secs_f64() / t.total().as_secs_f64();
+        assert!((pct(0) - 100.0 * 60.0 / 130.0).abs() < 1e-9);
+        assert!((pct(1) - 100.0 * 70.0 / 130.0).abs() < 1e-9);
     }
 
     #[test]
     fn time_closure_returns_value() {
-        let mut t = PhaseTimer::new();
-        let v = t.time("calc", || 41 + 1);
+        let mut t = PhaseTimer::<1>::new();
+        let v = t.time(0, || 41 + 1);
         assert_eq!(v, 42);
-        assert!(t.get("calc") > Duration::ZERO || t.get("calc") == Duration::ZERO);
-        assert_eq!(t.phases().len(), 1);
-    }
-
-    #[test]
-    fn merge_adds_durations() {
-        let mut a = PhaseTimer::new();
-        a.add("x", Duration::from_secs(1));
-        let mut b = PhaseTimer::new();
-        b.add("x", Duration::from_secs(2));
-        b.add("y", Duration::from_secs(3));
-        a.merge(&b);
-        assert_eq!(a.get("x"), Duration::from_secs(3));
-        assert_eq!(a.get("y"), Duration::from_secs(3));
+        assert_eq!(t.total(), t.get(0));
     }
 
     #[test]
     fn empty_timer_percentages() {
-        let t = PhaseTimer::new();
-        assert!(t.percentages().is_empty());
+        // Every slot of an empty timer reads zero, so a Table I report of
+        // it has a zero total and every percentage falls back to zero.
+        let t = PhaseTimer::<5>::new();
         assert_eq!(t.total(), Duration::ZERO);
+        assert!((0..5).all(|p| t.get(p) == Duration::ZERO));
     }
 
     #[test]
@@ -231,22 +142,5 @@ mod tests {
     #[should_panic(expected = "invalid advance")]
     fn sim_clock_rejects_negative() {
         SimClock::new().advance(-1.0);
-    }
-
-    #[test]
-    fn sim_clock_meter_accumulates_across_resets() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let meter = Arc::new(AtomicU64::new(0));
-        let mut c = SimClock::new();
-        c.set_meter(Arc::clone(&meter));
-        c.advance(1.5);
-        c.reset();
-        c.advance(0.5);
-        assert_eq!(meter.load(Ordering::Relaxed), 2_000_000_000);
-        assert!(
-            (c.now() - 0.5).abs() < 1e-15,
-            "reset still zeroes the clock"
-        );
     }
 }

@@ -11,10 +11,10 @@ impl S {
     }
 
     /// Waiting on a *different* primitive while the guard is live blocks
-    /// every contender for the full timeout.
+    /// every contender for as long as the queue stays empty.
     fn bad_wait(&self) {
         let g = relock(self.state.lock());
-        let job = self.queue.pop_timeout(budget);
+        let job = self.queue.pop_blocking();
         consume(g, job);
     }
 

@@ -33,7 +33,7 @@ use crate::rules::{Allowlist, Rule, Violation};
 const EXPENSIVE_TOKENS: [&str; 16] = [
     ".wait(",
     ".wait_timeout(",
-    "pop_timeout(",
+    "pop_blocking(",
     "sleep(",
     "gemm(",
     "matmul(",

@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn fixture_r6_guard_across_expensive_calls() {
-        // Two findings: guard across gemm, guard across pop_timeout. The
+        // Two findings: guard across gemm, guard across pop_blocking. The
         // condvar-consuming wait and the dropped-guard fn stay silent.
         let v = lint_fixture("core/src/r6_guard.rs");
         assert_eq!(v.len(), 2, "{v:?}");

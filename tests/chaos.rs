@@ -2,9 +2,10 @@
 //!
 //! The determinism tier (`tests/sched_determinism.rs`) proves the *happy*
 //! schedules are invisible in the physics. This tier turns every health
-//! mechanism on at once — sick windows, fail-slow latency inflation with
-//! the quantum watchdog armed, wedged devices, circuit-breaker quarantine
-//! with probation probes — and proves three things:
+//! mechanism on at once — sick windows, fail-slow latency inflation past
+//! the device's launch deadline, wedged devices, circuit-breaker
+//! quarantine with probation probes — on the product defaults (no health
+//! setting exists to tune), and proves three things:
 //!
 //! 1. the pooled observables are **byte-identical** to a clean serial run
 //!    (chaos reshapes the schedule, never the physics);
@@ -19,11 +20,7 @@
 //! ordinals, simulated device seconds, lease-request counts), so the storm
 //! replays identically on any machine.
 
-use dqmc::{RunToken, Simulation};
-use gpusim::{BreakerPolicy, DevicePool, DeviceSpec};
 use sched::{EventLog, GridSpec, SchedConfig, TraceEvent};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Physics section shared by the clean baseline and every storm grid: the
 /// determinism contract says these keys (plus the seed) fix the
@@ -45,74 +42,43 @@ fn grid(schedule_keys: &str) -> GridSpec {
     GridSpec::parse(&format!("{PHYSICS}\n{schedule_keys}\n")).expect("chaos grid parses")
 }
 
-/// Serial host-only reference for the shared physics.
-fn clean_baseline() -> String {
+/// Serial host-only reference for the shared physics, with `physics_keys`
+/// (e.g. a `chains` override) on top.
+fn clean_baseline(physics_keys: &str) -> String {
     let cfg = SchedConfig {
         workers: 1,
         devices: 0,
         ..SchedConfig::default()
     };
-    sched::run_sweep(&grid("devices = 0"), &cfg, &EventLog::new()).observables_json()
+    let spec = grid(&format!("devices = 0\n{physics_keys}"));
+    sched::run_sweep(&spec, &cfg, &EventLog::new()).observables_json()
 }
 
-/// Calibrates the quantum watchdog budget: runs one chain of `spec` clean
-/// on a pool device with a cost meter attached and returns the most
-/// expensive quantum's logical cost in seconds. Deterministic — the device
-/// clock is analytic, not wall time.
-fn max_clean_quantum_cost(spec: &GridSpec, quantum: usize) -> f64 {
-    let pool = DevicePool::new(DeviceSpec::tesla_c2050(), 1);
-    let lease = pool.try_lease_excluding(&[]).expect("fresh pool grants");
-    let mut backend = lease.backend(None);
-    let meter = Arc::new(AtomicU64::new(0));
-    backend.device_mut().set_cost_meter(Arc::clone(&meter));
-    let point = &spec.points()[0];
-    let mut sim = Simulation::new(spec.chain_params(point, 0)).with_backend(Box::new(backend));
-    let token = RunToken::new();
-    let mut last = 0u64;
-    let mut max_s = 0.0f64;
-    while !sim.is_complete() {
-        sim.try_step(quantum, &token).expect("clean device run");
-        let now = meter.load(Ordering::Relaxed);
-        max_s = max_s.max((now - last) as f64 / 1e9);
-        last = now;
-    }
-    max_s
-}
+/// The storm's physics overrides: enough jobs that three of them pay the
+/// product breaker's three strikes on the sick slot and others are left to
+/// run its probation probe, each long enough (18 quanta) that a worker the
+/// OS deschedules while it holds the sick slot cannot outlast the storm.
+const STORM_PHYSICS: &str = "chains = 4\nsweeps = 32";
 
 /// The full storm: slot 0 is intermittently sick (heals once the breaker
-/// opens — the re-admission path), slot 1 is persistently fail-slow (the
-/// watchdog path: numerics exact, logical cost inflated ~4·10⁹×), slot 2
-/// persistently wedges its first launch (the hard-deadline path).
+/// opens — the re-admission path), slot 1 is persistently fail-slow (its
+/// first launch inflated ~4·10⁹×, far past the launch deadline: numerics
+/// exact, the launch killed as a hang), slot 2 persistently wedges its
+/// first launch (the hard-deadline path).
 fn storm_grid() -> GridSpec {
-    grid(
-        "devices = 3\n\
-         slot_faults = sick@0:1-3, slow@1:1:4000000000!, wedge@2:1!",
-    )
+    grid(&format!(
+        "{STORM_PHYSICS}\ndevices = 3\n\
+         slot_faults = sick@0:1-3, slow@1:1:4000000000!, wedge@2:1!"
+    ))
 }
 
-fn storm_config(spec: &GridSpec) -> SchedConfig {
-    // Three clean worst-case quanta of headroom: no honest quantum can trip
-    // the soft deadline, while one inflated launch overshoots it by orders
-    // of magnitude.
-    let budget_s = 3.0 * max_clean_quantum_cost(spec, 2);
-    assert!(
-        budget_s > 0.0 && budget_s < 1.0,
-        "calibration out of range: {budget_s}"
-    );
+fn storm_config() -> SchedConfig {
     SchedConfig {
         workers: 3,
         devices: 3,
         quantum: 2,
         yield_every_quanta: 1, // re-place after every quantum: maximum churn
         job_retries: 1,
-        soft_quantum_cost_s: budget_s,
-        // One strike opens the breaker: only one job pays per sick slot, so
-        // later (non-excluded) jobs are available to run probation probes.
-        breaker: BreakerPolicy {
-            strikes: 1,
-            window: 8,
-            probation_backoff: 2,
-        },
         ..SchedConfig::default()
     }
 }
@@ -120,7 +86,7 @@ fn storm_config(spec: &GridSpec) -> SchedConfig {
 #[test]
 fn storm_observables_are_byte_identical_to_clean_run() {
     let spec = storm_grid();
-    let cfg = storm_config(&spec);
+    let cfg = storm_config();
     let events = EventLog::new();
     let report = sched::run_sweep(&spec, &cfg, &events);
 
@@ -132,7 +98,7 @@ fn storm_observables_are_byte_identical_to_clean_run() {
     // And it was invisible in the physics.
     assert_eq!(
         report.observables_json(),
-        clean_baseline(),
+        clean_baseline(STORM_PHYSICS),
         "fault storm leaked into the observables bytes"
     );
 }
@@ -140,14 +106,14 @@ fn storm_observables_are_byte_identical_to_clean_run() {
 #[test]
 fn storm_trace_proves_every_health_mechanism_fired() {
     let spec = storm_grid();
-    let cfg = storm_config(&spec);
+    let cfg = storm_config();
     let events = EventLog::new();
     let report = sched::run_sweep(&spec, &cfg, &events);
     let trace = events.snapshot();
 
-    // Soft deadlines: sick launches on slot 0 park cooperatively, and the
-    // watchdog catches the fail-slow device on slot 1 — a park on slot 1
-    // can *only* come from the quantum-cost budget (its numerics are clean).
+    // Soft deadlines: sick launches on slot 0 park, and the launch deadline
+    // catches the fail-slow device on slot 1 — a park on slot 1 can *only*
+    // come from the deadline (its numerics are clean).
     assert!(
         trace
             .iter()
@@ -158,7 +124,7 @@ fn storm_trace_proves_every_health_mechanism_fired() {
         trace
             .iter()
             .any(|e| matches!(e, TraceEvent::SoftDeadline { slot: 1, .. })),
-        "quantum watchdog never caught the fail-slow device"
+        "the launch deadline never caught the fail-slow device"
     );
     assert!(report.soft_parks >= 2, "report undercounts soft parks");
 
@@ -196,7 +162,7 @@ fn storm_trace_proves_every_health_mechanism_fired() {
 #[test]
 fn storm_is_reproducible_run_to_run() {
     let spec = storm_grid();
-    let cfg = storm_config(&spec);
+    let cfg = storm_config();
     let a = sched::run_sweep(&spec, &cfg, &EventLog::new()).observables_json();
     let b = sched::run_sweep(&spec, &cfg, &EventLog::new()).observables_json();
     assert_eq!(
@@ -249,7 +215,7 @@ fn fault_storm_over_the_socket_streams_clean_bytes() {
     );
     assert_eq!(
         outcome.observables,
-        clean_baseline(),
+        clean_baseline(""),
         "socket-served storm leaked into the observables bytes"
     );
 
@@ -259,8 +225,8 @@ fn fault_storm_over_the_socket_streams_clean_bytes() {
 
 #[test]
 fn hang_class_parks_softly_without_worker_loss() {
-    // A non-wedged hang is the *soft* deadline: the simulated watchdog
-    // kills the launch, the job parks and excludes the slot, and nobody is
+    // A non-wedged hang is the *soft* deadline: the driver kills the launch
+    // at its deadline, the job parks and excludes the slot, and nobody is
     // declared lost.
     let spec = grid("devices = 1\nchains = 1\nslot_faults = hang@0:1!");
     let cfg = SchedConfig {
@@ -287,5 +253,30 @@ fn hang_class_parks_softly_without_worker_loss() {
         )
         .observables_json(),
         "hang-and-requeue changed the physics"
+    );
+}
+
+#[test]
+fn fail_slow_device_is_caught_by_the_launch_deadline_on_default_config() {
+    // A device whose first launch is ~4·10⁹× slow, under the config a grid
+    // file alone yields — no budget or threshold set anywhere: the launch
+    // reaches the device's deadline and is killed as a hang, the job parks
+    // and runs elsewhere, and the physics does not move.
+    let spec = grid("devices = 1\nslot_faults = slow@0:1:4000000000!");
+    let events = EventLog::new();
+    let report = sched::run_sweep(&spec, &SchedConfig::from_spec(&spec), &events);
+    assert!(
+        events
+            .snapshot()
+            .iter()
+            .any(|e| matches!(e, TraceEvent::SoftDeadline { slot: 0, .. })),
+        "the fail-slow device went undetected"
+    );
+    assert_eq!(report.failed_jobs, 0);
+    assert_eq!(report.panics_caught, 0);
+    assert_eq!(
+        report.observables_json(),
+        clean_baseline(""),
+        "deadline park changed the physics"
     );
 }

@@ -70,12 +70,10 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// A test-paced config: tight polling, a heartbeat timeout far above a
-/// healthy child's 25 ms beat but short enough to keep the wedge test
-/// quick.
+/// A test-paced config: a heartbeat timeout far above a healthy child's
+/// 25 ms beat but short enough to keep the wedge test quick.
 fn config(tag: &str, procs: usize) -> FleetConfig {
     let mut cfg = FleetConfig::new(procs, child(), scratch(tag));
-    cfg.poll_interval = Duration::from_millis(10);
     cfg.heartbeat_timeout = Duration::from_secs(2);
     cfg
 }
@@ -174,10 +172,9 @@ fn unrecoverable_shard_is_quarantined_after_respawn_budget() {
         args: Vec::new(),
         envs: Vec::new(),
     };
-    cfg.respawn_budget = 2;
     match fleet::run_fleet(GRID, &cfg) {
         Err(FleetError::ShardFailed { attempts, .. }) => {
-            assert_eq!(attempts, 3, "1 initial spawn + 2 respawns");
+            assert_eq!(attempts, 3, "1 initial spawn + the budget of 2 respawns");
         }
         Err(other) => panic!("expected ShardFailed, got {other}"),
         Ok(_) => panic!("a fleet of /bin/false cannot succeed"),
