@@ -95,12 +95,11 @@ fn run_sweep_cmd(args: &[String]) -> ! {
         }
         println!(
             "# health: {} quarantines, {} probes, {} readmissions, {} soft parks, \
-             {} workers lost, {} panics caught",
+             {} panics caught",
             report.quarantines,
             report.probes,
             report.readmissions,
             report.soft_parks,
-            report.worker_losses,
             report.panics_caught,
         );
     }

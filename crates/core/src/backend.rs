@@ -38,9 +38,6 @@ pub enum FaultKind {
     /// NOT absorb this: it escapes to the scheduler, which parks the job,
     /// excludes the slot, and feeds the pool's circuit breaker.
     Sick,
-    /// The device wedged mid-op (indefinite hang): the hard flavor of
-    /// [`FaultKind::Sick`] — the worker driving it is declared lost.
-    Wedged,
 }
 
 /// A recoverable backend failure.
@@ -69,14 +66,10 @@ impl BackendFault {
         }
     }
 
-    /// A sick-device fault. `wedged` selects the hard (worker-lost) flavor.
-    pub fn sick(detail: impl Into<String>, wedged: bool) -> Self {
+    /// A sick-device fault.
+    pub fn sick(detail: impl Into<String>) -> Self {
         BackendFault {
-            kind: if wedged {
-                FaultKind::Wedged
-            } else {
-                FaultKind::Sick
-            },
+            kind: FaultKind::Sick,
             detail: detail.into(),
         }
     }
@@ -84,7 +77,7 @@ impl BackendFault {
     /// Whether the fault indicts the device itself (and must escape the
     /// in-core recovery ladder).
     pub fn is_sick(&self) -> bool {
-        matches!(self.kind, FaultKind::Sick | FaultKind::Wedged)
+        self.kind == FaultKind::Sick
     }
 }
 
@@ -94,7 +87,6 @@ impl fmt::Display for BackendFault {
             FaultKind::Device => write!(f, "device fault: {}", self.detail),
             FaultKind::Taint => write!(f, "tainted data: {}", self.detail),
             FaultKind::Sick => write!(f, "sick device: {}", self.detail),
-            FaultKind::Wedged => write!(f, "wedged device: {}", self.detail),
         }
     }
 }

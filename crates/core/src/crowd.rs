@@ -26,7 +26,7 @@ use crate::hubbard::SimParams;
 use crate::sim::Walker;
 use crate::sweep::{Lane, SweepDriver};
 use util::codec::{ByteReader, ByteWriter, CodecError};
-use util::{DqmcError, RunToken};
+use util::DqmcError;
 
 /// Magic of the crowd container: `"DQCW" | count u32 | (len u64 | DQCP
 /// image)*`. It carries no version or checksum of its own; every walker
@@ -143,18 +143,17 @@ impl Crowd {
     }
 
     /// Advances every walker by up to `n` lockstep sweeps, crossing the
-    /// warmup/measurement phase boundary as needed and stamping `token` at
-    /// each sweep boundary; returns the number actually executed (less than
-    /// `n` only when the run completes). On `Err` the counters reflect only
-    /// the sweeps that completed; the aborted sweep's partial state must
-    /// not be measured (supervisors resume from the last parked image).
-    pub fn try_step(&mut self, n: usize, token: &RunToken) -> Result<usize, DqmcError> {
+    /// warmup/measurement phase boundary as needed; returns the number
+    /// actually executed (less than `n` only when the run completes). On
+    /// `Err` the counters reflect only the sweeps that completed; the
+    /// aborted sweep's partial state must not be measured (supervisors
+    /// resume from the last parked image).
+    pub fn try_step(&mut self, n: usize) -> Result<usize, DqmcError> {
         let mut done = 0;
         while done < n && !self.is_complete() {
             let w0 = &self.walkers[0];
             let measure = w0.warmup_done >= w0.core.params.warmup_sweeps;
             self.try_sweep(measure)?;
-            token.tick();
             done += 1;
         }
         Ok(done)
@@ -163,11 +162,8 @@ impl Crowd {
     /// Runs the crowd to completion (convenience for tests and benches);
     /// panics on a classified failure.
     pub fn run(&mut self) {
-        let token = RunToken::new();
-        while !self.is_complete() {
-            if let Err(e) = self.try_step(usize::MAX, &token) {
-                panic!("{e}");
-            }
+        if let Err(e) = self.try_step(usize::MAX) {
+            panic!("{e}");
         }
     }
 
@@ -303,8 +299,7 @@ mod tests {
         whole.run();
 
         let mut first = Crowd::new(crowd_params(3));
-        let token = RunToken::new();
-        first.try_step(7, &token).unwrap();
+        first.try_step(7).unwrap();
         let image = first.checkpoint_bytes();
         drop(first);
 
@@ -358,18 +353,17 @@ mod tests {
     fn poisoned_walker_heals_without_touching_neighbours() {
         // Taint one walker between sweeps: the sweep-start scan repairs it
         // bit-identically while the other walkers never notice.
-        let token = RunToken::new();
         let mut clean = Crowd::new(crowd_params(3));
-        clean.try_step(1, &token).unwrap();
+        clean.try_step(1).unwrap();
         let mut faulty = Crowd::new(crowd_params(3));
-        faulty.try_step(1, &token).unwrap();
+        faulty.try_step(1).unwrap();
         faulty
             .walker_mut(1)
             .core_mut()
             .poison_greens(Spin::Up, 0, 1, f64::NAN);
         while !clean.is_complete() {
-            clean.try_step(2, &token).unwrap();
-            faulty.try_step(2, &token).unwrap();
+            clean.try_step(2).unwrap();
+            faulty.try_step(2).unwrap();
         }
         assert!(!faulty.walker(1).recovery_log().is_empty());
         for (c, f) in clean.walkers().iter().zip(faulty.walkers()) {
@@ -397,9 +391,8 @@ mod tests {
         // Walker 1 shrinks its cluster size mid-run. It must keep its own
         // cadence (bit-identical to a solo run shrunk at the same sweep)
         // while its neighbours neither notice nor receive its products.
-        let token = RunToken::new();
         let mut crowd = Crowd::new(crowd_params(3));
-        crowd.try_step(2, &token).unwrap();
+        crowd.try_step(2).unwrap();
         crowd.walker_mut(1).core_mut().cache.reshape(2);
         crowd.run();
         for (c, w) in crowd.walkers().iter().enumerate() {

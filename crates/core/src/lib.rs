@@ -76,4 +76,4 @@ pub use recycle::ClusterCache;
 pub use sim::{Simulation, Walker};
 pub use stratify::{stratify, StratAlgo, StratifyState, Udt};
 pub use tdm::{unequal_time_greens, unequal_time_greens_stable, TimeDependentObs};
-pub use util::{DqmcError, RunToken, Severity};
+pub use util::{DqmcError, Severity};

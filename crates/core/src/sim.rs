@@ -17,7 +17,7 @@ use crate::tdm::{unequal_time_greens_stable, TimeDependentObs};
 use linalg::Matrix;
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
-use util::{DqmcError, RunToken};
+use util::DqmcError;
 
 /// One Markov chain's complete run state: the engine, its accumulators and
 /// its progress counters. Walkers are stepped by a [`Crowd`] (or a
@@ -210,35 +210,10 @@ impl Simulation {
         path: &Path,
         every: usize,
     ) -> Result<(), CheckpointError> {
-        self.run_with_checkpoints_guarded(path, every, &RunToken::new())
-    }
-
-    /// [`Simulation::run_with_checkpoints`] under a liveness token: progress
-    /// is stamped on the token at every sweep boundary (so a watchdog can
-    /// tell a slow worker from a dead one), and when the token is cancelled
-    /// the run *parks cooperatively* — it finishes the current sweep, writes
-    /// one final checkpoint (the parked image a supervisor resurrects the
-    /// job from) and returns early. Check [`Walker::is_complete`] to
-    /// distinguish a parked run from a finished one.
-    pub fn run_with_checkpoints_guarded(
-        &mut self,
-        path: &Path,
-        every: usize,
-        token: &RunToken,
-    ) -> Result<(), CheckpointError> {
         assert!(every >= 1, "checkpoint interval must be at least 1 sweep");
         while !self.is_complete() {
-            let n = every.min(self.sweeps_remaining());
-            let mut ran = 0;
-            while ran < n && !token.is_cancelled() {
-                self.step(1);
-                token.tick();
-                ran += 1;
-            }
+            self.step(every);
             checkpoint::save(self, path)?;
-            if token.is_cancelled() {
-                break;
-            }
         }
         Ok(())
     }
@@ -248,7 +223,7 @@ impl Simulation {
     /// (less than `n` only when the run completes). Panics on a classified
     /// failure; [`Simulation::try_step`] surfaces it instead.
     pub fn step(&mut self, n: usize) -> usize {
-        match self.try_step(n, &RunToken::new()) {
+        match self.try_step(n) {
             Ok(done) => done,
             Err(e) => panic!("{e}"),
         }
@@ -280,13 +255,13 @@ impl Simulation {
         checkpoint::from_bytes(bytes, params)
     }
 
-    /// Fallible [`Simulation::step`]: advances by up to `n` sweeps, stamping
-    /// `token` at every sweep boundary, and surfaces classified sweep
-    /// failures instead of panicking. On `Err` the counters reflect only the
-    /// sweeps that completed; the aborted sweep's partial state must not be
-    /// measured (supervisors resume from the last parked image instead).
-    pub fn try_step(&mut self, n: usize, token: &RunToken) -> Result<usize, DqmcError> {
-        self.crowd.try_step(n, token)
+    /// Fallible [`Simulation::step`]: advances by up to `n` sweeps and
+    /// surfaces classified sweep failures instead of panicking. On `Err` the
+    /// counters reflect only the sweeps that completed; the aborted sweep's
+    /// partial state must not be measured (supervisors resume from the last
+    /// parked image instead).
+    pub fn try_step(&mut self, n: usize) -> Result<usize, DqmcError> {
+        self.crowd.try_step(n)
     }
 
     /// Runs `n` thermalisation sweeps (no measurements).
@@ -516,58 +491,21 @@ mod tests {
     }
 
     #[test]
-    fn try_step_matches_step_and_stamps_token() {
+    fn try_step_matches_step() {
         let mut plain = quick_sim(4.0, 14);
         while !plain.is_complete() {
             plain.step(7);
         }
-        let mut guarded = quick_sim(4.0, 14);
-        let token = RunToken::new();
+        let mut fallible = quick_sim(4.0, 14);
         let mut total = 0;
-        while !guarded.is_complete() {
-            total += guarded.try_step(7, &token).unwrap();
+        while !fallible.is_complete() {
+            total += fallible.try_step(7).unwrap();
         }
         assert_eq!(total, 30);
-        assert_eq!(token.progress(), 30, "one stamp per sweep");
-        assert_eq!(guarded.sweeps_done(), plain.sweeps_done());
-        assert_eq!(guarded.core.h, plain.core.h);
-        assert_eq!(guarded.core.rng.state(), plain.core.rng.state());
-        assert_eq!(guarded.observables().count(), plain.observables().count());
-    }
-
-    #[test]
-    fn guarded_run_parks_on_cancel_and_resumes_bit_identically() {
-        let dir = std::env::temp_dir().join(format!("dqmc-sim-park-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("park.dqcp");
-
-        let mut whole = quick_sim(4.0, 15);
-        whole.run();
-
-        // Park: a cancelled token makes the guarded loop write one final
-        // image and return with the run incomplete.
-        let mut parked = quick_sim(4.0, 15);
-        parked.step(13);
-        let token = RunToken::new();
-        token.cancel();
-        parked
-            .run_with_checkpoints_guarded(&path, 4, &token)
-            .unwrap();
-        assert!(!parked.is_complete(), "cancelled run must park, not finish");
-
-        // Resurrect from the parked image and finish: bit-identical.
-        let mut resumed = Simulation::resume(&path, parked.params()).unwrap();
-        assert_eq!(resumed.sweeps_done(), parked.sweeps_done());
-        while !resumed.is_complete() {
-            resumed.step(4);
-        }
-        assert_eq!(resumed.core.h, whole.core.h);
-        assert_eq!(resumed.core.rng.state(), whole.core.rng.state());
-        assert_eq!(resumed.core.g[0].max_abs_diff(&whole.core.g[0]), 0.0);
-        let (d1, _) = resumed.observables().density();
-        let (d2, _) = whole.observables().density();
-        assert_eq!(d1.to_bits(), d2.to_bits());
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(fallible.sweeps_done(), plain.sweeps_done());
+        assert_eq!(fallible.core.h, plain.core.h);
+        assert_eq!(fallible.core.rng.state(), plain.core.rng.state());
+        assert_eq!(fallible.observables().count(), plain.observables().count());
     }
 
     #[test]

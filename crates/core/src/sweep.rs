@@ -35,7 +35,7 @@
 //! | taint in a cluster product | walker | **retry** the batched call → **cluster-size shrink** for that walker → at the floor, drop the product and rebuild it on the host |
 //! | wrap-vs-recompute divergence (silent finite corruption) | walker | drop every cached product, **shrink** if possible, recompute on the host |
 //! | non-finite stratified `G` on the host | walker | **shrink** → `Fatal` error at the floor |
-//! | sick / wedged device | escapes | logged as escalated; the scheduler parks the job and indicts the slot |
+//! | sick or hung device | escapes | logged as escalated; the scheduler parks the job and indicts the slot |
 //!
 //! Walkers keep their own cluster size: each decides its boundaries from
 //! its own cache and the batched prefill groups walkers by slice range, so
@@ -626,8 +626,7 @@ impl SweepDriver {
                 RecoveryCause::Sick(fault.detail.clone()),
                 RecoveryAction::Escalated,
             );
-            let wedged = fault.kind == FaultKind::Wedged;
-            return Err(DqmcError::device_sick(origin, fault.to_string(), wedged));
+            return Err(DqmcError::device_sick(origin, fault.to_string()));
         }
         let policy = &base.params.recovery;
         if !policy.enabled {
@@ -1107,8 +1106,8 @@ mod tests {
     struct Scripted {
         /// Calls (wrap or cluster) still to fail with a device-class fault.
         device_faults: u32,
-        /// Fail every call as sick (`Some(true)`: wedged).
-        sick: Option<bool>,
+        /// Fail every call as sick.
+        sick: bool,
         /// Cluster calls still to poison (the last product of each).
         taint_clusters: u32,
         /// Wrap calls still to poison (the last output of each).
@@ -1118,8 +1117,8 @@ mod tests {
 
     impl Scripted {
         fn fail(&mut self) -> Result<(), BackendFault> {
-            if let Some(wedged) = self.sick {
-                return Err(BackendFault::sick("scripted sick window", wedged));
+            if self.sick {
+                return Err(BackendFault::sick("scripted sick window"));
             }
             if self.device_faults > 0 {
                 self.device_faults -= 1;
@@ -1303,7 +1302,7 @@ mod tests {
                 .map(|c| small_params(4.0, 8, chain_seed(7, 0, c)).with_sweeps(2, 2))
                 .collect();
             let mut crowd = Crowd::new(params.clone()).with_backend(failing());
-            crowd.try_step(1, &util::RunToken::new()).unwrap();
+            crowd.try_step(1).unwrap();
             assert_eq!(crowd.active_backend_name(), "host");
             let resumed = Crowd::resume_bytes(&crowd.checkpoint_bytes(), &params)
                 .unwrap()
@@ -1320,26 +1319,22 @@ mod tests {
     #[test]
     fn sick_faults_escape_the_ladder_without_consuming_rungs() {
         for b in [1, 2] {
-            for wedged in [false, true] {
-                let mut driver = SweepDriver::new(Box::new(Scripted {
-                    sick: Some(wedged),
-                    ..Scripted::default()
-                }));
-                let mut cores = walkers(b);
-                let err = sweep_all(&mut driver, &mut cores).unwrap_err();
-                assert_eq!(err.severity, util::Severity::DeviceSick);
-                assert!(err.quarantines_device());
-                assert_eq!(err.hard, wedged, "wedge is the worker-lost flavor");
-                assert!(err.detail.contains("scripted sick window"), "{err}");
-                // No rung was consumed: cluster size, backend and streak
-                // untouched.
-                assert_eq!(cores[0].runtime_cluster_size(), 4);
-                assert!(!driver.use_host_fallback);
-                assert_eq!(driver.fault_streak, 0);
-                // The incident was logged as an escalation for the report
-                // tallies, on the base chain.
-                assert_eq!(cores[0].recovery_log().tallies().escalations, 1);
-            }
+            let mut driver = SweepDriver::new(Box::new(Scripted {
+                sick: true,
+                ..Scripted::default()
+            }));
+            let mut cores = walkers(b);
+            let err = sweep_all(&mut driver, &mut cores).unwrap_err();
+            assert_eq!(err.severity, util::Severity::DeviceSick);
+            assert!(err.detail.contains("scripted sick window"), "{err}");
+            // No rung was consumed: cluster size, backend and streak
+            // untouched.
+            assert_eq!(cores[0].runtime_cluster_size(), 4);
+            assert!(!driver.use_host_fallback);
+            assert_eq!(driver.fault_streak, 0);
+            // The incident was logged as an escalation for the report
+            // tallies, on the base chain.
+            assert_eq!(cores[0].recovery_log().tallies().escalations, 1);
         }
     }
 

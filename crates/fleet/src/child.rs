@@ -10,26 +10,27 @@
 //! reproduces the dead process's bytes because point summaries are pure
 //! functions of (grid, seeds).
 //!
-//! Health is a heartbeat counter file rewritten on a short cadence by a
-//! dedicated thread; the supervisor calls a child dead when the counter
-//! stops moving. Scripted fault hooks (env vars, test-only) let the fleet
-//! tier rehearse crash and wedge recovery deterministically:
+//! Health is a heartbeat counter file rewritten in place on a short
+//! cadence by a dedicated thread; the supervisor calls a child dead when
+//! the counter stops moving. The beat proves the process is scheduled, not
+//! that its workers make progress. Scripted fault hooks (env vars,
+//! test-only) let the fleet tier rehearse crash and wedge recovery
+//! deterministically:
 //!
 //! - `DQMC_FLEET_EXIT_AFTER=n` — exit with code 86 once the report holds
 //!   `n` fragments;
 //! - `DQMC_FLEET_HANG_AFTER=n` — freeze the heartbeat and sleep forever
 //!   once the report holds `n` fragments (exercises the kill path);
-//! - `DQMC_FLEET_FAULT_SHARD=k` — scope either hook to shard `k`;
-//! - `DQMC_FLEET_BEAT_STREAK=n` — lower the heartbeat-failure escalation
-//!   streak so the escalation path can be rehearsed without waiting out
-//!   the production ~0.5 s window.
+//! - `DQMC_FLEET_FAULT_SHARD=k` — scope either hook to shard `k`.
 //!
 //! The supervisor strips these variables when it respawns a child, so a
 //! scripted fault fires exactly once and the respawn completes the shard.
 
 use sched::{CampaignRequest, GridSpec, SchedConfig, SweepService};
+use std::fs::OpenOptions;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,15 +39,8 @@ use crate::report::ShardReport;
 
 /// Exit code for a scripted `DQMC_FLEET_EXIT_AFTER` crash.
 pub const SCRIPTED_EXIT_CODE: i32 = 86;
-/// Exit code when heartbeat writes fail [`HEARTBEAT_FAILURE_STREAK`]
-/// times in a row: the child cannot prove liveness, so it turns itself
-/// in instead of running invisible to the watchdog.
-pub const HEARTBEAT_EXIT_CODE: i32 = 87;
 /// Heartbeat rewrite cadence.
 const HEARTBEAT_PERIOD: Duration = Duration::from_millis(25);
-/// Consecutive heartbeat write failures tolerated before escalation
-/// (~0.5 s of a dead counter file at the 25 ms cadence).
-const HEARTBEAT_FAILURE_STREAK: u64 = 20;
 
 /// Env hook names, shared with the supervisor (which strips them on
 /// respawn).
@@ -55,18 +49,6 @@ pub const ENV_EXIT_AFTER: &str = "DQMC_FLEET_EXIT_AFTER";
 pub const ENV_HANG_AFTER: &str = "DQMC_FLEET_HANG_AFTER";
 /// See [`ENV_EXIT_AFTER`].
 pub const ENV_FAULT_SHARD: &str = "DQMC_FLEET_FAULT_SHARD";
-/// See [`ENV_EXIT_AFTER`].
-pub const ENV_BEAT_STREAK: &str = "DQMC_FLEET_BEAT_STREAK";
-
-/// The escalation streak: [`HEARTBEAT_FAILURE_STREAK`] unless the
-/// test-only [`ENV_BEAT_STREAK`] hook lowers it.
-fn failure_streak() -> u64 {
-    std::env::var(ENV_BEAT_STREAK)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(HEARTBEAT_FAILURE_STREAK)
-}
 
 /// Scripted fault hooks decoded from the environment.
 #[derive(Clone, Copy, Debug, Default)]
@@ -94,55 +76,27 @@ impl FaultHooks {
 /// Heartbeat writer: a thread rewriting a counter file until stopped.
 struct Heartbeat {
     stop: Arc<AtomicBool>,
-    failed: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Heartbeat {
     fn start(path: PathBuf) -> Heartbeat {
         let stop = Arc::new(AtomicBool::new(false));
-        let failed = Arc::new(AtomicBool::new(false));
-        let beats = Arc::new(AtomicU64::new(0));
         let flag = Arc::clone(&stop);
-        let broke = Arc::clone(&failed);
         let handle = std::thread::Builder::new()
             .name("fleet-heartbeat".into())
             .spawn(move || {
-                let escalate_at = failure_streak();
-                let mut streak = 0u64;
-                while !flag.load(Ordering::Acquire) {
-                    let n = beats.fetch_add(1, Ordering::Relaxed) + 1;
-                    // Atomic rewrite: the supervisor must never read a
-                    // half-written counter.
-                    match util::vfs::write_atomic(&path, &n.to_le_bytes()) {
-                        Ok(()) => streak = 0,
-                        Err(e) => {
-                            streak += 1;
-                            if streak >= escalate_at {
-                                eprintln!(
-                                    "heartbeat {}: {streak} consecutive write failures (last: {e}); escalating",
-                                    path.display()
-                                );
-                                broke.store(true, Ordering::Release);
-                                return;
-                            }
-                        }
-                    }
-                    std::thread::sleep(HEARTBEAT_PERIOD);
+                // A failed beat ends the thread: the counter goes stale and
+                // the supervisor's stale-heartbeat kill takes over.
+                if let Err(e) = beat(&path, &flag) {
+                    eprintln!("heartbeat {}: {e}; beat stopped", path.display());
                 }
             })
             .expect("spawn heartbeat thread");
         Heartbeat {
             stop,
-            failed,
             handle: Some(handle),
         }
-    }
-
-    /// True once the writer has given up after a bounded failure streak;
-    /// the counter file is permanently stale and the child must exit.
-    fn broken(&self) -> bool {
-        self.failed.load(Ordering::Acquire)
     }
 
     /// Stops the writer; the counter file goes permanently stale.
@@ -158,6 +112,27 @@ impl Drop for Heartbeat {
     fn drop(&mut self) {
         self.freeze();
     }
+}
+
+/// Rewrites the counter at `path` every [`HEARTBEAT_PERIOD`] until `stop`
+/// is set. This is the one file write that does not go through
+/// `util::vfs::write_atomic`: one `pwrite` in place, no fsync, no rename.
+/// Nothing reads its durability — the supervisor only asks whether the
+/// counter changed (a torn read is just another change), and after a crash
+/// the file is debris.
+fn beat(path: &Path, stop: &AtomicBool) -> std::io::Result<()> {
+    let file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)?;
+    let mut n = 0u64;
+    while !stop.load(Ordering::Acquire) {
+        n += 1;
+        file.write_all_at(&n.to_le_bytes(), 0)?;
+        std::thread::sleep(HEARTBEAT_PERIOD);
+    }
+    Ok(())
 }
 
 /// Runs a shard to completion. Returns the process exit code.
@@ -223,9 +198,6 @@ fn run_shard(
         if let Some(code) = fire_hooks(&hooks, &report, &mut heartbeat) {
             return Ok(code);
         }
-        if heartbeat.broken() {
-            return Ok(HEARTBEAT_EXIT_CODE);
-        }
         let handle = service
             .submit(
                 &CampaignRequest {
@@ -250,9 +222,6 @@ fn run_shard(
     }
     if let Some(code) = fire_hooks(&hooks, &report, &mut heartbeat) {
         return Ok(code);
-    }
-    if heartbeat.broken() {
-        return Ok(HEARTBEAT_EXIT_CODE);
     }
     service.shutdown();
     heartbeat.freeze();
@@ -312,5 +281,34 @@ fn resume_or_fresh(path: &Path, manifest: &ShardManifest, spec: &GridSpec) -> Sh
         prev
     } else {
         fresh
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::supervisor::read_beat;
+
+    #[test]
+    fn heartbeat_advances_until_frozen() {
+        let dir = std::env::temp_dir().join(format!("dqmc_fleet_beat_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard-0.beat");
+        let mut heartbeat = Heartbeat::start(path.clone());
+        // Reads 100 ms apart; a loaded host gets a few more tries.
+        let next_beat = |after: u64| {
+            (0..50).find_map(|_| {
+                std::thread::sleep(Duration::from_millis(100));
+                Some(read_beat(&path)).filter(|&beat| beat > after)
+            })
+        };
+        let first = next_beat(0).expect("the heartbeat starts");
+        assert!(next_beat(first).is_some(), "a live heartbeat advances");
+        // `freeze` joins the writer, so no beat can land after it.
+        heartbeat.freeze();
+        let frozen = read_beat(&path);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(read_beat(&path), frozen, "a frozen heartbeat stops");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

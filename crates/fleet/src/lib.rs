@@ -24,7 +24,8 @@
 //! - [`manifest`]: `DQSM` work orders (grid text + point block +
 //!   fingerprint);
 //! - [`report`]: `DQSR` result/checkpoint files and the merge;
-//! - [`child`]: the shard worker loop (resume, heartbeat, fault hooks);
+//! - [`child`]: the shard worker loop (resume, in-place heartbeat, fault
+//!   hooks);
 //! - [`supervisor`]: process spawning, heartbeat watchdog,
 //!   respawn-from-checkpoint, quarantine, and the health ledger.
 
@@ -33,13 +34,13 @@ pub mod manifest;
 pub mod report;
 pub mod supervisor;
 
-pub use child::{child_main, HEARTBEAT_EXIT_CODE, SCRIPTED_EXIT_CODE};
+pub use child::{child_main, SCRIPTED_EXIT_CODE};
 pub use manifest::ShardManifest;
 pub use report::{merge_reports, MergeError, MergedReport, ShardReport};
 pub use supervisor::{
     run_fleet, run_fleet_subset, ChildCommand, FleetConfig, FleetError, FleetOutcome,
 };
 
-// All fleet files — manifests, reports, heartbeats — publish through the
-// workspace's single audited write path, `util::vfs::write_atomic`; the
-// bespoke copy this crate once carried is gone.
+// Manifests and reports publish through the workspace's single audited
+// write path, `util::vfs::write_atomic`. The heartbeat is the one file
+// rewritten in place, without durability (see `child`).

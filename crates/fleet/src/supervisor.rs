@@ -342,7 +342,6 @@ fn spawn_child(
         cmd.env_remove(ENV_EXIT_AFTER)
             .env_remove(ENV_HANG_AFTER)
             .env_remove(ENV_FAULT_SHARD)
-            .env_remove(crate::child::ENV_BEAT_STREAK)
             .env_remove(util::vfs::ENV_FAULTS);
     }
     let child = cmd
@@ -362,7 +361,7 @@ fn spawn_child(
 }
 
 /// Reads the heartbeat counter; a missing or short file reads as 0.
-fn read_beat(path: &Path) -> u64 {
+pub(crate) fn read_beat(path: &Path) -> u64 {
     match std::fs::read(path) {
         Ok(b) if b.len() >= 8 => u64::from_le_bytes(b[..8].try_into().expect("8 bytes")),
         _ => 0,
@@ -392,20 +391,11 @@ fn poll_shard(
                 st.done = true;
                 return Ok(());
             }
-            if status.code() == Some(crate::child::HEARTBEAT_EXIT_CODE) {
-                ledger.push(format!(
-                    "shard {}: heartbeat write failures escalated (exit {}), report {}",
-                    st.shard,
-                    crate::child::HEARTBEAT_EXIT_CODE,
-                    if complete { "complete" } else { "incomplete" }
-                ));
-            } else {
-                ledger.push(format!(
-                    "shard {}: exited {status}, report {}",
-                    st.shard,
-                    if complete { "complete" } else { "incomplete" }
-                ));
-            }
+            ledger.push(format!(
+                "shard {}: exited {status}, report {}",
+                st.shard,
+                if complete { "complete" } else { "incomplete" }
+            ));
             respawn_or_quarantine(st, cfg, ledger, respawns)
         }
         Ok(None) => {

@@ -30,7 +30,7 @@ use linalg::Matrix;
 /// else is an ordinary device-class fault the ladder handles in place.
 fn classify(e: DeviceError) -> BackendFault {
     if e.is_sick() {
-        BackendFault::sick(e.to_string(), e.is_wedged())
+        BackendFault::sick(e.to_string())
     } else {
         BackendFault::device(e.to_string())
     }
@@ -228,18 +228,11 @@ mod tests {
     fn hang_and_sick_window_classify_as_sick_faults() {
         let (fac, h) = setup();
         let mut devb = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
-        devb.device_mut().arm_faults(
-            FaultPlan::new()
-                .hang_at_launch(1)
-                .wedge_at_launch(2)
-                .sick_window(3, 3),
-        );
-        let soft = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
-        assert_eq!(soft.kind, dqmc::FaultKind::Sick, "{soft}");
-        assert!(soft.is_sick());
-        devb.notify_fault();
-        let hard = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
-        assert_eq!(hard.kind, dqmc::FaultKind::Wedged, "{hard}");
+        devb.device_mut()
+            .arm_faults(FaultPlan::new().hang_at_launch(1).sick_window(2, 2));
+        let hang = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
+        assert_eq!(hang.kind, dqmc::FaultKind::Sick, "{hang}");
+        assert!(hang.is_sick());
         devb.notify_fault();
         let sick = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
         assert_eq!(sick.kind, dqmc::FaultKind::Sick, "{sick}");

@@ -256,23 +256,22 @@ impl Device {
     fn try_launch(&mut self, kernel: &'static str) -> Result<(), DeviceError> {
         self.kernels_launched += 1;
         self.clock.advance(self.spec.kernel_launch_s);
-        let mut hang = self.faults.take_hang(self.kernels_launched);
-        self.faults_injected += u64::from(hang.is_some());
+        let mut hang = self.faults.take(Fault::Hang, self.kernels_launched);
+        self.faults_injected += u64::from(hang);
         if let Some(factor) = self.faults.take_slow(self.kernels_launched) {
             self.faults_injected += 1;
             if self.spec.launch_hangs(factor) {
-                hang = hang.or(Some(false));
+                hang = true;
             } else {
                 // The launch already paid 1× overhead; charge the excess.
                 self.clock
                     .advance(self.spec.kernel_launch_s * (factor - 1.0));
             }
         }
-        if let Some(wedged) = hang {
+        if hang {
             return Err(DeviceError::Hang {
                 kernel,
                 launch_index: self.kernels_launched,
-                wedged,
             });
         }
         if let Some(window) = self.faults.sick_window_hit(self.kernels_launched) {
@@ -745,23 +744,21 @@ mod tests {
 
     #[test]
     fn scheduled_hang_wedge_and_sick_window_fire_at_launch() {
+        // A wedged device is a hang at every launch: here launches 1 and 2.
         let mut d = dev();
         d.arm_faults(
             FaultPlan::new()
                 .hang_at_launch(1)
-                .wedge_at_launch(2)
+                .hang_at_launch(2)
                 .sick_window(3, 4),
         );
         let da = up(&mut d, &Matrix::identity(8));
         let db = up(&mut d, &Matrix::identity(8));
         let mut c = d.try_alloc(8, 8, 1).unwrap();
-        let e1 = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
-        assert!(
-            matches!(e1, DeviceError::Hang { wedged: false, .. }),
-            "{e1}"
-        );
-        let e2 = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
-        assert!(matches!(e2, DeviceError::Hang { wedged: true, .. }), "{e2}");
+        for _ in 0..2 {
+            let e = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
+            assert!(matches!(e, DeviceError::Hang { .. }), "{e}");
+        }
         let e3 = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
         assert!(matches!(e3, DeviceError::SickDevice { .. }), "{e3}");
         let e4 = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
@@ -834,7 +831,7 @@ mod tests {
         };
         let (hang, t_hang, n_hang) = run(FaultPlan::new().hang_at_launch(1));
         let (slow, t_slow, n_slow) = run(FaultPlan::new().slow_launch(1, at_deadline));
-        assert!(matches!(slow, Err(DeviceError::Hang { wedged: false, .. })));
+        assert!(matches!(slow, Err(DeviceError::Hang { .. })));
         assert_eq!(slow, hang);
         assert_eq!((t_slow.to_bits(), n_slow), (t_hang.to_bits(), n_hang));
         let (below, _, _) = run(FaultPlan::new().slow_launch(1, at_deadline - 1.0));

@@ -28,10 +28,8 @@
 //!   hang;
 //! - **hang** ([`FaultPlan::hang_at_launch`]): the nth launch never
 //!   completes; the driver kills it at the launch deadline and the op
-//!   reports [`DeviceError::Hang`] with `wedged = false`;
-//! - **wedge** ([`FaultPlan::wedge_at_launch`]): as hang, but the device is
-//!   stuck for good (`wedged = true`) — the supervisor must declare the
-//!   worker lost rather than wait for a cooperative park;
+//!   reports [`DeviceError::Hang`]. A device that stays dead is a hang at
+//!   every launch from the nth on;
 //! - **sick window** ([`FaultPlan::sick_window`]): every launch whose
 //!   ordinal falls in `[lo, hi]` fails with [`DeviceError::SickDevice`] —
 //!   the intermittent flaky-device profile that defeats naive retry.
@@ -58,16 +56,12 @@ pub enum DeviceError {
         requested: usize,
     },
     /// A kernel launch hung: it never completed and the (simulated)
-    /// driver killed it at its launch deadline. `wedged` marks the
-    /// indefinite flavor — the device is stuck for good and the worker
-    /// driving it must be declared lost.
+    /// driver killed it at its launch deadline.
     Hang {
         /// Name of the kernel that hung.
         kernel: &'static str,
         /// 1-based global launch ordinal that hung.
         launch_index: u64,
-        /// Indefinite hang: the device cannot be parked cooperatively.
-        wedged: bool,
     },
     /// The device is inside a scripted sick window: launches fail
     /// intermittently until the window's last ordinal passes.
@@ -82,21 +76,15 @@ pub enum DeviceError {
 }
 
 impl DeviceError {
-    /// Whether this error indicts the device itself (hang, wedge, sick
-    /// window) rather than the single operation — the `DeviceSick` class
-    /// of the error taxonomy. Such errors must escape the in-core recovery
+    /// Whether this error indicts the device itself (hang, sick window)
+    /// rather than the single operation — the `DeviceSick` class of the
+    /// error taxonomy. Such errors must escape the in-core recovery
     /// ladder so the scheduler can quarantine the slot.
     pub fn is_sick(&self) -> bool {
         matches!(
             self,
             DeviceError::Hang { .. } | DeviceError::SickDevice { .. }
         )
-    }
-
-    /// Whether the device is wedged: the hard `DeviceSick` flavor where
-    /// the worker is declared lost instead of parking cooperatively.
-    pub fn is_wedged(&self) -> bool {
-        matches!(self, DeviceError::Hang { wedged: true, .. })
     }
 }
 
@@ -118,14 +106,10 @@ impl fmt::Display for DeviceError {
             DeviceError::Hang {
                 kernel,
                 launch_index,
-                wedged,
-            } => {
-                let kind = if *wedged { "wedged" } else { "hung" };
-                write!(
-                    f,
-                    "kernel {kind}: {kernel} (launch #{launch_index} missed its logical deadline)"
-                )
-            }
+            } => write!(
+                f,
+                "kernel hung: {kernel} (launch #{launch_index} missed its logical deadline)"
+            ),
             DeviceError::SickDevice {
                 kernel,
                 launch_index,
@@ -146,12 +130,10 @@ impl std::error::Error for DeviceError {}
 pub(crate) enum Fault {
     /// One element of the download becomes NaN (ordinal counts downloads).
     CorruptDownload,
-    /// The launch is rejected (this and the four below count launches).
+    /// The launch is rejected (this and the three below count launches).
     FailLaunch,
     /// The launch hangs until the driver kills it at the launch deadline.
     Hang,
-    /// The launch hangs for good.
-    Wedge,
     /// The launch succeeds at this multiple of its normal overhead.
     Slow(f64),
     /// Every launch from the entry's ordinal through this one fails; the
@@ -221,17 +203,10 @@ impl FaultPlan {
     }
 
     /// Schedules the `nth` (1-based) kernel launch to hang: it fails with
-    /// [`DeviceError::Hang`] (`wedged = false`) after the driver kills it at
-    /// the launch deadline.
+    /// [`DeviceError::Hang`] after the driver kills it at the launch
+    /// deadline.
     pub fn hang_at_launch(self, nth: u64) -> Self {
         self.at(nth, Fault::Hang)
-    }
-
-    /// Schedules the `nth` (1-based) kernel launch to wedge the device:
-    /// [`DeviceError::Hang`] with `wedged = true` — the hard-deadline case
-    /// where the worker is declared lost.
-    pub fn wedge_at_launch(self, nth: u64) -> Self {
-        self.at(nth, Fault::Wedge)
     }
 
     /// Schedules the `nth` (1-based) kernel launch to run `factor ×`
@@ -298,19 +273,6 @@ impl FaultPlan {
     pub(crate) fn take(&mut self, fault: Fault, n: u64) -> bool {
         let pos = self.ops.iter().position(|&op| op == (n, fault));
         pos.map(|p| self.ops.remove(p)).is_some()
-    }
-
-    /// Consumes a scheduled hang or wedge at launch `n`. Returns
-    /// `Some(wedged)` when one fires; a wedge scheduled at the same
-    /// ordinal as a hang wins (the worse failure dominates).
-    pub(crate) fn take_hang(&mut self, n: u64) -> Option<bool> {
-        if self.take(Fault::Wedge, n) {
-            Some(true)
-        } else if self.take(Fault::Hang, n) {
-            Some(false)
-        } else {
-            None
-        }
     }
 
     /// Consumes a scheduled latency inflation of launch `n`, returning its
@@ -412,14 +374,13 @@ mod tests {
             .corrupt_transfer(0)
             .oom_at_alloc(0)
             .hang_at_launch(0)
-            .wedge_at_launch(0)
             .slow_launch(0, 4.0);
         assert!(!p.is_empty(), "the schedules exist, they just never match");
         for n in 1..=1000 {
             assert!(!p.take(Fault::FailLaunch, n));
             assert!(!p.take(Fault::CorruptDownload, n));
             assert!(!p.take(Fault::Oom, n));
-            assert!(p.take_hang(n).is_none());
+            assert!(!p.take(Fault::Hang, n));
             assert!(p.take_slow(n).is_none());
             assert!(p.sick_window_hit(n).is_none());
         }
@@ -438,14 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn wedge_dominates_hang_at_same_ordinal() {
-        let mut p = FaultPlan::new().hang_at_launch(5).wedge_at_launch(5);
-        assert_eq!(p.take_hang(5), Some(true), "the worse failure wins");
-        assert_eq!(p.take_hang(5), Some(false), "the hang is still scheduled");
-        assert_eq!(p.take_hang(5), None);
-    }
-
-    #[test]
     fn sick_windows_persist_across_hits() {
         let p = FaultPlan::new().sick_window(4, 6);
         assert!(p.sick_window_hit(3).is_none());
@@ -460,7 +413,7 @@ mod tests {
         let slot = FaultPlan::new().hang_at_launch(1).sick_window(10, 12);
         let mut merged = job.merge(slot);
         assert!(merged.take(Fault::FailLaunch, 2));
-        assert_eq!(merged.take_hang(1), Some(false));
+        assert!(merged.take(Fault::Hang, 1));
         assert!(merged.sick_window_hit(11).is_some());
     }
 
@@ -469,12 +422,6 @@ mod tests {
         let hang = DeviceError::Hang {
             kernel: "dgemm",
             launch_index: 3,
-            wedged: false,
-        };
-        let wedge = DeviceError::Hang {
-            kernel: "dgemm",
-            launch_index: 3,
-            wedged: true,
         };
         let sick = DeviceError::SickDevice {
             kernel: "dgemm",
@@ -485,9 +432,8 @@ mod tests {
             kernel: "dgemm",
             launch_index: 3,
         };
-        assert!(hang.is_sick() && !hang.is_wedged());
-        assert!(wedge.is_sick() && wedge.is_wedged());
-        assert!(sick.is_sick() && !sick.is_wedged());
+        assert!(hang.is_sick());
+        assert!(sick.is_sick());
         assert!(!launch.is_sick());
         assert!(hang.to_string().contains("deadline"), "{hang}");
         assert!(sick.to_string().contains("sick window"), "{sick}");

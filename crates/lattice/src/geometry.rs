@@ -116,11 +116,6 @@ impl Lattice {
         self.lx * self.ly * self.lz
     }
 
-    /// True for a single-plane lattice.
-    pub fn is_single_layer(&self) -> bool {
-        self.lz == 1
-    }
-
     /// Site index of coordinates `(x, y, z)`.
     #[inline]
     pub fn site(&self, x: usize, y: usize, z: usize) -> usize {

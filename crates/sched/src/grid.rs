@@ -96,11 +96,9 @@ pub struct SlotFault {
 /// context, so the schedule replays per placement).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlotFaultOp {
-    /// The nth launch hangs; the driver kills it at the launch deadline
-    /// (soft deadline).
+    /// The nth launch hangs; the driver kills it at the launch deadline.
+    /// A persistent hang (`hang@slot:n!`) is a device that stays dead.
     Hang(u64),
-    /// The nth launch wedges the device for good (hard deadline).
-    Wedge(u64),
     /// The nth launch is inflated by an integer latency factor; one that
     /// reaches the launch deadline hangs.
     Slow(u64, u32),
@@ -386,7 +384,6 @@ impl GridSpec {
         for sf in &self.slot_faults {
             let plan = match sf.op {
                 SlotFaultOp::Hang(n) => FaultPlan::new().hang_at_launch(n),
-                SlotFaultOp::Wedge(n) => FaultPlan::new().wedge_at_launch(n),
                 SlotFaultOp::Slow(n, factor) => FaultPlan::new().slow_launch(n, f64::from(factor)),
                 SlotFaultOp::SickWindow(lo, hi) => FaultPlan::new().sick_window(lo, hi),
             };
@@ -465,7 +462,7 @@ fn parse_faults(v: &str) -> Result<Vec<FaultOp>, String> {
                      unfaulted stream and would break sweep determinism"
                         .into(),
                 ),
-                "hang" | "wedge" | "sick" => Err(sick_per_job(&format!("'{op}'"))),
+                "hang" | "sick" => Err(sick_per_job(&format!("'{op}'"))),
                 other => Err(format!("unknown fault op '{other}'")),
             }
         })
@@ -495,7 +492,7 @@ fn parse_ordinal(v: &str, item: &str) -> Result<u64, String> {
 
 /// Parses the `slot_faults` DSL: comma-separated `kind@slot:args` items,
 /// `!`-suffixed for persistent profiles. `hang@1:3` (3rd launch on slot 1
-/// hangs), `wedge@0:2`, `slow@1:4:100` (4th launch 100× slower),
+/// hangs), `slow@1:4:100` (4th launch 100× slower),
 /// `sick@2:1-6` (launches 1..=6 fail sick).
 fn parse_slot_faults(v: &str) -> Result<Vec<SlotFault>, String> {
     v.split(',')
@@ -517,7 +514,6 @@ fn parse_slot_faults(v: &str) -> Result<Vec<SlotFault>, String> {
                 .map_err(|e| format!("bad slot in '{item}': {e}"))?;
             let op = match op.trim() {
                 "hang" => SlotFaultOp::Hang(parse_ordinal(args, item)?),
-                "wedge" => SlotFaultOp::Wedge(parse_ordinal(args, item)?),
                 "slow" => {
                     let Some((nth, factor)) = args.split_once(':') else {
                         return Err(format!("bad slot fault '{item}' (want slow@slot:n:factor)"));
@@ -665,12 +661,12 @@ mod tests {
 
     #[test]
     fn sick_classes_are_rejected_per_job_but_allowed_per_slot() {
-        for op in ["hang:2", "wedge:2", "sick:2"] {
+        for op in ["hang:2", "sick:2"] {
             let err = GridSpec::parse(&format!("faults = {op}")).unwrap_err();
             assert!(err.message.contains("slot_faults"), "{err}");
         }
         let spec = GridSpec::parse(
-            "devices = 3\nslot_faults = hang@1:3, sick@2:1-6!, wedge@0:2, slow@1:4:100",
+            "devices = 3\nslot_faults = hang@1:3, sick@2:1-6!, hang@0:2, slow@1:4:100",
         )
         .unwrap();
         assert_eq!(
@@ -688,7 +684,7 @@ mod tests {
                 },
                 SlotFault {
                     slot: 0,
-                    op: SlotFaultOp::Wedge(2),
+                    op: SlotFaultOp::Hang(2),
                     persistent: false
                 },
                 SlotFault {
@@ -730,5 +726,17 @@ mod tests {
         // Slot index must exist in the declared pool.
         let err = GridSpec::parse("devices = 1\nslot_faults = hang@3:1").unwrap_err();
         assert!(err.message.contains("pool has 1 devices"), "{err}");
+    }
+
+    #[test]
+    fn wedge_is_refused_in_both_fault_dsls() {
+        // A wedge is a hang: `hang@slot:n!` is a device that stays dead.
+        let err = GridSpec::parse("devices = 1\nslot_faults = wedge@0:2").unwrap_err();
+        assert!(
+            err.message.contains("unknown slot fault kind 'wedge'"),
+            "{err}"
+        );
+        let err = GridSpec::parse("faults = wedge:2").unwrap_err();
+        assert!(err.message.contains("unknown fault op 'wedge'"), "{err}");
     }
 }

@@ -75,10 +75,6 @@ pub struct SweepJob {
     /// Device-pool slots this job must not be placed on again (each slot
     /// that failed it with a `DeviceSick`-class error).
     pub excluded_slots: Vec<usize>,
-    /// Sick-classified placements survived (deadline parks / worker
-    /// losses); these do *not* consume [`SweepJob::attempts`] — the job is
-    /// innocent, the device was sick.
-    pub sick_strikes: u32,
     /// Tag of the campaign this job belongs to; its outcome is routed to
     /// that campaign's slot vector. A one-shot sweep is one campaign, so
     /// its jobs carry a tag too (`0` only on a job built by hand).
@@ -105,7 +101,6 @@ impl SweepJob {
             host_quanta: 0,
             device_seconds: 0.0,
             excluded_slots: Vec::new(),
-            sick_strikes: 0,
             tag: 0,
         }
     }
@@ -455,7 +450,6 @@ mod tests {
     fn new_jobs_carry_clean_health_state() {
         let j = job(0, 0, 0);
         assert!(j.excluded_slots.is_empty());
-        assert_eq!(j.sick_strikes, 0);
     }
 
     #[test]

@@ -98,11 +98,9 @@ pub struct SweepReport {
     pub readmissions: u64,
     /// Lease requests that skipped a quarantined slot.
     pub quarantine_skips: u64,
-    /// Soft-deadline cooperative parks (fail-slow / sick placements).
+    /// Soft-deadline cooperative parks (hung, fail-slow or sick
+    /// placements).
     pub soft_parks: u64,
-    /// Hard-deadline worker losses (wedged placements resurrected from
-    /// their parked image).
-    pub worker_losses: u64,
     /// Panics caught by the worker backstop. Classified errors return
     /// `Err` instead of unwinding, so this stays 0 under scripted storms.
     pub panics_caught: u64,
@@ -306,7 +304,7 @@ impl SweepReport {
              \"device_quanta\":{},\"host_quanta\":{},\"device_seconds\":{},\"leases_granted\":{},\
              \"lease_misses\":{},\"health\":{{\"quarantines\":{},\"probes\":{},\
              \"readmissions\":{},\"quarantine_skips\":{},\"soft_parks\":{},\
-             \"worker_losses\":{},\"panics_caught\":{}}},\
+             \"panics_caught\":{}}},\
              \"recovery\":{{\"retries\":{},\"shrinks\":{},\"fallbacks\":{},\
              \"repairs\":{},\"escalations\":{}}},\
              \"wall_seconds\":{},\"points\":[{}]}}}}",
@@ -328,7 +326,6 @@ impl SweepReport {
             self.readmissions,
             self.quarantine_skips,
             self.soft_parks,
-            self.worker_losses,
             self.panics_caught,
             t.retries,
             t.shrinks,
@@ -385,14 +382,13 @@ impl SweepReport {
         let t = &self.recovery_tallies;
         out.push_str(&format!(
             "health: quarantines {} ({} readmitted, {} probes, {} skips) | \
-             soft parks {} | workers lost {} | panics caught {}\n\
+             soft parks {} | panics caught {}\n\
              recovery: {} retries, {} shrinks, {} fallbacks, {} repairs, {} escalations\n",
             self.quarantines,
             self.readmissions,
             self.probes,
             self.quarantine_skips,
             self.soft_parks,
-            self.worker_losses,
             self.panics_caught,
             t.retries,
             t.shrinks,
@@ -453,7 +449,6 @@ mod tests {
             readmissions: 1,
             quarantine_skips: 4,
             soft_parks: 2,
-            worker_losses: 1,
             panics_caught: 0,
             recovery_tallies: RecoveryTallies {
                 retries: 2,
@@ -575,8 +570,7 @@ mod tests {
         let r = sample();
         let full = r.to_json();
         assert!(full.contains("\"health\":{\"quarantines\":2,\"probes\":3,\"readmissions\":1"));
-        assert!(full.contains("\"quarantine_skips\":4,\"soft_parks\":2,\"worker_losses\":1"));
-        assert!(full.contains("\"panics_caught\":0"));
+        assert!(full.contains("\"quarantine_skips\":4,\"soft_parks\":2,\"panics_caught\":0"));
         assert!(full.contains("\"recovery\":{\"retries\":2,\"shrinks\":1,\"fallbacks\":1"));
         // The deterministic observables section must not grow new keys:
         // chaos may reshape the schedule, never the physics bytes.
@@ -586,7 +580,6 @@ mod tests {
             "probe",
             "readmission",
             "soft_park",
-            "worker_loss",
             "panics",
             "escalation",
             "health",

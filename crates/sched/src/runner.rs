@@ -25,9 +25,8 @@
 //!   sick window. The job requeues for free (no retry budget consumed)
 //!   with the slot added to its exclusion list, the pool's circuit breaker
 //!   is fed a sick report, and the trace records a
-//!   [`TraceEvent::SoftDeadline`] park (or [`TraceEvent::WorkerLost`] when
-//!   the device wedged — the hard deadline). Either way the job resumes
-//!   from its last parked image.
+//!   [`TraceEvent::SoftDeadline`] park. The job resumes from its last
+//!   parked image.
 //! - **`Transient` / `Corrupt`** — the job restarts from its last parked
 //!   image, consuming one of `job_retries`.
 //! - **`Fatal`** — no restart could help; the job is failed immediately.
@@ -52,7 +51,7 @@ use crate::queue::SweepJob;
 use crate::report::{PointSummary, SweepReport};
 use crate::service::{ServiceCore, SweepService};
 use crate::trace::{EventLog, Placement, TraceEvent};
-use dqmc::{Crowd, DqmcError, Observables, RecoveryLog, RecoveryTallies, RunToken, Severity};
+use dqmc::{Crowd, DqmcError, Observables, RecoveryLog, RecoveryTallies, Severity};
 use gpusim::HealthDecision;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -216,12 +215,7 @@ fn emit_decision(events: &EventLog, decision: HealthDecision) {
 /// abortive error the *previous* image is still intact, so the restart
 /// resumes from the last successful park rather than from
 /// scratch-after-progress.
-fn run_job(
-    job: &mut SweepJob,
-    worker: usize,
-    core: &ServiceCore,
-    token: &RunToken,
-) -> (RunStep, Option<usize>) {
+fn run_job(job: &mut SweepJob, worker: usize, core: &ServiceCore) -> (RunStep, Option<usize>) {
     let (cfg, events) = (&core.cfg, &core.events);
     let lease = core
         .pool
@@ -272,7 +266,7 @@ fn run_job(
     };
     let mut quanta_run: u64 = 0;
     loop {
-        if let Err(error) = sim.try_step(quantum, token) {
+        if let Err(error) = sim.try_step(quantum) {
             job.device_seconds += sim.device_seconds();
             return (RunStep::Aborted { error }, slot);
         }
@@ -308,40 +302,23 @@ fn run_job(
 }
 
 /// Handles a classified abort: the severity keys the recovery ladder.
-fn handle_abort(
-    mut job: SweepJob,
-    error: DqmcError,
-    slot: Option<usize>,
-    worker: usize,
-    core: &ServiceCore,
-) {
+fn handle_abort(mut job: SweepJob, error: DqmcError, slot: Option<usize>, core: &ServiceCore) {
     let (events, pool) = (&core.events, core.pool.as_ref());
     match error.severity {
         Severity::DeviceSick => {
             // The device is indicted, not the job: requeue for free with
             // the suspect slot excluded, and feed the circuit breaker.
-            job.sick_strikes += 1;
-            let slot_id = slot.unwrap_or(usize::MAX);
             if let (Some(p), Some(s)) = (pool, slot) {
                 if !job.excluded_slots.contains(&s) {
                     job.excluded_slots.push(s);
                 }
                 emit_decision(events, p.report_failure(s, true));
             }
-            if error.hard {
-                events.push(TraceEvent::WorkerLost {
-                    point: job.point,
-                    chain: job.chain,
-                    worker,
-                    slot: slot_id,
-                });
-            } else {
-                events.push(TraceEvent::SoftDeadline {
-                    point: job.point,
-                    chain: job.chain,
-                    slot: slot_id,
-                });
-            }
+            events.push(TraceEvent::SoftDeadline {
+                point: job.point,
+                chain: job.chain,
+                slot: slot.unwrap_or(usize::MAX),
+            });
             core.queue.requeue(job);
         }
         Severity::Transient | Severity::Corrupt => {
@@ -385,11 +362,8 @@ fn fail_job(job: SweepJob, core: &ServiceCore) {
 /// One worker's lifetime: serve the queue until it is closed and drained.
 pub(crate) fn worker_loop(worker: usize, core: &ServiceCore) {
     let (queue, events, pool) = (&core.queue, &core.events, core.pool.as_ref());
-    // The liveness token `try_step` stamps, reused across this worker's jobs.
-    let token = RunToken::new();
     while let Some(mut job) = queue.pop_blocking() {
-        token.reset();
-        let step = catch_unwind(AssertUnwindSafe(|| run_job(&mut job, worker, core, &token)));
+        let step = catch_unwind(AssertUnwindSafe(|| run_job(&mut job, worker, core)));
         match step {
             Ok((RunStep::Completed(outcomes), slot)) => {
                 if let (Some(p), Some(s)) = (pool, slot) {
@@ -412,7 +386,7 @@ pub(crate) fn worker_loop(worker: usize, core: &ServiceCore) {
                 queue.requeue(job);
             }
             Ok((RunStep::Aborted { error }, slot)) => {
-                handle_abort(job, error, slot, worker, core);
+                handle_abort(job, error, slot, core);
             }
             Err(payload) => {
                 // Backstop only: classified-recoverable paths return Err
@@ -422,7 +396,7 @@ pub(crate) fn worker_loop(worker: usize, core: &ServiceCore) {
                 let error = DqmcError::from_panic(payload.as_ref());
                 // The lease dropped during unwinding; the slot cannot be
                 // indicted reliably, so the pool is not fed a report.
-                handle_abort(job, error, None, worker, core);
+                handle_abort(job, error, None, core);
             }
         }
     }
@@ -486,7 +460,6 @@ pub fn run_sweep(spec: &GridSpec, cfg: &SchedConfig, events: &EventLog) -> Sweep
         readmissions: pool.map_or(0, |p| p.readmissions()),
         quarantine_skips: pool.map_or(0, |p| p.quarantine_skips()),
         soft_parks: events.count(|e| matches!(e, TraceEvent::SoftDeadline { .. })) as u64,
-        worker_losses: events.count(|e| matches!(e, TraceEvent::WorkerLost { .. })) as u64,
         panics_caught: core.panics_caught.load(Ordering::Relaxed),
         recovery_tallies: outcome.recovery_tallies,
         workers: cfg.workers,

@@ -2,8 +2,9 @@
 //!
 //! Every scheduling decision emits a [`TraceEvent`]: job started (and
 //! where), yielded at a checkpoint boundary, completed, retried after a
-//! panic, or failed for good. The CLI turns these into progress lines; the
-//! determinism tests use them to *prove* that preemptions and placement
+//! panic, parked off a sick device, or failed for good; and every breaker
+//! transition of the device pool. The CLI turns these into progress lines;
+//! the determinism tests use them to *prove* that preemptions and placement
 //! changes actually happened in runs whose reports are then asserted
 //! byte-identical.
 //!
@@ -14,7 +15,7 @@ use std::fmt;
 use std::sync::Arc;
 // Poison recovery via util::relock is sound here: `Vec::push` either
 // appended or it didn't — a panic unwinding through a worker must not take
-// the whole trace (and with it the scheduler's liveness evidence) down.
+// the whole trace (and with it the record of what ran where) down.
 use util::sync::{relock, Mutex};
 
 /// Where a job ran for one scheduling quantum.
@@ -103,19 +104,6 @@ pub enum TraceEvent {
         /// The suspect device slot (`usize::MAX` for a host placement).
         slot: usize,
     },
-    /// The hard deadline fired: the worker's run was declared lost (a
-    /// wedged device never returned) and the job was resurrected from its
-    /// last parked image.
-    WorkerLost {
-        /// Grid point index.
-        point: usize,
-        /// Chain index within the point.
-        chain: usize,
-        /// The worker whose run was written off.
-        worker: usize,
-        /// The suspect device slot (`usize::MAX` for a host placement).
-        slot: usize,
-    },
     /// The device-pool circuit breaker opened (or re-opened after a failed
     /// probation probe): the slot entered quarantine.
     BreakerOpen {
@@ -180,20 +168,6 @@ impl fmt::Display for TraceEvent {
                     write!(f, "dev{slot}")?;
                 }
                 write!(f, " suspect)")
-            }
-            TraceEvent::WorkerLost {
-                point,
-                chain,
-                worker,
-                slot,
-            } => {
-                write!(f, "[w{worker}] LOST p{point}c{chain} (")?;
-                if *slot == usize::MAX {
-                    write!(f, "host")?;
-                } else {
-                    write!(f, "dev{slot}")?;
-                }
-                write!(f, " wedged); resurrecting from parked image")
             }
             TraceEvent::BreakerOpen {
                 slot,
@@ -301,16 +275,12 @@ mod tests {
             slot: 2,
         };
         assert_eq!(s.to_string(), "soft-deadline park p1c0 (dev2 suspect)");
-        let l = TraceEvent::WorkerLost {
+        let h = TraceEvent::SoftDeadline {
             point: 0,
             chain: 1,
-            worker: 3,
             slot: usize::MAX,
         };
-        assert_eq!(
-            l.to_string(),
-            "[w3] LOST p0c1 (host wedged); resurrecting from parked image"
-        );
+        assert_eq!(h.to_string(), "soft-deadline park p0c1 (host suspect)");
         let b = TraceEvent::BreakerOpen {
             slot: 1,
             backoff: 8,

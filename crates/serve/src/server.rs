@@ -26,7 +26,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use util::sync::{relock, Condvar, Mutex};
+use util::sync::{relock, Condvar, Mutex, MutexGuard};
 
 /// Machine-readable prefix on a `Rejected` reason when the shared job
 /// queue was full. The wire carries only a reason string, so clients that
@@ -395,32 +395,6 @@ fn handle_submit(
     let npoints = points.len() as u64;
     let ncached = cached.len() as u64;
 
-    if missed.is_empty() {
-        // Full warm hit: no campaign, no jobs — disk bytes only.
-        stream_accept_and_cached(writer, request, npoints, ncached, 0, &cached);
-        let observables =
-            sched::observables_json_for(spec.seed, spec.chains, spec.warmup, spec.sweeps, &cached);
-        send(
-            writer,
-            &Frame::Done {
-                observables,
-                jobs_run: 0,
-                cached_points: ncached,
-                computed_points: 0,
-                failed_chains: 0,
-                recovery_events: 0,
-            },
-        );
-        return;
-    }
-
-    if let Some(policy) = &inner.fleet {
-        handle_submit_fleet(
-            inner, writer, policy, &spec, grid, request, &cached, missed, &keys,
-        );
-        return;
-    }
-
     // The observer streams each computed point and backfills the cache.
     // It runs on worker threads: the dead flag keeps a lost client from
     // turning every later point into a blocking write attempt.
@@ -468,71 +442,110 @@ fn handle_submit(
             cv.notify_all();
         })
     };
-
-    let req = CampaignRequest {
-        spec: spec.clone(),
-        priority,
-        points: Some(missed),
-    };
-    // Hold the write lane across admission so the Accepted frame and the
-    // cached points land before any streamed Point frame: the observer
-    // blocks on the same mutex until the preamble is out.
-    let handle = {
-        let mut g = relock(writer.lock());
-        match inner.service.submit(&req, Some(observer)) {
-            Ok(h) => {
-                let accepted = Frame::Accepted {
-                    request,
-                    points: npoints,
-                    cached: ncached,
-                    jobs: h.jobs as u64,
+    // The preamble: the Accepted frame, then every cached point.
+    let preamble = |g: &mut MutexGuard<'_, TcpStream>, jobs: u64| {
+        let accepted = Frame::Accepted {
+            request,
+            points: npoints,
+            cached: ncached,
+            jobs,
+        };
+        let sent = write_frame(&mut **g, &accepted).is_ok()
+            && cached.iter().all(|p| {
+                let frame = Frame::Point {
+                    index: p.point as u64,
+                    cached: true,
+                    json: p.observables_json(),
                 };
-                if write_frame(&mut *g, &accepted).is_err() {
-                    dead.store(true, Ordering::Relaxed);
-                }
-                for p in &cached {
-                    let frame = Frame::Point {
-                        index: p.point as u64,
-                        cached: true,
-                        json: p.observables_json(),
-                    };
-                    if write_frame(&mut *g, &frame).is_err() {
-                        dead.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                h
-            }
+                write_frame(&mut **g, &frame).is_ok()
+            });
+        if !sent {
+            dead.store(true, Ordering::Relaxed);
+        }
+    };
+
+    let (jobs_run, computed, failed_chains, recovery_events) = if missed.is_empty() {
+        // Full warm hit: no campaign, no jobs — disk bytes only.
+        preamble(&mut relock(writer.lock()), 0);
+        (0, Vec::new(), 0, 0)
+    } else if let Some(policy) = &inner.fleet {
+        // The fleet runs the missed points to completion; they then pass
+        // through the observer in canonical order. The merge is
+        // byte-deterministic, so only the streaming cadence differs.
+        let jobs = (missed.len() * spec.chains) as u64;
+        preamble(&mut relock(writer.lock()), jobs);
+        let cfg = FleetConfig::new(
+            policy.procs,
+            policy.child.clone(),
+            policy.dir.join(format!("req-{request}")),
+        );
+        let merged = match fleet::run_fleet_subset(grid, Some(&missed), &cfg) {
+            Ok(o) => o.merged,
             Err(e) => {
-                let _ = write_frame(
-                    &mut *g,
+                send(
+                    writer,
                     &Frame::Rejected {
-                        reason: rejection_reason(&e),
+                        reason: format!("fleet execution failed: {e}"),
                     },
                 );
                 return;
             }
-        }
-    };
-
-    let jobs_run = handle.jobs as u64;
-    let expected_points = handle.points;
-    let outcome = handle.wait();
-    // Every computed Point frame is on the wire (or the connection is
-    // dead) before the Done frame follows it.
-    {
+        };
+        merged.points.iter().for_each(|p| observer(p));
+        // Recovery tallies are schedule-layer diagnostics the shard
+        // report codec deliberately omits; the fleet path reports none.
+        (jobs, merged.points, merged.failed_chains as u64, 0)
+    } else {
+        let req = CampaignRequest {
+            spec: spec.clone(),
+            priority,
+            points: Some(missed),
+        };
+        // Hold the write lane across admission so the preamble lands
+        // before any streamed Point frame: the observer blocks on the
+        // same mutex until it is out.
+        let handle = {
+            let mut g = relock(writer.lock());
+            match inner.service.submit(&req, Some(observer)) {
+                Ok(h) => {
+                    preamble(&mut g, h.jobs as u64);
+                    h
+                }
+                Err(e) => {
+                    let _ = write_frame(
+                        &mut *g,
+                        &Frame::Rejected {
+                            reason: rejection_reason(&e),
+                        },
+                    );
+                    return;
+                }
+            }
+        };
+        let jobs_run = handle.jobs as u64;
+        let expected_points = handle.points;
+        let outcome = handle.wait();
+        // Every computed Point frame is on the wire (or the connection is
+        // dead) before the Done frame follows it.
         let (count, cv) = &*streamed;
         let mut n = relock(count.lock());
         while *n < expected_points {
             n = relock(cv.wait(n));
         }
-    }
-    let computed = outcome.points.len() as u64;
-    let t = &outcome.recovery_tallies;
-    let recovery_events = t.retries + t.shrinks + t.fallbacks + t.repairs + t.escalations;
+        drop(n);
+        let t = &outcome.recovery_tallies;
+        let recovery_events = t.retries + t.shrinks + t.fallbacks + t.repairs + t.escalations;
+        (
+            jobs_run,
+            outcome.points,
+            outcome.failed_chains as u64,
+            recovery_events,
+        )
+    };
 
+    let computed_points = computed.len() as u64;
     let mut all = cached;
-    all.extend(outcome.points);
+    all.extend(computed);
     all.sort_by_key(|p| p.point);
     let observables =
         sched::observables_json_for(spec.seed, spec.chains, spec.warmup, spec.sweeps, &all);
@@ -542,8 +555,8 @@ fn handle_submit(
             observables,
             jobs_run,
             cached_points: ncached,
-            computed_points: computed,
-            failed_chains: outcome.failed_chains as u64,
+            computed_points,
+            failed_chains,
             recovery_events,
         },
     );
@@ -556,130 +569,6 @@ fn rejection_reason(e: &SubmitError) -> String {
         SubmitError::Queue(AdmitError::Full { .. }) => format!("{REASON_QUEUE_FULL}{e}"),
         SubmitError::Queue(AdmitError::Closed) => format!("{REASON_QUEUE_CLOSED}{e}"),
         other => other.to_string(),
-    }
-}
-
-/// Executes a submission's cache-missed points on a local process fleet.
-///
-/// The preamble (Accepted + cached points) goes out first; the fleet then
-/// runs the missed points to completion, after which each computed point
-/// streams in canonical order and backfills the shared DQRC cache.
-/// Because the fleet merge is byte-deterministic, the Done document is
-/// identical to what the in-process service path would have produced —
-/// only the streaming cadence differs (per-merge rather than per-point).
-#[allow(clippy::too_many_arguments)]
-fn handle_submit_fleet(
-    inner: &Arc<ServerInner>,
-    writer: &Arc<Mutex<TcpStream>>,
-    policy: &FleetPolicy,
-    spec: &GridSpec,
-    grid: &str,
-    request: u64,
-    cached: &[PointSummary],
-    missed: Vec<usize>,
-    keys: &[(usize, u64)],
-) {
-    let jobs = (missed.len() * spec.chains) as u64;
-    stream_accept_and_cached(
-        writer,
-        request,
-        spec.points().len() as u64,
-        cached.len() as u64,
-        jobs,
-        cached,
-    );
-    let cfg = FleetConfig::new(
-        policy.procs,
-        policy.child.clone(),
-        policy.dir.join(format!("req-{request}")),
-    );
-    let outcome = match fleet::run_fleet_subset(grid, Some(&missed), &cfg) {
-        Ok(o) => o,
-        Err(e) => {
-            send(
-                writer,
-                &Frame::Rejected {
-                    reason: format!("fleet execution failed: {e}"),
-                },
-            );
-            return;
-        }
-    };
-    {
-        let mut g = relock(writer.lock());
-        for p in &outcome.merged.points {
-            if let Some(cache) = &inner.cache {
-                if p.chains_failed == 0 {
-                    if let Some(&(_, key)) = keys.iter().find(|(i, _)| *i == p.point) {
-                        // Backfill rides out transient disk trouble with
-                        // the deterministic bounded backoff; a write that
-                        // still fails only costs a future recompute.
-                        if let Err(e) = cache.store_retry(key, p) {
-                            eprintln!("cache backfill for point {} failed: {e}", p.point);
-                        }
-                    }
-                }
-            }
-            let frame = Frame::Point {
-                index: p.point as u64,
-                cached: false,
-                json: p.observables_json(),
-            };
-            if write_frame(&mut *g, &frame).is_err() {
-                break;
-            }
-        }
-    }
-    let computed = outcome.merged.points.len() as u64;
-    let failed_chains = outcome.merged.failed_chains as u64;
-    let mut all: Vec<PointSummary> = cached.to_vec();
-    all.extend(outcome.merged.points);
-    all.sort_by_key(|p| p.point);
-    let observables =
-        sched::observables_json_for(spec.seed, spec.chains, spec.warmup, spec.sweeps, &all);
-    send(
-        writer,
-        &Frame::Done {
-            observables,
-            jobs_run: jobs,
-            cached_points: cached.len() as u64,
-            computed_points: computed,
-            failed_chains,
-            // Recovery tallies are schedule-layer diagnostics the shard
-            // report codec deliberately omits; the fleet path reports none.
-            recovery_events: 0,
-        },
-    );
-}
-
-/// Streams the submission preamble for the all-cached path.
-fn stream_accept_and_cached(
-    writer: &Mutex<TcpStream>,
-    request: u64,
-    points: u64,
-    cached: u64,
-    jobs: u64,
-    summaries: &[PointSummary],
-) {
-    let mut g = relock(writer.lock());
-    let accepted = Frame::Accepted {
-        request,
-        points,
-        cached,
-        jobs,
-    };
-    if write_frame(&mut *g, &accepted).is_err() {
-        return;
-    }
-    for p in summaries {
-        let frame = Frame::Point {
-            index: p.point as u64,
-            cached: true,
-            json: p.observables_json(),
-        };
-        if write_frame(&mut *g, &frame).is_err() {
-            return;
-        }
     }
 }
 

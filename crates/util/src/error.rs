@@ -49,13 +49,6 @@ impl fmt::Display for Severity {
 }
 
 /// A classified failure crossing a crate boundary.
-///
-/// `hard` distinguishes the two deadline verdicts inside the `DeviceSick`
-/// class: a *soft* deadline miss (the op was killed at its launch
-/// deadline; the job requeues, and no worker is lost) versus a *hard* one
-/// (the device wedged mid-op; the worker is declared lost and the job is
-/// resurrected from its parked image). It is meaningless — and `false` —
-/// for every other severity.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DqmcError {
     /// What a supervisor should do about it.
@@ -64,59 +57,41 @@ pub struct DqmcError {
     pub origin: &'static str,
     /// The low-level detail, preserved verbatim from the original fault.
     pub detail: String,
-    /// Hard failure flavor (worker lost) within `DeviceSick`.
-    pub hard: bool,
 }
 
 impl DqmcError {
-    /// A transient failure: retry may succeed.
-    pub fn transient(origin: &'static str, detail: impl Into<String>) -> Self {
+    fn new(severity: Severity, origin: &'static str, detail: impl Into<String>) -> Self {
         DqmcError {
-            severity: Severity::Transient,
+            severity,
             origin,
             detail: detail.into(),
-            hard: false,
         }
     }
 
-    /// A sick-device failure. `hard` marks the wedged (worker-lost) flavor.
-    pub fn device_sick(origin: &'static str, detail: impl Into<String>, hard: bool) -> Self {
-        DqmcError {
-            severity: Severity::DeviceSick,
-            origin,
-            detail: detail.into(),
-            hard,
-        }
+    /// A transient failure: retry may succeed.
+    pub fn transient(origin: &'static str, detail: impl Into<String>) -> Self {
+        Self::new(Severity::Transient, origin, detail)
+    }
+
+    /// A sick-device failure: a launch that hung past its deadline or
+    /// failed inside a sick window.
+    pub fn device_sick(origin: &'static str, detail: impl Into<String>) -> Self {
+        Self::new(Severity::DeviceSick, origin, detail)
     }
 
     /// A data-corruption failure: rebuildable, retry consumes an attempt.
     pub fn corrupt(origin: &'static str, detail: impl Into<String>) -> Self {
-        DqmcError {
-            severity: Severity::Corrupt,
-            origin,
-            detail: detail.into(),
-            hard: false,
-        }
+        Self::new(Severity::Corrupt, origin, detail)
     }
 
     /// A fatal failure: no automatic recovery applies.
     pub fn fatal(origin: &'static str, detail: impl Into<String>) -> Self {
-        DqmcError {
-            severity: Severity::Fatal,
-            origin,
-            detail: detail.into(),
-            hard: false,
-        }
+        Self::new(Severity::Fatal, origin, detail)
     }
 
     /// Whether a supervisor should retry the same work (attempt-counted).
     pub fn retryable(&self) -> bool {
         matches!(self.severity, Severity::Transient | Severity::Corrupt)
-    }
-
-    /// Whether the failure indicts the device rather than the job.
-    pub fn quarantines_device(&self) -> bool {
-        self.severity == Severity::DeviceSick
     }
 
     /// Classifies a panic payload caught by a `catch_unwind` backstop.
@@ -159,10 +134,8 @@ mod tests {
     fn severity_keys_policy_predicates() {
         assert!(DqmcError::transient("t", "x").retryable());
         assert!(DqmcError::corrupt("t", "x").retryable());
-        assert!(!DqmcError::device_sick("t", "x", false).retryable());
+        assert!(!DqmcError::device_sick("t", "x").retryable());
         assert!(!DqmcError::fatal("t", "x").retryable());
-        assert!(DqmcError::device_sick("t", "x", true).quarantines_device());
-        assert!(!DqmcError::fatal("t", "x").quarantines_device());
     }
 
     #[test]

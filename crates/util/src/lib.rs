@@ -20,8 +20,6 @@
 //! - [`error`]: the structured failure taxonomy ([`DqmcError`] with
 //!   [`Severity`] classes) that keys retry/quarantine policy across the
 //!   recovery ladder and the sweep scheduler,
-//! - [`liveness`]: the heartbeat/cancellation [`RunToken`] shared between
-//!   workers and their supervisors,
 //! - [`vfs`]: the workspace's single audited atomic-write path
 //!   (temp + fsync + rename + parent-directory fsync) with a
 //!   deterministic, scriptable I/O fault-injection plan mirroring
@@ -34,7 +32,6 @@
 pub mod codec;
 pub mod error;
 pub mod frame;
-pub mod liveness;
 pub mod rng;
 pub mod stats;
 pub mod sync;
@@ -44,7 +41,6 @@ pub mod vfs;
 
 pub use codec::{crc32, ByteReader, ByteWriter, CodecError, Fnv1a};
 pub use error::{DqmcError, Severity};
-pub use liveness::RunToken;
 pub use rng::{derive_seed, Rng};
 pub use stats::{
     autocorrelation_time, jackknife_mean, jackknife_ratio, BinnedAccumulator, FiveNumber,

@@ -189,13 +189,6 @@ impl Rng {
     pub fn split(&mut self) -> Rng {
         Rng::new(self.next_u64())
     }
-
-    /// Fills a slice with uniform `[0,1)` values.
-    pub fn fill_f64(&mut self, out: &mut [f64]) {
-        for x in out {
-            *x = self.next_f64();
-        }
-    }
 }
 
 #[cfg(test)]

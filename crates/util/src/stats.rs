@@ -60,11 +60,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Standard error of the mean.
     pub fn std_err(&self) -> f64 {
         if self.n == 0 {

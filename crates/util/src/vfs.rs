@@ -2,8 +2,10 @@
 //! fault injection.
 //!
 //! Every on-disk format in the workspace — DQCP checkpoints, DQRC cache
-//! entries, DQSM manifests, DQSR shard reports, heartbeat files, bench
-//! artifacts — is published through [`write_atomic`]. The sequence is the
+//! entries, DQSM manifests, DQSR shard reports, bench artifacts — is
+//! published through [`write_atomic`] (the fleet heartbeat, a counter
+//! rewritten in place that nothing needs to survive a crash, is not a
+//! format). The sequence is the
 //! full five-syscall durability dance, including the parent-directory
 //! fsync that makes the rename itself durable:
 //!
@@ -32,8 +34,8 @@
 //! `crash@n` counts every in-scope syscall globally, so a crash-point can
 //! be placed between any two syscalls of any write. Writes whose path does
 //! not contain `scope` bypass the plan entirely and consume no ordinals,
-//! keeping fault schedules deterministic even when unrelated files (logs,
-//! heartbeats) are written concurrently.
+//! keeping fault schedules deterministic even when unrelated files are
+//! written concurrently.
 //!
 //! A crash applies the *adversarial* residue for its point — the worst
 //! state a real power cut could leave given which syscalls had been made

@@ -189,9 +189,7 @@ fn dqcw() -> Format {
         .map(|c| walker_params(dqmc::chain_seed(100, 0, c)))
         .collect();
     let mut crowd = dqmc::Crowd::new(params.clone());
-    crowd
-        .try_step(4, &util::RunToken::new())
-        .expect("healthy run");
+    crowd.try_step(4).expect("healthy run");
     let image = crowd.checkpoint_bytes();
     // "DQCW" | count u32 | len u64 | DQCP image | len u64 | DQCP image: the
     // hostile body goes inside the first walker's envelope, and the second

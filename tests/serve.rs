@@ -434,9 +434,12 @@ fn rejects_are_clean_and_the_connection_survives() {
     assert!(matches!(err, serve::WireError::Rejected(_)));
     // Slot-fault grids are pool configuration, not tenant physics.
     let err = client
-        .submit("alice", 0, &format!("{GRID_A}\nslot_faults = wedge@0:1!"))
+        .submit("alice", 0, &format!("{GRID_A}\nslot_faults = hang@0:1!"))
         .expect_err("must reject slot faults");
-    assert!(matches!(err, serve::WireError::Rejected(_)));
+    assert!(
+        matches!(&err, serve::WireError::Rejected(r) if r.contains("slot_faults")),
+        "{err}"
+    );
     // The same connection still serves a valid submission afterwards.
     let ok = client.submit("alice", 0, GRID_A).expect("valid submission");
     assert_eq!(ok.observables, baseline(GRID_A));
