@@ -40,12 +40,14 @@ fn main() {
         let h = HsField::random(n, k, &mut rng);
 
         let mut dev = Device::new(DeviceSpec::tesla_c2050());
-        let ek = dev.set_matrix_stack(&[fac.expk()]).remove(0);
-        let eki = dev.set_matrix_stack(&[fac.expk_inv()]).remove(0);
+        let (expk, expk_inv) = model.lattice.expk(model.dtau, model.mu_tilde);
+        let ek = dev.set_matrix_stack(&[&expk]).remove(0);
+        let eki = dev.set_matrix_stack(&[&expk_inv]).remove(0);
 
         // Clustering: k−1 GEMMs of order n per transfer round trip.
         dev.reset_clock();
-        try_cluster_crowd(&mut dev, &ek, &fac, &[&h], 0, k, Spin::Up)
+        let dense = std::slice::from_ref(&ek);
+        try_cluster_crowd(&mut dev, &ek, dense, &fac, &[&h], 0, k, Spin::Up)
             .expect("no fault plan is armed");
         let t_cluster = dev.elapsed();
         let f_cluster = (k - 1) as f64 * 2.0 * (n as f64).powi(3);

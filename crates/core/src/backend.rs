@@ -8,9 +8,10 @@
 //! sweep cannot name the device directly; instead the device implements
 //! [`ComputeBackend`] and is boxed into the sweep driver.
 //!
-//! Both calls take *walker slices*: the driver steps B walkers in lockstep
-//! and hands the backend all of them at once, so a device can service B
-//! walkers per launch. A solo run is the B = 1 case of the same calls.
+//! Both calls take *walker slices* and both spins: the driver steps B
+//! walkers in lockstep and hands the backend all of them at once, so a
+//! device can service B walkers per launch and the host can run the two
+//! spins on two cores. A solo run is the B = 1 case of the same calls.
 //!
 //! Backends are *fallible*: a device may drop a transfer, fail a kernel
 //! launch or exhaust its arena. Faults surface as [`BackendFault`] values —
@@ -20,7 +21,7 @@
 use crate::bmat::BMatrixFactory;
 use crate::hs::HsField;
 use crate::hubbard::Spin;
-use linalg::Matrix;
+use linalg::{team, Matrix};
 use std::fmt;
 
 /// Broad classification of a backend failure, driving the recovery policy's
@@ -93,9 +94,10 @@ impl fmt::Display for BackendFault {
 
 impl std::error::Error for BackendFault {}
 
-/// A provider of the sweep's two heavy kernels over a slice of walkers. All
-/// walkers share one [`BMatrixFactory`] (same model, different fields), so
-/// implementations can keep `e^{∓ΔτK}` resident once for all of them.
+/// A provider of the sweep's two heavy kernels over a slice of walkers, both
+/// spins per call. All walkers share one [`BMatrixFactory`] (same model,
+/// different fields), so implementations can keep `e^{∓ΔτK}` resident once
+/// for all of them.
 ///
 /// The bit-identity contract: entry `i` of every output depends on walker
 /// `i`'s inputs only and is produced by the same floating-point op sequence
@@ -105,27 +107,26 @@ pub trait ComputeBackend: fmt::Debug + Send {
     /// Short name for reports ("host", "sim-tesla-c2050", …).
     fn name(&self) -> &str;
 
-    /// Wraps `outs[i] ← B_l(h_i) · gs[i] · B_l(h_i)⁻¹` for every walker.
-    #[allow(clippy::too_many_arguments)]
+    /// Wraps `outs[i][σ] ← B_{l,σ}(h_i) · gs[i][σ] · B_{l,σ}(h_i)⁻¹` for
+    /// every walker and both spins (`[up, down]`).
     fn wrap(
         &mut self,
         fac: &BMatrixFactory,
         hs: &[&HsField],
         l: usize,
-        spin: Spin,
-        gs: &[&Matrix],
-        outs: &mut [&mut Matrix],
+        gs: &[&[Matrix; 2]],
+        outs: &mut [&mut [Matrix; 2]],
     ) -> Result<(), BackendFault>;
 
-    /// Computes the cluster product `B_{hi−1} ⋯ B_{lo}` for every walker.
+    /// Computes the cluster products `B_{hi−1,σ} ⋯ B_{lo,σ}` of both spins
+    /// for every walker.
     fn cluster(
         &mut self,
         fac: &BMatrixFactory,
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-        spin: Spin,
-    ) -> Result<Vec<Matrix>, BackendFault>;
+    ) -> Result<Vec<[Matrix; 2]>, BackendFault>;
 
     /// Called by the recovery layer after any fault, before a retry. Device
     /// backends drop resident operands here so the retry re-uploads clean
@@ -139,7 +140,21 @@ pub trait ComputeBackend: fmt::Debug + Send {
     }
 }
 
-/// The infallible host path: per-walker [`BMatrixFactory`] kernels in a
+/// Runs `f` on each spin's share of a job, `work[σ]` owned by spin `σ`'s
+/// call: as one team job of two chunks when one `N`-order GEMM alone would
+/// fork — a spare core then takes one spin, and the kernels inside see the
+/// team taken and stay serial — and in turn on the calling thread otherwise.
+pub(crate) fn for_each_spin<T: Send>(n: usize, work: &mut [T; 2], f: impl Fn(Spin, &mut T) + Sync) {
+    let f = |s: usize, t: &mut T| f(Spin::BOTH[s], t);
+    if 2 * n * n * n >= team::FORK_FLOPS {
+        team::for_each_mut(work, f);
+    } else {
+        work.iter_mut().enumerate().for_each(|(s, t)| f(s, t));
+    }
+}
+
+/// The infallible host path: [`BMatrixFactory`] kernels, the two spins on
+/// two cores past the fork cut ([`for_each_spin`]), each spin's walkers in a
 /// loop. This is what the recovery ladder's host fallback lands on.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HostBackend;
@@ -154,13 +169,19 @@ impl ComputeBackend for HostBackend {
         fac: &BMatrixFactory,
         hs: &[&HsField],
         l: usize,
-        spin: Spin,
-        gs: &[&Matrix],
-        outs: &mut [&mut Matrix],
+        gs: &[&[Matrix; 2]],
+        outs: &mut [&mut [Matrix; 2]],
     ) -> Result<(), BackendFault> {
-        for i in 0..hs.len() {
-            fac.wrap_into(hs[i], l, spin, gs[i], outs[i]);
+        let mut per_spin: [Vec<&mut Matrix>; 2] = [Vec::new(), Vec::new()];
+        for [up, dn] in outs.iter_mut().map(|pair| &mut **pair) {
+            per_spin[0].push(up);
+            per_spin[1].push(dn);
         }
+        for_each_spin(fac.nsites(), &mut per_spin, |spin, outs| {
+            for (i, out) in outs.iter_mut().enumerate() {
+                fac.wrap_into(hs[i], l, spin, &gs[i][spin.index()], out);
+            }
+        });
         Ok(())
     }
 
@@ -170,9 +191,13 @@ impl ComputeBackend for HostBackend {
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-        spin: Spin,
-    ) -> Result<Vec<Matrix>, BackendFault> {
-        Ok(hs.iter().map(|h| fac.cluster(h, lo, hi, spin)).collect())
+    ) -> Result<Vec<[Matrix; 2]>, BackendFault> {
+        let mut per_spin: [Vec<Matrix>; 2] = [Vec::new(), Vec::new()];
+        for_each_spin(fac.nsites(), &mut per_spin, |spin, products| {
+            products.extend(hs.iter().map(|h| fac.cluster(h, lo, hi, spin)));
+        });
+        let [up, dn] = per_spin;
+        Ok(up.into_iter().zip(dn).map(|(u, d)| [u, d]).collect())
     }
 }
 
@@ -189,14 +214,17 @@ mod tests {
         let mut rng = util::Rng::new(11);
         let h = HsField::random(4, 8, &mut rng);
         let mut be = HostBackend;
-        let got = be.cluster(&fac, &[&h], 0, 4, Spin::Up).unwrap();
-        assert_eq!(got, [fac.cluster(&h, 0, 4, Spin::Up)]);
+        let got = be.cluster(&fac, &[&h], 0, 4).unwrap();
+        let want = Spin::BOTH.map(|spin| fac.cluster(&h, 0, 4, spin));
+        assert_eq!(got, [want]);
 
-        let g = crate::greens::greens_naive(&fac, &h, Spin::Down).g;
-        let mut out = Matrix::zeros(4, 4);
-        be.wrap(&fac, &[&h], 0, Spin::Down, &[&g], &mut [&mut out])
-            .unwrap();
-        assert_eq!(out, crate::greens::wrap(&fac, &h, 0, Spin::Down, &g));
+        let g = Spin::BOTH.map(|spin| crate::greens::greens_naive(&fac, &h, spin).g);
+        let mut out = [Matrix::zeros(4, 4), Matrix::zeros(4, 4)];
+        be.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out]).unwrap();
+        for spin in Spin::BOTH {
+            let want = crate::greens::wrap(&fac, &h, 0, spin, &g[spin.index()]);
+            assert_eq!(out[spin.index()], want);
+        }
     }
 
     #[test]

@@ -3,6 +3,9 @@
 //! `B_{l,σ} = e^{−ΔτK} · V_{l,σ}` with `V_{l,σ} = diag(e^{σν h_{l,i}})`.
 //! The exponentials `e^{∓ΔτK}` are fixed for the whole simulation and
 //! computed once (analytically, via the lattice's Kronecker structure).
+//! From [`KRON_MIN_SITES`] sites up they are also *kept* in that structure:
+//! every product with them is one small GEMM per lattice axis
+//! ([`linalg::Kron`]), `2N²(Lx+Ly+Lz)` flops instead of `2N³`.
 //!
 //! Note on factor order: the paper's Eq. (2) displays `V·e^{−ΔτK}`, but its
 //! update scheme — Metropolis ratio `1 + α(1 − G_ii)` against the *canonical*
@@ -18,8 +21,21 @@
 
 use crate::hs::HsField;
 use crate::hubbard::{ModelParams, Spin};
-use linalg::blas3::{gemm, Op};
-use linalg::{scale, workspace, Matrix};
+use linalg::{scale, workspace, Kron, Matrix, Side};
+
+/// Sites from which a separable lattice applies `e^{∓ΔτK}` factor by factor.
+///
+/// Measured like `linalg::team::FORK_FLOPS`: `bench --bin kron`
+/// (`BENCH_kron.json`) times one held product, dense against factored, on
+/// square lattices of the 2-core AVX-512 reference host. Factored ÷ dense
+/// speedup, four runs: left 0.26–0.52 / 1.03–1.11 / 0.96–1.08 / 1.36–1.49
+/// and right 0.95–1.00 / 1.41–1.56 / 1.86–2.04 / 2.26–2.50 at N = 36 / 64 /
+/// 100 / 144 (3.2–3.8× at 256, 4× at 400). The left product — its middle
+/// axis is `N` GEMMs of `Lx × Ly × Ly` — breaks even at 64–100; a sweep
+/// issues two left products (wrap, cluster rebuild) per right one, which
+/// gains ~1.2× at N = 100. Below this every product is the one dense GEMM,
+/// so the N ≤ 64 systems and their golden trajectories keep their bytes.
+pub const KRON_MIN_SITES: usize = 100;
 
 /// Precomputed kinetic exponentials plus the B-matrix operations built on
 /// them. Does not own the HS field: callers pass the current field so the
@@ -28,38 +44,53 @@ use linalg::{scale, workspace, Matrix};
 pub struct BMatrixFactory {
     n: usize,
     nu: f64,
-    expk: Matrix,
-    expk_inv: Matrix,
+    /// `e^{−ΔτK}` and `e^{+ΔτK}` as every product applies them.
+    kron: [Kron; 2],
+    /// `e^{−ΔτK}` multiplied out, when `kron` is factored: the seed of
+    /// every cluster product. `None` when each operator is its one dense
+    /// factor.
+    dense: Option<Matrix>,
 }
 
 impl BMatrixFactory {
     /// Builds the factory for a model (computes `e^{∓ΔτK}` exactly via the
-    /// lattice's separable structure).
+    /// lattice's separable structure), factored from [`KRON_MIN_SITES`] up.
     pub fn new(model: &ModelParams) -> Self {
         let (expk, expk_inv) = model.lattice.expk(model.dtau, model.mu_tilde);
+        if model.nsites() < KRON_MIN_SITES {
+            return Self::dense(model, expk, expk_inv);
+        }
+        let (fwd, bwd) = model.lattice.expk_factors(model.dtau, model.mu_tilde);
+        if fwd.len() < 2 {
+            return Self::dense(model, expk, expk_inv);
+        }
         BMatrixFactory {
             n: model.nsites(),
             nu: model.nu(),
-            expk,
-            expk_inv,
+            kron: [Kron::new(fwd), Kron::new(bwd)],
+            dense: Some(expk),
         }
     }
 
     /// Builds the factory with the **checkerboard** kinetic operator:
     /// `e^{−ΔτK}` is replaced by the split-bond product
     /// `e^{Δτμ̃}·Π_c e^{−ΔτK_c}` (QUEST's large-lattice mode). The product
-    /// and its exact inverse are materialised once, so every downstream
-    /// code path is unchanged; the simulated Hamiltonian differs from the
+    /// and its exact inverse are materialised once and applied dense (the
+    /// product is not separable); the simulated Hamiltonian differs from the
     /// exact-exponential one by the same O(Δτ²) the Trotter discretisation
     /// already carries.
     pub fn new_checkerboard(model: &ModelParams) -> Self {
         let cb = lattice::Checkerboard::new(&model.lattice);
         let (expk, expk_inv) = cb.dense_pair(model.dtau, model.mu_tilde);
+        Self::dense(model, expk, expk_inv)
+    }
+
+    fn dense(model: &ModelParams, expk: Matrix, expk_inv: Matrix) -> Self {
         BMatrixFactory {
             n: model.nsites(),
             nu: model.nu(),
-            expk,
-            expk_inv,
+            kron: [Kron::new(vec![expk]), Kron::new(vec![expk_inv])],
+            dense: None,
         }
     }
 
@@ -73,14 +104,21 @@ impl BMatrixFactory {
         self.nu
     }
 
-    /// `e^{−ΔτK}` (shared by every B matrix).
+    /// `e^{−ΔτK}` (shared by every B matrix), multiplied out.
     pub fn expk(&self) -> &Matrix {
-        &self.expk
+        self.dense.as_ref().unwrap_or(&self.kron[0].factors()[0])
     }
 
-    /// `e^{+ΔτK}`.
-    pub fn expk_inv(&self) -> &Matrix {
-        &self.expk_inv
+    /// `e^{−ΔτK}` as its products apply it: one dense factor below
+    /// [`KRON_MIN_SITES`] (and in checkerboard mode), one per lattice axis
+    /// from there up.
+    pub fn expk_kron(&self) -> &Kron {
+        &self.kron[0]
+    }
+
+    /// `e^{+ΔτK}` as its products apply it.
+    pub fn expk_inv_kron(&self) -> &Kron {
+        &self.kron[1]
     }
 
     /// Diagonal of `V_{l,σ}`: `v_i = e^{σν h_{l,i}}`.
@@ -102,47 +140,41 @@ impl BMatrixFactory {
 
     /// Explicit `B_{l,σ} = e^{−ΔτK} V` (a column scaling of `e^{−ΔτK}`).
     pub fn b_matrix(&self, h: &HsField, l: usize, spin: Spin) -> Matrix {
-        let mut b = self.expk.clone();
+        let mut b = self.expk().clone();
         let v = self.v_diag(h, l, spin);
         scale::col_scale(&v, &mut b);
         workspace::put(v);
         b
     }
 
-    /// `M ← B_{l,σ} · M = e^{−ΔτK}(V·M)` without materialising B: a
-    /// row scaling (the paper's §IV-B kernel) followed by a GEMM.
-    pub fn b_mul_left(&self, h: &HsField, l: usize, spin: Spin, m: &Matrix) -> Matrix {
-        let mut out = workspace::take_matrix(self.n, m.ncols());
-        self.b_mul_left_into(h, l, spin, m, &mut out);
-        out
-    }
-
-    /// `out ← B_{l,σ} · M` without allocating: scratch comes from the
+    /// `out ← B_{l,σ} · M = e^{−ΔτK}(V·M)` without materialising B: a row
+    /// scaling (the paper's §IV-B kernel) followed by the product with
+    /// `e^{−ΔτK}`, one GEMM per factor; one scratch matrix comes from the
     /// workspace arena. `out` must be `n × M.ncols()`.
     pub fn b_mul_left_into(&self, h: &HsField, l: usize, spin: Spin, m: &Matrix, out: &mut Matrix) {
         assert_eq!(m.nrows(), self.n);
         assert!(out.nrows() == self.n && out.ncols() == m.ncols());
-        let mut vm = workspace::take_matrix(m.nrows(), m.ncols());
-        m.copy_submatrix_into(0, 0, &mut vm);
         let mut v = workspace::take(self.n);
         self.v_diag_into(h, l, spin, &mut v);
-        scale::row_scale(&v, &mut vm);
+        self.apply(0, Side::Left, m, |vm| scale::row_scale(&v, vm), out);
         workspace::put(v);
-        gemm(1.0, &self.expk, Op::NoTrans, &vm, Op::NoTrans, 0.0, out);
-        workspace::put_matrix(vm);
     }
 
-    /// `M ← M · B_{l,σ}⁻¹`; used by wrapping.
-    ///
-    /// `B⁻¹ = V⁻¹ e^{+ΔτK}`, so `M B⁻¹ = (M · diag(1/v)) e^{+ΔτK}`.
-    pub fn b_inv_mul_right(&self, h: &HsField, l: usize, spin: Spin, m: &Matrix) -> Matrix {
-        let mut out = workspace::take_matrix(m.nrows(), self.n);
-        self.b_inv_mul_right_into(h, l, spin, m, &mut out);
-        out
+    /// `out ← e^{∓ΔτK}` (operator `k`) applied from `side` to `M` scaled by
+    /// `pre`, through one scratch matrix: the scaled copy starts in
+    /// whichever of the two buffers makes the product land in `out`.
+    fn apply(&self, k: usize, side: Side, m: &Matrix, pre: impl Fn(&mut Matrix), out: &mut Matrix) {
+        let mut x = workspace::take_matrix(m.nrows(), m.ncols());
+        let from = self.kron[k].factors().len() % 2;
+        let start = if from == 0 { &mut *out } else { &mut x };
+        start.copy_from(m);
+        pre(start);
+        self.kron[k].apply(side, [out, &mut x], from);
+        workspace::put_matrix(x);
     }
 
-    /// `out ← M · B_{l,σ}⁻¹` without allocating. `out` must be
-    /// `M.nrows() × n`.
+    /// `out ← M · B_{l,σ}⁻¹` without allocating: `B⁻¹ = V⁻¹ e^{+ΔτK}`, so
+    /// `M B⁻¹ = (M · diag(1/v)) e^{+ΔτK}`. `out` must be `M.nrows() × n`.
     pub fn b_inv_mul_right_into(
         &self,
         h: &HsField,
@@ -158,21 +190,31 @@ impl BMatrixFactory {
         for v in vinv.iter_mut() {
             *v = 1.0 / *v;
         }
-        let mut mv = workspace::take_matrix(m.nrows(), m.ncols());
-        m.copy_submatrix_into(0, 0, &mut mv);
-        scale::col_scale(&vinv, &mut mv);
+        self.apply(1, Side::Right, m, |mv| scale::col_scale(&vinv, mv), out);
         workspace::put(vinv);
-        gemm(1.0, &mv, Op::NoTrans, &self.expk_inv, Op::NoTrans, 0.0, out);
-        workspace::put_matrix(mv);
     }
 
     /// `out ← B_{l,σ} · G · B_{l,σ}⁻¹`, the equal-time wrap to the next
-    /// slice, with all staging taken from the workspace arena.
+    /// slice: [`Self::b_mul_left_into`] then [`Self::b_inv_mul_right_into`]'s
+    /// ops, ping-ponging between `out` and one workspace matrix (both
+    /// operators have the same number of factors, so the product returns to
+    /// `out`).
     pub fn wrap_into(&self, h: &HsField, l: usize, spin: Spin, g: &Matrix, out: &mut Matrix) {
-        let mut bg = workspace::take_matrix(self.n, g.ncols());
-        self.b_mul_left_into(h, l, spin, g, &mut bg);
-        self.b_inv_mul_right_into(h, l, spin, &bg, out);
-        workspace::put_matrix(bg);
+        assert!(g.nrows() == self.n && g.ncols() == self.n);
+        let mut v = workspace::take(self.n);
+        self.v_diag_into(h, l, spin, &mut v);
+        let mut x = workspace::take_matrix(self.n, self.n);
+        out.copy_from(g);
+        scale::row_scale(&v, out);
+        let at = self.kron[0].apply(Side::Left, [&mut *out, &mut x], 0);
+        for v in v.iter_mut() {
+            *v = 1.0 / *v;
+        }
+        scale::col_scale(&v, if at == 0 { &mut *out } else { &mut x });
+        let at = self.kron[1].apply(Side::Right, [&mut *out, &mut x], at);
+        assert_eq!(at, 0, "e^{{∓ΔτK}} have the same number of factors");
+        workspace::put(v);
+        workspace::put_matrix(x);
     }
 
     /// Cluster product `B_{l_hi−1} ⋯ B_{l_lo}` (Algorithm 4's host analogue):
@@ -203,6 +245,7 @@ mod tests {
     use super::*;
     use lattice::Lattice;
     use linalg::blas3::matmul;
+    use linalg::Op;
 
     fn setup() -> (ModelParams, BMatrixFactory, HsField) {
         let model = ModelParams::new(Lattice::square(3, 3, 1.0), 4.0, 0.2, 0.125, 8);
@@ -243,7 +286,8 @@ mod tests {
         let (_, fac, h) = setup();
         let mut rng = util::Rng::new(2);
         let m = Matrix::random(9, 9, &mut rng);
-        let fast = fac.b_mul_left(&h, 3, Spin::Down, &m);
+        let mut fast = Matrix::zeros(9, 9);
+        fac.b_mul_left_into(&h, 3, Spin::Down, &m, &mut fast);
         let b = fac.b_matrix(&h, 3, Spin::Down);
         let explicit = matmul(&b, Op::NoTrans, &m, Op::NoTrans);
         assert!(fast.max_abs_diff(&explicit) < 1e-12);
@@ -254,15 +298,14 @@ mod tests {
         let (_, fac, h) = setup();
         let mut rng = util::Rng::new(3);
         let m = Matrix::random(9, 9, &mut rng);
-        let bm = fac.b_mul_left(&h, 5, Spin::Up, &m);
-        // (B m) B⁻¹ should equal B m B⁻¹; sanity: m B B⁻¹ = m.
+        // m B B⁻¹ = m.
         let mb = {
             let b = fac.b_matrix(&h, 5, Spin::Up);
             matmul(&m, Op::NoTrans, &b, Op::NoTrans)
         };
-        let back = fac.b_inv_mul_right(&h, 5, Spin::Up, &mb);
+        let mut back = Matrix::zeros(9, 9);
+        fac.b_inv_mul_right_into(&h, 5, Spin::Up, &mb, &mut back);
         assert!(back.max_abs_diff(&m) < 1e-11);
-        let _ = bm;
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! separate one-walker drivers, because two drivers never kept the same
 //! features. This module is that design for the DQMC sweep: a [`Crowd`] owns
 //! B [`Walker`]s (same physics, hash-split seeds) and the sweep driver that
-//! steps them slice by slice — one backend wrap per spin per slice, one
-//! backend cluster call per stale slice range per boundary. Every backend
-//! kernel is bit-identical per walker whatever B is (the strided-batch GEMM
-//! issues the per-walker op stream exactly; batching changes only the cost
-//! accounting), so a crowd of B produces byte-identical observables to B
-//! crowds of one on the same seeds — crowd size is a pure throughput knob.
+//! steps them slice by slice — one backend wrap per slice, one backend
+//! cluster call per stale slice range per boundary, each for both spins.
+//! Every backend kernel is bit-identical per walker whatever B is (the
+//! strided-batch GEMM issues the per-walker op stream exactly; batching
+//! changes only the cost accounting), so a crowd of B produces
+//! byte-identical observables to B crowds of one on the same seeds — crowd
+//! size is a pure throughput knob.
 //!
 //! The slice loop and the recovery ladder live in [`crate::sweep`]; what is
 //! here is the run around them: sweep counting, the warmup/measurement

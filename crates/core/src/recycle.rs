@@ -111,11 +111,12 @@ impl ClusterCache {
         slot.as_ref().expect("just filled")
     }
 
-    /// The first cluster of `spin` that would need a rebuild on next access
-    /// (empty or invalidated). The sweep driver scans this to decide which
-    /// walkers join a batched prefill.
-    pub fn first_stale(&self, spin: Spin) -> Option<usize> {
-        self.store[spin.index()].iter().position(Option::is_none)
+    /// The first cluster that would need a rebuild of either spin on next
+    /// access (empty or invalidated). The sweep driver scans this to decide
+    /// which walkers join a batched prefill, which rebuilds both spins.
+    pub fn first_stale(&self) -> Option<usize> {
+        let [up, dn] = &self.store;
+        (0..self.nclusters).find(|&c| up[c].is_none() || dn[c].is_none())
     }
 
     /// Installs an externally computed product for cluster `c` (a batched
@@ -312,18 +313,21 @@ mod tests {
     fn installed_product_is_read_back_without_counting_a_hit() {
         let (fac, h) = setup();
         let mut cache = ClusterCache::new(12, 4);
-        assert_eq!(cache.first_stale(Spin::Up), Some(0));
+        assert_eq!(cache.first_stale(), Some(0));
         cache
             .install(0, Spin::Up, fac.cluster(&h, 0, 4, Spin::Up))
             .unwrap();
-        assert_eq!(cache.first_stale(Spin::Up), Some(1));
-        assert_eq!(cache.first_stale(Spin::Down), Some(0));
+        assert_eq!(cache.first_stale(), Some(0), "the down spin is stale");
+        cache
+            .install(0, Spin::Down, fac.cluster(&h, 0, 4, Spin::Down))
+            .unwrap();
+        assert_eq!(cache.first_stale(), Some(1));
         // The read after a prefill is the product's first use; the one
         // after that is a recycling hit.
         let _ = cache.get(&fac, &h, 0, Spin::Up);
-        assert_eq!(cache.stats(), (1, 0));
+        assert_eq!(cache.stats(), (2, 0));
         let _ = cache.get(&fac, &h, 0, Spin::Up);
-        assert_eq!(cache.stats(), (1, 1));
+        assert_eq!(cache.stats(), (2, 1));
     }
 
     #[test]
@@ -336,7 +340,7 @@ mod tests {
         assert_eq!(err.kind, crate::backend::FaultKind::Taint);
         // The poisoned product must not have been cached: the slot is still
         // stale and a host read rebuilds cleanly.
-        assert_eq!(cache.first_stale(Spin::Up), Some(0));
+        assert_eq!(cache.first_stale(), Some(0));
         let clean = cache.get(&fac, &h, 0, Spin::Up);
         assert!(clean.as_slice().iter().all(|x| x.is_finite()));
     }

@@ -42,7 +42,7 @@
 //! one walker's shrink neither breaks lockstep nor hands it a neighbour's
 //! products.
 
-use crate::backend::{BackendFault, ComputeBackend, FaultKind, HostBackend};
+use crate::backend::{for_each_spin, BackendFault, ComputeBackend, FaultKind, HostBackend};
 use crate::bmat::BMatrixFactory;
 use crate::greens::{self, greens_from_udt, GreensFunction};
 use crate::hs::HsField;
@@ -56,8 +56,7 @@ use crate::recycle::ClusterCache;
 use crate::stratify::stratify;
 use crate::update::SliceUpdater;
 use linalg::check::first_non_finite;
-use linalg::{team, workspace, Matrix};
-use std::sync::OnceLock;
+use linalg::{workspace, Matrix};
 use util::{DqmcError, Rng, RunningStats};
 
 /// The complete mutable state of one walker (one Markov chain).
@@ -231,9 +230,7 @@ impl DqmcCore {
     ///
     /// Both spins' cluster factors are gathered first (rebuilding the stale
     /// ones) and lent out of the cache; the two evaluations are independent
-    /// and run as one team job of two chunks when one of their GEMMs alone
-    /// would fork — a spare core then takes one spin (the kernels inside see
-    /// the team taken and stay serial) — and as one chunk otherwise.
+    /// and run as the spin pair ([`for_each_spin`]).
     fn try_recompute_greens(&mut self, l: usize) -> Result<(), BackendFault> {
         let algo = self.params.algo;
         let n = self.nsites();
@@ -242,24 +239,15 @@ impl DqmcCore {
                 self.cache.prepare_after_slice(&self.fac, &self.h, l, spin);
             }
         });
-        let factors = Spin::BOTH.map(|spin| self.cache.cached_after_slice(l, spin));
-        let evaluated: [OnceLock<GreensFunction>; 2] = Default::default();
-        // Spins per chunk: the same cut as the GEMM slabs', from N alone.
-        let per = if 2 * n * n * n >= team::FORK_FLOPS {
-            1
-        } else {
-            2
-        };
+        let mut jobs: [(Vec<&Matrix>, Option<GreensFunction>); 2] =
+            Spin::BOTH.map(|spin| (self.cache.cached_after_slice(l, spin), None));
         self.timer.time(phases::STRATIFICATION, || {
-            team::for_each_chunk(2 / per, |i| {
-                for s in i * per..(i + 1) * per {
-                    let gf = greens_from_udt(&stratify(&factors[s], algo));
-                    assert!(evaluated[s].set(gf).is_ok(), "one chunk per spin");
-                }
+            for_each_spin(n, &mut jobs, |_, (factors, gf)| {
+                *gf = Some(greens_from_udt(&stratify(factors, algo)));
             })
         });
         let mut sign = 1.0;
-        let [up, dn] = evaluated.map(|gf| gf.into_inner().expect("both spins evaluated"));
+        let [up, dn] = jobs.map(|(_, gf)| gf.expect("both spins evaluated"));
         for (spin, gf) in Spin::BOTH.iter().zip([&up, &dn]) {
             if let Some((idx, v)) = first_non_finite(gf.g.as_slice()) {
                 return Err(BackendFault::taint(format!(
@@ -420,13 +408,14 @@ impl DqmcCore {
     }
 
     /// The cluster-boundary block after wrapping past slice `l`: recompute
-    /// both Green's functions, monitor the wrap-vs-recompute divergence
-    /// (when the wrap produced a valid pair) and take the optional mid-sweep
-    /// measurement. Returns whether the divergence monitor fired — the
-    /// cached cluster products were presumed silently corrupted (e.g. a
-    /// device memory bit flip: finite, so the non-finite scans never saw
-    /// it), dropped, and rebuilt from the always-clean HS field — so the
-    /// driver can tell the backend to drop its resident state too.
+    /// both Green's functions, monitor the wrap-vs-recompute divergence of
+    /// either spin (when the wrap produced a valid pair) and take the
+    /// optional mid-sweep measurement. Returns whether the divergence
+    /// monitor fired — the cached cluster products were presumed silently
+    /// corrupted (e.g. a device memory bit flip: finite, so the non-finite
+    /// scans never saw it), dropped, and rebuilt from the always-clean HS
+    /// field — so the driver can tell the backend to drop its resident
+    /// state too.
     fn boundary_recompute(
         &mut self,
         l: usize,
@@ -439,7 +428,11 @@ impl DqmcCore {
         self.recompute_greens_recovering(l)?;
         let mut diverged = false;
         if wrap_ok {
-            let diff = greens::relative_difference(&wrapped[0], &self.g[0]);
+            let diff = wrapped
+                .iter()
+                .zip(&self.g)
+                .map(|(w, g)| greens::relative_difference(w, g))
+                .fold(0.0, f64::max);
             if self.params.recovery.enabled && diff > WRAP_TOLERANCE {
                 diverged = true;
                 self.cache.invalidate_all();
@@ -657,9 +650,9 @@ impl SweepDriver {
     }
 
     /// One timed attempt at wrapping both spins of every walker past slice
-    /// `l`, returning the per-walker taint list (index, detail) found by
-    /// scanning the results — device transfer corruption shows up here,
-    /// since fallible backends do not self-check.
+    /// `l` (one backend call), returning the per-walker taint list (index,
+    /// detail) found by scanning the results — device transfer corruption
+    /// shows up here, since fallible backends do not self-check.
     fn try_wrap(
         &mut self,
         lanes: &mut [Lane<'_>],
@@ -670,14 +663,9 @@ impl SweepDriver {
         let backend = self.active();
         let fac = &lanes[0].core.fac;
         let hs: Vec<&HsField> = lanes.iter().map(|w| &w.core.h).collect();
-        let result = Spin::BOTH.into_iter().try_for_each(|spin| {
-            let gs: Vec<&Matrix> = lanes.iter().map(|w| &w.core.g[spin.index()]).collect();
-            let mut outs: Vec<&mut Matrix> = wrapped
-                .iter_mut()
-                .map(|pair| &mut pair[spin.index()])
-                .collect();
-            backend.wrap(fac, &hs, l, spin, &gs, &mut outs)
-        });
+        let gs: Vec<&[Matrix; 2]> = lanes.iter().map(|w| &w.core.g).collect();
+        let mut outs: Vec<&mut [Matrix; 2]> = wrapped.iter_mut().collect();
+        let result = backend.wrap(fac, &hs, l, &gs, &mut outs);
         let per_walker = t0.elapsed() / lanes.len() as u32;
         for lane in lanes.iter_mut() {
             lane.core.timer.add(phases::WRAPPING, per_walker);
@@ -766,12 +754,12 @@ impl SweepDriver {
     }
 
     /// Sends every stale cluster product of the walkers at a boundary after
-    /// slice `l` through the backend, so each walker's recompute then runs
-    /// on cache reads. Each round takes the lowest stale slice range and
-    /// batches the walkers whose next stale cluster is exactly that range —
-    /// walkers with different cluster sizes never share a call. With
-    /// recycling off the walker's cache is dropped first, so every product
-    /// reaches the backend at every boundary.
+    /// slice `l` through the backend, both spins per call, so each walker's
+    /// recompute then runs on cache reads. Each round takes the lowest stale
+    /// slice range and batches the walkers whose next stale cluster is
+    /// exactly that range — walkers with different cluster sizes never
+    /// share a call. With recycling off the walker's cache is dropped first,
+    /// so every product reaches the backend at every boundary.
     fn prefill_clusters(&mut self, lanes: &mut [Lane<'_>], l: usize) -> Result<(), DqmcError> {
         let at: Vec<usize> = (0..lanes.len())
             .filter(|&i| lanes[i].core.at_boundary(l))
@@ -784,40 +772,37 @@ impl SweepDriver {
                 lanes[i].core.cache.invalidate_all();
             }
         }
-        for spin in Spin::BOTH {
-            let stale = |lanes: &[Lane<'_>], i: usize| {
-                let cache = &lanes[i].core.cache;
-                cache.first_stale(spin).map(|c| cache.range(c))
-            };
-            while let Some(range) = at.iter().filter_map(|&i| stale(lanes, i)).min() {
-                let need: Vec<usize> = at
-                    .iter()
-                    .copied()
-                    .filter(|&i| stale(lanes, i) == Some(range))
-                    .collect();
-                self.cluster_recovering(lanes, range, spin, &need)?;
-            }
+        let stale = |lanes: &[Lane<'_>], i: usize| {
+            let cache = &lanes[i].core.cache;
+            cache.first_stale().map(|c| cache.range(c))
+        };
+        while let Some(range) = at.iter().filter_map(|&i| stale(lanes, i)).min() {
+            let need: Vec<usize> = at
+                .iter()
+                .copied()
+                .filter(|&i| stale(lanes, i) == Some(range))
+                .collect();
+            self.cluster_recovering(lanes, range, &need)?;
         }
         Ok(())
     }
 
-    /// Computes the cluster product over `[lo, hi)` for the `need` subset of
-    /// walkers through the backend and installs it. Leaves none of those
-    /// slots stale: a product still tainted after the retries sends its
-    /// walker up the taint rungs (a shrink re-clusters that walker, whose
-    /// new stale ranges the prefill then picks up; at the floor the product
-    /// is rebuilt on the host).
+    /// Computes both spins' cluster products over `[lo, hi)` for the `need`
+    /// subset of walkers through the backend and installs them. Leaves none
+    /// of those slots stale: a product still tainted after the retries sends
+    /// its walker up the taint rungs (a shrink re-clusters that walker, whose
+    /// new stale ranges the prefill then picks up; at the floor the tainted
+    /// product is rebuilt on the host).
     fn cluster_recovering(
         &mut self,
         lanes: &mut [Lane<'_>],
         (lo, hi): (usize, usize),
-        spin: Spin,
         need: &[usize],
     ) -> Result<(), DqmcError> {
         loop {
             let t0 = std::time::Instant::now();
             let hs: Vec<&HsField> = need.iter().map(|&i| &lanes[i].core.h).collect();
-            let r = self.active().cluster(&lanes[0].core.fac, &hs, lo, hi, spin);
+            let r = self.active().cluster(&lanes[0].core.fac, &hs, lo, hi);
             let per_walker = t0.elapsed() / need.len() as u32;
             for &i in need {
                 lanes[i].core.timer.add(phases::CLUSTERING, per_walker);
@@ -829,21 +814,24 @@ impl SweepDriver {
                     continue;
                 }
             };
-            let taint = |m: &Matrix| {
-                first_non_finite(m.as_slice())
-                    .map(|(i, v)| format!("{v} at flat index {i} in cluster [{lo}, {hi}) {spin:?}"))
+            let taint = |pair: &[Matrix; 2]| {
+                Spin::BOTH.iter().zip(pair).find_map(|(spin, m)| {
+                    first_non_finite(m.as_slice()).map(|(i, v)| {
+                        format!("{v} at flat index {i} in cluster [{lo}, {hi}) {spin:?}")
+                    })
+                })
             };
             let policy = &lanes[0].core.params.recovery;
             if policy.enabled
                 && self.fault_streak < policy.max_retries
-                && products.iter().any(|m| taint(m).is_some())
+                && products.iter().any(|pair| taint(pair).is_some())
             {
                 // Nothing is installed: the retry recomputes the whole call.
                 self.fault_streak += 1;
                 let attempt = self.fault_streak;
                 self.active().notify_fault();
-                for (&i, m) in need.iter().zip(&products) {
-                    if let Some(detail) = taint(m) {
+                for (&i, pair) in need.iter().zip(&products) {
+                    if let Some(detail) = taint(pair) {
                         lanes[i].core.push_event(
                             lo,
                             RecoveryCause::NonFinite(detail),
@@ -854,13 +842,23 @@ impl SweepDriver {
                 continue;
             }
             self.fault_streak = 0;
-            for (&i, m) in need.iter().zip(products) {
+            for (&i, pair) in need.iter().zip(products) {
                 let core = &mut *lanes[i].core;
                 let c = core.cache.cluster_of(lo);
                 // `install` re-scans; a still-tainted product is dropped.
-                if let Err(f) = core.cache.install(c, spin, m) {
-                    let cause = RecoveryCause::NonFinite(f.detail);
-                    if !core.escalate_taint(lo, cause, true)? {
+                let mut dropped = Vec::new();
+                for (spin, m) in Spin::BOTH.into_iter().zip(pair) {
+                    if let Err(f) = core.cache.install(c, spin, m) {
+                        dropped.push((spin, f.detail));
+                    }
+                }
+                let Some((_, detail)) = dropped.first() else {
+                    continue;
+                };
+                let cause = RecoveryCause::NonFinite(detail.clone());
+                // One incident per walker; a shrink re-clusters both spins.
+                if !core.escalate_taint(lo, cause, true)? {
+                    for (spin, _) in dropped {
                         core.timer.time(phases::CLUSTERING, || {
                             core.cache.get(&core.fac, &core.h, c, spin);
                         });
@@ -1137,15 +1135,14 @@ mod tests {
             fac: &BMatrixFactory,
             hs: &[&HsField],
             l: usize,
-            spin: Spin,
-            gs: &[&Matrix],
-            outs: &mut [&mut Matrix],
+            gs: &[&[Matrix; 2]],
+            outs: &mut [&mut [Matrix; 2]],
         ) -> Result<(), BackendFault> {
             self.fail()?;
-            HostBackend.wrap(fac, hs, l, spin, gs, outs)?;
+            HostBackend.wrap(fac, hs, l, gs, outs)?;
             if self.taint_wraps > 0 {
                 self.taint_wraps -= 1;
-                outs.last_mut().expect("a walker")[(1, 2)] = f64::NAN;
+                outs.last_mut().expect("a walker")[1][(1, 2)] = f64::NAN;
             }
             Ok(())
         }
@@ -1155,13 +1152,12 @@ mod tests {
             hs: &[&HsField],
             lo: usize,
             hi: usize,
-            spin: Spin,
-        ) -> Result<Vec<Matrix>, BackendFault> {
+        ) -> Result<Vec<[Matrix; 2]>, BackendFault> {
             self.fail()?;
-            let mut products = HostBackend.cluster(fac, hs, lo, hi, spin)?;
+            let mut products = HostBackend.cluster(fac, hs, lo, hi)?;
             if self.taint_clusters > 0 {
                 self.taint_clusters -= 1;
-                products.last_mut().expect("a walker")[(0, 0)] = f64::INFINITY;
+                products.last_mut().expect("a walker")[1][(0, 0)] = f64::INFINITY;
             }
             Ok(products)
         }
@@ -1385,11 +1381,12 @@ mod tests {
 
     #[test]
     fn wrap_taint_retries_then_repairs_that_walker() {
-        // One wrap attempt is two backend calls (one per spin), so six
-        // poisoned calls are two retries and the escalation.
+        // One wrap attempt is one backend call (both spins; the down spin is
+        // poisoned), so three poisoned calls are two retries and the
+        // escalation.
         for b in [1, 2] {
             let mut driver = SweepDriver::new(Box::new(Scripted {
-                taint_wraps: 6,
+                taint_wraps: 3,
                 ..Scripted::default()
             }));
             let mut cores = walkers(b);
@@ -1408,6 +1405,30 @@ mod tests {
                 assert_same_chain(&cores[0], &clean_reference(1, 1)[0]);
             }
         }
+    }
+
+    #[test]
+    fn a_finite_corruption_in_a_down_spin_product_reaches_the_divergence_rung() {
+        // A cached down-spin cluster product off by a finite amount (a
+        // device bit flip: no non-finite scan sees it) makes the next
+        // boundary's recompute disagree with the wrapped down-spin G. The
+        // monitor watches both spins, so the divergence rung fires.
+        let mut core = DqmcCore::new(small_params(4.0, 8, 61));
+        core.sweep(None);
+        // Cluster 1 (slices 4..8) is read, not rebuilt, at the next
+        // sweep's first boundary.
+        let mut product = core.cache.get(&core.fac, &core.h, 1, Spin::Down).clone();
+        product.scale(1.5);
+        core.cache.install(1, Spin::Down, product).unwrap();
+        core.sweep(None);
+        let events = core.recovery_log().events();
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e.cause, RecoveryCause::WrapDivergence { .. })),
+            "{events:?}"
+        );
+        assert_greens_match_naive(&core);
     }
 
     /// Climbs the taint rungs directly with a fault no repair can absorb

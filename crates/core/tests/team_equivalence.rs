@@ -1,16 +1,19 @@
 //! The fork-join team must not reach a byte: a run at a size whose GEMMs
-//! fork and whose spin pair splits, with the team free, against the same
-//! run with the team held (one thread does everything).
+//! fork, whose spin pair splits (wraps, cluster products, recomputes) and
+//! whose `e^{∓ΔτK}` products run factor by factor, with the team free,
+//! against the same run with the team held (one thread does everything).
 
 use dqmc::{ModelParams, SimParams, Simulation, StratAlgo};
 use lattice::Lattice;
 use linalg::team;
 use util::codec::ByteWriter;
 
-/// N = 100 (2·N³ is past `team::FORK_FLOPS`), L = 12 in clusters of 4.
+/// N = 100 (2·N³ is past `team::FORK_FLOPS`, N is `KRON_MIN_SITES`), L = 12
+/// in clusters of 4.
 fn params(algo: StratAlgo) -> SimParams {
     let model = ModelParams::new(Lattice::square(10, 10, 1.0), 4.0, 0.0, 0.125, 12);
     assert!(2 * model.nsites().pow(3) >= team::FORK_FLOPS);
+    assert!(model.nsites() >= dqmc::bmat::KRON_MIN_SITES);
     SimParams::new(model)
         .with_seed(17)
         .with_sweeps(2, 3)

@@ -1,13 +1,15 @@
 //! The simulated device as the sweep's [`ComputeBackend`].
 //!
 //! Wraps a [`Device`] so `dqmc::sweep` can route its two heavy kernels —
-//! cluster products and wraps, each over a slice of walkers — through the
-//! accelerator model. Both run as the batched bit-exact kernels of
-//! [`crate::kernels`]: one launch services every walker of the call (a solo
-//! run is a batch of one) and every result is bit-identical to
-//! [`dqmc::HostBackend`]'s, so placing a run on the device changes its
-//! model clock and never a byte of its output. The resident
-//! operands `e^{−ΔτK}` / `e^{+ΔτK}` are uploaded lazily on first use and
+//! cluster products and wraps, each over a slice of walkers and both spins
+//! — through the accelerator model. Both run as the batched bit-exact
+//! kernels of [`crate::kernels`], one spin after the other: one launch
+//! services every walker of the call (a solo run is a batch of one) and
+//! every result is bit-identical to [`dqmc::HostBackend`]'s, so placing a
+//! run on the device changes its model clock and never a byte of its
+//! output. The resident operands — the factors of `e^{−ΔτK}` /
+//! `e^{+ΔτK}`, and the dense `e^{−ΔτK}` seeding cluster products when it is
+//! not itself the one factor — are uploaded lazily on first use and
 //! **dropped on [`ComputeBackend::notify_fault`]**: the recovery layer calls
 //! that before every retry, so a retry re-uploads clean copies — which is
 //! exactly how a real driver heals a corrupted resident after a fault.
@@ -23,6 +25,7 @@ use crate::faults::DeviceError;
 use crate::kernels::{try_cluster_crowd, try_wrap_crowd_bitexact_into};
 use dqmc::{BMatrixFactory, BackendFault, ComputeBackend, HsField, Spin};
 use linalg::Matrix;
+use std::slice;
 
 /// Classifies a [`DeviceError`] into the core fault taxonomy: hangs and
 /// sick-window failures indict the *device* (they must escape the in-core
@@ -41,18 +44,20 @@ fn classify(e: DeviceError) -> BackendFault {
 #[derive(Debug)]
 pub struct DeviceBackend {
     dev: Device,
-    /// The resident `e^{−ΔτK}`: empty until first use, then a stack of one.
+    /// The resident factors of `e^{−ΔτK}`: empty until first use.
     expk: Vec<DMatrix>,
-    /// The resident `e^{+ΔτK}`, likewise.
+    /// The resident factors of `e^{+ΔτK}`, likewise.
     expk_inv: Vec<DMatrix>,
+    /// The resident dense `e^{−ΔτK}` when `expk` holds more than one factor.
+    seed: Vec<DMatrix>,
 }
 
-/// Uploads `m` into `slot` unless it is already resident there.
-fn resident<'a>(slot: &'a mut Vec<DMatrix>, dev: &mut Device, m: &Matrix) -> &'a DMatrix {
+/// Uploads `ms` into `slot` as one stack unless it is already resident.
+fn resident<'a>(slot: &'a mut Vec<DMatrix>, dev: &mut Device, ms: &[Matrix]) -> &'a [DMatrix] {
     if slot.is_empty() {
-        *slot = dev.set_matrix_stack(&[m]);
+        *slot = dev.set_matrix_stack(&ms.iter().collect::<Vec<_>>());
     }
-    &slot[0]
+    slot
 }
 
 impl DeviceBackend {
@@ -62,6 +67,7 @@ impl DeviceBackend {
             dev,
             expk: Vec::new(),
             expk_inv: Vec::new(),
+            seed: Vec::new(),
         }
     }
 
@@ -91,15 +97,20 @@ impl ComputeBackend for DeviceBackend {
         fac: &BMatrixFactory,
         hs: &[&HsField],
         l: usize,
-        spin: Spin,
-        gs: &[&Matrix],
-        outs: &mut [&mut Matrix],
+        gs: &[&[Matrix; 2]],
+        outs: &mut [&mut [Matrix; 2]],
     ) -> Result<(), BackendFault> {
         let dev = &mut self.dev;
-        let expk = resident(&mut self.expk, dev, fac.expk());
-        let expk_inv = resident(&mut self.expk_inv, dev, fac.expk_inv());
-        try_wrap_crowd_bitexact_into(dev, expk, expk_inv, fac, hs, l, spin, gs, outs)
-            .map_err(classify)
+        let expk = resident(&mut self.expk, dev, fac.expk_kron().factors());
+        let expk_inv = resident(&mut self.expk_inv, dev, fac.expk_inv_kron().factors());
+        for spin in Spin::BOTH {
+            let s = spin.index();
+            let gs: Vec<&Matrix> = gs.iter().map(|pair| &pair[s]).collect();
+            let mut outs: Vec<&mut Matrix> = outs.iter_mut().map(|pair| &mut pair[s]).collect();
+            try_wrap_crowd_bitexact_into(dev, expk, expk_inv, fac, hs, l, spin, &gs, &mut outs)
+                .map_err(classify)?;
+        }
+        Ok(())
     }
 
     fn cluster(
@@ -108,16 +119,28 @@ impl ComputeBackend for DeviceBackend {
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-        spin: Spin,
-    ) -> Result<Vec<Matrix>, BackendFault> {
-        let expk = resident(&mut self.expk, &mut self.dev, fac.expk());
-        try_cluster_crowd(&mut self.dev, expk, fac, hs, lo, hi, spin).map_err(classify)
+    ) -> Result<Vec<[Matrix; 2]>, BackendFault> {
+        let dev = &mut self.dev;
+        let expk = resident(&mut self.expk, dev, fac.expk_kron().factors());
+        let seed = match expk {
+            [dense] => dense,
+            _ => &resident(&mut self.seed, dev, slice::from_ref(fac.expk()))[0],
+        };
+        let up = try_cluster_crowd(dev, seed, expk, fac, hs, lo, hi, Spin::Up);
+        let up = up.map_err(classify)?;
+        let dn = try_cluster_crowd(dev, seed, expk, fac, hs, lo, hi, Spin::Down);
+        Ok(up
+            .into_iter()
+            .zip(dn.map_err(classify)?)
+            .map(|(u, d)| [u, d])
+            .collect())
     }
 
     fn notify_fault(&mut self) {
         // Drop the residents: the retry re-uploads the operands.
         self.expk.clear();
         self.expk_inv.clear();
+        self.seed.clear();
     }
 
     fn device_seconds(&self) -> f64 {
@@ -148,8 +171,8 @@ mod tests {
         lo: usize,
         hi: usize,
     ) -> Result<Matrix, BackendFault> {
-        let mut products = be.cluster(fac, &[h], lo, hi, Spin::Up)?;
-        Ok(products.pop().expect("one product per walker"))
+        let [up, _] = be.cluster(fac, &[h], lo, hi)?.pop().expect("one walker");
+        Ok(up)
     }
 
     #[test]
@@ -157,17 +180,15 @@ mod tests {
         let (fac, h) = setup();
         let mut host = HostBackend;
         let mut devb = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
-        let a = devb.cluster(&fac, &[&h], 0, 6, Spin::Up).unwrap();
-        let b = host.cluster(&fac, &[&h], 0, 6, Spin::Up).unwrap();
+        let a = devb.cluster(&fac, &[&h], 0, 6).unwrap();
+        let b = host.cluster(&fac, &[&h], 0, 6).unwrap();
         assert_eq!(a, b, "device clustering issues the host's op order");
 
-        let g = dqmc::greens::greens_naive(&fac, &h, Spin::Up).g;
-        let mut out_d = Matrix::zeros(9, 9);
-        let mut out_h = Matrix::zeros(9, 9);
-        devb.wrap(&fac, &[&h], 0, Spin::Up, &[&g], &mut [&mut out_d])
-            .unwrap();
-        host.wrap(&fac, &[&h], 0, Spin::Up, &[&g], &mut [&mut out_h])
-            .unwrap();
+        let g = Spin::BOTH.map(|spin| dqmc::greens::greens_naive(&fac, &h, spin).g);
+        let mut out_d = [Matrix::zeros(9, 9), Matrix::zeros(9, 9)];
+        let mut out_h = out_d.clone();
+        devb.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out_d]).unwrap();
+        host.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out_h]).unwrap();
         assert_eq!(out_d, out_h, "and the host's op order in the wrap");
     }
 

@@ -108,25 +108,6 @@ pub struct DMatrix {
     m: Matrix,
 }
 
-/// One side of a batched device GEMM: a single resident operand shared by
-/// every entry (uploaded once, read B times), or one operand per entry.
-#[derive(Clone, Copy, Debug)]
-pub enum DGemmOperand<'a> {
-    /// The same device matrix multiplies every entry of the stack.
-    Shared(&'a DMatrix),
-    /// Entry `e` uses `ds[e]`.
-    Each(&'a [DMatrix]),
-}
-
-impl<'a> DGemmOperand<'a> {
-    fn entry(&self, e: usize) -> &'a DMatrix {
-        match self {
-            DGemmOperand::Shared(d) => d,
-            DGemmOperand::Each(ds) => &ds[e],
-        }
-    }
-}
-
 impl DMatrix {
     /// Host view of the device contents (free of simulated cost — test hook;
     /// use [`Device::get_matrix_stack_into`] to model the PCIe read).
@@ -385,61 +366,51 @@ impl Device {
         Ok(DMatrix { m: src.m.clone() })
     }
 
-    /// `cublasDgemmStridedBatched`: `C_e = alpha·A_e·B_e + beta·C_e` for
-    /// every entry of the stack. Cost model: **one** kernel launch (the
-    /// batched driver submits the whole stack) plus the per-entry compute
-    /// time for each entry; per-entry completion counts one compute op each,
-    /// so bit-flip fault ordinals see every entry. Numerics are the host
-    /// batched kernel, bit-identical per entry to `linalg::gemm`.
-    pub fn try_dgemm_strided_batched(
+    /// `cublasDgemmStridedBatched` with one shared factor of a
+    /// Kronecker-factored operator, over reshaped entries: `dsts[e] ←
+    /// srcs[e]` with one axis multiplied by `op(factor)`
+    /// ([`linalg::kron::mode_product`], whose numerics — the host's, bit
+    /// for bit — it runs; `linalg::kron::steps` gives `op` and `inner`). A
+    /// dense operator is its own one factor, and then each entry is the
+    /// plain GEMM `factor·src` or `src·factor`. The reshape is free, as
+    /// strides are on a GPU. Cost model: **one** kernel launch (the batched
+    /// driver submits the whole stack) plus, per entry, the mode product's
+    /// GEMMs at the rate of one of them; each entry counts one compute op,
+    /// so bit-flip fault ordinals see every entry.
+    pub fn try_mode_product_batched(
         &mut self,
-        alpha: f64,
-        a: DGemmOperand<'_>,
-        b: DGemmOperand<'_>,
-        beta: f64,
-        cs: &mut [DMatrix],
+        factor: &DMatrix,
+        op: Op,
+        inner: usize,
+        srcs: &[DMatrix],
+        dsts: &mut [DMatrix],
     ) -> Result<(), DeviceError> {
-        if cs.is_empty() {
+        assert_eq!(srcs.len(), dsts.len());
+        if dsts.is_empty() {
             return Ok(());
         }
         self.try_launch("dgemm_strided_batched")?;
-        let (m, k) = (a.entry(0).nrows(), a.entry(0).ncols());
-        let n = b.entry(0).ncols();
-        let flops = 2.0 * m as f64 * n as f64 * k as f64;
-        let order = ((m * n * k) as f64).cbrt() as usize;
-        let per_entry = flops / (self.spec.gemm_rate(order) * 1e9);
-        self.clock.advance(per_entry * cs.len() as f64);
-
-        let a_each: Vec<&Matrix>;
-        let a_op = match a {
-            DGemmOperand::Shared(d) => linalg::GemmOperand::Shared(&d.m),
-            DGemmOperand::Each(ds) => {
-                a_each = ds.iter().map(|d| &d.m).collect();
-                linalg::GemmOperand::Each(&a_each)
-            }
-        };
-        let b_each: Vec<&Matrix>;
-        let b_op = match b {
-            DGemmOperand::Shared(d) => linalg::GemmOperand::Shared(&d.m),
-            DGemmOperand::Each(ds) => {
-                b_each = ds.iter().map(|d| &d.m).collect();
-                linalg::GemmOperand::Each(&b_each)
-            }
-        };
-        let mut c_refs: Vec<&mut Matrix> = cs.iter_mut().map(|c| &mut c.m).collect();
-        linalg::dgemm_strided_batched(
-            alpha,
-            a_op,
-            Op::NoTrans,
-            b_op,
-            Op::NoTrans,
-            beta,
-            &mut c_refs,
-        );
-        for c in cs.iter_mut() {
-            self.finish_compute(&mut c.m);
+        let n = factor.nrows();
+        let outer = srcs[0].m.as_slice().len() / (inner * n);
+        if inner == 1 {
+            self.charge_gemms((n, outer, n), 1, dsts.len());
+        } else {
+            self.charge_gemms((inner, n, n), outer, dsts.len());
+        }
+        for (src, dst) in srcs.iter().zip(dsts.iter_mut()) {
+            linalg::kron::mode_product(&factor.m, op, inner, &src.m, &mut dst.m);
+            self.finish_compute(&mut dst.m);
         }
         Ok(())
+    }
+
+    /// Advances the clock by `count` `m × n × k` GEMMs per entry of an
+    /// `entries`-entry stack, each at the saturation-curve rate of its order.
+    fn charge_gemms(&mut self, (m, n, k): (usize, usize, usize), count: usize, entries: usize) {
+        let flops = 2.0 * m as f64 * n as f64 * k as f64;
+        let order = ((m * n * k) as f64).cbrt() as usize;
+        let per_gemm = flops / (self.spec.gemm_rate(order) * 1e9);
+        self.clock.advance(per_gemm * count as f64 * entries as f64);
     }
 
     /// One launch streaming `len` elements (read + write) at `fraction` of
@@ -557,15 +528,14 @@ mod tests {
         out
     }
 
-    /// `c[0] = a·b` as a stack of one.
+    /// `c[0] = a·b` as a stack of one: `a` is a one-factor operator.
     fn dgemm(
         d: &mut Device,
         a: &DMatrix,
         b: &DMatrix,
         c: &mut [DMatrix],
     ) -> Result<(), DeviceError> {
-        let (a, b) = (DGemmOperand::Shared(a), DGemmOperand::Shared(b));
-        d.try_dgemm_strided_batched(1.0, a, b, 0.0, c)
+        d.try_mode_product_batched(a, Op::NoTrans, 1, std::slice::from_ref(b), c)
     }
 
     #[test]

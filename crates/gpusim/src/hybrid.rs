@@ -162,7 +162,7 @@ pub fn hybrid_greens(
     let mut lo = 0;
     while lo < slices {
         let hi = (lo + k).min(slices);
-        let mut products = try_cluster_crowd(dev, &expk_dev[0], fac, &[h], lo, hi, spin);
+        let mut products = try_cluster_crowd(dev, &expk_dev[0], &expk_dev, fac, &[h], lo, hi, spin);
         let product = match products.as_mut().map(|p| p.pop()) {
             Ok(Some(m)) if linalg::check::first_non_finite(m.as_slice()).is_none() => m,
             _ => {

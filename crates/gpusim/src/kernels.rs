@@ -11,7 +11,9 @@
 //! cluster ships `k` diagonal vectors down and one `N×N` product back, so
 //! `k` GEMMs amortise one transfer and clustering approaches device GEMM
 //! speed; a wrap moves `G` both ways for two GEMMs and cannot (the Figure 9
-//! gap).
+//! gap). The sweep's kernels take `e^{∓ΔτK}` as the host's factor list
+//! (`BMatrixFactory::expk_kron`) and issue one launch per factor; the cost
+//! studies pass the one dense matrix, the paper's DGEMM.
 //!
 //! The batched kernels add the second amortisation axis: every
 //! [`Device`] op they issue takes the whole slice of walkers, so launch
@@ -27,27 +29,52 @@
 //! downloads: a silently corrupted transfer surfaces as NaNs in the returned
 //! matrices, which the recovery-aware caller scans before use.
 
-use crate::device::{DGemmOperand, DMatrix, Device};
+use crate::device::{DMatrix, Device};
 use crate::faults::DeviceError;
 use dqmc::{BMatrixFactory, HsField, Spin};
-use linalg::{workspace, Matrix};
+use linalg::{kron, workspace, Matrix, Side};
+use std::slice;
+
+/// Multiplies every entry of `xs` by the operator whose Kronecker factors
+/// (fastest axis first) are `factors`, from `side`: the host's
+/// `Kron::apply` steps (`linalg::kron::steps`), one launch per factor,
+/// ping-ponging between `xs` and `spare`. Returns `(product, other)`.
+fn try_kron_apply(
+    dev: &mut Device,
+    factors: &[DMatrix],
+    side: Side,
+    xs: Vec<DMatrix>,
+    spare: Vec<DMatrix>,
+) -> Result<(Vec<DMatrix>, Vec<DMatrix>), DeviceError> {
+    let (mut src, mut dst) = (xs, spare);
+    let rows = src.first().map_or(0, DMatrix::nrows);
+    let orders = factors.iter().map(DMatrix::nrows);
+    for (f, (op, inner)) in factors.iter().zip(kron::steps(side, rows, orders)) {
+        dev.try_mode_product_batched(f, op, inner, &src, &mut dst)?;
+        std::mem::swap(&mut src, &mut dst);
+    }
+    Ok((src, dst))
+}
 
 /// Batched bit-exact wrap: `outs[i] ← B_l(h_i)·gs[i]·B_l(h_i)⁻¹` for every
 /// walker, issuing per entry the host path's exact op order (row-scale,
-/// GEMM, col-scale, GEMM — `BMatrixFactory::wrap_into`) as separate device
-/// launches, so each downloaded matrix is bit-identical to the host wrap.
-/// One launch more than the fused [`try_wrap_on_device_into`]: the modelled
-/// price of determinism.
+/// `e^{−ΔτK}` factor by factor, col-scale, `e^{+ΔτK}` factor by factor —
+/// `BMatrixFactory::wrap_into`) as separate device launches, so each
+/// downloaded matrix is bit-identical to the host wrap. `expk` and
+/// `expk_inv` are the resident factors (`BMatrixFactory::expk_kron`); with
+/// one dense factor each, one launch more than the fused
+/// [`try_wrap_on_device_into`]: the modelled price of determinism.
 ///
-/// Cost shape: **4 kernel launches** for the whole call (two batched
-/// scales, two strided-batched GEMMs) instead of `4·B`, and four stacked
-/// PCIe transactions (G stack down, two diagonal stacks down, product stack
-/// back) instead of `4·B`, so per-transfer latency is paid once per call.
+/// Cost shape: **2 + 2d kernel launches** for the whole call (two batched
+/// scales, one strided-batched GEMM per factor) instead of `(2 + 2d)·B`,
+/// and four stacked PCIe transactions (G stack down, two diagonal stacks
+/// down, product stack back) instead of `4·B`, so per-transfer latency is
+/// paid once per call.
 #[allow(clippy::too_many_arguments)]
 pub fn try_wrap_crowd_bitexact_into(
     dev: &mut Device,
-    expk_dev: &DMatrix,
-    expk_inv_dev: &DMatrix,
+    expk: &[DMatrix],
+    expk_inv: &[DMatrix],
     fac: &BMatrixFactory,
     hs: &[&HsField],
     l: usize,
@@ -71,16 +98,10 @@ pub fn try_wrap_crowd_bitexact_into(
         dev.set_vector_stack_into(&vrefs, &mut dvs);
         // diag(v_i)·G_i — the host's b_mul_left_into row scaling, batched.
         dev.try_scale_rows_kernel_batched(&dvs, &mut dgs)?;
-        // e^{−ΔτK} · (V_i G_i): one strided-batched GEMM with the shared
-        // resident read B times.
-        let mut ts = dev.try_alloc(n, n, b)?;
-        dev.try_dgemm_strided_batched(
-            1.0,
-            DGemmOperand::Shared(expk_dev),
-            DGemmOperand::Each(&dgs),
-            0.0,
-            &mut ts,
-        )?;
+        // e^{−ΔτK} · (V_i G_i): per factor one strided-batched GEMM with
+        // the shared resident read B times.
+        let spare = dev.try_alloc(n, n, b)?;
+        let (mut ts, _) = try_kron_apply(dev, expk, Side::Left, dgs, spare)?;
         // (·)·diag(v_i)⁻¹ — the host's b_inv_mul_right_into inverts after
         // the first GEMM; 1/x is exact in the same order here.
         for vh in vhs.iter_mut() {
@@ -92,14 +113,8 @@ pub fn try_wrap_crowd_bitexact_into(
         dev.set_vector_stack_into(&vinvrefs, &mut dvs);
         dev.try_scale_cols_kernel_batched(&dvs, &mut ts)?;
         // · e^{+ΔτK}
-        let mut prods = dev.try_alloc(n, n, b)?;
-        dev.try_dgemm_strided_batched(
-            1.0,
-            DGemmOperand::Each(&ts),
-            DGemmOperand::Shared(expk_inv_dev),
-            0.0,
-            &mut prods,
-        )?;
+        let spare = dev.try_alloc(n, n, b)?;
+        let (prods, _) = try_kron_apply(dev, expk_inv, Side::Right, ts, spare)?;
         let prefs: Vec<&DMatrix> = prods.iter().collect();
         dev.get_matrix_stack_into(&prefs, outs);
         Ok(())
@@ -112,16 +127,19 @@ pub fn try_wrap_crowd_bitexact_into(
 
 /// Batched cluster product (Algorithms 4+5): `B_{hi−1}(h_i) ⋯ B_{lo}(h_i)`
 /// for every walker, per entry in the host's op order — bit-identical to
-/// [`BMatrixFactory::cluster`].
+/// [`BMatrixFactory::cluster`] when `expk` is the host's factor list.
 ///
 /// The `k` diagonal stacks go down as one stacked transfer per slice and
-/// each slice costs one batched scale plus one strided-batched GEMM for the
-/// whole call; the B products come back in a single stacked download. Only
-/// the initial `e^{−ΔτK}` seeding copies remain per-walker (`B` on-device
-/// `dcopy` launches — no PCIe traffic).
+/// each slice costs one batched scale plus one strided-batched GEMM per
+/// factor for the whole call; the B products come back in a single stacked
+/// download. Only the initial seeding copies of the dense `e^{−ΔτK}`
+/// (`seed`; the one factor when there is one) remain per-walker (`B`
+/// on-device `dcopy` launches — no PCIe traffic).
+#[allow(clippy::too_many_arguments)]
 pub fn try_cluster_crowd(
     dev: &mut Device,
-    expk_dev: &DMatrix,
+    seed: &DMatrix,
+    expk: &[DMatrix],
     fac: &BMatrixFactory,
     hs: &[&HsField],
     lo: usize,
@@ -138,7 +156,7 @@ pub fn try_cluster_crowd(
     let r = (|| {
         let mut ts = Vec::with_capacity(b);
         for _ in 0..b {
-            ts.push(dev.try_dcopy(expk_dev)?);
+            ts.push(dev.try_dcopy(seed)?);
         }
         let mut dvs = vec![Vec::new(); b];
         for (vh, h) in vhs.iter_mut().zip(hs) {
@@ -147,7 +165,7 @@ pub fn try_cluster_crowd(
         let vrefs: Vec<&[f64]> = vhs.iter().map(|v| v.as_slice()).collect();
         dev.set_vector_stack_into(&vrefs, &mut dvs);
         dev.try_scale_cols_kernel_batched(&dvs, &mut ts)?;
-        // `t`/`next` ping-pong: the GEMM writes the fresh products into the
+        // `t`/`next` ping-pong: each GEMM writes the fresh products into the
         // other stack, then the stacks swap wholesale — one device
         // allocation per walker for the whole cluster, not one per slice.
         let mut nexts = dev.try_alloc(n, n, b)?;
@@ -158,14 +176,7 @@ pub fn try_cluster_crowd(
             let vrefs: Vec<&[f64]> = vhs.iter().map(|v| v.as_slice()).collect();
             dev.set_vector_stack_into(&vrefs, &mut dvs);
             dev.try_scale_rows_kernel_batched(&dvs, &mut ts)?;
-            dev.try_dgemm_strided_batched(
-                1.0,
-                DGemmOperand::Shared(expk_dev),
-                DGemmOperand::Each(&ts),
-                0.0,
-                &mut nexts,
-            )?;
-            std::mem::swap(&mut ts, &mut nexts);
+            (ts, nexts) = try_kron_apply(dev, expk, Side::Left, ts, nexts)?;
         }
         let mut outs: Vec<Matrix> = (0..b).map(|_| Matrix::zeros(n, n)).collect();
         {
@@ -203,22 +214,16 @@ pub fn try_cluster_cublas(
     let mut vh = workspace::take(n);
     let r = (|| {
         let mut vd = [Vec::new()];
-        let mut t = [dev.try_dcopy(expk_dev)?];
+        let mut t = vec![dev.try_dcopy(expk_dev)?];
         fac.v_diag_into(h, lo, spin, &mut vh);
         dev.set_vector_stack_into(&[&vh], &mut vd);
         dev.try_scale_cols_cublas(&vd[0], &mut t[0])?;
         for l in (lo + 1)..hi {
             fac.v_diag_into(h, l, spin, &mut vh);
             dev.set_vector_stack_into(&[&vh], &mut vd);
-            let mut vt = [dev.try_dcopy(&t[0])?];
+            let mut vt = vec![dev.try_dcopy(&t[0])?];
             dev.try_scale_rows_cublas(&vd[0], &mut vt[0])?;
-            dev.try_dgemm_strided_batched(
-                1.0,
-                DGemmOperand::Shared(expk_dev),
-                DGemmOperand::Each(&vt),
-                0.0,
-                &mut t,
-            )?;
+            (t, _) = try_kron_apply(dev, slice::from_ref(expk_dev), Side::Left, vt, t)?;
         }
         let mut out = Matrix::zeros(n, n);
         dev.get_matrix_stack_into(&[&t[0]], &mut [&mut out]);
@@ -258,24 +263,12 @@ pub fn try_wrap_on_device_into(
     workspace::put(vh);
     // V G V⁻¹ via the texture-cache kernel.
     dev.try_wrap_scale_kernel(&v[0], &mut dg[0])?;
-    // e^{−ΔτK} · (VGV⁻¹)
-    let mut t = dev.try_alloc(n, n, 1)?;
-    dev.try_dgemm_strided_batched(
-        1.0,
-        DGemmOperand::Shared(expk_dev),
-        DGemmOperand::Each(&dg),
-        0.0,
-        &mut t,
-    )?;
+    // e^{−ΔτK} · (VGV⁻¹): one dense factor, so one GEMM.
+    let t = dev.try_alloc(n, n, 1)?;
+    let (t, _) = try_kron_apply(dev, slice::from_ref(expk_dev), Side::Left, dg, t)?;
     // · e^{+ΔτK}
-    let mut prod = dev.try_alloc(n, n, 1)?;
-    dev.try_dgemm_strided_batched(
-        1.0,
-        DGemmOperand::Each(&t),
-        DGemmOperand::Shared(expk_inv_dev),
-        0.0,
-        &mut prod,
-    )?;
+    let prod = dev.try_alloc(n, n, 1)?;
+    let (prod, _) = try_kron_apply(dev, slice::from_ref(expk_inv_dev), Side::Right, t, prod)?;
     dev.get_matrix_stack_into(&[&prod[0]], &mut [out]);
     Ok(())
 }

@@ -43,7 +43,7 @@ pub mod kernels;
 pub mod pool;
 
 pub use backend::DeviceBackend;
-pub use device::{DGemmOperand, DMatrix, Device, DeviceSpec, HostSpec, LAUNCH_DEADLINE_S};
+pub use device::{DMatrix, Device, DeviceSpec, HostSpec, LAUNCH_DEADLINE_S};
 pub use faults::{DeviceError, FaultPlan};
 pub use hybrid::{hybrid_greens, HybridReport};
 pub use kernels::{
@@ -54,12 +54,14 @@ pub use pool::{DeviceLease, DevicePool, HealthDecision};
 // Unit tests of `kernels` and of `hybrid`'s full-GPU column, one file per
 // operation under `src/tests/`. They keep the module paths they had when
 // the kernels were four files, so a test has one name across the history of
-// the suite. They share one fixture: a C2050 with `e^{∓ΔτK}` resident.
+// the suite. They share one fixture: a C2050 with the model's `e^{∓ΔτK}`
+// resident, multiplied out.
 #[cfg(test)]
-fn device_with_residents(fac: &dqmc::BMatrixFactory) -> (Device, DMatrix, DMatrix) {
+fn device_with_residents(model: &dqmc::ModelParams) -> (Device, DMatrix, DMatrix) {
     let mut dev = Device::new(DeviceSpec::tesla_c2050());
-    let expk = dev.set_matrix_stack(&[fac.expk()]).remove(0);
-    let expk_inv = dev.set_matrix_stack(&[fac.expk_inv()]).remove(0);
+    let (expk, expk_inv) = model.lattice.expk(model.dtau, model.mu_tilde);
+    let expk = dev.set_matrix_stack(&[&expk]).remove(0);
+    let expk_inv = dev.set_matrix_stack(&[&expk_inv]).remove(0);
     (dev, expk, expk_inv)
 }
 #[cfg(test)]

@@ -481,16 +481,17 @@ mod tests {
         let h = dqmc::HsField::random(4, 4, &mut rng);
         use dqmc::ComputeBackend as _;
         // A leased device wraps to the host's bits.
-        let g = linalg::Matrix::random(4, 4, &mut rng);
-        let mut out = linalg::Matrix::zeros(4, 4);
-        let outs = &mut [&mut out];
+        let g = [(); 2].map(|_| linalg::Matrix::random(4, 4, &mut rng));
+        let mut out = [linalg::Matrix::zeros(4, 4), linalg::Matrix::zeros(4, 4)];
         let mut be = lease.backend(None);
-        be.wrap(&fac, &[&h], 0, dqmc::Spin::Up, &[&g], outs)
-            .unwrap();
-        assert_eq!(out, dqmc::greens::wrap(&fac, &h, 0, dqmc::Spin::Up, &g));
+        be.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out]).unwrap();
+        for spin in dqmc::Spin::BOTH {
+            let s = spin.index();
+            assert_eq!(out[s], dqmc::greens::wrap(&fac, &h, 0, spin, &g[s]));
+        }
         // The armed plan fires on the first launch.
         let mut be = lease.backend(Some(FaultPlan::new().fail_launch(1)));
-        assert!(be.cluster(&fac, &[&h], 0, 4, dqmc::Spin::Up).is_err());
+        assert!(be.cluster(&fac, &[&h], 0, 4).is_err());
     }
 
     #[test]
@@ -600,7 +601,7 @@ mod tests {
         let h = dqmc::HsField::random(4, 4, &mut rng);
         use dqmc::ComputeBackend as _;
         assert!(
-            be.cluster(&fac, &[&h], 0, 4, dqmc::Spin::Up).is_err(),
+            be.cluster(&fac, &[&h], 0, 4).is_err(),
             "slot profile armed without any job plan"
         );
         drop(lease);
@@ -613,7 +614,7 @@ mod tests {
         assert!(probe.is_probe());
         let mut be = probe.backend(None);
         assert!(
-            be.cluster(&fac, &[&h], 0, 4, dqmc::Spin::Up).is_ok(),
+            be.cluster(&fac, &[&h], 0, 4).is_ok(),
             "healed slot runs clean on probation"
         );
     }

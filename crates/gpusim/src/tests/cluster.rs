@@ -10,12 +10,12 @@ mod tests {
     use lattice::Lattice;
     use linalg::Matrix;
 
-    fn setup() -> (BMatrixFactory, HsField) {
+    fn setup() -> (ModelParams, BMatrixFactory, HsField) {
         let model = ModelParams::new(Lattice::square(4, 4, 1.0), 4.0, 0.0, 0.125, 20);
         let fac = BMatrixFactory::new(&model);
         let mut rng = util::Rng::new(5);
         let h = HsField::random(16, 20, &mut rng);
-        (fac, h)
+        (model, fac, h)
     }
 
     /// One walker's product through the batched kernel: a slice of one.
@@ -28,13 +28,14 @@ mod tests {
         hi: usize,
         spin: Spin,
     ) -> Result<Matrix, DeviceError> {
-        Ok(try_cluster_crowd(dev, expk, fac, &[h], lo, hi, spin)?.remove(0))
+        let expks = std::slice::from_ref(expk);
+        Ok(try_cluster_crowd(dev, expk, expks, fac, &[h], lo, hi, spin)?.remove(0))
     }
 
     #[test]
     fn cublas_cluster_matches_host() {
-        let (fac, h) = setup();
-        let (mut dev, expk, _) = device_with_residents(&fac);
+        let (model, fac, h) = setup();
+        let (mut dev, expk, _) = device_with_residents(&model);
         let got = try_cluster_cublas(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
         let want = fac.cluster(&h, 0, 10, Spin::Up);
         assert!(
@@ -47,8 +48,8 @@ mod tests {
 
     #[test]
     fn custom_kernel_cluster_matches_host() {
-        let (fac, h) = setup();
-        let (mut dev, expk, _) = device_with_residents(&fac);
+        let (model, fac, h) = setup();
+        let (mut dev, expk, _) = device_with_residents(&model);
         let got = cluster_one(&mut dev, &expk, &fac, &h, 3, 13, Spin::Down).unwrap();
         let want = fac.cluster(&h, 3, 13, Spin::Down);
         assert!(got.max_abs_diff(&want) < 1e-12 * want.max_abs().max(1.0));
@@ -56,22 +57,22 @@ mod tests {
 
     #[test]
     fn both_variants_identical_numerics() {
-        let (fac, h) = setup();
-        let (mut d1, e1, _) = device_with_residents(&fac);
+        let (model, fac, h) = setup();
+        let (mut d1, e1, _) = device_with_residents(&model);
         let a = try_cluster_cublas(&mut d1, &e1, &fac, &h, 0, 10, Spin::Up).unwrap();
-        let (mut d2, e2, _) = device_with_residents(&fac);
+        let (mut d2, e2, _) = device_with_residents(&model);
         let b = cluster_one(&mut d2, &e2, &fac, &h, 0, 10, Spin::Up).unwrap();
         assert_eq!(a, b, "cost models differ, numerics must not");
     }
 
     #[test]
     fn custom_kernel_is_faster() {
-        let (fac, h) = setup();
-        let (mut d1, e1, _) = device_with_residents(&fac);
+        let (model, fac, h) = setup();
+        let (mut d1, e1, _) = device_with_residents(&model);
         d1.reset_clock();
         try_cluster_cublas(&mut d1, &e1, &fac, &h, 0, 10, Spin::Up).unwrap();
 
-        let (mut d2, e2, _) = device_with_residents(&fac);
+        let (mut d2, e2, _) = device_with_residents(&model);
         d2.reset_clock();
         cluster_one(&mut d2, &e2, &fac, &h, 0, 10, Spin::Up).unwrap();
 
@@ -85,8 +86,8 @@ mod tests {
 
     #[test]
     fn transfers_are_k_vectors_plus_one_matrix() {
-        let (fac, h) = setup();
-        let (mut dev, expk, _) = device_with_residents(&fac);
+        let (model, fac, h) = setup();
+        let (mut dev, expk, _) = device_with_residents(&model);
         let before = dev.bytes_transferred();
         cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
         let moved = dev.bytes_transferred() - before;
@@ -97,8 +98,8 @@ mod tests {
 
     #[test]
     fn try_cluster_launch_failure_errs_then_retry_matches_host() {
-        let (fac, h) = setup();
-        let (mut dev, expk, _) = device_with_residents(&fac);
+        let (model, fac, h) = setup();
+        let (mut dev, expk, _) = device_with_residents(&model);
         // Launch #3 is the first row-scaling kernel inside the loop.
         dev.arm_faults(FaultPlan::new().fail_launch(3));
         let err = cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up);
@@ -110,8 +111,8 @@ mod tests {
 
     #[test]
     fn try_cluster_returns_tainted_product_without_panic() {
-        let (fac, h) = setup();
-        let (mut dev, expk, _) = device_with_residents(&fac);
+        let (model, fac, h) = setup();
+        let (mut dev, expk, _) = device_with_residents(&model);
         dev.arm_faults(FaultPlan::new().with_seed(4).corrupt_transfer(1));
         let tainted = cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
         assert!(linalg::check::first_non_finite(tainted.as_slice()).is_some());
@@ -125,7 +126,7 @@ mod tests {
         let fac = BMatrixFactory::new(&model);
         let mut rng = util::Rng::new(9);
         let h = HsField::random(256, 10, &mut rng);
-        let (mut dev, expk, _) = device_with_residents(&fac);
+        let (mut dev, expk, _) = device_with_residents(&model);
         dev.reset_clock();
         cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
         let flops = 9.0 * 2.0 * 256f64.powi(3); // k−1 GEMMs dominate

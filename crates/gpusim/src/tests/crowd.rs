@@ -14,7 +14,7 @@ mod tests {
     use lattice::Lattice;
     use linalg::Matrix;
 
-    fn setup(b: usize) -> (BMatrixFactory, Vec<HsField>, Vec<Matrix>) {
+    fn setup(b: usize) -> (ModelParams, BMatrixFactory, Vec<HsField>, Vec<Matrix>) {
         let model = ModelParams::new(Lattice::square(4, 4, 1.0), 4.0, 0.0, 0.125, 8);
         let fac = BMatrixFactory::new(&model);
         let mut hs = Vec::new();
@@ -25,7 +25,7 @@ mod tests {
             gs.push(dqmc::greens::greens_naive(&fac, &h, Spin::Up).g);
             hs.push(h);
         }
-        (fac, hs, gs)
+        (model, fac, hs, gs)
     }
 
     /// One bit-exact wrap call (slice 0, spin up) over the given walkers.
@@ -40,6 +40,7 @@ mod tests {
         let grefs: Vec<&Matrix> = gs.iter().collect();
         let mut outs: Vec<Matrix> = gs.iter().map(|_| Matrix::zeros(16, 16)).collect();
         let mut orefs: Vec<&mut Matrix> = outs.iter_mut().collect();
+        let (ek, eki) = (std::slice::from_ref(ek), std::slice::from_ref(eki));
         try_wrap_crowd_bitexact_into(dev, ek, eki, fac, &hrefs, 0, Spin::Up, &grefs, &mut orefs)
             .unwrap();
         outs
@@ -50,8 +51,8 @@ mod tests {
         // One call over B = 4 against four calls over B = 1 of the same
         // kernel, and both against the host.
         let b = 4;
-        let (fac, hs, gs) = setup(b);
-        let (mut dev, ek, eki) = device_with_residents(&fac);
+        let (model, fac, hs, gs) = setup(b);
+        let (mut dev, ek, eki) = device_with_residents(&model);
         let crowd_outs = wrap_call(&mut dev, (&ek, &eki), &fac, &hs, &gs);
         for i in 0..b {
             let solo = wrap_call(&mut dev, (&ek, &eki), &fac, &hs[i..=i], &gs[i..=i]);
@@ -64,10 +65,11 @@ mod tests {
     #[test]
     fn crowd_cluster_is_bit_identical_to_host_products() {
         let b = 3;
-        let (fac, hs, _) = setup(b);
-        let (mut dev, ek, _) = device_with_residents(&fac);
+        let (model, fac, hs, _) = setup(b);
+        let (mut dev, ek, _) = device_with_residents(&model);
         let hrefs: Vec<&HsField> = hs.iter().collect();
-        let prods = try_cluster_crowd(&mut dev, &ek, &fac, &hrefs, 0, 8, Spin::Down).unwrap();
+        let eks = std::slice::from_ref(&ek);
+        let prods = try_cluster_crowd(&mut dev, &ek, eks, &fac, &hrefs, 0, 8, Spin::Down).unwrap();
         assert_eq!(prods.len(), b);
         for (i, (p, h)) in prods.iter().zip(&hs).enumerate() {
             let want = fac.cluster(h, 0, 8, Spin::Down);
@@ -82,8 +84,8 @@ mod tests {
         // moving exactly B× the solo byte volume.
         let b = 4usize;
         let n = 16usize;
-        let (fac, hs, gs) = setup(b);
-        let (mut dev, ek, eki) = device_with_residents(&fac);
+        let (model, fac, hs, gs) = setup(b);
+        let (mut dev, ek, eki) = device_with_residents(&model);
         let (k0, b0) = (dev.kernels_launched(), dev.bytes_transferred());
         wrap_call(&mut dev, (&ek, &eki), &fac, &hs, &gs);
         assert_eq!(dev.kernels_launched() - k0, 4);
@@ -103,8 +105,8 @@ mod tests {
     #[test]
     fn crowd_wrap_is_cheaper_than_solo_wraps_on_the_model_clock() {
         let b = 8usize;
-        let (fac, hs, gs) = setup(b);
-        let (mut dev, ek, eki) = device_with_residents(&fac);
+        let (model, fac, hs, gs) = setup(b);
+        let (mut dev, ek, eki) = device_with_residents(&model);
 
         dev.reset_clock();
         wrap_call(&mut dev, (&ek, &eki), &fac, &hs, &gs);

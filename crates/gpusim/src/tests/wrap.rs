@@ -13,13 +13,13 @@ mod tests {
     use lattice::Lattice;
     use linalg::Matrix;
 
-    fn setup() -> (BMatrixFactory, HsField, Matrix) {
+    fn setup() -> (ModelParams, BMatrixFactory, HsField, Matrix) {
         let model = ModelParams::new(Lattice::square(4, 4, 1.0), 4.0, 0.0, 0.125, 8);
         let fac = BMatrixFactory::new(&model);
         let mut rng = util::Rng::new(7);
         let h = HsField::random(16, 8, &mut rng);
         let g = dqmc::greens::greens_naive(&fac, &h, Spin::Up).g;
-        (fac, h, g)
+        (model, fac, h, g)
     }
 
     /// Algorithm 6/7, slice 0, spin up, into a fresh matrix.
@@ -45,14 +45,15 @@ mod tests {
     ) -> Result<Matrix, DeviceError> {
         let mut out = Matrix::zeros(g.nrows(), g.ncols());
         let outs = &mut [&mut out];
+        let (ek, eki) = (std::slice::from_ref(ek), std::slice::from_ref(eki));
         try_wrap_crowd_bitexact_into(dev, ek, eki, fac, &[h], 0, Spin::Up, &[g], outs)?;
         Ok(out)
     }
 
     #[test]
     fn device_wrap_matches_host_wrap() {
-        let (fac, h, g) = setup();
-        let (mut dev, ek, eki) = device_with_residents(&fac);
+        let (model, fac, h, g) = setup();
+        let (mut dev, ek, eki) = device_with_residents(&model);
         let got = wrap_fused(&mut dev, (&ek, &eki), &fac, &h, &g).unwrap();
         let want = dqmc::greens::wrap(&fac, &h, 0, Spin::Up, &g);
         assert!(
@@ -64,8 +65,8 @@ mod tests {
 
     #[test]
     fn bitexact_wrap_is_bit_identical_to_host_wrap() {
-        let (fac, h, g) = setup();
-        let (mut dev, ek, eki) = device_with_residents(&fac);
+        let (model, fac, h, g) = setup();
+        let (mut dev, ek, eki) = device_with_residents(&model);
         let got = wrap_bitexact(&mut dev, (&ek, &eki), &fac, &h, &g).unwrap();
         let want = dqmc::greens::wrap(&fac, &h, 0, Spin::Up, &g);
         // Exactly zero: the whole point of the deterministic mode.
@@ -82,8 +83,8 @@ mod tests {
 
     #[test]
     fn bitexact_wrap_still_pays_device_costs() {
-        let (fac, h, g) = setup();
-        let (mut dev, ek, eki) = device_with_residents(&fac);
+        let (model, fac, h, g) = setup();
+        let (mut dev, ek, eki) = device_with_residents(&model);
         let (t0, k0, b0) = (
             dev.elapsed(),
             dev.kernels_launched(),
@@ -103,8 +104,8 @@ mod tests {
 
     #[test]
     fn wrap_transfers_two_matrices_and_a_vector() {
-        let (fac, h, g) = setup();
-        let (mut dev, ek, eki) = device_with_residents(&fac);
+        let (model, fac, h, g) = setup();
+        let (mut dev, ek, eki) = device_with_residents(&model);
         let before = dev.bytes_transferred();
         wrap_fused(&mut dev, (&ek, &eki), &fac, &h, &g).unwrap();
         let moved = (dev.bytes_transferred() - before) as usize;
@@ -114,8 +115,8 @@ mod tests {
 
     #[test]
     fn try_wrap_oom_errs_then_retry_succeeds_and_corruption_is_visible() {
-        let (fac, h, g) = setup();
-        let (mut dev, ek, eki) = device_with_residents(&fac);
+        let (model, fac, h, g) = setup();
+        let (mut dev, ek, eki) = device_with_residents(&model);
         dev.arm_faults(
             FaultPlan::new()
                 .with_seed(2)
@@ -143,9 +144,19 @@ mod tests {
         let h = HsField::random(64, 10, &mut rng);
         let g = dqmc::greens::greens_naive(&fac, &h, Spin::Up).g;
 
-        let (mut dev, ek, eki) = device_with_residents(&fac);
+        let (mut dev, ek, eki) = device_with_residents(&model);
         dev.reset_clock();
-        try_cluster_crowd(&mut dev, &ek, &fac, &[&h], 0, 10, Spin::Up).unwrap();
+        try_cluster_crowd(
+            &mut dev,
+            &ek,
+            std::slice::from_ref(&ek),
+            &fac,
+            &[&h],
+            0,
+            10,
+            Spin::Up,
+        )
+        .unwrap();
         let t_cluster = dev.elapsed();
         let rate_cluster = 9.0 * 2.0 * 64f64.powi(3) / t_cluster;
 

@@ -222,17 +222,44 @@ impl Lattice {
         (fwd, bwd)
     }
 
+    /// The pair `(e^{−ΔτK}, e^{+ΔτK})` as Kronecker factors, fastest axis
+    /// first (`e^{sK} = ⋯ ⊗ factors[1] ⊗ factors[0]`): the 1D exponentials
+    /// of the axes longer than one site, `e^{−sμ̃}` folded into the first.
+    /// A lattice with one such axis has one factor, its dense [`Self::expk`].
+    pub fn expk_factors(&self, dtau: f64, mu_tilde: f64) -> (Vec<Matrix>, Vec<Matrix>) {
+        let factors = |s: f64| {
+            let mut fs: Vec<Matrix> = self
+                .axis_exps(s)
+                .into_iter()
+                .filter(|e| e.nrows() > 1)
+                .collect();
+            match fs.first_mut() {
+                Some(first) => first.scale((-s * mu_tilde).exp()),
+                None => fs.push(self.expk_one(s, mu_tilde)),
+            }
+            fs
+        };
+        (factors(-dtau), factors(dtau))
+    }
+
     /// `e^{s·K}` for this lattice via the separable (Kronecker) construction.
     fn expk_one(&self, s: f64, mu_tilde: f64) -> Matrix {
         // K = −μ̃ I + (hopping); e^{sK} = e^{−sμ̃} · e^{s·hopping}.
-        let ex = ring_exp(self.lx, self.t, s, true);
-        let ey = ring_exp(self.ly, self.ty, s, true);
-        let ez = ring_exp(self.lz, self.tz, s, self.periodic_z);
+        let [ex, ey, ez] = self.axis_exps(s);
         // Site index is x-fastest: full = Ez ⊗ Ey ⊗ Ex.
         let eyx = kron::kron(&ey, &ex);
         let mut full = kron::kron(&ez, &eyx);
         full.scale((-s * mu_tilde).exp());
         full
+    }
+
+    /// The hopping exponentials `e^{s·H}` of the x, y and z chains.
+    fn axis_exps(&self, s: f64) -> [Matrix; 3] {
+        [
+            ring_exp(self.lx, self.t, s, true),
+            ring_exp(self.ly, self.ty, s, true),
+            ring_exp(self.lz, self.tz, s, self.periodic_z),
+        ]
     }
 
     /// Wrapped displacement `(dx, dy)` from site `i` to site `j` within one

@@ -65,7 +65,7 @@ impl Op {
         }
     }
     /// The other flag: `op(X)ᵀ` is `op.flipped()(X)`.
-    fn flipped(self) -> Op {
+    pub(crate) fn flipped(self) -> Op {
         match self {
             Op::NoTrans => Op::Trans,
             Op::Trans => Op::NoTrans,

@@ -24,6 +24,7 @@
 //! | [`tri`] | dtrsm/dtrmm/dtrtri | T-matrix updates |
 //! | [`eig`] | dsyev (Jacobi) | matrix exponential of K |
 //! | [`expm`] | — | B = e^{−ΔτK} |
+//! | [`kron`] | — | products with e^{∓ΔτK} kept as its Kronecker factors |
 //! | [`scale`] | custom OpenMP kernels of §IV-B | row/col scalings, column norms |
 //! | [`perm`] | dlapmt | pivoting and pre-pivoting |
 //! | [`team`] | the OpenMP runtime of §IV-B | one fork-join team: GEMM chunks, the spin pair |
@@ -43,6 +44,7 @@ pub mod blas3;
 pub mod check;
 pub mod eig;
 pub mod expm;
+pub mod kron;
 pub mod lu;
 pub mod matrix;
 pub mod perm;
@@ -59,6 +61,7 @@ pub use batch::{dgemm_strided_batched, qrp_batched, GemmOperand};
 pub use blas3::{gemm, gemm_naive, gemm_with_kernel, Op};
 pub use eig::SymEig;
 pub use expm::sym_expm;
+pub use kron::{Kron, Side};
 pub use lu::LuFactors;
 pub use matrix::Matrix;
 pub use perm::Permutation;

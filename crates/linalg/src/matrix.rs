@@ -379,6 +379,25 @@ impl Matrix {
             _borrow: PhantomData,
         }
     }
+
+    /// The buffer read as a `rows × cols` matrix: a reshape, no copy.
+    #[inline]
+    pub(crate) fn view_as(&self, rows: usize, cols: usize) -> View<'_> {
+        assert_eq!(rows * cols, self.data.len(), "reshape changes the length");
+        View {
+            rows,
+            cols,
+            ld: rows,
+            ..self.view()
+        }
+    }
+
+    /// [`Matrix::view_as`], writable.
+    #[inline]
+    pub(crate) fn view_mut_as(&mut self, rows: usize, cols: usize) -> ViewMut<'_> {
+        assert_eq!(rows * cols, self.data.len(), "reshape changes the length");
+        ViewMut::of_columns(&mut self.data, rows)
+    }
 }
 
 impl<'a> View<'a> {

@@ -334,6 +334,29 @@ pub fn for_each_chunk(n: usize, f: impl Fn(usize) + Sync) {
     }
 }
 
+/// [`for_each_chunk`] with one chunk per element of `items`: chunk `i` gets
+/// `&mut items[i]` and nothing else, so each chunk owns its output.
+pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+    /// The slice's base pointer, shared by the chunks.
+    struct Base<T>(*mut T);
+    // SAFETY: chunks only reach the elements through `get`, one distinct
+    // index each (below), and `T: Send` lets an element move to a helper.
+    unsafe impl<T: Send> Sync for Base<T> {}
+    impl<T> Base<T> {
+        /// # Safety
+        /// `i` is in bounds and no other live reference reaches element `i`.
+        unsafe fn get(&self, i: usize) -> *mut T {
+            // SAFETY: in bounds by this function's contract.
+            unsafe { self.0.add(i) }
+        }
+    }
+    let base = Base(items.as_mut_ptr());
+    // SAFETY: `for_each_chunk` runs each index below `items.len()` exactly
+    // once, so element `i` is borrowed by chunk `i` alone, and `items` stays
+    // exclusively borrowed until every chunk has returned.
+    for_each_chunk(items.len(), |i| f(i, unsafe { &mut *base.get(i) }));
+}
+
 /// Takes the team until the guard drops, so every kernel meanwhile — on any
 /// thread — runs its chunks serially, exactly as a kernel nested inside a
 /// chunk does. Waits for a fork in flight. Not re-entrant. For the 1-thread
@@ -555,6 +578,14 @@ mod tests {
                 fork_counts(team, 3);
             });
         });
+    }
+
+    #[test]
+    #[cfg(not(loom))]
+    fn for_each_mut_hands_each_chunk_its_own_element() {
+        let mut items = vec![0usize; 9];
+        for_each_mut(&mut items, |i, x| *x += i + 1);
+        assert_eq!(items, (1..=9).collect::<Vec<_>>());
     }
 
     #[test]

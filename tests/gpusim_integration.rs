@@ -33,13 +33,15 @@ fn device_clusters_reproduce_simulation_greens() {
     let mut dev = Device::new(DeviceSpec::tesla_c2050());
     let expk = dev.set_matrix_stack(&[core.fac.expk()]).remove(0);
 
+    let expks = std::slice::from_ref(&expk);
     for spin in [Spin::Up, Spin::Down] {
         let mut clusters = Vec::new();
         let mut lo = 0;
         while lo < 20 {
             let hs = [&core.h];
             clusters.extend(
-                try_cluster_crowd(&mut dev, &expk, &core.fac, &hs, lo, lo + 5, spin).unwrap(),
+                try_cluster_crowd(&mut dev, &expk, expks, &core.fac, &hs, lo, lo + 5, spin)
+                    .unwrap(),
             );
             lo += 5;
         }
@@ -56,8 +58,10 @@ fn device_wrap_chain_matches_host_chain() {
     // (same GEMM kernel underneath, the scaling in a different place).
     let core = thermalised_core(3, 20);
     let mut dev = Device::new(DeviceSpec::tesla_c2050());
-    let ek = dev.set_matrix_stack(&[core.fac.expk()]).remove(0);
-    let eki = dev.set_matrix_stack(&[core.fac.expk_inv()]).remove(0);
+    let model = &core.params.model;
+    let (expk, expk_inv) = model.lattice.expk(model.dtau, model.mu_tilde);
+    let ek = dev.set_matrix_stack(&[&expk]).remove(0);
+    let eki = dev.set_matrix_stack(&[&expk_inv]).remove(0);
 
     let mut g_host = core.greens(Spin::Up).clone();
     let mut g_dev = g_host.clone();
@@ -103,7 +107,18 @@ fn simulated_time_is_deterministic() {
         let core = thermalised_core(3, 20);
         let mut dev = Device::new(DeviceSpec::tesla_c2050());
         let expk = dev.set_matrix_stack(&[core.fac.expk()]).remove(0);
-        try_cluster_crowd(&mut dev, &expk, &core.fac, &[&core.h], 0, 5, Spin::Up).unwrap();
+        let expks = std::slice::from_ref(&expk);
+        try_cluster_crowd(
+            &mut dev,
+            &expk,
+            expks,
+            &core.fac,
+            &[&core.h],
+            0,
+            5,
+            Spin::Up,
+        )
+        .unwrap();
         dev.elapsed()
     };
     assert_eq!(run(), run(), "device model must be exactly reproducible");
@@ -146,11 +161,10 @@ impl ComputeBackend for Probe {
         fac: &BMatrixFactory,
         hs: &[&HsField],
         l: usize,
-        spin: Spin,
-        gs: &[&Matrix],
-        outs: &mut [&mut Matrix],
+        gs: &[&[Matrix; 2]],
+        outs: &mut [&mut [Matrix; 2]],
     ) -> Result<(), BackendFault> {
-        self.counted(true, |be| be.wrap(fac, hs, l, spin, gs, outs))
+        self.counted(true, |be| be.wrap(fac, hs, l, gs, outs))
     }
     fn cluster(
         &mut self,
@@ -158,9 +172,8 @@ impl ComputeBackend for Probe {
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-        spin: Spin,
-    ) -> Result<Vec<Matrix>, BackendFault> {
-        self.counted(false, |be| be.cluster(fac, hs, lo, hi, spin))
+    ) -> Result<Vec<[Matrix; 2]>, BackendFault> {
+        self.counted(false, |be| be.cluster(fac, hs, lo, hi))
     }
     fn notify_fault(&mut self) {
         self.inner.notify_fault()
@@ -227,6 +240,33 @@ fn a_batch_of_one_charges_what_the_per_walker_kernels_charged() {
         assert_eq!(cluster_launches, clusters, "{what}");
         assert_eq!(crowd.device_seconds().to_bits(), seconds, "{what}");
     }
+}
+
+#[test]
+fn a_crowd_past_the_crossover_is_byte_identical_on_the_device() {
+    // 12×12: both backends apply e^{∓ΔτK} one lattice axis at a time, the
+    // host with the spin pair on two cores, the device spin after spin.
+    let model = ModelParams::new(Lattice::square(12, 12, 1.0), 4.0, 0.0, 0.125, 8);
+    assert!(model.nsites() >= dqmc::bmat::KRON_MIN_SITES);
+    let params: Vec<SimParams> = (0..2)
+        .map(|c| {
+            SimParams::new(model.clone())
+                .with_sweeps(1, 1)
+                .with_seed(chain_seed(51, 0, c))
+                .with_cluster_size(4)
+                .with_bin_size(1)
+        })
+        .collect();
+    let mut host = Crowd::new(params.clone());
+    host.run();
+    let device = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
+    let mut dev = Crowd::new(params).with_backend(Box::new(device));
+    dev.run();
+    assert!(dev.device_seconds() > 0.0, "the products ran on the device");
+    for (c, (h, d)) in host.walkers().iter().zip(dev.walkers()).enumerate() {
+        assert_eq!(obs_bytes(h), obs_bytes(d), "walker {c} observables");
+    }
+    assert!(host.checkpoint_bytes() == dev.checkpoint_bytes());
 }
 
 #[test]
