@@ -140,13 +140,19 @@ pub trait ComputeBackend: fmt::Debug + Send {
     }
 }
 
+/// Whether the two spins of an `N`-site walker run on two cores: when one
+/// `N`-order GEMM alone would fork (`2N³ ≥ FORK_FLOPS`).
+pub(crate) fn spins_fork(n: usize) -> bool {
+    2 * n * n * n >= team::FORK_FLOPS
+}
+
 /// Runs `f` on each spin's share of a job, `work[σ]` owned by spin `σ`'s
 /// call: as one team job of two chunks when one `N`-order GEMM alone would
 /// fork — a spare core then takes one spin, and the kernels inside see the
 /// team taken and stay serial — and in turn on the calling thread otherwise.
 pub(crate) fn for_each_spin<T: Send>(n: usize, work: &mut [T; 2], f: impl Fn(Spin, &mut T) + Sync) {
     let f = |s: usize, t: &mut T| f(Spin::BOTH[s], t);
-    if 2 * n * n * n >= team::FORK_FLOPS {
+    if spins_fork(n) {
         team::for_each_mut(work, f);
     } else {
         work.iter_mut().enumerate().for_each(|(s, t)| f(s, t));

@@ -42,7 +42,9 @@
 //! one walker's shrink neither breaks lockstep nor hands it a neighbour's
 //! products.
 
-use crate::backend::{for_each_spin, BackendFault, ComputeBackend, FaultKind, HostBackend};
+use crate::backend::{
+    for_each_spin, spins_fork, BackendFault, ComputeBackend, FaultKind, HostBackend,
+};
 use crate::bmat::BMatrixFactory;
 use crate::greens::{self, greens_from_udt, GreensFunction};
 use crate::hs::HsField;
@@ -54,7 +56,7 @@ use crate::recovery::{
 };
 use crate::recycle::ClusterCache;
 use crate::stratify::stratify;
-use crate::update::SliceUpdater;
+use crate::update::{visit_sites, Decider, Side, SpinSide};
 use linalg::check::first_non_finite;
 use linalg::{workspace, Matrix};
 use util::{DqmcError, Rng, RunningStats};
@@ -367,42 +369,51 @@ impl DqmcCore {
         SweepDriver::new(Box::new(HostBackend)).try_sweep(&mut [Lane { core: self, obs }])
     }
 
-    /// The Metropolis site loop for one time slice: delayed rank-1 updates
-    /// over every site, cache invalidation on any accepted flip.
+    /// The Metropolis site loop for one time slice ([`visit_sites`]): the
+    /// slice's `α_σ` first, then delayed rank-1 updates over every site,
+    /// then the stream, sign and counters written back, and cache
+    /// invalidation on any accepted flip.
     fn metropolis_slice(&mut self, l: usize) {
         let n = self.nsites();
-        let nu = self.fac.nu();
         let nb = self.params.delay_block;
         let t0 = std::time::Instant::now();
-        let gup = std::mem::replace(&mut self.g[0], Matrix::zeros(0, 0));
-        let gdn = std::mem::replace(&mut self.g[1], Matrix::zeros(0, 0));
-        let mut up = SliceUpdater::new(gup, nb);
-        let mut dn = SliceUpdater::new(gdn, nb);
-        let mut any_accept = false;
-        for i in 0..n {
-            let hli = self.h.get(l, i);
-            let alpha_up = (-2.0 * nu * hli).exp() - 1.0;
-            let alpha_dn = (2.0 * nu * hli).exp() - 1.0;
-            let d_up = 1.0 + alpha_up * (1.0 - up.gii(i));
-            let d_dn = 1.0 + alpha_dn * (1.0 - dn.gii(i));
-            let r = d_up * d_dn;
-            self.proposed += 1;
-            let p_accept = self.params.acceptance.probability(r.abs());
-            if self.rng.next_f64() < p_accept {
-                self.h.flip(l, i);
-                up.accept(i, alpha_up, d_up);
-                dn.accept(i, alpha_dn, d_dn);
-                if r < 0.0 {
-                    self.sign = -self.sign;
-                }
-                self.accepted += 1;
-                any_accept = true;
+        let nu = self.fac.nu();
+        let alpha = |c: f64| {
+            let mut alpha = workspace::take(n);
+            for (i, a) in alpha.iter_mut().enumerate() {
+                *a = (c * self.h.get(l, i)).exp() - 1.0;
             }
-        }
-        self.g[0] = up.into_g();
-        self.g[1] = dn.into_g();
+            alpha
+        };
+        let (alpha_up, alpha_dn) = (alpha(-2.0 * nu), alpha(2.0 * nu));
+        let empty = || Matrix::zeros(0, 0);
+        let [gup, gdn] = std::mem::replace(&mut self.g, [empty(), empty()]);
+        let (acceptance, sign) = (self.params.acceptance, self.sign);
+        let mut sides = [
+            Side {
+                spin: SpinSide::new(gup, nb, alpha_up),
+                decider: Decider::new(self.rng.clone(), acceptance, sign, Some((&mut self.h, l))),
+            },
+            Side {
+                spin: SpinSide::new(gdn, nb, alpha_dn),
+                decider: Decider::new(self.rng.clone(), acceptance, sign, None),
+            },
+        ];
+        visit_sites(&mut sides, n, spins_fork(n));
+        let [up, dn] = sides;
+        let Decider {
+            rng,
+            sign,
+            accepted,
+            ..
+        } = up.decider;
+        self.g = [up.spin.into_g(), dn.spin.into_g()];
+        self.rng = rng;
+        self.sign = sign;
+        self.proposed += n as u64;
+        self.accepted += accepted;
         self.timer.add(phases::DELAYED_UPDATE, t0.elapsed());
-        if any_accept {
+        if accepted > 0 {
             self.cache.invalidate_slice(l);
         }
     }

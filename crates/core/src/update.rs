@@ -1,4 +1,5 @@
-//! Metropolis rank-1 Green's-function updates, with delay blocking.
+//! Metropolis rank-1 Green's-function updates, with delay blocking, and the
+//! site loop of a time slice.
 //!
 //! After an accepted flip at site `i` the Green's function changes by a
 //! rank-1 matrix (§II-B):
@@ -13,9 +14,25 @@
 //! entries each Metropolis step actually needs (one diagonal element, then
 //! one row and one column) from `G₀ + U·Wᵀ` at O(N·j) cost. Every `nb`
 //! accepted updates the panels are flushed into `G₀` with a single GEMM.
+//!
+//! **One spin per core.** The two spins of a slice share only the
+//! accept/reject decision, which needs `r = d_up·d_dn`. Past the fork cut
+//! (`2N³ ≥ FORK_FLOPS`) [`visit_sites`] runs each spin's side on its own core
+//! for the whole slice ([`team::lockstep`]): at every site the sides swap
+//! their `d_σ`, both form `r` in that order and draw the site's uniform from
+//! their own copy of the walker's stream, so they decide alike with no second
+//! handoff. Each side then applies its own rank-1 column and flush, whose
+//! GEMM runs serially because the team is taken, so a spin's `G`, `U` and
+//! `W` stay in one core's cache. Below the cut, with the team taken, or when
+//! the pair is refused, the same per-site steps run in turn on the calling
+//! thread. Each spin keeps its op order either way, so no byte depends on
+//! which loop ran.
 
-use linalg::blas3::{gemm, Op};
-use linalg::{workspace, Matrix};
+use crate::hs::HsField;
+use crate::hubbard::Acceptance;
+use linalg::blas3::rank_k_update;
+use linalg::{team, workspace, Matrix};
+use util::Rng;
 
 /// Delayed-update accumulator around one spin's Green's function at a fixed
 /// time slice.
@@ -111,25 +128,6 @@ impl SliceUpdater {
         v
     }
 
-    /// Current row `G[i, :]` and column `G[:, i]` through pending updates.
-    ///
-    /// The slices borrow the updater's internal scratch (refilled on every
-    /// call and invalidated by the next `&mut self` method) — no allocation
-    /// per Metropolis proposal.
-    pub fn row_col(&mut self, i: usize) -> (&[f64], &[f64]) {
-        let SliceUpdater {
-            g,
-            u,
-            w,
-            scratch_row,
-            scratch_col,
-            pending,
-            ..
-        } = self;
-        reconstruct_row_col(g, u, w, *pending, i, scratch_row, scratch_col);
-        (&self.scratch_row, &self.scratch_col)
-    }
-
     /// Records an accepted flip at site `i` with HS coefficient `alpha` and
     /// acceptance denominator `d = 1 + α(1 − G_ii)`.
     ///
@@ -162,19 +160,13 @@ impl SliceUpdater {
         }
     }
 
-    /// Flushes pending updates into `G₀` with one GEMM: `G₀ += U Wᵀ`.
+    /// Flushes pending updates into `G₀` with one GEMM, `G₀ += U Wᵀ`, on the
+    /// panels' leading `pending` columns in place.
     pub fn flush(&mut self) {
         if self.pending == 0 {
             return;
         }
-        let n = self.n();
-        let mut up = workspace::take_matrix(n, self.pending);
-        self.u.copy_submatrix_into(0, 0, &mut up);
-        let mut wp = workspace::take_matrix(n, self.pending);
-        self.w.copy_submatrix_into(0, 0, &mut wp);
-        gemm(1.0, &up, Op::NoTrans, &wp, Op::Trans, 1.0, &mut self.g);
-        workspace::put_matrix(up);
-        workspace::put_matrix(wp);
+        rank_k_update(&self.u, &self.w, self.pending, &mut self.g);
         self.pending = 0;
     }
 
@@ -209,6 +201,126 @@ impl SliceUpdater {
     }
 }
 
+/// One spin's side of a slice: its delayed-update accumulator, the slice's
+/// `α_σ` per site, and the `d_σ` of the site last proposed.
+pub(crate) struct SpinSide {
+    upd: SliceUpdater,
+    alpha: Vec<f64>,
+    d: f64,
+}
+
+impl SpinSide {
+    /// Wraps `g` with delay block `nb`. `alpha` is leased from the workspace
+    /// arena; [`SpinSide::into_g`] gives it back.
+    pub(crate) fn new(g: Matrix, nb: usize, alpha: Vec<f64>) -> Self {
+        SpinSide {
+            upd: SliceUpdater::new(g, nb),
+            alpha,
+            d: 0.0,
+        }
+    }
+
+    /// `d_σ = 1 + α_σ(1 − G_σ(i,i))` of a flip at site `i`.
+    fn propose(&mut self, i: usize) -> f64 {
+        self.d = 1.0 + self.alpha[i] * (1.0 - self.upd.gii(i));
+        self.d
+    }
+
+    /// Applies the flip at site `i` to `G_σ` if it was accepted.
+    fn commit(&mut self, i: usize, accepted: bool) {
+        if accepted {
+            self.upd.accept(i, self.alpha[i], self.d);
+        }
+    }
+
+    /// Flushes and returns the updated Green's function.
+    pub(crate) fn into_g(self) -> Matrix {
+        workspace::put(self.alpha);
+        self.upd.into_g()
+    }
+}
+
+/// The accept/reject half of a slice: a copy of the walker's stream, the
+/// configuration sign and the tally. Both sides hold one and make the same
+/// draws; side 0's, the one that holds the HS field, is written back.
+pub(crate) struct Decider<'a> {
+    pub(crate) rng: Rng,
+    acceptance: Acceptance,
+    /// The field and the slice whose entries accepted flips negate.
+    field: Option<(&'a mut HsField, usize)>,
+    pub(crate) sign: f64,
+    pub(crate) accepted: u64,
+}
+
+impl<'a> Decider<'a> {
+    pub(crate) fn new(
+        rng: Rng,
+        acceptance: Acceptance,
+        sign: f64,
+        field: Option<(&'a mut HsField, usize)>,
+    ) -> Self {
+        Decider {
+            rng,
+            acceptance,
+            field,
+            sign,
+            accepted: 0,
+        }
+    }
+
+    /// Accepts the flip at site `i` with probability `p(|r|)`,
+    /// `r = d_up·d_dn`, drawing one uniform.
+    fn decide(&mut self, i: usize, d_up: f64, d_dn: f64) -> bool {
+        let r = d_up * d_dn;
+        let accepted = self.rng.next_f64() < self.acceptance.probability(r.abs());
+        if accepted {
+            self.accepted += 1;
+            if r < 0.0 {
+                self.sign = -self.sign;
+            }
+            if let Some((h, l)) = &mut self.field {
+                h.flip(*l, i);
+            }
+        }
+        accepted
+    }
+}
+
+/// One spin's seat in a slice.
+pub(crate) struct Side<'a> {
+    pub(crate) spin: SpinSide,
+    pub(crate) decider: Decider<'a>,
+}
+
+/// Visits sites `0..n` of a slice with both spins, `sides[0]` up and
+/// `sides[1]` down: as a lockstep pair when `paired` and the team grants
+/// one, otherwise in turn on this thread (module docs).
+pub(crate) fn visit_sites(sides: &mut [Side<'_>; 2], n: usize, paired: bool) {
+    let lockstep = paired
+        && team::lockstep(sides, |s, side, partner| {
+            for i in 0..n {
+                let d = side.spin.propose(i);
+                let Some(other) = partner.swap(d) else {
+                    return;
+                };
+                let (d_up, d_dn) = if s == 0 { (d, other) } else { (other, d) };
+                let accepted = side.decider.decide(i, d_up, d_dn);
+                side.spin.commit(i, accepted);
+            }
+            // The last partial block, on this side's core too.
+            side.spin.upd.flush();
+        });
+    if !lockstep {
+        let [up, dn] = sides;
+        for i in 0..n {
+            let (d_up, d_dn) = (up.spin.propose(i), dn.spin.propose(i));
+            let accepted = up.decider.decide(i, d_up, d_dn);
+            up.spin.commit(i, accepted);
+            dn.spin.commit(i, accepted);
+        }
+    }
+}
+
 /// Immediate (non-delayed) reference implementation:
 /// `G ← G − (α/d)·(e_i − G[:,i])·G(i,:)`.
 ///
@@ -235,7 +347,7 @@ pub fn rank1_update_naive(g: &mut Matrix, i: usize, alpha: f64, d: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use util::Rng;
+    use linalg::blas3::Op;
 
     fn random_g(n: usize, seed: u64) -> Matrix {
         let mut rng = Rng::new(seed);
@@ -300,23 +412,6 @@ mod tests {
         let mut naive = g0;
         rank1_update_naive(&mut naive, 2, 0.9, d);
         assert!((after_pending - naive[(2, 2)]).abs() < 1e-13);
-    }
-
-    #[test]
-    fn row_col_sees_pending_updates() {
-        let g0 = random_g(7, 4);
-        let mut del = SliceUpdater::new(g0.clone(), 16);
-        let d = 1.0 + 0.4 * (1.0 - del.gii(5));
-        del.accept(5, 0.4, d);
-        let (row, col) = del.row_col(1);
-        let mut naive = g0;
-        rank1_update_naive(&mut naive, 5, 0.4, d);
-        for c in 0..7 {
-            assert!((row[c] - naive[(1, c)]).abs() < 1e-13);
-        }
-        for r in 0..7 {
-            assert!((col[r] - naive[(r, 1)]).abs() < 1e-13);
-        }
     }
 
     #[test]

@@ -144,6 +144,22 @@ pub fn gemm_with_kernel(
     crate::check_finite!(c.as_slice(), "gemm output ({}x{})", c.nrows(), c.ncols());
 }
 
+/// The rank-`k` update `C += U[:, ..k] · W[:, ..k]ᵀ`: [`gemm`] on the leading
+/// `k` columns of `U` and `W`, read in place — in column-major storage they
+/// are a prefix of each buffer — so it gives the bits `gemm` gives on copies
+/// of them. The delayed-update flush.
+pub fn rank_k_update(u: &Matrix, w: &Matrix, k: usize, c: &mut Matrix) {
+    let u = u.view().sub((0, 0, u.nrows(), k));
+    let w = w.view().sub((0, 0, w.nrows(), k));
+    gemm_view(1.0, u, Op::NoTrans, w, Op::Trans, 1.0, c.view_mut());
+    crate::check_finite!(
+        c.as_slice(),
+        "rank-{k} update output ({}x{})",
+        c.nrows(),
+        c.ncols()
+    );
+}
+
 /// [`gemm`] on sub-blocks: the same blocked driver, micro-kernel and k-order
 /// (so a block gives the bits a copy of it would), reading and writing
 /// through leading-dimension views. The factorizations and [`crate::tri`]
@@ -639,6 +655,24 @@ mod tests {
     fn bits_eq(x: &Matrix, y: &Matrix) -> bool {
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         bits(x) == bits(y)
+    }
+
+    #[test]
+    fn rank_k_update_matches_gemm_on_copied_columns_bitwise() {
+        // A delayed-update flush of every size up to a full rank-32 block.
+        let mut rng = Rng::new(5);
+        let (n, nb) = (70, 32);
+        let u = Matrix::random(n, nb, &mut rng);
+        let w = Matrix::random(n, nb, &mut rng);
+        let c0 = Matrix::random(n, n, &mut rng);
+        for k in [1, 3, 17, nb] {
+            let mut c1 = c0.clone();
+            rank_k_update(&u, &w, k, &mut c1);
+            let (uk, wk) = (u.submatrix(0, 0, n, k), w.submatrix(0, 0, n, k));
+            let mut c2 = c0.clone();
+            gemm(1.0, &uk, Op::NoTrans, &wk, Op::Trans, 1.0, &mut c2);
+            assert!(bits_eq(&c1, &c2), "k = {k}");
+        }
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! The paper's host side is multicore (§IV-B: threaded level-3 kernels plus
 //! hand-parallelised loops). Here that is one process-wide team — the
 //! calling thread plus `available_parallelism() − 1` helper threads, spawned
-//! on the first fork — with one entry, [`for_each_chunk`]: run `f(0)` …
-//! `f(n − 1)`, each exactly once, and return when all are done.
+//! on the first fork — with two entries. [`for_each_chunk`] runs `f(0)` …
+//! `f(n − 1)`, each exactly once, and returns when all are done. [`lockstep`]
+//! runs two chunks that trade one `f64` per step, so they run at the same
+//! time or not at all.
 //!
 //! **Why bytes cannot depend on the helpers.** The caller cuts its work into
 //! `n` chunks from the operand *shape* alone; every chunk writes output no
@@ -28,8 +30,10 @@
 //! the caller waits only for joined helpers to finish the chunk they are in.
 //! A parked helper (slow to wake on this host, see
 //! `src/bin/benchmark/README.md`) therefore costs a futex wake and nothing
-//! else. The protocol is modelled under `--cfg loom` at the bottom of this
-//! file.
+//! else. A lockstep pair is the one job that waits for a joiner, and only
+//! for [`JOIN_WAIT`]: then it withdraws the post, but only while nobody has
+//! joined, so a helper that joined always finds its partner. The protocol is
+//! modelled under `--cfg loom` at the bottom of this file.
 //!
 //! This module is a `dqmc-lint` hot module: no heap allocation per fork
 //! (the job is a fat pointer and a count in a slot the team owns).
@@ -59,6 +63,13 @@ pub const FORK_FLOPS: usize = 2 * 96 * 96 * 96;
 /// round trip costs more than that.
 const SPIN: Duration = Duration::from_micros(200);
 
+/// How long a [`lockstep`] caller waits for a helper to join before it gives
+/// the pair up and runs nothing. Covers a parked helper's wake on the 2-core
+/// reference host (up to a millisecond, `src/bin/benchmark/README.md`); a
+/// helper that has not come by then has lost its core, and a pair without
+/// one is slower than the caller's serial loop.
+const JOIN_WAIT: Duration = Duration::from_millis(1);
+
 /// State word: helpers inside the posted job.
 const ACTIVE: u64 = 0xffff;
 /// State word: a job is posted and may be joined.
@@ -76,6 +87,102 @@ type Payload = Box<dyn Any + Send>;
 struct Job {
     f: *const Chunk<'static>,
     n: usize,
+}
+
+/// One side's value of one step parity, on cache lines of its own.
+#[repr(align(128))]
+struct Slot {
+    /// `step + 1` of the value in `bits`; 0 before the side's first step.
+    tag: AtomicU64,
+    bits: AtomicU64,
+}
+
+impl Slot {
+    const fn new() -> Self {
+        Slot {
+            tag: AtomicU64::new(0),
+            bits: AtomicU64::new(0),
+        }
+    }
+}
+
+/// The slots of a lockstep job: two per side, by step parity. A side writes
+/// step `s + 1` into the other parity's slot, so it never overwrites step
+/// `s` before its partner has read it — and it cannot reach step `s + 2`
+/// (the same slot again) before the partner has written step `s + 1`, which
+/// the partner does only after reading step `s`.
+struct Exchange {
+    /// `slots[side][step % 2]`.
+    slots: [[Slot; 2]; 2],
+    /// Set when either side's chunk unwinds: the other stops waiting.
+    broken: AtomicBool,
+}
+
+impl Exchange {
+    /// Empties the slots for a new job (by the team's owner, before it posts).
+    fn reset(&self) {
+        for slot in self.slots.iter().flatten() {
+            slot.tag.store(0, Ordering::Relaxed);
+        }
+        self.broken.store(false, Ordering::Relaxed);
+    }
+}
+
+/// Marks the exchange broken if the chunk it guards unwinds.
+struct Breaker<'a>(&'a AtomicBool);
+
+impl Drop for Breaker<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// One side of a [`lockstep`] job: its line to the other side.
+pub struct Partner<'a> {
+    exchange: &'a Exchange,
+    side: usize,
+    /// Swaps done so far.
+    step: u64,
+}
+
+impl Partner<'_> {
+    /// Publishes `v` as this side's value of the next step and returns the
+    /// partner's value of the same step. `None` once the partner has
+    /// panicked: that panic reaches the caller of [`lockstep`], so the side
+    /// should just return.
+    pub fn swap(&mut self, v: f64) -> Option<f64> {
+        let parity = (self.step & 1) as usize;
+        self.step += 1;
+        let mine = &self.exchange.slots[self.side][parity];
+        mine.bits.store(v.to_bits(), Ordering::Relaxed);
+        // Release: publishes `bits` to the partner's Acquire load of the tag.
+        mine.tag.store(self.step, Ordering::Release);
+        let theirs = &self.exchange.slots[1 - self.side][parity];
+        let mut spins = 0;
+        loop {
+            if theirs.tag.load(Ordering::Acquire) == self.step {
+                return Some(f64::from_bits(theirs.bits.load(Ordering::Relaxed)));
+            }
+            if self.exchange.broken.load(Ordering::Relaxed) {
+                return None;
+            }
+            backoff(&mut spins);
+        }
+    }
+}
+
+/// One step of waiting for another thread: a short spin, then a yield —
+/// the other thread may share this core (a busy host, a second `sched`
+/// worker on the other one) and need it.
+fn backoff(spins: &mut u32) {
+    if *spins < 1 << 6 {
+        *spins += 1;
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
 }
 
 /// What helpers and caller exchange under the one mutex.
@@ -102,6 +209,8 @@ struct Team {
     job: UnsafeCell<Job>,
     sleep: Mutex<Sleep>,
     wake: Condvar,
+    /// The slots of a [`lockstep`] job.
+    pair: Exchange,
 }
 
 // SAFETY: every field but `job` is Sync. `job` is written only by the thread
@@ -130,6 +239,10 @@ impl Team {
                 panic: None,
             }),
             wake: Condvar::new(),
+            pair: Exchange {
+                slots: [[Slot::new(), Slot::new()], [Slot::new(), Slot::new()]],
+                broken: AtomicBool::new(false),
+            },
         }
     }
 
@@ -145,10 +258,48 @@ impl Team {
         if !self.try_take() {
             return false;
         }
+        self.run(self.post(n, f));
+        true
+    }
+
+    /// Runs `f(0, ·)` and `f(1, ·)` on two threads at once. Returns false,
+    /// having called neither, when the team is taken or no helper joins
+    /// within [`JOIN_WAIT`]. A panic on either side ends the other's
+    /// waiting and reaches the caller.
+    fn lockstep(&self, f: &(dyn Fn(usize, &mut Partner<'_>) + Sync)) -> bool {
+        if !self.try_take() {
+            return false;
+        }
+        self.pair.reset();
+        let chunk = |side: usize| {
+            let _broken = Breaker(&self.pair.broken);
+            let exchange = &self.pair;
+            f(
+                side,
+                &mut Partner {
+                    exchange,
+                    side,
+                    step: 0,
+                },
+            );
+        };
+        let job = self.post(2, &chunk);
+        if !self.await_join() {
+            self.taken.store(false, Ordering::Release);
+            return false;
+        }
+        self.run(job);
+        true
+    }
+
+    /// Posts the `n` chunks of `f` for helpers to join. The caller owns
+    /// `taken`.
+    fn post(&self, n: usize, f: &Chunk<'_>) -> Job {
         // SAFETY: only the lifetime changes. The pointer is dereferenced by
-        // this thread below and by helpers that joined this post; `Fork`
-        // (on return or unwind) retracts the post and waits for every joined
-        // helper before `f` can go out of scope.
+        // this thread in `run` and by helpers that joined this post; `run`'s
+        // `Fork` (on return or unwind) retracts the post and waits for every
+        // joined helper before `f` can go out of scope, and a post withdrawn
+        // by `await_join` had no helper joined.
         let f = unsafe { std::mem::transmute::<*const Chunk<'_>, *const Chunk<'static>>(f) };
         let job = Job { f, n };
         // SAFETY: we own `taken` and the previous owner left the word
@@ -160,16 +311,45 @@ impl Team {
         // helper whose Acquire compare-exchange joins this word.
         self.state
             .store((epoch * EPOCH) | POSTED, Ordering::Release);
-        let fork = Fork(self);
         let parked = relock(self.sleep.lock()).parked;
         if parked > 0 {
             self.wake.notify_all();
         }
+        job
+    }
+
+    /// Drains the posted `job` alongside whatever helpers joined, then ends
+    /// it and releases the team; a helper's panic is resumed here.
+    fn run(&self, job: Job) {
+        let fork = Fork(self);
         self.drain(job);
         if let Some(payload) = fork.join() {
             resume_unwind(payload);
         }
-        true
+    }
+
+    /// Waits up to [`JOIN_WAIT`] for a helper to join the posted job. On the
+    /// timeout it withdraws the post — by a compare-exchange on a word with
+    /// no active helper, so a helper that did join always finds its partner
+    /// — and returns false.
+    fn await_join(&self) -> bool {
+        let t0 = Instant::now();
+        let mut spins = 0;
+        loop {
+            let s = self.state.load(Ordering::Acquire);
+            if s & ACTIVE != 0 {
+                return true;
+            }
+            if t0.elapsed() >= JOIN_WAIT
+                && self
+                    .state
+                    .compare_exchange(s, s & !POSTED, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok()
+            {
+                return false;
+            }
+            backoff(&mut spins);
+        }
     }
 
     /// Claims and runs chunks until none is left.
@@ -181,7 +361,7 @@ impl Team {
             if i >= job.n {
                 return;
             }
-            // SAFETY: the closure outlives the post (see `fork`).
+            // SAFETY: the closure outlives the post (see `post`).
             unsafe { (*job.f)(i) };
         }
     }
@@ -195,18 +375,11 @@ impl Team {
         // claimant adds one more at most.
         self.next.store(usize::MAX / 2, Ordering::Relaxed);
         let mut s = self.state.fetch_and(!POSTED, Ordering::AcqRel) & !POSTED;
-        let mut spins = 0u32;
+        let mut spins = 0;
         while s & ACTIVE != 0 {
             // A joined helper is inside one chunk: microseconds for a GEMM
-            // tile range, a whole Green's evaluation for the spin pair. Spin
-            // only briefly: if the helper shares this core (a busy host, a
-            // second `sched` worker on the other one), it needs the yield.
-            if spins < 1 << 6 {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            // tile range, a whole Green's evaluation for the spin pair.
+            backoff(&mut spins);
             // Acquire: pairs with the helper's Release decrement, so its
             // chunks' output is visible once the count reads zero.
             s = self.state.load(Ordering::Acquire);
@@ -334,27 +507,50 @@ pub fn for_each_chunk(n: usize, f: impl Fn(usize) + Sync) {
     }
 }
 
+/// A slice's base pointer, shared by the chunks of one job.
+struct Base<T>(*mut T);
+
+// SAFETY: chunks only reach the elements through `get`, one distinct index
+// each (see the callers), and `T: Send` lets an element move to a helper.
+unsafe impl<T: Send> Sync for Base<T> {}
+
+impl<T> Base<T> {
+    /// # Safety
+    /// `i` is in bounds and no other live reference reaches element `i`.
+    unsafe fn get(&self, i: usize) -> *mut T {
+        // SAFETY: in bounds by this function's contract.
+        unsafe { self.0.add(i) }
+    }
+}
+
 /// [`for_each_chunk`] with one chunk per element of `items`: chunk `i` gets
 /// `&mut items[i]` and nothing else, so each chunk owns its output.
 pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-    /// The slice's base pointer, shared by the chunks.
-    struct Base<T>(*mut T);
-    // SAFETY: chunks only reach the elements through `get`, one distinct
-    // index each (below), and `T: Send` lets an element move to a helper.
-    unsafe impl<T: Send> Sync for Base<T> {}
-    impl<T> Base<T> {
-        /// # Safety
-        /// `i` is in bounds and no other live reference reaches element `i`.
-        unsafe fn get(&self, i: usize) -> *mut T {
-            // SAFETY: in bounds by this function's contract.
-            unsafe { self.0.add(i) }
-        }
-    }
     let base = Base(items.as_mut_ptr());
     // SAFETY: `for_each_chunk` runs each index below `items.len()` exactly
     // once, so element `i` is borrowed by chunk `i` alone, and `items` stays
     // exclusively borrowed until every chunk has returned.
     for_each_chunk(items.len(), |i| f(i, unsafe { &mut *base.get(i) }));
+}
+
+/// Runs `f(0, &mut work[0], ·)` and `f(1, &mut work[1], ·)` on two threads
+/// at the same time, and returns true when both have finished; the two sides
+/// trade one `f64` per step through [`Partner::swap`]. Returns false, having
+/// called neither, when there is no helper, the team is taken, or no helper
+/// joins within a fixed wait ([`JOIN_WAIT`]): then the caller runs its own
+/// serial loop. What a side computes is a function of its index and its
+/// element, never of the thread it runs on. A panic on either side stops the
+/// other's waiting and reaches the caller after both have stopped, and
+/// leaves the team free.
+pub fn lockstep<T: Send>(
+    work: &mut [T; 2],
+    f: impl Fn(usize, &mut T, &mut Partner<'_>) + Sync,
+) -> bool {
+    let base = Base(work.as_mut_ptr());
+    // SAFETY: the team runs side 0 and side 1 once each (or neither), so
+    // element `i` is borrowed by side `i` alone, and `work` stays
+    // exclusively borrowed until both sides have returned.
+    helpers() > 0 && TEAM.lockstep(&|i, partner| f(i, unsafe { &mut *base.get(i) }, partner))
 }
 
 /// Takes the team until the guard drops, so every kernel meanwhile — on any
@@ -415,11 +611,19 @@ mod tests {
     /// Runs `body` against a fresh team with `helpers` helper threads, then
     /// closes the team and joins them.
     fn with_team(helpers: usize, body: impl FnOnce(&Arc<Team>)) {
+        with_team_after(helpers, Duration::ZERO, body);
+    }
+
+    /// [`with_team`] with helpers that start `after` the body does.
+    fn with_team_after(helpers: usize, after: Duration, body: impl FnOnce(&Arc<Team>)) {
         let team = Arc::new(Team::new());
         let handles: Vec<_> = (0..helpers)
             .map(|_| {
                 let team = Arc::clone(&team);
-                thread::spawn(move || team.helper_loop())
+                thread::spawn(move || {
+                    std::thread::sleep(after);
+                    team.helper_loop()
+                })
             })
             .collect();
         body(&team);
@@ -578,6 +782,111 @@ mod tests {
                 fork_counts(team, 3);
             });
         });
+    }
+
+    /// One lockstep job of `steps` swaps in which side `s` sends
+    /// `s·10⁶ + step` and checks that it gets the partner's value of the
+    /// same step. Asserts that both sides ran or neither did; returns
+    /// whether they ran.
+    fn swap_steps(team: &Team, steps: u64) -> bool {
+        let ran = [Counter::new(0), Counter::new(0)];
+        let wrong = Counter::new(0);
+        let value = |side: usize, step: u64| (side as u64 * 1_000_000 + step) as f64;
+        let paired = team.lockstep(&|side, partner| {
+            ran[side].fetch_add(1, SeqCst);
+            for step in 0..steps {
+                if step % 7 == side as u64 {
+                    // Let the sides drift apart by up to a step.
+                    thread::yield_now();
+                }
+                if partner.swap(value(side, step)) != Some(value(1 - side, step)) {
+                    wrong.fetch_add(1, SeqCst);
+                }
+            }
+        });
+        assert_eq!(
+            wrong.load(SeqCst),
+            0,
+            "a swap returned another step's value"
+        );
+        let ran = ran.map(|r| r.load(SeqCst));
+        assert_eq!(
+            ran,
+            if paired { [1, 1] } else { [0, 0] },
+            "both sides or neither"
+        );
+        paired
+    }
+
+    #[test]
+    fn a_pair_runs_both_sides_or_neither_with_absent_present_and_late_helpers() {
+        model(|| {
+            with_team(0, |team| assert!(!swap_steps(team, 3), "nobody can join"));
+            with_team(1, |team| {
+                for _ in 0..3 {
+                    swap_steps(team, 3);
+                }
+            });
+            // A helper that starts around the join deadline races the
+            // withdrawal of the post.
+            for after in [JOIN_WAIT / 2, JOIN_WAIT, JOIN_WAIT * 3 / 2] {
+                with_team_after(1, after, |team| {
+                    swap_steps(team, 3);
+                    fork_counts(team, 3);
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn swap_returns_the_partners_value_of_the_same_step() {
+        model(|| with_team(1, |team| while !swap_steps(team, 200) {}));
+    }
+
+    #[test]
+    fn a_panic_on_either_side_reaches_the_caller_and_the_partner_stops_waiting() {
+        const MESSAGES: [&str; 2] = ["side 0 failed", "side 1 failed"];
+        model(|| {
+            with_team(1, |team| {
+                for bad in [0, 1] {
+                    let payload = loop {
+                        let caught = catch_unwind(AssertUnwindSafe(|| {
+                            team.lockstep(&|side, partner| {
+                                for step in 0..8 {
+                                    if side == bad && step == 3 {
+                                        panic!("{}", MESSAGES[bad]);
+                                    }
+                                    if partner.swap(f64::from(step)).is_none() {
+                                        return;
+                                    }
+                                }
+                            })
+                        }));
+                        match caught {
+                            Err(payload) => break payload,
+                            Ok(paired) => {
+                                assert!(!paired, "a side panicked, yet the pair returned")
+                            }
+                        }
+                    };
+                    let message = payload.downcast_ref::<String>().map(String::as_str);
+                    assert_eq!(message, Some(MESSAGES[bad]));
+                    assert!(!team.taken.load(Ordering::Acquire));
+                    fork_counts(team, 3);
+                }
+            });
+        });
+    }
+
+    #[test]
+    #[cfg(not(loom))]
+    fn under_a_hold_a_lockstep_pair_is_refused_and_calls_nothing() {
+        let mut work = [0.0, 0.0];
+        {
+            let _held = hold();
+            assert!(!lockstep(&mut work, |_, x, _| *x = 1.0));
+        }
+        assert_eq!(work, [0.0, 0.0]);
     }
 
     #[test]
