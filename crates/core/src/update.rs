@@ -28,8 +28,10 @@
 //! thread. Each spin keeps its op order either way, so no byte depends on
 //! which loop ran.
 
+use crate::backend;
 use crate::hs::HsField;
 use crate::hubbard::Acceptance;
+use linalg::blas1::axpy;
 use linalg::blas3::rank_k_update;
 use linalg::{team, workspace, Matrix};
 use util::Rng;
@@ -72,27 +74,16 @@ fn reconstruct_row_col(
     col: &mut [f64],
 ) {
     let n = g.nrows();
-    for r in 0..n {
-        col[r] = g[(r, i)];
+    let (row, col) = (&mut row[..n], &mut col[..n]);
+    col.copy_from_slice(g.col(i));
+    for (c, x) in row.iter_mut().enumerate() {
+        *x = g[(i, c)];
     }
-    for c in 0..n {
-        row[c] = g[(i, c)];
-    }
+    // `axpy` skips a zero coefficient, and its products are the loops'
+    // `ucol[r]·wim` and `uim·wcol[c]` bit for bit.
     for m in 0..pending {
-        let wim = w[(i, m)];
-        if wim != 0.0 {
-            let ucol = u.col(m);
-            for r in 0..n {
-                col[r] += ucol[r] * wim;
-            }
-        }
-        let uim = u[(i, m)];
-        if uim != 0.0 {
-            let wcol = w.col(m);
-            for c in 0..n {
-                row[c] += uim * wcol[c];
-            }
-        }
+        axpy(w[(i, m)], u.col(m), col);
+        axpy(u[(i, m)], w.col(m), row);
     }
 }
 
@@ -210,8 +201,7 @@ pub(crate) struct SpinSide {
 }
 
 impl SpinSide {
-    /// Wraps `g` with delay block `nb`. `alpha` is leased from the workspace
-    /// arena; [`SpinSide::into_g`] gives it back.
+    /// Wraps `g` with delay block `nb` and the slice's `α_σ` per site.
     pub(crate) fn new(g: Matrix, nb: usize, alpha: Vec<f64>) -> Self {
         SpinSide {
             upd: SliceUpdater::new(g, nb),
@@ -235,7 +225,6 @@ impl SpinSide {
 
     /// Flushes and returns the updated Green's function.
     pub(crate) fn into_g(self) -> Matrix {
-        workspace::put(self.alpha);
         self.upd.into_g()
     }
 }
@@ -293,10 +282,10 @@ pub(crate) struct Side<'a> {
 }
 
 /// Visits sites `0..n` of a slice with both spins, `sides[0]` up and
-/// `sides[1]` down: as a lockstep pair when `paired` and the team grants
-/// one, otherwise in turn on this thread (module docs).
-pub(crate) fn visit_sites(sides: &mut [Side<'_>; 2], n: usize, paired: bool) {
-    let lockstep = paired
+/// `sides[1]` down: as a lockstep pair past the fork cut when the team
+/// grants one, otherwise in turn on this thread (module docs).
+pub(crate) fn visit_sites(sides: &mut [Side<'_>; 2], n: usize) {
+    let lockstep = backend::spins_fork(n)
         && team::lockstep(sides, |s, side, partner| {
             for i in 0..n {
                 let d = side.spin.propose(i);

@@ -16,6 +16,8 @@
 //! n = 36 — left for item 3 with the rest of level 1, since each of these
 //! changes the summation order and therefore every `obs_fnv`.
 
+use crate::simd::axpy_unfused;
+
 /// Dot product `xᵀy`.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
@@ -37,16 +39,15 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     s
 }
 
-/// `y += alpha * x`.
-#[inline]
+/// `y += alpha * x`, a multiply and an add per element (never fused), at
+/// the widest vector width the kernel path allows; every path gives the
+/// portable loop's bits ([`crate::simd`]).
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
     if alpha == 0.0 {
         return;
     }
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
+    axpy_unfused(alpha, x, y);
 }
 
 /// `x *= alpha`.

@@ -1,4 +1,5 @@
-//! Runtime-dispatched SIMD micro-kernels for the GEMM register tile.
+//! Runtime-dispatched SIMD micro-kernels for the GEMM register tile (and
+//! the unfused `axpy` of [`crate::blas1`]).
 //!
 //! The paper's performance argument (Figure 1, Table I) rests on DGEMM
 //! reaching a high fraction of machine peak; MKL gets there with
@@ -351,9 +352,82 @@ pub(crate) unsafe fn micro_kernel_avx512_update<const H: usize>(
     }
 }
 
+/// `y += alpha * x` for [`crate::blas1::axpy`]: a multiply and an add per
+/// element (never fused) at the widest vector width the [`kernel_path`]
+/// allows. Each element is rounded twice on every path, so every path gives
+/// the portable loop's bits.
+pub(crate) fn axpy_unfused(alpha: f64, x: &[f64], y: &mut [f64]) {
+    match kernel_path() {
+        // SAFETY: `kernel_path` returns only a path the host supports.
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Avx512 => unsafe { axpy_avx512(alpha, x, y) },
+        // SAFETY: as above; the FMA path implies AVX2.
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Fma => unsafe { axpy_avx2(alpha, x, y) },
+        _ => axpy_loop(alpha, x, y),
+    }
+}
+
+/// The loop behind [`axpy_unfused`]; the compiler vectorises it to the width
+/// of the function it is inlined into.
+#[inline(always)]
+fn axpy_loop(alpha: f64, x: &[f64], y: &mut [f64]) {
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
+    }
+}
+
+/// # Safety
+/// The host supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn axpy_avx512(alpha: f64, x: &[f64], y: &mut [f64]) {
+    axpy_loop(alpha, x, y);
+}
+
+/// # Safety
+/// The host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
+    axpy_loop(alpha, x, y);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn axpy_gives_the_portable_loops_bits_at_every_width() {
+        let mut rng = util::Rng::new(11);
+        for len in [1, 7, 8, 33, 256] {
+            let x: Vec<f64> = (0..len).map(|_| rng.next_f64() - 0.5).collect();
+            let y0: Vec<f64> = (0..len).map(|_| 1e3 * (rng.next_f64() - 0.5)).collect();
+            let alpha = rng.next_f64() - 0.5;
+            let mut want = y0.clone();
+            for (w, &xi) in want.iter_mut().zip(&x) {
+                *w += alpha * xi;
+            }
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            let mut got = y0.clone();
+            axpy_unfused(alpha, &x, &mut got);
+            assert_eq!(bits(&got), bits(&want), "len {len}, dispatched");
+            #[cfg(target_arch = "x86_64")]
+            for path in [KernelPath::Avx512, KernelPath::Fma] {
+                if path.available() {
+                    let mut got = y0.clone();
+                    // SAFETY: the host has this path's features.
+                    unsafe {
+                        match path {
+                            KernelPath::Avx512 => axpy_avx512(alpha, &x, &mut got),
+                            _ => axpy_avx2(alpha, &x, &mut got),
+                        }
+                    };
+                    assert_eq!(bits(&got), bits(&want), "len {len}, {}", path.name());
+                }
+            }
+        }
+    }
 
     #[test]
     fn scalar_always_available() {
