@@ -182,7 +182,7 @@ mod tests {
         let m = square_model(4, 2.0, 8.0, 0.125);
         assert_eq!(m.slices, 64);
         assert_eq!(m.nsites(), 16);
-        assert!(m.is_half_filled());
+        assert_eq!(m.mu_tilde, 0.0);
     }
 
     #[test]

@@ -72,8 +72,6 @@ pub struct InputFile {
     pub algorithm: StratAlgo,
     /// Cluster recycling.
     pub recycle: bool,
-    /// Checkerboard kinetic operator.
-    pub checkerboard: bool,
     /// Time-dependent measurements.
     pub unequal_time: bool,
     /// Measure at every cluster boundary.
@@ -117,7 +115,6 @@ impl Default for InputFile {
             delay_block: 32,
             algorithm: StratAlgo::PrePivot,
             recycle: true,
-            checkerboard: false,
             unequal_time: false,
             measure_per_cluster: false,
             acceptance: dqmc::Acceptance::Metropolis,
@@ -153,10 +150,10 @@ impl InputFile {
     /// Parses an input file's text.
     ///
     /// Recognised keys (case-insensitive): `lx ly layers periodic_z t|tx ty tz u
-    /// mu_tilde dtau slices beta warmup sweeps seed cluster_size
-    /// delay_block algorithm recycle checkerboard unequal_time
-    /// measure_per_cluster bin_size backend checkpoint checkpoint_every
-    /// recovery max_retries min_cluster`.
+    /// mu_tilde|mu dtau slices|l beta warmup sweeps seed cluster_size|k
+    /// delay_block algorithm recycle unequal_time measure_per_cluster
+    /// acceptance bin_size backend checkpoint checkpoint_every recovery
+    /// max_retries min_cluster`.
     /// `backend` accepts `host` or `gpusim` (same output bytes either way; the
     /// device only keeps a model clock); `checkpoint` is a file path
     /// (saved every `checkpoint_every` sweeps and resumed from if present);
@@ -235,7 +232,6 @@ impl InputFile {
                     }
                 }
                 "recycle" => cfg.recycle = parse_bool(value)?,
-                "checkerboard" => cfg.checkerboard = parse_bool(value)?,
                 "unequal_time" => cfg.unequal_time = parse_bool(value)?,
                 "measure_per_cluster" => cfg.measure_per_cluster = parse_bool(value)?,
                 "acceptance" => {
@@ -360,7 +356,6 @@ impl InputFile {
             .with_recycle(self.recycle)
             .with_bin_size(self.bin_size)
             .with_unequal_time(self.unequal_time)
-            .with_checkerboard(self.checkerboard)
             .with_measure_per_cluster(self.measure_per_cluster)
             .with_acceptance(self.acceptance)
             .with_recovery(recovery)
@@ -408,6 +403,13 @@ mod tests {
     }
 
     #[test]
+    fn checkerboard_key_is_refused() {
+        let e = InputFile::parse("lx = 4\ncheckerboard = no\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("unknown key"), "{}", e.message);
+    }
+
+    #[test]
     fn bad_value_reports_line() {
         let e = InputFile::parse("lx = banana\n").unwrap_err();
         assert_eq!(e.line, 1);
@@ -431,8 +433,8 @@ mod tests {
     #[test]
     fn booleans_accept_variants() {
         for (v, want) in [("yes", true), ("0", false), ("TRUE", true)] {
-            let cfg = InputFile::parse(&format!("checkerboard = {v}\n")).unwrap();
-            assert_eq!(cfg.checkerboard, want);
+            let cfg = InputFile::parse(&format!("unequal_time = {v}\n")).unwrap();
+            assert_eq!(cfg.unequal_time, want);
         }
     }
 

@@ -55,7 +55,7 @@ fn run_sweep_cmd(args: &[String]) -> ! {
     }
     let Some(grid_file) = grid_file else {
         eprintln!("usage: dqmc sweep <grid-file> [-o report.json] [--obs-out obs.json] [--trace]");
-        eprintln!("grid keys: lx ly t mu dtau u(list) beta(list) chains warmup");
+        eprintln!("grid keys: lx ly t mu dtau u(list) beta(list) chains crowd warmup");
         eprintln!("  sweeps bin_size cluster_size seed recovery max_retries");
         eprintln!("  workers devices quantum job_retries faults slot_faults");
         std::process::exit(2);
@@ -480,9 +480,10 @@ fn main() {
             "       dqmc submit <grid-file> [--addr host:port] [--tenant NAME] [--priority N]"
         );
         eprintln!("       dqmc serve-shutdown [--addr host:port]");
-        eprintln!("input keys: lx ly layers periodic_z t tz u mu_tilde dtau");
+        eprintln!("input keys: lx ly layers periodic_z t ty tz u mu_tilde dtau");
         eprintln!("  slices|beta warmup sweeps seed cluster_size delay_block");
-        eprintln!("  algorithm(qrp|prepivot) recycle checkerboard unequal_time bin_size");
+        eprintln!("  algorithm(qrp|prepivot) recycle unequal_time measure_per_cluster");
+        eprintln!("  acceptance(metropolis|heatbath) bin_size");
         eprintln!("  backend(host|gpusim) checkpoint checkpoint_every");
         eprintln!("  recovery max_retries min_cluster");
         std::process::exit(if args.first().map(String::as_str) == Some("--help") {
@@ -522,15 +523,14 @@ fn main() {
         cfg.dtau
     );
     println!(
-        "# {} warmup + {} measurement sweeps, seed {}, {:?}, k={}, delay={}, recycle={}, checkerboard={}",
+        "# {} warmup + {} measurement sweeps, seed {}, {:?}, k={}, delay={}, recycle={}",
         cfg.warmup,
         cfg.sweeps,
         cfg.seed,
         cfg.algorithm,
         cfg.cluster_size,
         cfg.delay_block,
-        cfg.recycle,
-        cfg.checkerboard
+        cfg.recycle
     );
 
     let params = cfg.sim_params();

@@ -72,19 +72,6 @@ impl BMatrixFactory {
         }
     }
 
-    /// Builds the factory with the **checkerboard** kinetic operator:
-    /// `e^{−ΔτK}` is replaced by the split-bond product
-    /// `e^{Δτμ̃}·Π_c e^{−ΔτK_c}` (QUEST's large-lattice mode). The product
-    /// and its exact inverse are materialised once and applied dense (the
-    /// product is not separable); the simulated Hamiltonian differs from the
-    /// exact-exponential one by the same O(Δτ²) the Trotter discretisation
-    /// already carries.
-    pub fn new_checkerboard(model: &ModelParams) -> Self {
-        let cb = lattice::Checkerboard::new(&model.lattice);
-        let (expk, expk_inv) = cb.dense_pair(model.dtau, model.mu_tilde);
-        Self::dense(model, expk, expk_inv)
-    }
-
     fn dense(model: &ModelParams, expk: Matrix, expk_inv: Matrix) -> Self {
         BMatrixFactory {
             n: model.nsites(),
@@ -110,7 +97,7 @@ impl BMatrixFactory {
     }
 
     /// `e^{−ΔτK}` as its products apply it: one dense factor below
-    /// [`KRON_MIN_SITES`] (and in checkerboard mode), one per lattice axis
+    /// [`KRON_MIN_SITES`] (and on a one-axis lattice), one per lattice axis
     /// from there up.
     pub fn expk_kron(&self) -> &Kron {
         &self.kron[0]

@@ -143,7 +143,8 @@ pub fn params_fingerprint(p: &SimParams) -> u64 {
     f.update_u64(p.recycle as u64);
     f.update_u64(p.bin_size as u64);
     f.update_u64(p.measure_unequal_time as u64);
-    f.update_u64(p.checkerboard as u64);
+    // Retired checkerboard slot, kept so goldens and on-disk caches stay readable.
+    f.update_u64(0);
     f.update_u64(p.measure_per_cluster as u64);
     f.update_u64(match p.acceptance {
         Acceptance::Metropolis => 0,

@@ -92,11 +92,6 @@ impl ModelParams {
         // acosh(x) for x ≥ 1; x = 1 exactly when U = 0.
         (x + (x * x - 1.0).max(0.0).sqrt()).ln()
     }
-
-    /// True when the parameters are sign-problem-free (half filling).
-    pub fn is_half_filled(&self) -> bool {
-        self.mu_tilde == 0.0
-    }
 }
 
 /// Which stratification variant evaluates the Green's function.
@@ -148,10 +143,6 @@ pub struct SimParams {
     /// functions at cluster-spaced τ) during measurement sweeps. This is
     /// QUEST's "dynamic" measurement mode; it adds O(N³L/k) work per sweep.
     pub measure_unequal_time: bool,
-    /// Use the checkerboard (split-bond) kinetic operator instead of the
-    /// exact dense exponential (QUEST's large-lattice mode; same O(Δτ²)
-    /// accuracy class).
-    pub checkerboard: bool,
     /// Measure equal-time observables at every cluster boundary rather than
     /// once per sweep. Equal-time expectation values are τ-translation
     /// invariant, so the extra samples are valid; they are correlated, which
@@ -182,7 +173,6 @@ impl SimParams {
             recycle: true,
             bin_size: 10,
             measure_unequal_time: false,
-            checkerboard: false,
             measure_per_cluster: false,
             acceptance: Acceptance::Metropolis,
             recovery: crate::recovery::RecoveryPolicy::default(),
@@ -238,12 +228,6 @@ impl SimParams {
     /// Enables time-dependent (unequal-time) measurements.
     pub fn with_unequal_time(mut self, on: bool) -> Self {
         self.measure_unequal_time = on;
-        self
-    }
-
-    /// Selects the checkerboard kinetic operator.
-    pub fn with_checkerboard(mut self, on: bool) -> Self {
-        self.checkerboard = on;
         self
     }
 

@@ -75,5 +75,5 @@ pub use recovery::{
 pub use recycle::ClusterCache;
 pub use sim::{Simulation, Walker};
 pub use stratify::{stratify, StratAlgo, StratifyState, Udt};
-pub use tdm::{unequal_time_greens, unequal_time_greens_stable, TimeDependentObs};
+pub use tdm::{unequal_time_greens_stable, TimeDependentObs};
 pub use util::{DqmcError, Severity};

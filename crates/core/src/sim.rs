@@ -389,31 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn checkerboard_gives_same_physics_within_trotter() {
-        let run = |cb: bool| {
-            let model = ModelParams::new(Lattice::square(4, 4, 1.0), 4.0, 0.0, 0.1, 20);
-            let mut sim = Simulation::new(
-                SimParams::new(model)
-                    .with_sweeps(20, 60)
-                    .with_seed(31)
-                    .with_checkerboard(cb),
-            );
-            sim.run();
-            let (rho, _) = sim.observables().density();
-            let (docc, derr) = sim.observables().double_occupancy();
-            (rho, docc, derr)
-        };
-        let (rho_d, docc_d, err_d) = run(false);
-        let (rho_c, docc_c, err_c) = run(true);
-        assert!((rho_d - 1.0).abs() < 0.05 && (rho_c - 1.0).abs() < 0.05);
-        // Same O(Δτ²) class: observables agree within a few σ + Trotter.
-        assert!(
-            (docc_d - docc_c).abs() < 0.01 + 4.0 * (err_d + err_c),
-            "docc dense {docc_d}±{err_d} vs checkerboard {docc_c}±{err_c}"
-        );
-    }
-
-    #[test]
     fn per_cluster_measurements_multiply_samples() {
         let model = ModelParams::new(Lattice::square(2, 2, 1.0), 4.0, 0.0, 0.125, 8);
         let base = SimParams::new(model)

@@ -138,11 +138,7 @@ impl DqmcCore {
         wrap_diff: RunningStats,
         recovery_prior: u64,
     ) -> Self {
-        let fac = if params.checkerboard {
-            BMatrixFactory::new_checkerboard(&params.model)
-        } else {
-            BMatrixFactory::new(&params.model)
-        };
+        let fac = BMatrixFactory::new(&params.model);
         let cache = ClusterCache::new(params.model.slices, runtime_cluster_size);
         let mut recovery = RecoveryLog::new();
         recovery.set_prior(recovery_prior);

@@ -8,11 +8,11 @@
 //! ```
 //!
 //! whose naive evaluation suffers exactly the instability the stratification
-//! machinery exists to prevent. Here `B(τ,0)·G(0)` is kept in graded
-//! `Q·D·T` form: the propagation starts from the UDT of `G(0)` and absorbs
-//! one cluster product per step with the same pre-pivoted update the
-//! equal-time path uses ([`crate::stratify::StratifyState`]), densifying
-//! only the final (exponentially decaying, but elementwise-stable) result.
+//! machinery exists to prevent. [`unequal_time_greens_stable`] never forms
+//! the long product: it reads every `G(τ_c, 0)` off one LU solve of the
+//! Loh–Gubernatis block matrix built from the `L/k` cluster products, which
+//! stays accurate at any β. `Walker::finish_sweep` calls it once per spin
+//! at the end of each measurement sweep.
 //!
 //! From `G(τ,0)` this module measures:
 //! - the local imaginary-time Green's function `G_loc(τ) = Tr G(τ,0)/N`
@@ -23,41 +23,9 @@
 use crate::bmat::BMatrixFactory;
 use crate::hs::HsField;
 use crate::hubbard::Spin;
-use crate::stratify::{StratAlgo, StratifyState};
 use lattice::{fourier, Lattice};
 use linalg::Matrix;
 use util::BinnedAccumulator;
-
-/// Unequal-time Green's functions `G(τ_c, 0)` for `τ_c = c·k·Δτ`,
-/// `c = 0 ..= L/k` (index 0 is the equal-time `G(0)`).
-///
-/// `g0` must be the equal-time Green's function for the *canonical* chain
-/// position (start of a sweep), and `k` the cluster size used to chunk the
-/// propagation.
-pub fn unequal_time_greens(
-    fac: &BMatrixFactory,
-    h: &HsField,
-    g0: &Matrix,
-    k: usize,
-    spin: Spin,
-    algo: StratAlgo,
-) -> Vec<Matrix> {
-    let slices = h.slices();
-    assert!(k >= 1 && k <= slices, "cluster size out of range");
-    let mut out = Vec::with_capacity(slices / k + 1);
-    out.push(g0.clone());
-    // Propagate the UDT of B(τ,0)·G(0) cluster by cluster.
-    let mut state = StratifyState::new(g0, algo);
-    let mut lo = 0;
-    while lo < slices {
-        let hi = (lo + k).min(slices);
-        let cluster = fac.cluster(h, lo, hi, spin);
-        state.push(&cluster);
-        out.push(state.udt().to_matrix());
-        lo = hi;
-    }
-    out
-}
 
 /// Stable unequal-time Green's functions via the Loh–Gubernatis block
 /// matrix: `G(τ_c, 0)` for `c = 0 .. L/k` from one LU solve of the
@@ -70,9 +38,9 @@ pub fn unequal_time_greens(
 ///      ⎣                ⋱     I    ⎦
 /// ```
 ///
-/// Unlike the forward UDT propagation ([`unequal_time_greens`]), which
-/// amplifies the O(ε) error of `G(0)` by `‖B(τ,0)‖`, this never forms long
-/// products at all, so it stays accurate at any β — at O((L_k N)³) cost.
+/// A forward propagation `B(τ,0)·G(0)` would amplify the O(ε) error of
+/// `G(0)` by `‖B(τ,0)‖`; this never forms long products at all, so it stays
+/// accurate at any β — at O((L_k N)³) cost.
 /// Returns `L_k + 1` matrices; the last is `G(β,0) = I − G(0)` by
 /// anti-periodicity.
 pub fn unequal_time_greens_stable(
@@ -318,38 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn tau_zero_is_equal_time_g() {
-        let (_, fac, h) = setup(4.0, 8);
-        let g0 = greens_naive(&fac, &h, Spin::Up);
-        let gt = unequal_time_greens(&fac, &h, &g0.g, 4, Spin::Up, StratAlgo::PrePivot);
-        assert_eq!(gt.len(), 3); // τ = 0, kΔτ, 2kΔτ = β
-        assert!(gt[0].max_abs_diff(&g0.g) < 1e-15);
-    }
-
-    #[test]
-    fn matches_naive_product_short_chain() {
-        // Short, well-conditioned chain: B(τ,0)·G(0) computable directly.
-        let (_, fac, h) = setup(4.0, 8);
-        let g0 = greens_naive(&fac, &h, Spin::Up);
-        let gt = unequal_time_greens(&fac, &h, &g0.g, 4, Spin::Up, StratAlgo::PrePivot);
-        for (c, got) in gt.iter().enumerate().skip(1) {
-            let b = fac.cluster(&h, 0, 4 * c, Spin::Up);
-            let naive = matmul(&b, Op::NoTrans, &g0.g, Op::NoTrans);
-            let scale = naive.max_abs().max(1e-300);
-            assert!(
-                got.max_abs_diff(&naive) / scale < 1e-10,
-                "c={c}: {}",
-                got.max_abs_diff(&naive) / scale
-            );
-        }
-    }
-
-    #[test]
     fn u_zero_matches_analytic_propagator() {
         // U = 0: G(τ,0) = e^{−τK}(I + e^{−βK})⁻¹ exactly.
         let (model, fac, h) = setup(0.0, 16);
         let g0 = greens_naive(&fac, &h, Spin::Up);
-        let gt = unequal_time_greens(&fac, &h, &g0.g, 4, Spin::Up, StratAlgo::PrePivot);
+        let gt = unequal_time_greens_stable(&fac, &h, 4, Spin::Up);
         let kmat = model.lattice.kinetic_matrix(model.mu_tilde);
         for (c, got) in gt.iter().enumerate() {
             let tau = (4 * c) as f64 * model.dtau;
@@ -365,11 +306,12 @@ mod tests {
 
     #[test]
     fn boundary_condition_g_beta_plus_g_zero() {
-        // Anti-periodicity: G(β,0) = B(β,0)G(0) = (M−I)G(0)·…: in fact
-        // B(β,0)G(0) = I − G(0), since (I + B)G = I.
+        // Anti-periodicity: B(β,0)G(0) = I − G(0), since (I + B)G = I. The
+        // block method appends G(β,0) this way, so this checks its G(0)
+        // against the naive equal-time inverse.
         let (_, fac, h) = setup(5.0, 16);
         let g0 = greens_naive(&fac, &h, Spin::Down);
-        let gt = unequal_time_greens(&fac, &h, &g0.g, 4, Spin::Down, StratAlgo::PrePivot);
+        let gt = unequal_time_greens_stable(&fac, &h, 4, Spin::Down);
         let last = gt.last().unwrap();
         let mut expect = Matrix::identity(9);
         expect.axpy(-1.0, &g0.g);
@@ -385,29 +327,13 @@ mod tests {
         let (_, fac, h) = setup(4.0, 8);
         let g0 = greens_naive(&fac, &h, Spin::Up);
         let gt = unequal_time_greens_stable(&fac, &h, 4, Spin::Up);
-        assert_eq!(gt.len(), 3);
+        assert_eq!(gt.len(), 3); // τ = 0, kΔτ, 2kΔτ = β
         assert!(gt[0].max_abs_diff(&g0.g) < 1e-10);
-        let b = fac.cluster(&h, 0, 4, Spin::Up);
-        let naive = matmul(&b, Op::NoTrans, &g0.g, Op::NoTrans);
-        assert!(gt[1].max_abs_diff(&naive) < 1e-9);
-    }
-
-    #[test]
-    fn forward_and_stable_agree_in_moderate_regime() {
-        // β = 2, U = 4: the forward propagation's error amplification
-        // (~e^{cβ}·ε) is still far below the signal; both paths must agree.
-        let (_, fac, h) = setup(4.0, 16);
-        let g0 = greens_naive(&fac, &h, Spin::Up);
-        let fwd = unequal_time_greens(&fac, &h, &g0.g, 4, Spin::Up, StratAlgo::PrePivot);
-        let stable = unequal_time_greens_stable(&fac, &h, 4, Spin::Up);
-        assert_eq!(fwd.len(), stable.len());
-        for (c, (a, b)) in fwd.iter().zip(stable.iter()).enumerate() {
-            let scale = b.max_abs().max(1e-3);
-            assert!(
-                a.max_abs_diff(b) / scale < 1e-7,
-                "c={c}: {}",
-                a.max_abs_diff(b) / scale
-            );
+        // Short, well-conditioned chain: B(τ,0)·G(0) computable directly.
+        for (c, got) in gt.iter().enumerate().skip(1) {
+            let b = fac.cluster(&h, 0, 4 * c, Spin::Up);
+            let naive = matmul(&b, Op::NoTrans, &g0.g, Op::NoTrans);
+            assert!(got.max_abs_diff(&naive) < 1e-9, "c={c}");
         }
     }
 
@@ -441,10 +367,8 @@ mod tests {
     #[test]
     fn observable_accumulator_shapes() {
         let (model, fac, h) = setup(4.0, 8);
-        let g0u = greens_naive(&fac, &h, Spin::Up);
-        let g0d = greens_naive(&fac, &h, Spin::Down);
-        let gu = unequal_time_greens(&fac, &h, &g0u.g, 4, Spin::Up, StratAlgo::PrePivot);
-        let gd = unequal_time_greens(&fac, &h, &g0d.g, 4, Spin::Down, StratAlgo::PrePivot);
+        let gu = unequal_time_greens_stable(&fac, &h, 4, Spin::Up);
+        let gd = unequal_time_greens_stable(&fac, &h, 4, Spin::Down);
         let mut obs = TimeDependentObs::new(&model.lattice, 4, 8, model.dtau, 1);
         obs.record(&gu, &gd, 1.0);
         assert_eq!(obs.count(), 1);

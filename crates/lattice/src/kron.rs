@@ -36,20 +36,6 @@ pub fn kron(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Kronecker sum `A ⊕ B = A ⊗ I + I ⊗ B` (both square).
-pub fn kron_sum(a: &Matrix, b: &Matrix) -> Matrix {
-    assert!(
-        a.is_square() && b.is_square(),
-        "kron_sum: operands must be square"
-    );
-    let ia = Matrix::identity(a.nrows());
-    let ib = Matrix::identity(b.nrows());
-    let mut out = kron(a, &ib);
-    let second = kron(&ia, b);
-    out.axpy(1.0, &second);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,7 +96,9 @@ mod tests {
         };
         let a = mk_sym(3, &mut rng);
         let b = mk_sym(2, &mut rng);
-        let sum = kron_sum(&a, &b);
+        // A ⊕ B = A ⊗ I + I ⊗ B.
+        let mut sum = kron(&a, &Matrix::identity(2));
+        sum.axpy(1.0, &kron(&Matrix::identity(3), &b));
         let lhs = sym_expm(&sum, 0.37).unwrap();
         let rhs = kron(&sym_expm(&a, 0.37).unwrap(), &sym_expm(&b, 0.37).unwrap());
         assert!(lhs.max_abs_diff(&rhs) < 1e-11, "{}", lhs.max_abs_diff(&rhs));

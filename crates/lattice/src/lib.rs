@@ -13,13 +13,11 @@
 //!   momentum-space transforms (the ⟨n_k⟩ measurement),
 //! - [`kpath`]: the (0,0) → (π,π) → (π,0) → (0,0) symmetry path of Figure 5.
 
-pub mod checkerboard;
 pub mod fourier;
 pub mod geometry;
 pub mod kpath;
 pub mod kron;
 
-pub use checkerboard::Checkerboard;
 pub use fourier::{momentum_distribution, translation_average};
 pub use geometry::Lattice;
 pub use kpath::{symmetry_path, KPathPoint};

@@ -1,6 +1,6 @@
 //! Property-based tests of the lattice substrate.
 
-use lattice::{Checkerboard, Lattice};
+use lattice::Lattice;
 use linalg::blas3::{matmul, Op};
 use linalg::Matrix;
 use proptest::prelude::*;
@@ -51,34 +51,6 @@ proptest! {
         let (fwd, _) = lat.expk(dtau, 0.3);
         let dense = linalg::sym_expm(&k, -dtau).unwrap();
         prop_assert!(fwd.max_abs_diff(&dense) < 1e-11);
-    }
-
-    #[test]
-    fn checkerboard_valid_and_invertible(
-        lx in 2usize..7, ly in 2usize..7, dtau in 0.05f64..0.4,
-    ) {
-        let lat = Lattice::square(lx, ly, 1.0);
-        let cb = Checkerboard::new(&lat);
-        // Colors are matchings covering every bond exactly once.
-        let mut covered = 0usize;
-        for color in cb.colors() {
-            let mut seen = vec![false; cb.nsites()];
-            for &(i, j, _) in color {
-                prop_assert!(!seen[i] && !seen[j]);
-                seen[i] = true;
-                seen[j] = true;
-                covered += 1;
-            }
-        }
-        let expect_bonds: usize = (0..lat.nsites())
-            .map(|i| lat.neighbor_bonds(i).len())
-            .sum::<usize>() / 2;
-        // Multiplicity folds double bonds into one entry.
-        prop_assert_eq!(covered, expect_bonds);
-        // Exact inverse.
-        let (fwd, inv) = cb.dense_pair(dtau, 0.2);
-        let prod = matmul(&fwd, Op::NoTrans, &inv, Op::NoTrans);
-        prop_assert!(prod.max_abs_diff(&Matrix::identity(lat.nsites())) < 1e-12);
     }
 
     #[test]

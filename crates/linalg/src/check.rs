@@ -7,15 +7,16 @@
 //! mode: assertion macros that the kernels and the stratification layer
 //! call at their natural checkpoints —
 //!
-//! - [`check_finite!`]: NaN/Inf taint on kernel outputs (and on the factor
-//!   entering each cluster boundary, so a poisoned B-matrix is reported
-//!   *by boundary index* instead of surfacing later as a cryptic pivot
-//!   failure),
-//! - [`check_orthogonal!`]: `‖QᵀQ − I‖_max` residual after each stratified
-//!   QR,
-//! - [`check_graded!`]: monotone (descending-magnitude) grading of `D`,
-//!   with algorithm-dependent slack (QRP grades strictly; pre-pivoting
-//!   preserves grading "although not as strong", §IV-A of the paper).
+//! - [`check_finite!`](crate::check_finite!): NaN/Inf taint on kernel
+//!   outputs (and on the factor entering each cluster boundary, so a
+//!   poisoned B-matrix is reported *by boundary index* instead of surfacing
+//!   later as a cryptic pivot failure),
+//! - [`check_orthogonal!`](crate::check_orthogonal!): `‖QᵀQ − I‖_max`
+//!   residual after each stratified QR,
+//! - [`check_graded!`](crate::check_graded!): monotone (descending-magnitude)
+//!   grading of `D`, with algorithm-dependent slack (QRP grades strictly;
+//!   pre-pivoting preserves grading "although not as strong", §IV-A of the
+//!   paper).
 //!
 //! Every macro expands to a `#[cfg(feature = "checked-invariants")]` block:
 //! **without the feature the expansion is empty** — no branch, no format

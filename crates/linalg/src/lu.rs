@@ -113,15 +113,6 @@ impl LuFactors {
         tri::trsm_upper(&self.lu, b);
     }
 
-    /// Solves `A x = b` for a single right-hand side.
-    // dqmc-lint: allow(hot_alloc) — convenience wrapper returning an owned
-    // vector; the hot path is `solve_in_place`.
-    pub fn solve_vec(&self, b: &[f64]) -> Vec<f64> {
-        let mut m = Matrix::from_col_major(b.len(), 1, b.to_vec());
-        self.solve_in_place(&mut m);
-        m.into_vec()
-    }
-
     /// Explicit inverse `A⁻¹` (solves against the identity).
     pub fn inverse(&self) -> Matrix {
         let mut inv = Matrix::identity(self.order());
@@ -232,19 +223,6 @@ mod tests {
             let b = matmul(&a, Op::NoTrans, &x, Op::NoTrans);
             let sol = solve(&a, &b).unwrap();
             assert!(sol.max_abs_diff(&x) < 1e-10, "n={n}");
-        }
-    }
-
-    #[test]
-    fn solve_vec_matches_matrix_solve() {
-        let a = diag_dominant(12, 3);
-        let b: Vec<f64> = (0..12).map(|i| (i as f64).sin()).collect();
-        let f = lu_in_place(a.clone()).unwrap();
-        let x = f.solve_vec(&b);
-        let bm = Matrix::from_col_major(12, 1, b);
-        let xm = solve(&a, &bm).unwrap();
-        for i in 0..12 {
-            assert!((x[i] - xm[(i, 0)]).abs() < 1e-14);
         }
     }
 

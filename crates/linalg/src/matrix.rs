@@ -247,28 +247,10 @@ impl Matrix {
         self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
     }
 
-    /// 1-norm (max column-sum of absolute values).
-    pub fn norm_one(&self) -> f64 {
-        (0..self.ncols)
-            .map(|j| self.col(j).iter().map(|x| x.abs()).sum::<f64>())
-            .fold(0.0f64, f64::max)
-    }
-
     /// Extracts the contiguous sub-matrix with rows `r0..r0+nr`, cols `c0..c0+nc`.
     pub fn submatrix(&self, r0: usize, c0: usize, nr: usize, nc: usize) -> Matrix {
         assert!(r0 + nr <= self.nrows && c0 + nc <= self.ncols);
         Matrix::from_fn(nr, nc, |i, j| self[(r0 + i, c0 + j)])
-    }
-
-    /// Copies the `out.nrows() × out.ncols()` block of `self` starting at
-    /// `(r0, c0)` into `out` — the allocation-free counterpart of
-    /// [`Matrix::submatrix`] for workspace-arena buffers.
-    pub fn copy_submatrix_into(&self, r0: usize, c0: usize, out: &mut Matrix) {
-        assert!(r0 + out.nrows <= self.nrows && c0 + out.ncols <= self.ncols);
-        for j in 0..out.ncols {
-            let src = &self.col(c0 + j)[r0..r0 + out.nrows];
-            out.col_mut(j).copy_from_slice(src);
-        }
     }
 
     /// Writes `block` into `self` at offset `(r0, c0)`.
@@ -708,7 +690,6 @@ mod tests {
         let a = Matrix::from_col_major(2, 2, vec![3.0, 4.0, 0.0, 0.0]);
         assert!((a.norm_fro() - 5.0).abs() < 1e-15);
         assert_eq!(a.max_abs(), 4.0);
-        assert_eq!(a.norm_one(), 7.0);
         assert_eq!(Matrix::zeros(2, 2).norm_fro(), 0.0);
     }
 

@@ -78,11 +78,6 @@ impl Permutation {
         Permutation { forward: inv }
     }
 
-    /// True if this is the identity.
-    pub fn is_identity(&self) -> bool {
-        self.forward.iter().enumerate().all(|(j, &p)| j == p)
-    }
-
     /// Number of positions where this differs from the identity — the
     /// "column interchange count" the paper observes to be small for
     /// progressively graded matrices.
@@ -157,12 +152,6 @@ impl Permutation {
         out
     }
 
-    /// Applies to a vector as `Pᵀ x` (entry `j` of the result is `x[forward[j]]`).
-    pub fn permute_vec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.len());
-        self.forward.iter().map(|&p| x[p]).collect()
-    }
-
     /// Dense matrix form of `P` (mostly for tests).
     pub fn to_matrix(&self) -> Matrix {
         let n = self.len();
@@ -183,7 +172,6 @@ mod tests {
     #[test]
     fn identity_properties() {
         let p = Permutation::identity(5);
-        assert!(p.is_identity());
         assert_eq!(p.displacement(), 0);
         let mut rng = Rng::new(1);
         let a = Matrix::random(5, 5, &mut rng);
@@ -239,12 +227,6 @@ mod tests {
         assert_eq!(back2, a);
         let back3 = p.permute_rows(&p.permute_rows_t(&a));
         assert_eq!(back3, a);
-    }
-
-    #[test]
-    fn vec_permutation() {
-        let p = Permutation::from_forward(vec![2, 0, 1]);
-        assert_eq!(p.permute_vec_t(&[10.0, 20.0, 30.0]), vec![30.0, 10.0, 20.0]);
     }
 
     #[test]

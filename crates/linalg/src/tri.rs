@@ -193,17 +193,6 @@ fn blocked(
     }
 }
 
-/// Inverse of an upper-triangular matrix (used by tests and the recycling
-/// consistency checks). Panics on zero diagonal.
-// dqmc-lint: allow(unchecked_kernel) -- delegates to trsm_upper, which checks.
-pub fn upper_inverse(a: &Matrix) -> Matrix {
-    let n = a.nrows();
-    assert!(a.is_square());
-    let mut inv = Matrix::identity(n);
-    trsm_upper(a, &mut inv);
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,14 +310,6 @@ mod tests {
         }
         let rel = b_blocked.max_abs_diff(&b_cols) / b_cols.max_abs();
         assert!(rel < 1e-13 * n as f64, "{rel}");
-    }
-
-    #[test]
-    fn upper_inverse_is_inverse() {
-        let u = random_upper(25, 13);
-        let inv = upper_inverse(&u);
-        let prod = matmul(&u, Op::NoTrans, &inv, Op::NoTrans);
-        assert!(prod.max_abs_diff(&Matrix::identity(25)) < 1e-10);
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes an `i64`, little-endian.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Writes an `f64` as its IEEE-754 bit pattern (bit-exact round trip,
     /// including NaN payloads and signed zero).
     pub fn put_f64(&mut self, v: f64) {
@@ -215,11 +210,6 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes([
             c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
         ]))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, CodecError> {
-        Ok(self.get_u64()? as i64)
     }
 
     /// Reads an `f64` from its bit pattern.
@@ -431,7 +421,6 @@ mod tests {
         w.put_u8(0xAB);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 7);
-        w.put_i64(-42);
         w.put_f64(-0.0);
         w.put_f64(f64::NAN);
         w.put_f64(std::f64::consts::PI);
@@ -440,7 +429,6 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 0xAB);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 7);
-        assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(r.get_f64().unwrap().is_nan());
         assert_eq!(r.get_f64().unwrap(), std::f64::consts::PI);

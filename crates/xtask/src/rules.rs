@@ -337,7 +337,7 @@ const CHECK_TOKENS: [&str; 3] = ["check_finite!", "check_orthogonal!", "check_gr
 const PANIC_TOKENS: [&str; 3] = ["panic!", ".expect(", ".unwrap()"];
 
 /// Path fragments that put a file in R5's jurisdiction: the subsystems
-/// whose failures must travel as classified [`DqmcError`]s, not unwinds.
+/// whose failures must travel as classified `DqmcError`s, not unwinds.
 const PANIC_SCOPES: [&str; 2] = ["sched/src/", "gpusim/src/"];
 
 /// A rule of the form "these calls belong in one audited module": tokens
