@@ -160,7 +160,7 @@ pub(crate) fn for_each_spin<T: Send>(n: usize, work: &mut [T; 2], f: impl Fn(Spi
 }
 
 /// The infallible host path: [`BMatrixFactory`] kernels, the two spins on
-/// two cores past the fork cut ([`for_each_spin`]), each spin's walkers in a
+/// two cores past the fork cut (`for_each_spin`), each spin's walkers in a
 /// loop. This is what the recovery ladder's host fallback lands on.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HostBackend;

@@ -328,6 +328,7 @@ mod tests {
         let g0 = greens_naive(&fac, &h, Spin::Up);
         let gt = unequal_time_greens_stable(&fac, &h, 4, Spin::Up);
         assert_eq!(gt.len(), 3); // τ = 0, kΔτ, 2kΔτ = β
+
         // G(0) is the first block of the block-LU solve, an independent
         // computation from the naive inverse: they agree to a few ulps.
         let err = gt[0].max_abs_diff(&g0.g);

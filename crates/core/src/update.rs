@@ -17,7 +17,7 @@
 //!
 //! **One spin per core.** The two spins of a slice share only the
 //! accept/reject decision, which needs `r = d_up·d_dn`. Past the fork cut
-//! (`2N³ ≥ FORK_FLOPS`) [`visit_sites`] runs each spin's side on its own core
+//! (`2N³ ≥ FORK_FLOPS`) `visit_sites` runs each spin's side on its own core
 //! for the whole slice ([`team::lockstep`]): at every site the sides swap
 //! their `d_σ`, both form `r` in that order and draw the site's uniform from
 //! their own copy of the walker's stream, so they decide alike with no second

@@ -14,7 +14,7 @@
 //!   from the shape alone, so the bits are the same on one thread or two.
 //!
 //! The micro-kernel — and with it the tile shape `MR × NR`, a pair of const
-//! generics from [`gemm_impl`] down — is selected at runtime through
+//! generics from `gemm_impl` down — is selected at runtime through
 //! [`crate::simd`]: an AVX-512 16×12 tile or an AVX2+FMA 8×6 tile on capable
 //! `x86_64` hosts (bit-identical to each other), the portable scalar 8×4
 //! tile otherwise (`LINALG_KERNEL=scalar|fma|avx512` pins a path). Packing

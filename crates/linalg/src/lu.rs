@@ -5,7 +5,7 @@
 //! panel factorization, pivot-row swaps across the full matrix, a triangular
 //! solve for the upper block row, and a GEMM trailing update that carries
 //! almost all the flops. Both act on the blocks where they live
-//! ([`crate::blas3::gemm_view`]), so a factorization stages nothing.
+//! (`blas3::gemm_view`), so a factorization stages nothing.
 //!
 //! This module is tagged `deny_hot_alloc`: `cargo xtask lint` rejects heap
 //! allocation in its non-test code unless a pragma justifies it.

@@ -2,7 +2,7 @@
 //!
 //! Storage is always packed (leading dimension equals the row count). The
 //! blocked kernels in [`crate::blas3`], [`crate::tri`] and the factorizations
-//! address sub-blocks through the crate-internal [`View`]/[`ViewMut`]
+//! address sub-blocks through the crate-internal `View`/`ViewMut`
 //! (pointer + leading dimension); `Matrix` keeps the public API safe and
 //! simple.
 

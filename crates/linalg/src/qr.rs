@@ -4,7 +4,7 @@
 //! each panel is
 //! factored recursively (Elmroth–Gustavson: left half, block reflector onto
 //! the right half, right half, join the two T factors — all through
-//! [`crate::blas3::gemm_view`]), down to leaves of `BASE` columns that run the
+//! `blas3::gemm_view`), down to leaves of `BASE` columns that run the
 //! level-2 reflector loop; the recursion leaves the panel's reflectors in a
 //! compact WY representation `Q = I − V T Vᵀ` (dlarft) as it goes, and the
 //! trailing matrix is updated with three level-3 products (dlarfb). This is
@@ -45,7 +45,7 @@
 //!
 //! The block reflector updates its target where it lives (a trailing block of
 //! the matrix being factored, or of the Q being formed) through
-//! [`crate::blas3::gemm_view`]. All per-panel staging (explicit V, the T
+//! `blas3::gemm_view`. All per-panel staging (explicit V, the T
 //! factor, the two W work matrices, the join's scratch) is leased from the
 //! [`crate::workspace`] arena, so a steady-state factorization allocates
 //! nothing; `cargo xtask lint` enforces this via the `deny_hot_alloc` tag

@@ -1,5 +1,6 @@
 //! Runtime-dispatched SIMD micro-kernels for the GEMM register tile (and
-//! the unfused `axpy` of [`crate::blas1`]).
+//! the unfused `axpy` of [`crate::blas1`] and plane rotation of
+//! [`crate::eig`]).
 //!
 //! The paper's performance argument (Figure 1, Table I) rests on DGEMM
 //! reaching a high fraction of machine peak; MKL gets there with
@@ -393,9 +394,91 @@ unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
     axpy_loop(alpha, x, y);
 }
 
+/// The plane rotation `x' = c·x − s·y`, `y' = s·x + c·y` for
+/// [`crate::eig::sym_eig`]'s Jacobi sweeps: two multiplies and an add or a
+/// subtract per element (never fused) at the widest vector width the
+/// [`kernel_path`] allows. Each element is rounded three times on every
+/// path, so every path gives the portable loop's bits.
+pub(crate) fn rot_unfused(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+    assert_eq!(x.len(), y.len(), "rot_unfused: length mismatch");
+    match kernel_path() {
+        // SAFETY: `kernel_path` returns only a path the host supports.
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Avx512 => unsafe { rot_avx512(c, s, x, y) },
+        // SAFETY: as above; the FMA path implies AVX2.
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Fma => unsafe { rot_avx2(c, s, x, y) },
+        _ => rot_loop(c, s, x, y),
+    }
+}
+
+/// The loop behind [`rot_unfused`]; the compiler vectorises it to the width
+/// of the function it is inlined into.
+#[inline(always)]
+fn rot_loop(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+    for (xi, yi) in x.iter_mut().zip(y.iter_mut()) {
+        let (a, b) = (*xi, *yi);
+        *xi = c * a - s * b;
+        *yi = s * a + c * b;
+    }
+}
+
+/// # Safety
+/// The host supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rot_avx512(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+    rot_loop(c, s, x, y);
+}
+
+/// # Safety
+/// The host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn rot_avx2(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
+    rot_loop(c, s, x, y);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rot_gives_the_portable_loops_bits_at_every_width() {
+        let mut rng = util::Rng::new(12);
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for len in [1, 7, 8, 33, 256] {
+            let x0: Vec<f64> = (0..len).map(|_| rng.next_f64() - 0.5).collect();
+            let y0: Vec<f64> = (0..len).map(|_| 1e3 * (rng.next_f64() - 0.5)).collect();
+            let theta = 6.0 * rng.next_f64();
+            let (c, s) = (theta.cos(), theta.sin());
+            let (mut want_x, mut want_y) = (x0.clone(), y0.clone());
+            for (xi, yi) in want_x.iter_mut().zip(want_y.iter_mut()) {
+                let (a, b) = (*xi, *yi);
+                *xi = c * a - s * b;
+                *yi = s * a + c * b;
+            }
+            let (mut x, mut y) = (x0.clone(), y0.clone());
+            rot_unfused(c, s, &mut x, &mut y);
+            assert_eq!(bits(&x), bits(&want_x), "len {len}, dispatched, x");
+            assert_eq!(bits(&y), bits(&want_y), "len {len}, dispatched, y");
+            #[cfg(target_arch = "x86_64")]
+            for path in [KernelPath::Avx512, KernelPath::Fma] {
+                if path.available() {
+                    let (mut x, mut y) = (x0.clone(), y0.clone());
+                    // SAFETY: the host has this path's features.
+                    unsafe {
+                        match path {
+                            KernelPath::Avx512 => rot_avx512(c, s, &mut x, &mut y),
+                            _ => rot_avx2(c, s, &mut x, &mut y),
+                        }
+                    };
+                    assert_eq!(bits(&x), bits(&want_x), "len {len}, {}, x", path.name());
+                    assert_eq!(bits(&y), bits(&want_y), "len {len}, {}, y", path.name());
+                }
+            }
+        }
+    }
 
     #[test]
     fn axpy_gives_the_portable_loops_bits_at_every_width() {

@@ -31,7 +31,7 @@
 //! A parked helper (slow to wake on this host, see
 //! `src/bin/benchmark/README.md`) therefore costs a futex wake and nothing
 //! else. A lockstep pair is the one job that waits for a joiner, and only
-//! for [`JOIN_WAIT`]: then it withdraws the post, but only while nobody has
+//! for `JOIN_WAIT`: then it withdraws the post, but only while nobody has
 //! joined, so a helper that joined always finds its partner. The protocol is
 //! modelled under `--cfg loom` at the bottom of this file.
 //!
@@ -537,7 +537,7 @@ pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) 
 /// at the same time, and returns true when both have finished; the two sides
 /// trade one `f64` per step through [`Partner::swap`]. Returns false, having
 /// called neither, when there is no helper, the team is taken, or no helper
-/// joins within a fixed wait ([`JOIN_WAIT`]): then the caller runs its own
+/// joins within a fixed wait (`JOIN_WAIT`): then the caller runs its own
 /// serial loop. What a side computes is a function of its index and its
 /// element, never of the thread it runs on. A panic on either side stops the
 /// other's waiting and reaches the caller after both have stopped, and

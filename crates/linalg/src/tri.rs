@@ -5,9 +5,9 @@
 //! assembly solves a dense system via LU, whose forward/back substitutions
 //! live here. All three kernels are level-3: the triangle is halved
 //! recursively, every off-diagonal block goes through the packed GEMM
-//! ([`crate::blas3::gemm_view`]), and only the
-//! diagonal blocks of at most [`NB`] rows run the stride-1 level-2 loops
-//! below. Calls of at most [`LEVEL2_FLOPS`] multiply-adds — every N = 16/36
+//! (`blas3::gemm_view`), and only the
+//! diagonal blocks of at most `NB` rows run the stride-1 level-2 loops
+//! below. Calls of at most `LEVEL2_FLOPS` multiply-adds — every N = 16/36
 //! caller — are one diagonal block and never reach GEMM.
 //!
 //! This module is tagged `deny_hot_alloc`: `cargo xtask lint` rejects heap

@@ -15,7 +15,7 @@
 //! re-entrancy hazards, and every scheduler worker thread simply owns an
 //! independent arena — no locks on the hot path.
 //!
-//! The pool is bounded ([`MAX_POOLED`] buffers, largest kept) so pathological
+//! The pool is bounded (`MAX_POOLED` buffers, largest kept) so pathological
 //! call patterns cannot hoard memory. Returned buffers are always
 //! **zero-filled** to keep kernel semantics identical to a fresh
 //! `vec![0.0; len]` — the memset is O(buffer), negligible against the

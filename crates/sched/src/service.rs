@@ -5,7 +5,7 @@
 //! admission), their jobs interleave by priority with every other
 //! tenant's, and each campaign's outcomes are routed back to it by tag
 //! into its own slot vector. The moment a point's last chain lands the
-//! service pools it with [`crate::runner::summarize_point`] and hands the
+//! service pools it with `runner::summarize_point` and hands the
 //! summary to the campaign's observer (the hook a server uses to stream
 //! bins and fill a result cache). A resident service (`dqmc-serve`, a
 //! fleet child) keeps the pools alive across campaigns; a one-shot

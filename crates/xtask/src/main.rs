@@ -2,7 +2,7 @@
 //!
 //! `lint` is the dqmc-lint static-analysis pass: a dependency-free token
 //! walk over the workspace sources enforcing the numerical-kernel hygiene
-//! rules documented in [`rules`]. Run it as
+//! rules documented in the `rules` module. Run it as
 //!
 //! ```text
 //! cargo xtask lint              # lint the workspace (CI does this)
