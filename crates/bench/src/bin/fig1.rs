@@ -15,7 +15,10 @@
 //! ledger; the sizes start at N = 16 and 36 — the systems the scheduler,
 //! service and fleet layers run, where a call's fixed cost shows — and cross
 //! `team::FORK_FLOPS`, so the row shows where forking begins. A pinned path the host lacks runs its fallback, so its
-//! column repeats the one to its left. QR and QRP run free. Results are also
+//! column repeats the one to its left. The scalar tile fuses through
+//! `f64::mul_add` (the other tiles' bits), which a build without a native
+//! FMA makes a libm call per multiply-add: its column times that, not an
+//! unfused loop. QR and QRP run free. Results are also
 //! written to `BENCH_fig1.json` (with `host_cores` and `cpu_model`) for the
 //! checked-in benchmark artifact.
 //!

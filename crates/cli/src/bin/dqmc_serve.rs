@@ -23,7 +23,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_num(flag: &str, value: Option<&String>) -> usize {
+fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
     let Some(value) = value else {
         eprintln!("{flag} needs a value");
         usage();
@@ -55,11 +55,11 @@ fn main() {
                     usage();
                 }
             },
-            "--workers" => cfg.service.workers = parse_num(a, it.next()).max(1),
+            "--workers" => cfg.service.workers = parse_num::<usize>(a, it.next()).max(1),
             "--devices" => cfg.service.devices = parse_num(a, it.next()),
             "--quantum" => cfg.service.quantum = parse_num(a, it.next()),
             "--queue-bound" => cfg.service.queue_bound = parse_num(a, it.next()),
-            "--job-retries" => cfg.service.job_retries = parse_num(a, it.next()) as u32,
+            "--job-retries" => cfg.service.job_retries = parse_num(a, it.next()),
             "--max-tenant-campaigns" => cfg.max_tenant_campaigns = parse_num(a, it.next()),
             "--cache-dir" => match it.next() {
                 Some(v) => cfg.cache_dir = Some(PathBuf::from(v)),

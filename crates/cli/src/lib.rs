@@ -186,9 +186,15 @@ impl InputFile {
                 v.parse::<usize>()
                     .map_err(|_| err(format!("'{v}' is not a non-negative integer")))
             };
-            let parse_f64 = |v: &str| {
-                v.parse::<f64>()
-                    .map_err(|_| err(format!("'{v}' is not a number")))
+            let parse_u32 = |v: &str| {
+                v.parse::<u32>()
+                    .map_err(|_| err(format!("'{v}' is not an integer in 0..=4294967295")))
+            };
+            // `str::parse` also takes `nan` and `inf`, which pass every
+            // `x < 0.0` test and panic the engine.
+            let parse_f64 = |v: &str| match v.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(x),
+                _ => Err(err(format!("'{v}' is not a finite number"))),
             };
             let parse_bool = |v: &str| match v.to_ascii_lowercase().as_str() {
                 "true" | "yes" | "1" => Ok(true),
@@ -210,7 +216,10 @@ impl InputFile {
                     cfg.slices = parse_usize(value)?;
                     slices_given = true;
                 }
-                "beta" => beta = Some(parse_f64(value)?),
+                "beta" => match parse_f64(value)? {
+                    b if b > 0.0 => beta = Some(b),
+                    _ => return Err(err(format!("beta must be positive, got '{value}'"))),
+                },
                 "warmup" => cfg.warmup = parse_usize(value)?,
                 "sweeps" => cfg.sweeps = parse_usize(value)?,
                 "seed" => {
@@ -260,7 +269,7 @@ impl InputFile {
                 "checkpoint" => cfg.checkpoint = Some(value.to_string()),
                 "checkpoint_every" => cfg.checkpoint_every = parse_usize(value)?,
                 "recovery" => cfg.recovery = parse_bool(value)?,
-                "max_retries" => cfg.max_retries = parse_usize(value)? as u32,
+                "max_retries" => cfg.max_retries = parse_u32(value)?,
                 "min_cluster" => cfg.min_cluster = parse_usize(value)?,
                 other => {
                     return Err(err(format!("unknown key '{other}'")));
@@ -411,8 +420,19 @@ mod tests {
 
     #[test]
     fn bad_value_reports_line() {
-        let e = InputFile::parse("lx = banana\n").unwrap_err();
-        assert_eq!(e.line, 1);
+        // `nan` passes `u < 0.0`, a negative beta would round to one slice,
+        // and 2^32 + 1 retries would wrap to 1 in a cast to `u32`.
+        for (text, line, says) in [
+            ("lx = banana\n", 1, "not a non-negative integer"),
+            ("lx = 4\nu = nan\n", 2, "not a finite number"),
+            ("dtau = inf\n", 1, "not a finite number"),
+            ("dtau = 0.1\nbeta = -3\n", 2, "beta must be positive"),
+            ("max_retries = 4294967297\n", 1, "not an integer"),
+        ] {
+            let e = InputFile::parse(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}");
+            assert!(e.message.contains(says), "{text:?}: {}", e.message);
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! The micro-kernel — and with it the tile shape `MR × NR`, a pair of const
 //! generics from `gemm_impl` down — is selected at runtime through
 //! [`crate::simd`]: an AVX-512 16×12 tile or an AVX2+FMA 8×6 tile on capable
-//! `x86_64` hosts (bit-identical to each other), the portable scalar 8×4
-//! tile otherwise (`LINALG_KERNEL=scalar|fma|avx512` pins a path). Packing
+//! `x86_64` hosts, the portable scalar 8×4 tile otherwise
+//! (`LINALG_KERNEL=scalar|fma|avx512` pins a path); all three fuse each
+//! multiply-add and give the same bits. Packing
 //! buffers come from the [`crate::workspace`] arena, so steady-state GEMM
 //! calls perform no heap allocation.
 //!
@@ -507,7 +508,8 @@ unsafe fn update_tile<const MR: usize, const NR: usize>(
 }
 
 /// Scalar register-tile kernel:
-/// `acc[j][i] += Σ_p apanel[p*MR+i] * bpanel[p*NR+j]`.
+/// `acc[j][i] += Σ_p apanel[p*MR+i] * bpanel[p*NR+j]`, one fused
+/// multiply-add per step, ascending `p`: the SIMD tiles' bits.
 #[inline(always)]
 fn micro_kernel<const MR: usize, const NR: usize>(
     kc: usize,
@@ -528,7 +530,7 @@ fn micro_kernel<const MR: usize, const NR: usize>(
             let bj = b[j];
             let accj = &mut acc[j];
             for i in 0..MR {
-                accj[i] += a[i] * bj;
+                accj[i] = a[i].mul_add(bj, accj[i]);
             }
         }
     }
@@ -632,23 +634,24 @@ mod tests {
     fn pinned_paths_match_naive_on_blocked_sizes() {
         // Every explicit kernel path, on sizes with odd tile edges: 61 % 8,
         // 61 % 16, 53 % 4, 53 % 6, 53 % 12 all ≠ 0, and 36 = 2·16 + 4, whose
-        // last row panel takes the AVX-512 tile's half-height form.
+        // last row panel takes the AVX-512 tile's half-height form. Each
+        // agrees with the naive loop, and the three agree bit for bit.
         for (m, n, k) in [(61, 53, 67), (36, 36, 36), (5, 7, 3)] {
             let mut rng = Rng::new(11);
             let a = Matrix::random(m, k, &mut rng);
             let b = Matrix::random(k, n, &mut rng);
-            for path in [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512] {
-                let mut c1 = Matrix::zeros(m, n);
-                let mut c2 = Matrix::zeros(m, n);
-                gemm_with_kernel(path, 1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c1);
-                gemm_naive(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c2);
-                assert!(
-                    c1.max_abs_diff(&c2) < 1e-12 * k as f64,
-                    "{m}x{n}x{k} path {:?}: {}",
-                    path,
-                    c1.max_abs_diff(&c2)
-                );
-            }
+            let mut naive = Matrix::zeros(m, n);
+            gemm_naive(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut naive);
+            let [scalar, fma, avx512] = [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512]
+                .map(|path| {
+                    let mut c = Matrix::zeros(m, n);
+                    gemm_with_kernel(path, 1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c);
+                    let diff = c.max_abs_diff(&naive);
+                    assert!(diff < 1e-12 * k as f64, "{m}x{n}x{k} path {path:?}: {diff}");
+                    c
+                });
+            assert!(bits_eq(&scalar, &fma), "{m}x{n}x{k}: scalar vs fma");
+            assert!(bits_eq(&avx512, &fma), "{m}x{n}x{k}: avx512 vs fma");
         }
     }
 

@@ -11,7 +11,7 @@
 //! |---|---|---|---|
 //! | `avx512` | 16 × 12 | 24 acc + 2 A + 1 B of 32 `zmm` | 2 loads, 12 broadcasts, 24 FMAs |
 //! | `fma` | 8 × 6 | 12 acc + 2 A + 1 B of 16 `ymm` | 2 loads, 6 broadcasts, 12 FMAs |
-//! | `scalar` | 8 × 4 | — (portable loop) | 32 multiplies, 32 adds |
+//! | `scalar` | 8 × 4 | — (portable loop) | 32 `f64::mul_add` |
 //!
 //! - the path is selected once ([`kernel_path`], `is_x86_feature_detected!`
 //!   cached in a `OnceLock`): the fastest the host has, or the one
@@ -20,27 +20,28 @@
 //!   `avx512 → fma → scalar` ([`KernelPath::or_fallback`]), never a slower
 //!   one than it must.
 //!
-//! Numerics: `fma` and `avx512` fuse each multiply-add (one rounding instead
-//! of two), so they differ from the scalar path by at most ~1 ulp per
-//! accumulation step. Between themselves they are **bit-identical**: an
-//! element of C is one lane of one accumulator, which receives
-//! `fma(a[i,p], b[p,j], acc)` for `p` ascending from a zero start whatever
-//! the tile's shape, then `C += alpha · acc` as a multiply and an add. The
-//! tile shape decides which elements share a register, not what any of them
-//! is — nor does the way a tile reaches C (`avx512`: from the registers
-//! under a row mask, at half height for a short last row panel; `fma` and
-//! `scalar`: a stack tile and the clipped loop `c += alpha * v`).
-//! Every product reaches one of these tiles, from 1×1×1 up, so the contract
-//! covers every size — `tests/kernel_paths.rs` pins it on all of them, and
-//! the scalar tile against the naive loop.
+//! Numerics: every tile fuses each multiply-add (one rounding, not two; the
+//! scalar tile through `f64::mul_add`, correctly rounded on every target),
+//! so the three paths are **bit-identical**: an element of C is one lane of
+//! one accumulator, which receives `fma(a[i,p], b[p,j], acc)` for `p`
+//! ascending from a zero start whatever the tile's shape, then
+//! `C += alpha · acc` as a multiply and an add. The tile shape decides which
+//! elements share a register, not what any of them is — nor does the way a
+//! tile reaches C (`avx512`: from the registers under a row mask, at half
+//! height for a short last row panel; `fma` and `scalar`: a stack tile and
+//! the clipped loop `c += alpha * v`). Every product reaches one of these
+//! tiles, from 1×1×1 up, so the contract covers every size —
+//! `tests/kernel_paths.rs` pins it on all of them, and every path against
+//! the naive loop. The scalar tile pays for it: without a native FMA the
+//! `mul_add` is a libm call.
 
 use std::sync::OnceLock;
 
 /// Which GEMM micro-kernel the blocked driver uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
-    /// Portable scalar 8×4 register tile (bit-identical to the pre-SIMD
-    /// implementation; always available).
+    /// Portable scalar 8×4 register tile (`f64::mul_add`; bit-identical to
+    /// the SIMD tiles; always available).
     Scalar,
     /// AVX2+FMA 8×6 register tile (`x86_64` with avx2+fma only).
     Fma,
@@ -90,7 +91,7 @@ impl KernelPath {
 
     /// This path when the host has it, otherwise the fastest one below it:
     /// `avx512 → fma → scalar`. A pinned AVX-512 run on an AVX2-only host
-    /// therefore runs the FMA tile, not the 5× slower scalar one.
+    /// therefore runs the FMA tile, not the far slower scalar one.
     pub fn or_fallback(self) -> KernelPath {
         self.or_fallback_on(KernelPath::available)
     }

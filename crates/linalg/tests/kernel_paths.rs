@@ -1,24 +1,23 @@
-//! Cross-kernel equivalence: the runtime-dispatched SIMD micro-kernels and
-//! the portable scalar micro-kernel must agree to rounding error on every
-//! GEMM shape the solvers produce — and the two SIMD kernels with each other
-//! exactly.
+//! Cross-kernel equivalence: the three GEMM register tiles — 16×12 AVX-512,
+//! 8×6 AVX2+FMA, 8×4 scalar — must give the same bits on every shape the
+//! solvers produce, and each must agree with the naive loop to rounding.
 //!
 //! All paths share one driver — beta, pack, slab, register tile — from
-//! 1×1×1 up; only the innermost register tile differs (16×12 AVX-512, 8×6
-//! AVX2+FMA, 8×4 scalar). A fused multiply-add rounds once where the scalar path rounds
-//! twice, so SIMD and scalar results are *not* bit-identical — the contract
-//! is agreement within an accumulation-length-scaled ulp bound, verified here
-//! against shapes that stress every edge: sub-tile sizes, prime dimensions,
-//! tile boundaries, cache-block boundaries, all four transpose combinations,
-//! and the alpha/beta special cases the dispatcher short-circuits. AVX-512
-//! against FMA *is* bit-identical (each element of C gets the same k-ordered
-//! chain of fused multiply-adds whatever the tile's shape), and every grid
-//! plus one of its own holds it to that; those checks skip, saying so, on a
-//! host without `avx512f`. The small-shape grid — every shape the N = 16/36
-//! systems and the trailing delayed-update flush produce, which all reach the
-//! register tile — is `paths_agree_on_every_small_shape`. (Sub-views with
-//! `ld > rows` need the crate-private view entry: that part of both grids is
-//! `blas3`'s unit tests `views_match_copied_sub_blocks_bitwise` and
+//! 1×1×1 up; only the innermost register tile differs, and every tile fuses
+//! each multiply-add (the scalar one through `f64::mul_add`). So each element
+//! of C gets the same k-ordered chain of fused multiply-adds whatever the
+//! tile's shape, and the contract is byte identity, verified here against
+//! shapes that stress every edge: sub-tile sizes, prime dimensions, tile
+//! boundaries, cache-block boundaries, all four transpose combinations, and
+//! the alpha/beta special cases the dispatcher short-circuits. A pin the host
+//! lacks runs the next path down the ladder, so on a host without `avx512f`
+//! the AVX-512 comparisons are of the FMA tile with itself; the scalar tile
+//! exists everywhere, so `scalar == fma` is checked on every AVX2 host. The
+//! small-shape grid — every shape the N = 16/36 systems and the trailing
+//! delayed-update flush produce — is `paths_agree_on_every_small_shape`, the
+//! large one `avx512_equals_fma_bit_for_bit_on_the_whole_grid`. (Sub-views
+//! with `ld > rows` need the crate-private view entry: that part of both
+//! grids is `blas3`'s unit tests `views_match_copied_sub_blocks_bitwise` and
 //! `pinned_simd_paths_agree_bitwise_on_sub_views`.)
 //!
 //! The whole suite also runs under `LINALG_KERNEL=scalar` in CI, which
@@ -70,23 +69,15 @@ fn tol(k: usize, alpha: f64, beta: f64) -> f64 {
     2.0 * f64::EPSILON * (k as f64 + 4.0) * scale
 }
 
-/// Whether the AVX-512 checks can run; says once per process when not.
-fn have_avx512() -> bool {
-    static SAY: std::sync::Once = std::sync::Once::new();
-    let have = KernelPath::Avx512.available();
-    if !have {
-        SAY.call_once(|| eprintln!("skipping the avx512 == fma checks: host lacks avx512f"));
-    }
-    have
-}
+/// Every kernel path; a pin the host lacks runs the next one down.
+const PATHS: [KernelPath; 3] = [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512];
 
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
-/// Runs one GEMM on every kernel path (and the naive reference) and checks
-/// pairwise agreement. Returns silently when the FMA path is unavailable on
-/// the host — the scalar-vs-naive check still runs.
+/// Runs one GEMM on every kernel path and the naive reference: each path
+/// agrees with the reference to rounding, and the three bit for bit.
 fn check_case(m: usize, n: usize, k: usize, alpha: f64, beta: f64, opa: Op, opb: Op, seed: u64) {
     let mut rng = util::Rng::new(seed);
     let a = match opa {
@@ -101,45 +92,18 @@ fn check_case(m: usize, n: usize, k: usize, alpha: f64, beta: f64, opa: Op, opb:
 
     let mut c_ref = c0.clone();
     gemm_naive(alpha, &a, opa, &b, opb, beta, &mut c_ref);
-    let mut c_scalar = c0.clone();
-    gemm_with_kernel(
-        KernelPath::Scalar,
-        alpha,
-        &a,
-        opa,
-        &b,
-        opb,
-        beta,
-        &mut c_scalar,
-    );
-
-    record(&c_scalar);
-
     let t = tol(k, alpha, beta);
     let label = format!("m={m} n={n} k={k} α={alpha} β={beta} {opa:?}/{opb:?}");
-    assert!(
-        c_scalar.max_abs_diff(&c_ref) <= t,
-        "scalar vs naive: {} > {t} ({label})",
-        c_scalar.max_abs_diff(&c_ref)
-    );
-
-    if KernelPath::Fma.available() {
-        let mut c_fma = c0.clone();
-        gemm_with_kernel(KernelPath::Fma, alpha, &a, opa, &b, opb, beta, &mut c_fma);
-        record(&c_fma);
-        assert!(
-            c_fma.max_abs_diff(&c_scalar) <= t,
-            "fma vs scalar: {} > {t} ({label})",
-            c_fma.max_abs_diff(&c_scalar)
-        );
-        if have_avx512() {
-            let mut c_avx512 = c0.clone();
-            let path = KernelPath::Avx512;
-            gemm_with_kernel(path, alpha, &a, opa, &b, opb, beta, &mut c_avx512);
-            record(&c_avx512);
-            assert!(bits(&c_avx512) == bits(&c_fma), "avx512 vs fma ({label})");
-        }
-    }
+    let [scalar, fma, avx512] = PATHS.map(|path| {
+        let mut c = c0.clone();
+        gemm_with_kernel(path, alpha, &a, opa, &b, opb, beta, &mut c);
+        record(&c);
+        let diff = c.max_abs_diff(&c_ref);
+        assert!(diff <= t, "{path:?} vs naive: {diff} > {t} ({label})");
+        bits(&c)
+    });
+    assert!(scalar == fma, "scalar vs fma ({label})");
+    assert!(avx512 == fma, "avx512 vs fma ({label})");
 }
 
 #[test]
@@ -199,7 +163,7 @@ fn small_extents() -> Vec<usize> {
 }
 
 /// One small product on every path with NaN in the scratch each is about to
-/// lease: against the naive loop to `1e-13·k`, `Avx512 == Fma` exactly.
+/// lease: against the naive loop to `1e-13·k`, the three paths' bits equal.
 fn check_small_case(m: usize, n: usize, k: usize, alpha: f64, beta: f64, opa: Op, opb: Op) {
     let mut rng = util::Rng::new((m * 10_000 + n * 100 + k) as u64);
     let (ar, ac) = if opa == Op::NoTrans { (m, k) } else { (k, m) };
@@ -210,22 +174,21 @@ fn check_small_case(m: usize, n: usize, k: usize, alpha: f64, beta: f64, opa: Op
     let mut c_ref = c0.clone();
     gemm_naive(alpha, &a, opa, &b, opb, beta, &mut c_ref);
     let label = format!("m={m} n={n} k={k} α={alpha} β={beta} {opa:?}/{opb:?}");
-    let [scalar, fma, avx512] =
-        [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512].map(|path| {
-            let mut c = c0.clone();
-            poison_scratch(1, 1 << 13);
-            gemm_with_kernel(path, alpha, &a, opa, &b, opb, beta, &mut c);
-            let diff = c.max_abs_diff(&c_ref);
-            assert!(
-                diff <= 1e-13 * k as f64,
-                "{path:?} vs naive: {diff:e} ({label})"
-            );
-            c
-        });
-    record_digest(&scalar);
+    let [scalar, fma, avx512] = PATHS.map(|path| {
+        let mut c = c0.clone();
+        poison_scratch(1, 1 << 13);
+        gemm_with_kernel(path, alpha, &a, opa, &b, opb, beta, &mut c);
+        let diff = c.max_abs_diff(&c_ref);
+        assert!(
+            diff <= 1e-13 * k as f64,
+            "{path:?} vs naive: {diff:e} ({label})"
+        );
+        c
+    });
     record_digest(&fma);
     // On a host without avx512f (or avx2+fma) the pins fall down the ladder
     // together, and the comparison is of a path with itself.
+    assert!(bits(&scalar) == bits(&fma), "scalar vs fma ({label})");
     assert!(bits(&avx512) == bits(&fma), "avx512 vs fma ({label})");
 }
 
@@ -287,14 +250,14 @@ fn dispatched_default_matches_pinned_path() {
     );
 
     // The same on a shape that reaches the micro-kernels, by name: the
-    // dispatcher's choice is one of the three paths and runs as that path.
-    let paths = [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512];
+    // dispatcher's choice is one of the three paths, and every path gives
+    // its bits.
     let chosen = linalg::kernel_path();
-    assert!(paths.contains(&chosen) && chosen.available());
+    assert!(PATHS.contains(&chosen) && chosen.available());
     let a = Matrix::random(61, 67, &mut rng);
     let b = Matrix::random(67, 53, &mut rng);
     let c_default = matmul(&a, Op::NoTrans, &b, Op::NoTrans);
-    for path in paths {
+    for path in PATHS {
         let mut c_pinned = Matrix::zeros(61, 53);
         gemm_with_kernel(
             path,
@@ -306,9 +269,7 @@ fn dispatched_default_matches_pinned_path() {
             0.0,
             &mut c_pinned,
         );
-        if path.or_fallback() == chosen {
-            assert!(bits(&c_default) == bits(&c_pinned), "{}", path.name());
-        }
+        assert!(bits(&c_default) == bits(&c_pinned), "{}", path.name());
     }
 }
 
@@ -592,7 +553,7 @@ fn gemm_never_reads_what_it_did_not_pack() {
         (263, 257, 269),
     ];
     for (i, &(m, n, k)) in shapes.iter().enumerate() {
-        for path in [KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512] {
+        for path in PATHS {
             for (opa, opb) in [(Op::NoTrans, Op::NoTrans), (Op::Trans, Op::Trans)] {
                 let mut rng = util::Rng::new(1000 + i as u64);
                 let (ar, ac) = if opa == Op::NoTrans { (m, k) } else { (k, m) };
@@ -617,15 +578,12 @@ fn gemm_never_reads_what_it_did_not_pack() {
 
 #[test]
 fn avx512_equals_fma_bit_for_bit_on_the_whole_grid() {
-    // The byte-identity contract of the 16×12 tile on the large shapes (the
+    // The byte-identity contract of the three tiles on the large shapes (the
     // small ones are `paths_agree_on_every_small_shape`): m and n on both
-    // sides of multiples of 16 and 12 (one exact tile, one short of it, all
-    // interior, interior plus both edges), k = 1, KC − 1, KC, KC + 1 and
-    // several slabs, past the MC row block and the 504-/510-column NC block,
-    // forking and not.
-    if !have_avx512() {
-        return;
-    }
+    // sides of multiples of 16, 12, 8, 6 and 4 (one exact tile, one short of
+    // it, all interior, interior plus both edges), k = 1, KC − 1, KC, KC + 1
+    // and several slabs, past the MC row block and the 504-/510-column NC
+    // block, forking and not.
     let shapes = [
         (350, 330, 1),
         (16, 12, 600),
@@ -650,17 +608,16 @@ fn avx512_equals_fma_bit_for_bit_on_the_whole_grid() {
                     let a = Matrix::random(ar, ac, &mut rng);
                     let b = Matrix::random(br, bc, &mut rng);
                     let c0 = Matrix::random(m, n, &mut rng);
-                    let [fma, avx512] = [KernelPath::Fma, KernelPath::Avx512].map(|path| {
+                    let [scalar, fma, avx512] = PATHS.map(|path| {
                         let mut c = c0.clone();
                         poison_scratch(4, 1 << 18);
                         gemm_with_kernel(path, alpha, &a, opa, &b, opb, beta, &mut c);
                         bits(&c)
                     });
-                    assert!(
-                        fma == avx512,
-                        "{m}x{n}x{k} {opa:?}/{opb:?} α={alpha} β={beta}"
-                    );
-                    all.extend(avx512);
+                    let label = format!("{m}x{n}x{k} {opa:?}/{opb:?} α={alpha} β={beta}");
+                    assert!(scalar == fma, "scalar vs fma {label}");
+                    assert!(avx512 == fma, "avx512 vs fma {label}");
+                    all.extend(fma);
                 }
             }
         }
@@ -673,11 +630,7 @@ fn avx512_equals_fma_bit_for_bit_on_the_whole_grid() {
     assert!(held == run(), "a helper-run chunk changed a result bit");
 
     // A crowd's wrap through the batched driver, which runs the dispatched
-    // path and packs the shared operand once: each entry against both pins.
-    if linalg::kernel_path() == KernelPath::Scalar {
-        eprintln!("skipping the batched avx512 == fma check: the dispatcher is pinned to scalar");
-        return;
-    }
+    // path and packs the shared operand once: each entry against every pin.
     for (m, n, k) in [(16, 16, 16), (36, 36, 36), (72, 70, 75), (136, 131, 300)] {
         let mut rng = util::Rng::new(1300 + m as u64);
         let shared = Matrix::random(m, k, &mut rng);
@@ -695,7 +648,7 @@ fn avx512_equals_fma_bit_for_bit_on_the_whole_grid() {
             &mut outs.iter_mut().collect::<Vec<_>>(),
         );
         for (b, out) in each.iter().zip(&outs) {
-            for path in [KernelPath::Fma, KernelPath::Avx512] {
+            for path in PATHS {
                 let mut solo = Matrix::zeros(m, n);
                 gemm_with_kernel(
                     path,

@@ -407,8 +407,14 @@ fn parse_u32(v: &str) -> Result<u32, String> {
     v.parse().map_err(|e| format!("bad integer '{v}': {e}"))
 }
 
+/// A finite number: `str::parse` also takes `nan` and `inf`, which pass
+/// every `x < 0.0` test and panic the engine.
 fn parse_f64(v: &str) -> Result<f64, String> {
-    v.parse().map_err(|e| format!("bad number '{v}': {e}"))
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        Ok(_) => Err(format!("bad number '{v}': not finite")),
+        Err(e) => Err(format!("bad number '{v}': {e}")),
+    }
 }
 
 fn parse_f64_list(v: &str) -> Result<Vec<f64>, String> {
@@ -618,6 +624,13 @@ mod tests {
         assert!(err.message.contains("1-based"), "{err}");
         let err = GridSpec::parse("u = ").unwrap_err();
         assert!(err.message.contains("bad number"), "{err}");
+        // `nan` passes `u < 0.0` and `inf` passes `dtau <= 0.0`: the parser
+        // refuses both, on their line, before validation sees them.
+        for (text, line) in [("u = nan, 2", 1), ("lx = 2\nt = 1\ndtau = inf", 3)] {
+            let err = GridSpec::parse(text).unwrap_err();
+            assert!(err.message.contains("not finite"), "{err}");
+            assert_eq!(err.line, line, "{err}");
+        }
     }
 
     #[test]

@@ -115,27 +115,15 @@ proptest! {
 // drivers were merged, plus the observables bytes each run finishes on
 // (see `tests/golden/README.md`). Byte layouts must not move: every later
 // build has to load both, write them back unchanged, and continue them onto
-// the stored observables. Those were re-recorded by PR 22, which put every
-// product — a 2×2 system's included — on the register tile: the `fma` and
-// `avx512` tiles fuse each multiply-add and agree bit for bit, the `scalar`
-// tile rounds twice, so there is one expected file per byte class and CI
-// runs this suite under all three `LINALG_KERNEL` values.
+// the stored observables. Every GEMM register tile fuses each multiply-add
+// and gives the same bits, so each trajectory has one expected file, and CI
+// runs this suite under all three `LINALG_KERNEL` values against it.
 
 fn golden(name: &str) -> Vec<u8> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name);
     std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-}
-
-/// The expected trajectory `<stem>.<ext>` of this process's GEMM byte class
-/// (`<stem>.scalar.<ext>` under the scalar tile).
-fn golden_trajectory(stem: &str, ext: &str) -> Vec<u8> {
-    let class = match linalg::kernel_path().or_fallback() {
-        linalg::KernelPath::Scalar => ".scalar",
-        linalg::KernelPath::Fma | linalg::KernelPath::Avx512 => "",
-    };
-    golden(&format!("{stem}{class}.{ext}"))
 }
 
 fn golden_model() -> ModelParams {
@@ -168,7 +156,7 @@ fn golden_walker_image_loads_reencodes_and_finishes_on_the_stored_bytes() {
     }
     let mut out = util::ByteWriter::new();
     push_observables(&sim, &mut out);
-    assert_eq!(out.into_bytes(), golden_trajectory("walker_v1.obs", "bin"));
+    assert_eq!(out.into_bytes(), golden("walker_v1.obs.bin"));
 }
 
 #[test]
@@ -192,7 +180,7 @@ fn golden_crowd_image_loads_reencodes_and_finishes_on_the_stored_bytes() {
     for w in crowd.walkers() {
         push_observables(w, &mut out);
     }
-    assert_eq!(out.into_bytes(), golden_trajectory("crowd3_v1.obs", "bin"));
+    assert_eq!(out.into_bytes(), golden("crowd3_v1.obs.bin"));
 }
 
 // ---- golden frames of the service and fleet formats -------------------------

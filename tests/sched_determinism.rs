@@ -55,15 +55,9 @@ fn baseline_is_reproducible() {
     assert_eq!(baseline(), baseline());
     // Every comparison in this file (and the served / sharded tiers) is
     // between two runs of the same router; this file is the oracle that is
-    // not: bytes that cross commits, one file per GEMM byte class
+    // not: bytes that cross commits, the same under every GEMM kernel path
     // (tests/golden/README.md).
-    let golden = match linalg::kernel_path().or_fallback() {
-        linalg::KernelPath::Scalar => include_str!("golden/sweep_v1.obs.scalar.json"),
-        linalg::KernelPath::Fma | linalg::KernelPath::Avx512 => {
-            include_str!("golden/sweep_v1.obs.json")
-        }
-    };
-    assert_eq!(baseline(), golden);
+    assert_eq!(baseline(), include_str!("golden/sweep_v1.obs.json"));
 }
 
 #[test]

@@ -432,6 +432,14 @@ fn rejects_are_clean_and_the_connection_survives() {
         .submit("alice", 0, "lx = nope")
         .expect_err("must reject");
     assert!(matches!(err, serve::WireError::Rejected(_)));
+    // So is a non-finite coupling, which no validation test can catch.
+    let err = client
+        .submit("alice", 0, &format!("{GRID_A}\nu = nan, 2"))
+        .expect_err("must reject nan");
+    assert!(
+        matches!(&err, serve::WireError::Rejected(r) if r.contains("not finite")),
+        "{err}"
+    );
     // Slot-fault grids are pool configuration, not tenant physics.
     let err = client
         .submit("alice", 0, &format!("{GRID_A}\nslot_faults = hang@0:1!"))
