@@ -10,6 +10,7 @@
 //! cache. `GET /healthz` and `GET /stats` on the same port answer plain
 //! HTTP for probes.
 
+use dqmc_cli::flag_value;
 use serve::{FleetPolicy, Server, ServerConfig};
 use std::path::PathBuf;
 
@@ -24,10 +25,7 @@ fn usage() -> ! {
 }
 
 fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
-    let Some(value) = value else {
-        eprintln!("{flag} needs a value");
-        usage();
-    };
+    let value: String = flag_value(flag, "a value", value);
     value.parse().unwrap_or_else(|_| {
         eprintln!("{flag} needs an unsigned integer, got '{value}'");
         usage();
@@ -48,34 +46,16 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => {
-                    eprintln!("--addr needs a value");
-                    usage();
-                }
-            },
+            "--addr" => addr = flag_value(a, "a value", it.next()),
             "--workers" => cfg.service.workers = parse_num::<usize>(a, it.next()).max(1),
             "--devices" => cfg.service.devices = parse_num(a, it.next()),
             "--quantum" => cfg.service.quantum = parse_num(a, it.next()),
             "--queue-bound" => cfg.service.queue_bound = parse_num(a, it.next()),
             "--job-retries" => cfg.service.job_retries = parse_num(a, it.next()),
             "--max-tenant-campaigns" => cfg.max_tenant_campaigns = parse_num(a, it.next()),
-            "--cache-dir" => match it.next() {
-                Some(v) => cfg.cache_dir = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("--cache-dir needs a path");
-                    usage();
-                }
-            },
+            "--cache-dir" => cfg.cache_dir = Some(flag_value(a, "a path", it.next())),
             "--fleet" => fleet_procs = parse_num(a, it.next()),
-            "--fleet-dir" => match it.next() {
-                Some(v) => fleet_dir = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("--fleet-dir needs a path");
-                    usage();
-                }
-            },
+            "--fleet-dir" => fleet_dir = Some(flag_value(a, "a path", it.next())),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unexpected argument '{other}'");

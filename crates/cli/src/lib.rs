@@ -1,9 +1,7 @@
 //! QUEST-style input-file configuration.
 //!
 //! QUEST drives its simulations from a free-format input file; this crate
-//! provides the same interface for the Rust engine. Files are plain
-//! `key = value` lines, `#` starts a comment, keys are case-insensitive,
-//! unknown keys are errors (catching typos beats silently ignoring them).
+//! provides the same interface for the Rust engine:
 //!
 //! ```text
 //! # half-filled 8x8 Hubbard lattice
@@ -17,10 +15,12 @@
 //! seed   = 42
 //! ```
 //!
-//! See [`InputFile::parse`] for the full key list.
+//! The keys are one table, `INPUT`, in the `key = value` dialect of
+//! [`util::settings`]; `dqmc-run --help` prints it.
 
-use dqmc::{ModelParams, RecoveryPolicy, SimParams, StratAlgo};
+use dqmc::{Acceptance, ModelParams, RecoveryPolicy, SimParams, StratAlgo};
 use lattice::Lattice;
+use util::settings::{self, put, Dialect, Key, SettingsError, Value};
 
 /// Which compute backend runs the sweep's cluster/wrap kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,7 +77,7 @@ pub struct InputFile {
     /// Measure at every cluster boundary.
     pub measure_per_cluster: bool,
     /// Flip acceptance rule.
-    pub acceptance: dqmc::Acceptance,
+    pub acceptance: Acceptance,
     /// Bin size for error analysis.
     pub bin_size: usize,
     /// Compute backend for cluster/wrap kernels.
@@ -117,7 +117,7 @@ impl Default for InputFile {
             recycle: true,
             unequal_time: false,
             measure_per_cluster: false,
-            acceptance: dqmc::Acceptance::Metropolis,
+            acceptance: Acceptance::Metropolis,
             bin_size: 10,
             backend: Backend::Host,
             checkpoint: None,
@@ -129,197 +129,138 @@ impl Default for InputFile {
     }
 }
 
-/// Input-file parse error with a line number.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// Human-readable problem.
-    pub message: String,
+/// What the input keys set: the file, plus the state of the rule that
+/// `beta` stands in for `slices` once every key is read.
+#[derive(Default)]
+struct Draft {
+    cfg: InputFile,
+    beta: Option<f64>,
+    slices_given: bool,
 }
 
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "input line {}: {}", self.line, self.message)
+// The choice keys' names, aliases included.
+#[rustfmt::skip]
+const ALGORITHMS: &[(&str, StratAlgo)] = &[
+    ("qrp", StratAlgo::Qrp), ("algorithm2", StratAlgo::Qrp), ("prepivot", StratAlgo::PrePivot),
+    ("pre-pivot", StratAlgo::PrePivot), ("algorithm3", StratAlgo::PrePivot),
+];
+#[rustfmt::skip]
+const ACCEPTANCES: &[(&str, Acceptance)] = &[
+    ("metropolis", Acceptance::Metropolis), ("heatbath", Acceptance::HeatBath),
+    ("heat-bath", Acceptance::HeatBath),
+];
+#[rustfmt::skip]
+const BACKENDS: &[(&str, Backend)] = &[
+    ("host", Backend::Host), ("cpu", Backend::Host),
+    ("gpusim", Backend::Gpusim), ("gpu", Backend::Gpusim), ("device", Backend::Gpusim),
+];
+
+/// The input-file keys: the one place each key is named.
+#[rustfmt::skip]
+const INPUT: Dialect<Draft> = Dialect { name: "input", keys: &[
+    Key("lx", &[], "8", |d, v| put(&mut d.cfg.lx, v)),
+    Key("ly", &[], "8", |d, v| put(&mut d.cfg.ly, v)),
+    Key("layers", &[], "3", |d, v| put(&mut d.cfg.layers, v)),
+    Key("periodic_z", &[], "no", |d, v| put(&mut d.cfg.periodic_z, v)),
+    Key("t", &["tx"], "1.0", |d, v| put(&mut d.cfg.t, v)),
+    Key("ty", &[], "0.5", |d, v| f64::read(v).map(|x| d.cfg.ty = Some(x))),
+    Key("tz", &[], "0.5", |d, v| put(&mut d.cfg.tz, v)),
+    Key("u", &[], "4.0", |d, v| put(&mut d.cfg.u, v)),
+    Key("mu_tilde", &["mu"], "0.0", |d, v| put(&mut d.cfg.mu_tilde, v)),
+    Key("dtau", &[], "0.125", |d, v| put(&mut d.cfg.dtau, v)),
+    Key("slices", &["l"], "32", |d, v| {
+        d.slices_given = true;
+        put(&mut d.cfg.slices, v)
+    }),
+    Key("beta", &[], "4.0", |d, v| match f64::read(v)? {
+        b if b > 0.0 => {
+            d.beta = Some(b);
+            Ok(())
+        }
+        _ => Err(format!("beta must be positive, got '{v}'")),
+    }),
+    Key("warmup", &[], "100", |d, v| put(&mut d.cfg.warmup, v)),
+    Key("sweeps", &[], "200", |d, v| put(&mut d.cfg.sweeps, v)),
+    Key("seed", &[], "42", |d, v| put(&mut d.cfg.seed, v)),
+    Key("cluster_size", &["k"], "10", |d, v| put(&mut d.cfg.cluster_size, v)),
+    Key("delay_block", &[], "32", |d, v| put(&mut d.cfg.delay_block, v)),
+    Key("algorithm", &[], "qrp", |d, v| {
+        settings::choice(v, "algorithm", ALGORITHMS).map(|x| d.cfg.algorithm = x)
+    }),
+    Key("recycle", &[], "yes", |d, v| put(&mut d.cfg.recycle, v)),
+    Key("unequal_time", &[], "no", |d, v| put(&mut d.cfg.unequal_time, v)),
+    Key("measure_per_cluster", &[], "no", |d, v| put(&mut d.cfg.measure_per_cluster, v)),
+    Key("acceptance", &[], "heatbath", |d, v| {
+        settings::choice(v, "acceptance", ACCEPTANCES).map(|x| d.cfg.acceptance = x)
+    }),
+    Key("bin_size", &[], "10", |d, v| put(&mut d.cfg.bin_size, v)),
+    Key("backend", &[], "gpusim", |d, v| {
+        settings::choice(v, "backend", BACKENDS).map(|x| d.cfg.backend = x)
+    }),
+    Key("checkpoint", &[], "run.ckpt", |d, v| {
+        d.cfg.checkpoint = Some(v.to_string());
+        Ok(())
+    }),
+    Key("checkpoint_every", &[], "50", |d, v| put(&mut d.cfg.checkpoint_every, v)),
+    Key("recovery", &[], "yes", |d, v| put(&mut d.cfg.recovery, v)),
+    Key("max_retries", &[], "2", |d, v| put(&mut d.cfg.max_retries, v)),
+    Key("min_cluster", &[], "1", |d, v| put(&mut d.cfg.min_cluster, v)),
+]};
+
+impl Draft {
+    fn finish(mut self) -> Result<InputFile, String> {
+        if let Some(b) = self.beta {
+            if self.slices_given {
+                return Err("give either 'beta' or 'slices', not both".into());
+            }
+            if self.cfg.dtau <= 0.0 {
+                return Err("beta requires a positive dtau".into());
+            }
+            self.cfg.slices = (b / self.cfg.dtau).round().max(1.0) as usize;
+        }
+        self.cfg.validate()?;
+        Ok(self.cfg)
     }
 }
-
-impl std::error::Error for ParseError {}
 
 impl InputFile {
-    /// Parses an input file's text.
-    ///
-    /// Recognised keys (case-insensitive): `lx ly layers periodic_z t|tx ty tz u
-    /// mu_tilde|mu dtau slices|l beta warmup sweeps seed cluster_size|k
-    /// delay_block algorithm recycle unequal_time measure_per_cluster
-    /// acceptance bin_size backend checkpoint checkpoint_every recovery
-    /// max_retries min_cluster`.
-    /// `backend` accepts `host` or `gpusim` (same output bytes either way; the
-    /// device only keeps a model clock); `checkpoint` is a file path
-    /// (saved every `checkpoint_every` sweeps and resumed from if present);
-    /// `recovery` toggles the retry / cluster-shrink / host-fallback ladder,
-    /// tuned by `max_retries` and `min_cluster`.
-    /// `beta` may be given instead of `slices` (rounded to `beta/dtau`,
-    /// applied after all keys are read). Booleans accept
-    /// `true/false/yes/no/1/0`; `algorithm` accepts `qrp` or `prepivot`.
-    pub fn parse(text: &str) -> Result<InputFile, ParseError> {
-        let mut cfg = InputFile::default();
-        let mut beta: Option<f64> = None;
-        let mut slices_given = false;
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| ParseError {
-                line: lineno,
-                message: format!("expected 'key = value', got '{line}'"),
-            })?;
-            let key = key.trim().to_ascii_lowercase();
-            let value = value.trim();
-            let err = |msg: String| ParseError {
-                line: lineno,
-                message: msg,
-            };
-            let parse_usize = |v: &str| {
-                v.parse::<usize>()
-                    .map_err(|_| err(format!("'{v}' is not a non-negative integer")))
-            };
-            let parse_u32 = |v: &str| {
-                v.parse::<u32>()
-                    .map_err(|_| err(format!("'{v}' is not an integer in 0..=4294967295")))
-            };
-            // `str::parse` also takes `nan` and `inf`, which pass every
-            // `x < 0.0` test and panic the engine.
-            let parse_f64 = |v: &str| match v.parse::<f64>() {
-                Ok(x) if x.is_finite() => Ok(x),
-                _ => Err(err(format!("'{v}' is not a finite number"))),
-            };
-            let parse_bool = |v: &str| match v.to_ascii_lowercase().as_str() {
-                "true" | "yes" | "1" => Ok(true),
-                "false" | "no" | "0" => Ok(false),
-                other => Err(err(format!("'{other}' is not a boolean"))),
-            };
-            match key.as_str() {
-                "lx" => cfg.lx = parse_usize(value)?,
-                "ly" => cfg.ly = parse_usize(value)?,
-                "layers" => cfg.layers = parse_usize(value)?,
-                "periodic_z" => cfg.periodic_z = parse_bool(value)?,
-                "t" | "tx" => cfg.t = parse_f64(value)?,
-                "ty" => cfg.ty = Some(parse_f64(value)?),
-                "tz" => cfg.tz = parse_f64(value)?,
-                "u" => cfg.u = parse_f64(value)?,
-                "mu_tilde" | "mu" => cfg.mu_tilde = parse_f64(value)?,
-                "dtau" => cfg.dtau = parse_f64(value)?,
-                "slices" | "l" => {
-                    cfg.slices = parse_usize(value)?;
-                    slices_given = true;
-                }
-                "beta" => match parse_f64(value)? {
-                    b if b > 0.0 => beta = Some(b),
-                    _ => return Err(err(format!("beta must be positive, got '{value}'"))),
-                },
-                "warmup" => cfg.warmup = parse_usize(value)?,
-                "sweeps" => cfg.sweeps = parse_usize(value)?,
-                "seed" => {
-                    cfg.seed = value
-                        .parse::<u64>()
-                        .map_err(|_| err(format!("'{value}' is not a seed")))?
-                }
-                "cluster_size" | "k" => cfg.cluster_size = parse_usize(value)?,
-                "delay_block" => cfg.delay_block = parse_usize(value)?,
-                "algorithm" => {
-                    cfg.algorithm = match value.to_ascii_lowercase().as_str() {
-                        "qrp" | "algorithm2" => StratAlgo::Qrp,
-                        "prepivot" | "pre-pivot" | "algorithm3" => StratAlgo::PrePivot,
-                        other => {
-                            return Err(err(format!(
-                                "unknown algorithm '{other}' (use qrp or prepivot)"
-                            )))
-                        }
-                    }
-                }
-                "recycle" => cfg.recycle = parse_bool(value)?,
-                "unequal_time" => cfg.unequal_time = parse_bool(value)?,
-                "measure_per_cluster" => cfg.measure_per_cluster = parse_bool(value)?,
-                "acceptance" => {
-                    cfg.acceptance = match value.to_ascii_lowercase().as_str() {
-                        "metropolis" => dqmc::Acceptance::Metropolis,
-                        "heatbath" | "heat-bath" => dqmc::Acceptance::HeatBath,
-                        other => {
-                            return Err(err(format!(
-                                "unknown acceptance '{other}' (metropolis or heatbath)"
-                            )))
-                        }
-                    }
-                }
-                "bin_size" => cfg.bin_size = parse_usize(value)?,
-                "backend" => {
-                    cfg.backend = match value.to_ascii_lowercase().as_str() {
-                        "host" | "cpu" => Backend::Host,
-                        "gpusim" | "gpu" | "device" => Backend::Gpusim,
-                        other => {
-                            return Err(err(format!(
-                                "unknown backend '{other}' (use host or gpusim)"
-                            )))
-                        }
-                    }
-                }
-                "checkpoint" => cfg.checkpoint = Some(value.to_string()),
-                "checkpoint_every" => cfg.checkpoint_every = parse_usize(value)?,
-                "recovery" => cfg.recovery = parse_bool(value)?,
-                "max_retries" => cfg.max_retries = parse_u32(value)?,
-                "min_cluster" => cfg.min_cluster = parse_usize(value)?,
-                other => {
-                    return Err(err(format!("unknown key '{other}'")));
-                }
-            }
-        }
-        if let Some(b) = beta {
-            if slices_given {
-                return Err(ParseError {
-                    line: 0,
-                    message: "give either 'beta' or 'slices', not both".into(),
-                });
-            }
-            if cfg.dtau <= 0.0 {
-                return Err(ParseError {
-                    line: 0,
-                    message: "beta requires a positive dtau".into(),
-                });
-            }
-            cfg.slices = (b / cfg.dtau).round().max(1.0) as usize;
-        }
-        cfg.validate()?;
-        Ok(cfg)
+    /// Parses an input file's text. `beta` may be given instead of
+    /// `slices`: it is rounded to `beta/dtau` once every key is read.
+    pub fn parse(text: &str) -> Result<InputFile, SettingsError> {
+        let mut draft = Draft::default();
+        INPUT.apply(&mut draft, text)?;
+        draft.finish().map_err(|m| INPUT.error(0, m))
     }
 
-    fn validate(&self) -> Result<(), ParseError> {
-        let bad = |message: String| Err(ParseError { line: 0, message });
+    /// Every input key with an example value, for `--help`.
+    pub fn keys_help() -> String {
+        INPUT.help()
+    }
+
+    fn validate(&self) -> Result<(), String> {
         if self.lx == 0 || self.ly == 0 || self.layers == 0 {
-            return bad("lattice dimensions must be positive".into());
+            return Err("lattice dimensions must be positive".into());
         }
         if self.u < 0.0 {
-            return bad("u must be non-negative (repulsive model)".into());
+            return Err("u must be non-negative (repulsive model)".into());
         }
         if self.dtau <= 0.0 {
-            return bad("dtau must be positive".into());
+            return Err("dtau must be positive".into());
         }
         if self.slices == 0 {
-            return bad("slices must be positive".into());
+            return Err("slices must be positive".into());
         }
         if self.cluster_size == 0 || self.delay_block == 0 || self.bin_size == 0 {
-            return bad("cluster_size, delay_block, bin_size must be positive".into());
+            return Err("cluster_size, delay_block, bin_size must be positive".into());
         }
         if self.checkpoint_every == 0 {
-            return bad("checkpoint_every must be positive".into());
+            return Err("checkpoint_every must be positive".into());
         }
         if self.min_cluster == 0 {
-            return bad("min_cluster must be positive".into());
+            return Err("min_cluster must be positive".into());
         }
         if self.layers > 1 && self.ty.map(|ty| ty != self.t).unwrap_or(false) {
-            return bad("anisotropic in-plane hopping requires layers = 1".into());
+            return Err("anisotropic in-plane hopping requires layers = 1".into());
         }
         Ok(())
     }
@@ -371,6 +312,18 @@ impl InputFile {
     }
 }
 
+/// The value after a command-line `flag`, parsed. A missing or unparsable
+/// value prints `{flag} needs {what}` and exits 2.
+pub fn flag_value<T: std::str::FromStr>(flag: &str, what: &str, value: Option<&String>) -> T {
+    match value.map(|v| v.parse()) {
+        Some(Ok(v)) => v,
+        _ => {
+            eprintln!("{flag} needs {what}");
+            std::process::exit(2)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,10 +355,21 @@ mod tests {
     fn beta_and_slices_conflict() {
         let e = InputFile::parse("beta = 4.0\nslices = 10\n").unwrap_err();
         assert!(e.message.contains("not both"));
+        assert_eq!(e.line, 0);
+        assert_eq!(
+            e.to_string(),
+            "input: give either 'beta' or 'slices', not both"
+        );
     }
 
     #[test]
     fn unknown_key_rejected_with_line_number() {
+        for Key(name, aliases, example, _) in INPUT.keys {
+            for name in std::iter::once(name).chain(*aliases) {
+                let text = format!("{name} = {example}");
+                InputFile::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            }
+        }
         let e = InputFile::parse("lx = 4\nbogus = 7\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("bogus"));
@@ -452,10 +416,38 @@ mod tests {
 
     #[test]
     fn booleans_accept_variants() {
-        for (v, want) in [("yes", true), ("0", false), ("TRUE", true)] {
+        for (v, want) in [
+            ("yes", true),
+            ("0", false),
+            ("TRUE", true),
+            ("on", true),
+            ("Off", false),
+        ] {
             let cfg = InputFile::parse(&format!("unequal_time = {v}\n")).unwrap();
             assert_eq!(cfg.unequal_time, want);
         }
+    }
+
+    #[test]
+    fn every_example_input_parses() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/inputs");
+        let (mut inputs, mut grids) = (0, 0);
+        for entry in std::fs::read_dir(dir).expect("examples/inputs is listable") {
+            let path = entry.expect("directory entry").path();
+            let text = std::fs::read_to_string(&path).expect("example is readable");
+            match path.extension().and_then(|x| x.to_str()) {
+                Some("in") => {
+                    inputs += 1;
+                    InputFile::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                }
+                Some("sweep") => {
+                    grids += 1;
+                    sched::GridSpec::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                }
+                _ => {}
+            }
+        }
+        assert!(inputs >= 3 && grids >= 1, "{inputs} inputs, {grids} grids");
     }
 
     #[test]
@@ -470,7 +462,7 @@ mod tests {
     #[test]
     fn acceptance_key() {
         let cfg = InputFile::parse("acceptance = heatbath\n").unwrap();
-        assert_eq!(cfg.acceptance, dqmc::Acceptance::HeatBath);
+        assert_eq!(cfg.acceptance, Acceptance::HeatBath);
         assert!(InputFile::parse("acceptance = magic\n").is_err());
     }
 

@@ -9,10 +9,11 @@
 //! ```
 
 use dqmc::Simulation;
-use dqmc_cli::{submit_exit, Backend, InputFile};
+use dqmc_cli::{flag_value, submit_exit, Backend, InputFile};
 use fleet::{ChildCommand, FleetConfig};
 use sched::{EventLog, GridSpec, SchedConfig, TraceEvent};
 use std::io::Read;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use util::table::{fmt_f, Table};
@@ -25,26 +26,14 @@ const SUBMIT_BACKOFF: Duration = Duration::from_millis(100);
 /// scheduler and print the pooled jackknife estimates per point.
 fn run_sweep_cmd(args: &[String]) -> ! {
     let mut grid_file: Option<&str> = None;
-    let mut out: Option<&str> = None;
-    let mut obs_out: Option<&str> = None;
+    let mut out: Option<String> = None;
+    let mut obs_out: Option<String> = None;
     let mut trace = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "-o" | "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => {
-                    eprintln!("{a} needs a path");
-                    std::process::exit(2);
-                }
-            },
-            "--obs-out" => match it.next() {
-                Some(p) => obs_out = Some(p),
-                None => {
-                    eprintln!("--obs-out needs a path");
-                    std::process::exit(2);
-                }
-            },
+            "-o" | "--out" => out = Some(flag_value(a, "a path", it.next())),
+            "--obs-out" => obs_out = Some(flag_value(a, "a path", it.next())),
             "--trace" => trace = true,
             other if grid_file.is_none() => grid_file = Some(other),
             other => {
@@ -55,9 +44,7 @@ fn run_sweep_cmd(args: &[String]) -> ! {
     }
     let Some(grid_file) = grid_file else {
         eprintln!("usage: dqmc sweep <grid-file> [-o report.json] [--obs-out obs.json] [--trace]");
-        eprintln!("grid keys: lx ly t mu dtau u(list) beta(list) chains crowd warmup");
-        eprintln!("  sweeps bin_size cluster_size seed recovery max_retries");
-        eprintln!("  workers devices quantum job_retries faults slot_faults");
+        eprint!("{}", GridSpec::keys_help());
         std::process::exit(2);
     };
     let text = std::fs::read_to_string(grid_file).unwrap_or_else(|e| {
@@ -110,14 +97,14 @@ fn run_sweep_cmd(args: &[String]) -> ! {
         println!("# {yields} checkpoint yields during the sweep");
     }
 
-    if let Some(path) = out {
+    if let Some(path) = &out {
         util::vfs::write_atomic(Path::new(path), report.to_json().as_bytes()).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         });
         println!("# report written to {path}");
     }
-    if let Some(path) = obs_out {
+    if let Some(path) = &obs_out {
         // The observables document alone — the byte-deterministic layer a
         // fleet merge (or served campaign) is compared against.
         util::vfs::write_atomic(Path::new(path), report.observables_json().as_bytes())
@@ -137,41 +124,22 @@ fn run_shard_cmd(args: &[String]) -> ! {
     let mut grid_file: Option<&str> = None;
     let mut procs: usize = 2;
     let mut workdir: Option<PathBuf> = None;
-    let mut out: Option<&str> = None;
+    let mut out: Option<String> = None;
     let mut keep = false;
     let mut trace = false;
     let mut heartbeat_ms: Option<u64> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--procs" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => procs = n,
-                _ => {
-                    eprintln!("--procs needs a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--heartbeat-timeout-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n > 0 => heartbeat_ms = Some(n),
-                _ => {
-                    eprintln!("--heartbeat-timeout-ms needs a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--workdir" => match it.next() {
-                Some(p) => workdir = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--workdir needs a path");
-                    std::process::exit(2);
-                }
-            },
-            "-o" | "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => {
-                    eprintln!("{a} needs a path");
-                    std::process::exit(2);
-                }
-            },
+            "--procs" => {
+                procs = flag_value::<NonZeroUsize>(a, "a positive integer", it.next()).get()
+            }
+            "--heartbeat-timeout-ms" => {
+                let ms = flag_value::<NonZeroU64>(a, "a positive integer", it.next());
+                heartbeat_ms = Some(ms.get());
+            }
+            "--workdir" => workdir = Some(flag_value(a, "a path", it.next())),
+            "-o" | "--out" => out = Some(flag_value(a, "a path", it.next())),
             "--keep" => keep = true,
             "--trace" => trace = true,
             other if grid_file.is_none() => grid_file = Some(other),
@@ -220,7 +188,7 @@ fn run_shard_cmd(args: &[String]) -> ! {
         "# fleet: {} shards, {} respawns, {} kills, {:.2}s wall",
         outcome.shards, outcome.respawns, outcome.kills, outcome.wall_seconds
     );
-    match out {
+    match &out {
         Some(path) => {
             util::vfs::write_atomic(Path::new(path), outcome.observables.as_bytes())
                 .unwrap_or_else(|e| {
@@ -242,17 +210,11 @@ fn run_shard_cmd(args: &[String]) -> ! {
 /// report files into the single-process observables document.
 fn run_merge_cmd(args: &[String]) -> ! {
     let mut inputs: Vec<PathBuf> = Vec::new();
-    let mut out: Option<&str> = None;
+    let mut out: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "-o" | "--out" => match it.next() {
-                Some(p) => out = Some(p),
-                None => {
-                    eprintln!("{a} needs a path");
-                    std::process::exit(2);
-                }
-            },
+            "-o" | "--out" => out = Some(flag_value(a, "a path", it.next())),
             other => inputs.push(PathBuf::from(other)),
         }
     }
@@ -321,7 +283,7 @@ fn run_merge_cmd(args: &[String]) -> ! {
         merged.points.len(),
         decoded.len()
     );
-    match out {
+    match &out {
         Some(path) => {
             util::vfs::write_atomic(Path::new(path), observables.as_bytes()).unwrap_or_else(|e| {
                 eprintln!("cannot write {path}: {e}");
@@ -346,13 +308,10 @@ fn run_submit_cmd(args: &[String]) -> ! {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" | "--tenant" | "--priority" => {
-                let Some(v) = it.next() else {
-                    eprintln!("{a} needs a value");
-                    std::process::exit(2);
-                };
+                let v: String = flag_value(a, "a value", it.next());
                 match a.as_str() {
-                    "--addr" => addr = v.clone(),
-                    "--tenant" => tenant = v.clone(),
+                    "--addr" => addr = v,
+                    "--tenant" => tenant = v,
                     _ => {
                         priority = v.parse().unwrap_or_else(|_| {
                             eprintln!("--priority needs 0-255, got '{v}'");
@@ -421,13 +380,7 @@ fn run_serve_shutdown_cmd(args: &[String]) -> ! {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => {
-                    eprintln!("--addr needs a value");
-                    std::process::exit(2);
-                }
-            },
+            "--addr" => addr = flag_value(a, "a value", it.next()),
             other => {
                 eprintln!("unexpected argument '{other}'");
                 std::process::exit(2);
@@ -473,19 +426,14 @@ fn main() {
         eprintln!("       dqmc sweep <grid-file> [-o report.json] [--obs-out obs.json] [--trace]");
         eprintln!(
             "       dqmc shard <grid-file> --procs P [--workdir DIR] [-o obs.json] \
-             [--keep] [--trace]"
+             [--keep] [--trace] [--heartbeat-timeout-ms N]"
         );
         eprintln!("       dqmc merge <workdir | shard-*.dqsr ...> [-o obs.json]");
         eprintln!(
             "       dqmc submit <grid-file> [--addr host:port] [--tenant NAME] [--priority N]"
         );
         eprintln!("       dqmc serve-shutdown [--addr host:port]");
-        eprintln!("input keys: lx ly layers periodic_z t ty tz u mu_tilde dtau");
-        eprintln!("  slices|beta warmup sweeps seed cluster_size delay_block");
-        eprintln!("  algorithm(qrp|prepivot) recycle unequal_time measure_per_cluster");
-        eprintln!("  acceptance(metropolis|heatbath) bin_size");
-        eprintln!("  backend(host|gpusim) checkpoint checkpoint_every");
-        eprintln!("  recovery max_retries min_cluster");
+        eprint!("{}", InputFile::keys_help());
         std::process::exit(if args.first().map(String::as_str) == Some("--help") {
             0
         } else {

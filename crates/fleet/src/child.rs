@@ -164,7 +164,7 @@ fn run_shard(
 ) -> Result<i32, String> {
     let manifest = ShardManifest::read(manifest_path)?;
     let mut spec =
-        GridSpec::parse(&manifest.grid_text).map_err(|e| format!("manifest grid: {e:?}"))?;
+        GridSpec::parse(&manifest.grid_text).map_err(|e| format!("manifest grid: {e}"))?;
     let fingerprint = sched::grid_fingerprint(&spec);
     if fingerprint != manifest.fingerprint {
         return Err(format!(

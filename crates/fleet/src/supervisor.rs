@@ -177,7 +177,7 @@ pub fn run_fleet_subset(
     cfg: &FleetConfig,
 ) -> Result<FleetOutcome, FleetError> {
     let start = Instant::now();
-    let spec = GridSpec::parse(grid_text).map_err(|e| FleetError::Grid(format!("{e:?}")))?;
+    let spec = GridSpec::parse(grid_text).map_err(|e| FleetError::Grid(e.to_string()))?;
     let fingerprint = sched::grid_fingerprint(&spec);
     let plan: ShardPlan = match points {
         None => sched::plan_shards(&spec, cfg.procs),

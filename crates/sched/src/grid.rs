@@ -1,25 +1,12 @@
 //! Grid-spec files: the declarative input of a sweep campaign.
 //!
-//! The format is the `key = value` dialect of the CLI's input files, with
-//! two list-valued keys — `u` and `beta` — whose Cartesian product defines
-//! the grid. Everything else (lattice, sweeps, chains, scheduler knobs)
-//! is shared by every point:
-//!
-//! ```text
-//! # 2x2 campaign
-//! lx = 4
-//! ly = 4
-//! u = 2.0, 4.0          # grid axis
-//! beta = 2.0, 4.0       # grid axis (slices = beta / dtau)
-//! chains = 2
-//! warmup = 50
-//! sweeps = 200
-//! seed = 42
-//! workers = 2
-//! devices = 1
-//! quantum = 25          # sweeps per scheduling quantum
-//! faults = fail_launch:2, corrupt_transfer:5
-//! ```
+//! A grid spec is written in the `key = value` dialect of
+//! [`util::settings`]. Its keys are the table `KEYS` in this module, which
+//! `dqmc-run sweep` prints; the input file's table is `dqmc_cli`'s `INPUT`,
+//! which `dqmc-run --help` prints. Two keys take lists, `u` and `beta`, and
+//! their Cartesian product is the grid. Every other key is shared by all
+//! points.
+//! `examples/inputs/grid_smoke.sweep` is a commented example.
 //!
 //! Points are numbered u-major (`point = iu * nbeta + ib`); that index is
 //! the `stream` coordinate of the seed hash-split, so renumbering the grid
@@ -36,28 +23,7 @@
 use dqmc::{ModelParams, RecoveryPolicy, SimParams};
 use gpusim::{DeviceSpec, FaultPlan};
 use lattice::Lattice;
-use std::fmt;
-
-/// A malformed grid spec: line number (1-based, 0 when global) and message.
-#[derive(Debug)]
-pub struct GridError {
-    /// Line the error was found on; 0 for whole-file problems.
-    pub line: usize,
-    /// What is wrong.
-    pub message: String,
-}
-
-impl fmt::Display for GridError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "grid spec: {}", self.message)
-        } else {
-            write!(f, "grid spec line {}: {}", self.line, self.message)
-        }
-    }
-}
-
-impl std::error::Error for GridError {}
+use util::settings::{put, Dialect, Key, SettingsError};
 
 /// One scripted fault with its 1-based operation ordinal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,98 +166,80 @@ pub struct GridPoint {
     pub slices: usize,
 }
 
+/// The grid-spec keys: the one place each key is named.
+#[rustfmt::skip]
+const KEYS: Dialect<GridSpec> = Dialect { name: "grid spec", keys: &[
+    Key("lx", &[], "4", |s, v| put(&mut s.lx, v)),
+    Key("ly", &[], "4", |s, v| put(&mut s.ly, v)),
+    Key("t", &[], "1.0", |s, v| put(&mut s.t, v)),
+    Key("mu", &[], "0.0", |s, v| put(&mut s.mu, v)),
+    Key("dtau", &[], "0.125", |s, v| put(&mut s.dtau, v)),
+    Key("u", &[], "2.0, 4.0", |s, v| put(&mut s.us, v)),
+    Key("beta", &[], "1.0, 2.0", |s, v| put(&mut s.betas, v)),
+    Key("chains", &[], "2", |s, v| put(&mut s.chains, v)),
+    Key("crowd", &[], "1", |s, v| put(&mut s.crowd, v)),
+    Key("warmup", &[], "50", |s, v| put(&mut s.warmup, v)),
+    Key("sweeps", &[], "200", |s, v| put(&mut s.sweeps, v)),
+    Key("bin_size", &[], "5", |s, v| put(&mut s.bin_size, v)),
+    Key("cluster_size", &["k"], "8", |s, v| put(&mut s.cluster_size, v)),
+    Key("seed", &[], "42", |s, v| put(&mut s.seed, v)),
+    Key("recovery", &[], "yes", |s, v| put(&mut s.recovery, v)),
+    Key("max_retries", &[], "2", |s, v| put(&mut s.max_retries, v)),
+    Key("workers", &[], "2", |s, v| put(&mut s.workers, v)),
+    Key("devices", &[], "1", |s, v| put(&mut s.devices, v)),
+    Key("quantum", &[], "10", |s, v| put(&mut s.quantum, v)),
+    Key("job_retries", &[], "1", |s, v| put(&mut s.job_retries, v)),
+    Key("faults", &[], "fail_launch:2, corrupt_transfer:6", |s, v| {
+        parse_faults(v).map(|x| s.faults = x)
+    }),
+    Key("slot_faults", &[], "hang@0:3", |s, v| parse_slot_faults(v).map(|x| s.slot_faults = x)),
+]};
+
 impl GridSpec {
-    /// Parses a grid-spec file. Unknown keys are errors (typos must not
-    /// silently fall back to defaults — same policy as the CLI inputs).
-    pub fn parse(text: &str) -> Result<GridSpec, GridError> {
+    /// Parses a grid-spec file in the `key = value` dialect of
+    /// [`util::settings`].
+    pub fn parse(text: &str) -> Result<GridSpec, SettingsError> {
         let mut spec = GridSpec::default();
-        for (ln, raw) in text.lines().enumerate() {
-            let line = ln + 1;
-            let stripped = match raw.find('#') {
-                Some(i) => &raw[..i],
-                None => raw,
-            }
-            .trim();
-            if stripped.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = stripped.split_once('=') else {
-                return Err(GridError {
-                    line,
-                    message: format!("expected 'key = value', got '{stripped}'"),
-                });
-            };
-            let key = key.trim().to_ascii_lowercase();
-            let value = value.trim();
-            let bad = |message: String| GridError { line, message };
-            match key.as_str() {
-                "lx" => spec.lx = parse_usize(value).map_err(bad)?,
-                "ly" => spec.ly = parse_usize(value).map_err(bad)?,
-                "t" => spec.t = parse_f64(value).map_err(bad)?,
-                "mu" => spec.mu = parse_f64(value).map_err(bad)?,
-                "dtau" => spec.dtau = parse_f64(value).map_err(bad)?,
-                "u" => spec.us = parse_f64_list(value).map_err(bad)?,
-                "beta" => spec.betas = parse_f64_list(value).map_err(bad)?,
-                "chains" => spec.chains = parse_usize(value).map_err(bad)?,
-                "crowd" => spec.crowd = parse_usize(value).map_err(bad)?,
-                "warmup" => spec.warmup = parse_usize(value).map_err(bad)?,
-                "sweeps" => spec.sweeps = parse_usize(value).map_err(bad)?,
-                "bin_size" => spec.bin_size = parse_usize(value).map_err(bad)?,
-                "cluster_size" | "k" => spec.cluster_size = parse_usize(value).map_err(bad)?,
-                "seed" => {
-                    spec.seed = value
-                        .parse()
-                        .map_err(|e| format!("bad u64 '{value}': {e}"))
-                        .map_err(bad)?
-                }
-                "recovery" => spec.recovery = parse_bool(value).map_err(bad)?,
-                "max_retries" => spec.max_retries = parse_u32(value).map_err(bad)?,
-                "workers" => spec.workers = parse_usize(value).map_err(bad)?,
-                "devices" => spec.devices = parse_usize(value).map_err(bad)?,
-                "quantum" => spec.quantum = parse_usize(value).map_err(bad)?,
-                "job_retries" => spec.job_retries = parse_u32(value).map_err(bad)?,
-                "faults" => spec.faults = parse_faults(value).map_err(bad)?,
-                "slot_faults" => spec.slot_faults = parse_slot_faults(value).map_err(bad)?,
-                other => {
-                    return Err(GridError {
-                        line,
-                        message: format!("unknown key '{other}'"),
-                    })
-                }
-            }
-        }
-        spec.validate()?;
+        KEYS.apply(&mut spec, text)?;
+        spec.validate().map_err(|m| KEYS.error(0, m))?;
         Ok(spec)
     }
 
-    fn validate(&self) -> Result<(), GridError> {
-        let bad = |message: String| Err(GridError { line: 0, message });
+    /// Every grid-spec key with an example value, for usage texts.
+    pub fn keys_help() -> String {
+        KEYS.help()
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.lx == 0 || self.ly == 0 {
+            return Err("lattice dimensions must be positive".into());
+        }
         if self.us.is_empty() || self.betas.is_empty() {
-            return bad("grid axes 'u' and 'beta' must be non-empty".into());
+            return Err("grid axes 'u' and 'beta' must be non-empty".into());
         }
         if self.us.iter().any(|&u| u < 0.0) {
-            return bad("repulsive model: every u must be >= 0".into());
+            return Err("repulsive model: every u must be >= 0".into());
         }
         if self.betas.iter().any(|&b| b <= 0.0) {
-            return bad("every beta must be positive".into());
+            return Err("every beta must be positive".into());
         }
         if self.dtau <= 0.0 {
-            return bad("dtau must be positive".into());
+            return Err("dtau must be positive".into());
         }
         if self.chains == 0 || self.sweeps == 0 {
-            return bad("chains and sweeps must be positive".into());
+            return Err("chains and sweeps must be positive".into());
         }
         if self.crowd == 0 {
-            return bad("crowd must be positive (1 = solo jobs)".into());
+            return Err("crowd must be positive (1 = solo jobs)".into());
         }
         if self.bin_size == 0 || self.cluster_size == 0 {
-            return bad("bin_size and cluster_size must be positive".into());
+            return Err("bin_size and cluster_size must be positive".into());
         }
         if self.workers == 0 {
-            return bad("need at least one worker".into());
+            return Err("need at least one worker".into());
         }
         if let Some(sf) = self.slot_faults.iter().find(|sf| sf.slot >= self.devices) {
-            return bad(format!(
+            return Err(format!(
                 "slot_faults names slot {} but the pool has {} devices",
                 sf.slot, self.devices
             ));
@@ -396,36 +344,6 @@ impl GridSpec {
             }
         }
         out
-    }
-}
-
-fn parse_usize(v: &str) -> Result<usize, String> {
-    v.parse().map_err(|e| format!("bad integer '{v}': {e}"))
-}
-
-fn parse_u32(v: &str) -> Result<u32, String> {
-    v.parse().map_err(|e| format!("bad integer '{v}': {e}"))
-}
-
-/// A finite number: `str::parse` also takes `nan` and `inf`, which pass
-/// every `x < 0.0` test and panic the engine.
-fn parse_f64(v: &str) -> Result<f64, String> {
-    match v.parse::<f64>() {
-        Ok(x) if x.is_finite() => Ok(x),
-        Ok(_) => Err(format!("bad number '{v}': not finite")),
-        Err(e) => Err(format!("bad number '{v}': {e}")),
-    }
-}
-
-fn parse_f64_list(v: &str) -> Result<Vec<f64>, String> {
-    v.split(',').map(|s| parse_f64(s.trim())).collect()
-}
-
-fn parse_bool(v: &str) -> Result<bool, String> {
-    match v.to_ascii_lowercase().as_str() {
-        "yes" | "true" | "on" | "1" => Ok(true),
-        "no" | "false" | "off" | "0" => Ok(false),
-        other => Err(format!("bad bool '{other}' (yes/no)")),
     }
 }
 
@@ -616,19 +534,31 @@ mod tests {
 
     #[test]
     fn unknown_keys_and_bad_faults_are_rejected() {
+        for Key(name, aliases, example, _) in KEYS.keys {
+            for name in std::iter::once(name).chain(*aliases) {
+                let text = format!("{name} = {example}");
+                GridSpec::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            }
+        }
         let err = GridSpec::parse("lattice = 4").unwrap_err();
         assert!(err.message.contains("unknown key"), "{err}");
+        let err = GridSpec::parse("ly = 2\nlx = 0").unwrap_err();
+        assert!(err.message.contains("lattice dimensions"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "grid spec: lattice dimensions must be positive"
+        );
         let err = GridSpec::parse("faults = flip_bit:3").unwrap_err();
         assert!(err.message.contains("determinism"), "{err}");
         let err = GridSpec::parse("faults = fail_launch:0").unwrap_err();
         assert!(err.message.contains("1-based"), "{err}");
         let err = GridSpec::parse("u = ").unwrap_err();
-        assert!(err.message.contains("bad number"), "{err}");
+        assert!(err.message.contains("not a finite number"), "{err}");
         // `nan` passes `u < 0.0` and `inf` passes `dtau <= 0.0`: the parser
         // refuses both, on their line, before validation sees them.
         for (text, line) in [("u = nan, 2", 1), ("lx = 2\nt = 1\ndtau = inf", 3)] {
             let err = GridSpec::parse(text).unwrap_err();
-            assert!(err.message.contains("not finite"), "{err}");
+            assert!(err.message.contains("not a finite number"), "{err}");
             assert_eq!(err.line, line, "{err}");
         }
     }

@@ -27,12 +27,16 @@
 //!   [`vfs::write_atomic`],
 //! - [`sync`]: the workspace's lock primitives — the single audited
 //!   poison-recovery helper ([`relock`]) and `Mutex`/`Condvar` types that
-//!   switch onto the loom model-checking shim under `--cfg loom`.
+//!   switch onto the loom model-checking shim under `--cfg loom`,
+//! - [`settings`]: the `key = value` dialect of input files and grid specs
+//!   (one lexer, one set of value readers, one error type, a key table per
+//!   dialect).
 
 pub mod codec;
 pub mod error;
 pub mod frame;
 pub mod rng;
+pub mod settings;
 pub mod stats;
 pub mod sync;
 pub mod table;

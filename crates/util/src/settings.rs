@@ -1,0 +1,250 @@
+//! The `key = value` dialect of input files (`dqmc_cli::InputFile`) and
+//! sweep grid specs (`sched::GridSpec`).
+//!
+//! `#` starts a comment. Each line is trimmed, and a non-empty one is split
+//! at its first `=` into a key, case-folded, and a value. A [`Dialect`] is a
+//! name and a table with one [`Key`] per setting; every key is looked up in
+//! it, aliases included, so a typo is an error rather than a silent default.
+//! A key given twice keeps its last value. Values are read as a [`Value`]
+//! type (integers, finite numbers, number lists, booleans) or a [`choice`].
+
+use std::fmt;
+
+/// A malformed input: its dialect, the line, and what is wrong.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SettingsError {
+    /// The dialect's name, such as `input` or `grid spec`.
+    pub dialect: &'static str,
+    /// 1-based line number; 0 when the problem is the file as a whole.
+    pub line: usize,
+    /// What is wrong.
+    pub message: String,
+}
+
+impl fmt::Display for SettingsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.line {
+            0 => write!(f, "{}: {}", self.dialect, self.message),
+            n => write!(f, "{} line {n}: {}", self.dialect, self.message),
+        }
+    }
+}
+
+impl std::error::Error for SettingsError {}
+
+/// One setting: its name, its aliases, a value it accepts (shown in help
+/// texts), and the setter that stores a value in the target `T`. Names are
+/// lower case.
+pub struct Key<T>(
+    pub &'static str,
+    pub &'static [&'static str],
+    pub &'static str,
+    pub fn(&mut T, &str) -> Result<(), String>,
+);
+
+/// A `key = value` dialect: its name, used in errors and help, and its key
+/// table.
+pub struct Dialect<T: 'static> {
+    /// Names the dialect in errors and help.
+    pub name: &'static str,
+    /// Every key the dialect accepts.
+    pub keys: &'static [Key<T>],
+}
+
+impl<T> Dialect<T> {
+    /// Applies each assignment in `text` to `target`, in file order.
+    pub fn apply(&self, target: &mut T, text: &str) -> Result<(), SettingsError> {
+        for (idx, raw) in text.lines().enumerate() {
+            let line = idx + 1;
+            let stmt = raw.split('#').next().unwrap_or("").trim();
+            if stmt.is_empty() {
+                continue;
+            }
+            let Some((key, value)) = stmt.split_once('=') else {
+                return Err(self.error(line, format!("expected 'key = value', got '{stmt}'")));
+            };
+            let key = key.trim().to_ascii_lowercase();
+            let Key(.., set) = self
+                .keys
+                .iter()
+                .find(|Key(name, aliases, ..)| *name == key || aliases.contains(&key.as_str()))
+                .ok_or_else(|| self.error(line, format!("unknown key '{key}'")))?;
+            set(target, value.trim()).map_err(|m| self.error(line, m))?;
+        }
+        Ok(())
+    }
+
+    /// An error of this dialect on `line` (0 for the whole file).
+    pub fn error(&self, line: usize, message: String) -> SettingsError {
+        SettingsError {
+            dialect: self.name,
+            line,
+            message,
+        }
+    }
+
+    /// The key table as help text: one `key|alias = example` line per key.
+    pub fn help(&self) -> String {
+        let mut out = format!("{} keys (key|alias = example):\n", self.name);
+        for Key(name, aliases, example, _) in self.keys {
+            let mut names = vec![*name];
+            names.extend(*aliases);
+            out += &format!("  {} = {example}\n", names.join("|"));
+        }
+        out
+    }
+}
+
+/// A value type of the dialect: its type picks how text is read.
+pub trait Value: Sized {
+    /// Reads `text` (already trimmed), or says why it cannot.
+    fn read(text: &str) -> Result<Self, String>;
+}
+
+/// Reads `text` into `slot` by the slot's type: the setter of most keys.
+pub fn put<V: Value>(slot: &mut V, text: &str) -> Result<(), String> {
+    *slot = V::read(text)?;
+    Ok(())
+}
+
+impl Value for usize {
+    fn read(v: &str) -> Result<Self, String> {
+        v.parse()
+            .map_err(|_| format!("'{v}' is not a non-negative integer"))
+    }
+}
+
+impl Value for u32 {
+    fn read(v: &str) -> Result<Self, String> {
+        v.parse()
+            .map_err(|_| format!("'{v}' is not an integer in 0..={}", u32::MAX))
+    }
+}
+
+impl Value for u64 {
+    fn read(v: &str) -> Result<Self, String> {
+        v.parse()
+            .map_err(|_| format!("'{v}' is not an integer in 0..={}", u64::MAX))
+    }
+}
+
+/// A finite number: `str::parse` also takes `nan` and `inf`, which pass
+/// every `x < 0.0` test and panic the engine.
+impl Value for f64 {
+    fn read(v: &str) -> Result<Self, String> {
+        match v.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(x),
+            _ => Err(format!("'{v}' is not a finite number")),
+        }
+    }
+}
+
+/// Comma-separated finite numbers.
+impl Value for Vec<f64> {
+    fn read(v: &str) -> Result<Self, String> {
+        v.split(',').map(|x| f64::read(x.trim())).collect()
+    }
+}
+
+/// `true/yes/on/1` or `false/no/off/0`, in any case.
+impl Value for bool {
+    fn read(v: &str) -> Result<Self, String> {
+        match v.to_ascii_lowercase().as_str() {
+            "true" | "yes" | "on" | "1" => Ok(true),
+            "false" | "no" | "off" | "0" => Ok(false),
+            _ => Err(format!(
+                "'{v}' is not a boolean (true/yes/on/1 or false/no/off/0)"
+            )),
+        }
+    }
+}
+
+/// One of `names` (lower case), in any case; `what` names the setting in
+/// the error.
+pub fn choice<C: Copy>(v: &str, what: &str, names: &[(&str, C)]) -> Result<C, String> {
+    let folded = v.to_ascii_lowercase();
+    match names.iter().find(|(name, _)| *name == folded) {
+        Some(&(_, c)) => Ok(c),
+        None => {
+            let all: Vec<&str> = names.iter().map(|(name, _)| *name).collect();
+            Err(format!("unknown {what} '{v}' (one of {})", all.join(", ")))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Debug, Default)]
+    struct Probe {
+        n: usize,
+        on: bool,
+    }
+
+    const PROBE: Dialect<Probe> = Dialect {
+        name: "probe",
+        keys: &[
+            Key("n", &["count"], "3", |p, v| put(&mut p.n, v)),
+            Key("on", &[], "yes", |p, v| put(&mut p.on, v)),
+        ],
+    };
+
+    fn parse(text: &str) -> Result<Probe, SettingsError> {
+        let mut p = Probe::default();
+        PROBE.apply(&mut p, text).map(|()| p)
+    }
+
+    #[test]
+    fn lexer_trims_folds_comments_and_keeps_the_last_assignment() {
+        let p = parse("# header\n\n  N = 2   # first\nCOUNT=5\n On = ON\n").unwrap();
+        assert_eq!((p.n, p.on), (5, true));
+        let e = parse("n = 1\n\nn 2\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("expected 'key = value'"), "{e}");
+        let e = parse("n = 1\nbogus = 7\n").unwrap_err();
+        assert_eq!(e.to_string(), "probe line 2: unknown key 'bogus'");
+    }
+
+    #[test]
+    fn whole_file_errors_name_no_line() {
+        assert_eq!(PROBE.error(0, "empty".into()).to_string(), "probe: empty");
+    }
+
+    #[test]
+    fn readers_accept_one_vocabulary() {
+        for v in ["TRUE", "yes", "on", "1"] {
+            assert_eq!(bool::read(v), Ok(true));
+        }
+        for v in ["false", "No", "off", "0"] {
+            assert_eq!(bool::read(v), Ok(false));
+        }
+        assert!(bool::read("maybe").unwrap_err().contains("not a boolean"));
+        assert_eq!(Vec::<f64>::read("1, 2.5,3"), Ok(vec![1.0, 2.5, 3.0]));
+        for v in ["nan", "inf", "", "x"] {
+            assert!(
+                f64::read(v).unwrap_err().contains("not a finite number"),
+                "{v}"
+            );
+        }
+        assert!(usize::read("-1").is_err());
+        assert!(u32::read("4294967296")
+            .unwrap_err()
+            .contains("0..=4294967295"));
+        assert_eq!(u64::read("18446744073709551615"), Ok(u64::MAX));
+        let names = [("a", 1), ("alpha", 1), ("b", 2)];
+        assert_eq!(choice("ALPHA", "letter", &names), Ok(1));
+        assert_eq!(
+            choice("c", "letter", &names).unwrap_err(),
+            "unknown letter 'c' (one of a, alpha, b)"
+        );
+    }
+
+    #[test]
+    fn help_lists_every_key_and_alias_with_its_example() {
+        assert_eq!(
+            PROBE.help(),
+            "probe keys (key|alias = example):\n  n|count = 3\n  on = yes\n"
+        );
+    }
+}

@@ -174,6 +174,19 @@ fn unrecoverable_shard_is_quarantined_after_respawn_budget() {
         Err(other) => panic!("expected ShardFailed, got {other}"),
         Ok(_) => panic!("a fleet of /bin/false cannot succeed"),
     }
+    // A grid the fleet cannot parse fails before any child spawns, with the
+    // parser's message: the line and the key, not a struct dump.
+    let line = GRID.lines().count() + 1;
+    match fleet::run_fleet(&format!("{GRID}    foo = 1\n"), &cfg) {
+        Err(e @ FleetError::Grid(_)) => {
+            let shown = e.to_string();
+            assert!(shown.contains(&format!("line {line}")), "{shown}");
+            assert!(shown.contains("unknown key 'foo'"), "{shown}");
+            assert!(!shown.contains("GridError {"), "{shown}");
+        }
+        Err(other) => panic!("expected a grid error, got {other}"),
+        Ok(_) => panic!("a grid with an unknown key cannot run"),
+    }
 }
 
 #[test]

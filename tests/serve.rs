@@ -437,7 +437,15 @@ fn rejects_are_clean_and_the_connection_survives() {
         .submit("alice", 0, &format!("{GRID_A}\nu = nan, 2"))
         .expect_err("must reject nan");
     assert!(
-        matches!(&err, serve::WireError::Rejected(r) if r.contains("not finite")),
+        matches!(&err, serve::WireError::Rejected(r) if r.contains("not a finite number")),
+        "{err}"
+    );
+    // A zero-extent lattice is refused before it reaches the scheduler.
+    let err = client
+        .submit("alice", 0, &format!("{GRID_A}\nlx = 0"))
+        .expect_err("must reject lx = 0");
+    assert!(
+        matches!(&err, serve::WireError::Rejected(r) if r.contains("lattice dimensions")),
         "{err}"
     );
     // Slot-fault grids are pool configuration, not tenant physics.
