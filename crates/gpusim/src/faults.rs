@@ -33,8 +33,14 @@
 //! - **sick window** ([`FaultPlan::sick_window`]): every launch whose
 //!   ordinal falls in `[lo, hi]` fails with [`DeviceError::SickDevice`] —
 //!   the intermittent flaky-device profile that defeats naive retry.
+//!
+//! The text vocabulary lives here too: a grid's `faults` and `slot_faults`
+//! scripts parse with [`FaultPlan::parse`] and [`FaultPlan::parse_slots`],
+//! reading items with [`util::settings`]. Each item names the builder call
+//! it adds: `fail_launch:2` is `.fail_launch(2)`.
 
 use std::fmt;
+use util::settings::{self, ItemError};
 
 /// An error raised by a fallible device operation.
 ///
@@ -127,7 +133,7 @@ impl std::error::Error for DeviceError {}
 
 /// What a scheduled entry of a [`FaultPlan`] does when its ordinal comes up.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum Fault {
+pub enum Fault {
     /// One element of the download becomes NaN (ordinal counts downloads).
     CorruptDownload,
     /// The launch is rejected (this and the three below count launches).
@@ -152,7 +158,7 @@ pub(crate) enum Fault {
 /// (they survive [`Device::reset_clock`](crate::device::Device::reset_clock)):
 /// the 3rd download is the 3rd stacked download since the device was
 /// created, regardless of how many kernels launched in between.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     ops: Vec<(u64, Fault)>,
     rng: Option<util::Rng>,
@@ -239,6 +245,87 @@ impl FaultPlan {
         self
     }
 
+    /// Parses a per-job fault script: comma-separated `op:ordinal` items,
+    /// `op` one of `fail_launch`, `oom`, `corrupt_transfer`, `flip_bit`,
+    /// `hang` and `sick` (a one-launch window), and `slow:ordinal:factor`
+    /// with an integer factor ≥ 2. `allow` vets each item, given its text
+    /// and fault, before the item joins the (unseeded) plan.
+    pub fn parse(
+        script: &str,
+        allow: impl Fn(&str, Fault) -> Result<(), String>,
+    ) -> Result<FaultPlan, String> {
+        let mut plan = FaultPlan::new();
+        for text in settings::items(script, ',') {
+            let (op, args) = settings::split(text, ':')
+                .ok_or_else(|| format!("bad fault '{text}' (want op:ordinal)"))?;
+            let ordinal = |v| settings::ordinal(v).map_err(refusal(text));
+            let (nth, fault) = if op == "slow" {
+                let (nth, factor) = settings::split(args, ':')
+                    .ok_or_else(|| format!("bad fault '{text}' (want slow:ordinal:factor)"))?;
+                (ordinal(nth)?, Fault::Slow(slow_factor(text, factor)?))
+            } else {
+                let nth = ordinal(args)?;
+                let fault = match op {
+                    "fail_launch" => Fault::FailLaunch,
+                    "oom" => Fault::Oom,
+                    "corrupt_transfer" => Fault::CorruptDownload,
+                    "flip_bit" => Fault::BitFlip,
+                    "hang" => Fault::Hang,
+                    "sick" => Fault::SickThrough(nth),
+                    other => return Err(format!("unknown fault op '{other}'")),
+                };
+                (nth, fault)
+            };
+            allow(text, fault)?;
+            plan = plan.at(nth, fault);
+        }
+        Ok(plan)
+    }
+
+    /// Parses a `slot_faults` script: comma-separated `kind@slot:args`
+    /// items, `!`-suffixed when persistent: `hang@1:3` (the 3rd launch on
+    /// slot 1 hangs), `slow@1:4:100` (the 4th runs 100× slower) and
+    /// `sick@2:1-6` (launches 1..=6 fail sick). Returns one merged
+    /// `(slot, plan, persistent)` profile per slot, in order of first
+    /// mention, persistent when any of its items is.
+    pub fn parse_slots(script: &str) -> Result<Vec<(usize, FaultPlan, bool)>, String> {
+        let mut profiles: Vec<(usize, FaultPlan, bool)> = Vec::new();
+        for text in settings::items(script, ',') {
+            let (body, persistent) = text.strip_suffix('!').map_or((text, false), |b| (b, true));
+            let form = || format!("bad slot fault '{text}' (want kind@slot:args)");
+            let (kind, rest) = settings::split(body, '@').ok_or_else(form)?;
+            let (slot, args) = settings::split(rest, ':').ok_or_else(form)?;
+            let slot: usize = slot
+                .parse()
+                .map_err(|e| format!("bad slot in '{text}': {e}"))?;
+            let ordinal = |v| settings::ordinal(v).map_err(refusal(text));
+            let plan = match kind {
+                "hang" => FaultPlan::new().hang_at_launch(ordinal(args)?),
+                "slow" => {
+                    let (nth, factor) = settings::split(args, ':').ok_or_else(|| {
+                        format!("bad slot fault '{text}' (want slow@slot:n:factor)")
+                    })?;
+                    let factor = slow_factor(text, factor)?;
+                    FaultPlan::new().slow_launch(ordinal(nth)?, factor)
+                }
+                "sick" if args.contains('-') => {
+                    let (lo, hi) = settings::range(args).map_err(refusal(text))?;
+                    FaultPlan::new().sick_window(lo, hi)
+                }
+                "sick" => return Err(format!("bad slot fault '{text}' (want sick@slot:lo-hi)")),
+                other => return Err(format!("unknown slot fault kind '{other}'")),
+            };
+            match profiles.iter_mut().find(|(s, ..)| *s == slot) {
+                Some((_, merged, p)) => {
+                    *merged = std::mem::take(merged).merge(plan);
+                    *p |= persistent;
+                }
+                None => profiles.push((slot, plan, persistent)),
+            }
+        }
+        Ok(profiles)
+    }
+
     /// A randomized plan: over the first `horizon` ordinals of each category,
     /// each ordinal independently faults with probability `rate`. Fully
     /// determined by `seed`.
@@ -313,6 +400,23 @@ impl FaultPlan {
     }
 }
 
+/// Words a refused ordinal or window of a script's `item`.
+fn refusal(item: &str) -> impl Fn(ItemError) -> String + '_ {
+    move |e| match e {
+        ItemError::NotInteger(e) => format!("bad ordinal in '{item}': {e}"),
+        ItemError::OutOfRange => format!("fault ordinal in '{item}' is 1-based"),
+        ItemError::Reversed => format!("empty sick window in '{item}' (lo > hi)"),
+    }
+}
+
+/// Reads the latency factor of a `slow` item.
+fn slow_factor(item: &str, text: &str) -> Result<f64, String> {
+    settings::factor(text).map(f64::from).map_err(|e| match e {
+        ItemError::NotInteger(e) => format!("bad factor in '{item}': {e}"),
+        _ => format!("slow factor in '{item}' must be >= 2"),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,6 +458,50 @@ mod tests {
         }
         let c = FaultPlan::random(43, 1000, 0.05);
         assert_ne!(a.ops, c.ops, "seed matters");
+    }
+
+    #[test]
+    fn every_script_item_parses_to_its_builder_chain() {
+        let new = FaultPlan::new;
+        for (script, plan) in [
+            ("fail_launch:2", new().fail_launch(2)),
+            ("oom:1", new().oom_at_alloc(1)),
+            ("corrupt_transfer:6", new().corrupt_transfer(6)),
+            ("flip_bit:3", new().flip_bit_after_op(3)),
+            ("hang:2", new().hang_at_launch(2)),
+            ("sick:2", new().sick_window(2, 2)),
+            ("slow:3:10", new().slow_launch(3, 10.0)),
+            (
+                " fail_launch : 2 ,, slow:3:10, corrupt_transfer:3,",
+                new()
+                    .fail_launch(2)
+                    .slow_launch(3, 10.0)
+                    .corrupt_transfer(3),
+            ),
+            ("", new()),
+        ] {
+            let parsed = FaultPlan::parse(script, |_, _| Ok(()));
+            assert_eq!(parsed, Ok(plan), "{script:?}");
+        }
+        for (script, profiles) in [
+            ("hang@0:3", vec![(0, new().hang_at_launch(3), false)]),
+            ("hang@0:2!", vec![(0, new().hang_at_launch(2), true)]),
+            (
+                "slow@1:4:100",
+                vec![(1, new().slow_launch(4, 100.0), false)],
+            ),
+            ("sick@1:2-5!", vec![(1, new().sick_window(2, 5), true)]),
+            (
+                "hang@1:3, sick@2:1-6!, hang@0:2, slow@1:4:100,",
+                vec![
+                    (1, new().hang_at_launch(3).slow_launch(4, 100.0), false),
+                    (2, new().sick_window(1, 6), true),
+                    (0, new().hang_at_launch(2), false),
+                ],
+            ),
+        ] {
+            assert_eq!(FaultPlan::parse_slots(script), Ok(profiles), "{script:?}");
+        }
     }
 
     #[test]

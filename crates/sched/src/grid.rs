@@ -12,65 +12,23 @@
 //! the `stream` coordinate of the seed hash-split, so renumbering the grid
 //! is a physics change and the ordering is part of the format contract.
 //!
-//! The `faults` DSL arms every *device-placed* job with the same scripted
-//! [`FaultPlan`]. Only bit-identically-healing fault classes are accepted
-//! (launch failures, arena exhaustion, NaN transfer corruption — all healed
-//! by RNG-free retry); finite bit flips are rejected because their repair
-//! path rebuilds `G` from the HS field, which is correct but not
-//! bit-identical to the never-faulted stream, and would break the
-//! determinism contract.
+//! The `faults` and `slot_faults` scripts are device-fault vocabulary:
+//! `gpusim::faults` parses them into [`FaultPlan`]s ([`FaultPlan::parse`],
+//! [`FaultPlan::parse_slots`]), reading each item with [`util::settings`].
+//! This module keeps only the policy. `faults` arms every *device-placed*
+//! job with the same plan, so it admits only the bit-identically-healing
+//! classes (launch failures, arena exhaustion, NaN transfer corruption —
+//! all healed by RNG-free retry, and latency inflation below the launch
+//! deadline); finite bit flips are refused because their repair path
+//! rebuilds `G` from the HS field, which is correct but not bit-identical
+//! to the never-faulted stream, and sick classes belong on a pool slot.
+//! `slot_faults` must name slots the pool has.
 
 use dqmc::{ModelParams, RecoveryPolicy, SimParams};
+use gpusim::faults::Fault;
 use gpusim::{DeviceSpec, FaultPlan};
 use lattice::Lattice;
 use util::settings::{put, Dialect, Key, SettingsError};
-
-/// One scripted fault with its 1-based operation ordinal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultOp {
-    /// Kernel launch failure at the nth launch.
-    FailLaunch(u64),
-    /// Scratch-arena exhaustion at the nth allocation.
-    Oom(u64),
-    /// Silent NaN corruption of the nth download.
-    CorruptTransfer(u64),
-    /// Latency inflation of the nth launch by an integer factor — a
-    /// fail-slow fault: numerics are untouched (bit-safe), only the logical
-    /// clock inflates. The factor must keep the launch below
-    /// [`gpusim::LAUNCH_DEADLINE_S`]; a launch that reaches it is a hang.
-    Slow(u64, u32),
-}
-
-/// One scripted *slot* fault: sickness as a property of a device in the
-/// pool, not of whichever job lands on it. Armed via
-/// [`DevicePool::set_slot_profile`](gpusim::DevicePool::set_slot_profile)
-/// and merged into every job plan placed on the slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotFault {
-    /// Device-pool slot the fault is installed on.
-    pub slot: usize,
-    /// The scripted misbehaviour.
-    pub op: SlotFaultOp,
-    /// Persistent profiles survive a breaker opening (the device keeps
-    /// failing probation probes, exercising exponential backoff);
-    /// non-persistent ones heal while the slot rests in quarantine.
-    pub persistent: bool,
-}
-
-/// The slot-fault classes of the chaos DSL. Ordinals count the slot's
-/// launches within one job placement (each job gets a fresh device
-/// context, so the schedule replays per placement).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SlotFaultOp {
-    /// The nth launch hangs; the driver kills it at the launch deadline.
-    /// A persistent hang (`hang@slot:n!`) is a device that stays dead.
-    Hang(u64),
-    /// The nth launch is inflated by an integer latency factor; one that
-    /// reaches the launch deadline hangs.
-    Slow(u64, u32),
-    /// Every launch in `[lo, hi]` fails sick (intermittent sick device).
-    SickWindow(u64, u64),
-}
 
 /// A declared sweep campaign: grid axes plus shared physics and scheduling
 /// parameters.
@@ -118,10 +76,16 @@ pub struct GridSpec {
     pub quantum: usize,
     /// Scheduler-level restarts of a panicked job.
     pub job_retries: u32,
-    /// Scripted faults armed on every device-placed job.
-    pub faults: Vec<FaultOp>,
-    /// Scripted sick-device profiles installed on pool slots.
-    pub slot_faults: Vec<SlotFault>,
+    /// Scripted faults armed on every device-placed job, unseeded: each
+    /// job's copy comes from [`GridSpec::fault_plan`].
+    pub faults: FaultPlan,
+    /// Scripted sick-device profiles, one merged `(slot, plan, persistent)`
+    /// per slot, ready for
+    /// [`DevicePool::set_slot_profile`](gpusim::DevicePool::set_slot_profile).
+    /// Ordinals count the slot's launches within one placement. Persistent
+    /// profiles survive a breaker opening; the others heal while the slot
+    /// rests in quarantine.
+    pub slot_faults: Vec<(usize, FaultPlan, bool)>,
 }
 
 impl Default for GridSpec {
@@ -147,7 +111,7 @@ impl Default for GridSpec {
             devices: 1,
             quantum: 0,
             job_retries: 1,
-            faults: Vec::new(),
+            faults: FaultPlan::new(),
             slot_faults: Vec::new(),
         }
     }
@@ -189,10 +153,8 @@ const KEYS: Dialect<GridSpec> = Dialect { name: "grid spec", keys: &[
     Key("devices", &[], "1", |s, v| put(&mut s.devices, v)),
     Key("quantum", &[], "10", |s, v| put(&mut s.quantum, v)),
     Key("job_retries", &[], "1", |s, v| put(&mut s.job_retries, v)),
-    Key("faults", &[], "fail_launch:2, corrupt_transfer:6", |s, v| {
-        parse_faults(v).map(|x| s.faults = x)
-    }),
-    Key("slot_faults", &[], "hang@0:3", |s, v| parse_slot_faults(v).map(|x| s.slot_faults = x)),
+    Key("faults", &[], "fail_launch:2, corrupt_transfer:6", |s, v| FaultPlan::parse(v, per_job).map(|x| s.faults = x)),
+    Key("slot_faults", &[], "hang@0:3", |s, v| FaultPlan::parse_slots(v).map(|x| s.slot_faults = x)),
 ]};
 
 impl GridSpec {
@@ -238,10 +200,10 @@ impl GridSpec {
         if self.workers == 0 {
             return Err("need at least one worker".into());
         }
-        if let Some(sf) = self.slot_faults.iter().find(|sf| sf.slot >= self.devices) {
+        if let Some((slot, ..)) = self.slot_faults.iter().find(|(s, ..)| *s >= self.devices) {
             return Err(format!(
-                "slot_faults names slot {} but the pool has {} devices",
-                sf.slot, self.devices
+                "slot_faults names slot {slot} but the pool has {} devices",
+                self.devices
             ));
         }
         Ok(())
@@ -311,86 +273,27 @@ impl GridSpec {
             return None;
         }
         let seed = dqmc::chain_seed(self.seed, point.index as u64, chain as u64);
-        let mut plan = FaultPlan::new().with_seed(seed ^ 0xFA17_FA17_FA17_FA17);
-        for op in &self.faults {
-            plan = match *op {
-                FaultOp::FailLaunch(n) => plan.fail_launch(n),
-                FaultOp::Oom(n) => plan.oom_at_alloc(n),
-                FaultOp::CorruptTransfer(n) => plan.corrupt_transfer(n),
-                FaultOp::Slow(n, factor) => plan.slow_launch(n, f64::from(factor)),
-            };
-        }
-        Some(plan)
-    }
-
-    /// The scripted sick-device profiles, one merged [`FaultPlan`] per slot
-    /// (with its persistence flag), ready for
-    /// [`DevicePool::set_slot_profile`](gpusim::DevicePool::set_slot_profile).
-    /// A slot is persistent when *any* of its declared faults is.
-    pub fn slot_profiles(&self) -> Vec<(usize, FaultPlan, bool)> {
-        let mut out: Vec<(usize, FaultPlan, bool)> = Vec::new();
-        for sf in &self.slot_faults {
-            let plan = match sf.op {
-                SlotFaultOp::Hang(n) => FaultPlan::new().hang_at_launch(n),
-                SlotFaultOp::Slow(n, factor) => FaultPlan::new().slow_launch(n, f64::from(factor)),
-                SlotFaultOp::SickWindow(lo, hi) => FaultPlan::new().sick_window(lo, hi),
-            };
-            match out.iter_mut().find(|(slot, _, _)| *slot == sf.slot) {
-                Some((_, merged, persistent)) => {
-                    *merged = merged.clone().merge(plan);
-                    *persistent |= sf.persistent;
-                }
-                None => out.push((sf.slot, plan, sf.persistent)),
-            }
-        }
-        out
+        Some(self.faults.clone().with_seed(seed ^ 0xFA17_FA17_FA17_FA17))
     }
 }
 
-fn parse_faults(v: &str) -> Result<Vec<FaultOp>, String> {
-    v.split(',')
-        .map(|item| {
-            let item = item.trim();
-            let Some((op, rest)) = item.split_once(':') else {
-                return Err(format!("bad fault '{item}' (want op:ordinal)"));
-            };
-            let op = op.trim();
-            if op == "slow" {
-                // slow:nth:factor — the only per-job op with a second arg.
-                let Some((nth, factor)) = rest.split_once(':') else {
-                    return Err(format!("bad fault '{item}' (want slow:ordinal:factor)"));
-                };
-                let nth = parse_ordinal(nth, item)?;
-                let factor: u32 = factor
-                    .trim()
-                    .parse()
-                    .map_err(|e| format!("bad factor in '{item}': {e}"))?;
-                if factor < 2 {
-                    return Err(format!("slow factor in '{item}' must be >= 2"));
-                }
-                if DeviceSpec::tesla_c2050().launch_hangs(f64::from(factor)) {
-                    return Err(sick_per_job(&format!(
-                        "'{item}' (a launch slowed to the launch deadline hangs)"
-                    )));
-                }
-                return Ok(FaultOp::Slow(nth, factor));
-            }
-            let nth = parse_ordinal(rest, item)?;
-            match op {
-                "fail_launch" => Ok(FaultOp::FailLaunch(nth)),
-                "oom" => Ok(FaultOp::Oom(nth)),
-                "corrupt_transfer" => Ok(FaultOp::CorruptTransfer(nth)),
-                "flip_bit" => Err(
-                    "flip_bit is not allowed in sweep fault plans: finite corruption \
-                     repairs via HS-field rebuild, which is not bit-identical to the \
-                     unfaulted stream and would break sweep determinism"
-                        .into(),
-                ),
-                "hang" | "sick" => Err(sick_per_job(&format!("'{op}'"))),
-                other => Err(format!("unknown fault op '{other}'")),
-            }
-        })
-        .collect()
+/// Which fault classes a per-job plan may carry: refuses `item` when its
+/// `fault` would break the determinism contract or indicts the device.
+fn per_job(item: &str, fault: Fault) -> Result<(), String> {
+    match fault {
+        Fault::BitFlip => Err(
+            "flip_bit is not allowed in sweep fault plans: finite corruption \
+             repairs via HS-field rebuild, which is not bit-identical to the \
+             unfaulted stream and would break sweep determinism"
+                .into(),
+        ),
+        Fault::Hang => Err(sick_per_job("'hang'")),
+        Fault::SickThrough(_) => Err(sick_per_job("'sick'")),
+        Fault::Slow(factor) if DeviceSpec::tesla_c2050().launch_hangs(factor) => Err(sick_per_job(
+            &format!("'{item}' (a launch slowed to the launch deadline hangs)"),
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Why a per-job fault plan may not carry `what`, a sick-class fault.
@@ -401,76 +304,6 @@ fn sick_per_job(what: &str) -> String {
          placement, livelocking the requeue path — script it on a pool \
          slot via `slot_faults` instead"
     )
-}
-
-fn parse_ordinal(v: &str, item: &str) -> Result<u64, String> {
-    let nth: u64 = v
-        .trim()
-        .parse()
-        .map_err(|e| format!("bad ordinal in '{item}': {e}"))?;
-    if nth == 0 {
-        return Err(format!("fault ordinal in '{item}' is 1-based"));
-    }
-    Ok(nth)
-}
-
-/// Parses the `slot_faults` DSL: comma-separated `kind@slot:args` items,
-/// `!`-suffixed for persistent profiles. `hang@1:3` (3rd launch on slot 1
-/// hangs), `slow@1:4:100` (4th launch 100× slower),
-/// `sick@2:1-6` (launches 1..=6 fail sick).
-fn parse_slot_faults(v: &str) -> Result<Vec<SlotFault>, String> {
-    v.split(',')
-        .map(|item| {
-            let item = item.trim();
-            let (body, persistent) = match item.strip_suffix('!') {
-                Some(b) => (b, true),
-                None => (item, false),
-            };
-            let Some((op, rest)) = body.split_once('@') else {
-                return Err(format!("bad slot fault '{item}' (want kind@slot:args)"));
-            };
-            let Some((slot, args)) = rest.split_once(':') else {
-                return Err(format!("bad slot fault '{item}' (want kind@slot:args)"));
-            };
-            let slot: usize = slot
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad slot in '{item}': {e}"))?;
-            let op = match op.trim() {
-                "hang" => SlotFaultOp::Hang(parse_ordinal(args, item)?),
-                "slow" => {
-                    let Some((nth, factor)) = args.split_once(':') else {
-                        return Err(format!("bad slot fault '{item}' (want slow@slot:n:factor)"));
-                    };
-                    let factor: u32 = factor
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("bad factor in '{item}': {e}"))?;
-                    if factor < 2 {
-                        return Err(format!("slow factor in '{item}' must be >= 2"));
-                    }
-                    SlotFaultOp::Slow(parse_ordinal(nth, item)?, factor)
-                }
-                "sick" => {
-                    let Some((lo, hi)) = args.split_once('-') else {
-                        return Err(format!("bad slot fault '{item}' (want sick@slot:lo-hi)"));
-                    };
-                    let lo = parse_ordinal(lo, item)?;
-                    let hi = parse_ordinal(hi, item)?;
-                    if lo > hi {
-                        return Err(format!("empty sick window in '{item}' (lo > hi)"));
-                    }
-                    SlotFaultOp::SickWindow(lo, hi)
-                }
-                other => Err(format!("unknown slot fault kind '{other}'"))?,
-            };
-            Ok(SlotFault {
-                slot,
-                op,
-                persistent,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -505,7 +338,7 @@ mod tests {
         assert_eq!(spec.quantum, 3);
         assert_eq!(
             spec.faults,
-            vec![FaultOp::FailLaunch(2), FaultOp::CorruptTransfer(4)]
+            FaultPlan::new().fail_launch(2).corrupt_transfer(4)
         );
         let pts = spec.points();
         assert_eq!(pts.len(), 4);
@@ -548,10 +381,21 @@ mod tests {
             err.to_string(),
             "grid spec: lattice dimensions must be positive"
         );
-        let err = GridSpec::parse("faults = flip_bit:3").unwrap_err();
-        assert!(err.message.contains("determinism"), "{err}");
-        let err = GridSpec::parse("faults = fail_launch:0").unwrap_err();
-        assert!(err.message.contains("1-based"), "{err}");
+        for (text, why) in [
+            ("faults = flip_bit:3", "determinism"),
+            ("faults = fail_launch:0", "1-based"),
+            ("faults = hang:2", "slot_faults"),
+            ("faults = sick:2", "slot_faults"),
+            ("faults = slow:3:1", ">= 2"),
+            ("faults = slow:1:285715", "slot_faults"),
+            ("slot_faults = hang@0:0", "1-based"),
+            ("slot_faults = slow@0:1:1", ">= 2"),
+            ("slot_faults = sick@0:6-2", "lo > hi"),
+            ("devices = 1\nslot_faults = hang@3:1", "slot_faults"),
+        ] {
+            let err = GridSpec::parse(text).unwrap_err();
+            assert!(err.message.contains(why), "{text:?}: {err}");
+        }
         let err = GridSpec::parse("u = ").unwrap_err();
         assert!(err.message.contains("not a finite number"), "{err}");
         // `nan` passes `u < 0.0` and `inf` passes `dtau <= 0.0`: the parser
@@ -588,12 +432,12 @@ mod tests {
     fn fault_arming_edge_cases() {
         // Ordinal 1 (the first operation) is valid — the off-by-one trap.
         let spec = GridSpec::parse("faults = fail_launch:1").unwrap();
-        assert_eq!(spec.faults, vec![FaultOp::FailLaunch(1)]);
+        assert_eq!(spec.faults, FaultPlan::new().fail_launch(1));
         // Overlapping latency + corruption on the same ordinal both arm.
         let spec = GridSpec::parse("faults = slow:3:10, corrupt_transfer:3").unwrap();
         assert_eq!(
             spec.faults,
-            vec![FaultOp::Slow(3, 10), FaultOp::CorruptTransfer(3)]
+            FaultPlan::new().slow_launch(3, 10.0).corrupt_transfer(3)
         );
         let plan = spec.fault_plan(&spec.points()[0], 0).unwrap();
         assert!(!plan.is_empty());
@@ -612,50 +456,35 @@ mod tests {
             "devices = 3\nslot_faults = hang@1:3, sick@2:1-6!, hang@0:2, slow@1:4:100",
         )
         .unwrap();
+        // Slot 1 has two ops: they merge into one profile.
         assert_eq!(
             spec.slot_faults,
             vec![
-                SlotFault {
-                    slot: 1,
-                    op: SlotFaultOp::Hang(3),
-                    persistent: false
-                },
-                SlotFault {
-                    slot: 2,
-                    op: SlotFaultOp::SickWindow(1, 6),
-                    persistent: true
-                },
-                SlotFault {
-                    slot: 0,
-                    op: SlotFaultOp::Hang(2),
-                    persistent: false
-                },
-                SlotFault {
-                    slot: 1,
-                    op: SlotFaultOp::Slow(4, 100),
-                    persistent: false
-                },
+                (
+                    1,
+                    FaultPlan::new().hang_at_launch(3).slow_launch(4, 100.0),
+                    false
+                ),
+                (2, FaultPlan::new().sick_window(1, 6), true),
+                (0, FaultPlan::new().hang_at_launch(2), false),
             ]
         );
-        // Slot 1 has two ops: they merge into one profile.
-        let profiles = spec.slot_profiles();
-        assert_eq!(profiles.len(), 3);
-        let (slot, _, persistent) = &profiles[0];
-        assert_eq!((*slot, *persistent), (1, false));
-        assert!(profiles.iter().any(|(s, _, p)| *s == 2 && *p));
     }
 
     #[test]
     fn per_job_slow_reaching_the_launch_deadline_is_a_hang() {
         // The C2050 launches in 7 µs, so 285 715× reaches the 2 s deadline.
         let spec = GridSpec::parse("faults = slow:1:285714").unwrap();
-        assert_eq!(spec.faults, vec![FaultOp::Slow(1, 285_714)]);
+        assert_eq!(spec.faults, FaultPlan::new().slow_launch(1, 285_714.0));
         let err = GridSpec::parse("faults = slow:1:285715").unwrap_err();
         assert!(err.message.contains("slot_faults"), "{err}");
         assert!(err.message.contains("deadline"), "{err}");
         // On a pool slot the same launch is a scripted hang, and allowed.
         let spec = GridSpec::parse("devices = 1\nslot_faults = slow@0:1:285715").unwrap();
-        assert_eq!(spec.slot_faults[0].op, SlotFaultOp::Slow(1, 285_715));
+        assert_eq!(
+            spec.slot_faults,
+            vec![(0, FaultPlan::new().slow_launch(1, 285_715.0), false)]
+        );
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod service;
 pub mod shard;
 pub mod trace;
 
-pub use grid::{GridPoint, GridSpec, SlotFault, SlotFaultOp};
+pub use grid::{GridPoint, GridSpec};
 pub use queue::{AdmitError, JobQueue, SweepJob};
 pub use report::{observables_json_for, PointSummary, SweepReport};
 pub use runner::{run_sweep, SchedConfig};

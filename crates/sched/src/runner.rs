@@ -429,8 +429,8 @@ pub fn run_sweep(spec: &GridSpec, cfg: &SchedConfig, events: &EventLog) -> Sweep
     let core = Arc::clone(&service.core);
     let pool = core.pool.as_ref();
     if let Some(p) = pool {
-        for (slot, plan, persistent) in spec.slot_profiles() {
-            p.set_slot_profile(slot, plan, persistent);
+        for (slot, plan, persistent) in &spec.slot_faults {
+            p.set_slot_profile(*slot, plan.clone(), *persistent);
         }
     }
     let outcome = service

@@ -7,8 +7,14 @@
 //! it, aliases included, so a typo is an error rather than a silent default.
 //! A key given twice keeps its last value. Values are read as a [`Value`]
 //! type (integers, finite numbers, number lists, booleans) or a [`choice`].
+//!
+//! The item primitives at the end ([`items`] to [`range`]) read the fault
+//! scripts: `gpusim::FaultPlan`'s and `util::vfs`'s `DQMC_VFS_FAULTS`.
 
 use std::fmt;
+use std::num::ParseIntError;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 
 /// A malformed input: its dialect, the line, and what is wrong.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -170,6 +176,63 @@ pub fn choice<C: Copy>(v: &str, what: &str, names: &[(&str, C)]) -> Result<C, St
             Err(format!("unknown {what} '{v}' (one of {})", all.join(", ")))
         }
     }
+}
+
+/// Why an item primitive refused its text.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ItemError {
+    /// Not an integer of the reader's type: the parser's reason.
+    NotInteger(ParseIntError),
+    /// An integer outside the reader's range, such as an ordinal of 0 or
+    /// a factor of 1.
+    OutOfRange,
+    /// A `lo-hi` range whose `lo` exceeds its `hi`.
+    Reversed,
+}
+
+/// The items of a `sep`-separated list, trimmed; blank items are skipped.
+pub fn items(list: &str, sep: char) -> impl Iterator<Item = &str> {
+    list.split(sep)
+        .map(str::trim)
+        .filter(|item| !item.is_empty())
+}
+
+/// `head⟨sep⟩rest` split at the first `sep`, both halves trimmed; `None`
+/// when `text` has no `sep`.
+pub fn split(text: &str, sep: char) -> Option<(&str, &str)> {
+    text.split_once(sep)
+        .map(|(head, rest)| (head.trim(), rest.trim()))
+}
+
+/// An integer in `allowed`.
+pub fn int_in<T>(text: &str, allowed: RangeInclusive<T>) -> Result<T, ItemError>
+where
+    T: FromStr<Err = ParseIntError> + PartialOrd,
+{
+    let n = text.trim().parse().map_err(ItemError::NotInteger)?;
+    allowed
+        .contains(&n)
+        .then_some(n)
+        .ok_or(ItemError::OutOfRange)
+}
+
+/// A 1-based ordinal.
+pub fn ordinal(text: &str) -> Result<u64, ItemError> {
+    int_in(text, 1..=u64::MAX)
+}
+
+/// An integer factor of at least 2: a factor of 1 would be a no-op
+/// disguised as a fault.
+pub fn factor(text: &str) -> Result<u32, ItemError> {
+    int_in(text, 2..=u32::MAX)
+}
+
+/// `lo-hi`, two ordinals with `lo <= hi`; a lone ordinal `n` reads as
+/// `n-n`.
+pub fn range(text: &str) -> Result<(u64, u64), ItemError> {
+    let (lo, hi) = split(text, '-').unwrap_or((text, text));
+    let (lo, hi) = (ordinal(lo)?, ordinal(hi)?);
+    (lo <= hi).then_some((lo, hi)).ok_or(ItemError::Reversed)
 }
 
 #[cfg(test)]

@@ -24,7 +24,8 @@
 //! the only cost is one relaxed atomic load per call. Plans arm either
 //! programmatically ([`arm`], which returns a guard serialising faulted
 //! sections across test threads) or from the [`ENV_FAULTS`] environment
-//! DSL, e.g.:
+//! DSL, whose items are read with [`settings`]'s item primitives, as
+//! `gpusim::faults` reads the device fault scripts, e.g.:
 //!
 //! ```text
 //!   DQMC_VFS_FAULTS="seed=7;scope=.dqrc;enospc@2;fsync@3-4;crash@4;mode=sim"
@@ -58,6 +59,7 @@
 //! callers that should ride out a briefly-full disk.
 
 use crate::rng::Rng;
+use crate::settings::{self, ItemError, Value};
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -208,69 +210,51 @@ impl FaultPlan {
     }
 
     /// Parses the [`ENV_FAULTS`] DSL: semicolon-separated items among
-    /// `seed=N`, `scope=SUBSTR`, `mode=exit|sim`, `code=N`, `crash@N`,
-    /// and `CAT@N` / `CAT@LO-HI` for categories `create`, `short`,
-    /// `enospc`, `fsync`, `rename`, `dirsync`.
+    /// `seed=N`, `scope=SUBSTR`, `mode=exit|sim`, `code=N` (1..=255),
+    /// `crash@N`, and `CAT@N` / `CAT@LO-HI` for categories `create`,
+    /// `short`, `enospc`, `fsync`, `rename`, `dirsync`. Items are read with
+    /// [`settings`]'s item primitives, so blank items are skipped.
     pub fn parse(dsl: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
         let mut crash_at: Option<u64> = None;
         let mut mode_sim = false;
         let mut exit_code = CRASH_EXIT_CODE;
-        for item in dsl.split(';') {
-            let item = item.trim();
-            if item.is_empty() {
-                continue;
-            }
-            if let Some((key, val)) = item.split_once('=') {
-                match key.trim() {
+        for item in settings::items(dsl, ';') {
+            if let Some((key, val)) = settings::split(item, '=') {
+                match key {
                     "seed" => {
-                        let seed: u64 = val
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("bad seed '{val}'"))?;
+                        let seed = u64::read(val).map_err(|_| format!("bad seed '{val}'"))?;
                         plan = plan.with_seed(seed);
                     }
-                    "scope" => plan = plan.with_scope(val.trim()),
-                    "mode" => match val.trim() {
+                    "scope" => plan = plan.with_scope(val),
+                    "mode" => match val {
                         "exit" => mode_sim = false,
                         "sim" => mode_sim = true,
                         other => return Err(format!("bad mode '{other}' (exit|sim)")),
                     },
+                    // `process::exit` keeps the low 8 bits: a code of 0 or
+                    // 256 would make a scripted crash read as success.
                     "code" => {
-                        exit_code = val
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("bad code '{val}'"))?;
+                        exit_code = settings::int_in(val, 1..=255)
+                            .map_err(|_| format!("bad code '{val}' (want 1..=255)"))?;
                     }
                     other => return Err(format!("unknown key '{other}'")),
                 }
                 continue;
             }
-            let Some((cat, ord)) = item.split_once('@') else {
-                return Err(format!("bad item '{item}' (want key=val or cat@n)"));
-            };
-            let (lo, hi) = match ord.split_once('-') {
-                Some((a, b)) => (
-                    a.parse::<u64>()
-                        .map_err(|_| format!("bad ordinal '{ord}'"))?,
-                    b.parse::<u64>()
-                        .map_err(|_| format!("bad ordinal '{ord}'"))?,
-                ),
-                None => {
-                    let n: u64 = ord.parse().map_err(|_| format!("bad ordinal '{ord}'"))?;
-                    (n, n)
-                }
-            };
-            if lo == 0 || hi < lo {
-                return Err(format!("ordinals are 1-based and lo<=hi, got '{ord}'"));
-            }
-            match cat.trim() {
-                "create" => (lo..=hi).for_each(|n| plan.create_fail.push(n)),
-                "short" => (lo..=hi).for_each(|n| plan.short_writes.push(n)),
+            let (cat, ord) = settings::split(item, '@')
+                .ok_or_else(|| format!("bad item '{item}' (want key=val or cat@n)"))?;
+            let (lo, hi) = settings::range(ord).map_err(|e| match e {
+                ItemError::NotInteger(_) => format!("bad ordinal '{ord}'"),
+                _ => format!("ordinals are 1-based and lo<=hi, got '{ord}'"),
+            })?;
+            match cat {
+                "create" => plan.create_fail.extend(lo..=hi),
+                "short" => plan.short_writes.extend(lo..=hi),
                 "enospc" => plan = plan.enospc_window(lo, hi),
-                "fsync" => (lo..=hi).for_each(|n| plan.fsync_fail.push(n)),
-                "rename" => (lo..=hi).for_each(|n| plan.rename_fail.push(n)),
-                "dirsync" => (lo..=hi).for_each(|n| plan.dirsync_fail.push(n)),
+                "fsync" => plan.fsync_fail.extend(lo..=hi),
+                "rename" => plan.rename_fail.extend(lo..=hi),
+                "dirsync" => plan.dirsync_fail.extend(lo..=hi),
                 "crash" => {
                     if lo != hi {
                         return Err("crash@ takes a single ordinal".to_string());
@@ -791,6 +775,8 @@ mod tests {
 
         let exit = FaultPlan::parse("crash@3;code=77").expect("exit-mode DSL");
         assert_eq!(exit.crash, Some((3, CrashMode::Exit(77))));
+        let top = FaultPlan::parse("crash@3;code=255").expect("largest exit code");
+        assert_eq!(top.crash, Some((3, CrashMode::Exit(255))));
         let default_exit = FaultPlan::parse("crash@1").expect("default mode");
         assert_eq!(
             default_exit.crash,
@@ -803,6 +789,12 @@ mod tests {
         assert!(FaultPlan::parse("mode=maybe").is_err());
         assert!(FaultPlan::parse("crash@1-2").is_err());
         assert!(FaultPlan::parse("short").is_err());
+        for code in ["0", "256", "-1"] {
+            assert!(
+                FaultPlan::parse(&format!("crash@1;code={code}")).is_err(),
+                "code={code}"
+            );
+        }
         assert!(FaultPlan::parse("").expect("empty DSL").is_empty());
     }
 

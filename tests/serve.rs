@@ -189,6 +189,61 @@ fn warm_cache_hit_is_byte_identical_with_flat_job_counters() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One plain-HTTP probe on the service socket: the status line and body.
+fn http_get(addr: &str, path: &str) -> (String, String) {
+    use std::io::{Read, Write};
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let request = format!("GET {path} HTTP/1.1\r\nHost: probe\r\n\r\n");
+    stream.write_all(request.as_bytes()).expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    let (head, body) = response.split_once("\r\n\r\n").expect("header terminator");
+    let status = head.lines().next().unwrap_or_default();
+    (status.to_string(), body.to_string())
+}
+
+#[test]
+fn http_probes_answer_healthz_stats_and_not_found() {
+    let dir = scratch("http");
+    let server = TestServer::start(&ServerConfig {
+        service: ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let ok = "HTTP/1.1 200 OK".to_string();
+    assert_eq!(
+        http_get(&server.addr, "/healthz"),
+        (ok.clone(), "{\"ok\":true}".to_string())
+    );
+
+    server.client().submit("alice", 0, GRID_A).expect("cold");
+    server.client().submit("bob", 0, GRID_A).expect("warm");
+    let (status, body) = http_get(&server.addr, "/stats");
+    let s = server.client().stats().expect("stats frame");
+    assert_eq!((s.jobs_submitted, s.cache_hits, s.cache_misses), (4, 2, 2));
+    // The eight keys, in this order, with the frame's counters; nothing
+    // was scrubbed from the fresh cache directory.
+    let expected = format!(
+        "{{\"jobs_submitted\":{},\"campaigns_completed\":{},\"active_campaigns\":{},\
+         \"cache_hits\":{},\"cache_misses\":{},\"cache_corrupt\":{},\
+         \"cache_scrubbed_debris\":0,\"cache_scrubbed_corrupt\":0}}",
+        s.jobs_submitted,
+        s.campaigns_completed,
+        s.active_campaigns,
+        s.cache_hits,
+        s.cache_misses,
+        s.cache_corrupt,
+    );
+    assert_eq!((status, body), (ok, expected));
+
+    let (status, _) = http_get(&server.addr, "/metrics");
+    assert_eq!(status, "HTTP/1.1 404 Not Found");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn concurrent_tenants_with_interleaved_priorities_both_complete() {
     let server = TestServer::start(&ServerConfig {
