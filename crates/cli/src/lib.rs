@@ -15,11 +15,13 @@
 //! seed   = 42
 //! ```
 //!
-//! The keys are one table, `INPUT`, in the `key = value` dialect of
-//! [`util::settings`]; `dqmc-run --help` prints it.
+//! An input file describes one point of a grid spec: its keys are
+//! `sched::grid`'s chain table ([`sched::grid::CHAIN`]) plus the five run
+//! keys in `INPUT`, in the `key = value` dialect of [`util::settings`];
+//! `dqmc-run --help` prints both tables.
 
-use dqmc::{Acceptance, ModelParams, RecoveryPolicy, SimParams, StratAlgo};
-use lattice::Lattice;
+use dqmc::SimParams;
+use sched::{GridPoint, GridSpec};
 use util::settings::{self, put, Dialect, Key, SettingsError, Value};
 
 /// Which compute backend runs the sweep's cluster/wrap kernels.
@@ -33,203 +35,68 @@ pub enum Backend {
     Gpusim,
 }
 
-/// A parsed input file.
-#[derive(Clone, Debug, PartialEq)]
+/// A parsed input file: one chain at one grid point, plus how to run it.
+#[derive(Clone, Debug)]
 pub struct InputFile {
-    /// Lattice extent in x.
-    pub lx: usize,
-    /// Lattice extent in y.
-    pub ly: usize,
-    /// Stacked layers (1 = single plane).
-    pub layers: usize,
-    /// Periodic stacking instead of open.
-    pub periodic_z: bool,
-    /// In-plane hopping along x.
-    pub t: f64,
-    /// In-plane hopping along y (None = isotropic, same as `t`).
-    pub ty: Option<f64>,
-    /// Inter-layer hopping.
-    pub tz: f64,
-    /// On-site repulsion.
-    pub u: f64,
-    /// Shifted chemical potential μ̃ (0 = half filling).
-    pub mu_tilde: f64,
-    /// Imaginary-time step.
-    pub dtau: f64,
-    /// Time slices L.
-    pub slices: usize,
-    /// Warmup sweeps.
-    pub warmup: usize,
-    /// Measurement sweeps.
-    pub sweeps: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Cluster size k.
-    pub cluster_size: usize,
-    /// Delayed-update block.
-    pub delay_block: usize,
-    /// Stratification algorithm.
-    pub algorithm: StratAlgo,
-    /// Cluster recycling.
-    pub recycle: bool,
+    /// The chain, with one `u` and one `beta`.
+    pub spec: GridSpec,
+    /// Time slices L as the `slices` key gives them (32 when neither it nor
+    /// `beta` is given); `None` when `beta` gives them.
+    pub slices: Option<usize>,
     /// Time-dependent measurements.
     pub unequal_time: bool,
-    /// Measure at every cluster boundary.
-    pub measure_per_cluster: bool,
-    /// Flip acceptance rule.
-    pub acceptance: Acceptance,
-    /// Bin size for error analysis.
-    pub bin_size: usize,
     /// Compute backend for cluster/wrap kernels.
     pub backend: Backend,
     /// Checkpoint file path (None = no checkpointing).
     pub checkpoint: Option<String>,
     /// Sweeps between checkpoint saves.
     pub checkpoint_every: usize,
-    /// Fault recovery (retry / cluster shrink / host fallback) on or off.
-    pub recovery: bool,
-    /// Retries per fault incident before escalating.
-    pub max_retries: u32,
-    /// Smallest cluster size the recovery shrink may reach.
-    pub min_cluster: usize,
 }
 
-impl Default for InputFile {
-    fn default() -> Self {
-        InputFile {
-            lx: 4,
-            ly: 4,
-            layers: 1,
-            periodic_z: false,
-            t: 1.0,
-            ty: None,
-            tz: 1.0,
-            u: 4.0,
-            mu_tilde: 0.0,
-            dtau: 0.125,
-            slices: 32,
-            warmup: 100,
-            sweeps: 200,
-            seed: 0,
-            cluster_size: 10,
-            delay_block: 32,
-            algorithm: StratAlgo::PrePivot,
-            recycle: true,
-            unequal_time: false,
-            measure_per_cluster: false,
-            acceptance: Acceptance::Metropolis,
-            bin_size: 10,
-            backend: Backend::Host,
-            checkpoint: None,
-            checkpoint_every: 50,
-            recovery: true,
-            max_retries: 2,
-            min_cluster: 1,
-        }
-    }
-}
-
-/// What the input keys set: the file, plus the state of the rule that
-/// `beta` stands in for `slices` once every key is read.
-#[derive(Default)]
-struct Draft {
-    cfg: InputFile,
-    beta: Option<f64>,
-    slices_given: bool,
-}
-
-// The choice keys' names, aliases included.
-#[rustfmt::skip]
-const ALGORITHMS: &[(&str, StratAlgo)] = &[
-    ("qrp", StratAlgo::Qrp), ("algorithm2", StratAlgo::Qrp), ("prepivot", StratAlgo::PrePivot),
-    ("pre-pivot", StratAlgo::PrePivot), ("algorithm3", StratAlgo::PrePivot),
-];
-#[rustfmt::skip]
-const ACCEPTANCES: &[(&str, Acceptance)] = &[
-    ("metropolis", Acceptance::Metropolis), ("heatbath", Acceptance::HeatBath),
-    ("heat-bath", Acceptance::HeatBath),
-];
 #[rustfmt::skip]
 const BACKENDS: &[(&str, Backend)] = &[
     ("host", Backend::Host), ("cpu", Backend::Host),
     ("gpusim", Backend::Gpusim), ("gpu", Backend::Gpusim), ("device", Backend::Gpusim),
 ];
 
-/// The input-file keys: the one place each key is named.
+/// The input-file keys: the chain keys plus the run keys.
 #[rustfmt::skip]
-const INPUT: Dialect<Draft> = Dialect { name: "input", keys: &[
-    Key("lx", &[], "8", |d, v| put(&mut d.cfg.lx, v)),
-    Key("ly", &[], "8", |d, v| put(&mut d.cfg.ly, v)),
-    Key("layers", &[], "3", |d, v| put(&mut d.cfg.layers, v)),
-    Key("periodic_z", &[], "no", |d, v| put(&mut d.cfg.periodic_z, v)),
-    Key("t", &["tx"], "1.0", |d, v| put(&mut d.cfg.t, v)),
-    Key("ty", &[], "0.5", |d, v| f64::read(v).map(|x| d.cfg.ty = Some(x))),
-    Key("tz", &[], "0.5", |d, v| put(&mut d.cfg.tz, v)),
-    Key("u", &[], "4.0", |d, v| put(&mut d.cfg.u, v)),
-    Key("mu_tilde", &["mu"], "0.0", |d, v| put(&mut d.cfg.mu_tilde, v)),
-    Key("dtau", &[], "0.125", |d, v| put(&mut d.cfg.dtau, v)),
-    Key("slices", &["l"], "32", |d, v| {
-        d.slices_given = true;
-        put(&mut d.cfg.slices, v)
-    }),
-    Key("beta", &[], "4.0", |d, v| match f64::read(v)? {
-        b if b > 0.0 => {
-            d.beta = Some(b);
-            Ok(())
-        }
-        _ => Err(format!("beta must be positive, got '{v}'")),
-    }),
-    Key("warmup", &[], "100", |d, v| put(&mut d.cfg.warmup, v)),
-    Key("sweeps", &[], "200", |d, v| put(&mut d.cfg.sweeps, v)),
-    Key("seed", &[], "42", |d, v| put(&mut d.cfg.seed, v)),
-    Key("cluster_size", &["k"], "10", |d, v| put(&mut d.cfg.cluster_size, v)),
-    Key("delay_block", &[], "32", |d, v| put(&mut d.cfg.delay_block, v)),
-    Key("algorithm", &[], "qrp", |d, v| {
-        settings::choice(v, "algorithm", ALGORITHMS).map(|x| d.cfg.algorithm = x)
-    }),
-    Key("recycle", &[], "yes", |d, v| put(&mut d.cfg.recycle, v)),
-    Key("unequal_time", &[], "no", |d, v| put(&mut d.cfg.unequal_time, v)),
-    Key("measure_per_cluster", &[], "no", |d, v| put(&mut d.cfg.measure_per_cluster, v)),
-    Key("acceptance", &[], "heatbath", |d, v| {
-        settings::choice(v, "acceptance", ACCEPTANCES).map(|x| d.cfg.acceptance = x)
-    }),
-    Key("bin_size", &[], "10", |d, v| put(&mut d.cfg.bin_size, v)),
-    Key("backend", &[], "gpusim", |d, v| {
-        settings::choice(v, "backend", BACKENDS).map(|x| d.cfg.backend = x)
-    }),
-    Key("checkpoint", &[], "run.ckpt", |d, v| {
-        d.cfg.checkpoint = Some(v.to_string());
-        Ok(())
-    }),
-    Key("checkpoint_every", &[], "50", |d, v| put(&mut d.cfg.checkpoint_every, v)),
-    Key("recovery", &[], "yes", |d, v| put(&mut d.cfg.recovery, v)),
-    Key("max_retries", &[], "2", |d, v| put(&mut d.cfg.max_retries, v)),
-    Key("min_cluster", &[], "1", |d, v| put(&mut d.cfg.min_cluster, v)),
-]};
-
-impl Draft {
-    fn finish(mut self) -> Result<InputFile, String> {
-        if let Some(b) = self.beta {
-            if self.slices_given {
-                return Err("give either 'beta' or 'slices', not both".into());
-            }
-            if self.cfg.dtau <= 0.0 {
-                return Err("beta requires a positive dtau".into());
-            }
-            self.cfg.slices = (b / self.cfg.dtau).round().max(1.0) as usize;
-        }
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
+const INPUT: Dialect<InputFile, GridSpec> = Dialect {
+    name: "input",
+    base: Some((&sched::grid::CHAIN, |input| &mut input.spec)),
+    keys: &[
+        Key("slices", &["l"], "32", |i, v| usize::read(v).map(|l| i.slices = Some(l))),
+        Key("unequal_time", &[], "no", |i, v| put(&mut i.unequal_time, v)),
+        Key("backend", &[], "gpusim", |i, v| settings::choice(v, "backend", BACKENDS).map(|x| i.backend = x)),
+        Key("checkpoint", &[], "run.ckpt", |i, v| { i.checkpoint = Some(v.into()); Ok(()) }),
+        Key("checkpoint_every", &[], "50", |i, v| put(&mut i.checkpoint_every, v)),
+    ],
+};
 
 impl InputFile {
     /// Parses an input file's text. `beta` may be given instead of
     /// `slices`: it is rounded to `beta/dtau` once every key is read.
     pub fn parse(text: &str) -> Result<InputFile, SettingsError> {
-        let mut draft = Draft::default();
-        INPUT.apply(&mut draft, text)?;
-        draft.finish().map_err(|m| INPUT.error(0, m))
+        // An input's defaults differ from a grid's in five keys; `beta`
+        // starts empty so that the rules below can tell whether it was set.
+        let mut input = InputFile {
+            spec: GridSpec {
+                warmup: 100,
+                bin_size: 10,
+                cluster_size: 10,
+                seed: 0,
+                betas: Vec::new(),
+                ..GridSpec::default()
+            },
+            slices: None,
+            unequal_time: false,
+            backend: Backend::Host,
+            checkpoint: None,
+            checkpoint_every: 50,
+        };
+        INPUT.apply(&mut input, text)?;
+        input.finish().map_err(|m| INPUT.error(0, m))?;
+        Ok(input)
     }
 
     /// Every input key with an example value, for `--help`.
@@ -237,78 +104,41 @@ impl InputFile {
         INPUT.help()
     }
 
-    fn validate(&self) -> Result<(), String> {
-        if self.lx == 0 || self.ly == 0 || self.layers == 0 {
-            return Err("lattice dimensions must be positive".into());
+    fn finish(&mut self) -> Result<(), String> {
+        if self.spec.betas.is_empty() {
+            let slices = *self.slices.get_or_insert(32);
+            self.spec.betas = vec![slices as f64 * self.spec.dtau];
+        } else if self.slices.is_some() {
+            return Err("give either 'beta' or 'slices', not both".into());
         }
-        if self.u < 0.0 {
-            return Err("u must be non-negative (repulsive model)".into());
+        if self.spec.us.len() != 1 || self.spec.betas.len() != 1 {
+            return Err("an input file runs one point: give one 'u' and one 'beta'".into());
         }
-        if self.dtau <= 0.0 {
-            return Err("dtau must be positive".into());
-        }
-        if self.slices == 0 {
+        if self.slices == Some(0) {
             return Err("slices must be positive".into());
-        }
-        if self.cluster_size == 0 || self.delay_block == 0 || self.bin_size == 0 {
-            return Err("cluster_size, delay_block, bin_size must be positive".into());
         }
         if self.checkpoint_every == 0 {
             return Err("checkpoint_every must be positive".into());
         }
-        if self.min_cluster == 0 {
-            return Err("min_cluster must be positive".into());
-        }
-        if self.layers > 1 && self.ty.map(|ty| ty != self.t).unwrap_or(false) {
-            return Err("anisotropic in-plane hopping requires layers = 1".into());
-        }
-        Ok(())
+        self.spec.validate()
     }
 
-    /// The lattice this input describes.
-    pub fn lattice(&self) -> Lattice {
-        if self.layers == 1 {
-            match self.ty {
-                Some(ty) if ty != self.t => Lattice::anisotropic(self.lx, self.ly, self.t, ty),
-                _ => Lattice::square(self.lx, self.ly, self.t),
-            }
-        } else if self.periodic_z {
-            Lattice::multilayer_periodic(self.lx, self.ly, self.layers, self.t, self.tz)
-        } else {
-            Lattice::multilayer(self.lx, self.ly, self.layers, self.t, self.tz)
+    /// The one grid point this input runs.
+    fn point(&self) -> GridPoint {
+        let point = self.spec.points()[0];
+        GridPoint {
+            slices: self.slices.unwrap_or(point.slices),
+            ..point
         }
     }
 
-    /// Converts into engine parameters.
+    /// Converts into engine parameters: the point's chain with the raw
+    /// `seed`, not a hash-split one.
     pub fn sim_params(&self) -> SimParams {
-        let model = ModelParams::new(
-            self.lattice(),
-            self.u,
-            self.mu_tilde,
-            self.dtau,
-            self.slices,
-        );
-        let recovery = if self.recovery {
-            RecoveryPolicy {
-                max_retries: self.max_retries,
-                min_cluster: self.min_cluster,
-                ..RecoveryPolicy::default()
-            }
-        } else {
-            RecoveryPolicy::disabled()
-        };
-        SimParams::new(model)
-            .with_sweeps(self.warmup, self.sweeps)
-            .with_seed(self.seed)
-            .with_cluster_size(self.cluster_size)
-            .with_delay_block(self.delay_block)
-            .with_algo(self.algorithm)
-            .with_recycle(self.recycle)
-            .with_bin_size(self.bin_size)
+        self.spec
+            .point_params(&self.point())
+            .with_seed(self.spec.seed)
             .with_unequal_time(self.unequal_time)
-            .with_measure_per_cluster(self.measure_per_cluster)
-            .with_acceptance(self.acceptance)
-            .with_recovery(recovery)
     }
 }
 
@@ -327,28 +157,29 @@ pub fn flag_value<T: std::str::FromStr>(flag: &str, what: &str, value: Option<&S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dqmc::{params_fingerprint, Acceptance, StratAlgo};
 
     #[test]
     fn parses_minimal_file() {
         let cfg = InputFile::parse("lx = 8\nly = 8\nu = 2.0\n").unwrap();
-        assert_eq!(cfg.lx, 8);
-        assert_eq!(cfg.u, 2.0);
+        assert_eq!(cfg.spec.lx, 8);
+        assert_eq!(cfg.spec.us, vec![2.0]);
         // everything else default
-        assert_eq!(cfg.slices, 32);
-        assert_eq!(cfg.algorithm, StratAlgo::PrePivot);
+        assert_eq!(cfg.point().slices, 32);
+        assert_eq!(cfg.spec.algorithm, StratAlgo::PrePivot);
     }
 
     #[test]
     fn comments_and_blank_lines_ignored() {
         let text = "\n# header\nlx = 6   # inline comment\n\n  ly=6\n";
         let cfg = InputFile::parse(text).unwrap();
-        assert_eq!((cfg.lx, cfg.ly), (6, 6));
+        assert_eq!((cfg.spec.lx, cfg.spec.ly), (6, 6));
     }
 
     #[test]
     fn beta_converts_to_slices() {
         let cfg = InputFile::parse("dtau = 0.1\nbeta = 4.0\n").unwrap();
-        assert_eq!(cfg.slices, 40);
+        assert_eq!(cfg.point().slices, 40);
     }
 
     #[test]
@@ -364,15 +195,37 @@ mod tests {
 
     #[test]
     fn unknown_key_rejected_with_line_number() {
-        for Key(name, aliases, example, _) in INPUT.keys {
-            for name in std::iter::once(name).chain(*aliases) {
-                let text = format!("{name} = {example}");
-                InputFile::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
-            }
-        }
         let e = InputFile::parse("lx = 4\nbogus = 7\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("bogus"));
+    }
+
+    #[test]
+    fn every_chain_key_means_the_same_in_both_dialects() {
+        // The five chain settings whose defaults differ between the
+        // dialects, written out so that both start from the same chain.
+        const SAME: &str = "warmup = 50\nbin_size = 5\nk = 8\nseed = 42\nbeta = 2.0\n";
+        for Key(name, aliases, example, _) in sched::grid::CHAIN.keys {
+            for name in std::iter::once(name).chain(*aliases) {
+                let text = format!("{SAME}{name} = {example}\n");
+                let input = InputFile::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+                let spec = GridSpec::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+                let run = input.sim_params();
+                let point = spec.point_params(&spec.points()[0]).with_seed(spec.seed);
+                assert_eq!(
+                    params_fingerprint(&run),
+                    params_fingerprint(&point),
+                    "{text:?}"
+                );
+                assert_eq!(run.recovery, point.recovery, "{text:?}");
+            }
+        }
+        let e = InputFile::parse("u = 2.0, 4.0\n").unwrap_err();
+        assert!(e.message.contains("one point"), "{e}");
+        let p = InputFile::parse("dtau = 0.1\n").unwrap().sim_params();
+        assert_eq!((p.model.slices, p.model.dtau), (32, 0.1));
+        let e = InputFile::parse("beta = 2.0\nl = 16\n").unwrap_err();
+        assert!(e.message.contains("not both"), "{e}");
     }
 
     #[test]
@@ -402,12 +255,16 @@ mod tests {
     #[test]
     fn algorithm_names() {
         assert_eq!(
-            InputFile::parse("algorithm = qrp\n").unwrap().algorithm,
+            InputFile::parse("algorithm = qrp\n")
+                .unwrap()
+                .spec
+                .algorithm,
             StratAlgo::Qrp
         );
         assert_eq!(
             InputFile::parse("algorithm = PrePivot\n")
                 .unwrap()
+                .spec
                 .algorithm,
             StratAlgo::PrePivot
         );
@@ -453,7 +310,7 @@ mod tests {
     #[test]
     fn multilayer_lattice_construction() {
         let cfg = InputFile::parse("lx = 4\nly = 4\nlayers = 3\ntz = 0.5\n").unwrap();
-        let lat = cfg.lattice();
+        let lat = cfg.spec.lattice();
         assert_eq!(lat.nsites(), 48);
         assert_eq!(lat.layers(), 3);
         assert_eq!(lat.tz(), 0.5);
@@ -462,14 +319,14 @@ mod tests {
     #[test]
     fn acceptance_key() {
         let cfg = InputFile::parse("acceptance = heatbath\n").unwrap();
-        assert_eq!(cfg.acceptance, Acceptance::HeatBath);
+        assert_eq!(cfg.spec.acceptance, Acceptance::HeatBath);
         assert!(InputFile::parse("acceptance = magic\n").is_err());
     }
 
     #[test]
     fn anisotropic_hopping_keys() {
         let cfg = InputFile::parse("lx = 4\nly = 4\ntx = 1.0\nty = 0.5\n").unwrap();
-        let lat = cfg.lattice();
+        let lat = cfg.spec.lattice();
         assert_eq!(lat.t(), 1.0);
         assert_eq!(lat.ty(), 0.5);
         assert!(InputFile::parse("layers = 2\nty = 0.5\n").is_err());
@@ -480,6 +337,10 @@ mod tests {
         assert!(InputFile::parse("lx = 0\n").is_err());
         assert!(InputFile::parse("dtau = -1\n").is_err());
         assert!(InputFile::parse("u = -2\n").is_err());
+        // Zero measurement sweeps would print a table of NaN.
+        let e =
+            InputFile::parse("lx = 2\nly = 2\nslices = 8\nwarmup = 2\nsweeps = 0\n").unwrap_err();
+        assert!(e.message.contains("sweeps must be positive"), "{e}");
     }
 
     #[test]
@@ -514,7 +375,9 @@ mod tests {
     #[test]
     fn sim_params_round_trip() {
         let cfg = InputFile::parse(
-            "lx = 4\nly = 4\nu = 6.0\ndtau = 0.125\nslices = 16\nseed = 9\nk = 8\nalgorithm = qrp\nrecycle = no\n",
+            "lx = 4\nly = 4\nu = 6.0\ndtau = 0.125\nslices = 16\nseed = 9\nk = 8\nalgorithm = qrp\nrecycle = no\n\
+             mu = 0.5\nwarmup = 7\nsweeps = 9\nbin_size = 3\ndelay_block = 16\n\
+             acceptance = heatbath\nmeasure_per_cluster = yes\n",
         )
         .unwrap();
         let p = cfg.sim_params();
@@ -523,6 +386,11 @@ mod tests {
         assert_eq!(p.cluster_size, 8);
         assert_eq!(p.algo, StratAlgo::Qrp);
         assert!(!p.recycle);
+        assert_eq!(p.model.mu_tilde, 0.5);
+        assert_eq!((p.warmup_sweeps, p.measure_sweeps, p.bin_size), (7, 9, 3));
+        assert_eq!(p.delay_block, 16);
+        assert_eq!(p.acceptance, Acceptance::HeatBath);
+        assert!(p.measure_per_cluster);
     }
 }
 

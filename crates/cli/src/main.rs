@@ -457,31 +457,32 @@ fn main() {
         std::process::exit(2);
     });
 
-    let model = cfg.sim_params().model.clone();
+    // The header prints what the chain runs: k as clamped to L, say.
+    let (spec, params) = (&cfg.spec, cfg.sim_params());
+    let model = &params.model;
     println!(
         "# dqmc: {}x{}x{} lattice (N={}), U={}, mu~={}, beta={} (L={}, dtau={})",
-        cfg.lx,
-        cfg.ly,
-        cfg.layers,
+        spec.lx,
+        spec.ly,
+        spec.layers,
         model.nsites(),
-        cfg.u,
-        cfg.mu_tilde,
+        model.u,
+        model.mu_tilde,
         model.beta(),
-        cfg.slices,
-        cfg.dtau
+        model.slices,
+        model.dtau
     );
     println!(
         "# {} warmup + {} measurement sweeps, seed {}, {:?}, k={}, delay={}, recycle={}",
-        cfg.warmup,
-        cfg.sweeps,
-        cfg.seed,
-        cfg.algorithm,
-        cfg.cluster_size,
-        cfg.delay_block,
-        cfg.recycle
+        params.warmup_sweeps,
+        params.measure_sweeps,
+        params.seed,
+        params.algo,
+        params.cluster_size,
+        params.delay_block,
+        params.recycle
     );
 
-    let params = cfg.sim_params();
     let ckpt = cfg.checkpoint.clone();
     // A run killed mid-checkpoint strands a temp file next to the
     // checkpoint; scrub it before resuming so debris never accumulates.
@@ -567,7 +568,7 @@ fn main() {
     );
 
     // Momentum distribution along the symmetry path (square even lattices).
-    if cfg.layers == 1 && cfg.lx == cfg.ly && cfg.lx.is_multiple_of(2) {
+    if spec.layers == 1 && spec.lx == spec.ly && spec.lx.is_multiple_of(2) {
         println!("\n## <n_k> along (0,0)->(pi,pi)->(pi,0)->(0,0)");
         for (arc, v) in obs.momentum_distribution_path() {
             println!("{arc:.4}  {v:.4}");

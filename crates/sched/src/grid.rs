@@ -1,11 +1,18 @@
-//! Grid-spec files: the declarative input of a sweep campaign.
+//! Grid-spec files: the declarative input of a sweep campaign, and the one
+//! description of a Markov chain.
 //!
 //! A grid spec is written in the `key = value` dialect of
-//! [`util::settings`]. Its keys are the table `KEYS` in this module, which
-//! `dqmc-run sweep` prints; the input file's table is `dqmc_cli`'s `INPUT`,
-//! which `dqmc-run --help` prints. Two keys take lists, `u` and `beta`, and
-//! their Cartesian product is the grid. Every other key is shared by all
-//! points.
+//! [`util::settings`]. Its keys are two tables. [`CHAIN`] holds the 24
+//! keys of one chain: lattice, model, discretisation, sweeps, algorithm,
+//! measurement and recovery. The input file (`dqmc_cli::InputFile`)
+//! extends the same table with its run keys, so a chain key has one name,
+//! one set of aliases, one setter and one check for both front ends, and
+//! [`GridSpec::point_params`] is the one place it becomes a [`SimParams`]
+//! field. `SCHED` adds the campaign's scheduling keys. `dqmc-run sweep`
+//! prints both tables, `dqmc-run --help` the input's. Two keys take lists,
+//! `u` and `beta`, and their Cartesian product is the grid. Every other key
+//! is shared by all points. Each dialect keeps its own defaults (see
+//! [`GridSpec::default`]).
 //! `examples/inputs/grid_smoke.sweep` is a commented example.
 //!
 //! Points are numbered u-major (`point = iu * nbeta + ib`); that index is
@@ -24,11 +31,11 @@
 //! to the never-faulted stream, and sick classes belong on a pool slot.
 //! `slot_faults` must name slots the pool has.
 
-use dqmc::{ModelParams, RecoveryPolicy, SimParams};
+use dqmc::{Acceptance, ModelParams, RecoveryPolicy, SimParams, StratAlgo};
 use gpusim::faults::Fault;
 use gpusim::{DeviceSpec, FaultPlan};
 use lattice::Lattice;
-use util::settings::{put, Dialect, Key, SettingsError};
+use util::settings::{choice, put, Dialect, Key, SettingsError, Value};
 
 /// A declared sweep campaign: grid axes plus shared physics and scheduling
 /// parameters.
@@ -38,9 +45,17 @@ pub struct GridSpec {
     pub lx: usize,
     /// Lattice extent in y.
     pub ly: usize,
-    /// Hopping amplitude.
+    /// Stacked layers (1 = single plane).
+    pub layers: usize,
+    /// Periodic stacking instead of open.
+    pub periodic_z: bool,
+    /// In-plane hopping along x.
     pub t: f64,
-    /// Chemical potential.
+    /// In-plane hopping along y (None = isotropic, same as `t`).
+    pub ty: Option<f64>,
+    /// Inter-layer hopping.
+    pub tz: f64,
+    /// Shifted chemical potential μ̃ (0 = half filling).
     pub mu: f64,
     /// Imaginary-time step Δτ.
     pub dtau: f64,
@@ -62,12 +77,24 @@ pub struct GridSpec {
     pub bin_size: usize,
     /// Cluster size k (clamped per point to its slice count).
     pub cluster_size: usize,
+    /// Delayed-update block.
+    pub delay_block: usize,
+    /// Stratification algorithm (Algorithm 2 or 3).
+    pub algorithm: StratAlgo,
+    /// Cluster recycling.
+    pub recycle: bool,
+    /// Measure at every cluster boundary.
+    pub measure_per_cluster: bool,
+    /// Flip acceptance rule.
+    pub acceptance: Acceptance,
     /// Campaign base seed; chain seeds hash-split from it.
     pub seed: u64,
     /// Fault recovery ladder on/off.
     pub recovery: bool,
     /// Retry budget inside the recovery ladder.
     pub max_retries: u32,
+    /// Smallest cluster size the recovery shrink may reach.
+    pub min_cluster: usize,
     /// Worker threads.
     pub workers: usize,
     /// Simulated accelerator slots in the device pool.
@@ -88,12 +115,19 @@ pub struct GridSpec {
     pub slot_faults: Vec<(usize, FaultPlan, bool)>,
 }
 
+/// A grid spec's defaults. An input file starts from these too, except
+/// warmup 100, `bin_size` 10, k 10, seed 0, and L = 32 slices where a grid
+/// has β = 2.
 impl Default for GridSpec {
     fn default() -> Self {
         GridSpec {
             lx: 4,
             ly: 4,
+            layers: 1,
+            periodic_z: false,
             t: 1.0,
+            ty: None,
+            tz: 1.0,
             mu: 0.0,
             dtau: 0.125,
             us: vec![4.0],
@@ -104,9 +138,15 @@ impl Default for GridSpec {
             sweeps: 200,
             bin_size: 5,
             cluster_size: 8,
+            delay_block: 32,
+            algorithm: StratAlgo::PrePivot,
+            recycle: true,
+            measure_per_cluster: false,
+            acceptance: Acceptance::Metropolis,
             seed: 42,
             recovery: true,
             max_retries: 2,
+            min_cluster: 1,
             workers: 1,
             devices: 1,
             quantum: 0,
@@ -130,25 +170,65 @@ pub struct GridPoint {
     pub slices: usize,
 }
 
-/// The grid-spec keys: the one place each key is named.
+// The choice keys' names, aliases included.
 #[rustfmt::skip]
-const KEYS: Dialect<GridSpec> = Dialect { name: "grid spec", keys: &[
-    Key("lx", &[], "4", |s, v| put(&mut s.lx, v)),
-    Key("ly", &[], "4", |s, v| put(&mut s.ly, v)),
-    Key("t", &[], "1.0", |s, v| put(&mut s.t, v)),
-    Key("mu", &[], "0.0", |s, v| put(&mut s.mu, v)),
+const ALGORITHMS: &[(&str, StratAlgo)] = &[
+    ("qrp", StratAlgo::Qrp), ("algorithm2", StratAlgo::Qrp), ("prepivot", StratAlgo::PrePivot),
+    ("pre-pivot", StratAlgo::PrePivot), ("algorithm3", StratAlgo::PrePivot),
+];
+#[rustfmt::skip]
+const ACCEPTANCES: &[(&str, Acceptance)] = &[
+    ("metropolis", Acceptance::Metropolis), ("heatbath", Acceptance::HeatBath),
+    ("heat-bath", Acceptance::HeatBath),
+];
+
+/// The chain keys, which input files and grid specs share: the one place
+/// each is named. `u` and `beta` take lists; an input file allows one value.
+#[rustfmt::skip]
+pub const CHAIN: Dialect<GridSpec> = Dialect { name: "chain", base: None, keys: &[
+    Key("lx", &[], "8", |s, v| put(&mut s.lx, v)),
+    Key("ly", &[], "8", |s, v| put(&mut s.ly, v)),
+    Key("layers", &[], "3", |s, v| put(&mut s.layers, v)),
+    Key("periodic_z", &[], "no", |s, v| put(&mut s.periodic_z, v)),
+    Key("t", &["tx"], "1.0", |s, v| put(&mut s.t, v)),
+    Key("ty", &[], "0.5", |s, v| f64::read(v).map(|x| s.ty = Some(x))),
+    Key("tz", &[], "0.5", |s, v| put(&mut s.tz, v)),
+    Key("u", &[], "4.0", |s, v| axis(&mut s.us, v, |u| u >= 0.0, "u must be non-negative (repulsive model)")),
+    Key("mu", &["mu_tilde"], "0.0", |s, v| put(&mut s.mu, v)),
     Key("dtau", &[], "0.125", |s, v| put(&mut s.dtau, v)),
-    Key("u", &[], "2.0, 4.0", |s, v| put(&mut s.us, v)),
-    Key("beta", &[], "1.0, 2.0", |s, v| put(&mut s.betas, v)),
-    Key("chains", &[], "2", |s, v| put(&mut s.chains, v)),
-    Key("crowd", &[], "1", |s, v| put(&mut s.crowd, v)),
-    Key("warmup", &[], "50", |s, v| put(&mut s.warmup, v)),
+    Key("beta", &[], "4.0", |s, v| axis(&mut s.betas, v, |b| b > 0.0, "beta must be positive")),
+    Key("warmup", &[], "100", |s, v| put(&mut s.warmup, v)),
     Key("sweeps", &[], "200", |s, v| put(&mut s.sweeps, v)),
-    Key("bin_size", &[], "5", |s, v| put(&mut s.bin_size, v)),
-    Key("cluster_size", &["k"], "8", |s, v| put(&mut s.cluster_size, v)),
     Key("seed", &[], "42", |s, v| put(&mut s.seed, v)),
+    Key("cluster_size", &["k"], "10", |s, v| put(&mut s.cluster_size, v)),
+    Key("delay_block", &[], "32", |s, v| put(&mut s.delay_block, v)),
+    Key("algorithm", &[], "qrp", |s, v| choice(v, "algorithm", ALGORITHMS).map(|x| s.algorithm = x)),
+    Key("recycle", &[], "yes", |s, v| put(&mut s.recycle, v)),
+    Key("measure_per_cluster", &[], "no", |s, v| put(&mut s.measure_per_cluster, v)),
+    Key("acceptance", &[], "heatbath", |s, v| choice(v, "acceptance", ACCEPTANCES).map(|x| s.acceptance = x)),
+    Key("bin_size", &[], "10", |s, v| put(&mut s.bin_size, v)),
     Key("recovery", &[], "yes", |s, v| put(&mut s.recovery, v)),
     Key("max_retries", &[], "2", |s, v| put(&mut s.max_retries, v)),
+    Key("min_cluster", &[], "1", |s, v| put(&mut s.min_cluster, v)),
+]};
+
+/// Reads the list `v` into `axis` if `ok` holds for every value, or says
+/// `why` not.
+fn axis(axis: &mut Vec<f64>, v: &str, ok: fn(f64) -> bool, why: &str) -> Result<(), String> {
+    match Vec::<f64>::read(v)? {
+        xs if xs.iter().all(|&x| ok(x)) => {
+            *axis = xs;
+            Ok(())
+        }
+        _ => Err(format!("{why}, got '{v}'")),
+    }
+}
+
+/// The grid spec: the chain keys plus the campaign's scheduling keys.
+#[rustfmt::skip]
+const SCHED: Dialect<GridSpec> = Dialect { name: "grid spec", base: Some((&CHAIN, |s| s)), keys: &[
+    Key("chains", &[], "2", |s, v| put(&mut s.chains, v)),
+    Key("crowd", &[], "1", |s, v| put(&mut s.crowd, v)),
     Key("workers", &[], "2", |s, v| put(&mut s.workers, v)),
     Key("devices", &[], "1", |s, v| put(&mut s.devices, v)),
     Key("quantum", &[], "10", |s, v| put(&mut s.quantum, v)),
@@ -162,43 +242,40 @@ impl GridSpec {
     /// [`util::settings`].
     pub fn parse(text: &str) -> Result<GridSpec, SettingsError> {
         let mut spec = GridSpec::default();
-        KEYS.apply(&mut spec, text)?;
-        spec.validate().map_err(|m| KEYS.error(0, m))?;
+        SCHED.apply(&mut spec, text)?;
+        spec.validate().map_err(|m| SCHED.error(0, m))?;
         Ok(spec)
     }
 
     /// Every grid-spec key with an example value, for usage texts.
     pub fn keys_help() -> String {
-        KEYS.help()
+        SCHED.help()
     }
 
-    fn validate(&self) -> Result<(), String> {
-        if self.lx == 0 || self.ly == 0 {
+    /// What no single key can refuse: the checks across keys, and the
+    /// positive counts. Both dialects run it.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.lx == 0 || self.ly == 0 || self.layers == 0 {
             return Err("lattice dimensions must be positive".into());
         }
-        if self.us.is_empty() || self.betas.is_empty() {
-            return Err("grid axes 'u' and 'beta' must be non-empty".into());
-        }
-        if self.us.iter().any(|&u| u < 0.0) {
-            return Err("repulsive model: every u must be >= 0".into());
-        }
-        if self.betas.iter().any(|&b| b <= 0.0) {
-            return Err("every beta must be positive".into());
+        if self.layers > 1 && self.ty.is_some_and(|ty| ty != self.t) {
+            return Err("anisotropic in-plane hopping requires layers = 1".into());
         }
         if self.dtau <= 0.0 {
             return Err("dtau must be positive".into());
         }
-        if self.chains == 0 || self.sweeps == 0 {
-            return Err("chains and sweeps must be positive".into());
+        if self.us.is_empty() || self.betas.is_empty() {
+            return Err("grid axes 'u' and 'beta' must be non-empty".into());
         }
-        if self.crowd == 0 {
-            return Err("crowd must be positive (1 = solo jobs)".into());
-        }
-        if self.bin_size == 0 || self.cluster_size == 0 {
-            return Err("bin_size and cluster_size must be positive".into());
-        }
-        if self.workers == 0 {
-            return Err("need at least one worker".into());
+        #[rustfmt::skip]
+        let counts = [
+            ("sweeps", self.sweeps), ("cluster_size", self.cluster_size),
+            ("delay_block", self.delay_block), ("bin_size", self.bin_size),
+            ("min_cluster", self.min_cluster), ("chains", self.chains),
+            ("crowd", self.crowd), ("workers", self.workers),
+        ];
+        if let Some((name, _)) = counts.iter().find(|&&(_, n)| n == 0) {
+            return Err(format!("{name} must be positive"));
         }
         if let Some((slot, ..)) = self.slot_faults.iter().find(|(s, ..)| *s >= self.devices) {
             return Err(format!(
@@ -232,21 +309,28 @@ impl GridSpec {
         self.us.len() * self.betas.len() * self.chains
     }
 
-    /// The simulation parameters for one chain of one point, with the
-    /// hash-split seed. This is *the* definition of the campaign's physics:
-    /// every consumer (scheduler, tests, reference serial runs) must build
-    /// parameters through here so they agree bit-for-bit.
-    pub fn chain_params(&self, point: &GridPoint, chain: usize) -> SimParams {
-        let model = ModelParams::new(
-            Lattice::square(self.lx, self.ly, self.t),
-            point.u,
-            self.mu,
-            self.dtau,
-            point.slices,
-        );
+    /// The lattice the chain keys describe.
+    pub fn lattice(&self) -> Lattice {
+        match (self.layers, self.ty) {
+            (1, Some(ty)) if ty != self.t => Lattice::anisotropic(self.lx, self.ly, self.t, ty),
+            (1, _) => Lattice::square(self.lx, self.ly, self.t),
+            (n, _) if self.periodic_z => {
+                Lattice::multilayer_periodic(self.lx, self.ly, n, self.t, self.tz)
+            }
+            (n, _) => Lattice::multilayer(self.lx, self.ly, n, self.t, self.tz),
+        }
+    }
+
+    /// The simulation parameters of one point, with seed 0: the one place
+    /// a chain key becomes a [`SimParams`] field. A campaign's chain adds
+    /// its hash-split seed ([`GridSpec::chain_params`]); an input file's
+    /// run adds its raw `seed`.
+    pub fn point_params(&self, point: &GridPoint) -> SimParams {
+        let model = ModelParams::new(self.lattice(), point.u, self.mu, self.dtau, point.slices);
         let policy = if self.recovery {
             RecoveryPolicy {
                 max_retries: self.max_retries,
+                min_cluster: self.min_cluster,
                 ..RecoveryPolicy::default()
             }
         } else {
@@ -255,13 +339,22 @@ impl GridSpec {
         SimParams::new(model)
             .with_sweeps(self.warmup, self.sweeps)
             .with_cluster_size(self.cluster_size)
+            .with_delay_block(self.delay_block)
+            .with_algo(self.algorithm)
+            .with_recycle(self.recycle)
             .with_bin_size(self.bin_size)
-            .with_seed(dqmc::chain_seed(
-                self.seed,
-                point.index as u64,
-                chain as u64,
-            ))
+            .with_measure_per_cluster(self.measure_per_cluster)
+            .with_acceptance(self.acceptance)
             .with_recovery(policy)
+    }
+
+    /// The simulation parameters for one chain of one point, with the
+    /// hash-split seed. This is *the* definition of the campaign's physics:
+    /// every consumer (scheduler, tests, reference serial runs) must build
+    /// parameters through here so they agree bit-for-bit.
+    pub fn chain_params(&self, point: &GridPoint, chain: usize) -> SimParams {
+        self.point_params(point)
+            .with_seed(self.chain_seed(point, chain))
     }
 
     /// Builds the scripted device fault plan for one job, or `None` when
@@ -272,8 +365,12 @@ impl GridSpec {
         if self.faults.is_empty() {
             return None;
         }
-        let seed = dqmc::chain_seed(self.seed, point.index as u64, chain as u64);
+        let seed = self.chain_seed(point, chain);
         Some(self.faults.clone().with_seed(seed ^ 0xFA17_FA17_FA17_FA17))
+    }
+
+    fn chain_seed(&self, point: &GridPoint, chain: usize) -> u64 {
+        dqmc::chain_seed(self.seed, point.index as u64, chain as u64)
     }
 }
 
@@ -367,7 +464,9 @@ mod tests {
 
     #[test]
     fn unknown_keys_and_bad_faults_are_rejected() {
-        for Key(name, aliases, example, _) in KEYS.keys {
+        // The chain keys' examples run through both dialects in
+        // `dqmc_cli`'s cross-dialect test; the scheduling keys' run here.
+        for Key(name, aliases, example, _) in SCHED.keys {
             for name in std::iter::once(name).chain(*aliases) {
                 let text = format!("{name} = {example}");
                 GridSpec::parse(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
@@ -392,6 +491,7 @@ mod tests {
             ("slot_faults = slow@0:1:1", ">= 2"),
             ("slot_faults = sick@0:6-2", "lo > hi"),
             ("devices = 1\nslot_faults = hang@3:1", "slot_faults"),
+            ("sweeps = 0", "sweeps must be positive"),
         ] {
             let err = GridSpec::parse(text).unwrap_err();
             assert!(err.message.contains(why), "{text:?}: {err}");

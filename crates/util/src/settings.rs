@@ -3,8 +3,11 @@
 //!
 //! `#` starts a comment. Each line is trimmed, and a non-empty one is split
 //! at its first `=` into a key, case-folded, and a value. A [`Dialect`] is a
-//! name and a table with one [`Key`] per setting; every key is looked up in
-//! it, aliases included, so a typo is an error rather than a silent default.
+//! name, a table with one [`Key`] per setting, and an optional base dialect
+//! whose keys it also accepts: both front ends extend `sched::grid`'s chain
+//! table that way, so a chain key is named, read and checked in one place.
+//! Every key is looked up in the dialect's own table, then in its base's,
+//! aliases included, so a typo is an error rather than a silent default.
 //! A key given twice keeps its last value. Values are read as a [`Value`]
 //! type (integers, finite numbers, number lists, booleans) or a [`choice`].
 //!
@@ -48,16 +51,23 @@ pub struct Key<T>(
     pub fn(&mut T, &str) -> Result<(), String>,
 );
 
-/// A `key = value` dialect: its name, used in errors and help, and its key
-/// table.
-pub struct Dialect<T: 'static> {
+/// A `key = value` dialect: its name, used in errors and help, its key
+/// table, and the base dialect whose keys it also accepts, with the part of
+/// the target they set.
+pub struct Dialect<T: 'static, B: 'static = T> {
     /// Names the dialect in errors and help.
     pub name: &'static str,
-    /// Every key the dialect accepts.
+    /// The keys the dialect adds to its base.
     pub keys: &'static [Key<T>],
+    /// The dialect this one extends.
+    pub base: Option<Base<T, B>>,
 }
 
-impl<T> Dialect<T> {
+/// A dialect that another extends, and where its target lives in the
+/// other's.
+pub type Base<T, B> = (&'static Dialect<B>, fn(&mut T) -> &mut B);
+
+impl<T, B> Dialect<T, B> {
     /// Applies each assignment in `text` to `target`, in file order.
     pub fn apply(&self, target: &mut T, text: &str) -> Result<(), SettingsError> {
         for (idx, raw) in text.lines().enumerate() {
@@ -70,14 +80,26 @@ impl<T> Dialect<T> {
                 return Err(self.error(line, format!("expected 'key = value', got '{stmt}'")));
             };
             let key = key.trim().to_ascii_lowercase();
-            let Key(.., set) = self
-                .keys
-                .iter()
-                .find(|Key(name, aliases, ..)| *name == key || aliases.contains(&key.as_str()))
-                .ok_or_else(|| self.error(line, format!("unknown key '{key}'")))?;
-            set(target, value.trim()).map_err(|m| self.error(line, m))?;
+            self.set(target, &key, value.trim())
+                .ok_or_else(|| self.error(line, format!("unknown key '{key}'")))?
+                .map_err(|m| self.error(line, m))?;
         }
         Ok(())
+    }
+
+    /// Sets `key` through this table or its base's; `None` when neither
+    /// has it.
+    fn set(&self, target: &mut T, key: &str, value: &str) -> Option<Result<(), String>> {
+        let own = self
+            .keys
+            .iter()
+            .find(|Key(name, aliases, ..)| *name == key || aliases.contains(&key));
+        match own {
+            Some(Key(.., set)) => Some(set(target, value)),
+            None => self
+                .base
+                .and_then(|(base, part)| base.set(part(target), key, value)),
+        }
     }
 
     /// An error of this dialect on `line` (0 for the whole file).
@@ -89,13 +111,17 @@ impl<T> Dialect<T> {
         }
     }
 
-    /// The key table as help text: one `key|alias = example` line per key.
+    /// The key tables as help text: one `key|alias = example` line per
+    /// key, this dialect's block first and its base's after it.
     pub fn help(&self) -> String {
         let mut out = format!("{} keys (key|alias = example):\n", self.name);
         for Key(name, aliases, example, _) in self.keys {
             let mut names = vec![*name];
             names.extend(*aliases);
             out += &format!("  {} = {example}\n", names.join("|"));
+        }
+        if let Some((base, _)) = self.base {
+            out += &base.help();
         }
         out
     }
@@ -251,6 +277,19 @@ mod tests {
             Key("n", &["count"], "3", |p, v| put(&mut p.n, v)),
             Key("on", &[], "yes", |p, v| put(&mut p.on, v)),
         ],
+        base: None,
+    };
+
+    #[derive(Debug, Default)]
+    struct Outer {
+        probe: Probe,
+        tag: u32,
+    }
+
+    const OUTER: Dialect<Outer, Probe> = Dialect {
+        name: "outer",
+        keys: &[Key("tag", &[], "1", |o, v| put(&mut o.tag, v))],
+        base: Some((&PROBE, |o| &mut o.probe)),
     };
 
     fn parse(text: &str) -> Result<Probe, SettingsError> {
@@ -267,6 +306,25 @@ mod tests {
         assert!(e.message.contains("expected 'key = value'"), "{e}");
         let e = parse("n = 1\nbogus = 7\n").unwrap_err();
         assert_eq!(e.to_string(), "probe line 2: unknown key 'bogus'");
+    }
+
+    #[test]
+    fn a_base_table_sets_its_part_under_the_outer_name() {
+        let mut o = Outer::default();
+        OUTER
+            .apply(&mut o, "count = 4\ntag = 9\non = yes\n")
+            .unwrap();
+        assert_eq!((o.probe.n, o.tag, o.probe.on), (4, 9, true));
+        let e = OUTER.apply(&mut o, "tag = 1\nn = x\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.to_string().starts_with("outer line 2: "), "{e}");
+        let e = OUTER.apply(&mut o, "bogus = 1\n").unwrap_err();
+        assert_eq!(e.to_string(), "outer line 1: unknown key 'bogus'");
+        assert_eq!(
+            OUTER.help(),
+            "outer keys (key|alias = example):\n  tag = 1\n\
+             probe keys (key|alias = example):\n  n|count = 3\n  on = yes\n"
+        );
     }
 
     #[test]

@@ -62,6 +62,62 @@ fn algorithms_agree_across_beta() {
 }
 
 #[test]
+fn algorithms_agree_through_the_scheduler() {
+    // Figure 2 as a campaign: the grid's `algorithm` key reaches every
+    // chain, keys its own cache entries, and the pooled scalars of the two
+    // variants agree within 4σ.
+    const GRID: &str = "lx = 2\nly = 2\nu = 2.0, 4.0\nbeta = 1.0, 2.0\nchains = 2\n\
+                        warmup = 10\nsweeps = 40\nbin_size = 5\nk = 4\nseed = 5\n\
+                        workers = 1\ndevices = 0\n";
+    let prepivot = sched::GridSpec::parse(GRID).unwrap();
+    let qrp = sched::GridSpec::parse(&format!("{GRID}algorithm = qrp\n")).unwrap();
+    assert_ne!(
+        sched::grid_fingerprint(&qrp),
+        sched::grid_fingerprint(&prepivot)
+    );
+    for point in qrp.points() {
+        assert_ne!(
+            serve::point_key(&qrp, &point),
+            serve::point_key(&prepivot, &point)
+        );
+        for chain in 0..qrp.chains {
+            assert_eq!(qrp.chain_params(&point, chain).algo, StratAlgo::Qrp);
+        }
+    }
+    let run = |spec: &sched::GridSpec| {
+        sched::run_sweep(
+            spec,
+            &sched::SchedConfig::from_spec(spec),
+            &sched::EventLog::new(),
+        )
+    };
+    let (a, b) = (run(&qrp), run(&prepivot));
+    assert_ne!(
+        a.observables_json(),
+        b.observables_json(),
+        "same bits: qrp never ran"
+    );
+    for (pa, pb) in a.points.iter().zip(&b.points) {
+        let (sa, sb) = (pa.scalars.as_ref().unwrap(), pb.scalars.as_ref().unwrap());
+        for (name, x, y) in [
+            ("sign", sa.sign, sb.sign),
+            ("density", sa.density, sb.density),
+            ("double_occ", sa.double_occ, sb.double_occ),
+            ("kinetic", sa.kinetic, sb.kinetic),
+            ("potential", sa.potential, sb.potential),
+            ("saf", sa.saf, sb.saf),
+        ] {
+            let bound = 4.0 * x.1.hypot(y.1) + 1e-9;
+            assert!(
+                (x.0 - y.0).abs() <= bound,
+                "point {} {name}: {x:?} vs {y:?}",
+                pa.point
+            );
+        }
+    }
+}
+
+#[test]
 fn cluster_size_tradeoff_preserves_accuracy() {
     // k = 1 (stratify every slice) through k = 16: all must agree.
     let (_, fac, h) = setup(3, 5.0, 32, 3);
