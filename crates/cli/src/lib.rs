@@ -120,7 +120,15 @@ impl InputFile {
         if self.checkpoint_every == 0 {
             return Err("checkpoint_every must be positive".into());
         }
-        self.spec.validate()
+        self.spec.validate()?;
+        let (bin_size, sweeps) = (self.spec.bin_size, self.spec.sweeps);
+        if bin_size > sweeps {
+            // The run would print a sign of 0 and NaN for every other scalar.
+            return Err(format!(
+                "bin_size ({bin_size}) exceeds sweeps ({sweeps}): no bin would complete"
+            ));
+        }
+        Ok(())
     }
 
     /// The one grid point this input runs.
@@ -341,6 +349,11 @@ mod tests {
         let e =
             InputFile::parse("lx = 2\nly = 2\nslices = 8\nwarmup = 2\nsweeps = 0\n").unwrap_err();
         assert!(e.message.contains("sweeps must be positive"), "{e}");
+        // Fewer sweeps than one bin would print sign 0 and NaN scalars.
+        let e = InputFile::parse("sweeps = 5\nbin_size = 10\n").unwrap_err();
+        let want = "bin_size (10) exceeds sweeps (5): no bin would complete";
+        assert!(e.message.contains(want), "{e}");
+        assert!(InputFile::parse("sweeps = 10\nbin_size = 10\n").is_ok());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! unless constructed with [`Lattice::multilayer_periodic`].
 
 use crate::kron;
-use linalg::{expm, Matrix};
+use linalg::Matrix;
 
 /// A rectangular lattice of `Lx × Ly` sites stacked in `Lz` layers.
 #[derive(Clone, Debug, PartialEq)]
@@ -305,26 +305,18 @@ impl Lattice {
 }
 
 /// `e^{s·H}` for a 1D chain/ring of length `l` with hopping amplitude `t`
-/// (`H[i,i±1] = −t`, wrapped when `periodic`). Uses the analytic plane-wave
-/// spectrum for rings and a dense symmetric solve for open chains.
+/// (`H[i,i±1] = −t`, wrapped when `periodic`), from the analytic spectrum:
+/// plane waves with `ε_k = −2t·cos(2πk/l)` on a ring, and on an open chain
+/// the standing waves `φ_k(i) = √(2/(l+1))·sin(πik/(l+1))` with
+/// `ε_k = −2t·cos(πk/(l+1))` (sites i and modes k counted from 1).
 fn ring_exp(l: usize, t: f64, s: f64, periodic: bool) -> Matrix {
+    use std::f64::consts::PI;
     if l == 1 {
         return Matrix::identity(1);
-    }
-    let mut h = Matrix::zeros(l, l);
-    for i in 0..l {
-        if i + 1 < l {
-            h[(i, i + 1)] += -t;
-            h[(i + 1, i)] += -t;
-        } else if periodic {
-            h[(i, 0)] += -t;
-            h[(0, i)] += -t;
-        }
     }
     if periodic {
         // Analytic: (e^{sH})_{ij} = (1/l) Σ_k e^{ik(i−j)} e^{−2st·cos k}…
         // with ε_k = −2t cos(2πk/l); the imaginary parts cancel by symmetry.
-        use std::f64::consts::PI;
         let eps: Vec<f64> = (0..l)
             .map(|k| -2.0 * t * (2.0 * PI * k as f64 / l as f64).cos())
             .collect();
@@ -338,7 +330,19 @@ fn ring_exp(l: usize, t: f64, s: f64, periodic: bool) -> Matrix {
             sum / l as f64
         })
     } else {
-        expm::sym_expm(&h, s).expect("chain exponential")
+        // (e^{sH})_{ij} = Σ_k φ_k(i) φ_k(j) e^{s·ε_k}.
+        let q = PI / (l + 1) as f64;
+        let phi = Matrix::from_fn(l, l, |i, k| (q * ((i + 1) * (k + 1)) as f64).sin());
+        let weight: Vec<f64> = (1..=l)
+            .map(|k| {
+                let eps = -2.0 * t * (q * k as f64).cos();
+                2.0 / (l + 1) as f64 * (s * eps).exp()
+            })
+            .collect();
+        Matrix::from_fn(l, l, |i, j| {
+            let terms = weight.iter().enumerate();
+            terms.map(|(k, w)| phi[(i, k)] * phi[(j, k)] * w).sum()
+        })
     }
 }
 

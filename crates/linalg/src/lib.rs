@@ -22,7 +22,7 @@
 //! | [`qrp`] | dgeqp3 | Algorithm 2 (original stratification) |
 //! | [`lu`] | dgetrf/dgetrs/dgetri | final Green's-function assembly |
 //! | [`tri`] | dtrsm/dtrmm/dtrtri | T-matrix updates |
-//! | [`eig`] | dsyev (Jacobi) | matrix exponential of K |
+//! | [`eig`] | dsyev (dsytrd/dorgtr/dsteqr) | U = 0 oracles, exact diagonalisation |
 //! | [`expm`] | — | B = e^{−ΔτK} |
 //! | [`kron`] | — | products with e^{∓ΔτK} kept as its Kronecker factors |
 //! | [`scale`] | custom OpenMP kernels of §IV-B | row/col scalings, column norms |

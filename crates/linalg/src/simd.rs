@@ -396,7 +396,7 @@ unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// The plane rotation `x' = c·x − s·y`, `y' = s·x + c·y` for
-/// [`crate::eig::sym_eig`]'s Jacobi sweeps: two multiplies and an add or a
+/// [`crate::eig::sym_eig`]'s QL sweeps: two multiplies and an add or a
 /// subtract per element (never fused) at the widest vector width the
 /// [`kernel_path`] allows. Each element is rounded three times on every
 /// path, so every path gives the portable loop's bits.

@@ -27,7 +27,9 @@
 //! The second half holds the *algorithm* paths to the same standard: the
 //! GEMM-based TRMM/TRSM against the level-2 loops they replaced
 //! (`common/mod.rs`), and the DORGQR-shaped `form_q` against `apply_q(I)`,
-//! at sizes on both sides of the size crossover and of every panel edge.
+//! at sizes on both sides of the size crossover and of every panel edge;
+//! and `sym_eig`, whose bits must not depend on the path: the path is fixed
+//! once per process, so that test re-runs this binary under each pin.
 //!
 //! The third part is about *who* computes: every grid above also feeds its
 //! results' bits to a recorder, and one test runs all of them once with the
@@ -312,8 +314,63 @@ fn unavailable_fma_request_falls_back_to_scalar_semantics() {
     assert!(c.max_abs_diff(&c_ref) <= tol(23, 1.0, 0.0));
 }
 
+/// Set in the environment of this binary re-run as a child with
+/// `LINALG_KERNEL` pinned: the child prints [`sym_eig_digests`] and stops.
+const EIG_DIGEST_CHILD: &str = "KERNEL_PATHS_EIG_DIGEST_CHILD";
+
+/// One digest of the values and one of the vectors of `sym_eig` on a random
+/// symmetric matrix at n = 36 and 256, each recorded for the held/free run.
+fn sym_eig_digests() -> Vec<u64> {
+    let mut out = Vec::new();
+    for n in [36, 256] {
+        let mut rng = util::Rng::new(650 + n as u64);
+        let b = Matrix::random(n, n, &mut rng);
+        let a = Matrix::from_fn(n, n, |i, j| 0.5 * (b[(i, j)] + b[(j, i)]));
+        let e = linalg::eig::sym_eig(&a).expect("symmetric");
+        let values = Matrix::from_col_major(n, 1, e.values);
+        for m in [&values, &e.vectors] {
+            record(m);
+            let mut h = util::Fnv1a::new();
+            m.as_slice().iter().for_each(|&x| h.update_f64(x));
+            out.push(h.finish());
+        }
+    }
+    out
+}
+
 #[test]
 fn factorizations_identical_numerics_across_paths() {
+    // The eigensolver's level-1 loops never fuse and its GEMMs always do,
+    // so its bits cannot depend on the path. The path is fixed per process:
+    // each pin runs in a child of this binary, and all must match this run.
+    let digests = sym_eig_digests();
+    let line = format!("sym_eig digests {digests:x?}");
+    if std::env::var_os(EIG_DIGEST_CHILD).is_some() {
+        println!("{line}");
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary");
+    for path in PATHS {
+        let out = std::process::Command::new(&exe)
+            .args(["--exact", "factorizations_identical_numerics_across_paths"])
+            .args(["--nocapture", "--test-threads=1"])
+            .env("LINALG_KERNEL", path.name())
+            .env(EIG_DIGEST_CHILD, "1")
+            .output()
+            .expect("re-run the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{} child failed:\n{stdout}",
+            path.name()
+        );
+        assert!(
+            stdout.contains(&line),
+            "LINALG_KERNEL={} changed sym_eig's bits: want {line}, child printed\n{stdout}",
+            path.name()
+        );
+    }
+
     // QR/QRP/LU consume GEMM through `gemm`; pinning the path through the
     // same inputs must keep their *invariants* (reconstruction) intact on
     // both kernels. This is the in-process analogue of the CI job that
@@ -515,6 +572,7 @@ fn held_and_free_runs_of_every_grid_are_bit_identical() {
         blocked_trsm_lower_unit_matches_level2_reference();
         form_q_equals_apply_q_of_identity_and_is_orthogonal();
         batched_products_equal_solo_products_on_both_sides_of_the_fork();
+        sym_eig_digests();
         RECORD.with(|r| std::mem::take(&mut *r.borrow_mut()))
     };
     let held = {
