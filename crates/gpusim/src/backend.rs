@@ -2,17 +2,18 @@
 //!
 //! Wraps a [`Device`] so `dqmc::sweep` can route its two heavy kernels —
 //! cluster products and wraps, each over a slice of walkers and both spins
-//! — through the accelerator model. Both run as the batched bit-exact
-//! kernels of [`crate::kernels`], one spin after the other: one launch
-//! services every walker of the call (a solo run is a batch of one) and
-//! every result is bit-identical to [`dqmc::HostBackend`]'s, so placing a
-//! run on the device changes its model clock and never a byte of its
-//! output. The resident operands — the factors of `e^{−ΔτK}` /
-//! `e^{+ΔτK}`, and the dense `e^{−ΔτK}` seeding cluster products when it is
-//! not itself the one factor — are uploaded lazily on first use and
-//! **dropped on [`ComputeBackend::notify_fault`]**: the recovery layer calls
-//! that before every retry, so a retry re-uploads clean copies — which is
-//! exactly how a real driver heals a corrupted resident after a fault.
+//! — through the accelerator model. The matrices come from
+//! [`HostBackend`], the calls a host run makes; the device is then billed
+//! for the batched kernels of [`crate::kernels`], one spin after the other,
+//! and downloads the results (one launch services every walker of the call;
+//! a solo run is a batch of one). So placing a run on the device changes
+//! its model clock and never a byte of its output, whatever `HostBackend`
+//! does. The resident operands — the factors of `e^{−ΔτK}` / `e^{+ΔτK}`,
+//! and the dense `e^{−ΔτK}` seeding cluster products when it is not itself
+//! the one factor — are uploaded on first use and **dropped on
+//! [`ComputeBackend::notify_fault`]**: the recovery layer calls that before
+//! every retry, so a retry pays the re-upload — which is exactly how a real
+//! driver heals a corrupted resident after a fault.
 //!
 //! Fault surfacing follows the split in [`crate::faults`]: device-class
 //! failures (launch, arena) come back as `Err(BackendFault::device)`; silent
@@ -20,12 +21,11 @@
 //! driver's taint scans (of every cluster product and every wrapped matrix)
 //! classify as taint-class faults.
 
-use crate::device::{DMatrix, Device, DeviceSpec};
+use crate::device::{Device, DeviceSpec};
 use crate::faults::DeviceError;
-use crate::kernels::{try_cluster_crowd, try_wrap_crowd_bitexact_into};
-use dqmc::{BMatrixFactory, BackendFault, ComputeBackend, HsField, Spin};
-use linalg::Matrix;
-use std::slice;
+use crate::kernels::{try_cluster_crowd, try_wrap_crowd};
+use dqmc::{BMatrixFactory, BackendFault, ComputeBackend, HostBackend, HsField, Spin};
+use linalg::{Kron, Matrix};
 
 /// Classifies a [`DeviceError`] into the core fault taxonomy: hangs and
 /// sick-window failures indict the *device* (they must escape the in-core
@@ -44,20 +44,27 @@ fn classify(e: DeviceError) -> BackendFault {
 #[derive(Debug)]
 pub struct DeviceBackend {
     dev: Device,
-    /// The resident factors of `e^{−ΔτK}`: empty until first use.
-    expk: Vec<DMatrix>,
-    /// The resident factors of `e^{+ΔτK}`, likewise.
-    expk_inv: Vec<DMatrix>,
-    /// The resident dense `e^{−ΔτK}` when `expk` holds more than one factor.
-    seed: Vec<DMatrix>,
+    /// Whether the factors of `e^{−ΔτK}` are resident.
+    expk: bool,
+    /// Whether the factors of `e^{+ΔτK}` are resident.
+    expk_inv: bool,
+    /// Whether the dense `e^{−ΔτK}` is resident (when `expk` holds more
+    /// than one factor).
+    seed: bool,
 }
 
-/// Uploads `ms` into `slot` as one stack unless it is already resident.
-fn resident<'a>(slot: &'a mut Vec<DMatrix>, dev: &mut Device, ms: &[Matrix]) -> &'a [DMatrix] {
-    if slot.is_empty() {
-        *slot = dev.set_matrix_stack(&ms.iter().collect::<Vec<_>>());
+/// Bills the upload of square matrices of `orders` as one stack unless it
+/// is already resident.
+fn upload_once(resident: &mut bool, dev: &mut Device, orders: &[usize]) {
+    if !*resident {
+        dev.upload(orders.iter().map(|n| n * n).sum());
+        *resident = true;
     }
-    slot
+}
+
+/// The orders of an operator's factors.
+fn orders(op: &Kron) -> Vec<usize> {
+    op.factors().iter().map(Matrix::nrows).collect()
 }
 
 impl DeviceBackend {
@@ -65,9 +72,9 @@ impl DeviceBackend {
     pub fn new(dev: Device) -> Self {
         DeviceBackend {
             dev,
-            expk: Vec::new(),
-            expk_inv: Vec::new(),
-            seed: Vec::new(),
+            expk: false,
+            expk_inv: false,
+            seed: false,
         }
     }
 
@@ -100,15 +107,14 @@ impl ComputeBackend for DeviceBackend {
         gs: &[&[Matrix; 2]],
         outs: &mut [&mut [Matrix; 2]],
     ) -> Result<(), BackendFault> {
+        HostBackend.wrap(fac, hs, l, gs, outs)?;
+        let (expk, expk_inv) = (orders(fac.expk_kron()), orders(fac.expk_inv_kron()));
         let dev = &mut self.dev;
-        let expk = resident(&mut self.expk, dev, fac.expk_kron().factors());
-        let expk_inv = resident(&mut self.expk_inv, dev, fac.expk_inv_kron().factors());
-        for spin in Spin::BOTH {
-            let s = spin.index();
-            let gs: Vec<&Matrix> = gs.iter().map(|pair| &pair[s]).collect();
+        upload_once(&mut self.expk, dev, &expk);
+        upload_once(&mut self.expk_inv, dev, &expk_inv);
+        for s in Spin::BOTH.map(Spin::index) {
             let mut outs: Vec<&mut Matrix> = outs.iter_mut().map(|pair| &mut pair[s]).collect();
-            try_wrap_crowd_bitexact_into(dev, expk, expk_inv, fac, hs, l, spin, &gs, &mut outs)
-                .map_err(classify)?;
+            try_wrap_crowd(dev, &expk, &expk_inv, &mut outs).map_err(classify)?;
         }
         Ok(())
     }
@@ -120,27 +126,25 @@ impl ComputeBackend for DeviceBackend {
         lo: usize,
         hi: usize,
     ) -> Result<Vec<[Matrix; 2]>, BackendFault> {
+        let mut products = HostBackend.cluster(fac, hs, lo, hi)?;
+        let expk = orders(fac.expk_kron());
         let dev = &mut self.dev;
-        let expk = resident(&mut self.expk, dev, fac.expk_kron().factors());
-        let seed = match expk {
-            [dense] => dense,
-            _ => &resident(&mut self.seed, dev, slice::from_ref(fac.expk()))[0],
-        };
-        let up = try_cluster_crowd(dev, seed, expk, fac, hs, lo, hi, Spin::Up);
-        let up = up.map_err(classify)?;
-        let dn = try_cluster_crowd(dev, seed, expk, fac, hs, lo, hi, Spin::Down);
-        Ok(up
-            .into_iter()
-            .zip(dn.map_err(classify)?)
-            .map(|(u, d)| [u, d])
-            .collect())
+        upload_once(&mut self.expk, dev, &expk);
+        if expk.len() > 1 {
+            upload_once(&mut self.seed, dev, &[fac.nsites()]);
+        }
+        for s in Spin::BOTH.map(Spin::index) {
+            let mut outs: Vec<&mut Matrix> = products.iter_mut().map(|pair| &mut pair[s]).collect();
+            try_cluster_crowd(dev, &expk, hi - lo, &mut outs).map_err(classify)?;
+        }
+        Ok(products)
     }
 
     fn notify_fault(&mut self) {
         // Drop the residents: the retry re-uploads the operands.
-        self.expk.clear();
-        self.expk_inv.clear();
-        self.seed.clear();
+        self.expk = false;
+        self.expk_inv = false;
+        self.seed = false;
     }
 
     fn device_seconds(&self) -> f64 {
@@ -152,7 +156,7 @@ impl ComputeBackend for DeviceBackend {
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use dqmc::{HostBackend, ModelParams};
+    use dqmc::ModelParams;
     use lattice::Lattice;
 
     fn setup() -> (BMatrixFactory, HsField) {
@@ -182,14 +186,14 @@ mod tests {
         let mut devb = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
         let a = devb.cluster(&fac, &[&h], 0, 6).unwrap();
         let b = host.cluster(&fac, &[&h], 0, 6).unwrap();
-        assert_eq!(a, b, "device clustering issues the host's op order");
+        assert_eq!(a, b, "device clustering returns the host's products");
 
         let g = Spin::BOTH.map(|spin| dqmc::greens::greens_naive(&fac, &h, spin).g);
         let mut out_d = [Matrix::zeros(9, 9), Matrix::zeros(9, 9)];
         let mut out_h = out_d.clone();
         devb.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out_d]).unwrap();
         host.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out_h]).unwrap();
-        assert_eq!(out_d, out_h, "and the host's op order in the wrap");
+        assert_eq!(out_d, out_h, "and the host's wraps");
     }
 
     #[test]

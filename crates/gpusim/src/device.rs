@@ -1,8 +1,7 @@
-//! The device model: real numerics, simulated time.
+//! The device model: the host's numbers, simulated time.
 
 use crate::faults::{DeviceError, Fault, FaultPlan};
-use linalg::blas3::Op;
-use linalg::{scale, Matrix};
+use linalg::{Matrix, Side};
 use util::SimClock;
 
 /// The driver's kernel timeout, in simulated seconds: a launch that would
@@ -102,53 +101,34 @@ impl HostSpec {
     }
 }
 
-/// A matrix resident in (simulated) device memory.
-#[derive(Clone, Debug)]
-pub struct DMatrix {
-    m: Matrix,
-}
-
-impl DMatrix {
-    /// Host view of the device contents (free of simulated cost — test hook;
-    /// use [`Device::get_matrix_stack_into`] to model the PCIe read).
-    pub fn host_view(&self) -> &Matrix {
-        &self.m
-    }
-
-    /// Matrix order helpers.
-    pub fn nrows(&self) -> usize {
-        self.m.nrows()
-    }
-
-    /// Column count.
-    pub fn ncols(&self) -> usize {
-        self.m.ncols()
-    }
-}
-
-/// The simulated accelerator: a CUBLAS-like handle whose operations compute
-/// exact host results while advancing a simulated clock.
+/// The simulated accelerator: a CUBLAS-like handle that holds no matrix
+/// data. Its operations take shapes, advance a simulated clock, count
+/// what they did and fire the armed [`FaultPlan`]; the numbers themselves
+/// are the host's, and reach the device's caller through
+/// [`Device::download`].
 ///
-/// Every operation has one form. Launches and allocations are fallible
-/// (`try_*`): they return a [`DeviceError`] when an armed [`FaultPlan`]
-/// fires or a launch reaches [`LAUNCH_DEADLINE_S`], and a caller that
-/// armed nothing says so with `?` or `expect` at its call site. Wherever
-/// CUBLAS has a batched form the operation takes a stack — a solo caller
-/// passes a stack of one and is charged exactly one matrix's worth. Only
-/// Algorithm 4's per-vector `cublasDscal` loops and Algorithm 7's fused
-/// scaling kernel, which Figure 9 studies and which have no batched
-/// analogue, take one matrix.
+/// Launches and allocations are fallible (`try_*`): they return a
+/// [`DeviceError`] when an armed [`FaultPlan`] fires or a launch reaches
+/// [`LAUNCH_DEADLINE_S`], and a caller that armed nothing says so with `?`
+/// or `expect` at its call site. A failed op abandons the stack it worked
+/// on. Wherever CUBLAS has a batched form the operation bills a stack of
+/// `entries` matrices — a solo caller bills a stack of one and is charged
+/// exactly one matrix's worth.
 #[derive(Clone, Debug)]
 pub struct Device {
     spec: DeviceSpec,
     clock: SimClock,
     bytes_transferred: u64,
     kernels_launched: u64,
+    /// Launches over the device's lifetime: the ordinal launch faults match.
+    launch_ordinal: u64,
     downloads: u64,
     allocs: u64,
     compute_ops: u64,
     faults: FaultPlan,
     faults_injected: u64,
+    /// Bit flips waiting for the stack's download: (entry, element, bit).
+    flips: Vec<(usize, usize, u32)>,
 }
 
 impl Device {
@@ -159,11 +139,13 @@ impl Device {
             clock: SimClock::new(),
             bytes_transferred: 0,
             kernels_launched: 0,
+            launch_ordinal: 0,
             downloads: 0,
             allocs: 0,
             compute_ops: 0,
             faults: FaultPlan::new(),
             faults_injected: 0,
+            flips: Vec::new(),
         }
     }
 
@@ -192,7 +174,8 @@ impl Device {
         self.bytes_transferred
     }
 
-    /// Kernels launched (including CUBLAS calls).
+    /// Kernels launched (including CUBLAS calls) since the last
+    /// [`Device::reset_clock`].
     pub fn kernels_launched(&self) -> u64 {
         self.kernels_launched
     }
@@ -212,8 +195,8 @@ impl Device {
         self.compute_ops
     }
 
-    /// Resets the clock and transfer/launch counters (contents of device
-    /// matrices, fault schedule and fault ordinals persist).
+    /// Resets the clock and the transfer/launch counters. The fault
+    /// schedule and every fault ordinal persist.
     pub fn reset_clock(&mut self) {
         self.clock.reset();
         self.bytes_transferred = 0;
@@ -227,6 +210,13 @@ impl Device {
         );
     }
 
+    /// Fails the current op: its stack is abandoned, and with it any bit
+    /// flip that landed there.
+    fn fail(&mut self, e: DeviceError) -> Result<(), DeviceError> {
+        self.flips.clear();
+        Err(e)
+    }
+
     /// Charges one kernel launch; fails if the armed plan scheduled this
     /// launch ordinal to fail, hang, or land in a sick window. The launch
     /// overhead is charged either way (the driver burned the submission
@@ -236,10 +226,12 @@ impl Device {
     /// the driver: it fails, and is charged, exactly as a scripted hang.
     fn try_launch(&mut self, kernel: &'static str) -> Result<(), DeviceError> {
         self.kernels_launched += 1;
+        self.launch_ordinal += 1;
+        let launch_index = self.launch_ordinal;
         self.clock.advance(self.spec.kernel_launch_s);
-        let mut hang = self.faults.take(Fault::Hang, self.kernels_launched);
+        let mut hang = self.faults.take(Fault::Hang, launch_index);
         self.faults_injected += u64::from(hang);
-        if let Some(factor) = self.faults.take_slow(self.kernels_launched) {
+        if let Some(factor) = self.faults.take_slow(launch_index) {
             self.faults_injected += 1;
             if self.spec.launch_hangs(factor) {
                 hang = true;
@@ -250,75 +242,68 @@ impl Device {
             }
         }
         if hang {
-            return Err(DeviceError::Hang {
+            return self.fail(DeviceError::Hang {
                 kernel,
-                launch_index: self.kernels_launched,
+                launch_index,
             });
         }
-        if let Some(window) = self.faults.sick_window_hit(self.kernels_launched) {
+        if let Some(window) = self.faults.sick_window_hit(launch_index) {
             self.faults_injected += 1;
-            return Err(DeviceError::SickDevice {
+            return self.fail(DeviceError::SickDevice {
                 kernel,
-                launch_index: self.kernels_launched,
+                launch_index,
                 window,
             });
         }
-        if self.faults.take(Fault::FailLaunch, self.kernels_launched) {
+        if self.faults.take(Fault::FailLaunch, launch_index) {
             self.faults_injected += 1;
-            return Err(DeviceError::KernelLaunchFailure {
+            return self.fail(DeviceError::KernelLaunchFailure {
                 kernel,
-                launch_index: self.kernels_launched,
+                launch_index,
             });
         }
         Ok(())
     }
 
-    /// Counts a completed compute op and applies any scheduled bit flip to
-    /// its output: one element has a high mantissa bit XOR-ed (finite, wrong).
-    fn finish_compute(&mut self, out: &mut Matrix) {
-        self.compute_ops += 1;
-        if self.faults.take(Fault::BitFlip, self.compute_ops) {
-            let data = out.as_mut_slice();
-            let i = self.faults.pick_index(data.len());
-            let bit = self.faults.pick_mantissa_bit();
-            data[i] = f64::from_bits(data[i].to_bits() ^ (1u64 << bit));
-            self.faults_injected += 1;
+    /// Counts one completed compute op per entry of a stack of `len`-element
+    /// matrices. A scheduled bit flip draws its element and mantissa bit
+    /// here and lands in that entry of the stack's next download.
+    fn finish_compute(&mut self, len: usize, entries: usize) {
+        for entry in 0..entries {
+            self.compute_ops += 1;
+            if self.faults.take(Fault::BitFlip, self.compute_ops) {
+                let i = self.faults.pick_index(len);
+                let bit = self.faults.pick_mantissa_bit();
+                self.flips.push((entry, i, bit));
+                self.faults_injected += 1;
+            }
         }
     }
 
-    /// `cublasSetMatrix` of a stack of matrices: one PCIe transaction moves
-    /// all of them, so the per-transfer latency is paid once per call.
-    pub fn set_matrix_stack(&mut self, hosts: &[&Matrix]) -> Vec<DMatrix> {
-        let total: usize = hosts.iter().map(|h| h.as_slice().len()).sum();
-        self.transfer(total * 8);
-        hosts.iter().map(|h| DMatrix { m: (*h).clone() }).collect()
+    /// `cublasSetMatrix` / `cublasSetVector` of a stack holding `len`
+    /// doubles in all: one PCIe transaction moves all of it, so the
+    /// per-transfer latency is paid once per call.
+    pub fn upload(&mut self, len: usize) {
+        self.transfer(len * 8);
     }
 
-    /// `cublasSetVector` of a stack of diagonals into pre-allocated device
-    /// vectors: one transfer, no device-side allocation.
-    pub fn set_vector_stack_into(&mut self, vs: &[&[f64]], dsts: &mut [Vec<f64>]) {
-        assert_eq!(vs.len(), dsts.len());
-        let total: usize = vs.iter().map(|v| v.len()).sum();
-        self.transfer(total * 8);
-        for (v, dst) in vs.iter().zip(dsts.iter_mut()) {
-            dst.clear();
-            dst.extend_from_slice(v);
+    /// `cublasGetMatrix` of a stack — the single device→host path: one PCIe
+    /// transaction, one download ordinal. `outs` holds the values the
+    /// stack's ops computed (the host's). The bit flips that landed in the
+    /// stack apply to their entries, and a scheduled transfer corruption
+    /// poisons exactly one element of the stacked payload (landing in one
+    /// walker's image) and still returns normally — callers on the
+    /// recovery path must scan each received matrix.
+    pub fn download(&mut self, outs: &mut [&mut Matrix]) {
+        for (entry, i, bit) in self.flips.drain(..) {
+            if let Some(x) = outs
+                .get_mut(entry)
+                .and_then(|m| m.as_mut_slice().get_mut(i))
+            {
+                *x = f64::from_bits(x.to_bits() ^ (1u64 << bit));
+            }
         }
-    }
-
-    /// `cublasGetMatrix` of a stack of matrices — the single device→host
-    /// path: one PCIe transaction, one download ordinal. Scheduled transfer
-    /// corruption poisons exactly one element of the stacked payload
-    /// (landing in one walker's image) and still returns normally — callers
-    /// on the recovery path must scan each received matrix.
-    pub fn get_matrix_stack_into(&mut self, ds: &[&DMatrix], outs: &mut [&mut Matrix]) {
-        assert_eq!(ds.len(), outs.len());
-        let mut total = 0usize;
-        for (d, out) in ds.iter().zip(outs.iter_mut()) {
-            assert!(d.m.nrows() == out.nrows() && d.m.ncols() == out.ncols());
-            out.as_mut_slice().copy_from_slice(d.m.as_slice());
-            total += d.m.as_slice().len();
-        }
+        let total: usize = outs.iter().map(|m| m.as_slice().len()).sum();
         self.transfer(total * 8);
         self.downloads += 1;
         if self.faults.take(Fault::CorruptDownload, self.downloads) && total > 0 {
@@ -335,72 +320,59 @@ impl Device {
         }
     }
 
-    /// Allocates `count` uninitialised (zero) device matrices, each counted
-    /// as its own allocation ordinal (allocation has no PCIe or launch cost
-    /// to amortise). Fails on a scheduled arena exhaustion.
+    /// Allocates `count` `nrows × ncols` device matrices, each counted as
+    /// its own allocation ordinal (allocation has no PCIe or launch cost to
+    /// amortise). Fails on a scheduled arena exhaustion.
     pub fn try_alloc(
         &mut self,
         nrows: usize,
         ncols: usize,
         count: usize,
-    ) -> Result<Vec<DMatrix>, DeviceError> {
-        let mut out = Vec::with_capacity(count);
+    ) -> Result<(), DeviceError> {
         for _ in 0..count {
             self.allocs += 1;
             if self.faults.take(Fault::Oom, self.allocs) {
                 self.faults_injected += 1;
-                return Err(DeviceError::ArenaExhausted {
+                return self.fail(DeviceError::ArenaExhausted {
                     requested: nrows * ncols * 8,
                 });
             }
-            out.push(DMatrix {
-                m: Matrix::zeros(nrows, ncols),
-            });
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// `cublasDcopy` of a whole matrix.
-    pub fn try_dcopy(&mut self, src: &DMatrix) -> Result<DMatrix, DeviceError> {
-        self.try_stream("dcopy", src.m.as_slice().len(), 1.0)?;
-        Ok(DMatrix { m: src.m.clone() })
+    /// `cublasDcopy` of a `len`-element matrix.
+    pub fn try_dcopy(&mut self, len: usize) -> Result<(), DeviceError> {
+        self.try_stream("dcopy", len, 1.0)
     }
 
-    /// `cublasDgemmStridedBatched` with one shared factor of a
-    /// Kronecker-factored operator, over reshaped entries: `dsts[e] ←
-    /// srcs[e]` with one axis multiplied by `op(factor)`
-    /// ([`linalg::kron::mode_product`], whose numerics — the host's, bit
-    /// for bit — it runs; `linalg::kron::steps` gives `op` and `inner`). A
-    /// dense operator is its own one factor, and then each entry is the
-    /// plain GEMM `factor·src` or `src·factor`. The reshape is free, as
-    /// strides are on a GPU. Cost model: **one** kernel launch (the batched
-    /// driver submits the whole stack) plus, per entry, the mode product's
-    /// GEMMs at the rate of one of them; each entry counts one compute op,
-    /// so bit-flip fault ordinals see every entry.
+    /// `cublasDgemmStridedBatched` with one shared order-`order` factor of
+    /// a Kronecker-factored operator over an `entries`-entry stack of
+    /// `len`-element matrices: the [`linalg::kron::mode_product`] step
+    /// whose stride is `inner` ([`linalg::kron::steps`]). A dense operator
+    /// is its own one factor, and then each entry is one plain GEMM. Cost
+    /// model: **one** kernel launch (the batched driver submits the whole
+    /// stack) plus, per entry, the mode product's GEMMs at the rate of one
+    /// of them; each entry counts one compute op, so bit-flip fault
+    /// ordinals see every entry.
     pub fn try_mode_product_batched(
         &mut self,
-        factor: &DMatrix,
-        op: Op,
+        order: usize,
         inner: usize,
-        srcs: &[DMatrix],
-        dsts: &mut [DMatrix],
+        len: usize,
+        entries: usize,
     ) -> Result<(), DeviceError> {
-        assert_eq!(srcs.len(), dsts.len());
-        if dsts.is_empty() {
+        if entries == 0 {
             return Ok(());
         }
         self.try_launch("dgemm_strided_batched")?;
-        let n = factor.nrows();
-        let outer = srcs[0].m.as_slice().len() / (inner * n);
+        let outer = len / (inner * order);
         if inner == 1 {
-            self.charge_gemms((n, outer, n), 1, dsts.len());
+            self.charge_gemms((order, outer, order), 1, entries);
         } else {
-            self.charge_gemms((inner, n, n), outer, dsts.len());
+            self.charge_gemms((inner, order, order), outer, entries);
         }
-        for (src, dst) in srcs.iter().zip(dsts.iter_mut()) {
-            linalg::kron::mode_product(&factor.m, op, inner, &src.m, &mut dst.m);
-            self.finish_compute(&mut dst.m);
-        }
+        self.finish_compute(len, entries);
         Ok(())
     }
 
@@ -428,82 +400,57 @@ impl Device {
         Ok(())
     }
 
-    /// Algorithm 5, batched: the custom row-scaling kernel, one launch for
-    /// the whole stack, coalesced. `a_e ← diag(v_e)·a_e`.
-    pub fn try_scale_rows_kernel_batched(
+    /// Algorithm 5, batched: the custom diagonal-scaling kernel over an
+    /// `entries`-entry stack of `len`-element matrices, one coalesced
+    /// launch for the whole stack — `a_e ← diag(v_e)·a_e` from
+    /// `Side::Left`, `a_e ← a_e·diag(v_e)` from `Side::Right`.
+    pub fn try_scale_kernel_batched(
         &mut self,
-        vs: &[Vec<f64>],
-        as_: &mut [DMatrix],
+        side: Side,
+        len: usize,
+        entries: usize,
     ) -> Result<(), DeviceError> {
-        self.try_scale_kernel_batched("scale_rows_kernel_batched", vs, as_, scale::row_scale)
-    }
-
-    /// Algorithm 5 in column form, batched: one launch for the whole stack.
-    /// `a_e ← a_e·diag(v_e)`.
-    pub fn try_scale_cols_kernel_batched(
-        &mut self,
-        vs: &[Vec<f64>],
-        as_: &mut [DMatrix],
-    ) -> Result<(), DeviceError> {
-        self.try_scale_kernel_batched("scale_cols_kernel_batched", vs, as_, scale::col_scale)
-    }
-
-    fn try_scale_kernel_batched(
-        &mut self,
-        kernel: &'static str,
-        vs: &[Vec<f64>],
-        as_: &mut [DMatrix],
-        apply: impl Fn(&[f64], &mut Matrix),
-    ) -> Result<(), DeviceError> {
-        assert_eq!(vs.len(), as_.len());
-        if as_.is_empty() {
+        if entries == 0 {
             return Ok(());
         }
-        let total: usize = as_.iter().map(|a| a.m.as_slice().len()).sum();
-        self.try_stream(kernel, total, 1.0)?;
-        for (v, a) in vs.iter().zip(as_.iter_mut()) {
-            apply(v, &mut a.m);
-            self.finish_compute(&mut a.m);
-        }
+        let kernel = match side {
+            Side::Left => "scale_rows_kernel_batched",
+            Side::Right => "scale_cols_kernel_batched",
+        };
+        self.try_stream(kernel, len * entries, 1.0)?;
+        self.finish_compute(len, entries);
         Ok(())
     }
 
-    /// Algorithm 4's scaling: one `cublasDscal` per row (N launches,
-    /// non-coalesced row access). `a ← diag(v)·a`. On a launch failure
-    /// partway through the row loop the matrix is left unmodified (the
-    /// scaling is applied only after every launch succeeded).
-    pub fn try_scale_rows_cublas(&mut self, v: &[f64], a: &mut DMatrix) -> Result<(), DeviceError> {
-        for _ in 0..a.m.nrows() {
-            self.try_stream("dscal", a.m.ncols(), self.spec.uncoalesced_fraction)?;
+    /// Algorithm 4's scaling of one `nrows × ncols` matrix: one
+    /// `cublasDscal` per vector. From `Side::Left` (`a ← diag(v)·a`) each
+    /// launch scales a row, non-coalesced; from `Side::Right`
+    /// (`a ← a·diag(v)`) a column, which is contiguous and streams
+    /// coalesced — but the launch overheads remain either way.
+    pub fn try_scale_cublas(
+        &mut self,
+        side: Side,
+        nrows: usize,
+        ncols: usize,
+    ) -> Result<(), DeviceError> {
+        let (count, len, fraction) = match side {
+            Side::Left => (nrows, ncols, self.spec.uncoalesced_fraction),
+            Side::Right => (ncols, nrows, 1.0),
+        };
+        for _ in 0..count {
+            self.try_stream("dscal", len, fraction)?;
         }
-        scale::row_scale(v, &mut a.m);
-        self.finish_compute(&mut a.m);
-        Ok(())
-    }
-
-    /// Algorithm 4's scaling in column form: one `cublasDscal` per column.
-    /// Columns are contiguous in device memory, so each launch streams
-    /// coalesced — but the `N` launch overheads remain. `a ← a·diag(v)`.
-    /// Same no-partial-effect guarantee as
-    /// [`Device::try_scale_rows_cublas`].
-    pub fn try_scale_cols_cublas(&mut self, v: &[f64], a: &mut DMatrix) -> Result<(), DeviceError> {
-        for _ in 0..a.m.ncols() {
-            self.try_stream("dscal", a.m.nrows(), 1.0)?;
-        }
-        scale::col_scale(v, &mut a.m);
-        self.finish_compute(&mut a.m);
+        self.finish_compute(nrows * ncols, 1);
         Ok(())
     }
 
     /// Algorithm 7: custom two-sided scaling kernel
-    /// `G ← diag(v)·G·diag(v)⁻¹` — one launch; the column factor arrives via
-    /// the texture cache, modelled as a gather at ~70 % of streaming
-    /// bandwidth.
-    pub fn try_wrap_scale_kernel(&mut self, v: &[f64], g: &mut DMatrix) -> Result<(), DeviceError> {
-        self.try_stream("wrap_scale_kernel", g.m.as_slice().len(), 0.7)?;
-        let vinv: Vec<f64> = v.iter().map(|&x| 1.0 / x).collect();
-        scale::row_col_scale(v, &vinv, &mut g.m);
-        self.finish_compute(&mut g.m);
+    /// `G ← diag(v)·G·diag(v)⁻¹` on a `len`-element `G` — one launch; the
+    /// column factor arrives via the texture cache, modelled as a gather at
+    /// ~70 % of streaming bandwidth.
+    pub fn try_wrap_scale_kernel(&mut self, len: usize) -> Result<(), DeviceError> {
+        self.try_stream("wrap_scale_kernel", len, 0.7)?;
+        self.finish_compute(len, 1);
         Ok(())
     }
 }
@@ -511,63 +458,35 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linalg::blas3::gemm;
     use util::Rng;
 
     fn dev() -> Device {
         Device::new(DeviceSpec::tesla_c2050())
     }
 
-    fn up(d: &mut Device, m: &Matrix) -> DMatrix {
-        d.set_matrix_stack(&[m]).remove(0)
-    }
-
-    fn down(d: &mut Device, dm: &DMatrix) -> Matrix {
-        let mut out = Matrix::zeros(dm.nrows(), dm.ncols());
-        d.get_matrix_stack_into(&[dm], &mut [&mut out]);
+    /// Downloads a copy of `m` as a stack of one.
+    fn down(d: &mut Device, m: &Matrix) -> Matrix {
+        let mut out = m.clone();
+        d.download(&mut [&mut out]);
         out
     }
 
-    /// `c[0] = a·b` as a stack of one: `a` is a one-factor operator.
-    fn dgemm(
-        d: &mut Device,
-        a: &DMatrix,
-        b: &DMatrix,
-        c: &mut [DMatrix],
-    ) -> Result<(), DeviceError> {
-        d.try_mode_product_batched(a, Op::NoTrans, 1, std::slice::from_ref(b), c)
+    /// One `n × n` GEMM as a stack of one: a one-factor operator.
+    fn dgemm(d: &mut Device, n: usize) -> Result<(), DeviceError> {
+        d.try_mode_product_batched(n, 1, n * n, 1)
     }
 
     #[test]
     fn transfers_advance_clock_and_counters() {
         let mut d = dev();
         let m = Matrix::identity(64);
-        let dm = up(&mut d, &m);
+        d.upload(64 * 64);
         assert!(d.elapsed() > 0.0);
         assert_eq!(d.bytes_transferred(), 64 * 64 * 8);
-        let back = down(&mut d, &dm);
+        let back = down(&mut d, &m);
         assert_eq!(back, m);
         assert_eq!(d.bytes_transferred(), 2 * 64 * 64 * 8);
         assert_eq!(d.downloads(), 1);
-    }
-
-    #[test]
-    fn dgemm_matches_host_bitwise() {
-        let mut rng = Rng::new(1);
-        let a = Matrix::random(40, 40, &mut rng);
-        let b = Matrix::random(40, 40, &mut rng);
-        let mut d = dev();
-        let da = up(&mut d, &a);
-        let db = up(&mut d, &b);
-        let mut dc = d.try_alloc(40, 40, 1).unwrap();
-        dgemm(&mut d, &da, &db, &mut dc).unwrap();
-        let mut host = Matrix::zeros(40, 40);
-        gemm(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut host);
-        assert_eq!(
-            dc[0].host_view(),
-            &host,
-            "device result must be bit-identical"
-        );
     }
 
     #[test]
@@ -584,59 +503,43 @@ mod tests {
     fn custom_kernel_faster_than_cublas_row_loop() {
         // The Algorithm 5 kernel must beat Algorithm 4's per-row dscal loop
         // (the paper's §VI-A point).
-        let mut rng = Rng::new(2);
-        let a = Matrix::random(256, 256, &mut rng);
-        let v: Vec<f64> = (0..256).map(|i| 1.0 + i as f64 * 1e-3).collect();
-
         let mut d1 = dev();
-        let mut m1 = up(&mut d1, &a);
-        d1.reset_clock();
-        d1.try_scale_rows_cublas(&v, &mut m1).unwrap();
+        d1.try_scale_cublas(Side::Left, 256, 256).unwrap();
         let slow = d1.elapsed();
 
         let mut d2 = dev();
-        let mut m2 = d2.set_matrix_stack(&[&a]);
-        d2.reset_clock();
-        d2.try_scale_rows_kernel_batched(&[v], &mut m2).unwrap();
+        d2.try_scale_kernel_batched(Side::Left, 256 * 256, 1)
+            .unwrap();
         let fast = d2.elapsed();
 
         assert!(fast < slow / 5.0, "kernel {fast} vs row-loop {slow}");
-        assert_eq!(m1.host_view(), m2[0].host_view(), "same numerics");
+        assert_eq!(d1.compute_ops(), d2.compute_ops(), "one scaling each");
     }
 
     #[test]
     fn wrap_scale_kernel_correct() {
-        let mut rng = Rng::new(3);
-        let g = Matrix::random(32, 32, &mut rng);
-        let v: Vec<f64> = (0..32).map(|i| (0.1 * i as f64).exp()).collect();
+        // One launch gathering at 70 % of the streaming bandwidth.
         let mut d = dev();
-        let mut dg = up(&mut d, &g);
-        d.try_wrap_scale_kernel(&v, &mut dg).unwrap();
-        for i in 0..32 {
-            for j in 0..32 {
-                let expect = v[i] * g[(i, j)] / v[j];
-                assert!((dg.host_view()[(i, j)] - expect).abs() < 1e-13);
-            }
-        }
+        d.try_wrap_scale_kernel(32 * 32).unwrap();
+        let s = DeviceSpec::tesla_c2050();
+        let want = s.kernel_launch_s + (32 * 32 * 16) as f64 / (s.mem_bandwidth_gbs * 0.7 * 1e9);
+        assert_eq!(d.elapsed(), want);
+        assert_eq!((d.kernels_launched(), d.compute_ops()), (1, 1));
     }
 
     #[test]
     fn dcopy_duplicates_and_costs() {
         let mut d = dev();
-        let m = up(&mut d, &Matrix::identity(16));
-        let t0 = d.elapsed();
-        let c = d.try_dcopy(&m).unwrap();
-        assert!(d.elapsed() > t0);
-        assert_eq!(c.host_view(), m.host_view());
+        d.try_dcopy(16 * 16).unwrap();
+        assert!(d.elapsed() > 0.0);
+        assert_eq!((d.kernels_launched(), d.compute_ops()), (1, 0));
     }
 
     #[test]
     fn kernel_launches_counted() {
         let mut d = dev();
-        let mut m = d.set_matrix_stack(&[&Matrix::identity(8)]);
-        let v = vec![2.0; 8];
-        d.try_scale_rows_cublas(&v, &mut m[0]).unwrap(); // 8 launches
-        d.try_scale_rows_kernel_batched(&[v], &mut m).unwrap(); // 1 launch
+        d.try_scale_cublas(Side::Left, 8, 8).unwrap(); // 8 launches
+        d.try_scale_kernel_batched(Side::Left, 64, 1).unwrap(); // 1 launch
         assert_eq!(d.kernels_launched(), 9);
     }
 
@@ -663,13 +566,12 @@ mod tests {
             if armed {
                 d.arm_faults(FaultPlan::new());
             }
-            let da = up(&mut d, &a);
-            let mut t = vec![d.try_dcopy(&da).unwrap()];
-            d.try_scale_rows_kernel_batched(&[vec![1.5; 24]], &mut t)
-                .unwrap();
-            let mut c = d.try_alloc(24, 24, 1).unwrap();
-            dgemm(&mut d, &da, &t[0], &mut c).unwrap();
-            (down(&mut d, &c[0]), d.elapsed(), d.kernels_launched())
+            d.upload(24 * 24);
+            d.try_dcopy(24 * 24).unwrap();
+            d.try_scale_kernel_batched(Side::Left, 24 * 24, 1).unwrap();
+            d.try_alloc(24, 24, 1).unwrap();
+            dgemm(&mut d, 24).unwrap();
+            (down(&mut d, &a), d.elapsed(), d.kernels_launched())
         };
         let (m1, t1, k1) = run(false);
         let (m2, t2, k2) = run(true);
@@ -683,24 +585,21 @@ mod tests {
         let mut d = dev();
         d.arm_faults(FaultPlan::new().with_seed(11).corrupt_transfer(2));
         let m = Matrix::identity(8);
-        let dm = up(&mut d, &m);
-        assert_eq!(down(&mut d, &dm), m, "download #1 is clean");
-        let bad = down(&mut d, &dm);
+        assert_eq!(down(&mut d, &m), m, "download #1 is clean");
+        let bad = down(&mut d, &m);
         let nans = bad.as_slice().iter().filter(|x| x.is_nan()).count();
         assert_eq!(nans, 1, "download #2 carries exactly one NaN");
         assert_eq!(d.faults_injected(), 1);
-        assert_eq!(down(&mut d, &dm), m, "one-shot: download #3 clean again");
+        assert_eq!(down(&mut d, &m), m, "one-shot: download #3 clean again");
     }
 
     #[test]
     fn scheduled_launch_failure_fires_then_clears() {
         let mut d = dev();
         d.arm_faults(FaultPlan::new().fail_launch(2));
-        let da = up(&mut d, &Matrix::identity(8));
-        let db = up(&mut d, &Matrix::identity(8));
-        let mut c = d.try_alloc(8, 8, 1).unwrap();
-        assert!(dgemm(&mut d, &da, &db, &mut c).is_ok());
-        let err = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
+        d.try_alloc(8, 8, 1).unwrap();
+        assert!(dgemm(&mut d, 8).is_ok());
+        let err = dgemm(&mut d, 8).unwrap_err();
         assert!(matches!(
             err,
             DeviceError::KernelLaunchFailure {
@@ -708,8 +607,25 @@ mod tests {
                 launch_index: 2
             }
         ));
-        assert!(dgemm(&mut d, &da, &db, &mut c).is_ok(), "retry ok");
+        assert!(dgemm(&mut d, 8).is_ok(), "retry ok");
         assert_eq!(d.faults_injected(), 1);
+
+        // Launch ordinals count over the device's lifetime: a reset clock
+        // does not move the 2nd launch.
+        let mut d = dev();
+        d.arm_faults(FaultPlan::new().fail_launch(2));
+        assert!(dgemm(&mut d, 8).is_ok());
+        d.reset_clock();
+        assert_eq!(d.kernels_launched(), 0, "the cost counter resets");
+        let err = dgemm(&mut d, 8).unwrap_err();
+        assert!(matches!(
+            err,
+            DeviceError::KernelLaunchFailure {
+                launch_index: 2,
+                ..
+            }
+        ));
+        assert!(dgemm(&mut d, 8).is_ok(), "the 3rd launch succeeds");
     }
 
     #[test]
@@ -722,28 +638,26 @@ mod tests {
                 .hang_at_launch(2)
                 .sick_window(3, 4),
         );
-        let da = up(&mut d, &Matrix::identity(8));
-        let db = up(&mut d, &Matrix::identity(8));
-        let mut c = d.try_alloc(8, 8, 1).unwrap();
+        d.try_alloc(8, 8, 1).unwrap();
         for _ in 0..2 {
-            let e = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
+            let e = dgemm(&mut d, 8).unwrap_err();
             assert!(matches!(e, DeviceError::Hang { .. }), "{e}");
         }
-        let e3 = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
+        let e3 = dgemm(&mut d, 8).unwrap_err();
         assert!(matches!(e3, DeviceError::SickDevice { .. }), "{e3}");
-        let e4 = dgemm(&mut d, &da, &db, &mut c).unwrap_err();
+        let e4 = dgemm(&mut d, 8).unwrap_err();
         assert!(
             matches!(e4, DeviceError::SickDevice { .. }),
             "window persists"
         );
-        assert!(dgemm(&mut d, &da, &db, &mut c).is_ok(), "window over");
+        assert!(dgemm(&mut d, 8).is_ok(), "window over");
         assert_eq!(d.faults_injected(), 4);
     }
 
     #[test]
     fn slow_launch_inflates_clock_only() {
         // Latency inflation on the same op as silent corruption: the op is
-        // slow AND the download is poisoned, but the computed numerics are
+        // slow AND the download is poisoned, but the numerics are
         // untouched — fail-slow composes with fail-silent.
         let mut rng = Rng::new(6);
         let a = Matrix::random(16, 16, &mut rng);
@@ -752,10 +666,10 @@ mod tests {
             if let Some(p) = plan {
                 d.arm_faults(p);
             }
-            let da = up(&mut d, &a);
-            let mut c = d.try_alloc(16, 16, 1).unwrap();
-            dgemm(&mut d, &da, &da, &mut c).unwrap();
-            let out = down(&mut d, &c[0]);
+            d.upload(16 * 16);
+            d.try_alloc(16, 16, 1).unwrap();
+            dgemm(&mut d, 16).unwrap();
+            let out = down(&mut d, &a);
             (out, d.elapsed())
         };
         let (clean, t_clean) = run(None);
@@ -791,13 +705,8 @@ mod tests {
         let run = |plan: FaultPlan| {
             let mut d = dev();
             d.arm_faults(plan);
-            let da = up(&mut d, &Matrix::identity(8));
-            let mut c = d.try_alloc(8, 8, 1).unwrap();
-            (
-                dgemm(&mut d, &da, &da, &mut c),
-                d.elapsed(),
-                d.faults_injected(),
-            )
+            d.try_alloc(8, 8, 1).unwrap();
+            (dgemm(&mut d, 8), d.elapsed(), d.faults_injected())
         };
         let (hang, t_hang, n_hang) = run(FaultPlan::new().hang_at_launch(1));
         let (slow, t_slow, n_slow) = run(FaultPlan::new().slow_launch(1, at_deadline));
@@ -826,26 +735,32 @@ mod tests {
 
     #[test]
     fn scheduled_bit_flip_is_finite_and_wrong() {
+        // A flip after compute op 1 lands in that entry of the stack's
+        // download; a failed op abandons the flips of its stack.
         let mut rng = Rng::new(5);
-        let a = Matrix::random(16, 16, &mut rng);
-        let b = Matrix::random(16, 16, &mut rng);
+        let c = Matrix::random(16, 16, &mut rng);
         let run = |plan: FaultPlan| {
             let mut d = dev();
             d.arm_faults(plan);
-            let (da, db) = (up(&mut d, &a), up(&mut d, &b));
-            let mut dc = d.try_alloc(16, 16, 1).unwrap();
-            dgemm(&mut d, &da, &db, &mut dc).unwrap();
-            (dc.remove(0), d.faults_injected())
+            d.try_alloc(16, 16, 1).unwrap();
+            dgemm(&mut d, 16).unwrap();
+            (down(&mut d, &c), d.faults_injected())
         };
         let (cc, _) = run(FaultPlan::new());
         let (dc, injected) = run(FaultPlan::new().with_seed(9).flip_bit_after_op(1));
         assert_eq!(injected, 1);
 
         let flipped: Vec<usize> = (0..16 * 16)
-            .filter(|&i| dc.host_view().as_slice()[i] != cc.host_view().as_slice()[i])
+            .filter(|&i| dc.as_slice()[i] != cc.as_slice()[i])
             .collect();
         assert_eq!(flipped.len(), 1, "exactly one element differs");
-        let v = dc.host_view().as_slice()[flipped[0]];
+        let v = dc.as_slice()[flipped[0]];
         assert!(v.is_finite(), "bit flip stays finite: {v}");
+
+        let mut d = dev();
+        d.arm_faults(FaultPlan::new().flip_bit_after_op(1).fail_launch(2));
+        dgemm(&mut d, 16).unwrap();
+        assert!(dgemm(&mut d, 16).is_err());
+        assert_eq!(down(&mut d, &c), c, "the abandoned stack took its flip");
     }
 }

@@ -147,8 +147,11 @@ pub enum Fault {
     SickThrough(u64),
     /// The allocation reports arena exhaustion (ordinal counts allocations).
     Oom,
-    /// One output element has a high mantissa bit flipped (ordinal counts
-    /// compute ops).
+    /// One element of the product the hit op's entry downloads has a high
+    /// mantissa bit flipped (ordinal counts compute ops, one per entry of a
+    /// batched op). The device holds no intermediate matrix, so the flip
+    /// lands in the returned product, drawn when the op runs; an op that
+    /// fails before the download abandons it.
     BitFlip,
 }
 
@@ -200,9 +203,10 @@ impl FaultPlan {
         self.at(nth, Fault::Oom)
     }
 
-    /// Schedules a bit flip in the output of the `nth` (1-based) device
-    /// compute operation (GEMM / scaling / wrap kernels): one element has a
-    /// high mantissa bit XOR-ed, producing a *finite* but wrong value — the
+    /// Schedules a bit flip at the `nth` (1-based) device compute operation
+    /// (GEMM / scaling / wrap kernels, one per batch entry): one element of
+    /// that entry's downloaded product has a high mantissa bit XOR-ed
+    /// ([`Fault::BitFlip`]), producing a *finite* but wrong value — the
     /// silent-corruption case that only a consistency check can catch.
     pub fn flip_bit_after_op(self, nth: u64) -> Self {
         self.at(nth, Fault::BitFlip)

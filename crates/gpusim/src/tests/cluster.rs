@@ -2,7 +2,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::device::{DMatrix, Device};
+    use crate::device::Device;
     use crate::device_with_residents;
     use crate::faults::{DeviceError, FaultPlan};
     use crate::kernels::{try_cluster_crowd, try_cluster_cublas};
@@ -18,25 +18,26 @@ mod tests {
         (model, fac, h)
     }
 
-    /// One walker's product through the batched kernel: a slice of one.
+    /// One walker's host product billed as the batched kernel with the
+    /// one dense factor: a slice of one.
     fn cluster_one(
         dev: &mut Device,
-        expk: &DMatrix,
         fac: &BMatrixFactory,
         h: &HsField,
         lo: usize,
         hi: usize,
         spin: Spin,
     ) -> Result<Matrix, DeviceError> {
-        let expks = std::slice::from_ref(expk);
-        Ok(try_cluster_crowd(dev, expk, expks, fac, &[h], lo, hi, spin)?.remove(0))
+        let mut product = fac.cluster(h, lo, hi, spin);
+        try_cluster_crowd(dev, &[fac.nsites()], hi - lo, &mut [&mut product])?;
+        Ok(product)
     }
 
     #[test]
     fn cublas_cluster_matches_host() {
         let (model, fac, h) = setup();
-        let (mut dev, expk, _) = device_with_residents(&model);
-        let got = try_cluster_cublas(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
+        let (mut dev, _, _) = device_with_residents(&model);
+        let got = try_cluster_cublas(&mut dev, &fac, &h, 0, 10, Spin::Up).unwrap();
         let want = fac.cluster(&h, 0, 10, Spin::Up);
         assert!(
             got.max_abs_diff(&want) < 1e-12 * want.max_abs().max(1.0),
@@ -49,8 +50,8 @@ mod tests {
     #[test]
     fn custom_kernel_cluster_matches_host() {
         let (model, fac, h) = setup();
-        let (mut dev, expk, _) = device_with_residents(&model);
-        let got = cluster_one(&mut dev, &expk, &fac, &h, 3, 13, Spin::Down).unwrap();
+        let (mut dev, _, _) = device_with_residents(&model);
+        let got = cluster_one(&mut dev, &fac, &h, 3, 13, Spin::Down).unwrap();
         let want = fac.cluster(&h, 3, 13, Spin::Down);
         assert!(got.max_abs_diff(&want) < 1e-12 * want.max_abs().max(1.0));
     }
@@ -58,23 +59,24 @@ mod tests {
     #[test]
     fn both_variants_identical_numerics() {
         let (model, fac, h) = setup();
-        let (mut d1, e1, _) = device_with_residents(&model);
-        let a = try_cluster_cublas(&mut d1, &e1, &fac, &h, 0, 10, Spin::Up).unwrap();
-        let (mut d2, e2, _) = device_with_residents(&model);
-        let b = cluster_one(&mut d2, &e2, &fac, &h, 0, 10, Spin::Up).unwrap();
+        let (mut d1, _, _) = device_with_residents(&model);
+        let a = try_cluster_cublas(&mut d1, &fac, &h, 0, 10, Spin::Up).unwrap();
+        let (mut d2, _, _) = device_with_residents(&model);
+        let b = cluster_one(&mut d2, &fac, &h, 0, 10, Spin::Up).unwrap();
         assert_eq!(a, b, "cost models differ, numerics must not");
+        assert!(d1.elapsed() != d2.elapsed());
     }
 
     #[test]
     fn custom_kernel_is_faster() {
         let (model, fac, h) = setup();
-        let (mut d1, e1, _) = device_with_residents(&model);
+        let (mut d1, _, _) = device_with_residents(&model);
         d1.reset_clock();
-        try_cluster_cublas(&mut d1, &e1, &fac, &h, 0, 10, Spin::Up).unwrap();
+        try_cluster_cublas(&mut d1, &fac, &h, 0, 10, Spin::Up).unwrap();
 
-        let (mut d2, e2, _) = device_with_residents(&model);
+        let (mut d2, _, _) = device_with_residents(&model);
         d2.reset_clock();
-        cluster_one(&mut d2, &e2, &fac, &h, 0, 10, Spin::Up).unwrap();
+        cluster_one(&mut d2, &fac, &h, 0, 10, Spin::Up).unwrap();
 
         assert!(
             d2.elapsed() < d1.elapsed(),
@@ -87,9 +89,9 @@ mod tests {
     #[test]
     fn transfers_are_k_vectors_plus_one_matrix() {
         let (model, fac, h) = setup();
-        let (mut dev, expk, _) = device_with_residents(&model);
+        let (mut dev, _, _) = device_with_residents(&model);
         let before = dev.bytes_transferred();
-        cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
+        cluster_one(&mut dev, &fac, &h, 0, 10, Spin::Up).unwrap();
         let moved = dev.bytes_transferred() - before;
         let n = 16usize;
         let expect = 10 * n * 8 + n * n * 8; // k diagonals down, one matrix up
@@ -99,12 +101,12 @@ mod tests {
     #[test]
     fn try_cluster_launch_failure_errs_then_retry_matches_host() {
         let (model, fac, h) = setup();
-        let (mut dev, expk, _) = device_with_residents(&model);
+        let (mut dev, _, _) = device_with_residents(&model);
         // Launch #3 is the first row-scaling kernel inside the loop.
         dev.arm_faults(FaultPlan::new().fail_launch(3));
-        let err = cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up);
+        let err = cluster_one(&mut dev, &fac, &h, 0, 10, Spin::Up);
         assert!(matches!(err, Err(DeviceError::KernelLaunchFailure { .. })));
-        let ok = cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
+        let ok = cluster_one(&mut dev, &fac, &h, 0, 10, Spin::Up).unwrap();
         let want = fac.cluster(&h, 0, 10, Spin::Up);
         assert!(ok.max_abs_diff(&want) < 1e-12 * want.max_abs().max(1.0));
     }
@@ -112,9 +114,9 @@ mod tests {
     #[test]
     fn try_cluster_returns_tainted_product_without_panic() {
         let (model, fac, h) = setup();
-        let (mut dev, expk, _) = device_with_residents(&model);
+        let (mut dev, _, _) = device_with_residents(&model);
         dev.arm_faults(FaultPlan::new().with_seed(4).corrupt_transfer(1));
-        let tainted = cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
+        let tainted = cluster_one(&mut dev, &fac, &h, 0, 10, Spin::Up).unwrap();
         assert!(linalg::check::first_non_finite(tainted.as_slice()).is_some());
     }
 
@@ -126,9 +128,9 @@ mod tests {
         let fac = BMatrixFactory::new(&model);
         let mut rng = util::Rng::new(9);
         let h = HsField::random(256, 10, &mut rng);
-        let (mut dev, expk, _) = device_with_residents(&model);
+        let (mut dev, _, _) = device_with_residents(&model);
         dev.reset_clock();
-        cluster_one(&mut dev, &expk, &fac, &h, 0, 10, Spin::Up).unwrap();
+        cluster_one(&mut dev, &fac, &h, 0, 10, Spin::Up).unwrap();
         let flops = 9.0 * 2.0 * 256f64.powi(3); // k−1 GEMMs dominate
         let rate = flops / dev.elapsed() / 1e9;
         let dev_rate = dev.spec().gemm_rate(256);

@@ -4,10 +4,10 @@
 #[cfg(test)]
 mod tests {
     use crate::backend::DeviceBackend;
-    use crate::device::{DMatrix, Device, DeviceSpec};
+    use crate::device::{Device, DeviceSpec};
     use crate::device_with_residents;
     use crate::faults::FaultPlan;
-    use crate::kernels::{try_cluster_crowd, try_wrap_crowd_bitexact_into};
+    use crate::kernels::try_wrap_crowd;
     use dqmc::{
         chain_seed, BMatrixFactory, Crowd, HsField, ModelParams, SimParams, Simulation, Spin,
     };
@@ -28,53 +28,17 @@ mod tests {
         (model, fac, hs, gs)
     }
 
-    /// One bit-exact wrap call (slice 0, spin up) over the given walkers.
-    fn wrap_call(
-        dev: &mut Device,
-        (ek, eki): (&DMatrix, &DMatrix),
-        fac: &BMatrixFactory,
-        hs: &[HsField],
-        gs: &[Matrix],
-    ) -> Vec<Matrix> {
-        let hrefs: Vec<&HsField> = hs.iter().collect();
-        let grefs: Vec<&Matrix> = gs.iter().collect();
-        let mut outs: Vec<Matrix> = gs.iter().map(|_| Matrix::zeros(16, 16)).collect();
+    /// One sweep wrap call (slice 0, spin up) over the given walkers: the
+    /// host wraps, billed with one dense factor each way.
+    fn wrap_call(dev: &mut Device, fac: &BMatrixFactory, hs: &[HsField], gs: &[Matrix]) {
+        let mut outs: Vec<Matrix> = hs
+            .iter()
+            .zip(gs)
+            .map(|(h, g)| dqmc::greens::wrap(fac, h, 0, Spin::Up, g))
+            .collect();
         let mut orefs: Vec<&mut Matrix> = outs.iter_mut().collect();
-        let (ek, eki) = (std::slice::from_ref(ek), std::slice::from_ref(eki));
-        try_wrap_crowd_bitexact_into(dev, ek, eki, fac, &hrefs, 0, Spin::Up, &grefs, &mut orefs)
-            .unwrap();
-        outs
-    }
-
-    #[test]
-    fn crowd_wrap_is_bit_identical_to_solo_bitexact_wraps() {
-        // One call over B = 4 against four calls over B = 1 of the same
-        // kernel, and both against the host.
-        let b = 4;
-        let (model, fac, hs, gs) = setup(b);
-        let (mut dev, ek, eki) = device_with_residents(&model);
-        let crowd_outs = wrap_call(&mut dev, (&ek, &eki), &fac, &hs, &gs);
-        for i in 0..b {
-            let solo = wrap_call(&mut dev, (&ek, &eki), &fac, &hs[i..=i], &gs[i..=i]);
-            assert_eq!(crowd_outs[i].max_abs_diff(&solo[0]), 0.0, "walker {i}");
-            let host = dqmc::greens::wrap(&fac, &hs[i], 0, Spin::Up, &gs[i]);
-            assert_eq!(crowd_outs[i].max_abs_diff(&host), 0.0, "walker {i} vs host");
-        }
-    }
-
-    #[test]
-    fn crowd_cluster_is_bit_identical_to_host_products() {
-        let b = 3;
-        let (model, fac, hs, _) = setup(b);
-        let (mut dev, ek, _) = device_with_residents(&model);
-        let hrefs: Vec<&HsField> = hs.iter().collect();
-        let eks = std::slice::from_ref(&ek);
-        let prods = try_cluster_crowd(&mut dev, &ek, eks, &fac, &hrefs, 0, 8, Spin::Down).unwrap();
-        assert_eq!(prods.len(), b);
-        for (i, (p, h)) in prods.iter().zip(&hs).enumerate() {
-            let want = fac.cluster(h, 0, 8, Spin::Down);
-            assert_eq!(p.max_abs_diff(&want), 0.0, "walker {i}");
-        }
+        let n = [fac.nsites()];
+        try_wrap_crowd(dev, &n, &n, &mut orefs).unwrap();
     }
 
     #[test]
@@ -85,9 +49,9 @@ mod tests {
         let b = 4usize;
         let n = 16usize;
         let (model, fac, hs, gs) = setup(b);
-        let (mut dev, ek, eki) = device_with_residents(&model);
+        let (mut dev, _, _) = device_with_residents(&model);
         let (k0, b0) = (dev.kernels_launched(), dev.bytes_transferred());
-        wrap_call(&mut dev, (&ek, &eki), &fac, &hs, &gs);
+        wrap_call(&mut dev, &fac, &hs, &gs);
         assert_eq!(dev.kernels_launched() - k0, 4);
         assert_eq!(
             (dev.bytes_transferred() - b0) as usize,
@@ -97,7 +61,7 @@ mod tests {
         // The same walkers one call each cost 4 launches per walker.
         let k1 = dev.kernels_launched();
         for i in 0..b {
-            wrap_call(&mut dev, (&ek, &eki), &fac, &hs[i..=i], &gs[i..=i]);
+            wrap_call(&mut dev, &fac, &hs[i..=i], &gs[i..=i]);
         }
         assert_eq!(dev.kernels_launched() - k1, 4 * b as u64);
     }
@@ -106,15 +70,15 @@ mod tests {
     fn crowd_wrap_is_cheaper_than_solo_wraps_on_the_model_clock() {
         let b = 8usize;
         let (model, fac, hs, gs) = setup(b);
-        let (mut dev, ek, eki) = device_with_residents(&model);
+        let (mut dev, _, _) = device_with_residents(&model);
 
         dev.reset_clock();
-        wrap_call(&mut dev, (&ek, &eki), &fac, &hs, &gs);
+        wrap_call(&mut dev, &fac, &hs, &gs);
         let t_crowd = dev.elapsed();
 
         dev.reset_clock();
         for i in 0..b {
-            wrap_call(&mut dev, (&ek, &eki), &fac, &hs[i..=i], &gs[i..=i]);
+            wrap_call(&mut dev, &fac, &hs[i..=i], &gs[i..=i]);
         }
         let t_solo = dev.elapsed();
         assert!(

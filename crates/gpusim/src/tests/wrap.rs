@@ -3,12 +3,10 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::device::{DMatrix, Device};
+    use crate::device::Device;
     use crate::device_with_residents;
     use crate::faults::{DeviceError, FaultPlan};
-    use crate::kernels::{
-        try_cluster_crowd, try_wrap_crowd_bitexact_into, try_wrap_on_device_into,
-    };
+    use crate::kernels::{try_cluster_crowd, try_wrap_crowd, try_wrap_on_device_into};
     use dqmc::{BMatrixFactory, HsField, ModelParams, Spin};
     use lattice::Lattice;
     use linalg::Matrix;
@@ -25,7 +23,7 @@ mod tests {
     /// Algorithm 6/7, slice 0, spin up, into a fresh matrix.
     fn wrap_fused(
         dev: &mut Device,
-        (ek, eki): (&DMatrix, &DMatrix),
+        (ek, eki): (&Matrix, &Matrix),
         fac: &BMatrixFactory,
         h: &HsField,
         g: &Matrix,
@@ -35,18 +33,17 @@ mod tests {
         Ok(out)
     }
 
-    /// The bit-exact wrap of one walker: a slice of one.
-    fn wrap_bitexact(
+    /// The host wrap of one walker billed as the sweep's batched wrap with
+    /// one dense factor each way: a slice of one.
+    fn wrap_sweep(
         dev: &mut Device,
-        (ek, eki): (&DMatrix, &DMatrix),
         fac: &BMatrixFactory,
         h: &HsField,
         g: &Matrix,
     ) -> Result<Matrix, DeviceError> {
-        let mut out = Matrix::zeros(g.nrows(), g.ncols());
-        let outs = &mut [&mut out];
-        let (ek, eki) = (std::slice::from_ref(ek), std::slice::from_ref(eki));
-        try_wrap_crowd_bitexact_into(dev, ek, eki, fac, &[h], 0, Spin::Up, &[g], outs)?;
+        let mut out = dqmc::greens::wrap(fac, h, 0, Spin::Up, g);
+        let n = [fac.nsites()];
+        try_wrap_crowd(dev, &n, &n, &mut [&mut out])?;
         Ok(out)
     }
 
@@ -64,33 +61,15 @@ mod tests {
     }
 
     #[test]
-    fn bitexact_wrap_is_bit_identical_to_host_wrap() {
-        let (model, fac, h, g) = setup();
-        let (mut dev, ek, eki) = device_with_residents(&model);
-        let got = wrap_bitexact(&mut dev, (&ek, &eki), &fac, &h, &g).unwrap();
-        let want = dqmc::greens::wrap(&fac, &h, 0, Spin::Up, &g);
-        // Exactly zero: the whole point of the deterministic mode.
-        assert_eq!(got.max_abs_diff(&want), 0.0);
-        // By contrast the fused Algorithm 7 path is close but NOT bit-equal
-        // (different op order) — pin that so this test keeps meaning.
-        let fused = wrap_fused(&mut dev, (&ek, &eki), &fac, &h, &g).unwrap();
-        assert!(fused.max_abs_diff(&want) < 1e-12);
-        assert!(
-            fused.max_abs_diff(&want) > 0.0,
-            "fused wrap became bit-exact; the deterministic mode is redundant"
-        );
-    }
-
-    #[test]
     fn bitexact_wrap_still_pays_device_costs() {
         let (model, fac, h, g) = setup();
-        let (mut dev, ek, eki) = device_with_residents(&model);
+        let (mut dev, _, _) = device_with_residents(&model);
         let (t0, k0, b0) = (
             dev.elapsed(),
             dev.kernels_launched(),
             dev.bytes_transferred(),
         );
-        wrap_bitexact(&mut dev, (&ek, &eki), &fac, &h, &g).unwrap();
+        wrap_sweep(&mut dev, &fac, &h, &g).unwrap();
         // Four launches (two scales + two GEMMs), time advanced, and the
         // G round trip plus two diagonal uploads on the wire.
         assert_eq!(dev.kernels_launched() - k0, 4);
@@ -146,17 +125,8 @@ mod tests {
 
         let (mut dev, ek, eki) = device_with_residents(&model);
         dev.reset_clock();
-        try_cluster_crowd(
-            &mut dev,
-            &ek,
-            std::slice::from_ref(&ek),
-            &fac,
-            &[&h],
-            0,
-            10,
-            Spin::Up,
-        )
-        .unwrap();
+        let mut product = fac.cluster(&h, 0, 10, Spin::Up);
+        try_cluster_crowd(&mut dev, &[64], 10, &mut [&mut product]).unwrap();
         let t_cluster = dev.elapsed();
         let rate_cluster = 9.0 * 2.0 * 64f64.powi(3) / t_cluster;
 

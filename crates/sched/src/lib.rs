@@ -47,9 +47,9 @@
 //!
 //! - chain seeds are hash-split per (point, chain) ([`dqmc::chain_seed`]),
 //!   so the set of Markov chains is fixed by the grid alone;
-//! - [`gpusim::DeviceBackend`] issues the host path's floating-point op
-//!   order for every walker of a call, making device and host runs
-//!   bit-identical, at any job width;
+//! - [`gpusim::DeviceBackend`] takes its matrices from
+//!   [`dqmc::HostBackend`] and only bills the device for them, making
+//!   device and host runs bit-identical, at any job width;
 //! - preemption parks jobs as `DQCW` images whose resume is bit-identical,
 //!   and recovery retries consume no Metropolis randomness, so one-shot
 //!   faults heal without a trace.

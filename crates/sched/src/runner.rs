@@ -39,7 +39,7 @@
 //! # Why the result cannot see the schedule
 //!
 //! Chain trajectories are fixed by hash-split seeds; the device backend
-//! issues the host's op order, so host and device runs agree to the last bit;
+//! bills the host's own products, so host and device runs agree to the last bit;
 //! `DQCW` resume is bit-identical; and results land in their campaign's
 //! slot vector indexed by `selected point * chains + chain`, then merge in
 //! canonical chain order per point. Workers race only for *which* slot

@@ -45,7 +45,7 @@ const EXPENSIVE_TOKENS: [&str; 16] = [
     "run_sweep",
     "try_cluster_crowd(",
     "try_cluster_cublas(",
-    "try_wrap_crowd_bitexact_into(",
+    "try_wrap_crowd(",
     "try_wrap_on_device_into(",
 ];
 

@@ -3,7 +3,7 @@
 //! fallback) instead of panicking, and one-shot faults must heal with
 //! **bit-identical** observables — retries consume no Metropolis RNG.
 //!
-//! The device backend issues the host's floating-point op order, so a clean
+//! The device backend takes its products from the host backend, so a clean
 //! device run, a healed one and a plain host run all agree to the last bit.
 
 use dqmc::{ModelParams, RecoveryAction, SimParams, Simulation, Spin};
