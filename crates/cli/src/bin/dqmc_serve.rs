@@ -8,29 +8,11 @@
 //! into one priority queue, streams per-point observables as they
 //! complete, and serves repeat requests from the content-addressed result
 //! cache. `GET /healthz` and `GET /stats` on the same port answer plain
-//! HTTP for probes.
+//! HTTP for probes. By default it listens on 127.0.0.1:7070 with one
+//! worker, no devices, no cache and in-process execution (`--fleet 0`).
 
-use dqmc_cli::flag_value;
-use serve::{FleetPolicy, Server, ServerConfig};
-use std::path::PathBuf;
-
-fn usage() -> ! {
-    eprintln!("usage: dqmc-serve [--addr host:port] [--workers N] [--devices N]");
-    eprintln!("         [--quantum SWEEPS] [--queue-bound N] [--job-retries N]");
-    eprintln!("         [--cache-dir PATH] [--max-tenant-campaigns N]");
-    eprintln!("         [--fleet N] [--fleet-dir PATH]");
-    eprintln!("defaults: --addr 127.0.0.1:7070, 1 worker, no devices, no cache,");
-    eprintln!("          in-process execution (--fleet 0)");
-    std::process::exit(2);
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
-    let value: String = flag_value(flag, "a value", value);
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} needs an unsigned integer, got '{value}'");
-        usage();
-    })
-}
+use dqmc_cli::fail;
+use serve::{FleetPolicy, Server};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,66 +21,44 @@ fn main() {
         // binary per shard with `shard-child <manifest> <report> <beat>`.
         std::process::exit(fleet::child_main(&args[1..]));
     }
-    let mut addr = "127.0.0.1:7070".to_string();
-    let mut cfg = ServerConfig::default();
-    let mut fleet_procs = 0usize;
-    let mut fleet_dir: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => addr = flag_value(a, "a value", it.next()),
-            "--workers" => cfg.service.workers = parse_num::<usize>(a, it.next()).max(1),
-            "--devices" => cfg.service.devices = parse_num(a, it.next()),
-            "--quantum" => cfg.service.quantum = parse_num(a, it.next()),
-            "--queue-bound" => cfg.service.queue_bound = parse_num(a, it.next()),
-            "--job-retries" => cfg.service.job_retries = parse_num(a, it.next()),
-            "--max-tenant-campaigns" => cfg.max_tenant_campaigns = parse_num(a, it.next()),
-            "--cache-dir" => cfg.cache_dir = Some(flag_value(a, "a path", it.next())),
-            "--fleet" => fleet_procs = parse_num(a, it.next()),
-            "--fleet-dir" => fleet_dir = Some(flag_value(a, "a path", it.next())),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                usage();
-            }
-        }
-    }
+    let mut cmd = dqmc_cli::SERVE.read(&args);
+    let (addr, config, fleet) = (&cmd.addr, &mut cmd.config, cmd.fleet);
 
-    if fleet_procs > 0 {
+    if fleet > 0 {
         let child = fleet::ChildCommand::current_exe("shard-child").unwrap_or_else(|e| {
-            eprintln!("cannot locate own executable for fleet children: {e}");
-            std::process::exit(1);
+            fail(
+                1,
+                format!("cannot locate own executable for fleet children: {e}"),
+            )
         });
-        let dir = fleet_dir.unwrap_or_else(|| {
+        let dir = cmd.fleet_dir.unwrap_or_else(|| {
             std::env::temp_dir().join(format!("dqmc-serve-fleet-{}", std::process::id()))
         });
-        cfg.fleet = Some(FleetPolicy {
-            procs: fleet_procs,
+        config.fleet = Some(FleetPolicy {
+            procs: fleet,
             child,
             dir,
         });
     }
 
-    let server = Server::bind(&addr, &cfg).unwrap_or_else(|e| {
-        eprintln!("cannot bind {addr}: {e}");
-        std::process::exit(1);
-    });
+    let server =
+        Server::bind(addr, config).unwrap_or_else(|e| fail(1, format!("cannot bind {addr}: {e}")));
     println!(
         "dqmc-serve listening on {} ({} workers, {} devices, cache {}, fleet {})",
         server.local_addr(),
-        cfg.service.workers,
-        cfg.service.devices,
-        cfg.cache_dir
+        config.service.workers,
+        config.service.devices,
+        config
+            .cache_dir
             .as_ref()
             .map_or("off".to_string(), |p| p.display().to_string()),
-        if fleet_procs > 0 {
-            format!("{fleet_procs} procs")
+        if fleet > 0 {
+            format!("{fleet} procs")
         } else {
             "off".to_string()
         },
     );
     if let Err(e) = server.run() {
-        eprintln!("server error: {e}");
-        std::process::exit(1);
+        fail(1, format!("server error: {e}"));
     }
 }

@@ -1,4 +1,5 @@
-//! QUEST-style input-file configuration.
+//! QUEST-style input-file configuration, and the command lines of
+//! `dqmc-run` and `dqmc-serve`.
 //!
 //! QUEST drives its simulations from a free-format input file; this crate
 //! provides the same interface for the Rust engine:
@@ -19,9 +20,16 @@
 //! `sched::grid`'s chain table ([`sched::grid::CHAIN`]) plus the five run
 //! keys in `INPUT`, in the `key = value` dialect of [`util::settings`];
 //! `dqmc-run --help` prints both tables.
+//!
+//! Each command line is a struct plus a flag table of the same
+//! [`util::settings`] kind ([`Command`]), so files and argv have one
+//! reader, and every usage line is rendered from its table.
 
 use dqmc::SimParams;
 use sched::{GridPoint, GridSpec};
+use serve::ServerConfig;
+use std::num::{NonZeroU64, NonZeroUsize};
+use std::path::PathBuf;
 use util::settings::{self, put, Dialect, Key, SettingsError, Value};
 
 /// Which compute backend runs the sweep's cluster/wrap kernels.
@@ -68,7 +76,7 @@ const INPUT: Dialect<InputFile, GridSpec> = Dialect {
         Key("slices", &["l"], "32", |i, v| usize::read(v).map(|l| i.slices = Some(l))),
         Key("unequal_time", &[], "no", |i, v| put(&mut i.unequal_time, v)),
         Key("backend", &[], "gpusim", |i, v| settings::choice(v, "backend", BACKENDS).map(|x| i.backend = x)),
-        Key("checkpoint", &[], "run.ckpt", |i, v| { i.checkpoint = Some(v.into()); Ok(()) }),
+        Key("checkpoint", &[], "run.ckpt", |i, v| put(&mut i.checkpoint, v)),
         Key("checkpoint_every", &[], "50", |i, v| put(&mut i.checkpoint_every, v)),
     ],
 };
@@ -97,11 +105,6 @@ impl InputFile {
         INPUT.apply(&mut input, text)?;
         input.finish().map_err(|m| INPUT.error(0, m))?;
         Ok(input)
-    }
-
-    /// Every input key with an example value, for `--help`.
-    pub fn keys_help() -> String {
-        INPUT.help()
     }
 
     fn finish(&mut self) -> Result<(), String> {
@@ -150,17 +153,231 @@ impl InputFile {
     }
 }
 
-/// The value after a command-line `flag`, parsed. A missing or unparsable
-/// value prints `{flag} needs {what}` and exits 2.
-pub fn flag_value<T: std::str::FromStr>(flag: &str, what: &str, value: Option<&String>) -> T {
-    match value.map(|v| v.parse()) {
-        Some(Ok(v)) => v,
-        _ => {
-            eprintln!("{flag} needs {what}");
-            std::process::exit(2)
+/// Prints `message` to stderr and exits with `code`.
+pub fn fail(code: i32, message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(code)
+}
+
+/// A command line: its flag table (named by the command's leading words),
+/// its operands as usage shows them, and how a fresh command struct is
+/// made and takes its operands.
+pub struct Command<T: 'static> {
+    /// The flags.
+    pub flags: Dialect<T>,
+    /// The operands, as usage shows them.
+    pub operands: &'static str,
+    /// The command with every default.
+    pub init: fn() -> T,
+    /// Stores the operands, or says what is wrong with them.
+    pub take: fn(&mut T, &[&str]) -> Result<(), String>,
+    /// What the help prints after the usage line.
+    pub more: fn() -> String,
+}
+
+impl<T> Command<T> {
+    /// Reads a command line: the words after the command's name.
+    pub fn parse(&self, args: &[String]) -> Result<T, SettingsError> {
+        let mut cmd = (self.init)();
+        let operands = self.flags.apply_args(&mut cmd, args)?;
+        (self.take)(&mut cmd, &operands).map_err(|m| self.flags.error(0, m))?;
+        Ok(cmd)
+    }
+
+    /// The usage line, without its `usage: ` prefix.
+    pub fn usage(&self) -> String {
+        self.flags.usage(self.operands)
+    }
+
+    /// The exit policy of every command: `--help` or `-h` prints the help
+    /// to stderr and exits 0. A usage error exits 2 after printing the
+    /// help when the command line is empty, and itself and the usage line
+    /// when not.
+    pub fn read(&self, args: &[String]) -> T {
+        let help = format!("usage: {}\n{}", self.usage(), (self.more)());
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            eprint!("{help}");
+            std::process::exit(0);
         }
+        self.parse(args).unwrap_or_else(|e| match args {
+            [] => fail(2, help.trim_end()),
+            _ => fail(2, format!("{e}\nusage: {}", self.usage())),
+        })
     }
 }
+
+/// The one operand of a command that reads one file.
+fn one(operands: &[&str]) -> Result<String, String> {
+    match operands {
+        [] => Err("missing operand".into()),
+        [file, rest @ ..] => none(rest).map(|()| file.to_string()),
+    }
+}
+
+/// The operands of a command that takes none.
+fn none(operands: &[&str]) -> Result<(), String> {
+    operands
+        .first()
+        .map_or(Ok(()), |extra| Err(format!("unexpected operand '{extra}'")))
+}
+
+/// Where a client finds `dqmc-serve`, and where it listens, by default.
+pub const ADDR: &str = "127.0.0.1:7070";
+
+// The command structs. A field that is not an operand is set by the flag
+// of its name (`obs_out` by `--obs-out`) in the command's table below,
+// which also documents it; `Serve::config` by the flags of its fields.
+
+/// `dqmc-run sweep`: a grid through the checkpoint-aware scheduler.
+#[derive(Debug, Default, PartialEq)]
+pub struct Sweep {
+    pub grid: String,
+    pub out: Option<String>,
+    pub obs_out: Option<String>,
+    pub trace: bool,
+}
+
+/// `dqmc-run shard`: a grid as a supervised process fleet. An explicit
+/// `workdir` keeps its shard files; a scratch one is removed unless `keep`.
+#[derive(Debug, Default, PartialEq)]
+pub struct Shard {
+    pub grid: String,
+    pub procs: usize,
+    pub workdir: Option<PathBuf>,
+    pub out: Option<String>,
+    pub keep: bool,
+    pub trace: bool,
+    pub heartbeat_timeout_ms: Option<NonZeroU64>,
+}
+
+/// `dqmc-run merge`: shard reports (or work directories holding them) back
+/// into one observables document.
+#[derive(Debug, Default, PartialEq)]
+pub struct Merge {
+    pub inputs: Vec<PathBuf>,
+    pub out: Option<String>,
+}
+
+/// `dqmc-run submit`: a grid to a running `dqmc-serve`.
+#[derive(Debug, Default, PartialEq)]
+pub struct Submit {
+    pub grid: String,
+    pub addr: String,
+    pub tenant: String,
+    pub priority: u8,
+}
+
+/// `dqmc-run serve-shutdown`: drain and stop a running `dqmc-serve`.
+#[derive(Debug, Default, PartialEq)]
+pub struct ServeShutdown {
+    pub addr: String,
+}
+
+/// `dqmc-serve`: the resident sweep service. `fleet = 0` runs campaigns
+/// in-process.
+#[derive(Debug, Default)]
+pub struct Serve {
+    pub addr: String,
+    pub config: ServerConfig,
+    pub fleet: usize,
+    pub fleet_dir: Option<PathBuf>,
+}
+
+/// `dqmc-run <input-file>`: one simulation; `-` reads the input from
+/// stdin. Its help lists every command and the input keys.
+#[rustfmt::skip]
+pub const RUN: Command<String> = Command {
+    flags: Dialect { name: "dqmc-run", keys: &[], base: None },
+    operands: "<input-file | ->", take: |c, ops| one(ops).map(|f| *c = f),
+    init: String::new,
+    more: || {
+        let usage = [SWEEP.usage(), SHARD.usage(), MERGE.usage(), SUBMIT.usage(), SERVE_SHUTDOWN.usage()];
+        usage.iter().map(|u| format!("       {u}\n")).collect::<String>() + &INPUT.help()
+    },
+};
+
+/// `dqmc-run sweep`.
+#[rustfmt::skip]
+pub const SWEEP: Command<Sweep> = Command {
+    flags: Dialect { name: "dqmc-run sweep", base: None, keys: &[
+        Key("out", &["o"], "report.json", |c, v| put(&mut c.out, v)),
+        Key("obs-out", &[], "obs.json", |c, v| put(&mut c.obs_out, v)),
+        Key("trace", &[], "", |c, v| put(&mut c.trace, v)),
+    ] },
+    operands: "<grid-file>", take: |c, ops| one(ops).map(|f| c.grid = f),
+    init: Sweep::default, more: GridSpec::keys_help,
+};
+
+/// `dqmc-run shard`.
+#[rustfmt::skip]
+pub const SHARD: Command<Shard> = Command {
+    flags: Dialect { name: "dqmc-run shard", base: None, keys: &[
+        Key("procs", &[], "P", |c, v| NonZeroUsize::read(v).map(|n| c.procs = n.get())),
+        Key("workdir", &[], "DIR", |c, v| put(&mut c.workdir, v)),
+        Key("out", &["o"], "obs.json", |c, v| put(&mut c.out, v)),
+        Key("keep", &[], "", |c, v| put(&mut c.keep, v)),
+        Key("trace", &[], "", |c, v| put(&mut c.trace, v)),
+        Key("heartbeat-timeout-ms", &[], "N", |c, v| put(&mut c.heartbeat_timeout_ms, v)),
+    ] },
+    operands: "<grid-file>", take: |c, ops| one(ops).map(|f| c.grid = f),
+    init: || Shard { procs: 2, ..Shard::default() }, more: GridSpec::keys_help,
+};
+
+/// `dqmc-run merge`.
+#[rustfmt::skip]
+pub const MERGE: Command<Merge> = Command {
+    flags: Dialect { name: "dqmc-run merge", base: None, keys: &[
+        Key("out", &["o"], "obs.json", |c, v| put(&mut c.out, v)),
+    ] },
+    operands: "<workdir | shard-*.dqsr ...>",
+    init: Merge::default,
+    take: |c, ops| {
+        c.inputs = ops.iter().map(PathBuf::from).collect();
+        if ops.is_empty() { Err("missing operand".into()) } else { Ok(()) }
+    },
+    more: String::new,
+};
+
+/// `dqmc-run submit`.
+#[rustfmt::skip]
+pub const SUBMIT: Command<Submit> = Command {
+    flags: Dialect { name: "dqmc-run submit", base: None, keys: &[
+        Key("addr", &[], "host:port", |c, v| put(&mut c.addr, v)),
+        Key("tenant", &[], "NAME", |c, v| put(&mut c.tenant, v)),
+        Key("priority", &[], "N", |c, v| put(&mut c.priority, v)),
+    ] },
+    operands: "<grid-file>", take: |c, ops| one(ops).map(|f| c.grid = f),
+    init: || Submit { addr: ADDR.into(), tenant: "cli".into(), ..Submit::default() }, more: GridSpec::keys_help,
+};
+
+/// `dqmc-run serve-shutdown`.
+#[rustfmt::skip]
+pub const SERVE_SHUTDOWN: Command<ServeShutdown> = Command {
+    flags: Dialect { name: "dqmc-run serve-shutdown", base: None, keys: &[
+        Key("addr", &[], "host:port", |c, v| put(&mut c.addr, v)),
+    ] },
+    operands: "", take: |_, ops| none(ops),
+    init: || ServeShutdown { addr: ADDR.into() }, more: String::new,
+};
+
+/// `dqmc-serve`: its keys set `ServerConfig` fields directly.
+#[rustfmt::skip]
+pub const SERVE: Command<Serve> = Command {
+    flags: Dialect { name: "dqmc-serve", base: None, keys: &[
+        Key("addr", &[], "host:port", |s, v| put(&mut s.addr, v)),
+        Key("workers", &[], "N", |s, v| usize::read(v).map(|n| s.config.service.workers = n.max(1))),
+        Key("devices", &[], "N", |s, v| put(&mut s.config.service.devices, v)),
+        Key("quantum", &[], "SWEEPS", |s, v| put(&mut s.config.service.quantum, v)),
+        Key("queue-bound", &[], "N", |s, v| put(&mut s.config.service.queue_bound, v)),
+        Key("job-retries", &[], "N", |s, v| put(&mut s.config.service.job_retries, v)),
+        Key("cache-dir", &[], "PATH", |s, v| put(&mut s.config.cache_dir, v)),
+        Key("max-tenant-campaigns", &[], "N", |s, v| put(&mut s.config.max_tenant_campaigns, v)),
+        Key("fleet", &[], "N", |s, v| put(&mut s.fleet, v)),
+        Key("fleet-dir", &[], "PATH", |s, v| put(&mut s.fleet_dir, v)),
+    ] },
+    operands: "", take: |_, ops| none(ops),
+    init: || Serve { addr: ADDR.into(), ..Serve::default() }, more: String::new,
+};
 
 #[cfg(test)]
 mod tests {
@@ -383,6 +600,95 @@ mod tests {
         let off = InputFile::parse("recovery = no\n").unwrap().sim_params();
         assert!(!off.recovery.enabled);
         assert!(InputFile::parse("min_cluster = 0\n").is_err());
+    }
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn every_command_line_parses_into_its_struct() {
+        assert_eq!(RUN.parse(&words("-")).unwrap(), "-");
+        let sweep = SWEEP.parse(&words("g.sweep -o r.json --obs-out o.json --trace"));
+        let want = Sweep {
+            grid: "g.sweep".into(),
+            out: Some("r.json".into()),
+            obs_out: Some("o.json".into()),
+            trace: true,
+        };
+        assert_eq!(sweep.unwrap(), want);
+        let line = "--procs 3 g.sweep --workdir w --out o.json --keep --trace \
+                    --heartbeat-timeout-ms 250";
+        let want = Shard {
+            grid: "g.sweep".into(),
+            procs: 3,
+            workdir: Some("w".into()),
+            out: Some("o.json".into()),
+            keep: true,
+            trace: true,
+            heartbeat_timeout_ms: std::num::NonZeroU64::new(250),
+        };
+        assert_eq!(SHARD.parse(&words(line)).unwrap(), want);
+        assert_eq!(SHARD.parse(&words("g")).unwrap().procs, 2);
+        let merge = MERGE.parse(&words("w a.dqsr -o m.json b.dqsr")).unwrap();
+        let inputs: Vec<PathBuf> = ["w", "a.dqsr", "b.dqsr"].map(PathBuf::from).into();
+        assert_eq!((merge.inputs, merge.out), (inputs, Some("m.json".into())));
+        let line = "g.sweep --addr h:1 --tenant t --priority 255";
+        let want = Submit {
+            grid: "g.sweep".into(),
+            addr: "h:1".into(),
+            tenant: "t".into(),
+            priority: 255,
+        };
+        assert_eq!(SUBMIT.parse(&words(line)).unwrap(), want);
+        let submit = SUBMIT.parse(&words("g.sweep")).unwrap();
+        assert_eq!(
+            (submit.addr.as_str(), submit.tenant.as_str()),
+            (ADDR, "cli")
+        );
+        let addr = SERVE_SHUTDOWN.parse(&words("--addr h:2")).unwrap().addr;
+        assert_eq!(addr, "h:2");
+        let line = "--addr h:3 --workers 0 --devices 2 --quantum 5 --queue-bound 9 \
+                    --job-retries 4 --cache-dir c --max-tenant-campaigns 6 --fleet 2 \
+                    --fleet-dir f";
+        let serve = SERVE.parse(&words(line)).unwrap();
+        let c = &serve.config;
+        let service = (c.service.workers, c.service.devices, c.service.quantum);
+        assert_eq!(service, (1, 2, 5), "--workers 0 reads as 1");
+        let queue = (
+            c.service.queue_bound,
+            c.service.job_retries,
+            c.max_tenant_campaigns,
+        );
+        assert_eq!(queue, (9, 4, 6));
+        assert_eq!(c.cache_dir, Some(PathBuf::from("c")));
+        let fleet = (serve.addr.as_str(), serve.fleet, serve.fleet_dir);
+        assert_eq!(fleet, ("h:3", 2, Some(PathBuf::from("f"))));
+    }
+
+    #[test]
+    fn command_lines_refuse_what_the_old_loops_refused() {
+        for (command, line) in [
+            (SHARD.parse(&words("g --procs 0")).err(), "--procs"),
+            (
+                SHARD.parse(&words("g --heartbeat-timeout-ms 0")).err(),
+                "--heartbeat",
+            ),
+            (SUBMIT.parse(&words("g --priority 256")).err(), "--priority"),
+            (SWEEP.parse(&words("a b")).err(), "unexpected operand 'b'"),
+            (
+                SWEEP.parse(&words("--bogus g")).err(),
+                "unknown flag '--bogus'",
+            ),
+            (MERGE.parse(&words("-o m.json")).err(), "missing operand"),
+            (
+                SERVE_SHUTDOWN.parse(&words("x")).err(),
+                "unexpected operand",
+            ),
+        ] {
+            let e = command.unwrap_or_else(|| panic!("{line} was accepted"));
+            assert!(e.to_string().contains(line), "{e}");
+        }
     }
 
     #[test]

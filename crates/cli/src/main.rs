@@ -1,60 +1,53 @@
-//! `dqmc` — run a DQMC simulation from a QUEST-style input file.
+//! `dqmc-run` — run a DQMC simulation from a QUEST-style input file.
 //!
 //! ```sh
-//! dqmc path/to/input.in           # or: dqmc - < input.in
-//! dqmc sweep grid.sweep           # parameter-sweep campaign
-//! dqmc sweep grid.sweep -o r.json # also write the JSON report
-//! dqmc shard grid.sweep --procs 4 --workdir shards/   # process fleet
-//! dqmc merge shards/ -o obs.json  # recombine shard reports
+//! dqmc-run path/to/input.in           # or: dqmc-run - < input.in
+//! dqmc-run sweep grid.sweep           # parameter-sweep campaign
+//! dqmc-run sweep grid.sweep -o r.json # also write the JSON report
+//! dqmc-run shard grid.sweep --procs 4 --workdir shards/   # process fleet
+//! dqmc-run merge shards/ -o obs.json  # recombine shard reports
+//! dqmc-run sweep --help               # every command has one
 //! ```
 
 use dqmc::Simulation;
-use dqmc_cli::{flag_value, submit_exit, Backend, InputFile};
+use dqmc_cli::{fail, submit_exit, Backend, InputFile};
 use fleet::{ChildCommand, FleetConfig};
 use sched::{EventLog, GridSpec, SchedConfig, TraceEvent};
-use std::io::Read;
-use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use util::table::{fmt_f, Table};
 
-/// Base backoff between `dqmc submit` resubmission attempts.
+/// Base backoff between `dqmc-run submit` resubmission attempts.
 const SUBMIT_BACKOFF: Duration = Duration::from_millis(100);
 
-/// `dqmc sweep <grid-file> [-o report.json] [--obs-out obs.json]
-/// [--trace]`: run a declared (U, β) grid through the checkpoint-aware
-/// scheduler and print the pooled jackknife estimates per point.
-fn run_sweep_cmd(args: &[String]) -> ! {
-    let mut grid_file: Option<&str> = None;
-    let mut out: Option<String> = None;
-    let mut obs_out: Option<String> = None;
-    let mut trace = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-o" | "--out" => out = Some(flag_value(a, "a path", it.next())),
-            "--obs-out" => obs_out = Some(flag_value(a, "a path", it.next())),
-            "--trace" => trace = true,
-            other if grid_file.is_none() => grid_file = Some(other),
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                std::process::exit(2);
-            }
+/// The text of `path`; one that cannot be read exits 2.
+fn read_or_exit(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(2, format!("cannot read {path}: {e}")))
+}
+
+/// Writes `bytes` to `path` atomically; a failed write exits 2.
+fn write_or_exit(path: &str, bytes: &[u8]) {
+    util::vfs::write_atomic(Path::new(path), bytes)
+        .unwrap_or_else(|e| fail(2, format!("cannot write {path}: {e}")));
+}
+
+/// Writes an observables document to `out`, or prints it when `out` is
+/// `None`.
+fn emit_observables(out: Option<&str>, observables: &str) {
+    match out {
+        Some(path) => {
+            write_or_exit(path, observables.as_bytes());
+            eprintln!("# observables written to {path}");
         }
+        None => println!("{observables}"),
     }
-    let Some(grid_file) = grid_file else {
-        eprintln!("usage: dqmc sweep <grid-file> [-o report.json] [--obs-out obs.json] [--trace]");
-        eprint!("{}", GridSpec::keys_help());
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(grid_file).unwrap_or_else(|e| {
-        eprintln!("cannot read {grid_file}: {e}");
-        std::process::exit(2);
-    });
-    let spec = GridSpec::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+}
+
+/// `dqmc-run sweep`: run a declared (U, β) grid through the
+/// checkpoint-aware scheduler and print the pooled jackknife estimates per
+/// point.
+fn run_sweep_cmd(cmd: dqmc_cli::Sweep) -> ! {
+    let spec = GridSpec::parse(&read_or_exit(&cmd.grid)).unwrap_or_else(|e| fail(2, e));
 
     println!(
         "# sweep: {}x{} lattice, {} points ({} U x {} beta), {} chains/point, {} jobs",
@@ -75,7 +68,7 @@ fn run_sweep_cmd(args: &[String]) -> ! {
     let events = EventLog::new();
     let report = sched::run_sweep(&spec, &cfg, &events);
 
-    if trace {
+    if cmd.trace {
         println!("\n## schedule trace");
         for e in events.snapshot() {
             println!("{e}");
@@ -97,88 +90,39 @@ fn run_sweep_cmd(args: &[String]) -> ! {
         println!("# {yields} checkpoint yields during the sweep");
     }
 
-    if let Some(path) = &out {
-        util::vfs::write_atomic(Path::new(path), report.to_json().as_bytes()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
+    if let Some(path) = &cmd.out {
+        write_or_exit(path, report.to_json().as_bytes());
         println!("# report written to {path}");
     }
-    if let Some(path) = &obs_out {
+    if let Some(path) = &cmd.obs_out {
         // The observables document alone — the byte-deterministic layer a
         // fleet merge (or served campaign) is compared against.
-        util::vfs::write_atomic(Path::new(path), report.observables_json().as_bytes())
-            .unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            });
+        write_or_exit(path, report.observables_json().as_bytes());
         println!("# observables written to {path}");
     }
     std::process::exit(if report.failed_jobs == 0 { 0 } else { 1 });
 }
 
-/// `dqmc shard <grid-file> --procs P [--workdir DIR] [-o obs.json]
-/// [--keep] [--trace]`: run the grid as a supervised process fleet and
-/// print the byte-deterministically merged observables document.
-fn run_shard_cmd(args: &[String]) -> ! {
-    let mut grid_file: Option<&str> = None;
-    let mut procs: usize = 2;
-    let mut workdir: Option<PathBuf> = None;
-    let mut out: Option<String> = None;
-    let mut keep = false;
-    let mut trace = false;
-    let mut heartbeat_ms: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--procs" => {
-                procs = flag_value::<NonZeroUsize>(a, "a positive integer", it.next()).get()
-            }
-            "--heartbeat-timeout-ms" => {
-                let ms = flag_value::<NonZeroU64>(a, "a positive integer", it.next());
-                heartbeat_ms = Some(ms.get());
-            }
-            "--workdir" => workdir = Some(flag_value(a, "a path", it.next())),
-            "-o" | "--out" => out = Some(flag_value(a, "a path", it.next())),
-            "--keep" => keep = true,
-            "--trace" => trace = true,
-            other if grid_file.is_none() => grid_file = Some(other),
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(grid_file) = grid_file else {
-        eprintln!(
-            "usage: dqmc shard <grid-file> --procs P [--workdir DIR] [-o obs.json] \
-             [--keep] [--trace] [--heartbeat-timeout-ms N]"
-        );
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(grid_file).unwrap_or_else(|e| {
-        eprintln!("cannot read {grid_file}: {e}");
-        std::process::exit(2);
-    });
-    let child = ChildCommand::current_exe("shard-child").unwrap_or_else(|e| {
-        eprintln!("cannot locate own executable: {e}");
-        std::process::exit(1);
-    });
+/// `dqmc-run shard`: run the grid as a supervised process fleet and print
+/// the byte-deterministically merged observables document.
+fn run_shard_cmd(cmd: dqmc_cli::Shard) -> ! {
+    let text = read_or_exit(&cmd.grid);
+    let child = ChildCommand::current_exe("shard-child")
+        .unwrap_or_else(|e| fail(1, format!("cannot locate own executable: {e}")));
     // An explicit workdir implies the caller wants the shard files (for a
-    // later `dqmc merge`); a scratch dir is cleaned up unless --keep.
-    let explicit_workdir = workdir.is_some();
-    let dir = workdir
+    // later `dqmc-run merge`); a scratch dir is cleaned up unless --keep.
+    let explicit_workdir = cmd.workdir.is_some();
+    let dir = cmd
+        .workdir
         .unwrap_or_else(|| std::env::temp_dir().join(format!("dqmc-shard-{}", std::process::id())));
-    let mut cfg = FleetConfig::new(procs, child, dir);
-    cfg.keep_files = keep || explicit_workdir;
-    if let Some(ms) = heartbeat_ms {
-        cfg.heartbeat_timeout = std::time::Duration::from_millis(ms);
+    let mut cfg = FleetConfig::new(cmd.procs, child, dir);
+    cfg.keep_files = cmd.keep || explicit_workdir;
+    if let Some(ms) = cmd.heartbeat_timeout_ms {
+        cfg.heartbeat_timeout = Duration::from_millis(ms.get());
     }
-    let outcome = fleet::run_fleet(&text, &cfg).unwrap_or_else(|e| {
-        eprintln!("fleet run failed: {e}");
-        std::process::exit(1);
-    });
-    if trace {
+    let outcome =
+        fleet::run_fleet(&text, &cfg).unwrap_or_else(|e| fail(1, format!("fleet run failed: {e}")));
+    if cmd.trace {
         eprintln!("## process health ledger");
         for line in &outcome.ledger {
             eprintln!("# {line}");
@@ -188,17 +132,7 @@ fn run_shard_cmd(args: &[String]) -> ! {
         "# fleet: {} shards, {} respawns, {} kills, {:.2}s wall",
         outcome.shards, outcome.respawns, outcome.kills, outcome.wall_seconds
     );
-    match &out {
-        Some(path) => {
-            util::vfs::write_atomic(Path::new(path), outcome.observables.as_bytes())
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(2);
-                });
-            eprintln!("# observables written to {path}");
-        }
-        None => println!("{}", outcome.observables),
-    }
+    emit_observables(cmd.out.as_deref(), &outcome.observables);
     std::process::exit(if outcome.merged.failed_chains == 0 {
         0
     } else {
@@ -206,26 +140,13 @@ fn run_shard_cmd(args: &[String]) -> ! {
     });
 }
 
-/// `dqmc merge <dir-or-report.dqsr...> [-o obs.json]`: recombine shard
-/// report files into the single-process observables document.
-fn run_merge_cmd(args: &[String]) -> ! {
-    let mut inputs: Vec<PathBuf> = Vec::new();
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-o" | "--out" => out = Some(flag_value(a, "a path", it.next())),
-            other => inputs.push(PathBuf::from(other)),
-        }
-    }
-    if inputs.is_empty() {
-        eprintln!("usage: dqmc merge <workdir | shard-*.dqsr ...> [-o obs.json]");
-        std::process::exit(2);
-    }
+/// `dqmc-run merge`: recombine shard report files into the single-process
+/// observables document.
+fn run_merge_cmd(cmd: dqmc_cli::Merge) -> ! {
     // A directory argument expands to its *.dqsr files, sorted by name so
     // the merge input set is deterministic.
     let mut reports: Vec<PathBuf> = Vec::new();
-    for input in inputs {
+    for input in cmd.inputs {
         if input.is_dir() {
             // Scrub atomic-write debris a crashed fleet may have left
             // before collecting reports: a stranded temp file is not a
@@ -238,21 +159,13 @@ fn run_merge_cmd(args: &[String]) -> ! {
                     scrubbed.removed.join(", ")
                 ),
                 Ok(_) => {}
-                Err(e) => {
-                    eprintln!("cannot scrub {}: {e}", input.display());
-                    std::process::exit(2);
-                }
+                Err(e) => fail(2, format!("cannot scrub {}: {e}", input.display())),
             }
-            let mut found: Vec<PathBuf> = match std::fs::read_dir(&input) {
-                Ok(entries) => entries
-                    .filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| p.extension().is_some_and(|x| x == "dqsr"))
-                    .collect(),
-                Err(e) => {
-                    eprintln!("cannot list {}: {e}", input.display());
-                    std::process::exit(2);
-                }
-            };
+            let mut found: Vec<PathBuf> = std::fs::read_dir(&input)
+                .unwrap_or_else(|e| fail(2, format!("cannot list {}: {e}", input.display())))
+                .filter_map(|e| e.ok().map(|e| e.path()))
+                .filter(|p| p.extension().is_some_and(|x| x == "dqsr"))
+                .collect();
             found.sort();
             reports.extend(found);
         } else {
@@ -260,105 +173,55 @@ fn run_merge_cmd(args: &[String]) -> ! {
         }
     }
     if reports.is_empty() {
-        eprintln!("no shard reports (*.dqsr) found");
-        std::process::exit(2);
+        fail(2, "no shard reports (*.dqsr) found");
     }
-    let mut decoded = Vec::with_capacity(reports.len());
-    for path in &reports {
-        match fleet::ShardReport::read(path) {
-            Ok(r) => decoded.push(r),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let merged = fleet::merge_reports(&decoded).unwrap_or_else(|e| {
-        eprintln!("merge refused: {e}");
-        std::process::exit(1);
-    });
-    let observables = merged.observables_json();
+    let decoded: Vec<_> = reports
+        .iter()
+        .map(|path| fleet::ShardReport::read(path).unwrap_or_else(|e| fail(2, e)))
+        .collect();
+    let merged =
+        fleet::merge_reports(&decoded).unwrap_or_else(|e| fail(1, format!("merge refused: {e}")));
     eprintln!(
         "# merged {} points from {} shard reports",
         merged.points.len(),
         decoded.len()
     );
-    match &out {
-        Some(path) => {
-            util::vfs::write_atomic(Path::new(path), observables.as_bytes()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("# observables written to {path}");
-        }
-        None => println!("{observables}"),
-    }
+    emit_observables(cmd.out.as_deref(), &merged.observables_json());
     std::process::exit(if merged.failed_chains == 0 { 0 } else { 1 });
 }
 
-/// `dqmc submit <grid-file> [--addr host:port] [--tenant NAME]
-/// [--priority N]`: submit a grid to a running `dqmc-serve`, print each
+/// `dqmc-run submit`: submit a grid to a running `dqmc-serve`, print each
 /// point as it streams in, then the final observables document.
-fn run_submit_cmd(args: &[String]) -> ! {
-    let mut grid_file: Option<&str> = None;
-    let mut addr = "127.0.0.1:7070".to_string();
-    let mut tenant = "cli".to_string();
-    let mut priority: u8 = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" | "--tenant" | "--priority" => {
-                let v: String = flag_value(a, "a value", it.next());
-                match a.as_str() {
-                    "--addr" => addr = v,
-                    "--tenant" => tenant = v,
-                    _ => {
-                        priority = v.parse().unwrap_or_else(|_| {
-                            eprintln!("--priority needs 0-255, got '{v}'");
-                            std::process::exit(2);
-                        })
-                    }
-                }
-            }
-            other if grid_file.is_none() => grid_file = Some(other),
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(grid_file) = grid_file else {
-        eprintln!(
-            "usage: dqmc submit <grid-file> [--addr host:port] [--tenant NAME] [--priority N]"
-        );
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(grid_file).unwrap_or_else(|e| {
-        eprintln!("cannot read {grid_file}: {e}");
-        std::process::exit(2);
-    });
+fn run_submit_cmd(cmd: dqmc_cli::Submit) -> ! {
+    let text = read_or_exit(&cmd.grid);
     // Resilient submission: reconnect and resubmit after a mid-stream
     // disconnect. The server's content-addressed cache makes the retry
     // idempotent — completed points replay as cache hits, not reruns.
-    let outcome =
-        serve::Client::submit_resilient(&addr, &tenant, priority, &text, 5, SUBMIT_BACKOFF, |p| {
+    let outcome = serve::Client::submit_resilient(
+        &cmd.addr,
+        &cmd.tenant,
+        cmd.priority,
+        &text,
+        5,
+        SUBMIT_BACKOFF,
+        |p| {
             println!(
                 "# point {} {}: {}",
                 p.index,
                 if p.cached { "cached" } else { "computed" },
                 p.json
             );
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("submission failed: {e}");
-            // Queue back-pressure and shutdown get distinct exit codes so
-            // shell callers can retry-with-backoff vs fail over.
-            let code = match &e {
-                serve::WireError::Rejected(reason) => submit_exit::for_rejection(reason),
-                _ => submit_exit::FAILED,
-            };
-            std::process::exit(code);
-        });
+        },
+    )
+    .unwrap_or_else(|e| {
+        // Queue back-pressure and shutdown get distinct exit codes so
+        // shell callers can retry-with-backoff vs fail over.
+        let code = match &e {
+            serve::WireError::Rejected(reason) => submit_exit::for_rejection(reason),
+            _ => submit_exit::FAILED,
+        };
+        fail(code, format!("submission failed: {e}"))
+    });
     println!("{}", outcome.observables);
     println!(
         "# done: {} points ({} cached, {} computed), jobs_run {}, failed_chains {}, \
@@ -373,89 +236,39 @@ fn run_submit_cmd(args: &[String]) -> ! {
     std::process::exit(if outcome.failed_chains == 0 { 0 } else { 1 });
 }
 
-/// `dqmc serve-shutdown [--addr host:port]`: ask a running `dqmc-serve` to
-/// drain and exit.
-fn run_serve_shutdown_cmd(args: &[String]) -> ! {
-    let mut addr = "127.0.0.1:7070".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => addr = flag_value(a, "a value", it.next()),
-            other => {
-                eprintln!("unexpected argument '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    let mut client = serve::Client::connect(&addr).unwrap_or_else(|e| {
-        eprintln!("cannot connect to {addr}: {e}");
-        std::process::exit(1);
-    });
-    client.shutdown().unwrap_or_else(|e| {
-        eprintln!("shutdown failed: {e}");
-        std::process::exit(1);
-    });
+/// `dqmc-run serve-shutdown`: ask a running `dqmc-serve` to drain and exit.
+fn run_serve_shutdown_cmd(cmd: dqmc_cli::ServeShutdown) -> ! {
+    let addr = cmd.addr;
+    let mut client = serve::Client::connect(&addr)
+        .unwrap_or_else(|e| fail(1, format!("cannot connect to {addr}: {e}")));
+    client
+        .shutdown()
+        .unwrap_or_else(|e| fail(1, format!("shutdown failed: {e}")));
     println!("# server at {addr} acknowledged shutdown");
     std::process::exit(0);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("sweep") {
-        run_sweep_cmd(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("shard") {
-        run_shard_cmd(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("merge") {
-        run_merge_cmd(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("shard-child") {
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
+        Some("sweep") => run_sweep_cmd(dqmc_cli::SWEEP.read(rest)),
+        Some("shard") => run_shard_cmd(dqmc_cli::SHARD.read(rest)),
+        Some("merge") => run_merge_cmd(dqmc_cli::MERGE.read(rest)),
         // Fleet re-entry point: the supervisor launches this same binary
         // with `shard-child <manifest> <report> <heartbeat>`.
-        std::process::exit(fleet::child_main(&args[1..]));
+        Some("shard-child") => std::process::exit(fleet::child_main(rest)),
+        Some("submit") => run_submit_cmd(dqmc_cli::SUBMIT.read(rest)),
+        Some("serve-shutdown") => run_serve_shutdown_cmd(dqmc_cli::SERVE_SHUTDOWN.read(rest)),
+        _ => {}
     }
-    if args.first().map(String::as_str) == Some("submit") {
-        run_submit_cmd(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve-shutdown") {
-        run_serve_shutdown_cmd(&args[1..]);
-    }
-    if args.len() != 1 || args[0] == "--help" || args[0] == "-h" {
-        eprintln!("usage: dqmc <input-file>   (or 'dqmc -' to read stdin)");
-        eprintln!("       dqmc sweep <grid-file> [-o report.json] [--obs-out obs.json] [--trace]");
-        eprintln!(
-            "       dqmc shard <grid-file> --procs P [--workdir DIR] [-o obs.json] \
-             [--keep] [--trace] [--heartbeat-timeout-ms N]"
-        );
-        eprintln!("       dqmc merge <workdir | shard-*.dqsr ...> [-o obs.json]");
-        eprintln!(
-            "       dqmc submit <grid-file> [--addr host:port] [--tenant NAME] [--priority N]"
-        );
-        eprintln!("       dqmc serve-shutdown [--addr host:port]");
-        eprint!("{}", InputFile::keys_help());
-        std::process::exit(if args.first().map(String::as_str) == Some("--help") {
-            0
-        } else {
-            2
-        });
-    }
-    let text = if args[0] == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .expect("reading stdin");
-        buf
+    let input = dqmc_cli::RUN.read(&args);
+    let text = if input == "-" {
+        std::io::read_to_string(std::io::stdin()).expect("reading stdin")
     } else {
-        std::fs::read_to_string(&args[0]).unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", args[0]);
-            std::process::exit(2);
-        })
+        read_or_exit(&input)
     };
-    let cfg = InputFile::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let cfg = InputFile::parse(&text).unwrap_or_else(|e| fail(2, e));
 
     // The header prints what the chain runs: k as clamped to L, say.
     let (spec, params) = (&cfg.spec, cfg.sim_params());
@@ -483,14 +296,12 @@ fn main() {
         params.recycle
     );
 
-    let ckpt = cfg.checkpoint.clone();
+    let ckpt = cfg.checkpoint.as_deref().map(Path::new);
     // A run killed mid-checkpoint strands a temp file next to the
     // checkpoint; scrub it before resuming so debris never accumulates.
-    if let Some(path) = ckpt.as_deref().map(Path::new) {
-        let dir = match path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            _ => Path::new("."),
-        };
+    if let Some(path) = ckpt {
+        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+        let dir = dir.unwrap_or(Path::new("."));
         match util::vfs::scrub_tmp(dir) {
             Ok(scrubbed) if scrubbed.count() > 0 => println!(
                 "# scrubbed {} stranded tmp file(s) near checkpoint {}",
@@ -500,13 +311,11 @@ fn main() {
             _ => {}
         }
     }
-    let mut sim = match ckpt.as_deref().map(Path::new) {
+    let mut sim = match ckpt {
         Some(path) if path.exists() => {
             println!("# resuming from checkpoint {}", path.display());
-            Simulation::resume(path, &params).unwrap_or_else(|e| {
-                eprintln!("cannot resume from {}: {e}", path.display());
-                std::process::exit(2);
-            })
+            Simulation::resume(path, &params)
+                .unwrap_or_else(|e| fail(2, format!("cannot resume from {}: {e}", path.display())))
         }
         _ => Simulation::new(params),
     };
@@ -515,13 +324,16 @@ fn main() {
         sim = sim.with_backend(Box::new(gpusim::DeviceBackend::new(dev)));
     }
 
-    match ckpt.as_deref().map(Path::new) {
+    match ckpt {
         Some(path) => {
+            let failed = |e| {
+                fail(
+                    2,
+                    format!("checkpointing to {} failed: {e}", path.display()),
+                )
+            };
             sim.run_with_checkpoints(path, cfg.checkpoint_every)
-                .unwrap_or_else(|e| {
-                    eprintln!("checkpointing to {} failed: {e}", path.display());
-                    std::process::exit(2);
-                });
+                .unwrap_or_else(failed);
         }
         None => sim.run(),
     }
@@ -532,34 +344,19 @@ fn main() {
     }
 
     let obs = sim.observables();
-    let (sign, sign_err) = obs.avg_sign();
-    let (rho, rho_err) = obs.density();
-    let (docc, docc_err) = obs.double_occupancy();
-    let (ekin, ekin_err) = obs.kinetic_energy();
-    let (epot, epot_err) = obs.potential_energy();
-    let (saf, saf_err) = obs.af_structure_factor();
-
+    let j = obs.jackknife_scalars();
     println!("\n## scalar observables (per site)");
     let mut t = Table::new(vec!["observable", "value", "error"]);
-    t.row(vec!["sign".into(), fmt_f(sign, 6), fmt_f(sign_err, 6)]);
-    t.row(vec!["density".into(), fmt_f(rho, 6), fmt_f(rho_err, 6)]);
-    t.row(vec![
-        "double-occ".into(),
-        fmt_f(docc, 6),
-        fmt_f(docc_err, 6),
-    ]);
-    t.row(vec!["e-kinetic".into(), fmt_f(ekin, 6), fmt_f(ekin_err, 6)]);
-    t.row(vec![
-        "e-potential".into(),
-        fmt_f(epot, 6),
-        fmt_f(epot_err, 6),
-    ]);
-    t.row(vec!["S(pi,pi)".into(), fmt_f(saf, 6), fmt_f(saf_err, 6)]);
-    t.row(vec![
-        "P_s(q=0)".into(),
-        fmt_f(obs.swave_structure_factor(), 6),
-        "-".into(),
-    ]);
+    #[rustfmt::skip]
+    let scalars = [
+        ("sign", j.sign), ("density", j.density), ("double-occ", j.double_occ),
+        ("e-kinetic", j.kinetic), ("e-potential", j.potential), ("S(pi,pi)", j.saf),
+    ];
+    for (name, (value, error)) in scalars {
+        t.row(vec![name.into(), fmt_f(value, 6), fmt_f(error, 6)]);
+    }
+    let ps = obs.swave_structure_factor();
+    t.row(vec!["P_s(q=0)".into(), fmt_f(ps, 6), "-".into()]);
     print!("{}", t.render());
     println!(
         "\nacceptance {:.3}, max wrap error {:.2e}",

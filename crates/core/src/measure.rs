@@ -11,7 +11,8 @@
 //! - kinetic/interaction energies and double occupancy.
 //!
 //! Away from half filling configurations carry a fermion sign; every
-//! observable is accumulated sign-weighted and normalised by ⟨sign⟩.
+//! observable is accumulated sign-weighted, normalised by ⟨sign⟩, and given
+//! the delete-one jackknife error of that ratio.
 
 use crate::hubbard::ModelParams;
 use lattice::{fourier, Lattice};
@@ -205,43 +206,35 @@ impl Observables {
         self.count += other.count;
     }
 
-    /// Average fermion sign `⟨sign⟩` with its standard error.
+    /// Average fermion sign `⟨sign⟩` with its jackknife error.
     pub fn avg_sign(&self) -> (f64, f64) {
-        self.sign.mean_and_err()
+        util::jackknife_mean(self.sign.bins())
     }
 
     /// The scalar observables with delete-one jackknife error bars — the
-    /// pooled estimator of the sweep harness.
+    /// pooled estimator of the sweep harness, and the accessors below
+    /// one by one.
     ///
     /// Each physical observable is the ratio `⟨O·s⟩ / ⟨s⟩` of sign-weighted
     /// bins to sign bins; [`util::jackknife_ratio`] resamples numerator and
     /// denominator *together*, propagating their correlated fluctuations
-    /// through the nonlinearity (the plain [`Observables::density`]-style
-    /// accessors divide the errors, which is only exact when ⟨sign⟩ ≡ 1).
-    /// The bins here are whatever this accumulator holds — call it on a
-    /// merged ensemble for pooled cross-chain estimates. Deterministic:
-    /// depends only on the bin sequence.
+    /// through the nonlinearity. The bins here are whatever this
+    /// accumulator holds — call it on a merged ensemble for pooled
+    /// cross-chain estimates. Deterministic: depends only on the bin
+    /// sequence.
     pub fn jackknife_scalars(&self) -> JackknifeScalars {
-        let s = self.sign.bins();
         JackknifeScalars {
-            sign: util::jackknife_mean(s),
-            density: util::jackknife_ratio(self.density.bins(), s),
-            double_occ: util::jackknife_ratio(self.double_occ.bins(), s),
-            kinetic: util::jackknife_ratio(self.kinetic.bins(), s),
-            potential: util::jackknife_ratio(self.potential.bins(), s),
-            saf: util::jackknife_ratio(self.saf.bins(), s),
+            sign: self.avg_sign(),
+            density: self.density(),
+            double_occ: self.double_occupancy(),
+            kinetic: self.kinetic_energy(),
+            potential: self.potential_energy(),
+            saf: self.af_structure_factor(),
         }
     }
 
     fn ratio(&self, acc: &BinnedAccumulator) -> (f64, f64) {
-        let (s, _) = self.sign.mean_and_err();
-        let (v, e) = acc.mean_and_err();
-        if s == 0.0 {
-            return (f64::NAN, f64::NAN);
-        }
-        // Ratio estimator; the sign fluctuation's contribution to the error
-        // is negligible at/near half filling where ⟨sign⟩ ≈ 1.
-        (v / s, e / s.abs())
+        util::jackknife_ratio(acc.bins(), self.sign.bins())
     }
 
     /// Electron density ⟨ρ⟩ = ⟨n₊ + n₋⟩ per site, with error.

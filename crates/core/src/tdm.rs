@@ -193,27 +193,21 @@ impl TimeDependentObs {
         self.count
     }
 
-    /// `G_loc(τ_c)` estimates with errors (sign-normalised).
+    /// `G_loc(τ_c)` estimates with jackknife errors (sign-normalised).
     pub fn gloc(&self) -> Vec<(f64, f64)> {
-        let (s, _) = self.sign.mean_and_err();
+        let s = self.sign.bins();
         self.gloc
             .iter()
-            .map(|a| {
-                let (v, e) = a.mean_and_err();
-                (v / s, e / s.abs())
-            })
+            .map(|a| util::jackknife_ratio(a.bins(), s))
             .collect()
     }
 
     /// `G_k(τ_c)` for tracked momentum index `ki` (0 = Γ, 1 = M, 2 = X).
     pub fn gk(&self, ki: usize) -> Vec<(f64, f64)> {
-        let (s, _) = self.sign.mean_and_err();
+        let s = self.sign.bins();
         self.gk
             .iter()
-            .map(|a| {
-                let (v, e) = a[ki].mean_and_err();
-                (v / s, e / s.abs())
-            })
+            .map(|a| util::jackknife_ratio(a[ki].bins(), s))
             .collect()
     }
 
@@ -320,6 +314,22 @@ mod tests {
             "{}",
             last.max_abs_diff(&expect)
         );
+
+        // So G_loc(β) = 1 − G_loc(0) in every configuration, and the two
+        // error bars must agree, also where ⟨sign⟩ < 1.
+        let (model, fac, _) = setup(5.0, 16);
+        let mut obs = TimeDependentObs::new(&model.lattice, 4, 16, model.dtau, 1);
+        let mut rng = util::Rng::new(5);
+        for sign in [1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0] {
+            let h = HsField::random(model.nsites(), 16, &mut rng);
+            let gu = unequal_time_greens_stable(&fac, &h, 4, Spin::Up);
+            let gd = unequal_time_greens_stable(&fac, &h, 4, Spin::Down);
+            obs.record(&gu, &gd, sign);
+        }
+        let gloc = obs.gloc();
+        let ((g0, e0), (gb, eb)) = (gloc[0], gloc[gloc.len() - 1]);
+        assert!((g0 + gb - 1.0).abs() < 1e-12, "{g0} + {gb}");
+        assert!(e0 > 0.0 && (e0 - eb).abs() < 1e-12 * e0, "{e0} vs {eb}");
     }
 
     #[test]

@@ -122,6 +122,8 @@ pub struct Device {
     kernels_launched: u64,
     /// Launches over the device's lifetime: the ordinal launch faults match.
     launch_ordinal: u64,
+    /// Downloads, allocations (failed ones included) and compute ops over
+    /// the device's lifetime: the ordinals their faults match.
     downloads: u64,
     allocs: u64,
     compute_ops: u64,
@@ -178,21 +180,6 @@ impl Device {
     /// [`Device::reset_clock`].
     pub fn kernels_launched(&self) -> u64 {
         self.kernels_launched
-    }
-
-    /// Device→host matrix downloads performed.
-    pub fn downloads(&self) -> u64 {
-        self.downloads
-    }
-
-    /// Device allocations performed (attempted, including failed ones).
-    pub fn allocs(&self) -> u64 {
-        self.allocs
-    }
-
-    /// Compute operations performed (GEMMs, scalings, wrap kernels).
-    pub fn compute_ops(&self) -> u64 {
-        self.compute_ops
     }
 
     /// Resets the clock and the transfer/launch counters. The fault
@@ -486,7 +473,7 @@ mod tests {
         let back = down(&mut d, &m);
         assert_eq!(back, m);
         assert_eq!(d.bytes_transferred(), 2 * 64 * 64 * 8);
-        assert_eq!(d.downloads(), 1);
+        assert_eq!(d.downloads, 1);
     }
 
     #[test]
@@ -513,7 +500,7 @@ mod tests {
         let fast = d2.elapsed();
 
         assert!(fast < slow / 5.0, "kernel {fast} vs row-loop {slow}");
-        assert_eq!(d1.compute_ops(), d2.compute_ops(), "one scaling each");
+        assert_eq!(d1.compute_ops, d2.compute_ops, "one scaling each");
     }
 
     #[test]
@@ -524,7 +511,7 @@ mod tests {
         let s = DeviceSpec::tesla_c2050();
         let want = s.kernel_launch_s + (32 * 32 * 16) as f64 / (s.mem_bandwidth_gbs * 0.7 * 1e9);
         assert_eq!(d.elapsed(), want);
-        assert_eq!((d.kernels_launched(), d.compute_ops()), (1, 1));
+        assert_eq!((d.kernels_launched(), d.compute_ops), (1, 1));
     }
 
     #[test]
@@ -532,7 +519,7 @@ mod tests {
         let mut d = dev();
         d.try_dcopy(16 * 16).unwrap();
         assert!(d.elapsed() > 0.0);
-        assert_eq!((d.kernels_launched(), d.compute_ops()), (1, 0));
+        assert_eq!((d.kernels_launched(), d.compute_ops), (1, 0));
     }
 
     #[test]

@@ -463,6 +463,37 @@ mod tests {
     }
 
     #[test]
+    fn a_one_chain_campaign_reports_what_its_simulation_reports() {
+        // Doped 2x2 at β = 4: a point with a sign problem, where an error
+        // bar divided by ⟨sign⟩ and a jackknifed ratio part.
+        let spec = GridSpec::parse(
+            "lx = 2\nly = 2\nu = 4\nmu = 1\nbeta = 4\ndtau = 0.125\nchains = 1\n\
+             warmup = 20\nsweeps = 100\nbin_size = 10\nseed = 7\nworkers = 1\ndevices = 0\n",
+        )
+        .unwrap();
+        let report = crate::run_sweep(
+            &spec,
+            &crate::SchedConfig::from_spec(&spec),
+            &crate::EventLog::new(),
+        );
+        let got = report.points[0].scalars.expect("the chain completed");
+        let point = spec.points()[0];
+        let params = spec
+            .point_params(&point)
+            .with_seed(dqmc::chain_seed(spec.seed, 0, 0));
+        let mut sim = dqmc::Simulation::new(params);
+        sim.run();
+        let obs = sim.observables();
+        assert!(obs.avg_sign().0 < 1.0, "sign {:?}", obs.avg_sign());
+        assert_eq!(got.sign, obs.avg_sign());
+        assert_eq!(got.density, obs.density());
+        assert_eq!(got.double_occ, obs.double_occupancy());
+        assert_eq!(got.kinetic, obs.kinetic_energy());
+        assert_eq!(got.potential, obs.potential_energy());
+        assert_eq!(got.saf, obs.af_structure_factor());
+    }
+
+    #[test]
     fn unknown_keys_and_bad_faults_are_rejected() {
         // The chain keys' examples run through both dialects in
         // `dqmc_cli`'s cross-dialect test; the scheduling keys' run here.

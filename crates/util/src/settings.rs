@@ -1,5 +1,7 @@
-//! The `key = value` dialect of input files (`dqmc_cli::InputFile`) and
-//! sweep grid specs (`sched::GridSpec`).
+//! One reader for every text the program takes: the `key = value` dialect
+//! of input files (`dqmc_cli::InputFile`) and sweep grid specs
+//! (`sched::GridSpec`), command lines ([`Dialect::apply_args`]), and the
+//! item primitives of fault scripts.
 //!
 //! `#` starts a comment. Each line is trimmed, and a non-empty one is split
 //! at its first `=` into a key, case-folded, and a value. A [`Dialect`] is a
@@ -9,14 +11,16 @@
 //! Every key is looked up in the dialect's own table, then in its base's,
 //! aliases included, so a typo is an error rather than a silent default.
 //! A key given twice keeps its last value. Values are read as a [`Value`]
-//! type (integers, finite numbers, number lists, booleans) or a [`choice`].
+//! type (integers, finite numbers, number lists, booleans, text) or a
+//! [`choice`]. The same table prints its help and usage line.
 //!
 //! The item primitives at the end ([`items`] to [`range`]) read the fault
 //! scripts: `gpusim::FaultPlan`'s and `util::vfs`'s `DQMC_VFS_FAULTS`.
 
 use std::fmt;
-use std::num::ParseIntError;
+use std::num::{NonZeroU64, NonZeroUsize, ParseIntError};
 use std::ops::RangeInclusive;
+use std::path::PathBuf;
 use std::str::FromStr;
 
 /// A malformed input: its dialect, the line, and what is wrong.
@@ -43,7 +47,7 @@ impl std::error::Error for SettingsError {}
 
 /// One setting: its name, its aliases, a value it accepts (shown in help
 /// texts), and the setter that stores a value in the target `T`. Names are
-/// lower case.
+/// lower case. On a command line a key whose example is empty is a switch.
 pub struct Key<T>(
     pub &'static str,
     pub &'static [&'static str],
@@ -87,6 +91,43 @@ impl<T, B> Dialect<T, B> {
         Ok(())
     }
 
+    /// Applies a command line to `target` and returns its operands in
+    /// order. `--name value` sets key `name` and `-x value` the key with
+    /// alias `x`; a switch takes no value and reads `yes`. A word that does
+    /// not start with `-`, or is `-` alone, is an operand; any other word is
+    /// an unknown flag. Only the dialect's own keys are flags, and a flag
+    /// given twice keeps its last value.
+    pub fn apply_args<'a>(
+        &self,
+        target: &mut T,
+        args: &'a [String],
+    ) -> Result<Vec<&'a str>, SettingsError> {
+        let mut operands = Vec::new();
+        let mut words = args.iter().map(String::as_str);
+        while let Some(word) = words.next() {
+            if !word.starts_with('-') || word == "-" {
+                operands.push(word);
+                continue;
+            }
+            let named = |Key(name, aliases, ..): &&Key<T>| match word.strip_prefix("--") {
+                Some(long) => *name == long,
+                None => aliases.contains(&&word[1..]),
+            };
+            let Some(Key(_, _, example, set)) = self.keys.iter().find(named) else {
+                return Err(self.error(0, format!("unknown flag '{word}'")));
+            };
+            let value = if example.is_empty() {
+                "yes"
+            } else {
+                words
+                    .next()
+                    .ok_or_else(|| self.error(0, format!("{word} needs a value")))?
+            };
+            set(target, value).map_err(|m| self.error(0, format!("{word}: {m}")))?;
+        }
+        Ok(operands)
+    }
+
     /// Sets `key` through this table or its base's; `None` when neither
     /// has it.
     fn set(&self, target: &mut T, key: &str, value: &str) -> Option<Result<(), String>> {
@@ -125,6 +166,23 @@ impl<T, B> Dialect<T, B> {
         }
         out
     }
+
+    /// The command line as usage shows it: the dialect's name, `operands`,
+    /// then `[--name|-alias example]` per key, `[--name]` for a switch.
+    pub fn usage(&self, operands: &str) -> String {
+        let mut out = format!("{} {operands}", self.name).trim_end().to_string();
+        for Key(name, aliases, example, _) in self.keys {
+            out += &format!(" [--{name}");
+            for alias in *aliases {
+                out += &format!("|-{alias}");
+            }
+            if !example.is_empty() {
+                out += &format!(" {example}");
+            }
+            out += "]";
+        }
+        out
+    }
 }
 
 /// A value type of the dialect: its type picks how text is read.
@@ -139,24 +197,31 @@ pub fn put<V: Value>(slot: &mut V, text: &str) -> Result<(), String> {
     Ok(())
 }
 
-impl Value for usize {
-    fn read(v: &str) -> Result<Self, String> {
-        v.parse()
-            .map_err(|_| format!("'{v}' is not a non-negative integer"))
-    }
+macro_rules! parsed {
+    ($($t:ty => $what:expr,)*) => {$(
+        impl Value for $t {
+            fn read(v: &str) -> Result<Self, String> {
+                v.parse().map_err(|_| format!("'{v}' is not {}", $what))
+            }
+        }
+    )*};
 }
 
-impl Value for u32 {
-    fn read(v: &str) -> Result<Self, String> {
-        v.parse()
-            .map_err(|_| format!("'{v}' is not an integer in 0..={}", u32::MAX))
-    }
+parsed! {
+    usize => "a non-negative integer",
+    u8 => format!("an integer in 0..={}", u8::MAX),
+    u32 => format!("an integer in 0..={}", u32::MAX),
+    u64 => format!("an integer in 0..={}", u64::MAX),
+    NonZeroUsize => "a positive integer",
+    NonZeroU64 => "a positive integer",
+    String => "text",
+    PathBuf => "a path",
 }
 
-impl Value for u64 {
+/// A value that may be absent: giving one sets it.
+impl<V: Value> Value for Option<V> {
     fn read(v: &str) -> Result<Self, String> {
-        v.parse()
-            .map_err(|_| format!("'{v}' is not an integer in 0..={}", u64::MAX))
+        V::read(v).map(Some)
     }
 }
 
@@ -353,12 +418,83 @@ mod tests {
             .unwrap_err()
             .contains("0..=4294967295"));
         assert_eq!(u64::read("18446744073709551615"), Ok(u64::MAX));
+        assert_eq!(
+            u8::read("256").unwrap_err(),
+            "'256' is not an integer in 0..=255"
+        );
+        assert!(NonZeroUsize::read("0").unwrap_err().contains("positive"));
+        assert_eq!(
+            Option::<PathBuf>::read("a/b"),
+            Ok(Some(PathBuf::from("a/b")))
+        );
         let names = [("a", 1), ("alpha", 1), ("b", 2)];
         assert_eq!(choice("ALPHA", "letter", &names), Ok(1));
         assert_eq!(
             choice("c", "letter", &names).unwrap_err(),
             "unknown letter 'c' (one of a, alpha, b)"
         );
+    }
+
+    #[derive(Debug, Default)]
+    struct Line {
+        out: Option<String>,
+        keep: bool,
+        n: usize,
+    }
+
+    const LINE: Dialect<Line> = Dialect {
+        name: "probe-cmd",
+        keys: &[
+            Key("out", &["o"], "x.json", |l, v| put(&mut l.out, v)),
+            Key("keep", &[], "", |l, v| put(&mut l.keep, v)),
+            Key("n", &[], "3", |l, v| put(&mut l.n, v)),
+        ],
+        base: None,
+    };
+
+    fn command(line: &str) -> Result<(Line, Vec<String>), SettingsError> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let mut l = Line::default();
+        let operands = LINE.apply_args(&mut l, &args)?;
+        Ok((l, operands.into_iter().map(String::from).collect()))
+    }
+
+    #[test]
+    fn a_command_line_keeps_operand_order_and_reads_switches_and_aliases() {
+        let (l, operands) = command("a -o x.json b --keep --n 4 - c").unwrap();
+        assert_eq!(operands, ["a", "b", "-", "c"]);
+        assert_eq!((l.out.as_deref(), l.keep, l.n), (Some("x.json"), true, 4));
+        let (l, operands) = command("a").unwrap();
+        assert_eq!(
+            (l.out, l.keep, l.n, operands),
+            (None, false, 0, vec!["a".into()])
+        );
+    }
+
+    #[test]
+    fn a_repeated_flag_keeps_its_last_value() {
+        let (l, _) = command("--n 1 -o a --n 2 --out b").unwrap();
+        assert_eq!((l.n, l.out.as_deref()), (2, Some("b")));
+    }
+
+    #[test]
+    fn flag_errors_name_the_flag() {
+        for (line, says) in [
+            ("a --bogus b", "probe-cmd: unknown flag '--bogus'"),
+            ("--o x", "probe-cmd: unknown flag '--o'"),
+            ("-out x", "probe-cmd: unknown flag '-out'"),
+            ("a --n", "probe-cmd: --n needs a value"),
+            ("--n x", "probe-cmd: --n: 'x' is not a non-negative integer"),
+        ] {
+            assert_eq!(command(line).unwrap_err().to_string(), says, "{line}");
+        }
+    }
+
+    #[test]
+    fn usage_renders_the_flag_table() {
+        let flags = "[--out|-o x.json] [--keep] [--n 3]";
+        assert_eq!(LINE.usage("<file>"), format!("probe-cmd <file> {flags}"));
+        assert_eq!(LINE.usage(""), format!("probe-cmd {flags}"));
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Three tools cover everything the paper reports:
 //!
 //! - [`RunningStats`]: numerically-stable (Welford) running mean/variance,
-//! - [`BinnedAccumulator`]: bin-averaged Monte Carlo error bars — successive
+//! - [`BinnedAccumulator`]: bin means for Monte Carlo error bars — successive
 //!   sweeps are correlated, so naive standard errors underestimate; binning
-//!   into blocks longer than the autocorrelation time fixes that,
+//!   into blocks longer than the autocorrelation time fixes that, and
+//!   [`jackknife_mean`] / [`jackknife_ratio`] give every error bar from the
+//!   bins,
 //! - [`FiveNumber`]: min / Q1 / median / Q3 / max summaries, the
 //!   box-and-whisker statistic of the paper's Figure 2.
 
@@ -57,15 +59,6 @@ impl RunningStats {
             0.0
         } else {
             self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (self.variance() / self.n as f64).sqrt()
         }
     }
 
@@ -123,8 +116,9 @@ impl RunningStats {
 /// Bin-averaged accumulator for correlated Monte Carlo time series.
 ///
 /// Observations are grouped into consecutive bins of `bin_size`; the bin
-/// means are treated as (approximately) independent samples. Incomplete
-/// trailing bins are discarded by [`BinnedAccumulator::mean_and_err`].
+/// means are treated as (approximately) independent samples, which
+/// [`jackknife_mean`] and [`jackknife_ratio`] resample. Incomplete trailing
+/// bins are left out of [`BinnedAccumulator::bins`].
 #[derive(Clone, Debug)]
 pub struct BinnedAccumulator {
     bin_size: usize,
@@ -164,17 +158,6 @@ impl BinnedAccumulator {
     /// Total number of pushed observations, including the incomplete bin.
     pub fn count(&self) -> usize {
         self.bins.len() * self.bin_size + self.current_count
-    }
-
-    /// Mean and standard error estimated from complete bin means.
-    ///
-    /// Returns `(mean, err)`; `err` is 0 with fewer than two complete bins.
-    pub fn mean_and_err(&self) -> (f64, f64) {
-        let mut s = RunningStats::new();
-        for &b in &self.bins {
-            s.push(b);
-        }
-        (s.mean(), s.std_err())
     }
 
     /// Serializes the accumulator — bin size, the open partial bin, and every
@@ -443,7 +426,7 @@ mod tests {
         for i in 0..100 {
             acc.push(i as f64);
         }
-        let (mean, _) = acc.mean_and_err();
+        let (mean, _) = jackknife_mean(acc.bins());
         assert!((mean - 49.5).abs() < 1e-12);
         assert_eq!(acc.bin_count(), 20);
         assert_eq!(acc.count(), 100);
@@ -465,8 +448,8 @@ mod tests {
             naive.push(level);
             binned.push(level);
         }
-        let (_, e_naive) = naive.mean_and_err();
-        let (_, e_binned) = binned.mean_and_err();
+        let (_, e_naive) = jackknife_mean(naive.bins());
+        let (_, e_binned) = jackknife_mean(binned.bins());
         assert!(
             e_binned > 3.0 * e_naive,
             "binned {e_binned} vs naive {e_naive}"
@@ -485,7 +468,7 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.bin_count(), 3);
-        let (mean, _) = a.mean_and_err();
+        let (mean, _) = jackknife_mean(a.bins());
         assert!((mean - (2.0 + 6.0 + 10.0) / 3.0).abs() < 1e-12);
     }
 
@@ -581,12 +564,9 @@ mod tests {
         for &x in &xs {
             s.push(x);
         }
+        let std_err = (s.variance() / xs.len() as f64).sqrt();
         assert!((jm - s.mean()).abs() < 1e-12, "{jm} vs {}", s.mean());
-        assert!(
-            (je - s.std_err()).abs() < 1e-12 * s.std_err(),
-            "{je} vs {}",
-            s.std_err()
-        );
+        assert!((je - std_err).abs() < 1e-12 * std_err, "{je} vs {std_err}");
     }
 
     #[test]
@@ -645,7 +625,7 @@ mod tests {
             for &x in &xs {
                 acc.push(x);
             }
-            means.push(acc.mean_and_err().0);
+            means.push(jackknife_mean(acc.bins()).0);
         }
         for m in &means[1..] {
             assert!((m - means[0]).abs() < 1e-12, "{m} vs {}", means[0]);
@@ -737,7 +717,6 @@ mod shard_merge_props {
             // Bit-for-bit equality: the codec may not perturb a single bin,
             // so every downstream estimator agrees exactly.
             prop_assert_eq!(live.bins(), decoded.bins());
-            prop_assert_eq!(live.mean_and_err(), decoded.mean_and_err());
             prop_assert_eq!(
                 jackknife_mean(live.bins()),
                 jackknife_mean(decoded.bins())
