@@ -1,13 +1,14 @@
 //! Figure 10: Green's-function evaluation performance on the hybrid
 //! CPU+GPU system vs the CPU-only path, across system sizes (L = 160,
-//! clustering on the device, stratification on the host).
+//! clustering on the device, stratification on the host), billed by
+//! `bench::section6::hybrid_greens`.
 //!
 //! Usage: `cargo run --release -p bench --bin fig10 [--full]`
 
+use bench::section6::{hybrid_greens, HostSpec};
 use bench::BenchOpts;
-use dqmc::{BMatrixFactory, HsField, ModelParams, Spin, StratAlgo};
-use gpusim::{hybrid_greens, Device, DeviceSpec, HostSpec};
-use lattice::Lattice;
+use dqmc::StratAlgo;
+use gpusim::{Device, DeviceSpec};
 use util::table::{fmt_f, Table};
 
 fn main() {
@@ -28,16 +29,12 @@ fn main() {
         "speedup",
         "gpu-full-speedup",
     ]);
+    let host = HostSpec::nehalem_2s4c();
     for &lside in sides {
         let n = lside * lside;
-        let model = ModelParams::new(Lattice::square(lside, lside, 1.0), 4.0, 0.0, 0.125, slices);
-        let fac = BMatrixFactory::new(&model);
-        let mut rng = util::Rng::new(opts.seed());
-        let h = HsField::random(n, slices, &mut rng);
-
         let mut dev = Device::new(DeviceSpec::tesla_c2050());
-        let host = HostSpec::nehalem_2s4c();
-        let rep = hybrid_greens(&mut dev, &host, &fac, &h, Spin::Up, k, StratAlgo::PrePivot);
+        let rep = hybrid_greens(&mut dev, &host, n, slices, k, StratAlgo::PrePivot)
+            .expect("no fault plan is armed");
         table.row(vec![
             n.to_string(),
             fmt_f(rep.hybrid_gflops(), 1),

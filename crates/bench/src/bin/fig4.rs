@@ -39,7 +39,7 @@ fn main() {
             greens_from_udt(&stratify(&factors, StratAlgo::PrePivot))
         });
         // Flops: k−1 clustering GEMMs (one rebuilt cluster) + per-iteration
-        // stratification work + assembly (matching gpusim::hybrid's model).
+        // stratification work + assembly (matching bench::section6's model).
         let nf = n as f64;
         let flops = (k - 1) as f64 * 2.0 * nf.powi(3)
             + lk as f64 * (2.0 + 4.0 / 3.0 + 4.0 / 3.0 + 1.0) * nf.powi(3)

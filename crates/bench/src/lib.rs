@@ -6,6 +6,10 @@
 //! workload that preserves the *shape* of the result and accepts `--full`
 //! to run paper-scale parameters. Output is whitespace-aligned text, one
 //! record per line, suitable for piping into plotting tools.
+//!
+//! [`section6`] holds the cost model behind Figures 9 and 10.
+
+pub mod section6;
 
 use dqmc::{HsField, ModelParams, SimParams};
 use lattice::Lattice;
@@ -198,3 +202,21 @@ mod tests {
         assert_eq!(*site_sweep(true).last().unwrap(), 32);
     }
 }
+
+// Tests of `section6`, one file per module they had when the cost studies
+// lived in `gpusim`, so a test has one name across the history of the suite.
+#[cfg(test)]
+#[path = "tests/cluster.rs"]
+mod cluster;
+#[cfg(test)]
+#[path = "tests/device.rs"]
+mod device;
+#[cfg(test)]
+#[path = "tests/gpu_strat.rs"]
+mod gpu_strat;
+#[cfg(test)]
+#[path = "tests/hybrid.rs"]
+mod hybrid;
+#[cfg(test)]
+#[path = "tests/wrap.rs"]
+mod wrap;

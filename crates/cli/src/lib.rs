@@ -25,12 +25,13 @@
 //! [`util::settings`] kind ([`Command`]), so files and argv have one
 //! reader, and every usage line is rendered from its table.
 
-use dqmc::SimParams;
+use dqmc::{Observables, SimParams, TimeDependentObs};
 use sched::{GridPoint, GridSpec};
 use serve::ServerConfig;
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
 use util::settings::{self, put, Dialect, Key, SettingsError, Value};
+use util::table::{fmt_f, Table};
 
 /// Which compute backend runs the sweep's cluster/wrap kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -365,7 +366,7 @@ pub const SERVE_SHUTDOWN: Command<ServeShutdown> = Command {
 pub const SERVE: Command<Serve> = Command {
     flags: Dialect { name: "dqmc-serve", base: None, keys: &[
         Key("addr", &[], "host:port", |s, v| put(&mut s.addr, v)),
-        Key("workers", &[], "N", |s, v| usize::read(v).map(|n| s.config.service.workers = n.max(1))),
+        Key("workers", &[], "N", |s, v| NonZeroUsize::read(v).map(|n| s.config.service.workers = n.get())),
         Key("devices", &[], "N", |s, v| put(&mut s.config.service.devices, v)),
         Key("quantum", &[], "SWEEPS", |s, v| put(&mut s.config.service.quantum, v)),
         Key("queue-bound", &[], "N", |s, v| put(&mut s.config.service.queue_bound, v)),
@@ -378,6 +379,43 @@ pub const SERVE: Command<Serve> = Command {
     operands: "", take: |_, ops| none(ops),
     init: || Serve { addr: ADDR.into(), ..Serve::default() }, more: String::new,
 };
+
+/// `dqmc-run`'s scalar table: the sign, the five sign-weighted jackknife
+/// estimates and `P_s(q=0)`. Under a collapsed sign
+/// ([`Observables::sign_collapsed`]) the sign-weighted rows have no
+/// estimate and print `-`.
+pub fn scalar_table(obs: &Observables) -> String {
+    let j = obs.jackknife_scalars();
+    let collapsed = obs.sign_collapsed();
+    let cell = |x: f64| if collapsed { "-".into() } else { fmt_f(x, 6) };
+    let mut t = Table::new(vec!["observable", "value", "error"]);
+    t.row(vec!["sign".into(), fmt_f(j.sign.0, 6), fmt_f(j.sign.1, 6)]);
+    #[rustfmt::skip]
+    let weighted = [
+        ("density", j.density), ("double-occ", j.double_occ),
+        ("e-kinetic", j.kinetic), ("e-potential", j.potential), ("S(pi,pi)", j.saf),
+    ];
+    for (name, (value, error)) in weighted {
+        t.row(vec![name.into(), cell(value), cell(error)]);
+    }
+    let ps = obs.swave_structure_factor();
+    t.row(vec!["P_s(q=0)".into(), cell(ps), "-".into()]);
+    t.render()
+}
+
+/// `dqmc-run`'s `G_loc(τ)` table, one `τ value error` line per τ point;
+/// `-` cells under a collapsed sign ([`TimeDependentObs::sign_collapsed`]).
+pub fn gloc_table(tdm: &TimeDependentObs) -> String {
+    let collapsed = tdm.sign_collapsed();
+    let line = |(tau, (g, e)): (&f64, (f64, f64))| {
+        if collapsed {
+            format!("{tau:.4}  -  -\n")
+        } else {
+            format!("{tau:.4}  {g:.5}  {e:.5}\n")
+        }
+    };
+    tdm.taus().iter().zip(tdm.gloc()).map(line).collect()
+}
 
 #[cfg(test)]
 mod tests {
@@ -648,13 +686,13 @@ mod tests {
         );
         let addr = SERVE_SHUTDOWN.parse(&words("--addr h:2")).unwrap().addr;
         assert_eq!(addr, "h:2");
-        let line = "--addr h:3 --workers 0 --devices 2 --quantum 5 --queue-bound 9 \
+        let line = "--addr h:3 --workers 3 --devices 2 --quantum 5 --queue-bound 9 \
                     --job-retries 4 --cache-dir c --max-tenant-campaigns 6 --fleet 2 \
                     --fleet-dir f";
         let serve = SERVE.parse(&words(line)).unwrap();
         let c = &serve.config;
         let service = (c.service.workers, c.service.devices, c.service.quantum);
-        assert_eq!(service, (1, 2, 5), "--workers 0 reads as 1");
+        assert_eq!(service, (3, 2, 5));
         let queue = (
             c.service.queue_bound,
             c.service.job_retries,
@@ -670,6 +708,7 @@ mod tests {
     fn command_lines_refuse_what_the_old_loops_refused() {
         for (command, line) in [
             (SHARD.parse(&words("g --procs 0")).err(), "--procs"),
+            (SERVE.parse(&words("--workers 0")).err(), "--workers"),
             (
                 SHARD.parse(&words("g --heartbeat-timeout-ms 0")).err(),
                 "--heartbeat",
@@ -689,6 +728,53 @@ mod tests {
             let e = command.unwrap_or_else(|| panic!("{line} was accepted"));
             assert!(e.to_string().contains(line), "{e}");
         }
+    }
+
+    #[test]
+    fn a_collapsed_sign_prints_no_estimate() {
+        // Two configurations of opposite sign in bins of one: the sign bins
+        // sum to exactly 0, so no sign-weighted row has an estimate.
+        let params = InputFile::parse("lx = 2\nly = 2\nslices = 4\nk = 2\n")
+            .unwrap()
+            .sim_params();
+        let model = &params.model;
+        let sim = dqmc::Simulation::new(params.clone());
+        let g = sim.greens(dqmc::Spin::Up);
+        let ladder = vec![g.clone(); 3];
+        let mut obs = Observables::new(model, 1);
+        let mut tdm = TimeDependentObs::new(&model.lattice, 2, model.slices, model.dtau, 1);
+        let record = |obs: &mut Observables, tdm: &mut TimeDependentObs, sign| {
+            obs.record(model.u, g, g, sign);
+            tdm.record(&ladder, &ladder, sign);
+        };
+        record(&mut obs, &mut tdm, 1.0);
+        record(&mut obs, &mut tdm, -1.0);
+        assert!(obs.sign_collapsed() && tdm.sign_collapsed());
+        fn cells(line: &str) -> Vec<&str> {
+            line.split_whitespace().skip(1).collect()
+        }
+        let scalars = scalar_table(&obs);
+        let rows: Vec<&str> = scalars.lines().skip(2).collect();
+        assert_eq!(rows.len(), 7, "{scalars}");
+        assert_eq!(cells(rows[0]), ["0.000000", "1.000000"], "the sign itself");
+        for row in &rows[1..] {
+            assert_eq!(cells(row), ["-", "-"], "{row}");
+        }
+        let gloc = gloc_table(&tdm);
+        assert_eq!(gloc.lines().count(), 3);
+        for line in gloc.lines() {
+            assert_eq!(cells(line), ["-", "-"], "{line}");
+        }
+        // Two more positive configurations and every row has an estimate.
+        record(&mut obs, &mut tdm, 1.0);
+        record(&mut obs, &mut tdm, 1.0);
+        assert!(!obs.sign_collapsed() && !tdm.sign_collapsed());
+        let (scalars, gloc) = (scalar_table(&obs), gloc_table(&tdm));
+        assert!(!scalars.contains("NaN") && !gloc.contains("NaN"));
+        let dashes = |line: &str| cells(line).iter().filter(|c| **c == "-").count();
+        let per_row: Vec<usize> = scalars.lines().skip(2).map(dashes).collect();
+        assert_eq!(per_row, [0, 0, 0, 0, 0, 0, 1], "only P_s has no error bar");
+        assert!(gloc.lines().all(|l| dashes(l) == 0), "{gloc}");
     }
 
     #[test]

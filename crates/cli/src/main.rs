@@ -15,7 +15,6 @@ use fleet::{ChildCommand, FleetConfig};
 use sched::{EventLog, GridSpec, SchedConfig, TraceEvent};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use util::table::{fmt_f, Table};
 
 /// Base backoff between `dqmc-run submit` resubmission attempts.
 const SUBMIT_BACKOFF: Duration = Duration::from_millis(100);
@@ -344,20 +343,8 @@ fn main() {
     }
 
     let obs = sim.observables();
-    let j = obs.jackknife_scalars();
     println!("\n## scalar observables (per site)");
-    let mut t = Table::new(vec!["observable", "value", "error"]);
-    #[rustfmt::skip]
-    let scalars = [
-        ("sign", j.sign), ("density", j.density), ("double-occ", j.double_occ),
-        ("e-kinetic", j.kinetic), ("e-potential", j.potential), ("S(pi,pi)", j.saf),
-    ];
-    for (name, (value, error)) in scalars {
-        t.row(vec![name.into(), fmt_f(value, 6), fmt_f(error, 6)]);
-    }
-    let ps = obs.swave_structure_factor();
-    t.row(vec!["P_s(q=0)".into(), fmt_f(ps, 6), "-".into()]);
-    print!("{}", t.render());
+    print!("{}", dqmc_cli::scalar_table(obs));
     println!(
         "\nacceptance {:.3}, max wrap error {:.2e}",
         sim.acceptance_rate(),
@@ -374,9 +361,7 @@ fn main() {
 
     if let Some(tdm) = sim.time_dependent() {
         println!("\n## G_loc(tau)");
-        for (tau, (g, e)) in tdm.taus().iter().zip(tdm.gloc()) {
-            println!("{tau:.4}  {g:.5}  {e:.5}");
-        }
+        print!("{}", dqmc_cli::gloc_table(tdm));
     }
 
     println!("\n## phase breakdown");

@@ -45,16 +45,6 @@ impl ConditionProfile {
     }
 }
 
-/// Cumulative count of pivoted-QR norm-downdate safeguard recomputations
-/// (LAPACK working note 176 criterion) across all QRP calls in the process.
-///
-/// A burst here means the partial column norms lost too much accuracy to
-/// certify the pivot order — the numerical smoke that precedes a grading
-/// failure. Sample before/after a sweep and report the delta.
-pub fn qrp_norm_recomputes() -> u64 {
-    linalg::check::norm_downdate_recomputes()
-}
-
 /// Profiles the conditioning of `B(τ,0)` for one spin species along the
 /// chain, clustered by `k`.
 pub fn condition_profile(

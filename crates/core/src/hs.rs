@@ -55,15 +55,6 @@ impl HsField {
         *v = -*v;
     }
 
-    /// The whole slice `l` as ±1.0 values (length `N`).
-    pub fn slice_values(&self, l: usize) -> Vec<f64> {
-        debug_assert!(l < self.slices);
-        self.h[l * self.nsites..(l + 1) * self.nsites]
-            .iter()
-            .map(|&v| v as f64)
-            .collect()
-    }
-
     /// Net magnetisation of the field, `Σ h / (LN)` — handy diagnostics.
     pub fn mean(&self) -> f64 {
         self.h.iter().map(|&v| v as i64).sum::<i64>() as f64 / self.h.len() as f64
@@ -156,13 +147,5 @@ mod tests {
         assert!(HsField::decode(&mut util::codec::ByteReader::new(&bad)).is_err());
         // Truncation is a clean error too.
         assert!(HsField::decode(&mut util::codec::ByteReader::new(&bytes[..10])).is_err());
-    }
-
-    #[test]
-    fn slice_values_extract() {
-        let mut f = HsField::ones(3, 2);
-        f.flip(1, 0);
-        assert_eq!(f.slice_values(0), vec![1.0, 1.0, 1.0]);
-        assert_eq!(f.slice_values(1), vec![-1.0, 1.0, 1.0]);
     }
 }

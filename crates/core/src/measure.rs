@@ -211,6 +211,11 @@ impl Observables {
         util::jackknife_mean(self.sign.bins())
     }
 
+    /// Whether the sign has collapsed: no estimate ([`util::sign_collapsed`]).
+    pub fn sign_collapsed(&self) -> bool {
+        util::sign_collapsed(self.sign.bins())
+    }
+
     /// The scalar observables with delete-one jackknife error bars — the
     /// pooled estimator of the sweep harness, and the accessors below
     /// one by one.

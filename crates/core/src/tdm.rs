@@ -115,9 +115,6 @@ pub struct TimeDependentObs {
     count: usize,
 }
 
-/// The momenta tracked by [`TimeDependentObs`]: Γ=(0,0), M=(π,π), X=(π,0).
-pub const TRACKED_K: [&str; 3] = ["Gamma", "M", "X"];
-
 impl TimeDependentObs {
     /// Creates accumulators for `nclusters + 1` τ points spaced `k·Δτ`.
     pub fn new(lat: &Lattice, k: usize, slices: usize, dtau: f64, bin: usize) -> Self {
@@ -191,6 +188,11 @@ impl TimeDependentObs {
     /// Recorded configuration count.
     pub fn count(&self) -> usize {
         self.count
+    }
+
+    /// Whether the sign has collapsed: no estimate ([`util::sign_collapsed`]).
+    pub fn sign_collapsed(&self) -> bool {
+        util::sign_collapsed(self.sign.bins())
     }
 
     /// `G_loc(τ_c)` estimates with jackknife errors (sign-normalised).

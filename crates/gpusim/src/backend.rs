@@ -87,11 +87,6 @@ impl DeviceBackend {
     pub fn device(&self) -> &Device {
         &self.dev
     }
-
-    /// Mutable device access — for arming a [`crate::FaultPlan`] mid-run.
-    pub fn device_mut(&mut self) -> &mut Device {
-        &mut self.dev
-    }
 }
 
 impl ComputeBackend for DeviceBackend {
@@ -167,6 +162,13 @@ mod tests {
         (fac, h)
     }
 
+    /// A C2050 backend with `plan` armed.
+    fn armed(plan: FaultPlan) -> DeviceBackend {
+        let mut dev = Device::new(DeviceSpec::tesla_c2050());
+        dev.arm_faults(plan);
+        DeviceBackend::new(dev)
+    }
+
     /// One walker's `Spin::Up` cluster product through the backend.
     fn cluster_one(
         be: &mut DeviceBackend,
@@ -231,10 +233,8 @@ mod tests {
     #[test]
     fn launch_failure_surfaces_as_device_fault_and_retry_heals() {
         let (fac, h) = setup();
-        let mut devb = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
         // Launch #2 is the first scale kernel inside the cluster product.
-        devb.device_mut()
-            .arm_faults(FaultPlan::new().fail_launch(2));
+        let mut devb = armed(FaultPlan::new().fail_launch(2));
         let err = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
         assert_eq!(err.kind, dqmc::FaultKind::Device);
         assert!(
@@ -252,9 +252,7 @@ mod tests {
     #[test]
     fn hang_and_sick_window_classify_as_sick_faults() {
         let (fac, h) = setup();
-        let mut devb = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
-        devb.device_mut()
-            .arm_faults(FaultPlan::new().hang_at_launch(1).sick_window(2, 2));
+        let mut devb = armed(FaultPlan::new().hang_at_launch(1).sick_window(2, 2));
         let hang = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
         assert_eq!(hang.kind, dqmc::FaultKind::Sick, "{hang}");
         assert!(hang.is_sick());
@@ -272,10 +270,8 @@ mod tests {
     #[test]
     fn corrupted_download_returns_tainted_ok() {
         let (fac, h) = setup();
-        let mut devb = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
         // Download #1 is the cluster product coming back.
-        devb.device_mut()
-            .arm_faults(FaultPlan::new().with_seed(3).corrupt_transfer(1));
+        let mut devb = armed(FaultPlan::new().with_seed(3).corrupt_transfer(1));
         let tainted = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap();
         assert!(
             linalg::check::first_non_finite(tainted.as_slice()).is_some(),

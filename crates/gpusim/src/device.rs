@@ -61,46 +61,6 @@ impl DeviceSpec {
     }
 }
 
-/// Performance model of the host CPU used by the hybrid driver — a
-/// two-socket four-core Nehalem node like the paper's Carver (§VI-C).
-#[derive(Clone, Debug)]
-pub struct HostSpec {
-    /// Sustained DGEMM rate, GFlop/s.
-    pub gemm_gflops: f64,
-    /// Matrix order at which DGEMM reaches half rate.
-    pub gemm_half_n: f64,
-    /// QR (DGEQRF) fraction of the GEMM rate (panel overhead).
-    pub qr_fraction: f64,
-    /// Pivoted QR (DGEQP3) fraction of the GEMM rate (level-2 bound).
-    pub qrp_fraction: f64,
-    /// Memory bandwidth for level-1/2 sweeps, GB/s.
-    pub mem_bandwidth_gbs: f64,
-}
-
-impl HostSpec {
-    /// Eight Nehalem cores with MKL-class efficiency.
-    pub fn nehalem_2s4c() -> Self {
-        HostSpec {
-            gemm_gflops: 70.0,
-            gemm_half_n: 48.0,
-            qr_fraction: 0.55,
-            qrp_fraction: 0.17,
-            mem_bandwidth_gbs: 32.0,
-        }
-    }
-
-    /// Effective host GEMM rate at order `n`.
-    pub fn gemm_rate(&self, n: usize) -> f64 {
-        let n = n as f64;
-        self.gemm_gflops * n / (n + self.gemm_half_n)
-    }
-
-    /// Modelled seconds for an `n³`-order kernel at a fraction of GEMM rate.
-    pub fn level3_time(&self, flops: f64, n: usize, fraction: f64) -> f64 {
-        flops / (self.gemm_rate(n) * fraction * 1e9)
-    }
-}
-
 /// The simulated accelerator: a CUBLAS-like handle that holds no matrix
 /// data. Its operations take shapes, advance a simulated clock, count
 /// what they did and fire the armed [`FaultPlan`]; the numbers themselves
@@ -528,18 +488,6 @@ mod tests {
         d.try_scale_cublas(Side::Left, 8, 8).unwrap(); // 8 launches
         d.try_scale_kernel_batched(Side::Left, 64, 1).unwrap(); // 1 launch
         assert_eq!(d.kernels_launched(), 9);
-    }
-
-    #[test]
-    fn host_spec_rates_ordered() {
-        let h = HostSpec::nehalem_2s4c();
-        // The Figure 1 ordering: GEMM > QR > QRP.
-        assert!(h.qr_fraction > h.qrp_fraction);
-        assert!(h.gemm_rate(1024) > h.gemm_rate(64));
-        let t_gemm = h.level3_time(1e9, 512, 1.0);
-        let t_qr = h.level3_time(1e9, 512, h.qr_fraction);
-        let t_qrp = h.level3_time(1e9, 512, h.qrp_fraction);
-        assert!(t_gemm < t_qr && t_qr < t_qrp);
     }
 
     #[test]

@@ -1,31 +1,17 @@
-//! The Section VI device kernels — Algorithms 4–7 of the paper — as bills.
+//! The sweep's two Section VI device kernels as bills, batched over a
+//! crowd of walkers: [`try_cluster_crowd`] (Algorithm 4's data flow with
+//! Algorithm 5's one-launch scaling kernels) and [`try_wrap_crowd`]
+//! (Algorithm 6 in the host's op order). Figure 9's one-walker cost studies
+//! are shape-only bills in `bench::section6`.
 //!
-//! Two operations, two forms each:
-//!
-//! | | runs the sweep (batched) | Figure 9's cost study (one walker) |
-//! |---|---|---|
-//! | cluster product `B_{hi−1} ⋯ B_{lo}` | [`try_cluster_crowd`] — Algorithm 4's data flow with Algorithm 5's one-launch scaling kernels | [`try_cluster_cublas`] — Algorithm 4 verbatim, a `cublasDscal` per row |
-//! | wrap `G ← B_l G B_l⁻¹` | [`try_wrap_crowd`] — the host's op order as four launches | [`try_wrap_on_device_into`] — Algorithm 6 around Algorithm 7's fused scaling kernel |
-//!
-//! `e^{−ΔτK}` is resident in device memory for the whole simulation. A
-//! cluster ships `k` diagonal vectors down and one `N×N` product back, so
-//! `k` GEMMs amortise one transfer and clustering approaches device GEMM
-//! speed; a wrap moves `G` both ways for two GEMMs and cannot (the Figure 9
-//! gap). The sweep's kernels take the orders of `e^{∓ΔτK}`'s factors
-//! (`BMatrixFactory::expk_kron`) and bill one launch per factor; the cost
-//! studies bill the one dense matrix, the paper's DGEMM.
-//!
-//! The device computes nothing. The sweep's kernels bill the launches,
-//! transfers and allocations that produce matrices the host computed
-//! (`dqmc::HostBackend`, in [`crate::DeviceBackend`]) and then download
-//! them, which is where a scripted bit flip or transfer corruption lands;
-//! so placing a run on the device changes its model clock and never a byte
-//! of its output. Every [`Device`] op they issue takes the whole slice of
-//! walkers, so launch overhead and transfer latency are paid once per call
-//! instead of once per walker; a solo run passes a slice of one. The cost
-//! studies compute their own results on the host: Algorithm 4's product is
-//! [`BMatrixFactory::cluster`]'s, and Algorithm 7's wrap runs its own op
-//! order (two-sided scaling first) with `linalg`.
+//! `e^{−ΔτK}` is resident in device memory for the whole simulation. Both
+//! kernels take the orders of its factors (`BMatrixFactory::expk_kron`),
+//! bill one launch per factor, and download matrices the host computed
+//! ([`crate::DeviceBackend`]), which is where a scripted bit flip or
+//! transfer corruption lands. Every [`Device`] op they call takes the
+//! whole slice of walkers, so launch overhead and transfer latency are paid
+//! once per call instead of once per walker; a solo run passes a slice of
+//! one.
 //!
 //! Every kernel returns a [`DeviceError`] on a scheduled launch failure or
 //! arena exhaustion and performs **no finiteness check** on what it
@@ -34,9 +20,7 @@
 
 use crate::device::Device;
 use crate::faults::DeviceError;
-use dqmc::{BMatrixFactory, HsField, Spin};
-use linalg::blas3::{gemm, Op};
-use linalg::{kron, scale, workspace, Matrix, Side};
+use linalg::{kron, Matrix, Side};
 
 /// Bills one application of the operator whose factors have `orders`
 /// (fastest axis first), from `side`, to every entry of a `b`-entry stack
@@ -61,8 +45,8 @@ fn try_kron_apply(
 /// (row-scale, `e^{−ΔτK}` factor by factor, col-scale, `e^{+ΔτK}` factor
 /// by factor — `BMatrixFactory::wrap_into`) and then downloads. `expk` and
 /// `expk_inv` are the orders of the resident factors; with one dense
-/// factor each, one launch more than the fused
-/// [`try_wrap_on_device_into`]: the modelled price of determinism.
+/// factor each, one launch more than Algorithm 7's fused two-sided scaling
+/// (`bench::section6::try_wrap_fused`): the modelled price of determinism.
 ///
 /// Cost shape: **2 + 2d kernel launches** for the whole call (two batched
 /// scales, one strided-batched GEMM per factor) instead of `(2 + 2d)·B`,
@@ -130,85 +114,5 @@ pub fn try_cluster_crowd(
         try_kron_apply(dev, expk, Side::Left, n, b)?;
     }
     dev.download(products);
-    Ok(())
-}
-
-/// Algorithm 4 verbatim (the CUBLAS formulation Figure 9 measures
-/// Algorithm 5 against): one walker's `B_{hi−1} ⋯ B_{lo}`, billed as a
-/// `cublasDcopy` and a per-vector `cublasDscal` loop (N launches) for each
-/// `V` scaling around one dense GEMM per slice, and returned from
-/// [`BMatrixFactory::cluster`] — the product the sweep bills with
-/// [`try_cluster_crowd`], under a different bill.
-///
-/// With our `B = e^{−ΔτK}·V` convention the accumulation is
-/// `T ← e^{−ΔτK}·(diag(V_l)·T)` after seeding `T = e^{−ΔτK}·diag(V_lo)`;
-/// the per-element scaling work matches the paper's Algorithm 4 exactly.
-pub fn try_cluster_cublas(
-    dev: &mut Device,
-    fac: &BMatrixFactory,
-    h: &HsField,
-    lo: usize,
-    hi: usize,
-    spin: Spin,
-) -> Result<Matrix, DeviceError> {
-    let n = fac.nsites();
-    dev.try_dcopy(n * n)?;
-    dev.upload(n);
-    dev.try_scale_cublas(Side::Right, n, n)?;
-    for _ in (lo + 1)..hi {
-        dev.upload(n);
-        dev.try_dcopy(n * n)?;
-        dev.try_scale_cublas(Side::Left, n, n)?;
-        try_kron_apply(dev, &[n], Side::Left, n, 1)?;
-    }
-    let mut product = fac.cluster(h, lo, hi, spin);
-    dev.download(&mut [&mut product]);
-    Ok(product)
-}
-
-/// Algorithm 6 around Algorithm 7's fused kernel (the paper's throughput
-/// formulation, Figure 9's `gpu-wrap` column): wraps one walker's
-/// `G ← B_l G B_l⁻¹` into a pre-allocated host matrix, with the dense
-/// `e^{−ΔτK}` and `e^{+ΔτK}`.
-///
-/// With `B = e^{−ΔτK}·V`: `B G B⁻¹ = e^{−ΔτK} (V G V⁻¹) e^{+ΔτK}` — one
-/// two-sided scaling between two GEMMs, three launches. The scaling runs
-/// *before* the GEMMs, so the floating-point op order differs from the host
-/// path and the result agrees with it to the last few ulps, not bit for bit;
-/// the sweep therefore bills [`try_wrap_crowd`] and this form stays a cost
-/// study.
-#[allow(clippy::too_many_arguments)]
-pub fn try_wrap_on_device_into(
-    dev: &mut Device,
-    expk: &Matrix,
-    expk_inv: &Matrix,
-    fac: &BMatrixFactory,
-    h: &HsField,
-    l: usize,
-    spin: Spin,
-    g: &Matrix,
-    out: &mut Matrix,
-) -> Result<(), DeviceError> {
-    let n = fac.nsites();
-    dev.upload(n * n);
-    dev.upload(n);
-    dev.try_wrap_scale_kernel(n * n)?;
-    dev.try_alloc(n, n, 1)?;
-    try_kron_apply(dev, &[n], Side::Left, n, 1)?;
-    dev.try_alloc(n, n, 1)?;
-    try_kron_apply(dev, &[n], Side::Right, n, 1)?;
-    // V G V⁻¹ as the texture-cache kernel computes it, then the two GEMMs.
-    let v = fac.v_diag(h, l, spin);
-    let vinv: Vec<f64> = v.iter().map(|&x| 1.0 / x).collect();
-    let mut vgv = workspace::take_matrix(n, n);
-    vgv.copy_from(g);
-    scale::row_col_scale(&v, &vinv, &mut vgv);
-    let mut t = workspace::take_matrix(n, n);
-    gemm(1.0, expk, Op::NoTrans, &vgv, Op::NoTrans, 0.0, &mut t);
-    gemm(1.0, &t, Op::NoTrans, expk_inv, Op::NoTrans, 0.0, out);
-    workspace::put(v);
-    workspace::put_matrix(vgv);
-    workspace::put_matrix(t);
-    dev.download(&mut [out]);
     Ok(())
 }

@@ -1,11 +1,12 @@
-//! Tests of the two cluster-product kernels in [`crate::kernels`].
+//! Tests of the batched cluster-product kernel in [`crate::kernels`], one
+//! walker at a time.
 
 #[cfg(test)]
 mod tests {
     use crate::device::Device;
     use crate::device_with_residents;
     use crate::faults::{DeviceError, FaultPlan};
-    use crate::kernels::{try_cluster_crowd, try_cluster_cublas};
+    use crate::kernels::try_cluster_crowd;
     use dqmc::{BMatrixFactory, HsField, ModelParams, Spin};
     use lattice::Lattice;
     use linalg::Matrix;
@@ -34,62 +35,18 @@ mod tests {
     }
 
     #[test]
-    fn cublas_cluster_matches_host() {
-        let (model, fac, h) = setup();
-        let (mut dev, _, _) = device_with_residents(&model);
-        let got = try_cluster_cublas(&mut dev, &fac, &h, 0, 10, Spin::Up).unwrap();
-        let want = fac.cluster(&h, 0, 10, Spin::Up);
-        assert!(
-            got.max_abs_diff(&want) < 1e-12 * want.max_abs().max(1.0),
-            "{}",
-            got.max_abs_diff(&want)
-        );
-        assert!(dev.elapsed() > 0.0);
-    }
-
-    #[test]
     fn custom_kernel_cluster_matches_host() {
         let (model, fac, h) = setup();
-        let (mut dev, _, _) = device_with_residents(&model);
+        let mut dev = device_with_residents(&model);
         let got = cluster_one(&mut dev, &fac, &h, 3, 13, Spin::Down).unwrap();
         let want = fac.cluster(&h, 3, 13, Spin::Down);
         assert!(got.max_abs_diff(&want) < 1e-12 * want.max_abs().max(1.0));
     }
 
     #[test]
-    fn both_variants_identical_numerics() {
-        let (model, fac, h) = setup();
-        let (mut d1, _, _) = device_with_residents(&model);
-        let a = try_cluster_cublas(&mut d1, &fac, &h, 0, 10, Spin::Up).unwrap();
-        let (mut d2, _, _) = device_with_residents(&model);
-        let b = cluster_one(&mut d2, &fac, &h, 0, 10, Spin::Up).unwrap();
-        assert_eq!(a, b, "cost models differ, numerics must not");
-        assert!(d1.elapsed() != d2.elapsed());
-    }
-
-    #[test]
-    fn custom_kernel_is_faster() {
-        let (model, fac, h) = setup();
-        let (mut d1, _, _) = device_with_residents(&model);
-        d1.reset_clock();
-        try_cluster_cublas(&mut d1, &fac, &h, 0, 10, Spin::Up).unwrap();
-
-        let (mut d2, _, _) = device_with_residents(&model);
-        d2.reset_clock();
-        cluster_one(&mut d2, &fac, &h, 0, 10, Spin::Up).unwrap();
-
-        assert!(
-            d2.elapsed() < d1.elapsed(),
-            "custom {} !< cublas {}",
-            d2.elapsed(),
-            d1.elapsed()
-        );
-    }
-
-    #[test]
     fn transfers_are_k_vectors_plus_one_matrix() {
         let (model, fac, h) = setup();
-        let (mut dev, _, _) = device_with_residents(&model);
+        let mut dev = device_with_residents(&model);
         let before = dev.bytes_transferred();
         cluster_one(&mut dev, &fac, &h, 0, 10, Spin::Up).unwrap();
         let moved = dev.bytes_transferred() - before;
@@ -101,7 +58,7 @@ mod tests {
     #[test]
     fn try_cluster_launch_failure_errs_then_retry_matches_host() {
         let (model, fac, h) = setup();
-        let (mut dev, _, _) = device_with_residents(&model);
+        let mut dev = device_with_residents(&model);
         // Launch #3 is the first row-scaling kernel inside the loop.
         dev.arm_faults(FaultPlan::new().fail_launch(3));
         let err = cluster_one(&mut dev, &fac, &h, 0, 10, Spin::Up);
@@ -114,7 +71,7 @@ mod tests {
     #[test]
     fn try_cluster_returns_tainted_product_without_panic() {
         let (model, fac, h) = setup();
-        let (mut dev, _, _) = device_with_residents(&model);
+        let mut dev = device_with_residents(&model);
         dev.arm_faults(FaultPlan::new().with_seed(4).corrupt_transfer(1));
         let tainted = cluster_one(&mut dev, &fac, &h, 0, 10, Spin::Up).unwrap();
         assert!(linalg::check::first_non_finite(tainted.as_slice()).is_some());
@@ -128,7 +85,7 @@ mod tests {
         let fac = BMatrixFactory::new(&model);
         let mut rng = util::Rng::new(9);
         let h = HsField::random(256, 10, &mut rng);
-        let (mut dev, _, _) = device_with_residents(&model);
+        let mut dev = device_with_residents(&model);
         dev.reset_clock();
         cluster_one(&mut dev, &fac, &h, 0, 10, Spin::Up).unwrap();
         let flops = 9.0 * 2.0 * 256f64.powi(3); // k−1 GEMMs dominate

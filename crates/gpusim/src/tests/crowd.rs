@@ -49,7 +49,7 @@ mod tests {
         let b = 4usize;
         let n = 16usize;
         let (model, fac, hs, gs) = setup(b);
-        let (mut dev, _, _) = device_with_residents(&model);
+        let mut dev = device_with_residents(&model);
         let (k0, b0) = (dev.kernels_launched(), dev.bytes_transferred());
         wrap_call(&mut dev, &fac, &hs, &gs);
         assert_eq!(dev.kernels_launched() - k0, 4);
@@ -70,7 +70,7 @@ mod tests {
     fn crowd_wrap_is_cheaper_than_solo_wraps_on_the_model_clock() {
         let b = 8usize;
         let (model, fac, hs, gs) = setup(b);
-        let (mut dev, _, _) = device_with_residents(&model);
+        let mut dev = device_with_residents(&model);
 
         dev.reset_clock();
         wrap_call(&mut dev, &fac, &hs, &gs);

@@ -1,4 +1,4 @@
-//! Level-1 vector kernels (ddot / daxpy / dscal / dnrm2 / idamax analogues).
+//! Level-1 vector kernels (ddot / daxpy / dscal / dnrm2 / dswap / dcopy analogues).
 //!
 //! These are the scalar building blocks of the factorizations, written as
 //! straightforward loops over slices. Their cost is *not* negligible next to
@@ -79,25 +79,6 @@ pub fn nrm2(x: &[f64]) -> f64 {
     scale * ssq.sqrt()
 }
 
-/// Index of the element with the largest absolute value (first on ties).
-///
-/// Returns `None` for an empty slice.
-pub fn idamax(x: &[f64]) -> Option<usize> {
-    if x.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    let mut bestval = x[0].abs();
-    for (i, &xi) in x.iter().enumerate().skip(1) {
-        let a = xi.abs();
-        if a > bestval {
-            best = i;
-            bestval = a;
-        }
-    }
-    Some(best)
-}
-
 /// Swaps the contents of two equal-length slices.
 pub fn swap(x: &mut [f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
@@ -155,13 +136,6 @@ mod tests {
         // Would underflow to 0 naively.
         let small = nrm2(&[1e-200, 1e-200]);
         assert!((small / (1e-200 * 2.0f64.sqrt()) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn idamax_ties_and_signs() {
-        assert_eq!(idamax(&[1.0, -5.0, 5.0, 2.0]), Some(1));
-        assert_eq!(idamax(&[]), None);
-        assert_eq!(idamax(&[0.0]), Some(0));
     }
 
     #[test]

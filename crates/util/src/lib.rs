@@ -47,8 +47,8 @@ pub use codec::{crc32, ByteReader, ByteWriter, CodecError, Fnv1a};
 pub use error::{DqmcError, Severity};
 pub use rng::{derive_seed, Rng};
 pub use stats::{
-    autocorrelation_time, jackknife_mean, jackknife_ratio, BinnedAccumulator, FiveNumber,
-    RunningStats,
+    autocorrelation_time, jackknife_mean, jackknife_ratio, sign_collapsed, BinnedAccumulator,
+    FiveNumber, RunningStats,
 };
 pub use sync::relock;
 pub use timer::{PhaseTimer, SimClock};

@@ -83,15 +83,10 @@ impl Rng {
         Rng { s }
     }
 
-    /// Creates a generator from an explicit 256-bit state (must be non-zero).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&x| x != 0), "xoshiro state must be non-zero");
-        Rng { s }
-    }
-
-    /// The current 256-bit state. `Rng::from_state(rng.state())` resumes the
-    /// stream exactly where it left off — this is what makes checkpointed
-    /// runs bit-identical to uninterrupted ones.
+    /// The current 256-bit state, which [`Rng::encode`] writes and
+    /// [`Rng::decode`] restores: the restored generator resumes the stream
+    /// exactly where it left off — this is what makes checkpointed runs
+    /// bit-identical to uninterrupted ones.
     pub fn state(&self) -> [u64; 4] {
         self.s
     }
@@ -199,7 +194,7 @@ mod tests {
     /// state seeded as {1, 2, 3, 4}.
     #[test]
     fn matches_reference_vector() {
-        let mut rng = Rng::from_state([1, 2, 3, 4]);
+        let mut rng = Rng { s: [1, 2, 3, 4] };
         let expected: [u64; 8] = [
             41943041,
             58720359,
@@ -313,12 +308,6 @@ mod tests {
         let mut c2 = parent.split();
         let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
         assert!(same < 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_state_rejected() {
-        let _ = Rng::from_state([0; 4]);
     }
 
     #[test]

@@ -252,6 +252,12 @@ pub fn jackknife_mean(bins: &[f64]) -> (f64, f64) {
     (mean, (nm1 / n as f64 * sq).sqrt())
 }
 
+/// Whether the sign bins `sign` sum to exactly 0 (or there are none): the
+/// sign has collapsed, and a sign-weighted ratio over them has no estimate.
+pub fn sign_collapsed(sign: &[f64]) -> bool {
+    sign.iter().sum::<f64>() == 0.0
+}
+
 /// Delete-one jackknife of the ratio estimator `mean(num) / mean(den)` over
 /// paired bins — the sign-problem observable estimator: each physical
 /// observable is `⟨O·s⟩ / ⟨s⟩`, and the jackknife propagates the (correlated)
@@ -260,16 +266,16 @@ pub fn jackknife_mean(bins: &[f64]) -> (f64, f64) {
 ///
 /// `num` and `den` must pair up index-wise (bin `i` of both came from the
 /// same block of sweeps). Returns `(ratio, err)`; with fewer than two bins
-/// the error is 0, and an exactly-zero denominator sum yields `(0, 0)`
-/// (the sign has collapsed; no estimate exists).
+/// the error is 0, and a [`sign_collapsed`] denominator yields `(0, 0)`
+/// (no estimate exists).
 pub fn jackknife_ratio(num: &[f64], den: &[f64]) -> (f64, f64) {
     assert_eq!(num.len(), den.len(), "jackknife bins must pair up");
+    if sign_collapsed(den) {
+        return (0.0, 0.0);
+    }
     let n = num.len();
     let sn: f64 = num.iter().sum();
     let sd: f64 = den.iter().sum();
-    if n == 0 || sd == 0.0 {
-        return (0.0, 0.0);
-    }
     let ratio = sn / sd;
     if n < 2 {
         return (ratio, 0.0);

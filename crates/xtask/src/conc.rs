@@ -30,7 +30,7 @@ use crate::rules::{Allowlist, Rule, Violation};
 
 /// Calls that must not run under a held lock (R6). Dotted / suffixed
 /// forms so plain `fn` definitions don't trip the scan.
-const EXPENSIVE_TOKENS: [&str; 16] = [
+const EXPENSIVE_TOKENS: [&str; 14] = [
     ".wait(",
     ".wait_timeout(",
     "pop_blocking(",
@@ -44,9 +44,7 @@ const EXPENSIVE_TOKENS: [&str; 16] = [
     ".encode(",
     "run_sweep",
     "try_cluster_crowd(",
-    "try_cluster_cublas(",
     "try_wrap_crowd(",
-    "try_wrap_on_device_into(",
 ];
 
 /// Condvar-style calls that *consume* the guard they are passed.
