@@ -380,14 +380,26 @@ pub const SERVE: Command<Serve> = Command {
     init: || Serve { addr: ADDR.into(), ..Serve::default() }, more: String::new,
 };
 
+/// A table cell: `-` where there is no estimate (a collapsed sign, or a
+/// value that is not finite), else `x` to `decimals` places.
+fn estimate(x: f64, collapsed: bool, decimals: usize) -> String {
+    if collapsed || !x.is_finite() {
+        "-".into()
+    } else {
+        fmt_f(x, decimals)
+    }
+}
+
 /// `dqmc-run`'s scalar table: the sign, the five sign-weighted jackknife
 /// estimates and `P_s(q=0)`. Under a collapsed sign
 /// ([`Observables::sign_collapsed`]) the sign-weighted rows have no
-/// estimate and print `-`.
+/// estimate and print `-`; so does any other cell that is not finite (an
+/// error bar [`util::jackknife_ratio`] cannot give, a `P_s` over a zero
+/// total weight).
 pub fn scalar_table(obs: &Observables) -> String {
     let j = obs.jackknife_scalars();
     let collapsed = obs.sign_collapsed();
-    let cell = |x: f64| if collapsed { "-".into() } else { fmt_f(x, 6) };
+    let cell = |x: f64| estimate(x, collapsed, 6);
     let mut t = Table::new(vec!["observable", "value", "error"]);
     t.row(vec!["sign".into(), fmt_f(j.sign.0, 6), fmt_f(j.sign.1, 6)]);
     #[rustfmt::skip]
@@ -404,17 +416,24 @@ pub fn scalar_table(obs: &Observables) -> String {
 }
 
 /// `dqmc-run`'s `G_loc(τ)` table, one `τ value error` line per τ point;
-/// `-` cells under a collapsed sign ([`TimeDependentObs::sign_collapsed`]).
+/// `-` cells under a collapsed sign ([`TimeDependentObs::sign_collapsed`])
+/// and for any cell that is not finite.
 pub fn gloc_table(tdm: &TimeDependentObs) -> String {
     let collapsed = tdm.sign_collapsed();
-    let line = |(tau, (g, e)): (&f64, (f64, f64))| {
-        if collapsed {
-            format!("{tau:.4}  -  -\n")
-        } else {
-            format!("{tau:.4}  {g:.5}  {e:.5}\n")
-        }
-    };
+    let cell = |x: f64| estimate(x, collapsed, 5);
+    let line = |(tau, (g, e)): (&f64, (f64, f64))| format!("{tau:.4}  {}  {}\n", cell(g), cell(e));
     tdm.taus().iter().zip(tdm.gloc()).map(line).collect()
+}
+
+/// `dqmc-run`'s `<n_k>` table, one `arc value` line per point of the
+/// Γ→M→X→Γ path; `-` where `⟨n_k⟩` is not finite (a zero total weight,
+/// see [`Observables::czz`]).
+pub fn nk_table(obs: &Observables) -> String {
+    let line = |(arc, v): (f64, f64)| format!("{arc:.4}  {}\n", estimate(v, false, 4));
+    obs.momentum_distribution_path()
+        .into_iter()
+        .map(line)
+        .collect()
 }
 
 #[cfg(test)]
@@ -730,10 +749,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_collapsed_sign_prints_no_estimate() {
-        // Two configurations of opposite sign in bins of one: the sign bins
-        // sum to exactly 0, so no sign-weighted row has an estimate.
+    /// Hand-built configurations of the given signs, all with one Green's
+    /// function, in bins of `bin`.
+    fn recorded(signs: &[f64], bin: usize) -> (Observables, TimeDependentObs) {
         let params = InputFile::parse("lx = 2\nly = 2\nslices = 4\nk = 2\n")
             .unwrap()
             .sim_params();
@@ -741,18 +759,26 @@ mod tests {
         let sim = dqmc::Simulation::new(params.clone());
         let g = sim.greens(dqmc::Spin::Up);
         let ladder = vec![g.clone(); 3];
-        let mut obs = Observables::new(model, 1);
-        let mut tdm = TimeDependentObs::new(&model.lattice, 2, model.slices, model.dtau, 1);
-        let record = |obs: &mut Observables, tdm: &mut TimeDependentObs, sign| {
+        let mut obs = Observables::new(model, bin);
+        let mut tdm = TimeDependentObs::new(&model.lattice, 2, model.slices, model.dtau, bin);
+        for &sign in signs {
             obs.record(model.u, g, g, sign);
             tdm.record(&ladder, &ladder, sign);
-        };
-        record(&mut obs, &mut tdm, 1.0);
-        record(&mut obs, &mut tdm, -1.0);
-        assert!(obs.sign_collapsed() && tdm.sign_collapsed());
-        fn cells(line: &str) -> Vec<&str> {
-            line.split_whitespace().skip(1).collect()
         }
+        (obs, tdm)
+    }
+
+    /// A table line's cells after its first (the row's name or τ).
+    fn cells(line: &str) -> Vec<&str> {
+        line.split_whitespace().skip(1).collect()
+    }
+
+    #[test]
+    fn a_collapsed_sign_prints_no_estimate() {
+        // Two configurations of opposite sign in bins of one: the sign bins
+        // sum to exactly 0, so no sign-weighted row has an estimate.
+        let (obs, tdm) = recorded(&[1.0, -1.0], 1);
+        assert!(obs.sign_collapsed() && tdm.sign_collapsed());
         let scalars = scalar_table(&obs);
         let rows: Vec<&str> = scalars.lines().skip(2).collect();
         assert_eq!(rows.len(), 7, "{scalars}");
@@ -766,8 +792,7 @@ mod tests {
             assert_eq!(cells(line), ["-", "-"], "{line}");
         }
         // Two more positive configurations and every row has an estimate.
-        record(&mut obs, &mut tdm, 1.0);
-        record(&mut obs, &mut tdm, 1.0);
+        let (obs, tdm) = recorded(&[1.0, -1.0, 1.0, 1.0], 1);
         assert!(!obs.sign_collapsed() && !tdm.sign_collapsed());
         let (scalars, gloc) = (scalar_table(&obs), gloc_table(&tdm));
         assert!(!scalars.contains("NaN") && !gloc.contains("NaN"));
@@ -775,6 +800,42 @@ mod tests {
         let per_row: Vec<usize> = scalars.lines().skip(2).map(dashes).collect();
         assert_eq!(per_row, [0, 0, 0, 0, 0, 0, 1], "only P_s has no error bar");
         assert!(gloc.lines().all(|l| dashes(l) == 0), "{gloc}");
+    }
+
+    #[test]
+    fn an_error_bar_with_no_delete_one_sign_prints_a_dash() {
+        // Sign bins +1, −1, +1: two delete-one sign sums are 0, so every
+        // sign-weighted error is NaN while the values stand.
+        let (obs, tdm) = recorded(&[1.0, -1.0, 1.0], 1);
+        assert!(!obs.sign_collapsed() && !tdm.sign_collapsed());
+        let (scalars, gloc) = (scalar_table(&obs), gloc_table(&tdm));
+        assert!(
+            !scalars.contains("NaN") && !gloc.contains("NaN"),
+            "{scalars}{gloc}"
+        );
+        let weighted = scalars.lines().skip(3).take(5);
+        for line in weighted.chain(gloc.lines()) {
+            let c = cells(line);
+            assert!(c[0].parse::<f64>().is_ok() && c[1] == "-", "{line}");
+        }
+    }
+
+    #[test]
+    fn a_zero_total_weight_prints_no_lattice_estimate() {
+        // Bins of three: the full bin's signs sum to 1, and the trailing
+        // partial bin's −1 brings the weight over every configuration to 0.
+        let (obs, _) = recorded(&[1.0, 1.0, -1.0, -1.0], 3);
+        assert!(!obs.sign_collapsed());
+        let scalars = scalar_table(&obs);
+        let rows: Vec<&str> = scalars.lines().skip(2).collect();
+        let density: f64 = cells(rows[1])[0]
+            .parse()
+            .expect("the full bin has an estimate");
+        assert!(density.is_finite(), "{scalars}");
+        assert_eq!(cells(rows[6]), ["-", "-"], "P_s: {scalars}");
+        let nk = nk_table(&obs);
+        assert_eq!(nk.lines().count(), 4, "{nk}");
+        assert!(nk.lines().all(|l| cells(l) == ["-"]), "{nk}");
     }
 
     #[test]

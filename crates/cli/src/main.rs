@@ -354,9 +354,7 @@ fn main() {
     // Momentum distribution along the symmetry path (square even lattices).
     if spec.layers == 1 && spec.lx == spec.ly && spec.lx.is_multiple_of(2) {
         println!("\n## <n_k> along (0,0)->(pi,pi)->(pi,0)->(0,0)");
-        for (arc, v) in obs.momentum_distribution_path() {
-            println!("{arc:.4}  {v:.4}");
-        }
+        print!("{}", dqmc_cli::nk_table(obs));
     }
 
     if let Some(tdm) = sim.time_dependent() {

@@ -136,56 +136,29 @@ impl BMatrixFactory {
 
     /// `out ← B_{l,σ} · M = e^{−ΔτK}(V·M)` without materialising B: a row
     /// scaling (the paper's §IV-B kernel) followed by the product with
-    /// `e^{−ΔτK}`, one GEMM per factor; one scratch matrix comes from the
-    /// workspace arena. `out` must be `n × M.ncols()`.
+    /// `e^{−ΔτK}`, one GEMM per factor, through one workspace matrix: the
+    /// scaled copy starts in whichever of the two buffers makes the product
+    /// land in `out`. `out` must be `n × M.ncols()`.
     pub fn b_mul_left_into(&self, h: &HsField, l: usize, spin: Spin, m: &Matrix, out: &mut Matrix) {
         assert_eq!(m.nrows(), self.n);
         assert!(out.nrows() == self.n && out.ncols() == m.ncols());
         let mut v = workspace::take(self.n);
         self.v_diag_into(h, l, spin, &mut v);
-        self.apply(0, Side::Left, m, |vm| scale::row_scale(&v, vm), out);
+        let mut x = workspace::take_matrix(m.nrows(), m.ncols());
+        let from = self.kron[0].factors().len() % 2;
+        let start = if from == 0 { &mut *out } else { &mut x };
+        start.copy_from(m);
+        scale::row_scale(&v, start);
+        self.kron[0].apply(Side::Left, [out, &mut x], from);
+        workspace::put_matrix(x);
         workspace::put(v);
     }
 
-    /// `out ← e^{∓ΔτK}` (operator `k`) applied from `side` to `M` scaled by
-    /// `pre`, through one scratch matrix: the scaled copy starts in
-    /// whichever of the two buffers makes the product land in `out`.
-    fn apply(&self, k: usize, side: Side, m: &Matrix, pre: impl Fn(&mut Matrix), out: &mut Matrix) {
-        let mut x = workspace::take_matrix(m.nrows(), m.ncols());
-        let from = self.kron[k].factors().len() % 2;
-        let start = if from == 0 { &mut *out } else { &mut x };
-        start.copy_from(m);
-        pre(start);
-        self.kron[k].apply(side, [out, &mut x], from);
-        workspace::put_matrix(x);
-    }
-
-    /// `out ← M · B_{l,σ}⁻¹` without allocating: `B⁻¹ = V⁻¹ e^{+ΔτK}`, so
-    /// `M B⁻¹ = (M · diag(1/v)) e^{+ΔτK}`. `out` must be `M.nrows() × n`.
-    pub fn b_inv_mul_right_into(
-        &self,
-        h: &HsField,
-        l: usize,
-        spin: Spin,
-        m: &Matrix,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(m.ncols(), self.n);
-        assert!(out.nrows() == m.nrows() && out.ncols() == self.n);
-        let mut vinv = workspace::take(self.n);
-        self.v_diag_into(h, l, spin, &mut vinv);
-        for v in vinv.iter_mut() {
-            *v = 1.0 / *v;
-        }
-        self.apply(1, Side::Right, m, |mv| scale::col_scale(&vinv, mv), out);
-        workspace::put(vinv);
-    }
-
     /// `out ← B_{l,σ} · G · B_{l,σ}⁻¹`, the equal-time wrap to the next
-    /// slice: [`Self::b_mul_left_into`] then [`Self::b_inv_mul_right_into`]'s
-    /// ops, ping-ponging between `out` and one workspace matrix (both
-    /// operators have the same number of factors, so the product returns to
-    /// `out`).
+    /// slice: [`Self::b_mul_left_into`]'s ops, then `B⁻¹ = V⁻¹ e^{+ΔτK}` from
+    /// the right (a column scaling by `1/v`, then `e^{+ΔτK}`), ping-ponging
+    /// between `out` and one workspace matrix (both operators have the same
+    /// number of factors, so the product returns to `out`).
     pub fn wrap_into(&self, h: &HsField, l: usize, spin: Spin, g: &Matrix, out: &mut Matrix) {
         assert!(g.nrows() == self.n && g.ncols() == self.n);
         let mut v = workspace::take(self.n);
@@ -281,18 +254,17 @@ mod tests {
     }
 
     #[test]
-    fn b_inv_mul_right_inverts_left_mul() {
+    fn wrap_conjugates_by_b() {
         let (_, fac, h) = setup();
         let mut rng = util::Rng::new(3);
-        let m = Matrix::random(9, 9, &mut rng);
-        // m B B⁻¹ = m.
-        let mb = {
-            let b = fac.b_matrix(&h, 5, Spin::Up);
-            matmul(&m, Op::NoTrans, &b, Op::NoTrans)
-        };
-        let mut back = Matrix::zeros(9, 9);
-        fac.b_inv_mul_right_into(&h, 5, Spin::Up, &mb, &mut back);
-        assert!(back.max_abs_diff(&m) < 1e-11);
+        let g = Matrix::random(9, 9, &mut rng);
+        // (B G B⁻¹) B = B G.
+        let mut wrapped = Matrix::zeros(9, 9);
+        fac.wrap_into(&h, 5, Spin::Up, &g, &mut wrapped);
+        let b = fac.b_matrix(&h, 5, Spin::Up);
+        let lhs = matmul(&wrapped, Op::NoTrans, &b, Op::NoTrans);
+        let rhs = matmul(&b, Op::NoTrans, &g, Op::NoTrans);
+        assert!(lhs.max_abs_diff(&rhs) < 1e-11);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! several independent chains with different seeds and pooling their
 //! measurements — costs no communication at all. This module provides the
 //! pooling: each chain is a full walker with its own warmup (so chains are
-//! independently thermalised), grouped into [`Crowd`]s that run one after
-//! another on the calling thread, with the accumulated observables merged
-//! bin-wise in chain order. Chains run in parallel when the `sched` crate
-//! drives them — one job per worker thread, same seeds, same bytes.
+//! independently thermalised), run as a [`Crowd`] of one after the other on
+//! the calling thread, with the accumulated observables merged bin-wise in
+//! chain order. Chains run in parallel, and in larger crowds, when the
+//! `sched` crate drives them — same seeds, same bytes, since a walker's
+//! bytes do not depend on its crowd.
 
 use crate::crowd::Crowd;
 use crate::hubbard::SimParams;
@@ -44,44 +45,21 @@ pub fn chain_seed(base: u64, point: u64, chain: u64) -> u64 {
 }
 
 /// Runs `chains` independent simulations with hash-split per-chain seeds
-/// (see [`chain_seed`]) and merges their measurements:
-/// [`run_ensemble_crowd`] with crowds of one.
+/// (see [`chain_seed`]) and merges their measurements: chain `c` receives
+/// [`chain_seed`]`(params.seed, 0, c)` and runs as a crowd of one; the
+/// chains merge in chain order.
 ///
 /// Panics if `chains == 0`. Deterministic: the result is a pure function of
 /// `(params, chains)`.
 pub fn run_ensemble(params: &SimParams, chains: usize) -> EnsembleResult {
-    run_ensemble_crowd(params, chains, 1)
-}
-
-/// Runs `chains` independent chains organized into crowds of up to
-/// `crowd_size` walkers stepped in lockstep (see [`crate::crowd`]) and
-/// merges their measurements.
-///
-/// Chain `c` receives [`chain_seed`]`(params.seed, 0, c)` whatever the
-/// grouping and every backend kernel is bit-identical per walker, so the
-/// result is byte-for-byte the same for **any** `crowd_size` — crowds change
-/// only the batching economics (one launch per crowd instead of per walker
-/// on a batched backend), never the statistics. The crowds run sequentially
-/// and merge in chain order; for chains on several threads submit the same
-/// point to `sched`, which derives the same seeds.
-///
-/// Panics if `chains == 0` or `crowd_size == 0`.
-pub fn run_ensemble_crowd(params: &SimParams, chains: usize, crowd_size: usize) -> EnsembleResult {
     assert!(chains >= 1, "need at least one chain");
-    assert!(crowd_size >= 1, "need a positive crowd size");
     let mut acceptance_rates = Vec::with_capacity(chains);
     let mut recovery_logs = Vec::with_capacity(chains);
     let mut max_wrap_error = 0.0f64;
     let mut observables: Option<Observables> = None;
-    for c0 in (0..chains).step_by(crowd_size) {
-        let ps: Vec<SimParams> = (c0..chains.min(c0 + crowd_size))
-            .map(|c| {
-                params
-                    .clone()
-                    .with_seed(chain_seed(params.seed, 0, c as u64))
-            })
-            .collect();
-        let mut crowd = Crowd::new(ps);
+    for c in 0..chains {
+        let seed = chain_seed(params.seed, 0, c as u64);
+        let mut crowd = Crowd::new(vec![params.clone().with_seed(seed)]);
         crowd.run();
         for sim in crowd.walkers() {
             match observables.as_mut() {
@@ -171,28 +149,6 @@ mod tests {
         // Equal bin counts per chain ⇒ exact average (up to ratio-estimator
         // nonlinearity in the sign, which is exactly 1 at half filling).
         assert!((dp - avg).abs() < 1e-12, "{dp} vs {avg}");
-    }
-
-    #[test]
-    fn crowd_ensemble_is_bit_identical_for_every_crowd_size() {
-        // Crowd size is a throughput knob, not a physics knob: pooled
-        // observables are byte-identical whether 5 chains run solo, in
-        // crowds of 2 (last crowd ragged), or in one crowd of 8 (capped at
-        // the chain count).
-        let p = params();
-        let solo = run_ensemble(&p, 5);
-        let (ds, es) = solo.observables.double_occupancy();
-        for crowd_size in [1, 2, 8] {
-            let crowd = run_ensemble_crowd(&p, 5, crowd_size);
-            let (dc, ec) = crowd.observables.double_occupancy();
-            assert_eq!(ds.to_bits(), dc.to_bits(), "crowd size {crowd_size}");
-            assert_eq!(es.to_bits(), ec.to_bits(), "crowd size {crowd_size}");
-            assert_eq!(solo.acceptance_rates, crowd.acceptance_rates);
-            assert_eq!(
-                solo.max_wrap_error.to_bits(),
-                crowd.max_wrap_error.to_bits()
-            );
-        }
     }
 
     #[test]

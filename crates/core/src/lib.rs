@@ -62,7 +62,7 @@ pub use bmat::BMatrixFactory;
 pub use checkpoint::{params_fingerprint, CheckpointError};
 pub use crowd::Crowd;
 pub use diagnostics::{condition_profile, ConditionProfile};
-pub use ensemble::{chain_seed, run_ensemble, run_ensemble_crowd, EnsembleResult};
+pub use ensemble::{chain_seed, run_ensemble, EnsembleResult};
 pub use greens::{greens_from_udt, GreensFunction};
 pub use hs::HsField;
 pub use hubbard::{Acceptance, ModelParams, SimParams, Spin};

@@ -268,6 +268,11 @@ impl Observables {
     }
 
     /// Spin–spin correlation `C_zz(dx, dy)` (lx × ly matrix).
+    ///
+    /// Like [`Self::swave_pair`] and [`Self::momentum_distribution`], it is
+    /// normalised by the sign summed over every recorded configuration (a
+    /// trailing partial bin included), so it is not finite when that sum is
+    /// exactly 0, even where the full bins' sign is not collapsed.
     pub fn czz(&self) -> Matrix {
         let mut m = self.czz_sum.clone();
         m.scale(1.0 / self.weight);
@@ -289,9 +294,14 @@ impl Observables {
     }
 
     /// Momentum distribution `⟨n_k⟩` on the (nx, ny) grid (lx × ly matrix),
-    /// averaged over spin species.
+    /// averaged over spin species; all NaN under a zero total weight (see
+    /// [`Self::czz`]), where there is no correlation to transform.
     pub fn momentum_distribution(&self) -> Matrix {
         let mut c = self.dm_corr_sum.clone();
+        if self.weight == 0.0 {
+            c.fill(f64::NAN);
+            return c;
+        }
         c.scale(1.0 / self.weight);
         fourier::fourier_transform(&self.lat, &c)
     }

@@ -1462,7 +1462,6 @@ mod tests {
         assert_eq!(core.runtime_cluster_size(), 1, "shrunk 4 → 2 → 1 first");
         assert_eq!(core.recovery_log().tallies().shrinks, 2);
         assert_eq!(err.severity, util::Severity::Fatal);
-        assert!(!err.retryable());
         assert!(err.to_string().contains("all recovery rungs exhausted"));
     }
 

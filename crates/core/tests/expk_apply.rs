@@ -65,7 +65,8 @@ fn factored_products_match_the_dense_gemm_on_every_shape() {
 }
 
 /// The factory's two products against `V`-scaled dense GEMMs with
-/// `fac.expk()` and `expk_inv`.
+/// `fac.expk()` and `expk_inv`: `B·M`, and the wrap `B·M·B⁻¹`, whose last
+/// step is the right-hand product with `e^{+ΔτK}`.
 fn products(
     fac: &BMatrixFactory,
     expk_inv: &Matrix,
@@ -76,16 +77,14 @@ fn products(
     let v = fac.v_diag(h, 3, Spin::Down);
     let mut vm = m.clone();
     linalg::scale::row_scale(&v, &mut vm);
+    let bm = dense(fac.expk(), &vm);
     let vinv: Vec<f64> = v.iter().map(|x| 1.0 / x).collect();
-    let mut mv = m.clone();
-    linalg::scale::col_scale(&vinv, &mut mv);
-    let (mut left, mut right) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+    let mut bmv = bm.clone();
+    linalg::scale::col_scale(&vinv, &mut bmv);
+    let (mut left, mut wrap) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
     fac.b_mul_left_into(h, 3, Spin::Down, m, &mut left);
-    fac.b_inv_mul_right_into(h, 3, Spin::Down, m, &mut right);
-    [
-        (left, dense(fac.expk(), &vm)),
-        (right, dense(&mv, expk_inv)),
-    ]
+    fac.wrap_into(h, 3, Spin::Down, m, &mut wrap);
+    [(left, bm), (wrap, dense(&bmv, expk_inv))]
 }
 
 fn setup(lattice: Lattice, mu: f64) -> (ModelParams, HsField, Matrix) {

@@ -21,7 +21,7 @@
 //! driver's taint scans (of every cluster product and every wrapped matrix)
 //! classify as taint-class faults.
 
-use crate::device::{Device, DeviceSpec};
+use crate::device::Device;
 use crate::faults::DeviceError;
 use crate::kernels::{try_cluster_crowd, try_wrap_crowd};
 use dqmc::{BMatrixFactory, BackendFault, ComputeBackend, HostBackend, HsField, Spin};
@@ -76,11 +76,6 @@ impl DeviceBackend {
             expk_inv: false,
             seed: false,
         }
-    }
-
-    /// Convenience: a fresh device from a spec.
-    pub fn with_spec(spec: DeviceSpec) -> Self {
-        DeviceBackend::new(Device::new(spec))
     }
 
     /// The underlying device (clock, counters, fault tally).
@@ -150,6 +145,7 @@ impl ComputeBackend for DeviceBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::DeviceSpec;
     use crate::faults::FaultPlan;
     use dqmc::ModelParams;
     use lattice::Lattice;
@@ -185,7 +181,7 @@ mod tests {
     fn device_backend_matches_host_backend() {
         let (fac, h) = setup();
         let mut host = HostBackend;
-        let mut devb = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
+        let mut devb = DeviceBackend::new(Device::new(DeviceSpec::tesla_c2050()));
         let a = devb.cluster(&fac, &[&h], 0, 6).unwrap();
         let b = host.cluster(&fac, &[&h], 0, 6).unwrap();
         assert_eq!(a, b, "device clustering returns the host's products");
@@ -213,9 +209,9 @@ mod tests {
             .with_bin_size(2);
         let mut host_sim = dqmc::Simulation::new(params.clone());
         host_sim.run();
-        let mut dev_sim = dqmc::Simulation::new(params).with_backend(Box::new(
-            DeviceBackend::with_spec(DeviceSpec::tesla_c2050()),
-        ));
+        let mut dev_sim = dqmc::Simulation::new(params).with_backend(Box::new(DeviceBackend::new(
+            Device::new(DeviceSpec::tesla_c2050()),
+        )));
         dev_sim.run();
         assert_eq!(
             host_sim
@@ -285,7 +281,7 @@ mod tests {
     #[test]
     fn notify_fault_drops_residents_for_reupload() {
         let (fac, h) = setup();
-        let mut devb = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
+        let mut devb = DeviceBackend::new(Device::new(DeviceSpec::tesla_c2050()));
         let _ = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap();
         let before = devb.device().bytes_transferred();
         let _ = cluster_one(&mut devb, &fac, &h, 6, 12).unwrap();

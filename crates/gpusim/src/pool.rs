@@ -34,8 +34,8 @@
 //!
 //! The lease/release path is allocation-free (the lint tag below is
 //! enforced by `cargo xtask lint`): the free-slot stack and health ledger
-//! are pre-sized to the pool's capacity, so `try_lease` is two `Mutex`
-//! locks plus a `Vec::remove`, and release is a push into reserved
+//! are pre-sized to the pool's capacity, so `try_lease_excluding` is two
+//! `Mutex` locks plus a `Vec::remove`, and release is a push into reserved
 //! capacity. Workers hit this path on every scheduling quantum.
 
 #![cfg_attr(any(), deny_hot_alloc)]
@@ -193,16 +193,11 @@ impl DevicePool {
         }
     }
 
-    /// Attempts to lease a device slot. `None` means every slot is busy,
-    /// quarantined, or excluded (or the pool is empty) and the caller
-    /// should use the host backend — the guaranteed-progress path.
-    pub fn try_lease(&self) -> Option<DeviceLease> {
-        self.try_lease_excluding(&[])
-    }
-
-    /// [`DevicePool::try_lease`] that additionally skips `excluded` slots —
-    /// the scheduler passes a job's suspect-device list so a requeued job
-    /// is never handed back the device that just failed it.
+    /// Attempts to lease a device slot other than the `excluded` ones — the
+    /// scheduler passes a job's suspect-device list so a requeued job is
+    /// never handed back the device that just failed it. `None` means every
+    /// slot is busy, quarantined, or excluded (or the pool is empty) and the
+    /// caller should use the host backend — the guaranteed-progress path.
     ///
     /// Each call ticks the pool's logical lease clock. Quarantined slots
     /// whose re-admission deadline has passed are granted as *probation
@@ -448,14 +443,14 @@ mod tests {
     fn leases_are_exclusive_and_return_on_drop() {
         let pool = DevicePool::new(DeviceSpec::tesla_c2050(), 2);
         assert_eq!(pool.capacity(), 2);
-        let a = pool.try_lease().unwrap();
-        let b = pool.try_lease().unwrap();
+        let a = pool.try_lease_excluding(&[]).unwrap();
+        let b = pool.try_lease_excluding(&[]).unwrap();
         assert_ne!(a.slot(), b.slot());
         assert_eq!(pool.available(), 0);
-        assert!(pool.try_lease().is_none());
+        assert!(pool.try_lease_excluding(&[]).is_none());
         drop(a);
         assert_eq!(pool.available(), 1);
-        let c = pool.try_lease().unwrap();
+        let c = pool.try_lease_excluding(&[]).unwrap();
         drop(b);
         drop(c);
         assert_eq!(pool.available(), 2);
@@ -466,7 +461,7 @@ mod tests {
     #[test]
     fn empty_pool_always_misses() {
         let pool = DevicePool::new(DeviceSpec::tesla_c2050(), 0);
-        assert!(pool.try_lease().is_none());
+        assert!(pool.try_lease_excluding(&[]).is_none());
         assert_eq!(pool.available(), 0);
         assert_eq!(pool.lease_misses(), 1);
     }
@@ -474,7 +469,7 @@ mod tests {
     #[test]
     fn lease_backend_is_deterministic_mode_with_armed_plan() {
         let pool = DevicePool::new(DeviceSpec::tesla_c2050(), 1);
-        let lease = pool.try_lease().unwrap();
+        let lease = pool.try_lease_excluding(&[]).unwrap();
         let model = dqmc::ModelParams::new(lattice::Lattice::square(2, 2, 1.0), 4.0, 0.0, 0.125, 4);
         let fac = dqmc::BMatrixFactory::new(&model);
         let mut rng = util::Rng::new(1);
@@ -499,7 +494,7 @@ mod tests {
         let pool = DevicePool::new(DeviceSpec::tesla_c2050(), 1);
         let p2 = pool.clone();
         let _ = std::panic::catch_unwind(move || {
-            let _lease = p2.try_lease().unwrap();
+            let _lease = p2.try_lease_excluding(&[]).unwrap();
             panic!("job died");
         });
         assert_eq!(pool.available(), 1, "slot must return via Drop on unwind");
@@ -539,19 +534,21 @@ mod tests {
         // deadline is eligible_at = 0 + 4 on the lease-request clock.
         for _ in 1..PROBATION_BACKOFF {
             assert!(
-                pool.try_lease().is_none(),
+                pool.try_lease_excluding(&[]).is_none(),
                 "quarantine blocks the only slot"
             );
         }
         assert_eq!(pool.quarantine_skips(), PROBATION_BACKOFF - 1);
-        let probe = pool.try_lease().expect("clock hit 4: probe goes out");
+        let probe = pool
+            .try_lease_excluding(&[])
+            .expect("clock hit 4: probe goes out");
         assert!(probe.is_probe());
         drop(probe);
         assert_eq!(
             pool.report_success(0),
             HealthDecision::Readmitted { slot: 0 }
         );
-        let healthy = pool.try_lease().unwrap();
+        let healthy = pool.try_lease_excluding(&[]).unwrap();
         assert!(!healthy.is_probe(), "re-admitted slot leases normally");
         assert_eq!(pool.quarantines(), 1);
         assert_eq!(pool.probes(), 1);
@@ -561,7 +558,7 @@ mod tests {
     /// The first lease the quarantined slot `0` grants: its probation probe.
     fn probe_after_backoff(pool: &DevicePool) -> DeviceLease {
         (0..PROBATION_BACKOFF)
-            .find_map(|_| pool.try_lease())
+            .find_map(|_| pool.try_lease_excluding(&[]))
             .expect("backoff elapsed: probe goes out")
     }
 
@@ -593,7 +590,7 @@ mod tests {
     fn slot_profile_merges_into_backend_and_heals_on_open() {
         let pool = DevicePool::new(DeviceSpec::tesla_c2050(), 1);
         pool.set_slot_profile(0, FaultPlan::new().fail_launch(1), false);
-        let lease = pool.try_lease().unwrap();
+        let lease = pool.try_lease_excluding(&[]).unwrap();
         let mut be = lease.backend(None);
         let model = dqmc::ModelParams::new(lattice::Lattice::square(2, 2, 1.0), 4.0, 0.0, 0.125, 4);
         let fac = dqmc::BMatrixFactory::new(&model);
@@ -626,6 +623,6 @@ mod tests {
             assert_eq!(pool.report_failure(0, false), HealthDecision::None);
         }
         assert_eq!(pool.quarantines(), 0);
-        assert!(pool.try_lease().is_some());
+        assert!(pool.try_lease_excluding(&[]).is_some());
     }
 }

@@ -108,8 +108,8 @@ mod tests {
         // simulation batched through the device backend is byte-identical,
         // walker for walker, to solo host simulations on the same seeds.
         let b = 3;
-        let mut crowd = Crowd::new(crowd_of(b)).with_backend(Box::new(DeviceBackend::with_spec(
-            DeviceSpec::tesla_c2050(),
+        let mut crowd = Crowd::new(crowd_of(b)).with_backend(Box::new(DeviceBackend::new(
+            Device::new(DeviceSpec::tesla_c2050()),
         )));
         crowd.run();
         for (c, w) in crowd.walkers().iter().enumerate() {
@@ -134,8 +134,8 @@ mod tests {
         // the crowd ladder retries, and the final physics is byte-identical
         // to the fault-free run — mid-crowd healing is unobservable.
         let b = 3;
-        let mut clean = Crowd::new(crowd_of(b)).with_backend(Box::new(DeviceBackend::with_spec(
-            DeviceSpec::tesla_c2050(),
+        let mut clean = Crowd::new(crowd_of(b)).with_backend(Box::new(DeviceBackend::new(
+            Device::new(DeviceSpec::tesla_c2050()),
         )));
         clean.run();
 

@@ -1,4 +1,4 @@
-//! Level-1 vector kernels (ddot / daxpy / dscal / dnrm2 / dswap / dcopy analogues).
+//! Level-1 vector kernels (ddot / daxpy / dscal / dnrm2 / dswap analogues).
 //!
 //! These are the scalar building blocks of the factorizations, written as
 //! straightforward loops over slices. Their cost is *not* negligible next to
@@ -85,11 +85,6 @@ pub fn swap(x: &mut [f64], y: &mut [f64]) {
     x.swap_with_slice(y);
 }
 
-/// `y = x` copy.
-pub fn copy(x: &[f64], y: &mut [f64]) {
-    y.copy_from_slice(x);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,13 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn swap_and_copy() {
+    fn swap_exchanges_contents() {
         let mut a = [1.0, 2.0];
         let mut b = [3.0, 4.0];
         swap(&mut a, &mut b);
-        assert_eq!(a, [3.0, 4.0]);
-        let mut c = [0.0; 2];
-        copy(&a, &mut c);
-        assert_eq!(c, [3.0, 4.0]);
+        assert_eq!((a, b), ([3.0, 4.0], [1.0, 2.0]));
     }
 }

@@ -22,17 +22,9 @@
 //! **without the feature the expansion is empty** — no branch, no format
 //! machinery, zero cost. The helper functions below are always compiled
 //! (they are tiny) so they can be unit-tested without the feature.
-//!
-//! Independently of the feature, this module owns the **norm-downdate
-//! safeguard counter**: [`crate::qrp`] increments it whenever the dlaqps
-//! machine-epsilon guard forces an exact column-norm recomputation. The
-//! counter is a plain relaxed atomic on a rare fallback path (its cost is
-//! dwarfed by the recomputation it records), so it stays live in release
-//! builds and is surfaced through `dqmc::diagnostics`.
 
 use crate::blas3::{matmul, Op};
 use crate::matrix::Matrix;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Panics if any element of `data` is NaN or ±Inf, naming `ctx`.
 ///
@@ -93,28 +85,6 @@ pub fn first_non_finite(data: &[f64]) -> Option<(usize, f64)> {
         .enumerate()
         .find(|(_, x)| !x.is_finite())
         .map(|(i, &x)| (i, x))
-}
-
-/// Cumulative count of exact column-norm recomputations forced by the
-/// dlaqps downdate safeguard in [`crate::qrp`].
-static NORM_DOWNDATE_RECOMPUTES: AtomicU64 = AtomicU64::new(0);
-
-/// Records `n` safeguard-forced norm recomputations (called by `qrp`).
-pub fn note_norm_downdate_recomputes(n: u64) {
-    if n > 0 {
-        NORM_DOWNDATE_RECOMPUTES.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Total safeguard-forced norm recomputations since process start (or the
-/// last [`reset_norm_downdate_recomputes`]).
-pub fn norm_downdate_recomputes() -> u64 {
-    NORM_DOWNDATE_RECOMPUTES.load(Ordering::Relaxed)
-}
-
-/// Resets the safeguard counter (for per-phase accounting in diagnostics).
-pub fn reset_norm_downdate_recomputes() {
-    NORM_DOWNDATE_RECOMPUTES.store(0, Ordering::Relaxed);
 }
 
 /// Asserts every element of a `&[f64]` is finite — expands to nothing
@@ -226,16 +196,5 @@ mod tests {
         let (i, v) = first_non_finite(&[f64::NAN]).unwrap();
         assert_eq!(i, 0);
         assert!(v.is_nan());
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        // Other tests (qrp) may bump the counter concurrently; only check
-        // that our own increments are visible as a lower bound.
-        let before = norm_downdate_recomputes();
-        note_norm_downdate_recomputes(3);
-        note_norm_downdate_recomputes(0);
-        note_norm_downdate_recomputes(2);
-        assert!(norm_downdate_recomputes() >= before + 5);
     }
 }

@@ -68,7 +68,7 @@ pub use perm::Permutation;
 pub use qr::QrFactors;
 pub use qrp::QrpFactors;
 pub use simd::{kernel_path, KernelPath};
-pub use svd::{condition_number, svd, Svd};
+pub use svd::{svd, Svd};
 
 /// Errors from numerically rank-revealing operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -148,18 +148,6 @@ impl Matrix {
         unsafe { *self.data.get_unchecked(j * self.nrows + i) }
     }
 
-    /// Unchecked element write (bounds checked only in debug builds).
-    ///
-    /// # Safety
-    /// `i < nrows` and `j < ncols` must hold.
-    #[inline]
-    pub unsafe fn set_unchecked(&mut self, i: usize, j: usize, v: f64) {
-        debug_assert!(i < self.nrows && j < self.ncols);
-        // SAFETY: the caller guarantees i < nrows and j < ncols, so the flat
-        // column-major index j*nrows + i is within data (len == nrows*ncols).
-        unsafe { *self.data.get_unchecked_mut(j * self.nrows + i) = v }
-    }
-
     /// Swaps columns `j1` and `j2`.
     pub fn swap_cols(&mut self, j1: usize, j2: usize) {
         if j1 == j2 {

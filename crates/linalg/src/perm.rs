@@ -89,16 +89,9 @@ impl Permutation {
             .count()
     }
 
-    /// Returns `A · P` (reorders columns: column `j` of the result is column
-    /// `forward[j]` of `A`).
-    pub fn permute_cols(&self, a: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.nrows(), a.ncols());
-        self.permute_cols_into(a, &mut out);
-        out
-    }
-
-    /// [`Self::permute_cols`] into a matrix of `a`'s shape the caller
-    /// recycles (every element is overwritten).
+    /// Writes `A · P` (column `j` is column `forward[j]` of `A`) into
+    /// `out`, a matrix of `a`'s shape the caller recycles (every element is
+    /// overwritten).
     pub fn permute_cols_into(&self, a: &Matrix, out: &mut Matrix) {
         assert_eq!(a.ncols(), self.len());
         assert_eq!((out.nrows(), out.ncols()), (a.nrows(), a.ncols()));
@@ -117,15 +110,9 @@ impl Permutation {
         out
     }
 
-    /// Returns `Pᵀ · A` (row `j` of the result is row `forward[j]` of `A`).
-    pub fn permute_rows_t(&self, a: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.nrows(), a.ncols());
-        self.permute_rows_t_into(a, &mut out);
-        out
-    }
-
-    /// [`Self::permute_rows_t`] into a matrix of `a`'s shape the caller
-    /// recycles (every element is overwritten).
+    /// Writes `Pᵀ · A` (row `j` is row `forward[j]` of `A`) into `out`, a
+    /// matrix of `a`'s shape the caller recycles (every element is
+    /// overwritten).
     pub fn permute_rows_t_into(&self, a: &Matrix, out: &mut Matrix) {
         assert_eq!(a.nrows(), self.len());
         assert_eq!((out.nrows(), out.ncols()), (a.nrows(), a.ncols()));
@@ -137,30 +124,6 @@ impl Permutation {
             }
         }
     }
-
-    /// Returns `P · A` (row `forward[i]` of the result is row `i` of `A`).
-    pub fn permute_rows(&self, a: &Matrix) -> Matrix {
-        assert_eq!(a.nrows(), self.len());
-        let mut out = Matrix::zeros(a.nrows(), a.ncols());
-        for j in 0..a.ncols() {
-            let src = a.col(j);
-            let dst = out.col_mut(j);
-            for (i, &s) in src.iter().enumerate() {
-                dst[self.forward[i]] = s;
-            }
-        }
-        out
-    }
-
-    /// Dense matrix form of `P` (mostly for tests).
-    pub fn to_matrix(&self) -> Matrix {
-        let n = self.len();
-        let mut p = Matrix::zeros(n, n);
-        for j in 0..n {
-            p[(self.forward[j], j)] = 1.0;
-        }
-        p
-    }
 }
 
 #[cfg(test)]
@@ -169,14 +132,36 @@ mod tests {
     use crate::blas3::{matmul, Op};
     use util::Rng;
 
+    /// Dense matrix form of `P`.
+    fn to_matrix(p: &Permutation) -> Matrix {
+        let n = p.len();
+        let mut m = Matrix::zeros(n, n);
+        for j in 0..n {
+            m[(p.forward(j), j)] = 1.0;
+        }
+        m
+    }
+
+    fn permute_cols(p: &Permutation, a: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.nrows(), a.ncols());
+        p.permute_cols_into(a, &mut out);
+        out
+    }
+
+    fn permute_rows_t(p: &Permutation, a: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.nrows(), a.ncols());
+        p.permute_rows_t_into(a, &mut out);
+        out
+    }
+
     #[test]
     fn identity_properties() {
         let p = Permutation::identity(5);
         assert_eq!(p.displacement(), 0);
         let mut rng = Rng::new(1);
         let a = Matrix::random(5, 5, &mut rng);
-        assert_eq!(p.permute_cols(&a), a);
-        assert_eq!(p.permute_rows_t(&a), a);
+        assert_eq!(permute_cols(&p, &a), a);
+        assert_eq!(permute_rows_t(&p, &a), a);
     }
 
     #[test]
@@ -201,8 +186,8 @@ mod tests {
         let mut rng = Rng::new(2);
         let a = Matrix::random(6, 6, &mut rng);
         let p = Permutation::from_forward(vec![2, 0, 5, 1, 4, 3]);
-        let ap1 = p.permute_cols(&a);
-        let ap2 = matmul(&a, Op::NoTrans, &p.to_matrix(), Op::NoTrans);
+        let ap1 = permute_cols(&p, &a);
+        let ap2 = matmul(&a, Op::NoTrans, &to_matrix(&p), Op::NoTrans);
         assert!(ap1.max_abs_diff(&ap2) < 1e-15);
     }
 
@@ -211,8 +196,8 @@ mod tests {
         let mut rng = Rng::new(3);
         let a = Matrix::random(6, 4, &mut rng);
         let p = Permutation::from_forward(vec![2, 0, 5, 1, 4, 3]);
-        let pa1 = p.permute_rows_t(&a);
-        let pa2 = matmul(&p.to_matrix(), Op::Trans, &a, Op::NoTrans);
+        let pa1 = permute_rows_t(&p, &a);
+        let pa2 = matmul(&to_matrix(&p), Op::Trans, &a, Op::NoTrans);
         assert!(pa1.max_abs_diff(&pa2) < 1e-15);
     }
 
@@ -221,11 +206,11 @@ mod tests {
         let p = Permutation::from_forward(vec![3, 1, 0, 2]);
         let mut rng = Rng::new(4);
         let a = Matrix::random(4, 4, &mut rng);
-        let back = p.inverse().permute_cols(&p.permute_cols(&a));
+        let back = permute_cols(&p.inverse(), &permute_cols(&p, &a));
         assert_eq!(back, a);
-        let back2 = p.permute_cols_inv(&p.permute_cols(&a));
+        let back2 = p.permute_cols_inv(&permute_cols(&p, &a));
         assert_eq!(back2, a);
-        let back3 = p.permute_rows(&p.permute_rows_t(&a));
+        let back3 = permute_rows_t(&p.inverse(), &permute_rows_t(&p, &a));
         assert_eq!(back3, a);
     }
 

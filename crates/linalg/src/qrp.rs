@@ -239,18 +239,14 @@ fn factor_panel(
         gemm_view(-1.0, vlow, Op::NoTrans, ftrail, Op::Trans, 1.0, trail);
     }
 
-    // Refresh partial norms that the downdate could no longer certify, and
-    // record how often the safeguard fired (surfaced via dqmc::diagnostics).
-    let mut recomputed = 0u64;
+    // Refresh partial norms that the downdate could no longer certify.
     for c in r1..n {
         if flagged[c] != 0.0 {
             let tail = &a.col(c)[r1.min(m)..];
             vn1[c] = blas1::nrm2(tail);
             vn2[c] = vn1[c];
-            recomputed += 1;
         }
     }
-    crate::check::note_norm_downdate_recomputes(recomputed);
     workspace::put_matrix(f);
     workspace::put(flagged);
     nf

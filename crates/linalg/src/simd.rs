@@ -170,11 +170,6 @@ fn select_kernel_path(
     (path, warning)
 }
 
-/// Fastest kernel path the host supports (no env override, no cache).
-pub fn detect() -> KernelPath {
-    KernelPath::Avx512.or_fallback()
-}
-
 /// AVX2+FMA micro-kernel: an 8×6 register tile over packed panels.
 ///
 /// `apanel` holds `kc` steps of 8 A values (k-major), `bpanel` holds `kc`
@@ -570,11 +565,6 @@ mod tests {
         assert!(warning
             .expect("unknown warns")
             .contains("using auto-detection"));
-    }
-
-    #[test]
-    fn detect_returns_available_path() {
-        assert!(detect().available());
     }
 
     #[test]

@@ -131,10 +131,13 @@ proptest! {
         }
         let p = Permutation::from_forward(fwd);
         let a = Matrix::random(n, n, &mut rng);
-        let back = p.inverse().permute_cols(&p.permute_cols(&a));
-        prop_assert_eq!(back, a.clone());
-        let back2 = p.permute_rows(&p.permute_rows_t(&a));
-        prop_assert_eq!(back2, a);
+        let (mut pa, mut back) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+        p.permute_cols_into(&a, &mut pa);
+        p.inverse().permute_cols_into(&pa, &mut back);
+        prop_assert_eq!(&back, &a);
+        p.permute_rows_t_into(&a, &mut pa);
+        p.inverse().permute_rows_t_into(&pa, &mut back);
+        prop_assert_eq!(back, a);
     }
 
     #[test]

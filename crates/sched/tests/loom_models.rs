@@ -96,7 +96,7 @@ fn pool_leases_stay_exclusive_and_return_on_drop() {
                 let (pool, busy) = (pool.clone(), Arc::clone(&busy));
                 loom::thread::spawn(move || {
                     for _ in 0..2 {
-                        if let Some(lease) = pool.try_lease() {
+                        if let Some(lease) = pool.try_lease_excluding(&[]) {
                             let was = busy[lease.slot()].swap(true, Ordering::SeqCst);
                             assert!(!was, "slot {} double-leased", lease.slot());
                             loom::thread::yield_now();
@@ -138,7 +138,7 @@ fn pool_quarantine_grants_one_probe_and_readmits_under_racing_leasers() {
             .map(|_| {
                 let pool = pool.clone();
                 loom::thread::spawn(move || loop {
-                    let Some(lease) = pool.try_lease() else {
+                    let Some(lease) = pool.try_lease_excluding(&[]) else {
                         loom::thread::yield_now();
                         continue;
                     };
@@ -167,7 +167,9 @@ fn pool_quarantine_grants_one_probe_and_readmits_under_racing_leasers() {
         assert_eq!(probes_won, 1, "exactly one worker held the probe");
         assert_eq!((pool.probes(), pool.readmissions()), (1, 1));
         assert_eq!(pool.quarantines(), 1, "success probe does not re-open");
-        let healthy = pool.try_lease().expect("slot is back in rotation");
+        let healthy = pool
+            .try_lease_excluding(&[])
+            .expect("slot is back in rotation");
         assert!(!healthy.is_probe());
     });
 }

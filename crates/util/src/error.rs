@@ -4,10 +4,11 @@
 //! the recovery ladder, a tainted Green's function with recovery disabled,
 //! a device that hung past its launch deadline — is classified into one
 //! [`Severity`] class. The class, not a string match, keys every policy
-//! decision downstream: whether the scheduler retries the job, whether the
-//! retry consumes an attempt, whether the suspect device slot is excluded
-//! from replacement, and whether the pool's circuit breaker records a
-//! strike against the slot.
+//! decision downstream, in one exhaustive `match` in the scheduler's
+//! runner: whether the scheduler retries the job, whether the retry
+//! consumes an attempt, whether the suspect device slot is excluded from
+//! replacement, and whether the pool's circuit breaker records a strike
+//! against the slot.
 //!
 //! | severity     | meaning                                | scheduler policy              |
 //! |--------------|----------------------------------------|-------------------------------|
@@ -89,11 +90,6 @@ impl DqmcError {
         Self::new(Severity::Fatal, origin, detail)
     }
 
-    /// Whether a supervisor should retry the same work (attempt-counted).
-    pub fn retryable(&self) -> bool {
-        matches!(self.severity, Severity::Transient | Severity::Corrupt)
-    }
-
     /// Classifies a panic payload caught by a `catch_unwind` backstop.
     ///
     /// Panics are the legacy, last-resort failure channel; anything still
@@ -132,10 +128,14 @@ mod tests {
 
     #[test]
     fn severity_keys_policy_predicates() {
-        assert!(DqmcError::transient("t", "x").retryable());
-        assert!(DqmcError::corrupt("t", "x").retryable());
-        assert!(!DqmcError::device_sick("t", "x").retryable());
-        assert!(!DqmcError::fatal("t", "x").retryable());
+        // The severity is the one key the runner's policy matches on.
+        assert_eq!(DqmcError::transient("t", "x").severity, Severity::Transient);
+        assert_eq!(DqmcError::corrupt("t", "x").severity, Severity::Corrupt);
+        assert_eq!(
+            DqmcError::device_sick("t", "x").severity,
+            Severity::DeviceSick
+        );
+        assert_eq!(DqmcError::fatal("t", "x").severity, Severity::Fatal);
     }
 
     #[test]

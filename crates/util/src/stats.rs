@@ -267,7 +267,9 @@ pub fn sign_collapsed(sign: &[f64]) -> bool {
 /// `num` and `den` must pair up index-wise (bin `i` of both came from the
 /// same block of sweeps). Returns `(ratio, err)`; with fewer than two bins
 /// the error is 0, and a [`sign_collapsed`] denominator yields `(0, 0)`
-/// (no estimate exists).
+/// (no estimate exists). When a delete-one denominator `Σden − den[i]` is
+/// exactly 0 (sign bins +1, −1, +1) the error is NaN: the ratio is still
+/// returned, but it has no error bar.
 pub fn jackknife_ratio(num: &[f64], den: &[f64]) -> (f64, f64) {
     assert_eq!(num.len(), den.len(), "jackknife bins must pair up");
     if sign_collapsed(den) {
@@ -380,6 +382,14 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_zero_delete_one_sign_sum_leaves_the_ratio_without_an_error() {
+        // Sign bins +1, −1, +1: deleting either +1 leaves a sign sum of 0.
+        let (ratio, err) = jackknife_ratio(&[2.0, -2.0, 2.0], &[1.0, -1.0, 1.0]);
+        assert_eq!(ratio, 2.0);
+        assert!(err.is_nan());
+    }
 
     #[test]
     fn running_stats_basic() {

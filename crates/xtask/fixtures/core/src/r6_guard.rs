@@ -1,5 +1,5 @@
-//! R6 fixture: mutex guards held across expensive calls. Two findings
-//! (lines 10 and 17); the consuming condvar wait and the explicit-drop
+//! R6 fixture: mutex guards held across expensive calls. Three findings
+//! (lines 10, 17 and 39); the consuming condvar wait and the explicit-drop
 //! pattern stay silent.
 
 struct S;
@@ -31,5 +31,12 @@ impl S {
         let g = relock(self.state.lock());
         drop(g);
         gemm(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c);
+    }
+
+    /// QRP is the stratification's slowest factorisation.
+    fn bad_qrp(&self) {
+        let g = relock(self.state.lock());
+        let f = qrp_in_place(a);
+        consume(g, f);
     }
 }

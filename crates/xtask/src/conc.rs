@@ -38,7 +38,7 @@ const EXPENSIVE_TOKENS: [&str; 14] = [
     "gemm(",
     "matmul(",
     "qr_in_place(",
-    "qrp_factor(",
+    "qrp_in_place(",
     "checkpoint_bytes(",
     "to_bytes(",
     ".encode(",

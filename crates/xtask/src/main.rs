@@ -277,13 +277,15 @@ mod tests {
 
     #[test]
     fn fixture_r6_guard_across_expensive_calls() {
-        // Two findings: guard across gemm, guard across pop_blocking. The
-        // condvar-consuming wait and the dropped-guard fn stay silent.
+        // Three findings: guard across gemm, pop_blocking and
+        // qrp_in_place. The condvar-consuming wait and the dropped-guard fn
+        // stay silent.
         let v = lint_fixture("core/src/r6_guard.rs");
-        assert_eq!(v.len(), 2, "{v:?}");
+        assert_eq!(v.len(), 3, "{v:?}");
         assert!(v.iter().all(|x| x.rule == Rule::GuardAcrossCall));
         assert_eq!(v[0].line, 10, "{}", v[0]);
         assert_eq!(v[1].line, 17, "{}", v[1]);
+        assert_eq!(v[2].line, 39, "{}", v[2]);
     }
 
     #[test]
@@ -363,16 +365,16 @@ mod tests {
 
     #[test]
     fn fixture_tree_has_expected_violations_per_rule() {
-        // The CLI path over the whole fixture tree: 11 findings.
+        // The CLI path over the whole fixture tree: 12 findings.
         let allow = Allowlist::default();
         let v = lint_tree(&fixture_dir(), &allow, &fixture_registry()).unwrap();
-        assert_eq!(v.len(), 11, "{v:?}");
+        assert_eq!(v.len(), 12, "{v:?}");
         for (rule, n) in [
             (Rule::UnsafeSite, 1),
             (Rule::HotAlloc, 1),
             (Rule::UncheckedKernel, 1),
             (Rule::PanicSite, 1),
-            (Rule::GuardAcrossCall, 2),
+            (Rule::GuardAcrossCall, 3),
             (Rule::LockOrder, 2),
             (Rule::NondetSource, 1),
             (Rule::DirectFs, 1),
@@ -393,7 +395,7 @@ mod tests {
         assert_eq!(stale[0].line, 1);
         assert!(stale[0].msg.contains("unsafe no/such/file.rs"));
         // The fixture findings themselves are unaffected.
-        assert_eq!(v.len(), 11, "{v:?}");
+        assert_eq!(v.len(), 12, "{v:?}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn device_clusters_reproduce_simulation_greens() {
     // from the device backend's cluster matrices; must match the engine's
     // own.
     let core = thermalised_core(3, 20);
-    let mut devb = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
+    let mut devb = DeviceBackend::new(Device::new(DeviceSpec::tesla_c2050()));
     let mut clusters: [Vec<Matrix>; 2] = [Vec::new(), Vec::new()];
     for lo in (0..20).step_by(5) {
         let [[up, dn]] =
@@ -213,7 +213,7 @@ fn a_crowd_past_the_crossover_is_byte_identical_on_the_device() {
             .collect();
         let mut host = Crowd::new(params.clone());
         host.run();
-        let device = DeviceBackend::with_spec(DeviceSpec::tesla_c2050());
+        let device = DeviceBackend::new(Device::new(DeviceSpec::tesla_c2050()));
         let mut dev = Crowd::new(params).with_backend(Box::new(device));
         dev.run();
         assert!(dev.device_seconds() > 0.0, "the products ran on the device");
