@@ -13,86 +13,20 @@
 //! device can service B walkers per launch and the host can run the two
 //! spins on two cores. A solo run is the B = 1 case of the same calls.
 //!
-//! Backends are *fallible*: a device may drop a transfer, fail a kernel
-//! launch or exhaust its arena. Faults surface as [`BackendFault`] values —
-//! never panics — so the recovery ladder in `sweep` can retry or fall back
-//! to [`HostBackend`].
+//! Backends are *fallible*: a device may fail a kernel launch, exhaust its
+//! arena or hang. A call that did not complete returns a [`DqmcError`] —
+//! never a panic — whose severity picks the recovery ladder's response in
+//! `sweep`: `DeviceSick` escapes to the scheduler, anything else is retried
+//! and then falls back to [`HostBackend`]. A call that completed with bad
+//! data (a dropped transfer) returns `Ok`: the sweep's own taint scans find
+//! it.
 
 use crate::bmat::BMatrixFactory;
 use crate::hs::HsField;
 use crate::hubbard::Spin;
 use linalg::{team, Matrix};
 use std::fmt;
-
-/// Broad classification of a backend failure, driving the recovery policy's
-/// escalation order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The device itself failed (launch failure, arena exhaustion): the
-    /// computation never completed. Retry, then abandon the device.
-    Device,
-    /// The computation completed but produced tainted (non-finite) or
-    /// implausible data: retry, then stabilize harder (shrink clusters).
-    Taint,
-    /// The *device* is suspect — an op hung past its logical deadline or
-    /// the device is in a scripted sick window. The in-core ladder must
-    /// NOT absorb this: it escapes to the scheduler, which parks the job,
-    /// excludes the slot, and feeds the pool's circuit breaker.
-    Sick,
-}
-
-/// A recoverable backend failure.
-#[derive(Clone, Debug)]
-pub struct BackendFault {
-    /// What class of failure this is.
-    pub kind: FaultKind,
-    /// Human-readable description (kernel name, indices, offending value).
-    pub detail: String,
-}
-
-impl BackendFault {
-    /// A device-class fault.
-    pub fn device(detail: impl Into<String>) -> Self {
-        BackendFault {
-            kind: FaultKind::Device,
-            detail: detail.into(),
-        }
-    }
-
-    /// A taint-class (non-finite data) fault.
-    pub fn taint(detail: impl Into<String>) -> Self {
-        BackendFault {
-            kind: FaultKind::Taint,
-            detail: detail.into(),
-        }
-    }
-
-    /// A sick-device fault.
-    pub fn sick(detail: impl Into<String>) -> Self {
-        BackendFault {
-            kind: FaultKind::Sick,
-            detail: detail.into(),
-        }
-    }
-
-    /// Whether the fault indicts the device itself (and must escape the
-    /// in-core recovery ladder).
-    pub fn is_sick(&self) -> bool {
-        self.kind == FaultKind::Sick
-    }
-}
-
-impl fmt::Display for BackendFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            FaultKind::Device => write!(f, "device fault: {}", self.detail),
-            FaultKind::Taint => write!(f, "tainted data: {}", self.detail),
-            FaultKind::Sick => write!(f, "sick device: {}", self.detail),
-        }
-    }
-}
-
-impl std::error::Error for BackendFault {}
+use util::DqmcError;
 
 /// A provider of the sweep's two heavy kernels over a slice of walkers, both
 /// spins per call. All walkers share one [`BMatrixFactory`] (same model,
@@ -116,7 +50,7 @@ pub trait ComputeBackend: fmt::Debug + Send {
         l: usize,
         gs: &[&[Matrix; 2]],
         outs: &mut [&mut [Matrix; 2]],
-    ) -> Result<(), BackendFault>;
+    ) -> Result<(), DqmcError>;
 
     /// Computes the cluster products `B_{hi−1,σ} ⋯ B_{lo,σ}` of both spins
     /// for every walker.
@@ -126,7 +60,7 @@ pub trait ComputeBackend: fmt::Debug + Send {
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-    ) -> Result<Vec<[Matrix; 2]>, BackendFault>;
+    ) -> Result<Vec<[Matrix; 2]>, DqmcError>;
 
     /// Called by the recovery layer after any fault, before a retry. Device
     /// backends drop resident operands here so the retry re-uploads clean
@@ -177,7 +111,7 @@ impl ComputeBackend for HostBackend {
         l: usize,
         gs: &[&[Matrix; 2]],
         outs: &mut [&mut [Matrix; 2]],
-    ) -> Result<(), BackendFault> {
+    ) -> Result<(), DqmcError> {
         let mut per_spin: [Vec<&mut Matrix>; 2] = [Vec::new(), Vec::new()];
         for [up, dn] in outs.iter_mut().map(|pair| &mut **pair) {
             per_spin[0].push(up);
@@ -197,7 +131,7 @@ impl ComputeBackend for HostBackend {
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-    ) -> Result<Vec<[Matrix; 2]>, BackendFault> {
+    ) -> Result<Vec<[Matrix; 2]>, DqmcError> {
         let mut per_spin: [Vec<Matrix>; 2] = [Vec::new(), Vec::new()];
         for_each_spin(fac.nsites(), &mut per_spin, |spin, products| {
             products.extend(hs.iter().map(|h| fac.cluster(h, lo, hi, spin)));
@@ -231,13 +165,5 @@ mod tests {
             let want = crate::greens::wrap(&fac, &h, 0, spin, &g[spin.index()]);
             assert_eq!(out[spin.index()], want);
         }
-    }
-
-    #[test]
-    fn fault_display_names_kind() {
-        let d = BackendFault::device("launch 3 failed");
-        let t = BackendFault::taint("NaN at 7");
-        assert!(d.to_string().contains("device fault"));
-        assert!(t.to_string().contains("tainted"));
     }
 }

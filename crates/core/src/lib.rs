@@ -57,7 +57,7 @@ pub mod sweep;
 pub mod tdm;
 pub mod update;
 
-pub use backend::{BackendFault, ComputeBackend, FaultKind, HostBackend};
+pub use backend::{ComputeBackend, HostBackend};
 pub use bmat::BMatrixFactory;
 pub use checkpoint::{params_fingerprint, CheckpointError};
 pub use crowd::Crowd;

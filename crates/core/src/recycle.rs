@@ -7,7 +7,6 @@
 //! of MB at N = 1024, as the paper notes) for skipping most of the
 //! clustering GEMMs.
 
-use crate::backend::BackendFault;
 use crate::bmat::BMatrixFactory;
 use crate::hs::HsField;
 use crate::hubbard::Spin;
@@ -123,13 +122,14 @@ impl ClusterCache {
     /// prefill), scanning for non-finite taint *before* caching: a poisoned
     /// product must never enter the cache (or the stratification, where
     /// `checked-invariants` builds would abort before recovery could act).
-    /// On `Err` the slot stays stale and the caller decides how to heal.
-    pub fn install(&mut self, c: usize, spin: Spin, m: Matrix) -> Result<(), BackendFault> {
+    /// On `Err` (the taint's detail) the slot stays stale and the caller
+    /// decides how to heal.
+    pub fn install(&mut self, c: usize, spin: Spin, m: Matrix) -> Result<(), String> {
         let (lo, hi) = self.range(c);
         if let Some((i, v)) = linalg::check::first_non_finite(m.as_slice()) {
-            return Err(BackendFault::taint(format!(
+            return Err(format!(
                 "{v} at flat index {i} in prefilled cluster [{lo}, {hi}) {spin:?}"
-            )));
+            ));
         }
         self.store[spin.index()][c] = Some(m);
         self.fresh[spin.index()][c] = true;
@@ -337,7 +337,7 @@ mod tests {
         let mut m = Matrix::identity(fac.nsites());
         m[(0, 0)] = f64::NAN;
         let err = cache.install(0, Spin::Up, m).unwrap_err();
-        assert_eq!(err.kind, crate::backend::FaultKind::Taint);
+        assert!(err.contains("NaN at flat index 0"), "{err}");
         // The poisoned product must not have been cached: the slot is still
         // stale and a host read rebuilds cleanly.
         assert_eq!(cache.first_stale(), Some(0));

@@ -30,19 +30,24 @@
 //!
 //! | fault class | scope | rungs |
 //! |---|---|---|
-//! | device (launch failure, arena exhaustion: the call never completed) | driver — the call covered every walker; logged on walker 0 | **retry** (after telling the backend to drop resident device state) → permanent **host fallback** |
+//! | device: the call returned `Err` (`Transient`: launch failure, arena exhaustion) | driver — the call covered every walker; logged on walker 0 | **retry** (after telling the backend to drop resident device state) → permanent **host fallback** |
 //! | taint in a wrapped `G` (non-finite download) | walker | **retry** the batched wrap → discard the wrap and **repair** from the HS field |
 //! | taint in a cluster product | walker | **retry** the batched call → **cluster-size shrink** for that walker → at the floor, drop the product and rebuild it on the host |
 //! | wrap-vs-recompute divergence (silent finite corruption) | walker | drop every cached product, **shrink** if possible, recompute on the host |
 //! | non-finite stratified `G` on the host | walker | **shrink** → `Fatal` error at the floor |
-//! | sick or hung device | escapes | logged as escalated; the scheduler parks the job and indicts the slot |
+//! | sick or hung device (`DeviceSick`) | escapes | logged as escalated; the scheduler parks the job and indicts the slot |
+//!
+//! Both calls climb one retry rung, `SweepDriver::call_retrying`: an `Err`
+//! goes to `escalate_device`, a taint re-runs the whole call, and one
+//! `fault_streak` bounds both within an incident. What the retries leave
+//! each call settles per walker (`escalate_taint` holds the shrinks).
 //!
 //! Walkers keep their own cluster size: each decides its boundaries from
 //! its own cache and the batched prefill groups walkers by slice range, so
 //! one walker's shrink neither breaks lockstep nor hands it a neighbour's
 //! products.
 
-use crate::backend::{for_each_spin, BackendFault, ComputeBackend, FaultKind, HostBackend};
+use crate::backend::{for_each_spin, ComputeBackend, HostBackend};
 use crate::bmat::BMatrixFactory;
 use crate::greens::{self, greens_from_udt, GreensFunction};
 use crate::hs::HsField;
@@ -57,7 +62,7 @@ use crate::stratify::stratify;
 use crate::update::{visit_sites, Decider, Side, SpinSide};
 use linalg::check::first_non_finite;
 use linalg::{workspace, Matrix};
-use util::{DqmcError, Rng, RunningStats};
+use util::{DqmcError, Rng, RunningStats, Severity};
 
 /// The complete mutable state of one walker (one Markov chain).
 #[derive(Debug)]
@@ -214,20 +219,21 @@ impl DqmcCore {
         loop {
             match self.try_recompute_greens(l) {
                 Ok(()) => return Ok(()),
-                Err(fault) => {
-                    self.escalate_taint(l, RecoveryCause::NonFinite(fault.detail), false)?;
+                Err(detail) => {
+                    self.escalate_taint(l, RecoveryCause::NonFinite(detail), false)?;
                 }
             }
         }
     }
 
     /// One attempt at the full stratified evaluation. On success `self.g`
-    /// and `self.sign` are updated; on fault they are untouched.
+    /// and `self.sign` are updated; on a non-finite result they are
+    /// untouched and the taint's detail comes back.
     ///
     /// Both spins' cluster factors are gathered first (rebuilding the stale
     /// ones) and lent out of the cache; the two evaluations are independent
     /// and run as the spin pair ([`for_each_spin`]).
-    fn try_recompute_greens(&mut self, l: usize) -> Result<(), BackendFault> {
+    fn try_recompute_greens(&mut self, l: usize) -> Result<(), String> {
         let algo = self.params.algo;
         let n = self.nsites();
         self.timer.time(phases::CLUSTERING, || {
@@ -242,17 +248,14 @@ impl DqmcCore {
                 *gf = Some(greens_from_udt(&stratify(factors, algo)));
             })
         });
-        let mut sign = 1.0;
         let [up, dn] = jobs.map(|(_, gf)| gf.expect("both spins evaluated"));
-        for (spin, gf) in Spin::BOTH.iter().zip([&up, &dn]) {
-            if let Some((idx, v)) = first_non_finite(gf.g.as_slice()) {
-                return Err(BackendFault::taint(format!(
-                    "stratified G for {spin:?} has {v} at element {idx}"
-                )));
-            }
-            sign *= gf.sign;
+        let (sign, g) = (up.sign * dn.sign, [up.g, dn.g]);
+        if let Some((spin, idx, v)) = first_taint(&g) {
+            return Err(format!(
+                "stratified G for {spin:?} has {v} at element {idx}"
+            ));
         }
-        self.g = [up.g, dn.g];
+        self.g = g;
         self.sign = sign;
         Ok(())
     }
@@ -310,12 +313,10 @@ impl DqmcCore {
     /// Metropolis randomness and reproduces exactly the matrix an untainted
     /// run holds at sweep start, so the repaired chain is bit-identical.
     fn repair_if_tainted(&mut self) -> Result<(), DqmcError> {
-        let taint = first_non_finite(self.g[0].as_slice())
-            .map(|(i, v)| (0usize, i, v))
-            .or_else(|| first_non_finite(self.g[1].as_slice()).map(|(i, v)| (1usize, i, v)));
-        let Some((s, idx, v)) = taint else {
+        let Some((spin, idx, v)) = first_taint(&self.g) else {
             return Ok(());
         };
+        let s = spin.index();
         if !self.params.recovery.enabled {
             return Err(DqmcError::fatal(
                 "sweep",
@@ -340,7 +341,9 @@ impl DqmcCore {
         let result = self.try_recompute_greens(l);
         self.cache = cache;
         // Already at cluster size 1: there is no harder stabilisation left.
-        result.map_err(|fault| DqmcError::fatal("wrap", format!("unrecoverable {fault}")))
+        result.map_err(|detail| {
+            DqmcError::fatal("wrap", format!("unrecoverable tainted data: {detail}"))
+        })
     }
 
     /// Runs one full sweep (all `L·N` proposals) on the host backend;
@@ -468,12 +471,23 @@ impl DqmcCore {
     }
 }
 
+/// The first non-finite element of a spin pair, scanning up then down:
+/// (spin, flat index, value).
+fn first_taint(pair: &[Matrix; 2]) -> Option<(Spin, usize, f64)> {
+    let mut scans = Spin::BOTH.into_iter().zip(pair);
+    scans.find_map(|(spin, m)| first_non_finite(m.as_slice()).map(|(i, v)| (spin, i, v)))
+}
+
 /// One walker's seat in a lockstep sweep: its engine and, on measurement
 /// sweeps, the accumulator its records go to.
 pub(crate) struct Lane<'a> {
     pub(crate) core: &'a mut DqmcCore,
     pub(crate) obs: Option<&'a mut Observables>,
 }
+
+/// What one backend call through [`SweepDriver::call_retrying`] returns:
+/// its output and the taints found in it, as (lane, detail).
+type CallResult<T> = Result<(T, Vec<(usize, String)>), DqmcError>;
 
 /// The sweep driver: the backend every walker's heavy kernels go through
 /// and the driver-scoped half of the recovery ladder. Owns no walker — it
@@ -599,43 +613,37 @@ impl SweepDriver {
         Ok(())
     }
 
-    /// The driver-scoped rungs, for a backend call that failed as a whole:
+    /// The driver-scoped rungs, for a backend call that did not complete:
     /// retry (bounded by the policy, after telling the backend to drop its
     /// resident state), then permanent host fallback. Returns `Ok` when the
-    /// caller should run the call again. Sick-device faults escape
+    /// caller should run the call again. A `DeviceSick` error escapes
     /// immediately without consuming a rung. Events go to `base`, walker
     /// 0's log — the job's base chain.
     fn escalate_device(
         &mut self,
         base: &mut DqmcCore,
         origin: &'static str,
-        fault: BackendFault,
+        err: DqmcError,
         slice: usize,
     ) -> Result<(), DqmcError> {
-        if fault.is_sick() {
+        if err.severity == Severity::DeviceSick {
             // The device, not the computation, is suspect: retrying or
             // falling back here would grind against a failing part while
             // the scheduler (which owns placement) is the layer that can
             // fix it — park the job, exclude the slot, feed the breaker.
-            base.push_event(
-                slice,
-                RecoveryCause::Sick(fault.detail.clone()),
-                RecoveryAction::Escalated,
-            );
-            return Err(DqmcError::device_sick(origin, fault.to_string()));
+            let cause = RecoveryCause::Sick(err.detail.clone());
+            base.push_event(slice, cause, RecoveryAction::Escalated);
+            return Err(err);
         }
         let policy = &base.params.recovery;
         if !policy.enabled {
             return Err(DqmcError::fatal(
                 origin,
-                format!("backend fault with recovery disabled: {fault}"),
+                format!("backend fault with recovery disabled: {}", err.detail),
             ));
         }
         let max_retries = policy.max_retries;
-        let cause = match fault.kind {
-            FaultKind::Taint => RecoveryCause::NonFinite(fault.detail.clone()),
-            _ => RecoveryCause::Device(fault.detail.clone()),
-        };
+        let cause = RecoveryCause::Device(err.detail);
         self.fault_streak += 1;
         if self.fault_streak <= max_retries {
             let attempt = self.fault_streak;
@@ -652,43 +660,62 @@ impl SweepDriver {
         Ok(())
     }
 
-    /// One timed attempt at wrapping both spins of every walker past slice
-    /// `l` (one backend call), returning the per-walker taint list (index,
-    /// detail) found by scanning the results — device transfer corruption
-    /// shows up here, since fallible backends do not self-check.
-    fn try_wrap(
+    /// The retry rung both backend calls climb. Runs `call` on the active
+    /// backend for the lanes in `walkers`, which share its wall time in
+    /// `phase`; `call` returns its result and the taints it finds in it
+    /// (lane, detail) — device transfer corruption shows up there, since
+    /// fallible backends do not self-check. An `Err` goes up
+    /// [`Self::escalate_device`] and the call runs again. A taint re-runs
+    /// the whole call while the incident's `fault_streak` allows, after
+    /// telling the backend to drop its residents, and logs
+    /// `Retry { attempt }` on each tainted walker; with recovery disabled it
+    /// is `Fatal`. Returns the last result with its taints (none on a clean
+    /// call) and the streak reset, for the caller to settle walker by
+    /// walker.
+    fn call_retrying<T>(
         &mut self,
         lanes: &mut [Lane<'_>],
-        l: usize,
-        wrapped: &mut [[Matrix; 2]],
-    ) -> Result<Vec<(usize, String)>, BackendFault> {
-        let t0 = std::time::Instant::now();
-        let backend = self.active();
-        let fac = &lanes[0].core.fac;
-        let hs: Vec<&HsField> = lanes.iter().map(|w| &w.core.h).collect();
-        let gs: Vec<&[Matrix; 2]> = lanes.iter().map(|w| &w.core.g).collect();
-        let mut outs: Vec<&mut [Matrix; 2]> = wrapped.iter_mut().collect();
-        let result = backend.wrap(fac, &hs, l, &gs, &mut outs);
-        let per_walker = t0.elapsed() / lanes.len() as u32;
-        for lane in lanes.iter_mut() {
-            lane.core.timer.add(phases::WRAPPING, per_walker);
-        }
-        result?;
-        let mut tainted = Vec::new();
-        for (i, pair) in wrapped.iter().enumerate() {
-            for (s, m) in pair.iter().enumerate() {
-                if let Some((idx, v)) = first_non_finite(m.as_slice()) {
-                    tainted.push((
-                        i,
-                        format!(
-                            "wrapped G[{s}] of walker {i} has {v} at element {idx} after slice {l}"
-                        ),
-                    ));
-                    break;
+        walkers: impl Iterator<Item = usize> + Clone,
+        (origin, slice, phase): (&'static str, usize, usize),
+        mut call: impl FnMut(&mut dyn ComputeBackend, &[Lane<'_>]) -> CallResult<T>,
+    ) -> CallResult<T> {
+        let share = walkers.clone().count() as u32;
+        loop {
+            let t0 = std::time::Instant::now();
+            let result = call(self.active(), lanes);
+            let per_walker = t0.elapsed() / share;
+            for i in walkers.clone() {
+                lanes[i].core.timer.add(phase, per_walker);
+            }
+            let (out, taint) = match result {
+                Ok(done) => done,
+                Err(err) => {
+                    self.escalate_device(lanes[0].core, origin, err, slice)?;
+                    continue;
                 }
+            };
+            let policy = &lanes[0].core.params.recovery;
+            if !taint.is_empty() && !policy.enabled {
+                let detail = &taint[0].1;
+                return Err(DqmcError::fatal(
+                    origin,
+                    format!("{origin} taint with recovery disabled: {detail}"),
+                ));
+            }
+            if taint.is_empty() || self.fault_streak >= policy.max_retries {
+                self.fault_streak = 0;
+                return Ok((out, taint));
+            }
+            self.fault_streak += 1;
+            let attempt = self.fault_streak;
+            self.active().notify_fault();
+            for (i, detail) in taint {
+                let cause = RecoveryCause::NonFinite(detail);
+                lanes[i]
+                    .core
+                    .push_event(slice, cause, RecoveryAction::Retry { attempt });
             }
         }
-        Ok(tainted)
     }
 
     /// Wraps every walker's Green's functions past slice `l` with recovery.
@@ -703,57 +730,39 @@ impl SweepDriver {
         l: usize,
         wrapped: &mut [[Matrix; 2]],
     ) -> Result<Vec<bool>, DqmcError> {
-        loop {
-            let taint = match self.try_wrap(lanes, l, wrapped) {
-                Ok(taint) => taint,
-                Err(fault) => {
-                    self.escalate_device(lanes[0].core, "wrap", fault, l)?;
-                    continue;
-                }
-            };
-            let mut ok = vec![true; lanes.len()];
-            if taint.is_empty() {
-                self.fault_streak = 0;
-                return Ok(ok);
+        let b = lanes.len();
+        let site = ("wrap", l, phases::WRAPPING);
+        let ((), taint) = self.call_retrying(lanes, 0..b, site, |backend, lanes| {
+            let hs: Vec<&HsField> = lanes.iter().map(|w| &w.core.h).collect();
+            let gs: Vec<&[Matrix; 2]> = lanes.iter().map(|w| &w.core.g).collect();
+            let mut outs: Vec<&mut [Matrix; 2]> = wrapped.iter_mut().collect();
+            backend.wrap(&lanes[0].core.fac, &hs, l, &gs, &mut outs)?;
+            let taint = wrapped.iter().enumerate().filter_map(|(i, pair)| {
+                let (spin, idx, v) = first_taint(pair)?;
+                let s = spin.index();
+                let at = format!("{v} at element {idx} after slice {l}");
+                Some((i, format!("wrapped G[{s}] of walker {i} has {at}")))
+            });
+            Ok(((), taint.collect()))
+        })?;
+        // The source G was clean (scanned at sweep start and after every
+        // recompute), so the taint came from the wrap itself. The tainted
+        // walkers alone discard it and rebuild; clean walkers keep their
+        // wraps.
+        let mut ok = vec![true; b];
+        for (i, detail) in taint {
+            let core = &mut *lanes[i].core;
+            ok[i] = false;
+            core.push_event(
+                l,
+                RecoveryCause::NonFinite(detail),
+                RecoveryAction::TaintRepair,
+            );
+            if !core.at_boundary(l) {
+                core.repair_greens_after(l)?;
             }
-            let policy = &lanes[0].core.params.recovery;
-            if !policy.enabled {
-                return Err(DqmcError::fatal(
-                    "wrap",
-                    format!("wrap taint with recovery disabled: {}", taint[0].1),
-                ));
-            }
-            self.fault_streak += 1;
-            if self.fault_streak <= policy.max_retries {
-                let attempt = self.fault_streak;
-                self.active().notify_fault();
-                for (i, detail) in taint {
-                    let cause = RecoveryCause::NonFinite(detail);
-                    lanes[i]
-                        .core
-                        .push_event(l, cause, RecoveryAction::Retry { attempt });
-                }
-                continue;
-            }
-            // The source G was clean (scanned at sweep start and after every
-            // recompute), so the taint came from the wrap itself. The
-            // tainted walkers alone discard it and rebuild; clean walkers
-            // keep their wraps.
-            self.fault_streak = 0;
-            for (i, detail) in taint {
-                let core = &mut *lanes[i].core;
-                ok[i] = false;
-                core.push_event(
-                    l,
-                    RecoveryCause::NonFinite(detail),
-                    RecoveryAction::TaintRepair,
-                );
-                if !core.at_boundary(l) {
-                    core.repair_greens_after(l)?;
-                }
-            }
-            return Ok(ok);
         }
+        Ok(ok)
     }
 
     /// Sends every stale cluster product of the walkers at a boundary after
@@ -802,74 +811,43 @@ impl SweepDriver {
         (lo, hi): (usize, usize),
         need: &[usize],
     ) -> Result<(), DqmcError> {
-        loop {
-            let t0 = std::time::Instant::now();
+        let walkers = need.iter().copied();
+        let site = ("cluster", lo, phases::CLUSTERING);
+        let (products, _) = self.call_retrying(lanes, walkers, site, |backend, lanes| {
             let hs: Vec<&HsField> = need.iter().map(|&i| &lanes[i].core.h).collect();
-            let r = self.active().cluster(&lanes[0].core.fac, &hs, lo, hi);
-            let per_walker = t0.elapsed() / need.len() as u32;
-            for &i in need {
-                lanes[i].core.timer.add(phases::CLUSTERING, per_walker);
+            let products = backend.cluster(&lanes[0].core.fac, &hs, lo, hi)?;
+            let taint = need.iter().zip(&products).filter_map(|(&i, pair)| {
+                let (spin, idx, v) = first_taint(pair)?;
+                let at = format!("{v} at flat index {idx}");
+                Some((i, format!("{at} in cluster [{lo}, {hi}) {spin:?}")))
+            });
+            let taint = taint.collect();
+            Ok((products, taint))
+        })?;
+        for (&i, pair) in need.iter().zip(products) {
+            let core = &mut *lanes[i].core;
+            let c = core.cache.cluster_of(lo);
+            // `install` re-scans; a still-tainted product is dropped.
+            let mut dropped = Vec::new();
+            for (spin, m) in Spin::BOTH.into_iter().zip(pair) {
+                if let Err(detail) = core.cache.install(c, spin, m) {
+                    dropped.push((spin, detail));
+                }
             }
-            let products = match r {
-                Ok(products) => products,
-                Err(fault) => {
-                    self.escalate_device(lanes[0].core, "cluster", fault, lo)?;
-                    continue;
-                }
-            };
-            let taint = |pair: &[Matrix; 2]| {
-                Spin::BOTH.iter().zip(pair).find_map(|(spin, m)| {
-                    first_non_finite(m.as_slice()).map(|(i, v)| {
-                        format!("{v} at flat index {i} in cluster [{lo}, {hi}) {spin:?}")
-                    })
-                })
-            };
-            let policy = &lanes[0].core.params.recovery;
-            if policy.enabled
-                && self.fault_streak < policy.max_retries
-                && products.iter().any(|pair| taint(pair).is_some())
-            {
-                // Nothing is installed: the retry recomputes the whole call.
-                self.fault_streak += 1;
-                let attempt = self.fault_streak;
-                self.active().notify_fault();
-                for (&i, pair) in need.iter().zip(&products) {
-                    if let Some(detail) = taint(pair) {
-                        lanes[i].core.push_event(
-                            lo,
-                            RecoveryCause::NonFinite(detail),
-                            RecoveryAction::Retry { attempt },
-                        );
-                    }
-                }
+            let Some((_, detail)) = dropped.first() else {
                 continue;
-            }
-            self.fault_streak = 0;
-            for (&i, pair) in need.iter().zip(products) {
-                let core = &mut *lanes[i].core;
-                let c = core.cache.cluster_of(lo);
-                // `install` re-scans; a still-tainted product is dropped.
-                let mut dropped = Vec::new();
-                for (spin, m) in Spin::BOTH.into_iter().zip(pair) {
-                    if let Err(f) = core.cache.install(c, spin, m) {
-                        dropped.push((spin, f.detail));
-                    }
-                }
-                let Some((_, detail)) = dropped.first() else {
-                    continue;
-                };
-                let cause = RecoveryCause::NonFinite(detail.clone());
-                // One incident per walker; a shrink re-clusters both spins.
-                if !core.escalate_taint(lo, cause, true)? {
-                    for (spin, _) in dropped {
-                        core.timer.time(phases::CLUSTERING, || {
-                            core.cache.get(&core.fac, &core.h, c, spin);
-                        });
-                    }
+            };
+            let cause = RecoveryCause::NonFinite(detail.clone());
+            // One incident per walker; a shrink re-clusters both spins.
+            if !core.escalate_taint(lo, cause, true)? {
+                for (spin, _) in dropped {
+                    core.timer.time(phases::CLUSTERING, || {
+                        core.cache.get(&core.fac, &core.h, c, spin);
+                    });
                 }
             }
-            return Ok(());
         }
+        Ok(())
     }
 }
 
@@ -1107,6 +1085,8 @@ mod tests {
     struct Scripted {
         /// Calls (wrap or cluster) still to fail with a device-class fault.
         device_faults: u32,
+        /// Cluster calls still to fail with a device-class fault.
+        cluster_device_faults: u32,
         /// Fail every call as sick.
         sick: bool,
         /// Cluster calls still to poison (the last product of each).
@@ -1117,13 +1097,13 @@ mod tests {
     }
 
     impl Scripted {
-        fn fail(&mut self) -> Result<(), BackendFault> {
+        fn fail(&mut self) -> Result<(), DqmcError> {
             if self.sick {
-                return Err(BackendFault::sick("scripted sick window"));
+                return Err(DqmcError::device_sick("scripted", "scripted sick window"));
             }
             if self.device_faults > 0 {
                 self.device_faults -= 1;
-                return Err(BackendFault::device("scripted device failure"));
+                return Err(DqmcError::transient("scripted", "scripted device failure"));
             }
             Ok(())
         }
@@ -1140,7 +1120,7 @@ mod tests {
             l: usize,
             gs: &[&[Matrix; 2]],
             outs: &mut [&mut [Matrix; 2]],
-        ) -> Result<(), BackendFault> {
+        ) -> Result<(), DqmcError> {
             self.fail()?;
             HostBackend.wrap(fac, hs, l, gs, outs)?;
             if self.taint_wraps > 0 {
@@ -1155,8 +1135,12 @@ mod tests {
             hs: &[&HsField],
             lo: usize,
             hi: usize,
-        ) -> Result<Vec<[Matrix; 2]>, BackendFault> {
+        ) -> Result<Vec<[Matrix; 2]>, DqmcError> {
             self.fail()?;
+            if self.cluster_device_faults > 0 {
+                self.cluster_device_faults -= 1;
+                return Err(DqmcError::transient("scripted", "scripted device failure"));
+            }
             let mut products = HostBackend.cluster(fac, hs, lo, hi)?;
             if self.taint_clusters > 0 {
                 self.taint_clusters -= 1;
@@ -1407,6 +1391,74 @@ mod tests {
                 assert!(cores[0].recovery_log().is_empty());
                 assert_same_chain(&cores[0], &clean_reference(1, 1)[0]);
             }
+        }
+    }
+
+    #[test]
+    fn a_device_fault_and_a_taint_on_its_retry_share_one_budget() {
+        // A call that fails, then comes back tainted on its retry, is one
+        // incident: the taint retry is attempt 2 of `max_retries` = 2, so
+        // the next taint settles at once — a repair for a wrap, a shrink
+        // for a cluster product.
+        for b in [1, 2] {
+            let wrap = Scripted {
+                device_faults: 1,
+                taint_wraps: 2,
+                ..Scripted::default()
+            };
+            let cluster = Scripted {
+                cluster_device_faults: 1,
+                taint_clusters: 2,
+                ..Scripted::default()
+            };
+            let repaired: fn(&RecoveryAction) -> bool =
+                |a| matches!(a, RecoveryAction::TaintRepair);
+            let shrunk: fn(&RecoveryAction) -> bool =
+                |a| matches!(a, RecoveryAction::ClusterShrink { from: 4, to: 2 });
+            for (script, settles) in [(wrap, repaired), (cluster, shrunk)] {
+                let mut driver = SweepDriver::new(Box::new(script));
+                let mut cores = walkers(b);
+                sweep_all(&mut driver, &mut cores).unwrap();
+                // Walker 0 logs the device retry, the victim the rest.
+                let logged: Vec<RecoveryAction> = cores.iter().flat_map(actions).collect();
+                assert!(
+                    matches!(
+                        logged[..],
+                        [
+                            RecoveryAction::Retry { attempt: 1 },
+                            RecoveryAction::Retry { attempt: 2 },
+                            ref last
+                        ] if settles(last)
+                    ),
+                    "b = {b}: {logged:?}"
+                );
+                assert!(!driver.use_host_fallback);
+                assert_eq!(driver.fault_streak, 0);
+                assert_greens_match_naive(&cores[b - 1]);
+            }
+        }
+    }
+
+    #[test]
+    fn taint_with_recovery_disabled_is_fatal_for_both_calls() {
+        // "recovery disabled" is what `DqmcError::from_panic` classifies
+        // as fatal, so the text is part of the contract.
+        let wrap = Scripted {
+            taint_wraps: 1,
+            ..Scripted::default()
+        };
+        let cluster = Scripted {
+            taint_clusters: 1,
+            ..Scripted::default()
+        };
+        for script in [wrap, cluster] {
+            let params = small_params(4.0, 8, 43).with_recovery(RecoveryPolicy::disabled());
+            let mut cores = vec![DqmcCore::new(params)];
+            let mut driver = SweepDriver::new(Box::new(script));
+            let err = sweep_all(&mut driver, &mut cores).unwrap_err();
+            assert_eq!(err.severity, util::Severity::Fatal, "{err}");
+            assert!(err.to_string().contains("recovery disabled"), "{err}");
+            assert!(cores[0].recovery_log().is_empty());
         }
     }
 

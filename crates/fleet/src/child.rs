@@ -23,6 +23,10 @@
 //!   once the report holds `n` fragments (exercises the kill path);
 //! - `DQMC_FLEET_FAULT_SHARD=k` — scope either hook to shard `k`.
 //!
+//! A malformed value (`n` must be at least 1, `k` a shard index) makes the
+//! child exit 2 naming the variable, as a malformed `DQMC_VFS_FAULTS` does,
+//! rather than run with the hook silently off; a blank one is unset.
+//!
 //! The supervisor strips these variables when it respawns a child, so a
 //! scripted fault fires exactly once and the respawn completes the shard.
 
@@ -33,6 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use util::settings;
 
 use crate::manifest::ShardManifest;
 use crate::report::ShardReport;
@@ -50,26 +55,53 @@ pub const ENV_HANG_AFTER: &str = "DQMC_FLEET_HANG_AFTER";
 /// See [`ENV_EXIT_AFTER`].
 pub const ENV_FAULT_SHARD: &str = "DQMC_FLEET_FAULT_SHARD";
 
-/// Scripted fault hooks decoded from the environment.
+/// Scripted fault hooks decoded from the environment: fragment counts.
 #[derive(Clone, Copy, Debug, Default)]
 struct FaultHooks {
-    exit_after: Option<usize>,
-    hang_after: Option<usize>,
+    exit_after: Option<u64>,
+    hang_after: Option<u64>,
 }
 
 impl FaultHooks {
-    fn from_env(shard: usize) -> FaultHooks {
-        let scoped = |name: &str| -> Option<usize> {
-            let v = std::env::var(name).ok()?.parse().ok()?;
-            match std::env::var(ENV_FAULT_SHARD) {
-                Ok(k) if k.parse() != Ok(shard) => None,
-                _ => Some(v),
-            }
+    /// The hooks of shard `shard`, from the values of [`ENV_EXIT_AFTER`],
+    /// [`ENV_HANG_AFTER`] and [`ENV_FAULT_SHARD`] (`None` when unset): off
+    /// when the scope names another shard. A malformed value is refused
+    /// with its variable's name.
+    fn parse(
+        shard: usize,
+        exit_after: Option<&str>,
+        hang_after: Option<&str>,
+        fault_shard: Option<&str>,
+    ) -> Result<FaultHooks, String> {
+        let count = |name: &str, v: Option<&str>| {
+            let bad = |v| format!("{name}: bad count '{v}' (want 1 or more)");
+            v.map(|v| settings::ordinal(v).map_err(|_| bad(v)))
+                .transpose()
         };
-        FaultHooks {
-            exit_after: scoped(ENV_EXIT_AFTER),
-            hang_after: scoped(ENV_HANG_AFTER),
+        let hooks = FaultHooks {
+            exit_after: count(ENV_EXIT_AFTER, exit_after)?,
+            hang_after: count(ENV_HANG_AFTER, hang_after)?,
+        };
+        let scope = fault_shard.map(|v| {
+            settings::int_in(v, 0..=usize::MAX)
+                .map_err(|_| format!("{ENV_FAULT_SHARD}: bad shard index '{v}'"))
+        });
+        match scope.transpose()? {
+            Some(k) if k != shard => Ok(FaultHooks::default()),
+            _ => Ok(hooks),
         }
+    }
+
+    fn from_env(shard: usize) -> Result<FaultHooks, String> {
+        let var = |name| std::env::var(name).ok().filter(|v| !v.trim().is_empty());
+        let [exit_after, hang_after, fault_shard] =
+            [ENV_EXIT_AFTER, ENV_HANG_AFTER, ENV_FAULT_SHARD].map(var);
+        FaultHooks::parse(
+            shard,
+            exit_after.as_deref(),
+            hang_after.as_deref(),
+            fault_shard.as_deref(),
+        )
     }
 }
 
@@ -163,6 +195,7 @@ fn run_shard(
     heartbeat_path: &Path,
 ) -> Result<i32, String> {
     let manifest = ShardManifest::read(manifest_path)?;
+    let hooks = FaultHooks::from_env(manifest.shard)?;
     let mut spec =
         GridSpec::parse(&manifest.grid_text).map_err(|e| format!("manifest grid: {e}"))?;
     let fingerprint = sched::grid_fingerprint(&spec);
@@ -183,7 +216,6 @@ fn run_shard(
         .write(report_path)
         .map_err(|e| format!("cannot write shard report {}: {e}", report_path.display()))?;
 
-    let hooks = FaultHooks::from_env(manifest.shard);
     let mut heartbeat = Heartbeat::start(heartbeat_path.to_path_buf());
 
     let service = SweepService::start(&SchedConfig {
@@ -230,16 +262,11 @@ fn run_shard(
 
 /// Applies scripted fault hooks against the current fragment count.
 fn fire_hooks(hooks: &FaultHooks, report: &ShardReport, heartbeat: &mut Heartbeat) -> Option<i32> {
-    if hooks
-        .exit_after
-        .is_some_and(|n| report.fragments.len() >= n)
-    {
+    let reached = |hook: Option<u64>| hook.is_some_and(|n| report.fragments.len() as u64 >= n);
+    if reached(hooks.exit_after) {
         return Some(SCRIPTED_EXIT_CODE);
     }
-    if hooks
-        .hang_after
-        .is_some_and(|n| report.fragments.len() >= n)
-    {
+    if reached(hooks.hang_after) {
         // A wedge: heartbeat frozen, process alive. Only the supervisor's
         // kill ends this incarnation.
         heartbeat.freeze();
@@ -288,6 +315,26 @@ fn resume_or_fresh(path: &Path, manifest: &ShardManifest, spec: &GridSpec) -> Sh
 mod tests {
     use super::*;
     use crate::supervisor::read_beat;
+
+    #[test]
+    fn fault_hooks_are_read_scoped_and_refused_when_malformed() {
+        let hooks = FaultHooks::parse(0, Some("2"), Some(" 1 "), None).unwrap();
+        assert_eq!((hooks.exit_after, hooks.hang_after), (Some(2), Some(1)));
+        let scoped = |shard| FaultHooks::parse(shard, Some("1"), None, Some("1")).unwrap();
+        assert_eq!(scoped(0).exit_after, None, "scoped to another shard");
+        assert_eq!(scoped(1).exit_after, Some(1));
+        let malformed = [
+            (Some("x"), None, None, ENV_EXIT_AFTER),
+            (Some("0"), None, None, ENV_EXIT_AFTER),
+            (None, Some("-1"), None, ENV_HANG_AFTER),
+            (None, Some("1"), Some("one"), ENV_FAULT_SHARD),
+            (None, None, Some("-1"), ENV_FAULT_SHARD),
+        ];
+        for (exit_after, hang_after, fault_shard, name) in malformed {
+            let err = FaultHooks::parse(0, exit_after, hang_after, fault_shard).unwrap_err();
+            assert!(err.starts_with(name), "{err}");
+        }
+    }
 
     #[test]
     fn heartbeat_advances_until_frozen() {

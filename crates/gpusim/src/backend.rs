@@ -15,27 +15,28 @@
 //! every retry, so a retry pays the re-upload — which is exactly how a real
 //! driver heals a corrupted resident after a fault.
 //!
-//! Fault surfacing follows the split in [`crate::faults`]: device-class
-//! failures (launch, arena) come back as `Err(BackendFault::device)`; silent
+//! Fault surfacing follows the split in [`crate::faults`]: a call that
+//! fails comes back as `Err(DqmcError)` — `DeviceSick` for a hang or a
+//! sick-window failure, `Transient` for the rest (launch, arena); silent
 //! transfer corruption returns `Ok` with NaNs in the data, which the sweep
 //! driver's taint scans (of every cluster product and every wrapped matrix)
-//! classify as taint-class faults.
+//! find.
 
 use crate::device::Device;
 use crate::faults::DeviceError;
 use crate::kernels::{try_cluster_crowd, try_wrap_crowd};
-use dqmc::{BMatrixFactory, BackendFault, ComputeBackend, HostBackend, HsField, Spin};
+use dqmc::{BMatrixFactory, ComputeBackend, DqmcError, HostBackend, HsField, Spin};
 use linalg::{Kron, Matrix};
 
-/// Classifies a [`DeviceError`] into the core fault taxonomy: hangs and
-/// sick-window failures indict the *device* (they must escape the in-core
-/// recovery ladder so the scheduler can quarantine the slot); everything
-/// else is an ordinary device-class fault the ladder handles in place.
-fn classify(e: DeviceError) -> BackendFault {
+/// Classifies a [`DeviceError`] by severity: hangs and sick-window failures
+/// indict the *device* (`DeviceSick`: they escape the in-core recovery
+/// ladder so the scheduler can quarantine the slot); everything else is
+/// `Transient`, a fault the ladder retries in place.
+fn classify(e: DeviceError) -> DqmcError {
     if e.is_sick() {
-        BackendFault::sick(e.to_string())
+        DqmcError::device_sick("device", e.to_string())
     } else {
-        BackendFault::device(e.to_string())
+        DqmcError::transient("device", e.to_string())
     }
 }
 
@@ -96,7 +97,7 @@ impl ComputeBackend for DeviceBackend {
         l: usize,
         gs: &[&[Matrix; 2]],
         outs: &mut [&mut [Matrix; 2]],
-    ) -> Result<(), BackendFault> {
+    ) -> Result<(), DqmcError> {
         HostBackend.wrap(fac, hs, l, gs, outs)?;
         let (expk, expk_inv) = (orders(fac.expk_kron()), orders(fac.expk_inv_kron()));
         let dev = &mut self.dev;
@@ -115,7 +116,7 @@ impl ComputeBackend for DeviceBackend {
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-    ) -> Result<Vec<[Matrix; 2]>, BackendFault> {
+    ) -> Result<Vec<[Matrix; 2]>, DqmcError> {
         let mut products = HostBackend.cluster(fac, hs, lo, hi)?;
         let expk = orders(fac.expk_kron());
         let dev = &mut self.dev;
@@ -147,7 +148,7 @@ mod tests {
     use super::*;
     use crate::device::DeviceSpec;
     use crate::faults::FaultPlan;
-    use dqmc::ModelParams;
+    use dqmc::{ModelParams, Severity};
     use lattice::Lattice;
 
     fn setup() -> (BMatrixFactory, HsField) {
@@ -172,7 +173,7 @@ mod tests {
         h: &HsField,
         lo: usize,
         hi: usize,
-    ) -> Result<Matrix, BackendFault> {
+    ) -> Result<Matrix, DqmcError> {
         let [up, _] = be.cluster(fac, &[h], lo, hi)?.pop().expect("one walker");
         Ok(up)
     }
@@ -232,7 +233,7 @@ mod tests {
         // Launch #2 is the first scale kernel inside the cluster product.
         let mut devb = armed(FaultPlan::new().fail_launch(2));
         let err = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
-        assert_eq!(err.kind, dqmc::FaultKind::Device);
+        assert_eq!(err.severity, Severity::Transient);
         assert!(
             err.detail.contains("kernel launch failure"),
             "{}",
@@ -250,17 +251,58 @@ mod tests {
         let (fac, h) = setup();
         let mut devb = armed(FaultPlan::new().hang_at_launch(1).sick_window(2, 2));
         let hang = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
-        assert_eq!(hang.kind, dqmc::FaultKind::Sick, "{hang}");
-        assert!(hang.is_sick());
+        assert_eq!(hang.severity, Severity::DeviceSick, "{hang}");
         devb.notify_fault();
         let sick = cluster_one(&mut devb, &fac, &h, 0, 6).unwrap_err();
-        assert_eq!(sick.kind, dqmc::FaultKind::Sick, "{sick}");
+        assert_eq!(sick.severity, Severity::DeviceSick, "{sick}");
         assert!(sick.detail.contains("sick window"), "{}", sick.detail);
         devb.notify_fault();
         assert!(
             cluster_one(&mut devb, &fac, &h, 0, 6).is_ok(),
             "past the storm the device works again"
         );
+    }
+
+    #[test]
+    fn fault_display_names_kind() {
+        // `classify` keys the sweep's ladder: the severity decides between
+        // retry in place and escape, and the text keeps the device's words.
+        let kernel = "scale";
+        let cases = [
+            (
+                DeviceError::KernelLaunchFailure {
+                    kernel,
+                    launch_index: 3,
+                },
+                Severity::Transient,
+            ),
+            (
+                DeviceError::ArenaExhausted { requested: 64 },
+                Severity::Transient,
+            ),
+            (
+                DeviceError::Hang {
+                    kernel,
+                    launch_index: 4,
+                },
+                Severity::DeviceSick,
+            ),
+            (
+                DeviceError::SickDevice {
+                    kernel,
+                    launch_index: 5,
+                    window: (5, 6),
+                },
+                Severity::DeviceSick,
+            ),
+        ];
+        for (e, severity) in cases {
+            let detail = e.to_string();
+            let err = classify(e);
+            assert_eq!(err.severity, severity, "{err}");
+            assert_eq!(err.detail, detail);
+            assert!(err.to_string().contains(&format!("[{severity}]")), "{err}");
+        }
     }
 
     #[test]

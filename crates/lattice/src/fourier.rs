@@ -38,7 +38,8 @@ pub fn translation_average(lat: &Lattice, m: &Matrix) -> Matrix {
 ///
 /// The sine part vanishes for `C(d) = C(−d)`; it is dropped after a debug
 /// check rather than silently, because a non-symmetric input signals a bug
-/// in the caller's correlation assembly.
+/// in the caller's correlation assembly. A non-finite input (a missing
+/// estimate) skips the check and transforms to NaN.
 pub fn fourier_transform(lat: &Lattice, corr: &Matrix) -> Matrix {
     use std::f64::consts::PI;
     let (lx, ly) = (lat.lx(), lat.ly());
@@ -59,7 +60,7 @@ pub fn fourier_transform(lat: &Lattice, corr: &Matrix) -> Matrix {
                 }
             }
             debug_assert!(
-                im.abs() < 1e-8 * (re.abs() + 1.0),
+                !(re.is_finite() && im.is_finite()) || im.abs() < 1e-8 * (re.abs() + 1.0),
                 "non-symmetric correlation: imaginary part {im}"
             );
             out[(nx, ny)] = re;
@@ -107,6 +108,20 @@ mod tests {
         assert!((c[(1, 0)] - 1.0).abs() < 1e-15);
         assert_eq!(c[(0, 0)], 0.0);
         assert_eq!(c[(2, 0)], 0.0);
+    }
+
+    #[test]
+    fn a_nan_correlation_transforms_to_nan() {
+        // A missing estimate is NaN; the symmetry check (a debug assertion)
+        // must not read it as a broken correlation assembly.
+        let lat = Lattice::square(4, 4, 1.0);
+        let mut c = Matrix::zeros(4, 4);
+        c[(1, 0)] = f64::NAN;
+        let nk = fourier_transform(&lat, &c);
+        assert!(nk.as_slice().iter().all(|x| x.is_nan()));
+        let dm = Matrix::from_fn(16, 16, |_, _| f64::NAN);
+        let nk = momentum_distribution(&lat, &dm);
+        assert!(nk.as_slice().iter().all(|x| x.is_nan()));
     }
 
     #[test]

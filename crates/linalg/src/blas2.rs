@@ -1,7 +1,7 @@
-//! Level-2 matrix–vector kernels (dgemv / dger analogues).
+//! The level-2 matrix–vector kernel (a dgemv analogue).
 //!
 //! The delayed-update machinery of the DQMC sweep (§II-B of the paper) is
-//! built on exactly these: computing one row and one column of the implicitly
+//! built on this shape: computing one row and one column of the implicitly
 //! updated Green's function costs two `gemv`-like products, and flushing the
 //! accumulated updates is a `gemm` in [`crate::blas3`].
 
@@ -32,31 +32,6 @@ pub fn gemv(alpha: f64, a: &Matrix, x: &[f64], beta: f64, y: &mut [f64]) {
     }
 }
 
-/// `y = alpha * Aᵀ * x + beta * y`.
-pub fn gemv_t(alpha: f64, a: &Matrix, x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(a.nrows(), x.len(), "gemv_t: A.nrows != x.len");
-    assert_eq!(a.ncols(), y.len(), "gemv_t: A.ncols != y.len");
-    for (j, yj) in y.iter_mut().enumerate() {
-        let s = crate::blas1::dot(a.col(j), x);
-        *yj = alpha * s + if beta == 0.0 { 0.0 } else { beta * *yj };
-    }
-}
-
-/// Rank-1 update `A += alpha * x * yᵀ`.
-pub fn ger(alpha: f64, x: &[f64], y: &[f64], a: &mut Matrix) {
-    assert_eq!(a.nrows(), x.len(), "ger: A.nrows != x.len");
-    assert_eq!(a.ncols(), y.len(), "ger: A.ncols != y.len");
-    for j in 0..a.ncols() {
-        let ayj = alpha * y[j];
-        if ayj != 0.0 {
-            let col = a.col_mut(j);
-            for i in 0..x.len() {
-                col[i] += ayj * x[i];
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,46 +55,6 @@ mod tests {
         let mut y = vec![100.0, 100.0, 100.0];
         gemv(2.0, &a, &[1.0, 0.0], 0.5, &mut y);
         assert_eq!(y, vec![52.0, 56.0, 60.0]);
-    }
-
-    #[test]
-    fn gemv_t_known() {
-        let a = small();
-        let mut y = vec![0.0, 0.0];
-        gemv_t(1.0, &a, &[1.0, 1.0, 1.0], 0.0, &mut y);
-        assert_eq!(y, vec![9.0, 12.0]);
-    }
-
-    #[test]
-    fn gemv_t_matches_explicit_transpose() {
-        let mut rng = util::Rng::new(5);
-        let a = Matrix::random(6, 4, &mut rng);
-        let x: Vec<f64> = (0..6).map(|i| (i as f64).cos()).collect();
-        let mut y1 = vec![0.5; 4];
-        let mut y2 = y1.clone();
-        gemv_t(1.3, &a, &x, 0.7, &mut y1);
-        gemv(1.3, &a.transpose(), &x, 0.7, &mut y2);
-        for (u, v) in y1.iter().zip(y2.iter()) {
-            assert!((u - v).abs() < 1e-13);
-        }
-    }
-
-    #[test]
-    fn ger_known() {
-        let mut a = Matrix::zeros(2, 2);
-        ger(2.0, &[1.0, 2.0], &[3.0, 4.0], &mut a);
-        assert_eq!(a[(0, 0)], 6.0);
-        assert_eq!(a[(1, 0)], 12.0);
-        assert_eq!(a[(0, 1)], 8.0);
-        assert_eq!(a[(1, 1)], 16.0);
-    }
-
-    #[test]
-    fn ger_zero_alpha_noop() {
-        let mut a = Matrix::identity(2);
-        let b = a.clone();
-        ger(0.0, &[1.0, 1.0], &[1.0, 1.0], &mut a);
-        assert_eq!(a, b);
     }
 
     #[test]

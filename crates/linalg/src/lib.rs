@@ -16,7 +16,7 @@
 //! | module | LAPACK/BLAS analogue | role in the paper |
 //! |---|---|---|
 //! | [`blas1`] | ddot/daxpy/dnrm2/… | building blocks |
-//! | [`blas2`] | dgemv/dger | delayed-update rows/cols |
+//! | [`blas2`] | dgemv | delayed-update rows/cols |
 //! | [`blas3`] | dgemm | clustering, wrapping, T products (Fig. 1 baseline) |
 //! | [`qr`] | dgeqrf/dorgqr/dormqr | Algorithm 3 (pre-pivoted stratification) |
 //! | [`qrp`] | dgeqp3 | Algorithm 2 (original stratification) |

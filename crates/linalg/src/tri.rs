@@ -109,26 +109,6 @@ pub fn trmm_upper(a: &Matrix, b: &mut Matrix) {
     );
 }
 
-/// `B := Uᵀ B` with `U` upper triangular (so `Uᵀ` is lower triangular).
-pub fn trmm_upper_t(a: &Matrix, b: &mut Matrix) {
-    let n = a.nrows();
-    assert!(a.is_square(), "trmm: U must be square");
-    assert_eq!(b.nrows(), n, "trmm: B row mismatch");
-    for j in 0..b.ncols() {
-        let col = b.col_mut(j);
-        // Row i of Uᵀ has entries U[p, i] for p ≤ i; go bottom-up.
-        for i in (0..n).rev() {
-            let acol = a.col(i);
-            let mut s = 0.0;
-            for (p, &apv) in acol.iter().enumerate().take(i + 1) {
-                s += apv * col[p];
-            }
-            col[i] = s;
-        }
-    }
-    crate::check_finite!(b.as_slice(), "trmm_upper_t output ({n}x{})", b.ncols());
-}
-
 fn check_shapes(a: View<'_>, b: &ViewMut<'_>, what: &str) {
     assert!(a.nrows() == a.ncols(), "{what} must be square");
     assert_eq!(b.nrows(), a.nrows(), "{what}: B row mismatch");
@@ -276,19 +256,6 @@ mod tests {
         trmm_upper(&u, &mut b);
         let mut reference = Matrix::zeros(n, 6);
         gemm_naive(1.0, &u, Op::NoTrans, &b0, Op::NoTrans, 0.0, &mut reference);
-        assert!(b.max_abs_diff(&reference) < 1e-12);
-    }
-
-    #[test]
-    fn trmm_t_matches_gemm() {
-        let n = 21;
-        let u = random_upper(n, 8);
-        let mut rng = Rng::new(10);
-        let b0 = Matrix::random(n, 4, &mut rng);
-        let mut b = b0.clone();
-        trmm_upper_t(&u, &mut b);
-        let mut reference = Matrix::zeros(n, 4);
-        gemm_naive(1.0, &u, Op::Trans, &b0, Op::NoTrans, 0.0, &mut reference);
         assert!(b.max_abs_diff(&reference) < 1e-12);
     }
 

@@ -27,8 +27,8 @@
 //!   is fed a sick report, and the trace records a
 //!   [`TraceEvent::SoftDeadline`] park. The job resumes from its last
 //!   parked image.
-//! - **`Transient` / `Corrupt`** — the job restarts from its last parked
-//!   image, consuming one of `job_retries`.
+//! - **`Transient`** — the job restarts from its last parked image,
+//!   consuming one of `job_retries`.
 //! - **`Fatal`** — no restart could help; the job is failed immediately.
 //!
 //! A panic escaping the simulation is *caught as a backstop*, classified
@@ -321,7 +321,7 @@ fn handle_abort(mut job: SweepJob, error: DqmcError, slot: Option<usize>, core: 
             });
             core.queue.requeue(job);
         }
-        Severity::Transient | Severity::Corrupt => {
+        Severity::Transient => {
             if let (Some(p), Some(s)) = (pool, slot) {
                 emit_decision(events, p.report_failure(s, false));
             }

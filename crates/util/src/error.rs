@@ -1,9 +1,11 @@
 //! Structured error taxonomy for the DQMC stack.
 //!
-//! Every failure that crosses a crate boundary — a device fault escaping
-//! the recovery ladder, a tainted Green's function with recovery disabled,
-//! a device that hung past its launch deadline — is classified into one
-//! [`Severity`] class. The class, not a string match, keys every policy
+//! Every failure that crosses a crate boundary — a device call that did
+//! not complete, a fault escaping the recovery ladder, a tainted Green's
+//! function with recovery disabled, a device that hung past its launch
+//! deadline — is classified into one [`Severity`] class. The sweep's
+//! backend seam speaks it too: `gpusim` classifies each device error as
+//! `DeviceSick` or `Transient`, and the sweep's ladder keys on that. The class, not a string match, keys every policy
 //! decision downstream, in one exhaustive `match` in the scheduler's
 //! runner: whether the scheduler retries the job, whether the retry
 //! consumes an attempt, whether the suspect device slot is excluded from
@@ -14,7 +16,6 @@
 //! |--------------|----------------------------------------|-------------------------------|
 //! | `Transient`  | retry may succeed as-is                | retry, consumes an attempt    |
 //! | `DeviceSick` | the *device* is suspect, not the job   | requeue free, exclude slot    |
-//! | `Corrupt`    | data damaged but reconstructible       | retry, consumes an attempt    |
 //! | `Fatal`      | no automatic recovery can help         | fail the job immediately      |
 //!
 //! The `Display` of a [`DqmcError`] embeds the original low-level detail
@@ -31,8 +32,6 @@ pub enum Severity {
     Transient,
     /// The device (not the job) is suspect: requeue elsewhere, quarantine.
     DeviceSick,
-    /// Data was damaged but can be rebuilt; retry consumes an attempt.
-    Corrupt,
     /// No automatic recovery applies; fail fast and report.
     Fatal,
 }
@@ -42,7 +41,6 @@ impl fmt::Display for Severity {
         let s = match self {
             Severity::Transient => "transient",
             Severity::DeviceSick => "device-sick",
-            Severity::Corrupt => "corrupt",
             Severity::Fatal => "fatal",
         };
         f.write_str(s)
@@ -78,11 +76,6 @@ impl DqmcError {
     /// failed inside a sick window.
     pub fn device_sick(origin: &'static str, detail: impl Into<String>) -> Self {
         Self::new(Severity::DeviceSick, origin, detail)
-    }
-
-    /// A data-corruption failure: rebuildable, retry consumes an attempt.
-    pub fn corrupt(origin: &'static str, detail: impl Into<String>) -> Self {
-        Self::new(Severity::Corrupt, origin, detail)
     }
 
     /// A fatal failure: no automatic recovery applies.
@@ -130,7 +123,6 @@ mod tests {
     fn severity_keys_policy_predicates() {
         // The severity is the one key the runner's policy matches on.
         assert_eq!(DqmcError::transient("t", "x").severity, Severity::Transient);
-        assert_eq!(DqmcError::corrupt("t", "x").severity, Severity::Corrupt);
         assert_eq!(
             DqmcError::device_sick("t", "x").severity,
             Severity::DeviceSick

@@ -3,7 +3,7 @@
 //! simulation, and its clock must charge the recorded sequences.
 
 use dqmc::{
-    chain_seed, greens_from_udt, stratify, BMatrixFactory, BackendFault, ComputeBackend, Crowd,
+    chain_seed, greens_from_udt, stratify, BMatrixFactory, ComputeBackend, Crowd, DqmcError,
     HsField, ModelParams, SimParams, Simulation, Spin, StratAlgo,
 };
 use gpusim::{try_cluster_crowd, Device, DeviceBackend, DeviceSpec, FaultPlan};
@@ -96,7 +96,7 @@ impl ComputeBackend for Probe {
         l: usize,
         gs: &[&[Matrix; 2]],
         outs: &mut [&mut [Matrix; 2]],
-    ) -> Result<(), BackendFault> {
+    ) -> Result<(), DqmcError> {
         self.counted(true, |be| be.wrap(fac, hs, l, gs, outs))
     }
     fn cluster(
@@ -105,7 +105,7 @@ impl ComputeBackend for Probe {
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-    ) -> Result<Vec<[Matrix; 2]>, BackendFault> {
+    ) -> Result<Vec<[Matrix; 2]>, DqmcError> {
         self.counted(false, |be| be.cluster(fac, hs, lo, hi))
     }
     fn notify_fault(&mut self) {
