@@ -148,6 +148,34 @@ impl Lattice {
         out
     }
 
+    /// The sublattice sign vector `s_i = ±1`: a 2-colouring of the bonds
+    /// (every bond joins sites of opposite sign, site 0 of each connected
+    /// piece is `+1`), or `None` when the lattice is not bipartite — an odd
+    /// periodic side closes an odd ring. With `D = diag(s)`, `D·K·D = −K` at
+    /// `μ̃ = 0`, the particle–hole symmetry that makes `G↓ = I − D·G↑ᵀ·D`
+    /// for every HS field at half filling.
+    pub fn sublattice_signs(&self) -> Option<Vec<f64>> {
+        let mut signs = vec![0.0; self.nsites()];
+        for root in 0..signs.len() {
+            if signs[root] != 0.0 {
+                continue;
+            }
+            signs[root] = 1.0;
+            let mut todo = vec![root];
+            while let Some(i) = todo.pop() {
+                for j in self.neighbors(i) {
+                    if signs[j] == 0.0 {
+                        signs[j] = -signs[i];
+                        todo.push(j);
+                    } else if signs[j] == signs[i] {
+                        return None;
+                    }
+                }
+            }
+        }
+        Some(signs)
+    }
+
     /// Neighbour bonds of site `i` with multiplicity (an extent-2 ring has a
     /// double bond: hopping left and right reach the same site).
     pub fn neighbor_bonds(&self, i: usize) -> Vec<(usize, usize)> {
@@ -383,6 +411,37 @@ mod tests {
         // boundary layers: 4 + 1
         assert_eq!(lat.neighbors(lat.site(0, 0, 0)).len(), 5);
         assert_eq!(lat.neighbors(lat.site(0, 0, 2)).len(), 5);
+    }
+
+    #[test]
+    fn sublattice_signs_flip_k_where_the_lattice_is_bipartite() {
+        let bipartite = [
+            Lattice::square(4, 4, 1.0),
+            Lattice::square(2, 1, 1.0),
+            Lattice::square(1, 1, 1.0),
+            Lattice::anisotropic(6, 2, 1.0, 0.5),
+            Lattice::multilayer(4, 2, 3, 1.0, 0.4),
+            Lattice::multilayer_periodic(2, 4, 4, 1.0, 0.7),
+        ];
+        for lat in bipartite {
+            let s = lat.sublattice_signs().expect("bipartite");
+            assert_eq!(s[0], 1.0);
+            // D·K·D = −K off the diagonal.
+            let k = lat.kinetic_matrix(0.0);
+            let n = lat.nsites();
+            for i in 0..n {
+                for j in (0..n).filter(|&j| j != i) {
+                    assert_eq!(s[i] * s[j] * k[(i, j)], -k[(i, j)], "{lat:?} ({i}, {j})");
+                }
+            }
+        }
+        for odd in [
+            Lattice::square(3, 3, 1.0),
+            Lattice::square(4, 5, 1.0),
+            Lattice::multilayer_periodic(2, 2, 3, 1.0, 0.5),
+        ] {
+            assert_eq!(odd.sublattice_signs(), None, "{odd:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! Cross-crate numerical-stability studies: the claims of §III–IV of the
 //! paper, exercised end-to-end.
 
-use dqmc::{greens_from_udt, stratify, BMatrixFactory, HsField, ModelParams, Spin, StratAlgo};
+use dqmc::sweep::DqmcCore;
+use dqmc::update::SliceUpdater;
+use dqmc::{
+    greens_from_udt, stratify, BMatrixFactory, ClusterCache, HsField, ModelParams, SimParams, Spin,
+    StratAlgo,
+};
 use lattice::Lattice;
 use linalg::Matrix;
 
@@ -233,4 +238,177 @@ fn prepivot_interchange_count_shrinks_after_first_step() {
         tail_avg < 0.9 * n as f64,
         "graded structure should limit reordering: avg {tail_avg} of {n}"
     );
+}
+
+/// `max |G↓ − (I − D·G↑ᵀ·D)|` with `D = diag(s)`: zero in exact arithmetic
+/// at half filling on a bipartite lattice, whatever the HS field, so what is
+/// left measures how well the two spins' independent evaluations were
+/// stabilised.
+fn particle_hole_residual(gup: &Matrix, gdn: &Matrix, s: &[f64]) -> f64 {
+    let n = s.len();
+    let mut worst = 0.0f64;
+    for i in 0..n {
+        for j in 0..n {
+            let delta = if i == j { 1.0 } else { 0.0 };
+            let partner = delta - s[i] * s[j] * gup[(j, i)];
+            worst = worst.max((gdn[(i, j)] - partner).abs());
+        }
+    }
+    worst
+}
+
+/// Both spins' Green's functions after slice `l` from a cluster cache.
+fn spin_pair(
+    cache: &mut ClusterCache,
+    fac: &BMatrixFactory,
+    h: &HsField,
+    l: usize,
+    algo: StratAlgo,
+) -> [Matrix; 2] {
+    Spin::BOTH.map(|spin| {
+        let factors = cache.factors_after_slice(fac, h, l, spin);
+        greens_from_udt(&stratify(&factors, algo)).g
+    })
+}
+
+/// One identity case: a half-filled `lside²` lattice at `U`, `L` slices,
+/// clusters of `k`, and the largest residual each check may reach.
+struct IdentityCase {
+    lside: usize,
+    u: f64,
+    slices: usize,
+    k: usize,
+    /// Recorded residuals, one per check below: Algorithm 2 (QRP) and
+    /// Algorithm 3 (pre-pivoting) from scratch, recycled clusters, a wrap
+    /// and a block of delayed updates.
+    recorded: [f64; 5],
+}
+
+/// Bounds sit one decade above the recorded residuals: the fields come from
+/// a fixed-seed chain, so only a change to the stabilisation or to the
+/// chain's floating-point path moves them.
+const IDENTITY_MARGIN: f64 = 10.0;
+
+#[test]
+fn the_particle_hole_identity_holds_through_every_path_of_a_sweep() {
+    let cases = [
+        IdentityCase {
+            lside: 4,
+            u: 4.0,
+            slices: 32,
+            k: 8,
+            recorded: [1.4e-12, 5.7e-13, 6.5e-13, 2.9e-13, 3.2e-12],
+        },
+        IdentityCase {
+            lside: 4,
+            u: 8.0,
+            slices: 128,
+            k: 8,
+            recorded: [2.6e-12, 1.6e-12, 7.7e-13, 3.6e-12, 1.1e-11],
+        },
+        IdentityCase {
+            lside: 8,
+            u: 6.0,
+            slices: 64,
+            k: 8,
+            recorded: [2.1e-11, 9.7e-12, 1.2e-11, 7.4e-12, 8.5e-12],
+        },
+        IdentityCase {
+            lside: 16,
+            u: 4.0,
+            slices: 32,
+            k: 8,
+            recorded: [3.3e-12, 1.3e-12, 9.3e-13, 1.1e-12, 1.8e-12],
+        },
+        IdentityCase {
+            lside: 16,
+            u: 8.0,
+            slices: 96,
+            k: 8,
+            recorded: [6.2e-10, 3.8e-10, 4.0e-10, 1.3e-10, 3.9e-10],
+        },
+    ];
+    for case in cases {
+        let IdentityCase {
+            lside,
+            u,
+            slices,
+            k,
+            ..
+        } = case;
+        let lattice = Lattice::square(lside, lside, 1.0);
+        let s = lattice
+            .sublattice_signs()
+            .expect("even sides are bipartite");
+        let model = ModelParams::new(lattice, u, 0.0, 0.125, slices);
+        // The fields of a short chain, not random ones.
+        let params = SimParams::new(model.clone())
+            .with_seed(18)
+            .with_cluster_size(k);
+        let mut chain = DqmcCore::new(params);
+        for _ in 0..2 {
+            chain.sweep(None);
+        }
+        let (fac, mut h) = (&chain.fac, chain.h.clone());
+        let last = slices - 1;
+        let fresh = || ClusterCache::new(slices, k);
+
+        let [qrp, prepivot] = [StratAlgo::Qrp, StratAlgo::PrePivot].map(|algo| {
+            let [up, dn] = spin_pair(&mut fresh(), fac, &h, last, algo);
+            (particle_hole_residual(&up, &dn, &s), [up, dn])
+        });
+
+        // Recycled: every product but cluster 0's survives a flip on slice
+        // 0 in the cache and is read again; the from-scratch cache agrees
+        // to the bit.
+        let mut cache = fresh();
+        spin_pair(&mut cache, fac, &h, last, StratAlgo::PrePivot);
+        h.flip(0, 1);
+        cache.invalidate_slice(0);
+        let recycled = spin_pair(&mut cache, fac, &h, k - 1, StratAlgo::PrePivot);
+        let scratch = spin_pair(&mut fresh(), fac, &h, k - 1, StratAlgo::PrePivot);
+        assert_eq!(recycled, scratch, "recycled products are the rebuilt ones");
+        let recycled = particle_hole_residual(&recycled[0], &recycled[1], &s);
+        h.flip(0, 1);
+
+        // Wrapped past slice 0: the identity holds at every slice.
+        let wrapped =
+            Spin::BOTH.map(|spin| dqmc::greens::wrap(fac, &h, 0, spin, &prepivot.1[spin.index()]));
+        let wrapped = particle_hole_residual(&wrapped[0], &wrapped[1], &s);
+
+        // A block of delayed updates on slice 0, one flush and a partial
+        // block: the updated pair is the Green's function of the flipped
+        // field.
+        let nu = model.nu();
+        let sites: Vec<usize> = (0..model.nsites()).step_by(3).take(6).collect();
+        let updated = Spin::BOTH.map(|spin| {
+            let mut upd = SliceUpdater::new(prepivot.1[spin.index()].clone(), 4);
+            for &i in &sites {
+                let alpha = (-2.0 * spin.sign() * nu * h.get(0, i)).exp() - 1.0;
+                let d = 1.0 + alpha * (1.0 - upd.gii(i));
+                upd.accept(i, alpha, d);
+            }
+            upd.into_g()
+        });
+        let updated = particle_hole_residual(&updated[0], &updated[1], &s);
+
+        let got = [qrp.0, prepivot.0, recycled, wrapped, updated];
+        for (name, (got, rec)) in ["alg2", "alg3", "recycled", "wrapped", "delayed"]
+            .iter()
+            .zip(got.iter().zip(case.recorded))
+        {
+            assert!(
+                *got <= rec * IDENTITY_MARGIN,
+                "{lside}x{lside} U={u} L={slices} {name}: {got:e} > {IDENTITY_MARGIN} × {rec:e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_odd_periodic_lattice_has_no_particle_hole_partner() {
+    // A 3×3 torus closes rings of three: no 2-colouring exists, and the
+    // one-spin chain must not start.
+    assert_eq!(Lattice::square(3, 3, 1.0).sublattice_signs(), None);
+    assert!(Lattice::square(4, 4, 1.0).sublattice_signs().is_some());
 }
