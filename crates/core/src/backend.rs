@@ -8,10 +8,14 @@
 //! sweep cannot name the device directly; instead the device implements
 //! [`ComputeBackend`] and is boxed into the sweep driver.
 //!
-//! Both calls take *walker slices* and both spins: the driver steps B
-//! walkers in lockstep and hands the backend all of them at once, so a
-//! device can service B walkers per launch and the host can run the two
-//! spins on two cores. A solo run is the B = 1 case of the same calls.
+//! Both calls take *walker slices* and the spins the walkers evolve: the
+//! driver steps B walkers in lockstep and hands the backend all of them at
+//! once, so a device can service B walkers per launch and the host can run
+//! two spins on two cores. A solo run is the B = 1 case of the same calls.
+//! At half filling on a bipartite lattice a walker evolves the up spin
+//! alone (the particle–hole path, [`crate::sweep`]), so the calls carry
+//! `[up]`; otherwise they carry `[up, down]`. Either way spin `σ` sits at
+//! index `σ.index()` of each walker's entry.
 //!
 //! Backends are *fallible*: a device may fail a kernel launch, exhaust its
 //! arena or hang. A call that did not complete returns a [`DqmcError`] —
@@ -28,8 +32,9 @@ use linalg::{team, Matrix};
 use std::fmt;
 use util::DqmcError;
 
-/// A provider of the sweep's two heavy kernels over a slice of walkers, both
-/// spins per call. All walkers share one [`BMatrixFactory`] (same model,
+/// A provider of the sweep's two heavy kernels over a slice of walkers and
+/// the spins they evolve (`spins` is `[up]` or `[up, down]`, the same for
+/// every walker). All walkers share one [`BMatrixFactory`] (same model,
 /// different fields), so implementations can keep `e^{∓ΔτK}` resident once
 /// for all of them.
 ///
@@ -42,25 +47,28 @@ pub trait ComputeBackend: fmt::Debug + Send {
     fn name(&self) -> &str;
 
     /// Wraps `outs[i][σ] ← B_{l,σ}(h_i) · gs[i][σ] · B_{l,σ}(h_i)⁻¹` for
-    /// every walker and both spins (`[up, down]`).
+    /// every walker and every spin `σ` in `spins`.
     fn wrap(
         &mut self,
         fac: &BMatrixFactory,
+        spins: &[Spin],
         hs: &[&HsField],
         l: usize,
-        gs: &[&[Matrix; 2]],
-        outs: &mut [&mut [Matrix; 2]],
+        gs: &[&[Matrix]],
+        outs: &mut [&mut [Matrix]],
     ) -> Result<(), DqmcError>;
 
-    /// Computes the cluster products `B_{hi−1,σ} ⋯ B_{lo,σ}` of both spins
-    /// for every walker.
+    /// Computes the cluster products `B_{hi−1,σ} ⋯ B_{lo,σ}` of every spin
+    /// in `spins` for every walker: entry `i` holds walker `i`'s products
+    /// in `spins` order.
     fn cluster(
         &mut self,
         fac: &BMatrixFactory,
+        spins: &[Spin],
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-    ) -> Result<Vec<[Matrix; 2]>, DqmcError>;
+    ) -> Result<Vec<Vec<Matrix>>, DqmcError>;
 
     /// Called by the recovery layer after any fault, before a retry. Device
     /// backends drop resident operands here so the retry re-uploads clean
@@ -81,21 +89,23 @@ pub(crate) fn spins_fork(n: usize) -> bool {
 }
 
 /// Runs `f` on each spin's share of a job, `work[σ]` owned by spin `σ`'s
-/// call: as one team job of two chunks when one `N`-order GEMM alone would
-/// fork — a spare core then takes one spin, and the kernels inside see the
-/// team taken and stay serial — and in turn on the calling thread otherwise.
-pub(crate) fn for_each_spin<T: Send>(n: usize, work: &mut [T; 2], f: impl Fn(Spin, &mut T) + Sync) {
+/// call (`[up]` or `[up, down]`). A spin pair runs as one team job of two
+/// chunks when one `N`-order GEMM alone would fork — a spare core then takes
+/// one spin, and the kernels inside see the team taken and stay serial — and
+/// in turn on the calling thread otherwise. A lone spin runs on the calling
+/// thread, where its kernels fork past the cut themselves.
+pub(crate) fn for_each_spin<T: Send>(n: usize, work: &mut [T], f: impl Fn(Spin, &mut T) + Sync) {
     let f = |s: usize, t: &mut T| f(Spin::BOTH[s], t);
-    if spins_fork(n) {
+    if work.len() == 2 && spins_fork(n) {
         team::for_each_mut(work, f);
     } else {
         work.iter_mut().enumerate().for_each(|(s, t)| f(s, t));
     }
 }
 
-/// The infallible host path: [`BMatrixFactory`] kernels, the two spins on
-/// two cores past the fork cut (`for_each_spin`), each spin's walkers in a
-/// loop. This is what the recovery ladder's host fallback lands on.
+/// The infallible host path: [`BMatrixFactory`] kernels, a spin pair on two
+/// cores past the fork cut (`for_each_spin`), each spin's walkers in a loop.
+/// This is what the recovery ladder's host fallback lands on.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HostBackend;
 
@@ -107,15 +117,17 @@ impl ComputeBackend for HostBackend {
     fn wrap(
         &mut self,
         fac: &BMatrixFactory,
+        spins: &[Spin],
         hs: &[&HsField],
         l: usize,
-        gs: &[&[Matrix; 2]],
-        outs: &mut [&mut [Matrix; 2]],
+        gs: &[&[Matrix]],
+        outs: &mut [&mut [Matrix]],
     ) -> Result<(), DqmcError> {
-        let mut per_spin: [Vec<&mut Matrix>; 2] = [Vec::new(), Vec::new()];
-        for [up, dn] in outs.iter_mut().map(|pair| &mut **pair) {
-            per_spin[0].push(up);
-            per_spin[1].push(dn);
+        let mut per_spin: Vec<Vec<&mut Matrix>> = spins.iter().map(|_| Vec::new()).collect();
+        for walker in outs.iter_mut() {
+            for (s, out) in walker.iter_mut().enumerate() {
+                per_spin[s].push(out);
+            }
         }
         for_each_spin(fac.nsites(), &mut per_spin, |spin, outs| {
             for (i, out) in outs.iter_mut().enumerate() {
@@ -128,16 +140,22 @@ impl ComputeBackend for HostBackend {
     fn cluster(
         &mut self,
         fac: &BMatrixFactory,
+        spins: &[Spin],
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-    ) -> Result<Vec<[Matrix; 2]>, DqmcError> {
-        let mut per_spin: [Vec<Matrix>; 2] = [Vec::new(), Vec::new()];
+    ) -> Result<Vec<Vec<Matrix>>, DqmcError> {
+        let mut per_spin: Vec<Vec<Matrix>> = spins.iter().map(|_| Vec::new()).collect();
         for_each_spin(fac.nsites(), &mut per_spin, |spin, products| {
             products.extend(hs.iter().map(|h| fac.cluster(h, lo, hi, spin)));
         });
-        let [up, dn] = per_spin;
-        Ok(up.into_iter().zip(dn).map(|(u, d)| [u, d]).collect())
+        let mut walkers: Vec<Vec<Matrix>> = hs.iter().map(|_| Vec::new()).collect();
+        for products in per_spin {
+            for (walker, m) in walkers.iter_mut().zip(products) {
+                walker.push(m);
+            }
+        }
+        Ok(walkers)
     }
 }
 
@@ -154,16 +172,22 @@ mod tests {
         let mut rng = util::Rng::new(11);
         let h = HsField::random(4, 8, &mut rng);
         let mut be = HostBackend;
-        let got = be.cluster(&fac, &[&h], 0, 4).unwrap();
-        let want = Spin::BOTH.map(|spin| fac.cluster(&h, 0, 4, spin));
-        assert_eq!(got, [want]);
+        for spins in [&[Spin::Up][..], &Spin::BOTH] {
+            let got = be.cluster(&fac, spins, &[&h], 0, 4).unwrap();
+            let want: Vec<Matrix> = spins.iter().map(|&s| fac.cluster(&h, 0, 4, s)).collect();
+            assert_eq!(got, [want]);
 
-        let g = Spin::BOTH.map(|spin| crate::greens::greens_naive(&fac, &h, spin).g);
-        let mut out = [Matrix::zeros(4, 4), Matrix::zeros(4, 4)];
-        be.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out]).unwrap();
-        for spin in Spin::BOTH {
-            let want = crate::greens::wrap(&fac, &h, 0, spin, &g[spin.index()]);
-            assert_eq!(out[spin.index()], want);
+            let g: Vec<Matrix> = spins
+                .iter()
+                .map(|&spin| crate::greens::greens_naive(&fac, &h, spin).g)
+                .collect();
+            let mut out = vec![Matrix::zeros(4, 4); spins.len()];
+            be.wrap(&fac, spins, &[&h], 0, &[&g], &mut [&mut out])
+                .unwrap();
+            for &spin in spins {
+                let want = crate::greens::wrap(&fac, &h, 0, spin, &g[spin.index()]);
+                assert_eq!(out[spin.index()], want);
+            }
         }
     }
 }

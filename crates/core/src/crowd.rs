@@ -53,7 +53,8 @@ impl Crowd {
         for p in &params[1..] {
             assert!(
                 p.model.slices == p0.model.slices
-                    && p.model.nsites() == p0.model.nsites()
+                    && p.model.lattice == p0.model.lattice
+                    && p.model.mu_tilde == p0.model.mu_tilde
                     && p.warmup_sweeps == p0.warmup_sweeps
                     && p.measure_sweeps == p0.measure_sweeps
                     && p.cluster_size == p0.cluster_size
@@ -225,8 +226,14 @@ mod tests {
     use crate::sim::Simulation;
     use lattice::Lattice;
 
+    /// 2×2 at half filling: the one-spin path.
     fn params(seed: u64) -> SimParams {
-        let model = ModelParams::new(Lattice::square(2, 2, 1.0), 4.0, 0.0, 0.125, 8);
+        params_at(0.0, seed)
+    }
+
+    /// 2×2 at `mu_tilde`: the two-spin path unless `mu_tilde` = 0.
+    fn params_at(mu_tilde: f64, seed: u64) -> SimParams {
+        let model = ModelParams::new(Lattice::square(2, 2, 1.0), 4.0, mu_tilde, 0.125, 8);
         SimParams::new(model)
             .with_sweeps(6, 12)
             .with_seed(seed)
@@ -235,17 +242,27 @@ mod tests {
     }
 
     fn crowd_params(b: usize) -> Vec<SimParams> {
+        crowd_params_at(0.0, b)
+    }
+
+    fn crowd_params_at(mu_tilde: f64, b: usize) -> Vec<SimParams> {
         (0..b)
-            .map(|c| params(chain_seed(100, 0, c as u64)))
+            .map(|c| params_at(mu_tilde, chain_seed(100, 0, c as u64)))
             .collect()
     }
 
     #[test]
     fn host_crowd_is_bit_identical_to_solo_runs() {
-        let mut crowd = Crowd::new(crowd_params(4));
+        for mu in [0.0, 0.25] {
+            host_crowd_is_bit_identical_to_solo_runs_at(mu);
+        }
+    }
+
+    fn host_crowd_is_bit_identical_to_solo_runs_at(mu: f64) {
+        let mut crowd = Crowd::new(crowd_params_at(mu, 4));
         crowd.run();
         for (c, w) in crowd.walkers().iter().enumerate() {
-            let mut solo = Simulation::new(params(chain_seed(100, 0, c as u64)));
+            let mut solo = Simulation::new(params_at(mu, chain_seed(100, 0, c as u64)));
             solo.run();
             assert_eq!(solo.core.h, w.core.h, "walker {c} field diverged");
             assert_eq!(solo.core.rng.state(), w.core.rng.state());
@@ -352,28 +369,32 @@ mod tests {
 
     #[test]
     fn poisoned_walker_heals_without_touching_neighbours() {
-        // Taint one walker between sweeps: the sweep-start scan repairs it
-        // bit-identically while the other walkers never notice.
-        let mut clean = Crowd::new(crowd_params(3));
-        clean.try_step(1).unwrap();
-        let mut faulty = Crowd::new(crowd_params(3));
-        faulty.try_step(1).unwrap();
-        faulty
-            .walker_mut(1)
-            .core_mut()
-            .poison_greens(Spin::Up, 0, 1, f64::NAN);
-        while !clean.is_complete() {
-            clean.try_step(2).unwrap();
-            faulty.try_step(2).unwrap();
-        }
-        assert!(!faulty.walker(1).recovery_log().is_empty());
-        for (c, f) in clean.walkers().iter().zip(faulty.walkers()) {
-            assert_eq!(c.core.h, f.core.h);
-            assert_eq!(c.core.rng.state(), f.core.rng.state());
-            assert_eq!(c.core.g[0].max_abs_diff(&f.core.g[0]), 0.0);
-            let (dc, _) = c.observables().double_occupancy();
-            let (df, _) = f.observables().double_occupancy();
-            assert_eq!(dc.to_bits(), df.to_bits());
+        // Taint one walker's evolved G between sweeps — the down spin's at
+        // μ̃ ≠ 0, the up spin's on the one-spin path: the sweep-start scan
+        // repairs it bit-identically while the other walkers never notice.
+        for (mu, spin) in [(0.25, Spin::Down), (0.0, Spin::Up)] {
+            let mut clean = Crowd::new(crowd_params_at(mu, 3));
+            clean.try_step(1).unwrap();
+            let mut faulty = Crowd::new(crowd_params_at(mu, 3));
+            faulty.try_step(1).unwrap();
+            faulty
+                .walker_mut(1)
+                .core_mut()
+                .poison_greens(spin, 0, 1, f64::NAN);
+            while !clean.is_complete() {
+                clean.try_step(2).unwrap();
+                faulty.try_step(2).unwrap();
+            }
+            assert!(!faulty.walker(1).recovery_log().is_empty());
+            for (c, f) in clean.walkers().iter().zip(faulty.walkers()) {
+                assert_eq!(c.core.h, f.core.h);
+                assert_eq!(c.core.rng.state(), f.core.rng.state());
+                assert_eq!(c.core.g[0].max_abs_diff(&f.core.g[0]), 0.0);
+                assert_eq!(c.core.g[1].max_abs_diff(&f.core.g[1]), 0.0);
+                let (dc, _) = c.observables().double_occupancy();
+                let (df, _) = f.observables().double_occupancy();
+                assert_eq!(dc.to_bits(), df.to_bits());
+            }
         }
     }
 

@@ -86,6 +86,16 @@ impl ModelParams {
         self.slices as f64 * self.dtau
     }
 
+    /// The sublattice signs `s` of the particle–hole identity, when it
+    /// holds: at `μ̃ = 0` on a bipartite lattice, `G↓ = I − D·G↑ᵀ·D` with
+    /// `D = diag(s)` for every HS field, so a walker evolves the up spin
+    /// alone. `None` otherwise (both spins are evolved).
+    pub(crate) fn particle_hole_signs(&self) -> Option<Vec<f64>> {
+        (self.mu_tilde == 0.0)
+            .then(|| self.lattice.sublattice_signs())
+            .flatten()
+    }
+
     /// Hubbard–Stratonovich coupling `ν = arccosh(e^{UΔτ/2})`.
     pub fn nu(&self) -> f64 {
         let x = (self.u * self.dtau / 2.0).exp();

@@ -48,6 +48,8 @@ pub mod greens;
 pub mod hs;
 pub mod hubbard;
 pub mod measure;
+#[cfg(test)]
+mod one_spin_tests;
 pub mod profile;
 pub mod recovery;
 pub mod recycle;

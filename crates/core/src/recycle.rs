@@ -13,36 +13,45 @@ use crate::hubbard::Spin;
 use linalg::Matrix;
 
 /// Cache of per-spin cluster products `B̂_c = B_{(c+1)k−1} ⋯ B_{ck}` with
-/// dirty tracking.
+/// dirty tracking, for the spins a walker evolves: both, or the up spin
+/// alone on the particle–hole path (see [`crate::sweep`]).
 #[derive(Clone, Debug)]
 pub struct ClusterCache {
     k: usize,
     slices: usize,
     nclusters: usize,
-    /// `store[spin][c]`: cached product, `None` until first use.
-    store: [Vec<Option<Matrix>>; 2],
+    /// `store[spin][c]`: cached product, `None` until first use. One row
+    /// per held spin, up first.
+    store: Vec<Vec<Option<Matrix>>>,
     /// `fresh[spin][c]`: installed by a prefill and not read yet. The read
     /// that follows is the product's first use, not a recycling hit.
-    fresh: [Vec<bool>; 2],
+    fresh: Vec<Vec<bool>>,
     /// Rebuild counters (for the Table I "clustering" cost attribution).
     rebuilds: usize,
     hits: usize,
 }
 
 impl ClusterCache {
-    /// Creates an empty cache for `slices` time slices clustered by `k`.
+    /// Creates an empty cache of both spins for `slices` time slices
+    /// clustered by `k`.
     pub fn new(slices: usize, k: usize) -> Self {
-        assert!(k >= 1 && k <= slices, "cluster size must be in 1..=L");
-        let nclusters = slices.div_ceil(k);
-        ClusterCache {
+        ClusterCache::with_spins(slices, k, 2)
+    }
+
+    /// An empty cache holding the first `spins` of `[up, down]`.
+    pub(crate) fn with_spins(slices: usize, k: usize, spins: usize) -> Self {
+        assert!((1..=2).contains(&spins), "a cache holds one or two spins");
+        let mut cache = ClusterCache {
             k,
             slices,
-            nclusters,
-            store: [vec![None; nclusters], vec![None; nclusters]],
-            fresh: [vec![false; nclusters], vec![false; nclusters]],
+            nclusters: 0,
+            store: vec![Vec::new(); spins],
+            fresh: vec![Vec::new(); spins],
             rebuilds: 0,
             hits: 0,
-        }
+        };
+        cache.reshape(k);
+        cache
     }
 
     /// Cluster size `k`.
@@ -67,12 +76,13 @@ impl ClusterCache {
         (c * self.k, ((c + 1) * self.k).min(self.slices))
     }
 
-    /// Invalidates the cluster containing slice `l` for both spins
+    /// Invalidates the cluster containing slice `l` for every held spin
     /// (call after any accepted flip on that slice).
     pub fn invalidate_slice(&mut self, l: usize) {
         let c = self.cluster_of(l);
-        self.store[0][c] = None;
-        self.store[1][c] = None;
+        for s in &mut self.store {
+            s[c] = None;
+        }
     }
 
     /// Invalidates everything (e.g. after externally replacing the field).
@@ -92,8 +102,12 @@ impl ClusterCache {
         let nclusters = self.slices.div_ceil(k);
         self.k = k;
         self.nclusters = nclusters;
-        self.store = [vec![None; nclusters], vec![None; nclusters]];
-        self.fresh = [vec![false; nclusters], vec![false; nclusters]];
+        for s in &mut self.store {
+            *s = vec![None; nclusters];
+        }
+        for s in &mut self.fresh {
+            *s = vec![false; nclusters];
+        }
     }
 
     /// Returns cluster `c` for `spin`, rebuilding from the field if dirty.
@@ -110,12 +124,12 @@ impl ClusterCache {
         slot.as_ref().expect("just filled")
     }
 
-    /// The first cluster that would need a rebuild of either spin on next
-    /// access (empty or invalidated). The sweep driver scans this to decide
-    /// which walkers join a batched prefill, which rebuilds both spins.
+    /// The first cluster that would need a rebuild of any held spin on
+    /// next access (empty or invalidated). The sweep driver scans this to
+    /// decide which walkers join a batched prefill, which rebuilds every
+    /// held spin.
     pub fn first_stale(&self) -> Option<usize> {
-        let [up, dn] = &self.store;
-        (0..self.nclusters).find(|&c| up[c].is_none() || dn[c].is_none())
+        (0..self.nclusters).find(|&c| self.store.iter().any(|s| s[c].is_none()))
     }
 
     /// Installs an externally computed product for cluster `c` (a batched
@@ -307,6 +321,32 @@ mod tests {
         // All cached products were dropped: every factor was a rebuild
         // (1 from before + 6 now), and the pre-reshape hit count is kept.
         assert_eq!(cache.stats().0, 7);
+    }
+
+    #[test]
+    fn a_one_spin_cache_holds_the_up_spin_alone() {
+        // The particle–hole path's cache: one install per cluster leaves it
+        // fresh, and there is no down-spin slot to fill or to read.
+        let (fac, mut h) = setup();
+        let mut cache = ClusterCache::with_spins(12, 4, 1);
+        assert_eq!(cache.first_stale(), Some(0));
+        cache
+            .install(0, Spin::Up, fac.cluster(&h, 0, 4, Spin::Up))
+            .unwrap();
+        assert_eq!(cache.first_stale(), Some(1));
+        h.flip(1, 0);
+        cache.invalidate_slice(1);
+        assert_eq!(cache.first_stale(), Some(0));
+        cache.reshape(2);
+        assert_eq!(cache.first_stale(), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_one_spin_cache_has_no_down_spin_to_read() {
+        let (fac, h) = setup();
+        let mut cache = ClusterCache::with_spins(12, 4, 1);
+        let _ = cache.get(&fac, &h, 0, Spin::Down);
     }
 
     #[test]

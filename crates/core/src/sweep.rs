@@ -8,11 +8,27 @@
 //! 1. every site is visited; the Metropolis ratio `r = d₊d₋` with
 //!    `d_σ = 1 + α_σ(1 − G_σ(i,i))` costs O(1) thanks to the delayed-update
 //!    accumulators,
-//! 2. accepted flips update both Green's functions by delayed rank-1 updates,
+//! 2. accepted flips update the Green's functions by delayed rank-1 updates,
 //! 3. the Green's functions are *wrapped* to the next slice,
 //!    `G ← B_l G B_l⁻¹`, and every `k` slices they are instead *recomputed*
 //!    from scratch by stratification over the (recycled) cluster products;
 //!    the wrapped and recomputed matrices are compared to monitor accuracy.
+//!
+//! # One spin at half filling
+//!
+//! At `μ̃ = 0` on a bipartite lattice (one with
+//! [`Lattice::sublattice_signs`](lattice::Lattice::sublattice_signs)),
+//! `G↓ = I − D·G↑ᵀ·D` with `D = diag(±1)` by sublattice holds exactly for
+//! every HS field (Hirsch 1985). There a walker evolves the up spin alone:
+//! its cluster cache, stratified recomputes, wraps and delayed updates carry
+//! `G↑` only, the Metropolis ratio reads `1 − G↓_ii = G↑_ii`
+//! ([`crate::update`]) and the sign is +1. `G↓` is written into `g[1]`, in
+//! O(N²), only where it leaves the sweep: after the initial recompute,
+//! before a mid-sweep record and at sweep end; the slice loop never touches
+//! it. Nothing selects this path but the model, as with
+//! [`KRON_MIN_SITES`](crate::bmat::KRON_MIN_SITES): a chain's output is a
+//! function of its physics, and the two-spin path — every other model —
+//! is the reference the one-spin one is gated against.
 //!
 //! # One driver for any number of walkers
 //!
@@ -59,7 +75,7 @@ use crate::recovery::{
 };
 use crate::recycle::ClusterCache;
 use crate::stratify::stratify;
-use crate::update::{visit_sites, Decider, Side, SpinSide};
+use crate::update::{visit_sites, visit_sites_up, Decider, Side, SpinSide};
 use linalg::check::first_non_finite;
 use linalg::{workspace, Matrix};
 use util::{DqmcError, Rng, RunningStats, Severity};
@@ -73,10 +89,15 @@ pub struct DqmcCore {
     pub fac: BMatrixFactory,
     /// Current HS field.
     pub h: HsField,
-    /// Cluster product cache.
+    /// Cluster product cache of the evolved spins.
     pub cache: ClusterCache,
-    /// Green's functions, `g[0]` = up, `g[1]` = down.
+    /// Green's functions, `g[0]` = up, `g[1]` = down. On the one-spin path
+    /// `g[1]` is derived from `g[0]` where it leaves the sweep (module docs)
+    /// and stale inside it.
     pub g: [Matrix; 2],
+    /// The sublattice signs when the walker evolves the up spin alone
+    /// (module docs); `None` on the two-spin path.
+    ph_signs: Option<Vec<f64>>,
     /// Sign of the configuration weight `det M₊ det M₋`, tracked
     /// incrementally and re-synchronised at every recomputation.
     pub sign: f64,
@@ -101,13 +122,24 @@ impl DqmcCore {
     /// Initialises a run: random HS field from the seed, Green's functions
     /// from a full stratified evaluation.
     pub fn new(params: SimParams) -> Self {
+        DqmcCore::fresh(params).initialised()
+    }
+
+    /// The two-spin chain of any model: the reference the one-spin path's
+    /// gates compare against.
+    #[cfg(test)]
+    pub(crate) fn new_two_spin(params: SimParams) -> Self {
+        DqmcCore::fresh(params).evolving(None).initialised()
+    }
+
+    /// A core on a random field from the seed, with no Green's function yet.
+    fn fresh(params: SimParams) -> Self {
         let mut rng = Rng::new(params.seed);
         let n = params.model.nsites();
-        let l = params.model.slices;
-        let h = HsField::random(n, l, &mut rng);
+        let h = HsField::random(n, params.model.slices, &mut rng);
         let g = [Matrix::zeros(n, n), Matrix::zeros(n, n)];
         let cluster_size = params.cluster_size;
-        let mut core = DqmcCore::restore(
+        DqmcCore::restore(
             params,
             h,
             rng,
@@ -119,16 +151,24 @@ impl DqmcCore {
             0,
             RunningStats::new(),
             0,
-        );
-        if let Err(e) = core.recompute_greens_recovering(l - 1) {
+        )
+    }
+
+    /// Evaluates the Green's functions from scratch at the sweep-start
+    /// position.
+    fn initialised(mut self) -> Self {
+        if let Err(e) = self.recompute_greens_recovering(self.params.model.slices - 1) {
             panic!("{e}");
         }
-        core
+        self.derive_down();
+        self
     }
 
     /// Rebuilds a core from checkpointed state: no field randomisation, no
     /// initial Green's function evaluation — every dynamical quantity comes
-    /// from the checkpoint so the resumed chain is bit-identical.
+    /// from the checkpoint so the resumed chain is bit-identical. A
+    /// one-spin walker keeps the stored `g[1]` as read; its first sweep end
+    /// derives it again.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn restore(
         params: SimParams,
@@ -144,6 +184,7 @@ impl DqmcCore {
         recovery_prior: u64,
     ) -> Self {
         let fac = BMatrixFactory::new(&params.model);
+        let ph_signs = params.model.particle_hole_signs();
         let cache = ClusterCache::new(params.model.slices, runtime_cluster_size);
         let mut recovery = RecoveryLog::new();
         recovery.set_prior(recovery_prior);
@@ -153,6 +194,7 @@ impl DqmcCore {
             h,
             cache,
             g,
+            ph_signs: None,
             sign,
             rng,
             timer: PhaseTimer::new(),
@@ -161,6 +203,42 @@ impl DqmcCore {
             proposed,
             recovery,
             sweeps_run,
+        }
+        .evolving(ph_signs)
+    }
+
+    /// Sets the spins this walker evolves: the up spin alone when `ph_signs`
+    /// holds the sublattice signs, both otherwise. The cache follows.
+    fn evolving(mut self, ph_signs: Option<Vec<f64>>) -> Self {
+        self.ph_signs = ph_signs;
+        let (slices, k) = (self.params.model.slices, self.cache.cluster_size());
+        self.cache = ClusterCache::with_spins(slices, k, self.spins().len());
+        self
+    }
+
+    /// The spins this walker evolves, up first: `[up]` on the particle–hole
+    /// path, `[up, down]` otherwise.
+    pub(crate) fn spins(&self) -> &'static [Spin] {
+        if self.ph_signs.is_some() {
+            &[Spin::Up]
+        } else {
+            &Spin::BOTH
+        }
+    }
+
+    /// Writes `G↓ = I − D·G↑ᵀ·D`, i.e. `G↓[i][j] = δ_ij − s_i·s_j·G↑[j][i]`,
+    /// into `g[1]` on the one-spin path, in O(N²). A no-op on the two-spin
+    /// path, whose `g[1]` is evolved.
+    fn derive_down(&mut self) {
+        let Some(s) = &self.ph_signs else {
+            return;
+        };
+        let [up, dn] = &mut self.g;
+        for j in 0..s.len() {
+            for i in 0..s.len() {
+                let delta = if i == j { 1.0 } else { 0.0 };
+                dn[(i, j)] = delta - s[i] * s[j] * up[(j, i)];
+            }
         }
     }
 
@@ -209,10 +287,10 @@ impl DqmcCore {
         (l + 1).is_multiple_of(self.cache.cluster_size()) || l + 1 == self.params.model.slices
     }
 
-    /// Recomputes both Green's functions from scratch on the host for the
-    /// position after wrapping past slice `l` (must be the last slice of its
-    /// cluster; stale cluster products are rebuilt from the HS field), and
-    /// re-synchronises the configuration sign from the determinants. A
+    /// Recomputes the evolved Green's functions from scratch on the host for
+    /// the position after wrapping past slice `l` (must be the last slice of
+    /// its cluster; stale cluster products are rebuilt from the HS field),
+    /// and re-synchronises the configuration sign from the determinants. A
     /// non-finite result climbs the taint rungs: shrink this walker's
     /// cluster size and evaluate again.
     pub fn recompute_greens_recovering(&mut self, l: usize) -> Result<(), DqmcError> {
@@ -226,37 +304,47 @@ impl DqmcCore {
         }
     }
 
-    /// One attempt at the full stratified evaluation. On success `self.g`
-    /// and `self.sign` are updated; on a non-finite result they are
-    /// untouched and the taint's detail comes back.
+    /// One attempt at the full stratified evaluation. On success the
+    /// evolved spins' `self.g` and `self.sign` are updated; on a non-finite
+    /// result they are untouched and the taint's detail comes back.
     ///
-    /// Both spins' cluster factors are gathered first (rebuilding the stale
-    /// ones) and lent out of the cache; the two evaluations are independent
-    /// and run as the spin pair ([`for_each_spin`]).
+    /// The evolved spins' cluster factors are gathered first (rebuilding the
+    /// stale ones) and lent out of the cache; a spin pair's two evaluations
+    /// are independent and run as the pair ([`for_each_spin`]). On the
+    /// one-spin path the sign is +1: `det M↓ = det M↑ · e^{…} > 0`.
     fn try_recompute_greens(&mut self, l: usize) -> Result<(), String> {
-        let algo = self.params.algo;
-        let n = self.nsites();
+        let (algo, n, spins) = (self.params.algo, self.nsites(), self.spins());
         self.timer.time(phases::CLUSTERING, || {
-            for spin in Spin::BOTH {
+            for &spin in spins {
                 self.cache.prepare_after_slice(&self.fac, &self.h, l, spin);
             }
         });
-        let mut jobs: [(Vec<&Matrix>, Option<GreensFunction>); 2] =
-            Spin::BOTH.map(|spin| (self.cache.cached_after_slice(l, spin), None));
+        let mut jobs: Vec<(Vec<&Matrix>, Option<GreensFunction>)> = spins
+            .iter()
+            .map(|&spin| (self.cache.cached_after_slice(l, spin), None))
+            .collect();
         self.timer.time(phases::STRATIFICATION, || {
             for_each_spin(n, &mut jobs, |_, (factors, gf)| {
                 *gf = Some(greens_from_udt(&stratify(factors, algo)));
             })
         });
-        let [up, dn] = jobs.map(|(_, gf)| gf.expect("both spins evaluated"));
-        let (sign, g) = (up.sign * dn.sign, [up.g, dn.g]);
+        let evaluated = jobs
+            .into_iter()
+            .map(|(_, gf)| gf.expect("every spin evaluated"));
+        let (signs, g): (Vec<f64>, Vec<Matrix>) = evaluated.map(|gf| (gf.sign, gf.g)).unzip();
         if let Some((spin, idx, v)) = first_taint(&g) {
             return Err(format!(
                 "stratified G for {spin:?} has {v} at element {idx}"
             ));
         }
-        self.g = g;
-        self.sign = sign;
+        for (slot, g) in self.g.iter_mut().zip(g) {
+            *slot = g;
+        }
+        self.sign = if self.ph_signs.is_some() {
+            1.0
+        } else {
+            signs.iter().product()
+        };
         Ok(())
     }
 
@@ -307,13 +395,16 @@ impl DqmcCore {
         });
     }
 
-    /// Detects non-finite data in either Green's function (injected faults,
-    /// inherited corruption) and repairs it by recomputing from the HS
-    /// field at the canonical sweep-start position. The repair consumes no
-    /// Metropolis randomness and reproduces exactly the matrix an untainted
-    /// run holds at sweep start, so the repaired chain is bit-identical.
+    /// Detects non-finite data in an evolved Green's function (injected
+    /// faults, inherited corruption) and repairs it by recomputing from the
+    /// HS field at the canonical sweep-start position. The repair consumes
+    /// no Metropolis randomness and reproduces exactly the matrix an
+    /// untainted run holds at sweep start, so the repaired chain is
+    /// bit-identical. A derived `G↓` is not scanned: the sweep never reads
+    /// it, and its end writes it afresh.
     fn repair_if_tainted(&mut self) -> Result<(), DqmcError> {
-        let Some((spin, idx, v)) = first_taint(&self.g) else {
+        let evolved = &self.g[..self.spins().len()];
+        let Some((spin, idx, v)) = first_taint(evolved) else {
             return Ok(());
         };
         let s = spin.index();
@@ -331,12 +422,12 @@ impl DqmcCore {
         self.recompute_greens_recovering(self.params.model.slices - 1)
     }
 
-    /// Rebuilds both Green's functions for the position after slice `l`
-    /// directly from the HS field on the host path, through a temporary
+    /// Rebuilds the evolved Green's functions for the position after slice
+    /// `l` directly from the HS field on the host path, through a temporary
     /// single-slice-cluster cache so *any* `l` is a valid boundary. Used for
     /// mid-sweep taint repair, where `l + 1` need not be a cluster boundary.
     fn repair_greens_after(&mut self, l: usize) -> Result<(), DqmcError> {
-        let unit = ClusterCache::new(self.params.model.slices, 1);
+        let unit = ClusterCache::with_spins(self.params.model.slices, 1, self.spins().len());
         let cache = std::mem::replace(&mut self.cache, unit);
         let result = self.try_recompute_greens(l);
         self.cache = cache;
@@ -366,10 +457,11 @@ impl DqmcCore {
         SweepDriver::new(Box::new(HostBackend)).try_sweep(&mut [Lane { core: self, obs }])
     }
 
-    /// The Metropolis site loop for one time slice ([`visit_sites`]): the
-    /// slice's `α_σ` first, then delayed rank-1 updates over every site,
-    /// then the stream, sign and counters written back, and cache
-    /// invalidation on any accepted flip.
+    /// The Metropolis site loop for one time slice ([`visit_sites`], or
+    /// [`visit_sites_up`] on the one-spin path): the slice's `α_σ` first,
+    /// then delayed rank-1 updates over every site, then the stream, sign
+    /// and counters written back, and cache invalidation on any accepted
+    /// flip.
     fn metropolis_slice(&mut self, l: usize) {
         let n = self.nsites();
         let nb = self.params.delay_block;
@@ -381,28 +473,34 @@ impl DqmcCore {
         let alpha =
             |c: f64| -> Vec<f64> { (0..n).map(|i| (c * self.h.get(l, i)).exp() - 1.0).collect() };
         let (alpha_up, alpha_dn) = (alpha(-2.0 * nu), alpha(2.0 * nu));
-        let empty = || Matrix::zeros(0, 0);
-        let [gup, gdn] = std::mem::replace(&mut self.g, [empty(), empty()]);
         let (acceptance, sign) = (self.params.acceptance, self.sign);
-        let mut sides = [
-            Side {
-                spin: SpinSide::new(gup, nb, alpha_up),
-                decider: Decider::new(self.rng.clone(), acceptance, sign, Some((&mut self.h, l))),
-            },
-            Side {
+        let gup = std::mem::replace(&mut self.g[0], Matrix::zeros(0, 0));
+        let mut up = Side {
+            spin: SpinSide::new(gup, nb, alpha_up),
+            decider: Decider::new(self.rng.clone(), acceptance, sign, Some((&mut self.h, l))),
+        };
+        let up = if self.ph_signs.is_some() {
+            visit_sites_up(&mut up, &alpha_dn, n);
+            up
+        } else {
+            let gdn = std::mem::replace(&mut self.g[1], Matrix::zeros(0, 0));
+            let dn = Side {
                 spin: SpinSide::new(gdn, nb, alpha_dn),
                 decider: Decider::new(self.rng.clone(), acceptance, sign, None),
-            },
-        ];
-        visit_sites(&mut sides, n);
-        let [up, dn] = sides;
+            };
+            let mut sides = [up, dn];
+            visit_sites(&mut sides, n);
+            let [up, dn] = sides;
+            self.g[1] = dn.spin.into_g();
+            up
+        };
         let Decider {
             rng,
             sign,
             accepted,
             ..
         } = up.decider;
-        self.g = [up.spin.into_g(), dn.spin.into_g()];
+        self.g[0] = up.spin.into_g();
         self.rng = rng;
         self.sign = sign;
         self.proposed += n as u64;
@@ -414,9 +512,9 @@ impl DqmcCore {
     }
 
     /// The cluster-boundary block after wrapping past slice `l`: recompute
-    /// both Green's functions, monitor the wrap-vs-recompute divergence of
-    /// either spin (when the wrap produced a valid pair) and take the
-    /// optional mid-sweep measurement. Returns whether the divergence
+    /// the evolved Green's functions, monitor the wrap-vs-recompute
+    /// divergence of each (when the wrap produced valid matrices) and take
+    /// the optional mid-sweep measurement. Returns whether the divergence
     /// monitor fired — the cached cluster products were presumed silently
     /// corrupted (e.g. a device memory bit flip: finite, so the non-finite
     /// scans never saw it), dropped, and rebuilt from the always-clean HS
@@ -426,7 +524,7 @@ impl DqmcCore {
         &mut self,
         l: usize,
         wrap_ok: bool,
-        wrapped: &[Matrix; 2],
+        wrapped: &[Matrix],
         obs: Option<&mut Observables>,
     ) -> Result<bool, DqmcError> {
         let l_slices = self.params.model.slices;
@@ -457,6 +555,7 @@ impl DqmcCore {
         // this boundary is as good a sample as the sweep-end one.
         if self.params.measure_per_cluster && l + 1 != l_slices {
             if let Some(obs) = obs {
+                self.derive_down();
                 self.record(obs);
             }
         }
@@ -471,10 +570,10 @@ impl DqmcCore {
     }
 }
 
-/// The first non-finite element of a spin pair, scanning up then down:
-/// (spin, flat index, value).
-fn first_taint(pair: &[Matrix; 2]) -> Option<(Spin, usize, f64)> {
-    let mut scans = Spin::BOTH.into_iter().zip(pair);
+/// The first non-finite element of a walker's spins (`[up]` or
+/// `[up, down]`), scanning up first: (spin, flat index, value).
+fn first_taint(spins: &[Matrix]) -> Option<(Spin, usize, f64)> {
+    let mut scans = Spin::BOTH.into_iter().zip(spins);
     scans.find_map(|(spin, m)| first_non_finite(m.as_slice()).map(|(i, v)| (spin, i, v)))
 }
 
@@ -552,21 +651,24 @@ impl SweepDriver {
             lane.core.sweeps_run += 1;
             lane.core.repair_if_tainted()?;
         }
-        // Wrap targets live for the whole sweep: at non-boundary slices the
-        // wrapped pair is swapped into the walker's `g` and the old G
-        // matrices become the next slice's targets — no per-slice
-        // allocation. On an abort the pairs still go back to the pool.
-        let mut wrapped: Vec<[Matrix; 2]> = lanes
+        // Wrap targets live for the whole sweep, one per evolved spin: at
+        // non-boundary slices the wrapped matrices are swapped into the
+        // walker's `g` and the old G matrices become the next slice's
+        // targets — no per-slice allocation. On an abort they still go back
+        // to the pool.
+        let spins = lanes[0].core.spins().len();
+        let mut wrapped: Vec<Vec<Matrix>> = lanes
             .iter()
-            .map(|_| [workspace::take_matrix(n, n), workspace::take_matrix(n, n)])
+            .map(|_| (0..spins).map(|_| workspace::take_matrix(n, n)).collect())
             .collect();
         let result = self.sweep_slices(lanes, &mut wrapped);
-        for [w0, w1] in wrapped {
-            workspace::put_matrix(w0);
-            workspace::put_matrix(w1);
-        }
+        wrapped
+            .into_iter()
+            .flatten()
+            .for_each(workspace::put_matrix);
         result?;
         for lane in lanes.iter_mut() {
+            lane.core.derive_down();
             if let Some(obs) = lane.obs.as_deref_mut() {
                 lane.core.record(obs);
             }
@@ -581,7 +683,7 @@ impl SweepDriver {
     fn sweep_slices(
         &mut self,
         lanes: &mut [Lane<'_>],
-        wrapped: &mut [[Matrix; 2]],
+        wrapped: &mut [Vec<Matrix>],
     ) -> Result<(), DqmcError> {
         let l_slices = lanes[0].core.params.model.slices;
         for l in 0..l_slices {
@@ -603,8 +705,9 @@ impl SweepDriver {
                         self.active().notify_fault();
                     }
                 } else if wrap_ok[i] {
-                    std::mem::swap(&mut lane.core.g[0], &mut wrapped[i][0]);
-                    std::mem::swap(&mut lane.core.g[1], &mut wrapped[i][1]);
+                    for (g, w) in lane.core.g.iter_mut().zip(wrapped[i].iter_mut()) {
+                        std::mem::swap(g, w);
+                    }
                 }
                 // wrap_ok == false mid-sweep: repair_greens_after already
                 // placed clean post-wrap matrices in that walker's g.
@@ -718,7 +821,8 @@ impl SweepDriver {
         }
     }
 
-    /// Wraps every walker's Green's functions past slice `l` with recovery.
+    /// Wraps every walker's evolved Green's functions past slice `l` with
+    /// recovery.
     /// Entry `i` of the result is `true` when `wrapped[i]` holds valid
     /// wrapped matrices and `false` after a taint repair: at a cluster
     /// boundary the imminent recompute makes the wrap redundant, and
@@ -728,17 +832,18 @@ impl SweepDriver {
         &mut self,
         lanes: &mut [Lane<'_>],
         l: usize,
-        wrapped: &mut [[Matrix; 2]],
+        wrapped: &mut [Vec<Matrix>],
     ) -> Result<Vec<bool>, DqmcError> {
         let b = lanes.len();
         let site = ("wrap", l, phases::WRAPPING);
         let ((), taint) = self.call_retrying(lanes, 0..b, site, |backend, lanes| {
+            let (fac, spins) = (&lanes[0].core.fac, lanes[0].core.spins());
             let hs: Vec<&HsField> = lanes.iter().map(|w| &w.core.h).collect();
-            let gs: Vec<&[Matrix; 2]> = lanes.iter().map(|w| &w.core.g).collect();
-            let mut outs: Vec<&mut [Matrix; 2]> = wrapped.iter_mut().collect();
-            backend.wrap(&lanes[0].core.fac, &hs, l, &gs, &mut outs)?;
-            let taint = wrapped.iter().enumerate().filter_map(|(i, pair)| {
-                let (spin, idx, v) = first_taint(pair)?;
+            let gs: Vec<&[Matrix]> = lanes.iter().map(|w| &w.core.g[..spins.len()]).collect();
+            let mut outs: Vec<&mut [Matrix]> = wrapped.iter_mut().map(Vec::as_mut_slice).collect();
+            backend.wrap(fac, spins, &hs, l, &gs, &mut outs)?;
+            let taint = wrapped.iter().enumerate().filter_map(|(i, evolved)| {
+                let (spin, idx, v) = first_taint(evolved)?;
                 let s = spin.index();
                 let at = format!("{v} at element {idx} after slice {l}");
                 Some((i, format!("wrapped G[{s}] of walker {i} has {at}")))
@@ -766,7 +871,8 @@ impl SweepDriver {
     }
 
     /// Sends every stale cluster product of the walkers at a boundary after
-    /// slice `l` through the backend, both spins per call, so each walker's
+    /// slice `l` through the backend, every evolved spin per call, so each
+    /// walker's
     /// recompute then runs on cache reads. Each round takes the lowest stale
     /// slice range and batches the walkers whose next stale cluster is
     /// exactly that range — walkers with different cluster sizes never
@@ -799,8 +905,8 @@ impl SweepDriver {
         Ok(())
     }
 
-    /// Computes both spins' cluster products over `[lo, hi)` for the `need`
-    /// subset of walkers through the backend and installs them. Leaves none
+    /// Computes the evolved spins' cluster products over `[lo, hi)` for the
+    /// `need` subset of walkers through the backend and installs them. Leaves none
     /// of those slots stale: a product still tainted after the retries sends
     /// its walker up the taint rungs (a shrink re-clusters that walker, whose
     /// new stale ranges the prefill then picks up; at the floor the tainted
@@ -814,22 +920,23 @@ impl SweepDriver {
         let walkers = need.iter().copied();
         let site = ("cluster", lo, phases::CLUSTERING);
         let (products, _) = self.call_retrying(lanes, walkers, site, |backend, lanes| {
+            let (fac, spins) = (&lanes[0].core.fac, lanes[0].core.spins());
             let hs: Vec<&HsField> = need.iter().map(|&i| &lanes[i].core.h).collect();
-            let products = backend.cluster(&lanes[0].core.fac, &hs, lo, hi)?;
-            let taint = need.iter().zip(&products).filter_map(|(&i, pair)| {
-                let (spin, idx, v) = first_taint(pair)?;
+            let products = backend.cluster(fac, spins, &hs, lo, hi)?;
+            let taint = need.iter().zip(&products).filter_map(|(&i, evolved)| {
+                let (spin, idx, v) = first_taint(evolved)?;
                 let at = format!("{v} at flat index {idx}");
                 Some((i, format!("{at} in cluster [{lo}, {hi}) {spin:?}")))
             });
             let taint = taint.collect();
             Ok((products, taint))
         })?;
-        for (&i, pair) in need.iter().zip(products) {
+        for (&i, evolved) in need.iter().zip(products) {
             let core = &mut *lanes[i].core;
             let c = core.cache.cluster_of(lo);
             // `install` re-scans; a still-tainted product is dropped.
             let mut dropped = Vec::new();
-            for (spin, m) in Spin::BOTH.into_iter().zip(pair) {
+            for (spin, m) in Spin::BOTH.into_iter().zip(evolved) {
                 if let Err(detail) = core.cache.install(c, spin, m) {
                     dropped.push((spin, detail));
                 }
@@ -838,7 +945,7 @@ impl SweepDriver {
                 continue;
             };
             let cause = RecoveryCause::NonFinite(detail.clone());
-            // One incident per walker; a shrink re-clusters both spins.
+            // One incident per walker; a shrink re-clusters every spin.
             if !core.escalate_taint(lo, cause, true)? {
                 for (spin, _) in dropped {
                     core.timer.time(phases::CLUSTERING, || {
@@ -859,8 +966,14 @@ mod tests {
     use crate::stratify::StratAlgo;
     use lattice::Lattice;
 
+    /// 2×2 at half filling: the one-spin path.
     fn small_params(u: f64, l: usize, seed: u64) -> SimParams {
-        let model = ModelParams::new(Lattice::square(2, 2, 1.0), u, 0.0, 0.125, l);
+        params_at(0.0, u, l, seed)
+    }
+
+    /// 2×2 at `mu_tilde`: the two-spin path unless `mu_tilde` = 0.
+    fn params_at(mu_tilde: f64, u: f64, l: usize, seed: u64) -> SimParams {
+        let model = ModelParams::new(Lattice::square(2, 2, 1.0), u, mu_tilde, 0.125, l);
         SimParams::new(model)
             .with_seed(seed)
             .with_cluster_size(4)
@@ -1033,11 +1146,11 @@ mod tests {
 
     #[test]
     fn injected_nan_is_repaired_bit_identically() {
-        // Poison G between sweeps; the sweep-start scan must rebuild it to
-        // exactly the state an untainted run holds, leaving the trajectory
-        // bit-identical.
-        let mut clean = DqmcCore::new(small_params(4.0, 8, 31));
-        let mut faulty = DqmcCore::new(small_params(4.0, 8, 31));
+        // Poison both evolved G (μ̃ ≠ 0: two spins) between sweeps; the
+        // sweep-start scan must rebuild them to exactly the state an
+        // untainted run holds, leaving the trajectory bit-identical.
+        let mut clean = DqmcCore::new(params_at(0.25, 4.0, 8, 31));
+        let mut faulty = DqmcCore::new(params_at(0.25, 4.0, 8, 31));
         clean.sweep(None);
         faulty.sweep(None);
         faulty.poison_greens(Spin::Up, 1, 2, f64::NAN);
@@ -1047,12 +1160,29 @@ mod tests {
             faulty.sweep(None);
         }
         assert!(!faulty.recovery_log().is_empty());
-        assert_eq!(clean.h, faulty.h);
-        assert_eq!(clean.rng.state(), faulty.rng.state());
-        assert_eq!(clean.g[0].max_abs_diff(&faulty.g[0]), 0.0);
-        assert_eq!(clean.g[1].max_abs_diff(&faulty.g[1]), 0.0);
-        assert_eq!(clean.sign, faulty.sign);
+        assert_same_chain(&clean, &faulty);
         assert!(clean.recovery_log().is_empty());
+    }
+
+    #[test]
+    fn a_derived_down_spin_is_written_afresh_not_repaired() {
+        // At half filling G↓ is derived: a poisoned G↓ is never read by the
+        // sweep and is overwritten at its end, so it costs no recovery
+        // event; a poisoned G↑ is repaired as on the two-spin path.
+        for (spin, repaired) in [(Spin::Down, false), (Spin::Up, true)] {
+            let mut clean = DqmcCore::new(small_params(4.0, 8, 31));
+            let mut faulty = DqmcCore::new(small_params(4.0, 8, 31));
+            assert_eq!(faulty.spins(), [Spin::Up]);
+            clean.sweep(None);
+            faulty.sweep(None);
+            faulty.poison_greens(spin, 1, 2, f64::NAN);
+            for _ in 0..2 {
+                clean.sweep(None);
+                faulty.sweep(None);
+            }
+            assert_eq!(!faulty.recovery_log().is_empty(), repaired, "{spin:?}");
+            assert_same_chain(&clean, &faulty);
+        }
     }
 
     #[test]
@@ -1066,16 +1196,19 @@ mod tests {
 
     #[test]
     fn mid_sweep_repair_keeps_physics_consistent() {
-        // Force a mid-sweep repair via the internal path and check G equals
-        // the from-scratch evaluation afterwards (the chain stays valid).
-        let mut core = DqmcCore::new(small_params(4.0, 8, 41));
-        core.sweep(None);
-        core.repair_greens_after(core.params.model.slices - 1)
-            .unwrap();
-        for spin in Spin::BOTH {
-            let naive = greens::greens_naive(&core.fac, &core.h, spin);
-            let diff = greens::relative_difference(core.greens(spin), &naive.g);
-            assert!(diff < 1e-8, "{spin:?}: {diff}");
+        // Force a mid-sweep repair via the internal path and check the
+        // evolved G equal the from-scratch evaluation afterwards (the chain
+        // stays valid), on both paths.
+        for mu in [0.0, 0.25] {
+            let mut core = DqmcCore::new(params_at(mu, 4.0, 8, 41));
+            core.sweep(None);
+            core.repair_greens_after(core.params.model.slices - 1)
+                .unwrap();
+            for &spin in core.spins() {
+                let naive = greens::greens_naive(&core.fac, &core.h, spin);
+                let diff = greens::relative_difference(core.greens(spin), &naive.g);
+                assert!(diff < 1e-8, "μ̃ = {mu} {spin:?}: {diff}");
+            }
         }
     }
 
@@ -1089,9 +1222,9 @@ mod tests {
         cluster_device_faults: u32,
         /// Fail every call as sick.
         sick: bool,
-        /// Cluster calls still to poison (the last product of each).
+        /// Cluster calls still to poison (the last walker's last spin).
         taint_clusters: u32,
-        /// Wrap calls still to poison (the last output of each).
+        /// Wrap calls still to poison (the last walker's last spin).
         taint_wraps: u32,
         notified: std::sync::Arc<std::sync::atomic::AtomicU32>,
     }
@@ -1116,35 +1249,39 @@ mod tests {
         fn wrap(
             &mut self,
             fac: &BMatrixFactory,
+            spins: &[Spin],
             hs: &[&HsField],
             l: usize,
-            gs: &[&[Matrix; 2]],
-            outs: &mut [&mut [Matrix; 2]],
+            gs: &[&[Matrix]],
+            outs: &mut [&mut [Matrix]],
         ) -> Result<(), DqmcError> {
             self.fail()?;
-            HostBackend.wrap(fac, hs, l, gs, outs)?;
+            HostBackend.wrap(fac, spins, hs, l, gs, outs)?;
             if self.taint_wraps > 0 {
                 self.taint_wraps -= 1;
-                outs.last_mut().expect("a walker")[1][(1, 2)] = f64::NAN;
+                let walker = outs.last_mut().expect("a walker");
+                walker.last_mut().expect("a spin")[(1, 2)] = f64::NAN;
             }
             Ok(())
         }
         fn cluster(
             &mut self,
             fac: &BMatrixFactory,
+            spins: &[Spin],
             hs: &[&HsField],
             lo: usize,
             hi: usize,
-        ) -> Result<Vec<[Matrix; 2]>, DqmcError> {
+        ) -> Result<Vec<Vec<Matrix>>, DqmcError> {
             self.fail()?;
             if self.cluster_device_faults > 0 {
                 self.cluster_device_faults -= 1;
                 return Err(DqmcError::transient("scripted", "scripted device failure"));
             }
-            let mut products = HostBackend.cluster(fac, hs, lo, hi)?;
+            let mut products = HostBackend.cluster(fac, spins, hs, lo, hi)?;
             if self.taint_clusters > 0 {
                 self.taint_clusters -= 1;
-                products.last_mut().expect("a walker")[1][(0, 0)] = f64::INFINITY;
+                let walker = products.last_mut().expect("a walker");
+                walker.last_mut().expect("a spin")[(0, 0)] = f64::INFINITY;
             }
             Ok(products)
         }
@@ -1154,11 +1291,17 @@ mod tests {
         }
     }
 
-    /// `b` bare walkers with distinct seeds.
-    fn walkers(b: usize) -> Vec<DqmcCore> {
+    /// `b` bare walkers with distinct seeds at `mu_tilde`.
+    fn walkers(b: usize, mu_tilde: f64) -> Vec<DqmcCore> {
         (0..b as u64)
-            .map(|c| DqmcCore::new(small_params(4.0, 8, 40 + c)))
+            .map(|c| DqmcCore::new(params_at(mu_tilde, 4.0, 8, 40 + c)))
             .collect()
+    }
+
+    /// Every ladder case runs on both paths — one spin at half filling, two
+    /// at μ̃ = 0.25 — solo and as a pair: `(μ̃, B)`.
+    fn ladder_cases() -> [(f64, usize); 4] {
+        [(0.0, 1), (0.0, 2), (0.25, 1), (0.25, 2)]
     }
 
     fn sweep_all(driver: &mut SweepDriver, cores: &mut [DqmcCore]) -> Result<(), DqmcError> {
@@ -1171,8 +1314,8 @@ mod tests {
 
     /// The same walkers after `sweeps` clean solo host sweeps — the
     /// bit-identity reference.
-    fn clean_reference(b: usize, sweeps: usize) -> Vec<DqmcCore> {
-        let mut cores = walkers(b);
+    fn clean_reference(b: usize, sweeps: usize, mu_tilde: f64) -> Vec<DqmcCore> {
+        let mut cores = walkers(b, mu_tilde);
         for core in &mut cores {
             for _ in 0..sweeps {
                 core.sweep(None);
@@ -1206,14 +1349,14 @@ mod tests {
     fn device_faults_retry_then_heal_bit_identically() {
         // Rung 1, driver-scoped: a failed call is retried as a whole after
         // the backend is told to drop its residents; the chains never notice.
-        for b in [1, 2] {
+        for (mu, b) in ladder_cases() {
             let script = Scripted {
                 device_faults: 2,
                 ..Scripted::default()
             };
             let notified = script.notified.clone();
             let mut driver = SweepDriver::new(Box::new(script));
-            let mut cores = walkers(b);
+            let mut cores = walkers(b, mu);
             for _ in 0..3 {
                 sweep_all(&mut driver, &mut cores).unwrap();
             }
@@ -1231,7 +1374,7 @@ mod tests {
             assert_eq!(notified.load(std::sync::atomic::Ordering::Relaxed), 2);
             assert_eq!(driver.fault_streak, 0, "streak resets on success");
             assert!(!driver.use_host_fallback);
-            for (f, c) in cores.iter().zip(&clean_reference(b, 3)) {
+            for (f, c) in cores.iter().zip(&clean_reference(b, 3, mu)) {
                 assert_same_chain(f, c);
             }
             assert!(cores[1..].iter().all(|c| c.recovery_log().is_empty()));
@@ -1242,13 +1385,13 @@ mod tests {
     fn persistent_device_faults_fall_back_to_host() {
         // Rung 2, driver-scoped: retries exhausted, the driver abandons the
         // backend for every walker at once. Cluster sizes are untouched.
-        for b in [1, 2] {
+        for (mu, b) in ladder_cases() {
             let script = Scripted {
                 device_faults: u32::MAX,
                 ..Scripted::default()
             };
             let mut driver = SweepDriver::new(Box::new(script));
-            let mut cores = walkers(b);
+            let mut cores = walkers(b, mu);
             for _ in 0..3 {
                 sweep_all(&mut driver, &mut cores).unwrap();
             }
@@ -1263,7 +1406,7 @@ mod tests {
                     RecoveryAction::HostFallback
                 ]
             ));
-            for (f, c) in cores.iter().zip(&clean_reference(b, 3)) {
+            for (f, c) in cores.iter().zip(&clean_reference(b, 3, mu)) {
                 assert_eq!(f.runtime_cluster_size(), 4);
                 assert_same_chain(f, c);
             }
@@ -1301,12 +1444,12 @@ mod tests {
 
     #[test]
     fn sick_faults_escape_the_ladder_without_consuming_rungs() {
-        for b in [1, 2] {
+        for (mu, b) in ladder_cases() {
             let mut driver = SweepDriver::new(Box::new(Scripted {
                 sick: true,
                 ..Scripted::default()
             }));
-            let mut cores = walkers(b);
+            let mut cores = walkers(b, mu);
             let err = sweep_all(&mut driver, &mut cores).unwrap_err();
             assert_eq!(err.severity, util::Severity::DeviceSick);
             assert!(err.detail.contains("scripted sick window"), "{err}");
@@ -1328,12 +1471,12 @@ mod tests {
         // the floor drop the product and rebuild it on the host. The last
         // walker of each call is the victim; once shrunk it is alone in its
         // calls, so the neighbour never sees a poisoned product again.
-        for b in [1, 2] {
+        for (mu, b) in ladder_cases() {
             let mut driver = SweepDriver::new(Box::new(Scripted {
                 taint_clusters: 9,
                 ..Scripted::default()
             }));
-            let mut cores = walkers(b);
+            let mut cores = walkers(b, mu);
             sweep_all(&mut driver, &mut cores).unwrap();
             let victim = &cores[b - 1];
             let escalations: Vec<RecoveryAction> = actions(victim)
@@ -1361,22 +1504,22 @@ mod tests {
             if b == 2 {
                 assert_eq!(cores[0].runtime_cluster_size(), 4);
                 assert!(cores[0].recovery_log().is_empty());
-                assert_same_chain(&cores[0], &clean_reference(1, 2)[0]);
+                assert_same_chain(&cores[0], &clean_reference(1, 2, mu)[0]);
             }
         }
     }
 
     #[test]
     fn wrap_taint_retries_then_repairs_that_walker() {
-        // One wrap attempt is one backend call (both spins; the down spin is
-        // poisoned), so three poisoned calls are two retries and the
+        // One wrap attempt is one backend call (every evolved spin; the last
+        // is poisoned), so three poisoned calls are two retries and the
         // escalation.
-        for b in [1, 2] {
+        for (mu, b) in ladder_cases() {
             let mut driver = SweepDriver::new(Box::new(Scripted {
                 taint_wraps: 3,
                 ..Scripted::default()
             }));
-            let mut cores = walkers(b);
+            let mut cores = walkers(b, mu);
             sweep_all(&mut driver, &mut cores).unwrap();
             assert!(matches!(
                 actions(&cores[b - 1])[..],
@@ -1389,7 +1532,7 @@ mod tests {
             assert_greens_match_naive(&cores[b - 1]);
             if b == 2 {
                 assert!(cores[0].recovery_log().is_empty());
-                assert_same_chain(&cores[0], &clean_reference(1, 1)[0]);
+                assert_same_chain(&cores[0], &clean_reference(1, 1, mu)[0]);
             }
         }
     }
@@ -1400,7 +1543,7 @@ mod tests {
         // incident: the taint retry is attempt 2 of `max_retries` = 2, so
         // the next taint settles at once — a repair for a wrap, a shrink
         // for a cluster product.
-        for b in [1, 2] {
+        for (mu, b) in ladder_cases() {
             let wrap = Scripted {
                 device_faults: 1,
                 taint_wraps: 2,
@@ -1417,7 +1560,7 @@ mod tests {
                 |a| matches!(a, RecoveryAction::ClusterShrink { from: 4, to: 2 });
             for (script, settles) in [(wrap, repaired), (cluster, shrunk)] {
                 let mut driver = SweepDriver::new(Box::new(script));
-                let mut cores = walkers(b);
+                let mut cores = walkers(b, mu);
                 sweep_all(&mut driver, &mut cores).unwrap();
                 // Walker 0 logs the device retry, the victim the rest.
                 let logged: Vec<RecoveryAction> = cores.iter().flat_map(actions).collect();
@@ -1462,28 +1605,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_finite_corruption_in_a_down_spin_product_reaches_the_divergence_rung() {
-        // A cached down-spin cluster product off by a finite amount (a
-        // device bit flip: no non-finite scan sees it) makes the next
-        // boundary's recompute disagree with the wrapped down-spin G. The
-        // monitor watches both spins, so the divergence rung fires.
-        let mut core = DqmcCore::new(small_params(4.0, 8, 61));
+    /// Corrupts `spin`'s cached product of cluster 1 by a finite amount (a
+    /// device bit flip: no non-finite scan sees it) and checks that the
+    /// next boundary's recompute, disagreeing with that spin's wrapped G,
+    /// reaches the divergence rung.
+    fn finite_corruption_reaches_the_divergence_rung(mu: f64, spin: Spin) {
+        let mut core = DqmcCore::new(params_at(mu, 4.0, 8, 61));
         core.sweep(None);
         // Cluster 1 (slices 4..8) is read, not rebuilt, at the next
         // sweep's first boundary.
-        let mut product = core.cache.get(&core.fac, &core.h, 1, Spin::Down).clone();
+        let mut product = core.cache.get(&core.fac, &core.h, 1, spin).clone();
         product.scale(1.5);
-        core.cache.install(1, Spin::Down, product).unwrap();
+        core.cache.install(1, spin, product).unwrap();
         core.sweep(None);
         let events = core.recovery_log().events();
         assert!(
             events
                 .iter()
                 .any(|e| matches!(e.cause, RecoveryCause::WrapDivergence { .. })),
-            "{events:?}"
+            "μ̃ = {mu}: {events:?}"
         );
         assert_greens_match_naive(&core);
+    }
+
+    #[test]
+    fn a_finite_corruption_in_a_down_spin_product_reaches_the_divergence_rung() {
+        // The monitor watches both spins on the two-spin path (μ̃ ≠ 0).
+        finite_corruption_reaches_the_divergence_rung(0.25, Spin::Down);
+    }
+
+    #[test]
+    fn a_finite_corruption_in_a_one_spin_product_reaches_the_divergence_rung() {
+        // At half filling the up spin is the only one evolved and watched.
+        finite_corruption_reaches_the_divergence_rung(0.0, Spin::Up);
     }
 
     /// Climbs the taint rungs directly with a fault no repair can absorb

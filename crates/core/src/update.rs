@@ -15,7 +15,15 @@
 //! one row and one column) from `G₀ + U·Wᵀ` at O(N·j) cost. Every `nb`
 //! accepted updates the panels are flushed into `G₀` with a single GEMM.
 //!
-//! **One spin per core.** The two spins of a slice share only the
+//! **One spin alone.** At half filling on a bipartite lattice the walker
+//! evolves `G↑` only ([`crate::sweep`]): `1 − G↓_ii = G↑_ii` makes
+//! `d_dn = 1 + α_dn·G↑_ii`, so `visit_sites_up` forms `r = d_up·d_dn`
+//! from the one accumulator, and `r = d_up²·e^{2νh} > 0` keeps the sign at
+//! +1. The slice's flushes are the only rank-k GEMMs in flight, and they
+//! fork across the team past the cut like any other kernel.
+//!
+//! **One spin per core** (the two-spin path, away from half filling or on a
+//! non-bipartite lattice). The two spins of a slice share only the
 //! accept/reject decision, which needs `r = d_up·d_dn`. Past the fork cut
 //! (`2N³ ≥ FORK_FLOPS`) `visit_sites` runs each spin's side on its own core
 //! for the whole slice ([`team::lockstep`]): at every site the sides swap
@@ -193,10 +201,11 @@ impl SliceUpdater {
 }
 
 /// One spin's side of a slice: its delayed-update accumulator, the slice's
-/// `α_σ` per site, and the `d_σ` of the site last proposed.
+/// `α_σ` per site, and the `G_σ(i,i)` and `d_σ` of the site last proposed.
 pub(crate) struct SpinSide {
     upd: SliceUpdater,
     alpha: Vec<f64>,
+    gii: f64,
     d: f64,
 }
 
@@ -206,13 +215,15 @@ impl SpinSide {
         SpinSide {
             upd: SliceUpdater::new(g, nb),
             alpha,
+            gii: 0.0,
             d: 0.0,
         }
     }
 
     /// `d_σ = 1 + α_σ(1 − G_σ(i,i))` of a flip at site `i`.
     fn propose(&mut self, i: usize) -> f64 {
-        self.d = 1.0 + self.alpha[i] * (1.0 - self.upd.gii(i));
+        self.gii = self.upd.gii(i);
+        self.d = 1.0 + self.alpha[i] * (1.0 - self.gii);
         self.d
     }
 
@@ -230,8 +241,9 @@ impl SpinSide {
 }
 
 /// The accept/reject half of a slice: a copy of the walker's stream, the
-/// configuration sign and the tally. Both sides hold one and make the same
-/// draws; side 0's, the one that holds the HS field, is written back.
+/// configuration sign and the tally. On the two-spin path both sides hold
+/// one and make the same draws; side 0's, the one that holds the HS field,
+/// is written back.
 pub(crate) struct Decider<'a> {
     pub(crate) rng: Rng,
     acceptance: Acceptance,
@@ -307,6 +319,18 @@ pub(crate) fn visit_sites(sides: &mut [Side<'_>; 2], n: usize) {
             up.spin.commit(i, accepted);
             dn.spin.commit(i, accepted);
         }
+    }
+}
+
+/// Visits sites `0..n` of a slice with the up spin alone, reading the down
+/// spin's ratio through the particle–hole identity: `d_dn = 1 + α_dn·G↑_ii`
+/// with `alpha_dn` the slice's `α_↓` per site (module docs).
+pub(crate) fn visit_sites_up(up: &mut Side<'_>, alpha_dn: &[f64], n: usize) {
+    for i in 0..n {
+        let d_up = up.spin.propose(i);
+        let d_dn = 1.0 + alpha_dn[i] * up.spin.gii;
+        let accepted = up.decider.decide(i, d_up, d_dn);
+        up.spin.commit(i, accepted);
     }
 }
 

@@ -25,7 +25,11 @@
 //!
 //! A malformed value (`n` must be at least 1, `k` a shard index) makes the
 //! child exit 2 naming the variable, as a malformed `DQMC_VFS_FAULTS` does,
-//! rather than run with the hook silently off; a blank one is unset.
+//! rather than run with the hook silently off; a blank one is unset. Exit 2
+//! ([`REFUSED_EXIT_CODE`]) is the child's refusal of its launch — its
+//! arguments, manifest, grid or hooks — which no respawn can change, so the
+//! supervisor quarantines the shard at once. A failure once the shard runs
+//! (a report it cannot write) exits 1 and is respawned like a crash.
 //!
 //! The supervisor strips these variables when it respawns a child, so a
 //! scripted fault fires exactly once and the respawn completes the shard.
@@ -44,6 +48,10 @@ use crate::report::ShardReport;
 
 /// Exit code for a scripted `DQMC_FLEET_EXIT_AFTER` crash.
 pub const SCRIPTED_EXIT_CODE: i32 = 86;
+/// Exit code of a child that refuses its launch (module docs).
+pub const REFUSED_EXIT_CODE: i32 = 2;
+/// Exit code of a child that failed once its shard was running.
+const FAILED_EXIT_CODE: i32 = 1;
 /// Heartbeat rewrite cadence.
 const HEARTBEAT_PERIOD: Duration = Duration::from_millis(25);
 
@@ -174,26 +182,28 @@ fn beat(path: &Path, stop: &AtomicBool) -> std::io::Result<()> {
 pub fn child_main(args: &[String]) -> i32 {
     let [manifest_path, report_path, heartbeat_path] = args else {
         eprintln!("usage: shard-child <manifest.dqsm> <report.dqsr> <heartbeat>");
-        return 2;
+        return REFUSED_EXIT_CODE;
     };
-    match run_shard(
-        Path::new(manifest_path),
-        Path::new(report_path),
-        Path::new(heartbeat_path),
-    ) {
+    let (manifest, hooks, spec) = match admit(Path::new(manifest_path)) {
+        Ok(admitted) => admitted,
+        Err(e) => {
+            eprintln!("shard child refused: {e}");
+            return REFUSED_EXIT_CODE;
+        }
+    };
+    let paths = (Path::new(report_path), Path::new(heartbeat_path));
+    match run_shard(&manifest, &hooks, &spec, paths) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("shard child failed: {e}");
-            2
+            FAILED_EXIT_CODE
         }
     }
 }
 
-fn run_shard(
-    manifest_path: &Path,
-    report_path: &Path,
-    heartbeat_path: &Path,
-) -> Result<i32, String> {
+/// Reads the manifest and the hooks and checks the grid against the
+/// manifest's fingerprint: everything a launch can be refused for.
+fn admit(manifest_path: &Path) -> Result<(ShardManifest, FaultHooks, GridSpec), String> {
     let manifest = ShardManifest::read(manifest_path)?;
     let hooks = FaultHooks::from_env(manifest.shard)?;
     let mut spec =
@@ -210,8 +220,16 @@ fn run_shard(
     // service refuses them and the determinism tier proves they cannot
     // move observable bytes, so a fleet child simply drops them.
     spec.slot_faults.clear();
+    Ok((manifest, hooks, spec))
+}
 
-    let mut report = resume_or_fresh(report_path, &manifest, &spec);
+fn run_shard(
+    manifest: &ShardManifest,
+    hooks: &FaultHooks,
+    spec: &GridSpec,
+    (report_path, heartbeat_path): (&Path, &Path),
+) -> Result<i32, String> {
+    let mut report = resume_or_fresh(report_path, manifest, spec);
     report
         .write(report_path)
         .map_err(|e| format!("cannot write shard report {}: {e}", report_path.display()))?;
@@ -222,12 +240,12 @@ fn run_shard(
         // Namespace the campaign tags by shard so no two fleet processes
         // ever mint the same tag — shard-scoped provenance in traces.
         tag_namespace: manifest.shard as u64 + 1,
-        ..SchedConfig::from_spec(&spec)
+        ..SchedConfig::from_spec(spec)
     });
 
     let todo = report.missing_points();
     for point in todo {
-        if let Some(code) = fire_hooks(&hooks, &report, &mut heartbeat) {
+        if let Some(code) = fire_hooks(hooks, &report, &mut heartbeat) {
             return Ok(code);
         }
         let handle = service
@@ -252,7 +270,7 @@ fn run_shard(
             )
         })?;
     }
-    if let Some(code) = fire_hooks(&hooks, &report, &mut heartbeat) {
+    if let Some(code) = fire_hooks(hooks, &report, &mut heartbeat) {
         return Ok(code);
     }
     service.shutdown();

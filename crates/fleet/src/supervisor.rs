@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use sched::{GridSpec, ShardPlan};
 
-use crate::child::{ENV_EXIT_AFTER, ENV_FAULT_SHARD, ENV_HANG_AFTER};
+use crate::child::{ENV_EXIT_AFTER, ENV_FAULT_SHARD, ENV_HANG_AFTER, REFUSED_EXIT_CODE};
 use crate::manifest::ShardManifest;
 use crate::report::{merge_reports, MergeError, MergedReport, ShardReport};
 
@@ -93,8 +93,9 @@ pub enum FleetError {
     Grid(String),
     /// Filesystem or process-spawn trouble.
     Io(String),
-    /// A shard exhausted its respawn budget; its unfinished points are
-    /// listed.
+    /// A shard exhausted its respawn budget, or its child refused its
+    /// launch (exit 2, which no respawn can change); its unfinished points
+    /// are listed.
     ShardFailed {
         /// The quarantined shard.
         shard: usize,
@@ -102,6 +103,8 @@ pub enum FleetError {
         attempts: u32,
         /// Points the shard never finished.
         missing: Vec<usize>,
+        /// Whether the last child refused its launch rather than crashed.
+        refused: bool,
     },
     /// Reports refused to recombine (fingerprint skew, duplicate or
     /// missing coverage).
@@ -117,11 +120,19 @@ impl std::fmt::Display for FleetError {
                 shard,
                 attempts,
                 missing,
-            } => write!(
-                f,
-                "shard {shard} quarantined after {attempts} attempts; \
-                 unfinished points {missing:?}"
-            ),
+                refused,
+            } => {
+                let why = if *refused {
+                    "refused its launch (exit 2) and was "
+                } else {
+                    ""
+                };
+                write!(
+                    f,
+                    "shard {shard} {why}quarantined after {attempts} attempts; \
+                     unfinished points {missing:?}"
+                )
+            }
             FleetError::Merge(e) => write!(f, "merge refused: {e}"),
         }
     }
@@ -396,6 +407,11 @@ fn poll_shard(
                 st.shard,
                 if complete { "complete" } else { "incomplete" }
             ));
+            if status.code() == Some(REFUSED_EXIT_CODE) {
+                // The child refused its arguments, manifest or hooks: a
+                // respawn would be refused again, so it gets none.
+                return Err(quarantine(st, ledger, true));
+            }
             respawn_or_quarantine(st, cfg, ledger, respawns)
         }
         Ok(None) => {
@@ -429,19 +445,30 @@ fn respawn_or_quarantine(
     respawns: &mut u32,
 ) -> Result<(), FleetError> {
     if st.attempts > RESPAWN_BUDGET {
-        ledger.push(format!(
-            "shard {}: quarantined after {} attempts",
-            st.shard, st.attempts
-        ));
-        let missing = ShardReport::read(&st.report_path)
-            .map(|r| r.missing_points())
-            .unwrap_or_default();
-        return Err(FleetError::ShardFailed {
-            shard: st.shard,
-            attempts: st.attempts,
-            missing,
-        });
+        return Err(quarantine(st, ledger, false));
     }
     *respawns += 1;
     spawn_child(st, cfg, true, ledger)
+}
+
+/// Quarantines a shard: the ledger line and the error naming its
+/// unfinished points.
+fn quarantine(st: &ShardState, ledger: &mut Vec<String>, refused: bool) -> FleetError {
+    ledger.push(format!(
+        "shard {}: {}quarantined after {} attempts",
+        st.shard,
+        if refused { "refused its launch, " } else { "" },
+        st.attempts
+    ));
+    // A child that never wrote its report left every assigned point.
+    let missing = ShardReport::read(&st.report_path)
+        .map(|r| r.missing_points())
+        .or_else(|_| ShardManifest::read(&st.manifest_path).map(|m| m.points))
+        .unwrap_or_default();
+    FleetError::ShardFailed {
+        shard: st.shard,
+        attempts: st.attempts,
+        missing,
+        refused,
+    }
 }

@@ -1,7 +1,8 @@
 //! The simulated device as the sweep's [`ComputeBackend`].
 //!
 //! Wraps a [`Device`] so `dqmc::sweep` can route its two heavy kernels —
-//! cluster products and wraps, each over a slice of walkers and both spins
+//! cluster products and wraps, each over a slice of walkers and the spins
+//! they evolve (the up spin alone at half filling on a bipartite lattice)
 //! — through the accelerator model. The matrices come from
 //! [`HostBackend`], the calls a host run makes; the device is then billed
 //! for the batched kernels of [`crate::kernels`], one spin after the other,
@@ -93,18 +94,19 @@ impl ComputeBackend for DeviceBackend {
     fn wrap(
         &mut self,
         fac: &BMatrixFactory,
+        spins: &[Spin],
         hs: &[&HsField],
         l: usize,
-        gs: &[&[Matrix; 2]],
-        outs: &mut [&mut [Matrix; 2]],
+        gs: &[&[Matrix]],
+        outs: &mut [&mut [Matrix]],
     ) -> Result<(), DqmcError> {
-        HostBackend.wrap(fac, hs, l, gs, outs)?;
+        HostBackend.wrap(fac, spins, hs, l, gs, outs)?;
         let (expk, expk_inv) = (orders(fac.expk_kron()), orders(fac.expk_inv_kron()));
         let dev = &mut self.dev;
         upload_once(&mut self.expk, dev, &expk);
         upload_once(&mut self.expk_inv, dev, &expk_inv);
-        for s in Spin::BOTH.map(Spin::index) {
-            let mut outs: Vec<&mut Matrix> = outs.iter_mut().map(|pair| &mut pair[s]).collect();
+        for s in spins.iter().map(|spin| spin.index()) {
+            let mut outs: Vec<&mut Matrix> = outs.iter_mut().map(|w| &mut w[s]).collect();
             try_wrap_crowd(dev, &expk, &expk_inv, &mut outs).map_err(classify)?;
         }
         Ok(())
@@ -113,19 +115,20 @@ impl ComputeBackend for DeviceBackend {
     fn cluster(
         &mut self,
         fac: &BMatrixFactory,
+        spins: &[Spin],
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-    ) -> Result<Vec<[Matrix; 2]>, DqmcError> {
-        let mut products = HostBackend.cluster(fac, hs, lo, hi)?;
+    ) -> Result<Vec<Vec<Matrix>>, DqmcError> {
+        let mut products = HostBackend.cluster(fac, spins, hs, lo, hi)?;
         let expk = orders(fac.expk_kron());
         let dev = &mut self.dev;
         upload_once(&mut self.expk, dev, &expk);
         if expk.len() > 1 {
             upload_once(&mut self.seed, dev, &[fac.nsites()]);
         }
-        for s in Spin::BOTH.map(Spin::index) {
-            let mut outs: Vec<&mut Matrix> = products.iter_mut().map(|pair| &mut pair[s]).collect();
+        for s in spins.iter().map(|spin| spin.index()) {
+            let mut outs: Vec<&mut Matrix> = products.iter_mut().map(|w| &mut w[s]).collect();
             try_cluster_crowd(dev, &expk, hi - lo, &mut outs).map_err(classify)?;
         }
         Ok(products)
@@ -166,7 +169,8 @@ mod tests {
         DeviceBackend::new(dev)
     }
 
-    /// One walker's `Spin::Up` cluster product through the backend.
+    /// One walker's `Spin::Up` cluster product through a two-spin call, so
+    /// the fault ordinals below count both spins' launches and transfers.
     fn cluster_one(
         be: &mut DeviceBackend,
         fac: &BMatrixFactory,
@@ -174,8 +178,8 @@ mod tests {
         lo: usize,
         hi: usize,
     ) -> Result<Matrix, DqmcError> {
-        let [up, _] = be.cluster(fac, &[h], lo, hi)?.pop().expect("one walker");
-        Ok(up)
+        let mut walker = be.cluster(fac, &Spin::BOTH, &[h], lo, hi)?;
+        Ok(walker.pop().expect("one walker").swap_remove(0))
     }
 
     #[test]
@@ -183,16 +187,23 @@ mod tests {
         let (fac, h) = setup();
         let mut host = HostBackend;
         let mut devb = DeviceBackend::new(Device::new(DeviceSpec::tesla_c2050()));
-        let a = devb.cluster(&fac, &[&h], 0, 6).unwrap();
-        let b = host.cluster(&fac, &[&h], 0, 6).unwrap();
-        assert_eq!(a, b, "device clustering returns the host's products");
+        for spins in [&[Spin::Up][..], &Spin::BOTH] {
+            let a = devb.cluster(&fac, spins, &[&h], 0, 6).unwrap();
+            let b = host.cluster(&fac, spins, &[&h], 0, 6).unwrap();
+            assert_eq!(a, b, "device clustering returns the host's products");
 
-        let g = Spin::BOTH.map(|spin| dqmc::greens::greens_naive(&fac, &h, spin).g);
-        let mut out_d = [Matrix::zeros(9, 9), Matrix::zeros(9, 9)];
-        let mut out_h = out_d.clone();
-        devb.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out_d]).unwrap();
-        host.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out_h]).unwrap();
-        assert_eq!(out_d, out_h, "and the host's wraps");
+            let g: Vec<Matrix> = spins
+                .iter()
+                .map(|&spin| dqmc::greens::greens_naive(&fac, &h, spin).g)
+                .collect();
+            let mut out_d = vec![Matrix::zeros(9, 9); spins.len()];
+            let mut out_h = out_d.clone();
+            devb.wrap(&fac, spins, &[&h], 0, &[&g], &mut [&mut out_d])
+                .unwrap();
+            host.wrap(&fac, spins, &[&h], 0, &[&g], &mut [&mut out_h])
+                .unwrap();
+            assert_eq!(out_d, out_h, "and the host's wraps");
+        }
     }
 
     #[test]
@@ -201,30 +212,32 @@ mod tests {
         // through the device backend must be
         // bit-identical to the host run — Green's functions AND observables
         // — so host fallback under device-pool pressure cannot change
-        // physics.
-        let model = ModelParams::new(Lattice::square(2, 2, 1.0), 4.0, 0.0, 0.125, 8);
-        let params = dqmc::SimParams::new(model)
-            .with_sweeps(4, 8)
-            .with_seed(33)
-            .with_cluster_size(4)
-            .with_bin_size(2);
-        let mut host_sim = dqmc::Simulation::new(params.clone());
-        host_sim.run();
-        let mut dev_sim = dqmc::Simulation::new(params).with_backend(Box::new(DeviceBackend::new(
-            Device::new(DeviceSpec::tesla_c2050()),
-        )));
-        dev_sim.run();
-        assert_eq!(
-            host_sim
-                .greens(dqmc::Spin::Up)
-                .max_abs_diff(dev_sim.greens(dqmc::Spin::Up)),
-            0.0
-        );
-        let h = host_sim.observables().jackknife_scalars();
-        let d = dev_sim.observables().jackknife_scalars();
-        assert_eq!(h.double_occ, d.double_occ);
-        assert_eq!(h.kinetic, d.kinetic);
-        assert_eq!(h.saf, d.saf);
+        // physics. Half filling runs one spin, μ̃ = 0.25 both.
+        for mu_tilde in [0.0, 0.25] {
+            let model = ModelParams::new(Lattice::square(2, 2, 1.0), 4.0, mu_tilde, 0.125, 8);
+            let params = dqmc::SimParams::new(model)
+                .with_sweeps(4, 8)
+                .with_seed(33)
+                .with_cluster_size(4)
+                .with_bin_size(2);
+            let mut host_sim = dqmc::Simulation::new(params.clone());
+            host_sim.run();
+            let mut dev_sim = dqmc::Simulation::new(params).with_backend(Box::new(
+                DeviceBackend::new(Device::new(DeviceSpec::tesla_c2050())),
+            ));
+            dev_sim.run();
+            for spin in Spin::BOTH {
+                let (h, d) = (host_sim.greens(spin), dev_sim.greens(spin));
+                assert_eq!(h.max_abs_diff(d), 0.0, "μ̃ = {mu_tilde} {spin:?}");
+            }
+            let h = host_sim.observables().jackknife_scalars();
+            let d = dev_sim.observables().jackknife_scalars();
+            assert_eq!(h.sign, d.sign);
+            assert_eq!(h.density, d.density);
+            assert_eq!(h.double_occ, d.double_occ);
+            assert_eq!(h.kinetic, d.kinetic);
+            assert_eq!(h.saf, d.saf);
+        }
     }
 
     #[test]

@@ -476,17 +476,19 @@ mod tests {
         let h = dqmc::HsField::random(4, 4, &mut rng);
         use dqmc::ComputeBackend as _;
         // A leased device wraps to the host's bits.
+        let both = dqmc::Spin::BOTH;
         let g = [(); 2].map(|_| linalg::Matrix::random(4, 4, &mut rng));
         let mut out = [linalg::Matrix::zeros(4, 4), linalg::Matrix::zeros(4, 4)];
         let mut be = lease.backend(None);
-        be.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out]).unwrap();
-        for spin in dqmc::Spin::BOTH {
+        be.wrap(&fac, &both, &[&h], 0, &[&g], &mut [&mut out])
+            .unwrap();
+        for spin in both {
             let s = spin.index();
             assert_eq!(out[s], dqmc::greens::wrap(&fac, &h, 0, spin, &g[s]));
         }
         // The armed plan fires on the first launch.
         let mut be = lease.backend(Some(FaultPlan::new().fail_launch(1)));
-        assert!(be.cluster(&fac, &[&h], 0, 4).is_err());
+        assert!(be.cluster(&fac, &both, &[&h], 0, 4).is_err());
     }
 
     #[test]
@@ -597,8 +599,9 @@ mod tests {
         let mut rng = util::Rng::new(1);
         let h = dqmc::HsField::random(4, 4, &mut rng);
         use dqmc::ComputeBackend as _;
+        let up = [dqmc::Spin::Up];
         assert!(
-            be.cluster(&fac, &[&h], 0, 4).is_err(),
+            be.cluster(&fac, &up, &[&h], 0, 4).is_err(),
             "slot profile armed without any job plan"
         );
         drop(lease);
@@ -611,7 +614,7 @@ mod tests {
         assert!(probe.is_probe());
         let mut be = probe.backend(None);
         assert!(
-            be.cluster(&fac, &[&h], 0, 4).is_ok(),
+            be.cluster(&fac, &up, &[&h], 0, 4).is_ok(),
             "healed slot runs clean on probation"
         );
     }

@@ -3,6 +3,10 @@
 //! The DQMC estimates carry two error sources — O(Δτ²) Trotter
 //! discretisation and Monte Carlo noise — so the comparisons use small Δτ,
 //! enough sweeps, and tolerances a few times the combined error scale.
+//!
+//! The dimer is bipartite, so every half-filled case here runs the one-spin
+//! path (`G↓` read through the particle–hole identity), and
+//! `dimer_doped_sign_weighted_observables` (μ̃ ≠ 0) the two-spin path.
 
 use dqmc::{ModelParams, SimParams, Simulation};
 use ed::{HubbardEd, ThermalEnsemble};

@@ -168,8 +168,11 @@ fn unrecoverable_shard_is_quarantined_after_respawn_budget() {
         envs: Vec::new(),
     };
     match fleet::run_fleet(GRID, &cfg) {
-        Err(FleetError::ShardFailed { attempts, .. }) => {
+        Err(FleetError::ShardFailed {
+            attempts, refused, ..
+        }) => {
             assert_eq!(attempts, 3, "1 initial spawn + the budget of 2 respawns");
+            assert!(!refused, "exit 1 is a crash, not a refusal");
         }
         Err(other) => panic!("expected ShardFailed, got {other}"),
         Ok(_) => panic!("a fleet of /bin/false cannot succeed"),
@@ -187,6 +190,39 @@ fn unrecoverable_shard_is_quarantined_after_respawn_budget() {
         Err(other) => panic!("expected a grid error, got {other}"),
         Ok(_) => panic!("a grid with an unknown key cannot run"),
     }
+}
+
+#[test]
+fn a_refused_launch_is_quarantined_without_a_respawn() {
+    // A malformed hook makes shard 0's child exit 2, refusing its launch.
+    // A respawn cannot change a refusal (and one without the hooks would
+    // hide it), so the shard is quarantined at once, named as refused. One
+    // shard: every child reads the hooks before its scope, so with two
+    // both would refuse and either could be polled first.
+    let mut cfg = config("refused", 1);
+    cfg.child.envs = vec![
+        (fleet::child::ENV_EXIT_AFTER.into(), "x".into()),
+        (fleet::child::ENV_FAULT_SHARD.into(), "0".into()),
+    ];
+    let err = fleet::run_fleet(GRID, &cfg).expect_err("a refused shard cannot complete");
+    let shown = err.to_string();
+    let FleetError::ShardFailed {
+        shard,
+        attempts,
+        missing,
+        refused,
+    } = err
+    else {
+        panic!("expected a refused shard, got {shown}");
+    };
+    assert_eq!((shard, attempts), (0, 1), "no respawn after a refusal");
+    assert!(refused, "{shown}");
+    assert_eq!(
+        missing,
+        [0, 1, 2, 3],
+        "no report: every point is unfinished"
+    );
+    assert!(shown.contains("refused its launch"), "{shown}");
 }
 
 #[test]

@@ -31,9 +31,15 @@ fn device_clusters_reproduce_simulation_greens() {
     let mut devb = DeviceBackend::new(Device::new(DeviceSpec::tesla_c2050()));
     let mut clusters: [Vec<Matrix>; 2] = [Vec::new(), Vec::new()];
     for lo in (0..20).step_by(5) {
-        let [[up, dn]] =
-            <[_; 1]>::try_from(devb.cluster(&core.fac, &[&core.h], lo, lo + 5).unwrap())
-                .expect("one walker");
+        let products = devb.cluster(&core.fac, &Spin::BOTH, &[&core.h], lo, lo + 5);
+        let [[up, dn]] = <[[Matrix; 2]; 1]>::try_from(
+            products
+                .unwrap()
+                .into_iter()
+                .map(|w| <[Matrix; 2]>::try_from(w).expect("two spins"))
+                .collect::<Vec<_>>(),
+        )
+        .expect("one walker");
         clusters[0].push(up);
         clusters[1].push(dn);
     }
@@ -92,21 +98,23 @@ impl ComputeBackend for Probe {
     fn wrap(
         &mut self,
         fac: &BMatrixFactory,
+        spins: &[Spin],
         hs: &[&HsField],
         l: usize,
-        gs: &[&[Matrix; 2]],
-        outs: &mut [&mut [Matrix; 2]],
+        gs: &[&[Matrix]],
+        outs: &mut [&mut [Matrix]],
     ) -> Result<(), DqmcError> {
-        self.counted(true, |be| be.wrap(fac, hs, l, gs, outs))
+        self.counted(true, |be| be.wrap(fac, spins, hs, l, gs, outs))
     }
     fn cluster(
         &mut self,
         fac: &BMatrixFactory,
+        spins: &[Spin],
         hs: &[&HsField],
         lo: usize,
         hi: usize,
-    ) -> Result<Vec<[Matrix; 2]>, DqmcError> {
-        self.counted(false, |be| be.cluster(fac, hs, lo, hi))
+    ) -> Result<Vec<Vec<Matrix>>, DqmcError> {
+        self.counted(false, |be| be.cluster(fac, spins, hs, lo, hi))
     }
     fn notify_fault(&mut self) {
         self.inner.notify_fault()
@@ -116,9 +124,10 @@ impl ComputeBackend for Probe {
     }
 }
 
-/// 2×2, L = 8, k = 4, 14 sweeps: chain `c` of the gpusim crowd tests.
-fn run_params(c: u64, recycle: bool) -> SimParams {
-    let model = ModelParams::new(Lattice::square(2, 2, 1.0), 4.0, 0.0, 0.125, 8);
+/// 2×2, L = 8, k = 4, 14 sweeps: chain `c` of the gpusim crowd tests. At
+/// `mu_tilde` = 0 the chain evolves one spin, otherwise two.
+fn run_params(c: u64, recycle: bool, mu_tilde: f64) -> SimParams {
+    let model = ModelParams::new(Lattice::square(2, 2, 1.0), 4.0, mu_tilde, 0.125, 8);
     SimParams::new(model)
         .with_sweeps(4, 10)
         .with_seed(chain_seed(50, 0, c))
@@ -135,7 +144,7 @@ fn obs_bytes(w: &dqmc::Walker) -> Vec<u8> {
 
 /// Runs `b` walkers through a probed device backend armed with `plan`;
 /// returns the crowd and its (wrap, cluster) launch counts.
-fn probed_run(b: u64, recycle: bool, plan: FaultPlan) -> (Crowd, u64, u64) {
+fn probed_run(b: u64, recycle: bool, mu_tilde: f64, plan: FaultPlan) -> (Crowd, u64, u64) {
     let (wrap_launches, cluster_launches) =
         (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
     let mut dev = Device::new(DeviceSpec::tesla_c2050());
@@ -145,7 +154,7 @@ fn probed_run(b: u64, recycle: bool, plan: FaultPlan) -> (Crowd, u64, u64) {
         wrap_launches: wrap_launches.clone(),
         cluster_launches: cluster_launches.clone(),
     };
-    let params = (0..b).map(|c| run_params(c, recycle)).collect();
+    let params = (0..b).map(|c| run_params(c, recycle, mu_tilde)).collect();
     let mut crowd = Crowd::new(params).with_backend(Box::new(probe));
     crowd.run();
     let counts = (
@@ -157,40 +166,48 @@ fn probed_run(b: u64, recycle: bool, plan: FaultPlan) -> (Crowd, u64, u64) {
 
 #[test]
 fn the_device_clock_charges_the_recorded_sequences() {
-    // (B, recycle, wrap launches, cluster launches, device-seconds bits).
-    // The B = 1 rows were recorded on the last commit with separate
-    // one-walker device kernels, the B = 4 rows on the batched kernels
-    // that re-issued the host's op order on device copies: how the device
-    // gets its numbers must not move the model clock or a fault ordinal.
+    // (μ̃, B, recycle, wrap launches, cluster launches, device-seconds
+    // bits), recorded on the commit that put half filling on one spin: at
+    // μ̃ = 0 the device is billed for the up spin alone, at μ̃ = 0.25 for
+    // both — and charges, to the bit, the rows every earlier commit
+    // recorded at μ̃ = 0 with two spins. How the device gets its numbers
+    // must not move the model clock or a fault ordinal.
     let recorded = [
-        (1, true, 896, 448, 0x3f95be43dc6aca1b_u64),
-        (1, false, 896, 896, 0x3f9bd4dafce62b7c),
-        (4, true, 896, 616, 0x3f97165a74f87ee0),
-        (4, false, 896, 1232, 0x3f9e68bc56a1549b),
+        (0.0, 1, true, 448, 224, 0x3f85c387c3d0fabd_u64),
+        (0.0, 1, false, 448, 448, 0x3f8bda1ee44c5b86),
+        (0.0, 4, true, 448, 308, 0x3f871b9e5c5eafca),
+        (0.0, 4, false, 448, 616, 0x3f8e6e003e078587),
+        (0.25, 1, true, 896, 448, 0x3f95be43dc6aca1b),
+        (0.25, 1, false, 896, 896, 0x3f9bd4dafce62b7c),
+        (0.25, 4, true, 896, 616, 0x3f97165a74f87ee0),
+        (0.25, 4, false, 896, 1232, 0x3f9e68bc56a1549b),
     ];
-    for (b, recycle, wraps, clusters, seconds) in recorded {
-        let (crowd, wrap_launches, cluster_launches) = probed_run(b, recycle, FaultPlan::new());
-        let what = format!("B = {b}, recycle {recycle}");
+    for (mu, b, recycle, wraps, clusters, seconds) in recorded {
+        let (crowd, wrap_launches, cluster_launches) = probed_run(b, recycle, mu, FaultPlan::new());
+        let what = format!("μ̃ = {mu}, B = {b}, recycle {recycle}");
         assert_eq!(wrap_launches, wraps, "{what}");
         assert_eq!(cluster_launches, clusters, "{what}");
         assert_eq!(crowd.device_seconds().to_bits(), seconds, "{what}");
     }
     // A failed launch and a corrupted download: two retries, charged as
-    // recorded, and the healed crowd measures what the host crowd does.
-    let plan = FaultPlan::new().fail_launch(2).corrupt_transfer(6);
-    let (faulted, _, _) = probed_run(4, true, plan);
-    assert_eq!(faulted.device_seconds().to_bits(), 0x3f974dd7e5a3b006);
-    let mut host = Crowd::new((0..4).map(|c| run_params(c, true)).collect());
-    host.run();
-    for (c, (h, d)) in host.walkers().iter().zip(faulted.walkers()).enumerate() {
-        assert_eq!(obs_bytes(h), obs_bytes(d), "walker {c}");
+    // recorded, and the healed crowd measures what the host crowd does, on
+    // either path.
+    for (mu, seconds) in [(0.0, 0x3f87669c33078eb9_u64), (0.25, 0x3f974dd7e5a3b006)] {
+        let plan = FaultPlan::new().fail_launch(2).corrupt_transfer(6);
+        let (faulted, _, _) = probed_run(4, true, mu, plan);
+        assert_eq!(faulted.device_seconds().to_bits(), seconds, "μ̃ = {mu}");
+        let mut host = Crowd::new((0..4).map(|c| run_params(c, true, mu)).collect());
+        host.run();
+        for (c, (h, d)) in host.walkers().iter().zip(faulted.walkers()).enumerate() {
+            assert_eq!(obs_bytes(h), obs_bytes(d), "μ̃ = {mu}, walker {c}");
+        }
+        let events: u64 = faulted
+            .walkers()
+            .iter()
+            .map(|w| w.recovery_log().total())
+            .sum();
+        assert_eq!(events, 2, "μ̃ = {mu}");
     }
-    let events: u64 = faulted
-        .walkers()
-        .iter()
-        .map(|w| w.recovery_log().total())
-        .sum();
-    assert_eq!(events, 2);
 }
 
 #[test]
@@ -226,26 +243,33 @@ fn a_crowd_past_the_crossover_is_byte_identical_on_the_device() {
 
 #[test]
 fn recycling_off_sends_every_cluster_product_through_the_device() {
-    // 14 sweeps × 2 boundaries × 2 spins × 2 clusters: with recycling
-    // off every one of those products is a device call, whatever B is,
-    // and the physics stays the host's.
-    for b in [1, 4] {
-        let (crowd, wrap_launches, cluster_launches) = probed_run(b, false, FaultPlan::new());
-        assert_eq!(wrap_launches, 14 * 8 * 2 * 4, "four launches a wrap call");
-        // One seeding dcopy per walker, then 1 + 2·(k − 1) batched
-        // launches per call.
-        assert_eq!(cluster_launches, 14 * 2 * 2 * 2 * (b + 7), "B = {b}");
-        let (_, _, recycled) = probed_run(b, true, FaultPlan::new());
-        assert!(
-            recycled < cluster_launches,
-            "recycling skips clean clusters"
-        );
-        for (c, w) in crowd.walkers().iter().enumerate() {
-            assert_eq!(w.cache_stats().1, 0, "nothing is recycled");
-            let mut host = Simulation::new(run_params(c as u64, false));
-            host.run();
-            assert_eq!(host.greens(Spin::Up), w.greens(Spin::Up), "walker {c}");
-            assert_eq!(obs_bytes(&host), obs_bytes(w), "walker {c}");
+    // 14 sweeps × 2 boundaries × spins × 2 clusters: with recycling off
+    // every one of those products is a device call, whatever B is, and the
+    // physics stays the host's. Half filling bills one spin, μ̃ = 0.25 two.
+    for (mu, spins) in [(0.0, 1), (0.25, 2)] {
+        for b in [1, 4] {
+            let (crowd, wrap_launches, cluster_launches) =
+                probed_run(b, false, mu, FaultPlan::new());
+            assert_eq!(
+                wrap_launches,
+                14 * 8 * spins * 4,
+                "four launches a wrap call"
+            );
+            // One seeding dcopy per walker, then 1 + 2·(k − 1) batched
+            // launches per call.
+            assert_eq!(cluster_launches, 14 * 2 * spins * 2 * (b + 7), "B = {b}");
+            let (_, _, recycled) = probed_run(b, true, mu, FaultPlan::new());
+            assert!(
+                recycled < cluster_launches,
+                "recycling skips clean clusters"
+            );
+            for (c, w) in crowd.walkers().iter().enumerate() {
+                assert_eq!(w.cache_stats().1, 0, "nothing is recycled");
+                let mut host = Simulation::new(run_params(c as u64, false, mu));
+                host.run();
+                assert_eq!(host.greens(Spin::Up), w.greens(Spin::Up), "walker {c}");
+                assert_eq!(obs_bytes(&host), obs_bytes(w), "walker {c}");
+            }
         }
     }
 }
