@@ -8,14 +8,16 @@
 //! sweep cannot name the device directly; instead the device implements
 //! [`ComputeBackend`] and is boxed into the sweep driver.
 //!
-//! Both calls take *walker slices* and the spins the walkers evolve: the
+//! Both calls take *walker slices* of the spins the walkers evolve: the
 //! driver steps B walkers in lockstep and hands the backend all of them at
 //! once, so a device can service B walkers per launch and the host can run
 //! two spins on two cores. A solo run is the B = 1 case of the same calls.
 //! At half filling on a bipartite lattice a walker evolves the up spin
-//! alone (the particle–hole path, [`crate::sweep`]), so the calls carry
-//! `[up]`; otherwise they carry `[up, down]`. Either way spin `σ` sits at
-//! index `σ.index()` of each walker's entry.
+//! alone (the particle–hole path, [`crate::sweep`]), so each walker's entry
+//! holds `[up]`; otherwise it holds `[up, down]`. Either way spin `σ` sits
+//! at index `σ.index()` of each walker's entry: `wrap` reads the spins from
+//! the entries' length, and `cluster`, which has no entries to read, takes
+//! them as an argument.
 //!
 //! Backends are *fallible*: a device may fail a kernel launch, exhaust its
 //! arena or hang. A call that did not complete returns a [`DqmcError`] —
@@ -33,8 +35,8 @@ use std::fmt;
 use util::DqmcError;
 
 /// A provider of the sweep's two heavy kernels over a slice of walkers and
-/// the spins they evolve (`spins` is `[up]` or `[up, down]`, the same for
-/// every walker). All walkers share one [`BMatrixFactory`] (same model,
+/// the spins they evolve (`[up]` or `[up, down]`, the same for every
+/// walker). All walkers share one [`BMatrixFactory`] (same model,
 /// different fields), so implementations can keep `e^{∓ΔτK}` resident once
 /// for all of them.
 ///
@@ -47,11 +49,10 @@ pub trait ComputeBackend: fmt::Debug + Send {
     fn name(&self) -> &str;
 
     /// Wraps `outs[i][σ] ← B_{l,σ}(h_i) · gs[i][σ] · B_{l,σ}(h_i)⁻¹` for
-    /// every walker and every spin `σ` in `spins`.
+    /// every walker and every spin `σ` it holds ([`wrapped_spins`]).
     fn wrap(
         &mut self,
         fac: &BMatrixFactory,
-        spins: &[Spin],
         hs: &[&HsField],
         l: usize,
         gs: &[&[Matrix]],
@@ -80,6 +81,20 @@ pub trait ComputeBackend: fmt::Debug + Send {
     fn device_seconds(&self) -> f64 {
         0.0
     }
+}
+
+/// The spins a [`ComputeBackend::wrap`] call carries: the first
+/// `outs[0].len()` of `[up, down]`. Every walker's `gs` and `outs` entries
+/// hold that many.
+pub fn wrapped_spins(gs: &[&[Matrix]], outs: &[&mut [Matrix]]) -> &'static [Spin] {
+    let n = outs.first().map_or(0, |w| w.len());
+    debug_assert!(
+        gs.len() == outs.len()
+            && gs.iter().all(|w| w.len() == n)
+            && outs.iter().all(|w| w.len() == n),
+        "every walker of a wrap holds the same spins in and out"
+    );
+    &Spin::BOTH[..n]
 }
 
 /// Whether the two spins of an `N`-site walker run on two cores: when one
@@ -117,12 +132,12 @@ impl ComputeBackend for HostBackend {
     fn wrap(
         &mut self,
         fac: &BMatrixFactory,
-        spins: &[Spin],
         hs: &[&HsField],
         l: usize,
         gs: &[&[Matrix]],
         outs: &mut [&mut [Matrix]],
     ) -> Result<(), DqmcError> {
+        let spins = wrapped_spins(gs, outs);
         let mut per_spin: Vec<Vec<&mut Matrix>> = spins.iter().map(|_| Vec::new()).collect();
         for walker in outs.iter_mut() {
             for (s, out) in walker.iter_mut().enumerate() {
@@ -182,8 +197,7 @@ mod tests {
                 .map(|&spin| crate::greens::greens_naive(&fac, &h, spin).g)
                 .collect();
             let mut out = vec![Matrix::zeros(4, 4); spins.len()];
-            be.wrap(&fac, spins, &[&h], 0, &[&g], &mut [&mut out])
-                .unwrap();
+            be.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out]).unwrap();
             for &spin in spins {
                 let want = crate::greens::wrap(&fac, &h, 0, spin, &g[spin.index()]);
                 assert_eq!(out[spin.index()], want);

@@ -110,10 +110,23 @@ impl ClusterCache {
         }
     }
 
+    /// The row of `spin`. Naming a spin the cache does not hold is a caller
+    /// bug: a one-spin cache has no down-spin products to read or install.
+    fn row(&self, spin: Spin) -> usize {
+        let s = spin.index();
+        assert!(
+            s < self.store.len(),
+            "this cluster cache holds the up spin alone (particle–hole path): \
+             {spin:?} products are not cached; build a two-spin ClusterCache::new to read them"
+        );
+        s
+    }
+
     /// Returns cluster `c` for `spin`, rebuilding from the field if dirty.
     pub fn get(&mut self, fac: &BMatrixFactory, h: &HsField, c: usize, spin: Spin) -> &Matrix {
-        let slot = &mut self.store[spin.index()][c];
-        let fresh = std::mem::take(&mut self.fresh[spin.index()][c]);
+        let s = self.row(spin);
+        let slot = &mut self.store[s][c];
+        let fresh = std::mem::take(&mut self.fresh[s][c]);
         if slot.is_none() {
             let (lo, hi) = (c * self.k, ((c + 1) * self.k).min(self.slices));
             *slot = Some(fac.cluster(h, lo, hi, spin));
@@ -145,8 +158,9 @@ impl ClusterCache {
                 "{v} at flat index {i} in prefilled cluster [{lo}, {hi}) {spin:?}"
             ));
         }
-        self.store[spin.index()][c] = Some(m);
-        self.fresh[spin.index()][c] = true;
+        let s = self.row(spin);
+        self.store[s][c] = Some(m);
+        self.fresh[s][c] = true;
         self.rebuilds += 1;
         Ok(())
     }
@@ -179,9 +193,10 @@ impl ClusterCache {
     /// [`Self::factors_after_slice`]), borrowed from the cache. Every
     /// product must be present: call [`Self::prepare_after_slice`] first.
     pub fn cached_after_slice(&self, l: usize, spin: Spin) -> Vec<&Matrix> {
+        let s = self.row(spin);
         self.order_after_slice(l)
             .map(|c| {
-                self.store[spin.index()][c]
+                self.store[s][c]
                     .as_ref()
                     .expect("cluster product prepared before it is lent")
             })
@@ -342,7 +357,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "index out of bounds")]
+    #[should_panic(expected = "holds the up spin alone")]
     fn a_one_spin_cache_has_no_down_spin_to_read() {
         let (fac, h) = setup();
         let mut cache = ClusterCache::with_spins(12, 4, 1);

@@ -129,7 +129,10 @@ impl DqmcCore {
     /// gates compare against.
     #[cfg(test)]
     pub(crate) fn new_two_spin(params: SimParams) -> Self {
-        DqmcCore::fresh(params).evolving(None).initialised()
+        let mut core = DqmcCore::fresh(params);
+        core.ph_signs = None;
+        core.cache = ClusterCache::new(core.params.model.slices, core.cache.cluster_size());
+        core.initialised()
     }
 
     /// A core on a random field from the seed, with no Green's function yet.
@@ -185,7 +188,8 @@ impl DqmcCore {
     ) -> Self {
         let fac = BMatrixFactory::new(&params.model);
         let ph_signs = params.model.particle_hole_signs();
-        let cache = ClusterCache::new(params.model.slices, runtime_cluster_size);
+        let spins = if ph_signs.is_some() { 1 } else { 2 };
+        let cache = ClusterCache::with_spins(params.model.slices, runtime_cluster_size, spins);
         let mut recovery = RecoveryLog::new();
         recovery.set_prior(recovery_prior);
         DqmcCore {
@@ -194,7 +198,7 @@ impl DqmcCore {
             h,
             cache,
             g,
-            ph_signs: None,
+            ph_signs,
             sign,
             rng,
             timer: PhaseTimer::new(),
@@ -204,16 +208,6 @@ impl DqmcCore {
             recovery,
             sweeps_run,
         }
-        .evolving(ph_signs)
-    }
-
-    /// Sets the spins this walker evolves: the up spin alone when `ph_signs`
-    /// holds the sublattice signs, both otherwise. The cache follows.
-    fn evolving(mut self, ph_signs: Option<Vec<f64>>) -> Self {
-        self.ph_signs = ph_signs;
-        let (slices, k) = (self.params.model.slices, self.cache.cluster_size());
-        self.cache = ClusterCache::with_spins(slices, k, self.spins().len());
-        self
     }
 
     /// The spins this walker evolves, up first: `[up]` on the particle–hole
@@ -841,7 +835,7 @@ impl SweepDriver {
             let hs: Vec<&HsField> = lanes.iter().map(|w| &w.core.h).collect();
             let gs: Vec<&[Matrix]> = lanes.iter().map(|w| &w.core.g[..spins.len()]).collect();
             let mut outs: Vec<&mut [Matrix]> = wrapped.iter_mut().map(Vec::as_mut_slice).collect();
-            backend.wrap(fac, spins, &hs, l, &gs, &mut outs)?;
+            backend.wrap(fac, &hs, l, &gs, &mut outs)?;
             let taint = wrapped.iter().enumerate().filter_map(|(i, evolved)| {
                 let (spin, idx, v) = first_taint(evolved)?;
                 let s = spin.index();
@@ -1249,14 +1243,13 @@ mod tests {
         fn wrap(
             &mut self,
             fac: &BMatrixFactory,
-            spins: &[Spin],
             hs: &[&HsField],
             l: usize,
             gs: &[&[Matrix]],
             outs: &mut [&mut [Matrix]],
         ) -> Result<(), DqmcError> {
             self.fail()?;
-            HostBackend.wrap(fac, spins, hs, l, gs, outs)?;
+            HostBackend.wrap(fac, hs, l, gs, outs)?;
             if self.taint_wraps > 0 {
                 self.taint_wraps -= 1;
                 let walker = outs.last_mut().expect("a walker");

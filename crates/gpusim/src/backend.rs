@@ -94,13 +94,13 @@ impl ComputeBackend for DeviceBackend {
     fn wrap(
         &mut self,
         fac: &BMatrixFactory,
-        spins: &[Spin],
         hs: &[&HsField],
         l: usize,
         gs: &[&[Matrix]],
         outs: &mut [&mut [Matrix]],
     ) -> Result<(), DqmcError> {
-        HostBackend.wrap(fac, spins, hs, l, gs, outs)?;
+        let spins = dqmc::backend::wrapped_spins(gs, outs);
+        HostBackend.wrap(fac, hs, l, gs, outs)?;
         let (expk, expk_inv) = (orders(fac.expk_kron()), orders(fac.expk_inv_kron()));
         let dev = &mut self.dev;
         upload_once(&mut self.expk, dev, &expk);
@@ -198,10 +198,8 @@ mod tests {
                 .collect();
             let mut out_d = vec![Matrix::zeros(9, 9); spins.len()];
             let mut out_h = out_d.clone();
-            devb.wrap(&fac, spins, &[&h], 0, &[&g], &mut [&mut out_d])
-                .unwrap();
-            host.wrap(&fac, spins, &[&h], 0, &[&g], &mut [&mut out_h])
-                .unwrap();
+            devb.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out_d]).unwrap();
+            host.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out_h]).unwrap();
             assert_eq!(out_d, out_h, "and the host's wraps");
         }
     }

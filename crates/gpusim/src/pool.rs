@@ -480,8 +480,7 @@ mod tests {
         let g = [(); 2].map(|_| linalg::Matrix::random(4, 4, &mut rng));
         let mut out = [linalg::Matrix::zeros(4, 4), linalg::Matrix::zeros(4, 4)];
         let mut be = lease.backend(None);
-        be.wrap(&fac, &both, &[&h], 0, &[&g], &mut [&mut out])
-            .unwrap();
+        be.wrap(&fac, &[&h], 0, &[&g], &mut [&mut out]).unwrap();
         for spin in both {
             let s = spin.index();
             assert_eq!(out[s], dqmc::greens::wrap(&fac, &h, 0, spin, &g[s]));

@@ -98,13 +98,12 @@ impl ComputeBackend for Probe {
     fn wrap(
         &mut self,
         fac: &BMatrixFactory,
-        spins: &[Spin],
         hs: &[&HsField],
         l: usize,
         gs: &[&[Matrix]],
         outs: &mut [&mut [Matrix]],
     ) -> Result<(), DqmcError> {
-        self.counted(true, |be| be.wrap(fac, spins, hs, l, gs, outs))
+        self.counted(true, |be| be.wrap(fac, hs, l, gs, outs))
     }
     fn cluster(
         &mut self,

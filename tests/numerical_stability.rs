@@ -404,11 +404,3 @@ fn the_particle_hole_identity_holds_through_every_path_of_a_sweep() {
         }
     }
 }
-
-#[test]
-fn an_odd_periodic_lattice_has_no_particle_hole_partner() {
-    // A 3×3 torus closes rings of three: no 2-colouring exists, and the
-    // one-spin chain must not start.
-    assert_eq!(Lattice::square(3, 3, 1.0).sublattice_signs(), None);
-    assert!(Lattice::square(4, 4, 1.0).sublattice_signs().is_some());
-}
