@@ -50,6 +50,17 @@ pub fn split_d(d: &[f64]) -> (Vec<f64>, Vec<f64>) {
     (db, ds)
 }
 
+/// [`split_d`] into caller-provided buffers: `db[i]`, `ds[i]` for `d[i]`.
+pub(crate) fn split_graded(d: &[f64], db: &mut [f64], ds: &mut [f64]) {
+    for ((b, s), &x) in db.iter_mut().zip(ds.iter_mut()).zip(d) {
+        (*b, *s) = if x.abs() > 1.0 {
+            (1.0 / x.abs(), x.signum())
+        } else {
+            (1.0, x)
+        };
+    }
+}
+
 /// Assembles `G`, the determinant sign, and `ln|det|` from a UDT.
 ///
 /// The staging buffers (the split diagonal, `M̃`) are leased from the
@@ -58,13 +69,7 @@ pub fn greens_from_udt(udt: &Udt) -> GreensFunction {
     let n = udt.q.nrows();
     let mut split = workspace::take(2 * n);
     let (db, ds) = split.split_at_mut(n);
-    for ((b, s), &x) in db.iter_mut().zip(ds.iter_mut()).zip(&udt.d) {
-        (*b, *s) = if x.abs() > 1.0 {
-            (1.0 / x.abs(), x.signum())
-        } else {
-            (1.0, x)
-        };
-    }
+    split_graded(&udt.d, db, ds);
 
     // One pass builds G = D_b Qᵀ and M̃ = D_s T + D_b Qᵀ (all entries O(1)).
     let mut g = Matrix::zeros(n, n);

@@ -76,6 +76,6 @@ pub use recovery::{
 };
 pub use recycle::ClusterCache;
 pub use sim::{Simulation, Walker};
-pub use stratify::{stratify, StratAlgo, StratifyState, Udt};
+pub use stratify::{greens_at_boundary, stratify, StratAlgo, StratifyState, Udt};
 pub use tdm::{unequal_time_greens_stable, TimeDependentObs};
 pub use util::{DqmcError, Severity};

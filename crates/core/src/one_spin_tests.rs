@@ -16,9 +16,7 @@ fn half_filled(u: f64, seed: u64) -> SimParams {
 }
 
 /// The equal-time observables an accumulator holds, flattened: the six
-/// scalars, then `C_zz(d)` and `P_s(d)`. `⟨n_k⟩` is left out: its transform
-/// asserts an inversion-symmetric `⟨c†c⟩`, which only the ensemble has, not
-/// a bin of a few sweeps.
+/// scalars, then `C_zz(d)`, `P_s(d)` and `⟨n_k⟩`.
 fn observables(obs: &Observables) -> Vec<f64> {
     let s = obs.jackknife_scalars();
     let scalars = [
@@ -30,7 +28,7 @@ fn observables(obs: &Observables) -> Vec<f64> {
         s.saf,
     ];
     let mut all: Vec<f64> = scalars.iter().map(|v| v.0).collect();
-    for m in [obs.czz(), obs.swave_pair()] {
+    for m in [obs.czz(), obs.swave_pair(), obs.momentum_distribution()] {
         all.extend_from_slice(m.as_slice());
     }
     all

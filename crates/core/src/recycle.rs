@@ -2,10 +2,21 @@
 //!
 //! Within one sweep only the cluster containing the slice currently being
 //! updated changes; the other `L_k − 1` cluster products are bitwise
-//! reusable across Green's-function recomputations — and across the sweep
-//! boundary into the next sweep. Storing them trades O(L_k·N²) memory (tens
-//! of MB at N = 1024, as the paper notes) for skipping most of the
-//! clustering GEMMs.
+//! reusable — and across the sweep boundary into the next sweep. Storing
+//! them trades O(L_k·N²) memory (tens of MB at N = 1024, as the paper
+//! notes) for skipping most of the clustering GEMMs.
+//!
+//! The sweep's stratification stacks ([`crate::sweep`]) read each product
+//! twice a sweep: clusters `1 … L_k − 1` at the sweep-start left build,
+//! which then releases them (`ClusterCache::release`), and every cluster
+//! at its right push, after its updates. A push reads a product the
+//! prefill rebuilt if a flip made it stale, and otherwise rebuilds the
+//! released one from the field. [`ClusterCache::stats`] counts reads
+//! through [`ClusterCache::get`]: a hit is a product built for an earlier
+//! read — the left build's, of products the previous sweep's pushes left
+//! — and a rebuild is every product built, by the prefill or by a read.
+//! From-scratch evaluations (recycling off, the recovery rungs) read all
+//! `L_k` products at their boundary, as the paper's recycling does.
 
 use crate::bmat::BMatrixFactory;
 use crate::hs::HsField;
@@ -20,15 +31,26 @@ pub struct ClusterCache {
     k: usize,
     slices: usize,
     nclusters: usize,
-    /// `store[spin][c]`: cached product, `None` until first use. One row
-    /// per held spin, up first.
-    store: Vec<Vec<Option<Matrix>>>,
-    /// `fresh[spin][c]`: installed by a prefill and not read yet. The read
-    /// that follows is the product's first use, not a recycling hit.
-    fresh: Vec<Vec<bool>>,
+    /// `store[spin][c]`: one row per held spin, up first.
+    store: Vec<Vec<Slot>>,
     /// Rebuild counters (for the Table I "clustering" cost attribution).
     rebuilds: usize,
     hits: usize,
+}
+
+/// One cluster product's place in the cache.
+#[derive(Clone, Debug, Default)]
+enum Slot {
+    /// Never built, or its field changed: a prefill's work.
+    #[default]
+    Stale,
+    /// Handed to its reader ([`ClusterCache::release`]) while its field is
+    /// unchanged: a read rebuilds it from the field, bit for bit, and no
+    /// prefill sends it to the backend again.
+    Released,
+    /// Held. `fresh`: installed by a prefill and not read yet, so the read
+    /// that follows is the product's first use, not a recycling hit.
+    Held { m: Matrix, fresh: bool },
 }
 
 impl ClusterCache {
@@ -46,7 +68,6 @@ impl ClusterCache {
             slices,
             nclusters: 0,
             store: vec![Vec::new(); spins],
-            fresh: vec![Vec::new(); spins],
             rebuilds: 0,
             hits: 0,
         };
@@ -81,16 +102,14 @@ impl ClusterCache {
     pub fn invalidate_slice(&mut self, l: usize) {
         let c = self.cluster_of(l);
         for s in &mut self.store {
-            s[c] = None;
+            s[c] = Slot::Stale;
         }
     }
 
     /// Invalidates everything (e.g. after externally replacing the field).
     pub fn invalidate_all(&mut self) {
         for s in &mut self.store {
-            for e in s.iter_mut() {
-                *e = None;
-            }
+            s.fill(Slot::Stale);
         }
     }
 
@@ -103,10 +122,7 @@ impl ClusterCache {
         self.k = k;
         self.nclusters = nclusters;
         for s in &mut self.store {
-            *s = vec![None; nclusters];
-        }
-        for s in &mut self.fresh {
-            *s = vec![false; nclusters];
+            *s = vec![Slot::Stale; nclusters];
         }
     }
 
@@ -122,27 +138,52 @@ impl ClusterCache {
         s
     }
 
-    /// Returns cluster `c` for `spin`, rebuilding from the field if dirty.
+    /// Returns cluster `c` for `spin`, rebuilding from the field if it is
+    /// not held.
     pub fn get(&mut self, fac: &BMatrixFactory, h: &HsField, c: usize, spin: Spin) -> &Matrix {
+        let (lo, hi) = self.range(c);
         let s = self.row(spin);
         let slot = &mut self.store[s][c];
-        let fresh = std::mem::take(&mut self.fresh[s][c]);
-        if slot.is_none() {
-            let (lo, hi) = (c * self.k, ((c + 1) * self.k).min(self.slices));
-            *slot = Some(fac.cluster(h, lo, hi, spin));
-            self.rebuilds += 1;
-        } else if !fresh {
-            self.hits += 1;
+        match slot {
+            Slot::Held { fresh, .. } => {
+                if !std::mem::take(fresh) {
+                    self.hits += 1;
+                }
+            }
+            Slot::Stale | Slot::Released => {
+                *slot = Slot::Held {
+                    m: fac.cluster(h, lo, hi, spin),
+                    fresh: false,
+                };
+                self.rebuilds += 1;
+            }
         }
-        slot.as_ref().expect("just filled")
+        match slot {
+            Slot::Held { m, .. } => m,
+            _ => unreachable!("just filled"),
+        }
     }
 
-    /// The first cluster that would need a rebuild of any held spin on
-    /// next access (empty or invalidated). The sweep driver scans this to
+    /// Takes cluster `c` of `spin` out of the cache for a reader that
+    /// consumes it; the slot is [`Slot::Released`] until the field of
+    /// cluster `c` changes. The product must be held (read it through
+    /// [`Self::get`] first).
+    pub(crate) fn release(&mut self, c: usize, spin: Spin) -> Matrix {
+        let s = self.row(spin);
+        match std::mem::replace(&mut self.store[s][c], Slot::Released) {
+            Slot::Held { m, .. } => m,
+            _ => panic!("cluster product {c} released before it was read"),
+        }
+    }
+
+    /// The first cluster from `from` on that would need a rebuild of any
+    /// held spin on next access (empty or invalidated; a released product
+    /// is rebuilt by its reader instead). The sweep driver scans this to
     /// decide which walkers join a batched prefill, which rebuilds every
     /// held spin.
-    pub fn first_stale(&self) -> Option<usize> {
-        (0..self.nclusters).find(|&c| self.store.iter().any(|s| s[c].is_none()))
+    pub fn first_stale(&self, from: usize) -> Option<usize> {
+        let stale = |slot: &Slot| matches!(slot, Slot::Stale);
+        (from..self.nclusters).find(|&c| self.store.iter().any(|s| stale(&s[c])))
     }
 
     /// Installs an externally computed product for cluster `c` (a batched
@@ -159,8 +200,7 @@ impl ClusterCache {
             ));
         }
         let s = self.row(spin);
-        self.store[s][c] = Some(m);
-        self.fresh[s][c] = true;
+        self.store[s][c] = Slot::Held { m, fresh: true };
         self.rebuilds += 1;
         Ok(())
     }
@@ -193,14 +233,18 @@ impl ClusterCache {
     /// [`Self::factors_after_slice`]), borrowed from the cache. Every
     /// product must be present: call [`Self::prepare_after_slice`] first.
     pub fn cached_after_slice(&self, l: usize, spin: Spin) -> Vec<&Matrix> {
-        let s = self.row(spin);
         self.order_after_slice(l)
-            .map(|c| {
-                self.store[s][c]
-                    .as_ref()
-                    .expect("cluster product prepared before it is lent")
-            })
+            .map(|c| self.lend(c, spin))
             .collect()
+    }
+
+    /// Cluster `c` of `spin`, borrowed without counting a read: the caller
+    /// has counted it through [`Self::get`] first.
+    pub(crate) fn lend(&self, c: usize, spin: Spin) -> &Matrix {
+        match &self.store[self.row(spin)][c] {
+            Slot::Held { m, .. } => m,
+            _ => panic!("cluster product prepared before it is lent"),
+        }
     }
 
     /// Collects the factor sequence for the Green's function used at slice
@@ -344,16 +388,16 @@ mod tests {
         // fresh, and there is no down-spin slot to fill or to read.
         let (fac, mut h) = setup();
         let mut cache = ClusterCache::with_spins(12, 4, 1);
-        assert_eq!(cache.first_stale(), Some(0));
+        assert_eq!(cache.first_stale(0), Some(0));
         cache
             .install(0, Spin::Up, fac.cluster(&h, 0, 4, Spin::Up))
             .unwrap();
-        assert_eq!(cache.first_stale(), Some(1));
+        assert_eq!(cache.first_stale(0), Some(1));
         h.flip(1, 0);
         cache.invalidate_slice(1);
-        assert_eq!(cache.first_stale(), Some(0));
+        assert_eq!(cache.first_stale(0), Some(0));
         cache.reshape(2);
-        assert_eq!(cache.first_stale(), Some(0));
+        assert_eq!(cache.first_stale(0), Some(0));
     }
 
     #[test]
@@ -368,15 +412,15 @@ mod tests {
     fn installed_product_is_read_back_without_counting_a_hit() {
         let (fac, h) = setup();
         let mut cache = ClusterCache::new(12, 4);
-        assert_eq!(cache.first_stale(), Some(0));
+        assert_eq!(cache.first_stale(0), Some(0));
         cache
             .install(0, Spin::Up, fac.cluster(&h, 0, 4, Spin::Up))
             .unwrap();
-        assert_eq!(cache.first_stale(), Some(0), "the down spin is stale");
+        assert_eq!(cache.first_stale(0), Some(0), "the down spin is stale");
         cache
             .install(0, Spin::Down, fac.cluster(&h, 0, 4, Spin::Down))
             .unwrap();
-        assert_eq!(cache.first_stale(), Some(1));
+        assert_eq!(cache.first_stale(0), Some(1));
         // The read after a prefill is the product's first use; the one
         // after that is a recycling hit.
         let _ = cache.get(&fac, &h, 0, Spin::Up);
@@ -395,7 +439,7 @@ mod tests {
         assert!(err.contains("NaN at flat index 0"), "{err}");
         // The poisoned product must not have been cached: the slot is still
         // stale and a host read rebuilds cleanly.
-        assert_eq!(cache.first_stale(), Some(0));
+        assert_eq!(cache.first_stale(0), Some(0));
         let clean = cache.get(&fac, &h, 0, Spin::Up);
         assert!(clean.as_slice().iter().all(|x| x.is_finite()));
     }

@@ -9,9 +9,17 @@
 //! grading at GEMM-class speed. Both are implemented here over the same
 //! [`Udt`] representation so they can be compared element by element
 //! (Figure 2) and swapped freely in the simulation.
+//!
+//! A chain split at a cluster boundary, `R·L`, is stratified from both ends
+//! instead of restratified whole: `R` by pushes, `Lᵀ` by transposed pushes
+//! ([`StratifyState::push_transposed`], [`left_stack`]), and
+//! [`greens_from_udt_pair`] assembles `[I + R·L]⁻¹` from the two UDTs. The
+//! sweep's stratification stacks ([`crate::sweep`]) run on these;
+//! [`greens_at_boundary`] is the same arithmetic on a list of factors.
 
+use crate::greens::{self, GreensFunction};
 use linalg::blas3::{gemm, Op};
-use linalg::{qr, qrp, scale, tri, Matrix, Permutation, QrFactors};
+use linalg::{lu, qr, qrp, scale, tri, workspace, Matrix, Permutation, QrFactors};
 use std::borrow::Borrow;
 
 /// Which stratification variant to run.
@@ -83,20 +91,32 @@ impl StratifyState {
     /// Starts the decomposition from the first (rightmost) factor — the
     /// pivoted QR of step 1, shared by both algorithms.
     pub fn new(first: &Matrix, algo: StratAlgo) -> Self {
+        StratifyState::from_owned(first.clone(), algo)
+    }
+
+    /// [`Self::from_owned`] for the chain of transposes `B_1ᵀ B_2ᵀ ⋯`, whose
+    /// pushes are [`Self::push_transposed`]: step 1 factors `B_1ᵀ`, in
+    /// `B_1`'s buffer.
+    pub fn from_owned_transposed(mut first: Matrix, algo: StratAlgo) -> Self {
+        first.transpose_in_place();
+        StratifyState::from_owned(first, algo)
+    }
+
+    /// [`Self::new`] on a factor the caller no longer needs: the QRP runs in
+    /// its buffer, which becomes `Q`.
+    pub fn from_owned(first: Matrix, algo: StratAlgo) -> Self {
         assert!(first.is_square(), "stratify: factors must be square");
         // Checked before the QRP so a poisoned input is reported against the
         // boundary, not as a pivot-norm failure deep inside the factorization.
         linalg::check_finite!(first.as_slice(), "stratify factor at cluster boundary 0");
-        let f0 = qrp::qrp_in_place(first.clone());
+        let f0 = qrp::qrp_in_place(first);
         let p0 = f0.permutation();
         let interchanges = p0.displacement();
         let d = f0.r_diag();
         // T₁ = D₁⁻¹ R₁ P₁ᵀ
-        let t = {
-            let mut r = f0.r();
-            scale::row_scale_inv(&d, &mut r);
-            p0.permute_cols_inv(&r)
-        };
+        let mut t = f0.r();
+        scale::row_scale_inv(&d, &mut t);
+        p0.permute_cols_inv_in_place(&mut t);
         let q_sign = f0.q_det_sign();
         linalg::check_graded!(&d, 1.0 + 1e-7, "stratified D at cluster boundary 0");
         StratifyState {
@@ -114,6 +134,19 @@ impl StratifyState {
 
     /// Multiplies a new leftmost factor into the decomposition (step 3).
     pub fn push(&mut self, b: &Matrix) {
+        self.push_op(b, Op::NoTrans);
+    }
+
+    /// Multiplies `bᵀ` in as the new leftmost factor: the step reads `b`
+    /// through the GEMM's transpose flag, with no copy. A state begun by
+    /// [`Self::from_owned_transposed`] and pushed with this holds the UDT of
+    /// `(B_1 B_2 ⋯ B_m)ᵀ`: the untransposed chain grows at its *right* end,
+    /// as the left stack of [`crate::sweep`] does.
+    pub fn push_transposed(&mut self, b: &Matrix) {
+        self.push_op(b, Op::Trans);
+    }
+
+    fn push_op(&mut self, b: &Matrix, op: Op) {
         let n = self.udt.q.nrows();
         assert!(b.nrows() == n && b.ncols() == n, "stratify: factor shape");
         self.boundary += 1;
@@ -124,12 +157,12 @@ impl StratifyState {
             "stratify factor at cluster boundary {}",
             self.boundary
         );
-        // Step 3a: C = (Bᵢ Q_{i−1}) D_{i−1} — GEMM then a column scaling,
+        // Step 3a: C = (op(Bᵢ) Q_{i−1}) D_{i−1} — GEMM then a column scaling,
         // ordered exactly as the paper prescribes for accuracy. The step
         // works in three N×N buffers: Q's, T's and one staging matrix from
         // the workspace arena, each recycled the moment its content is dead.
         let mut c = linalg::workspace::take_matrix(n, n);
-        gemm(1.0, b, Op::NoTrans, &self.udt.q, Op::NoTrans, 0.0, &mut c);
+        gemm(1.0, b, op, &self.udt.q, Op::NoTrans, 0.0, &mut c);
         scale::col_scale(&self.udt.d, &mut c);
         // Q_{i−1} is dead from here on.
         let mut spare = std::mem::replace(&mut self.udt.q, Matrix::zeros(0, 0));
@@ -205,6 +238,128 @@ pub fn stratify<M: Borrow<Matrix>>(factors: &[M], algo: StratAlgo) -> Udt {
         state.push(b.borrow());
     }
     state.into_udt()
+}
+
+/// The left stack of a chain split at each of its boundaries: for
+/// `factors = [C_m, …, C_{nc−1}]` in application order, the UDTs of
+/// `(C_{nc−1} ⋯ C_j)ᵀ` for `j = nc − 1` down to `m`, grown from
+/// [`StratifyState::from_owned_transposed`]`(C_{nc−1})` by transposed
+/// pushes. The last entry spans every factor; no factors, no entries. Each
+/// factor is dropped once it is in, so the stack grows as they go.
+pub fn left_stack(mut factors: Vec<Matrix>, algo: StratAlgo) -> Vec<Udt> {
+    let Some(last) = factors.pop() else {
+        return Vec::new();
+    };
+    let mut state = StratifyState::from_owned_transposed(last, algo);
+    let mut stack = Vec::with_capacity(factors.len() + 1);
+    while let Some(b) = factors.pop() {
+        stack.push(state.udt().clone());
+        state.push_transposed(&b);
+    }
+    stack.push(state.into_udt());
+    stack
+}
+
+/// The Green's function after the first `m` of `factors` (application
+/// order), `1 ≤ m ≤ nc`: `[I + R·L]⁻¹` with `R = C_{m−1} ⋯ C_0` stratified
+/// and `L = C_{nc−1} ⋯ C_m` from [`left_stack`], assembled by
+/// [`greens_from_udt_pair`]; at `m = nc`,
+/// [`greens_from_udt`](crate::greens::greens_from_udt) of `R`. These are
+/// the sweep's stacked steps in its order, so a boundary recompute of the
+/// sweep gives the same bits.
+pub fn greens_at_boundary<M: Borrow<Matrix>>(
+    factors: &[M],
+    m: usize,
+    algo: StratAlgo,
+) -> GreensFunction {
+    assert!(
+        (1..=factors.len()).contains(&m),
+        "boundary {m} of {}",
+        factors.len()
+    );
+    let right = stratify(&factors[..m], algo);
+    let left = factors[m..].iter().map(|f| f.borrow().clone()).collect();
+    match left_stack(left, algo).pop() {
+        Some(left) => {
+            let n = right.q.nrows();
+            greens_from_udt_pair(&right, left, Matrix::zeros(n, n))
+        }
+        None => greens::greens_from_udt(&right),
+    }
+}
+
+/// The Green's function `G = [I + R·L]⁻¹` of a chain split in two, from
+/// the UDT of its right part `R = Q_R D_R T_R` and the UDT of its left
+/// part's transpose `Lᵀ = Q_L D_L T_L`, so that `L = T_Lᵀ D_L Q_Lᵀ`, without
+/// forming `R·L`. With both diagonals split as in
+/// [`greens_from_udt`](crate::greens::greens_from_udt)
+/// (`D = D_b⁻¹ D_s`, `D_b ≤ 1`, `|D_s| ≤ 1`):
+///
+/// ```text
+/// I + R·L = Q_R D_Rb⁻¹ X D_Lb⁻¹ Q_Lᵀ,   X = D_Rb (Q_Rᵀ Q_L) D_Lb + D_Rs (T_R T_Lᵀ) D_Ls
+/// G       = Q_L D_Lb X⁻¹ D_Rb Q_Rᵀ
+/// ```
+///
+/// — three GEMMs and one LU of an O(1) matrix, the QR-based two-sided
+/// inversion Bauer finds accurate to machine precision (PAPERS.md,
+/// arXiv:2003.05286). `sign det(I + R·L) = q_sign_R · q_sign_L · sign det X`.
+/// No matrix is allocated: the left UDT is consumed, its two buffers
+/// staging the temporaries, and `out` (any N×N matrix, contents ignored)
+/// holds `X` and then comes back as `G`.
+pub fn greens_from_udt_pair(right: &Udt, left: Udt, out: Matrix) -> GreensFunction {
+    let n = right.q.nrows();
+    assert_eq!(left.q.nrows(), n, "two-UDT assembly: shape mismatch");
+    assert!(
+        out.nrows() == n && out.ncols() == n,
+        "two-UDT assembly: output shape"
+    );
+    let Udt {
+        q: mut ql,
+        d: dl,
+        t: mut w,
+        q_sign: left_sign,
+        ..
+    } = left;
+    let mut split = workspace::take(4 * n);
+    let (right_split, left_split) = split.split_at_mut(2 * n);
+    let (rb, rs) = right_split.split_at_mut(n);
+    let (lb, ls) = left_split.split_at_mut(n);
+    greens::split_graded(&right.d, rb, rs);
+    greens::split_graded(&dl, lb, ls);
+
+    // X ← D_Rs (T_R T_Lᵀ) D_Ls + D_Rb (Q_Rᵀ Q_L) D_Lb, every term O(1);
+    // T_L is dead after the first GEMM, so its buffer takes Q_Rᵀ Q_L.
+    let mut x = out;
+    gemm(1.0, &right.t, Op::NoTrans, &w, Op::Trans, 0.0, &mut x);
+    gemm(1.0, &right.q, Op::Trans, &ql, Op::NoTrans, 0.0, &mut w);
+    for j in 0..n {
+        let (xj, wj) = (x.col_mut(j), w.col(j));
+        for i in 0..n {
+            xj[i] = rs[i] * xj[i] * ls[j] + rb[i] * wj[i] * lb[j];
+        }
+    }
+    // Right-hand side D_Rb Q_Rᵀ, then X⁻¹ D_Rb Q_Rᵀ in place.
+    for j in 0..n {
+        let wj = w.col_mut(j);
+        for i in 0..n {
+            wj[i] = rb[i] * right.q[(j, i)];
+        }
+    }
+    let f = lu::lu_in_place(x).expect("two-UDT Green's function assembly: singular X");
+    f.solve_in_place(&mut w);
+
+    // det(I + R·L) = det Q_R · det Q_L · det X / (Π D_Rb · Π D_Lb); D_b > 0.
+    let (mut sign, mut log_det) = f.sign_log_det();
+    sign *= right.q_sign * left_sign;
+    log_det -= rb.iter().chain(lb.iter()).map(|b| b.ln()).sum::<f64>();
+
+    // G = (Q_L D_Lb) · (X⁻¹ D_Rb Q_Rᵀ), written over X's factors.
+    scale::col_scale(lb, &mut ql);
+    let mut g = f.lu;
+    gemm(1.0, &ql, Op::NoTrans, &w, Op::NoTrans, 0.0, &mut g);
+    workspace::put(split);
+    linalg::check_finite!(g.as_slice(), "two-UDT Green's function ({n}x{n})");
+    GreensFunction { g, sign, log_det }
 }
 
 #[cfg(test)]
@@ -390,6 +545,89 @@ mod tests {
         for algo in [StratAlgo::Qrp, StratAlgo::PrePivot] {
             let udt = stratify(&chain, algo);
             assert!(udt.q_sign == 1.0 || udt.q_sign == -1.0);
+        }
+    }
+
+    /// Checks the two-UDT assembly at every interior split of `clusters`
+    /// (`clusters[0]` applied first) against the naive `(I + P)⁻¹` of the
+    /// whole product P, with its sign and log det; returns that sign.
+    fn two_udt_matches(clusters: &[Matrix], naive: &GreensFunction, what: &str) -> f64 {
+        // Split P = C_{nc−1} ⋯ C_0 at m into A = C_{nc−1} ⋯ C_m (the right
+        // UDT) and B = C_{m−1} ⋯ C_0 (its transpose is the left UDT):
+        // [I + A·B]⁻¹ is the naive G.
+        for m in 1..clusters.len() {
+            for algo in [StratAlgo::Qrp, StratAlgo::PrePivot] {
+                let right = stratify(&clusters[m..], algo);
+                let mut left = StratifyState::from_owned_transposed(clusters[m - 1].clone(), algo);
+                for c in clusters[..m - 1].iter().rev() {
+                    left.push_transposed(c);
+                }
+                let n = clusters[0].nrows();
+                let out = Matrix::zeros(n, n);
+                let gf = greens_from_udt_pair(&right, left.into_udt(), out);
+                let what = format!("{what}, m = {m}, {algo:?}");
+                let diff = greens::relative_difference(&gf.g, &naive.g);
+                assert!(diff < 1e-11, "{what}: {diff}");
+                assert_eq!(gf.sign, naive.sign, "{what}");
+                assert!((gf.log_det - naive.log_det).abs() < 1e-9, "{what}");
+            }
+        }
+        naive.sign
+    }
+
+    #[test]
+    fn two_udt_assembly_matches_the_naive_inverse_and_its_sign() {
+        use crate::bmat::BMatrixFactory;
+        use crate::hs::HsField;
+        use crate::hubbard::{ModelParams, Spin};
+        // Short doped Hubbard chains, against `greens_naive`.
+        let model = ModelParams::new(lattice::Lattice::square(3, 2, 1.0), 6.0, 0.5, 0.125, 12);
+        let fac = BMatrixFactory::new(&model);
+        for seed in 0..4 {
+            let h = HsField::random(model.nsites(), 12, &mut Rng::new(seed));
+            let clusters: Vec<Matrix> = (0..12)
+                .step_by(3)
+                .map(|lo| fac.cluster(&h, lo, lo + 3, Spin::Up))
+                .collect();
+            let naive = greens::greens_naive(&fac, &h, Spin::Up);
+            two_udt_matches(&clusters, &naive, &format!("field {seed}"));
+        }
+        // Random chains, one factor's column flipped on odd seeds so that
+        // det(I + P) takes both signs, against the explicit inverse.
+        let mut signs = Vec::new();
+        for seed in 0..8 {
+            let mut chain = random_chain(6, 4, 1.0, 20 + seed);
+            if seed % 2 == 1 {
+                linalg::blas1::scal(-3.0, chain[1].col_mut(0));
+            }
+            let mut m = Matrix::identity(6);
+            m.axpy(1.0, &explicit_product(&chain));
+            let f = lu::lu_in_place(m).unwrap();
+            let (sign, log_det) = f.sign_log_det();
+            let naive = GreensFunction {
+                g: f.inverse(),
+                sign,
+                log_det,
+            };
+            signs.push(two_udt_matches(&chain, &naive, &format!("chain {seed}")));
+        }
+        assert!(signs.contains(&-1.0) && signs.contains(&1.0), "{signs:?}");
+    }
+
+    #[test]
+    fn the_transposed_chain_stratifies_the_transposed_product() {
+        // Pushing B_1ᵀ, B_2ᵀ, … grows (B_1 B_2 ⋯)ᵀ: the untransposed chain
+        // gains each factor at its right end.
+        let chain = random_chain(8, 4, 1.0, 12);
+        let reversed: Vec<Matrix> = chain.iter().rev().cloned().collect();
+        let exact = explicit_product(&reversed).transpose();
+        for algo in [StratAlgo::Qrp, StratAlgo::PrePivot] {
+            let mut state = StratifyState::from_owned_transposed(chain[0].clone(), algo);
+            for b in &chain[1..] {
+                state.push_transposed(b);
+            }
+            let rel = state.udt().to_matrix().max_abs_diff(&exact) / exact.max_abs();
+            assert!(rel < 1e-11, "{algo:?}: rel {rel}");
         }
     }
 

@@ -11,8 +11,40 @@
 //! 2. accepted flips update the Green's functions by delayed rank-1 updates,
 //! 3. the Green's functions are *wrapped* to the next slice,
 //!    `G ← B_l G B_l⁻¹`, and every `k` slices they are instead *recomputed*
-//!    from scratch by stratification over the (recycled) cluster products;
-//!    the wrapped and recomputed matrices are compared to monitor accuracy.
+//!    by stratification over the cluster products (below); the wrapped and
+//!    recomputed matrices are compared to monitor accuracy.
+//!
+//! # Stratification stacks
+//!
+//! At the boundary after cluster `c` (position `τ_m`, `m = c + 1` of `nc`
+//! clusters done), `G = [I + B(τ_m, 0)·B(β, τ_m)]⁻¹`. Restratifying all `nc`
+//! cluster products there costs `nc²` steps per spin per sweep; instead each
+//! evolved spin keeps two stacks of UDTs ([`stratify`](mod@crate::stratify)):
+//!
+//! - the **left stack**, built at sweep start: the UDTs of `B(β, τ_m)ᵀ` for
+//!   `m = nc − 1 … 1`, from the products of the clusters the sweep has not
+//!   visited yet, by transposed pushes ([`left_stack`]). Each entry is
+//!   consumed at its boundary;
+//! - the **right stack**: one running UDT of `B(τ_m, 0)`, into which cluster
+//!   `c`'s product is pushed once, when the sweep has finished it.
+//!
+//! An interior boundary assembles `G` from the two ([`greens_from_udt_pair`]);
+//! the sweep end takes [`greens_from_udt`] of the right UDT, which has then
+//! run exactly the steps of a from-scratch evaluation there, so the
+//! sweep-end `G` is the from-scratch one to the bit. That is `2·nc − 1`
+//! steps per spin per sweep. The products are read through the cache: the
+//! left ones are released once stratified and come back at their right
+//! push, rebuilt by the prefill if a flip made them stale or from the field
+//! if none did; cluster 0's, which no left stack reads, is consumed by the
+//! right stack's first QR. The stacks are derived state, never
+//! checkpointed: a walker without its left products at sweep start (a
+//! resume) builds them at the first boundary, after the prefill, from the
+//! same products. The initial evaluation, the mid-sweep taint repair and
+//! the shrink and divergence rungs evaluate from scratch, then build the
+//! stacks again from the cache. With recycling off every boundary
+//! re-gathers every product and evaluates from scratch: the paper's
+//! baseline. Nothing else selects the path; Algorithms 2 and 3 choose each
+//! step's QR either way.
 //!
 //! # One spin at half filling
 //!
@@ -74,10 +106,11 @@ use crate::recovery::{
     shrink_cluster_size, RecoveryAction, RecoveryCause, RecoveryEvent, RecoveryLog, WRAP_TOLERANCE,
 };
 use crate::recycle::ClusterCache;
-use crate::stratify::stratify;
+use crate::stratify::{greens_from_udt_pair, left_stack, stratify, StratAlgo, StratifyState, Udt};
 use crate::update::{visit_sites, visit_sites_up, Decider, Side, SpinSide};
 use linalg::check::first_non_finite;
 use linalg::{workspace, Matrix};
+use std::borrow::Cow;
 use util::{DqmcError, Rng, RunningStats, Severity};
 
 /// The complete mutable state of one walker (one Markov chain).
@@ -116,6 +149,44 @@ pub struct DqmcCore {
     /// Total sweeps executed (warmup + measurement), for event attribution
     /// and checkpointing.
     pub(crate) sweeps_run: u64,
+    /// The evolved spins' stratification stacks (module docs): derived
+    /// state, built at every sweep start and never checkpointed.
+    stacks: Stacks,
+}
+
+/// A walker's stratification stacks, one per evolved spin, standing at the
+/// boundary after `done` clusters of the sweep at cluster size `k` (`k` = 0:
+/// none are built).
+#[derive(Debug, Default)]
+struct Stacks {
+    k: usize,
+    done: usize,
+    spins: Vec<SpinStacks>,
+}
+
+/// One spin's stacks: the UDTs of `B(β, τ_m)ᵀ` for the interior boundaries
+/// `m` not reached yet, the nearest last, and the running UDT of
+/// `B(τ_m, 0)`, `None` before the first boundary.
+#[derive(Debug, Default)]
+struct SpinStacks {
+    left: Vec<Udt>,
+    right: Option<StratifyState>,
+}
+
+impl SpinStacks {
+    /// The stacks after `right` (clusters `0 … m − 1` in application order)
+    /// and before `left` (clusters `m + 1 … nc − 1`, consumed).
+    fn build(right: &[&Matrix], left: Vec<Matrix>, algo: StratAlgo) -> Self {
+        let right = right.split_first().map(|(first, rest)| {
+            let mut state = StratifyState::new(first, algo);
+            rest.iter().for_each(|b| state.push(b));
+            state
+        });
+        SpinStacks {
+            left: left_stack(left, algo),
+            right,
+        }
+    }
 }
 
 impl DqmcCore {
@@ -207,6 +278,7 @@ impl DqmcCore {
             proposed,
             recovery,
             sweeps_run,
+            stacks: Stacks::default(),
         }
     }
 
@@ -325,7 +397,16 @@ impl DqmcCore {
         let evaluated = jobs
             .into_iter()
             .map(|(_, gf)| gf.expect("every spin evaluated"));
-        let (signs, g): (Vec<f64>, Vec<Matrix>) = evaluated.map(|gf| (gf.sign, gf.g)).unzip();
+        self.install_greens(evaluated.collect())
+    }
+
+    /// Takes the evolved spins' evaluated Green's functions into `self.g`
+    /// and the sign from their determinants (+1 on the one-spin path:
+    /// `det M↓ = det M↑ · e^{…} > 0`); a non-finite one leaves both
+    /// untouched and comes back as the taint's detail.
+    fn install_greens(&mut self, evaluated: Vec<GreensFunction>) -> Result<(), String> {
+        let (signs, g): (Vec<f64>, Vec<Matrix>) =
+            evaluated.into_iter().map(|gf| (gf.sign, gf.g)).unzip();
         if let Some((spin, idx, v)) = first_taint(&g) {
             return Err(format!(
                 "stratified G for {spin:?} has {v} at element {idx}"
@@ -339,6 +420,183 @@ impl DqmcCore {
         } else {
             signs.iter().product()
         };
+        Ok(())
+    }
+
+    /// Builds the stacks at sweep start, when recycling is on and the cache
+    /// holds the left stacks' products (clusters `1 … nc − 1`). Where it
+    /// does not (a resumed walker, a dropped cache) the first boundary
+    /// builds them, after its prefill has sent the stale products through
+    /// the backend in the order a from-scratch evaluation bills them. With
+    /// recycling off every boundary evaluates from scratch, the paper's
+    /// baseline.
+    fn start_stacks(&mut self) {
+        self.stacks = Stacks::default();
+        if self.params.recycle && self.cache.first_stale(1).is_none() {
+            self.build_stacks(0);
+        }
+    }
+
+    /// After a from-scratch evaluation at the boundary after slice `l`,
+    /// builds the stacks again from the cache (its products are all
+    /// present) so the remaining boundaries of the sweep read them.
+    fn rebuild_stacks_after(&mut self, l: usize) {
+        self.stacks = Stacks::default();
+        if self.params.recycle && l + 1 != self.params.model.slices {
+            self.build_stacks(self.cache.cluster_of(l) + 1);
+        }
+    }
+
+    /// Builds every evolved spin's stacks for a walker that has finished
+    /// `done` clusters of this sweep: the right UDT over clusters
+    /// `0 … done − 1`, the left UDTs of the boundaries `done + 1 … nc − 1`.
+    /// The products are read through the cache (stale ones rebuilt from the
+    /// field) and the left ones released once stratified: each is read
+    /// again only by its right push, after its cluster's updates, and is
+    /// rebuilt there if no flip made it stale. The spins of a pair run as
+    /// the pair.
+    fn build_stacks(&mut self, done: usize) {
+        let (algo, n, spins) = (self.params.algo, self.nsites(), self.spins());
+        let nc = self.cache.nclusters();
+        let clusters = (0..done).chain(done + 1..nc);
+        self.timer.time(phases::CLUSTERING, || {
+            for &spin in spins {
+                for c in clusters.clone() {
+                    self.cache.get(&self.fac, &self.h, c, spin);
+                }
+            }
+        });
+        // The left products leave the cache for the build, which drops
+        // each once it is stratified.
+        let left: Vec<Vec<Matrix>> = spins
+            .iter()
+            .map(|&spin| {
+                (done + 1..nc)
+                    .map(|c| self.cache.release(c, spin))
+                    .collect()
+            })
+            .collect();
+        let cache = &self.cache;
+        let mut jobs: Vec<(Vec<&Matrix>, Vec<Matrix>, SpinStacks)> = spins
+            .iter()
+            .zip(left)
+            .map(|(&spin, left)| {
+                let right = (0..done).map(|c| cache.lend(c, spin)).collect();
+                (right, left, SpinStacks::default())
+            })
+            .collect();
+        self.timer.time(phases::STRATIFICATION, || {
+            for_each_spin(n, &mut jobs, |_, (right, left, stacks)| {
+                *stacks = SpinStacks::build(right, std::mem::take(left), algo);
+            })
+        });
+        let spins_stacks = jobs.into_iter().map(|(_, _, stacks)| stacks).collect();
+        let k = self.cache.cluster_size();
+        self.stacks = Stacks {
+            k,
+            done,
+            spins: spins_stacks,
+        };
+    }
+
+    /// The recompute at the boundary after slice `l` from the stacks: the
+    /// finished cluster's product is pushed onto each right UDT (the first
+    /// push, cluster 0's, consumes the product: no left stack reads it), and
+    /// `G` is assembled from it and the boundary's left UDT in the old `G`'s
+    /// buffer — or, at the sweep end, from the right UDT alone, by exactly
+    /// the steps of the from-scratch evaluation there. `None` when the
+    /// stacks do not stand at this boundary (recycling off, or a shrink
+    /// re-clustered the walker); otherwise the outcome of
+    /// [`Self::install_greens`].
+    fn try_stacked_greens(&mut self, l: usize) -> Option<Result<(), String>> {
+        let c = self.cache.cluster_of(l);
+        if self.params.recycle && c == 0 && self.stacks.k == 0 {
+            self.build_stacks(0);
+        }
+        if self.stacks.k != self.cache.cluster_size() || self.stacks.done != c {
+            return None;
+        }
+        let (algo, n, spins) = (self.params.algo, self.nsites(), self.spins());
+        let last = c + 1 == self.cache.nclusters();
+        self.timer.time(phases::CLUSTERING, || {
+            for &spin in spins {
+                self.cache.get(&self.fac, &self.h, c, spin);
+            }
+        });
+        let products: Vec<Cow<'_, Matrix>> = if c == 0 {
+            let cache = &mut self.cache;
+            spins
+                .iter()
+                .map(|&spin| Cow::Owned(cache.release(0, spin)))
+                .collect()
+        } else {
+            let cache = &self.cache;
+            spins
+                .iter()
+                .map(|&spin| Cow::Borrowed(cache.lend(c, spin)))
+                .collect()
+        };
+        type Job<'a> = (
+            Option<Cow<'a, Matrix>>,
+            &'a mut SpinStacks,
+            Matrix,
+            Option<GreensFunction>,
+        );
+        let mut jobs: Vec<Job<'_>> = products
+            .into_iter()
+            .zip(&mut self.stacks.spins)
+            .zip(&mut self.g)
+            .map(|((product, stacks), g)| {
+                let old = std::mem::replace(g, Matrix::zeros(0, 0));
+                (Some(product), stacks, old, None)
+            })
+            .collect();
+        self.timer.time(phases::STRATIFICATION, || {
+            for_each_spin(n, &mut jobs, |_, (product, stacks, out, gf)| {
+                let product = product.take().expect("one product per spin");
+                let right = match stacks.right.take() {
+                    None => StratifyState::from_owned(product.into_owned(), algo),
+                    Some(mut state) => {
+                        state.push(&product);
+                        state
+                    }
+                };
+                *gf = Some(if last {
+                    greens_from_udt(right.udt())
+                } else {
+                    let left = stacks.left.pop().expect("a left UDT per interior boundary");
+                    greens_from_udt_pair(
+                        right.udt(),
+                        left,
+                        std::mem::replace(out, Matrix::zeros(0, 0)),
+                    )
+                });
+                // The sweep-end right UDT has no reader left.
+                stacks.right = (!last).then_some(right);
+            })
+        });
+        let evaluated = jobs
+            .into_iter()
+            .map(|(_, _, _, gf)| gf.expect("every spin evaluated"));
+        let evaluated = evaluated.collect();
+        self.stacks.done = c + 1;
+        Some(self.install_greens(evaluated))
+    }
+
+    /// The evolved Green's functions at the boundary after slice `l`: from
+    /// the stacks where they stand there, otherwise — and after a
+    /// non-finite stacked `G`, which climbs the taint rungs first — from
+    /// scratch, after which the stacks are built again.
+    fn recompute_at_boundary(&mut self, l: usize) -> Result<(), DqmcError> {
+        match self.try_stacked_greens(l) {
+            Some(Ok(())) => return Ok(()),
+            Some(Err(detail)) => {
+                self.escalate_taint(l, RecoveryCause::NonFinite(detail), false)?;
+            }
+            None => {}
+        }
+        self.recompute_greens_recovering(l)?;
+        self.rebuild_stacks_after(l);
         Ok(())
     }
 
@@ -523,7 +781,7 @@ impl DqmcCore {
     ) -> Result<bool, DqmcError> {
         let l_slices = self.params.model.slices;
         let incr_sign = self.sign;
-        self.recompute_greens_recovering(l)?;
+        self.recompute_at_boundary(l)?;
         let mut diverged = false;
         if wrap_ok {
             let diff = wrapped
@@ -536,6 +794,7 @@ impl DqmcCore {
                 self.cache.invalidate_all();
                 self.escalate_taint(l, RecoveryCause::WrapDivergence { diff }, true)?;
                 self.recompute_greens_recovering(l)?;
+                self.rebuild_stacks_after(l);
             } else {
                 self.wrap_diff.push(diff);
             }
@@ -644,6 +903,9 @@ impl SweepDriver {
         for lane in lanes.iter_mut() {
             lane.core.sweeps_run += 1;
             lane.core.repair_if_tainted()?;
+        }
+        for lane in lanes.iter_mut() {
+            lane.core.start_stacks();
         }
         // Wrap targets live for the whole sweep, one per evolved spin: at
         // non-boundary slices the wrapped matrices are swapped into the
@@ -886,7 +1148,7 @@ impl SweepDriver {
         }
         let stale = |lanes: &[Lane<'_>], i: usize| {
             let cache = &lanes[i].core.cache;
-            cache.first_stale().map(|c| cache.range(c))
+            cache.first_stale(0).map(|c| cache.range(c))
         };
         while let Some(range) = at.iter().filter_map(|&i| stale(lanes, i)).min() {
             let need: Vec<usize> = at
@@ -1662,6 +1924,67 @@ mod tests {
         assert_eq!(core.recovery_log().tallies().shrinks, 2);
         assert_eq!(err.severity, util::Severity::Fatal);
         assert!(err.to_string().contains("all recovery rungs exhausted"));
+    }
+
+    #[test]
+    fn the_stacks_give_the_public_assembly_at_every_boundary() {
+        // One sweep's boundaries on a chain's field, read from the stacks:
+        // each G is `greens_at_boundary`'s to the bit and within rounding
+        // of the from-scratch evaluation; the sweep-end G and the sign are
+        // the from-scratch ones to the bit.
+        for mu in [0.0, 0.25] {
+            let mut core = DqmcCore::new(params_at(mu, 4.0, 16, 67).with_cluster_size(2));
+            core.sweep(None);
+            let (algo, spins) = (core.params.algo, core.spins());
+            core.start_stacks();
+            for m in 1..=8 {
+                let l = 2 * m - 1;
+                let stacked = core.try_stacked_greens(l).expect("the stacks stand");
+                stacked.unwrap();
+                let mut signs = 1.0;
+                for &spin in spins {
+                    let what = format!("μ̃ = {mu}, m = {m}, {spin:?}");
+                    let (fac, h) = (&core.fac, &core.h);
+                    let canonical = core.cache.factors_after_slice(fac, h, 15, spin);
+                    let g = &core.g[spin.index()];
+                    assert_eq!(
+                        *g,
+                        crate::stratify::greens_at_boundary(&canonical, m, algo).g
+                    );
+                    let order = core.cache.factors_after_slice(fac, h, l, spin);
+                    let scratch = greens_from_udt(&stratify(&order, algo));
+                    let diff = greens::relative_difference(g, &scratch.g);
+                    assert!(
+                        if m == 8 { diff == 0.0 } else { diff < 1e-12 },
+                        "{what}: {diff}"
+                    );
+                    signs *= scratch.sign;
+                }
+                if spins.len() == 2 {
+                    assert_eq!(core.sign, signs, "μ̃ = {mu}, m = {m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dropped_cache_defers_the_left_build_without_moving_a_bit() {
+        // A walker whose cache is empty at sweep start (as after a resume)
+        // builds its left stacks at the first boundary, after the prefill:
+        // the same products, so the same chain.
+        for mu in [0.0, 0.25] {
+            let run = |dropped: bool| {
+                let mut core = DqmcCore::new(params_at(mu, 4.0, 16, 71).with_cluster_size(2));
+                for _ in 0..3 {
+                    if dropped {
+                        core.cache.invalidate_all();
+                    }
+                    core.sweep(None);
+                }
+                core
+            };
+            assert_same_chain(&run(false), &run(true));
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! `⟨n_k⟩ = (1/N) Σ_{r,r'} e^{ik·(r−r')} ⟨c†_{r'} c_r⟩`. On a periodic
 //! lattice the double sum collapses: first translation-average the
 //! correlation matrix into `C(d) = (1/N) Σ_r ⟨c†_r c_{r+d}⟩` (O(N²)), then
-//! Fourier transform the `N`-vector `C` (O(N²) for all k). Real output is
-//! guaranteed by the `d ↔ −d` symmetry of Hermitian observables.
+//! Fourier transform the `N`-vector `C` (O(N²) for all k). The ensemble's
+//! `C` is `d ↔ −d` symmetric and its transform real; one configuration's
+//! `C` is not, and the cosine transform takes its symmetric part.
 
 use crate::geometry::Lattice;
 use linalg::Matrix;
@@ -36,10 +37,12 @@ pub fn translation_average(lat: &Lattice, m: &Matrix) -> Matrix {
 /// Discrete Fourier transform of a translation-averaged correlation:
 /// `out[(nx, ny)] = Σ_d cos(k·d) C(d)` with `k = 2π(nx/Lx, ny/Ly)`.
 ///
-/// The sine part vanishes for `C(d) = C(−d)`; it is dropped after a debug
-/// check rather than silently, because a non-symmetric input signals a bug
-/// in the caller's correlation assembly. A non-finite input (a missing
-/// estimate) skips the check and transforms to NaN.
+/// Since `cos` is even, this is the transform of the inversion-symmetrised
+/// `(C(d) + C(−d))/2`: the estimate of the ensemble's symmetric correlation,
+/// whose sine part vanishes. A finite sample's `C` — one configuration's
+/// `⟨c†c⟩`, a bin of a few sweeps — is not symmetric, and its antisymmetric
+/// part is noise this drops. A non-finite input (a missing estimate)
+/// transforms to NaN.
 pub fn fourier_transform(lat: &Lattice, corr: &Matrix) -> Matrix {
     use std::f64::consts::PI;
     let (lx, ly) = (lat.lx(), lat.ly());
@@ -51,18 +54,12 @@ pub fn fourier_transform(lat: &Lattice, corr: &Matrix) -> Matrix {
             let kx = 2.0 * PI * nx as f64 / lx as f64;
             let ky = 2.0 * PI * ny as f64 / ly as f64;
             let mut re = 0.0;
-            let mut im = 0.0;
             for dy in 0..ly {
                 for dx in 0..lx {
                     let phase = kx * dx as f64 + ky * dy as f64;
                     re += phase.cos() * corr[(dx, dy)];
-                    im += phase.sin() * corr[(dx, dy)];
                 }
             }
-            debug_assert!(
-                !(re.is_finite() && im.is_finite()) || im.abs() < 1e-8 * (re.abs() + 1.0),
-                "non-symmetric correlation: imaginary part {im}"
-            );
             out[(nx, ny)] = re;
         }
     }
@@ -111,9 +108,30 @@ mod tests {
     }
 
     #[test]
+    fn a_non_symmetric_correlation_transforms_as_its_symmetric_part() {
+        // One configuration's C(d) is not inversion-symmetric; the cosine
+        // transform is that of (C(d) + C(−d))/2, on a square and a
+        // rectangular lattice.
+        for (lx, ly) in [(4, 4), (6, 3)] {
+            let lat = Lattice::square(lx, ly, 1.0);
+            let mut rng = util::Rng::new(5);
+            let c = Matrix::random(lx, ly, &mut rng);
+            let sym = Matrix::from_fn(lx, ly, |dx, dy| {
+                (c[(dx, dy)] + c[((lx - dx) % lx, (ly - dy) % ly)]) / 2.0
+            });
+            assert!(c.max_abs_diff(&sym) > 0.1, "the sample is not symmetric");
+            let (nk, nk_sym) = (fourier_transform(&lat, &c), fourier_transform(&lat, &sym));
+            assert!(
+                nk.max_abs_diff(&nk_sym) < 1e-13,
+                "{}",
+                nk.max_abs_diff(&nk_sym)
+            );
+        }
+    }
+
+    #[test]
     fn a_nan_correlation_transforms_to_nan() {
-        // A missing estimate is NaN; the symmetry check (a debug assertion)
-        // must not read it as a broken correlation assembly.
+        // A missing estimate is NaN, and transforms to NaN.
         let lat = Lattice::square(4, 4, 1.0);
         let mut c = Matrix::zeros(4, 4);
         c[(1, 0)] = f64::NAN;

@@ -180,6 +180,20 @@ impl Matrix {
         t
     }
 
+    /// Transposes a square matrix in its own buffer.
+    pub fn transpose_in_place(&mut self) {
+        assert!(
+            self.is_square(),
+            "in-place transpose of a non-square matrix"
+        );
+        let n = self.nrows;
+        for j in 0..n {
+            for i in j + 1..n {
+                self.data.swap(j * n + i, i * n + j);
+            }
+        }
+    }
+
     /// Copies `src` into `self` (shapes must match).
     pub fn copy_from(&mut self, src: &Matrix) {
         assert_eq!(self.nrows, src.nrows);
@@ -643,6 +657,10 @@ mod tests {
         let att = a.transpose().transpose();
         assert_eq!(a, att);
         assert_eq!(a.transpose()[(2, 4)], a[(4, 2)]);
+        let b = Matrix::random(6, 6, &mut rng);
+        let mut bt = b.clone();
+        bt.transpose_in_place();
+        assert_eq!(bt, b.transpose());
     }
 
     #[test]

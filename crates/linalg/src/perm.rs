@@ -100,14 +100,25 @@ impl Permutation {
         }
     }
 
-    /// Returns `A · Pᵀ` (column `forward[j]` of the result is column `j` of `A`).
-    pub fn permute_cols_inv(&self, a: &Matrix) -> Matrix {
+    /// `A ← A · Pᵀ` in `A`'s buffer: column `forward[j]` of the result is
+    /// column `j` of `A`. Each cycle of the permutation is walked once,
+    /// carrying one column.
+    pub fn permute_cols_inv_in_place(&self, a: &mut Matrix) {
         assert_eq!(a.ncols(), self.len());
-        let mut out = Matrix::zeros(a.nrows(), a.ncols());
-        for j in 0..a.ncols() {
-            out.col_mut(self.forward[j]).copy_from_slice(a.col(j));
+        let mut carried = vec![0.0; a.nrows()];
+        let mut placed = vec![false; self.len()];
+        for start in 0..self.len() {
+            if placed[start] {
+                continue;
+            }
+            carried.copy_from_slice(a.col(start));
+            let mut j = start;
+            while !placed[j] {
+                placed[j] = true;
+                j = self.forward[j];
+                carried.swap_with_slice(a.col_mut(j));
+            }
         }
-        out
     }
 
     /// Writes `Pᵀ · A` (row `j` is row `forward[j]` of `A`) into `out`, a
@@ -208,8 +219,17 @@ mod tests {
         let a = Matrix::random(4, 4, &mut rng);
         let back = permute_cols(&p.inverse(), &permute_cols(&p, &a));
         assert_eq!(back, a);
-        let back2 = p.permute_cols_inv(&permute_cols(&p, &a));
+        let mut back2 = permute_cols(&p, &a);
+        p.permute_cols_inv_in_place(&mut back2);
         assert_eq!(back2, a);
+        // Two cycles and a fixed point, against the out-of-place map.
+        let q = Permutation::from_forward(vec![2, 0, 1, 3, 5, 4]);
+        let b = Matrix::random(3, 6, &mut rng);
+        let mut inv = b.clone();
+        q.permute_cols_inv_in_place(&mut inv);
+        for j in 0..6 {
+            assert_eq!(inv.col(q.forward[j]), b.col(j));
+        }
         let back3 = permute_rows_t(&p.inverse(), &permute_rows_t(&p, &a));
         assert_eq!(back3, a);
     }
