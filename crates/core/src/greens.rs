@@ -39,14 +39,8 @@ pub struct GreensFunction {
 
 /// The paper's `D_b`/`D_s` splitting of the graded diagonal.
 pub fn split_d(d: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let db = d
-        .iter()
-        .map(|&x| if x.abs() > 1.0 { 1.0 / x.abs() } else { 1.0 })
-        .collect();
-    let ds = d
-        .iter()
-        .map(|&x| if x.abs() <= 1.0 { x } else { x.signum() })
-        .collect();
+    let (mut db, mut ds) = (vec![0.0; d.len()], vec![0.0; d.len()]);
+    split_graded(d, &mut db, &mut ds);
     (db, ds)
 }
 

@@ -12,8 +12,8 @@
 //!
 //! A chain split at a cluster boundary, `R·L`, is stratified from both ends
 //! instead of restratified whole: `R` by pushes, `Lᵀ` by transposed pushes
-//! ([`StratifyState::push_transposed`], [`left_stack`]), and
-//! [`greens_from_udt_pair`] assembles `[I + R·L]⁻¹` from the two UDTs. The
+//! (`StratifyState::push_transposed`, `left_stack`), and
+//! `greens_from_udt_pair` assembles `[I + R·L]⁻¹` from the two UDTs. The
 //! sweep's stratification stacks ([`crate::sweep`]) run on these;
 //! [`greens_at_boundary`] is the same arithmetic on a list of factors.
 
@@ -97,14 +97,14 @@ impl StratifyState {
     /// [`Self::from_owned`] for the chain of transposes `B_1ᵀ B_2ᵀ ⋯`, whose
     /// pushes are [`Self::push_transposed`]: step 1 factors `B_1ᵀ`, in
     /// `B_1`'s buffer.
-    pub fn from_owned_transposed(mut first: Matrix, algo: StratAlgo) -> Self {
+    pub(crate) fn from_owned_transposed(mut first: Matrix, algo: StratAlgo) -> Self {
         first.transpose_in_place();
         StratifyState::from_owned(first, algo)
     }
 
     /// [`Self::new`] on a factor the caller no longer needs: the QRP runs in
     /// its buffer, which becomes `Q`.
-    pub fn from_owned(first: Matrix, algo: StratAlgo) -> Self {
+    pub(crate) fn from_owned(first: Matrix, algo: StratAlgo) -> Self {
         assert!(first.is_square(), "stratify: factors must be square");
         // Checked before the QRP so a poisoned input is reported against the
         // boundary, not as a pivot-norm failure deep inside the factorization.
@@ -142,7 +142,7 @@ impl StratifyState {
     /// [`Self::from_owned_transposed`] and pushed with this holds the UDT of
     /// `(B_1 B_2 ⋯ B_m)ᵀ`: the untransposed chain grows at its *right* end,
     /// as the left stack of [`crate::sweep`] does.
-    pub fn push_transposed(&mut self, b: &Matrix) {
+    pub(crate) fn push_transposed(&mut self, b: &Matrix) {
         self.push_op(b, Op::Trans);
     }
 
@@ -246,7 +246,7 @@ pub fn stratify<M: Borrow<Matrix>>(factors: &[M], algo: StratAlgo) -> Udt {
 /// [`StratifyState::from_owned_transposed`]`(C_{nc−1})` by transposed
 /// pushes. The last entry spans every factor; no factors, no entries. Each
 /// factor is dropped once it is in, so the stack grows as they go.
-pub fn left_stack(mut factors: Vec<Matrix>, algo: StratAlgo) -> Vec<Udt> {
+pub(crate) fn left_stack(mut factors: Vec<Matrix>, algo: StratAlgo) -> Vec<Udt> {
     let Some(last) = factors.pop() else {
         return Vec::new();
     };
@@ -262,8 +262,8 @@ pub fn left_stack(mut factors: Vec<Matrix>, algo: StratAlgo) -> Vec<Udt> {
 
 /// The Green's function after the first `m` of `factors` (application
 /// order), `1 ≤ m ≤ nc`: `[I + R·L]⁻¹` with `R = C_{m−1} ⋯ C_0` stratified
-/// and `L = C_{nc−1} ⋯ C_m` from [`left_stack`], assembled by
-/// [`greens_from_udt_pair`]; at `m = nc`,
+/// and `L = C_{nc−1} ⋯ C_m` from `left_stack`, assembled by
+/// `greens_from_udt_pair`; at `m = nc`,
 /// [`greens_from_udt`](crate::greens::greens_from_udt) of `R`. These are
 /// the sweep's stacked steps in its order, so a boundary recompute of the
 /// sweep gives the same bits.
@@ -306,7 +306,7 @@ pub fn greens_at_boundary<M: Borrow<Matrix>>(
 /// No matrix is allocated: the left UDT is consumed, its two buffers
 /// staging the temporaries, and `out` (any N×N matrix, contents ignored)
 /// holds `X` and then comes back as `G`.
-pub fn greens_from_udt_pair(right: &Udt, left: Udt, out: Matrix) -> GreensFunction {
+pub(crate) fn greens_from_udt_pair(right: &Udt, left: Udt, out: Matrix) -> GreensFunction {
     let n = right.q.nrows();
     assert_eq!(left.q.nrows(), n, "two-UDT assembly: shape mismatch");
     assert!(

@@ -23,16 +23,17 @@
 //!
 //! - the **left stack**, built at sweep start: the UDTs of `B(β, τ_m)ᵀ` for
 //!   `m = nc − 1 … 1`, from the products of the clusters the sweep has not
-//!   visited yet, by transposed pushes ([`left_stack`]). Each entry is
-//!   consumed at its boundary;
+//!   visited yet, by transposed pushes (`stratify::left_stack`). Each
+//!   entry is consumed at its boundary;
 //! - the **right stack**: one running UDT of `B(τ_m, 0)`, into which cluster
 //!   `c`'s product is pushed once, when the sweep has finished it.
 //!
-//! An interior boundary assembles `G` from the two ([`greens_from_udt_pair`]);
-//! the sweep end takes [`greens_from_udt`] of the right UDT, which has then
-//! run exactly the steps of a from-scratch evaluation there, so the
-//! sweep-end `G` is the from-scratch one to the bit. That is `2·nc − 1`
-//! steps per spin per sweep. The products are read through the cache: the
+//! An interior boundary assembles `G` from the two UDTs
+//! (`stratify::greens_from_udt_pair`); the sweep end takes
+//! [`greens_from_udt`] of the right UDT, which has then run exactly the
+//! steps of a from-scratch evaluation there, so the sweep-end `G` is the
+//! from-scratch one to the bit. That is `2·nc − 1` steps per spin per
+//! sweep. The products are read through the cache: the
 //! left ones are released once stratified and come back at their right
 //! push, rebuilt by the prefill if a flip made them stale or from the field
 //! if none did; cluster 0's, which no left stack reads, is consumed by the
@@ -370,14 +371,12 @@ impl DqmcCore {
         }
     }
 
-    /// One attempt at the full stratified evaluation. On success the
-    /// evolved spins' `self.g` and `self.sign` are updated; on a non-finite
-    /// result they are untouched and the taint's detail comes back.
+    /// One attempt at the full stratified evaluation: the evolved spins'
+    /// `self.g` and `self.sign` through [`Self::install_greens`].
     ///
     /// The evolved spins' cluster factors are gathered first (rebuilding the
     /// stale ones) and lent out of the cache; a spin pair's two evaluations
-    /// are independent and run as the pair ([`for_each_spin`]). On the
-    /// one-spin path the sign is +1: `det M↓ = det M↑ · e^{…} > 0`.
+    /// are independent and run as the pair ([`for_each_spin`]).
     fn try_recompute_greens(&mut self, l: usize) -> Result<(), String> {
         let (algo, n, spins) = (self.params.algo, self.nsites(), self.spins());
         self.timer.time(phases::CLUSTERING, || {
@@ -402,18 +401,19 @@ impl DqmcCore {
 
     /// Takes the evolved spins' evaluated Green's functions into `self.g`
     /// and the sign from their determinants (+1 on the one-spin path:
-    /// `det M↓ = det M↑ · e^{…} > 0`); a non-finite one leaves both
-    /// untouched and comes back as the taint's detail.
+    /// `det M↓ = det M↑ · e^{…} > 0`). A non-finite one is stored too, the
+    /// sign is left as it was and the taint's detail comes back: the
+    /// caller evaluates again or gives the sweep up.
     fn install_greens(&mut self, evaluated: Vec<GreensFunction>) -> Result<(), String> {
         let (signs, g): (Vec<f64>, Vec<Matrix>) =
             evaluated.into_iter().map(|gf| (gf.sign, gf.g)).unzip();
-        if let Some((spin, idx, v)) = first_taint(&g) {
+        for (slot, g) in self.g.iter_mut().zip(g) {
+            *slot = g;
+        }
+        if let Some((spin, idx, v)) = first_taint(&self.g[..signs.len()]) {
             return Err(format!(
                 "stratified G for {spin:?} has {v} at element {idx}"
             ));
-        }
-        for (slot, g) in self.g.iter_mut().zip(g) {
-            *slot = g;
         }
         self.sign = if self.ph_signs.is_some() {
             1.0
@@ -504,9 +504,11 @@ impl DqmcCore {
     /// push, cluster 0's, consumes the product: no left stack reads it), and
     /// `G` is assembled from it and the boundary's left UDT in the old `G`'s
     /// buffer — or, at the sweep end, from the right UDT alone, by exactly
-    /// the steps of the from-scratch evaluation there. `None` when the
-    /// stacks do not stand at this boundary (recycling off, or a shrink
-    /// re-clustered the walker); otherwise the outcome of
+    /// the steps of the from-scratch evaluation there. A walker that did
+    /// not build its stacks at sweep start builds them at its first
+    /// boundary, from the products this boundary's prefill installed.
+    /// `None` when the stacks do not stand at this boundary (recycling off,
+    /// or a shrink re-clustered the walker); otherwise the outcome of
     /// [`Self::install_greens`].
     fn try_stacked_greens(&mut self, l: usize) -> Option<Result<(), String>> {
         let c = self.cache.cluster_of(l);
