@@ -1,9 +1,19 @@
-//! The ledger row behind `dqmc::bmat::KRON_MIN_SITES`: one product with
-//! `e^{−ΔτK}` applied dense (one `N`-order GEMM) against applied factor by
-//! factor (`linalg::Kron`, one GEMM per lattice axis), from the left and
-//! from the right, held to one thread as a spin-pair chunk runs it.
+//! The ledger rows behind `dqmc::bmat::KRON_MIN_SITES` and
+//! `linalg::kron::DIRECT_CUT`, and an oracle for the second.
 //!
-//! Square lattices at N = 36 … 400. Prints µs per product and writes
+//! - **Cut.** One mode product (`linalg::kron::mode_product_on`) at every
+//!   factor order 2 … 64, on the direct kernel and on the GEMM route, for
+//!   the four step kinds a two-axis product runs: `inner = 1`, `n`, `n²` and
+//!   one slab. The buffer holds about 2¹⁶ values (`n³·⌈2¹⁶/n³⌉`, the N = 256
+//!   operand at n = 16).
+//! - **Products.** One product with `e^{−ΔτK}` applied dense (one `N`-order
+//!   GEMM) against applied factor by factor (`linalg::Kron`), from the left
+//!   and from the right, on square lattices N = 36 … 1024, with the µs of
+//!   each of the factored product's mode products.
+//!
+//! Everything is held to one thread, as a spin-pair chunk runs it. Before
+//! timing, every shape it times is run on both routes under every kernel
+//! path, and the program exits 1 if any two results differ in a bit. Writes
 //! `BENCH_kron.json` (with `host_cores` and the kernel path) into the
 //! current directory.
 //!
@@ -11,8 +21,17 @@
 
 use bench::{cpu_model, time_best, BenchOpts};
 use lattice::Lattice;
-use linalg::{kernel_path, Kron, Matrix, Side};
+use linalg::kron::{mode_product_on, Route, DIRECT_CUT};
+use linalg::{kernel_path, KernelPath, Kron, Matrix, Op, Side};
 use util::table::{fmt_f, Table};
+
+/// µs per mode product on each route, by step kind.
+struct CutRow {
+    n: usize,
+    len: usize,
+    /// `[inner = 1, n, n², one slab]`, direct then GEMM.
+    us: [[f64; 4]; 2],
+}
 
 struct Row {
     n: usize,
@@ -20,21 +39,86 @@ struct Row {
     kron_left_us: f64,
     dense_right_us: f64,
     kron_right_us: f64,
+    /// The factored products' steps: `inner = 1, side` (left), `N, N·side`
+    /// (right).
+    step_us: [f64; 4],
 }
 
 fn main() {
     let opts = BenchOpts::from_env();
-    let sides: &[usize] = if opts.smoke {
-        &[6, 10, 16]
+    let (orders, sides): (Vec<usize>, &[usize]) = if opts.smoke {
+        (vec![2, 3, 5, 10, 16, 17, 32], &[6, 10, 16])
     } else {
-        &[6, 8, 10, 12, 16, 20]
+        ((2..=64).collect(), &[6, 8, 10, 12, 16, 20, 24, 32])
     };
     let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    println!("# e^(-dtau K) products, held (1 thread), us per product");
+    let mut rng = util::Rng::new(opts.seed());
+    // The scalar path is a libm call per multiply-add: the full run checks
+    // the dispatched path (`tests/kernel_paths.rs` pins every path).
+    let paths = if opts.smoke {
+        vec![KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512]
+    } else {
+        vec![kernel_path()]
+    };
+    let mut mismatches = 0;
+    for &n in &orders {
+        let len = cut_len(n);
+        let a = Matrix::random(n, n, &mut rng);
+        let src = Matrix::random(len, 1, &mut rng);
+        for inner in cut_inners(n, len) {
+            mismatches += oracle(&paths, &a, inner, &src);
+        }
+    }
+    for &side in sides {
+        let n = side * side;
+        let (factors, _) = Lattice::square(side, side, 1.0).expk_factors(0.125, 0.0);
+        let m = Matrix::random(n, n, &mut rng);
+        for (f, inner) in factors.iter().zip([1, side]) {
+            mismatches += oracle(&paths, f, inner, &m);
+            mismatches += oracle(&paths, f, inner * n, &m);
+        }
+    }
+    if mismatches > 0 {
+        eprintln!("kron: {mismatches} mode products differ between the routes");
+        std::process::exit(1);
+    }
+    let names: Vec<_> = paths.iter().map(|p| p.name()).collect();
+    println!("# oracle: direct == GEMM route bit for bit on every shape below, paths {names:?}");
+
+    let _one_thread = linalg::team::hold();
     println!(
-        "# kernel: {}, host cores: {host_cores}",
+        "# kernel: {}, host cores: {host_cores}, held (1 thread), direct below order {DIRECT_CUT}",
         kernel_path().name()
     );
+    println!("# one mode product, us: direct / GEMM route");
+    let mut table = Table::new(vec![
+        "order", "len", "inner 1", "", "inner n", "", "inner n2", "", "one slab", "",
+    ]);
+    let mut cut_rows = Vec::new();
+    for &n in &orders {
+        let len = cut_len(n);
+        let a = Matrix::random(n, n, &mut rng);
+        let mut bufs = [Matrix::random(len, 1, &mut rng), Matrix::zeros(len, 1)];
+        let mut us = [[0.0; 4]; 2];
+        for (s, inner) in cut_inners(n, len).into_iter().enumerate() {
+            for (r, route) in [Route::Direct, Route::Gemm].into_iter().enumerate() {
+                us[r][s] = per_call(2.0 * len as f64 * n as f64, || {
+                    let [x, y] = &mut bufs;
+                    mode_product_on(kernel_path(), route, &a, Op::NoTrans, inner, x, y);
+                });
+            }
+        }
+        let mut cells = vec![n.to_string(), len.to_string()];
+        for s in 0..4 {
+            cells.push(fmt_f(us[0][s], 1));
+            cells.push(fmt_f(us[1][s], 1));
+        }
+        table.row(cells);
+        cut_rows.push(CutRow { n, len, us });
+    }
+    print!("{}", table.render());
+
+    println!("# e^(-dtau K) products, us per product; steps: us per mode product");
     let mut table = Table::new(vec![
         "N",
         "dense left",
@@ -43,6 +127,10 @@ fn main() {
         "dense right",
         "kron right",
         "ratio",
+        "step 1",
+        "step L",
+        "step N",
+        "step NL",
     ]);
     let mut rows = Vec::new();
     for &side in sides {
@@ -52,28 +140,38 @@ fn main() {
         let (factors, factors_inv) = lattice.expk_factors(0.125, 0.0);
         let dense = [Kron::new(vec![dense]), Kron::new(vec![dense_inv])];
         let kron = [Kron::new(factors), Kron::new(factors_inv)];
-        let mut rng = util::Rng::new(opts.seed());
         let mut bufs = [Matrix::random(n, n, &mut rng), Matrix::zeros(n, n)];
-        let _one_thread = linalg::team::hold();
+        let flops = 2.0 * (n * n * n) as f64;
         // e^{−ΔτK} then e^{+ΔτK}, each reading the other's product, so the
         // operand stays the random matrix it started as (to rounding).
         let mut time = |[fwd, bwd]: &[Kron; 2], side: Side| {
             let mut at = 0;
-            per_product(n, || {
+            per_call(2.0 * flops, || {
                 for op in [fwd, bwd] {
                     let [a, b] = &mut bufs;
                     at = op.apply(side, [a, b], at);
                 }
             }) / 2.0
         };
+        let (dense_left_us, kron_left_us) = (time(&dense, Side::Left), time(&kron, Side::Left));
+        let (dense_right_us, kron_right_us) = (time(&dense, Side::Right), time(&kron, Side::Right));
+        let mut step_us = [0.0; 4];
+        let f = &kron[0].factors()[0];
+        for (s, inner) in [1, side, n, n * side].into_iter().enumerate() {
+            step_us[s] = per_call(2.0 * (n * n * side) as f64, || {
+                let [x, y] = &mut bufs;
+                linalg::kron::mode_product(f, Op::NoTrans, inner, x, y);
+            });
+        }
         let row = Row {
             n,
-            dense_left_us: time(&dense, Side::Left),
-            kron_left_us: time(&kron, Side::Left),
-            dense_right_us: time(&dense, Side::Right),
-            kron_right_us: time(&kron, Side::Right),
+            dense_left_us,
+            kron_left_us,
+            dense_right_us,
+            kron_right_us,
+            step_us,
         };
-        table.row(vec![
+        let mut cells = vec![
             n.to_string(),
             fmt_f(row.dense_left_us, 1),
             fmt_f(row.kron_left_us, 1),
@@ -81,22 +179,65 @@ fn main() {
             fmt_f(row.dense_right_us, 1),
             fmt_f(row.kron_right_us, 1),
             fmt_f(row.dense_right_us / row.kron_right_us, 2),
-        ]);
+        ];
+        cells.extend(step_us.iter().map(|&us| fmt_f(us, 1)));
+        table.row(cells);
         rows.push(row);
     }
     print!("{}", table.render());
 
     let path = "BENCH_kron.json";
-    let json = render_json(host_cores, &rows);
+    let json = render_json(host_cores, &cut_rows, &rows);
     match util::vfs::write_atomic(std::path::Path::new(path), json.as_bytes()) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }
 
-/// Best µs per product over samples of ~2 ms of dense-product work each.
-fn per_product(n: usize, mut f: impl FnMut()) -> f64 {
-    let inner = (20_000_000 / (n * n * n)).max(1);
+/// The cut table's buffer length at order `n`: a multiple of `n³` near 2¹⁶.
+fn cut_len(n: usize) -> usize {
+    let cube = n * n * n;
+    cube * (65_536 / cube).max(1)
+}
+
+/// The cut table's step kinds: `inner = 1`, `n`, `n²` and one slab.
+fn cut_inners(n: usize, len: usize) -> [usize; 4] {
+    [1, n, n * n, len / n]
+}
+
+/// Runs one mode product of `a` (both ops) on `src` by both routes under
+/// each of `paths`; returns how many results differ from the dispatched
+/// GEMM route in any bit.
+fn oracle(paths: &[KernelPath], a: &Matrix, inner: usize, src: &Matrix) -> usize {
+    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut bad = 0;
+    for op in [Op::NoTrans, Op::Trans] {
+        let run = |path, route| {
+            let mut dst = Matrix::zeros(src.nrows(), src.ncols());
+            mode_product_on(path, route, a, op, inner, src, &mut dst);
+            bits(&dst)
+        };
+        let want = run(kernel_path(), Route::Gemm);
+        for &path in paths {
+            for route in [Route::Direct, Route::Gemm] {
+                if run(path, route) != want {
+                    eprintln!(
+                        "kron: order {}, inner {inner}, {op:?}: {route:?} on {} differs",
+                        a.nrows(),
+                        path.name()
+                    );
+                    bad += 1;
+                }
+            }
+        }
+    }
+    bad
+}
+
+/// Best µs per call of `f`, which does `flops` of work, over samples of
+/// about 2 ms each.
+fn per_call(flops: f64, mut f: impl FnMut()) -> f64 {
+    let inner = (4e7 / flops).max(1.0) as usize;
     let sample = || {
         for _ in 0..inner {
             f();
@@ -106,22 +247,48 @@ fn per_product(n: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Hand-rendered JSON (no serde in the dependency closure).
-fn render_json(host_cores: usize, rows: &[Row]) -> String {
+fn render_json(host_cores: usize, cut_rows: &[CutRow], rows: &[Row]) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"kernel\": \"{}\",\n", kernel_path().name()));
     s.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     s.push_str(&format!("  \"cpu_model\": \"{}\",\n", cpu_model()));
     s.push_str("  \"threads\": 1,\n");
-    s.push_str("  \"rows\": [\n");
+    s.push_str(&format!("  \"direct_cut\": {DIRECT_CUT},\n"));
+    s.push_str("  \"cut_rows\": [\n");
+    for (i, r) in cut_rows.iter().enumerate() {
+        let [d, g] = r.us;
+        s.push_str(&format!(
+            "    {{\"order\": {}, \"len\": {}, \"direct_us\": [{:.2}, {:.2}, {:.2}, {:.2}], \
+             \"gemm_us\": [{:.2}, {:.2}, {:.2}, {:.2}]}}{}\n",
+            r.n,
+            r.len,
+            d[0],
+            d[1],
+            d[2],
+            d[3],
+            g[0],
+            g[1],
+            g[2],
+            g[3],
+            if i + 1 == cut_rows.len() { "" } else { "," }
+        ));
+    }
+    s.push_str("  ],\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
+        let t = r.step_us;
         s.push_str(&format!(
             "    {{\"n\": {}, \"dense_left_us\": {:.2}, \"kron_left_us\": {:.2}, \
-             \"dense_right_us\": {:.2}, \"kron_right_us\": {:.2}}}{}\n",
+             \"dense_right_us\": {:.2}, \"kron_right_us\": {:.2}, \
+             \"step_us\": [{:.2}, {:.2}, {:.2}, {:.2}]}}{}\n",
             r.n,
             r.dense_left_us,
             r.kron_left_us,
             r.dense_right_us,
             r.kron_right_us,
+            t[0],
+            t[1],
+            t[2],
+            t[3],
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

@@ -27,14 +27,16 @@ use linalg::{scale, workspace, Kron, Matrix, Side};
 ///
 /// Measured like `linalg::team::FORK_FLOPS`: `bench --bin kron`
 /// (`BENCH_kron.json`) times one held product, dense against factored, on
-/// square lattices of the 2-core AVX-512 reference host. Factored ÷ dense
-/// speedup, four runs: left 0.26–0.52 / 1.03–1.11 / 0.96–1.08 / 1.36–1.49
-/// and right 0.95–1.00 / 1.41–1.56 / 1.86–2.04 / 2.26–2.50 at N = 36 / 64 /
-/// 100 / 144 (3.2–3.8× at 256, 4× at 400). The left product — its middle
-/// axis is `N` GEMMs of `Lx × Ly × Ly` — breaks even at 64–100; a sweep
-/// issues two left products (wrap, cluster rebuild) per right one, which
-/// gains ~1.2× at N = 100. Below this every product is the one dense GEMM,
-/// so the N ≤ 64 systems and their golden trajectories keep their bytes.
+/// square lattices of the 2-core AVX-512 reference host. It was set when
+/// every mode product ran on the GEMM driver: the left product broke even
+/// at N = 64–100 (factored ÷ dense 0.26–0.52 at N = 36, 0.96–1.08 at 100).
+/// On the direct mode-product kernel (`linalg::kron::DIRECT_CUT`) the
+/// factored product wins at every size measured: ×2.5 left and ×3.2 right
+/// at N = 36, ×3.3 / ×4.8 at 100, ×9.0 / ×7.1 at 256. The crossover now
+/// falls below N = 36, but the constant stays: a factored product sums in
+/// another order than the dense GEMM, so moving it would move the bytes of
+/// every system it newly covers (the N = 16, 36 and 64 workloads and
+/// golden trajectories among them).
 pub const KRON_MIN_SITES: usize = 100;
 
 /// Precomputed kinetic exponentials plus the B-matrix operations built on
@@ -127,28 +129,27 @@ impl BMatrixFactory {
 
     /// Explicit `B_{l,σ} = e^{−ΔτK} V` (a column scaling of `e^{−ΔτK}`).
     pub fn b_matrix(&self, h: &HsField, l: usize, spin: Spin) -> Matrix {
-        let mut b = self.expk().clone();
+        let mut b = Matrix::zeros(self.n, self.n);
         let v = self.v_diag(h, l, spin);
-        scale::col_scale(&v, &mut b);
+        scale::col_scale_into(&v, self.expk(), &mut b);
         workspace::put(v);
         b
     }
 
     /// `out ← B_{l,σ} · M = e^{−ΔτK}(V·M)` without materialising B: a row
     /// scaling (the paper's §IV-B kernel) followed by the product with
-    /// `e^{−ΔτK}`, one GEMM per factor, through one workspace matrix: the
-    /// scaled copy starts in whichever of the two buffers makes the product
-    /// land in `out`. `out` must be `n × M.ncols()`.
+    /// `e^{−ΔτK}`, one mode product per factor, through one workspace
+    /// matrix: the scaled `M` is written into whichever of the two buffers
+    /// makes the product land in `out`. `out` must be `n × M.ncols()`.
     pub fn b_mul_left_into(&self, h: &HsField, l: usize, spin: Spin, m: &Matrix, out: &mut Matrix) {
         assert_eq!(m.nrows(), self.n);
         assert!(out.nrows() == self.n && out.ncols() == m.ncols());
         let mut v = workspace::take(self.n);
         self.v_diag_into(h, l, spin, &mut v);
-        let mut x = workspace::take_matrix(m.nrows(), m.ncols());
+        let mut x = scratch_matrix(m.nrows(), m.ncols());
         let from = self.kron[0].factors().len() % 2;
         let start = if from == 0 { &mut *out } else { &mut x };
-        start.copy_from(m);
-        scale::row_scale(&v, start);
+        scale::row_scale_into(&v, m, start);
         self.kron[0].apply(Side::Left, [out, &mut x], from);
         workspace::put_matrix(x);
         workspace::put(v);
@@ -163,9 +164,8 @@ impl BMatrixFactory {
         assert!(g.nrows() == self.n && g.ncols() == self.n);
         let mut v = workspace::take(self.n);
         self.v_diag_into(h, l, spin, &mut v);
-        let mut x = workspace::take_matrix(self.n, self.n);
-        out.copy_from(g);
-        scale::row_scale(&v, out);
+        let mut x = scratch_matrix(self.n, self.n);
+        scale::row_scale_into(&v, g, out);
         let at = self.kron[0].apply(Side::Left, [&mut *out, &mut x], 0);
         for v in v.iter_mut() {
             *v = 1.0 / *v;
@@ -184,7 +184,7 @@ impl BMatrixFactory {
     pub fn cluster(&self, h: &HsField, l_lo: usize, l_hi: usize, spin: Spin) -> Matrix {
         assert!(l_lo < l_hi && l_hi <= h.slices(), "bad cluster range");
         let mut acc = self.b_matrix(h, l_lo, spin);
-        let mut tmp = workspace::take_matrix(self.n, self.n);
+        let mut tmp = scratch_matrix(self.n, self.n);
         for l in (l_lo + 1)..l_hi {
             self.b_mul_left_into(h, l, spin, &acc, &mut tmp);
             std::mem::swap(&mut acc, &mut tmp);
@@ -198,6 +198,12 @@ impl BMatrixFactory {
     pub fn full_chain(&self, h: &HsField, spin: Spin) -> Matrix {
         self.cluster(h, 0, h.slices(), spin)
     }
+}
+
+/// A pooled matrix whose contents are unspecified: the ping-pong buffer of
+/// a product, every element of which the first step overwrites.
+fn scratch_matrix(rows: usize, cols: usize) -> Matrix {
+    Matrix::from_col_major(rows, cols, workspace::take_scratch(rows * cols))
 }
 
 #[cfg(test)]

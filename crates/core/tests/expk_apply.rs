@@ -129,3 +129,34 @@ fn below_the_crossover_and_on_one_axis_the_bytes_are_the_dense_gemm() {
         }
     }
 }
+
+/// FNV-1a of a matrix's bits.
+fn digest(m: &Matrix) -> u64 {
+    let mut h = util::Fnv1a::new();
+    m.as_slice().iter().for_each(|&x| h.update_f64(x));
+    h.finish()
+}
+
+#[test]
+fn the_b_matrix_path_keeps_its_recorded_bits() {
+    // The wrap and a cluster product of eight slices on the factored path,
+    // at the three lattice orders the direct mode-product kernel runs in
+    // the simulations (10, 12, 16): digests recorded when every step ran
+    // through the GEMM driver. A product whose chain of fused multiply-adds
+    // moves changes them.
+    let recorded = [
+        (10, 0xe443e6327a442ad1u64, 0xd4fd64c1e3c85cab),
+        (12, 0x4afe43a610ea506f, 0x748e973232821bd7),
+        (16, 0x489031e87cc150e1, 0x0eb1d27985d43142),
+    ];
+    for (side, wrap_fnv, cluster_fnv) in recorded {
+        let (model, h, m) = setup(Lattice::square(side, side, 1.0), 0.0);
+        let fac = BMatrixFactory::new(&model);
+        assert_eq!(fac.expk_kron().factors().len(), 2, "{side}x{side} factors");
+        let mut wrap = Matrix::zeros(m.nrows(), m.ncols());
+        fac.wrap_into(&h, 3, Spin::Up, &m, &mut wrap);
+        let cluster = fac.cluster(&h, 0, 8, Spin::Up);
+        let got = (digest(&wrap), digest(&cluster));
+        assert_eq!(got, (wrap_fnv, cluster_fnv), "{side}x{side}: wrap, cluster");
+    }
+}

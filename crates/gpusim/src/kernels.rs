@@ -25,7 +25,10 @@ use linalg::{kron, Matrix, Side};
 /// Bills one application of the operator whose factors have `orders`
 /// (fastest axis first), from `side`, to every entry of a `b`-entry stack
 /// of `n × n` matrices: the host's `Kron::apply` steps
-/// (`linalg::kron::steps`), one strided-batched launch per factor.
+/// (`linalg::kron::steps`), one strided-batched launch per factor. The
+/// bill is by shape alone: the host runs a step on its direct kernel
+/// (factor orders below `linalg::kron::DIRECT_CUT`) or on the GEMM driver,
+/// and the device charges the same GEMMs for either.
 fn try_kron_apply(
     dev: &mut Device,
     orders: &[usize],

@@ -178,7 +178,7 @@ pub(crate) fn gemm_view(
     gemm_impl(simd::kernel_path(), alpha, a, opa, b, opb, beta, c);
 }
 
-fn gemm_impl(
+pub(crate) fn gemm_impl(
     path: KernelPath,
     alpha: f64,
     a: View<'_>,

@@ -5,23 +5,31 @@
 //! i_0 + n_0·(i_1 + n_1·(…))`, as a lattice indexes its sites. Then `A·M`
 //! is `d` *mode products*: each contracts one axis of the column-major
 //! buffer of `M`, read as `[inner, n_a, outer]`, with its factor. No
-//! product reorders the buffer, so every step is a GEMM on a reshaped view:
+//! product reorders the buffer. A step takes one of two [`Route`]s, by the
+//! factor's order alone:
 //!
-//! - `inner = 1` (the fastest axis of a left product): one GEMM,
-//!   `op(A_a) · X` with `X` the buffer as an `n_a × outer` matrix;
-//! - otherwise `outer` GEMMs, slab `k` times `op(A_a)ᵀ`, the factor packed
-//!   once for all of them (the strided-batched driver's shared operand).
+//! - **direct** (orders below [`DIRECT_CUT`]): the register-tile kernel of
+//!   [`crate::simd`], which lays `op(A_a)` out once on the stack and reads
+//!   the buffer in place — its columns on the `inner = 1` step, its
+//!   `inner`-long runs on the others — and packs nothing;
+//! - **GEMM** (larger factors, and every one-factor operator): the GEMM
+//!   driver on reshaped views, `op(A_a) · X` with `X` the buffer as an
+//!   `n_a × outer` matrix on the `inner = 1` step, one GEMM `X_k · op(A_a)ᵀ`
+//!   per `inner × n_a` slab on the others.
 //!
-//! `M · A` is the same with `op = Trans` and `inner` counting `M`'s rows.
-//! A product costs `2·len·Σ n_a` flops against `2·len·Π n_a` multiplied out;
-//! a one-factor operator is exactly one [`crate::gemm`] call, bit for bit.
+//! Both give every element the same chain of fused multiply-adds, ascending
+//! over the factor's columns from zero and then added to zero, so the route
+//! never reaches a bit (`tests/kernel_paths.rs`, and `bench --bin kron`'s
+//! oracle). `M · A` is the same with `op = Trans` and `inner` counting `M`'s
+//! rows. A product costs `2·len·Σ n_a` flops against `2·len·Π n_a`
+//! multiplied out; a one-factor operator is exactly one [`crate::gemm`]
+//! call, bit for bit.
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
-use crate::blas3::{self, gemm_view, Op, KC};
+use crate::blas3::{self, Op};
 use crate::matrix::Matrix;
 use crate::simd::{self, KernelPath};
-use crate::workspace;
 
 /// Which side of `M` an operator multiplies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,11 +107,16 @@ impl Kron {
             Side::Right => assert_eq!(cols, n, "kron: right operand columns"),
         }
         let mut at = from;
+        let path = simd::kernel_path();
         let orders = self.factors.iter().map(Matrix::nrows);
         for (f, (op, inner)) in self.factors.iter().zip(steps(side, rows, orders)) {
+            let route = match self.factors.len() {
+                1 => Route::Gemm,
+                _ => Route::for_order(f.nrows()),
+            };
             match at {
-                0 => mode_product(f, op, inner, a, b),
-                _ => mode_product(f, op, inner, b, a),
+                0 => mode_product_on(path, route, f, op, inner, a, b),
+                _ => mode_product_on(path, route, f, op, inner, b, a),
             }
             at ^= 1;
         }
@@ -111,10 +124,61 @@ impl Kron {
     }
 }
 
+/// The factor order from which a mode product runs on the GEMM driver
+/// instead of the direct kernel.
+///
+/// Measured with `bench --bin kron` (`BENCH_kron.json`, `cut_rows`): one
+/// held mode product on about 2¹⁶ values at every order 2 … 64, for each
+/// step kind. On the 2-core AVX-512 reference host the direct kernel beats
+/// the GEMM driver at every order up to 40 on every step (order 16: 30–45
+/// against 79–110 µs); from 41 up it starts to lose on the long-run steps
+/// (`inner = n²` and one slab).
+pub const DIRECT_CUT: usize = 41;
+
+/// The two ways a mode product runs; both give the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// The direct register-tile kernel: `op(A)` laid out once, the big
+    /// operand read in place, nothing packed (factor orders up to
+    /// [`simd::DIRECT_MAX_ORDER`]).
+    Direct,
+    /// The GEMM driver: one GEMM on the `inner = 1` step, one per slab on
+    /// the others.
+    Gemm,
+}
+
+impl Route {
+    /// The route a factor of order `n` takes: direct below [`DIRECT_CUT`].
+    pub fn for_order(n: usize) -> Route {
+        if n < DIRECT_CUT {
+            Route::Direct
+        } else {
+            Route::Gemm
+        }
+    }
+}
+
 /// One mode product: `dst[i, :, k] ← op(A) · src[i, :, k]` for the buffers
-/// read as `[inner, n, outer]` (`n` the order of `A`, `inner` fastest).
-/// Both matrices only lend their buffers; their shapes do not matter.
+/// read as `[inner, n, outer]` (`n` the order of `A`, `inner` fastest), on
+/// the [`Route`] the order selects. Both matrices only lend their buffers;
+/// their shapes do not matter.
 pub fn mode_product(a: &Matrix, op: Op, inner: usize, src: &Matrix, dst: &mut Matrix) {
+    let route = Route::for_order(a.nrows());
+    mode_product_on(simd::kernel_path(), route, a, op, inner, src, dst);
+}
+
+/// [`mode_product`] with the kernel path and the route pinned, for the
+/// equivalence tests and the `kron` bench (as [`crate::gemm_with_kernel`]
+/// pins the path of a GEMM).
+pub fn mode_product_on(
+    path: KernelPath,
+    route: Route,
+    a: &Matrix,
+    op: Op,
+    inner: usize,
+    src: &Matrix,
+    dst: &mut Matrix,
+) {
     let n = a.nrows();
     let len = src.as_slice().len();
     assert!(a.is_square(), "mode_product: the factor must be square");
@@ -124,8 +188,12 @@ pub fn mode_product(a: &Matrix, op: Op, inner: usize, src: &Matrix, dst: &mut Ma
         "mode_product: the buffer is not [inner, n, outer]"
     );
     let outer = len / (inner * n);
-    if inner == 1 {
-        gemm_view(
+    match route {
+        Route::Direct => {
+            simd::mode_product_direct(path, a, op, inner, src.as_slice(), dst.as_mut_slice())
+        }
+        Route::Gemm if inner == 1 => blas3::gemm_impl(
+            path,
             1.0,
             a.view(),
             op,
@@ -133,55 +201,18 @@ pub fn mode_product(a: &Matrix, op: Op, inner: usize, src: &Matrix, dst: &mut Ma
             Op::NoTrans,
             0.0,
             dst.view_mut_as(n, outer),
-        );
-    } else {
-        match simd::kernel_path().or_fallback() {
-            KernelPath::Scalar => slabs::<8, 4>(a, op, inner, outer, src, dst),
-            KernelPath::Fma => slabs::<8, 6>(a, op, inner, outer, src, dst),
-            KernelPath::Avx512 => slabs::<16, 12>(a, op, inner, outer, src, dst),
+        ),
+        Route::Gemm => {
+            let s = src.view_as(inner, n * outer);
+            let mut d = dst.view_mut_as(inner, n * outer);
+            for k in 0..outer {
+                let block = (0, k * n, inner, n);
+                let (x, y) = (s.sub(block), d.sub(block));
+                blas3::gemm_impl(path, 1.0, x, Op::NoTrans, a.view(), op.flipped(), 0.0, y);
+            }
         }
     }
     crate::check_finite!(dst.as_slice(), "mode_product output ({len})");
-}
-
-/// `dst_k ← src_k · op(A)ᵀ` for the `outer` slabs `inner × n`, as the
-/// strided-batched driver runs a batch: each slab is the solo GEMM's steps
-/// (so its bits), and `op(A)ᵀ` is packed by slab 0 alone.
-fn slabs<const MR: usize, const NR: usize>(
-    a: &Matrix,
-    op: Op,
-    inner: usize,
-    outer: usize,
-    src: &Matrix,
-    dst: &mut Matrix,
-) {
-    let n = a.nrows();
-    let (mut packed, a_len) = blas3::lease_panels::<MR, NR>(inner, n, n);
-    let (packed_a, packed_b) = packed.split_at_mut(a_len);
-    let s = src.view_as(inner, n * outer);
-    let mut d = dst.view_mut_as(inner, n * outer);
-    d.for_each_run(|run| run.fill(0.0));
-    let mut pc = 0;
-    while pc < n {
-        let kc = KC.min(n - pc);
-        for k in 0..outer {
-            let block = (0, k * n, inner, n);
-            let shared = (k == 0).then_some((a.view(), op.flipped()));
-            let slab = Some((s.sub(block), Op::NoTrans));
-            blas3::slab::<MR, NR>(
-                1.0,
-                slab,
-                shared,
-                pc,
-                kc,
-                packed_a,
-                packed_b,
-                &mut d.sub(block),
-            );
-        }
-        pc += kc;
-    }
-    workspace::put(packed);
 }
 
 #[cfg(test)]

@@ -8,6 +8,8 @@
 //!
 //! - `row_scale`: `A ← diag(d) · A` (the `V_i` factor of `B_i = V_i B`),
 //! - `col_scale`: `A ← A · diag(d)` (the `D_{i−1}` factor of step 3a),
+//! - `row_scale_into` / `col_scale_into`: the same multiplies from one
+//!   matrix into another, in one pass (a B-matrix product's first step),
 //! - `col_norms`: one norm per column (the pre-pivoting key computation of
 //!   Algorithm 3).
 //!
@@ -25,6 +27,40 @@ pub fn row_scale(d: &[f64], a: &mut Matrix) {
     for j in 0..a.ncols() {
         for (x, &di) in a.col_mut(j).iter_mut().zip(d) {
             *x *= di;
+        }
+    }
+}
+
+/// `B ← diag(d) · A` in one pass: the bits [`row_scale`] gives a copy of
+/// `A`, without the copy.
+pub fn row_scale_into(d: &[f64], a: &Matrix, b: &mut Matrix) {
+    let m = a.nrows();
+    assert_eq!(d.len(), m, "row_scale_into: diagonal length mismatch");
+    assert!(
+        b.nrows() == m && b.ncols() == a.ncols(),
+        "row_scale_into: shapes"
+    );
+    crate::check_finite!(d, "row_scale_into diagonal (len {m})");
+    for j in 0..a.ncols() {
+        for ((y, &x), &di) in b.col_mut(j).iter_mut().zip(a.col(j)).zip(d) {
+            *y = x * di;
+        }
+    }
+}
+
+/// `B ← A · diag(d)` in one pass: the bits [`col_scale`] gives a copy of
+/// `A`, without the copy.
+pub fn col_scale_into(d: &[f64], a: &Matrix, b: &mut Matrix) {
+    let n = a.ncols();
+    assert_eq!(d.len(), n, "col_scale_into: diagonal length mismatch");
+    assert!(
+        b.nrows() == a.nrows() && b.ncols() == n,
+        "col_scale_into: shapes"
+    );
+    crate::check_finite!(d, "col_scale_into diagonal (len {n})");
+    for (j, &dj) in d.iter().enumerate() {
+        for (y, &x) in b.col_mut(j).iter_mut().zip(a.col(j)) {
+            *y = x * dj;
         }
     }
 }
@@ -138,6 +174,24 @@ mod tests {
                     assert_eq!(a[(i, j)], d[j] * a0[(i, j)]);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_one_pass_forms_give_the_in_place_bits() {
+        let mut rng = Rng::new(7);
+        for (m, n) in SHAPES {
+            let a = Matrix::random(m, n, &mut rng);
+            let r: Vec<f64> = (0..m).map(|_| rng.next_f64() + 0.5).collect();
+            let c: Vec<f64> = (0..n).map(|_| rng.next_f64() + 0.5).collect();
+            let (mut want, mut got) = (a.clone(), Matrix::from_fn(m, n, |_, _| f64::NAN));
+            row_scale(&r, &mut want);
+            row_scale_into(&r, &a, &mut got);
+            assert_eq!(got, want, "row {m}x{n}");
+            let (mut want, mut got) = (a.clone(), Matrix::from_fn(m, n, |_, _| f64::NAN));
+            col_scale(&c, &mut want);
+            col_scale_into(&c, &a, &mut got);
+            assert_eq!(got, want, "col {m}x{n}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Runtime-dispatched SIMD micro-kernels for the GEMM register tile (and
-//! the unfused `axpy` of [`crate::blas1`] and plane rotation of
-//! [`crate::eig`]).
+//! the direct Kronecker mode product of [`crate::kron`], the unfused `axpy`
+//! of [`crate::blas1`] and plane rotation of [`crate::eig`]).
 //!
 //! The paper's performance argument (Figure 1, Table I) rests on DGEMM
 //! reaching a high fraction of machine peak; MKL gets there with
@@ -35,6 +35,9 @@
 //! the naive loop. The scalar tile pays for it: without a native FMA the
 //! `mul_add` is a libm call.
 
+use crate::blas3::Op;
+use crate::matrix::Matrix;
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 /// Which GEMM micro-kernel the blocked driver uses.
@@ -433,6 +436,435 @@ unsafe fn rot_avx512(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
 #[target_feature(enable = "avx2")]
 unsafe fn rot_avx2(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
     rot_loop(c, s, x, y);
+}
+
+/// Largest factor order the direct mode-product kernel takes
+/// ([`crate::kron::Route::Direct`]): its `op(A)` layout lives on the stack.
+pub const DIRECT_MAX_ORDER: usize = 64;
+
+/// Entries past `op(A)` in the layout: the widest tile's broadcasts may run
+/// that far past the last column and are discarded.
+const LAYOUT_SLACK: usize = 16;
+
+/// The direct mode product: `dst[i, r, k] ← 0.0 + Σ_b op(A)[r, b] ·
+/// src[i, b, k]` for buffers read as `[inner, n, outer]`, `n ≤`
+/// [`DIRECT_MAX_ORDER`] the order of `A`. Each element is one chain of fused
+/// multiply-adds, ascending `b` from zero, then added to zero — what the
+/// GEMM driver's register tiles compute and its `beta = 0`, `alpha = 1`
+/// write-back stores — so every path and every tile shape gives the GEMM's
+/// bits. Nothing is packed: `op(A)` is laid out once on the stack and the
+/// big operand is read in place, a column of `src` at a time on the
+/// `inner = 1` step (the tile's vectors run down `op(A)`'s columns) and
+/// `inner`-long runs on the others (they run down those).
+pub(crate) fn mode_product_direct(
+    path: KernelPath,
+    a: &Matrix,
+    op: Op,
+    inner: usize,
+    src: &[f64],
+    dst: &mut [f64],
+) {
+    let n = a.nrows();
+    assert!(
+        a.is_square() && (1..=DIRECT_MAX_ORDER).contains(&n),
+        "direct: factor order {n}"
+    );
+    assert!(
+        inner > 0 && src.len() == dst.len() && src.len().is_multiple_of(inner * n),
+        "direct: the buffers are not [inner, n, outer]"
+    );
+    // Column `b` of op(A) at `b·n`, then the slack as zeros.
+    let mut layout =
+        [MaybeUninit::<f64>::uninit(); DIRECT_MAX_ORDER * DIRECT_MAX_ORDER + LAYOUT_SLACK];
+    let (body, rest) = layout.split_at_mut(n * n);
+    match op {
+        Op::NoTrans => {
+            for (e, &x) in body.iter_mut().zip(a.as_slice()) {
+                e.write(x);
+            }
+        }
+        // op(A)[r, b] = A[b, r]: column r of A scatters across the layout.
+        Op::Trans => {
+            for (r, col) in a.as_slice().chunks_exact(n).enumerate() {
+                for (b, &x) in col.iter().enumerate() {
+                    body[b * n + r].write(x);
+                }
+            }
+        }
+    }
+    for e in &mut rest[..LAYOUT_SLACK] {
+        e.write(0.0);
+    }
+    let used = n * n + LAYOUT_SLACK;
+    // SAFETY: the first `used` slots were written just above.
+    let at = unsafe { std::slice::from_raw_parts(layout.as_ptr().cast::<f64>(), used) };
+    match path.or_fallback() {
+        // SAFETY: `or_fallback` returns only a path the host supports; the
+        // layout holds op(A) and its slack, and the buffers `[inner, n,
+        // outer]` were checked above.
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Avx512 => unsafe { direct_avx512(at, n, inner, src, dst) },
+        // SAFETY: as above; the FMA path implies AVX2.
+        #[cfg(target_arch = "x86_64")]
+        KernelPath::Fma => unsafe { direct_avx2(at, n, inner, src, dst) },
+        _ => direct_scalar(at, n, inner, src, dst),
+    }
+}
+
+/// [`mode_product_direct`]'s element chains one at a time, through
+/// `f64::mul_add`.
+fn direct_scalar(at: &[f64], n: usize, inner: usize, src: &[f64], dst: &mut [f64]) {
+    let slab = inner * n;
+    for (s, d) in src.chunks_exact(slab).zip(dst.chunks_exact_mut(slab)) {
+        for r in 0..n {
+            for i in 0..inner {
+                let mut acc = 0.0f64;
+                for b in 0..n {
+                    acc = at[b * n + r].mul_add(s[b * inner + i], acc);
+                }
+                d[r * inner + i] = 0.0 + acc;
+            }
+        }
+    }
+}
+
+/// # Safety
+///
+/// The host supports AVX-512F, and the arguments are as
+/// [`mode_product_direct`] passes them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn direct_avx512(at: &[f64], n: usize, inner: usize, src: &[f64], dst: &mut [f64]) {
+    use std::arch::x86_64::__m512d;
+    // SAFETY: this function's own contract.
+    unsafe { direct::<__m512d, 4, 8, 12>(at, n, inner, src, dst) }
+}
+
+/// # Safety
+///
+/// The host supports AVX2 and FMA, and the arguments are as
+/// [`mode_product_direct`] passes them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn direct_avx2(at: &[f64], n: usize, inner: usize, src: &[f64], dst: &mut [f64]) {
+    use std::arch::x86_64::__m256d;
+    // SAFETY: this function's own contract.
+    unsafe { direct::<__m256d, 2, 4, 6>(at, n, inner, src, dst) }
+}
+
+/// One vector register of `f64` lanes and what a direct tile does with it.
+///
+/// Every method is `unsafe` for the same two reasons: it runs the
+/// instructions of the register's ISA, so it may be called only where they
+/// are enabled (inlined into `direct_avx512` or `direct_avx2`), and a method
+/// taking a pointer reads or writes exactly the lanes it names, which the
+/// caller guarantees are in bounds.
+#[cfg(target_arch = "x86_64")]
+trait Lanes: Copy {
+    /// Lanes per register.
+    const N: usize;
+    /// A lane mask.
+    type Mask: Copy;
+    /// The first `len` lanes (all of them from `N` up).
+    ///
+    /// # Safety
+    ///
+    /// See the trait.
+    unsafe fn mask(len: usize) -> Self::Mask;
+    /// Zero in every lane.
+    ///
+    /// # Safety
+    ///
+    /// See the trait.
+    unsafe fn zero() -> Self;
+    /// `*p` in every lane.
+    ///
+    /// # Safety
+    ///
+    /// See the trait.
+    unsafe fn splat(p: *const f64) -> Self;
+    /// The masked lanes from `p`, zero elsewhere; masked-off lanes are not
+    /// read.
+    ///
+    /// # Safety
+    ///
+    /// See the trait.
+    unsafe fn load(p: *const f64, m: Self::Mask) -> Self;
+    /// `a · b + c`, one rounding.
+    ///
+    /// # Safety
+    ///
+    /// See the trait.
+    unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
+    /// `0.0 + v` into the masked lanes at `p`; the others are not touched.
+    ///
+    /// # Safety
+    ///
+    /// See the trait.
+    unsafe fn store(p: *mut f64, v: Self, m: Self::Mask);
+}
+
+// Every method below: the intrinsics need avx512f, and the methods are
+// inlined only into `direct_avx512`, which enables it.
+#[cfg(target_arch = "x86_64")]
+impl Lanes for std::arch::x86_64::__m512d {
+    const N: usize = 8;
+    type Mask = u8;
+    // SAFETY: the trait's contract (plain arithmetic here).
+    #[inline(always)]
+    unsafe fn mask(len: usize) -> u8 {
+        (0xffu16 >> (8 - len.min(8))) as u8
+    }
+    // SAFETY: the trait's contract.
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        // SAFETY: the trait's contract.
+        unsafe { std::arch::x86_64::_mm512_setzero_pd() }
+    }
+    // SAFETY: the trait's contract.
+    #[inline(always)]
+    unsafe fn splat(p: *const f64) -> Self {
+        // SAFETY: the trait's contract.
+        unsafe { std::arch::x86_64::_mm512_set1_pd(*p) }
+    }
+    // SAFETY: the trait's contract.
+    #[inline(always)]
+    unsafe fn load(p: *const f64, m: u8) -> Self {
+        // SAFETY: the trait's contract.
+        unsafe { std::arch::x86_64::_mm512_maskz_loadu_pd(m, p) }
+    }
+    // SAFETY: the trait's contract.
+    #[inline(always)]
+    unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+        // SAFETY: the trait's contract.
+        unsafe { std::arch::x86_64::_mm512_fmadd_pd(a, b, c) }
+    }
+    // SAFETY: the trait's contract.
+    #[inline(always)]
+    unsafe fn store(p: *mut f64, v: Self, m: u8) {
+        use std::arch::x86_64::*;
+        // SAFETY: the trait's contract.
+        unsafe { _mm512_mask_storeu_pd(p, m, _mm512_add_pd(_mm512_setzero_pd(), v)) }
+    }
+}
+
+// Every method below: the intrinsics need avx2 and fma, and the methods are
+// inlined only into `direct_avx2`, which enables both.
+#[cfg(target_arch = "x86_64")]
+impl Lanes for std::arch::x86_64::__m256d {
+    const N: usize = 4;
+    type Mask = std::arch::x86_64::__m256i;
+    // SAFETY: the trait's contract.
+    #[inline(always)]
+    unsafe fn mask(len: usize) -> Self::Mask {
+        const ONES_THEN_ZEROS: [i64; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
+        let from = &ONES_THEN_ZEROS[4 - len.min(4)..];
+        // SAFETY: the trait's contract; `from` holds at least 4 values.
+        unsafe { std::arch::x86_64::_mm256_loadu_si256(from.as_ptr().cast()) }
+    }
+    // SAFETY: the trait's contract.
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        // SAFETY: the trait's contract.
+        unsafe { std::arch::x86_64::_mm256_setzero_pd() }
+    }
+    // SAFETY: the trait's contract.
+    #[inline(always)]
+    unsafe fn splat(p: *const f64) -> Self {
+        // SAFETY: the trait's contract.
+        unsafe { std::arch::x86_64::_mm256_broadcast_sd(&*p) }
+    }
+    // SAFETY: the trait's contract.
+    #[inline(always)]
+    unsafe fn load(p: *const f64, m: Self::Mask) -> Self {
+        // SAFETY: the trait's contract.
+        unsafe { std::arch::x86_64::_mm256_maskload_pd(p, m) }
+    }
+    // SAFETY: the trait's contract.
+    #[inline(always)]
+    unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+        // SAFETY: the trait's contract.
+        unsafe { std::arch::x86_64::_mm256_fmadd_pd(a, b, c) }
+    }
+    // SAFETY: the trait's contract.
+    #[inline(always)]
+    unsafe fn store(p: *mut f64, v: Self, m: Self::Mask) {
+        use std::arch::x86_64::*;
+        // SAFETY: the trait's contract.
+        unsafe { _mm256_maskstore_pd(p, m, _mm256_add_pd(_mm256_setzero_pd(), v)) }
+    }
+}
+
+/// [`mode_product_direct`] on registers `V`, with the tile widths `W1 <
+/// W2 < W3` (columns of the output per tile).
+///
+/// - `inner = 1`: `dst = op(A) · X`, `X` the buffer as an `n × outer`
+///   matrix. A tile is a block of `2·V::N` rows of `op(A)` (loaded from the
+///   layout) times `W3` columns of `X` (broadcast from `src` in place; the
+///   last, short block of columns from a zero-padded copy).
+/// - otherwise, slab by slab, `dst_k = src_k · op(A)ᵀ`: a tile is `2·V::N`
+///   elements of an `inner` run (loaded in place) times `W` rows of
+///   `op(A)` (broadcast from the layout), `W` the width that pads `n` least.
+///
+/// A last block of rows or of a run no longer than `V::N` takes the
+/// one-register tile. Every load and store past an edge is masked off.
+///
+/// # Safety
+///
+/// `V`'s instructions are enabled in the caller; `at` is the layout (`n²`
+/// entries and [`LAYOUT_SLACK`] ≥ `W3` more), and `src`, `dst` hold the
+/// same whole number of `inner · n` slabs.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn direct<V: Lanes, const W1: usize, const W2: usize, const W3: usize>(
+    at: &[f64],
+    n: usize,
+    inner: usize,
+    src: &[f64],
+    dst: &mut [f64],
+) {
+    const { assert!(W1 < W2 && W2 < W3 && W3 <= LAYOUT_SLACK) };
+    let outer = src.len() / (inner * n);
+    let (a, s, d) = (at.as_ptr(), src.as_ptr(), dst.as_mut_ptr());
+    if inner == 1 {
+        let full = outer / W3 * W3;
+        for k0 in (0..full).step_by(W3) {
+            // SAFETY: columns k0..k0 + W3 of X lie inside `src`, and the
+            // same columns of the output inside `dst`.
+            unsafe { columns::<V, W3>(a, n, s.add(k0 * n), d.add(k0 * n), W3) };
+        }
+        if full < outer {
+            let mut tail = [0.0f64; LAYOUT_SLACK * DIRECT_MAX_ORDER];
+            tail[..(outer - full) * n].copy_from_slice(&src[full * n..]);
+            // SAFETY: `tail` holds W3 zero-padded columns of n values; the
+            // output's last outer − full columns lie inside `dst`.
+            unsafe { columns::<V, W3>(a, n, tail.as_ptr(), d.add(full * n), outer - full) };
+        }
+        return;
+    }
+    let pads = |w: usize| n.div_ceil(w) * w;
+    let w = [W3, W2, W1]
+        .into_iter()
+        .min_by_key(|&w| pads(w))
+        .unwrap_or(W3);
+    for k in 0..outer {
+        for r0 in (0..n).step_by(w) {
+            let wr = w.min(n - r0);
+            for (i0, len) in blocks::<V>(inner) {
+                let o = k * inner * n + i0;
+                // SAFETY: run elements i0..i0 + len of slab k (masked),
+                // the layout's columns from row r0 (the slack covers
+                // r0 + w), and the output's wr columns of slab k.
+                unsafe {
+                    let (x, c, ar) = (s.add(o), d.add(o + r0 * inner), a.add(r0));
+                    if w == W1 {
+                        block::<V, W1>(len, n, (x, inner), (ar, 1, n), (c, inner, wr))
+                    } else if w == W2 {
+                        block::<V, W2>(len, n, (x, inner), (ar, 1, n), (c, inner, wr))
+                    } else {
+                        block::<V, W3>(len, n, (x, inner), (ar, 1, n), (c, inner, wr))
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The `inner = 1` step for one block of `w ≤ W` columns of `X` at `x`
+/// (`W` columns readable), into the same columns of the output at `c`:
+/// every block of rows of `op(A)` (the layout at `a`) times them.
+///
+/// # Safety
+///
+/// As [`tile`], for `n` rows and these columns.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn columns<V: Lanes, const W: usize>(
+    a: *const f64,
+    n: usize,
+    x: *const f64,
+    c: *mut f64,
+    w: usize,
+) {
+    for (r0, len) in blocks::<V>(n) {
+        // SAFETY: rows r0..r0 + len of op(A)'s columns (masked loads), W
+        // columns of n values at `x`, w of them at `c`.
+        unsafe { block::<V, W>(len, n, (a.add(r0), n), (x, n, 1), (c.add(r0), n, w)) };
+    }
+}
+
+/// The blocks `(start, len)` of `2·V::N` elements that cover `0..total`,
+/// the last one possibly shorter.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn blocks<V: Lanes>(total: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..total)
+        .step_by(2 * V::N)
+        .map(move |start| (start, (2 * V::N).min(total - start)))
+}
+
+/// One tile of `len ≤ 2·V::N` rows, on one register when they fit.
+///
+/// # Safety
+///
+/// As [`tile`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn block<V: Lanes, const W: usize>(
+    len: usize,
+    n: usize,
+    v: (*const f64, usize),
+    s: (*const f64, usize, usize),
+    c: (*mut f64, usize, usize),
+) {
+    // SAFETY: the caller's contract; the masks cover `len` lanes.
+    unsafe {
+        if len > V::N {
+            tile::<V, 2, W>(n, v, [V::mask(len), V::mask(len - V::N)], s, c)
+        } else {
+            tile::<V, 1, W>(n, v, [V::mask(len)], s, c)
+        }
+    }
+}
+
+/// `c[:, j] ← 0.0 + Σ_b v_b · s_{b,j}` for `j < w`: `H` registers of rows,
+/// `W` columns, fused in ascending `b` from zero. Step `b` loads the masked
+/// lanes at `v + b·v_step` and broadcasts `s + j·s_col + b·s_step`; column
+/// `j` of the output is at `c + j·ldc`.
+///
+/// # Safety
+///
+/// `V`'s instructions are enabled; for `b < n` the masked lanes of
+/// `v + b·v_step + h·V::N` and the `W` broadcast sources are readable, and
+/// the masked lanes of `c + j·ldc + h·V::N` writable for `j < w ≤ W`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile<V: Lanes, const H: usize, const W: usize>(
+    n: usize,
+    (v, v_step): (*const f64, usize),
+    masks: [V::Mask; H],
+    (s, s_col, s_step): (*const f64, usize, usize),
+    (c, ldc, w): (*mut f64, usize, usize),
+) {
+    // SAFETY: every access is one this function's contract names.
+    unsafe {
+        let mut acc = [[V::zero(); H]; W];
+        for b in 0..n {
+            let (vb, sb) = (v.add(b * v_step), s.add(b * s_step));
+            let x: [V; H] = std::array::from_fn(|h| V::load(vb.add(h * V::N), masks[h]));
+            for (j, accj) in acc.iter_mut().enumerate() {
+                let y = V::splat(sb.add(j * s_col));
+                for (lanes, &xh) in accj.iter_mut().zip(&x) {
+                    *lanes = V::fma(xh, y, *lanes);
+                }
+            }
+        }
+        for (j, accj) in acc.iter().enumerate().take(w) {
+            for (h, &lanes) in accj.iter().enumerate() {
+                V::store(c.add(j * ldc + h * V::N), lanes, masks[h]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

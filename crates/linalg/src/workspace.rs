@@ -54,6 +54,12 @@ impl Workspace {
         self.pool.len()
     }
 
+    /// Bytes parked in the pool: the capacity of every pooled buffer.
+    pub fn pooled_bytes(&self) -> usize {
+        let words: usize = self.pool.iter().map(Vec::capacity).sum();
+        words * std::mem::size_of::<f64>()
+    }
+
     /// Takes a zero-filled buffer of exactly `len` elements, reusing pooled
     /// capacity when possible.
     pub fn take(&mut self, len: usize) -> Vec<f64> {
@@ -138,6 +144,13 @@ pub fn take_scratch(len: usize) -> Vec<f64> {
 /// Returns a buffer to this thread's arena.
 pub fn put(buf: Vec<f64>) {
     POOL.with(|p| p.borrow_mut().put(buf));
+}
+
+/// Bytes parked in this thread's arena (see [`Workspace::pooled_bytes`]):
+/// a caller that returns more buffers than it later takes leaves them here
+/// until the pool's bound evicts the smallest.
+pub fn pooled_bytes() -> usize {
+    POOL.with(|p| p.borrow().pooled_bytes())
 }
 
 /// Takes a zeroed `nrows × ncols` matrix backed by this thread's arena.
@@ -229,6 +242,19 @@ mod tests {
         put(b);
         let m = take_matrix(8, 8);
         put_matrix(m);
+    }
+
+    #[test]
+    fn pooled_bytes_count_capacity_not_length() {
+        let mut ws = Workspace::new();
+        assert_eq!(ws.pooled_bytes(), 0);
+        let (a, b) = (ws.take(100), ws.take(30));
+        ws.put(a);
+        ws.put(b);
+        assert_eq!(ws.pooled_bytes(), 130 * 8);
+        let small = ws.take(10);
+        assert_eq!(small.capacity(), 30, "best fit");
+        assert_eq!(ws.pooled_bytes(), 100 * 8);
     }
 
     #[test]

@@ -31,6 +31,11 @@
 //! and `sym_eig`, whose bits must not depend on the path: the path is fixed
 //! once per process, so that test re-runs this binary under each pin.
 //!
+//! The Kronecker mode products (`linalg::kron`) get the same contract on
+//! their own grid: the direct kernel and the GEMM route, on every path,
+//! give the bits of one `gemm_with_kernel` per slab on that path, at factor
+//! orders around every tile width and both sides of `DIRECT_CUT`.
+//!
 //! The third part is about *who* computes: every grid above also feeds its
 //! results' bits to a recorder, and one test runs all of them once with the
 //! fork-join team held (one thread) and once free, and wants the two
@@ -42,6 +47,8 @@ mod common;
 
 use common::*;
 use linalg::blas3::{gemm_naive, matmul};
+use linalg::kron::{self, mode_product_on, Route, DIRECT_CUT};
+use linalg::simd::DIRECT_MAX_ORDER;
 use linalg::{gemm_with_kernel, team, tri, workspace, KernelPath, Matrix, Op};
 use std::cell::RefCell;
 
@@ -556,6 +563,78 @@ fn batched_products_equal_solo_products_on_both_sides_of_the_fork() {
     }
 }
 
+/// The reference mode product: `op(A)` along the middle axis of `src` read
+/// as `[inner, n, outer]`, one `gemm_with_kernel` per `inner × n` slab,
+/// `X_k · op(A)ᵀ`, on copies.
+fn mode_product_by_slabs(
+    path: KernelPath,
+    a: &Matrix,
+    op: Op,
+    inner: usize,
+    src: &Matrix,
+) -> Matrix {
+    let n = a.nrows();
+    let flipped = match op {
+        Op::NoTrans => Op::Trans,
+        Op::Trans => Op::NoTrans,
+    };
+    let mut out = Vec::with_capacity(src.as_slice().len());
+    for x in src.as_slice().chunks_exact(inner * n) {
+        let x = Matrix::from_col_major(inner, n, x.to_vec());
+        let mut c = Matrix::zeros(inner, n);
+        gemm_with_kernel(path, 1.0, &x, Op::NoTrans, a, flipped, 0.0, &mut c);
+        out.extend_from_slice(c.as_slice());
+    }
+    Matrix::from_col_major(src.nrows(), src.ncols(), out)
+}
+
+#[test]
+fn mode_products_equal_one_gemm_per_slab_on_every_path() {
+    // Factor orders around every tile width, both sides of the cut and the
+    // direct kernel's largest order; each step kind (`inner` = 1, n, 3n,
+    // 3n², the last skipped past 2¹⁸ values) with outer counts that are no
+    // multiple of a tile's width; both ops. Both routes, on every pin, give
+    // the bits of that pin's per-slab GEMMs, and so does the dispatched
+    // entry.
+    let orders = [
+        2,
+        3,
+        5,
+        8,
+        10,
+        12,
+        16,
+        20,
+        24,
+        32,
+        DIRECT_CUT - 1,
+        DIRECT_CUT + 1,
+    ];
+    for (i, &n) in orders.iter().chain([&DIRECT_MAX_ORDER]).enumerate() {
+        let mut rng = util::Rng::new(1400 + i as u64);
+        let a = Matrix::random(n, n, &mut rng);
+        let kinds = [(1, 13), (n, 7), (3 * n, 5), (3 * n * n, 1)];
+        for (inner, outer) in kinds.into_iter().filter(|&(i, o)| i * n * o <= 1 << 18) {
+            let src = Matrix::random(inner * n, outer, &mut rng);
+            for op in [Op::NoTrans, Op::Trans] {
+                let label = format!("order {n}, inner {inner}, outer {outer}, {op:?}");
+                let mut got = Matrix::zeros(inner * n, outer);
+                for path in PATHS {
+                    let want = bits(&mode_product_by_slabs(path, &a, op, inner, &src));
+                    for route in [Route::Direct, Route::Gemm] {
+                        mode_product_on(path, route, &a, op, inner, &src, &mut got);
+                        assert!(bits(&got) == want, "{route:?} on {path:?}: {label}");
+                    }
+                    record_digest(&got);
+                }
+                let want = bits(&got);
+                kron::mode_product(&a, op, inner, &src, &mut got);
+                assert!(bits(&got) == want, "dispatched: {label}");
+            }
+        }
+    }
+}
+
 #[test]
 fn held_and_free_runs_of_every_grid_are_bit_identical() {
     // Who runs a chunk must not reach a single bit: all grids above with the
@@ -572,6 +651,7 @@ fn held_and_free_runs_of_every_grid_are_bit_identical() {
         blocked_trsm_lower_unit_matches_level2_reference();
         form_q_equals_apply_q_of_identity_and_is_orthogonal();
         batched_products_equal_solo_products_on_both_sides_of_the_fork();
+        mode_products_equal_one_gemm_per_slab_on_every_path();
         sym_eig_digests();
         RECORD.with(|r| std::mem::take(&mut *r.borrow_mut()))
     };
