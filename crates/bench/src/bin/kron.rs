@@ -2,14 +2,16 @@
 //! `linalg::kron::DIRECT_CUT`, and an oracle for the second.
 //!
 //! - **Cut.** One mode product (`linalg::kron::mode_product_on`) at every
-//!   factor order 2 … 64, on the direct kernel and on the GEMM route, for
-//!   the four step kinds a two-axis product runs: `inner = 1`, `n`, `n²` and
-//!   one slab. The buffer holds about 2¹⁶ values (`n³·⌈2¹⁶/n³⌉`, the N = 256
+//!   factor order 2 … 64, on the direct kernel and on the GEMM route (one
+//!   GEMM on `inner = 1`, one per slab with the factor packed once on the
+//!   others), for the four step kinds a two-axis product runs: `inner = 1`,
+//!   `n`, `n²` and one slab. The buffer holds about 2¹⁶ values (`n³·⌈2¹⁶/n³⌉`, the N = 256
 //!   operand at n = 16).
 //! - **Products.** One product with `e^{−ΔτK}` applied dense (one `N`-order
-//!   GEMM) against applied factor by factor (`linalg::Kron`), from the left
-//!   and from the right, on square lattices N = 36 … 1024, with the µs of
-//!   each of the factored product's mode products.
+//!   mode product: direct at N = 36, a GEMM from 64 up) against applied
+//!   factor by factor (`linalg::Kron`), from the left and from the right, on
+//!   square lattices N = 36 … 1024, with the µs of each of the factored
+//!   product's mode products.
 //!
 //! Everything is held to one thread, as a spin-pair chunk runs it. Before
 //! timing, every shape it times is run on both routes under every kernel

@@ -30,10 +30,11 @@ use linalg::{scale, workspace, Kron, Matrix, Side};
 /// square lattices of the 2-core AVX-512 reference host. It was set when
 /// every mode product ran on the GEMM driver: the left product broke even
 /// at N = 64–100 (factored ÷ dense 0.26–0.52 at N = 36, 0.96–1.08 at 100).
-/// On the direct mode-product kernel (`linalg::kron::DIRECT_CUT`) the
-/// factored product wins at every size measured: ×2.5 left and ×3.2 right
-/// at N = 36, ×3.3 / ×4.8 at 100, ×9.0 / ×7.1 at 256. The crossover now
-/// falls below N = 36, but the constant stays: a factored product sums in
+/// On the direct mode-product kernel (`linalg::kron::DIRECT_CUT`, which
+/// also runs the dense product at N = 36) the factored product wins at
+/// every size measured: ×1.7 left and ×3.0 right at N = 36, ×2.9 / ×4.3 at
+/// 100, ×8.3 / ×6.9 at 256. The crossover now falls below N = 36, but the
+/// constant stays: a factored product sums in
 /// another order than the dense GEMM, so moving it would move the bytes of
 /// every system it newly covers (the N = 16, 36 and 64 workloads and
 /// golden trajectories among them).

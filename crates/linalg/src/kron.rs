@@ -6,30 +6,32 @@
 //! is `d` *mode products*: each contracts one axis of the column-major
 //! buffer of `M`, read as `[inner, n_a, outer]`, with its factor. No
 //! product reorders the buffer. A step takes one of two [`Route`]s, by the
-//! factor's order alone:
+//! factor's order alone — one-factor operators (a dense `e^{−ΔτK}`) too:
 //!
 //! - **direct** (orders below [`DIRECT_CUT`]): the register-tile kernel of
 //!   [`crate::simd`], which lays `op(A_a)` out once on the stack and reads
 //!   the buffer in place — its columns on the `inner = 1` step, its
 //!   `inner`-long runs on the others — and packs nothing;
-//! - **GEMM** (larger factors, and every one-factor operator): the GEMM
-//!   driver on reshaped views, `op(A_a) · X` with `X` the buffer as an
-//!   `n_a × outer` matrix on the `inner = 1` step, one GEMM `X_k · op(A_a)ᵀ`
-//!   per `inner × n_a` slab on the others.
+//! - **GEMM** (larger factors): the GEMM driver on reshaped views, `op(A_a)
+//!   · X` with `X` the buffer as an `n_a × outer` matrix on the `inner = 1`
+//!   step, and on the others `outer` GEMMs, slab `k` times `op(A_a)ᵀ`, the
+//!   factor packed once for all of them (the strided-batched driver's
+//!   shared operand).
 //!
 //! Both give every element the same chain of fused multiply-adds, ascending
 //! over the factor's columns from zero and then added to zero, so the route
 //! never reaches a bit (`tests/kernel_paths.rs`, and `bench --bin kron`'s
 //! oracle). `M · A` is the same with `op = Trans` and `inner` counting `M`'s
 //! rows. A product costs `2·len·Σ n_a` flops against `2·len·Π n_a`
-//! multiplied out; a one-factor operator is exactly one [`crate::gemm`]
-//! call, bit for bit.
+//! multiplied out; a one-factor operator has the bits of one [`crate::gemm`]
+//! call.
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
-use crate::blas3::{self, Op};
+use crate::blas3::{self, Op, KC};
 use crate::matrix::Matrix;
 use crate::simd::{self, KernelPath};
+use crate::workspace;
 
 /// Which side of `M` an operator multiplies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,16 +109,11 @@ impl Kron {
             Side::Right => assert_eq!(cols, n, "kron: right operand columns"),
         }
         let mut at = from;
-        let path = simd::kernel_path();
         let orders = self.factors.iter().map(Matrix::nrows);
         for (f, (op, inner)) in self.factors.iter().zip(steps(side, rows, orders)) {
-            let route = match self.factors.len() {
-                1 => Route::Gemm,
-                _ => Route::for_order(f.nrows()),
-            };
             match at {
-                0 => mode_product_on(path, route, f, op, inner, a, b),
-                _ => mode_product_on(path, route, f, op, inner, b, a),
+                0 => mode_product(f, op, inner, a, b),
+                _ => mode_product(f, op, inner, b, a),
             }
             at ^= 1;
         }
@@ -130,9 +127,9 @@ impl Kron {
 /// Measured with `bench --bin kron` (`BENCH_kron.json`, `cut_rows`): one
 /// held mode product on about 2¹⁶ values at every order 2 … 64, for each
 /// step kind. On the 2-core AVX-512 reference host the direct kernel beats
-/// the GEMM driver at every order up to 40 on every step (order 16: 30–45
-/// against 79–110 µs); from 41 up it starts to lose on the long-run steps
-/// (`inner = n²` and one slab).
+/// the GEMM route (the slab loop below, `op(A)ᵀ` packed once) at every
+/// order up to 40 on every step (order 16: 25–41 against 57–79 µs); from 41
+/// up it starts to lose on the long-run steps (`inner = n²` and one slab).
 pub const DIRECT_CUT: usize = 41;
 
 /// The two ways a mode product runs; both give the same bits.
@@ -143,7 +140,7 @@ pub enum Route {
     /// [`simd::DIRECT_MAX_ORDER`]).
     Direct,
     /// The GEMM driver: one GEMM on the `inner = 1` step, one per slab on
-    /// the others.
+    /// the others with the factor packed once.
     Gemm,
 }
 
@@ -202,17 +199,53 @@ pub fn mode_product_on(
             0.0,
             dst.view_mut_as(n, outer),
         ),
-        Route::Gemm => {
-            let s = src.view_as(inner, n * outer);
-            let mut d = dst.view_mut_as(inner, n * outer);
-            for k in 0..outer {
-                let block = (0, k * n, inner, n);
-                let (x, y) = (s.sub(block), d.sub(block));
-                blas3::gemm_impl(path, 1.0, x, Op::NoTrans, a.view(), op.flipped(), 0.0, y);
-            }
-        }
+        Route::Gemm => match path.or_fallback() {
+            KernelPath::Scalar => slabs::<8, 4>(a, op, inner, outer, src, dst),
+            KernelPath::Fma => slabs::<8, 6>(a, op, inner, outer, src, dst),
+            KernelPath::Avx512 => slabs::<16, 12>(a, op, inner, outer, src, dst),
+        },
     }
     crate::check_finite!(dst.as_slice(), "mode_product output ({len})");
+}
+
+/// `dst_k ← src_k · op(A)ᵀ` for the `outer` slabs `inner × n`, as the
+/// strided-batched driver runs a batch: each slab is the solo GEMM's steps
+/// (so its bits), and `op(A)ᵀ` is packed by slab 0 alone.
+fn slabs<const MR: usize, const NR: usize>(
+    a: &Matrix,
+    op: Op,
+    inner: usize,
+    outer: usize,
+    src: &Matrix,
+    dst: &mut Matrix,
+) {
+    let n = a.nrows();
+    let (mut packed, a_len) = blas3::lease_panels::<MR, NR>(inner, n, n);
+    let (packed_a, packed_b) = packed.split_at_mut(a_len);
+    let s = src.view_as(inner, n * outer);
+    let mut d = dst.view_mut_as(inner, n * outer);
+    d.for_each_run(|run| run.fill(0.0));
+    let mut pc = 0;
+    while pc < n {
+        let kc = KC.min(n - pc);
+        for k in 0..outer {
+            let block = (0, k * n, inner, n);
+            let shared = (k == 0).then_some((a.view(), op.flipped()));
+            let slab = Some((s.sub(block), Op::NoTrans));
+            blas3::slab::<MR, NR>(
+                1.0,
+                slab,
+                shared,
+                pc,
+                kc,
+                packed_a,
+                packed_b,
+                &mut d.sub(block),
+            );
+        }
+        pc += kc;
+    }
+    workspace::put(packed);
 }
 
 #[cfg(test)]
@@ -293,18 +326,21 @@ mod tests {
 
     #[test]
     fn slabs_match_solo_gemms_bit_for_bit() {
-        // A middle axis: every slab must carry the bits of its own gemm.
+        // A middle axis: on either route every slab must carry the bits of
+        // its own gemm.
         let a = factors(&[6], 6).remove(0);
         let mut rng = Rng::new(7);
         let (inner, outer) = (5, 4);
         let src = Matrix::random(inner * 6, outer, &mut rng);
-        let mut dst = Matrix::zeros(inner * 6, outer);
-        mode_product(&a, Op::Trans, inner, &src, &mut dst);
-        for k in 0..outer {
-            let slab = Matrix::from_col_major(inner, 6, src.col(k).to_vec());
-            let mut want = Matrix::zeros(inner, 6);
-            gemm(1.0, &slab, Op::NoTrans, &a, Op::NoTrans, 0.0, &mut want);
-            assert_eq!(dst.col(k), want.as_slice(), "slab {k}");
+        let (mut dst, path) = (Matrix::zeros(inner * 6, outer), simd::kernel_path());
+        for route in [Route::Direct, Route::Gemm] {
+            mode_product_on(path, route, &a, Op::Trans, inner, &src, &mut dst);
+            for k in 0..outer {
+                let slab = Matrix::from_col_major(inner, 6, src.col(k).to_vec());
+                let mut want = Matrix::zeros(inner, 6);
+                gemm(1.0, &slab, Op::NoTrans, &a, Op::NoTrans, 0.0, &mut want);
+                assert_eq!(dst.col(k), want.as_slice(), "{route:?}: slab {k}");
+            }
         }
     }
 }

@@ -440,6 +440,12 @@ unsafe fn rot_avx2(c: f64, s: f64, x: &mut [f64], y: &mut [f64]) {
 
 /// Largest factor order the direct mode-product kernel takes
 /// ([`crate::kron::Route::Direct`]): its `op(A)` layout lives on the stack.
+///
+/// Dispatch sends it orders below `kron::DIRECT_CUT` = 41 only. It takes
+/// orders up to 64 so that `bench --bin kron` can time it on both sides of
+/// the cut, which is how the cut is placed and how a host with another
+/// cache or vector width re-places it. The price is stack space: the layout
+/// reserves 64² values on every call but writes only `n²` of them.
 pub const DIRECT_MAX_ORDER: usize = 64;
 
 /// Entries past `op(A)` in the layout: the widest tile's broadcasts may run
