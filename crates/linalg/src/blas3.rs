@@ -178,8 +178,53 @@ pub(crate) fn gemm_view(
     gemm_impl(simd::kernel_path(), alpha, a, opa, b, opb, beta, c);
 }
 
+/// [`gemm_view`] packing into `pack`, when given, at least
+/// [`pack_len`]`(m, n, k)` long, instead of a buffer of its own: a range of
+/// a [`crate::team`] column split multiplies in scratch its caller leased,
+/// so a helper that runs the range parks nothing in its own arena. Same
+/// bits as [`gemm_view`], which is this with `None`.
+pub(crate) fn gemm_view_in(
+    pack: Option<&mut [f64]>,
+    alpha: f64,
+    a: View<'_>,
+    opa: Op,
+    b: View<'_>,
+    opb: Op,
+    beta: f64,
+    c: ViewMut<'_>,
+) {
+    gemm_driver(simd::kernel_path(), pack, alpha, a, opa, b, opb, beta, c);
+}
+
+/// Length of the packing buffer an `m × n × k` product takes on the
+/// dispatched path: what [`gemm_view_in`] needs and [`gemm_view`] leases.
+pub(crate) fn pack_len(m: usize, n: usize, k: usize) -> usize {
+    match simd::kernel_path().or_fallback() {
+        KernelPath::Scalar => panels_len::<8, 4>(m, n, k).0,
+        KernelPath::Fma => panels_len::<8, 6>(m, n, k).0,
+        KernelPath::Avx512 => panels_len::<16, 12>(m, n, k).0,
+    }
+}
+
 pub(crate) fn gemm_impl(
     path: KernelPath,
+    alpha: f64,
+    a: View<'_>,
+    opa: Op,
+    b: View<'_>,
+    opb: Op,
+    beta: f64,
+    c: ViewMut<'_>,
+) {
+    gemm_driver(path, None, alpha, a, opa, b, opb, beta, c);
+}
+
+/// The one GEMM: beta, then the blocked driver on the packing buffer given,
+/// or on one leased from the arena.
+#[allow(clippy::too_many_arguments)]
+fn gemm_driver(
+    path: KernelPath,
+    pack: Option<&mut [f64]>,
     alpha: f64,
     a: View<'_>,
     opa: Op,
@@ -206,9 +251,9 @@ pub(crate) fn gemm_impl(
     }
 
     match path.or_fallback() {
-        KernelPath::Scalar => gemm_blocked::<8, 4>(alpha, a, opa, b, opb, c, m, n, k),
-        KernelPath::Fma => gemm_blocked::<8, 6>(alpha, a, opa, b, opb, c, m, n, k),
-        KernelPath::Avx512 => gemm_blocked::<16, 12>(alpha, a, opa, b, opb, c, m, n, k),
+        KernelPath::Scalar => gemm_blocked::<8, 4>(pack, alpha, a, opa, b, opb, c, m, n, k),
+        KernelPath::Fma => gemm_blocked::<8, 6>(pack, alpha, a, opa, b, opb, c, m, n, k),
+        KernelPath::Avx512 => gemm_blocked::<16, 12>(pack, alpha, a, opa, b, opb, c, m, n, k),
     }
 }
 
@@ -217,11 +262,13 @@ pub(crate) fn gemm_impl(
 /// The shape names the micro-kernel ([`macro_kernel`]): 8×4 the scalar
 /// register tile, 8×6 AVX2+FMA, 16×12 AVX-512 — callers instantiate a SIMD
 /// shape only for a path [`KernelPath::or_fallback`] returned. The packing
-/// buffer is leased from the thread-local workspace arena — zero heap traffic
-/// once the arena is warm — and not cleared: every slab packs each element
-/// it reads, padding included.
+/// buffer is `pack` when the caller hands one in, else leased from the
+/// thread-local workspace arena — zero heap traffic once the arena is warm —
+/// and either way not cleared: every slab packs each element it reads,
+/// padding included.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<const MR: usize, const NR: usize>(
+    pack: Option<&mut [f64]>,
     alpha: f64,
     a: View<'_>,
     opa: Op,
@@ -232,7 +279,12 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     n: usize,
     k: usize,
 ) {
-    let (mut packed, a_len) = lease_panels::<MR, NR>(m, n, k);
+    let (len, a_len) = panels_len::<MR, NR>(m, n, k);
+    let mut leased = None;
+    let packed = match pack {
+        Some(pack) => &mut pack[..len],
+        None => leased.insert(workspace::take_scratch(len)).as_mut_slice(),
+    };
     let (packed_a, packed_b) = packed.split_at_mut(a_len);
 
     let mut pc = 0;
@@ -243,7 +295,17 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
         pc += kc;
     }
 
-    workspace::put(packed);
+    if let Some(buf) = leased {
+        workspace::put(buf);
+    }
+}
+
+/// Length of one buffer for both packed operands of an `m × n × k` product,
+/// and where the A panels end and the B panels begin.
+fn panels_len<const MR: usize, const NR: usize>(m: usize, n: usize, k: usize) -> (usize, usize) {
+    let kc = KC.min(k);
+    let a_len = padded(m, MR) * kc;
+    (a_len + kc * padded(n, NR), a_len)
 }
 
 /// One arena lease for both packed operands of an `m × n × k` product: the
@@ -253,9 +315,8 @@ pub(crate) fn lease_panels<const MR: usize, const NR: usize>(
     n: usize,
     k: usize,
 ) -> (Vec<f64>, usize) {
-    let kc = KC.min(k);
-    let a_len = padded(m, MR) * kc;
-    (workspace::take_scratch(a_len + kc * padded(n, NR)), a_len)
+    let (len, a_len) = panels_len::<MR, NR>(m, n, k);
+    (workspace::take_scratch(len), a_len)
 }
 
 fn padded(x: usize, r: usize) -> usize {

@@ -505,6 +505,15 @@ impl ViewMut<'_> {
         self.block
     }
 
+    /// Reborrows the whole block writable.
+    #[inline]
+    pub(crate) fn reborrow(&mut self) -> ViewMut<'_> {
+        ViewMut {
+            block: self.block,
+            _borrow: PhantomData,
+        }
+    }
+
     /// The `nr × nc` sub-block starting at `(r0, c0)`, writable.
     #[inline]
     pub(crate) fn sub(&mut self, block: Block) -> ViewMut<'_> {

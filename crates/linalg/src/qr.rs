@@ -53,10 +53,9 @@
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
-use crate::blas1;
-use crate::blas3::{gemm_view, Op};
+use crate::blas3::{self, gemm_view, gemm_view_in, Op};
 use crate::matrix::{Matrix, View, ViewMut};
-use crate::workspace;
+use crate::{blas1, team, workspace};
 
 /// Panel width for factoring, applying or forming `k` reflectors: 16 columns,
 /// and 32 from `k = 512` up, where the matrix has left the cache and a
@@ -312,14 +311,53 @@ fn panel_vt(a: &Matrix, tau: &[f64], j0: usize, nb: usize) -> (Matrix, Matrix) {
     (v, t)
 }
 
+/// Flops of a block reflector (`4·rows·cols·nb`) from which it splits its
+/// target's columns over the team: measured in DESIGN.md §8.
+pub const SPLIT_FLOPS: usize = 4 * 160 * 144 * 16;
+
+/// Columns of C a range of a split block reflector takes through its three
+/// products at a time, so a range's scratch (the packed block of C above
+/// all) stays a few hundred KB at any width; a multiple of every tile width.
+const BLOCK_COLS: usize = 60;
+
 /// Applies the block reflector in place: `C := (I − V Tᵀ Vᵀ) C` when `trans`,
 /// `C := (I − V T Vᵀ) C` otherwise. `c` is the block the reflector acts on
-/// (as many rows as `v`), updated where it lives; the two W products are
-/// staged in the workspace arena.
-fn apply_block_reflector(v: View<'_>, t: View<'_>, trans: bool, c: ViewMut<'_>) {
-    let n = c.ncols();
-    let nb = v.ncols();
-    if n == 0 || c.nrows() == 0 {
+/// (as many rows as `v`), updated where it lives; W and TW are staged in
+/// the workspace arena.
+///
+/// Every column of C is updated from its own column of `W = Vᵀ C` alone, so
+/// from [`SPLIT_FLOPS`] on the columns are split over the team
+/// (`team::split_columns`), and each range runs the three products on its
+/// own columns, [`BLOCK_COLS`] at a time: the bits of the one-range call, a
+/// GEMM element's arithmetic depending on `k` alone. A range's W, TW and
+/// packing buffer are one lease of the caller's.
+fn apply_block_reflector(v: View<'_>, t: View<'_>, trans: bool, mut c: ViewMut<'_>) {
+    let (rows, n, nb) = (c.nrows(), c.ncols(), v.ncols());
+    if n == 0 || rows == 0 {
+        return;
+    }
+    let scratch_len = |w: usize| {
+        let w = w.min(BLOCK_COLS);
+        let pack = [(nb, rows), (nb, nb), (rows, nb)].map(|(m, k)| blas3::pack_len(m, w, k));
+        2 * nb * w + pack.into_iter().max().unwrap_or(0)
+    };
+    let opt = if trans { Op::Trans } else { Op::NoTrans };
+    let split = 4 * rows * n * nb >= SPLIT_FLOPS;
+    let done = team::split_columns(c.reborrow(), split, scratch_len, |mut cols, scratch| {
+        let n = cols.ncols();
+        for j in (0..n).step_by(BLOCK_COLS) {
+            let width = BLOCK_COLS.min(n - j);
+            let c = cols.sub((0, j, rows, width));
+            let (w, rest) = scratch.split_at_mut(nb * width);
+            let (tw, pack) = rest.split_at_mut(nb * width);
+            let (mut w, mut tw) = (ViewMut::of_columns(w, nb), ViewMut::of_columns(tw, nb));
+            let (ct, nt) = (Op::Trans, Op::NoTrans);
+            gemm_view_in(Some(pack), 1.0, v, ct, c.as_view(), nt, 0.0, w.reborrow());
+            gemm_view_in(Some(pack), 1.0, t, opt, w.as_view(), nt, 0.0, tw.reborrow());
+            gemm_view_in(Some(pack), -1.0, v, nt, tw.as_view(), nt, 1.0, c);
+        }
+    });
+    if done {
         return;
     }
     // W = Vᵀ C  (nb × n)
@@ -335,7 +373,6 @@ fn apply_block_reflector(v: View<'_>, t: View<'_>, trans: bool, c: ViewMut<'_>) 
     );
     // W := T W or Tᵀ W
     let mut tw = workspace::take_matrix(nb, n);
-    let opt = if trans { Op::Trans } else { Op::NoTrans };
     gemm_view(1.0, t, opt, w.view(), Op::NoTrans, 0.0, tw.view_mut());
     // C := C − V W
     gemm_view(-1.0, v, Op::NoTrans, tw.view(), Op::NoTrans, 1.0, c);

@@ -48,11 +48,59 @@ pub struct QrpFactors {
     pub jpvt: Vec<usize>,
 }
 
+/// Columns whose dot-product chains [`dots`] runs side by side.
+const CHAINS: usize = 8;
+
+/// `out[i] = c[jj] + Σ_{r > jj} v[r]·c[r]` for `v = a.col(jj)` and each
+/// column `c = a.col(first + i)`: the dot products of step 4 (module docs),
+/// `vⱼ` having an implicit 1 at row `jj`.
+type Dots = fn(&Matrix, usize, usize, &mut [f64]);
+
+/// [`Dots`] with each column's sum one unfused chain in ascending row
+/// order — the one-column loop's bits — and [`CHAINS`] columns' chains
+/// interleaved, then four, then one at a time: a lone chain waits on its
+/// add's latency at every row, eight in flight share the wait.
+fn dots(a: &Matrix, jj: usize, first: usize, out: &mut [f64]) {
+    let mut done = 0;
+    while out.len() - done >= CHAINS {
+        dot_chains::<CHAINS>(a, jj, first + done, &mut out[done..done + CHAINS]);
+        done += CHAINS;
+    }
+    if out.len() - done >= 4 {
+        dot_chains::<4>(a, jj, first + done, &mut out[done..done + 4]);
+        done += 4;
+    }
+    for i in done..out.len() {
+        dot_chains::<1>(a, jj, first + i, &mut out[i..=i]);
+    }
+}
+
+/// `K` chains of [`dots`]: columns `first..first + K` into `out`.
+#[inline(always)]
+fn dot_chains<const K: usize>(a: &Matrix, jj: usize, first: usize, out: &mut [f64]) {
+    let m = a.nrows();
+    let v = &a.col(jj)[jj + 1..m];
+    let cols: [&[f64]; K] = std::array::from_fn(|i| &a.col(first + i)[jj..m]);
+    let mut s: [f64; K] = std::array::from_fn(|i| cols[i][0]);
+    for (r, &vr) in v.iter().enumerate() {
+        for i in 0..K {
+            s[i] += vr * cols[i][r + 1];
+        }
+    }
+    out.copy_from_slice(&s);
+}
+
 /// Pivoted QR factorization (DGEQP3 analogue). Consumes `a`.
+// dqmc-lint: allow(unchecked_kernel) — delegates to `qrp_with`, which checks.
+pub fn qrp_in_place(a: Matrix) -> QrpFactors {
+    qrp_with(a, dots)
+}
+
+/// [`qrp_in_place`] with the dot products of step 4 from `dots`.
 // dqmc-lint: allow(hot_alloc) — tau/jpvt are the returned factor payload and
 // vn1/vn2 the once-per-factorization norm bookkeeping; per-panel scratch goes
 // through the workspace arena.
-pub fn qrp_in_place(mut a: Matrix) -> QrpFactors {
+fn qrp_with(mut a: Matrix, dots: Dots) -> QrpFactors {
     let m = a.nrows();
     let n = a.ncols();
     // Pivot selection compares column norms, so a NaN/Inf input is a hard
@@ -79,6 +127,7 @@ pub fn qrp_in_place(mut a: Matrix) -> QrpFactors {
             &mut vn1,
             &mut vn2,
             tol3z,
+            dots,
         );
         j0 += nf;
     }
@@ -101,6 +150,7 @@ fn factor_panel(
     vn1: &mut [f64],
     vn2: &mut [f64],
     tol3z: f64,
+    dots: Dots,
 ) -> usize {
     let m = a.nrows();
     let n = a.ncols();
@@ -155,35 +205,19 @@ fn factor_panel(
         //    columns lag behind by the panel reflectors, so correct with
         //    F(:,j) -= tau_j F(:,0:j) (Vᵀ v_j).
         if tj != 0.0 {
-            // Raw products against stored columns (level-2 sweep — this is
-            // the unavoidable DGEQP3 bottleneck).
+            // Raw products against the stored trailing columns (level-2
+            // sweep — this is the unavoidable DGEQP3 bottleneck).
             {
-                let vj_col = a.col(jj);
                 let fcol = f.col_mut(j);
                 fcol[..=j].fill(0.0);
-                for (off, out) in fcol[j + 1..].iter_mut().enumerate() {
-                    let c = a.col(j0 + j + 1 + off);
-                    // v_j has implicit 1 at row jj.
-                    let mut s = c[jj];
-                    for r in (jj + 1)..m {
-                        s += vj_col[r] * c[r];
-                    }
-                    *out = tj * s;
-                }
+                dots(a, jj, jj + 1, &mut fcol[j + 1..]);
+                fcol[j + 1..].iter_mut().for_each(|x| *x *= tj);
             }
             // w_l = v_lᵀ v_j over rows jj..m (v_j vanishes above jj).
             // j < nb ≤ NB, so stack scratch suffices.
             if j > 0 {
                 let mut w = [0.0f64; NB];
-                for (l, wl) in w[..j].iter_mut().enumerate() {
-                    let vl = a.col(j0 + l);
-                    let vj = a.col(jj);
-                    let mut s = vl[jj]; // v_j(jj) = 1
-                    for r in (jj + 1)..m {
-                        s += vl[r] * vj[r];
-                    }
-                    *wl = s;
-                }
+                dots(a, jj, j0, &mut w[..j]);
                 // F(:, j) -= tau_j * F(:, 0:j) * w
                 for i in 0..(n - j0) {
                     let mut s = 0.0;
@@ -222,6 +256,8 @@ fn factor_panel(
         }
         if must_stop {
             nf = j + 1;
+            #[cfg(test)]
+            tests::EARLY_EXITS.with(|n| n.set(n.get() + usize::from(nf < nb)));
             break;
         }
     }
@@ -333,7 +369,76 @@ impl QrpFactors {
 mod tests {
     use super::*;
     use crate::blas3::matmul;
+    use std::cell::Cell;
     use util::Rng;
+
+    thread_local! {
+        /// Panels this thread ended early (a norm recompute, `nf < nb`).
+        pub(super) static EARLY_EXITS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The F products as they ran before [`dots`] interleaved them: one
+    /// chain per column, one column after another.
+    fn dots_one_chain(a: &Matrix, jj: usize, first: usize, out: &mut [f64]) {
+        let m = a.nrows();
+        let v = a.col(jj);
+        for (off, out) in out.iter_mut().enumerate() {
+            let c = a.col(first + off);
+            let mut s = c[jj];
+            for r in (jj + 1)..m {
+                s += v[r] * c[r];
+            }
+            *out = s;
+        }
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn interleaved_chains_give_the_one_chain_bits() {
+        // Random, column-graded over 60 decades, and rank-deficient (rank
+        // n/4 + 1, never a multiple of the panel width: the downdates of the
+        // column that completes the rank find the trailing norms collapsed
+        // and end the panel early); orders on both sides of an 8-wide chain
+        // block and the paper's N.
+        for n in [7, 36, 64, 97, 256] {
+            let mut rng = Rng::new(1500 + n as u64);
+            let random = Matrix::random(n, n, &mut rng);
+            let mut graded = Matrix::random(n, n, &mut rng);
+            for j in 0..n {
+                let s = 10f64.powi((j * 7 % n) as i32 * 60 / n as i32 - 30);
+                crate::blas1::scal(s, graded.col_mut(j));
+            }
+            let rank = n / 4 + 1;
+            let (u, v) = (
+                Matrix::random(n, rank, &mut rng),
+                Matrix::random(n, rank, &mut rng),
+            );
+            let deficient = matmul(&u, Op::NoTrans, &v, Op::Trans);
+            for (what, a) in [
+                ("random", random),
+                ("graded", graded),
+                ("deficient", deficient),
+            ] {
+                let before = EARLY_EXITS.with(Cell::get);
+                let got = qrp_in_place(a.clone());
+                if what == "deficient" {
+                    let early = EARLY_EXITS.with(Cell::get) - before;
+                    assert!(early > 0, "n={n}: no rank-deficient panel ended early");
+                }
+                let want = qrp_with(a, dots_one_chain);
+                assert_eq!(
+                    bits(got.a.as_slice()),
+                    bits(want.a.as_slice()),
+                    "{what} n={n}: a"
+                );
+                assert_eq!(bits(&got.tau), bits(&want.tau), "{what} n={n}: tau");
+                assert_eq!(got.jpvt, want.jpvt, "{what} n={n}: jpvt");
+            }
+        }
+    }
 
     /// Checks A P = Q R column by column, with per-column relative error
     /// (columns of graded matrices carry wildly different scales).

@@ -48,6 +48,8 @@ use std::time::{Duration, Instant};
 use util::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use util::sync::{relock, Condvar, Mutex};
 
+use crate::matrix::ViewMut;
+
 /// Work (in flops of one fork) under which a kernel asks for a single chunk.
 ///
 /// Measured on the 2-core reference host with `bench --bin fig1` (free ÷
@@ -533,6 +535,53 @@ pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) 
     for_each_chunk(items.len(), |i| f(i, unsafe { &mut *base.get(i) }));
 }
 
+/// Ranges a column split cuts: two, the reference host having two cores.
+const COLUMN_PARTS: usize = 2;
+
+/// Every range of a column split but the last is a multiple of this many
+/// columns: whole register tiles of every kernel path (4, 6 and 12 wide).
+const PART_ALIGN: usize = 12;
+
+/// The column split, the team's third grain: runs `f(cols, scratch)` for
+/// each of [`COLUMN_PARTS`] ranges `cols` of the columns of `target` — all
+/// but the last a multiple of [`PART_ALIGN`] wide — as one job of
+/// [`for_each_chunk`], and returns true. Returns false, having run nothing,
+/// when the caller is under its cut (`split` false), the columns are too
+/// few to cut, there is no helper or the team is taken: then the caller
+/// runs its one-range code, which `f` must reproduce column for column, so
+/// neither the ranges nor who runs them reaches a bit. (A split on one
+/// thread would only cost: every range repacks the shared operand.)
+///
+/// Each range's `scratch` is `scratch_len(width)` elements with unspecified
+/// contents, `width` being the widest range, leased by the *caller* from
+/// its own arena: a helper that runs a range packs into the caller's memory
+/// and parks nothing of its own.
+pub(crate) fn split_columns(
+    mut target: ViewMut<'_>,
+    split: bool,
+    scratch_len: impl Fn(usize) -> usize,
+    f: impl Fn(ViewMut<'_>, &mut [f64]) + Sync,
+) -> bool {
+    let n = target.ncols();
+    let width = n.div_ceil(COLUMN_PARTS).next_multiple_of(PART_ALIGN).min(n);
+    let parted = width > 0 && n.div_ceil(width) == COLUMN_PARTS;
+    if !split || !parted || helpers() == 0 || TEAM.taken.load(Ordering::Relaxed) {
+        return false;
+    }
+    let len = scratch_len(width);
+    let mut scratch: [Vec<f64>; COLUMN_PARTS] =
+        std::array::from_fn(|_| crate::workspace::take_scratch(len));
+    let columns = target.shards();
+    for_each_mut(&mut scratch, |i, buf| {
+        let first = i * width;
+        // SAFETY: range i alone covers columns first..first + width.
+        let cols = unsafe { columns.cols(first, width.min(n - first)) };
+        f(cols, buf);
+    });
+    scratch.into_iter().rev().for_each(crate::workspace::put);
+    true
+}
+
 /// Runs `f(0, &mut work[0], ·)` and `f(1, &mut work[1], ·)` on two threads
 /// at the same time, and returns true when both have finished; the two sides
 /// trade one `f64` per step through [`Partner::swap`]. Returns false, having
@@ -551,6 +600,24 @@ pub fn lockstep<T: Send>(
     // element `i` is borrowed by side `i` alone, and `work` stays
     // exclusively borrowed until both sides have returned.
     helpers() > 0 && TEAM.lockstep(&|i, partner| f(i, unsafe { &mut *base.get(i) }, partner))
+}
+
+/// Bytes parked in the workspace arena of a team helper, read on that
+/// helper (test hook for the memory bound of a sweep). `None` when the
+/// process has no helper or none joined a [`lockstep`] pair within a few
+/// tries (the team taken, say by a [`hold`]). With more than one helper it
+/// reads whichever joined.
+#[doc(hidden)]
+pub fn helper_pooled_bytes() -> Option<usize> {
+    let caller = std::thread::current().id();
+    let parked = crate::workspace::pooled_bytes;
+    (0..100).find_map(|_| {
+        let mut seen = [None, None];
+        let paired = lockstep(&mut seen, |_, seen, _| {
+            *seen = (std::thread::current().id() != caller).then(parked);
+        });
+        paired.then(|| seen.into_iter().flatten().next()).flatten()
+    })
 }
 
 /// Takes the team until the guard drops, so every kernel meanwhile — on any

@@ -14,8 +14,9 @@
 //! allocation in its non-test code unless a pragma justifies it.
 #![cfg_attr(any(), deny_hot_alloc)]
 
-use crate::blas3::{gemm_view, Op};
+use crate::blas3::{self, gemm_view_in, Op};
 use crate::matrix::{Matrix, View, ViewMut};
+use crate::team;
 
 /// Largest diagonal block the recursion hands to the level-2 loops.
 const NB: usize = 32;
@@ -125,50 +126,128 @@ enum Kind {
     MulUpper,
 }
 
-/// The recursive blocked driver shared by the three kernels. `A` and `B` are
-/// halved by rows, `[A11 A12; A21 A22]` and `[B1; B2]`: each half is handled
-/// by recursion and the off-diagonal block couples them with one GEMM, placed
-/// where its input half is in the state the operation needs. A block of at
-/// most [`NB`] rows (or [`LEVEL2_FLOPS`] multiply-adds) runs `diag`, the
-/// level-2 kernel on its triangle. Each `diag` takes one column of the
-/// triangle across every column of `B` before the next: the columns of `B`
-/// are independent, so their dependency chains overlap.
+/// Multiply-adds (`n² · ncols`) from which a call splits the columns of `B`
+/// over the team: measured in DESIGN.md §8.
+pub const SPLIT_FLOPS: usize = 88 * 88 * 88;
+
+/// Whether an order-`n` block of a call with `ncols` right-hand sides in all
+/// runs `diag` alone. Always the whole call's `ncols`, also inside a range
+/// of a column split, so the split cannot move a block across the line.
+fn level2(n: usize, ncols: usize) -> bool {
+    n <= NB || n * n * ncols <= LEVEL2_FLOPS
+}
+
+/// The blocked driver shared by the three kernels: a call of at most
+/// [`LEVEL2_FLOPS`] runs `diag` alone, a larger one [`recurse`]. From
+/// [`SPLIT_FLOPS`] on, the columns of `B` are split over the team
+/// (`team::split_columns`) and each range recurses on its own columns.
+/// Every column of `B` is transformed on its own (each `diag` column and
+/// each GEMM element depends on that column alone), so a range gives the
+/// bits of the whole call. A range's GEMMs pack into a lease of the
+/// caller's.
 fn blocked(
     kind: Kind,
     a: View<'_>,
     mut b: ViewMut<'_>,
-    diag: &impl Fn(View<'_>, &mut ViewMut<'_>),
+    diag: &(impl Fn(View<'_>, &mut ViewMut<'_>) + Sync),
 ) {
     let (n, ncols) = (b.nrows(), b.ncols());
-    if n <= NB || n * n * ncols <= LEVEL2_FLOPS {
+    if level2(n, ncols) {
         diag(a, &mut b);
         return;
     }
-    let h = (n / 2).next_multiple_of(NB);
-    let (top, bottom) = ((0, 0, h, ncols), (h, 0, n - h, ncols));
+    // The top level's GEMM is the largest of the recursion.
+    let half = split_row(n).max(n - split_row(n));
+    let pack_len = |w: usize| blas3::pack_len(half, w, half);
+    let split = n * n * ncols >= SPLIT_FLOPS;
+    let done = team::split_columns(b.reborrow(), split, pack_len, |b, pack| {
+        recurse(kind, a, b, ncols, Some(pack), diag);
+    });
+    if !done {
+        recurse(kind, a, b, ncols, None, diag);
+    }
+}
+
+/// Where the recursion halves an order-`n` triangle: a multiple of [`NB`].
+fn split_row(n: usize) -> usize {
+    (n / 2).next_multiple_of(NB)
+}
+
+/// The recursion of [`blocked`] on columns of `B` of a call with `ncols`
+/// right-hand sides. `A` and `B` are halved by rows, `[A11 A12; A21 A22]`
+/// and `[B1; B2]`: each half is handled by recursion and the off-diagonal
+/// block couples them with one GEMM (packing in `pack`, else in a leased
+/// buffer), placed where its
+/// input half is in the state the operation needs. A block of at most
+/// [`NB`] rows (or [`LEVEL2_FLOPS`] multiply-adds) runs `diag`, the level-2
+/// kernel on its triangle. Each `diag` takes one column of the triangle
+/// across every column of `B` before the next: the columns of `B` are
+/// independent, so their dependency chains overlap.
+fn recurse(
+    kind: Kind,
+    a: View<'_>,
+    mut b: ViewMut<'_>,
+    ncols: usize,
+    mut pack: Option<&mut [f64]>,
+    diag: &impl Fn(View<'_>, &mut ViewMut<'_>),
+) {
+    let (n, w) = (b.nrows(), b.ncols());
+    if level2(n, ncols) {
+        diag(a, &mut b);
+        return;
+    }
+    let h = split_row(n);
+    let (top, bottom) = ((0, 0, h, w), (h, 0, n - h, w));
     let (a11, a22) = (a.sub((0, 0, h, h)), a.sub((h, h, n - h, n - h)));
     let (a12, a21) = (a.sub((0, h, h, n - h)), a.sub((h, 0, n - h, h)));
     match kind {
         // B1 := L11⁻¹ B1;  B2 −= L21 B1;  B2 := L22⁻¹ B2.
         Kind::SolveLower => {
-            blocked(kind, a11, b.sub(top), diag);
+            recurse(kind, a11, b.sub(top), ncols, pack.as_deref_mut(), diag);
             let (b2, [b1]) = b.split(bottom, [top]);
-            gemm_view(-1.0, a21, Op::NoTrans, b1, Op::NoTrans, 1.0, b2);
-            blocked(kind, a22, b.sub(bottom), diag);
+            gemm_view_in(
+                pack.as_deref_mut(),
+                -1.0,
+                a21,
+                Op::NoTrans,
+                b1,
+                Op::NoTrans,
+                1.0,
+                b2,
+            );
+            recurse(kind, a22, b.sub(bottom), ncols, pack, diag);
         }
         // B2 := U22⁻¹ B2;  B1 −= U12 B2;  B1 := U11⁻¹ B1.
         Kind::SolveUpper => {
-            blocked(kind, a22, b.sub(bottom), diag);
+            recurse(kind, a22, b.sub(bottom), ncols, pack.as_deref_mut(), diag);
             let (b1, [b2]) = b.split(top, [bottom]);
-            gemm_view(-1.0, a12, Op::NoTrans, b2, Op::NoTrans, 1.0, b1);
-            blocked(kind, a11, b.sub(top), diag);
+            gemm_view_in(
+                pack.as_deref_mut(),
+                -1.0,
+                a12,
+                Op::NoTrans,
+                b2,
+                Op::NoTrans,
+                1.0,
+                b1,
+            );
+            recurse(kind, a11, b.sub(top), ncols, pack, diag);
         }
         // B1 := U11 B1;  B1 += U12 B2 (B2 still the input);  B2 := U22 B2.
         Kind::MulUpper => {
-            blocked(kind, a11, b.sub(top), diag);
+            recurse(kind, a11, b.sub(top), ncols, pack.as_deref_mut(), diag);
             let (b1, [b2]) = b.split(top, [bottom]);
-            gemm_view(1.0, a12, Op::NoTrans, b2, Op::NoTrans, 1.0, b1);
-            blocked(kind, a22, b.sub(bottom), diag);
+            gemm_view_in(
+                pack.as_deref_mut(),
+                1.0,
+                a12,
+                Op::NoTrans,
+                b2,
+                Op::NoTrans,
+                1.0,
+                b1,
+            );
+            recurse(kind, a22, b.sub(bottom), ncols, pack, diag);
         }
     }
 }

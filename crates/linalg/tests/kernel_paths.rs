@@ -49,7 +49,7 @@ use common::*;
 use linalg::blas3::{gemm_naive, matmul};
 use linalg::kron::{self, mode_product_on, Route, DIRECT_CUT};
 use linalg::simd::DIRECT_MAX_ORDER;
-use linalg::{gemm_with_kernel, team, tri, workspace, KernelPath, Matrix, Op};
+use linalg::{gemm_with_kernel, qr, team, tri, workspace, KernelPath, Matrix, Op};
 use std::cell::RefCell;
 
 thread_local! {
@@ -662,6 +662,85 @@ fn held_and_free_runs_of_every_grid_are_bit_identical() {
     let free = run();
     assert!(held.len() > 1_000_000, "the grids recorded their results");
     assert!(held == free, "a helper-run chunk changed a result bit");
+}
+
+/// The smallest order whose first trailing update in `qr_in_place` (`n`
+/// rows, `n − 16` columns, a 16-wide panel) reaches `qr::SPLIT_FLOPS`.
+fn qr_cut_order() -> usize {
+    (17..)
+        .find(|&n| 4 * 16 * n * (n - 16) >= qr::SPLIT_FLOPS)
+        .expect("some order splits")
+}
+
+/// The smallest order whose square right-hand side reaches
+/// `tri::SPLIT_FLOPS`.
+fn tri_cut_order() -> usize {
+    (1..)
+        .find(|&n| n * n * n >= tri::SPLIT_FLOPS)
+        .expect("some order splits")
+}
+
+fn bits_of(x: &[f64]) -> impl Iterator<Item = u64> + '_ {
+    x.iter().map(|v| v.to_bits())
+}
+
+/// Every kernel that splits columns over the team, at orders on both sides
+/// of each cut and 255/256/257: `qr_in_place` + `into_q`, `form_q` and
+/// `apply_qt` of a tall QR, `qrp_in_place`, the three triangular kernels
+/// and `LuFactors::solve_in_place` on right-hand sides of the order's
+/// width, prime widths and a rectangular 2n + 1. The bits of every result,
+/// in order.
+fn column_split_grid() -> Vec<u64> {
+    let (q, t) = (qr_cut_order(), tri_cut_order());
+    let mut out = Vec::new();
+    for n in [t - 1, t, t + 1, q - 1, q, q + 1, 255, 256, 257] {
+        let mut rng = util::Rng::new(1600 + n as u64);
+        let a = Matrix::random(n, n, &mut rng);
+        let f = qr::qr_in_place(a.clone());
+        out.extend(bits_of(f.a.as_slice()).chain(bits_of(&f.tau)));
+        out.extend(bits(&f.into_q()));
+        let tall = qr::qr_in_place(Matrix::random(n, n / 2 + 3, &mut rng));
+        out.extend(bits(&tall.form_q()));
+        let mut c = Matrix::random(n, 131, &mut rng);
+        tall.apply_qt(&mut c);
+        out.extend(bits(&c));
+        let p = linalg::qrp::qrp_in_place(a.clone());
+        out.extend(bits_of(p.a.as_slice()).chain(bits_of(&p.tau)));
+        out.extend(p.jpvt.iter().map(|&j| j as u64));
+        let tri_a = conditioned(n, &mut rng);
+        let lu = linalg::lu::lu_in_place(tri_a.clone()).expect("well conditioned");
+        for w in [n, 97, 131, 2 * n + 1] {
+            let b = Matrix::random(n, w, &mut rng);
+            let kernels: [TriKernel; 3] = [tri::trmm_upper, tri::trsm_upper, tri::trsm_lower_unit];
+            for kernel in kernels {
+                let mut x = b.clone();
+                kernel(&tri_a, &mut x);
+                out.extend(bits(&x));
+            }
+            let mut x = b;
+            lu.solve_in_place(&mut x);
+            out.extend(bits(&x));
+        }
+    }
+    out
+}
+
+#[test]
+fn column_splits_give_held_runs_bit_for_bit() {
+    // Held, every kernel runs its columns as one range on this thread;
+    // free, the ones past their cut split them over the team. Each column
+    // is computed on its own, so the two must agree to the bit.
+    assert!(
+        tri_cut_order() > 80,
+        "the tri cut sits above the level-2 line"
+    );
+    let held = {
+        let _one_thread = team::hold();
+        column_split_grid()
+    };
+    let free = column_split_grid();
+    assert_eq!(held.len(), free.len());
+    assert!(held == free, "a column split changed a result bit");
 }
 
 /// NaN in the `count` buffers of `len` elements this thread's arena will
