@@ -18,7 +18,9 @@
 //! column repeats the one to its left. The scalar tile fuses through
 //! `f64::mul_add` (the other tiles' bits), which a build without a native
 //! FMA makes a libm call per multiply-add: its column times that, not an
-//! unfused loop. QR and QRP run free. Results are also
+//! unfused loop. QR and QRP run held and free: past its cut, the QR's block
+//! reflectors split their columns over the team (`linalg::team`'s column
+//! split), while QRP's level-2 panel stays on one core. Results are also
 //! written to `BENCH_fig1.json` (with `host_cores` and `cpu_model`) for the
 //! checked-in benchmark artifact.
 //!
@@ -45,7 +47,9 @@ struct Row {
     gemm_scalar: f64,
     gemm_fma: f64,
     qr: f64,
+    qr_held: f64,
     qrp: f64,
+    qrp_held: f64,
     syev_ms: f64,
 }
 
@@ -75,7 +79,9 @@ fn main() {
         "speedup",
         "dgemm",
         "team",
+        "dgeqrf(held)",
         "dgeqrf",
+        "dgeqp3(held)",
         "dgeqp3",
         "dsyev ms",
     ]);
@@ -91,15 +97,17 @@ fn main() {
                 gemm_with_kernel(path, 1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut c);
             })
         };
+        let time_qr = || per_call(n, GEMM_WORK, || linalg::qr::qr_in_place(a.clone()));
+        let time_qrp = || per_call(n, GEMM_WORK, || linalg::qrp::qrp_in_place(a.clone()));
         // Held first: the scalar column is the longest run of the row, and at
         // N = 16 — the first row — it is what brings the core up to speed.
-        let [t_gemm_scalar, t_gemm_fma, t_gemm_held] = {
+        let ([t_gemm_scalar, t_gemm_fma, t_gemm_held], t_qr_held, t_qrp_held) = {
             let _one_thread = linalg::team::hold();
-            [KernelPath::Scalar, KernelPath::Fma, dispatched].map(&mut time_gemm)
+            let gemm = [KernelPath::Scalar, KernelPath::Fma, dispatched].map(&mut time_gemm);
+            (gemm, time_qr(), time_qrp())
         };
         let t_gemm = time_gemm(dispatched);
-        let t_qr = per_call(n, GEMM_WORK, || linalg::qr::qr_in_place(a.clone()));
-        let t_qrp = per_call(n, GEMM_WORK, || linalg::qrp::qrp_in_place(a.clone()));
+        let (t_qr, t_qrp) = (time_qr(), time_qrp());
         // The eigensolver is mostly level-2 work: a tenth of the budget
         // still times ≥ 3 calls per size and keeps the run near a minute.
         let k = lattice_k(n);
@@ -113,7 +121,9 @@ fn main() {
             gemm_scalar: flops_gemm(n) / t_gemm_scalar / 1e9,
             gemm_fma: flops_gemm(n) / t_gemm_fma / 1e9,
             qr: flops_qr(n) / t_qr / 1e9,
+            qr_held: flops_qr(n) / t_qr_held / 1e9,
             qrp: flops_qr(n) / t_qrp / 1e9,
+            qrp_held: flops_qr(n) / t_qrp_held / 1e9,
             syev_ms: t_syev * 1e3,
         };
         table.row(vec![
@@ -124,7 +134,9 @@ fn main() {
             fmt_f(row.gemm_held / row.gemm_scalar, 2),
             fmt_f(row.gemm, 2),
             fmt_f(row.gemm / row.gemm_held, 2),
+            fmt_f(row.qr_held, 2),
             fmt_f(row.qr, 2),
+            fmt_f(row.qrp_held, 2),
             fmt_f(row.qrp, 2),
             fmt_f(row.syev_ms, 3),
         ]);
@@ -209,8 +221,8 @@ fn render_json(dispatched: KernelPath, host_cores: usize, rows: &[Row]) -> Strin
         s.push_str(&format!(
             "    {{\"n\": {}, \"gemm_gflops\": {:.3}, \"gemm_held_gflops\": {:.3}, \
              \"gemm_fma_gflops\": {:.3}, \"gemm_scalar_gflops\": {:.3}, \
-             \"gemm_speedup\": {:.3}, \"qr_gflops\": {:.3}, \"qrp_gflops\": {:.3}, \
-             \"syev_ms\": {:.3}}}{}\n",
+             \"gemm_speedup\": {:.3}, \"qr_gflops\": {:.3}, \"qr_held_gflops\": {:.3}, \
+             \"qrp_gflops\": {:.3}, \"qrp_held_gflops\": {:.3}, \"syev_ms\": {:.3}}}{}\n",
             r.n,
             r.gemm,
             r.gemm_held,
@@ -218,7 +230,9 @@ fn render_json(dispatched: KernelPath, host_cores: usize, rows: &[Row]) -> Strin
             r.gemm_scalar,
             r.gemm_held / r.gemm_scalar,
             r.qr,
+            r.qr_held,
             r.qrp,
+            r.qrp_held,
             r.syev_ms,
             if i + 1 == rows.len() { "" } else { "," }
         ));

@@ -50,6 +50,16 @@
 //! [`crate::workspace`] arena, so a steady-state factorization allocates
 //! nothing; `cargo xtask lint` enforces this via the `deny_hot_alloc` tag
 //! below.
+//!
+//! A column of the reflector's target is updated from its own column of
+//! `W = Vᵀ C` alone, so from [`SPLIT_FLOPS`] on, with the team free, the
+//! target's columns are split into two ranges, one team chunk each
+//! (`team::split_columns`): at order 256, the trailing updates of the
+//! panels at `j0` ≤ 64 and the `form_q` / `apply_q` panels of the same
+//! sizes. The GEMM slabs' own forks had left the second core idle
+//! here (QR + `form_q` at N = 256: 1.29 ms free against 1.22 held); the
+//! split runs it in ≈ 1.17 ms free, and the held path is the code it
+//! replaced (DESIGN.md §8).
 
 #![cfg_attr(any(), deny_hot_alloc)]
 
@@ -312,8 +322,10 @@ fn panel_vt(a: &Matrix, tau: &[f64], j0: usize, nb: usize) -> (Matrix, Matrix) {
 }
 
 /// Flops of a block reflector (`4·rows·cols·nb`) from which it splits its
-/// target's columns over the team: measured in DESIGN.md §8.
-pub const SPLIT_FLOPS: usize = 4 * 160 * 144 * 16;
+/// target's columns over the team, measured on `qr_in_place` + `into_q`
+/// (DESIGN.md §8): at N = 256 the splits take it from 1.31 to 1.17 ms free;
+/// a cut low enough to split at N = 160 made N = 160–224 up to 8 % slower.
+pub const SPLIT_FLOPS: usize = 2_000_000;
 
 /// Columns of C a range of a split block reflector takes through its three
 /// products at a time, so a range's scratch (the packed block of C above
@@ -360,6 +372,10 @@ fn apply_block_reflector(v: View<'_>, t: View<'_>, trans: bool, mut c: ViewMut<'
     if done {
         return;
     }
+    // One range: W, TW and the packing buffers leased in turn, as before
+    // the split existed. What the pool keeps follows the order of its
+    // leases: W and TW leased together left a 12×12 walker's pool at
+    // 1 037 824 B instead of 766 208, past its bound (DESIGN.md §8).
     // W = Vᵀ C  (nb × n)
     let mut w = workspace::take_matrix(nb, n);
     gemm_view(

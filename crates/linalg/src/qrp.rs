@@ -17,6 +17,16 @@
 //! one: 32 → 16 → 8 columns read 38 → 26 → 21 µs at n = 36 and 4.1 → 3.6 →
 //! 3.4 ms at n = 256 (4 columns: 18.5 µs, 3.3–3.6 ms — inside the spread).
 //!
+//! The level-2 products of step 4 — one dot product per trailing column,
+//! each an unfused chain in ascending row order — run eight columns'
+//! chains interleaved (`dots`): a lone chain waits out the add's latency
+//! at every row. Each chain keeps its order, so `jpvt`, `tau` and the
+//! packed factors keep their bits (a `#[cfg(test)]` one-chain reference
+//! holds them to it), and `qrp_in_place` at N = 256 went from 3.9 to
+//! 1.85 ms. Measured against: splitting the same products over the team
+//! (two column ranges per step) made it slower, because the trailing
+//! columns move between the cores' caches at every step (DESIGN.md §8).
+//!
 //! Per-panel staging (the F matrix, flag buffer) comes from the
 //! [`crate::workspace`] arena, the trailing update runs in place and the
 //! per-column scratch is stack-allocated, so a steady-state factorization

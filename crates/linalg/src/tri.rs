@@ -10,6 +10,16 @@
 //! below. Calls of at most `LEVEL2_FLOPS` multiply-adds — every N = 16/36
 //! caller — are one diagonal block and never reach GEMM.
 //!
+//! Every column of `B` is transformed on its own, so from [`SPLIT_FLOPS`]
+//! on a call with the team free splits `B`'s columns into two ranges, one
+//! team chunk each (`team::split_columns`), and each range runs the whole
+//! recursion on its columns — the level-2 blocks included, which the GEMM
+//! slabs' own forks never reached. The recursion's level-2 line is drawn
+//! from the whole call's column count, so a range takes the path the whole
+//! call would and gives its bits. At N = 256 with N right-hand sides this
+//! takes `trmm_upper` and each substitution from ≈ 0.45 to ≈ 0.26 ms, and
+//! `LuFactors::solve_in_place` from 0.89 to 0.50 ms (DESIGN.md §8).
+//!
 //! This module is tagged `deny_hot_alloc`: `cargo xtask lint` rejects heap
 //! allocation in its non-test code unless a pragma justifies it.
 #![cfg_attr(any(), deny_hot_alloc)]

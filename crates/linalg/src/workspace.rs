@@ -88,9 +88,10 @@ impl Workspace {
         }
         // No pooled buffer fits: grow the one pushed last (if any), mostly
         // the buffer its caller just returned, and keep the largest for the
-        // size class it serves. Growing the largest instead parked fewer
-        // bytes between sweeps (2.18 against 2.35 MB at N = 256) but raised
-        // `peak_rss_mb` @ `solo_n256` from 12.3 to 13.1 MB (DESIGN.md §8).
+        // size class it serves. Growing the largest instead (to exactly
+        // `len`) parked fewer bytes between sweeps (2.2–2.3 against 2.35 MB
+        // at N = 256) but raised `peak_rss_mb` @ `solo_n256` from 12.3 to
+        // 13.1 MB (DESIGN.md §8).
         let mut buf = match best {
             Some((i, _)) => self.pool.swap_remove(i),
             None => self.pool.pop().unwrap_or_default(),
@@ -223,7 +224,6 @@ mod tests {
         let grown = ws.take(2000);
         assert_eq!(grown.len(), 2000);
         assert_eq!(ws.pooled_bytes(), 1000 * 8, "the big buffer stays parked");
-        ws.put(grown);
         // Pushed in the other order, the big one is grown.
         let mut ws = Workspace::new();
         let (big, small) = (ws.take(1000), ws.take(10));

@@ -40,7 +40,10 @@
 //! results' bits to a recorder, and one test runs all of them once with the
 //! fork-join team held (one thread) and once free, and wants the two
 //! records equal bit for bit. Each grid has shapes on both sides of
-//! `team::FORK_FLOPS`. CI runs this under `LINALG_KERNEL=scalar`, `fma` and
+//! `team::FORK_FLOPS`. The kernels that split their target's columns over
+//! the team (`qr::SPLIT_FLOPS`, `tri::SPLIT_FLOPS`) run one range held and
+//! two free, so a grid of their own, at orders around each cut, compares
+//! the two. CI runs these under `LINALG_KERNEL=scalar`, `fma` and
 //! `avx512`.
 
 mod common;
