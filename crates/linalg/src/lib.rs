@@ -27,7 +27,7 @@
 //! | [`kron`] | — | products with e^{∓ΔτK} kept as its Kronecker factors |
 //! | [`scale`] | custom OpenMP kernels of §IV-B | row/col scalings, column norms |
 //! | [`perm`] | dlapmt | pivoting and pre-pivoting |
-//! | [`team`] | the OpenMP runtime of §IV-B | one fork-join team: GEMM chunks, the spin pair |
+//! | [`team`] | the OpenMP runtime of §IV-B | one fork-join team: GEMM chunks, the spin pair, column splits |
 
 //!
 //! # Checked-invariants mode

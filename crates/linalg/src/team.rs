@@ -542,7 +542,7 @@ const COLUMN_PARTS: usize = 2;
 /// columns: whole register tiles of every kernel path (4, 6 and 12 wide).
 const PART_ALIGN: usize = 12;
 
-/// The column split, the team's third grain: runs `f(cols, scratch)` for
+/// The column split, the team's fourth grain: runs `f(cols, scratch)` for
 /// each of [`COLUMN_PARTS`] ranges `cols` of the columns of `target` — all
 /// but the last a multiple of [`PART_ALIGN`] wide — as one job of
 /// [`for_each_chunk`], and returns true. Returns false, having run nothing,
