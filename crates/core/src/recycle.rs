@@ -7,16 +7,17 @@
 //! notes) for skipping most of the clustering GEMMs.
 //!
 //! The sweep's stratification stacks ([`crate::sweep`]) read each product
-//! twice a sweep: clusters `1 … L_k − 1` at the sweep-start left build,
-//! which then releases them (`ClusterCache::release`), and every cluster
-//! at its right push, after its updates. A push reads a product the
-//! prefill rebuilt if a flip made it stale, and otherwise rebuilds the
-//! released one from the field. [`ClusterCache::stats`] counts reads
-//! through [`ClusterCache::get`]: a hit is a product built for an earlier
-//! read — the left build's, of products the previous sweep's pushes left
-//! — and a rebuild is every product built, by the prefill or by a read.
-//! From-scratch evaluations (recycling off, the recovery rungs) read all
-//! `L_k` products at their boundary, as the paper's recycling does.
+//! twice a sweep: clusters `1 … L_k − 1` when the first boundary stands the
+//! left stack, which then releases them (`ClusterCache::release`), and
+//! every cluster at its right push, after its updates. A push reads a
+//! product the prefill rebuilt if a flip made it stale, and otherwise
+//! rebuilds the released one from the field. [`ClusterCache::stats`]
+//! counts reads through [`ClusterCache::get`]: a hit is a product built
+//! for an earlier read — the left stand's, of products the previous
+//! sweep's pushes left — and a rebuild is every product built, by the
+//! prefill or by a read. A stand anywhere else (recycling off, the
+//! recovery rungs) reads all `L_k` products at its boundary, as the
+//! paper's recycling does.
 
 use crate::bmat::BMatrixFactory;
 use crate::hs::HsField;
@@ -205,52 +206,22 @@ impl ClusterCache {
         Ok(())
     }
 
-    /// The cluster indices of the factor sequence for the Green's function
-    /// used at slice `l+1` (i.e. after wrapping past slice `l`): the product
-    /// `B_l ⋯ B_0 · B_{L−1} ⋯ B_{l+1}`, as clusters in application order
-    /// (rightmost factor first). `l` must be the last slice of its cluster.
-    fn order_after_slice(&self, l: usize) -> impl Iterator<Item = usize> {
-        let c = self.cluster_of(l);
-        let (_, hi) = self.range(c);
-        assert_eq!(l + 1, hi, "recompute must land on a cluster boundary");
-        // Applied first: cluster c+1 (its rightmost factor is B_{l+1}), then
-        // wrap around to cluster c last.
-        let nclusters = self.nclusters;
-        (1..=nclusters).map(move |off| (c + off) % nclusters)
-    }
-
-    /// Rebuilds whichever products of `spin` are stale and counts the reads
-    /// of one Green's evaluation after slice `l` (one [`Self::get`] per
-    /// cluster, in application order), so [`Self::cached_after_slice`] can
-    /// then lend them out.
-    pub fn prepare_after_slice(&mut self, fac: &BMatrixFactory, h: &HsField, l: usize, spin: Spin) {
-        for c in self.order_after_slice(l) {
-            self.get(fac, h, c, spin);
-        }
-    }
-
-    /// The factor sequence after slice `l` (see
-    /// [`Self::factors_after_slice`]), borrowed from the cache. Every
-    /// product must be present: call [`Self::prepare_after_slice`] first.
-    pub fn cached_after_slice(&self, l: usize, spin: Spin) -> Vec<&Matrix> {
-        self.order_after_slice(l)
-            .map(|c| self.lend(c, spin))
-            .collect()
-    }
-
     /// Cluster `c` of `spin`, borrowed without counting a read: the caller
     /// has counted it through [`Self::get`] first.
     pub(crate) fn lend(&self, c: usize, spin: Spin) -> &Matrix {
         match &self.store[self.row(spin)][c] {
             Slot::Held { m, .. } => m,
-            _ => panic!("cluster product prepared before it is lent"),
+            _ => panic!("cluster product {c} lent before it was read"),
         }
     }
 
     /// Collects the factor sequence for the Green's function used at slice
-    /// `l+1`, as owned copies: for callers that keep the factors across
-    /// further use of the cache (benches, probes). The sweep borrows them
-    /// instead ([`Self::prepare_after_slice`] + [`Self::cached_after_slice`]).
+    /// `l+1` (i.e. after wrapping past slice `l`, the last slice of its
+    /// cluster): the product `B_l ⋯ B_0 · B_{L−1} ⋯ B_{l+1}`, as owned
+    /// copies of the cluster products in application order (rightmost
+    /// factor first), stale ones rebuilt. This is the paper's from-scratch
+    /// evaluation's input, for the figure benches and probes; the sweep
+    /// reads the cache through its stratification stacks instead.
     pub fn factors_after_slice(
         &mut self,
         fac: &BMatrixFactory,
@@ -258,10 +229,17 @@ impl ClusterCache {
         l: usize,
         spin: Spin,
     ) -> Vec<Matrix> {
-        self.prepare_after_slice(fac, h, l, spin);
-        self.cached_after_slice(l, spin)
-            .into_iter()
-            .cloned()
+        let c = self.cluster_of(l);
+        assert_eq!(
+            l + 1,
+            self.range(c).1,
+            "recompute must land on a cluster boundary"
+        );
+        // Applied first: cluster c+1 (its rightmost factor is B_{l+1}), then
+        // wrap around to cluster c last.
+        let nclusters = self.nclusters;
+        (1..=nclusters)
+            .map(|off| self.get(fac, h, (c + off) % nclusters, spin).clone())
             .collect()
     }
 

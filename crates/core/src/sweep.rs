@@ -21,31 +21,32 @@
 //! cluster products there costs `nc²` steps per spin per sweep; instead each
 //! evolved spin keeps two stacks of UDTs ([`stratify`](mod@crate::stratify)):
 //!
-//! - the **left stack**, built at sweep start: the UDTs of `B(β, τ_m)ᵀ` for
-//!   `m = nc − 1 … 1`, from the products of the clusters the sweep has not
-//!   visited yet, by transposed pushes (`stratify::left_stack`). Each
-//!   entry is consumed at its boundary;
+//! - the **left stack**: the UDTs of `B(β, τ_m)ᵀ` for the boundaries not
+//!   reached yet, from the products of the clusters the sweep has not
+//!   visited, by transposed pushes (`stratify::left_stack`). Each entry is
+//!   consumed at its boundary;
 //! - the **right stack**: one running UDT of `B(τ_m, 0)`, into which cluster
 //!   `c`'s product is pushed once, when the sweep has finished it.
 //!
-//! An interior boundary assembles `G` from the two UDTs
-//! (`stratify::greens_from_udt_pair`); the sweep end takes
-//! [`greens_from_udt`] of the right UDT, which has then run exactly the
-//! steps of a from-scratch evaluation there, so the sweep-end `G` is the
-//! from-scratch one to the bit. That is `2·nc − 1` steps per spin per
-//! sweep. The products are read through the cache: the
-//! left ones are released once stratified and come back at their right
-//! push, rebuilt by the prefill if a flip made them stale or from the field
-//! if none did; cluster 0's, which no left stack reads, is consumed by the
-//! right stack's first QR. The stacks are derived state, never
-//! checkpointed: a walker without its left products at sweep start (a
-//! resume) builds them at the first boundary, after the prefill, from the
-//! same products. The initial evaluation, the mid-sweep taint repair and
-//! the shrink and divergence rungs evaluate from scratch, then build the
-//! stacks again from the cache. With recycling off every boundary
-//! re-gathers every product and evaluates from scratch: the paper's
-//! baseline. Nothing else selects the path; Algorithms 2 and 3 choose each
-//! step's QR either way.
+//! Every evaluation of `G` is one function, `DqmcCore::try_greens`: where
+//! the stacks do not stand at the boundary (the first boundary of a sweep,
+//! a resume, a shrink, a dropped cache) it stands them from the cache, the
+//! right UDT over clusters `0 … c − 1` and the left entries over
+//! `c + 1 … nc − 1`; then it pushes cluster `c` and assembles `G` from the
+//! two UDTs (`stratify::greens_from_udt_pair`), or at the sweep end takes
+//! [`greens_from_udt`] of the right UDT alone, the steps of a from-scratch
+//! evaluation there. A stand runs the same pushes on the same products as
+//! the incremental path, so a re-stood walker has the undisturbed one's
+//! `G` to the bit. That is `2·nc − 1` steps per spin per sweep. The
+//! products are read through the cache: the left ones are released once
+//! stratified and come back at their right push, rebuilt by the prefill if
+//! a flip made them stale or from the field if none did; cluster 0's,
+//! which no left stack reads, is consumed by the right stack's first QR.
+//! The stacks are derived state, never checkpointed. A tainted
+//! evaluation, the divergence rung and a recycling-off prefill drop them;
+//! with recycling off every boundary thus stands them from freshly
+//! gathered products, `nc` steps: the paper's baseline. Algorithms 2 and 3
+//! choose each step's QR either way.
 //!
 //! # One spin at half filling
 //!
@@ -107,7 +108,7 @@ use crate::recovery::{
     shrink_cluster_size, RecoveryAction, RecoveryCause, RecoveryEvent, RecoveryLog, WRAP_TOLERANCE,
 };
 use crate::recycle::ClusterCache;
-use crate::stratify::{greens_from_udt_pair, left_stack, stratify, StratAlgo, StratifyState, Udt};
+use crate::stratify::{greens_from_udt_pair, left_stack, StratAlgo, StratifyState, Udt};
 use crate::update::{visit_sites, visit_sites_up, Decider, Side, SpinSide};
 use linalg::check::first_non_finite;
 use linalg::{workspace, Matrix};
@@ -151,13 +152,14 @@ pub struct DqmcCore {
     /// and checkpointing.
     pub(crate) sweeps_run: u64,
     /// The evolved spins' stratification stacks (module docs): derived
-    /// state, built at every sweep start and never checkpointed.
+    /// state, stood by the evaluation that finds them missing and never
+    /// checkpointed.
     stacks: Stacks,
 }
 
 /// A walker's stratification stacks, one per evolved spin, standing at the
 /// boundary after `done` clusters of the sweep at cluster size `k` (`k` = 0:
-/// none are built).
+/// none stand).
 #[derive(Debug, Default)]
 struct Stacks {
     k: usize,
@@ -354,49 +356,16 @@ impl DqmcCore {
         (l + 1).is_multiple_of(self.cache.cluster_size()) || l + 1 == self.params.model.slices
     }
 
-    /// Recomputes the evolved Green's functions from scratch on the host for
-    /// the position after wrapping past slice `l` (must be the last slice of
-    /// its cluster; stale cluster products are rebuilt from the HS field),
-    /// and re-synchronises the configuration sign from the determinants. A
-    /// non-finite result climbs the taint rungs: shrink this walker's
-    /// cluster size and evaluate again.
-    pub fn recompute_greens_recovering(&mut self, l: usize) -> Result<(), DqmcError> {
-        loop {
-            match self.try_recompute_greens(l) {
-                Ok(()) => return Ok(()),
-                Err(detail) => {
-                    self.escalate_taint(l, RecoveryCause::NonFinite(detail), false)?;
-                }
-            }
+    /// Evaluates the evolved Green's functions on the host for the position
+    /// after wrapping past slice `l` (must be the last slice of its
+    /// cluster) through [`Self::try_greens`], and re-synchronises the
+    /// configuration sign from the determinants. A non-finite result climbs
+    /// the taint rungs: shrink this walker's cluster size and evaluate again.
+    fn recompute_greens_recovering(&mut self, l: usize) -> Result<(), DqmcError> {
+        while let Err(detail) = self.try_greens(l) {
+            self.escalate_taint(l, RecoveryCause::NonFinite(detail), false)?;
         }
-    }
-
-    /// One attempt at the full stratified evaluation: the evolved spins'
-    /// `self.g` and `self.sign` through [`Self::install_greens`].
-    ///
-    /// The evolved spins' cluster factors are gathered first (rebuilding the
-    /// stale ones) and lent out of the cache; a spin pair's two evaluations
-    /// are independent and run as the pair ([`for_each_spin`]).
-    fn try_recompute_greens(&mut self, l: usize) -> Result<(), String> {
-        let (algo, n, spins) = (self.params.algo, self.nsites(), self.spins());
-        self.timer.time(phases::CLUSTERING, || {
-            for &spin in spins {
-                self.cache.prepare_after_slice(&self.fac, &self.h, l, spin);
-            }
-        });
-        let mut jobs: Vec<(Vec<&Matrix>, Option<GreensFunction>)> = spins
-            .iter()
-            .map(|&spin| (self.cache.cached_after_slice(l, spin), None))
-            .collect();
-        self.timer.time(phases::STRATIFICATION, || {
-            for_each_spin(n, &mut jobs, |_, (factors, gf)| {
-                *gf = Some(greens_from_udt(&stratify(factors, algo)));
-            })
-        });
-        let evaluated = jobs
-            .into_iter()
-            .map(|(_, gf)| gf.expect("every spin evaluated"));
-        self.install_greens(evaluated.collect())
+        Ok(())
     }
 
     /// Takes the evolved spins' evaluated Green's functions into `self.g`
@@ -423,28 +392,11 @@ impl DqmcCore {
         Ok(())
     }
 
-    /// Builds the stacks at sweep start, when recycling is on and the cache
-    /// holds the left stacks' products (clusters `1 … nc − 1`). Where it
-    /// does not (a resumed walker, a dropped cache) the first boundary
-    /// builds them, after its prefill has sent the stale products through
-    /// the backend in the order a from-scratch evaluation bills them. With
-    /// recycling off every boundary evaluates from scratch, the paper's
-    /// baseline.
-    fn start_stacks(&mut self) {
+    /// Drops every cached product and the stacks stood from them, so the
+    /// next evaluation stands the stacks from products it gathers afresh.
+    fn drop_products(&mut self) {
+        self.cache.invalidate_all();
         self.stacks = Stacks::default();
-        if self.params.recycle && self.cache.first_stale(1).is_none() {
-            self.build_stacks(0);
-        }
-    }
-
-    /// After a from-scratch evaluation at the boundary after slice `l`,
-    /// builds the stacks again from the cache (its products are all
-    /// present) so the remaining boundaries of the sweep read them.
-    fn rebuild_stacks_after(&mut self, l: usize) {
-        self.stacks = Stacks::default();
-        if self.params.recycle && l + 1 != self.params.model.slices {
-            self.build_stacks(self.cache.cluster_of(l) + 1);
-        }
     }
 
     /// Builds every evolved spin's stacks for a walker that has finished
@@ -499,24 +451,19 @@ impl DqmcCore {
         };
     }
 
-    /// The recompute at the boundary after slice `l` from the stacks: the
-    /// finished cluster's product is pushed onto each right UDT (the first
-    /// push, cluster 0's, consumes the product: no left stack reads it), and
-    /// `G` is assembled from it and the boundary's left UDT in the old `G`'s
-    /// buffer — or, at the sweep end, from the right UDT alone, by exactly
-    /// the steps of the from-scratch evaluation there. A walker that did
-    /// not build its stacks at sweep start builds them at its first
-    /// boundary, from the products this boundary's prefill installed.
-    /// `None` when the stacks do not stand at this boundary (recycling off,
-    /// or a shrink re-clustered the walker); otherwise the outcome of
-    /// [`Self::install_greens`].
-    fn try_stacked_greens(&mut self, l: usize) -> Option<Result<(), String>> {
+    /// The one evaluation of the evolved Green's functions, at the boundary
+    /// after slice `l` (module docs). Where the stacks do not stand there
+    /// they are stood first ([`Self::build_stacks`]). The finished cluster's
+    /// product is pushed onto each right UDT (the first push, cluster 0's,
+    /// consumes the product: no left stack reads it), and `G` is assembled
+    /// from it and the boundary's left UDT in the old `G`'s buffer — or, at
+    /// the sweep end, from the right UDT alone, by exactly the steps of the
+    /// from-scratch evaluation there. The outcome of
+    /// [`Self::install_greens`]; a tainted one drops the stacks.
+    fn try_greens(&mut self, l: usize) -> Result<(), String> {
         let c = self.cache.cluster_of(l);
-        if self.params.recycle && c == 0 && self.stacks.k == 0 {
-            self.build_stacks(0);
-        }
         if self.stacks.k != self.cache.cluster_size() || self.stacks.done != c {
-            return None;
+            self.build_stacks(c);
         }
         let (algo, n, spins) = (self.params.algo, self.nsites(), self.spins());
         let last = c + 1 == self.cache.nclusters();
@@ -579,27 +526,14 @@ impl DqmcCore {
         });
         let evaluated = jobs
             .into_iter()
-            .map(|(_, _, _, gf)| gf.expect("every spin evaluated"));
-        let evaluated = evaluated.collect();
+            .map(|(_, _, _, gf)| gf.expect("every spin evaluated"))
+            .collect();
         self.stacks.done = c + 1;
-        Some(self.install_greens(evaluated))
-    }
-
-    /// The evolved Green's functions at the boundary after slice `l`: from
-    /// the stacks where they stand there, otherwise — and after a
-    /// non-finite stacked `G`, which climbs the taint rungs first — from
-    /// scratch, after which the stacks are built again.
-    fn recompute_at_boundary(&mut self, l: usize) -> Result<(), DqmcError> {
-        match self.try_stacked_greens(l) {
-            Some(Ok(())) => return Ok(()),
-            Some(Err(detail)) => {
-                self.escalate_taint(l, RecoveryCause::NonFinite(detail), false)?;
-            }
-            None => {}
+        let installed = self.install_greens(evaluated);
+        if installed.is_err() {
+            self.stacks = Stacks::default();
         }
-        self.recompute_greens_recovering(l)?;
-        self.rebuild_stacks_after(l);
-        Ok(())
+        installed
     }
 
     /// The walker-scoped taint rungs, climbed once the driver's retries are
@@ -678,13 +612,16 @@ impl DqmcCore {
 
     /// Rebuilds the evolved Green's functions for the position after slice
     /// `l` directly from the HS field on the host path, through a temporary
-    /// single-slice-cluster cache so *any* `l` is a valid boundary. Used for
-    /// mid-sweep taint repair, where `l + 1` need not be a cluster boundary.
+    /// single-slice-cluster cache so *any* `l` is a valid boundary: the one
+    /// evaluation, with the walker's own cache and stacks set aside and
+    /// restored. Used for mid-sweep taint repair, where `l + 1` need not be
+    /// a cluster boundary.
     fn repair_greens_after(&mut self, l: usize) -> Result<(), DqmcError> {
         let unit = ClusterCache::with_spins(self.params.model.slices, 1, self.spins().len());
         let cache = std::mem::replace(&mut self.cache, unit);
-        let result = self.try_recompute_greens(l);
-        self.cache = cache;
+        let stacks = std::mem::take(&mut self.stacks);
+        let result = self.try_greens(l);
+        (self.cache, self.stacks) = (cache, stacks);
         // Already at cluster size 1: there is no harder stabilisation left.
         result.map_err(|detail| {
             DqmcError::fatal("wrap", format!("unrecoverable tainted data: {detail}"))
@@ -783,7 +720,7 @@ impl DqmcCore {
     ) -> Result<bool, DqmcError> {
         let l_slices = self.params.model.slices;
         let incr_sign = self.sign;
-        self.recompute_at_boundary(l)?;
+        self.recompute_greens_recovering(l)?;
         let mut diverged = false;
         if wrap_ok {
             let diff = wrapped
@@ -793,10 +730,9 @@ impl DqmcCore {
                 .fold(0.0, f64::max);
             if self.params.recovery.enabled && diff > WRAP_TOLERANCE {
                 diverged = true;
-                self.cache.invalidate_all();
+                self.drop_products();
                 self.escalate_taint(l, RecoveryCause::WrapDivergence { diff }, true)?;
                 self.recompute_greens_recovering(l)?;
-                self.rebuild_stacks_after(l);
             } else {
                 self.wrap_diff.push(diff);
             }
@@ -905,9 +841,6 @@ impl SweepDriver {
         for lane in lanes.iter_mut() {
             lane.core.sweeps_run += 1;
             lane.core.repair_if_tainted()?;
-        }
-        for lane in lanes.iter_mut() {
-            lane.core.start_stacks();
         }
         // Wrap targets live for the whole sweep, one per evolved spin: at
         // non-boundary slices the wrapped matrices are swapped into the
@@ -1134,8 +1067,9 @@ impl SweepDriver {
     /// recompute then runs on cache reads. Each round takes the lowest stale
     /// slice range and batches the walkers whose next stale cluster is
     /// exactly that range — walkers with different cluster sizes never
-    /// share a call. With recycling off the walker's cache is dropped first,
-    /// so every product reaches the backend at every boundary.
+    /// share a call. With recycling off the walker's cache and stacks are
+    /// dropped first, so every product reaches the backend at every
+    /// boundary and the evaluation stands the stacks from them.
     fn prefill_clusters(&mut self, lanes: &mut [Lane<'_>], l: usize) -> Result<(), DqmcError> {
         let at: Vec<usize> = (0..lanes.len())
             .filter(|&i| lanes[i].core.at_boundary(l))
@@ -1145,7 +1079,7 @@ impl SweepDriver {
         }
         for &i in &at {
             if !lanes[i].core.params.recycle {
-                lanes[i].core.cache.invalidate_all();
+                lanes[i].core.drop_products();
             }
         }
         let stale = |lanes: &[Lane<'_>], i: usize| {
@@ -1329,17 +1263,27 @@ mod tests {
 
     #[test]
     fn recycling_gives_same_results() {
-        let run = |recycle| {
-            let mut core = DqmcCore::new(small_params(4.0, 8, 13).with_recycle(recycle));
-            for _ in 0..3 {
-                core.sweep(None);
-            }
-            (core.h.clone(), core.greens(Spin::Down).clone())
-        };
-        let (h1, g1) = run(true);
-        let (h2, g2) = run(false);
-        assert_eq!(h1, h2);
-        assert!(g1.max_abs_diff(&g2) < 1e-12);
+        // A recycling-off boundary stands the stacks from freshly gathered
+        // products: the same pushes on the same products as the recycled
+        // stacks, so every G, every mid-sweep record and the chain match
+        // to the bit, on one spin and on two.
+        for mu in [0.0, 0.25] {
+            let run = |recycle| {
+                let params = params_at(mu, 4.0, 16, 13)
+                    .with_cluster_size(2)
+                    .with_measure_per_cluster(true)
+                    .with_recycle(recycle);
+                let mut core = DqmcCore::new(params);
+                let mut obs = Observables::new(&core.params.model, 1);
+                for _ in 0..3 {
+                    core.sweep(Some(&mut obs));
+                }
+                (core, obs_bytes(&obs))
+            };
+            let ((on, on_obs), (off, off_obs)) = (run(true), run(false));
+            assert_same_chain(&on, &off);
+            assert!(on_obs == off_obs, "μ̃ = {mu}: the records differ");
+        }
     }
 
     #[test]
@@ -1587,6 +1531,12 @@ mod tests {
         assert_eq!(a.g[0].max_abs_diff(&b.g[0]), 0.0);
         assert_eq!(a.g[1].max_abs_diff(&b.g[1]), 0.0);
         assert_eq!(a.sign, b.sign);
+    }
+
+    fn obs_bytes(obs: &Observables) -> Vec<u8> {
+        let mut bytes = util::codec::ByteWriter::new();
+        obs.encode(&mut bytes);
+        bytes.into_bytes()
     }
 
     fn assert_greens_match_naive(core: &DqmcCore) {
@@ -1930,19 +1880,18 @@ mod tests {
 
     #[test]
     fn the_stacks_give_the_public_assembly_at_every_boundary() {
-        // One sweep's boundaries on a chain's field, read from the stacks:
-        // each G is `greens_at_boundary`'s to the bit and within rounding
-        // of the from-scratch evaluation; the sweep-end G and the sign are
+        // One sweep's boundaries on a chain's field, through the one
+        // evaluation (the first stands the stacks): each G is
+        // `greens_at_boundary`'s to the bit and within rounding of the
+        // cyclic from-scratch evaluation; the sweep-end G and the sign are
         // the from-scratch ones to the bit.
         for mu in [0.0, 0.25] {
             let mut core = DqmcCore::new(params_at(mu, 4.0, 16, 67).with_cluster_size(2));
             core.sweep(None);
             let (algo, spins) = (core.params.algo, core.spins());
-            core.start_stacks();
             for m in 1..=8 {
                 let l = 2 * m - 1;
-                let stacked = core.try_stacked_greens(l).expect("the stacks stand");
-                stacked.unwrap();
+                core.try_greens(l).unwrap();
                 let mut signs = 1.0;
                 for &spin in spins {
                     let what = format!("μ̃ = {mu}, m = {m}, {spin:?}");
@@ -1954,7 +1903,7 @@ mod tests {
                         crate::stratify::greens_at_boundary(&canonical, m, algo).g
                     );
                     let order = core.cache.factors_after_slice(fac, h, l, spin);
-                    let scratch = greens_from_udt(&stratify(&order, algo));
+                    let scratch = greens_from_udt(&crate::stratify::stratify(&order, algo));
                     let diff = greens::relative_difference(g, &scratch.g);
                     assert!(
                         if m == 8 { diff == 0.0 } else { diff < 1e-12 },
@@ -1970,10 +1919,78 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_cache_defers_the_left_build_without_moving_a_bit() {
+    fn a_walker_whose_stacks_drop_stands_them_again_to_the_bit() {
+        // The divergence rung drops a walker's products and stacks, a
+        // tainted evaluation its stacks alone: either way the next
+        // evaluation stands them again, by the same pushes on the same
+        // products, so it gives the undisturbed walker's G and sign.
+        for mu in [0.0, 0.25] {
+            let swept = || {
+                let mut core = DqmcCore::new(params_at(mu, 4.0, 16, 73).with_cluster_size(2));
+                core.sweep(None);
+                core
+            };
+            for drop in [DqmcCore::drop_products, |core: &mut DqmcCore| {
+                core.stacks = Stacks::default();
+            }] {
+                let (mut undisturbed, mut dropped) = (swept(), swept());
+                for m in 1..=8 {
+                    let l = 2 * m - 1;
+                    if m == 3 {
+                        drop(&mut dropped);
+                    }
+                    undisturbed.try_greens(l).unwrap();
+                    dropped.try_greens(l).unwrap();
+                    assert_same_chain(&undisturbed, &dropped);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_divergence_healed_at_the_floor_gives_the_unarmed_chain() {
+        // A finite corruption of a cached product at the cluster-size floor:
+        // the divergence rung drops the products and stacks, and the
+        // evaluation it repeats stands them from the field. That is the
+        // unarmed walker's evaluation, so the chain and its mid-sweep
+        // records keep every bit.
+        for mu in [0.0, 0.25] {
+            let policy = RecoveryPolicy {
+                min_cluster: 4,
+                ..RecoveryPolicy::default()
+            };
+            let params = params_at(mu, 4.0, 8, 61)
+                .with_recovery(policy)
+                .with_measure_per_cluster(true);
+            let (mut clean, mut faulty) = (DqmcCore::new(params.clone()), DqmcCore::new(params));
+            clean.sweep(None);
+            faulty.sweep(None);
+            let spin = *faulty.spins().last().expect("a spin");
+            let mut product = faulty.cache.get(&faulty.fac, &faulty.h, 1, spin).clone();
+            product.scale(1.5);
+            faulty.cache.install(1, spin, product).unwrap();
+            let model = &clean.params.model;
+            let (mut clean_obs, mut faulty_obs) =
+                (Observables::new(model, 1), Observables::new(model, 1));
+            for _ in 0..2 {
+                clean.sweep(Some(&mut clean_obs));
+                faulty.sweep(Some(&mut faulty_obs));
+            }
+            assert!(
+                matches!(actions(&faulty)[..], [RecoveryAction::TaintRepair]),
+                "μ̃ = {mu}: {:?}",
+                faulty.recovery_log().events()
+            );
+            assert_same_chain(&clean, &faulty);
+            assert!(obs_bytes(&clean_obs) == obs_bytes(&faulty_obs), "μ̃ = {mu}");
+        }
+    }
+
+    #[test]
+    fn a_dropped_cache_stands_the_stacks_at_the_first_boundary_without_moving_a_bit() {
         // A walker whose cache is empty at sweep start (as after a resume)
-        // builds its left stacks at the first boundary, after the prefill:
-        // the same products, so the same chain.
+        // stands its stacks at the first boundary, after the prefill has
+        // gathered every product: the same products, so the same chain.
         for mu in [0.0, 0.25] {
             let run = |dropped: bool| {
                 let mut core = DqmcCore::new(params_at(mu, 4.0, 16, 71).with_cluster_size(2));
