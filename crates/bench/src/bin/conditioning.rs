@@ -6,13 +6,13 @@
 //!
 //! Usage: `cargo run --release -p bench --bin conditioning [--full]`
 
-use bench::{square_model, thermalised_state, BenchOpts};
+use bench::{square_model, thermalised_state};
 use dqmc::{condition_profile, Spin, StratAlgo};
 use util::table::{fmt_f, Table};
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (lside, beta, dtau) = if opts.full {
+    let mode = bench::mode("conditioning");
+    let (lside, beta, dtau) = if mode.full() {
         (16, 32.0, 0.2)
     } else {
         (6, 8.0, 0.2)
@@ -23,7 +23,7 @@ fn main() {
     let mut profiles = Vec::new();
     for &u in &us {
         let model = square_model(lside, u, beta, dtau);
-        let (fac, h) = thermalised_state(&model, 2, opts.seed());
+        let (fac, h) = thermalised_state(&model, 2, bench::SEED);
         profiles.push(condition_profile(
             &fac,
             &h,

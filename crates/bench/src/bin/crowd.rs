@@ -9,7 +9,7 @@
 //! launch overhead and transfer latency amortisation, so it shows up on the
 //! *modeled device clock*.
 //!
-//! **Axis 2 — workers.** The best crowd size re-runs with 1, 2, 4 and 8
+//! **Axis 2 — workers.** The largest crowd (8) re-runs with 1, 2, 4 and 8
 //! workers (device pool scaling with the worker count), showing the two
 //! axes compose: crowding shrinks per-job device time, workers spread jobs.
 //!
@@ -21,35 +21,21 @@
 //! observables section is cross-checked byte-identical across every row:
 //! crowding and worker count must never move the physics.
 //!
-//! `BENCH_crowd.json` is the checked-in artifact; regenerate with
-//! `cargo run --release -p bench --bin crowd`. `--lx`/`--sweeps` scale the
-//! workload; `--crowd <B>` overrides the crowd used for the worker axis.
+//! `BENCH_crowd.json` is the checked-in artifact (`bench::ledger`; rows
+//! tagged `crowd_axis` or `worker_axis`); regenerate it with
+//! `cargo run --release -p bench --bin crowd`. `--smoke` runs a 2×2 grid
+//! and writes nothing; `--full` runs 8×8 with 200 measurement sweeps. At
+//! N = 16 no kernel reaches `team::FORK_FLOPS`, so none forks.
 
-use bench::BenchOpts;
-use sched::{EventLog, GridSpec, SchedConfig};
+use bench::ledger::{self, Row};
+use sched::{EventLog, GridSpec};
 
-struct Row {
-    crowd: usize,
-    workers: usize,
-    pool: usize,
-    wall_s: f64,
-    device_s: f64,
-    jobs_per_s: f64,
-    chains_per_device_s: f64,
-    leases: u64,
-    lease_misses: u64,
-}
-
-fn grid(opts: &BenchOpts, crowd: usize) -> GridSpec {
-    let (l, sweeps, chains) = if opts.full {
-        (8, 200, 8)
-    } else if opts.smoke {
-        (2, 12, 8)
-    } else {
-        (4, 60, 8)
+fn grid(mode: bench::Mode, crowd: usize) -> GridSpec {
+    let (l, sweeps, chains) = match mode {
+        bench::Mode::Full => (8, 200, 8),
+        bench::Mode::Smoke => (2, 12, 8),
+        bench::Mode::Default => (4, 60, 8),
     };
-    let l = opts.lx.unwrap_or(l);
-    let sweeps = opts.sweeps.unwrap_or(sweeps);
     let mut spec = GridSpec::parse(&format!(
         "
         lx = {l}
@@ -67,23 +53,20 @@ fn grid(opts: &BenchOpts, crowd: usize) -> GridSpec {
         sweeps / 4,
     ))
     .expect("benchmark grid parses");
-    spec.seed = opts.seed();
+    spec.seed = bench::SEED;
     spec
 }
 
-fn run_row(opts: &BenchOpts, crowd: usize, workers: usize, reference: &mut Option<String>) -> Row {
-    let spec = grid(opts, crowd);
-    let pool = opts.pool_size.unwrap_or(workers);
-    let cfg = SchedConfig {
-        workers,
-        devices: pool,
-        queue_bound: 0,
-        quantum: spec.quantum,
-        yield_every_quanta: 0,
-        job_retries: 1,
-        ..SchedConfig::default()
-    };
-    let report = sched::run_sweep(&spec, &cfg, &EventLog::new());
+/// Runs the campaign at `crowd` on `workers` workers (and as many devices),
+/// prints its line and returns its ledger row and its device seconds.
+fn run_row(
+    mode: bench::Mode,
+    crowd: usize,
+    workers: usize,
+    reference: &mut Option<String>,
+) -> (Row, f64) {
+    let spec = grid(mode, crowd);
+    let report = sched::run_sweep(&spec, &bench::pooled(&spec, workers), &EventLog::new());
     let obs = report.observables_json();
     match reference {
         Some(r) => assert_eq!(
@@ -92,49 +75,39 @@ fn run_row(opts: &BenchOpts, crowd: usize, workers: usize, reference: &mut Optio
         ),
         None => *reference = Some(obs),
     }
-    let njobs = spec.total_jobs();
-    Row {
-        crowd,
-        workers,
-        pool,
-        wall_s: report.wall_seconds,
-        device_s: report.device_seconds,
-        jobs_per_s: njobs as f64 / report.wall_seconds,
-        chains_per_device_s: if report.device_seconds > 0.0 {
-            njobs as f64 / report.device_seconds
-        } else {
-            0.0
-        },
-        leases: report.leases_granted,
-        lease_misses: report.lease_misses,
-    }
-}
-
-fn print_row(r: &Row) {
+    let njobs = spec.total_jobs() as f64;
+    let (wall, device) = (report.wall_seconds, report.device_seconds);
+    let jobs_per_s = njobs / wall;
+    let chains_per_device_s = (device > 0.0).then(|| njobs / device);
     println!(
         "{:>6} {:>8} {:>6} {:>10.3} {:>10.4} {:>10.2} {:>14.2} {:>8} {:>8}",
-        r.crowd,
-        r.workers,
-        r.pool,
-        r.wall_s,
-        r.device_s,
-        r.jobs_per_s,
-        r.chains_per_device_s,
-        r.leases,
-        r.lease_misses
+        crowd,
+        workers,
+        workers,
+        wall,
+        device,
+        jobs_per_s,
+        chains_per_device_s.unwrap_or(0.0),
+        report.leases_granted,
+        report.lease_misses
     );
+    let row = Row::new()
+        .int("crowd", crowd)
+        .int("workers", workers)
+        .int("pool", workers)
+        .num("wall_s", wall, 3)
+        .num("device_s", device, 6)
+        .num("jobs_per_s", jobs_per_s, 3)
+        .num("chains_per_device_s", chains_per_device_s, 3)
+        .int("leases", report.leases_granted as usize)
+        .int("lease_misses", report.lease_misses as usize);
+    (row, device)
 }
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let probe = grid(&opts, 1);
-    println!(
-        "# crowd throughput: {} points x {} chains = {} chain-jobs, {} sweeps each",
-        probe.us.len() * probe.betas.len(),
-        probe.chains,
-        probe.total_jobs(),
-        probe.warmup + probe.sweeps
-    );
+    let mode = bench::mode("crowd");
+    let workload = bench::grid_workload(&grid(mode, 1));
+    println!("# crowd throughput: {workload}");
     println!(
         "{:>6} {:>8} {:>6} {:>10} {:>10} {:>10} {:>14} {:>8} {:>8}",
         "crowd",
@@ -149,91 +122,23 @@ fn main() {
     );
 
     let mut reference: Option<String> = None;
-
     // Axis 1: crowd size at fixed 4 workers.
-    let crowd_axis: Vec<Row> = [1usize, 4, 8]
+    let (crowd_axis, device): (Vec<Row>, Vec<f64>) = [1usize, 4, 8]
         .iter()
-        .map(|&b| {
-            let r = run_row(&opts, b, 4, &mut reference);
-            print_row(&r);
-            r
-        })
-        .collect();
-
-    // Axis 2: worker count at the best (largest) crowd.
-    let best_crowd = opts.crowd.unwrap_or(8);
+        .map(|&b| run_row(mode, b, 4, &mut reference))
+        .unzip();
+    // Axis 2: worker count at the largest crowd.
     let worker_axis: Vec<Row> = [1usize, 2, 4, 8]
         .iter()
-        .map(|&w| {
-            let r = run_row(&opts, best_crowd, w, &mut reference);
-            print_row(&r);
-            r
-        })
+        .map(|&w| run_row(mode, 8, w, &mut reference).0)
         .collect();
-
-    let solo = &crowd_axis[0];
-    let best = crowd_axis.last().expect("crowd axis is non-empty");
-    let modeled_speedup = solo.device_s / best.device_s;
     println!(
-        "# modeled device-clock speedup, crowd {} vs crowd 1 at 4 workers: {:.2}x",
-        best.crowd, modeled_speedup
+        "# modeled device-clock speedup, crowd 8 vs crowd 1 at 4 workers: {:.2}x",
+        device[0] / device[2]
     );
-
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"grid\": {{\"lx\": {}, \"points\": {}, \"chains\": {}, \"jobs\": {}, \"sweeps\": {}}},\n",
-        probe.lx,
-        probe.us.len() * probe.betas.len(),
-        probe.chains,
-        probe.total_jobs(),
-        probe.warmup + probe.sweeps
-    ));
-    out.push_str(&format!(
-        "  \"host_cores\": {},\n  \"cpu_model\": \"{}\",\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        bench::cpu_model()
-    ));
-    let render = |rows: &[Row]| -> String {
-        rows.iter()
-            .enumerate()
-            .map(|(i, r)| {
-                format!(
-                    "    {{\"crowd\": {}, \"workers\": {}, \"pool\": {}, \"wall_s\": {:.3}, \
-                     \"device_s\": {:.6}, \"jobs_per_s\": {:.3}, \
-                     \"chains_per_device_s\": {:.3}, \"leases\": {}, \"lease_misses\": {}}}{}\n",
-                    r.crowd,
-                    r.workers,
-                    r.pool,
-                    r.wall_s,
-                    r.device_s,
-                    r.jobs_per_s,
-                    r.chains_per_device_s,
-                    r.leases,
-                    r.lease_misses,
-                    if i + 1 == rows.len() { "" } else { "," }
-                )
-            })
-            .collect()
-    };
-    out.push_str("  \"crowd_axis\": [\n");
-    out.push_str(&render(&crowd_axis));
-    out.push_str("  ],\n  \"worker_axis\": [\n");
-    out.push_str(&render(&worker_axis));
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"modeled_device_speedup_best_vs_solo\": {modeled_speedup:.3},\n"
-    ));
-    out.push_str(
-        "  \"note\": \"wall_s measures the host simulating the device (rows with more \
-         workers than host_cores are oversubscribed); device_s is the simulated accelerator \
-         clock, the honest axis for the batching win; N = 16 is under team::FORK_FLOPS, so no \
-         kernel forks; observables are byte-identical across all rows\"\n",
-    );
-    out.push_str("}\n");
-
-    let path = "BENCH_crowd.json";
-    match util::vfs::write_atomic(std::path::Path::new(path), out.as_bytes()) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(e) => eprintln!("# could not write {path}: {e}"),
-    }
+    let tables = [
+        ("crowd_axis", &crowd_axis[..]),
+        ("worker_axis", &worker_axis[..]),
+    ];
+    ledger::write("crowd", mode, &workload, &tables);
 }

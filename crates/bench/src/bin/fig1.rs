@@ -20,9 +20,9 @@
 //! FMA makes a libm call per multiply-add: its column times that, not an
 //! unfused loop. QR and QRP run held and free: past its cut, the QR's block
 //! reflectors split their columns over the team (`linalg::team`'s column
-//! split), while QRP's level-2 panel stays on one core. Results are also
-//! written to `BENCH_fig1.json` (with `host_cores` and `cpu_model`) for the
-//! checked-in benchmark artifact.
+//! split), while QRP's level-2 panel stays on one core. A default or
+//! `--full` run also writes `BENCH_fig1.json` (`bench::ledger`), the
+//! checked-in artifact; `--smoke` writes nothing.
 //!
 //! The last column is the DSYEV stand-in, `linalg::eig::sym_eig`, in
 //! milliseconds per call on the hopping matrix K of the squarest periodic
@@ -33,31 +33,19 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig1 [--full | --smoke]`
 
-use bench::{cpu_model, flops_gemm, flops_qr, time_best, BenchOpts};
+use bench::ledger::{self, Row};
+use bench::{flops_gemm, flops_qr, time_best};
 use lattice::Lattice;
 use linalg::blas3::matmul;
 use linalg::eig::{sym_eig, SymEig};
 use linalg::{gemm_with_kernel, kernel_path, KernelPath, Matrix, Op};
 use util::table::{fmt_f, Table};
 
-struct Row {
-    n: usize,
-    gemm: f64,
-    gemm_held: f64,
-    gemm_scalar: f64,
-    gemm_fma: f64,
-    qr: f64,
-    qr_held: f64,
-    qrp: f64,
-    qrp_held: f64,
-    syev_ms: f64,
-}
-
 fn main() {
-    let opts = BenchOpts::from_env();
-    let sizes: &[usize] = if opts.smoke {
+    let mode = bench::mode("fig1");
+    let sizes: &[usize] = if mode.smoke() {
         &[16, 36, 64, 128, 256]
-    } else if opts.full {
+    } else if mode.full() {
         &[
             16, 36, 64, 96, 128, 256, 384, 512, 576, 768, 1024, 1536, 2048,
         ]
@@ -87,7 +75,7 @@ fn main() {
     ]);
     let mut rows = Vec::new();
     for &n in sizes {
-        let mut rng = util::Rng::new(opts.seed());
+        let mut rng = util::Rng::new(bench::SEED);
         let a = Matrix::random(n, n, &mut rng);
         let b = Matrix::random(n, n, &mut rng);
 
@@ -114,49 +102,44 @@ fn main() {
         let t_syev = per_call(n, GEMM_WORK / 10, || sym_eig(&k).expect("K is symmetric"));
         assert_backward_stable(&k, &sym_eig(&k).expect("K is symmetric"));
 
-        let row = Row {
-            n,
-            gemm: flops_gemm(n) / t_gemm / 1e9,
-            gemm_held: flops_gemm(n) / t_gemm_held / 1e9,
-            gemm_scalar: flops_gemm(n) / t_gemm_scalar / 1e9,
-            gemm_fma: flops_gemm(n) / t_gemm_fma / 1e9,
-            qr: flops_qr(n) / t_qr / 1e9,
-            qr_held: flops_qr(n) / t_qr_held / 1e9,
-            qrp: flops_qr(n) / t_qrp / 1e9,
-            qrp_held: flops_qr(n) / t_qrp_held / 1e9,
-            syev_ms: t_syev * 1e3,
-        };
+        let [gemm, held, fma, scalar] =
+            [t_gemm, t_gemm_held, t_gemm_fma, t_gemm_scalar].map(|t| flops_gemm(n) / t / 1e9);
+        let [qr, qr_held, qrp, qrp_held] =
+            [t_qr, t_qr_held, t_qrp, t_qrp_held].map(|t| flops_qr(n) / t / 1e9);
+        let syev_ms = t_syev * 1e3;
         table.row(vec![
             n.to_string(),
-            fmt_f(row.gemm_scalar, 2),
-            fmt_f(row.gemm_fma, 2),
-            fmt_f(row.gemm_held, 2),
-            fmt_f(row.gemm_held / row.gemm_scalar, 2),
-            fmt_f(row.gemm, 2),
-            fmt_f(row.gemm / row.gemm_held, 2),
-            fmt_f(row.qr_held, 2),
-            fmt_f(row.qr, 2),
-            fmt_f(row.qrp_held, 2),
-            fmt_f(row.qrp, 2),
-            fmt_f(row.syev_ms, 3),
+            fmt_f(scalar, 2),
+            fmt_f(fma, 2),
+            fmt_f(held, 2),
+            fmt_f(held / scalar, 2),
+            fmt_f(gemm, 2),
+            fmt_f(gemm / held, 2),
+            fmt_f(qr_held, 2),
+            fmt_f(qr, 2),
+            fmt_f(qrp_held, 2),
+            fmt_f(qrp, 2),
+            fmt_f(syev_ms, 3),
         ]);
-        rows.push(row);
+        rows.push(
+            Row::new()
+                .int("n", n)
+                .num("gemm_gflops", gemm, 3)
+                .num("gemm_held_gflops", held, 3)
+                .num("gemm_fma_gflops", fma, 3)
+                .num("gemm_scalar_gflops", scalar, 3)
+                .num("qr_gflops", qr, 3)
+                .num("qr_held_gflops", qr_held, 3)
+                .num("qrp_gflops", qrp, 3)
+                .num("qrp_held_gflops", qrp_held, 3)
+                .num("syev_ms", syev_ms, 3),
+        );
     }
     print!("{}", table.render());
 
-    let json = render_json(dispatched, host_cores, &rows);
-    let path = "BENCH_fig1.json";
-    match util::vfs::write_atomic(std::path::Path::new(path), json.as_bytes()) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    if let Some(last) = rows.last() {
-        eprintln!(
-            "one-thread gemm speedup over scalar at N={}: {:.2}x",
-            last.n,
-            last.gemm_held / last.gemm_scalar
-        );
-    }
+    let sizes: Vec<String> = sizes.iter().map(usize::to_string).collect();
+    let workload = format!("N = {}", sizes.join(", "));
+    ledger::write("fig1", mode, &workload, &[("sizes", &rows)]);
 }
 
 /// `n³` units of work [`per_call`] spends on each GEMM, QR and QRP cell.
@@ -207,42 +190,4 @@ fn assert_backward_stable(k: &Matrix, e: &SymEig) {
     gram.axpy(-1.0, &Matrix::identity(n));
     let orth = gram.norm_fro();
     assert!(orth <= bound, "sym_eig n = {n}: orthogonality {orth:e}");
-}
-
-/// Hand-rendered JSON (no serde in the dependency closure).
-fn render_json(dispatched: KernelPath, host_cores: usize, rows: &[Row]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"kernel\": \"{}\",\n", dispatched.name()));
-    s.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    s.push_str(&format!("  \"cpu_model\": \"{}\",\n", cpu_model()));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"n\": {}, \"gemm_gflops\": {:.3}, \"gemm_held_gflops\": {:.3}, \
-             \"gemm_fma_gflops\": {:.3}, \"gemm_scalar_gflops\": {:.3}, \
-             \"gemm_speedup\": {:.3}, \"qr_gflops\": {:.3}, \"qr_held_gflops\": {:.3}, \
-             \"qrp_gflops\": {:.3}, \"qrp_held_gflops\": {:.3}, \"syev_ms\": {:.3}}}{}\n",
-            r.n,
-            r.gemm,
-            r.gemm_held,
-            r.gemm_fma,
-            r.gemm_scalar,
-            r.gemm_held / r.gemm_scalar,
-            r.qr,
-            r.qr_held,
-            r.qrp,
-            r.qrp_held,
-            r.syev_ms,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    let last = rows.last().expect("at least one size");
-    s.push_str(&format!(
-        "  \"gemm_speedup_at_max_n\": {:.3}\n",
-        last.gemm_held / last.gemm_scalar
-    ));
-    s.push_str("}\n");
-    s
 }

@@ -6,14 +6,13 @@
 //! Usage: `cargo run --release -p bench --bin fig10 [--full]`
 
 use bench::section6::{hybrid_greens, HostSpec};
-use bench::BenchOpts;
 use dqmc::StratAlgo;
 use gpusim::{Device, DeviceSpec};
 use util::table::{fmt_f, Table};
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (sides, slices): (&[usize], usize) = if opts.full {
+    let mode = bench::mode("fig10");
+    let (sides, slices): (&[usize], usize) = if mode.full() {
         (&[8, 12, 16, 20, 24, 28, 32], 160)
     } else {
         (&[8, 12, 16, 20], 40)

@@ -16,7 +16,6 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig2 [--full | --smoke]`
 
-use bench::BenchOpts;
 use dqmc::{greens_from_udt, stratify, ClusterCache, SimParams, Spin, StratAlgo};
 use util::stats::FiveNumber;
 use util::table::{fmt_e, Table};
@@ -25,10 +24,10 @@ use util::table::{fmt_e, Table};
 const K: usize = 10;
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (lside, beta, dtau, evals) = if opts.smoke {
+    let mode = bench::mode("fig2");
+    let (lside, beta, dtau, evals) = if mode.smoke() {
         (4, 4.0, 0.2, 10)
-    } else if opts.full {
+    } else if mode.full() {
         (16, 32.0, 0.2, 1000)
     } else {
         (8, 8.0, 0.2, 200)
@@ -41,7 +40,7 @@ fn main() {
     for u in [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0] {
         let model = bench::square_model(lside, u, beta, dtau);
         let params = SimParams::new(model)
-            .with_seed(opts.seed() + u as u64)
+            .with_seed(bench::SEED + u as u64)
             .with_cluster_size(K);
         let mut core = dqmc::sweep::DqmcCore::new(params);
         let slices = core.params.model.slices;

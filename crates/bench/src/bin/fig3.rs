@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig3 [--full]`
 
-use bench::{site_sweep, square_model, thermalised_state, time_once, BenchOpts};
+use bench::{site_sweep, square_model, thermalised_state, time_once};
 use dqmc::{greens_from_udt, stratify, ClusterCache, Spin, StratAlgo};
 use util::table::{fmt_f, Table};
 
@@ -47,8 +47,8 @@ fn avg_eval_seconds(
 }
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (beta, dtau, evals) = if opts.full {
+    let mode = bench::mode("fig3");
+    let (beta, dtau, evals) = if mode.full() {
         (32.0, 0.2, 20) // L = 160, the paper's depth
     } else {
         (8.0, 0.2, 10) // L = 40
@@ -60,10 +60,10 @@ fn main() {
         (beta / dtau) as usize
     );
     let mut table = Table::new(vec!["N", "qrp-rebuild", "prepivot-recycle", "speedup"]);
-    for lside in site_sweep(opts.full) {
+    for lside in site_sweep(mode.full()) {
         let n = lside * lside;
         let model = square_model(lside, 4.0, beta, dtau);
-        let (fac, h) = thermalised_state(&model, 2, opts.seed());
+        let (fac, h) = thermalised_state(&model, 2, bench::SEED);
         let t_old = avg_eval_seconds(&fac, &h, k, StratAlgo::Qrp, false, evals);
         let t_new = avg_eval_seconds(&fac, &h, k, StratAlgo::PrePivot, true, evals);
         table.row(vec![

@@ -8,26 +8,24 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig4 [--full]`
 
-use bench::{
-    flops_gemm, flops_qr, site_sweep, square_model, thermalised_state, time_best, BenchOpts,
-};
+use bench::{flops_gemm, flops_qr, site_sweep, square_model, thermalised_state, time_best};
 use dqmc::{greens_from_udt, stratify, ClusterCache, Spin, StratAlgo};
 use linalg::{gemm, Matrix, Op};
 use util::table::{fmt_f, Table};
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (beta, dtau) = if opts.full { (32.0, 0.2) } else { (8.0, 0.2) };
+    let mode = bench::mode("fig4");
+    let (beta, dtau) = if mode.full() { (32.0, 0.2) } else { (8.0, 0.2) };
     let k = 10usize;
     let slices = (beta / dtau) as usize;
     let lk = slices.div_ceil(k);
 
     println!("# Figure 4: Green's function evaluation GFlop/s vs kernels (L = {slices})");
     let mut table = Table::new(vec!["N", "greens-eval", "dgemm", "dgeqrf"]);
-    for lside in site_sweep(opts.full) {
+    for lside in site_sweep(mode.full()) {
         let n = lside * lside;
         let model = square_model(lside, 4.0, beta, dtau);
-        let (fac, h) = thermalised_state(&model, 2, opts.seed());
+        let (fac, h) = thermalised_state(&model, 2, bench::SEED);
 
         // One evaluation with a warm cache and one stale cluster: the
         // steady-state workload of a sweep.
@@ -45,7 +43,7 @@ fn main() {
             + lk as f64 * (2.0 + 4.0 / 3.0 + 4.0 / 3.0 + 1.0) * nf.powi(3)
             + 8.0 / 3.0 * nf.powi(3);
 
-        let mut rng = util::Rng::new(opts.seed());
+        let mut rng = util::Rng::new(bench::SEED);
         let a = Matrix::random(n, n, &mut rng);
         let b = Matrix::random(n, n, &mut rng);
         let t_gemm = time_best(3, || {

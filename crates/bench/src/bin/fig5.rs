@@ -8,12 +8,12 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig5 [--full]`
 
-use bench::{square_model, BenchOpts};
+use bench::square_model;
 use dqmc::{SimParams, Simulation};
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (sides, beta, dtau, warm, meas): (&[usize], f64, f64, usize, usize) = if opts.full {
+    let mode = bench::mode("fig5");
+    let (sides, beta, dtau, warm, meas): (&[usize], f64, f64, usize, usize) = if mode.full() {
         (&[16, 20, 24, 28, 32], 32.0, 0.2, 1000, 2000)
     } else {
         (&[4, 6, 8], 6.0, 0.15, 60, 120)
@@ -27,7 +27,7 @@ fn main() {
         let mut sim = Simulation::new(
             SimParams::new(model)
                 .with_sweeps(warm, meas)
-                .with_seed(opts.seed() + lside as u64)
+                .with_seed(bench::SEED + lside as u64)
                 .with_bin_size(10),
         );
         sim.run();

@@ -8,13 +8,13 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig8 [--full]`
 
-use bench::{site_sweep, square_model, time_once, BenchOpts};
+use bench::{site_sweep, square_model, time_once};
 use dqmc::{SimParams, Simulation};
 use util::table::{fmt_f, Table};
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (beta, dtau, warm, meas) = if opts.full {
+    let mode = bench::mode("fig8");
+    let (beta, dtau, warm, meas) = if mode.full() {
         (32.0, 0.2, 1000, 2000) // the paper's 36-hour configuration
     } else {
         (4.0, 0.2, 10, 20)
@@ -24,14 +24,14 @@ fn main() {
     println!("# beta={beta}, {warm}+{meas} sweeps");
     let mut table = Table::new(vec!["N", "seconds", "nominal-N^3", "ratio"]);
     let mut anchor: Option<(usize, f64)> = None;
-    for lside in site_sweep(opts.full) {
+    for lside in site_sweep(mode.full()) {
         let n = lside * lside;
         let model = square_model(lside, 4.0, beta, dtau);
         let (_, secs) = time_once(|| {
             let mut sim = Simulation::new(
                 SimParams::new(model)
                     .with_sweeps(warm, meas)
-                    .with_seed(opts.seed()),
+                    .with_seed(bench::SEED),
             );
             sim.run();
             sim

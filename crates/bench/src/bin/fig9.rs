@@ -10,13 +10,12 @@
 //! Usage: `cargo run --release -p bench --bin fig9 [--full]`
 
 use bench::section6::{try_cluster_kernel, try_wrap_fused, HostSpec};
-use bench::BenchOpts;
 use gpusim::{Device, DeviceSpec};
 use util::table::{fmt_f, Table};
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let sides: &[usize] = if opts.full {
+    let mode = bench::mode("fig9");
+    let sides: &[usize] = if mode.full() {
         &[8, 12, 16, 20, 24, 28, 32]
     } else {
         &[8, 12, 16, 20]

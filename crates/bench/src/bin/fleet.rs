@@ -5,14 +5,16 @@
 //! processes (8 under `--full`). Each row records wall time, speedup over
 //! the single-process fleet (none on a row with more processes than host
 //! cores), respawn/kill counts (always 0 here — the fault hooks are a test
-//! feature) and the host core count. The observables bytes are asserted
+//! feature). The observables bytes are asserted
 //! identical across every row and against the in-process reference: a
 //! sharding harness that moved a byte would be benchmarking the wrong
 //! physics.
 //!
-//! `BENCH_fleet.json` is the checked-in artifact; regenerate with
-//! `cargo run --release -p bench --bin fleet`. `--lx <n>` and
-//! `--sweeps <n>` scale the workload.
+//! `BENCH_fleet.json` is the checked-in artifact (`bench::ledger`);
+//! regenerate it with `cargo run --release -p bench --bin fleet`. Its first
+//! row, `procs = 0`, is the in-process reference (`fleet = 0` runs a
+//! campaign in-process, as in `dqmc-serve`). `--smoke` runs a 2×2 grid and
+//! writes nothing; `--full` runs 6×6 and adds an 8-process row.
 //!
 //! Process-level sharding pays per-child costs the in-process scheduler
 //! does not: process spawn, grid re-parse, manifest/report codec I/O and
@@ -20,39 +22,20 @@
 //! (seconds each), those costs vanish; the smoke grid here is small
 //! enough that they are visible — which is itself worth recording.
 
-use bench::BenchOpts;
+use bench::ledger::{self, Row};
 use fleet::{ChildCommand, FleetConfig};
 use sched::{EventLog, GridSpec, SchedConfig};
 
-struct Row {
-    procs: usize,
-    host_cores: usize,
-    wall_s: f64,
-    /// `None` when `procs > host_cores`: such a row measures
-    /// oversubscription, not the fleet, and prints no ratio.
-    speedup: Option<f64>,
-    shards: usize,
-    respawns: u32,
-    kills: u32,
-}
-
-/// A ratio to `prec` places, or `absent` where the row may not claim one.
-fn show(ratio: Option<f64>, prec: usize, absent: &str) -> String {
-    ratio.map_or_else(|| absent.to_owned(), |v| format!("{v:.prec$}"))
-}
-
-fn grid_text(opts: &BenchOpts) -> String {
-    let (l, sweeps, chains) = if opts.full {
-        (6, 96, 4)
-    } else if opts.smoke {
-        (2, 12, 2)
-    } else {
-        (4, 48, 4)
+fn grid_text(mode: bench::Mode) -> String {
+    let (l, sweeps, chains) = match mode {
+        bench::Mode::Full => (6, 96, 4),
+        bench::Mode::Smoke => (2, 12, 2),
+        bench::Mode::Default => (4, 48, 4),
     };
-    let l = opts.lx.unwrap_or(l);
-    let sweeps = opts.sweeps.unwrap_or(sweeps);
     // 8 points so a 4-process fleet still gets 2 points per shard; the
     // per-point workers/devices knobs ride inside each child's service.
+    // GridSpec::parse seeds from the text, so the seed is baked in here:
+    // fleet children re-parse this exact string.
     format!(
         "
         lx = {l}
@@ -70,9 +53,7 @@ fn grid_text(opts: &BenchOpts) -> String {
         quantum = 8
         ",
         sweeps / 4,
-        // GridSpec::parse seeds from the text, so the seed has to be
-        // baked in here: fleet children re-parse this exact string.
-        opts.seed(),
+        bench::SEED,
     )
 }
 
@@ -83,21 +64,14 @@ fn main() {
     if args.first().map(String::as_str) == Some("shard-child") {
         std::process::exit(fleet::child_main(&args[1..]));
     }
-    let opts = BenchOpts::from_env();
-    let text = grid_text(&opts);
+    let mode = bench::mode("fleet");
+    let text = grid_text(mode);
     let spec = GridSpec::parse(&text).expect("benchmark grid parses");
+    let workload = bench::grid_workload(&spec);
     let njobs = spec.total_jobs();
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let child = ChildCommand::current_exe("shard-child").expect("locate own executable");
-
-    println!(
-        "# fleet sharding: {} points x {} chains = {} jobs, {} sweeps each, {} host cores",
-        spec.points().len(),
-        spec.chains,
-        njobs,
-        spec.warmup + spec.sweeps,
-        host_cores
-    );
+    println!("# fleet sharding: {workload}, {njobs} jobs, {host_cores} host cores");
 
     // In-process reference: the bytes every fleet row must reproduce.
     let cfg = SchedConfig::from_spec(&spec);
@@ -112,8 +86,19 @@ fn main() {
         "procs", "shards", "wall_s", "speedup", "respawns", "kills"
     );
 
-    let proc_counts: &[usize] = if opts.full { &[1, 2, 4, 8] } else { &[1, 2, 4] };
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows = vec![Row::new()
+        .int("procs", 0)
+        .int("shards", 0)
+        .num("wall_s", ref_wall, 3)
+        .num("speedup", None, 3)
+        .int("respawns", 0)
+        .int("kills", 0)];
+    let proc_counts: &[usize] = if mode.full() {
+        &[1, 2, 4, 8]
+    } else {
+        &[1, 2, 4]
+    };
+    let mut base_wall = None;
     for &procs in proc_counts {
         let workdir = std::env::temp_dir().join(format!("dqmc-bench-fleet-{}", std::process::id()));
         let fleet_cfg = FleetConfig::new(procs, child.clone(), workdir);
@@ -123,70 +108,28 @@ fn main() {
             out.observables, reference,
             "fleet with {procs} procs changed the physics"
         );
-        let base_wall = rows.first().map_or(out.wall_seconds, |base| base.wall_s);
+        let base_wall = *base_wall.get_or_insert(out.wall_seconds);
+        // A row with more processes than host cores measures
+        // oversubscription, not the fleet, and claims no ratio.
         let speedup = (procs <= host_cores).then_some(base_wall / out.wall_seconds);
         println!(
             "{:>6} {:>8} {:>10.3} {:>8} {:>8} {:>8}",
             procs,
             out.shards,
             out.wall_seconds,
-            show(speedup, 2, "-"),
+            speedup.map_or("-".into(), |s| format!("{s:.2}")),
             out.respawns,
             out.kills
         );
-        rows.push(Row {
-            procs,
-            host_cores,
-            wall_s: out.wall_seconds,
-            speedup,
-            shards: out.shards,
-            respawns: out.respawns,
-            kills: out.kills,
-        });
+        rows.push(
+            Row::new()
+                .int("procs", procs)
+                .int("shards", out.shards)
+                .num("wall_s", out.wall_seconds, 3)
+                .num("speedup", speedup, 3)
+                .int("respawns", out.respawns as usize)
+                .int("kills", out.kills as usize),
+        );
     }
-
-    let json = render_json(&spec, njobs, ref_wall, &rows);
-    assert_eq!(
-        json.matches("\"host_cores\"").count(),
-        rows.len(),
-        "every BENCH_fleet.json row must record host_cores"
-    );
-    let path = "BENCH_fleet.json";
-    match util::vfs::write_atomic(std::path::Path::new(path), json.as_bytes()) {
-        Ok(()) => println!("# wrote {path}"),
-        Err(e) => eprintln!("# could not write {path}: {e}"),
-    }
-}
-
-fn render_json(spec: &GridSpec, njobs: usize, ref_wall: f64, rows: &[Row]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"grid\": {{\"lx\": {}, \"points\": {}, \"chains\": {}, \"jobs\": {}, \
-         \"sweeps\": {}}},\n",
-        spec.lx,
-        spec.points().len(),
-        spec.chains,
-        njobs,
-        spec.warmup + spec.sweeps
-    ));
-    out.push_str(&format!(
-        "  \"in_process_wall_s\": {ref_wall:.3},\n  \"bytes_identical_across_rows\": true,\n"
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"procs\": {}, \"shards\": {}, \"host_cores\": {}, \"wall_s\": {:.3}, \
-             \"speedup\": {}, \"respawns\": {}, \"kills\": {}}}{}\n",
-            r.procs,
-            r.shards,
-            r.host_cores,
-            r.wall_s,
-            show(r.speedup, 3, "null"),
-            r.respawns,
-            r.kills,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    ledger::write("fleet", mode, &workload, &[("procs", &rows)]);
 }

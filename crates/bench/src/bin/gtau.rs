@@ -9,23 +9,26 @@
 //!
 //! Usage: `cargo run --release -p bench --bin gtau [--full]`
 
-use bench::BenchOpts;
 use dqmc::{ModelParams, SimParams, Simulation};
 use lattice::Lattice;
 
 fn main() {
-    let opts = BenchOpts::from_env();
+    let mode = bench::mode("gtau");
 
     // Part 1: dimer vs exact diagonalisation.
     let (u, beta, dtau): (f64, f64, f64) = (4.0, 2.0, 0.05);
     let slices = (beta / dtau).round() as usize;
-    let (warm, meas) = if opts.full { (500, 5000) } else { (200, 1000) };
+    let (warm, meas) = if mode.full() {
+        (500, 5000)
+    } else {
+        (200, 1000)
+    };
     println!("# G_loc(tau): DQMC dimer vs exact diagonalisation (U={u}, beta={beta})");
     let model = ModelParams::new(Lattice::square(2, 1, 1.0), u, 0.0, dtau, slices);
     let mut sim = Simulation::new(
         SimParams::new(model)
             .with_sweeps(warm, meas)
-            .with_seed(opts.seed())
+            .with_seed(bench::SEED)
             .with_cluster_size(10)
             .with_bin_size(20)
             .with_unequal_time(true),
@@ -43,13 +46,13 @@ fn main() {
     }
 
     // Part 2: momentum-resolved decay on a lattice.
-    let lside = if opts.full { 8 } else { 4 };
+    let lside = if mode.full() { 8 } else { 4 };
     println!("\n# G_k(tau) on {lside}x{lside}, U=4, beta=4 (decay rate ~ quasiparticle energy)");
     let model = ModelParams::new(Lattice::square(lside, lside, 1.0), 4.0, 0.0, 0.1, 40);
     let mut sim = Simulation::new(
         SimParams::new(model)
             .with_sweeps(warm / 4, meas / 4)
-            .with_seed(opts.seed() + 1)
+            .with_seed(bench::SEED + 1)
             .with_cluster_size(10)
             .with_bin_size(10)
             .with_unequal_time(true),

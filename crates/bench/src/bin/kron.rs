@@ -15,49 +15,31 @@
 //!
 //! Everything is held to one thread, as a spin-pair chunk runs it. Before
 //! timing, every shape it times is run on both routes under every kernel
-//! path, and the program exits 1 if any two results differ in a bit. Writes
-//! `BENCH_kron.json` (with `host_cores` and the kernel path) into the
-//! current directory.
+//! path, and the program exits 1 if any two results differ in a bit. A
+//! default run writes `BENCH_kron.json` (`bench::ledger`; rows tagged `cut`
+//! or `products`) into the current directory; `--smoke` times fewer shapes,
+//! checks every kernel path and writes nothing.
 //!
 //! Usage: `cargo run --release -p bench --bin kron [--smoke]`
 
-use bench::{cpu_model, time_best, BenchOpts};
+use bench::ledger::{self, Row};
+use bench::time_best;
 use lattice::Lattice;
 use linalg::kron::{mode_product_on, Route, DIRECT_CUT};
 use linalg::{kernel_path, KernelPath, Kron, Matrix, Op, Side};
 use util::table::{fmt_f, Table};
 
-/// µs per mode product on each route, by step kind.
-struct CutRow {
-    n: usize,
-    len: usize,
-    /// `[inner = 1, n, n², one slab]`, direct then GEMM.
-    us: [[f64; 4]; 2],
-}
-
-struct Row {
-    n: usize,
-    dense_left_us: f64,
-    kron_left_us: f64,
-    dense_right_us: f64,
-    kron_right_us: f64,
-    /// The factored products' steps: `inner = 1, side` (left), `N, N·side`
-    /// (right).
-    step_us: [f64; 4],
-}
-
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (orders, sides): (Vec<usize>, &[usize]) = if opts.smoke {
+    let mode = bench::mode("kron");
+    let (orders, sides): (Vec<usize>, &[usize]) = if mode.smoke() {
         (vec![2, 3, 5, 10, 16, 17, 32], &[6, 10, 16])
     } else {
         ((2..=64).collect(), &[6, 8, 10, 12, 16, 20, 24, 32])
     };
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut rng = util::Rng::new(opts.seed());
+    let mut rng = util::Rng::new(bench::SEED);
     // The scalar path is a libm call per multiply-add: the full run checks
     // the dispatched path (`tests/kernel_paths.rs` pins every path).
-    let paths = if opts.smoke {
+    let paths = if mode.smoke() {
         vec![KernelPath::Scalar, KernelPath::Fma, KernelPath::Avx512]
     } else {
         vec![kernel_path()]
@@ -88,6 +70,7 @@ fn main() {
     println!("# oracle: direct == GEMM route bit for bit on every shape below, paths {names:?}");
 
     let _one_thread = linalg::team::hold();
+    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
         "# kernel: {}, host cores: {host_cores}, held (1 thread), direct below order {DIRECT_CUT}",
         kernel_path().name()
@@ -111,12 +94,16 @@ fn main() {
             }
         }
         let mut cells = vec![n.to_string(), len.to_string()];
+        let mut row = Row::new().int("order", n).int("len", len);
+        for (key, us) in CUT_KEYS.iter().flatten().zip(us.iter().flatten()) {
+            row = row.num(key, *us, 2);
+        }
         for s in 0..4 {
             cells.push(fmt_f(us[0][s], 1));
             cells.push(fmt_f(us[1][s], 1));
         }
         table.row(cells);
-        cut_rows.push(CutRow { n, len, us });
+        cut_rows.push(row);
     }
     print!("{}", table.render());
 
@@ -165,36 +152,64 @@ fn main() {
                 linalg::kron::mode_product(f, Op::NoTrans, inner, x, y);
             });
         }
-        let row = Row {
-            n,
-            dense_left_us,
-            kron_left_us,
-            dense_right_us,
-            kron_right_us,
-            step_us,
-        };
         let mut cells = vec![
             n.to_string(),
-            fmt_f(row.dense_left_us, 1),
-            fmt_f(row.kron_left_us, 1),
-            fmt_f(row.dense_left_us / row.kron_left_us, 2),
-            fmt_f(row.dense_right_us, 1),
-            fmt_f(row.kron_right_us, 1),
-            fmt_f(row.dense_right_us / row.kron_right_us, 2),
+            fmt_f(dense_left_us, 1),
+            fmt_f(kron_left_us, 1),
+            fmt_f(dense_left_us / kron_left_us, 2),
+            fmt_f(dense_right_us, 1),
+            fmt_f(kron_right_us, 1),
+            fmt_f(dense_right_us / kron_right_us, 2),
         ];
         cells.extend(step_us.iter().map(|&us| fmt_f(us, 1)));
         table.row(cells);
+        let mut row = Row::new()
+            .int("n", n)
+            .num("dense_left_us", dense_left_us, 2)
+            .num("kron_left_us", kron_left_us, 2)
+            .num("dense_right_us", dense_right_us, 2)
+            .num("kron_right_us", kron_right_us, 2);
+        for (key, us) in PRODUCT_STEPS.into_iter().zip(step_us) {
+            row = row.num(key, us, 2);
+        }
         rows.push(row);
     }
     print!("{}", table.render());
 
-    let path = "BENCH_kron.json";
-    let json = render_json(host_cores, &cut_rows, &rows);
-    match util::vfs::write_atomic(std::path::Path::new(path), json.as_bytes()) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let workload = format!(
+        "one thread, direct below order {DIRECT_CUT}; cut: orders {}..{}; products: N = {}",
+        orders[0],
+        orders[orders.len() - 1],
+        sides
+            .iter()
+            .map(|s| (s * s).to_string())
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let tables = [("cut", &cut_rows[..]), ("products", &rows[..])];
+    ledger::write("kron", mode, &workload, &tables);
 }
+
+/// The cut rows' keys: the direct route's four step kinds, then the GEMM
+/// route's.
+const CUT_KEYS: [[&str; 4]; 2] = [
+    [
+        "direct_inner1_us",
+        "direct_inner_n_us",
+        "direct_inner_n2_us",
+        "direct_slab_us",
+    ],
+    [
+        "gemm_inner1_us",
+        "gemm_inner_n_us",
+        "gemm_inner_n2_us",
+        "gemm_slab_us",
+    ],
+];
+
+/// The product rows' step keys: the factored products' mode products at
+/// `inner = 1, side` (left) and `N, N·side` (right).
+const PRODUCT_STEPS: [&str; 4] = ["step_1_us", "step_l_us", "step_n_us", "step_nl_us"];
 
 /// The cut table's buffer length at order `n`: a multiple of `n³` near 2¹⁶.
 fn cut_len(n: usize) -> usize {
@@ -246,54 +261,4 @@ fn per_call(flops: f64, mut f: impl FnMut()) -> f64 {
         }
     };
     time_best(15, sample) / inner as f64 * 1e6
-}
-
-/// Hand-rendered JSON (no serde in the dependency closure).
-fn render_json(host_cores: usize, cut_rows: &[CutRow], rows: &[Row]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"kernel\": \"{}\",\n", kernel_path().name()));
-    s.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    s.push_str(&format!("  \"cpu_model\": \"{}\",\n", cpu_model()));
-    s.push_str("  \"threads\": 1,\n");
-    s.push_str(&format!("  \"direct_cut\": {DIRECT_CUT},\n"));
-    s.push_str("  \"cut_rows\": [\n");
-    for (i, r) in cut_rows.iter().enumerate() {
-        let [d, g] = r.us;
-        s.push_str(&format!(
-            "    {{\"order\": {}, \"len\": {}, \"direct_us\": [{:.2}, {:.2}, {:.2}, {:.2}], \
-             \"gemm_us\": [{:.2}, {:.2}, {:.2}, {:.2}]}}{}\n",
-            r.n,
-            r.len,
-            d[0],
-            d[1],
-            d[2],
-            d[3],
-            g[0],
-            g[1],
-            g[2],
-            g[3],
-            if i + 1 == cut_rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let t = r.step_us;
-        s.push_str(&format!(
-            "    {{\"n\": {}, \"dense_left_us\": {:.2}, \"kron_left_us\": {:.2}, \
-             \"dense_right_us\": {:.2}, \"kron_right_us\": {:.2}, \
-             \"step_us\": [{:.2}, {:.2}, {:.2}, {:.2}]}}{}\n",
-            r.n,
-            r.dense_left_us,
-            r.kron_left_us,
-            r.dense_right_us,
-            r.kron_right_us,
-            t[0],
-            t[1],
-            t[2],
-            t[3],
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }

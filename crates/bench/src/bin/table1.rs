@@ -9,7 +9,7 @@
 //!
 //! Usage: `cargo run --release -p bench --bin table1 [--full]`
 
-use bench::{site_sweep, square_model, BenchOpts};
+use bench::{site_sweep, square_model};
 use dqmc::{SimParams, Simulation};
 use util::table::{fmt_f, Table};
 
@@ -50,8 +50,8 @@ fn profile_row(
 }
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let (beta, dtau, warm, meas) = if opts.full {
+    let mode = bench::mode("table1");
+    let (beta, dtau, warm, meas) = if mode.full() {
         (32.0, 0.2, 100, 200)
     } else {
         (4.0, 0.2, 10, 20)
@@ -68,14 +68,14 @@ fn main() {
     println!("# Table I: % of execution time per phase (beta={beta}, {warm}+{meas} sweeps)");
     println!("# (a) static measurements only");
     let mut table = Table::new(headers.clone());
-    for lside in site_sweep(opts.full) {
+    for lside in site_sweep(mode.full()) {
         table.row(profile_row(
             lside,
             beta,
             dtau,
             warm,
             meas,
-            opts.seed(),
+            bench::SEED,
             false,
         ));
     }
@@ -86,14 +86,14 @@ fn main() {
     // the comparable profile.
     println!("\n# (b) with dynamic (unequal-time) measurements, as QUEST runs them");
     let mut table = Table::new(headers);
-    for lside in site_sweep(opts.full) {
+    for lside in site_sweep(mode.full()) {
         table.row(profile_row(
             lside,
             beta,
             dtau,
             warm,
             meas,
-            opts.seed(),
+            bench::SEED,
             true,
         ));
     }

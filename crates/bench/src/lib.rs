@@ -4,86 +4,114 @@
 //! `DESIGN.md` §3 for the index). Because the paper's production runs took
 //! 36 hours on a 12-core node, each binary defaults to a scaled-down
 //! workload that preserves the *shape* of the result and accepts `--full`
-//! to run paper-scale parameters. Output is whitespace-aligned text, one
-//! record per line, suitable for piping into plotting tools.
+//! to run paper-scale parameters, or `--smoke` for a seconds-scale run
+//! ([`mode`]). Output is whitespace-aligned text, one record per line,
+//! suitable for piping into plotting tools.
 //!
-//! [`section6`] holds the cost model behind Figures 9 and 10.
+//! [`ledger`] writes the checked-in `BENCH_*.json` files, and [`section6`]
+//! holds the cost model behind Figures 9 and 10.
 
+pub mod ledger;
 pub mod section6;
 
 use dqmc::{HsField, ModelParams, SimParams};
 use lattice::Lattice;
+use sched::{GridSpec, SchedConfig};
 use std::time::Instant;
+use util::settings::{none, Command, Dialect, Key};
 
-/// Common command-line options for the harness binaries.
-#[derive(Clone, Debug, Default)]
-pub struct BenchOpts {
-    /// Run paper-scale parameters instead of the scaled-down defaults.
-    pub full: bool,
-    /// Run a seconds-scale workload (CI perf-smoke); overrides `--full`.
-    pub smoke: bool,
-    /// Override the RNG seed.
-    pub seed: Option<u64>,
-    /// Fixed device-pool size for scheduler benches; `None` scales the
-    /// pool with the worker count.
-    pub pool_size: Option<usize>,
-    /// Override the lattice side for scheduler benches (`--lx`).
-    pub lx: Option<usize>,
-    /// Override the measurement sweeps per chain for scheduler benches
-    /// (`--sweeps`).
-    pub sweeps: Option<usize>,
-    /// Override the crowd size B for scheduler benches (`--crowd`).
-    pub crowd: Option<usize>,
+/// The seed every harness run draws from.
+pub const SEED: u64 = 1234;
+
+/// How big a run is: the scaled-down default, paper scale (`--full`), or
+/// seconds for CI (`--smoke`, which wins over `--full` and writes no
+/// ledger).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Mode {
+    #[default]
+    Default,
+    Full,
+    Smoke,
 }
 
-impl BenchOpts {
-    /// Parses `--full`, `--seed <u64>`, `--pool-size <usize>`,
-    /// `--lx <usize>`, `--sweeps <usize>` and `--crowd <usize>` from
-    /// `std::env::args`.
-    pub fn from_env() -> Self {
-        let mut opts = BenchOpts::default();
-        let mut args = std::env::args().skip(1);
-        let usize_arg = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-            args.next()
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or_else(|| panic!("{flag} requires an integer"))
-        };
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--full" => opts.full = true,
-                "--smoke" => opts.smoke = true,
-                "--seed" => {
-                    let v = args
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--seed requires an integer");
-                    opts.seed = Some(v);
-                }
-                "--pool-size" => opts.pool_size = Some(usize_arg(&mut args, "--pool-size")),
-                "--lx" => opts.lx = Some(usize_arg(&mut args, "--lx")),
-                "--sweeps" => opts.sweeps = Some(usize_arg(&mut args, "--sweeps")),
-                "--crowd" => opts.crowd = Some(usize_arg(&mut args, "--crowd")),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "options: --full (paper-scale parameters), --smoke (CI-scale), \
-                         --seed <u64>, --pool-size <usize> (fixed device pool), \
-                         --lx <usize> (lattice side), --sweeps <usize> (measurement \
-                         sweeps per chain), --crowd <usize> (walkers batched per job)"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown option {other}; try --help");
-                    std::process::exit(2);
-                }
-            }
-        }
-        opts
+impl Mode {
+    /// Paper-scale parameters.
+    pub fn full(self) -> bool {
+        self == Mode::Full
     }
 
-    /// The seed to use (default 1234).
-    pub fn seed(&self) -> u64 {
-        self.seed.unwrap_or(1234)
+    /// A seconds-scale run.
+    pub fn smoke(self) -> bool {
+        self == Mode::Smoke
+    }
+
+    /// The name a ledger header records.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Mode::Default => "default",
+            Mode::Full => "full",
+            Mode::Smoke => "smoke",
+        }
+    }
+}
+
+const FLAGS: &[Key<Mode>] = &[
+    Key("full", &[], "", |m, _| {
+        if *m == Mode::Default {
+            *m = Mode::Full;
+        }
+        Ok(())
+    }),
+    Key("smoke", &[], "", |m, _| {
+        *m = Mode::Smoke;
+        Ok(())
+    }),
+];
+
+/// Reads the command line of the harness binary `name` through
+/// [`util::settings::Command`]: `--full` or `--smoke`; `--help` exits 0 and
+/// anything else exits 2.
+pub fn mode(name: &'static str) -> Mode {
+    let command = Command {
+        flags: Dialect {
+            name,
+            keys: FLAGS,
+            base: None,
+        },
+        operands: "",
+        init: Mode::default,
+        take: |_, operands| none(operands),
+        more: || "  --full: paper-scale parameters; --smoke: seconds, writes no ledger\n".into(),
+    };
+    command.read(&std::env::args().skip(1).collect::<Vec<_>>())
+}
+
+/// A sweep grid as a ledger's `workload`: lattice, points, chains and
+/// sweeps.
+pub fn grid_workload(spec: &GridSpec) -> String {
+    format!(
+        "{}x{} lattice, {} points x {} chains, {} + {} sweeps",
+        spec.lx,
+        spec.ly,
+        spec.points().len(),
+        spec.chains,
+        spec.warmup,
+        spec.sweeps
+    )
+}
+
+/// The scheduler benches' configuration: `workers` workers and as many
+/// devices, so the rows measure the scheduler rather than device
+/// starvation; no queue bound, no yields, one retry.
+pub fn pooled(spec: &GridSpec, workers: usize) -> SchedConfig {
+    SchedConfig {
+        workers,
+        devices: workers,
+        queue_bound: 0,
+        quantum: spec.quantum,
+        yield_every_quanta: 0,
+        job_retries: 1,
+        ..SchedConfig::default()
     }
 }
 
@@ -115,17 +143,6 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
-}
-
-/// The host's `model name` line of `/proc/cpuinfo`, quotes and backslashes
-/// dropped so it can sit in the JSON unescaped.
-pub fn cpu_model() -> String {
-    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
-    let line = info.lines().find(|l| l.starts_with("model name"));
-    let model = line
-        .and_then(|l| l.split_once(':'))
-        .map_or("unknown", |(_, m)| m.trim());
-    model.chars().filter(|&c| c != '"' && c != '\\').collect()
 }
 
 /// Standard half-filled square-lattice model used across the harness.

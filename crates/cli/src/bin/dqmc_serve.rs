@@ -11,8 +11,8 @@
 //! HTTP for probes. By default it listens on 127.0.0.1:7070 with one
 //! worker, no devices, no cache and in-process execution (`--fleet 0`).
 
-use dqmc_cli::fail;
 use serve::{FleetPolicy, Server};
+use util::settings::fail;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -10,11 +10,12 @@
 //! ```
 
 use dqmc::Simulation;
-use dqmc_cli::{fail, submit_exit, Backend, InputFile};
+use dqmc_cli::{submit_exit, Backend, InputFile};
 use fleet::{ChildCommand, FleetConfig};
 use sched::{EventLog, GridSpec, SchedConfig, TraceEvent};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+use util::settings::fail;
 
 /// Base backoff between `dqmc-run submit` resubmission attempts.
 const SUBMIT_BACKOFF: Duration = Duration::from_millis(100);

@@ -124,7 +124,7 @@ impl Kron {
 /// The factor order from which a mode product runs on the GEMM driver
 /// instead of the direct kernel.
 ///
-/// Measured with `bench --bin kron` (`BENCH_kron.json`, `cut_rows`): one
+/// Measured with `bench --bin kron` (`BENCH_kron.json`, `cut` rows): one
 /// held mode product on about 2¹⁶ values at every order 2 … 64, for each
 /// step kind. On the 2-core AVX-512 reference host the direct kernel beats
 /// the GEMM route (the slab loop below, `op(A)ᵀ` packed once) at every

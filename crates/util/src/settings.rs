@@ -1,7 +1,8 @@
 //! One reader for every text the program takes: the `key = value` dialect
 //! of input files (`dqmc_cli::InputFile`) and sweep grid specs
-//! (`sched::GridSpec`), command lines ([`Dialect::apply_args`]), and the
-//! item primitives of fault scripts.
+//! (`sched::GridSpec`), command lines ([`Command`]: `dqmc-run`,
+//! `dqmc-serve` and every bench binary), and the item primitives of fault
+//! scripts.
 //!
 //! `#` starts a comment. Each line is trimmed, and a non-empty one is split
 //! at its first `=` into a key, case-folded, and a value. A [`Dialect`] is a
@@ -267,6 +268,74 @@ pub fn choice<C: Copy>(v: &str, what: &str, names: &[(&str, C)]) -> Result<C, St
             Err(format!("unknown {what} '{v}' (one of {})", all.join(", ")))
         }
     }
+}
+
+/// Prints `message` to stderr and exits with `code`.
+pub fn fail(code: i32, message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(code)
+}
+
+/// A command line: its flag table (named by the command's leading words),
+/// its operands as usage shows them, and how a fresh command struct is
+/// made and takes its operands.
+pub struct Command<T: 'static> {
+    /// The flags.
+    pub flags: Dialect<T>,
+    /// The operands, as usage shows them.
+    pub operands: &'static str,
+    /// The command with every default.
+    pub init: fn() -> T,
+    /// Stores the operands, or says what is wrong with them.
+    pub take: fn(&mut T, &[&str]) -> Result<(), String>,
+    /// What the help prints after the usage line.
+    pub more: fn() -> String,
+}
+
+impl<T> Command<T> {
+    /// Reads a command line: the words after the command's name.
+    pub fn parse(&self, args: &[String]) -> Result<T, SettingsError> {
+        let mut cmd = (self.init)();
+        let operands = self.flags.apply_args(&mut cmd, args)?;
+        (self.take)(&mut cmd, &operands).map_err(|m| self.flags.error(0, m))?;
+        Ok(cmd)
+    }
+
+    /// The usage line, without its `usage: ` prefix.
+    pub fn usage(&self) -> String {
+        self.flags.usage(self.operands)
+    }
+
+    /// The exit policy of every command: `--help` or `-h` prints the help
+    /// to stderr and exits 0. A usage error exits 2 after printing the
+    /// help when the command line is empty, and itself and the usage line
+    /// when not.
+    pub fn read(&self, args: &[String]) -> T {
+        let help = format!("usage: {}\n{}", self.usage(), (self.more)());
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            eprint!("{help}");
+            std::process::exit(0);
+        }
+        self.parse(args).unwrap_or_else(|e| match args {
+            [] => fail(2, help.trim_end()),
+            _ => fail(2, format!("{e}\nusage: {}", self.usage())),
+        })
+    }
+}
+
+/// The one operand of a command that reads one file.
+pub fn one(operands: &[&str]) -> Result<String, String> {
+    match operands {
+        [] => Err("missing operand".into()),
+        [file, rest @ ..] => none(rest).map(|()| file.to_string()),
+    }
+}
+
+/// The operands of a command that takes none.
+pub fn none(operands: &[&str]) -> Result<(), String> {
+    operands
+        .first()
+        .map_or(Ok(()), |extra| Err(format!("unexpected operand '{extra}'")))
 }
 
 /// Why an item primitive refused its text.
